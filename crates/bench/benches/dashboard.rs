@@ -19,9 +19,7 @@
 use nsdf_compress::Codec;
 use nsdf_dashboard::Dashboard;
 use nsdf_idx::{Field, IdxDataset, IdxMeta, QuerySession};
-use nsdf_storage::{
-    CachedStore, CloudStore, LocalStore, MemoryStore, NetworkProfile, ObjectStore, TierCache,
-};
+use nsdf_storage::{CloudStore, LocalStore, MemoryStore, NetworkProfile, ObjectStore, TierCache};
 use nsdf_util::{derive_seed, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 
@@ -225,7 +223,7 @@ fn run_trace(mem: &Arc<MemoryStore>, profile: NetworkProfile) -> ProfileReport {
     )
     .with_obs(&obs);
     let cached: Arc<dyn ObjectStore> =
-        Arc::new(CachedStore::new(Arc::new(cloud), 256 << 20).with_obs(&obs));
+        Arc::new(TierCache::new(Arc::new(cloud), 256 << 20).with_obs(&obs));
     let ds = Arc::new(IdxDataset::open(cached, "dash").expect("open").with_obs(&obs));
     let bounds = ds.bounds();
     let mut dash = Dashboard::new();
@@ -350,7 +348,7 @@ fn run_trace(mem: &Arc<MemoryStore>, profile: NetworkProfile) -> ProfileReport {
     let bclock = SimClock::new();
     let bcloud =
         CloudStore::new(mem.clone() as Arc<dyn ObjectStore>, profile, bclock.clone(), WAN_SEED);
-    let bcached: Arc<dyn ObjectStore> = Arc::new(CachedStore::new(Arc::new(bcloud), 256 << 20));
+    let bcached: Arc<dyn ObjectStore> = Arc::new(TierCache::new(Arc::new(bcloud), 256 << 20));
     let bds = IdxDataset::open(bcached, "dash").expect("open baseline");
     bds.read_progressive::<f32>("v", 0, bounds, START_LEVEL, overview_level)
         .expect("baseline overview");

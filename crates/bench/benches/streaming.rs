@@ -12,7 +12,7 @@
 use nsdf_compress::Codec;
 use nsdf_hz::HzCurve;
 use nsdf_idx::{Field, IdxDataset, IdxMeta};
-use nsdf_storage::{CachedStore, CloudStore, MemoryStore, NetworkProfile, ObjectStore};
+use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore, TierCache};
 use nsdf_util::{Box2i, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,7 +85,7 @@ fn run_case(
     let cloud: Arc<dyn ObjectStore> =
         Arc::new(CloudStore::new(mem.clone() as Arc<dyn ObjectStore>, profile, clock.clone(), 42));
     let store: Arc<dyn ObjectStore> =
-        if warm { Arc::new(CachedStore::new(cloud, 64 << 20)) } else { cloud };
+        if warm { Arc::new(TierCache::new(cloud, 64 << 20)) } else { cloud };
     let ds = IdxDataset::open(store.clone(), "stream")
         .expect("open dataset")
         .with_fetch_concurrency(concurrency);
@@ -166,7 +166,7 @@ fn metrics_artifact(mem: &Arc<MemoryStore>) -> String {
         42,
     )
     .with_obs(&seal);
-    let cached = Arc::new(CachedStore::new(Arc::new(cloud), 64 << 20).with_obs(&seal));
+    let cached = Arc::new(TierCache::new(Arc::new(cloud), 64 << 20).with_obs(&seal));
     let ds = IdxDataset::open(cached, "stream").expect("open dataset").with_obs(&seal);
     // Metadata fetch above is part of setup, not the measured reads.
     obs.reset();

@@ -171,10 +171,10 @@ mod tests {
         }
         let orig = a;
         transpose64(&mut a);
-        for i in 0..64 {
-            for j in 0..64 {
-                let got = (a[j] >> (63 - i)) & 1;
-                let want = (orig[i] >> (63 - j)) & 1;
+        for (i, row) in orig.iter().enumerate() {
+            for (j, col) in a.iter().enumerate() {
+                let got = (col >> (63 - i)) & 1;
+                let want = (row >> (63 - j)) & 1;
                 assert_eq!(got, want, "i={i} j={j}");
             }
         }

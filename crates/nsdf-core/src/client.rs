@@ -124,7 +124,7 @@ impl NsdfClient {
     /// clock; metrics are namespaced per endpoint (`seal.wan.bytes_down`,
     /// `dataverse.cache.hits`, ...). Get it via [`NsdfClient::obs`].
     pub fn simulated(seed: u64) -> NsdfClient {
-        Self::simulated_inner(seed, None).expect("RAM-only wiring cannot fail")
+        Self::build(seed, None, None).expect("RAM-only wiring cannot fail")
     }
 
     /// [`NsdfClient::simulated`] with a shared persistent disk tier under
@@ -133,78 +133,7 @@ impl NsdfClient {
     /// over the same store — after a restart, or for another tenant —
     /// serves previously-read regions with zero `wan.read_ops`.
     pub fn simulated_tiered(seed: u64, disk: Arc<dyn ObjectStore>) -> Result<NsdfClient> {
-        Self::simulated_inner(seed, Some(disk))
-    }
-
-    fn simulated_inner(seed: u64, disk: Option<Arc<dyn ObjectStore>>) -> Result<NsdfClient> {
-        let mut client = Self::empty();
-        let (clock, obs) = (client.clock.clone(), client.obs.clone());
-        for (name, kind, profile, label) in [
-            (
-                "dataverse",
-                EndpointKind::PublicCommons,
-                NetworkProfile::public_dataverse(),
-                "wan-dataverse",
-            ),
-            ("seal", EndpointKind::PrivateCloud, NetworkProfile::private_seal(), "wan-seal"),
-        ] {
-            let ep_obs = obs.scoped(name);
-            let wan = Arc::new(
-                CloudStore::new(
-                    Arc::new(MemoryStore::new()),
-                    profile,
-                    clock.clone(),
-                    derive_seed(seed, label),
-                )
-                .with_obs(&ep_obs),
-            );
-            client.wire_remote(name, kind, wan, &ep_obs, 256 << 20, disk.as_ref())?;
-        }
-        Ok(client)
-    }
-
-    /// A client skeleton: local scratch endpoint, shared clock/registry,
-    /// and the admission scheduler the remote endpoints sit under.
-    fn empty() -> NsdfClient {
-        let clock = SimClock::new();
-        let obs = Obs::new(clock.clone());
-        let sched = Arc::new(Scheduler::new(clock.clone(), SchedConfig::default()).with_obs(&obs));
-        sched.register_tenant(CLIENT_TENANT, "client", TenantPolicy::unthrottled());
-        let mut client =
-            NsdfClient { clock, obs, sched, tiers: BTreeMap::new(), endpoints: BTreeMap::new() };
-        client.add_endpoint(StorageEndpoint {
-            name: "local".into(),
-            kind: EndpointKind::Local,
-            store: Arc::new(MemoryStore::new()),
-        });
-        client
-    }
-
-    /// Front a remote endpoint's resilience stack with the two-tier cache
-    /// and put it under scheduler admission, so shed-and-reissued prefetch
-    /// warms the shared tiers for every tenant of this entry point.
-    fn wire_remote(
-        &mut self,
-        name: &str,
-        kind: EndpointKind,
-        stack: Arc<dyn ObjectStore>,
-        ep_obs: &Obs,
-        cache_bytes: u64,
-        disk: Option<&Arc<dyn ObjectStore>>,
-    ) -> Result<()> {
-        let mut tier = TierCache::new(stack, cache_bytes);
-        if let Some(d) = disk {
-            tier = tier.with_disk(Arc::clone(d), name, DEFAULT_DISK_TIER_BYTES)?;
-        }
-        let tier = Arc::new(tier.with_obs(ep_obs));
-        self.tiers.insert(name.to_string(), Arc::clone(&tier));
-        let admitted: Arc<dyn ObjectStore> = Arc::new(SchedStore::new(
-            tier as Arc<dyn ObjectStore>,
-            Arc::clone(&self.sched),
-            CLIENT_TENANT,
-        ));
-        self.add_endpoint(StorageEndpoint { name: name.into(), kind, store: admitted });
-        Ok(())
+        Self::build(seed, None, Some(disk))
     }
 
     /// A simulated client whose remote endpoints run a scripted fault plan
@@ -221,7 +150,7 @@ impl NsdfClient {
         plan: &FaultPlan,
         policy: &EndpointPolicy,
     ) -> Result<NsdfClient> {
-        Self::simulated_chaos_inner(seed, plan, policy, None)
+        Self::build(seed, Some((plan, policy)), None)
     }
 
     /// [`NsdfClient::simulated_chaos`] with a shared persistent disk tier
@@ -234,17 +163,36 @@ impl NsdfClient {
         policy: &EndpointPolicy,
         disk: Arc<dyn ObjectStore>,
     ) -> Result<NsdfClient> {
-        Self::simulated_chaos_inner(seed, plan, policy, Some(disk))
+        Self::build(seed, Some((plan, policy)), Some(disk))
     }
 
-    fn simulated_chaos_inner(
+    /// The one wiring of the simulated client: local scratch, the shared
+    /// clock/registry and admission scheduler, and per remote endpoint the
+    /// WAN model — under the scripted fault plan and resilience stack when
+    /// `chaos` is given — fronted by the tier cache (persistent when `disk`
+    /// is given) and put under scheduler admission, so shed-and-reissued
+    /// prefetch warms the shared tiers for every tenant of this entry point.
+    fn build(
         seed: u64,
-        plan: &FaultPlan,
-        policy: &EndpointPolicy,
+        chaos: Option<(&FaultPlan, &EndpointPolicy)>,
         disk: Option<Arc<dyn ObjectStore>>,
     ) -> Result<NsdfClient> {
-        let mut client = Self::empty();
-        let (clock, obs) = (client.clock.clone(), client.obs.clone());
+        let clock = SimClock::new();
+        let obs = Obs::new(clock.clone());
+        let sched = Arc::new(Scheduler::new(clock.clone(), SchedConfig::default()).with_obs(&obs));
+        sched.register_tenant(CLIENT_TENANT, "client", TenantPolicy::unthrottled());
+        let mut client = NsdfClient {
+            clock: clock.clone(),
+            obs: obs.clone(),
+            sched,
+            tiers: BTreeMap::new(),
+            endpoints: BTreeMap::new(),
+        };
+        client.add_endpoint(StorageEndpoint {
+            name: "local".into(),
+            kind: EndpointKind::Local,
+            store: Arc::new(MemoryStore::new()),
+        });
         for (name, kind, profile, label) in [
             (
                 "dataverse",
@@ -255,7 +203,7 @@ impl NsdfClient {
             ("seal", EndpointKind::PrivateCloud, NetworkProfile::private_seal(), "wan-seal"),
         ] {
             let ep_obs = obs.scoped(name);
-            let wan = Arc::new(
+            let mut stack: Arc<dyn ObjectStore> = Arc::new(
                 CloudStore::new(
                     Arc::new(MemoryStore::new()),
                     profile,
@@ -264,23 +212,35 @@ impl NsdfClient {
                 )
                 .with_obs(&ep_obs),
             );
-            let mut ep_plan = plan.clone();
-            ep_plan.seed = derive_seed(plan.seed, name);
-            let faulty = Arc::new(FaultStore::new(wan, ep_plan, clock.clone())?.with_obs(&ep_obs));
-            let mut stack: Arc<dyn ObjectStore> = faulty;
-            if let Some(breaker) = policy.breaker {
-                stack =
-                    Arc::new(BreakerStore::new(stack, breaker, clock.clone())?.with_obs(&ep_obs));
+            let mut cache_bytes = 256 << 20;
+            if let Some((plan, policy)) = chaos {
+                let mut ep_plan = plan.clone();
+                ep_plan.seed = derive_seed(plan.seed, name);
+                stack = Arc::new(FaultStore::new(stack, ep_plan, clock.clone())?.with_obs(&ep_obs));
+                if let Some(breaker) = policy.breaker {
+                    stack = Arc::new(
+                        BreakerStore::new(stack, breaker, clock.clone())?.with_obs(&ep_obs),
+                    );
+                }
+                if policy.verify_checksums {
+                    stack = Arc::new(IntegrityStore::new(stack).with_obs(&ep_obs));
+                }
+                let mut retry = RetryStore::new(stack, policy.retry, clock.clone())?;
+                if let Some(hedge) = policy.hedge {
+                    retry = retry.with_hedging(hedge)?;
+                }
+                stack = Arc::new(retry.with_obs(&ep_obs));
+                cache_bytes = policy.cache_bytes;
             }
-            if policy.verify_checksums {
-                stack = Arc::new(IntegrityStore::new(stack).with_obs(&ep_obs));
+            let mut tier = TierCache::new(stack, cache_bytes);
+            if let Some(d) = &disk {
+                tier = tier.with_disk(Arc::clone(d), name, DEFAULT_DISK_TIER_BYTES)?;
             }
-            let mut retry = RetryStore::new(stack, policy.retry, clock.clone())?;
-            if let Some(hedge) = policy.hedge {
-                retry = retry.with_hedging(hedge)?;
-            }
-            stack = Arc::new(retry.with_obs(&ep_obs));
-            client.wire_remote(name, kind, stack, &ep_obs, policy.cache_bytes, disk.as_ref())?;
+            let tier = Arc::new(tier.with_obs(&ep_obs));
+            client.tiers.insert(name.to_string(), Arc::clone(&tier));
+            let admitted =
+                Arc::new(SchedStore::new(tier, Arc::clone(&client.sched), CLIENT_TENANT));
+            client.add_endpoint(StorageEndpoint { name: name.into(), kind, store: admitted });
         }
         Ok(client)
     }

@@ -499,7 +499,7 @@ impl<T: Sample> QuerySession<T> {
     /// the cancel token checked before each wave. Resolved blocks of the
     /// session's current timestep land in the resident buffer; all decoded
     /// payloads land in the dataset's shared decoded cache (and therefore
-    /// warmed any `CachedStore` below on the way).
+    /// warmed any `TierCache` below on the way).
     ///
     /// Returns `true` when the token fired and the resolve was abandoned.
     fn resolve_blocks(
@@ -920,7 +920,7 @@ impl<T: Sample> QuerySession<T> {
 
     /// Speculatively resolve the current viewport's blocks for another
     /// timestep (playback's next step) refined to `level`, warming the
-    /// shared decoded cache and any `CachedStore` below. Returns the
+    /// shared decoded cache and any `TierCache` below. Returns the
     /// number of blocks resolved.
     pub fn prefetch_time(&mut self, time: u32, level: u32) -> Result<u64> {
         self.ds.check_time(time)?;

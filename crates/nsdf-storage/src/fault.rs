@@ -12,8 +12,7 @@
 //!
 //! 1. every per-key decision (fail? corrupt?) is a **pure function of
 //!    `(seed, key, attempt)`** — the attempt counter is tracked per key, so
-//!    batch composition and draw order cannot change which keys fail
-//!    (unlike the retired global-counter `FlakyStore` draws);
+//!    batch composition and draw order cannot change which keys fail;
 //! 2. scripted windows (outages, spikes) trigger on **virtual time**, so
 //!    identically-seeded runs see identical fault sequences regardless of
 //!    wall-clock scheduling.
@@ -249,8 +248,7 @@ impl FaultPlan {
     }
 }
 
-/// Registry handles for one `FaultStore`, under a configurable scope
-/// (`fault` by default, `flaky` for the compatibility wrapper).
+/// Registry handles for one `FaultStore`, under the `fault` scope.
 struct FaultMetrics {
     injected: Counter,
     outage_failures: Counter,
@@ -260,8 +258,8 @@ struct FaultMetrics {
 }
 
 impl FaultMetrics {
-    fn new(obs: &Obs, label: &str) -> Self {
-        let obs = obs.scoped(label);
+    fn new(obs: &Obs) -> Self {
+        let obs = obs.scoped("fault");
         FaultMetrics {
             injected: obs.counter("injected"),
             outage_failures: obs.counter("outage_failures"),
@@ -283,39 +281,25 @@ pub struct FaultStore {
     clock: SimClock,
     /// Per-key attempt counters: the `attempt` input of every draw.
     attempts: Mutex<HashMap<String, u64>>,
-    label: &'static str,
     m: FaultMetrics,
 }
 
 impl FaultStore {
     /// Wrap `inner`, executing `plan` against `clock`.
     pub fn new(inner: Arc<dyn ObjectStore>, plan: FaultPlan, clock: SimClock) -> Result<Self> {
-        Self::with_label(inner, plan, clock, "fault")
-    }
-
-    /// As [`FaultStore::new`] but reporting metrics under `label` (used by
-    /// the `FlakyStore` compatibility wrapper, which reports as `flaky`).
-    pub(crate) fn with_label(
-        inner: Arc<dyn ObjectStore>,
-        plan: FaultPlan,
-        clock: SimClock,
-        label: &'static str,
-    ) -> Result<Self> {
         plan.validate()?;
         Ok(FaultStore {
             inner,
             plan,
             clock,
             attempts: Mutex::new(HashMap::new()),
-            label,
-            m: FaultMetrics::new(&Obs::default(), label),
+            m: FaultMetrics::new(&Obs::default()),
         })
     }
 
-    /// Report injection accounting into `obs` (scope `…fault`, or the
-    /// label given at construction).
+    /// Report injection accounting into `obs` (scope `…fault`).
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.m = FaultMetrics::new(obs, self.label);
+        self.m = FaultMetrics::new(obs);
         self
     }
 
@@ -337,12 +321,6 @@ impl FaultStore {
     /// Payloads corrupted so far.
     pub fn corrupted_payloads(&self) -> u64 {
         self.m.corrupted.get()
-    }
-
-    /// The wrapped store's own description (for wrappers that present
-    /// their own layer description, like `FlakyStore`).
-    pub(crate) fn inner_describe(&self) -> String {
-        self.inner.describe()
     }
 
     /// Attempts consumed for `key` so far (draw-stream position).
@@ -878,16 +856,43 @@ mod tests {
         assert!(damaged < 30, "rate 0.3 must not corrupt everything, got {damaged}");
     }
 
+    /// A fresh in-memory store failing `rate` of in-scope operations.
+    fn uniform(rate: f64, scope: FailScope) -> FaultStore {
+        let plan = FaultPlan::new(7).with_fault_rate(rate).with_scope(scope);
+        fault(Arc::new(MemoryStore::new()), plan, SimClock::new())
+    }
+
     #[test]
-    fn writes_untouched_under_read_scope() {
-        let mem = Arc::new(MemoryStore::new());
-        let s = fault(
-            mem,
-            FaultPlan::new(3).with_fault_rate(1.0).with_scope(FailScope::Reads),
-            SimClock::new(),
-        );
-        s.put("k", b"v").unwrap();
+    fn scope_limits_injection() {
+        let s = uniform(1.0, FailScope::Reads);
+        s.put("k", b"v").unwrap(); // writes unaffected
         assert!(s.get("k").is_err());
+        let s = uniform(1.0, FailScope::Writes);
+        assert!(s.put("k", b"v").is_err());
+        assert!(s.get("k").unwrap_err().is_not_found(), "reads reach the store");
+    }
+
+    #[test]
+    fn full_rate_always_fails() {
+        let s = uniform(1.0, FailScope::All);
+        assert!(s.put("k", b"v").is_err());
+        assert!(s.get("k").is_err());
+        assert_eq!(s.injected_failures(), 2);
+    }
+
+    #[test]
+    fn injection_is_deterministic() {
+        let run = || {
+            let s = uniform(0.3, FailScope::All);
+            (0..50).map(|i| s.put(&format!("k{i}"), b"v").is_ok()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
+        let s = uniform(0.3, FailScope::All);
+        for i in 0..50 {
+            let _ = s.put(&format!("k{i}"), b"v");
+        }
+        let injected = s.injected_failures();
+        assert!((5..30).contains(&injected), "injected {injected} of 50 at 30%");
     }
 
     #[test]

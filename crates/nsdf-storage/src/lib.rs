@@ -3,13 +3,12 @@
 //! Object storage for the NSDF stack: the trait everything above speaks,
 //! concrete backends, a deterministic WAN simulator standing in for the
 //! public (Dataverse-class) and private (Seal-class) clouds of the
-//! tutorial, and the LRU cache layer OpenVisus-style streaming relies on.
+//! tutorial, and the cache layer OpenVisus-style streaming relies on.
 //!
 //! * [`store`] — the [`ObjectStore`] trait, key validation, ranged reads;
 //! * [`memory`] — in-memory backend;
 //! * [`local`] — filesystem backend;
 //! * [`wan`] — [`wan::CloudStore`] WAN wrapper with [`wan::NetworkProfile`]s;
-//! * [`cache`] — [`cache::CachedStore`] byte-budgeted LRU cache;
 //! * [`fault`] — scripted, seeded chaos: [`fault::FaultPlan`] windows
 //!   (outages, latency spikes, slow reads, error bursts, corruption)
 //!   executed by [`fault::FaultStore`] on the virtual clock;
@@ -23,14 +22,14 @@
 //!   zipf dataset popularity) driving the scheduler at population scale;
 //! * [`testkit`] — deterministic crash/gate injection stores shared by
 //!   the recovery and ordering test batteries;
-//! * [`tiercache`] — [`tiercache::TierCache`] two-tier cache: a
-//!   TinyLFU-admitted (scan-resistant) RAM tier over a persistent
-//!   content-addressed disk tier with integrity-checked promotion.
+//! * [`tiercache`] — [`tiercache::TierCache`], the one read cache: a
+//!   byte-budgeted, single-flight, TinyLFU-admitted (scan-resistant) RAM
+//!   tier over an optional persistent content-addressed disk tier with
+//!   integrity-checked promotion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod fault;
 pub mod fleet;
 pub mod local;
@@ -42,19 +41,20 @@ pub mod testkit;
 pub mod tiercache;
 pub mod wan;
 
-pub use cache::{CacheStats, CachedStore};
 pub use fault::{FaultKind, FaultPlan, FaultStore, FaultWindow};
 pub use fleet::{FleetReport, FleetSim, FleetSpec, LatencySummary};
 pub use local::LocalStore;
 pub use memory::MemoryStore;
 pub use reliability::{
-    BreakerPolicy, BreakerState, BreakerStore, FailScope, FlakyStore, HedgePolicy, IntegrityStore,
-    RetryPolicy, RetryStore,
+    BreakerPolicy, BreakerState, BreakerStore, FailScope, HedgePolicy, IntegrityStore, RetryPolicy,
+    RetryStore,
 };
 pub use sched::{
     Priority, SchedConfig, SchedStore, Scheduler, TenantId, TenantPolicy, TokenBucket,
 };
 pub use store::{validate_key, ObjectMeta, ObjectStore};
 pub use testkit::{CrashPoint, CrashSpec, CrashStore, GateStore};
-pub use tiercache::{hash_to_path, AdmissionDecision, FrequencySketch, TierCache, TierStats};
+pub use tiercache::{
+    hash_to_path, AdmissionDecision, CacheStats, FrequencySketch, TierCache, TierStats,
+};
 pub use wan::{CloudStore, NetworkProfile, TransferLog};

@@ -2,20 +2,18 @@
 //! breaking, and end-to-end payload integrity.
 //!
 //! Wide-area transfers fail; the NSDF testbed papers (refs \[2\], \[12\])
-//! treat transient request failures as a fact of life. `FlakyStore`
-//! injects deterministic, seed-driven failures into any inner store so
-//! tests and benches can exercise error paths (it is a thin uniform-rate
-//! wrapper over the scripted [`crate::fault::FaultStore`]), and
-//! `RetryStore` layers bounded exponential-backoff retries — optionally
-//! with hedged backup waves — on top, charging all waiting to the virtual
-//! clock. `BreakerStore` adds a per-endpoint circuit breaker so a dead
-//! endpoint fails fast instead of burning retry budget, and
+//! treat transient request failures as a fact of life. The scripted
+//! [`crate::fault::FaultStore`] injects deterministic, seed-driven
+//! failures into any inner store so tests and benches can exercise error
+//! paths, and `RetryStore` layers bounded exponential-backoff retries —
+//! optionally with hedged backup waves — on top, charging all waiting to
+//! the virtual clock. `BreakerStore` adds a per-endpoint circuit breaker so
+//! a dead endpoint fails fast instead of burning retry budget, and
 //! `IntegrityStore` verifies payload checksums against stored metadata so
 //! corrupted-in-flight payloads surface as retryable I/O errors. The
 //! stack proves end-to-end that a lossy substrate still yields correct
 //! datasets.
 
-use crate::fault::{FaultPlan, FaultStore};
 use crate::store::{ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, secs_to_ns, NsdfError, Result, SimClock};
@@ -31,90 +29,6 @@ pub enum FailScope {
     Writes,
     /// Everything.
     All,
-}
-
-/// A store that fails a deterministic fraction of operations.
-///
-/// Kept as the simple entry point for uniform i.i.d. fault injection; it
-/// delegates to a [`FaultStore`] running a window-less [`FaultPlan`], so a
-/// key's failure decision is a pure function of `(seed, key, attempt)` —
-/// batch composition cannot change which keys fail.
-pub struct FlakyStore {
-    inner: FaultStore,
-    fail_rate: f64,
-}
-
-impl FlakyStore {
-    /// Fail `fail_rate` of in-scope operations with an I/O error.
-    pub fn new(
-        inner: Arc<dyn ObjectStore>,
-        fail_rate: f64,
-        scope: FailScope,
-        seed: u64,
-    ) -> Result<Self> {
-        let plan = FaultPlan::new(seed).with_fault_rate(fail_rate).with_scope(scope);
-        Ok(FlakyStore {
-            inner: FaultStore::with_label(inner, plan, SimClock::new(), "flaky")?,
-            fail_rate,
-        })
-    }
-
-    /// Report the injected-failure count into `obs` (scope `…flaky`).
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.inner = self.inner.with_obs(obs);
-        self
-    }
-
-    /// Number of failures injected so far.
-    pub fn injected_failures(&self) -> u64 {
-        self.inner.injected_failures()
-    }
-}
-
-impl ObjectStore for FlakyStore {
-    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        self.inner.put(key, data)
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.inner.get_range(key, offset, len)
-    }
-
-    fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        self.inner.get_many(keys)
-    }
-
-    fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        self.inner.put_many(items)
-    }
-
-    fn head(&self, key: &str) -> Result<ObjectMeta> {
-        self.inner.head(key)
-    }
-
-    fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
-        self.inner.head_many(keys)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, key: &str) -> Result<()> {
-        self.inner.delete(key)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "{} with {:.0}% injected failures",
-            self.inner.inner_describe(),
-            self.fail_rate * 100.0
-        )
-    }
 }
 
 /// Retry policy for [`RetryStore`].
@@ -802,52 +716,17 @@ impl ObjectStore for IntegrityStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultStore};
     use crate::memory::MemoryStore;
 
-    fn flaky(rate: f64, scope: FailScope) -> Arc<FlakyStore> {
-        Arc::new(FlakyStore::new(Arc::new(MemoryStore::new()), rate, scope, 7).unwrap())
+    /// A fresh in-memory store failing `rate` of in-scope operations.
+    fn flaky_seeded(rate: f64, scope: FailScope, seed: u64) -> FaultStore {
+        let plan = FaultPlan::new(seed).with_fault_rate(rate).with_scope(scope);
+        FaultStore::new(Arc::new(MemoryStore::new()), plan, SimClock::new()).unwrap()
     }
 
-    #[test]
-    fn zero_rate_never_fails() {
-        let s = flaky(0.0, FailScope::All);
-        for i in 0..100 {
-            s.put(&format!("k{i}"), b"v").unwrap();
-            s.get(&format!("k{i}")).unwrap();
-        }
-        assert_eq!(s.injected_failures(), 0);
-    }
-
-    #[test]
-    fn full_rate_always_fails() {
-        let s = flaky(1.0, FailScope::All);
-        assert!(s.put("k", b"v").is_err());
-        assert!(s.get("k").is_err());
-        assert_eq!(s.injected_failures(), 2);
-    }
-
-    #[test]
-    fn scope_limits_injection() {
-        let s = flaky(1.0, FailScope::Reads);
-        s.put("k", b"v").unwrap(); // writes unaffected
-        assert!(s.get("k").is_err());
-        let s = flaky(1.0, FailScope::Writes);
-        assert!(s.put("k", b"v").is_err());
-    }
-
-    #[test]
-    fn injection_is_deterministic() {
-        let run = || {
-            let s = flaky(0.3, FailScope::All);
-            (0..50).map(|i| s.put(&format!("k{i}"), b"v").is_ok()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-        let s = flaky(0.3, FailScope::All);
-        for i in 0..50 {
-            let _ = s.put(&format!("k{i}"), b"v");
-        }
-        let injected = s.injected_failures();
-        assert!((5..30).contains(&injected), "injected {injected} of 50 at 30%");
+    fn flaky(rate: f64, scope: FailScope) -> Arc<FaultStore> {
+        Arc::new(flaky_seeded(rate, scope, 7))
     }
 
     #[test]
@@ -895,31 +774,6 @@ mod tests {
         assert!(retry.get("missing").unwrap_err().is_not_found());
         assert_eq!(retry.retries(), 0);
         assert_eq!(clock.now_secs(), 0.0);
-    }
-
-    #[test]
-    fn flaky_get_many_draws_per_key() {
-        // A batch must consume one injection decision per key, exactly like
-        // n single gets with the same seed would.
-        let keys: Vec<String> = (0..40).map(|i| format!("k{i}")).collect();
-        let singles = {
-            let s = flaky(0.3, FailScope::Reads);
-            for k in &keys {
-                s.put(k, b"v").unwrap();
-            }
-            keys.iter().map(|k| s.get(k).is_ok()).collect::<Vec<_>>()
-        };
-        let batched = {
-            let s = flaky(0.3, FailScope::Reads);
-            for k in &keys {
-                s.put(k, b"v").unwrap();
-            }
-            let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
-            s.get_many(&refs).iter().map(|r| r.is_ok()).collect::<Vec<_>>()
-        };
-        assert_eq!(singles, batched);
-        assert!(singles.iter().any(|ok| !ok), "rate 0.3 over 40 keys injects something");
-        assert!(singles.iter().any(|&ok| ok), "rate 0.3 over 40 keys passes something");
     }
 
     #[test]
@@ -993,11 +847,7 @@ mod tests {
         let policy = RetryPolicy { max_attempts: 4, initial_backoff_secs: 0.05, multiplier: 2.0 };
         let run = || {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.45, FailScope::Reads, 11)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.45, FailScope::Reads, 11).with_obs(&obs));
             let retry = RetryStore::new(flaky, policy, obs.clock().clone()).unwrap().with_obs(&obs);
             let keys: Vec<String> = (0..24).map(|i| format!("k{i}")).collect();
             for (i, k) in keys.iter().enumerate() {
@@ -1026,7 +876,7 @@ mod tests {
         assert_eq!(snap.counter("retry.backoff_vns"), expected_backoff);
         assert_eq!(clock_ns, expected_backoff, "clock charge == sum of per-wave backoffs");
         assert!(snap.counter("retry.retries") >= waves, "each wave retries >= 1 key");
-        assert!(snap.counter("flaky.injected") >= snap.counter("retry.retries"));
+        assert!(snap.counter("fault.injected") >= snap.counter("retry.retries"));
 
         // Deterministic error propagation: an identically-seeded run gives
         // identical per-key outcomes (including error text) and metrics.
@@ -1039,7 +889,6 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         let inner: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-        assert!(FlakyStore::new(inner.clone(), 1.5, FailScope::All, 1).is_err());
         assert!(RetryStore::new(
             inner.clone(),
             RetryPolicy { max_attempts: 0, initial_backoff_secs: 0.1, multiplier: 2.0 },
@@ -1067,60 +916,10 @@ mod tests {
     }
 
     #[test]
-    fn flaky_draws_independent_of_batch_composition() {
-        // Regression for the old global-op-counter draws: interleaving a
-        // key with different batch-mates must not change its fate. Drive
-        // the same key sequence through different groupings and require
-        // identical per-key outcome streams.
-        let keys: Vec<String> = (0..20).map(|i| format!("k{i}")).collect();
-        let build = || {
-            let s = flaky(0.5, FailScope::Reads);
-            for k in &keys {
-                s.put(k, b"v").unwrap();
-            }
-            s
-        };
-        // Grouping A: one batch of everything, three times.
-        let a = {
-            let s = build();
-            let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
-            (0..3)
-                .map(|_| s.get_many(&refs).iter().map(|r| r.is_ok()).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-        };
-        // Grouping B: pairs in reverse order, then singles — same number of
-        // draws per key, radically different draw order overall.
-        let b = {
-            let s = build();
-            let mut rounds: Vec<Vec<bool>> = vec![vec![false; keys.len()]; 3];
-            for chunk in keys.chunks(2).rev() {
-                let refs: Vec<&str> = chunk.iter().map(|k| k.as_str()).collect();
-                let base = keys.iter().position(|k| k == &chunk[0]).unwrap();
-                for (j, r) in s.get_many(&refs).iter().enumerate() {
-                    rounds[0][base + j] = r.is_ok();
-                }
-            }
-            for (i, k) in keys.iter().enumerate() {
-                rounds[1][i] = s.get(k).is_ok();
-            }
-            let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
-            for (i, r) in s.get_many(&refs).iter().enumerate() {
-                rounds[2][i] = r.is_ok();
-            }
-            rounds
-        };
-        assert_eq!(a, b, "per-key fate must be pure in (seed, key, attempt)");
-    }
-
-    #[test]
     fn hedged_get_many_rescues_failures_cheaper_than_backoff() {
         let run = |hedged: bool| {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.35, FailScope::Reads, 17)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.35, FailScope::Reads, 17).with_obs(&obs));
             let policy =
                 RetryPolicy { max_attempts: 6, initial_backoff_secs: 0.1, multiplier: 2.0 };
             let mut retry =
@@ -1162,11 +961,7 @@ mod tests {
     fn hedging_is_deterministic() {
         let run = || {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.3, FailScope::Reads, 23)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.3, FailScope::Reads, 23).with_obs(&obs));
             let retry = RetryStore::new(flaky, RetryPolicy::default(), obs.clock().clone())
                 .unwrap()
                 .with_obs(&obs)
@@ -1187,9 +982,7 @@ mod tests {
     fn breaker_trips_fast_fails_and_recovers() {
         let clock = SimClock::new();
         let obs = Obs::new(clock.clone());
-        let dead = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), 1.0, FailScope::Reads, 3).unwrap(),
-        );
+        let dead = Arc::new(flaky_seeded(1.0, FailScope::Reads, 3));
         let policy =
             BreakerPolicy { failure_threshold: 3, cooldown_secs: 0.5, success_threshold: 2 };
         let breaker =
@@ -1234,10 +1027,10 @@ mod tests {
         let obs = Obs::new(clock.clone());
         // Fails exactly while we trip the breaker, then the window ends and
         // the endpoint is healthy again — the scripted-outage shape.
-        let plan = crate::fault::FaultPlan::new(1).error_burst(0.0, 1.0, 1.0);
+        let plan = FaultPlan::new(1).error_burst(0.0, 1.0, 1.0);
         let inner = Arc::new(MemoryStore::new());
         inner.put("k", b"v").unwrap();
-        let faulty = Arc::new(crate::fault::FaultStore::new(inner, plan, clock.clone()).unwrap());
+        let faulty = Arc::new(FaultStore::new(inner, plan, clock.clone()).unwrap());
         let policy =
             BreakerPolicy { failure_threshold: 2, cooldown_secs: 0.5, success_threshold: 2 };
         let breaker = BreakerStore::new(faulty, policy, clock.clone()).unwrap().with_obs(&obs);
@@ -1259,9 +1052,7 @@ mod tests {
     #[test]
     fn breaker_batches_fast_fail_per_key() {
         let clock = SimClock::new();
-        let dead = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), 1.0, FailScope::Reads, 3).unwrap(),
-        );
+        let dead = Arc::new(flaky_seeded(1.0, FailScope::Reads, 3));
         let breaker = BreakerStore::new(
             dead,
             BreakerPolicy { failure_threshold: 2, ..BreakerPolicy::default() },
@@ -1298,10 +1089,9 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             inner.put(k, format!("payload-{i}").as_bytes()).unwrap();
         }
-        let plan = crate::fault::FaultPlan::new(31).with_corrupt_rate(0.3);
-        let faulty = Arc::new(
-            crate::fault::FaultStore::new(inner, plan, obs.clock().clone()).unwrap().with_obs(&obs),
-        );
+        let plan = FaultPlan::new(31).with_corrupt_rate(0.3);
+        let faulty =
+            Arc::new(FaultStore::new(inner, plan, obs.clock().clone()).unwrap().with_obs(&obs));
         let verified = Arc::new(IntegrityStore::new(faulty.clone()).with_obs(&obs));
 
         // Unverified, corruption slips through: some payload differs.
@@ -1376,9 +1166,7 @@ mod tests {
     #[test]
     fn breaker_shields_dead_endpoint_from_put_many() {
         let clock = SimClock::new();
-        let dead = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), 1.0, FailScope::Writes, 3).unwrap(),
-        );
+        let dead = Arc::new(flaky_seeded(1.0, FailScope::Writes, 3));
         let breaker = BreakerStore::new(
             dead.clone(),
             BreakerPolicy { failure_threshold: 2, ..BreakerPolicy::default() },
@@ -1398,12 +1186,9 @@ mod tests {
     fn integrity_catches_write_corruption_and_retry_reuploads() {
         let obs = Obs::new(SimClock::new());
         let inner = Arc::new(MemoryStore::new());
-        let plan =
-            crate::fault::FaultPlan::new(31).with_corrupt_rate(0.3).with_scope(FailScope::Writes);
+        let plan = FaultPlan::new(31).with_corrupt_rate(0.3).with_scope(FailScope::Writes);
         let faulty = Arc::new(
-            crate::fault::FaultStore::new(inner.clone(), plan, obs.clock().clone())
-                .unwrap()
-                .with_obs(&obs),
+            FaultStore::new(inner.clone(), plan, obs.clock().clone()).unwrap().with_obs(&obs),
         );
         let verified = Arc::new(IntegrityStore::new(faulty).with_obs(&obs));
         let retry = RetryStore::new(
@@ -1433,12 +1218,9 @@ mod tests {
 
     #[test]
     fn integrity_single_put_detects_corruption() {
-        let plan =
-            crate::fault::FaultPlan::new(2).with_corrupt_rate(1.0).with_scope(FailScope::Writes);
-        let faulty = Arc::new(
-            crate::fault::FaultStore::new(Arc::new(MemoryStore::new()), plan, SimClock::new())
-                .unwrap(),
-        );
+        let plan = FaultPlan::new(2).with_corrupt_rate(1.0).with_scope(FailScope::Writes);
+        let faulty =
+            Arc::new(FaultStore::new(Arc::new(MemoryStore::new()), plan, SimClock::new()).unwrap());
         let verified = IntegrityStore::new(faulty);
         let err = verified.put("k", b"payload").unwrap_err();
         assert!(matches!(err, NsdfError::Io(_)), "mismatch must be retryable I/O");
@@ -1450,8 +1232,8 @@ mod tests {
         let inner = Arc::new(MemoryStore::new());
         inner.put("k", b"payload").unwrap();
         // corrupt_rate 1.0: every read is damaged.
-        let plan = crate::fault::FaultPlan::new(2).with_corrupt_rate(1.0);
-        let faulty = Arc::new(crate::fault::FaultStore::new(inner, plan, SimClock::new()).unwrap());
+        let plan = FaultPlan::new(2).with_corrupt_rate(1.0);
+        let faulty = Arc::new(FaultStore::new(inner, plan, SimClock::new()).unwrap());
         let verified = IntegrityStore::new(faulty);
         let err = verified.get("k").unwrap_err();
         assert!(matches!(err, NsdfError::Io(_)), "mismatch must be retryable I/O");

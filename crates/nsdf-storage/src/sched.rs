@@ -1122,7 +1122,7 @@ pub fn ambient_tag() -> (Option<TenantId>, Option<Priority>) {
 /// through unscheduled — they are metadata, not link bandwidth, in this
 /// model.
 ///
-/// Place the adapter *above* the cache layer (`SchedStore(CachedStore(
+/// Place the adapter *above* the cache layer (`SchedStore(TierCache(
 /// CloudStore))`): cache hits then still clear admission (cheaply — a
 /// granted hit charges zero virtual time) and, more importantly, a shed
 /// prefetch the scheduler re-issues on its own warms the cache for the

@@ -6,7 +6,9 @@
 //! * [`GateStore`] parks writes to a chosen key prefix until the test
 //!   releases them, so a test can hold a writer *inside* its durability
 //!   write and observe what concurrent readers see at that instant —
-//!   exactly the window where write-ahead ordering bugs live.
+//!   exactly the window where write-ahead ordering bugs live. Built with
+//!   [`GateStore::on_gets`] it parks reads instead, freezing a cache miss
+//!   mid-fetch so a write can land inside the miss window.
 //! * [`CrashStore`] kills the process model at a scripted write: the n-th
 //!   `put` matching a prefix either fails before any byte lands, lands a
 //!   torn (truncated) object, or lands fully and *then* dies. After the
@@ -151,17 +153,21 @@ impl ObjectStore for CrashStore {
     }
 }
 
-/// Store wrapper that parks `put`s to a key prefix until released.
+/// Store wrapper that parks `put`s — or, built with
+/// [`GateStore::on_gets`], `get`s — to a key prefix until released.
 ///
 /// The writer thread calls `put` and blocks *after* the payload has been
 /// handed to the store but *before* the call returns — modelling a durable
 /// write still in flight. The test thread waits for the writer to arrive
 /// ([`GateStore::wait_entered`]), observes whatever invariant it is probing
 /// (e.g. "an unacknowledged record must not be readable"), then opens the
-/// gate ([`GateStore::open`]).
+/// gate ([`GateStore::open`]). A gated `get` likewise captures the inner
+/// store's answer first and parks holding it, so a write that lands while
+/// it is parked leaves the reader with the pre-write payload.
 pub struct GateStore {
     inner: Arc<dyn ObjectStore>,
     prefix: String,
+    gate_gets: bool,
     entered: Mutex<u64>,
     entered_cv: Condvar,
     release: Mutex<bool>,
@@ -175,6 +181,7 @@ impl GateStore {
         GateStore {
             inner,
             prefix: prefix.into(),
+            gate_gets: false,
             entered: Mutex::new(0),
             entered_cv: Condvar::new(),
             release: Mutex::new(false),
@@ -182,7 +189,12 @@ impl GateStore {
         }
     }
 
-    /// Block until at least `n` gated `put`s have parked at the gate.
+    /// Gate `get`s (not `put`s) on keys starting with `prefix`.
+    pub fn on_gets(inner: Arc<dyn ObjectStore>, prefix: impl Into<String>) -> Self {
+        GateStore { gate_gets: true, ..GateStore::new(inner, prefix) }
+    }
+
+    /// Block until at least `n` gated calls have parked at the gate.
     pub fn wait_entered(&self, n: u64) {
         let mut e = self.entered.lock();
         while *e < n {
@@ -190,7 +202,7 @@ impl GateStore {
         }
     }
 
-    /// Open the gate: parked and future gated `put`s complete immediately.
+    /// Open the gate: parked and future gated calls complete immediately.
     pub fn open(&self) {
         *self.release.lock() = true;
         self.release_cv.notify_all();
@@ -208,7 +220,7 @@ impl GateStore {
 
 impl ObjectStore for GateStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        if key.starts_with(&self.prefix) {
+        if !self.gate_gets && key.starts_with(&self.prefix) {
             // The payload is durably in the inner store; the acknowledgement
             // is what the gate withholds.
             let meta = self.inner.put(key, data)?;
@@ -220,7 +232,11 @@ impl ObjectStore for GateStore {
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        self.inner.get(key)
+        let result = self.inner.get(key);
+        if self.gate_gets && key.starts_with(&self.prefix) {
+            self.park();
+        }
+        result
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
@@ -293,5 +309,20 @@ mod tests {
         assert!(!writer.is_finished());
         gate.open();
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn gate_on_gets_parks_reads_holding_the_pre_write_payload() {
+        let gate = Arc::new(GateStore::on_gets(Arc::new(MemoryStore::new()), "blk/"));
+        gate.put("blk/0", b"old").unwrap(); // puts pass in get mode
+        gate.put("free/k", b"x").unwrap();
+        assert_eq!(gate.get("free/k").unwrap(), b"x");
+        let g2 = Arc::clone(&gate);
+        let reader = std::thread::spawn(move || g2.get("blk/0").unwrap());
+        gate.wait_entered(1);
+        gate.put("blk/0", b"new").unwrap(); // lands while the read is parked
+        gate.open();
+        assert_eq!(reader.join().unwrap(), b"old");
+        assert_eq!(gate.get("blk/0").unwrap(), b"new");
     }
 }

@@ -1,13 +1,19 @@
 //! Two-tier persistent content-addressed cache with scan-resistant
 //! admission.
 //!
-//! [`TierCache`] promotes the single-tier [`crate::cache::CachedStore`]
-//! into a hierarchy:
+//! OpenVisus is "caching-enabled" (§III-A): once a block has streamed from
+//! remote storage it is served locally on re-access, which is what makes
+//! interactive pan/zoom affordable over a WAN. [`TierCache`] is that layer
+//! for any inner [`ObjectStore`], at whole-object granularity (IDX blocks
+//! are the objects). [`TierCache::new`] alone is the byte-budgeted RAM
+//! cache; [`TierCache::with_disk`] adds the persistent tier:
 //!
-//! * a **hot RAM tier** with the exact `CachedStore` semantics (byte
-//!   budget, LRU with lazy invalidation, single-flight fetch
-//!   deduplication, write-epoch coherence guard) plus **TinyLFU-style
-//!   scan-resistant admission**: a count-min frequency sketch with a
+//! * a **hot RAM tier**: byte budget, LRU with lazy invalidation,
+//!   **single-flight** fetch deduplication (concurrent misses on one key
+//!   share the leader's fetch; errors are handed to the waiters but never
+//!   cached, and hits are never queued behind a slow WAN miss), a
+//!   write-epoch coherence guard, and **TinyLFU-style scan-resistant
+//!   admission**: a count-min frequency sketch with a
 //!   doorkeeper bloom filter decides, at eviction time, whether the
 //!   incoming object is worth more than the LRU victim. One tenant's
 //!   bulk-ingest scan (every key touched once) can no longer flush
@@ -30,9 +36,10 @@
 //! warm disk tier performs zero origin reads. Writes go through all
 //! tiers (origin, then disk, then RAM) under one write-epoch bump, so
 //! the PR 4 stale-read invariants hold across both tiers and across
-//! restarts.
+//! restarts. A write or delete the origin reports as *failed* may still
+//! have landed (a lost acknowledgement), so it drops the key from both
+//! tiers and the next read converges to the origin.
 
-use crate::cache::CacheStats;
 use crate::store::{slice_range, validate_key, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, splitmix64, NsdfError, Result};
@@ -236,13 +243,47 @@ pub struct AdmissionDecision {
 // Tier state
 // ---------------------------------------------------------------------------
 
+/// RAM-tier hit/miss accounting.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Reads served from cache.
+    pub hits: u64,
+    /// Reads that had to go to the inner store.
+    pub misses: u64,
+    /// Objects evicted for any reason (`evictions_budget + evictions_epoch`).
+    pub evictions: u64,
+    /// Objects evicted to respect the byte budget (LRU pressure).
+    pub evictions_budget: u64,
+    /// Objects invalidated by a write epoch: a delete, a failed write, or a
+    /// write-through replacing (or displacing, for an oversized overwrite)
+    /// a resident copy.
+    pub evictions_epoch: u64,
+    /// Bytes currently cached.
+    pub resident_bytes: u64,
+    /// Reads that piggy-backed on another thread's in-flight fetch instead
+    /// of issuing their own (single-flight deduplication).
+    pub coalesced_waits: u64,
+}
+
+impl CacheStats {
+    /// Hit fraction in `[0, 1]`; 0 when no reads happened.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RamEntry {
     data: Arc<Vec<u8>>,
     tick: u64,
 }
 
-/// The hot RAM tier: `CachedStore`-style LRU with lazy invalidation.
+/// The hot RAM tier: LRU with lazy invalidation.
 #[derive(Debug, Default)]
 struct RamTier {
     entries: HashMap<String, RamEntry>,
@@ -349,9 +390,14 @@ struct TierState {
 }
 
 // ---------------------------------------------------------------------------
-// Single-flight slot (same protocol as CachedStore)
+// Single-flight slot
 // ---------------------------------------------------------------------------
 
+/// One in-flight fetch that concurrent missers of the same key share.
+///
+/// The leader publishes into `done` and signals `cv`; waiters block on the
+/// condvar until the slot fills. Results are replicated per waiter (the
+/// payload through the `Arc`, errors via [`NsdfError::replicate`]).
 #[derive(Default)]
 struct InFlight {
     done: Mutex<Option<std::result::Result<Arc<Vec<u8>>, NsdfError>>>,
@@ -390,8 +436,7 @@ type Fetched = Result<(Arc<Vec<u8>>, FetchSource)>;
 // Metrics
 // ---------------------------------------------------------------------------
 
-/// Registry handles under the `cache` (RAM tier, `CachedStore`
-/// compatible) and `tiercache` scopes.
+/// Registry handles under the `cache` (RAM tier) and `tiercache` scopes.
 struct TierMetrics {
     obs: Obs,
     hits: Counter,
@@ -488,9 +533,11 @@ pub struct TierCache {
 }
 
 impl TierCache {
-    /// A RAM-only tier cache (behaviourally a scan-resistant
-    /// [`crate::cache::CachedStore`]) over `inner`. Attach a persistent
-    /// tier with [`TierCache::with_disk`].
+    /// A RAM-only cache of up to `ram_bytes` of object payloads over
+    /// `inner`. Attach a persistent tier with [`TierCache::with_disk`].
+    ///
+    /// Accounting goes to a private registry until [`TierCache::with_obs`]
+    /// wires in a shared one.
     pub fn new(inner: Arc<dyn ObjectStore>, ram_bytes: u64) -> TierCache {
         TierCache {
             inner,
@@ -564,9 +611,8 @@ impl TierCache {
         self.ram_capacity
     }
 
-    /// RAM-tier statistics in the [`CacheStats`] shape `CachedStore`
-    /// reports, so existing dashboards and tests read either cache the
-    /// same way.
+    /// RAM-tier statistics (hit rate, residency, evictions),
+    /// reconstructed from the registry counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.m.hits.get(),
@@ -682,18 +728,19 @@ impl TierCache {
 
     /// Write `payload` through to the disk tier (no-op without one).
     /// Failures are swallowed: the disk tier is an accelerator, never a
-    /// correctness dependency.
+    /// correctness dependency — so a shard that cannot be written
+    /// (oversized, or the disk store refused it) also drops the key's
+    /// previous shard rather than leave an older payload behind.
     fn write_disk(&self, st: &mut TierState, key: &str, payload: &[u8]) {
         let Some(disk) = &self.disk_store else { return };
         let shard = encode_shard(key, payload);
-        if shard.len() as u64 > self.disk_capacity {
-            return;
-        }
         let path = hash_to_path(&self.namespace, key);
-        if disk.put(&path, &shard).is_ok() {
+        if shard.len() as u64 <= self.disk_capacity && disk.put(&path, &shard).is_ok() {
             st.disk.insert(path, shard.len() as u64);
             self.m.disk_writes.inc();
             self.evict_disk_to_budget(st);
+        } else {
+            self.drop_shard(st, &path);
         }
         self.m.disk_resident_bytes.set(st.disk.resident as f64);
     }
@@ -717,6 +764,32 @@ impl TierCache {
             }
             let _ = disk.delete(path);
         }
+    }
+
+    /// Bring both tiers in line with one origin write of `key` (the caller
+    /// has bumped the write epoch): a stored payload is written through, a
+    /// failed one invalidates the key.
+    fn settle_write(&self, st: &mut TierState, key: &str, data: &[u8], stored: bool) {
+        if stored {
+            st.sketch.record(key);
+            self.admit_ram(st, key, Arc::new(data.to_vec()), true);
+            self.write_disk(st, key, data);
+        } else {
+            self.invalidate(st, key);
+        }
+    }
+
+    /// Drop `key` from both tiers: after a delete, or after a write or
+    /// delete the origin reported as failed — it may have landed anyway (a
+    /// lost acknowledgement), so no cached copy can be trusted and the next
+    /// read must converge to the origin.
+    fn invalidate(&self, st: &mut TierState, key: &str) {
+        if st.ram.remove(key) {
+            self.m.evictions.inc();
+            self.m.evictions_epoch.inc();
+        }
+        self.m.resident_bytes.set(st.ram.resident as f64);
+        self.drop_shard(st, &hash_to_path(&self.namespace, key));
     }
 
     /// Try to resolve `key` from the disk tier: read the shard, verify
@@ -836,27 +909,23 @@ impl TierCache {
 
 impl ObjectStore for TierCache {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        let meta = self.inner.put(key, data)?;
+        let result = self.inner.put(key, data);
         let mut st = self.state.lock();
         st.write_epoch += 1;
-        st.sketch.record(key);
-        self.admit_ram(&mut st, key, Arc::new(data.to_vec()), true);
-        self.write_disk(&mut st, key, data);
-        Ok(meta)
+        self.settle_write(&mut st, key, data, result.is_ok());
+        result
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
         // One inner batch (so the WAN amortizes the upload wave), then
-        // write-through every stored payload under one lock acquisition.
+        // write-through every stored payload under one lock acquisition —
+        // the cache can never serve bytes older than an acked write, nor
+        // keep a copy the origin may have replaced behind a failed one.
         let results = self.inner.put_many(items);
         let mut st = self.state.lock();
         st.write_epoch += 1;
         for ((k, d), r) in items.iter().zip(&results) {
-            if r.is_ok() {
-                st.sketch.record(k);
-                self.admit_ram(&mut st, k, Arc::new(d.to_vec()), true);
-                self.write_disk(&mut st, k, d);
-            }
+            self.settle_write(&mut st, k, d, r.is_ok());
         }
         results
     }
@@ -981,19 +1050,11 @@ impl ObjectStore for TierCache {
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.inner.delete(key)?;
+        let result = self.inner.delete(key);
         let mut st = self.state.lock();
         st.write_epoch += 1;
-        if st.ram.remove(key) {
-            self.m.evictions.inc();
-            self.m.evictions_epoch.inc();
-        }
-        self.m.resident_bytes.set(st.ram.resident as f64);
-        if self.disk_store.is_some() {
-            let path = hash_to_path(&self.namespace, key);
-            self.drop_shard(&mut st, &path);
-        }
-        Ok(())
+        self.invalidate(&mut st, key);
+        result
     }
 
     fn describe(&self) -> String {
@@ -1015,6 +1076,15 @@ mod tests {
     use super::*;
     use crate::local::LocalStore;
     use crate::memory::MemoryStore;
+    use crate::testkit::{CrashPoint, CrashSpec, CrashStore, GateStore};
+    use crate::wan::{CloudStore, NetworkProfile};
+    use nsdf_util::SimClock;
+
+    /// A RAM-only cache over a fresh in-memory origin.
+    fn ram_only(capacity: u64) -> (TierCache, Arc<MemoryStore>) {
+        let mem = Arc::new(MemoryStore::new());
+        (TierCache::new(Arc::clone(&mem) as Arc<dyn ObjectStore>, capacity), mem)
+    }
 
     fn temp_disk(name: &str) -> (Arc<LocalStore>, std::path::PathBuf) {
         let dir =
@@ -1289,5 +1359,377 @@ mod tests {
             }
         }
         assert!(tc.take_decisions().is_empty(), "take_decisions drains the log");
+    }
+
+    #[test]
+    fn second_read_hits() {
+        let (c, mem) = ram_only(1 << 20);
+        mem.put("k", b"value").unwrap(); // start cold
+        c.get("k").unwrap();
+        c.get("k").unwrap();
+        let s = c.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, 1);
+        assert_eq!(s.resident_bytes, 5);
+        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn put_warms_cache() {
+        let (c, _) = ram_only(1 << 20);
+        c.put("k", b"warm").unwrap();
+        c.get("k").unwrap();
+        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().misses, 0);
+    }
+
+    #[test]
+    fn oversized_objects_bypass_cache() {
+        let (c, _) = ram_only(8);
+        c.put("big", &[0u8; 100]).unwrap();
+        assert_eq!(c.stats().resident_bytes, 0);
+        c.get("big").unwrap();
+        c.get("big").unwrap();
+        assert_eq!(c.stats().hits, 0);
+        assert_eq!(c.stats().misses, 2);
+    }
+
+    #[test]
+    fn delete_invalidates() {
+        let (c, _) = ram_only(1 << 20);
+        c.put("k", b"v").unwrap();
+        c.delete("k").unwrap();
+        assert!(c.get("k").unwrap_err().is_not_found());
+        assert_eq!(c.stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn eviction_reasons_reconcile_budget_plus_epoch() {
+        let (c, _) = ram_only(25);
+        for k in ["a", "b", "c"] {
+            c.put(k, &[0u8; 10]).unwrap(); // c is no hotter than a: rejected
+        }
+        assert_eq!(c.tier_stats().admit_rejected, 1);
+        c.get("c").unwrap(); // second touch: now hotter than a -> one budget eviction
+        c.put("b", &[1u8; 10]).unwrap(); // overwrite resident -> epoch
+        c.delete("c").unwrap(); // delete resident -> epoch
+        c.delete("ghost").unwrap_err(); // delete of a non-resident key: no eviction
+        let s = c.stats();
+        assert!(s.resident_bytes <= 25);
+        assert_eq!(s.evictions_budget, 1, "a evicted when c earned its place");
+        assert_eq!(s.evictions_epoch, 2, "one overwrite displacement + one delete");
+        assert_eq!(
+            s.evictions,
+            s.evictions_budget + s.evictions_epoch,
+            "reason split must reconcile with the total"
+        );
+    }
+
+    #[test]
+    fn oversized_overwrite_displaces_the_stale_copy_in_both_tiers() {
+        // Regression: overwriting a cached small object with a payload
+        // larger than either tier must not leave the old bytes resident in
+        // RAM or on disk — the next read refetches the new payload.
+        let mem = Arc::new(MemoryStore::new());
+        let tc = TierCache::new(Arc::clone(&mem) as Arc<dyn ObjectStore>, 8)
+            .with_disk(Arc::new(MemoryStore::new()), "t", 64)
+            .unwrap();
+        tc.put("k", b"tiny").unwrap();
+        assert_eq!(tc.stats().resident_bytes, 4);
+        assert!(tc.tier_stats().disk_resident_bytes > 0);
+        tc.put("k", &[7u8; 100]).unwrap();
+        assert_eq!(tc.stats().resident_bytes, 0, "stale copy displaced, giant never admitted");
+        assert_eq!(tc.tier_stats().disk_resident_bytes, 0, "stale shard dropped");
+        assert_eq!(tc.get("k").unwrap(), vec![7u8; 100], "read serves the new payload");
+        let s = tc.stats();
+        assert_eq!(s.evictions_epoch, 1, "the displacement is an epoch eviction");
+        assert_eq!(s.misses, 1, "oversized payload is refetched, not cached");
+        assert_eq!(tc.tier_stats().wan_fetches, 1);
+    }
+
+    #[test]
+    fn ranged_reads_served_from_cached_object() {
+        let (c, _) = ram_only(1 << 20);
+        c.put("k", b"0123456789").unwrap();
+        assert_eq!(c.get_range("k", 2, 4).unwrap(), b"2345");
+        assert_eq!(c.stats().hits, 1);
+    }
+
+    #[test]
+    fn concurrent_misses_single_flight() {
+        // 16 threads hammer the same cold key while the first fetch is
+        // parked inside the origin; the origin must see exactly one fetch
+        // and everyone must get the payload — as a coalesced wait if they
+        // arrived while it was in flight, as a hit if after.
+        let mem = Arc::new(MemoryStore::new());
+        mem.put("hot", b"block-payload").unwrap();
+        let gate = Arc::new(GateStore::on_gets(mem, "hot"));
+        let cached = TierCache::new(Arc::clone(&gate) as Arc<dyn ObjectStore>, 1 << 20);
+        let barrier = std::sync::Barrier::new(16);
+        std::thread::scope(|s| {
+            for _ in 0..16 {
+                s.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(cached.get("hot").unwrap(), b"block-payload");
+                });
+            }
+            gate.wait_entered(1);
+            gate.open();
+        });
+        let stats = cached.stats();
+        assert_eq!(cached.tier_stats().wan_fetches, 1, "single-flight deduplicates the misses");
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits + stats.coalesced_waits, 15);
+    }
+
+    /// Park a leader's `get(key)` inside the gated origin, then start
+    /// `followers` threads that each `get_many([own-i, key])`: a follower
+    /// joins `key`'s flight in the same step that makes it leader of its
+    /// own key, so once all `followers + 1` fetches are parked every
+    /// follower is provably waiting on the leader. Returns each thread's
+    /// result for `key`, the leader's first.
+    fn park_followers_on(
+        cached: &TierCache,
+        gate: &GateStore,
+        key: &str,
+        followers: usize,
+    ) -> Vec<Result<Vec<u8>>> {
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| cached.get(key));
+            gate.wait_entered(1);
+            let joined: Vec<_> = (0..followers)
+                .map(|i| {
+                    s.spawn(move || {
+                        let own = format!("own-{i}");
+                        cached.get_many(&[own.as_str(), key]).pop().expect("two results")
+                    })
+                })
+                .collect();
+            gate.wait_entered(1 + followers as u64);
+            gate.open();
+            std::iter::once(leader)
+                .chain(joined)
+                .map(|h| h.join().expect("reader thread"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn single_flight_stress_metrics_count_one_inner_fetch() {
+        // 32 readers of one cold key through a shared registry, every
+        // follower forced to arrive while the leader's fetch is in flight:
+        // the registry counters must show exactly one origin fetch of the
+        // hot key and every other reader as a coalesced wait.
+        let obs = Obs::default();
+        let mem = Arc::new(MemoryStore::new());
+        mem.put("hot", b"payload").unwrap();
+        let gate = Arc::new(GateStore::on_gets(mem, ""));
+        let cached = TierCache::new(Arc::clone(&gate) as Arc<dyn ObjectStore>, 1 << 20)
+            .with_obs(&obs.scoped("seal"));
+        for r in park_followers_on(&cached, &gate, "hot", 31) {
+            assert_eq!(r.unwrap(), b"payload");
+        }
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("seal.cache.coalesced_waits"), 31);
+        assert_eq!(snap.counter("seal.cache.hits"), 0);
+        // One fetch per follower's own (absent) key plus exactly one of "hot".
+        assert_eq!(snap.counter("seal.cache.misses"), 31 + 1);
+        assert_eq!(snap.counter("seal.tiercache.wan_fetches"), 31 + 1);
+        assert_eq!(snap.gauge("seal.cache.resident_bytes"), 7.0);
+    }
+
+    #[test]
+    fn failed_fetch_shared_but_not_cached() {
+        // Concurrent misses on a missing key share one NotFound; the error
+        // is not cached, so a later write makes the key readable.
+        let gate = Arc::new(GateStore::on_gets(Arc::new(MemoryStore::new()), ""));
+        let cached = TierCache::new(Arc::clone(&gate) as Arc<dyn ObjectStore>, 1 << 20);
+        for r in park_followers_on(&cached, &gate, "ghost", 7) {
+            assert!(r.unwrap_err().is_not_found());
+        }
+        assert_eq!(cached.tier_stats().wan_fetches, 7 + 1, "one shared failing fetch of ghost");
+        assert_eq!(cached.stats().coalesced_waits, 7);
+        cached.put("ghost", b"now real").unwrap();
+        assert_eq!(cached.get("ghost").unwrap(), b"now real");
+    }
+
+    #[test]
+    fn get_many_partitions_hits_and_misses() {
+        let (cached, mem) = ram_only(1 << 20);
+        for k in ["a", "b", "c", "d"] {
+            mem.put(k, k.as_bytes()).unwrap();
+        }
+        cached.get("a").unwrap();
+        cached.get("c").unwrap();
+        let before = cached.tier_stats().wan_fetches;
+        let results = cached.get_many(&["a", "b", "c", "d", "missing"]);
+        assert_eq!(results[0].as_ref().unwrap(), b"a");
+        assert_eq!(results[1].as_ref().unwrap(), b"b");
+        assert_eq!(results[2].as_ref().unwrap(), b"c");
+        assert_eq!(results[3].as_ref().unwrap(), b"d");
+        assert!(results[4].as_ref().unwrap_err().is_not_found());
+        // Only the three missing keys reach the inner store.
+        assert_eq!(cached.tier_stats().wan_fetches - before, 3);
+        let stats = cached.stats();
+        assert_eq!(stats.hits, 2); // a and c, warmed by the single gets
+        assert_eq!(stats.misses, 5); // 2 warming gets + 3 batch leaders
+
+        // The whole batch is now warm: a re-read touches the inner store
+        // zero times.
+        let warm = cached.get_many(&["a", "b", "c", "d"]);
+        assert!(warm.iter().all(|r| r.is_ok()));
+        assert_eq!(cached.tier_stats().wan_fetches - before, 3);
+    }
+
+    #[test]
+    fn get_many_deduplicates_repeated_keys() {
+        let (cached, mem) = ram_only(1 << 20);
+        mem.put("k", b"v").unwrap();
+        let results = cached.get_many(&["k", "k", "k"]);
+        assert!(results.iter().all(|r| r.as_ref().unwrap() == b"v"));
+        assert_eq!(cached.tier_stats().wan_fetches, 1, "repeated key fetched once per batch");
+        assert_eq!(cached.stats().coalesced_waits, 2);
+    }
+
+    #[test]
+    fn put_many_writes_through_successes_only() {
+        let (c, _) = ram_only(1 << 20);
+        let results = c.put_many(&[("a", b"alpha" as &[u8]), ("bad//key", b"x"), ("b", b"beta")]);
+        assert!(results[0].is_ok());
+        assert!(results[1].is_err());
+        assert!(results[2].is_ok());
+        // Both stored payloads are warm; the failed key cached nothing.
+        c.get("a").unwrap();
+        c.get("b").unwrap();
+        let s = c.stats();
+        assert_eq!(s.hits, 2);
+        assert_eq!(s.misses, 0);
+        assert_eq!(s.resident_bytes, 9);
+    }
+
+    #[test]
+    fn put_many_overwrite_never_serves_stale_bytes() {
+        let (c, _) = ram_only(1 << 20);
+        c.put("k", b"old-bytes").unwrap();
+        assert_eq!(c.get("k").unwrap(), b"old-bytes");
+        c.put_many(&[("k", b"new-bytes" as &[u8])]);
+        assert_eq!(c.get("k").unwrap(), b"new-bytes", "write-through replaces the cached copy");
+        assert_eq!(c.stats().misses, 0, "the fresh copy is served from cache, not refetched");
+    }
+
+    #[test]
+    fn miss_in_flight_during_write_never_caches_stale_bytes() {
+        // Regression: a single-flight leader reads the old payload, then a
+        // put_many write-through lands while that fetch is still in flight.
+        // The leader's publish must NOT clobber the newer cached copy.
+        let gate = Arc::new(GateStore::on_gets(Arc::new(MemoryStore::new()), "k"));
+        gate.put("k", b"old-bytes").unwrap();
+        let cached = TierCache::new(Arc::clone(&gate) as Arc<dyn ObjectStore>, 1 << 20);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| cached.get("k").unwrap());
+            gate.wait_entered(1); // the leader holds the pre-write payload
+            cached.put_many(&[("k", b"new-bytes" as &[u8])]);
+            gate.open();
+            // The racing read began before the write, so the old payload is
+            // a linearizable result for it.
+            assert_eq!(reader.join().unwrap(), b"old-bytes");
+        });
+        assert_eq!(
+            cached.get("k").unwrap(),
+            b"new-bytes",
+            "publish of an in-flight fetch must not overwrite a newer write-through"
+        );
+        let s = cached.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, 1, "the fresh payload is served from cache, not refetched");
+    }
+
+    #[test]
+    fn cache_in_front_of_wan_cuts_virtual_time() {
+        let clock = SimClock::new();
+        let wan = Arc::new(CloudStore::new(
+            Arc::new(MemoryStore::new()),
+            NetworkProfile::public_dataverse(),
+            clock.clone(),
+            7,
+        ));
+        let cached = TierCache::new(wan, 64 << 20);
+        cached.put("block", &vec![1u8; 1 << 20]).unwrap();
+        cached.clear_ram();
+        let t0 = clock.now_ns();
+        cached.get("block").unwrap();
+        let cold = clock.now_ns() - t0;
+        let t1 = clock.now_ns();
+        cached.get("block").unwrap();
+        let warm = clock.now_ns() - t1;
+        assert!(cold > 0);
+        assert_eq!(warm, 0, "warm read must not touch the WAN");
+    }
+
+    /// Origin + disk + a cache over both whose origin handle dies
+    /// `AfterWrite` on the first put of `"k"` once armed: the origin durably
+    /// holds the new payload, the acknowledgement is lost.
+    fn lost_ack_cache() -> (TierCache, Arc<CrashStore>, Arc<MemoryStore>, Arc<MemoryStore>) {
+        let (origin, disk) = (Arc::new(MemoryStore::new()), Arc::new(MemoryStore::new()));
+        let crash = Arc::new(CrashStore::new(Arc::clone(&origin) as Arc<dyn ObjectStore>));
+        let tc = TierCache::new(Arc::clone(&crash) as Arc<dyn ObjectStore>, 1 << 20)
+            .with_disk(Arc::clone(&disk) as Arc<dyn ObjectStore>, "t", 1 << 20)
+            .unwrap();
+        (tc, crash, origin, disk)
+    }
+
+    /// A restarted cache over the same disk tier and a live origin handle
+    /// must read `want` for `"k"` from the origin, not an older shard.
+    fn assert_reopen_converges(origin: Arc<MemoryStore>, disk: Arc<MemoryStore>, want: &[u8]) {
+        let reopened = TierCache::new(origin, 1 << 20).with_disk(disk, "t", 1 << 20).unwrap();
+        assert_eq!(reopened.get("k").unwrap(), want, "restart must not resurrect the old shard");
+        let s = reopened.tier_stats();
+        assert_eq!((s.disk_hits, s.wan_fetches), (0, 1));
+    }
+
+    #[test]
+    fn failed_put_drops_the_key_from_both_tiers() {
+        // Regression: a put whose ack is lost used to return early and leave
+        // v1 in RAM and on disk, served forever with zero origin reads.
+        let (tc, crash, origin, disk) = lost_ack_cache();
+        tc.put("k", b"v1").unwrap();
+        crash.arm(CrashSpec { prefix: "k".into(), nth: 0, point: CrashPoint::AfterWrite });
+        tc.put("k", b"v2").unwrap_err();
+        assert_eq!(origin.get("k").unwrap(), b"v2", "the write landed; only the ack was lost");
+        // Same process: the dead origin handle is asked, v1 is not served.
+        assert!(tc.get("k").is_err(), "stale v1 served after a failed overwrite");
+        assert_eq!(tc.stats().resident_bytes, 0);
+        assert_eq!(tc.stats().evictions_epoch, 1);
+        assert_eq!(tc.tier_stats().disk_resident_bytes, 0);
+        assert_reopen_converges(origin, disk, b"v2");
+    }
+
+    #[test]
+    fn partially_failed_put_many_drops_exactly_the_failed_keys() {
+        let (tc, crash, origin, disk) = lost_ack_cache();
+        tc.put_many(&[("a", b"a1" as &[u8]), ("k", b"v1"), ("z", b"z1")]);
+        crash.arm(CrashSpec { prefix: "k".into(), nth: 0, point: CrashPoint::AfterWrite });
+        let results = tc.put_many(&[("a", b"a2" as &[u8]), ("k", b"v2"), ("z", b"z2")]);
+        let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
+        assert_eq!(ok, [true, false, false], "a acked, k lost its ack, z never sent");
+        assert_eq!(origin.get("k").unwrap(), b"v2");
+        assert_eq!(tc.get("a").unwrap(), b"a2", "the acked write is served warm");
+        assert!(tc.get("k").is_err(), "stale v1 served after a failed overwrite");
+        assert!(tc.get("z").is_err(), "a failed write leaves no copy to trust");
+        assert_eq!(tc.stats().resident_bytes, 2, "only a2 is resident");
+        assert_reopen_converges(origin, disk, b"v2");
+    }
+
+    #[test]
+    fn failed_delete_drops_the_key_from_both_tiers() {
+        let (tc, crash, origin, disk) = lost_ack_cache();
+        tc.put("k", b"v1").unwrap();
+        // Kill the origin handle on an unrelated put, then delete through it.
+        crash.arm(CrashSpec { prefix: "die".into(), nth: 0, point: CrashPoint::BeforeWrite });
+        tc.put("die", b"x").unwrap_err();
+        tc.delete("k").unwrap_err();
+        assert_eq!(tc.stats().resident_bytes, 0);
+        assert_eq!(tc.tier_stats().disk_resident_bytes, 0);
+        assert_reopen_converges(origin, disk, b"v1");
     }
 }

@@ -1,10 +1,10 @@
 //! Model-based property testing of the storage stack: any composition of
-//! wrappers (cache, WAN, retry-over-flaky) must behave observably like a
+//! wrappers (tier cache, WAN, retry-over-faults) must behave observably like a
 //! plain in-memory map under arbitrary operation interleavings.
 
 use nsdf_storage::{
-    CachedStore, CloudStore, FailScope, FlakyStore, MemoryStore, NetworkProfile, ObjectStore,
-    RetryPolicy, RetryStore,
+    CloudStore, FaultPlan, FaultStore, MemoryStore, NetworkProfile, ObjectStore, RetryPolicy,
+    RetryStore, TierCache,
 };
 use nsdf_util::SimClock;
 use proptest::prelude::*;
@@ -92,9 +92,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cached_store_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+    fn ram_tiercache_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
         // A tiny cache maximises eviction churn.
-        let store = CachedStore::new(Arc::new(MemoryStore::new()), 128);
+        let store = TierCache::new(Arc::new(MemoryStore::new()), 128);
+        check_store(&store, &ops);
+    }
+
+    #[test]
+    fn two_tier_tiercache_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+        // Tiny budgets on both tiers: RAM churns, shards are evicted, and
+        // the larger payloads fit neither tier (a 38-byte envelope leaves
+        // 58 payload bytes per shard).
+        let store = TierCache::new(Arc::new(MemoryStore::new()), 64)
+            .with_disk(Arc::new(MemoryStore::new()), "t", 96)
+            .unwrap();
         check_store(&store, &ops);
     }
 
@@ -114,13 +125,14 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 0..60),
         fail_rate in 0.0f64..0.4,
     ) {
-        let flaky = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), fail_rate, FailScope::All, 9).unwrap(),
-        );
+        let clock = SimClock::new();
+        let plan = FaultPlan::new(9).with_fault_rate(fail_rate);
+        let flaky =
+            Arc::new(FaultStore::new(Arc::new(MemoryStore::new()), plan, clock.clone()).unwrap());
         let store = RetryStore::new(
             flaky,
             RetryPolicy { max_attempts: 30, initial_backoff_secs: 0.001, multiplier: 1.5 },
-            SimClock::new(),
+            clock,
         )
         .unwrap();
         check_store(&store, &ops);
@@ -128,7 +140,7 @@ proptest! {
 
     #[test]
     fn full_stack_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        // cache -> retry -> flaky -> WAN -> memory: the whole sandwich.
+        // tier cache -> retry -> fault -> WAN -> memory: the whole sandwich.
         let clock = SimClock::new();
         let wan = Arc::new(CloudStore::new(
             Arc::new(MemoryStore::new()),
@@ -136,7 +148,8 @@ proptest! {
             clock.clone(),
             2,
         ));
-        let flaky = Arc::new(FlakyStore::new(wan, 0.15, FailScope::All, 3).unwrap());
+        let plan = FaultPlan::new(3).with_fault_rate(0.15);
+        let flaky = Arc::new(FaultStore::new(wan, plan, clock.clone()).unwrap());
         let retry = Arc::new(
             RetryStore::new(
                 flaky,
@@ -145,7 +158,7 @@ proptest! {
             )
             .unwrap(),
         );
-        let store = CachedStore::new(retry, 4096);
+        let store = TierCache::new(retry, 4096);
         check_store(&store, &ops);
     }
 }

@@ -77,7 +77,7 @@ proptest! {
 
         let wan = Arc::new(MemoryStore::new());
         for i in 0..24 {
-            wan.put(&pool_key(i), &vec![i as u8; 64]).unwrap();
+            wan.put(&pool_key(i), &[i as u8; 64]).unwrap();
         }
         // Room for ~4 of the 64-byte objects: every admission contends.
         let tier =

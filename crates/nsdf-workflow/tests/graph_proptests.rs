@@ -46,7 +46,7 @@ impl DagSpec {
         for i in 0..n {
             let mut d = Vec::new();
             for j in 0..i {
-                if xorshift(&mut rng) % 3 == 0 {
+                if xorshift(&mut rng).is_multiple_of(3) {
                     d.push(j);
                 }
             }
@@ -151,7 +151,7 @@ proptest! {
         // Dirty a random non-empty subset by bumping versions.
         let mut rng = seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut dirty: Vec<usize> =
-            (0..n).filter(|_| xorshift(&mut rng) % 4 == 0).collect();
+            (0..n).filter(|_| xorshift(&mut rng).is_multiple_of(4)).collect();
         if dirty.is_empty() {
             dirty.push((xorshift(&mut rng) % n as u64) as usize);
         }

@@ -39,7 +39,7 @@ fn main() -> Result<()> {
             clock.clone(),
             7,
         ));
-        let cached = Arc::new(CachedStore::new(wan.clone(), 64 << 20));
+        let cached = Arc::new(TierCache::new(wan.clone(), 64 << 20));
         let t0 = clock.now_secs();
         let ds = publish(cached.clone(), &dem)?;
         println!(
@@ -52,7 +52,7 @@ fn main() -> Result<()> {
         );
 
         // Progressive refinement of the full view, cold cache.
-        cached.clear();
+        cached.clear_ram();
         println!(
             "   {:<8} {:>12} {:>8} {:>12} {:>10}",
             "level", "samples", "blocks", "bytes", "virt_ms"

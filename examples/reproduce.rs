@@ -198,7 +198,7 @@ fn fig7() -> Result<()> {
         let clock = SimClock::new();
         let base: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let store: Arc<dyn ObjectStore> = if remote {
-            Arc::new(CachedStore::new(
+            Arc::new(TierCache::new(
                 Arc::new(CloudStore::new(
                     base,
                     NetworkProfile::private_seal(),
@@ -233,7 +233,7 @@ fn fig7() -> Result<()> {
             for m in store.list("fig7")? {
                 inner.put(&m.key, &store.get(&m.key)?)?;
             }
-            let cold: Arc<dyn ObjectStore> = Arc::new(CachedStore::new(inner, 128 << 20));
+            let cold: Arc<dyn ObjectStore> = Arc::new(TierCache::new(inner, 128 << 20));
             let ds = Arc::new(IdxDataset::open(cold, "fig7")?);
             run_session(label, ds, &clock)?;
         } else {

@@ -38,7 +38,7 @@ fn main() -> Result<()> {
         clock.clone(),
         9,
     ));
-    let cached = Arc::new(CachedStore::new(wan, 64 << 20));
+    let cached = Arc::new(TierCache::new(wan, 64 << 20));
 
     let meta = nsdf::idx::IdxMeta::new_3d(
         "plume",
@@ -62,7 +62,7 @@ fn main() -> Result<()> {
     );
 
     // Progressive z-slice through the plume centre, coarse to fine.
-    cached.clear();
+    cached.clear_ram();
     let out_dir = std::env::temp_dir().join("nsdf-volume");
     std::fs::create_dir_all(&out_dir)?;
     let z = (n / 3) as i64;

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use nsdf_plugin::{run_campaign, select_entry_point, Testbed};
     pub use nsdf_somospie::{downscale_knn, KnnRegressor, SyntheticTruth};
     pub use nsdf_storage::{
-        CachedStore, CloudStore, FleetSim, FleetSpec, LocalStore, MemoryStore, NetworkProfile,
-        ObjectStore, SchedConfig, SchedStore, Scheduler, TenantPolicy,
+        CloudStore, FleetSim, FleetSpec, LocalStore, MemoryStore, NetworkProfile, ObjectStore,
+        SchedConfig, SchedStore, Scheduler, TenantPolicy, TierCache,
     };
     pub use nsdf_tiff::{read_tiff, tiff_info, write_tiff, TiffCompression};
     pub use nsdf_util::{

@@ -10,8 +10,8 @@ use nsdf::compress::Codec;
 use nsdf::idx::{Field, IdxDataset, IdxMeta, QuerySession};
 use nsdf::storage::sched::{Completion, SchedOp, SchedRequest};
 use nsdf::storage::{
-    CachedStore, CloudStore, FleetSim, FleetSpec, MemoryStore, NetworkProfile, ObjectStore,
-    Priority, SchedConfig, SchedStore, Scheduler, TenantPolicy, TierCache,
+    CloudStore, FleetSim, FleetSpec, MemoryStore, NetworkProfile, ObjectStore, Priority,
+    SchedConfig, SchedStore, Scheduler, TenantPolicy, TierCache,
 };
 use nsdf::util::{Box2i, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
@@ -131,7 +131,7 @@ fn session_stack(shed_high: usize) -> (Arc<Scheduler>, Obs, Arc<MemoryStore>, Ar
         )
         .with_obs(&obs),
     );
-    let cache = Arc::new(CachedStore::new(wan, 32 * 1024 * 1024).with_obs(&obs));
+    let cache = Arc::new(TierCache::new(wan, 32 * 1024 * 1024).with_obs(&obs));
     let cfg = SchedConfig { shed_high, shed_low: 0, ..SchedConfig::default() };
     let sched = Arc::new(Scheduler::new(clock, cfg).with_obs(&obs));
     let sstore: Arc<dyn ObjectStore> = Arc::new(SchedStore::new(cache, Arc::clone(&sched), 7));

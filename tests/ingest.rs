@@ -10,12 +10,11 @@
 use nsdf::idx::WriteStats;
 use nsdf::prelude::*;
 use nsdf::storage::{
-    BreakerPolicy, BreakerStore, FailScope, FaultPlan, FaultStore, HedgePolicy, IntegrityStore,
-    RetryPolicy, RetryStore,
+    BreakerPolicy, BreakerStore, FailScope, FaultPlan, FaultStore, GateStore, HedgePolicy,
+    IntegrityStore, RetryPolicy, RetryStore,
 };
 use nsdf::util::SpanNode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 const W: usize = 160;
 const H: usize = 120;
@@ -299,7 +298,7 @@ fn interleaved_writes_and_reads_never_serve_stale_blocks() {
     const IH: usize = 64;
     let obs = Obs::default();
     let base: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-    let cached = Arc::new(CachedStore::new(base, 64 << 20).with_obs(&obs));
+    let cached = Arc::new(TierCache::new(base, 64 << 20).with_obs(&obs));
     let meta = IdxMeta::new_2d(
         "coherence",
         IW as u64,
@@ -355,87 +354,16 @@ fn interleaved_writes_and_reads_never_serve_stale_blocks() {
     assert!(snap.counter("idx.writes") > 0 && snap.counter("idx.queries") > 0);
 }
 
-/// Inner store whose next `get` (once armed) captures the current payload,
-/// then parks until released — pinning a decoded-cache miss in flight so a
-/// write can land deterministically inside the window.
-struct GateStore {
-    inner: MemoryStore,
-    armed: AtomicBool,
-    entered: Mutex<bool>,
-    entered_cv: Condvar,
-    release: Mutex<bool>,
-    release_cv: Condvar,
-}
-
-impl GateStore {
-    fn new() -> Self {
-        GateStore {
-            inner: MemoryStore::new(),
-            armed: AtomicBool::new(false),
-            entered: Mutex::new(false),
-            entered_cv: Condvar::new(),
-            release: Mutex::new(false),
-            release_cv: Condvar::new(),
-        }
-    }
-
-    fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Block until an armed `get` has read its value and parked.
-    fn wait_entered(&self) {
-        let mut e = self.entered.lock().unwrap();
-        while !*e {
-            e = self.entered_cv.wait(e).unwrap();
-        }
-    }
-
-    /// Open the gate, letting the parked `get` return its captured value.
-    fn open(&self) {
-        *self.release.lock().unwrap() = true;
-        self.release_cv.notify_all();
-    }
-}
-
-impl ObjectStore for GateStore {
-    fn put(&self, key: &str, data: &[u8]) -> nsdf::util::Result<nsdf::storage::ObjectMeta> {
-        self.inner.put(key, data)
-    }
-
-    fn get(&self, key: &str) -> nsdf::util::Result<Vec<u8>> {
-        let v = self.inner.get(key); // capture the pre-write payload
-        if self.armed.swap(false, Ordering::SeqCst) {
-            *self.entered.lock().unwrap() = true;
-            self.entered_cv.notify_all();
-            let mut r = self.release.lock().unwrap();
-            while !*r {
-                r = self.release_cv.wait(r).unwrap();
-            }
-        }
-        v
-    }
-
-    fn head(&self, key: &str) -> nsdf::util::Result<nsdf::storage::ObjectMeta> {
-        self.inner.head(key)
-    }
-
-    fn list(&self, prefix: &str) -> nsdf::util::Result<Vec<nsdf::storage::ObjectMeta>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, key: &str) -> nsdf::util::Result<()> {
-        self.inner.delete(key)
-    }
-}
-
 #[test]
 fn decoded_cache_miss_in_flight_during_write_is_never_installed() {
     // One 2^8-sample block holds the whole 16x16 raster, so the race is
     // over exactly one decoded-cache entry.
     const GW: usize = 16;
     const GH: usize = 16;
-    let gate = Arc::new(GateStore::new());
+    // Parks `get`s, each holding the payload it read: a decoded-cache miss
+    // pinned in flight so a write can land deterministically inside the
+    // window. Full-raster writes never read, so only the reader parks.
+    let gate = Arc::new(GateStore::on_gets(Arc::new(MemoryStore::new()), "gate/"));
     let obs = Obs::default();
     let meta = IdxMeta::new_2d(
         "gate",
@@ -453,10 +381,9 @@ fn decoded_cache_miss_in_flight_during_write_is_never_installed() {
     let v1 = Raster::<f32>::from_fn(GW, GH, |x, y| 1e6 + (x + y * GW) as f32);
     ds.write_raster("v", 0, &v0).unwrap();
 
-    gate.arm();
     std::thread::scope(|s| {
         let reader = s.spawn(|| ds.read_box::<f32>("v", 0, ds.bounds(), ds.max_level()).unwrap().0);
-        gate.wait_entered(); // the in-flight fetch holds the pre-write payload
+        gate.wait_entered(1); // the in-flight fetch holds the pre-write payload
         ds.write_raster("v", 0, &v1).unwrap(); // lands inside the miss window
         gate.open();
         let stale_read = reader.join().unwrap();

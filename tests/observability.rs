@@ -42,7 +42,7 @@ fn seeded_run(seed: u64) -> RunOutput {
     let seal = obs.scoped("seal");
     let wan =
         CloudStore::new(base, NetworkProfile::private_seal(), clock.clone(), seed).with_obs(&seal);
-    let cached = Arc::new(CachedStore::new(Arc::new(wan), 64 << 20).with_obs(&seal));
+    let cached = Arc::new(TierCache::new(Arc::new(wan), 64 << 20).with_obs(&seal));
     let ds = IdxDataset::open(cached, "obs/terrain").unwrap().with_obs(&seal);
 
     // Opening fetched the metadata over the WAN; measure only the reads.

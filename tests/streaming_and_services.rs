@@ -13,10 +13,10 @@ use std::sync::Arc;
 fn publish_remote(
     profile: NetworkProfile,
     cache_bytes: u64,
-) -> (SimClock, Arc<CachedStore>, IdxDataset) {
+) -> (SimClock, Arc<TierCache>, IdxDataset) {
     let clock = SimClock::new();
     let wan = Arc::new(CloudStore::new(Arc::new(MemoryStore::new()), profile, clock.clone(), 99));
-    let cached = Arc::new(CachedStore::new(wan, cache_bytes));
+    let cached = Arc::new(TierCache::new(wan, cache_bytes));
     let dem = DemConfig::conus_like(256, 256, 1).generate();
     let meta = IdxMeta::new_2d(
         "remote",
@@ -36,11 +36,11 @@ fn publish_remote(
 #[test]
 fn coarse_overview_is_much_cheaper_than_full_read_over_wan() {
     let (clock, cached, ds) = publish_remote(NetworkProfile::public_dataverse(), 64 << 20);
-    cached.clear();
+    cached.clear_ram();
     let t0 = clock.now_secs();
     let (_, coarse) = ds.read_box::<f32>("v", 0, ds.bounds(), ds.max_level() - 6).unwrap();
     let coarse_secs = clock.now_secs() - t0;
-    cached.clear();
+    cached.clear_ram();
     let t1 = clock.now_secs();
     let (_, full) = ds.read_full::<f32>("v", 0).unwrap();
     let full_secs = clock.now_secs() - t1;
@@ -51,7 +51,7 @@ fn coarse_overview_is_much_cheaper_than_full_read_over_wan() {
 #[test]
 fn warm_cache_eliminates_wan_time() {
     let (clock, cached, ds) = publish_remote(NetworkProfile::private_seal(), 64 << 20);
-    cached.clear();
+    cached.clear_ram();
     let region = Box2i::new(64, 64, 128, 128);
     ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
     let t = clock.now_secs();
@@ -72,7 +72,7 @@ fn warm_cache_eliminates_wan_time() {
 #[test]
 fn tiny_cache_forces_refetches() {
     let (_, cached, ds) = publish_remote(NetworkProfile::private_seal(), 1024);
-    cached.clear();
+    cached.clear_ram();
     ds.read_full::<f32>("v", 0).unwrap();
     ds.read_full::<f32>("v", 0).unwrap();
     let stats = cached.stats();
@@ -168,10 +168,11 @@ fn somospie_consumes_geotiled_outputs() {
 
 #[test]
 fn idx_survives_a_flaky_wan_behind_retries() {
-    use nsdf::storage::{FailScope, FlakyStore, RetryPolicy, RetryStore};
+    use nsdf::storage::{FaultPlan, FaultStore, RetryPolicy, RetryStore};
     let clock = SimClock::new();
+    let plan = FaultPlan::new(5).with_fault_rate(0.25);
     let flaky =
-        Arc::new(FlakyStore::new(Arc::new(MemoryStore::new()), 0.25, FailScope::All, 5).unwrap());
+        Arc::new(FaultStore::new(Arc::new(MemoryStore::new()), plan, clock.clone()).unwrap());
     let retry: Arc<dyn ObjectStore> = Arc::new(
         RetryStore::new(
             flaky.clone(),

@@ -22,7 +22,7 @@ fn volume_roundtrip_over_wan_with_cache() {
         clock.clone(),
         3,
     ));
-    let cached = Arc::new(CachedStore::new(wan, 32 << 20));
+    let cached = Arc::new(TierCache::new(wan, 32 << 20));
     let data = plume(32);
     let meta = IdxMeta::new_3d(
         "p",
@@ -36,7 +36,7 @@ fn volume_roundtrip_over_wan_with_cache() {
     .unwrap();
     let ds = IdxVolume::create(cached.clone() as Arc<dyn ObjectStore>, "v3", meta).unwrap();
     ds.write_volume("v", 0, &data).unwrap();
-    cached.clear();
+    cached.clear_ram();
 
     let t0 = clock.now_secs();
     let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
@@ -77,10 +77,11 @@ fn volume_slices_feed_the_renderer() {
 
 #[test]
 fn volume_reads_survive_flaky_storage() {
-    use nsdf::storage::{FailScope, FlakyStore, RetryPolicy, RetryStore};
+    use nsdf::storage::{FaultPlan, FaultStore, RetryPolicy, RetryStore};
     let clock = SimClock::new();
+    let plan = FaultPlan::new(11).with_fault_rate(0.2);
     let flaky =
-        Arc::new(FlakyStore::new(Arc::new(MemoryStore::new()), 0.2, FailScope::All, 11).unwrap());
+        Arc::new(FaultStore::new(Arc::new(MemoryStore::new()), plan, clock.clone()).unwrap());
     let retry: Arc<dyn ObjectStore> = Arc::new(
         RetryStore::new(
             flaky,
