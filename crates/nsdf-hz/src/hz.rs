@@ -103,6 +103,39 @@ impl HzCurve {
         Ok(hz_from_z(self.mask.encode(coords)?, self.mask.num_bits()))
     }
 
+    /// Block index and in-block sample offset of the sample at `coords`,
+    /// for blocks of `block_samples` consecutive HZ addresses — the address
+    /// arithmetic every IDX scatter and gather loop shares.
+    #[inline]
+    pub fn block_offset(&self, coords: &[u64], block_samples: u64) -> Result<(u64, usize)> {
+        let hz = self.hz_from_coords(coords)?;
+        Ok((hz / block_samples, (hz % block_samples) as usize))
+    }
+
+    /// Output grid of a box query `[lo, hi)` at `level`: per axis, the
+    /// first coordinate on the level's grid, its stride, and the sample
+    /// count. Axes the mask owns no bits on (a 100x1 dataset, the z axis of
+    /// a 2-D one) have stride 1. `None` when the box holds no sample of
+    /// that grid.
+    pub fn level_grid(
+        &self,
+        level: u32,
+        lo: [i64; 3],
+        hi: [i64; 3],
+    ) -> Result<Option<[(i64, i64, usize); 3]>> {
+        let strides = self.mask.level_strides(level)?;
+        let mut grid = [(0, 1, 1); 3];
+        for (a, axis) in grid.iter_mut().enumerate() {
+            let stride = strides.get(a).copied().unwrap_or(1) as i64;
+            let origin = align_up(lo[a], stride);
+            if origin >= hi[a] {
+                return Ok(None);
+            }
+            *axis = (origin, stride, ((hi[a] - origin) as u64).div_ceil(stride as u64) as usize);
+        }
+        Ok(Some(grid))
+    }
+
     /// Coordinates of the sample with the given HZ address.
     pub fn coords_from_hz(&self, h: u64) -> Vec<u64> {
         self.mask.decode(z_from_hz(h, self.mask.num_bits()))

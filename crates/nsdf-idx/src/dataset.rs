@@ -13,11 +13,13 @@
 
 use crate::meta::IdxMeta;
 use nsdf_compress::{AdaptiveCodec, Codec};
-use nsdf_hz::{hz_from_z, HzCurve};
+use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::{Counter, Obs};
 use nsdf_util::par::{num_threads, try_par_map, try_par_map_owned};
-use nsdf_util::{bytes_to_samples, samples_to_bytes, Box2i, NsdfError, Raster, Result, Sample};
+use nsdf_util::{
+    bytes_to_samples, samples_to_bytes, Box2i, NsdfError, Raster, Result, Sample, SimClock,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,10 +226,10 @@ impl DecodedCache {
 }
 
 /// Default number of blocks fetched per `get_many` batch.
-pub(crate) const DEFAULT_FETCH_CONCURRENCY: usize = 8;
+const DEFAULT_FETCH_CONCURRENCY: usize = 8;
 
 /// Default number of blocks uploaded per `put_many` batch.
-pub(crate) const DEFAULT_WRITE_CONCURRENCY: usize = 8;
+const DEFAULT_WRITE_CONCURRENCY: usize = 8;
 
 /// Default decoded-block cache budget (raw bytes).
 const DEFAULT_DECODED_CACHE_BYTES: u64 = 256 << 20;
@@ -235,6 +237,17 @@ const DEFAULT_DECODED_CACHE_BYTES: u64 = 256 << 20;
 /// Aligned origin, per-axis strides, and output dims of a box query at one
 /// resolution level: `(x0, y0, sx, sy, out_w, out_h)`.
 pub(crate) type LevelLayout = (i64, i64, i64, i64, usize, usize);
+
+/// Where one read wave reports the store time it spends: the registry and
+/// label of the span opened around `get_many` (the `decode` span follows in
+/// the same registry), the `*_vns` counter that accumulates the clock
+/// advance, and the clock it is read from.
+pub(crate) struct WaveReport<'a> {
+    pub(crate) obs: &'a Obs,
+    pub(crate) span: &'a str,
+    pub(crate) vns: &'a Counter,
+    pub(crate) clock: &'a SimClock,
+}
 
 /// Registry handles for one `IdxDataset`, under the `idx` scope.
 ///
@@ -346,6 +359,13 @@ impl IdxMetrics {
 }
 
 /// An open IDX dataset bound to an object store.
+///
+/// The only owner of block I/O in this crate: every block read — a box
+/// query here, a [`crate::QuerySession`] frame, an [`crate::IdxVolume`]
+/// cutout or slice — is a sequence of `IdxDataset::read_wave` calls, and
+/// every block write ends in `IdxDataset::encode_and_put`. The decoded-block
+/// cache, its write epoch, and the codec throughput counters live here and
+/// nowhere else.
 pub struct IdxDataset {
     store: Arc<dyn ObjectStore>,
     base: String,
@@ -371,24 +391,39 @@ impl IdxDataset {
         if meta.dims.len() != 2 {
             return Err(NsdfError::unsupported("IdxDataset currently supports 2-D datasets"));
         }
-        let header_key = format!("{base}/dataset.idx");
-        store.put(&header_key, meta.to_text().as_bytes())?;
-        let curve = HzCurve::new(meta.bitmask.clone());
-        Ok(Self::assemble(store, base, meta, curve))
+        Self::create_nd(store, base, meta)
     }
 
     /// Open an existing dataset by reading its header object.
     pub fn open(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxDataset> {
-        let header_key = format!("{base}/dataset.idx");
-        let text = store.get(&header_key)?;
-        let text = String::from_utf8(text)
-            .map_err(|_| NsdfError::format("dataset.idx is not valid UTF-8"))?;
-        let meta = IdxMeta::from_text(&text)?;
-        let curve = HzCurve::new(meta.bitmask.clone());
-        Ok(Self::assemble(store, base, meta, curve))
+        let ds = Self::open_nd(store, base)?;
+        if ds.meta.dims.len() != 2 {
+            return Err(NsdfError::unsupported("IdxDataset currently supports 2-D datasets"));
+        }
+        Ok(ds)
     }
 
-    fn assemble(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta, curve: HzCurve) -> Self {
+    /// [`IdxDataset::create`] for metadata of any dimensionality: the block
+    /// pipeline is dimension-agnostic, only planning and gather are not, and
+    /// [`crate::IdxVolume`] brings its own.
+    pub(crate) fn create_nd(
+        store: Arc<dyn ObjectStore>,
+        base: &str,
+        meta: IdxMeta,
+    ) -> Result<IdxDataset> {
+        store.put(&format!("{base}/dataset.idx"), meta.to_text().as_bytes())?;
+        Ok(Self::assemble(store, base, meta))
+    }
+
+    /// [`IdxDataset::open`] for metadata of any dimensionality.
+    pub(crate) fn open_nd(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxDataset> {
+        let text = store.get(&format!("{base}/dataset.idx"))?;
+        let text = String::from_utf8(text)
+            .map_err(|_| NsdfError::format("dataset.idx is not valid UTF-8"))?;
+        Ok(Self::assemble(store, base, IdxMeta::from_text(&text)?))
+    }
+
+    fn assemble(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta) -> Self {
         let adaptive = match meta.codec {
             Codec::Adaptive { sample_size } => Some(AdaptiveCodec::new(sample_size)),
             _ => None,
@@ -396,8 +431,8 @@ impl IdxDataset {
         IdxDataset {
             store,
             base: base.to_string(),
+            curve: HzCurve::new(meta.bitmask.clone()),
             meta,
-            curve,
             fetch_concurrency: DEFAULT_FETCH_CONCURRENCY,
             write_concurrency: DEFAULT_WRITE_CONCURRENCY,
             degraded_reads: false,
@@ -509,17 +544,43 @@ impl IdxDataset {
         Ok(())
     }
 
-    /// The object store this dataset reads and writes through — sessions
-    /// drive their own batched fetches against it.
-    pub(crate) fn store(&self) -> &Arc<dyn ObjectStore> {
-        &self.store
+    pub(crate) fn check_level(&self, level: u32) -> Result<()> {
+        if level > self.max_level() {
+            return Err(NsdfError::invalid(format!(
+                "level {level} exceeds max {}",
+                self.max_level()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Index of `field`, checked to hold samples of type `T`.
+    pub(crate) fn field_checked<T: Sample>(&self, field: &str) -> Result<usize> {
+        let idx = self.meta.field_index(field)?;
+        if self.meta.fields[idx].dtype != T::DTYPE {
+            return Err(NsdfError::invalid(format!(
+                "field {field:?} holds {}, requested {}",
+                self.meta.fields[idx].dtype,
+                T::DTYPE
+            )));
+        }
+        Ok(idx)
+    }
+
+    /// Fresh accounting for one query at `level`.
+    pub(crate) fn query_stats(&self, level: u32) -> QueryStats {
+        QueryStats {
+            fetch_concurrency: self.fetch_concurrency as u64,
+            requested_level: level,
+            delivered_level: level,
+            ..QueryStats::default()
+        }
     }
 
     /// Partition `blocks` against the decoded-block cache: entries already
     /// decoded (including known-missing ones), blocks still to fetch, and
-    /// the write epoch observed — pass it back to
-    /// [`IdxDataset::decoded_install`] so payloads decoded while a write
-    /// landed are never installed.
+    /// the write epoch observed — pass it back to `IdxDataset::read_wave` so
+    /// payloads decoded while a write landed are never installed.
     pub(crate) fn decoded_partition(
         &self,
         field_idx: usize,
@@ -538,23 +599,6 @@ impl IdxDataset {
         (hits, misses, cache.write_epoch)
     }
 
-    /// Install decoded payloads into the shared cache, unless a write
-    /// invalidated the cache since `epoch` was observed.
-    pub(crate) fn decoded_install<I>(&self, field_idx: usize, time: u32, epoch: u64, items: I)
-    where
-        I: IntoIterator<Item = (u64, DecodedEntry)>,
-    {
-        let mut cache = self.decoded.lock();
-        if cache.write_epoch != epoch {
-            return;
-        }
-        let mut evicted = 0;
-        for (block, entry) in items {
-            evicted += cache.insert((field_idx, time, block), entry);
-        }
-        self.m.decoded_evictions_budget.add(evicted);
-    }
-
     /// Write a full-resolution raster into `field` at `time`.
     ///
     /// The raster shape must equal the dataset's logical dims and `T` must
@@ -568,14 +612,7 @@ impl IdxDataset {
         raster: &Raster<T>,
     ) -> Result<WriteStats> {
         self.check_time(time)?;
-        let field_idx = self.meta.field_index(field)?;
-        if self.meta.fields[field_idx].dtype != T::DTYPE {
-            return Err(NsdfError::invalid(format!(
-                "field {field:?} holds {}, raster has {}",
-                self.meta.fields[field_idx].dtype,
-                T::DTYPE
-            )));
-        }
+        let field_idx = self.field_checked::<T>(field)?;
         let (w, h) = (self.meta.dims[0] as usize, self.meta.dims[1] as usize);
         if raster.shape() != (w, h) {
             return Err(NsdfError::invalid(format!(
@@ -583,10 +620,7 @@ impl IdxDataset {
                 raster.shape()
             )));
         }
-
-        let n_bits = self.curve.max_level();
-        let block_samples = self.meta.block_samples() as usize;
-        let mask = self.curve.mask();
+        let block_samples = self.meta.block_samples();
 
         let _write_span = self.m.obs.span("write_raster");
         let plan_span = self.m.obs.span("plan");
@@ -594,32 +628,38 @@ impl IdxDataset {
         let mut blocks: BTreeMap<u64, Vec<T>> = BTreeMap::new();
         for y in 0..h {
             for x in 0..w {
-                let z = mask.encode(&[x as u64, y as u64])?;
-                let hz = hz_from_z(z, n_bits);
-                let block = hz / block_samples as u64;
-                let offset = (hz % block_samples as u64) as usize;
-                blocks.entry(block).or_insert_with(|| vec![T::ZERO; block_samples])[offset] =
-                    v_at(raster, x, y);
+                let (block, offset) =
+                    self.curve.block_offset(&[x as u64, y as u64], block_samples)?;
+                blocks.entry(block).or_insert_with(|| vec![T::ZERO; block_samples as usize])
+                    [offset] = raster.get(x, y);
             }
         }
+        drop(plan_span);
+        self.put_full_blocks(field_idx, time, blocks)
+    }
 
-        let total_blocks = self.meta.blocks_per_field();
+    /// Store the complete payloads of a full-grid write (raster or volume):
+    /// the data covers every non-padding sample of every block it touches,
+    /// so no block needs a read-modify-write fetch, and blocks it never
+    /// touches hold only power-of-two padding.
+    pub(crate) fn put_full_blocks<T: Sample>(
+        &self,
+        field_idx: usize,
+        time: u32,
+        blocks: BTreeMap<u64, Vec<T>>,
+    ) -> Result<WriteStats> {
         let mut stats = WriteStats {
-            blocks_skipped: total_blocks - blocks.len() as u64,
+            blocks_skipped: self.meta.blocks_per_field() - blocks.len() as u64,
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
-
-        // A full-resolution raster covers every non-padding sample of every
-        // block it touches, so no block needs a read-modify-write fetch.
         let entries: Vec<(u64, Vec<T>)> = blocks.into_iter().collect();
-        drop(plan_span);
         self.encode_and_put(field_idx, time, &entries, &mut stats)?;
         self.note_write(&stats);
         Ok(stats)
     }
 
-    /// Shared tail of the ingest pipeline: encode complete block payloads in
+    /// The one write tail of the crate: encode complete block payloads in
     /// parallel (deterministic earliest-block error), then upload them in
     /// `write_concurrency`-sized `put_many` batches, invalidating the
     /// decoded-block cache entry of every block that actually stored so a
@@ -658,7 +698,7 @@ impl IdxDataset {
             Ordering::Relaxed,
         );
 
-        for batch in encoded.chunks(self.write_concurrency.max(1)) {
+        for batch in encoded.chunks(self.write_concurrency) {
             let keys: Vec<String> =
                 batch.iter().map(|(b, _, _, _)| self.block_key(field_idx, time, *b)).collect();
             let items: Vec<(&str, &[u8])> = keys
@@ -707,15 +747,6 @@ impl IdxDataset {
         Ok(())
     }
 
-    /// Record decode work done on this dataset's blocks by an external
-    /// reader (a [`crate::QuerySession`] decodes on its own thread pool but
-    /// should still show up in [`IdxDataset::codec_throughput`] so
-    /// dashboards see one throughput number).
-    pub(crate) fn note_decode(&self, bytes: u64, secs: f64) {
-        self.wall.decode_micros.fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
-        self.wall.bytes_decoded.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Snapshot the cumulative wall-clock codec throughput counters of this
     /// handle: raw bytes and microseconds through encode (write path) and
     /// decode (read path, including session-driven decodes). Wall time is
@@ -754,14 +785,7 @@ impl IdxDataset {
         raster: &Raster<T>,
     ) -> Result<WriteStats> {
         self.check_time(time)?;
-        let field_idx = self.meta.field_index(field)?;
-        if self.meta.fields[field_idx].dtype != T::DTYPE {
-            return Err(NsdfError::invalid(format!(
-                "field {field:?} holds {}, raster has {}",
-                self.meta.fields[field_idx].dtype,
-                T::DTYPE
-            )));
-        }
+        let field_idx = self.field_checked::<T>(field)?;
         let (rw, rh) = raster.shape();
         let target = Box2i::new(x0 as i64, y0 as i64, x0 as i64 + rw as i64, y0 as i64 + rh as i64);
         if !self.bounds().contains_box(&target) {
@@ -770,10 +794,8 @@ impl IdxDataset {
                 self.bounds()
             )));
         }
-        let n_bits = self.curve.max_level();
         let block_samples = self.meta.block_samples() as usize;
         let sample_size = T::DTYPE.size_bytes();
-        let mask = self.curve.mask();
 
         /// Where a touched block's current contents come from before the
         /// incoming updates are merged in.
@@ -793,10 +815,9 @@ impl IdxDataset {
         let mut touched: BTreeMap<u64, Vec<(usize, T)>> = BTreeMap::new();
         for y in 0..rh {
             for x in 0..rw {
-                let z = mask.encode(&[x0 + x as u64, y0 + y as u64])?;
-                let hz = hz_from_z(z, n_bits);
-                let block = hz / block_samples as u64;
-                let offset = (hz % block_samples as u64) as usize;
+                let (block, offset) = self
+                    .curve
+                    .block_offset(&[x0 + x as u64, y0 + y as u64], block_samples as u64)?;
                 touched.entry(block).or_default().push((offset, raster.get(x, y)));
             }
         }
@@ -832,10 +853,12 @@ impl IdxDataset {
         }
         drop(plan_span);
 
-        // Batched RMW fetches through the same `get_many` path reads use;
-        // `NotFound` means the block was never written (zero contents), any
-        // other error aborts the write.
-        for chunk in to_fetch.chunks(self.fetch_concurrency.max(1)) {
+        // Batched RMW fetches. Not a `read_wave`: the payloads are decoded
+        // inside the merge below and never enter the decoded cache (the
+        // upload that follows would only invalidate them again). `NotFound`
+        // means the block was never written (zero contents), any other error
+        // aborts the write.
+        for chunk in to_fetch.chunks(self.fetch_concurrency) {
             let keys: Vec<String> =
                 chunk.iter().map(|&b| self.block_key(field_idx, time, b)).collect();
             let key_refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
@@ -904,18 +927,9 @@ impl IdxDataset {
     /// per-axis strides `(sx, sy)`, and output dimensions. `None` when the
     /// region contains no samples on that level's grid.
     pub(crate) fn level_layout(&self, region: Box2i, level: u32) -> Result<Option<LevelLayout>> {
-        let strides = self.curve.mask().level_strides(level)?;
-        // Degenerate axes (e.g. a 100x1 dataset) own no mask bits and report
-        // a single-axis stride vector; their stride is 1.
-        let (sx, sy) = (strides[0] as i64, strides.get(1).copied().unwrap_or(1) as i64);
-        let x0 = align_up(region.x0, sx);
-        let y0 = align_up(region.y0, sy);
-        if x0 >= region.x1 || y0 >= region.y1 {
-            return Ok(None);
-        }
-        let out_w = ((region.x1 - x0) as u64).div_ceil(sx as u64) as usize;
-        let out_h = ((region.y1 - y0) as u64).div_ceil(sy as u64) as usize;
-        Ok(Some((x0, y0, sx, sy, out_w, out_h)))
+        let grid =
+            self.curve.level_grid(level, [region.x0, region.y0, 0], [region.x1, region.y1, 1])?;
+        Ok(grid.map(|[(x0, sx, out_w), (y0, sy, out_h), _]| (x0, y0, sx, sy, out_w, out_h)))
     }
 
     /// O(samples) reference planner kept solely to cross-check
@@ -932,6 +946,200 @@ impl IdxDataset {
         Ok(blocks.into_iter().collect())
     }
 
+    /// One fetch→decode wave — the only block read in the crate. Fetches
+    /// `chunk` (one `fetch_concurrency`-sized slice of some caller's plan) of
+    /// field/timestep `at` with a single `get_many` under `report`'s span and
+    /// counter, decodes the payloads in parallel with deterministic
+    /// (earliest-block) error semantics, books the work into `stats` and the
+    /// codec throughput counters, and installs the decoded payloads into the
+    /// shared cache unless a write landed since `epoch` was observed
+    /// ([`IdxDataset::decoded_partition`]).
+    ///
+    /// `NotFound` is unwritten data and resolves to a known-missing entry.
+    /// Any other fetch error aborts the wave before anything of it is
+    /// decoded or installed — unless the caller collects them: with
+    /// `unavailable` present the failed blocks land there (and stay out of
+    /// the cache, so a retry re-fetches them) while the rest of the wave
+    /// completes. Which waves to run, and when to stop, is the caller's.
+    pub(crate) fn read_wave(
+        &self,
+        at: (usize, u32),
+        chunk: &[u64],
+        epoch: u64,
+        report: &WaveReport,
+        mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
+        stats: &mut QueryStats,
+    ) -> Result<Vec<(u64, DecodedEntry)>> {
+        let (field_idx, time) = at;
+        let keys: Vec<String> = chunk.iter().map(|&b| self.block_key(field_idx, time, b)).collect();
+        let key_refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+        let t_fetch = Instant::now();
+        let results = {
+            let _fetch_span = report.obs.span(report.span);
+            let v0 = report.clock.now_ns();
+            let results = self.store.get_many(&key_refs);
+            report.vns.add(report.clock.now_ns().saturating_sub(v0));
+            results
+        };
+        stats.fetch_secs += t_fetch.elapsed().as_secs_f64();
+        stats.fetch_batches += 1;
+
+        let mut encoded: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(chunk.len());
+        for (&block, r) in chunk.iter().zip(results) {
+            match r {
+                Ok(enc) => encoded.push((block, Some(enc))),
+                Err(e) if e.is_not_found() => encoded.push((block, None)),
+                Err(e) => match unavailable.as_deref_mut() {
+                    Some(failed) => {
+                        failed.insert(block, e);
+                    }
+                    None => return Err(e),
+                },
+            }
+        }
+        let raw_len =
+            self.meta.block_samples() as usize * self.meta.fields[field_idx].dtype.size_bytes();
+        let t_decode = Instant::now();
+        let decoded = {
+            let _decode_span = report.obs.span("decode");
+            try_par_map_owned(encoded, num_threads(), |(block, enc)| -> Result<_> {
+                match enc {
+                    Some(enc) => {
+                        let enc_len = enc.len() as u64;
+                        // Owned fetch result: the `Raw` passthrough moves the
+                        // buffer instead of copying it.
+                        let raw = self.meta.codec.decode_owned(enc, raw_len)?;
+                        Ok((block, enc_len, Some(Arc::new(raw))))
+                    }
+                    None => Ok((block, 0, None)),
+                }
+            })?
+        };
+        let decode_secs = t_decode.elapsed().as_secs_f64();
+        stats.decode_secs += decode_secs;
+        self.wall.decode_micros.fetch_add((decode_secs * 1e6) as u64, Ordering::Relaxed);
+
+        let mut cache = self.decoded.lock();
+        let install = cache.write_epoch == epoch;
+        let mut cache_evicted = 0;
+        let mut wave = Vec::with_capacity(decoded.len());
+        for (block, enc_len, raw) in decoded {
+            stats.bytes_fetched += enc_len;
+            if let Some(r) = &raw {
+                stats.blocks_decoded += 1;
+                stats.bytes_decoded += r.len() as u64;
+                self.wall.bytes_decoded.fetch_add(r.len() as u64, Ordering::Relaxed);
+            }
+            if install {
+                cache_evicted += cache.insert((field_idx, time, block), raw.clone());
+            }
+            wave.push((block, raw));
+        }
+        self.m.decoded_evictions_budget.add(cache_evicted);
+        Ok(wave)
+    }
+
+    /// Resolve the planned blocks of a one-shot box query, typed: decoded-
+    /// cache hits (including known-missing ones) skip the store and the
+    /// codec entirely — this is what makes progressive refinement decode
+    /// each block exactly once — and the rest arrive in `fetch_concurrency`
+    /// waves under the `idx.fetch` span. `unavailable` as for
+    /// `IdxDataset::read_wave`.
+    pub(crate) fn query_blocks(
+        &self,
+        at: (usize, u32),
+        needed: &[u64],
+        mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
+        stats: &mut QueryStats,
+    ) -> Result<BTreeMap<u64, DecodedEntry>> {
+        let (hits, to_fetch, epoch) = self.decoded_partition(at.0, at.1, needed);
+        stats.decoded_cache_hits += hits.len() as u64;
+        let mut raw_blocks: BTreeMap<u64, DecodedEntry> = hits.into_iter().collect();
+        let report = WaveReport {
+            obs: &self.m.obs,
+            span: "fetch",
+            vns: &self.m.fetch_vns,
+            clock: self.m.obs.clock(),
+        };
+        for chunk in to_fetch.chunks(self.fetch_concurrency) {
+            raw_blocks.extend(self.read_wave(
+                at,
+                chunk,
+                epoch,
+                &report,
+                unavailable.as_deref_mut(),
+                stats,
+            )?);
+        }
+        Ok(raw_blocks)
+    }
+
+    /// Reinterpret resolved payloads as typed samples (cheap, per query —
+    /// the cache stays dtype-agnostic), counting the known-missing ones.
+    pub(crate) fn typed_blocks<T: Sample>(
+        raw_blocks: BTreeMap<u64, DecodedEntry>,
+        stats: &mut QueryStats,
+    ) -> Result<BTreeMap<u64, Option<Vec<T>>>> {
+        let entries: Vec<(u64, DecodedEntry)> = raw_blocks.into_iter().collect();
+        let typed = try_par_map(&entries, num_threads(), |(block, raw)| -> Result<_> {
+            match raw {
+                Some(raw) => Ok((*block, Some(bytes_to_samples::<T>(raw)?))),
+                None => Ok((*block, None)),
+            }
+        })?;
+        stats.blocks_missing = typed.iter().filter(|(_, v)| v.is_none()).count() as u64;
+        Ok(typed.into_iter().collect())
+    }
+
+    /// Gather the decimated raster of `layout` from typed blocks — sample
+    /// `(i, j)` is the stored value at `(x0 + i*sx, y0 + j*sy)`, zero where
+    /// `block_of` has no payload — georeferenced to the window and strides.
+    pub(crate) fn gather_raster<'a, T: Sample>(
+        &self,
+        (x0, y0, sx, sy, out_w, out_h): LevelLayout,
+        block_of: impl Fn(u64) -> Option<&'a [T]>,
+    ) -> Result<Raster<T>> {
+        let block_samples = self.meta.block_samples();
+        let mut out = Raster::<T>::zeros(out_w, out_h);
+        for j in 0..out_h {
+            let y = y0 + j as i64 * sy;
+            for i in 0..out_w {
+                let x = x0 + i as i64 * sx;
+                let (block, offset) =
+                    self.curve.block_offset(&[x as u64, y as u64], block_samples)?;
+                if let Some(samples) = block_of(block) {
+                    out.set(i, j, samples[offset]);
+                }
+            }
+        }
+        out.geo = self.meta.geo.map(|g| {
+            let windowed = g.for_window(x0, y0);
+            nsdf_util::GeoTransform {
+                x0: windowed.x0,
+                y0: windowed.y0,
+                dx: windowed.dx * sx as f64,
+                dy: windowed.dy * sy as f64,
+            }
+        });
+        Ok(out)
+    }
+
+    /// Feed the registry with one query's totals so cross-layer snapshots
+    /// see query-side accounting alongside the store-side counters.
+    pub(crate) fn note_query(&self, stats: &QueryStats) {
+        self.m.queries.inc();
+        self.m.blocks_touched.add(stats.blocks_touched);
+        self.m.blocks_missing.add(stats.blocks_missing);
+        self.m.blocks_decoded.add(stats.blocks_decoded);
+        self.m.decoded_cache_hits.add(stats.decoded_cache_hits);
+        self.m.bytes_fetched.add(stats.bytes_fetched);
+        self.m.fetch_batches.add(stats.fetch_batches);
+        self.m.blocks_unavailable.add(stats.blocks_unavailable);
+        if stats.degraded {
+            self.m.degraded_queries.inc();
+        }
+    }
+
     /// Read a rectangular region at resolution `level` (0 = coarsest,
     /// [`IdxDataset::max_level`] = full resolution).
     ///
@@ -946,29 +1154,15 @@ impl IdxDataset {
         level: u32,
     ) -> Result<(Raster<T>, QueryStats)> {
         self.check_time(time)?;
-        let field_idx = self.meta.field_index(field)?;
-        if self.meta.fields[field_idx].dtype != T::DTYPE {
-            return Err(NsdfError::invalid(format!(
-                "field {field:?} holds {}, requested {}",
-                self.meta.fields[field_idx].dtype,
-                T::DTYPE
-            )));
-        }
-        if level > self.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.max_level()
-            )));
-        }
+        let field_idx = self.field_checked::<T>(field)?;
+        self.check_level(level)?;
         let region = region
             .intersect(&self.bounds())
             .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
 
         let _query_span = self.m.obs.span("read_box");
         let plan_span = self.m.obs.span("plan");
-        let Some((mut x0, mut y0, mut sx, mut sy, mut out_w, mut out_h)) =
-            self.level_layout(region, level)?
-        else {
+        let Some(mut layout) = self.level_layout(region, level)? else {
             return Err(NsdfError::invalid(
                 "query region contains no samples at the requested level",
             ));
@@ -977,109 +1171,18 @@ impl IdxDataset {
         // Which blocks, fetched once each.
         let needed = self.blocks_for_query(region, level)?;
         drop(plan_span);
-        let block_samples = self.meta.block_samples() as usize;
-        let sample_size = T::DTYPE.size_bytes();
-        let mut stats = QueryStats {
-            blocks_touched: needed.len() as u64,
-            fetch_concurrency: self.fetch_concurrency as u64,
-            requested_level: level,
-            delivered_level: level,
-            ..QueryStats::default()
-        };
+        let mut stats =
+            QueryStats { blocks_touched: needed.len() as u64, ..self.query_stats(level) };
 
-        // Partition against the decoded-block cache under one lock: blocks
-        // already decoded (including ones known missing) skip the store and
-        // the codec entirely — this is what makes progressive refinement
-        // decode each block exactly once.
-        let mut raw_blocks: BTreeMap<u64, Option<Arc<Vec<u8>>>> = BTreeMap::new();
-        let mut to_fetch: Vec<u64> = Vec::new();
-        let epoch;
-        {
-            let cache = self.decoded.lock();
-            epoch = cache.write_epoch;
-            for &block in &needed {
-                match cache.get(&(field_idx, time, block)) {
-                    Some(entry) => {
-                        stats.decoded_cache_hits += 1;
-                        raw_blocks.insert(block, entry);
-                    }
-                    None => to_fetch.push(block),
-                }
-            }
-        }
-
-        // Fetch/decode pipeline: batched store reads of `fetch_concurrency`
-        // blocks, each batch decoded in parallel while preserving
-        // deterministic (earliest-block) error semantics. With degraded
-        // reads enabled, transport failures are collected instead of
-        // aborting so the query can fall back to a coarser level.
-        let threads = num_threads();
+        // With degraded reads enabled, transport failures are collected
+        // instead of aborting so the query can fall back to a coarser level.
         let mut failed: BTreeMap<u64, NsdfError> = BTreeMap::new();
-        for chunk in to_fetch.chunks(self.fetch_concurrency.max(1)) {
-            let keys: Vec<String> =
-                chunk.iter().map(|&b| self.block_key(field_idx, time, b)).collect();
-            let key_refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
-            let t_fetch = Instant::now();
-            let results = {
-                let _fetch_span = self.m.obs.span("fetch");
-                let v0 = self.m.obs.clock().now_ns();
-                let results = self.store.get_many(&key_refs);
-                self.m.fetch_vns.add(self.m.obs.clock().now_ns().saturating_sub(v0));
-                results
-            };
-            stats.fetch_secs += t_fetch.elapsed().as_secs_f64();
-            stats.fetch_batches += 1;
-
-            let mut encoded: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(chunk.len());
-            for (&block, r) in chunk.iter().zip(results) {
-                match r {
-                    Ok(enc) => encoded.push((block, Some(enc))),
-                    Err(e) if e.is_not_found() => encoded.push((block, None)),
-                    Err(e) if self.degraded_reads => {
-                        // Unreachable block: keep it out of the decoded cache
-                        // (a later retry must re-fetch it) and remember the
-                        // earliest error in case no fallback level exists.
-                        failed.insert(block, e);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            let t_decode = Instant::now();
-            let _decode_span = self.m.obs.span("decode");
-            let decoded = try_par_map_owned(encoded, threads, |(block, enc)| -> Result<_> {
-                match enc {
-                    Some(enc) => {
-                        let enc_len = enc.len() as u64;
-                        // Owned fetch result: the `Raw` passthrough moves the
-                        // buffer instead of copying it.
-                        let raw = self.meta.codec.decode_owned(enc, block_samples * sample_size)?;
-                        Ok((block, enc_len, Some(Arc::new(raw))))
-                    }
-                    None => Ok((block, 0, None)),
-                }
-            })?;
-            drop(_decode_span);
-            let decode_secs = t_decode.elapsed().as_secs_f64();
-            stats.decode_secs += decode_secs;
-            self.wall.decode_micros.fetch_add((decode_secs * 1e6) as u64, Ordering::Relaxed);
-
-            let mut cache = self.decoded.lock();
-            let install = cache.write_epoch == epoch;
-            let mut cache_evicted = 0;
-            for (block, enc_len, raw) in decoded {
-                stats.bytes_fetched += enc_len;
-                if let Some(r) = &raw {
-                    stats.blocks_decoded += 1;
-                    stats.bytes_decoded += r.len() as u64;
-                    self.wall.bytes_decoded.fetch_add(r.len() as u64, Ordering::Relaxed);
-                }
-                if install {
-                    cache_evicted += cache.insert((field_idx, time, block), raw.clone());
-                }
-                raw_blocks.insert(block, raw);
-            }
-            self.m.decoded_evictions_budget.add(cache_evicted);
-        }
+        let raw_blocks = self.query_blocks(
+            (field_idx, time),
+            &needed,
+            self.degraded_reads.then_some(&mut failed),
+            &mut stats,
+        )?;
 
         // Degraded fallback: if any block stayed unreachable, deliver the
         // finest coarser level whose block set — always a subset of the
@@ -1092,19 +1195,14 @@ impl IdxDataset {
                 if self.blocks_for_query(region, d)?.iter().any(|b| failed.contains_key(b)) {
                     continue;
                 }
-                match self.level_layout(region, d)? {
-                    Some(layout) => {
-                        fallback = Some((d, layout));
-                        break;
-                    }
-                    // Strides only grow as levels coarsen: a region empty at
-                    // this level stays empty at every coarser one.
-                    None => break,
-                }
+                // Strides only grow as levels coarsen: a region empty at
+                // this level stays empty at every coarser one.
+                fallback = self.level_layout(region, d)?.map(|layout| (d, layout));
+                break;
             }
             match fallback {
-                Some((d, (fx0, fy0, fsx, fsy, fw, fh))) => {
-                    (x0, y0, sx, sy, out_w, out_h) = (fx0, fy0, fsx, fsy, fw, fh);
+                Some((d, coarser)) => {
+                    layout = coarser;
                     stats.delivered_level = d;
                     stats.degraded = true;
                     self.m.obs.event("degraded");
@@ -1116,60 +1214,11 @@ impl IdxDataset {
             }
         }
 
-        // Reinterpret raw payloads as typed samples (cheap, per query — the
-        // cache stays dtype-agnostic).
         let _gather_span = self.m.obs.span("gather");
-        let entries: Vec<(u64, Option<Arc<Vec<u8>>>)> = raw_blocks.into_iter().collect();
-        let typed = try_par_map(&entries, threads, |(block, raw)| -> Result<_> {
-            match raw {
-                Some(raw) => Ok((*block, Some(bytes_to_samples::<T>(raw)?))),
-                None => Ok((*block, None)),
-            }
-        })?;
-        let fetched: BTreeMap<u64, Option<Vec<T>>> = typed.into_iter().collect();
-        stats.blocks_missing = fetched.values().filter(|v| v.is_none()).count() as u64;
-
-        // Gather output samples.
-        let n_bits = self.curve.max_level();
-        let mask = self.curve.mask();
-        let mut out = Raster::<T>::zeros(out_w, out_h);
-        for j in 0..out_h {
-            let y = y0 + j as i64 * sy;
-            for i in 0..out_w {
-                let x = x0 + i as i64 * sx;
-                let z = mask.encode(&[x as u64, y as u64])?;
-                let hz = hz_from_z(z, n_bits);
-                let block = hz / block_samples as u64;
-                let offset = (hz % block_samples as u64) as usize;
-                if let Some(Some(samples)) = fetched.get(&block) {
-                    out.set(i, j, samples[offset]);
-                }
-            }
-        }
-        stats.samples_out = (out_w * out_h) as u64;
-        out.geo = self.meta.geo.map(|g| {
-            let windowed = g.for_window(x0, y0);
-            nsdf_util::GeoTransform {
-                x0: windowed.x0,
-                y0: windowed.y0,
-                dx: windowed.dx * sx as f64,
-                dy: windowed.dy * sy as f64,
-            }
-        });
-
-        // Feed the registry so cross-layer snapshots see query-side totals
-        // alongside the store-side counters.
-        self.m.queries.inc();
-        self.m.blocks_touched.add(stats.blocks_touched);
-        self.m.blocks_missing.add(stats.blocks_missing);
-        self.m.blocks_decoded.add(stats.blocks_decoded);
-        self.m.decoded_cache_hits.add(stats.decoded_cache_hits);
-        self.m.bytes_fetched.add(stats.bytes_fetched);
-        self.m.fetch_batches.add(stats.fetch_batches);
-        self.m.blocks_unavailable.add(stats.blocks_unavailable);
-        if stats.degraded {
-            self.m.degraded_queries.inc();
-        }
+        let fetched = Self::typed_blocks::<T>(raw_blocks, &mut stats)?;
+        let out = self.gather_raster(layout, |b| fetched.get(&b).and_then(|s| s.as_deref()))?;
+        stats.samples_out = (out.width() * out.height()) as u64;
+        self.note_query(&stats);
         Ok((out, stats))
     }
 
@@ -1198,22 +1247,6 @@ impl IdxDataset {
             out.push((level, raster, stats));
         }
         Ok(out)
-    }
-}
-
-#[inline]
-fn v_at<T: Sample>(raster: &Raster<T>, x: usize, y: usize) -> T {
-    raster.get(x, y)
-}
-
-/// Smallest multiple of `m` that is `>= v` (`v >= 0`).
-fn align_up(v: i64, m: i64) -> i64 {
-    debug_assert!(v >= 0 && m > 0);
-    let r = v % m;
-    if r == 0 {
-        v
-    } else {
-        v + (m - r)
     }
 }
 

@@ -35,19 +35,14 @@
 //! `fetch_vns` counter reconciles exactly with the store's
 //! `wan.busy_vns`.
 
-use crate::dataset::{DecodedEntry, IdxDataset, QueryStats};
+use crate::dataset::{DecodedEntry, IdxDataset, QueryStats, WaveReport};
 use crate::volume::IdxVolume;
-use nsdf_hz::hz_from_z;
 use nsdf_storage::sched::{tag_class, tag_tenant, Priority, TenantId};
 use nsdf_util::obs::{Counter, Obs};
-use nsdf_util::par::{num_threads, try_par_map_owned};
-use nsdf_util::{
-    bytes_to_samples, Box2i, Box3i, NsdfError, Raster, Result, Sample, SimClock, Volume,
-};
+use nsdf_util::{bytes_to_samples, Box2i, NsdfError, Raster, Result, Sample, SimClock};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default byte budget of a session's resident typed-block buffer.
 const DEFAULT_RESIDENT_BUDGET: u64 = 256 << 20;
@@ -219,6 +214,45 @@ struct FrameAcct {
     prefetch_hits: u64,
 }
 
+/// A resident typed block (`None` = known missing from storage).
+type TypedEntry<T> = Option<Arc<Vec<T>>>;
+
+fn typed_entry<T: Sample>(raw: DecodedEntry) -> Result<TypedEntry<T>> {
+    raw.map(|r| bytes_to_samples::<T>(&r).map(Arc::new)).transpose()
+}
+
+/// The chunk loop both session kinds drive the dataset's block pipeline
+/// with: blocks already in the shared decoded cache first, then
+/// `fetch_concurrency`-wide [`IdxDataset::read_wave`]s with `cancel` checked
+/// before each. Every resolved block goes to `sink` as it arrives (the flag
+/// says it came from the decoded cache, not a store trip), so what earlier
+/// waves brought stays with the caller whether a later wave is cancelled,
+/// shed, or fails. Returns `true` when the token fired.
+fn resolve_waves(
+    ds: &IdxDataset,
+    at: (usize, u32),
+    to_resolve: &[u64],
+    cancel: &CancelToken,
+    report: &WaveReport,
+    stats: &mut QueryStats,
+    mut sink: impl FnMut(u64, DecodedEntry, bool) -> Result<()>,
+) -> Result<bool> {
+    let (hits, misses, epoch) = ds.decoded_partition(at.0, at.1, to_resolve);
+    for (block, raw) in hits {
+        stats.decoded_cache_hits += 1;
+        sink(block, raw, true)?;
+    }
+    for chunk in misses.chunks(ds.fetch_concurrency()) {
+        if cancel.is_cancelled_at(report.clock.now_ns()) {
+            return Ok(true);
+        }
+        for (block, raw) in ds.read_wave(at, chunk, epoch, report, None, stats)? {
+            sink(block, raw, false)?;
+        }
+    }
+    Ok(false)
+}
+
 /// A stateful progressive-query session over a 2-D [`IdxDataset`].
 ///
 /// See the [module docs](crate::session) for the full behavioural model.
@@ -240,7 +274,7 @@ pub struct QuerySession<T: Sample> {
     view_blocks: BTreeSet<u64>,
     planned: Option<u32>,
     /// The gather buffer: typed decoded blocks (`None` = known missing).
-    resident: BTreeMap<u64, Option<Arc<Vec<T>>>>,
+    resident: BTreeMap<u64, TypedEntry<T>>,
     resident_queue: VecDeque<u64>,
     resident_bytes: u64,
     resident_budget: u64,
@@ -265,14 +299,7 @@ impl<T: Sample> QuerySession<T> {
     /// [`IdxDataset::with_obs`] on the WAN clock for deterministic
     /// deadline cancellation.
     pub fn new(ds: Arc<IdxDataset>, field: &str) -> Result<QuerySession<T>> {
-        let field_idx = ds.meta().field_index(field)?;
-        if ds.meta().fields[field_idx].dtype != T::DTYPE {
-            return Err(NsdfError::invalid(format!(
-                "field {field:?} holds {}, session requested {}",
-                ds.meta().fields[field_idx].dtype,
-                T::DTYPE
-            )));
-        }
+        let field_idx = ds.field_checked::<T>(field)?;
         let clock = ds.obs().clock().clone();
         let region = ds.bounds();
         let target = ds.max_level();
@@ -448,16 +475,8 @@ impl<T: Sample> QuerySession<T> {
         if field == self.field {
             return Ok(());
         }
-        let field_idx = self.ds.meta().field_index(field)?;
-        if self.ds.meta().fields[field_idx].dtype != T::DTYPE {
-            return Err(NsdfError::invalid(format!(
-                "field {field:?} holds {}, session requested {}",
-                self.ds.meta().fields[field_idx].dtype,
-                T::DTYPE
-            )));
-        }
+        self.field_idx = self.ds.field_checked::<T>(field)?;
         self.field = field.to_string();
-        self.field_idx = field_idx;
         self.flush_resident();
         self.next_level = self.start_level;
         self.interrupt();
@@ -473,10 +492,9 @@ impl<T: Sample> QuerySession<T> {
         self.view_blocks.clear();
     }
 
-    fn resident_insert(&mut self, block: u64, entry: Option<Arc<Vec<T>>>) {
-        let cost = |e: &Option<Arc<Vec<T>>>| {
-            e.as_ref().map_or(0, |v| (v.len() * T::DTYPE.size_bytes()) as u64)
-        };
+    fn resident_insert(&mut self, block: u64, entry: TypedEntry<T>) {
+        let cost =
+            |e: &TypedEntry<T>| e.as_ref().map_or(0, |v| (v.len() * T::DTYPE.size_bytes()) as u64);
         let added = cost(&entry);
         if added > self.resident_budget {
             return;
@@ -494,12 +512,11 @@ impl<T: Sample> QuerySession<T> {
         }
     }
 
-    /// Resolve `to_resolve` blocks of `time` — decoded-cache hits first,
-    /// then batched store fetches in `fetch_concurrency`-wide waves with
-    /// the cancel token checked before each wave. Resolved blocks of the
-    /// session's current timestep land in the resident buffer; all decoded
-    /// payloads land in the dataset's shared decoded cache (and therefore
-    /// warmed any `TierCache` below on the way).
+    /// Resolve `to_resolve` blocks of `time` through [`resolve_waves`].
+    /// Resolved blocks of the session's current timestep land in the
+    /// resident buffer; all decoded payloads land in the dataset's shared
+    /// decoded cache (and therefore warmed any `TierCache` below on the
+    /// way).
     ///
     /// Returns `true` when the token fired and the resolve was abandoned.
     fn resolve_blocks(
@@ -511,132 +528,52 @@ impl<T: Sample> QuerySession<T> {
         acct: &mut FrameAcct,
     ) -> Result<bool> {
         let ds = Arc::clone(&self.ds);
-        let obs = self.m.obs.clone();
-        let vns_counter =
-            if prefetch { self.m.prefetch_vns.clone() } else { self.m.fetch_vns.clone() };
-        let span_label = if prefetch { "prefetch" } else { "fetch" };
-        let block_samples = ds.meta().block_samples() as usize;
-        let sample_size = T::DTYPE.size_bytes();
-        let threads = num_threads();
+        let (obs, cancel, clock) = (self.m.obs.clone(), self.cancel.clone(), self.clock.clone());
+        let vns = if prefetch { self.m.prefetch_vns.clone() } else { self.m.fetch_vns.clone() };
+        let report = WaveReport {
+            obs: &obs,
+            span: if prefetch { "prefetch" } else { "fetch" },
+            vns: &vns,
+            clock: &clock,
+        };
         let install_resident = time == self.time;
 
         // Attribute the store calls below to this session's tenant, and
         // mark speculative resolves with the sheddable prefetch class —
         // an admission scheduler in the store stack reads both at call
-        // time. The fix over the old path: prefetch no longer issues
-        // `get_many` unconditionally; under demand pressure the scheduler
-        // sheds it (handled below) instead of queueing behind real work.
+        // time, and under demand pressure sheds the speculation (handled
+        // below) instead of queueing it behind real work.
         let _tenant_tag = self.tenant.map(tag_tenant);
         let _class_tag = prefetch.then(|| tag_class(Priority::Prefetch));
 
-        let (hits, misses, epoch) = ds.decoded_partition(self.field_idx, time, to_resolve);
-        for (block, raw) in hits {
-            stats.decoded_cache_hits += 1;
-            acct.fetched += 1;
-            if prefetch {
-                self.note_prefetched(time, block);
-            } else if self.prefetched.remove(&(time, block)) {
-                // Prefetched earlier, kept warm by the decoded cache.
-                acct.prefetch_hits += 1;
-            }
-            if install_resident {
-                let typed = match raw {
-                    Some(r) => Some(Arc::new(bytes_to_samples::<T>(&r)?)),
-                    None => None,
-                };
-                self.resident_insert(block, typed);
-            }
-        }
-
-        for chunk in misses.chunks(ds.fetch_concurrency().max(1)) {
-            if self.cancel.is_cancelled_at(self.clock.now_ns()) {
-                return Ok(true);
-            }
-            let keys: Vec<String> =
-                chunk.iter().map(|&b| ds.block_key(self.field_idx, time, b)).collect();
-            let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            let t_fetch = Instant::now();
-            let results = {
-                let _fetch_span = obs.span(span_label);
-                let v0 = self.clock.now_ns();
-                let results = ds.store().get_many(&key_refs);
-                vns_counter.add(self.clock.now_ns().saturating_sub(v0));
-                results
-            };
-            stats.fetch_secs += t_fetch.elapsed().as_secs_f64();
-            stats.fetch_batches += 1;
-
-            let mut encoded: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(chunk.len());
-            for (&block, r) in chunk.iter().zip(results) {
-                match r {
-                    Ok(enc) => encoded.push((block, Some(enc))),
-                    Err(e) if e.is_not_found() => encoded.push((block, None)),
-                    Err(e) if prefetch && e.is_shed() => {
-                        // The admission layer shed this speculative wave:
-                        // skip the rest of the resolve — the scheduler
-                        // holds the descriptor and re-issues it itself
-                        // when pressure drops, so nothing is lost.
-                        self.stats.prefetch_shed += 1;
-                        self.m.prefetch_shed.inc();
-                        return Ok(false);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            let t_decode = Instant::now();
-            let decoded = {
-                let _decode_span = obs.span("decode");
-                try_par_map_owned(encoded, threads, |(block, enc)| -> Result<_> {
-                    match enc {
-                        Some(enc) => {
-                            let enc_len = enc.len() as u64;
-                            // Owned fetch result: the `Raw` passthrough moves
-                            // the buffer instead of copying it.
-                            let raw =
-                                ds.meta().codec.decode_owned(enc, block_samples * sample_size)?;
-                            Ok((block, enc_len, Some(Arc::new(raw))))
-                        }
-                        None => Ok((block, 0, None)),
-                    }
-                })?
-            };
-            let decode_secs = t_decode.elapsed().as_secs_f64();
-            stats.decode_secs += decode_secs;
-            ds.note_decode(
-                decoded.iter().filter_map(|(_, _, r)| r.as_ref().map(|r| r.len() as u64)).sum(),
-                decode_secs,
-            );
-
-            ds.decoded_install(
-                self.field_idx,
-                time,
-                epoch,
-                decoded.iter().map(|(b, _, raw)| (*b, raw.clone() as DecodedEntry)),
-            );
-            for (block, enc_len, raw) in decoded {
-                stats.bytes_fetched += enc_len;
-                if let Some(r) = &raw {
-                    stats.blocks_decoded += 1;
-                    stats.bytes_decoded += r.len() as u64;
-                }
+        let at = (self.field_idx, time);
+        let resolved =
+            resolve_waves(&ds, at, to_resolve, &cancel, &report, stats, |b, raw, warm| {
                 acct.fetched += 1;
                 if prefetch {
-                    self.note_prefetched(time, block);
-                } else {
-                    // A marker on a block that still needed a store trip is
-                    // stale (evicted since); consume it without a hit.
-                    self.prefetched.remove(&(time, block));
+                    self.note_prefetched(time, b);
+                } else if self.prefetched.remove(&(time, b)) && warm {
+                    // Prefetched earlier, kept warm by the decoded cache. (A
+                    // marker on a block that still needed a store trip is stale
+                    // — evicted since — and is consumed without a hit.)
+                    acct.prefetch_hits += 1;
                 }
                 if install_resident {
-                    let typed = match raw {
-                        Some(r) => Some(Arc::new(bytes_to_samples::<T>(&r)?)),
-                        None => None,
-                    };
-                    self.resident_insert(block, typed);
+                    self.resident_insert(b, typed_entry(raw)?);
                 }
+                Ok(())
+            });
+        match resolved {
+            // The admission layer shed this speculative wave: skip the rest
+            // of the resolve — the scheduler holds the descriptor and
+            // re-issues it itself when pressure drops, so nothing is lost.
+            Err(e) if prefetch && e.is_shed() => {
+                self.stats.prefetch_shed += 1;
+                self.m.prefetch_shed.inc();
+                Ok(false)
             }
+            resolved => resolved,
         }
-        Ok(false)
     }
 
     fn note_prefetched(&mut self, time: u32, block: u64) {
@@ -646,14 +583,8 @@ impl<T: Sample> QuerySession<T> {
         }
     }
 
-    /// Extend the view's cumulative block plan to `level` and resolve every
-    /// planned block not yet resident. Returns `true` if cancelled.
-    fn ensure_level(
-        &mut self,
-        level: u32,
-        stats: &mut QueryStats,
-        acct: &mut FrameAcct,
-    ) -> Result<bool> {
+    /// Extend the view's cumulative block plan to `level`.
+    fn plan_level(&mut self, level: u32) -> Result<()> {
         let bs = self.ds.meta().block_samples();
         match self.planned {
             // Level-delta planning: the only new blocks stepping from a
@@ -672,10 +603,21 @@ impl<T: Sample> QuerySession<T> {
                 self.planned = Some(level);
             }
         }
-        stats.blocks_touched = self.view_blocks.len() as u64;
+        Ok(())
+    }
 
+    /// Resolve `needed` minus what is already resident, then gather and
+    /// account one frame of `region` at `level` — the shared body of
+    /// [`QuerySession::frame_at`] and [`QuerySession::read_region`].
+    fn frame(&mut self, region: Box2i, level: u32, needed: &[u64]) -> Result<SessionFrame<T>> {
+        let layout = self.ds.level_layout(region, level)?.ok_or_else(|| {
+            NsdfError::invalid("query region contains no samples at the requested level")
+        })?;
+        let mut stats =
+            QueryStats { blocks_touched: needed.len() as u64, ..self.ds.query_stats(level) };
+        let mut acct = FrameAcct::default();
         let mut to_resolve = Vec::new();
-        for &b in &self.view_blocks {
+        for &b in needed {
             if self.resident.contains_key(&b) {
                 acct.reused += 1;
                 if self.prefetched.remove(&(self.time, b)) {
@@ -685,75 +627,16 @@ impl<T: Sample> QuerySession<T> {
                 to_resolve.push(b);
             }
         }
-        let cancelled = self.resolve_blocks(self.time, &to_resolve, false, stats, acct)?;
-        if !cancelled {
-            self.covered = Some(self.covered.map_or(level, |c| c.max(level)));
-        }
-        Ok(cancelled)
-    }
+        let cancelled =
+            self.resolve_blocks(self.time, &to_resolve, false, &mut stats, &mut acct)?;
 
-    /// Gather a raster for `region` at `level` from the resident buffer.
-    fn gather(&self, region: Box2i, level: u32) -> Result<Raster<T>> {
-        let Some((x0, y0, sx, sy, out_w, out_h)) = self.ds.level_layout(region, level)? else {
-            return Err(NsdfError::invalid(
-                "query region contains no samples at the requested level",
-            ));
-        };
-        let block_samples = self.ds.meta().block_samples() as usize;
-        let n_bits = self.ds.curve().max_level();
-        let mask = self.ds.curve().mask();
-        let mut out = Raster::<T>::zeros(out_w, out_h);
-        for j in 0..out_h {
-            let y = y0 + j as i64 * sy;
-            for i in 0..out_w {
-                let x = x0 + i as i64 * sx;
-                let z = mask.encode(&[x as u64, y as u64])?;
-                let hz = hz_from_z(z, n_bits);
-                let block = hz / block_samples as u64;
-                let offset = (hz % block_samples as u64) as usize;
-                if let Some(Some(samples)) = self.resident.get(&block) {
-                    out.set(i, j, samples[offset]);
-                }
-            }
-        }
-        out.geo = self.ds.meta().geo.map(|g| {
-            let windowed = g.for_window(x0, y0);
-            nsdf_util::GeoTransform {
-                x0: windowed.x0,
-                y0: windowed.y0,
-                dx: windowed.dx * sx as f64,
-                dy: windowed.dy * sy as f64,
-            }
-        });
-        Ok(out)
-    }
-
-    /// Ensure blocks for the current view at `level` and gather a frame.
-    ///
-    /// If the cancel token fires mid-fetch the returned frame is flagged
-    /// [`SessionFrame::cancelled`] and holds the partially upgraded state
-    /// (useful to display while the retry runs).
-    pub fn frame_at(&mut self, level: u32) -> Result<SessionFrame<T>> {
-        if level > self.ds.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.ds.max_level()
-            )));
-        }
-        let _frame_span = self.m.obs.span("frame");
-        let mut stats = QueryStats {
-            fetch_concurrency: self.ds.fetch_concurrency() as u64,
-            requested_level: level,
-            delivered_level: level,
-            ..QueryStats::default()
-        };
-        let mut acct = FrameAcct::default();
-        let cancelled = self.ensure_level(level, &mut stats, &mut acct)?;
-        let raster = self.gather(self.region, level)?;
+        let resident = &self.resident;
+        let raster = self
+            .ds
+            .gather_raster(layout, |b| resident.get(&b).and_then(|e| e.as_ref().map(|v| &v[..])))?;
         stats.samples_out = (raster.width() * raster.height()) as u64;
         stats.blocks_missing =
-            self.view_blocks.iter().filter(|b| matches!(self.resident.get(b), Some(None))).count()
-                as u64;
+            needed.iter().filter(|b| matches!(self.resident.get(b), Some(None))).count() as u64;
 
         // Blocks resolved before a cancellation still cost WAN time and
         // stay resident; credit them so fetched-block accounting always
@@ -783,6 +666,23 @@ impl<T: Sample> QuerySession<T> {
             prefetch_hits: acct.prefetch_hits,
             cancelled,
         })
+    }
+
+    /// Ensure blocks for the current view at `level` and gather a frame.
+    ///
+    /// If the cancel token fires mid-fetch the returned frame is flagged
+    /// [`SessionFrame::cancelled`] and holds the partially upgraded state
+    /// (useful to display while the retry runs).
+    pub fn frame_at(&mut self, level: u32) -> Result<SessionFrame<T>> {
+        self.ds.check_level(level)?;
+        let _frame_span = self.m.obs.span("frame");
+        self.plan_level(level)?;
+        let needed: Vec<u64> = self.view_blocks.iter().copied().collect();
+        let frame = self.frame(self.region, level, &needed)?;
+        if !frame.cancelled {
+            self.covered = Some(self.covered.map_or(level, |c| c.max(level)));
+        }
+        Ok(frame)
     }
 
     /// Deliver the next refinement level of the current view.
@@ -828,64 +728,13 @@ impl<T: Sample> QuerySession<T> {
     /// already resident, without disturbing the refinement cursor of the
     /// current view.
     pub fn read_region(&mut self, region: Box2i, level: u32) -> Result<SessionFrame<T>> {
-        if level > self.ds.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.ds.max_level()
-            )));
-        }
+        self.ds.check_level(level)?;
         let region = region
             .intersect(&self.ds.bounds())
             .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
         let _frame_span = self.m.obs.span("frame");
-        let mut stats = QueryStats {
-            fetch_concurrency: self.ds.fetch_concurrency() as u64,
-            requested_level: level,
-            delivered_level: level,
-            ..QueryStats::default()
-        };
-        let mut acct = FrameAcct::default();
         let needed = self.ds.blocks_for_query(region, level)?;
-        stats.blocks_touched = needed.len() as u64;
-        let mut to_resolve = Vec::new();
-        for &b in &needed {
-            if self.resident.contains_key(&b) {
-                acct.reused += 1;
-                if self.prefetched.remove(&(self.time, b)) {
-                    acct.prefetch_hits += 1;
-                }
-            } else {
-                to_resolve.push(b);
-            }
-        }
-        let cancelled =
-            self.resolve_blocks(self.time, &to_resolve, false, &mut stats, &mut acct)?;
-        let raster = self.gather(region, level)?;
-        stats.samples_out = (raster.width() * raster.height()) as u64;
-        stats.blocks_missing =
-            needed.iter().filter(|b| matches!(self.resident.get(b), Some(None))).count() as u64;
-        self.stats.blocks_fetched += acct.fetched;
-        self.m.blocks_fetched.add(acct.fetched);
-        if cancelled {
-            self.stats.cancelled += 1;
-            self.m.cancelled.inc();
-        } else {
-            self.stats.frames += 1;
-            self.m.frames.inc();
-            self.stats.blocks_reused += acct.reused;
-            self.m.blocks_reused.add(acct.reused);
-            self.stats.prefetch_hits += acct.prefetch_hits;
-            self.m.prefetch_hits.add(acct.prefetch_hits);
-        }
-        Ok(SessionFrame {
-            level,
-            raster,
-            stats,
-            blocks_reused: acct.reused,
-            blocks_fetched: acct.fetched,
-            prefetch_hits: acct.prefetch_hits,
-            cancelled,
-        })
+        self.frame(region, level, &needed)
     }
 
     /// Speculatively resolve the neighbor viewport one region-width ahead
@@ -945,7 +794,7 @@ pub struct VolumeSliceSession<T: Sample> {
     field: String,
     field_idx: usize,
     time: u32,
-    resident: BTreeMap<u64, Option<Arc<Vec<T>>>>,
+    resident: BTreeMap<u64, TypedEntry<T>>,
     cancel: CancelToken,
     clock: SimClock,
     stats: SessionStats,
@@ -955,7 +804,7 @@ pub struct VolumeSliceSession<T: Sample> {
 impl<T: Sample> VolumeSliceSession<T> {
     /// Open a slice session on `field` of `vol` at timestep 0.
     pub fn new(vol: Arc<IdxVolume>, field: &str) -> Result<VolumeSliceSession<T>> {
-        let field_idx = vol.field_checked::<T>(field)?;
+        let field_idx = vol.dataset().field_checked::<T>(field)?;
         Ok(VolumeSliceSession {
             vol,
             field: field.to_string(),
@@ -1002,7 +851,7 @@ impl<T: Sample> VolumeSliceSession<T> {
         if field == self.field {
             return Ok(());
         }
-        self.field_idx = self.vol.field_checked::<T>(field)?;
+        self.field_idx = self.vol.dataset().field_checked::<T>(field)?;
         self.field = field.to_string();
         self.resident.clear();
         Ok(())
@@ -1010,9 +859,7 @@ impl<T: Sample> VolumeSliceSession<T> {
 
     /// Switch timesteps, flushing the resident buffer.
     pub fn set_time(&mut self, time: u32) -> Result<()> {
-        if time >= self.vol.meta().timesteps {
-            return Err(NsdfError::invalid("timestep out of range"));
-        }
+        self.vol.dataset().check_time(time)?;
         if time != self.time {
             self.time = time;
             self.resident.clear();
@@ -1025,132 +872,60 @@ impl<T: Sample> VolumeSliceSession<T> {
     /// plus per-call accounting; a `None` raster means the cancel token
     /// fired mid-fetch.
     pub fn slice_z(&mut self, z: i64, level: u32) -> Result<(Option<Raster<T>>, QueryStats)> {
-        let b = self.vol.bounds();
-        if z < 0 || z >= b.z1 {
-            return Err(NsdfError::invalid(format!("slice z={z} outside volume")));
-        }
-        if level > self.vol.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.vol.max_level()
-            )));
-        }
-        let strides = self.vol.curve().mask().level_strides(level)?;
-        let sz = strides.get(2).copied().unwrap_or(1) as i64;
-        let z_snapped = (z / sz) * sz;
-        let region = Box3i::new(b.x0, b.y0, z_snapped, b.x1, b.y1, z_snapped + 1);
-
-        let block_samples = self.vol.meta().block_samples() as usize;
-        let sample_size = T::DTYPE.size_bytes();
-        let mut stats = QueryStats {
-            fetch_concurrency: self.vol.fetch_concurrency() as u64,
-            requested_level: level,
-            delivered_level: level,
-            ..QueryStats::default()
-        };
-
-        // Plan: cumulative sample walk (3-D has no subtree planner yet).
-        let mut needed: BTreeSet<u64> = BTreeSet::new();
-        for l in 0..=level {
-            for (_, _, _, hz) in self.vol.curve().level_samples_in_box3(l, region)? {
-                needed.insert(hz / block_samples as u64);
-            }
-        }
-        stats.blocks_touched = needed.len() as u64;
+        let vol = &self.vol;
+        let region = vol.slice_region(z, level)?;
+        let grid = vol.level_grid(region, level)?;
+        let needed = vol.blocks_for_box(region, level)?;
+        let mut stats =
+            QueryStats { blocks_touched: needed.len() as u64, ..vol.dataset().query_stats(level) };
         let to_resolve: Vec<u64> =
             needed.iter().copied().filter(|b| !self.resident.contains_key(b)).collect();
-        let reused = needed.len() as u64 - to_resolve.len() as u64;
+        let reused = (needed.len() - to_resolve.len()) as u64;
 
-        let threads = num_threads();
-        for chunk in to_resolve.chunks(self.vol.fetch_concurrency().max(1)) {
-            if self.cancel.is_cancelled_at(self.clock.now_ns()) {
-                self.stats.cancelled += 1;
-                self.m.cancelled.inc();
-                return Ok((None, stats));
-            }
-            let keys: Vec<String> = chunk
-                .iter()
-                .map(|&blk| self.vol.block_key(self.field_idx, self.time, blk))
-                .collect();
-            let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            let t_fetch = Instant::now();
-            let results = {
-                let _fetch_span = self.m.obs.span("fetch");
-                let v0 = self.clock.now_ns();
-                let results = self.vol.store().get_many(&key_refs);
-                self.m.fetch_vns.add(self.clock.now_ns().saturating_sub(v0));
-                results
-            };
-            stats.fetch_secs += t_fetch.elapsed().as_secs_f64();
-            stats.fetch_batches += 1;
-            let mut encoded: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(chunk.len());
-            for (&block, r) in chunk.iter().zip(results) {
-                match r {
-                    Ok(enc) => encoded.push((block, Some(enc))),
-                    Err(e) if e.is_not_found() => encoded.push((block, None)),
-                    Err(e) => return Err(e),
-                }
-            }
-            let t_decode = Instant::now();
-            let decoded = try_par_map_owned(encoded, threads, |(block, enc)| -> Result<_> {
-                match enc {
-                    Some(enc) => {
-                        let enc_len = enc.len() as u64;
-                        let raw =
-                            self.vol.meta().codec.decode_owned(enc, block_samples * sample_size)?;
-                        Ok((block, enc_len, Some(Arc::new(bytes_to_samples::<T>(&raw)?))))
-                    }
-                    None => Ok((block, 0, None)),
-                }
-            })?;
-            stats.decode_secs += t_decode.elapsed().as_secs_f64();
-            for (block, enc_len, typed) in decoded {
-                stats.bytes_fetched += enc_len;
-                if let Some(t) = &typed {
-                    stats.blocks_decoded += 1;
-                    stats.bytes_decoded += (t.len() * sample_size) as u64;
-                }
-                self.resident.insert(block, typed);
-            }
+        let report = WaveReport {
+            obs: &self.m.obs,
+            span: "fetch",
+            vns: &self.m.fetch_vns,
+            clock: &self.clock,
+        };
+        let at = (self.field_idx, self.time);
+        let resident = &mut self.resident;
+        let mut fetched = 0;
+        let cancelled = resolve_waves(
+            vol.dataset(),
+            at,
+            &to_resolve,
+            &self.cancel,
+            &report,
+            &mut stats,
+            |block, raw, _| {
+                fetched += 1;
+                resident.insert(block, typed_entry(raw)?);
+                Ok(())
+            },
+        )?;
+        // Waves fetched before a cancellation still cost WAN time and stay
+        // resident; credit them so a resumed slice sums to the planner's
+        // unique block count, exactly as `QuerySession` frames do.
+        self.stats.blocks_fetched += fetched;
+        self.m.blocks_fetched.add(fetched);
+        self.stats.fetch_vns = self.m.fetch_vns.get();
+        if cancelled {
+            self.stats.cancelled += 1;
+            self.m.cancelled.inc();
+            return Ok((None, stats));
         }
         stats.blocks_missing =
             needed.iter().filter(|b| matches!(self.resident.get(b), Some(None))).count() as u64;
-        self.stats.blocks_fetched += to_resolve.len() as u64;
-        self.m.blocks_fetched.add(to_resolve.len() as u64);
         self.stats.blocks_reused += reused;
         self.m.blocks_reused.add(reused);
         self.stats.frames += 1;
         self.m.frames.inc();
 
-        // Gather the plane.
-        let sx = strides[0] as i64;
-        let sy = strides.get(1).copied().unwrap_or(1) as i64;
-        let x0 = crate::volume::align_up(region.x0, sx);
-        let y0 = crate::volume::align_up(region.y0, sy);
-        if x0 >= region.x1 || y0 >= region.y1 {
-            return Err(NsdfError::invalid(
-                "query region contains no samples at the requested level",
-            ));
-        }
-        let ow = ((region.x1 - x0) as u64).div_ceil(sx as u64) as usize;
-        let oh = ((region.y1 - y0) as u64).div_ceil(sy as u64) as usize;
-        let mut out = Volume::<T>::zeros(ow, oh, 1);
-        let n_bits = self.vol.curve().max_level();
-        let mask = self.vol.curve().mask();
-        for j in 0..oh {
-            let y = y0 + j as i64 * sy;
-            for i in 0..ow {
-                let x = x0 + i as i64 * sx;
-                let zaddr = mask.encode(&[x as u64, y as u64, z_snapped as u64])?;
-                let hz = hz_from_z(zaddr, n_bits);
-                let block = hz / block_samples as u64;
-                let offset = (hz % block_samples as u64) as usize;
-                if let Some(Some(data)) = self.resident.get(&block) {
-                    out.set(i, j, 0, data[offset]);
-                }
-            }
-        }
-        stats.samples_out = (ow * oh) as u64;
-        Ok((Some(out.slice_z(0)?), stats))
+        let resident = &self.resident;
+        let plane =
+            vol.gather_box(grid, |b| resident.get(&b).and_then(|e| e.as_ref().map(|v| &v[..])))?;
+        stats.samples_out = plane.len() as u64;
+        Ok((Some(plane.slice_z(0)?), stats))
     }
 }

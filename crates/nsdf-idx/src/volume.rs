@@ -3,17 +3,14 @@
 //! and sub-boxes), with the same HZ block layout, codecs, and progressive
 //! query semantics as the 2-D [`crate::IdxDataset`].
 
+use crate::dataset::{IdxDataset, QueryStats, WriteStats};
 use crate::meta::{Field, IdxMeta};
 use nsdf_compress::Codec;
-use nsdf_hz::{hz_from_z, HzCurve};
 use nsdf_storage::ObjectStore;
-use nsdf_util::par::{num_threads, try_par_map, try_par_map_owned};
-use nsdf_util::{
-    bytes_to_samples, samples_to_bytes, Box3i, NsdfError, Raster, Result, Sample, Volume,
-};
-use std::collections::BTreeMap;
+use nsdf_util::obs::Obs;
+use nsdf_util::{Box3i, NsdfError, Raster, Result, Sample, Volume};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 impl IdxMeta {
     /// Build metadata for a 3-D dataset, deriving the bitmask from the
@@ -34,14 +31,18 @@ impl IdxMeta {
     }
 }
 
+/// Per-axis `(origin, stride, count)` of a box query's output grid.
+type LevelGrid = [(i64, i64, usize); 3];
+
 /// An open 3-D IDX dataset bound to an object store.
+///
+/// A typed 3-D plan-and-gather view over an [`IdxDataset`]: which blocks a
+/// box or slice needs and where each sample lands are decided here; block
+/// fetch, decode, the decoded-block cache, its write-side invalidation,
+/// `idx.*` observability and upload all belong to the dataset underneath,
+/// exactly as for 2-D data.
 pub struct IdxVolume {
-    store: Arc<dyn ObjectStore>,
-    base: String,
-    meta: IdxMeta,
-    curve: HzCurve,
-    fetch_concurrency: usize,
-    write_concurrency: usize,
+    ds: IdxDataset,
 }
 
 impl IdxVolume {
@@ -50,101 +51,56 @@ impl IdxVolume {
         if meta.dims.len() != 3 {
             return Err(NsdfError::invalid("IdxVolume requires 3-D metadata (IdxMeta::new_3d)"));
         }
-        store.put(&format!("{base}/dataset.idx"), meta.to_text().as_bytes())?;
-        let curve = HzCurve::new(meta.bitmask.clone());
-        Ok(IdxVolume {
-            store,
-            base: base.to_string(),
-            meta,
-            curve,
-            fetch_concurrency: crate::dataset::DEFAULT_FETCH_CONCURRENCY,
-            write_concurrency: crate::dataset::DEFAULT_WRITE_CONCURRENCY,
-        })
+        Ok(IdxVolume { ds: IdxDataset::create_nd(store, base, meta)? })
     }
 
     /// Open an existing volumetric dataset.
     pub fn open(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxVolume> {
-        let text = store.get(&format!("{base}/dataset.idx"))?;
-        let text = String::from_utf8(text)
-            .map_err(|_| NsdfError::format("dataset.idx is not valid UTF-8"))?;
-        let meta = IdxMeta::from_text(&text)?;
-        if meta.dims.len() != 3 {
+        let ds = IdxDataset::open_nd(store, base)?;
+        if ds.meta().dims.len() != 3 {
             return Err(NsdfError::invalid(format!(
                 "dataset at {base:?} is {}-dimensional, not 3-D",
-                meta.dims.len()
+                ds.meta().dims.len()
             )));
         }
-        let curve = HzCurve::new(meta.bitmask.clone());
-        Ok(IdxVolume {
-            store,
-            base: base.to_string(),
-            meta,
-            curve,
-            fetch_concurrency: crate::dataset::DEFAULT_FETCH_CONCURRENCY,
-            write_concurrency: crate::dataset::DEFAULT_WRITE_CONCURRENCY,
-        })
+        Ok(IdxVolume { ds })
+    }
+
+    /// Report `idx.*` accounting and spans into `obs`
+    /// (see [`IdxDataset::with_obs`]).
+    pub fn with_obs(self, obs: &Obs) -> Self {
+        IdxVolume { ds: self.ds.with_obs(obs) }
     }
 
     /// Set how many blocks each batched store fetch carries (>= 1).
-    pub fn with_fetch_concurrency(mut self, n: usize) -> Self {
-        self.fetch_concurrency = n.max(1);
-        self
+    pub fn with_fetch_concurrency(self, n: usize) -> Self {
+        IdxVolume { ds: self.ds.with_fetch_concurrency(n) }
     }
 
     /// Set how many encoded blocks each batched store upload carries (>= 1).
-    pub fn with_write_concurrency(mut self, n: usize) -> Self {
-        self.write_concurrency = n.max(1);
-        self
+    pub fn with_write_concurrency(self, n: usize) -> Self {
+        IdxVolume { ds: self.ds.with_write_concurrency(n) }
     }
 
     /// Dataset metadata.
     pub fn meta(&self) -> &IdxMeta {
-        &self.meta
+        self.ds.meta()
     }
 
     /// Finest resolution level.
     pub fn max_level(&self) -> u32 {
-        self.curve.max_level()
+        self.ds.max_level()
     }
 
     /// Full-volume bounding box.
     pub fn bounds(&self) -> Box3i {
-        Box3i::of_size(
-            self.meta.dims[0] as usize,
-            self.meta.dims[1] as usize,
-            self.meta.dims[2] as usize,
-        )
+        let dims = &self.ds.meta().dims;
+        Box3i::of_size(dims[0] as usize, dims[1] as usize, dims[2] as usize)
     }
 
-    pub(crate) fn block_key(&self, field_idx: usize, time: u32, block: u64) -> String {
-        format!("{}/f{field_idx}/t{time}/b{block:08}.bin", self.base)
-    }
-
-    /// The object store behind this volume (for slice sessions).
-    pub(crate) fn store(&self) -> &Arc<dyn ObjectStore> {
-        &self.store
-    }
-
-    /// The HZ curve of this volume (for slice sessions).
-    pub(crate) fn curve(&self) -> &HzCurve {
-        &self.curve
-    }
-
-    /// Block fetch batch width (for slice sessions).
-    pub(crate) fn fetch_concurrency(&self) -> usize {
-        self.fetch_concurrency
-    }
-
-    pub(crate) fn field_checked<T: Sample>(&self, field: &str) -> Result<usize> {
-        let idx = self.meta.field_index(field)?;
-        if self.meta.fields[idx].dtype != T::DTYPE {
-            return Err(NsdfError::invalid(format!(
-                "field {field:?} holds {}, requested {}",
-                self.meta.fields[idx].dtype,
-                T::DTYPE
-            )));
-        }
-        Ok(idx)
+    /// The dataset that owns this volume's block I/O (for slice sessions).
+    pub(crate) fn dataset(&self) -> &IdxDataset {
+        &self.ds
     }
 
     /// Write a full-resolution volume into `field` at `time`.
@@ -153,83 +109,92 @@ impl IdxVolume {
         field: &str,
         time: u32,
         volume: &Volume<T>,
-    ) -> Result<crate::dataset::WriteStats> {
-        if time >= self.meta.timesteps {
-            return Err(NsdfError::invalid("timestep out of range"));
-        }
-        let field_idx = self.field_checked::<T>(field)?;
-        let (w, h, d) =
-            (self.meta.dims[0] as usize, self.meta.dims[1] as usize, self.meta.dims[2] as usize);
+    ) -> Result<WriteStats> {
+        self.ds.check_time(time)?;
+        let field_idx = self.ds.field_checked::<T>(field)?;
+        let b = self.bounds();
+        let (w, h, d) = (b.x1 as usize, b.y1 as usize, b.z1 as usize);
         if volume.shape() != (w, h, d) {
             return Err(NsdfError::invalid(format!(
                 "volume shape {:?} does not match dataset dims ({w}, {h}, {d})",
                 volume.shape()
             )));
         }
-        let n_bits = self.curve.max_level();
-        let block_samples = self.meta.block_samples() as usize;
-        let mask = self.curve.mask();
+        let block_samples = self.ds.meta().block_samples();
 
+        let _write_span = self.ds.obs().span("write_volume");
+        let plan_span = self.ds.obs().span("plan");
         let mut blocks: BTreeMap<u64, Vec<T>> = BTreeMap::new();
         for z in 0..d {
             for y in 0..h {
                 for x in 0..w {
-                    let zaddr = mask.encode(&[x as u64, y as u64, z as u64])?;
-                    let hz = hz_from_z(zaddr, n_bits);
-                    let block = hz / block_samples as u64;
-                    let offset = (hz % block_samples as u64) as usize;
-                    blocks.entry(block).or_insert_with(|| vec![T::ZERO; block_samples])[offset] =
-                        volume.get(x, y, z);
+                    let (block, offset) = self
+                        .ds
+                        .curve()
+                        .block_offset(&[x as u64, y as u64, z as u64], block_samples)?;
+                    blocks.entry(block).or_insert_with(|| vec![T::ZERO; block_samples as usize])
+                        [offset] = volume.get(x, y, z);
                 }
             }
         }
-        let total_blocks = self.meta.blocks_per_field();
-        let mut stats = crate::dataset::WriteStats {
-            blocks_skipped: total_blocks - blocks.len() as u64,
-            write_concurrency: self.write_concurrency as u64,
-            ..Default::default()
-        };
-        // Encode blocks in parallel (deterministic earliest-block error),
-        // then upload in write_concurrency-sized put_many batches. Adaptive
-        // datasets run each block through the per-block selector so the
-        // chosen codec lands in `WriteStats::codecs`.
-        let selector = match self.meta.codec {
-            Codec::Adaptive { sample_size } => Some(nsdf_compress::AdaptiveCodec::new(sample_size)),
-            _ => None,
-        };
-        let entries: Vec<(u64, Vec<T>)> = blocks.into_iter().collect();
-        let encode_start = Instant::now();
-        let encoded = try_par_map(&entries, num_threads(), |(block, samples)| -> Result<_> {
-            let raw = samples_to_bytes(samples);
-            let raw_len = raw.len();
-            let (enc, chosen) = match &selector {
-                Some(sel) => sel.encode_block(&raw)?,
-                None => (self.meta.codec.encode_owned(raw)?, self.meta.codec),
-            };
-            Ok((*block, raw_len, enc, chosen))
-        })?;
-        stats.encode_secs += encode_start.elapsed().as_secs_f64();
-        for batch in encoded.chunks(self.write_concurrency.max(1)) {
-            let keys: Vec<String> =
-                batch.iter().map(|(b, _, _, _)| self.block_key(field_idx, time, *b)).collect();
-            let items: Vec<(&str, &[u8])> = keys
-                .iter()
-                .zip(batch)
-                .map(|(k, (_, _, enc, _))| (k.as_str(), enc.as_slice()))
-                .collect();
-            let put_start = Instant::now();
-            let results = self.store.put_many(&items);
-            stats.put_secs += put_start.elapsed().as_secs_f64();
-            stats.put_batches += 1;
-            for ((_, raw_len, enc, chosen), r) in batch.iter().zip(results) {
-                r?;
-                stats.blocks_written += 1;
-                stats.bytes_raw += *raw_len as u64;
-                stats.bytes_stored += enc.len() as u64;
-                *stats.codecs.entry(chosen.name()).or_insert(0) += 1;
+        drop(plan_span);
+        self.ds.put_full_blocks(field_idx, time, blocks)
+    }
+
+    /// Blocks a box query at `level` must read: a cumulative sample walk
+    /// (3-D has no subtree planner yet).
+    pub(crate) fn blocks_for_box(&self, region: Box3i, level: u32) -> Result<Vec<u64>> {
+        let block_samples = self.ds.meta().block_samples();
+        let mut blocks = BTreeSet::new();
+        for l in 0..=level {
+            for (_, _, _, hz) in self.ds.curve().level_samples_in_box3(l, region)? {
+                blocks.insert(hz / block_samples);
             }
         }
-        Ok(stats)
+        Ok(blocks.into_iter().collect())
+    }
+
+    /// Output grid of a box query at `level`.
+    pub(crate) fn level_grid(&self, region: Box3i, level: u32) -> Result<LevelGrid> {
+        self.ds
+            .curve()
+            .level_grid(
+                level,
+                [region.x0, region.y0, region.z0],
+                [region.x1, region.y1, region.z1],
+            )?
+            .ok_or_else(|| {
+                NsdfError::invalid("query region contains no samples at the requested level")
+            })
+    }
+
+    /// Gather the decimated volume of `grid` from typed blocks — sample
+    /// `(i, j, k)` is the stored value at `(x0 + i*sx, y0 + j*sy, z0 + k*sz)`,
+    /// zero where `block_of` has no payload.
+    pub(crate) fn gather_box<'a, T: Sample>(
+        &self,
+        [(x0, sx, ow), (y0, sy, oh), (z0, sz, od)]: LevelGrid,
+        block_of: impl Fn(u64) -> Option<&'a [T]>,
+    ) -> Result<Volume<T>> {
+        let block_samples = self.ds.meta().block_samples();
+        let mut out = Volume::<T>::zeros(ow, oh, od);
+        for k in 0..od {
+            let z = z0 + k as i64 * sz;
+            for j in 0..oh {
+                let y = y0 + j as i64 * sy;
+                for i in 0..ow {
+                    let x = x0 + i as i64 * sx;
+                    let (block, offset) = self
+                        .ds
+                        .curve()
+                        .block_offset(&[x as u64, y as u64, z as u64], block_samples)?;
+                    if let Some(samples) = block_of(block) {
+                        out.set(i, j, k, samples[offset]);
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Read a sub-box at resolution `level`; sample `(i, j, k)` of the
@@ -240,117 +205,47 @@ impl IdxVolume {
         time: u32,
         region: Box3i,
         level: u32,
-    ) -> Result<(Volume<T>, crate::dataset::QueryStats)> {
-        if time >= self.meta.timesteps {
-            return Err(NsdfError::invalid("timestep out of range"));
-        }
-        let field_idx = self.field_checked::<T>(field)?;
-        if level > self.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.max_level()
-            )));
-        }
+    ) -> Result<(Volume<T>, QueryStats)> {
+        self.ds.check_time(time)?;
+        let field_idx = self.ds.field_checked::<T>(field)?;
+        self.ds.check_level(level)?;
         let region = region
             .intersect(&self.bounds())
             .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
 
-        let block_samples = self.meta.block_samples() as usize;
-        let sample_size = T::DTYPE.size_bytes();
-        let mut stats = crate::dataset::QueryStats::default();
+        let _query_span = self.ds.obs().span("read_box");
+        let plan_span = self.ds.obs().span("plan");
+        let grid = self.level_grid(region, level)?;
+        let needed = self.blocks_for_box(region, level)?;
+        drop(plan_span);
+        let mut stats =
+            QueryStats { blocks_touched: needed.len() as u64, ..self.ds.query_stats(level) };
+        let raw_blocks = self.ds.query_blocks((field_idx, time), &needed, None, &mut stats)?;
 
-        // Collect the needed samples level-by-level (cumulative).
-        let mut samples: Vec<(u64, u64, u64, u64)> = Vec::new();
-        for l in 0..=level {
-            samples.extend(self.curve.level_samples_in_box3(l, region)?);
-        }
-        let mut needed: BTreeMap<u64, Option<Vec<T>>> = BTreeMap::new();
-        for &(_, _, _, hz) in &samples {
-            needed.entry(hz / block_samples as u64).or_insert(None);
-        }
-        let blocks: Vec<u64> = needed.keys().copied().collect();
-        stats.blocks_touched = blocks.len() as u64;
-        stats.fetch_concurrency = self.fetch_concurrency as u64;
-        let threads = num_threads();
-        for chunk in blocks.chunks(self.fetch_concurrency.max(1)) {
-            let keys: Vec<String> =
-                chunk.iter().map(|&b| self.block_key(field_idx, time, b)).collect();
-            let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            let fetch_start = Instant::now();
-            let results = self.store.get_many(&key_refs);
-            stats.fetch_secs += fetch_start.elapsed().as_secs_f64();
-            stats.fetch_batches += 1;
-            let mut encoded: Vec<(u64, Vec<u8>)> = Vec::with_capacity(chunk.len());
-            for (&block, result) in chunk.iter().zip(results) {
-                match result {
-                    Ok(enc) => {
-                        stats.bytes_fetched += enc.len() as u64;
-                        encoded.push((block, enc));
-                    }
-                    Err(e) if e.is_not_found() => stats.blocks_missing += 1,
-                    Err(e) => return Err(e),
-                }
-            }
-            let decode_start = Instant::now();
-            let decoded = try_par_map_owned(encoded, threads, |(block, enc)| -> Result<_> {
-                // Owned fetch result: the `Raw` passthrough moves the buffer
-                // instead of copying it.
-                let raw = self.meta.codec.decode_owned(enc, block_samples * sample_size)?;
-                Ok((block, bytes_to_samples::<T>(&raw)?))
-            })?;
-            stats.decode_secs += decode_start.elapsed().as_secs_f64();
-            stats.blocks_decoded += decoded.len() as u64;
-            stats.bytes_decoded +=
-                decoded.iter().map(|(_, d)| (d.len() * sample_size) as u64).sum::<u64>();
-            for (block, data) in decoded {
-                needed.insert(block, Some(data));
-            }
-        }
-
-        let strides = self.curve.mask().level_strides(level)?;
-        let stride = |a: usize| strides.get(a).copied().unwrap_or(1) as i64;
-        let (sx, sy, sz) = (stride(0), stride(1), stride(2));
-        let x0 = align_up(region.x0, sx);
-        let y0 = align_up(region.y0, sy);
-        let z0 = align_up(region.z0, sz);
-        if x0 >= region.x1 || y0 >= region.y1 || z0 >= region.z1 {
-            return Err(NsdfError::invalid(
-                "query region contains no samples at the requested level",
-            ));
-        }
-        let ow = ((region.x1 - x0) as u64).div_ceil(sx as u64) as usize;
-        let oh = ((region.y1 - y0) as u64).div_ceil(sy as u64) as usize;
-        let od = ((region.z1 - z0) as u64).div_ceil(sz as u64) as usize;
-        let mut out = Volume::<T>::zeros(ow, oh, od);
-        let n_bits = self.curve.max_level();
-        let mask = self.curve.mask();
-        for k in 0..od {
-            let z = z0 + k as i64 * sz;
-            for j in 0..oh {
-                let y = y0 + j as i64 * sy;
-                for i in 0..ow {
-                    let x = x0 + i as i64 * sx;
-                    let zaddr = mask.encode(&[x as u64, y as u64, z as u64])?;
-                    let hz = hz_from_z(zaddr, n_bits);
-                    let block = hz / block_samples as u64;
-                    let offset = (hz % block_samples as u64) as usize;
-                    if let Some(Some(data)) = needed.get(&block) {
-                        out.set(i, j, k, data[offset]);
-                    }
-                }
-            }
-        }
-        stats.samples_out = (ow * oh * od) as u64;
+        let _gather_span = self.ds.obs().span("gather");
+        let fetched = IdxDataset::typed_blocks::<T>(raw_blocks, &mut stats)?;
+        let out = self.gather_box(grid, |b| fetched.get(&b).and_then(|s| s.as_deref()))?;
+        stats.samples_out = out.len() as u64;
+        self.ds.note_query(&stats);
         Ok((out, stats))
     }
 
     /// Read the entire volume at full resolution.
-    pub fn read_full<T: Sample>(
-        &self,
-        field: &str,
-        time: u32,
-    ) -> Result<(Volume<T>, crate::dataset::QueryStats)> {
+    pub fn read_full<T: Sample>(&self, field: &str, time: u32) -> Result<(Volume<T>, QueryStats)> {
         self.read_box(field, time, self.bounds(), self.max_level())
+    }
+
+    /// The one-sample-thick box of the z-plane at depth `z`, snapped to the
+    /// z-stride of `level` so it holds samples of that level's grid.
+    pub(crate) fn slice_region(&self, z: i64, level: u32) -> Result<Box3i> {
+        let b = self.bounds();
+        if z < 0 || z >= b.z1 {
+            return Err(NsdfError::invalid(format!("slice z={z} outside volume")));
+        }
+        let strides = self.ds.curve().mask().level_strides(level)?;
+        let sz = strides.get(2).copied().unwrap_or(1) as i64;
+        let z_snapped = (z / sz) * sz;
+        Ok(Box3i::new(b.x0, b.y0, z_snapped, b.x1, b.y1, z_snapped + 1))
     }
 
     /// Read the z-slice at depth `z` as a 2-D raster at resolution `level`
@@ -362,29 +257,10 @@ impl IdxVolume {
         time: u32,
         z: i64,
         level: u32,
-    ) -> Result<(Raster<T>, crate::dataset::QueryStats)> {
-        let b = self.bounds();
-        if z < 0 || z >= b.z1 {
-            return Err(NsdfError::invalid(format!("slice z={z} outside volume")));
-        }
-        // Snap the plane to the level's z-stride so it holds samples.
-        let strides = self.curve.mask().level_strides(level)?;
-        let sz = strides.get(2).copied().unwrap_or(1) as i64;
-        let z_snapped = (z / sz) * sz;
-        let region = Box3i::new(b.x0, b.y0, z_snapped, b.x1, b.y1, z_snapped + 1);
+    ) -> Result<(Raster<T>, QueryStats)> {
+        let region = self.slice_region(z, level)?;
         let (vol, stats) = self.read_box::<T>(field, time, region, level)?;
         Ok((vol.slice_z(0)?, stats))
-    }
-}
-
-/// Smallest multiple of `m` that is `>= v` (`v >= 0`).
-pub(crate) fn align_up(v: i64, m: i64) -> i64 {
-    debug_assert!(v >= 0 && m > 0);
-    let r = v % m;
-    if r == 0 {
-        v
-    } else {
-        v + (m - r)
     }
 }
 

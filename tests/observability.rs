@@ -148,3 +148,75 @@ fn identically_seeded_runs_serialize_identically() {
     let c = seeded_run(8);
     assert_ne!(a.snapshot_json, c.snapshot_json, "different seed, different telemetry");
 }
+
+/// The 3-D path reports through the same `idx.*` handles as the 2-D one:
+/// upload and fetch time reconcile with the WAN on one registry, for box
+/// queries through the volume and slices through a session alike.
+#[test]
+fn volume_pipeline_reconciles_with_the_wan() {
+    use nsdf::idx::IdxVolume;
+    use nsdf::util::Volume;
+
+    let clock = SimClock::new();
+    let obs = Obs::new(clock.clone());
+    let seal = obs.scoped("seal");
+    let wan = CloudStore::new(
+        Arc::new(MemoryStore::new()),
+        NetworkProfile::private_seal(),
+        clock.clone(),
+        42,
+    )
+    .with_obs(&seal);
+    let meta = IdxMeta::new_3d(
+        "obs-volume",
+        32,
+        32,
+        32,
+        vec![Field::new("density", DType::F32).unwrap()],
+        8,
+        Codec::ShuffleLzss { sample_size: 4 },
+    )
+    .unwrap();
+    let vol =
+        Arc::new(IdxVolume::create(Arc::new(wan), "obs/plume", meta).unwrap().with_obs(&seal));
+    // Creating uploaded the header over the WAN; measure only the pipeline.
+    obs.reset();
+    obs.clear_spans();
+
+    let data = Volume::from_fn(32, 32, 32, |x, y, z| (x as f32 * 0.2).sin() * 5.0 + (y + z) as f32);
+    let written = vol.write_volume("density", 0, &data).unwrap();
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("seal.idx.writes"), 1);
+    assert_eq!(snap.counter("seal.idx.blocks_written"), written.blocks_written);
+    assert!(written.blocks_written > 0);
+    assert_eq!(snap.counter("seal.idx.put_vns"), snap.counter("seal.wan.busy_vns"));
+    assert_eq!(obs.span_tree()[0].label, "seal.idx.write_volume");
+
+    obs.reset();
+    obs.clear_spans();
+    let max = vol.max_level();
+    vol.read_slice_z::<f32>("density", 0, 11, max - 3).unwrap();
+    vol.read_box::<f32>("density", 0, nsdf::util::Box3i::new(2, 3, 9, 30, 29, 22), max).unwrap();
+    let mut session =
+        VolumeSliceSession::<f32>::new(Arc::clone(&vol), "density").unwrap().with_obs(&seal);
+    session.slice_z(0, max).unwrap();
+    session.slice_z(31, max).unwrap();
+
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("seal.idx.queries"), 2, "one per box query, slices included");
+    assert!(snap.counter("seal.idx.blocks_decoded") > 0);
+    assert!(snap.counter("seal.idx.fetch_vns") > 0 && snap.counter("seal.session.fetch_vns") > 0);
+    assert_eq!(
+        snap.counter("seal.idx.fetch_vns") + snap.counter("seal.session.fetch_vns"),
+        snap.counter("seal.wan.busy_vns"),
+        "every virtual nanosecond the WAN was busy belongs to a volume fetch wave"
+    );
+    assert_eq!(session.stats().fetch_vns, snap.counter("seal.session.fetch_vns"));
+    let spans = obs.span_tree();
+    assert_eq!(span_vns(&spans, "seal.idx.fetch"), snap.counter("seal.idx.fetch_vns"));
+    for root in spans.iter().filter(|r| r.label == "seal.idx.read_box") {
+        let labels: Vec<&str> = root.children.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels.first(), Some(&"seal.idx.plan"));
+        assert_eq!(labels.last(), Some(&"seal.idx.gather"));
+    }
+}

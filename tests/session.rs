@@ -278,3 +278,37 @@ fn client_sessions_read_through_named_endpoints() {
     assert!(snap.counter("dataverse.session.blocks_fetched") > 0);
     assert!(snap.counter("dataverse.session.frames") > 0);
 }
+
+#[test]
+fn read_region_keeps_stats_and_spans_in_step_with_frame_at() {
+    let mem = Arc::new(MemoryStore::new());
+    seed_data(mem.clone());
+    let clock = SimClock::new();
+    let obs = Obs::new(clock.clone());
+    let wan =
+        CloudStore::new(mem as Arc<dyn ObjectStore>, NetworkProfile::private_seal(), clock, 42)
+            .with_obs(&obs);
+    let ds = Arc::new(
+        IdxDataset::open(Arc::new(wan) as Arc<dyn ObjectStore>, "sess").unwrap().with_obs(&obs),
+    );
+    let mut s = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap().with_obs(&obs);
+    obs.reset();
+    obs.clear_spans();
+
+    // A cold snip pays WAN time; the struct view must agree with the
+    // counter afterwards, exactly as it does after `frame_at`.
+    let snip = s.read_region(Box2i::new(40, 30, 90, 70), ds.max_level()).unwrap();
+    assert!(snip.blocks_fetched > 0 && !snip.cancelled);
+    let snap = obs.snapshot();
+    assert!(snap.counter("session.fetch_vns") > 0, "cold snip costs virtual WAN time");
+    assert_eq!(s.stats().fetch_vns, snap.counter("session.fetch_vns"));
+    assert_eq!(s.stats().fetch_vns, snap.counter("wan.busy_vns"));
+
+    // A snip abandoned by the token lands on the span timeline like an
+    // abandoned frame does.
+    s.cancel_token().cancel();
+    let abandoned = s.read_region(ds.bounds(), ds.max_level()).unwrap();
+    assert!(abandoned.cancelled);
+    assert_eq!(s.stats().cancelled, 1);
+    assert!(obs.spans_json().contains("session.cancelled"), "spans: {}", obs.render_spans());
+}

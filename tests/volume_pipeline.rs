@@ -2,9 +2,11 @@
 //! WAN-simulated, failure-injected storage, sliced into the 2-D rendering
 //! pipeline.
 
-use nsdf::idx::{IdxMeta, IdxVolume};
+use nsdf::core::EndpointPolicy;
+use nsdf::idx::{IdxMeta, IdxVolume, VolumeSliceSession};
 use nsdf::prelude::*;
-use nsdf::util::{Box3i, Volume};
+use nsdf::storage::{FaultPlan, RetryPolicy};
+use nsdf::util::{fnv1a64, samples_to_bytes, Box3i, Volume};
 use std::sync::Arc;
 
 fn plume(n: usize) -> Volume<f32> {
@@ -106,4 +108,157 @@ fn volume_reads_survive_flaky_storage() {
     let region = Box3i::new(2, 3, 4, 12, 13, 14);
     let (sub, _) = ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
     assert_eq!(sub.data(), data.window(region).unwrap().data());
+}
+
+fn plume_meta(n: u64, bits_per_block: u32, codec: Codec) -> IdxMeta {
+    let fields = vec![nsdf::idx::Field::new("v", DType::F32).unwrap()];
+    IdxMeta::new_3d("p", n, n, n, fields, bits_per_block, codec).unwrap()
+}
+
+/// One seeded chaos timeline on `endpoint`: publish a volume through the
+/// faulty stack, then a cold slice sweep, a sub-box and a full read, each
+/// checked bitwise against a fault-free oracle. Returns everything
+/// observable, for the replay comparison.
+fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
+    let data = plume(32);
+    let oracle =
+        IdxVolume::create(Arc::new(MemoryStore::new()), "v3", plume_meta(32, 8, Codec::Lz4))
+            .unwrap();
+    oracle.write_volume("v", 0, &data).unwrap();
+
+    let plan = FaultPlan::new(31).with_fault_rate(0.20).with_corrupt_rate(0.05);
+    // Writes draw faults too; the hardened retry budget keeps a put from
+    // exhausting its attempts (see `dag_under_chaos_matches_fault_free_oracle`).
+    let policy = EndpointPolicy {
+        retry: RetryPolicy { max_attempts: 6, ..RetryPolicy::default() },
+        ..EndpointPolicy::default()
+    };
+    let client = NsdfClient::simulated_chaos(31, &plan, &policy).unwrap();
+    let obs = client.obs().scoped(endpoint);
+    let vol = Arc::new(
+        IdxVolume::create(client.store(endpoint).unwrap(), "v3", plume_meta(32, 8, Codec::Lz4))
+            .unwrap()
+            .with_obs(&obs)
+            .with_fetch_concurrency(4),
+    );
+    vol.write_volume("v", 0, &data).unwrap();
+    // Forget the written-through payloads so every read crosses the WAN.
+    client.tiercache(endpoint).unwrap().clear_ram();
+
+    let max = vol.max_level();
+    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut session = VolumeSliceSession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
+    for (z, level) in [(0, max), (13, max - 2), (14, max), (31, max - 4), (20, max)] {
+        let (got, _) = session.slice_z(z, level).unwrap();
+        let (want, _) = oracle.read_slice_z::<f32>("v", 0, z, level).unwrap();
+        let got = got.expect("no cancel token armed");
+        assert_eq!(got.data(), want.data(), "{endpoint}: slice z={z} level {level}");
+        fp ^= fnv1a64(&samples_to_bytes(got.data()));
+    }
+    let region = Box3i::new(3, 5, 7, 29, 23, 30);
+    for level in [max - 3, max] {
+        let (got, _) = vol.read_box::<f32>("v", 0, region, level).unwrap();
+        let (want, _) = oracle.read_box::<f32>("v", 0, region, level).unwrap();
+        assert_eq!(got.data(), want.data(), "{endpoint}: box level {level}");
+        fp ^= fnv1a64(&samples_to_bytes(got.data()));
+    }
+    let (full, _) = vol.read_full::<f32>("v", 0).unwrap();
+    assert_eq!(full.data(), data.data(), "{endpoint}: full read");
+
+    let snap = client.obs().snapshot();
+    let counter = |name: &str| snap.counter(&format!("{endpoint}.{name}"));
+    assert!(counter("fault.injected") > 0, "{endpoint}: the plan actually injected faults");
+    assert!(counter("fault.corrupted") > 0, "{endpoint}: and corrupted payloads");
+    assert!(counter("integrity.rejected") > 0, "{endpoint}: checksums caught the corruption");
+    assert!(counter("retry.retries") > 0, "{endpoint}: retries absorbed the failures");
+    // The 3-D path runs the shared block pipeline: what the slices decoded
+    // the box reads found in the decoded cache.
+    assert!(counter("idx.decoded_cache_hits") > 0, "{endpoint}: boxes reuse slice decodes");
+    (fp, client.clock().now_ns(), snap.to_json())
+}
+
+#[test]
+fn volume_chaos_differential_is_transparent_and_replayable() {
+    for endpoint in ["dataverse", "seal"] {
+        let (a, b) = (chaos_volume_timeline(endpoint), chaos_volume_timeline(endpoint));
+        assert_eq!(a, b, "{endpoint}: identical seeds replay the identical chaos timeline");
+    }
+}
+
+#[test]
+fn volume_overwrite_never_serves_old_decoded_bytes() {
+    let obs = Obs::default();
+    let vol = IdxVolume::create(Arc::new(MemoryStore::new()), "v3", plume_meta(16, 6, Codec::Lz4))
+        .unwrap()
+        .with_obs(&obs);
+    let first = plume(16);
+    let second = Volume::from_fn(16, 16, 16, |x, y, z| first.get(x, y, z) * -2.0 + 1.0);
+
+    vol.write_volume("v", 0, &first).unwrap();
+    let (back, cold) = vol.read_full::<f32>("v", 0).unwrap();
+    assert_eq!(back.data(), first.data());
+    let (_, warm) = vol.read_full::<f32>("v", 0).unwrap();
+    assert_eq!(warm.decoded_cache_hits, cold.blocks_touched, "decoded payloads stay resident");
+
+    // The overwrite invalidates every resident block it stores, so the
+    // re-read decodes the new bytes instead of answering from the cache.
+    vol.write_volume("v", 0, &second).unwrap();
+    let evicted = obs.snapshot().counter("idx.decoded_evictions.epoch");
+    assert_eq!(evicted, cold.blocks_touched - cold.blocks_missing);
+    let (back, reread) = vol.read_full::<f32>("v", 0).unwrap();
+    assert_eq!(back.data(), second.data(), "stale decoded bytes served after overwrite");
+    assert_eq!(reread.blocks_decoded, evicted);
+    let (plane, _) = vol.read_slice_z::<f32>("v", 0, 9, vol.max_level()).unwrap();
+    assert_eq!(plane.get(4, 11), second.get(4, 11, 9));
+}
+
+/// One slice over the private-seal WAN, abandoned by a virtual-clock
+/// deadline `cancel_after` nanoseconds in (when given) and then resumed.
+/// Returns `(session blocks_fetched, planned blocks, wan.read_ops, cost vns)`.
+fn cancelled_slice(cancel_after: Option<u64>) -> (u64, u64, u64, u64) {
+    let mem = Arc::new(MemoryStore::new());
+    let data = plume(32);
+    IdxVolume::create(mem.clone(), "v3", plume_meta(32, 8, Codec::Lz4))
+        .unwrap()
+        .write_volume("v", 0, &data)
+        .unwrap();
+
+    let clock = SimClock::new();
+    let obs = Obs::new(clock.clone());
+    let wan =
+        CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 42).with_obs(&obs);
+    let vol = Arc::new(IdxVolume::open(Arc::new(wan), "v3").unwrap().with_fetch_concurrency(4));
+    let mut session = VolumeSliceSession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
+    // Opening fetched the metadata over the WAN; measure only the slice.
+    obs.reset();
+
+    let (z, level) = (17, vol.max_level());
+    let v0 = clock.now_ns();
+    if let Some(after_vns) = cancel_after {
+        session.cancel_token().cancel_at(v0 + after_vns);
+        let (plane, _) = session.slice_z(z, level).unwrap();
+        assert!(plane.is_none(), "the deadline must fire mid-slice");
+        assert_eq!(session.stats().cancelled, 1);
+        assert!(session.stats().blocks_fetched > 0, "waves before the deadline are credited");
+        session.reset_cancel();
+    }
+    let (plane, stats) = session.slice_z(z, level).unwrap();
+    let plane = plane.expect("resumed slice completes");
+    for (x, y) in [(0, 0), (5, 9), (31, 31)] {
+        assert_eq!(plane.get(x, y), data.get(x, y, z as usize));
+    }
+    let read_ops = obs.snapshot().counter("wan.read_ops");
+    (session.stats().blocks_fetched, stats.blocks_touched, read_ops, clock.now_ns() - v0)
+}
+
+#[test]
+fn cancelled_slice_credits_the_waves_it_fetched() {
+    let (fetched, planned, read_ops, cold_vns) = cancelled_slice(None);
+    assert_eq!((fetched, read_ops), (planned, planned));
+
+    // Cancel a third of the way in, resume: every planned block crossed
+    // the WAN exactly once and every one of them is booked as fetched.
+    let (fetched, planned, read_ops, _) = cancelled_slice(Some(cold_vns / 3));
+    assert_eq!(fetched, planned, "cancelled + resumed slice undercounts fetched blocks");
+    assert_eq!(read_ops, planned, "no block crossed the WAN twice");
 }
