@@ -91,9 +91,11 @@ fn run_profile(endpoint: &'static str) -> ProfileRecord {
     seq_cfg.manifest_key = None;
     let seq = run_terrain_dag(&seq_client, &seq_cfg).expect("sequential baseline");
     assert_eq!(seq.digests, cold.digests, "{endpoint}: schedule must not change bytes");
+    // The bar: waves overlap compute *and* batch their store traffic, so
+    // the schedule must beat one-task-per-wave by at least 1.5x.
     assert!(
-        cold.virtual_secs < seq.virtual_secs,
-        "{endpoint}: parallel {} >= sequential {}",
+        seq.virtual_secs >= 1.5 * cold.virtual_secs,
+        "{endpoint}: parallel {} is not 1.5x faster than sequential {}",
         cold.virtual_secs,
         seq.virtual_secs
     );

@@ -16,7 +16,8 @@
 //! - `dataset-init`, `ingest/{field}`, `validate/{field}` — IDX dataset
 //!   creation, mosaic ingest through `write_raster`'s `put_many` upload
 //!   waves, and digest-checked read-back (exclusive tasks, serialized
-//!   store I/O).
+//!   store I/O). The digests they compute go back to the engine as
+//!   payloads, so a wave's five land in one `put_many`.
 //!
 //! With a manifest configured, editing one DEM cell re-executes only the
 //! edited tile's dependency cone — and because fingerprints hash
@@ -220,9 +221,9 @@ pub fn build_terrain_graph(
                         for &(nx, ny) in &neighbors {
                             let n_interior = plan.tile_box(w, h, nx, ny);
                             let Some(overlap) = n_interior.intersect(&padded) else { continue };
-                            let bytes =
-                                ctx.input_bytes(&format!("dem/{}", tile_name(nx, ny)))?.to_vec();
-                            let n_tile = read_tiff::<f32>(&bytes)?;
+                            let n_tile = read_tiff::<f32>(
+                                ctx.input_bytes(&format!("dem/{}", tile_name(nx, ny)))?,
+                            )?;
                             let local = Box2i::new(
                                 overlap.x0 - n_interior.x0,
                                 overlap.y0 - n_interior.y0,
@@ -344,14 +345,11 @@ pub fn build_terrain_graph(
                     .with_write_concurrency(wc);
                 ds.write_raster(field, 0, &mosaic)?;
                 ctx.charge_compute_ns(mosaic.len() as u64 * INGEST_NS_PER_PX);
-                let digest = raster_digest(&mosaic);
-                let key = format!("{prefix}/digest/{field}");
-                store.put(&key, digest.as_bytes())?;
-                Ok(vec![TaskOutput::Stored(nsdf_workflow::Artifact::of_bytes(
+                Ok(vec![TaskOutput::payload(
                     format!("digest/{field}"),
-                    digest.as_bytes(),
-                    &key,
-                ))])
+                    format!("{prefix}/digest/{field}"),
+                    raster_digest(&mosaic).into_bytes(),
+                )])
             }
         })?;
 
@@ -369,21 +367,19 @@ pub fn build_terrain_graph(
                         .with_obs(&obs);
                     let (back, _stats) = ds.read_full::<f32>(field, 0)?;
                     ctx.charge_compute_ns(back.len() as u64 * VALIDATE_NS_PER_PX);
-                    let expect = ctx.input_bytes(&format!("digest/{field}"))?.to_vec();
+                    let expect = ctx.input_bytes(&format!("digest/{field}"))?;
                     let got = raster_digest(&back);
-                    if got.as_bytes() != expect.as_slice() {
+                    if got.as_bytes() != expect {
                         return Err(NsdfError::corrupt(format!(
                             "field {field:?}: read-back digest {got} != ingest digest {:?}",
-                            String::from_utf8_lossy(&expect)
+                            String::from_utf8_lossy(expect)
                         )));
                     }
-                    let key = format!("{prefix}/validated/{field}");
-                    store.put(&key, got.as_bytes())?;
-                    Ok(vec![TaskOutput::Stored(nsdf_workflow::Artifact::of_bytes(
+                    Ok(vec![TaskOutput::payload(
                         format!("validated/{field}"),
-                        got.as_bytes(),
-                        &key,
-                    ))])
+                        format!("{prefix}/validated/{field}"),
+                        got.into_bytes(),
+                    )])
                 }
             },
         )?;

@@ -15,15 +15,42 @@
 //! therefore splits tasks into two kinds:
 //!
 //! - **parallel** tasks are pure functions of their prefetched inputs:
-//!   the engine loads every consumed artifact on the caller thread (in
-//!   task-id order), the closure computes and returns payloads, and the
-//!   engine persists those payloads on the caller thread (again in
-//!   task-id order). Virtual time advances by the *maximum* compute
-//!   charge of the wave — the tasks ran concurrently.
+//!   the engine loads every consumed artifact on the caller thread, the
+//!   closure computes and returns payloads, and the engine persists
+//!   those payloads on the caller thread. Virtual time advances by the
+//!   *maximum* compute charge of the wave — the tasks ran concurrently.
 //! - **exclusive** tasks run serialized on the caller thread and may
 //!   talk to object stores directly (dataset creation, IDX ingest,
 //!   read-back validation). Virtual time advances by each task's own
-//!   charge.
+//!   charge. Small results they only need stored (a digest) are better
+//!   handed back as payloads, so they ride the wave's batch.
+//!
+//! The engine's own traffic is *batched per wave*: at most four store
+//! calls, always in this order, each listing its objects in (task id,
+//! output index) order — a pure function of the graph, never of thread
+//! timing:
+//!
+//! 1. one `head_many` over the recorded outputs of every ready task
+//!    whose fingerprint matches the manifest;
+//! 2. one `get_many` over the distinct input artifacts the wave's
+//!    executing tasks consume that no earlier task of this run left in
+//!    memory, each checksum-verified before use;
+//! 3. one `put_many` of every payload the wave's parallel tasks
+//!    returned, issued right after the parallel compute so those objects
+//!    are durable before the exclusive tasks start;
+//! 4. one `put_many` of the payloads its exclusive tasks returned.
+//!
+//! A batch is per-object, not all-or-nothing. A head that fails or
+//! mismatches re-executes its task. A task with an input that could not
+//! be fetched or failed its checksum, or with a payload whose put
+//! failed, is [`TaskStatus::Failed`] *alone*: none of its outputs reach
+//! its record, later tasks or the manifest, only its dependent cone is
+//! skipped, and the other tasks of the same batch are unaffected.
+//! Because a batched `put_many` has no defined order between two items
+//! with one key, a task that repeats an artifact name or object key
+//! already produced in this run (up-to-date tasks included) fails with
+//! `duplicate artifact` before anything of it is sent; within a batch
+//! the task with the larger id is the duplicate.
 //!
 //! With that split, two runs of the same graph on the same seed produce
 //! byte-identical run reports and manifests even at different thread
@@ -103,11 +130,13 @@ impl TaskCtx {
 /// What a task hands back to the engine.
 pub enum TaskOutput {
     /// A byte payload the *engine* persists (on the caller thread, in
-    /// task-id order) — the only output kind parallel tasks may return.
+    /// its wave's one `put_many`) — the only output kind parallel tasks
+    /// may return.
     Payload {
-        /// Artifact name (unique across the graph).
+        /// Artifact name (unique across the graph; a repeat fails the
+        /// later task with `duplicate artifact`).
         name: String,
-        /// Object key the payload is stored under.
+        /// Object key the payload is stored under (unique likewise).
         location: String,
         /// Payload bytes.
         bytes: Vec<u8>,
@@ -124,6 +153,14 @@ impl TaskOutput {
         bytes: Vec<u8>,
     ) -> TaskOutput {
         TaskOutput::Payload { name: name.into(), location: location.into(), bytes }
+    }
+
+    /// The artifact name and object key this output occupies.
+    fn key(&self) -> (&str, &str) {
+        match self {
+            TaskOutput::Payload { name, location, .. } => (name, location),
+            TaskOutput::Stored(a) => (&a.name, &a.location),
+        }
     }
 }
 
@@ -487,7 +524,8 @@ impl TaskGraph {
 
     /// Add an *exclusive* task: runs serialized on the caller thread and
     /// may perform its own store I/O (dataset creation, ingest,
-    /// validation), returning [`TaskOutput::Stored`] artifacts.
+    /// validation), returning [`TaskOutput::Stored`] artifacts for what
+    /// it persisted itself and payloads for what the engine should.
     pub fn add_exclusive_task(
         &mut self,
         name: impl Into<String>,
@@ -585,15 +623,35 @@ impl TaskGraph {
         fp.digest()
     }
 
-    /// Names of the artifacts task `i` consumes, from resolved records.
-    fn consumed(&self, i: usize, records: &[Option<TaskRecord>]) -> Vec<String> {
-        let mut out = Vec::new();
-        for &d in &self.tasks[i].deps {
-            if let Some(rec) = records[d].as_ref() {
-                out.extend(rec.produced.iter().map(|a| a.name.clone()));
-            }
+    /// The artifacts task `i` consumes — every output of every resolved
+    /// dependency, in (dependency, output index) order.
+    fn input_artifacts<'r>(
+        &'r self,
+        i: usize,
+        records: &'r [Option<TaskRecord>],
+    ) -> impl Iterator<Item = &'r Artifact> + 'r {
+        self.tasks[i].deps.iter().flat_map(move |&d| records[d].iter().flat_map(|r| &r.produced))
+    }
+
+    /// A record of task `i` with nothing computed or produced (yet).
+    fn record(
+        &self,
+        i: usize,
+        status: TaskStatus,
+        wave: u64,
+        fingerprint: u64,
+        records: &[Option<TaskRecord>],
+    ) -> TaskRecord {
+        TaskRecord {
+            name: self.tasks[i].name.clone(),
+            status,
+            wave,
+            compute_ns: 0,
+            fingerprint,
+            produced: Vec::new(),
+            consumed: self.input_artifacts(i, records).map(|a| a.name.clone()).collect(),
+            error: None,
         }
-        out
     }
 
     /// Execute the graph.
@@ -602,54 +660,45 @@ impl TaskGraph {
     /// dependencies completed — hash-verified up-to-date tasks resolve
     /// instantly, parallel tasks run on the work-stealing pool (clock
     /// advances by the wave maximum), exclusive tasks then run
-    /// serialized (clock advances per task). A failed task fails alone;
-    /// only its downstream cone is skipped, and independent branches
-    /// complete. The run report, including failures, is always returned.
+    /// serialized (clock advances per task). The engine's own store
+    /// traffic is at most four batched calls per wave (see the module
+    /// docs). A failed task fails alone; only its downstream cone is
+    /// skipped, and independent branches complete. The run report,
+    /// including failures, is always returned.
     pub fn run(&self, opts: &RunOptions) -> Result<GraphRun> {
         if opts.manifest_key.is_some() && opts.store.is_none() {
             return Err(NsdfError::invalid("manifest requires a store"));
         }
         let n = self.tasks.len();
         let clock = &opts.clock;
-        let prev = match (&opts.store, &opts.manifest_key) {
-            (Some(store), Some(key)) => Manifest::load(store.as_ref(), key)?,
+        let store = opts.store.as_deref();
+        let prev = match (store, &opts.manifest_key) {
+            (Some(store), Some(key)) => Manifest::load(store, key)?,
             _ => Manifest::default(),
         };
 
         let started_ns = clock.now_ns();
         let mut records: Vec<Option<TaskRecord>> = (0..n).map(|_| None).collect();
-        let mut blackboard: BTreeMap<String, Arc<Vec<u8>>> = BTreeMap::new();
-        let mut resolved = 0usize;
+        let mut blackboard = Blackboard::new();
+        let mut claimed = Claimed::default();
         let mut wave = 0u64;
 
-        while resolved < n {
+        loop {
             // Propagate skips: deps have smaller ids, so one forward scan
             // closes the cone discovered this wave.
             for i in 0..n {
-                if records[i].is_some() {
-                    continue;
-                }
-                let blocked = self.tasks[i].deps.iter().any(|&d| {
-                    matches!(
-                        records[d].as_ref().map(|r| r.status),
-                        Some(TaskStatus::Failed) | Some(TaskStatus::Skipped)
-                    )
-                });
-                if blocked {
-                    records[i] = Some(TaskRecord {
-                        name: self.tasks[i].name.clone(),
-                        status: TaskStatus::Skipped,
-                        wave,
-                        compute_ns: 0,
-                        fingerprint: 0,
-                        produced: Vec::new(),
-                        consumed: self.consumed(i, &records),
-                        error: None,
+                let blocked = records[i].is_none()
+                    && self.tasks[i].deps.iter().any(|&d| {
+                        matches!(
+                            records[d].as_ref().map(|r| r.status),
+                            Some(TaskStatus::Failed) | Some(TaskStatus::Skipped)
+                        )
                     });
-                    resolved += 1;
+                if blocked {
+                    records[i] = Some(self.record(i, TaskStatus::Skipped, wave, 0, &records));
                 }
             }
-            if resolved == n {
+            if records.iter().all(Option::is_some) {
                 break;
             }
 
@@ -664,106 +713,69 @@ impl TaskGraph {
             if opts.sequential {
                 ready.truncate(1);
             }
+            let ready: Vec<(usize, u64)> =
+                ready.into_iter().map(|i| (i, self.fingerprint(i, &records))).collect();
 
-            // Hash-verified fast path: fingerprint matches the manifest
-            // and every recorded output still checks out on the store.
+            // (1) Hash-verified fast path: one `head_many` proves which
+            // ready tasks the manifest already covers.
+            let up_to_date = self.verify_wave(&ready, &prev, store);
             let mut execute = Vec::new();
-            for &i in &ready {
-                let fp = self.fingerprint(i, &records);
-                let entry = prev.tasks.get(&self.tasks[i].name);
-                let verified = match (&opts.store, entry) {
-                    (Some(store), Some(e)) if e.fingerprint == fp => {
-                        verify_outputs(store.as_ref(), &e.outputs)
-                    }
-                    _ => false,
-                };
-                if verified {
-                    let e = entry.expect("verified entry exists");
-                    records[i] = Some(TaskRecord {
-                        name: self.tasks[i].name.clone(),
-                        status: TaskStatus::UpToDate,
-                        wave,
-                        compute_ns: 0,
-                        fingerprint: fp,
-                        produced: e.outputs.clone(),
-                        consumed: self.consumed(i, &records),
-                        error: None,
-                    });
-                    resolved += 1;
-                } else {
+            for ((i, fp), outputs) in ready.into_iter().zip(up_to_date) {
+                let Some(outputs) = outputs else {
                     execute.push((i, fp));
+                    continue;
+                };
+                for a in outputs {
+                    claimed.claim(&a.name, &a.location);
                 }
+                records[i] = Some(TaskRecord {
+                    produced: outputs.to_vec(),
+                    ..self.record(i, TaskStatus::UpToDate, wave, fp, &records)
+                });
             }
 
-            // Prefetch inputs on the caller thread, in task-id order, so
-            // WAN charges and cache admissions stay deterministic.
-            let mut runnable: Vec<(usize, u64, Vec<TaskInput>)> = Vec::new();
-            for (i, fp) in execute {
-                match self.prefetch(i, &records, &mut blackboard, opts) {
-                    Ok(inputs) => runnable.push((i, fp, inputs)),
+            // (2) One `get_many` loads every input the executing tasks
+            // still miss; a task whose input could not be loaded fails
+            // alone.
+            let inputs = self.prefetch_wave(&execute, &records, &mut blackboard, store);
+            let (mut par, mut excl) = (Vec::new(), Vec::new());
+            for ((i, fp), inputs) in execute.into_iter().zip(inputs) {
+                match inputs {
+                    Ok(inputs) if self.tasks[i].exclusive => excl.push((i, fp, inputs)),
+                    Ok(inputs) => par.push((i, fp, inputs)),
                     Err(e) => {
                         records[i] = Some(TaskRecord {
-                            name: self.tasks[i].name.clone(),
-                            status: TaskStatus::Failed,
-                            wave,
-                            compute_ns: 0,
-                            fingerprint: fp,
-                            produced: Vec::new(),
-                            consumed: self.consumed(i, &records),
                             error: Some(format!("input prefetch: {e}")),
+                            ..self.record(i, TaskStatus::Failed, wave, fp, &records)
                         });
-                        resolved += 1;
                     }
                 }
             }
 
-            let (par, excl): (Vec<_>, Vec<_>) =
-                runnable.into_iter().partition(|(i, _, _)| !self.tasks[*i].exclusive);
-
-            // Parallel wave: pure closures on the work-stealing pool.
+            // (3) Parallel wave: pure closures on the work-stealing pool.
             // The closure returns its outcome; the outer error type is
             // never constructed, keeping per-task failures isolated.
-            if !par.is_empty() {
-                let outcomes =
-                    nsdf_util::par::try_par_map_owned(par, opts.threads, |(i, fp, inputs)| {
-                        let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
-                        let result = (self.tasks[i].run)(&mut ctx);
-                        Ok::<_, NsdfError>((i, fp, result, ctx.compute_ns))
-                    })?;
-                let wave_compute = outcomes.iter().map(|(_, _, _, c)| *c).max().unwrap_or(0);
-                clock.advance_ns(wave_compute);
-                for (i, fp, result, compute_ns) in outcomes {
-                    records[i] = Some(self.resolve_outputs(
-                        i,
-                        fp,
-                        wave,
-                        compute_ns,
-                        result,
-                        &records,
-                        &mut blackboard,
-                        opts,
-                    ));
-                    resolved += 1;
-                }
-            }
+            // Their payloads land in one `put_many` before any exclusive
+            // task starts.
+            let outcomes =
+                nsdf_util::par::try_par_map_owned(par, opts.threads, |(i, fp, inputs)| {
+                    let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
+                    let result = (self.tasks[i].run)(&mut ctx);
+                    Ok::<_, NsdfError>(Outcome { i, fp, compute_ns: ctx.compute_ns, result })
+                })?;
+            clock.advance_ns(outcomes.iter().map(|o| o.compute_ns).max().unwrap_or(0));
+            self.persist_wave(outcomes, wave, &mut records, &mut blackboard, &mut claimed, store);
 
-            // Exclusive tasks: serialized on the caller thread, own I/O.
+            // (4) Exclusive tasks: serialized on the caller thread, own
+            // I/O; the payloads they hand back share one `put_many`.
+            let mut outcomes = Vec::with_capacity(excl.len());
             for (i, fp, inputs) in excl {
                 let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
                 let result = (self.tasks[i].run)(&mut ctx);
                 clock.advance_ns(ctx.compute_ns);
-                records[i] = Some(self.resolve_outputs(
-                    i,
-                    fp,
-                    wave,
-                    ctx.compute_ns,
-                    result,
-                    &records,
-                    &mut blackboard,
-                    opts,
-                ));
-                resolved += 1;
+                outcomes.push(Outcome { i, fp, compute_ns: ctx.compute_ns, result });
             }
+            self.persist_wave(outcomes, wave, &mut records, &mut blackboard, &mut claimed, store);
 
             wave += 1;
         }
@@ -777,7 +789,7 @@ impl TaskGraph {
             ended_ns,
         };
 
-        if let (Some(store), Some(key)) = (&opts.store, &opts.manifest_key) {
+        if let (Some(store), Some(key)) = (store, &opts.manifest_key) {
             // Merge into the previous manifest: tasks skipped this run
             // keep their last-known-good entries for future reruns.
             let mut manifest = prev;
@@ -789,123 +801,255 @@ impl TaskGraph {
                     );
                 }
             }
-            manifest.save(store.as_ref(), key)?;
+            manifest.save(store, key)?;
         }
         Ok(run)
     }
 
-    /// Load and verify every input artifact of task `i`: blackboard
-    /// first (bytes produced earlier this run), then the store, checking
-    /// content hashes on the way in.
-    fn prefetch(
+    /// For each ready `(task, fingerprint)`: the manifest's recorded
+    /// outputs when the task is provably up to date, else `None`. Up to
+    /// date means the fingerprint matches and every recorded output still
+    /// exists on the store with the recorded size and content checksum,
+    /// checked by one `head_many` over the whole wave in (task id, output
+    /// index) order. A failed or mismatching head just re-executes its
+    /// task. Artifacts recorded without a checksum can never verify,
+    /// forcing a re-run — the conservative choice.
+    fn verify_wave<'m>(
         &self,
-        i: usize,
-        records: &[Option<TaskRecord>],
-        blackboard: &mut BTreeMap<String, Arc<Vec<u8>>>,
-        opts: &RunOptions,
-    ) -> Result<Vec<TaskInput>> {
-        let mut inputs = Vec::new();
-        for &d in &self.tasks[i].deps {
-            let rec = records[d].as_ref().expect("dependency resolved before prefetch");
-            for a in &rec.produced {
-                let bytes = match blackboard.get(&a.name) {
-                    Some(b) => Arc::clone(b),
-                    None => {
-                        let store = opts.store.as_ref().ok_or_else(|| {
-                            NsdfError::invalid(format!(
-                                "artifact {:?} not in memory and no store configured",
-                                a.name
-                            ))
-                        })?;
-                        let data = store.get(&a.location)?;
-                        if a.checksum != 0 && nsdf_util::fnv1a64(&data) != a.checksum {
-                            return Err(NsdfError::corrupt(format!(
-                                "artifact {:?} at {:?} failed checksum verification",
-                                a.name, a.location
-                            )));
-                        }
-                        let arc = Arc::new(data);
-                        blackboard.insert(a.name.clone(), Arc::clone(&arc));
-                        arc
-                    }
-                };
-                inputs.push(TaskInput { artifact: a.clone(), bytes });
-            }
-        }
-        Ok(inputs)
+        ready: &[(usize, u64)],
+        prev: &'m Manifest,
+        store: Option<&dyn ObjectStore>,
+    ) -> Vec<Option<&'m [Artifact]>> {
+        let Some(store) = store else {
+            return vec![None; ready.len()];
+        };
+        let candidates: Vec<Option<&[Artifact]>> = ready
+            .iter()
+            .map(|&(i, fp)| {
+                let entry = prev.tasks.get(&self.tasks[i].name)?;
+                let hashed = entry.outputs.iter().all(|a| a.checksum != 0);
+                (entry.fingerprint == fp && hashed).then_some(entry.outputs.as_slice())
+            })
+            .collect();
+        let keys: Vec<&str> = candidates
+            .iter()
+            .flatten()
+            .flat_map(|o| o.iter())
+            .map(|a| a.location.as_str())
+            .collect();
+        let heads = if keys.is_empty() { Vec::new() } else { store.head_many(&keys) };
+        let mut heads = heads.into_iter();
+        candidates
+            .into_iter()
+            .map(|outputs| {
+                // Every output consumes its head, verified or not, so the
+                // results stay aligned with the keys.
+                outputs.filter(|outputs| {
+                    outputs.iter().fold(true, |ok, a| {
+                        let head = heads.next().expect("one head per recorded output");
+                        ok & matches!(head, Ok(m) if m.size == a.bytes && m.checksum == a.checksum)
+                    })
+                })
+            })
+            .collect()
     }
 
-    /// Turn a closure result into a record, persisting payload outputs
-    /// on the caller thread.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_outputs(
+    /// The verified inputs of every executing task of a wave — or, per
+    /// task, why its first unloadable input could not be loaded.
+    ///
+    /// Bytes produced earlier this run are on the blackboard already; the
+    /// distinct artifacts that are not, in (task id, dependency, output
+    /// index) order, are fetched with one `get_many` and join it once
+    /// their content hash checks out.
+    fn prefetch_wave(
         &self,
-        i: usize,
-        fingerprint: u64,
-        wave: u64,
-        compute_ns: u64,
-        result: Result<Vec<TaskOutput>>,
+        execute: &[(usize, u64)],
         records: &[Option<TaskRecord>],
-        blackboard: &mut BTreeMap<String, Arc<Vec<u8>>>,
-        opts: &RunOptions,
-    ) -> TaskRecord {
-        let consumed = self.consumed(i, records);
-        let base = TaskRecord {
-            name: self.tasks[i].name.clone(),
-            status: TaskStatus::Succeeded,
-            wave,
-            compute_ns,
-            fingerprint,
-            produced: Vec::new(),
-            consumed,
-            error: None,
+        blackboard: &mut Blackboard,
+        store: Option<&dyn ObjectStore>,
+    ) -> Vec<std::result::Result<Vec<TaskInput>, String>> {
+        let mut missing: Vec<&Artifact> = Vec::new();
+        let mut seen = BTreeSet::new();
+        for &(i, _) in execute {
+            for a in self.input_artifacts(i, records) {
+                if !blackboard.contains_key(&a.name) && seen.insert(a.name.as_str()) {
+                    missing.push(a);
+                }
+            }
+        }
+        let keys: Vec<&str> = missing.iter().map(|a| a.location.as_str()).collect();
+        let fetched: Vec<Result<Vec<u8>>> = match store {
+            _ if keys.is_empty() => Vec::new(),
+            Some(store) => store.get_many(&keys),
+            None => missing
+                .iter()
+                .map(|a| {
+                    Err(NsdfError::invalid(format!(
+                        "artifact {:?} not in memory and no store configured",
+                        a.name
+                    )))
+                })
+                .collect(),
         };
-        match result {
-            Err(e) => TaskRecord { status: TaskStatus::Failed, error: Some(e.to_string()), ..base },
-            Ok(outputs) => {
-                let mut produced = Vec::new();
-                for out in outputs {
-                    match out {
-                        TaskOutput::Stored(a) => produced.push(a),
-                        TaskOutput::Payload { name, location, bytes } => {
-                            let artifact = Artifact::of_bytes(&name, &bytes, &location);
-                            if let Some(store) = &opts.store {
-                                if let Err(e) = store.put(&location, &bytes) {
-                                    return TaskRecord {
-                                        status: TaskStatus::Failed,
-                                        error: Some(format!("persist {name:?}: {e}")),
-                                        ..base
-                                    };
-                                }
-                            }
-                            blackboard.insert(name, Arc::new(bytes));
-                            produced.push(artifact);
+        let mut unloadable: BTreeMap<&str, String> = BTreeMap::new();
+        for (a, data) in missing.into_iter().zip(fetched) {
+            match data {
+                Ok(data) if a.checksum == 0 || nsdf_util::fnv1a64(&data) == a.checksum => {
+                    blackboard.insert(a.name.clone(), Arc::new(data));
+                }
+                Ok(_) => {
+                    let e = NsdfError::corrupt(format!(
+                        "artifact {:?} at {:?} failed checksum verification",
+                        a.name, a.location
+                    ));
+                    unloadable.insert(&a.name, e.to_string());
+                }
+                Err(e) => {
+                    unloadable.insert(&a.name, e.to_string());
+                }
+            }
+        }
+
+        execute
+            .iter()
+            .map(|&(i, _)| {
+                self.input_artifacts(i, records)
+                    .map(|a| match blackboard.get(&a.name) {
+                        Some(bytes) => {
+                            Ok(TaskInput { artifact: a.clone(), bytes: Arc::clone(bytes) })
                         }
+                        None => Err(unloadable
+                            .get(a.name.as_str())
+                            .expect("every input not on the blackboard was fetched")
+                            .clone()),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Turn the closure results of one batch of tasks (task-id order)
+    /// into records, persisting every payload they returned with one
+    /// `put_many` in (task id, output index) order.
+    ///
+    /// A task whose closure erred, that repeats an artifact name or
+    /// object key already produced in this run, or any of whose puts
+    /// failed is `Failed` alone: none of its outputs reach its record,
+    /// the blackboard or (hence) the manifest, and a duplicate sends no
+    /// payload at all.
+    fn persist_wave(
+        &self,
+        outcomes: Vec<Outcome>,
+        wave: u64,
+        records: &mut [Option<TaskRecord>],
+        blackboard: &mut Blackboard,
+        claimed: &mut Claimed,
+        store: Option<&dyn ObjectStore>,
+    ) {
+        let mut pending = Vec::new();
+        for Outcome { i, fp, compute_ns, result } in outcomes {
+            let base = TaskRecord {
+                compute_ns,
+                ..self.record(i, TaskStatus::Succeeded, wave, fp, records)
+            };
+            let outputs = result.map_err(|e| e.to_string()).and_then(|outputs| {
+                match outputs.iter().map(TaskOutput::key).find(|(n, l)| !claimed.claim(n, l)) {
+                    Some((n, l)) => Err(format!("duplicate artifact {n:?} at {l:?}")),
+                    None => Ok(outputs),
+                }
+            });
+            match outputs {
+                Ok(outputs) => pending.push((i, base, outputs)),
+                Err(e) => {
+                    records[i] =
+                        Some(TaskRecord { status: TaskStatus::Failed, error: Some(e), ..base });
+                }
+            }
+        }
+
+        let items: Vec<(&str, &[u8])> = pending
+            .iter()
+            .flat_map(|(_, _, outputs)| outputs)
+            .filter_map(|out| match out {
+                TaskOutput::Payload { location, bytes, .. } => {
+                    Some((location.as_str(), bytes.as_slice()))
+                }
+                TaskOutput::Stored(_) => None,
+            })
+            .collect();
+        // Without a store nothing is sent: payloads only reach the
+        // blackboard, and no put can fail.
+        let failures: Vec<Option<NsdfError>> = match store {
+            Some(store) if !items.is_empty() => {
+                store.put_many(&items).into_iter().map(|ack| ack.err()).collect()
+            }
+            _ => items.iter().map(|_| None).collect(),
+        };
+        let mut failures = failures.into_iter();
+
+        for (i, base, outputs) in pending {
+            let mut produced = Vec::with_capacity(outputs.len());
+            let mut payloads = Vec::new();
+            let mut error = None;
+            for out in outputs {
+                match out {
+                    TaskOutput::Stored(a) => produced.push(a),
+                    TaskOutput::Payload { name, location, bytes } => {
+                        if let Some(e) = failures.next().expect("one ack per payload") {
+                            error.get_or_insert_with(|| format!("persist {name:?}: {e}"));
+                        }
+                        produced.push(Artifact::of_bytes(&name, &bytes, &location));
+                        payloads.push((name, bytes));
                     }
                 }
-                TaskRecord { produced, ..base }
             }
+            records[i] = Some(match error {
+                Some(e) => TaskRecord { status: TaskStatus::Failed, error: Some(e), ..base },
+                None => {
+                    for (name, bytes) in payloads {
+                        blackboard.insert(name, Arc::new(bytes));
+                    }
+                    TaskRecord { produced, ..base }
+                }
+            });
         }
     }
 }
 
-/// True when every artifact still exists on the store with the recorded
-/// size and content checksum. Artifacts recorded without a checksum can
-/// never verify, forcing a re-run — the conservative choice.
-fn verify_outputs(store: &dyn ObjectStore, outputs: &[Artifact]) -> bool {
-    outputs.iter().all(|a| {
-        a.checksum != 0
-            && store
-                .head(&a.location)
-                .map(|m| m.size == a.bytes && m.checksum == a.checksum)
-                .unwrap_or(false)
-    })
+/// Payload bytes produced or loaded this run, by artifact name.
+type Blackboard = BTreeMap<String, Arc<Vec<u8>>>;
+
+/// What one executed task handed back, before its outputs are persisted.
+struct Outcome {
+    i: usize,
+    fp: u64,
+    compute_ns: u64,
+    result: Result<Vec<TaskOutput>>,
+}
+
+/// Artifact names and object keys produced so far in one run — the
+/// guard that keeps two tasks from writing one name or key, which a
+/// batched `put_many` would otherwise settle in no defined order.
+#[derive(Default)]
+struct Claimed {
+    names: BTreeSet<String>,
+    locations: BTreeSet<String>,
+}
+
+impl Claimed {
+    /// Claim `name` and `location`; false when either was already taken.
+    fn claim(&mut self, name: &str, location: &str) -> bool {
+        let fresh_name = self.names.insert(name.to_string());
+        let fresh_location = self.locations.insert(location.to_string());
+        fresh_name && fresh_location
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsdf_storage::MemoryStore;
+    use nsdf_storage::{CloudStore, FailScope, FaultPlan, FaultStore, MemoryStore, NetworkProfile};
+    use nsdf_util::obs::Obs;
 
     const MS: u64 = 1_000_000;
 
@@ -1079,6 +1223,287 @@ mod tests {
         let b = build().run(&RunOptions::new(SimClock::new()).with_threads(8)).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.succeeded());
+    }
+
+    /// A Seal-class WAN over a fresh memory store on `clock`, reporting
+    /// into a registry of its own; also hands back the bare memory store.
+    fn seal(clock: &SimClock) -> (Arc<dyn ObjectStore>, Arc<MemoryStore>, Obs) {
+        let obs = Obs::new(clock.clone());
+        let inner = Arc::new(MemoryStore::new());
+        let wan = CloudStore::new(
+            Arc::clone(&inner) as Arc<dyn ObjectStore>,
+            NetworkProfile::private_seal(),
+            clock.clone(),
+            7,
+        )
+        .with_obs(&obs);
+        (Arc::new(wan), inner, obs)
+    }
+
+    /// The `wan.*` counters the wave-shape tests compare, plus the number
+    /// of WAN episodes charged (every single op and every batch is one
+    /// observation of `wan.op_vsecs`; `wan.waves` counts only `get_many`
+    /// and `put_many`).
+    #[derive(Debug, PartialEq)]
+    struct Wan {
+        read_ops: u64,
+        write_ops: u64,
+        waves: u64,
+        bytes_down: u64,
+        episodes: u64,
+    }
+
+    impl Wan {
+        fn of(obs: &Obs) -> Wan {
+            let snap = obs.snapshot();
+            Wan {
+                read_ops: snap.counter("wan.read_ops"),
+                write_ops: snap.counter("wan.write_ops"),
+                waves: snap.counter("wan.waves"),
+                bytes_down: snap.counter("wan.bytes_down"),
+                episodes: snap.histograms["wan.op_vsecs"].counts.iter().sum(),
+            }
+        }
+    }
+
+    /// {g1, g2} → four mids consuming both → sink: three waves, seven
+    /// outputs. A mid's payload ignores `mid_def`, so bumping it
+    /// re-executes the mids but cuts the cone off before `sink`.
+    fn fan_graph(mid_def: &str) -> TaskGraph {
+        let mut g = TaskGraph::new("fan");
+        g.add_task("g1", &[], "v1", emit("dem-a", b"dem-a-bytes", 1)).unwrap();
+        g.add_task("g2", &[], "v1", emit("dem-b", b"dem-b-longer-bytes", 1)).unwrap();
+        let mids: Vec<String> = (0..4).map(|k| format!("m{k}")).collect();
+        for m in &mids {
+            let name = m.clone();
+            g.add_task(m, &["g1", "g2"], mid_def, move |ctx| {
+                let mut out = ctx.input_bytes("dem-a")?.to_vec();
+                out.extend_from_slice(ctx.input_bytes("dem-b")?);
+                out.extend_from_slice(name.as_bytes());
+                Ok(vec![TaskOutput::payload(format!("{name}-out"), format!("obj/{name}"), out)])
+            })
+            .unwrap();
+        }
+        let deps: Vec<&str> = mids.iter().map(String::as_str).collect();
+        g.add_task("sink", &deps, "v1", emit("sink-out", b"s", 1)).unwrap();
+        g
+    }
+
+    const MANIFEST: &str = "wf/manifest.json";
+
+    /// A 20-task parallel wave persists its 20 payloads as one upload
+    /// wave charged `2 x ceil(20 / 8 streams)` round trips — not one
+    /// two-round-trip `put` per object.
+    #[test]
+    fn parallel_wave_uploads_in_one_put_many() {
+        let mut g = TaskGraph::new("wide");
+        for i in 0..20 {
+            let name = format!("t{i:02}");
+            g.add_task(&name, &[], "v1", emit(&format!("o{i:02}"), name.as_bytes(), 0)).unwrap();
+        }
+        let clock = SimClock::new();
+        let (store, _, obs) = seal(&clock);
+        let run = g.run(&RunOptions::new(clock.clone()).with_threads(4).with_store(store)).unwrap();
+        assert!(run.succeeded());
+        assert_eq!(run.waves, 1);
+        let wan = Wan::of(&obs);
+        assert_eq!((wan.waves, wan.write_ops, wan.episodes), (1, 20, 1));
+        // 6 round trips of 30 ms, +-8 % jitter, ~60 bytes of transfer;
+        // 40 round trips would be 1.2 s.
+        let secs = clock.now_secs();
+        assert!((0.165..0.195).contains(&secs), "upload wave took {secs} s");
+    }
+
+    /// An unchanged rerun verifies each wave's recorded outputs with one
+    /// `head_many` and downloads nothing but the manifest.
+    #[test]
+    fn unchanged_rerun_issues_one_head_many_per_wave() {
+        let clock = SimClock::new();
+        let (store, inner, obs) = seal(&clock);
+        let opts = RunOptions::new(clock).with_store(store).with_manifest(MANIFEST);
+        let g = fan_graph("v1");
+        assert!(g.run(&opts).unwrap().succeeded());
+
+        obs.reset();
+        let rerun = g.run(&opts).unwrap();
+        assert_eq!(rerun.count(TaskStatus::UpToDate), 7);
+        assert_eq!(rerun.waves, 3);
+        assert_eq!(
+            Wan::of(&obs),
+            Wan {
+                read_ops: 1 + 7, // manifest get + one head per recorded output
+                write_ops: 1,    // manifest put
+                waves: 0,        // no get_many, no put_many
+                bytes_down: inner.head(MANIFEST).unwrap().size,
+                episodes: 1 + 3 + 1, // manifest get, a head_many per wave, manifest put
+            }
+        );
+    }
+
+    /// When up-to-date tasks feed re-executing ones, the wave fetches
+    /// each distinct missing input once — two artifacts for four
+    /// consumers — in one `get_many`.
+    #[test]
+    fn rerun_fetches_each_missing_input_once_in_one_get_many() {
+        let clock = SimClock::new();
+        let (store, inner, obs) = seal(&clock);
+        let opts = RunOptions::new(clock).with_store(store).with_manifest(MANIFEST);
+        assert!(fan_graph("v1").run(&opts).unwrap().succeeded());
+
+        obs.reset();
+        let rerun = fan_graph("v2").run(&opts).unwrap();
+        assert!(rerun.succeeded());
+        assert_eq!(rerun.executed(), vec!["m0", "m1", "m2", "m3"]);
+        assert_eq!(rerun.count(TaskStatus::UpToDate), 3);
+        let inputs = b"dem-a-bytes".len() + b"dem-b-longer-bytes".len();
+        assert_eq!(
+            Wan::of(&obs),
+            Wan {
+                read_ops: 1 + 2 + 2 + 1, // manifest, heads of g1+g2, both inputs, head of sink
+                write_ops: 4 + 1,        // the mids' payloads, manifest
+                waves: 1 + 1,            // one get_many, one put_many
+                bytes_down: inner.head(MANIFEST).unwrap().size + inputs as u64,
+                episodes: 1 + 1 + 1 + 1 + 1 + 1,
+            }
+        );
+    }
+
+    /// Two sibling tasks writing one artifact: the later one (task-id
+    /// order) fails with `duplicate artifact` and sends nothing, at any
+    /// thread count.
+    #[test]
+    fn duplicate_artifact_fails_the_later_task() {
+        let run = |threads: usize| {
+            let mut g = TaskGraph::new("dup");
+            g.add_task("root", &[], "v1", emit("r", b"r", 1)).unwrap();
+            for (task, payload) in [("first", b"from-first"), ("later", b"from-later")] {
+                g.add_task(task, &["root"], "v1", move |_ctx| {
+                    Ok(vec![TaskOutput::payload("shared", "obj/shared", payload.to_vec())])
+                })
+                .unwrap();
+            }
+            // Same object key under another artifact name is a clash too.
+            g.add_task("same-key", &["root"], "v1", |_ctx| {
+                Ok(vec![TaskOutput::payload("other-name", "obj/shared", b"x".to_vec())])
+            })
+            .unwrap();
+            g.add_task("after-later", &["later"], "v1", emit("al", b"al", 1)).unwrap();
+            let store = Arc::new(MemoryStore::new());
+            let opts = RunOptions::new(SimClock::new())
+                .with_threads(threads)
+                .with_store(Arc::clone(&store) as Arc<dyn ObjectStore>);
+            let run = g.run(&opts).unwrap();
+            assert_eq!(store.get("obj/shared").unwrap(), b"from-first".to_vec());
+            run
+        };
+        let one = run(1);
+        assert_eq!(one.record("first").unwrap().status, TaskStatus::Succeeded);
+        for task in ["later", "same-key"] {
+            let rec = one.record(task).unwrap();
+            assert_eq!(rec.status, TaskStatus::Failed, "{task}");
+            assert!(rec.error.as_deref().unwrap().contains("duplicate artifact"), "{task}");
+            assert!(rec.produced.is_empty(), "{task}");
+        }
+        assert_eq!(one.record("after-later").unwrap().status, TaskStatus::Skipped);
+        assert_eq!(one.to_json(), run(8).to_json());
+    }
+
+    /// One `put_many` with some items failing (seeded write faults): a
+    /// task is `Failed` exactly when its own object did not land, its
+    /// siblings in the same batch succeed, only its child is `Skipped`,
+    /// and the next run re-executes exactly the failed tasks' cones.
+    #[test]
+    fn partial_put_many_failure_fails_only_the_affected_tasks() {
+        let mut g = TaskGraph::new("partial");
+        // `emit` stores task `x`'s one artifact at `obj/x`.
+        g.add_task("gen", &[], "v1", emit("gen", b"dem", 1)).unwrap();
+        for i in 0..12 {
+            let (leaf, child) = (format!("t{i:02}"), format!("c{i:02}"));
+            g.add_task(&leaf, &["gen"], "v1", emit(&leaf, leaf.as_bytes(), 1)).unwrap();
+            g.add_task(&child, &[&leaf], "v1", emit(&child, b"child", 1)).unwrap();
+        }
+        let inner = Arc::new(MemoryStore::new());
+        let plan = FaultPlan::new(2).with_scope(FailScope::Writes).with_fault_rate(0.25);
+        let faulty =
+            FaultStore::new(Arc::clone(&inner) as Arc<dyn ObjectStore>, plan, SimClock::new())
+                .unwrap();
+        let opts = |store: Arc<dyn ObjectStore>| {
+            RunOptions::new(SimClock::new())
+                .with_threads(4)
+                .with_store(store)
+                .with_manifest(MANIFEST)
+        };
+
+        let first = g.run(&opts(Arc::new(faulty))).unwrap();
+        let failed: Vec<&str> = first
+            .records
+            .iter()
+            .filter(|r| r.status == TaskStatus::Failed)
+            .map(|r| r.name.as_str())
+            .collect();
+        let leaves_failed = failed.iter().filter(|t| t.starts_with('t')).count();
+        assert!((1..12).contains(&leaves_failed), "seed must fail some leaves: {failed:?}");
+        for r in &first.records {
+            let key = format!("obj/{}", r.name);
+            match r.status {
+                TaskStatus::Succeeded => assert!(inner.head(&key).is_ok(), "{}", r.name),
+                TaskStatus::Failed => {
+                    assert!(inner.head(&key).unwrap_err().is_not_found(), "{}", r.name);
+                    assert!(r.error.as_deref().unwrap().starts_with("persist "), "{}", r.name);
+                    assert!(r.produced.is_empty(), "{}", r.name);
+                }
+                TaskStatus::Skipped => {
+                    assert!(failed.contains(&r.name.replace('c', "t").as_str()), "{}", r.name)
+                }
+                TaskStatus::UpToDate => panic!("cold run cannot be up to date: {}", r.name),
+            }
+        }
+        let manifest = Manifest::load(inner.as_ref(), MANIFEST).unwrap();
+        assert!(failed.iter().all(|t| !manifest.tasks.contains_key(*t)));
+
+        // The endpoint heals: exactly the failed tasks and their cones run.
+        let second = g.run(&opts(Arc::clone(&inner) as Arc<dyn ObjectStore>)).unwrap();
+        assert!(second.succeeded());
+        let want = g.dependency_cone(&failed);
+        let got: BTreeSet<String> = second.executed().into_iter().map(String::from).collect();
+        assert_eq!(got, want);
+        assert_eq!(second.count(TaskStatus::UpToDate), g.len() - want.len());
+    }
+
+    /// An input that cannot be loaded fails exactly its consumers, with
+    /// the store's error behind the `input prefetch:` prefix.
+    #[test]
+    fn failed_input_fetch_fails_only_its_consumers() {
+        let inner = Arc::new(MemoryStore::new());
+        let plan = FaultPlan::new(1).with_scope(FailScope::Reads).with_fault_rate(1.0);
+        let store: Arc<dyn ObjectStore> = Arc::new(
+            FaultStore::new(Arc::clone(&inner) as Arc<dyn ObjectStore>, plan, SimClock::new())
+                .unwrap(),
+        );
+        let mut g = TaskGraph::new("unreadable");
+        g.add_task("gen", &[], "v1", emit("dem", b"dem", 1)).unwrap();
+        // An exclusive task stores its own output, so it is never on the
+        // blackboard and its consumer has to fetch it.
+        g.add_exclusive_task("init", &[], "v1", {
+            let store = Arc::clone(&store);
+            move |_ctx| {
+                store.put("obj/header", b"header")?;
+                Ok(vec![TaskOutput::Stored(Artifact::of_bytes("header", b"header", "obj/header"))])
+            }
+        })
+        .unwrap();
+        g.add_task("reads-header", &["init"], "v1", emit("a", b"a", 1)).unwrap();
+        g.add_task("reads-dem", &["gen"], "v1", emit("b", b"b", 1)).unwrap();
+        g.add_task("after", &["reads-header"], "v1", emit("c", b"c", 1)).unwrap();
+
+        let run = g.run(&RunOptions::new(SimClock::new()).with_store(store)).unwrap();
+        let rec = run.record("reads-header").unwrap();
+        assert_eq!(rec.status, TaskStatus::Failed);
+        let error = rec.error.as_deref().unwrap();
+        assert!(error.starts_with("input prefetch: ") && error.contains("injected"), "{error}");
+        assert_eq!(run.record("after").unwrap().status, TaskStatus::Skipped);
+        assert_eq!(run.record("reads-dem").unwrap().status, TaskStatus::Succeeded);
+        assert_eq!(run.count(TaskStatus::Succeeded), 3);
     }
 
     /// Manifest JSON round-trips byte-stably.

@@ -9,13 +9,17 @@
 //!    fingerprints, artifact checksums, virtual timestamps — serialises
 //!    to byte-identical JSON across fresh runs and across worker-thread
 //!    counts (1 vs 8).
+//!    The same holds over a seeded WAN, where every engine store call
+//!    draws jitter from a global operation counter: issue order is part
+//!    of the report (`ended_ns`) and of the `wan.*` counters.
 //! 3. **Exact incremental dirty set**: after editing the definitions of
 //!    a random subset of tasks, a manifest-backed rerun re-executes
 //!    *exactly* the dependency cone of the edited tasks — every task in
 //!    the cone is `Succeeded`, every task outside it is `UpToDate`, and
 //!    nothing is skipped or failed.
 
-use nsdf_storage::{MemoryStore, ObjectStore};
+use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
+use nsdf_util::obs::Obs;
 use nsdf_util::{Fnv1a, SimClock};
 use nsdf_workflow::{GraphRun, RunOptions, TaskGraph, TaskOutput, TaskStatus};
 use proptest::prelude::*;
@@ -102,6 +106,35 @@ fn run_fresh(spec: &DagSpec, versions: &[u64], threads: usize) -> GraphRun {
     spec.build(versions).run(&opts).unwrap()
 }
 
+/// A cold run, then a rerun with every third task's version bumped,
+/// both over one seeded Seal-class WAN — so the wave's `head_many`,
+/// `get_many` and `put_many` all carry traffic. Returns both reports and
+/// the endpoint's whole metrics registry (`wan.*` counters and the per-op
+/// latency histogram) as JSON.
+fn run_over_wan(spec: &DagSpec, threads: usize, wan_seed: u64) -> (String, String, String) {
+    let clock = SimClock::new();
+    let obs = Obs::new(clock.clone());
+    let wan = CloudStore::new(
+        Arc::new(MemoryStore::new()),
+        NetworkProfile::private_seal(),
+        clock.clone(),
+        wan_seed,
+    )
+    .with_obs(&obs);
+    let opts = RunOptions::new(clock)
+        .with_threads(threads)
+        .with_store(Arc::new(wan))
+        .with_manifest("prop/manifest.json");
+    let mut versions: Vec<u64> = (0..spec.len() as u64).map(|i| i % 5 + 1).collect();
+    let cold = spec.build(&versions).run(&opts).unwrap();
+    for v in versions.iter_mut().step_by(3) {
+        *v += 1;
+    }
+    let rerun = spec.build(&versions).run(&opts).unwrap();
+    assert!(cold.succeeded() && rerun.succeeded());
+    (cold.to_json(), rerun.to_json(), obs.snapshot().to_json())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -130,6 +163,16 @@ proptest! {
         let a = run_fresh(&spec, &versions, 1).to_json();
         let b = run_fresh(&spec, &versions, 8).to_json();
         let c = run_fresh(&spec, &versions, 8).to_json();
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(&b, &c);
+    }
+
+    #[test]
+    fn schedule_over_a_seeded_wan_is_deterministic_across_thread_counts(seed in any::<u64>()) {
+        let spec = DagSpec::from_seed(seed);
+        let a = run_over_wan(&spec, 1, seed);
+        let b = run_over_wan(&spec, 8, seed);
+        let c = run_over_wan(&spec, 8, seed);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&b, &c);
     }
