@@ -9,7 +9,7 @@
 //! bits" knob (§III-A).
 //!
 //! Quantised integers are stored **bit-plane-major**: the 64 values of a
-//! block are transposed as a 64×64 bit matrix ([`transpose64`], six
+//! block are transposed as a 64×64 bit matrix (`transpose64`, six
 //! `u64`-word exchange passes), then one 64-bit word per plane is emitted,
 //! most significant plane first. The stream length is identical to a
 //! value-major layout (`8 + bits·n` bits per block) but the hot loops become

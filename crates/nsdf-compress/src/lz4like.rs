@@ -4,7 +4,7 @@
 //! nibble is the literal count and low nibble the match length minus 4,
 //! both extended with 255-continuation bytes; literals; then a 2-byte
 //! little-endian match offset. The final sequence carries literals only.
-//! Matching uses the shared hash-chain finder ([`crate::matchfinder`]) with
+//! Matching uses the shared hash-chain finder (`crate::matchfinder`) with
 //! a short chain — a few probes buy measurably better ratios than LZ4's
 //! single-probe table while `u64`-word match extension keeps the encoder in
 //! the same speed class. The wire format is unchanged, so streams written by

@@ -1,7 +1,7 @@
 //! LZSS — the "zlib-class" lossless codec of the palette.
 //!
 //! Greedy LZ77 parsing over a 32 KiB window with the shared hash-chain
-//! matcher ([`crate::matchfinder`]), emitted as flag-grouped tokens: each
+//! matcher (`crate::matchfinder`), emitted as flag-grouped tokens: each
 //! group byte carries eight flags (bit set → match token of offset+length,
 //! clear → literal byte). This is deliberately the same family as DEFLATE
 //! minus the entropy stage, which keeps the implementation self-contained

@@ -1,10 +1,10 @@
 //! The four-step tutorial pipeline as one scheduled task DAG.
 //!
-//! [`crate::pipeline::run_tutorial`] runs the four steps as a linear
-//! script; this module rebuilds the same generate → convert → analyze
-//! flow on the [`nsdf_workflow::graph`] engine at *tile* granularity,
-//! which is what the paper's GEOtiled workflow actually looks like on a
-//! cluster:
+//! [`crate::pipeline::run_tutorial`] runs the four steps as a chain of
+//! four whole-raster tasks; this module builds the same generate →
+//! convert → analyze flow on the same [`nsdf_workflow::graph`] engine at
+//! *tile* granularity, which is what the paper's GEOtiled workflow
+//! actually looks like on a cluster:
 //!
 //! - `gen/{tx}_{ty}` — synthesise one DEM tile (parallel task);
 //! - `{param}/{tx}_{ty}` — one terrain parameter over one tile, with
@@ -36,15 +36,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Virtual compute charged per DEM pixel synthesised.
-const GEN_NS_PER_PX: u64 = 2_000;
+pub(crate) const GEN_NS_PER_PX: u64 = 2_000;
 /// Virtual compute charged per padded pixel of a terrain tile.
-const TERRAIN_NS_PER_PX: u64 = 2_000;
+pub(crate) const TERRAIN_NS_PER_PX: u64 = 2_000;
 /// Virtual compute charged per pixel of KNN moisture downscaling.
 const MOISTURE_NS_PER_PX: u64 = 20_000;
 /// Virtual compute charged per pixel ingested into IDX.
-const INGEST_NS_PER_PX: u64 = 1_000;
+pub(crate) const INGEST_NS_PER_PX: u64 = 1_000;
 /// Virtual compute charged per pixel validated on read-back.
-const VALIDATE_NS_PER_PX: u64 = 500;
+pub(crate) const VALIDATE_NS_PER_PX: u64 = 500;
 /// Virtual compute charged for writing the dataset header.
 const INIT_NS: u64 = 1_000_000;
 

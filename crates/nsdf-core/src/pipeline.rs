@@ -1,23 +1,36 @@
 //! The four-step tutorial workflow (paper §IV, Figs. 3–4): data
 //! generation → conversion to IDX → static visualization/validation →
-//! interactive visualization & analysis — as one executable, instrumented
-//! pipeline over an [`NsdfClient`].
+//! interactive visualization & analysis — as a chain of four exclusive
+//! tasks on the [`nsdf_workflow::graph`] engine over an [`NsdfClient`].
+//!
+//! Data crosses steps as artifacts, the way Fig. 3 draws it: step 1 hands
+//! the four TIFFs to the engine, which uploads them in one batch; step 2
+//! converts them and hands on the dataset header, the one hashed object
+//! that stands for the IDX dataset; step 3 validates the read-back against
+//! the TIFFs and hands on its PPMs; step 4 hands back the snipped script
+//! and array. So every artifact in the run report is a stored object with
+//! its size and checksum; report-only results (ingest and read-back
+//! accounting, accuracy, interactions) leave through one `StepResults`.
 //!
 //! Timing model: storage operations charge the shared virtual clock
-//! through the WAN simulation automatically; compute stages charge their
-//! *measured wall time* to the same clock, so the provenance log reads as
-//! one coherent end-to-end timeline.
+//! through the WAN simulation; compute stages charge the *modelled*
+//! per-pixel costs [`crate::dag`] owns, through
+//! [`nsdf_workflow::TaskCtx::charge_compute_ns`]. No host wall time
+//! reaches the clock, so the run report reads as one coherent timeline
+//! that repeats bit for bit for a seed; with one step per wave, step `k`
+//! took [`GraphRun::wave_secs`]`(k)`. Wall-clock codec throughput
+//! ([`TutorialReport::encode_mb_s`]) is a report field, never a charge.
 
 use crate::client::NsdfClient;
+use crate::dag::{GEN_NS_PER_PX, INGEST_NS_PER_PX, TERRAIN_NS_PER_PX, VALIDATE_NS_PER_PX};
 use nsdf_compress::Codec;
 use nsdf_dashboard::{Colormap, Dashboard, FrameInfo, RangeMode};
 use nsdf_geotiled::{compute_terrain_tiled_obs, DemConfig, Sun, TerrainParam, TilePlan};
 use nsdf_idx::{Field, IdxDataset, IdxMeta, QueryStats, WriteStats};
 use nsdf_tiff::{read_tiff, write_tiff, TiffCompression};
-use nsdf_util::{AccuracyReport, Box2i, DType, NsdfError, Raster, Result};
-use nsdf_workflow::{Artifact, Provenance, RunContext, Workflow};
-use std::sync::Arc;
-use std::time::Instant;
+use nsdf_util::{samples_to_bytes, AccuracyReport, Box2i, DType, NsdfError, Result};
+use nsdf_workflow::{Artifact, GraphRun, RunOptions, TaskGraph, TaskOutput, TaskStatus};
+use std::sync::{Arc, Mutex};
 
 /// Configuration of one tutorial run.
 #[derive(Debug, Clone)]
@@ -77,8 +90,9 @@ pub struct Interaction {
 /// Everything a tutorial run produces.
 #[derive(Debug)]
 pub struct TutorialReport {
-    /// Provenance log with per-step artifacts and timings.
-    pub provenance: Provenance,
+    /// Run report: one record per step (one step per wave) with its
+    /// artifacts, plus the per-wave timeline.
+    pub run: GraphRun,
     /// Total bytes of the four TIFFs (Step 1 output).
     pub tiff_bytes: u64,
     /// Total stored bytes of the IDX dataset (Step 2 output).
@@ -156,7 +170,27 @@ impl TutorialReport {
     }
 }
 
-/// Run the four-step workflow. See module docs for the timing model.
+/// Report-only results the step closures hand out beside their artifacts.
+#[derive(Default)]
+struct StepResults {
+    ingest: WriteStats,
+    readback: QueryStats,
+    accuracy: Vec<(TerrainParam, AccuracyReport)>,
+    interactions: Vec<Interaction>,
+}
+
+/// The four steps, in order: task names, span labels and Fig. 4's rows.
+const GENERATE: &str = "1-data-generation";
+const CONVERT: &str = "2-convert-to-idx";
+const VISUALIZE: &str = "3-static-visualization";
+const DASHBOARD: &str = "4-interactive-dashboard";
+
+fn tiff_name(param: TerrainParam) -> String {
+    format!("{}.tif", param.name())
+}
+
+/// Run the four-step workflow. See module docs for the data flow and the
+/// timing model.
 pub fn run_tutorial(client: &NsdfClient, cfg: &TutorialConfig) -> Result<TutorialReport> {
     if cfg.width == 0 || cfg.height == 0 {
         return Err(NsdfError::invalid("tutorial grid must be non-empty"));
@@ -164,253 +198,217 @@ pub fn run_tutorial(client: &NsdfClient, cfg: &TutorialConfig) -> Result<Tutoria
     let store = client.store(&cfg.storage_endpoint)?;
     let clock = client.clock().clone();
     let obs = client.obs().scoped("tutorial");
-    let t_start = clock.now_secs();
-
-    let mut wf = Workflow::new("nsdf-tutorial");
-    let cfg1 = cfg.clone();
-    let store1 = store.clone();
-    let obs1 = obs.clone();
+    let results = Arc::new(Mutex::new(StepResults::default()));
+    let definition = format!("{cfg:?}");
+    let mut g = TaskGraph::new("nsdf-tutorial");
 
     // ---- Step 1: data generation (GEOtiled) -------------------------------
-    wf.add_step("1-data-generation", &[], &[], move |ctx| {
-        let _step_span = obs1.span("1-data-generation");
-        let wall = Instant::now();
+    let (cfg1, obs1) = (cfg.clone(), obs.clone());
+    g.add_exclusive_task(GENERATE, &[], &definition, move |ctx| {
+        let _step_span = obs1.span(GENERATE);
         let dem = DemConfig::conus_like(cfg1.width, cfg1.height, cfg1.seed).generate();
+        ctx.charge_compute_ns(dem.len() as u64 * GEN_NS_PER_PX);
         let plan = TilePlan::new(cfg1.tiles.0, cfg1.tiles.1, 1)?;
-        let mut artifacts = Vec::new();
-        let mut rasters = Vec::new();
+        let mut tiffs = Vec::new();
         for param in TerrainParam::all() {
-            let (raster, _) =
+            let (raster, stats) =
                 compute_terrain_tiled_obs(&dem, param, Sun::default(), &plan, cfg1.threads, &obs1)?;
-            rasters.push((param, raster));
+            ctx.charge_compute_ns(stats.pixels_computed * TERRAIN_NS_PER_PX);
+            tiffs.push(TaskOutput::payload(
+                tiff_name(param),
+                format!("tutorial/tiff/{}", tiff_name(param)),
+                write_tiff(&raster, TiffCompression::None)?,
+            ));
         }
-        ctx.clock().advance_secs(wall.elapsed().as_secs_f64());
-        // Write the TIFFs to storage (WAN time charged by the store).
-        for (param, raster) in &rasters {
-            let tiff = write_tiff(raster, TiffCompression::None)?;
-            let key = format!("tutorial/tiff/{}.tif", param.name());
-            store1.put(&key, &tiff)?;
-            artifacts.push(Artifact::of_bytes(format!("{}.tif", param.name()), &tiff, &key));
-        }
-        ctx.put("rasters", rasters);
-        Ok(artifacts)
+        Ok(tiffs)
     })?;
 
     // ---- Step 2: conversion to IDX ----------------------------------------
-    let cfg2 = cfg.clone();
-    let store2 = store.clone();
-    let obs2 = obs.clone();
-    wf.add_step(
-        "2-convert-to-idx",
-        &["1-data-generation"],
-        &["elevation.tif", "slope.tif", "aspect.tif", "hillshade.tif"],
-        move |ctx| {
-            let _step_span = obs2.span("2-convert-to-idx");
-            // Read the TIFFs back from storage — the conversion consumes the
-            // stored artifacts, as in Fig. 3, not in-memory shortcuts.
-            let mut fields = Vec::new();
-            for param in TerrainParam::all() {
-                fields.push(Field::new(param.name(), DType::F32)?);
-            }
-            let rasters = ctx.get::<Vec<(TerrainParam, Raster<f32>)>>("rasters")?;
-            let geo = rasters[0].1.geo;
-            let mut meta = IdxMeta::new_2d(
-                "tutorial-terrain",
-                cfg2.width as u64,
-                cfg2.height as u64,
-                fields,
-                cfg2.bits_per_block,
-                cfg2.codec,
-            )?;
-            if let Some(g) = geo {
-                meta = meta.with_geo(g);
-            }
-            let ds = IdxDataset::create(store2.clone(), "tutorial/idx", meta)?
-                .with_obs(&obs2)
-                .with_write_concurrency(cfg2.write_concurrency);
-            let mut artifacts = Vec::new();
-            let mut ingest = WriteStats::default();
-            for param in TerrainParam::all() {
-                let key = format!("tutorial/tiff/{}.tif", param.name());
-                let tiff_bytes = store2.get(&key)?;
-                let wall = Instant::now();
-                let raster = read_tiff::<f32>(&tiff_bytes)?;
-                let stats = ds.write_raster(param.name(), 0, &raster)?;
-                ctx.clock().advance_secs(wall.elapsed().as_secs_f64());
-                artifacts.push(Artifact::of_size(
-                    format!("{}.idx-blocks", param.name()),
-                    stats.bytes_stored,
-                    format!("tutorial/idx/f{}", param.name()),
-                ));
-                ingest.merge(&stats);
-            }
-            ctx.put("idx_bytes", ingest.bytes_stored);
-            ctx.put("ingest", ingest);
-            Ok(artifacts)
-        },
-    )?;
+    let (cfg2, store2, obs2, results2) = (cfg.clone(), store.clone(), obs.clone(), results.clone());
+    g.add_exclusive_task(CONVERT, &[GENERATE], &definition, move |ctx| {
+        let _step_span = obs2.span(CONVERT);
+        let mut rasters = Vec::new();
+        let mut fields = Vec::new();
+        for param in TerrainParam::all() {
+            rasters.push((param, read_tiff::<f32>(ctx.input_bytes(&tiff_name(param))?)?));
+            fields.push(Field::new(param.name(), DType::F32)?);
+        }
+        let mut meta = IdxMeta::new_2d(
+            "tutorial-terrain",
+            cfg2.width as u64,
+            cfg2.height as u64,
+            fields,
+            cfg2.bits_per_block,
+            cfg2.codec,
+        )?;
+        if let Some(g) = rasters[0].1.geo {
+            meta = meta.with_geo(g);
+        }
+        let ds = IdxDataset::create(store2.clone(), "tutorial/idx", meta)?
+            .with_obs(&obs2)
+            .with_write_concurrency(cfg2.write_concurrency);
+        let mut ingest = WriteStats::default();
+        for (param, raster) in &rasters {
+            ingest.merge(&ds.write_raster(param.name(), 0, raster)?);
+            ctx.charge_compute_ns(raster.len() as u64 * INGEST_NS_PER_PX);
+        }
+        results2.lock().expect("step results poisoned").ingest = ingest;
+        // The block objects stay behind the dataset; the header is the
+        // one hashed object that stands for it on the edges below.
+        let header_key = "tutorial/idx/dataset.idx";
+        let header = store2.get(header_key)?;
+        Ok(vec![TaskOutput::Stored(Artifact::of_bytes("dataset.idx", &header, header_key))])
+    })?;
 
     // ---- Step 3: static visualization & validation -------------------------
-    let store3 = store.clone();
-    let obs3 = obs.clone();
-    wf.add_step(
-        "3-static-visualization",
-        &["2-convert-to-idx"],
-        &["elevation.idx-blocks", "slope.idx-blocks", "aspect.idx-blocks", "hillshade.idx-blocks"],
-        move |ctx| {
-            let _step_span = obs3.span("3-static-visualization");
-            let ds = IdxDataset::open(store3.clone(), "tutorial/idx")?.with_obs(&obs3);
-            let rasters = ctx.get::<Vec<(TerrainParam, Raster<f32>)>>("rasters")?;
-            let mut accuracy = Vec::new();
-            let mut artifacts = Vec::new();
-            let mut readback = QueryStats::default();
-            for (param, original) in rasters {
-                let (from_idx, q) = ds.read_full::<f32>(param.name(), 0)?;
-                readback.merge(&q);
-                let wall = Instant::now();
-                let report = AccuracyReport::compare(original, &from_idx)?;
-                let img = nsdf_dashboard::render(&from_idx, Colormap::Terrain, RangeMode::Dynamic)?;
-                ctx.clock().advance_secs(wall.elapsed().as_secs_f64());
-                let ppm = img.to_ppm();
-                artifacts.push(Artifact::of_bytes(
-                    format!("{}.ppm", param.name()),
-                    &ppm,
-                    format!("tutorial/static/{}.ppm", param.name()),
-                ));
-                accuracy.push((*param, report));
-            }
-            ctx.put("accuracy", accuracy);
-            ctx.put("readback", readback);
-            Ok(artifacts)
-        },
-    )?;
+    let (store3, obs3, results3) = (store.clone(), obs.clone(), results.clone());
+    g.add_exclusive_task(VISUALIZE, &[GENERATE, CONVERT], &definition, move |ctx| {
+        let _step_span = obs3.span(VISUALIZE);
+        let ds = IdxDataset::open(store3.clone(), "tutorial/idx")?.with_obs(&obs3);
+        let mut accuracy = Vec::new();
+        let mut readback = QueryStats::default();
+        let mut ppms = Vec::new();
+        for param in TerrainParam::all() {
+            let original = read_tiff::<f32>(ctx.input_bytes(&tiff_name(param))?)?;
+            let (from_idx, q) = ds.read_full::<f32>(param.name(), 0)?;
+            readback.merge(&q);
+            accuracy.push((param, AccuracyReport::compare(&original, &from_idx)?));
+            let img = nsdf_dashboard::render(&from_idx, Colormap::Terrain, RangeMode::Dynamic)?;
+            ctx.charge_compute_ns(from_idx.len() as u64 * VALIDATE_NS_PER_PX);
+            ppms.push(TaskOutput::payload(
+                format!("{}.ppm", param.name()),
+                format!("tutorial/static/{}.ppm", param.name()),
+                img.to_ppm(),
+            ));
+        }
+        let mut results = results3.lock().expect("step results poisoned");
+        results.accuracy = accuracy;
+        results.readback = readback;
+        Ok(ppms)
+    })?;
 
     // ---- Step 4: interactive visualization & analysis ----------------------
-    let store4 = store.clone();
-    let cfg4 = cfg.clone();
-    let clock4 = clock.clone();
-    let obs4 = obs.clone();
-    wf.add_step(
-        "4-interactive-dashboard",
-        &["3-static-visualization"],
-        &["elevation.idx-blocks"],
-        move |ctx| {
-            let _step_span = obs4.span("4-interactive-dashboard");
-            let ds = Arc::new(IdxDataset::open(store4.clone(), "tutorial/idx")?.with_obs(&obs4));
-            let mut dash = Dashboard::new();
-            dash.set_obs(&obs4);
-            dash.add_dataset("tutorial-terrain", ds.clone());
-            dash.select_dataset("tutorial-terrain")?;
-            dash.set_viewport_px(cfg4.viewport_px)?;
-            dash.set_colormap(Colormap::Terrain);
+    let (cfg4, store4, obs4, results4) = (cfg.clone(), store.clone(), obs.clone(), results.clone());
+    g.add_exclusive_task(DASHBOARD, &[CONVERT, VISUALIZE], &definition, move |ctx| {
+        let _step_span = obs4.span(DASHBOARD);
+        let ds = Arc::new(IdxDataset::open(store4.clone(), "tutorial/idx")?.with_obs(&obs4));
+        let mut dash = Dashboard::new();
+        dash.set_obs(&obs4);
+        dash.add_dataset("tutorial-terrain", ds.clone());
+        dash.select_dataset("tutorial-terrain")?;
+        dash.set_viewport_px(cfg4.viewport_px)?;
+        dash.set_colormap(Colormap::Terrain);
 
-            let mut interactions = Vec::new();
-            let mut record = |label: &str, frame: Option<FrameInfo>, t0: f64| {
-                interactions.push(Interaction {
-                    label: label.to_string(),
-                    virtual_secs: clock4.now_secs() - t0,
-                    frame,
-                });
-            };
+        let clock = ctx.clock();
+        let mut interactions = Vec::new();
+        let mut record = |label: &str, frame: Option<FrameInfo>, t0: f64| {
+            interactions.push(Interaction {
+                label: label.to_string(),
+                virtual_secs: clock.now_secs() - t0,
+                frame,
+            });
+        };
 
-            let t = clock4.now_secs();
-            let (_, info) = dash.render_frame()?;
-            record("overview", Some(info), t);
+        let t = clock.now_secs();
+        let (_, info) = dash.render_frame()?;
+        record("overview", Some(info), t);
 
-            let t = clock4.now_secs();
-            dash.zoom(4.0)?;
-            let (_, info) = dash.render_frame()?;
-            record("zoom-4x", Some(info), t);
+        let t = clock.now_secs();
+        dash.zoom(4.0)?;
+        let (_, info) = dash.render_frame()?;
+        record("zoom-4x", Some(info), t);
 
-            let t = clock4.now_secs();
-            dash.pan((cfg4.width / 8) as i64, 0)?;
-            let (_, info) = dash.render_frame()?;
-            record("pan", Some(info), t);
+        let t = clock.now_secs();
+        dash.pan((cfg4.width / 8) as i64, 0)?;
+        let (_, info) = dash.render_frame()?;
+        record("pan", Some(info), t);
 
-            let t = clock4.now_secs();
-            dash.select_field("slope")?;
-            let (_, info) = dash.render_frame()?;
-            record("switch-field", Some(info), t);
+        let t = clock.now_secs();
+        dash.select_field("slope")?;
+        let (_, info) = dash.render_frame()?;
+        record("switch-field", Some(info), t);
 
-            let t = clock4.now_secs();
-            let region = dash.region();
-            let quarter = Box2i::new(
-                region.x0,
-                region.y0,
-                region.x0 + (region.width() / 2).max(1),
-                region.y0 + (region.height() / 2).max(1),
-            );
-            let snip = dash.snip(quarter)?;
-            record("snip", None, t);
+        let t = clock.now_secs();
+        let region = dash.region();
+        let quarter = Box2i::new(
+            region.x0,
+            region.y0,
+            region.x0 + (region.width() / 2).max(1),
+            region.y0 + (region.height() / 2).max(1),
+        );
+        let snip = dash.snip(quarter)?;
+        record("snip", None, t);
 
-            let artifacts = vec![
-                Artifact::of_bytes(
-                    "snippet.py",
-                    snip.python_script.as_bytes(),
-                    "tutorial/snippets/extract.py",
-                ),
-                Artifact::of_size(
-                    "snippet.npy",
-                    (snip.raster.len() * 4) as u64,
-                    "tutorial/snippets/region.npy",
-                ),
-            ];
-            ctx.put("interactions", interactions);
-            Ok(artifacts)
-        },
-    )?;
+        results4.lock().expect("step results poisoned").interactions = interactions;
+        let script = snip.python_script.into_bytes();
+        let array = samples_to_bytes(snip.raster.data());
+        Ok(vec![
+            TaskOutput::payload("snippet.py", "tutorial/snippets/extract.py", script),
+            TaskOutput::payload("snippet.npy", "tutorial/snippets/region.npy", array),
+        ])
+    })?;
 
-    let mut ctx = RunContext::new(clock.clone());
     let run_span = obs.span("run");
-    let provenance = wf.run(&mut ctx);
+    let run = g.run(&RunOptions::new(clock).with_store(store))?;
     drop(run_span);
-    if !provenance.succeeded() {
-        let failed = provenance
-            .steps
-            .iter()
-            .find_map(|s| s.error.clone())
-            .unwrap_or_else(|| "unknown step failure".into());
-        return Err(NsdfError::invalid(format!("tutorial workflow failed: {failed}")));
+    if let Some(failed) = run.records.iter().find(|r| r.status == TaskStatus::Failed) {
+        return Err(NsdfError::invalid(format!(
+            "tutorial workflow failed at {:?}: {}",
+            failed.name,
+            failed.error.as_deref().unwrap_or_default()
+        )));
     }
 
-    let tiff_bytes = provenance.steps[0].produced.iter().map(|a| a.bytes).sum();
-    let idx_bytes: u64 = ctx.take("idx_bytes")?;
-    let ingest: WriteStats = ctx.take("ingest")?;
-    let readback: QueryStats = ctx.take("readback")?;
-    let accuracy: Vec<(TerrainParam, AccuracyReport)> = ctx.take("accuracy")?;
-    let interactions: Vec<Interaction> = ctx.take("interactions")?;
+    let StepResults { ingest, readback, accuracy, interactions } =
+        std::mem::take(&mut *results.lock().expect("step results poisoned"));
     Ok(TutorialReport {
-        provenance,
-        tiff_bytes,
-        idx_bytes,
+        tiff_bytes: run.records[0].produced.iter().map(|a| a.bytes).sum(),
+        idx_bytes: ingest.bytes_stored,
         ingest,
         readback,
         accuracy,
         interactions,
-        total_virtual_secs: clock.now_secs() - t_start,
+        total_virtual_secs: run.virtual_secs(),
+        run,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{EndpointKind, StorageEndpoint};
+    use nsdf_storage::{FailScope, FaultPlan, FaultStore, MemoryStore, ObjectStore};
 
-    fn run_small(endpoint: &str) -> TutorialReport {
-        let client = NsdfClient::simulated(5);
-        let mut cfg = TutorialConfig::small(5);
+    fn small_config(seed: u64, endpoint: &str) -> TutorialConfig {
+        let mut cfg = TutorialConfig::small(seed);
         cfg.width = 128;
         cfg.height = 64;
         cfg.tiles = (2, 2);
         cfg.storage_endpoint = endpoint.into();
-        run_tutorial(&client, &cfg).unwrap()
+        cfg
+    }
+
+    fn run_small(endpoint: &str) -> TutorialReport {
+        run_tutorial(&NsdfClient::simulated(5), &small_config(5, endpoint)).unwrap()
+    }
+
+    /// Labels of the step spans under the run's one root span. The
+    /// engine's per-wave uploads open endpoint-scoped siblings between
+    /// them, which this leaves out.
+    fn step_spans(client: &NsdfClient) -> Vec<String> {
+        let roots = client.obs().span_tree();
+        assert_eq!(roots.len(), 1, "one root span for the whole run");
+        assert_eq!(roots[0].label, "tutorial.run");
+        let labels = roots[0].children.iter().map(|c| c.label.clone());
+        labels.filter(|l| l.starts_with("tutorial.")).collect()
     }
 
     #[test]
     fn four_steps_all_succeed() {
         let report = run_small("seal");
-        assert_eq!(report.provenance.steps.len(), 4);
-        assert!(report.provenance.succeeded());
-        let names: Vec<&str> = report.provenance.steps.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(report.run.records.len(), 4);
+        assert!(report.run.succeeded());
+        let names: Vec<&str> = report.run.records.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
             vec![
@@ -420,6 +418,16 @@ mod tests {
                 "4-interactive-dashboard"
             ]
         );
+        // One step per wave, each costing virtual time; together they tile
+        // the run to the nanosecond.
+        let run = &report.run;
+        assert!(run.records.iter().enumerate().all(|(k, r)| r.wave == k as u64));
+        let mut marks = vec![run.started_ns];
+        marks.extend(&run.wave_ended_ns);
+        assert_eq!((marks.len(), marks[4]), (5, run.ended_ns));
+        assert!(marks.windows(2).all(|w| w[0] < w[1]), "{marks:?}");
+        let secs: f64 = run.records.iter().map(|r| run.wave_secs(r.wave)).sum();
+        assert!((secs - report.total_virtual_secs).abs() < 1e-9);
     }
 
     #[test]
@@ -468,36 +476,60 @@ mod tests {
     #[test]
     fn local_endpoint_has_zero_storage_time_for_interactions() {
         let report = run_small("local");
-        // All data local: interactions only cost (tiny) recorded wall time
-        // for reads, which the memory store does not charge.
+        // All data local: the memory store charges no time for reads, and
+        // modelled compute lands on the clock only when a step returns.
         assert!(report.interactions.iter().all(|i| i.virtual_secs < 0.5));
         assert!(report.validation_exact());
     }
 
+    /// Lineage links the steps, and every linked artifact is a real stored
+    /// object: its location heads on the endpoint with the recorded size
+    /// and checksum.
     #[test]
     fn provenance_lineage_links_steps() {
-        let report = run_small("seal");
-        let p = &report.provenance;
+        let client = NsdfClient::simulated(5);
+        let report = run_tutorial(&client, &small_config(5, "seal")).unwrap();
+        let p = &report.run;
         assert_eq!(p.producer_of("elevation.tif").unwrap().name, "1-data-generation");
-        let consumers = p.consumers_of("elevation.idx-blocks");
+        let consumers = p.consumers_of("dataset.idx");
         assert_eq!(consumers.len(), 2); // steps 3 and 4
+
+        let store = client.store("seal").unwrap();
+        let produced: Vec<&Artifact> = p.records.iter().flat_map(|r| &r.produced).collect();
+        assert_eq!(produced.len(), 4 + 1 + 4 + 2);
+        for a in produced {
+            let head = store.head(&a.location).unwrap();
+            assert_eq!((head.size, head.checksum), (a.bytes, a.checksum), "{}", a.name);
+        }
+    }
+
+    /// An endpoint that refuses every write fails step 1's upload: the
+    /// error names the step and nothing downstream ran.
+    #[test]
+    fn failed_step_is_named_and_nothing_downstream_runs() {
+        let mut client = NsdfClient::simulated(8);
+        let inner: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let plan = FaultPlan::new(8).with_scope(FailScope::Writes).with_fault_rate(1.0);
+        let faulty = FaultStore::new(Arc::clone(&inner), plan, client.clock().clone()).unwrap();
+        client.add_endpoint(StorageEndpoint {
+            name: "read-only".into(),
+            kind: EndpointKind::Local,
+            store: Arc::new(faulty),
+        });
+        let err = run_tutorial(&client, &small_config(8, "read-only")).unwrap_err().to_string();
+        let want = "tutorial workflow failed at \"1-data-generation\": persist ";
+        assert!(err.contains(want), "{err}");
+        assert!(inner.list("").unwrap().is_empty(), "no object landed");
+        assert_eq!(step_spans(&client), vec!["tutorial.1-data-generation"]);
     }
 
     #[test]
     fn tutorial_spans_attribute_steps_and_layers() {
         let client = NsdfClient::simulated(12);
-        let mut cfg = TutorialConfig::small(12);
-        cfg.width = 128;
-        cfg.height = 64;
-        cfg.tiles = (2, 2);
-        run_tutorial(&client, &cfg).unwrap();
+        run_tutorial(&client, &small_config(12, "seal")).unwrap();
 
-        let roots = client.obs().span_tree();
-        assert_eq!(roots.len(), 1, "one root span for the whole run");
-        assert_eq!(roots[0].label, "tutorial.run");
-        let steps: Vec<&str> = roots[0].children.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(
-            steps,
+            step_spans(&client),
             vec![
                 "tutorial.1-data-generation",
                 "tutorial.2-convert-to-idx",
@@ -515,14 +547,10 @@ mod tests {
 
     #[test]
     fn lossy_codec_reports_inexact_validation() {
-        let client = NsdfClient::simulated(6);
-        let mut cfg = TutorialConfig::small(6);
+        let mut cfg = small_config(6, "local");
         cfg.width = 64;
-        cfg.height = 64;
-        cfg.tiles = (2, 2);
         cfg.codec = Codec::FixedRate { bits: 12 };
-        cfg.storage_endpoint = "local".into();
-        let report = run_tutorial(&client, &cfg).unwrap();
+        let report = run_tutorial(&NsdfClient::simulated(6), &cfg).unwrap();
         assert!(!report.validation_exact());
         // But still close: PSNR above 40 dB for 12-bit terrain.
         for (p, acc) in &report.accuracy {

@@ -587,7 +587,7 @@ impl IntegrityMetrics {
 ///
 /// Every `get`/`get_many` payload is checked against the FNV-1a checksum
 /// the store's metadata carries ([`ObjectMeta::checksum`]); a mismatch —
-/// e.g. a payload damaged in flight by a [`FaultStore`] corruption draw —
+/// e.g. a payload damaged in flight by a [`crate::FaultStore`] corruption draw —
 /// surfaces as a retryable I/O error, so a [`RetryStore`] above re-fetches
 /// instead of handing corrupt bytes to the decoder. Batch verification
 /// rides [`ObjectStore::head_many`], which the WAN model amortizes like

@@ -464,7 +464,7 @@ impl Obs {
     pub fn spans_json(&self) -> String {
         fn write(node: &SpanNode, out: &mut String) {
             out.push_str("{\"label\":");
-            json_string(&node.label, out);
+            push_json_string(&node.label, out);
             out.push_str(&format!(
                 ",\"start_vns\":{},\"dur_vns\":{},\"children\":[",
                 node.start_vns,
@@ -562,7 +562,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            json_string(k, &mut out);
+            push_json_string(k, &mut out);
             out.push_str(&format!(":{v}"));
         }
         out.push_str("},\"gauges\":{");
@@ -570,7 +570,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            json_string(k, &mut out);
+            push_json_string(k, &mut out);
             out.push(':');
             out.push_str(&json_f64(*v));
         }
@@ -579,7 +579,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            json_string(k, &mut out);
+            push_json_string(k, &mut out);
             out.push_str(":{\"bounds\":[");
             for (j, b) in h.bounds.iter().enumerate() {
                 if j > 0 {
@@ -613,8 +613,9 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Append `s` as a JSON string literal onto `out`.
-fn json_string(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal onto `out` — the workspace's one
+/// escaper, so every byte-stable artifact quotes strings alike.
+pub fn push_json_string(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
         match ch {

@@ -1,11 +1,11 @@
 //! Scheduled task-graph engine with hash-verified incremental recompute.
 //!
-//! This is the production successor of the linear [`crate::engine`]
-//! step list: tasks are typed nodes with explicit data dependencies
-//! (GEOtiled halo-exchange edges make a terrain tile depend on its DEM
-//! tile plus up to eight neighbors), and a ready-queue scheduler runs
-//! each wave of independent tasks on a work-stealing thread pool over
-//! the shared virtual clock.
+//! The workspace's one workflow runtime — the four-step tutorial chain
+//! and the tile-level terrain DAG both run on it. Tasks are typed nodes
+//! with explicit data dependencies (GEOtiled halo-exchange edges make a
+//! terrain tile depend on its DEM tile plus up to eight neighbors), and a
+//! ready-queue scheduler runs each wave of independent tasks on a
+//! work-stealing thread pool over the shared virtual clock.
 //!
 //! # Determinism contract
 //!
@@ -141,7 +141,9 @@ pub enum TaskOutput {
         /// Payload bytes.
         bytes: Vec<u8>,
     },
-    /// An artifact an *exclusive* task already persisted itself.
+    /// An artifact an *exclusive* task already persisted itself. It must
+    /// carry the content checksum ([`Artifact::of_bytes`]): a consumer
+    /// that has to fetch it verifies the bytes against it.
     Stored(Artifact),
 }
 
@@ -259,6 +261,10 @@ pub struct GraphRun {
     pub started_ns: u64,
     /// Virtual time when the run finished (ns).
     pub ended_ns: u64,
+    /// Virtual time at the end of each wave (ns), uploads included: wave
+    /// `k` ran from `wave_ended_ns[k - 1]` (`started_ns` for the first)
+    /// to `wave_ended_ns[k]`, and the last entry equals `ended_ns`.
+    pub wave_ended_ns: Vec<u64>,
 }
 
 impl GraphRun {
@@ -307,9 +313,29 @@ impl GraphRun {
         self.records.iter().find_map(|r| r.error.as_deref())
     }
 
+    /// The task that produced the artifact named `artifact`, if any.
+    pub fn producer_of(&self, artifact: &str) -> Option<&TaskRecord> {
+        self.records.iter().find(|r| r.produced.iter().any(|a| a.name == artifact))
+    }
+
+    /// Every task that consumed the artifact named `artifact`.
+    pub fn consumers_of(&self, artifact: &str) -> Vec<&TaskRecord> {
+        self.records.iter().filter(|r| r.consumed.iter().any(|c| c == artifact)).collect()
+    }
+
     /// Virtual wall time of the run in seconds.
     pub fn virtual_secs(&self) -> f64 {
         (self.ended_ns.saturating_sub(self.started_ns)) as f64 / 1e9
+    }
+
+    /// Virtual seconds wave `wave` took, compute and store traffic alike;
+    /// the waves tile `[started_ns, ended_ns]`. Zero for an index past the
+    /// last wave, which tasks skipped after it carry.
+    pub fn wave_secs(&self, wave: u64) -> f64 {
+        let k = wave as usize;
+        let Some(&end) = self.wave_ended_ns.get(k) else { return 0.0 };
+        let start = if k == 0 { self.started_ns } else { self.wave_ended_ns[k - 1] };
+        end.saturating_sub(start) as f64 / 1e9
     }
 
     /// Byte-stable JSON rendering (sorted keys, hex-string u64s) so two
@@ -328,7 +354,10 @@ impl GraphRun {
         }
         out.push_str("],\"started_ns\":");
         out.push_str(&self.started_ns.to_string());
-        out.push_str(",\"waves\":");
+        out.push_str(",\"wave_ended_ns\":[");
+        let ends: Vec<String> = self.wave_ended_ns.iter().map(u64::to_string).collect();
+        out.push_str(&ends.join(","));
+        out.push_str("],\"waves\":");
         out.push_str(&self.waves.to_string());
         out.push('}');
         out
@@ -681,6 +710,7 @@ impl TaskGraph {
         let mut records: Vec<Option<TaskRecord>> = (0..n).map(|_| None).collect();
         let mut blackboard = Blackboard::new();
         let mut claimed = Claimed::default();
+        let mut wave_ended_ns = Vec::new();
         let mut wave = 0u64;
 
         loop {
@@ -777,6 +807,7 @@ impl TaskGraph {
             }
             self.persist_wave(outcomes, wave, &mut records, &mut blackboard, &mut claimed, store);
 
+            wave_ended_ns.push(clock.now_ns());
             wave += 1;
         }
 
@@ -787,6 +818,7 @@ impl TaskGraph {
             waves: wave,
             started_ns,
             ended_ns,
+            wave_ended_ns,
         };
 
         if let (Some(store), Some(key)) = (store, &opts.manifest_key) {
@@ -894,7 +926,7 @@ impl TaskGraph {
         let mut unloadable: BTreeMap<&str, String> = BTreeMap::new();
         for (a, data) in missing.into_iter().zip(fetched) {
             match data {
-                Ok(data) if a.checksum == 0 || nsdf_util::fnv1a64(&data) == a.checksum => {
+                Ok(data) if nsdf_util::fnv1a64(&data) == a.checksum => {
                     blackboard.insert(a.name.clone(), Arc::new(data));
                 }
                 Ok(_) => {
@@ -1099,6 +1131,8 @@ mod tests {
         assert_eq!(run.record("join").unwrap().wave, 2);
         // 10 (gen) + max(20, 30) + 5 = 45 ms of virtual compute.
         assert_eq!(clock.now_ns(), 45 * MS);
+        assert_eq!(run.wave_ended_ns, vec![10 * MS, 40 * MS, 45 * MS]);
+        assert!(run.to_json().contains("\"wave_ended_ns\":[10000000,40000000,45000000],"));
 
         // Sequential baseline: 10 + 20 + 30 + 5 = 65 ms — strictly more.
         let seq_clock = SimClock::new();
@@ -1322,12 +1356,23 @@ mod tests {
         let (store, inner, obs) = seal(&clock);
         let opts = RunOptions::new(clock).with_store(store).with_manifest(MANIFEST);
         let g = fan_graph("v1");
-        assert!(g.run(&opts).unwrap().succeeded());
+        let cold = g.run(&opts).unwrap();
+        assert!(cold.succeeded());
 
         obs.reset();
         let rerun = g.run(&opts).unwrap();
         assert_eq!(rerun.count(TaskStatus::UpToDate), 7);
         assert_eq!(rerun.waves, 3);
+        // The per-wave timeline tiles either run: every wave's uploads or
+        // heads cost WAN time, and the last entry is the run's end.
+        for run in [&cold, &rerun] {
+            let mut marks = vec![run.started_ns];
+            marks.extend(&run.wave_ended_ns);
+            assert_eq!((marks.len(), marks[3]), (4, run.ended_ns));
+            assert!(marks.windows(2).all(|w| w[0] < w[1]), "{marks:?}");
+            let total: f64 = (0..=run.waves).map(|k| run.wave_secs(k)).sum();
+            assert!((total - run.virtual_secs()).abs() < 1e-9);
+        }
         assert_eq!(
             Wan::of(&obs),
             Wan {
@@ -1471,39 +1516,63 @@ mod tests {
     }
 
     /// An input that cannot be loaded fails exactly its consumers, with
-    /// the store's error behind the `input prefetch:` prefix.
+    /// the reason behind the `input prefetch:` prefix: the store's error
+    /// when the fetch fails, a checksum failure when the producer handed
+    /// back a `Stored` descriptor without a content hash — the object
+    /// exists, but nothing vouches for its bytes.
     #[test]
     fn failed_input_fetch_fails_only_its_consumers() {
-        let inner = Arc::new(MemoryStore::new());
-        let plan = FaultPlan::new(1).with_scope(FailScope::Reads).with_fault_rate(1.0);
-        let store: Arc<dyn ObjectStore> = Arc::new(
-            FaultStore::new(Arc::clone(&inner) as Arc<dyn ObjectStore>, plan, SimClock::new())
-                .unwrap(),
-        );
-        let mut g = TaskGraph::new("unreadable");
-        g.add_task("gen", &[], "v1", emit("dem", b"dem", 1)).unwrap();
-        // An exclusive task stores its own output, so it is never on the
-        // blackboard and its consumer has to fetch it.
-        g.add_exclusive_task("init", &[], "v1", {
-            let store = Arc::clone(&store);
-            move |_ctx| {
-                store.put("obj/header", b"header")?;
-                Ok(vec![TaskOutput::Stored(Artifact::of_bytes("header", b"header", "obj/header"))])
-            }
-        })
-        .unwrap();
-        g.add_task("reads-header", &["init"], "v1", emit("a", b"a", 1)).unwrap();
-        g.add_task("reads-dem", &["gen"], "v1", emit("b", b"b", 1)).unwrap();
-        g.add_task("after", &["reads-header"], "v1", emit("c", b"c", 1)).unwrap();
+        let cases = [(1.0, true, "injected"), (0.0, false, "failed checksum verification")];
+        for (read_fault_rate, hashed, want) in cases {
+            let inner = Arc::new(MemoryStore::new());
+            let plan =
+                FaultPlan::new(1).with_scope(FailScope::Reads).with_fault_rate(read_fault_rate);
+            let store: Arc<dyn ObjectStore> = Arc::new(
+                FaultStore::new(Arc::clone(&inner) as Arc<dyn ObjectStore>, plan, SimClock::new())
+                    .unwrap(),
+            );
+            let mut g = TaskGraph::new("unreadable");
+            g.add_task("gen", &[], "v1", emit("dem", b"dem", 1)).unwrap();
+            // An exclusive task stores its own output, so it is never on
+            // the blackboard and its consumer has to fetch it.
+            g.add_exclusive_task("init", &[], "v1", {
+                let store = Arc::clone(&store);
+                move |_ctx| {
+                    store.put("obj/header", b"header")?;
+                    let a = Artifact::of_bytes("header", b"header", "obj/header");
+                    let a = if hashed { a } else { Artifact { checksum: 0, ..a } };
+                    Ok(vec![TaskOutput::Stored(a)])
+                }
+            })
+            .unwrap();
+            g.add_task("reads-header", &["init"], "v1", emit("a", b"a", 1)).unwrap();
+            g.add_task("reads-dem", &["gen"], "v1", emit("b", b"b", 1)).unwrap();
+            g.add_task("after", &["reads-header"], "v1", emit("c", b"c", 1)).unwrap();
 
-        let run = g.run(&RunOptions::new(SimClock::new()).with_store(store)).unwrap();
-        let rec = run.record("reads-header").unwrap();
-        assert_eq!(rec.status, TaskStatus::Failed);
-        let error = rec.error.as_deref().unwrap();
-        assert!(error.starts_with("input prefetch: ") && error.contains("injected"), "{error}");
-        assert_eq!(run.record("after").unwrap().status, TaskStatus::Skipped);
-        assert_eq!(run.record("reads-dem").unwrap().status, TaskStatus::Succeeded);
-        assert_eq!(run.count(TaskStatus::Succeeded), 3);
+            let run = g.run(&RunOptions::new(SimClock::new()).with_store(store)).unwrap();
+            assert!(inner.exists("obj/header").unwrap());
+            let rec = run.record("reads-header").unwrap();
+            assert_eq!(rec.status, TaskStatus::Failed);
+            let error = rec.error.as_deref().unwrap();
+            assert!(error.starts_with("input prefetch: ") && error.contains(want), "{error}");
+            assert_eq!(run.record("after").unwrap().status, TaskStatus::Skipped);
+            assert_eq!(run.record("reads-dem").unwrap().status, TaskStatus::Succeeded);
+            assert_eq!(run.count(TaskStatus::Succeeded), 3);
+        }
+    }
+
+    /// Lineage over the run report: who produced an artifact, who consumed
+    /// it — consumers being every task downstream of the producer's edge.
+    #[test]
+    fn lineage_queries_follow_produced_and_consumed() {
+        let run = fan_graph("v1").run(&RunOptions::new(SimClock::new())).unwrap();
+        assert_eq!(run.producer_of("dem-a").unwrap().name, "g1");
+        assert_eq!(run.producer_of("m2-out").unwrap().name, "m2");
+        assert!(run.producer_of("nothing").is_none());
+        let mids: Vec<&str> = run.consumers_of("dem-b").iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(mids, vec!["m0", "m1", "m2", "m3"]);
+        assert_eq!(run.consumers_of("m2-out")[0].name, "sink");
+        assert!(run.consumers_of("sink-out").is_empty());
     }
 
     /// Manifest JSON round-trips byte-stably.

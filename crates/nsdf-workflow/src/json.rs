@@ -1,6 +1,6 @@
-//! Minimal JSON reading and writing for byte-stable provenance artifacts.
+//! Minimal JSON reading and writing for byte-stable run reports.
 //!
-//! Provenance logs and recompute manifests are compared with `cmp` in CI,
+//! Run reports and recompute manifests are compared with `cmp` in CI,
 //! so the writers here emit fully deterministic bytes: object keys in
 //! sorted order, no whitespace, and `u64` checksums as fixed-width hex
 //! strings (JSON numbers cannot carry the full 64-bit range exactly).
@@ -8,6 +8,7 @@
 //! JSON subset those writers produce, plus enough generality (escapes,
 //! floats, null/bool) to stay honest about being JSON.
 
+pub use nsdf_util::obs::push_json_string;
 use nsdf_util::{NsdfError, Result};
 use std::collections::BTreeMap;
 
@@ -316,24 +317,6 @@ fn utf8_width(first: u8) -> Result<usize> {
         0xF0..=0xF7 => Ok(4),
         _ => Err(NsdfError::corrupt("json: invalid utf-8 lead byte")),
     }
-}
-
-/// Append `s` as a JSON string literal onto `out` (same escaping rules as
-/// the metrics snapshot writer, so artifacts stay `cmp`-comparable).
-pub fn push_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Render a `u64` as a fixed-width 16-digit hex JSON string. JSON numbers

@@ -1,28 +1,28 @@
 //! # nsdf-workflow
 //!
-//! Workflow engines for the four-step training pipeline (paper Figs.
-//! 3–4), in two generations:
+//! The workflow engine for the four-step training pipeline (paper Figs.
+//! 3–4):
 //!
-//! - [`engine`] — the original linear step list: named steps with
-//!   declared dependencies, a typed blackboard context, and a
-//!   provenance log. Kept for simple scripted flows.
-//! - [`graph`] — the production task-graph engine: typed task nodes
-//!   with explicit data dependencies (including GEOtiled halo-exchange
-//!   edges), ready-queue wave scheduling over a work-stealing pool on
-//!   the shared virtual clock, failure isolation to the dependent cone,
-//!   and hash-verified incremental recompute backed by a persistent
-//!   fingerprint manifest on any object store.
+//! - [`graph`] — the task-graph engine: typed task nodes with explicit
+//!   data dependencies (including GEOtiled halo-exchange edges),
+//!   ready-queue wave scheduling over a work-stealing pool on the shared
+//!   virtual clock, failure isolation to the dependent cone, a run report
+//!   with per-wave timeline and artifact lineage, and hash-verified
+//!   incremental recompute backed by a persistent fingerprint manifest on
+//!   any object store.
+//! - [`artifact`] — the descriptor (name, size, checksum, location) of
+//!   one stored object a task produced.
+//! - [`json`] — the byte-stable JSON reader/writer behind run reports and
+//!   manifests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod engine;
 pub mod graph;
 pub mod json;
 
-pub use artifact::{Artifact, Provenance, StepRecord, StepStatus};
-pub use engine::{RunContext, Workflow};
+pub use artifact::Artifact;
 pub use graph::{
     GraphRun, Manifest, ManifestEntry, RunOptions, TaskCtx, TaskGraph, TaskInput, TaskOutput,
     TaskRecord, TaskStatus,

@@ -24,8 +24,9 @@ fn main() -> Result<()> {
     let report = run_tutorial(&client, &cfg)?;
 
     println!("-- per-step timeline (virtual seconds) --");
-    for step in &report.provenance.steps {
-        println!("  {:<28} {:>8.3}s  ({} artifacts)", step.name, step.secs(), step.produced.len());
+    for step in &report.run.records {
+        let secs = report.run.wave_secs(step.wave);
+        println!("  {:<28} {:>8.3}s  ({} artifacts)", step.name, secs, step.produced.len());
         for a in &step.produced {
             println!("      {:<24} {:>12} bytes  -> {}", a.name, a.bytes, a.location);
         }

@@ -102,9 +102,13 @@ fn fig4() -> Result<()> {
     let client = NsdfClient::simulated(SEED);
     let report = run_tutorial(&client, &TutorialConfig::small(SEED))?;
     println!("{:<28} {:>10} {:>10} {:>14}", "step", "secs", "artifacts", "bytes");
-    for s in &report.provenance.steps {
-        let bytes: u64 = s.produced.iter().map(|a| a.bytes).sum();
-        println!("{:<28} {:>10.3} {:>10} {:>14}", s.name, s.secs(), s.produced.len(), bytes);
+    for r in &report.run.records {
+        // Step 2's artifact is the dataset header; its product is the
+        // whole IDX dataset behind it.
+        let own: u64 = r.produced.iter().map(|a| a.bytes).sum();
+        let bytes = if r.name == "2-convert-to-idx" { report.idx_bytes } else { own };
+        let secs = report.run.wave_secs(r.wave);
+        println!("{:<28} {:>10.3} {:>10} {:>14}", r.name, secs, r.produced.len(), bytes);
     }
     println!("validation exact: {}", report.validation_exact());
     for i in &report.interactions {

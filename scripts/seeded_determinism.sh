@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# seeded_determinism.sh — the CI `seeded-determinism` job, runnable locally.
+#
+# Each bench below writes an artifact made only of virtual-clock times,
+# integer counters and seeded draws. Two identically-seeded runs must
+# produce byte-identical files (any drift means nondeterminism leaked into
+# that layer), and the result must equal the committed file: a change that
+# moves a wave, a span or a counter regenerates and commits the artifact,
+# never drifts past it silently.
+#
+# Extra arguments go to cargo, e.g. `scripts/seeded_determinism.sh --offline`.
+# The streaming and codecs benches also rewrite their wall-clock artifacts
+# (BENCH_streaming.json, BENCH_codecs.json); `git checkout` those afterwards.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# bench:artifact
+PAIRS=(
+  # Spans and counters of the streaming read path.
+  streaming:BENCH_streaming_metrics.json
+  # Fault injection, hedging, back-off and the scripted fault window, plus
+  # the embedded metrics snapshot and span tree.
+  chaos:BENCH_chaos.json
+  # Upload waves, RMW fetches and the acceptance ratios.
+  ingest:BENCH_ingest.json
+  # Per-interaction latencies and refinement curves on both WAN profiles.
+  # Leaves its disk tier at target/bench-tiercache for the reopen step.
+  dashboard:BENCH_dashboard.json
+  # Sizes, ratios, per-block codec histograms and virtual WAN times — the
+  # wall-clock MB/s live in BENCH_codecs.json, which is not compared.
+  codecs:BENCH_codecs_compare.json
+  # Arrivals, zipf popularity, grant order and every latency percentile.
+  fleet:BENCH_fleet.json
+  # Bulk-load virtual time, bloom FPR, amplification and dedup counters.
+  catalog:BENCH_catalog.json
+  # DAG schedules, task statuses and mosaic digests: all store I/O happens
+  # on the caller thread, in per-wave batches ordered by task id.
+  workflow:BENCH_workflow.json
+)
+
+first="$(mktemp -d)"
+trap 'rm -rf "$first"' EXIT
+for pair in "${PAIRS[@]}"; do
+  bench="${pair%%:*}"
+  artifact="${pair#*:}"
+  cargo bench "$@" -p nsdf-bench --bench "$bench"
+  cp "$artifact" "$first/$artifact"
+  cargo bench "$@" -p nsdf-bench --bench "$bench"
+  cmp "$first/$artifact" "$artifact"
+  git diff --exit-code -- "$artifact"
+  echo "determinism: $bench -> $artifact: two runs identical, equal to the committed file"
+done
+echo "determinism: ok (${#PAIRS[@]} artifacts)"

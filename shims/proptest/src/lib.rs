@@ -219,7 +219,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`]; convertible from ranges and fixed sizes.
+    /// Length bounds for [`vec()`]; convertible from ranges and fixed sizes.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: u64,

@@ -257,8 +257,8 @@ fn tutorial(opts: &Opts) -> Result<()> {
     cfg.height = size / 2;
     cfg.storage_endpoint = endpoint;
     let report = run_tutorial(&client, &cfg)?;
-    for s in &report.provenance.steps {
-        println!("{:<28} {:>8.3}s", s.name, s.secs());
+    for r in &report.run.records {
+        println!("{:<28} {:>8.3}s", r.name, report.run.wave_secs(r.wave));
     }
     println!(
         "TIFF {} B -> IDX {} B (ratio {:.3}); validation exact: {}",

@@ -76,7 +76,6 @@ pub mod prelude {
         Result, SimClock,
     };
     pub use nsdf_workflow::{
-        Artifact, GraphRun, Manifest, RunContext, RunOptions, TaskGraph, TaskOutput, TaskStatus,
-        Workflow,
+        Artifact, GraphRun, Manifest, RunOptions, TaskGraph, TaskOutput, TaskStatus,
     };
 }
