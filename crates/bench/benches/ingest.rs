@@ -1,7 +1,10 @@
 //! Parallel ingest: virtual-time cost of tile-by-tile GEOtiled→IDX
 //! conversion as `write_concurrency` scales the `put_many` upload waves,
-//! over both WAN profiles of §III. Emits `BENCH_ingest.json` at the repo
-//! root; numbers are quoted in EXPERIMENTS.md ("Parallel ingest").
+//! over both WAN profiles of §III. The write buffer uploads each block
+//! once, by the tile that completes it, so every configuration must write
+//! exactly the resident blocks with no read-modify-write fetch. Emits
+//! `BENCH_ingest.json` at the repo root; numbers are quoted in
+//! EXPERIMENTS.md ("Parallel ingest").
 //!
 //! Every quantity in the artifact is virtual-clock or counter state —
 //! nothing samples wall time or ambient entropy — so two runs with the
@@ -10,7 +13,7 @@
 use nsdf_compress::Codec;
 use nsdf_geotiled::{compute_terrain_tiled, DemConfig, Sun, TerrainParam, TilePlan};
 use nsdf_idx::{Field, IdxDataset, IdxMeta, WriteStats};
-use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile};
+use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
 use nsdf_util::{Box2i, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 
@@ -79,9 +82,8 @@ fn run_case(
     let profile_name = profile.name.clone();
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
-    let wan = Arc::new(
-        CloudStore::new(Arc::new(MemoryStore::new()), profile, clock.clone(), SEED).with_obs(&obs),
-    );
+    let mem = Arc::new(MemoryStore::new());
+    let wan = Arc::new(CloudStore::new(mem.clone(), profile, clock.clone(), SEED).with_obs(&obs));
     let meta = IdxMeta::new_2d(
         "ingest",
         W as u64,
@@ -106,7 +108,11 @@ fn run_case(
             .expect("tile write");
         ingest.merge(&stats);
     }
+    ingest.merge(&ds.flush().expect("flush"));
     let snap = obs.snapshot();
+    let resident = mem.list("ingest/f0/").expect("list").len() as u64;
+    assert_eq!(ingest.blocks_written, resident, "wc={write_concurrency}: one upload per block");
+    assert_eq!(ingest.rmw_fetches, 0, "wc={write_concurrency}: a fresh conversion never RMWs");
     Record {
         profile: profile_name,
         write_concurrency,

@@ -253,6 +253,74 @@ impl HzCurve {
         Ok(blocks.into_iter().collect())
     }
 
+    /// How many of block `block`'s `block_samples` consecutive HZ addresses
+    /// hold a sample inside the logical grid `dims` — the rest is
+    /// power-of-two padding no write ever covers, so a block is completely
+    /// written exactly when this many distinct offsets are.
+    ///
+    /// Cost is a few mask decodes per resolution level the block spans (one
+    /// for every block but the first), not a walk over its samples: an
+    /// aligned in-level rank range is a lattice whose axes vary
+    /// independently (see `descend_ranks`), so its in-bounds count is the
+    /// product of the per-axis counts.
+    pub fn block_samples_in_bounds(
+        &self,
+        block: u64,
+        block_samples: u64,
+        dims: &[u64],
+    ) -> Result<u64> {
+        if block_samples == 0 {
+            return Err(NsdfError::invalid("block_samples must be positive"));
+        }
+        let lo = block.saturating_mul(block_samples);
+        let hi = lo.saturating_add(block_samples).min(self.num_addresses());
+        let mut inside = 0;
+        let mut h = lo;
+        if h == 0 && hi > 0 {
+            // Level 0 is the single sample at the origin.
+            inside += dims.iter().all(|&d| d > 0) as u64;
+            h = 1;
+        }
+        while h < hi {
+            // Longest aligned power-of-two rank run starting at `h` that
+            // stays inside both the block and `h`'s level.
+            let level = hz_level(h);
+            let r0 = h - level_start(level);
+            let room = hi.min(level_end(level)) - h;
+            let mut count = 1u64 << (63 - room.leading_zeros());
+            if r0 != 0 {
+                count = count.min(1u64 << r0.trailing_zeros());
+            }
+            inside += self.aligned_ranks_in_bounds(level, r0, count, dims);
+            h += count;
+        }
+        Ok(inside)
+    }
+
+    /// In-bounds samples of the level-`level` rank range `[r0, r0 + count)`
+    /// (`count` a power of two, `r0` a multiple of it). Each axis takes the
+    /// values `lo + k * stride` for `k < n`: the varying Z bits are
+    /// contiguous, so the coordinate bits they feed on one axis are too.
+    fn aligned_ranks_in_bounds(&self, level: u32, r0: u64, count: u64, dims: &[u64]) -> u64 {
+        let t = self.max_level() - level;
+        let z_lo = (r0 << (t + 1)) | (1u64 << t);
+        let lo = self.mask.decode(z_lo);
+        let hi = self.mask.decode(z_lo | ((count - 1) << (t + 1)));
+        let mut inside = 1;
+        for (a, (&lo, &hi)) in lo.iter().zip(&hi).enumerate() {
+            let dim = dims.get(a).copied().unwrap_or(1);
+            if lo >= dim {
+                return 0;
+            }
+            let span = hi - lo;
+            if span > 0 {
+                let stride = 1u64 << span.trailing_zeros();
+                inside *= (span / stride + 1).min((dim - lo).div_ceil(stride));
+            }
+        }
+        inside
+    }
+
     /// Shared validation + clip for the block planners: errors on bad
     /// arguments, `None` when the clipped region is empty.
     fn clip_plan_region(
@@ -719,6 +787,35 @@ mod tests {
         assert!(c.blocks_at_level(Box2i::new(0, 0, 4, 4), 4, 0).is_err());
         assert_eq!(c.blocks_at_level(Box2i::new(0, 0, 4, 4), 0, 8).unwrap(), vec![0]);
         assert!(c.blocks_at_level(Box2i::new(1, 1, 4, 4), 0, 8).unwrap().is_empty());
+    }
+
+    #[test]
+    fn block_samples_in_bounds_matches_address_walk() {
+        let curves = [
+            (HzCurve::for_dims_2d(100, 37).unwrap(), vec![100u64, 37]),
+            (HzCurve::for_dims_2d(64, 64).unwrap(), vec![64, 64]),
+            (HzCurve::for_dims_2d(100, 1).unwrap(), vec![100, 1]),
+            (HzCurve::for_dims_2d(1, 1).unwrap(), vec![1, 1]),
+            (HzCurve::for_dims_3d(20, 9, 5).unwrap(), vec![20, 9, 5]),
+        ];
+        for (c, dims) in &curves {
+            // Powers of two (what IDX uses), odd sizes, and a block larger
+            // than the whole grid.
+            for bs in [1u64, 2, 8, 64, 256, 7, 100, 1 << 14] {
+                let blocks = c.num_addresses().div_ceil(bs);
+                let mut total = 0;
+                for block in 0..blocks + 1 {
+                    let walked = (block * bs..((block + 1) * bs).min(c.num_addresses()))
+                        .filter(|&h| c.coords_from_hz(h).iter().zip(dims).all(|(v, d)| v < d))
+                        .count() as u64;
+                    let fast = c.block_samples_in_bounds(block, bs, dims).unwrap();
+                    assert_eq!(fast, walked, "dims {dims:?} bs {bs} block {block}");
+                    total += fast;
+                }
+                assert_eq!(total, dims.iter().product::<u64>(), "dims {dims:?} bs {bs}");
+            }
+        }
+        assert!(curves[0].0.block_samples_in_bounds(0, 0, &[100, 37]).is_err());
     }
 
     #[test]

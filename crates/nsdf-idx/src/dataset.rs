@@ -15,13 +15,13 @@ use crate::meta::IdxMeta;
 use nsdf_compress::{AdaptiveCodec, Codec};
 use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
-use nsdf_util::obs::{Counter, Obs};
+use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::par::{num_threads, try_par_map, try_par_map_owned};
 use nsdf_util::{
     bytes_to_samples, samples_to_bytes, Box2i, NsdfError, Raster, Result, Sample, SimClock,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,16 +31,24 @@ use std::time::Instant;
 /// ingest-pipeline counters mirroring [`QueryStats`] on the read side.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteStats {
-    /// Blocks written.
+    /// Blocks this call uploaded: for [`IdxDataset::write_box`] the blocks
+    /// it completed plus those the write-buffer budget evicted, not the
+    /// blocks it touched.
     pub blocks_written: u64,
+    /// Blocks this write touched and left in the write buffer instead of
+    /// uploading — each one an upload that write-combining deferred.
+    pub blocks_combined: u64,
+    /// Dirty blocks the handle's write buffer held when the call returned
+    /// (see [`IdxDataset::flush`]).
+    pub blocks_pending: u64,
     /// Blocks skipped because they hold only power-of-two padding.
     pub blocks_skipped: u64,
     /// Uncompressed payload bytes.
     pub bytes_raw: u64,
     /// Stored (compressed) bytes.
     pub bytes_stored: u64,
-    /// Partially covered blocks fetched back from the store for
-    /// read-modify-write merges.
+    /// Base images of partially covered blocks fetched back from the store
+    /// for read-modify-write merges.
     pub rmw_fetches: u64,
     /// Batched `put_many` calls issued to the object store.
     pub put_batches: u64,
@@ -67,9 +75,13 @@ impl WriteStats {
     }
 
     /// Fold another write's accounting into this one (used by tile-by-tile
-    /// ingest pipelines aggregating per-tile stats).
+    /// ingest pipelines aggregating per-tile stats). Counts add up;
+    /// `blocks_pending` and `write_concurrency` are levels and keep their
+    /// peak.
     pub fn merge(&mut self, other: &WriteStats) {
         self.blocks_written += other.blocks_written;
+        self.blocks_combined += other.blocks_combined;
+        self.blocks_pending = self.blocks_pending.max(other.blocks_pending);
         self.blocks_skipped += other.blocks_skipped;
         self.bytes_raw += other.bytes_raw;
         self.bytes_stored += other.bytes_stored;
@@ -225,6 +237,155 @@ impl DecodedCache {
     }
 }
 
+/// The samples one `write_box` call brings to one block: in-block offsets
+/// and, in the same order, their little-endian bytes — so merging them into
+/// a raw block image needs no sample type.
+#[derive(Default)]
+struct BlockUpdate {
+    offsets: Vec<usize>,
+    bytes: Vec<u8>,
+    /// How many of the block's samples lie inside the logical grid: the
+    /// block is complete once that many distinct offsets are written.
+    in_bounds: u64,
+}
+
+/// One dirty block held back by the write buffer.
+struct PendingBlock {
+    /// The block's full raw image: its base contents plus every update
+    /// merged so far. Reads through the handle share it; a merge copies on
+    /// write, so a reader's snapshot never changes under it.
+    raw: Arc<Vec<u8>>,
+    /// One bit per in-block offset written since the block entered the
+    /// buffer. Base contents do not count: the block is complete when the
+    /// *updates* cover every in-bounds sample.
+    covered: Vec<u64>,
+    covered_count: u64,
+    /// Tick of the last merge — the age budget evictions go by.
+    touched: u64,
+    /// Chosen for an upload that has not reported back. A merge clears it,
+    /// so a store success retires only the image the upload carried.
+    uploading: bool,
+}
+
+impl PendingBlock {
+    fn merge(&mut self, update: &BlockUpdate, sample_size: usize, tick: u64) {
+        let raw = Arc::make_mut(&mut self.raw);
+        for (&offset, bytes) in update.offsets.iter().zip(update.bytes.chunks_exact(sample_size)) {
+            raw[offset * sample_size..][..sample_size].copy_from_slice(bytes);
+            let (word, bit) = (offset / 64, 1u64 << (offset % 64));
+            self.covered_count += u64::from(self.covered[word] & bit == 0);
+            self.covered[word] |= bit;
+        }
+        self.touched = tick;
+        self.uploading = false;
+    }
+}
+
+/// The write-combining buffer of one handle: dirty block images keyed
+/// `(field, time, block)`, under a byte budget.
+struct WriteBuffer {
+    blocks: BTreeMap<BlockKey, PendingBlock>,
+    bytes: u64,
+    budget: u64,
+    tick: u64,
+    /// On a handle obtained from `create`: every block an upload was ever
+    /// attempted for. No other block can be in the store, so a partial
+    /// write starts it from zeros without asking. `None` on an opened
+    /// dataset, whose stored blocks are unknown.
+    attempted: Option<HashSet<BlockKey>>,
+}
+
+impl WriteBuffer {
+    fn new(created: bool) -> Self {
+        WriteBuffer {
+            blocks: BTreeMap::new(),
+            bytes: 0,
+            budget: DEFAULT_WRITE_BUFFER_BYTES,
+            tick: 0,
+            attempted: created.then(HashSet::new),
+        }
+    }
+
+    /// True when `key` cannot be in the store (and is not pending either).
+    fn known_absent(&self, key: &BlockKey) -> bool {
+        self.attempted.as_ref().is_some_and(|attempted| !attempted.contains(key))
+    }
+
+    /// Merge `update` into `key`'s image — `base` (zeros when `None`) if the
+    /// block was not pending yet — and return how many offsets are covered.
+    fn merge(
+        &mut self,
+        key: BlockKey,
+        base: DecodedEntry,
+        update: &BlockUpdate,
+        block_bytes: usize,
+        sample_size: usize,
+    ) -> u64 {
+        let block = self.blocks.entry(key).or_insert_with(|| {
+            self.bytes += block_bytes as u64;
+            PendingBlock {
+                raw: base.unwrap_or_else(|| Arc::new(vec![0; block_bytes])),
+                covered: vec![0; (block_bytes / sample_size).div_ceil(64)],
+                covered_count: 0,
+                touched: 0,
+                uploading: false,
+            }
+        });
+        block.merge(update, sample_size, self.tick);
+        block.covered_count
+    }
+
+    /// Choose what one call uploads: the blocks it `completed` plus, while
+    /// what stays behind exceeds `budget`, the least recently touched of
+    /// the others (ties by key). Marks them in flight and returns their
+    /// images in `(field, time, block)` order.
+    fn select(&mut self, completed: Vec<BlockKey>, budget: u64) -> Vec<(BlockKey, Arc<Vec<u8>>)> {
+        let mut chosen: BTreeSet<BlockKey> = completed.into_iter().collect();
+        let mut held =
+            self.bytes - chosen.iter().map(|key| self.blocks[key].raw.len() as u64).sum::<u64>();
+        if held > budget {
+            let mut by_age: Vec<(u64, BlockKey, u64)> = self
+                .blocks
+                .iter()
+                .filter(|(key, _)| !chosen.contains(key))
+                .map(|(key, block)| (block.touched, *key, block.raw.len() as u64))
+                .collect();
+            by_age.sort_unstable();
+            for (_, key, size) in by_age {
+                if held <= budget {
+                    break;
+                }
+                held -= size;
+                chosen.insert(key);
+            }
+        }
+        chosen
+            .into_iter()
+            .map(|key| {
+                let block = self.blocks.get_mut(&key).expect("chosen from the pending map");
+                block.uploading = true;
+                (key, Arc::clone(&block.raw))
+            })
+            .collect()
+    }
+
+    /// `key` reached the store: drop its image unless a merge dirtied it
+    /// again while the upload was in flight.
+    fn retire(&mut self, key: &BlockKey) {
+        if self.blocks.get(key).is_some_and(|block| block.uploading) {
+            let block = self.blocks.remove(key).expect("present above");
+            self.bytes -= block.raw.len() as u64;
+        }
+    }
+}
+
+/// What one handle keeps in RAM about blocks, under one lock so a read's
+/// partition sees pending images and decoded payloads as of one instant.
+struct BlockState {
+    decoded: DecodedCache,
+    pending: WriteBuffer,
+}
+
 /// Default number of blocks fetched per `get_many` batch.
 const DEFAULT_FETCH_CONCURRENCY: usize = 8;
 
@@ -233,6 +394,9 @@ const DEFAULT_WRITE_CONCURRENCY: usize = 8;
 
 /// Default decoded-block cache budget (raw bytes).
 const DEFAULT_DECODED_CACHE_BYTES: u64 = 256 << 20;
+
+/// Default write-buffer budget (raw bytes of dirty block images).
+const DEFAULT_WRITE_BUFFER_BYTES: u64 = 64 << 20;
 
 /// Aligned origin, per-axis strides, and output dims of a box query at one
 /// resolution level: `(x0, y0, sx, sy, out_w, out_h)`.
@@ -277,6 +441,9 @@ struct IdxMetrics {
     put_batches: Counter,
     rmw_fetch_vns: Counter,
     put_vns: Counter,
+    blocks_combined: Counter,
+    pending_bytes: Gauge,
+    flush_failures: Counter,
 }
 
 /// Cumulative wall-clock codec work done through one dataset handle.
@@ -353,6 +520,9 @@ impl IdxMetrics {
             put_batches: obs.counter("put_batches"),
             rmw_fetch_vns: obs.counter("rmw_fetch_vns"),
             put_vns: obs.counter("put_vns"),
+            blocks_combined: obs.counter("blocks_combined"),
+            pending_bytes: obs.gauge("pending_bytes"),
+            flush_failures: obs.counter("flush_failures"),
             obs,
         }
     }
@@ -364,8 +534,12 @@ impl IdxMetrics {
 /// query here, a [`crate::QuerySession`] frame, an [`crate::IdxVolume`]
 /// cutout or slice — is a sequence of `IdxDataset::read_wave` calls, and
 /// every block write ends in `IdxDataset::encode_and_put`. The decoded-block
-/// cache, its write epoch, and the codec throughput counters live here and
-/// nowhere else.
+/// cache, its write epoch, the write buffer of [`IdxDataset::write_box`], and
+/// the codec throughput counters live here and nowhere else.
+///
+/// Dropping the handle flushes its write buffer; a flush that fails there
+/// can only be counted (`idx.flush_failures`), so call
+/// [`IdxDataset::flush`] first when the error matters.
 pub struct IdxDataset {
     store: Arc<dyn ObjectStore>,
     base: String,
@@ -374,7 +548,7 @@ pub struct IdxDataset {
     fetch_concurrency: usize,
     write_concurrency: usize,
     degraded_reads: bool,
-    decoded: Mutex<DecodedCache>,
+    blocks: Mutex<BlockState>,
     /// Per-block codec selector, present exactly when `meta.codec` is
     /// [`Codec::Adaptive`]. Kept alongside the plain enum so the write path
     /// can observe which codec the selector chose (for [`WriteStats`] and
@@ -412,7 +586,7 @@ impl IdxDataset {
         meta: IdxMeta,
     ) -> Result<IdxDataset> {
         store.put(&format!("{base}/dataset.idx"), meta.to_text().as_bytes())?;
-        Ok(Self::assemble(store, base, meta))
+        Ok(Self::assemble(store, base, meta, true))
     }
 
     /// [`IdxDataset::open`] for metadata of any dimensionality.
@@ -420,10 +594,12 @@ impl IdxDataset {
         let text = store.get(&format!("{base}/dataset.idx"))?;
         let text = String::from_utf8(text)
             .map_err(|_| NsdfError::format("dataset.idx is not valid UTF-8"))?;
-        Ok(Self::assemble(store, base, IdxMeta::from_text(&text)?))
+        Ok(Self::assemble(store, base, IdxMeta::from_text(&text)?, false))
     }
 
-    fn assemble(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta) -> Self {
+    /// `created`: the handle comes from `create`, so the store holds no
+    /// block of this dataset that the handle did not put there itself.
+    fn assemble(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta, created: bool) -> Self {
         let adaptive = match meta.codec {
             Codec::Adaptive { sample_size } => Some(AdaptiveCodec::new(sample_size)),
             _ => None,
@@ -436,7 +612,10 @@ impl IdxDataset {
             fetch_concurrency: DEFAULT_FETCH_CONCURRENCY,
             write_concurrency: DEFAULT_WRITE_CONCURRENCY,
             degraded_reads: false,
-            decoded: Mutex::new(DecodedCache::new(DEFAULT_DECODED_CACHE_BYTES)),
+            blocks: Mutex::new(BlockState {
+                decoded: DecodedCache::new(DEFAULT_DECODED_CACHE_BYTES),
+                pending: WriteBuffer::new(created),
+            }),
             adaptive,
             m: IdxMetrics::new(&Obs::default()),
             wall: WallCodec::default(),
@@ -481,8 +660,17 @@ impl IdxDataset {
     }
 
     /// Set the decoded-block cache budget in raw bytes (0 disables it).
-    pub fn with_decoded_cache_bytes(self, budget: u64) -> Self {
-        *self.decoded.lock() = DecodedCache::new(budget);
+    pub fn with_decoded_cache_bytes(mut self, budget: u64) -> Self {
+        self.blocks.get_mut().decoded = DecodedCache::new(budget);
+        self
+    }
+
+    /// Set the write-buffer budget of [`IdxDataset::write_box`] in raw bytes
+    /// of dirty block images. When a call leaves more than this pending, the
+    /// least recently touched blocks are uploaded with it; 0 turns
+    /// write-combining off (every call uploads every block it touched).
+    pub fn with_write_buffer_bytes(mut self, budget: u64) -> Self {
+        self.blocks.get_mut().pending.budget = budget;
         self
     }
 
@@ -577,9 +765,11 @@ impl IdxDataset {
         }
     }
 
-    /// Partition `blocks` against the decoded-block cache: entries already
-    /// decoded (including known-missing ones), blocks still to fetch, and
-    /// the write epoch observed — pass it back to `IdxDataset::read_wave` so
+    /// Partition `blocks` against what the handle holds in RAM: entries
+    /// already resolved — a pending write-buffer image first (so a read
+    /// through this handle always sees its own writes), else a decoded
+    /// payload or a known-missing mark — blocks still to fetch, and the
+    /// write epoch observed — pass it back to `IdxDataset::read_wave` so
     /// payloads decoded while a write landed are never installed.
     pub(crate) fn decoded_partition(
         &self,
@@ -587,16 +777,20 @@ impl IdxDataset {
         time: u32,
         blocks: &[u64],
     ) -> (Vec<(u64, DecodedEntry)>, Vec<u64>, u64) {
-        let cache = self.decoded.lock();
+        let state = self.blocks.lock();
         let mut hits = Vec::new();
         let mut misses = Vec::new();
         for &block in blocks {
-            match cache.get(&(field_idx, time, block)) {
-                Some(entry) => hits.push((block, entry)),
-                None => misses.push(block),
+            let key = (field_idx, time, block);
+            match state.pending.blocks.get(&key) {
+                Some(pending) => hits.push((block, Some(Arc::clone(&pending.raw)))),
+                None => match state.decoded.get(&key) {
+                    Some(entry) => hits.push((block, entry)),
+                    None => misses.push(block),
+                },
             }
         }
-        (hits, misses, cache.write_epoch)
+        (hits, misses, state.decoded.write_epoch)
     }
 
     /// Write a full-resolution raster into `field` at `time`.
@@ -604,7 +798,8 @@ impl IdxDataset {
     /// The raster shape must equal the dataset's logical dims and `T` must
     /// match the field dtype. All samples are scattered to their HZ address
     /// and stored block by block; blocks consisting purely of power-of-two
-    /// padding are skipped.
+    /// padding are skipped. Every block is uploaded before the call returns,
+    /// superseding whatever [`IdxDataset::write_box`] left pending for it.
     pub fn write_raster<T: Sample>(
         &self,
         field: &str,
@@ -640,8 +835,9 @@ impl IdxDataset {
 
     /// Store the complete payloads of a full-grid write (raster or volume):
     /// the data covers every non-padding sample of every block it touches,
-    /// so no block needs a read-modify-write fetch, and blocks it never
-    /// touches hold only power-of-two padding.
+    /// so no block needs a read-modify-write fetch, blocks it never touches
+    /// hold only power-of-two padding, and a pending image of a block it
+    /// does touch is out of date — the upload that succeeds retires it.
     pub(crate) fn put_full_blocks<T: Sample>(
         &self,
         field_idx: usize,
@@ -653,41 +849,59 @@ impl IdxDataset {
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
-        let entries: Vec<(u64, Vec<T>)> = blocks.into_iter().collect();
-        self.encode_and_put(field_idx, time, &entries, &mut stats)?;
-        self.note_write(&stats);
-        Ok(stats)
+        {
+            let mut state = self.blocks.lock();
+            for (key, pending) in
+                state.pending.blocks.range_mut((field_idx, time, 0)..=(field_idx, time, u64::MAX))
+            {
+                pending.uploading |= blocks.contains_key(&key.2);
+            }
+        }
+        let entries = blocks
+            .into_iter()
+            .map(|(block, samples)| {
+                ((field_idx, time, block), Arc::new(samples_to_bytes(&samples)))
+            })
+            .collect();
+        let result = self.encode_and_put(entries, &mut stats);
+        self.note_write(&mut stats, &[]);
+        result.map(|()| stats)
     }
 
-    /// The one write tail of the crate: encode complete block payloads in
-    /// parallel (deterministic earliest-block error), then upload them in
-    /// `write_concurrency`-sized `put_many` batches, invalidating the
-    /// decoded-block cache entry of every block that actually stored so a
-    /// later read can never observe stale decoded bytes.
-    fn encode_and_put<T: Sample>(
+    /// The one write tail of the crate: encode complete raw block images —
+    /// of any field and timestep, in the order given — in parallel
+    /// (deterministic earliest-block error), then upload them in
+    /// `write_concurrency`-sized `put_many` batches. Every block that
+    /// actually stored loses its decoded-block cache entry, so a later read
+    /// can never observe stale decoded bytes, and its write-buffer image:
+    /// a written-back block leaves RAM. A block that did not store keeps
+    /// its pending image, dirty, for a later [`IdxDataset::flush`].
+    fn encode_and_put(
         &self,
-        field_idx: usize,
-        time: u32,
-        entries: &[(u64, Vec<T>)],
+        entries: Vec<(BlockKey, Arc<Vec<u8>>)>,
         stats: &mut WriteStats,
     ) -> Result<()> {
+        if entries.is_empty() {
+            return Ok(());
+        }
         let t_encode = Instant::now();
         let encoded = {
             let _encode_span = self.m.obs.span("encode");
-            try_par_map(entries, num_threads(), |(block, samples)| -> Result<_> {
-                // `samples_to_bytes` already materialises an owned buffer, so
-                // hand it to the codec by value — the `Raw` arm becomes a
-                // move instead of a second full copy.
-                let raw = samples_to_bytes(samples);
+            try_par_map_owned(entries, num_threads(), |(key, raw)| -> Result<_> {
                 let raw_len = raw.len();
                 let (enc, chosen) = match &self.adaptive {
-                    Some(selector) => {
-                        let (enc, codec) = selector.encode_block(&raw)?;
-                        (enc, codec)
+                    Some(selector) => selector.encode_block(&raw)?,
+                    // An image nobody else holds (a full-grid write's) moves
+                    // into the codec: the `Raw` arm is no second full copy.
+                    None => {
+                        let enc = match Arc::try_unwrap(raw) {
+                            Ok(owned) => self.meta.codec.encode_owned(owned)?,
+                            Err(shared) => self.meta.codec.encode(&shared)?,
+                        };
+                        (enc, self.meta.codec)
                     }
-                    None => (self.meta.codec.encode_owned(raw)?, self.meta.codec),
                 };
-                Ok((*block, raw_len, enc, chosen))
+                Ok((key, raw_len, enc, chosen))
             })?
         };
         let encode_secs = t_encode.elapsed().as_secs_f64();
@@ -700,7 +914,7 @@ impl IdxDataset {
 
         for batch in encoded.chunks(self.write_concurrency) {
             let keys: Vec<String> =
-                batch.iter().map(|(b, _, _, _)| self.block_key(field_idx, time, *b)).collect();
+                batch.iter().map(|((f, t, b), _, _, _)| self.block_key(*f, *t, *b)).collect();
             let items: Vec<(&str, &[u8])> = keys
                 .iter()
                 .zip(batch)
@@ -717,19 +931,25 @@ impl IdxDataset {
             stats.put_secs += t_put.elapsed().as_secs_f64();
             stats.put_batches += 1;
 
-            // Invalidate under one lock, then surface the earliest error of
-            // the batch: blocks that stored before it remain written (and
+            // Settle the batch under one lock, then surface its earliest
+            // error: blocks that stored before it remain written (and
             // invalidated) — exactly what a sequential put loop would leave.
             let mut first_err = None;
             {
-                let mut cache = self.decoded.lock();
-                cache.write_epoch += 1;
-                for ((block, raw_len, enc, chosen), r) in batch.iter().zip(results) {
+                let mut state = self.blocks.lock();
+                let state = &mut *state;
+                state.decoded.write_epoch += 1;
+                for ((key, raw_len, enc, chosen), r) in batch.iter().zip(results) {
+                    // Failed or not, the store may hold this block from now on.
+                    if let Some(attempted) = state.pending.attempted.as_mut() {
+                        attempted.insert(*key);
+                    }
                     match r {
                         Ok(_) => {
-                            if cache.remove(&(field_idx, time, *block)) {
+                            if state.decoded.remove(key) {
                                 self.m.decoded_evictions_epoch.inc();
                             }
+                            state.pending.retire(key);
                             stats.blocks_written += 1;
                             stats.bytes_raw += *raw_len as u64;
                             stats.bytes_stored += enc.len() as u64;
@@ -761,21 +981,55 @@ impl IdxDataset {
         }
     }
 
-    /// Feed the registry with one write's totals so cross-layer snapshots
-    /// see ingest-side accounting alongside the store-side counters.
-    fn note_write(&self, stats: &WriteStats) {
+    /// Close one write's accounting — which of the blocks it `touched` it
+    /// left in the write buffer, and what the buffer holds now — and feed
+    /// the registry with its totals, so cross-layer snapshots see
+    /// ingest-side accounting alongside the store-side counters.
+    fn note_write(&self, stats: &mut WriteStats, touched: &[BlockKey]) {
+        let pending_bytes = {
+            let state = self.blocks.lock();
+            let pending = &state.pending;
+            stats.blocks_combined =
+                touched.iter().filter(|key| pending.blocks.contains_key(key)).count() as u64;
+            stats.blocks_pending = pending.blocks.len() as u64;
+            pending.bytes
+        };
+        self.m.pending_bytes.set(pending_bytes as f64);
         self.m.writes.inc();
         self.m.blocks_written.add(stats.blocks_written);
         self.m.bytes_written.add(stats.bytes_stored);
         self.m.rmw_fetches.add(stats.rmw_fetches);
         self.m.put_batches.add(stats.put_batches);
+        self.m.blocks_combined.add(stats.blocks_combined);
     }
 
     /// Write a raster into a sub-region of the dataset at full resolution,
-    /// with its top-left corner at `(x0, y0)` — a partial update that
-    /// read-modify-writes only the affected blocks (how a tile-by-tile
-    /// ingest pipeline appends to a large IDX dataset without ever holding
-    /// the full grid in memory).
+    /// with its top-left corner at `(x0, y0)` — how a tile-by-tile ingest
+    /// pipeline appends to a large IDX dataset without ever holding the full
+    /// grid in memory.
+    ///
+    /// The write is *write-back*. Its samples are merged into the handle's
+    /// write buffer, one raw image per touched block, and are visible to
+    /// every read through this handle at once. A block is encoded and
+    /// uploaded — once — by the call whose samples complete it (every
+    /// in-bounds sample written since the block entered the buffer), by a
+    /// call that leaves more than the buffer's byte budget pending
+    /// ([`IdxDataset::with_write_buffer_bytes`]; least recently touched
+    /// blocks go first), by [`IdxDataset::flush`], or when the handle drops.
+    /// Until then the store — and any other handle — holds the block's
+    /// previous image or none: every stored block is always a complete
+    /// image, so an interrupted conversion loses only unflushed blocks and
+    /// re-running it converges.
+    ///
+    /// A block first touched by a partial write starts from its current
+    /// contents, fetched through the read pipeline (`rmw-fetch` span) — or
+    /// from zeros with no fetch when this handle came from
+    /// [`IdxDataset::create`] and never uploaded the block. That, and the
+    /// buffer itself, assume a **single writer** per dataset: blocks written
+    /// through another handle meanwhile are not seen.
+    ///
+    /// If an upload fails the error is returned, the samples stay merged,
+    /// and the blocks that did not store stay dirty for a later `flush`.
     pub fn write_box<T: Sample>(
         &self,
         field: &str,
@@ -794,121 +1048,125 @@ impl IdxDataset {
                 self.bounds()
             )));
         }
-        let block_samples = self.meta.block_samples() as usize;
+        let block_samples = self.meta.block_samples();
         let sample_size = T::DTYPE.size_bytes();
-
-        /// Where a touched block's current contents come from before the
-        /// incoming updates are merged in.
-        enum RmwSource {
-            /// No current contents: fully overwritten, known missing from
-            /// storage, or never written — start from a zero block.
-            Fresh,
-            /// Decoded raw payload already resident in the decoded cache.
-            Cached(Arc<Vec<u8>>),
-            /// Encoded payload fetched from the store.
-            Fetched(Vec<u8>),
-        }
+        let block_bytes = block_samples as usize * sample_size;
 
         let _write_span = self.m.obs.span("write_box");
         let plan_span = self.m.obs.span("plan");
         // Group incoming samples by block.
-        let mut touched: BTreeMap<u64, Vec<(usize, T)>> = BTreeMap::new();
+        let mut touched: BTreeMap<u64, BlockUpdate> = BTreeMap::new();
         for y in 0..rh {
             for x in 0..rw {
-                let (block, offset) = self
-                    .curve
-                    .block_offset(&[x0 + x as u64, y0 + y as u64], block_samples as u64)?;
-                touched.entry(block).or_default().push((offset, raster.get(x, y)));
+                let (block, offset) =
+                    self.curve.block_offset(&[x0 + x as u64, y0 + y as u64], block_samples)?;
+                let update = touched.entry(block).or_default();
+                update.offsets.push(offset);
+                raster.get(x, y).write_le(&mut update.bytes);
             }
         }
+        for (&block, update) in &mut touched {
+            update.in_bounds =
+                self.curve.block_samples_in_bounds(block, block_samples, &self.meta.dims)?;
+        }
+        // Only a block this call covers partially, that is not pending
+        // already and that the store may hold needs its current contents.
+        let need_base: Vec<u64> = {
+            let state = self.blocks.lock();
+            touched
+                .iter()
+                .filter(|(block, update)| {
+                    let key = (field_idx, time, **block);
+                    (update.offsets.len() as u64) < update.in_bounds
+                        && !state.pending.blocks.contains_key(&key)
+                        && !state.pending.known_absent(&key)
+                })
+                .map(|(&block, _)| block)
+                .collect()
+        };
+        drop(plan_span);
 
         let mut stats = WriteStats {
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
 
-        // Partition touched blocks: fully covered blocks (every offset
-        // updated) need no current contents; partially covered ones resolve
-        // from the decoded cache when possible and otherwise join the
-        // batched read-modify-write fetch.
-        let mut sources: BTreeMap<u64, RmwSource> = BTreeMap::new();
-        let mut to_fetch: Vec<u64> = Vec::new();
-        {
-            let cache = self.decoded.lock();
-            for (&block, updates) in &touched {
-                if updates.len() == block_samples {
-                    sources.insert(block, RmwSource::Fresh);
-                    continue;
-                }
-                match cache.get(&(field_idx, time, block)) {
-                    Some(Some(raw)) => {
-                        sources.insert(block, RmwSource::Cached(raw));
-                    }
-                    Some(None) => {
-                        sources.insert(block, RmwSource::Fresh);
-                    }
-                    None => to_fetch.push(block),
-                }
-            }
-        }
-        drop(plan_span);
-
-        // Batched RMW fetches. Not a `read_wave`: the payloads are decoded
-        // inside the merge below and never enter the decoded cache (the
-        // upload that follows would only invalidate them again). `NotFound`
-        // means the block was never written (zero contents), any other error
-        // aborts the write.
-        for chunk in to_fetch.chunks(self.fetch_concurrency) {
-            let keys: Vec<String> =
-                chunk.iter().map(|&b| self.block_key(field_idx, time, b)).collect();
-            let key_refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
-            let results = {
-                let _rmw_span = self.m.obs.span("rmw-fetch");
-                let v0 = self.m.obs.clock().now_ns();
-                let results = self.store.get_many(&key_refs);
-                self.m.rmw_fetch_vns.add(self.m.obs.clock().now_ns().saturating_sub(v0));
-                results
-            };
-            stats.rmw_fetches += chunk.len() as u64;
-            for (&block, r) in chunk.iter().zip(results) {
-                match r {
-                    Ok(enc) => {
-                        sources.insert(block, RmwSource::Fetched(enc));
-                    }
-                    Err(e) if e.is_not_found() => {
-                        sources.insert(block, RmwSource::Fresh);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+        // Base images: decoded-cache hits, else read waves. `NotFound` is a
+        // block never written (zero contents), any other error aborts the
+        // write before anything of it is merged. Not installed: the merge
+        // below supersedes them.
+        let report = WaveReport {
+            obs: &self.m.obs,
+            span: "rmw-fetch",
+            vns: &self.m.rmw_fetch_vns,
+            clock: self.m.obs.clock(),
+        };
+        let mut fetch = QueryStats::default();
+        let mut bases =
+            self.resolve_blocks((field_idx, time), &need_base, &report, false, None, &mut fetch)?;
+        stats.rmw_fetches = need_base.len() as u64 - fetch.decoded_cache_hits;
+        if let Some(bad) = bases.values().flatten().find(|raw| raw.len() != block_bytes) {
+            return Err(NsdfError::corrupt(format!(
+                "stored block decodes to {} bytes, expected {block_bytes}",
+                bad.len()
+            )));
         }
 
-        // Merge updates into each block's current samples in parallel with
-        // deterministic earliest-block error; encode + upload downstream.
-        let work: Vec<(u64, RmwSource)> = sources.into_iter().collect();
+        // Merge, then pick what this call uploads: the blocks it completed
+        // and whatever the budget no longer holds. A merge invalidates like
+        // an upload does — the pending image is the block's truth now.
         let t_merge = Instant::now();
-        let entries: Vec<(u64, Vec<T>)> =
-            try_par_map_owned(work, num_threads(), |(block, source)| -> Result<_> {
-                let mut samples: Vec<T> = match source {
-                    RmwSource::Fresh => vec![T::ZERO; block_samples],
-                    RmwSource::Cached(raw) => bytes_to_samples(raw.as_slice())?,
-                    RmwSource::Fetched(enc) => {
-                        // Owned fetch result: the `Raw` passthrough moves the
-                        // buffer instead of copying it.
-                        let raw = self.meta.codec.decode_owned(enc, block_samples * sample_size)?;
-                        bytes_to_samples(&raw)?
-                    }
-                };
-                for &(offset, v) in &touched[&block] {
-                    samples[offset] = v;
+        let keys: Vec<BlockKey> = touched.keys().map(|&b| (field_idx, time, b)).collect();
+        let ready = {
+            let mut state = self.blocks.lock();
+            let state = &mut *state;
+            state.decoded.write_epoch += 1;
+            state.pending.tick += 1;
+            let mut completed = Vec::new();
+            for (&block, update) in &touched {
+                let key = (field_idx, time, block);
+                if state.decoded.remove(&key) {
+                    self.m.decoded_evictions_epoch.inc();
                 }
-                Ok((block, samples))
-            })?;
+                let base = bases.remove(&block).flatten();
+                let covered = state.pending.merge(key, base, update, block_bytes, sample_size);
+                if covered == update.in_bounds {
+                    completed.push(key);
+                }
+            }
+            let budget = state.pending.budget;
+            state.pending.select(completed, budget)
+        };
         stats.encode_secs += t_merge.elapsed().as_secs_f64();
 
-        self.encode_and_put(field_idx, time, &entries, &mut stats)?;
-        self.note_write(&stats);
-        Ok(stats)
+        let result = self.encode_and_put(ready, &mut stats);
+        self.note_write(&mut stats, &keys);
+        result.map(|()| stats)
+    }
+
+    /// Upload every block the write buffer still holds, in
+    /// `(field, time, block)` order — what makes the partial blocks of
+    /// earlier [`IdxDataset::write_box`] calls durable and visible to other
+    /// handles. The returned stats count what this call uploaded; with
+    /// nothing pending it does nothing. On an error the blocks that did not
+    /// store stay pending and `idx.flush_failures` counts the failure; call
+    /// again to retry.
+    pub fn flush(&self) -> Result<WriteStats> {
+        let mut stats = WriteStats {
+            write_concurrency: self.write_concurrency as u64,
+            ..WriteStats::default()
+        };
+        let ready = self.blocks.lock().pending.select(Vec::new(), 0);
+        if ready.is_empty() {
+            return Ok(stats);
+        }
+        let _flush_span = self.m.obs.span("flush");
+        let result = self.encode_and_put(ready, &mut stats);
+        if result.is_err() {
+            self.m.flush_failures.inc();
+        }
+        self.note_write(&mut stats, &[]);
+        result.map(|()| stats)
     }
 
     /// Set of blocks a box query at `level` must read.
@@ -953,7 +1211,8 @@ impl IdxDataset {
     /// (earliest-block) error semantics, books the work into `stats` and the
     /// codec throughput counters, and installs the decoded payloads into the
     /// shared cache unless a write landed since `epoch` was observed
-    /// ([`IdxDataset::decoded_partition`]).
+    /// ([`IdxDataset::decoded_partition`]) — or there is none, as for the
+    /// base images `write_box` is about to supersede.
     ///
     /// `NotFound` is unwritten data and resolves to a known-missing entry.
     /// Any other fetch error aborts the wave before anything of it is
@@ -965,7 +1224,7 @@ impl IdxDataset {
         &self,
         at: (usize, u32),
         chunk: &[u64],
-        epoch: u64,
+        epoch: Option<u64>,
         report: &WaveReport,
         mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
         stats: &mut QueryStats,
@@ -1019,8 +1278,9 @@ impl IdxDataset {
         stats.decode_secs += decode_secs;
         self.wall.decode_micros.fetch_add((decode_secs * 1e6) as u64, Ordering::Relaxed);
 
-        let mut cache = self.decoded.lock();
-        let install = cache.write_epoch == epoch;
+        let mut state = self.blocks.lock();
+        let cache = &mut state.decoded;
+        let install = epoch == Some(cache.write_epoch);
         let mut cache_evicted = 0;
         let mut wave = Vec::with_capacity(decoded.len());
         for (block, enc_len, raw) in decoded {
@@ -1049,24 +1309,40 @@ impl IdxDataset {
         &self,
         at: (usize, u32),
         needed: &[u64],
-        mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
+        unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
         stats: &mut QueryStats,
     ) -> Result<BTreeMap<u64, DecodedEntry>> {
-        let (hits, to_fetch, epoch) = self.decoded_partition(at.0, at.1, needed);
-        stats.decoded_cache_hits += hits.len() as u64;
-        let mut raw_blocks: BTreeMap<u64, DecodedEntry> = hits.into_iter().collect();
         let report = WaveReport {
             obs: &self.m.obs,
             span: "fetch",
             vns: &self.m.fetch_vns,
             clock: self.m.obs.clock(),
         };
+        self.resolve_blocks(at, needed, &report, true, unavailable, stats)
+    }
+
+    /// The chunk loop behind [`IdxDataset::query_blocks`] and `write_box`'s
+    /// base images: hits of [`IdxDataset::decoded_partition`] first, then
+    /// `fetch_concurrency`-wide read waves under `report`. With `install`
+    /// off the fetched payloads stay out of the decoded cache.
+    fn resolve_blocks(
+        &self,
+        at: (usize, u32),
+        needed: &[u64],
+        report: &WaveReport,
+        install: bool,
+        mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
+        stats: &mut QueryStats,
+    ) -> Result<BTreeMap<u64, DecodedEntry>> {
+        let (hits, to_fetch, epoch) = self.decoded_partition(at.0, at.1, needed);
+        stats.decoded_cache_hits += hits.len() as u64;
+        let mut raw_blocks: BTreeMap<u64, DecodedEntry> = hits.into_iter().collect();
         for chunk in to_fetch.chunks(self.fetch_concurrency) {
             raw_blocks.extend(self.read_wave(
                 at,
                 chunk,
-                epoch,
-                &report,
+                install.then_some(epoch),
+                report,
                 unavailable.as_deref_mut(),
                 stats,
             )?);
@@ -1247,6 +1523,15 @@ impl IdxDataset {
             out.push((level, raster, stats));
         }
         Ok(out)
+    }
+}
+
+impl Drop for IdxDataset {
+    /// Write back what [`IdxDataset::write_box`] left pending. A failure
+    /// cannot be returned from here; `flush` counts it in
+    /// `idx.flush_failures`.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -1528,6 +1813,12 @@ mod tests {
         let (after, _) = ds.read_full::<f32>("v", 0).unwrap();
         assert_eq!(after.get(30, 30), -1.0);
         assert_eq!(after.get(0, 0), base.get(0, 0));
+        // Written back, the patched blocks leave RAM: the next read decodes
+        // them from the store and sees the same samples.
+        assert!(ds.flush().unwrap().blocks_written > 0);
+        let (stored, q) = ds.read_full::<f32>("v", 0).unwrap();
+        assert!(q.blocks_decoded > 0, "flushed images do not enter the decoded cache");
+        assert_eq!(stored.data(), after.data());
     }
 
     #[test]
@@ -1735,19 +2026,25 @@ mod tests {
         ds.write_raster("v", 0, &ramp(64, 64)).unwrap();
         obs.clear_spans();
         // A 3x3 patch straddles blocks without covering any fully, so every
-        // touched block needs a read-modify-write fetch.
+        // touched block needs a read-modify-write fetch — and none of them
+        // is uploaded before the flush.
         let patch = Raster::<f32>::filled(3, 3, -2.0);
         let stats = ds.write_box("v", 0, 30, 30, &patch).unwrap();
         assert!(stats.rmw_fetches > 0);
+        assert_eq!((stats.blocks_written, stats.put_batches), (0, 0));
+        assert_eq!(stats.blocks_pending, stats.rmw_fetches);
+        let flushed = ds.flush().unwrap();
+        assert_eq!(flushed.blocks_written, stats.blocks_pending);
+        assert_eq!(flushed.blocks_pending, 0);
         let tree = obs.span_tree();
-        assert_eq!(tree.len(), 1);
-        let w = &tree[0];
-        assert_eq!(w.label, "idx.write_box");
-        let child_labels: Vec<&str> = w.children.iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(child_labels[0], "idx.plan");
-        assert!(child_labels.contains(&"idx.rmw-fetch"));
-        assert!(child_labels.contains(&"idx.encode"));
-        assert_eq!(*child_labels.last().unwrap(), "idx.put");
+        let labels = |n: &nsdf_util::SpanNode| -> Vec<String> {
+            n.children.iter().map(|c| c.label.clone()).collect()
+        };
+        assert_eq!(tree.len(), 2);
+        assert_eq!(tree[0].label, "idx.write_box");
+        assert_eq!(labels(&tree[0]), ["idx.plan", "idx.rmw-fetch", "idx.decode"]);
+        assert_eq!(tree[1].label, "idx.flush");
+        assert_eq!(labels(&tree[1]), ["idx.encode", "idx.put"]);
     }
 
     #[test]
@@ -1780,6 +2077,8 @@ mod tests {
     fn write_stats_merge_accumulates() {
         let mut a = WriteStats {
             blocks_written: 3,
+            blocks_combined: 1,
+            blocks_pending: 5,
             bytes_raw: 1024,
             bytes_stored: 700,
             put_batches: 1,
@@ -1790,6 +2089,8 @@ mod tests {
         };
         let b = WriteStats {
             blocks_written: 2,
+            blocks_combined: 2,
+            blocks_pending: 2,
             blocks_skipped: 1,
             rmw_fetches: 2,
             put_batches: 1,
@@ -1800,6 +2101,8 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.blocks_written, 5);
+        assert_eq!(a.blocks_combined, 3);
+        assert_eq!(a.blocks_pending, 5, "a level: merging keeps the peak");
         assert_eq!(a.blocks_skipped, 1);
         assert_eq!(a.bytes_raw, 1024);
         assert_eq!(a.rmw_fetches, 2);
@@ -1814,6 +2117,8 @@ mod tests {
     fn write_stats_merge_identity() {
         let stats = WriteStats {
             blocks_written: 7,
+            blocks_combined: 4,
+            blocks_pending: 3,
             blocks_skipped: 2,
             bytes_raw: 512,
             bytes_stored: 300,
@@ -1840,12 +2145,31 @@ mod tests {
         let s1 = ds.write_raster("v", 0, &ramp(64, 64)).unwrap();
         let patch = Raster::<f32>::filled(3, 3, 1.5);
         let s2 = ds.write_box("v", 0, 10, 10, &patch).unwrap();
+        assert!(s2.blocks_combined > 0 && s2.blocks_pending == s2.blocks_combined);
+        let block_bytes = 256.0 * 4.0;
+        assert_eq!(
+            obs.snapshot().gauge("idx.pending_bytes"),
+            s2.blocks_pending as f64 * block_bytes
+        );
+        let s3 = ds.flush().unwrap();
         let snap = obs.snapshot();
-        assert_eq!(snap.counter("idx.writes"), 2);
-        assert_eq!(snap.counter("idx.blocks_written"), s1.blocks_written + s2.blocks_written);
-        assert_eq!(snap.counter("idx.bytes_written"), s1.bytes_stored + s2.bytes_stored);
-        assert_eq!(snap.counter("idx.rmw_fetches"), s1.rmw_fetches + s2.rmw_fetches);
-        assert_eq!(snap.counter("idx.put_batches"), s1.put_batches + s2.put_batches);
+        assert_eq!(snap.counter("idx.writes"), 3);
+        assert_eq!(
+            snap.counter("idx.blocks_written"),
+            s1.blocks_written + s2.blocks_written + s3.blocks_written
+        );
+        assert_eq!(
+            snap.counter("idx.bytes_written"),
+            s1.bytes_stored + s2.bytes_stored + s3.bytes_stored
+        );
+        assert_eq!(snap.counter("idx.rmw_fetches"), s2.rmw_fetches);
+        assert_eq!(
+            snap.counter("idx.put_batches"),
+            s1.put_batches + s2.put_batches + s3.put_batches
+        );
+        assert_eq!(snap.counter("idx.blocks_combined"), s2.blocks_combined);
+        assert_eq!(snap.gauge("idx.pending_bytes"), 0.0);
+        assert_eq!(snap.counter("idx.flush_failures"), 0);
     }
 
     #[test]
@@ -1899,7 +2223,9 @@ mod tests {
         let (_s, ds) = make_dataset(64, 64, Codec::Adaptive { sample_size: 4 });
         ds.write_raster("v", 0, &ramp(64, 64)).unwrap();
         let patch = Raster::<f32>::filled(5, 7, -3.25);
-        let stats = ds.write_box("v", 0, 20, 11, &patch).unwrap();
+        ds.write_box("v", 0, 20, 11, &patch).unwrap();
+        let stats = ds.flush().unwrap();
+        assert!(stats.blocks_written > 0);
         assert_eq!(stats.codecs.values().sum::<u64>(), stats.blocks_written);
         let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
         for y in 0..64usize {
@@ -2056,7 +2382,7 @@ mod write_box_tests {
     use crate::meta::Field;
     use nsdf_compress::Codec;
     use nsdf_storage::MemoryStore;
-    use nsdf_util::DType;
+    use nsdf_util::{DType, SimClock};
 
     fn dataset(codec: Codec) -> IdxDataset {
         let store = Arc::new(MemoryStore::new());
@@ -2103,7 +2429,8 @@ mod write_box_tests {
         // Punch a 10x10 patch of 9999s into the middle.
         let patch = Raster::<f32>::filled(10, 10, 9999.0);
         let stats = ds.write_box("v", 0, 27, 30, &patch).unwrap();
-        assert!(stats.blocks_written > 0);
+        assert!(stats.blocks_pending > 0);
+        assert_eq!(ds.flush().unwrap().blocks_written, stats.blocks_pending);
         let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
         for y in 0..64usize {
             for x in 0..64usize {
@@ -2135,6 +2462,142 @@ mod write_box_tests {
         assert!(ds.write_box("v", 0, 60, 60, &patch).is_err());
         assert!(ds.write_box("missing", 0, 0, 0, &patch).is_err());
         assert!(ds.write_box("v", 9, 0, 0, &patch).is_err());
+    }
+
+    /// A 64x64 f32 dataset of 256-sample blocks whose store refuses writes
+    /// during `[10, 30)` virtual seconds; the clock drives the window.
+    fn write_outage_dataset() -> (Arc<dyn ObjectStore>, IdxDataset, SimClock, Obs) {
+        use nsdf_storage::{FailScope, FaultPlan, FaultStore};
+        let clock = SimClock::new();
+        let plan = FaultPlan::new(3).with_scope(FailScope::Writes).outage(10.0, 30.0);
+        let store: Arc<dyn ObjectStore> =
+            Arc::new(FaultStore::new(Arc::new(MemoryStore::new()), plan, clock.clone()).unwrap());
+        let meta = IdxMeta::new_2d(
+            "wb",
+            64,
+            64,
+            vec![Field::new("v", DType::F32).unwrap()],
+            8,
+            Codec::Lz4,
+        )
+        .unwrap();
+        let obs = Obs::default();
+        let ds = IdxDataset::create(store.clone(), "wb", meta).unwrap().with_obs(&obs);
+        (store, ds, clock, obs)
+    }
+
+    #[test]
+    fn failed_upload_keeps_the_block_dirty_until_a_later_flush_stores_it() {
+        let (store, ds, clock, obs) = write_outage_dataset();
+        // A 32x32 tile completes several blocks, so this call must upload —
+        // inside the outage.
+        clock.advance_secs(15.0);
+        let tile = ramp(32, 32, 7.0);
+        let err = ds.write_box("v", 0, 0, 0, &tile).unwrap_err();
+        assert!(err.to_string().contains("outage"), "the put error surfaces: {err}");
+        assert_eq!(store.list("wb/f0/").unwrap().len(), 0, "nothing stored");
+        // The samples stay merged: visible through the handle, still dirty.
+        let region = Box2i::new(0, 0, 32, 32);
+        let (seen, _) = ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
+        assert_eq!(seen.data(), tile.data());
+        assert!(obs.snapshot().gauge("idx.pending_bytes") > 0.0);
+        assert!(ds.flush().is_err(), "still inside the outage");
+        assert_eq!(obs.snapshot().counter("idx.flush_failures"), 1);
+
+        clock.advance_secs(20.0);
+        let flushed = ds.flush().unwrap();
+        assert!(flushed.blocks_written > 0);
+        assert_eq!(flushed.blocks_pending, 0);
+        assert_eq!(obs.snapshot().gauge("idx.pending_bytes"), 0.0);
+        let reader = IdxDataset::open(store, "wb").unwrap();
+        let (stored, _) = reader.read_box::<f32>("v", 0, region, reader.max_level()).unwrap();
+        assert_eq!(stored.data(), tile.data());
+    }
+
+    #[test]
+    fn drop_flushes_and_counts_a_flush_it_cannot_make() {
+        let (store, ds, clock, obs) = write_outage_dataset();
+        let px = Raster::<f32>::filled(1, 1, 4.5);
+        ds.write_box("v", 0, 9, 9, &px).unwrap();
+        assert_eq!(store.list("wb/f0/").unwrap().len(), 0, "a partial block is held back");
+        drop(ds);
+        assert_eq!(store.list("wb/f0/").unwrap().len(), 1, "dropping the handle wrote it back");
+        let reader = IdxDataset::open(store.clone(), "wb").unwrap().with_obs(&obs);
+        assert_eq!(reader.read_full::<f32>("v", 0).unwrap().0.get(9, 9), 4.5);
+
+        // Same through a handle dropped inside the outage: the block is lost
+        // (the store keeps its old image) and the failure is counted.
+        reader.write_box("v", 0, 9, 9, &Raster::<f32>::filled(1, 1, -1.0)).unwrap();
+        clock.advance_secs(15.0);
+        drop(reader);
+        assert_eq!(obs.snapshot().counter("idx.flush_failures"), 1);
+        let reader = IdxDataset::open(store, "wb").unwrap();
+        assert_eq!(reader.read_full::<f32>("v", 0).unwrap().0.get(9, 9), 4.5);
+    }
+
+    #[test]
+    fn budget_evicts_least_recently_touched_blocks_first() {
+        let store = Arc::new(MemoryStore::new());
+        let meta = IdxMeta::new_2d(
+            "wb",
+            64,
+            64,
+            vec![Field::new("v", DType::F32).unwrap()],
+            8,
+            Codec::Raw,
+        )
+        .unwrap();
+        let block_bytes = 256 * 4;
+        let ds = IdxDataset::create(store.clone() as Arc<dyn ObjectStore>, "wb", meta)
+            .unwrap()
+            .with_write_buffer_bytes(2 * block_bytes);
+        // One pixel touches exactly one block; these four land in four
+        // different ones.
+        let pixels = [(1u64, 1u64), (33, 1), (1, 33), (33, 33)];
+        let block_of = |(x, y): (u64, u64)| ds.curve().block_offset(&[x, y], 256).unwrap().0;
+        let stored = || -> Vec<String> {
+            store.list("wb/f0/").unwrap().into_iter().map(|m| m.key).collect()
+        };
+        let px = Raster::<f32>::filled(1, 1, 1.0);
+        let write = |p: (u64, u64)| ds.write_box("v", 0, p.0, p.1, &px).unwrap();
+
+        assert_eq!(write(pixels[0]).blocks_pending, 1);
+        assert_eq!(write(pixels[1]).blocks_pending, 2);
+        write(pixels[0]); // refresh: block 1 is now the oldest
+        let third = write(pixels[2]);
+        assert_eq!((third.blocks_written, third.blocks_pending, third.rmw_fetches), (1, 2, 0));
+        assert_eq!(stored(), [ds.block_key(0, 0, block_of(pixels[1]))]);
+        let fourth = write(pixels[3]);
+        assert_eq!((fourth.blocks_written, fourth.blocks_pending), (1, 2));
+        assert!(stored().contains(&ds.block_key(0, 0, block_of(pixels[0]))));
+
+        // Budget 0 is write-through: every call uploads what it touched.
+        let ds = ds.with_write_buffer_bytes(0);
+        let through = ds.write_box("v", 0, pixels[1].0, pixels[1].1, &px).unwrap();
+        assert_eq!((through.blocks_written, through.blocks_pending), (3, 0));
+        assert_eq!(through.rmw_fetches, 1, "an uploaded block is read back before a partial merge");
+        assert_eq!(stored().len(), 4);
+    }
+
+    #[test]
+    fn write_raster_supersedes_pending_blocks() {
+        let store = Arc::new(MemoryStore::new());
+        let meta = IdxMeta::new_2d(
+            "wb",
+            64,
+            64,
+            vec![Field::new("v", DType::F32).unwrap()],
+            8,
+            Codec::Raw,
+        )
+        .unwrap();
+        let ds = IdxDataset::create(store.clone() as Arc<dyn ObjectStore>, "wb", meta).unwrap();
+        ds.write_box("v", 0, 5, 5, &Raster::<f32>::filled(3, 3, -9.0)).unwrap();
+        let full = ramp(64, 64, 0.0);
+        let stats = ds.write_raster("v", 0, &full).unwrap();
+        assert_eq!(stats.blocks_pending, 0, "the full write retired every older image");
+        assert_eq!(ds.flush().unwrap().blocks_written, 0);
+        assert_eq!(ds.read_full::<f32>("v", 0).unwrap().0.data(), full.data());
     }
 
     #[test]

@@ -246,7 +246,7 @@ fn resolve_waves(
         if cancel.is_cancelled_at(report.clock.now_ns()) {
             return Ok(true);
         }
-        for (block, raw) in ds.read_wave(at, chunk, epoch, report, None, stats)? {
+        for (block, raw) in ds.read_wave(at, chunk, Some(epoch), report, None, stats)? {
             sink(block, raw, false)?;
         }
     }

@@ -36,8 +36,150 @@ fn publish(r: &Raster<f32>, codec: Codec) -> IdxDataset {
     ds
 }
 
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+/// Guillotine-split `w x h` into disjoint boxes covering every cell.
+fn random_partition(w: usize, h: usize, cuts: usize, rng: &mut u64) -> Vec<Box2i> {
+    let mut rects = vec![Box2i::new(0, 0, w as i64, h as i64)];
+    for _ in 0..cuts {
+        let i = (xorshift(rng) % rects.len() as u64) as usize;
+        let b = rects[i];
+        let (bw, bh) = (b.x1 - b.x0, b.y1 - b.y0);
+        if bw > 1 && (bh <= 1 || xorshift(rng).is_multiple_of(2)) {
+            let cut = b.x0 + 1 + (xorshift(rng) % (bw as u64 - 1)) as i64;
+            rects[i] = Box2i::new(b.x0, b.y0, cut, b.y1);
+            rects.push(Box2i::new(cut, b.y0, b.x1, b.y1));
+        } else if bh > 1 {
+            let cut = b.y0 + 1 + (xorshift(rng) % (bh as u64 - 1)) as i64;
+            rects[i] = Box2i::new(b.x0, b.y0, b.x1, cut);
+            rects.push(Box2i::new(b.x0, cut, b.x1, b.y1));
+        }
+    }
+    rects
+}
+
+/// Every stored object, sorted by key.
+fn dump(store: &MemoryStore) -> Vec<(String, Vec<u8>)> {
+    store
+        .list("")
+        .unwrap()
+        .into_iter()
+        .map(|m| (m.key.clone(), store.get(&m.key).unwrap()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The write buffer is invisible except in when blocks upload: any
+    /// schedule of `write_box` calls — a random partition in random order,
+    /// mixed with overlapping and repeated boxes, flushes and reopens, under
+    /// any budget — reads back through the handle like an in-memory raster
+    /// at every step, never holds more than the budget, and after a final
+    /// `flush` leaves bitwise the store a single `write_raster` leaves.
+    #[test]
+    fn write_combining_is_transparent_under_any_schedule(
+        w in 3usize..70,
+        h in 3usize..40,
+        budget_kind in 0usize..4,
+        codec in any_codec(),
+        seed in any::<u64>(),
+    ) {
+        const BLOCK_BYTES: u64 = 64 * 4;
+        let budget = [0, BLOCK_BYTES, 5 * BLOCK_BYTES, 64 << 20][budget_kind];
+        let mut rng = seed | 1;
+        let meta = || IdxMeta::new_2d(
+            "prop",
+            w as u64,
+            h as u64,
+            vec![Field::new("v", DType::F32).unwrap()],
+            6,
+            codec,
+        )
+        .unwrap();
+        let tune = |ds: IdxDataset, wc: u64| {
+            ds.with_write_buffer_bytes(budget).with_write_concurrency(1 + wc as usize % 5)
+        };
+
+        // The schedule: a full partition (so every sample is written at
+        // least once) plus as many boxes again that overlap it freely, some
+        // of them repeats, shuffled together.
+        let mut boxes = random_partition(w, h, 12, &mut rng);
+        for _ in 0..boxes.len() {
+            let b = if xorshift(&mut rng).is_multiple_of(4) {
+                boxes[(xorshift(&mut rng) % boxes.len() as u64) as usize]
+            } else {
+                let x0 = (xorshift(&mut rng) % w as u64) as i64;
+                let y0 = (xorshift(&mut rng) % h as u64) as i64;
+                let x1 = x0 + 1 + (xorshift(&mut rng) % (w as u64 - x0 as u64)) as i64;
+                let y1 = y0 + 1 + (xorshift(&mut rng) % (h as u64 - y0 as u64)) as i64;
+                Box2i::new(x0, y0, x1, y1)
+            };
+            boxes.push(b);
+        }
+        for i in (1..boxes.len()).rev() {
+            boxes.swap(i, (xorshift(&mut rng) % (i as u64 + 1)) as usize);
+        }
+
+        let mem = Arc::new(MemoryStore::new());
+        let store: Arc<dyn ObjectStore> = mem.clone();
+        let mut ds = tune(IdxDataset::create(store.clone(), "prop", meta()).unwrap(), seed);
+        let mut oracle = Raster::<f32>::zeros(w, h);
+        for (step, b) in boxes.iter().enumerate() {
+            let (bw, bh) = ((b.x1 - b.x0) as usize, (b.y1 - b.y0) as usize);
+            let patch = Raster::<f32>::from_fn(bw, bh, |x, y| {
+                (step * 4099 + y * bw + x) as f32 * 0.25 + 1.0
+            });
+            let stats = ds.write_box("v", 0, b.x0 as u64, b.y0 as u64, &patch).unwrap();
+            for (x, y, v) in patch.iter_cells() {
+                oracle.set(b.x0 as usize + x, b.y0 as usize + y, v);
+            }
+            prop_assert!(stats.blocks_pending * BLOCK_BYTES <= budget, "step {}", step);
+            prop_assert_eq!(
+                ds.obs().snapshot().gauge("idx.pending_bytes"),
+                (stats.blocks_pending * BLOCK_BYTES) as f64
+            );
+
+            match xorshift(&mut rng) % 8 {
+                0 => prop_assert_eq!(ds.flush().unwrap().blocks_pending, 0),
+                // Dropping the handle flushes; an opened one must fetch the
+                // base image of every block it patches.
+                1 => {
+                    drop(ds);
+                    ds = tune(IdxDataset::open(store.clone(), "prop").unwrap(), step as u64);
+                }
+                _ => {}
+            }
+
+            // The whole grid at a random level, and a window at full
+            // resolution, both through the writing handle.
+            let level = (xorshift(&mut rng) % (ds.max_level() as u64 + 1)) as u32;
+            let (coarse, _) = ds.read_box::<f32>("v", 0, ds.bounds(), level).unwrap();
+            let strides = ds.curve().mask().level_strides(level).unwrap();
+            let sy = strides.get(1).copied().unwrap_or(1) as usize;
+            for (i, j, v) in coarse.iter_cells() {
+                prop_assert_eq!(v, oracle.get(i * strides[0] as usize, j * sy), "step {}", step);
+            }
+            let window = boxes[(xorshift(&mut rng) % boxes.len() as u64) as usize];
+            let (got, _) = ds.read_box::<f32>("v", 0, window, ds.max_level()).unwrap();
+            let want = oracle.window(window).unwrap();
+            prop_assert_eq!(got.data(), want.data(), "step {} window {:?}", step, window);
+        }
+        ds.flush().unwrap();
+
+        let whole_mem = Arc::new(MemoryStore::new());
+        let whole = IdxDataset::create(whole_mem.clone() as Arc<dyn ObjectStore>, "prop", meta())
+            .unwrap();
+        whole.write_raster("v", 0, &oracle).unwrap();
+        prop_assert_eq!(dump(&mem), dump(&whole_mem));
+    }
 
     #[test]
     fn full_roundtrip_any_shape_any_codec(

@@ -1,17 +1,18 @@
-//! Ingest acceptance tests: the parallel write pipeline (plan → batched
-//! RMW fetch → parallel encode → `put_many` upload waves) must be
-//! *transparent* — a tile-by-tile GEOtiled→IDX conversion pushed through
-//! the full chaos stack at 20% write faults + 5% corruption stores bitwise
-//! the bytes of a sequential fault-free oracle — partition-invariant,
-//! seed-deterministic on the virtual clock, cache-coherent under
-//! interleaved writes and reads, and fully accounted: the write-path spans
+//! Ingest acceptance tests: the write pipeline (plan → merge into the
+//! write buffer → parallel encode of completed blocks → `put_many` upload
+//! waves) must be *transparent* — a tile-by-tile GEOtiled→IDX conversion
+//! pushed through the full chaos stack at 20% write faults + 5% corruption
+//! stores bitwise the bytes of a sequential, fault-free, write-through
+//! oracle — partition-invariant, seed-deterministic on the virtual clock,
+//! cache-coherent under interleaved writes and reads, crash-convergent,
+//! and fully accounted: every block uploads once, and the write-path spans
 //! own every virtual nanosecond the WAN charges.
 
 use nsdf::idx::WriteStats;
 use nsdf::prelude::*;
 use nsdf::storage::{
-    BreakerPolicy, BreakerStore, FailScope, FaultPlan, FaultStore, GateStore, HedgePolicy,
-    IntegrityStore, RetryPolicy, RetryStore,
+    BreakerPolicy, BreakerStore, CrashPoint, CrashSpec, CrashStore, FailScope, FaultPlan,
+    FaultStore, GateStore, HedgePolicy, IntegrityStore, RetryPolicy, RetryStore,
 };
 use nsdf::util::SpanNode;
 use std::sync::Arc;
@@ -125,16 +126,22 @@ fn chaos_ingest(seed: u64) -> IngestOutput {
 
 #[test]
 fn tiled_chaos_ingest_bitwise_matches_sequential_fault_free_oracle() {
-    // Sequential fault-free oracle: same tiles, one upload at a time, no
-    // WAN, no faults.
+    // Sequential fault-free oracle: same tiles, write-through (every call
+    // read-modify-writes and uploads every block it touches), one upload at
+    // a time, no WAN, no faults.
     let (shade, plan) = hillshade();
     let oracle_mem = Arc::new(MemoryStore::new());
     let oracle =
         IdxDataset::create(oracle_mem.clone() as Arc<dyn ObjectStore>, "ingest", ingest_meta())
             .unwrap()
+            .with_write_buffer_bytes(0)
             .with_write_concurrency(1);
+    let mut sequential = WriteStats::default();
     for b in &plan.tiles(W, H) {
-        oracle.write_box("hillshade", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&shade, b)).unwrap();
+        let stats = oracle
+            .write_box("hillshade", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&shade, b))
+            .unwrap();
+        sequential.merge(&stats);
     }
 
     let mem = Arc::new(MemoryStore::new());
@@ -175,9 +182,16 @@ fn tiled_chaos_ingest_bitwise_matches_sequential_fault_free_oracle() {
         assert_eq!(got.data(), want.data(), "region {region:?} level {level}");
     }
 
-    assert!(ingest.blocks_written > 0);
-    assert!(ingest.rmw_fetches > 0, "tile seams read-modify-write shared blocks");
-    assert!(ingest.put_batches > 0);
+    // The disjoint tiles complete every block, so nothing waits for a flush,
+    // and the write buffer uploaded each block exactly once with no
+    // read-modify-write at all — where the write-through oracle re-uploaded
+    // the blocks tile seams share and fetched them back in between.
+    let resident = dump(&mem).len() as u64 - 1;
+    assert_eq!((ingest.blocks_written, ingest.rmw_fetches), (resident, 0));
+    assert_eq!(ds.flush().unwrap().blocks_written, 0, "nothing was left pending");
+    assert!(sequential.blocks_written > resident, "tile seams share blocks");
+    assert!(sequential.rmw_fetches > 0, "which write-through reads back");
+    assert!(ingest.blocks_combined > 0 && ingest.put_batches > 0);
     assert_eq!(ingest.write_concurrency, 8);
     let snap = obs.snapshot();
     assert!(snap.counter("fault.injected") > 0, "the plan actually injected write faults");
@@ -415,8 +429,8 @@ struct WriteRun {
 }
 
 /// Create a dataset through an instrumented seal-profile WAN, then ingest
-/// a full raster plus one unaligned patch (forcing RMW fetches), measuring
-/// only the writes.
+/// a full raster plus one unaligned patch (forcing RMW fetches) and flush
+/// it, measuring only the writes.
 fn seeded_write_run(seed: u64) -> WriteRun {
     let base: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
     let clock = SimClock::new();
@@ -447,6 +461,7 @@ fn seeded_write_run(seed: u64) -> WriteRun {
     let t0 = clock.now_ns();
     ds.write_raster("v", 0, &r).unwrap();
     ds.write_box("v", 0, 37, 21, &patch).unwrap();
+    ds.flush().unwrap();
     let write_vns = clock.now_ns() - t0;
 
     let snapshot = obs.snapshot();
@@ -478,25 +493,30 @@ fn write_spans_account_for_every_virtual_nanosecond() {
     let out = seeded_write_run(42);
     assert!(out.write_vns > 0, "ingest over the WAN must cost virtual time");
 
-    // One root span per write, stages in pipeline order.
+    // One root span per write, stages in pipeline order: the full write
+    // plans and uploads, the patch plans and fetches the blocks it merges
+    // into, the flush uploads them.
     let labels: Vec<&str> = out.spans.iter().map(|n| n.label.as_str()).collect();
     assert_eq!(
         labels,
-        ["seal.idx.write_raster", "seal.idx.write_box"],
+        ["seal.idx.write_raster", "seal.idx.write_box", "seal.idx.flush"],
         "one root span per write:\n{}",
         out.rendered
     );
-    for root in &out.spans {
+    let ends = |root: &SpanNode| {
         let children: Vec<&str> = root.children.iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(children.first(), Some(&"seal.idx.plan"));
-        assert_eq!(children.last(), Some(&"seal.idx.put"));
-    }
+        (children[0].to_string(), children[children.len() - 1].to_string())
+    };
+    assert_eq!(ends(&out.spans[0]), ("seal.idx.plan".into(), "seal.idx.put".into()));
+    assert_eq!(ends(&out.spans[1]), ("seal.idx.plan".into(), "seal.idx.decode".into()));
+    assert_eq!(ends(&out.spans[2]), ("seal.idx.encode".into(), "seal.idx.put".into()));
 
     // Every virtual nanosecond of the ingest belongs to exactly one WAN-
     // touching stage: upload waves or RMW fetches. Plan and encode are
     // wall-clock only.
-    let root_vns =
-        span_vns(&out.spans, "seal.idx.write_raster") + span_vns(&out.spans, "seal.idx.write_box");
+    let root_vns = span_vns(&out.spans, "seal.idx.write_raster")
+        + span_vns(&out.spans, "seal.idx.write_box")
+        + span_vns(&out.spans, "seal.idx.flush");
     assert_eq!(root_vns, out.write_vns);
     let put_vns = span_vns(&out.spans, "seal.idx.put");
     let rmw_vns = span_vns(&out.spans, "seal.idx.rmw-fetch");
@@ -527,4 +547,139 @@ fn write_spans_account_for_every_virtual_nanosecond() {
     assert_eq!(out.spans_json, b.spans_json, "span timings must be byte-identical");
     let c = seeded_write_run(43);
     assert_ne!(out.snapshot_json, c.snapshot_json, "different seed, different telemetry");
+}
+
+/// The `ingest` workload's geometry scaled down by 8 per axis: 320x160 over
+/// 2^8-sample blocks, 10x5 row-major tiles of 32x32.
+const SW: usize = 320;
+const SH: usize = 160;
+
+fn scaled_meta() -> IdxMeta {
+    IdxMeta::new_2d(
+        "ingest",
+        SW as u64,
+        SH as u64,
+        vec![Field::new("v", DType::F32).unwrap()],
+        8,
+        Codec::Lz4,
+    )
+    .unwrap()
+}
+
+/// Strictly positive samples, so a written sample never reads as fill.
+fn scaled_raster() -> Raster<f32> {
+    Raster::<f32>::from_fn(SW, SH, |x, y| 1.0 + ((x * 131 + y * 17) % 4093) as f32 * 0.5)
+}
+
+#[test]
+fn write_combining_uploads_each_block_once_in_the_benchmark_wave_shape() {
+    let r = scaled_raster();
+    let tiles = TilePlan::new(10, 5, 0).unwrap().tiles(SW, SH);
+    let ingest = |budget: Option<u64>| {
+        let mem = Arc::new(MemoryStore::new());
+        let ds = IdxDataset::create(mem.clone() as Arc<dyn ObjectStore>, "ingest", scaled_meta())
+            .unwrap()
+            .with_write_concurrency(8);
+        let ds = match budget {
+            Some(bytes) => ds.with_write_buffer_bytes(bytes),
+            None => ds,
+        };
+        let (mut total, mut last) = (WriteStats::default(), WriteStats::default());
+        for b in &tiles {
+            last = ds.write_box("v", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&r, b)).unwrap();
+            total.merge(&last);
+        }
+        (dump(&mem), total, last)
+    };
+
+    // Every resident block uploads exactly once, by the tile that completes
+    // it: no read-modify-write, at most 18 coarse blocks waiting for their
+    // remaining tiles, and the last tile leaves nothing behind.
+    let (combined_dump, combined, last) = ingest(None);
+    assert_eq!(combined.blocks_written as usize, combined_dump.len() - 1);
+    assert_eq!((combined.blocks_written, combined.put_batches, combined.rmw_fetches), (213, 52, 0));
+    assert_eq!((combined.blocks_pending, last.blocks_pending), (18, 0));
+    assert_eq!(combined.blocks_combined, 550 - 213, "the re-uploads write-through would make");
+
+    // Budget 0 is the write-through the buffer replaced — every tile uploads
+    // every block it touches — and stores the same bytes.
+    let (through_dump, through, _) = ingest(Some(0));
+    assert_eq!((through.blocks_written, through.put_batches), (550, 100));
+    assert_eq!((through.blocks_combined, through.blocks_pending), (0, 0));
+    assert_eq!(through_dump, combined_dump);
+}
+
+#[test]
+fn crash_mid_ingest_leaves_complete_images_and_reingest_converges() {
+    let r = scaled_raster();
+    let tiles = TilePlan::new(10, 5, 0).unwrap().tiles(SW, SH);
+    let tile_of =
+        |x: usize, y: usize| tiles.iter().position(|b| b.contains(x as i64, y as i64)).unwrap();
+    let whole_mem = Arc::new(MemoryStore::new());
+    IdxDataset::create(whole_mem.clone() as Arc<dyn ObjectStore>, "ingest", scaled_meta())
+        .unwrap()
+        .write_raster("v", 0, &r)
+        .unwrap();
+    let want = dump(&whole_mem);
+
+    // A roomy buffer uploads only completed blocks; a two-block one also
+    // evicts partial images, which must still be complete as of some tile.
+    let scripts = [
+        (None, 5, CrashPoint::BeforeWrite),
+        (None, 97, CrashPoint::AfterWrite),
+        (Some(2 * 256 * 4), 40, CrashPoint::BeforeWrite),
+        (Some(2 * 256 * 4), 301, CrashPoint::AfterWrite),
+    ];
+    for (budget, nth, point) in scripts {
+        let mem = Arc::new(MemoryStore::new());
+        let crash = Arc::new(CrashStore::new(mem.clone()));
+        let tune = |ds: IdxDataset| match budget {
+            Some(bytes) => ds.with_write_buffer_bytes(bytes),
+            None => ds,
+        };
+        let ds = tune(IdxDataset::create(crash.clone(), "ingest", scaled_meta()).unwrap());
+        crash.arm(CrashSpec { prefix: "ingest/f0/".into(), nth, point });
+        let died_at = tiles
+            .iter()
+            .position(|b| {
+                ds.write_box("v", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&r, b)).is_err()
+            })
+            .expect("the scripted put is reached");
+        assert!(crash.is_dead());
+        drop(ds); // the dying process flushes nothing
+
+        // Recovery sees only complete images: each stored block holds
+        // exactly the samples of the tiles written up to some point of the
+        // run, and nothing of a tile the run never reached.
+        let reader = tune(IdxDataset::open(mem.clone(), "ingest").unwrap());
+        let (back, _) = reader.read_full::<f32>("v", 0).unwrap();
+        let stored: std::collections::HashSet<String> =
+            mem.list("ingest/f0/").unwrap().into_iter().map(|m| m.key).collect();
+        assert!(!stored.is_empty(), "script {nth}: the crash came after some uploads");
+        let mut as_of = std::collections::BTreeMap::<u64, usize>::new();
+        for (x, y, v) in back.iter_cells() {
+            let (block, _) = reader.curve().block_offset(&[x as u64, y as u64], 256).unwrap();
+            if v != 0.0 {
+                assert!(stored.contains(&reader.block_key(0, 0, block)));
+                assert_eq!(v.to_bits(), r.get(x, y).to_bits(), "script {nth} ({x}, {y})");
+                let latest = as_of.entry(block).or_insert(0);
+                *latest = (*latest).max(tile_of(x, y));
+            }
+        }
+        for (x, y, v) in back.iter_cells() {
+            let (block, _) = reader.curve().block_offset(&[x as u64, y as u64], 256).unwrap();
+            if let Some(&latest) = as_of.get(&block) {
+                assert!(latest <= died_at, "script {nth}: block {block} is from the future");
+                assert_eq!(v != 0.0, tile_of(x, y) <= latest, "script {nth} ({x}, {y}) torn image");
+            }
+        }
+
+        // Re-running the conversion from the first tile converges on the
+        // bytes of an uninterrupted write.
+        for b in &tiles {
+            reader.write_box("v", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&r, b)).unwrap();
+        }
+        reader.flush().unwrap();
+        assert_eq!(dump(&mem), want, "script {nth}");
+    }
 }
