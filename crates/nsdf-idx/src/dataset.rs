@@ -21,7 +21,7 @@ use nsdf_util::{
     bytes_to_samples, samples_to_bytes, Box2i, NsdfError, Raster, Result, Sample, SimClock,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,8 +32,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteStats {
     /// Blocks this call uploaded: for [`IdxDataset::write_box`] the blocks
-    /// it completed plus those the write-buffer budget evicted, not the
-    /// blocks it touched.
+    /// it completed (or everything pending, when too much would have stayed
+    /// behind), not the blocks it touched.
     pub blocks_written: u64,
     /// Blocks this write touched and left in the write buffer instead of
     /// uploading — each one an upload that write-combining deferred.
@@ -249,34 +249,50 @@ struct BlockUpdate {
     in_bounds: u64,
 }
 
+/// A growable set of small indices, one bit each, that counts its members.
+#[derive(Default)]
+struct BitSet {
+    words: Vec<u64>,
+    ones: u64,
+}
+
+impl BitSet {
+    fn insert(&mut self, i: usize) {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.ones += u64::from(self.words[word] & bit == 0);
+        self.words[word] |= bit;
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words.get(i / 64).is_some_and(|word| word & (1 << (i % 64)) != 0)
+    }
+}
+
 /// One dirty block held back by the write buffer.
 struct PendingBlock {
     /// The block's full raw image: its base contents plus every update
     /// merged so far. Reads through the handle share it; a merge copies on
     /// write, so a reader's snapshot never changes under it.
     raw: Arc<Vec<u8>>,
-    /// One bit per in-block offset written since the block entered the
-    /// buffer. Base contents do not count: the block is complete when the
-    /// *updates* cover every in-bounds sample.
-    covered: Vec<u64>,
-    covered_count: u64,
-    /// Tick of the last merge — the age budget evictions go by.
-    touched: u64,
+    /// The in-block offsets written since the block entered the buffer.
+    /// Base contents do not count: the block is complete when the *updates*
+    /// cover every in-bounds sample.
+    covered: BitSet,
     /// Chosen for an upload that has not reported back. A merge clears it,
     /// so a store success retires only the image the upload carried.
     uploading: bool,
 }
 
 impl PendingBlock {
-    fn merge(&mut self, update: &BlockUpdate, sample_size: usize, tick: u64) {
+    fn merge(&mut self, update: &BlockUpdate, sample_size: usize) {
         let raw = Arc::make_mut(&mut self.raw);
         for (&offset, bytes) in update.offsets.iter().zip(update.bytes.chunks_exact(sample_size)) {
             raw[offset * sample_size..][..sample_size].copy_from_slice(bytes);
-            let (word, bit) = (offset / 64, 1u64 << (offset % 64));
-            self.covered_count += u64::from(self.covered[word] & bit == 0);
-            self.covered[word] |= bit;
+            self.covered.insert(offset);
         }
-        self.touched = tick;
         self.uploading = false;
     }
 }
@@ -286,13 +302,15 @@ impl PendingBlock {
 struct WriteBuffer {
     blocks: BTreeMap<BlockKey, PendingBlock>,
     bytes: u64,
+    /// What a call may leave pending: [`WRITE_BUFFER_BYTES`], lowered only
+    /// by this crate's tests.
     budget: u64,
-    tick: u64,
-    /// On a handle obtained from `create`: every block an upload was ever
-    /// attempted for. No other block can be in the store, so a partial
-    /// write starts it from zeros without asking. `None` on an opened
-    /// dataset, whose stored blocks are unknown.
-    attempted: Option<HashSet<BlockKey>>,
+    /// On a handle obtained from `create`: per field and timestep, the
+    /// blocks an upload was ever attempted for (one bit each). No other
+    /// block can be in the store, so a partial write starts it from zeros
+    /// without asking. `None` on an opened dataset, whose stored blocks are
+    /// unknown.
+    attempted: Option<HashMap<(usize, u32), BitSet>>,
 }
 
 impl WriteBuffer {
@@ -300,15 +318,16 @@ impl WriteBuffer {
         WriteBuffer {
             blocks: BTreeMap::new(),
             bytes: 0,
-            budget: DEFAULT_WRITE_BUFFER_BYTES,
-            tick: 0,
-            attempted: created.then(HashSet::new),
+            budget: WRITE_BUFFER_BYTES,
+            attempted: created.then(HashMap::new),
         }
     }
 
     /// True when `key` cannot be in the store (and is not pending either).
-    fn known_absent(&self, key: &BlockKey) -> bool {
-        self.attempted.as_ref().is_some_and(|attempted| !attempted.contains(key))
+    fn known_absent(&self, (field_idx, time, block): &BlockKey) -> bool {
+        self.attempted.as_ref().is_some_and(|attempted| {
+            !attempted.get(&(*field_idx, *time)).is_some_and(|set| set.contains(*block as usize))
+        })
     }
 
     /// Merge `update` into `key`'s image — `base` (zeros when `None`) if the
@@ -325,46 +344,23 @@ impl WriteBuffer {
             self.bytes += block_bytes as u64;
             PendingBlock {
                 raw: base.unwrap_or_else(|| Arc::new(vec![0; block_bytes])),
-                covered: vec![0; (block_bytes / sample_size).div_ceil(64)],
-                covered_count: 0,
-                touched: 0,
+                covered: BitSet::default(),
                 uploading: false,
             }
         });
-        block.merge(update, sample_size, self.tick);
-        block.covered_count
+        block.merge(update, sample_size);
+        block.covered.ones
     }
 
-    /// Choose what one call uploads: the blocks it `completed` plus, while
-    /// what stays behind exceeds `budget`, the least recently touched of
-    /// the others (ties by key). Marks them in flight and returns their
+    /// Mark the pending blocks `wanted` picks as in flight and return their
     /// images in `(field, time, block)` order.
-    fn select(&mut self, completed: Vec<BlockKey>, budget: u64) -> Vec<(BlockKey, Arc<Vec<u8>>)> {
-        let mut chosen: BTreeSet<BlockKey> = completed.into_iter().collect();
-        let mut held =
-            self.bytes - chosen.iter().map(|key| self.blocks[key].raw.len() as u64).sum::<u64>();
-        if held > budget {
-            let mut by_age: Vec<(u64, BlockKey, u64)> = self
-                .blocks
-                .iter()
-                .filter(|(key, _)| !chosen.contains(key))
-                .map(|(key, block)| (block.touched, *key, block.raw.len() as u64))
-                .collect();
-            by_age.sort_unstable();
-            for (_, key, size) in by_age {
-                if held <= budget {
-                    break;
-                }
-                held -= size;
-                chosen.insert(key);
-            }
-        }
-        chosen
-            .into_iter()
-            .map(|key| {
-                let block = self.blocks.get_mut(&key).expect("chosen from the pending map");
+    fn check_out(&mut self, wanted: impl Fn(&BlockKey) -> bool) -> Vec<(BlockKey, Arc<Vec<u8>>)> {
+        self.blocks
+            .iter_mut()
+            .filter(|(key, _)| wanted(key))
+            .map(|(key, block)| {
                 block.uploading = true;
-                (key, Arc::clone(&block.raw))
+                (*key, Arc::clone(&block.raw))
             })
             .collect()
     }
@@ -395,8 +391,9 @@ const DEFAULT_WRITE_CONCURRENCY: usize = 8;
 /// Default decoded-block cache budget (raw bytes).
 const DEFAULT_DECODED_CACHE_BYTES: u64 = 256 << 20;
 
-/// Default write-buffer budget (raw bytes of dirty block images).
-const DEFAULT_WRITE_BUFFER_BYTES: u64 = 64 << 20;
+/// Raw bytes of dirty block images a [`IdxDataset::write_box`] call may
+/// leave in the write buffer; a call that would leave more uploads them all.
+const WRITE_BUFFER_BYTES: u64 = 64 << 20;
 
 /// Aligned origin, per-axis strides, and output dims of a box query at one
 /// resolution level: `(x0, y0, sx, sy, out_w, out_h)`.
@@ -538,8 +535,9 @@ impl IdxMetrics {
 /// the codec throughput counters live here and nowhere else.
 ///
 /// Dropping the handle flushes its write buffer; a flush that fails there
-/// can only be counted (`idx.flush_failures`), so call
-/// [`IdxDataset::flush`] first when the error matters.
+/// can only be counted (`idx.flush_failures`) and marked on the span
+/// timeline (`idx.flush-lost`), so call [`IdxDataset::flush`] first when
+/// the error matters.
 pub struct IdxDataset {
     store: Arc<dyn ObjectStore>,
     base: String,
@@ -549,6 +547,10 @@ pub struct IdxDataset {
     write_concurrency: usize,
     degraded_reads: bool,
     blocks: Mutex<BlockState>,
+    /// Held by every write and flush from start to end, so none of them
+    /// sees the write buffer change between deciding which base images it
+    /// needs and merging into them. Reads never take it.
+    writer: Mutex<()>,
     /// Per-block codec selector, present exactly when `meta.codec` is
     /// [`Codec::Adaptive`]. Kept alongside the plain enum so the write path
     /// can observe which codec the selector chose (for [`WriteStats`] and
@@ -561,6 +563,12 @@ pub struct IdxDataset {
 
 impl IdxDataset {
     /// Create a new dataset under `base`, writing the header object.
+    ///
+    /// `base` must hold no blocks yet: the handle takes every block it has
+    /// not uploaded itself to be absent, so a partial
+    /// [`IdxDataset::write_box`] starts such a block from zeros without
+    /// asking the store. To patch a dataset that already has blocks, use
+    /// [`IdxDataset::open`].
     pub fn create(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta) -> Result<IdxDataset> {
         if meta.dims.len() != 2 {
             return Err(NsdfError::unsupported("IdxDataset currently supports 2-D datasets"));
@@ -597,8 +605,9 @@ impl IdxDataset {
         Ok(Self::assemble(store, base, IdxMeta::from_text(&text)?, false))
     }
 
-    /// `created`: the handle comes from `create`, so the store holds no
-    /// block of this dataset that the handle did not put there itself.
+    /// `created`: the handle comes from `create`, whose caller vouches that
+    /// the store holds no block of this dataset the handle did not put
+    /// there itself.
     fn assemble(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta, created: bool) -> Self {
         let adaptive = match meta.codec {
             Codec::Adaptive { sample_size } => Some(AdaptiveCodec::new(sample_size)),
@@ -616,6 +625,7 @@ impl IdxDataset {
                 decoded: DecodedCache::new(DEFAULT_DECODED_CACHE_BYTES),
                 pending: WriteBuffer::new(created),
             }),
+            writer: Mutex::new(()),
             adaptive,
             m: IdxMetrics::new(&Obs::default()),
             wall: WallCodec::default(),
@@ -662,15 +672,6 @@ impl IdxDataset {
     /// Set the decoded-block cache budget in raw bytes (0 disables it).
     pub fn with_decoded_cache_bytes(mut self, budget: u64) -> Self {
         self.blocks.get_mut().decoded = DecodedCache::new(budget);
-        self
-    }
-
-    /// Set the write-buffer budget of [`IdxDataset::write_box`] in raw bytes
-    /// of dirty block images. When a call leaves more than this pending, the
-    /// least recently touched blocks are uploaded with it; 0 turns
-    /// write-combining off (every call uploads every block it touched).
-    pub fn with_write_buffer_bytes(mut self, budget: u64) -> Self {
-        self.blocks.get_mut().pending.budget = budget;
         self
     }
 
@@ -849,6 +850,7 @@ impl IdxDataset {
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
+        let _writer = self.writer.lock();
         {
             let mut state = self.blocks.lock();
             for (key, pending) in
@@ -942,7 +944,7 @@ impl IdxDataset {
                 for ((key, raw_len, enc, chosen), r) in batch.iter().zip(results) {
                     // Failed or not, the store may hold this block from now on.
                     if let Some(attempted) = state.pending.attempted.as_mut() {
-                        attempted.insert(*key);
+                        attempted.entry((key.0, key.1)).or_default().insert(key.2 as usize);
                     }
                     match r {
                         Ok(_) => {
@@ -1013,20 +1015,23 @@ impl IdxDataset {
     /// every read through this handle at once. A block is encoded and
     /// uploaded — once — by the call whose samples complete it (every
     /// in-bounds sample written since the block entered the buffer), by a
-    /// call that leaves more than the buffer's byte budget pending
-    /// ([`IdxDataset::with_write_buffer_bytes`]; least recently touched
-    /// blocks go first), by [`IdxDataset::flush`], or when the handle drops.
-    /// Until then the store — and any other handle — holds the block's
-    /// previous image or none: every stored block is always a complete
-    /// image, so an interrupted conversion loses only unflushed blocks and
-    /// re-running it converges.
+    /// call that would leave more than 64 MiB of block images pending (it
+    /// uploads them all), by [`IdxDataset::flush`], or when the handle
+    /// drops. Until then the store — and any other handle — holds the
+    /// block's previous image or none: every stored block is always a
+    /// complete image, so an interrupted conversion loses only unflushed
+    /// blocks and re-running it converges. `Ok` therefore means merged, not
+    /// durable: call `flush` before anything else looks at the store, and
+    /// always when the handle is shared (`Arc<IdxDataset>`), where the
+    /// write-back on drop waits for the last clone.
     ///
     /// A block first touched by a partial write starts from its current
     /// contents, fetched through the read pipeline (`rmw-fetch` span) — or
     /// from zeros with no fetch when this handle came from
     /// [`IdxDataset::create`] and never uploaded the block. That, and the
     /// buffer itself, assume a **single writer** per dataset: blocks written
-    /// through another handle meanwhile are not seen.
+    /// through another handle meanwhile are not seen. Writes and flushes
+    /// through one handle from several threads run one at a time.
     ///
     /// If an upload fails the error is returned, the samples stay merged,
     /// and the blocks that did not store stay dirty for a later `flush`.
@@ -1052,6 +1057,7 @@ impl IdxDataset {
         let sample_size = T::DTYPE.size_bytes();
         let block_bytes = block_samples as usize * sample_size;
 
+        let _writer = self.writer.lock();
         let _write_span = self.m.obs.span("write_box");
         let plan_span = self.m.obs.span("plan");
         // Group incoming samples by block.
@@ -1112,16 +1118,16 @@ impl IdxDataset {
             )));
         }
 
-        // Merge, then pick what this call uploads: the blocks it completed
-        // and whatever the budget no longer holds. A merge invalidates like
-        // an upload does — the pending image is the block's truth now.
+        // Merge, then pick what this call uploads: the blocks it completed,
+        // or everything pending when more than the budget would stay behind.
+        // A merge invalidates like an upload does — the pending image is the
+        // block's truth now.
         let t_merge = Instant::now();
         let keys: Vec<BlockKey> = touched.keys().map(|&b| (field_idx, time, b)).collect();
         let ready = {
             let mut state = self.blocks.lock();
             let state = &mut *state;
             state.decoded.write_epoch += 1;
-            state.pending.tick += 1;
             let mut completed = Vec::new();
             for (&block, update) in &touched {
                 let key = (field_idx, time, block);
@@ -1134,8 +1140,10 @@ impl IdxDataset {
                     completed.push(key);
                 }
             }
-            let budget = state.pending.budget;
-            state.pending.select(completed, budget)
+            let pending = &mut state.pending;
+            let held = pending.bytes - (completed.len() * block_bytes) as u64;
+            let everything = held > pending.budget;
+            pending.check_out(|key| everything || completed.binary_search(key).is_ok())
         };
         stats.encode_secs += t_merge.elapsed().as_secs_f64();
 
@@ -1156,7 +1164,8 @@ impl IdxDataset {
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
-        let ready = self.blocks.lock().pending.select(Vec::new(), 0);
+        let _writer = self.writer.lock();
+        let ready = self.blocks.lock().pending.check_out(|_| true);
         if ready.is_empty() {
             return Ok(stats);
         }
@@ -1528,10 +1537,13 @@ impl IdxDataset {
 
 impl Drop for IdxDataset {
     /// Write back what [`IdxDataset::write_box`] left pending. A failure
-    /// cannot be returned from here; `flush` counts it in
-    /// `idx.flush_failures`.
+    /// cannot be returned from here: `flush` counts it in
+    /// `idx.flush_failures`, and an `idx.flush-lost` event marks on the span
+    /// timeline that the blocks are gone with the handle.
     fn drop(&mut self) {
-        let _ = self.flush();
+        if self.flush().is_err() {
+            self.m.obs.event("flush-lost");
+        }
     }
 }
 
@@ -2531,12 +2543,14 @@ mod write_box_tests {
         clock.advance_secs(15.0);
         drop(reader);
         assert_eq!(obs.snapshot().counter("idx.flush_failures"), 1);
+        assert!(obs.span_tree().iter().any(|root| root.label == "idx.flush-lost"));
         let reader = IdxDataset::open(store, "wb").unwrap();
         assert_eq!(reader.read_full::<f32>("v", 0).unwrap().0.get(9, 9), 4.5);
     }
 
-    #[test]
-    fn budget_evicts_least_recently_touched_blocks_first() {
+    /// An empty 64x64 raw dataset over a store the test can list, with the
+    /// write buffer's budget lowered to `budget_blocks` block images.
+    fn budgeted(budget_blocks: u64) -> (Arc<MemoryStore>, IdxDataset) {
         let store = Arc::new(MemoryStore::new());
         let meta = IdxMeta::new_2d(
             "wb",
@@ -2547,36 +2561,136 @@ mod write_box_tests {
             Codec::Raw,
         )
         .unwrap();
-        let block_bytes = 256 * 4;
-        let ds = IdxDataset::create(store.clone() as Arc<dyn ObjectStore>, "wb", meta)
-            .unwrap()
-            .with_write_buffer_bytes(2 * block_bytes);
-        // One pixel touches exactly one block; these four land in four
+        let mut ds = IdxDataset::create(store.clone() as Arc<dyn ObjectStore>, "wb", meta).unwrap();
+        ds.blocks.get_mut().pending.budget = budget_blocks * 256 * 4;
+        (store, ds)
+    }
+
+    #[test]
+    fn a_call_that_leaves_more_than_the_budget_uploads_everything_pending() {
+        let (store, mut ds) = budgeted(2);
+        // One pixel touches exactly one block; these land in three
         // different ones.
-        let pixels = [(1u64, 1u64), (33, 1), (1, 33), (33, 33)];
-        let block_of = |(x, y): (u64, u64)| ds.curve().block_offset(&[x, y], 256).unwrap().0;
-        let stored = || -> Vec<String> {
-            store.list("wb/f0/").unwrap().into_iter().map(|m| m.key).collect()
-        };
         let px = Raster::<f32>::filled(1, 1, 1.0);
-        let write = |p: (u64, u64)| ds.write_box("v", 0, p.0, p.1, &px).unwrap();
+        let write = |ds: &IdxDataset, (x, y): (u64, u64)| {
+            let stats = ds.write_box("v", 0, x, y, &px).unwrap();
+            (stats.blocks_written, stats.blocks_pending, stats.rmw_fetches)
+        };
+        assert_eq!(write(&ds, (1, 1)), (0, 1, 0));
+        assert_eq!(write(&ds, (33, 1)), (0, 2, 0));
+        assert_eq!(write(&ds, (1, 1)), (0, 2, 0), "a block already pending adds nothing");
+        assert_eq!(write(&ds, (1, 33)), (3, 0, 0), "the third image does not fit");
+        assert_eq!(store.list("wb/f0/").unwrap().len(), 3);
 
-        assert_eq!(write(pixels[0]).blocks_pending, 1);
-        assert_eq!(write(pixels[1]).blocks_pending, 2);
-        write(pixels[0]); // refresh: block 1 is now the oldest
-        let third = write(pixels[2]);
-        assert_eq!((third.blocks_written, third.blocks_pending, third.rmw_fetches), (1, 2, 0));
-        assert_eq!(stored(), [ds.block_key(0, 0, block_of(pixels[1]))]);
-        let fourth = write(pixels[3]);
-        assert_eq!((fourth.blocks_written, fourth.blocks_pending), (1, 2));
-        assert!(stored().contains(&ds.block_key(0, 0, block_of(pixels[0]))));
+        // With no budget at all every call uploads what it touched — after
+        // reading it back, now that the store holds it.
+        ds.blocks.get_mut().pending.budget = 0;
+        assert_eq!(write(&ds, (33, 1)), (1, 0, 1));
+        assert_eq!(write(&ds, (33, 33)), (1, 0, 0), "never uploaded: known absent");
+        assert_eq!(store.list("wb/f0/").unwrap().len(), 4);
+    }
 
-        // Budget 0 is write-through: every call uploads what it touched.
-        let ds = ds.with_write_buffer_bytes(0);
-        let through = ds.write_box("v", 0, pixels[1].0, pixels[1].1, &px).unwrap();
-        assert_eq!((through.blocks_written, through.blocks_pending), (3, 0));
-        assert_eq!(through.rmw_fetches, 1, "an uploaded block is read back before a partial merge");
-        assert_eq!(stored().len(), 4);
+    #[test]
+    fn any_schedule_under_a_tight_budget_stores_what_write_raster_stores() {
+        // Overlapping boxes in arbitrary order with a flush now and then:
+        // whatever the budget, the handle reads its own writes at every
+        // step, never holds more than the budget, and ends on the bytes one
+        // `write_raster` of the result leaves.
+        for budget_blocks in [0, 1, 5] {
+            let (store, ds) = budgeted(budget_blocks);
+            let mut oracle = Raster::<f32>::zeros(64, 64);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64 + budget_blocks;
+            let mut next = |n: u64| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            // The first box covers the grid, so every sample gets written.
+            for step in 0..60 {
+                let (x0, y0) = if step == 0 { (0, 0) } else { (next(64), next(64)) };
+                let (w, h) =
+                    if step == 0 { (64, 64) } else { (1 + next(64 - x0), 1 + next(64 - y0)) };
+                let patch = ramp(w as usize, h as usize, step as f32 * 4099.0 + 1.0);
+                let stats = ds.write_box("v", 0, x0, y0, &patch).unwrap();
+                oracle.paste(&patch, x0 as usize, y0 as usize).unwrap();
+                assert!(
+                    stats.blocks_pending <= budget_blocks,
+                    "budget {budget_blocks} step {step}"
+                );
+                if next(8) == 0 {
+                    assert_eq!(ds.flush().unwrap().blocks_pending, 0);
+                }
+                assert_eq!(ds.read_full::<f32>("v", 0).unwrap().0.data(), oracle.data());
+            }
+            ds.flush().unwrap();
+            let (whole_store, whole) = budgeted(0);
+            whole.write_raster("v", 0, &oracle).unwrap();
+            let dump = |store: &MemoryStore| -> Vec<(String, Vec<u8>)> {
+                let keys = store.list("").unwrap();
+                keys.into_iter().map(|m| (m.key.clone(), store.get(&m.key).unwrap())).collect()
+            };
+            assert_eq!(dump(&store), dump(&whole_store), "budget {budget_blocks}");
+        }
+    }
+
+    #[test]
+    fn flush_waits_for_a_write_that_is_fetching_base_images() {
+        use nsdf_storage::testkit::GateStore;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // A write touches block K, already pending (no base image needed),
+        // and block J, whose base image it must fetch. Were a flush to
+        // retire K while that fetch is in flight, the merge would restart K
+        // from zeros and the next flush would store that over K's samples.
+        let base = ramp(64, 64, 1.0);
+        let (mem, first) = budgeted(1 << 16);
+        first.write_raster("v", 0, &base).unwrap();
+        let block_of = |x: u64| first.curve().block_offset(&[x, 9], 256).unwrap().0;
+        let x = (0..63).find(|&x| block_of(x) != block_of(x + 1)).unwrap();
+        let j_key = first.block_key(0, 0, block_of(x + 1));
+        let gate = Arc::new(GateStore::on_gets(mem.clone(), j_key));
+        let ds = IdxDataset::open(gate.clone(), "wb").unwrap();
+        ds.write_box("v", 0, x, 9, &Raster::<f32>::filled(1, 1, -1.0)).unwrap();
+
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| ds.write_box("v", 0, x, 9, &Raster::<f32>::filled(2, 1, -2.0)).unwrap());
+            gate.wait_entered(1); // parked inside the fetch of J's base image
+            scope.spawn(|| {
+                ds.flush().unwrap();
+                done_tx.send(()).unwrap();
+            });
+            let premature = done_rx.recv_timeout(Duration::from_millis(100));
+            gate.open(); // before the assert: a parked writer would never join
+            assert!(premature.is_err(), "the flush ran inside the write");
+        });
+        ds.flush().unwrap();
+
+        let mut want = base;
+        want.paste(&Raster::<f32>::filled(2, 1, -2.0), x as usize, 9).unwrap();
+        let reader = IdxDataset::open(mem as Arc<dyn ObjectStore>, "wb").unwrap();
+        assert_eq!(reader.read_full::<f32>("v", 0).unwrap().0.data(), want.data());
+    }
+
+    #[test]
+    fn create_takes_the_prefix_to_be_empty() {
+        // The documented precondition, pinned: a second `create` over blocks
+        // it did not write patches them from zeros, where `open` merges into
+        // what is stored.
+        let (store, first) = budgeted(1 << 16);
+        first.write_raster("v", 0, &ramp(64, 64, 1.0)).unwrap();
+        let px = Raster::<f32>::filled(1, 1, -1.0);
+        let block_of = |x: u64, y: u64| first.curve().block_offset(&[x, y], 256).unwrap().0;
+        let x = (0..64).find(|&x| x != 9 && block_of(x, 9) == block_of(9, 9)).unwrap() as usize;
+        let patch = |ds: IdxDataset| {
+            let stats = ds.write_box("v", 0, 9, 9, &px).unwrap();
+            ds.flush().unwrap();
+            (stats.rmw_fetches, ds.read_full::<f32>("v", 0).unwrap().0.get(x, 9))
+        };
+        let opened = IdxDataset::open(store.clone() as Arc<dyn ObjectStore>, "wb").unwrap();
+        assert_eq!(patch(opened), (1, ramp(64, 64, 1.0).get(x, 9)));
+        let meta = first.meta().clone();
+        let recreated = IdxDataset::create(store as Arc<dyn ObjectStore>, "wb", meta).unwrap();
+        assert_eq!(patch(recreated), (0, 0.0));
     }
 
     #[test]

@@ -126,23 +126,15 @@ fn chaos_ingest(seed: u64) -> IngestOutput {
 
 #[test]
 fn tiled_chaos_ingest_bitwise_matches_sequential_fault_free_oracle() {
-    // Sequential fault-free oracle: same tiles, write-through (every call
-    // read-modify-writes and uploads every block it touches), one upload at
-    // a time, no WAN, no faults.
+    // Fault-free oracle: the whole raster in one `write_raster`, one upload
+    // at a time, no WAN, no faults.
     let (shade, plan) = hillshade();
     let oracle_mem = Arc::new(MemoryStore::new());
     let oracle =
         IdxDataset::create(oracle_mem.clone() as Arc<dyn ObjectStore>, "ingest", ingest_meta())
             .unwrap()
-            .with_write_buffer_bytes(0)
             .with_write_concurrency(1);
-    let mut sequential = WriteStats::default();
-    for b in &plan.tiles(W, H) {
-        let stats = oracle
-            .write_box("hillshade", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&shade, b))
-            .unwrap();
-        sequential.merge(&stats);
-    }
+    oracle.write_raster("hillshade", 0, &shade).unwrap();
 
     let mem = Arc::new(MemoryStore::new());
     let clock = SimClock::new();
@@ -184,13 +176,10 @@ fn tiled_chaos_ingest_bitwise_matches_sequential_fault_free_oracle() {
 
     // The disjoint tiles complete every block, so nothing waits for a flush,
     // and the write buffer uploaded each block exactly once with no
-    // read-modify-write at all — where the write-through oracle re-uploaded
-    // the blocks tile seams share and fetched them back in between.
+    // read-modify-write at all, holding back the blocks tile seams share.
     let resident = dump(&mem).len() as u64 - 1;
     assert_eq!((ingest.blocks_written, ingest.rmw_fetches), (resident, 0));
     assert_eq!(ds.flush().unwrap().blocks_written, 0, "nothing was left pending");
-    assert!(sequential.blocks_written > resident, "tile seams share blocks");
-    assert!(sequential.rmw_fetches > 0, "which write-through reads back");
     assert!(ingest.blocks_combined > 0 && ingest.put_batches > 0);
     assert_eq!(ingest.write_concurrency, 8);
     let snap = obs.snapshot();
@@ -575,38 +564,33 @@ fn scaled_raster() -> Raster<f32> {
 fn write_combining_uploads_each_block_once_in_the_benchmark_wave_shape() {
     let r = scaled_raster();
     let tiles = TilePlan::new(10, 5, 0).unwrap().tiles(SW, SH);
-    let ingest = |budget: Option<u64>| {
-        let mem = Arc::new(MemoryStore::new());
-        let ds = IdxDataset::create(mem.clone() as Arc<dyn ObjectStore>, "ingest", scaled_meta())
-            .unwrap()
-            .with_write_concurrency(8);
-        let ds = match budget {
-            Some(bytes) => ds.with_write_buffer_bytes(bytes),
-            None => ds,
-        };
-        let (mut total, mut last) = (WriteStats::default(), WriteStats::default());
-        for b in &tiles {
-            last = ds.write_box("v", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&r, b)).unwrap();
-            total.merge(&last);
-        }
-        (dump(&mem), total, last)
-    };
+    let mem = Arc::new(MemoryStore::new());
+    let ds = IdxDataset::create(mem.clone() as Arc<dyn ObjectStore>, "ingest", scaled_meta())
+        .unwrap()
+        .with_write_concurrency(8);
+    let (mut total, mut last) = (WriteStats::default(), WriteStats::default());
+    for b in &tiles {
+        last = ds.write_box("v", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&r, b)).unwrap();
+        total.merge(&last);
+    }
 
     // Every resident block uploads exactly once, by the tile that completes
     // it: no read-modify-write, at most 18 coarse blocks waiting for their
-    // remaining tiles, and the last tile leaves nothing behind.
-    let (combined_dump, combined, last) = ingest(None);
-    assert_eq!(combined.blocks_written as usize, combined_dump.len() - 1);
-    assert_eq!((combined.blocks_written, combined.put_batches, combined.rmw_fetches), (213, 52, 0));
-    assert_eq!((combined.blocks_pending, last.blocks_pending), (18, 0));
-    assert_eq!(combined.blocks_combined, 550 - 213, "the re-uploads write-through would make");
+    // remaining tiles, and the last tile leaves nothing behind. The tiles
+    // touch 550 blocks between them; a write-through `write_box` uploaded
+    // every one of those, in 100 waves.
+    assert_eq!(total.blocks_written as usize, dump(&mem).len() - 1);
+    assert_eq!((total.blocks_written, total.put_batches, total.rmw_fetches), (213, 52, 0));
+    assert_eq!((total.blocks_pending, last.blocks_pending), (18, 0));
+    assert_eq!(total.blocks_combined, 550 - 213);
 
-    // Budget 0 is the write-through the buffer replaced — every tile uploads
-    // every block it touches — and stores the same bytes.
-    let (through_dump, through, _) = ingest(Some(0));
-    assert_eq!((through.blocks_written, through.put_batches), (550, 100));
-    assert_eq!((through.blocks_combined, through.blocks_pending), (0, 0));
-    assert_eq!(through_dump, combined_dump);
+    // And the store holds bitwise what one `write_raster` leaves.
+    let whole_mem = Arc::new(MemoryStore::new());
+    IdxDataset::create(whole_mem.clone() as Arc<dyn ObjectStore>, "ingest", scaled_meta())
+        .unwrap()
+        .write_raster("v", 0, &r)
+        .unwrap();
+    assert_eq!(dump(&mem), dump(&whole_mem));
 }
 
 #[test]
@@ -622,22 +606,16 @@ fn crash_mid_ingest_leaves_complete_images_and_reingest_converges() {
         .unwrap();
     let want = dump(&whole_mem);
 
-    // A roomy buffer uploads only completed blocks; a two-block one also
-    // evicts partial images, which must still be complete as of some tile.
     let scripts = [
-        (None, 5, CrashPoint::BeforeWrite),
-        (None, 97, CrashPoint::AfterWrite),
-        (Some(2 * 256 * 4), 40, CrashPoint::BeforeWrite),
-        (Some(2 * 256 * 4), 301, CrashPoint::AfterWrite),
+        (5, CrashPoint::BeforeWrite),
+        (40, CrashPoint::BeforeWrite),
+        (97, CrashPoint::AfterWrite),
+        (200, CrashPoint::AfterWrite),
     ];
-    for (budget, nth, point) in scripts {
+    for (nth, point) in scripts {
         let mem = Arc::new(MemoryStore::new());
         let crash = Arc::new(CrashStore::new(mem.clone()));
-        let tune = |ds: IdxDataset| match budget {
-            Some(bytes) => ds.with_write_buffer_bytes(bytes),
-            None => ds,
-        };
-        let ds = tune(IdxDataset::create(crash.clone(), "ingest", scaled_meta()).unwrap());
+        let ds = IdxDataset::create(crash.clone(), "ingest", scaled_meta()).unwrap();
         crash.arm(CrashSpec { prefix: "ingest/f0/".into(), nth, point });
         let died_at = tiles
             .iter()
@@ -651,7 +629,7 @@ fn crash_mid_ingest_leaves_complete_images_and_reingest_converges() {
         // Recovery sees only complete images: each stored block holds
         // exactly the samples of the tiles written up to some point of the
         // run, and nothing of a tile the run never reached.
-        let reader = tune(IdxDataset::open(mem.clone(), "ingest").unwrap());
+        let reader = IdxDataset::open(mem.clone(), "ingest").unwrap();
         let (back, _) = reader.read_full::<f32>("v", 0).unwrap();
         let stored: std::collections::HashSet<String> =
             mem.list("ingest/f0/").unwrap().into_iter().map(|m| m.key).collect();
