@@ -9,15 +9,16 @@
 //!    each shard count × profile, then drive a mixed point/prefix/update/
 //!    delete workload through flush + forced compaction. Reports virtual
 //!    load throughput, bloom hit/fp/skip, read amplification, exact
-//!    checksum-dedup accounting, and resident bytes before/after
-//!    compaction.
+//!    checksum-dedup accounting, resident bytes before/after compaction,
+//!    and the WAN waves the load and the forced compaction cost — which
+//!    must not grow with the shard count (asserted here).
 //! 2. **Bulk** — load ten million records (the paper's 1.59 B catalog at
 //!    ~1/159 scale) and measure the bloom false-positive rate over 100 k
 //!    interior misses. Acceptance: FPR ≤ 2 %, asserted here.
 
 use nsdf_catalog::{Catalog, CatalogConfig, Record};
-use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
-use nsdf_util::{splitmix64, Obs, SimClock};
+use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile};
+use nsdf_util::{splitmix64, Counter, Obs, SimClock};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,24 +96,27 @@ fn segment_count(cat: &Catalog) -> u64 {
     cat.layout().iter().flatten().flatten().count() as u64
 }
 
-fn open_catalog(profile: NetworkProfile, shards: usize) -> (Catalog, Obs, SimClock) {
+/// The catalog, its registry, the clock, and the WAN's wave counter.
+fn open_catalog(profile: NetworkProfile, shards: usize) -> (Catalog, Obs, SimClock, Counter) {
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
-    let wan: Arc<dyn ObjectStore> =
-        Arc::new(CloudStore::new(Arc::new(MemoryStore::new()), profile, clock.clone(), SEED));
-    let cat = Catalog::open(wan, clock.clone(), CatalogConfig::new(shards))
+    let wan = CloudStore::new(Arc::new(MemoryStore::new()), profile, clock.clone(), SEED);
+    let waves = wan.obs().counter("waves");
+    let cat = Catalog::open(Arc::new(wan), clock.clone(), CatalogConfig::new(shards))
         .expect("open catalog")
         .with_obs(&obs);
-    (cat, obs, clock)
+    (cat, obs, clock, waves)
 }
 
-fn sweep_case(profile: NetworkProfile, shards: usize) -> String {
+/// One sweep row: its JSON and the `(load, compact)` wave counts.
+fn sweep_case(profile: NetworkProfile, shards: usize) -> (String, [u64; 2]) {
     let profile_name = profile.name.clone();
-    let (cat, obs, clock) = open_catalog(profile, shards);
+    let (cat, obs, clock, waves) = open_catalog(profile, shards);
     let wall = Instant::now();
     let live = cat.bulk_load((0..SWEEP_N).map(|i| synth(i, SWEEP_N))).expect("bulk load");
     assert_eq!(live, SWEEP_N);
     let load_vsecs = clock.now_ns() as f64 / 1e9;
+    let load_waves = waves.get();
     let seg_bytes_initial = obs.snapshot().counter("catalog.segment_bytes_written");
     let pre_bytes = resident_bytes(&cat);
 
@@ -151,9 +155,10 @@ fn sweep_case(profile: NetworkProfile, shards: usize) -> String {
         assert!(cat.delete(2 * i).expect("delete"), "id {} was loaded", 2 * i);
     }
     cat.flush().expect("flush");
-    let compact_mark_vns = clock.now_ns();
+    let (compact_mark_vns, compact_mark_waves) = (clock.now_ns(), waves.get());
     cat.compact().expect("forced compaction");
     let compact_vsecs = (clock.now_ns() - compact_mark_vns) as f64 / 1e9;
+    let compact_waves = waves.get() - compact_mark_waves;
     let snap = obs.snapshot();
     assert_eq!(snap.counter("catalog.dedup_records"), 10_000, "identical re-ingests dedup");
     assert_eq!(
@@ -170,17 +175,19 @@ fn sweep_case(profile: NetworkProfile, shards: usize) -> String {
     println!(
         "{profile_name:<18} shards={shards:<3} load {load_vsecs:>7.2} vs ({:>7.1} krec/vs)  \
          fpr={:.4} read_amp={read_amp:.3} write_amp={write_amp:.2} compact {compact_vsecs:.2} vs  \
-         [{:.1}s wall]",
+         waves {load_waves}/{compact_waves}  [{:.1}s wall]",
         SWEEP_N as f64 / 1e3 / load_vsecs,
         bloom.fpr(),
         wall.elapsed().as_secs_f64(),
     );
-    format!(
+    let row = format!(
         "{{\"profile\":\"{profile_name}\",\"shards\":{shards},\"n\":{SWEEP_N},\
-         \"load_vsecs\":{load_vsecs:.6},\"load_krec_per_vsec\":{:.4},\"bloom\":{},\
+         \"load_vsecs\":{load_vsecs:.6},\"load_krec_per_vsec\":{:.4},\
+         \"load_waves\":{load_waves},\"bloom\":{},\
          \"read_amp_point\":{read_amp:.4},\"prefix_hits\":{},\
          \"dedup_records\":{},\"overwritten_records\":{},\"tombstones_dropped\":{},\
-         \"compactions\":{},\"compact_vsecs\":{compact_vsecs:.6},\"write_amp\":{write_amp:.4},\
+         \"compactions\":{},\"compact_vsecs\":{compact_vsecs:.6},\
+         \"compact_waves\":{compact_waves},\"write_amp\":{write_amp:.4},\
          \"resident_bytes_pre_compact\":{pre_bytes},\"resident_bytes_post_compact\":{post_bytes},\
          \"live\":{}}}",
         SWEEP_N as f64 / 1e3 / load_vsecs,
@@ -191,14 +198,15 @@ fn sweep_case(profile: NetworkProfile, shards: usize) -> String {
         snap.counter("catalog.tombstones_dropped"),
         snap.counter("catalog.compactions"),
         cat.len(),
-    )
+    );
+    (row, [load_waves, compact_waves])
 }
 
 fn bulk_case() -> String {
     let profile = NetworkProfile::public_dataverse();
     let profile_name = profile.name.clone();
     let shards = 64usize;
-    let (cat, obs, clock) = open_catalog(profile, shards);
+    let (cat, obs, clock, _) = open_catalog(profile, shards);
     let wall = Instant::now();
     let live = cat.bulk_load((0..BULK_N).map(|i| synth(i, BULK_N))).expect("bulk load 10M");
     assert_eq!(live, BULK_N);
@@ -252,8 +260,23 @@ fn bulk_case() -> String {
 fn main() {
     let mut sweep = Vec::new();
     for profile in [NetworkProfile::public_dataverse, NetworkProfile::private_seal] {
+        let mut waves = Vec::new();
         for &shards in &SWEEP_SHARDS {
-            sweep.push(sweep_case(profile(), shards));
+            let (row, w) = sweep_case(profile(), shards);
+            sweep.push(row);
+            waves.push(w);
+        }
+        // Shards share segment waves and garbage leaves in one wave per
+        // manifest, so the wave count is a function of the bytes written,
+        // not of how many shards they are spread over.
+        let (few, many) = (waves[0], waves[waves.len() - 1]);
+        for (phase, name) in ["load", "compact"].iter().enumerate() {
+            assert!(
+                many[phase] <= few[phase] + 2,
+                "acceptance: {name} took {} waves at the most shards vs {} at the fewest",
+                many[phase],
+                few[phase],
+            );
         }
     }
     let bulk = bulk_case();

@@ -19,18 +19,27 @@
 //!    new manifest (with an advanced WAL floor) swap in. A crash between
 //!    any two steps leaves orphans the next open quarantines, never a
 //!    state that replays wrong.
-//! 3. **Compaction** — whole-level merges write fresh segments, swap the
-//!    manifest, then delete replaced objects best-effort. Deeper levels
-//!    are strictly non-overlapping, so a point lookup probes at most one
+//! 3. **Compaction** — whole-level merges write fresh segments, install
+//!    them, then swap the manifest. Several shards' output segments share
+//!    one `put_many` wave (closed once it holds `memtable_budget_bytes`),
+//!    and a pass over all shards ends in one manifest. Deeper levels are
+//!    strictly non-overlapping, so a point lookup probes at most one
 //!    segment per level — and the per-segment bloom filter skips nearly
 //!    all of those probes.
+//! 4. **GC wave** — after the manifest ack, best-effort, retried at the
+//!    next swap: everything that manifest stopped referencing (replaced
+//!    segments, superseded manifests, the WAL tail below the floor) goes
+//!    in one `delete_many`. Nothing is deleted before the manifest that
+//!    un-references it is durable; a key whose delete failed transiently
+//!    waits for the next swap's wave (`catalog.gc_failed` counts them).
 //!
 //! Recovery (`open`) loads the highest-numbered manifest that decodes
 //! cleanly, fetches every referenced segment with one batched `get_many`,
 //! verifies each against its manifest checksum, quarantines torn or
-//! orphaned objects, and replays the WAL tail floor..next in order.
+//! orphaned objects (one `delete_many` wave each for manifests, segments
+//! and WAL objects), and replays the WAL tail floor..next in order.
 
-use crate::compact::merge_segments;
+use crate::compact::{merge_segments, MergeStats};
 use crate::manifest::{
     manifest_key, parse_seq, segment_key, wal_key, Manifest, SegmentRef, WalBatch, WalOp,
 };
@@ -56,7 +65,8 @@ pub struct CatalogConfig {
     /// Key prefix all engine objects live under.
     pub prefix: String,
     /// Total in-memory write-buffer budget across shards; crossing it
-    /// triggers a checkpoint.
+    /// triggers a checkpoint. Bulk load and compaction honour the same
+    /// budget for segments staged ahead of a shared `put_many` wave.
     pub memtable_budget_bytes: usize,
     /// Bloom filter density for new segments.
     pub bits_per_key: u32,
@@ -173,6 +183,26 @@ impl ShardState {
     }
 }
 
+/// One shard's merge, done in memory and waiting for its output segments
+/// to become durable in a wave shared with other shards.
+struct StagedMerge {
+    shard: usize,
+    target: usize,
+    /// Levels whose resident segments the outputs replace.
+    consumed_levels: Vec<usize>,
+    outputs: Vec<Segment>,
+    stats: MergeStats,
+}
+
+/// The leading run of `handles` that belongs to `shard`: a persisted wave
+/// lists each shard's segments contiguously, in staging order.
+fn take_shard(
+    handles: &mut std::iter::Peekable<impl Iterator<Item = (usize, SegHandle)>>,
+    shard: usize,
+) -> Vec<SegHandle> {
+    std::iter::from_fn(|| handles.next_if(|(si, _)| *si == shard)).map(|(_, h)| h).collect()
+}
+
 /// Serialized mutable half of the engine: sequence counters and trim
 /// bookkeeping. Holding this mutex is what orders WAL-ack before
 /// visibility and quiesces writers during checkpoint/compaction.
@@ -183,8 +213,11 @@ struct WalState {
     next_seg: u64,
     next_manifest: u64,
     manifest_trimmed_to: u64,
-    /// Replaced segment keys awaiting deletion after the next durable
-    /// manifest (kept alive until then for crash recovery).
+    /// Garbage awaiting the GC wave that follows the next durable manifest:
+    /// replaced segment keys (kept alive until then for crash recovery)
+    /// and keys an earlier wave failed to delete. Every key here is below
+    /// `next_seg` / `next_manifest - 1` / `wal_floor`, so none is ever
+    /// written again.
     pending_delete: Vec<String>,
 }
 
@@ -205,6 +238,7 @@ struct Counters {
     tombstones_dropped: Counter,
     wal_batches: Counter,
     wal_trimmed: Counter,
+    gc_failed: Counter,
     quarantined: Counter,
     bulk_records: Counter,
 }
@@ -229,6 +263,7 @@ impl Counters {
             tombstones_dropped: o.counter("tombstones_dropped"),
             wal_batches: o.counter("wal_batches"),
             wal_trimmed: o.counter("wal_trimmed"),
+            gc_failed: o.counter("gc_failed"),
             quarantined: o.counter("quarantined"),
             bulk_records: o.counter("bulk_records"),
         }
@@ -691,6 +726,9 @@ impl Catalog {
             by_shard[self.shard_index(r.id)].push(r);
         }
         let mut live_total = 0u64;
+        // Shards' segments share `put_many` waves: a wave closes once it
+        // holds the write-buffer budget.
+        let mut staged: Vec<(usize, Segment)> = Vec::new();
         for (si, slot) in by_shard.iter_mut().enumerate() {
             let mut batch = std::mem::take(slot);
             if batch.is_empty() {
@@ -699,7 +737,6 @@ impl Catalog {
             // Stable sort keeps arrival order within an id: last wins.
             batch.sort_by_key(|r| r.id);
             let mut builder = SegmentBuilder::new(1, self.cfg.bits_per_key);
-            let mut segs: Vec<Segment> = Vec::new();
             let mut i = 0usize;
             while i < batch.len() {
                 let mut last = i;
@@ -718,21 +755,20 @@ impl Catalog {
                         &mut builder,
                         SegmentBuilder::new(1, self.cfg.bits_per_key),
                     );
-                    segs.push(full.finish().expect("non-empty builder"));
+                    staged.push((si, full.finish().expect("non-empty builder")));
                 }
                 builder.push(batch[last].id, Some(&batch[last]))?;
                 live_total += 1;
                 i = last + 1;
             }
             drop(batch);
-            if let Some(seg) = builder.finish() {
-                segs.push(seg);
+            staged.extend(builder.finish().map(|seg| (si, seg)));
+            let staged_bytes: u64 = staged.iter().map(|(_, seg)| seg.encoded_bytes()).sum();
+            if staged_bytes >= self.cfg.memtable_budget_bytes as u64 {
+                self.install_bulk_locked(&mut w, std::mem::take(&mut staged))?;
             }
-            let handles =
-                self.persist_segments_locked(&mut w, segs.into_iter().map(|s| (si, s)).collect())?;
-            let mut st = self.shards[si].write();
-            st.levels = vec![Vec::new(), handles.into_iter().map(|(_, h)| h).collect()];
         }
+        self.install_bulk_locked(&mut w, staged)?;
         self.live.store(live_total, Ordering::Relaxed);
         self.c.bulk_records.add(total_in);
         self.write_manifest_locked(&mut w)?;
@@ -848,45 +884,45 @@ impl Catalog {
         Ok(handles)
     }
 
+    /// Persist one wave of bulk-loaded segments and install each shard's
+    /// run as its L1.
+    fn install_bulk_locked(&self, w: &mut WalState, staged: Vec<(usize, Segment)>) -> Result<()> {
+        let mut handles = self.persist_segments_locked(w, staged)?.into_iter().peekable();
+        while let Some(&(si, _)) = handles.peek() {
+            let run = take_shard(&mut handles, si);
+            self.shards[si].write().levels = vec![Vec::new(), run];
+        }
+        Ok(())
+    }
+
     /// Run due merges (or, when `force`, one full merge per shard down to
     /// the bottom level). Writers are quiesced by the caller's lock.
+    ///
+    /// Works in rounds over all shards: each round merges every shard's
+    /// next due levels in memory, persists the outputs in shared
+    /// `put_many` waves (a wave closes once it holds the write-buffer
+    /// budget) and installs them; a merge that pushes its target level
+    /// over budget is picked up by the next round. One manifest — and so
+    /// one GC wave — covers the whole pass.
     fn compact_locked(&self, w: &mut WalState, force: bool) -> Result<()> {
         let mut swapped = false;
-        for si in 0..self.shards.len() {
-            loop {
-                // Plan under a read lock: which levels merge into what.
-                let plan = {
-                    let st = self.shards[si].read();
-                    if force {
-                        if !st.has_segments() {
-                            None
-                        } else {
-                            let deepest = (st.levels.len() as u32 - 1).max(1);
-                            Some((0u32, deepest))
-                        }
-                    } else if st.levels.first().map_or(0, |l| l.len())
-                        >= self.cfg.l0_compact_trigger
-                    {
-                        Some((0, 1))
-                    } else {
-                        let mut due = None;
-                        let mut budget = self.cfg.level_base_bytes;
-                        for level in 1..st.levels.len() {
-                            if st.level_bytes(level) > budget {
-                                due = Some((level as u32, level as u32 + 1));
-                                break;
-                            }
-                            budget = budget.saturating_mul(self.cfg.level_ratio);
-                        }
-                        due
-                    }
-                };
-                let Some((from, target)) = plan else { break };
-                self.merge_levels_locked(w, si, from, target)?;
-                swapped = true;
-                if force {
-                    break;
+        loop {
+            let mut merged = false;
+            let mut staged: Vec<StagedMerge> = Vec::new();
+            for si in 0..self.shards.len() {
+                let Some(merge) = self.merge_shard(si, force)? else { continue };
+                merged = true;
+                staged.push(merge);
+                let staged_bytes: u64 =
+                    staged.iter().flat_map(|m| &m.outputs).map(Segment::encoded_bytes).sum();
+                if staged_bytes >= self.cfg.memtable_budget_bytes as u64 {
+                    self.install_merges_locked(w, std::mem::take(&mut staged))?;
                 }
+            }
+            self.install_merges_locked(w, staged)?;
+            swapped |= merged;
+            if force || !merged {
+                break;
             }
         }
         if swapped {
@@ -895,23 +931,35 @@ impl Catalog {
         Ok(())
     }
 
-    /// Merge whole levels `from..=target-ish` into `target` for one
-    /// shard. `from == 0` merges L0 with `target`'s level; `force` merges
-    /// arrive as `(0, deepest)` and consume every level in between too.
-    fn merge_levels_locked(
-        &self,
-        w: &mut WalState,
-        si: usize,
-        from: u32,
-        target: u32,
-    ) -> Result<()> {
-        // Snapshot the input runs newest-first and remember what they
-        // replace.
-        let (inputs, consumed_levels, drop_tombstones) = {
+    /// Plan and run, in memory, the next merge due on shard `si`: L0 into
+    /// L1 at the trigger, else the shallowest over-budget level into the
+    /// one below; `force` merges every level into the deepest. Nothing is
+    /// persisted or installed here.
+    fn merge_shard(&self, si: usize, force: bool) -> Result<Option<StagedMerge>> {
+        // Plan, then snapshot the input runs newest-first and remember
+        // what they replace, under one read lock.
+        let (target, inputs, consumed_levels, drop_tombstones) = {
             let st = self.shards[si].read();
+            let plan = if force {
+                st.has_segments().then(|| (0, (st.levels.len() - 1).max(1)))
+            } else if st.levels.first().map_or(0, |l| l.len()) >= self.cfg.l0_compact_trigger {
+                Some((0, 1))
+            } else {
+                let mut due = None;
+                let mut budget = self.cfg.level_base_bytes;
+                for level in 1..st.levels.len() {
+                    if st.level_bytes(level) > budget {
+                        due = Some((level, level + 1));
+                        break;
+                    }
+                    budget = budget.saturating_mul(self.cfg.level_ratio);
+                }
+                due
+            };
+            let Some((from, target)) = plan else { return Ok(None) };
             let mut inputs: Vec<Arc<Segment>> = Vec::new();
             let mut consumed: Vec<usize> = Vec::new();
-            for level in (from as usize)..=(target as usize) {
+            for level in from..=target {
                 let Some(handles) = st.levels.get(level) else { continue };
                 if handles.is_empty() {
                     continue;
@@ -923,46 +971,57 @@ impl Catalog {
                 }
                 consumed.push(level);
             }
-            (inputs, consumed, st.is_bottom(target))
+            (target, inputs, consumed, st.is_bottom(target as u32))
         };
-        if inputs.is_empty() {
-            return Ok(());
-        }
         let refs: Vec<&Segment> = inputs.iter().map(|s| &**s).collect();
-        let (merged, stats) = merge_segments(
+        let (outputs, stats) = merge_segments(
             &refs,
-            target,
+            target as u32,
             drop_tombstones,
             self.cfg.bits_per_key,
             self.cfg.segment_target_bytes,
         )?;
         self.clock.advance_ns(stats.bytes_in.saturating_mul(MERGE_NS_PER_BYTE));
-        let handles =
-            self.persist_segments_locked(w, merged.into_iter().map(|s| (si, s)).collect())?;
-        let mut st = self.shards[si].write();
-        while st.levels.len() <= target as usize {
-            st.levels.push(Vec::new());
-        }
-        for level in consumed_levels {
-            for h in st.levels[level].drain(..) {
-                w.pending_delete.push(segment_key(&self.cfg.prefix, si as u32, h.seq));
+        Ok(Some(StagedMerge { shard: si, target, consumed_levels, outputs, stats }))
+    }
+
+    /// Make one wave of staged merges durable, then install each: the
+    /// consumed levels drain into `pending_delete` (their objects stay on
+    /// the store until the next manifest is acked) and the outputs become
+    /// the target level.
+    fn install_merges_locked(&self, w: &mut WalState, mut staged: Vec<StagedMerge>) -> Result<()> {
+        let outputs = staged
+            .iter_mut()
+            .flat_map(|m| std::mem::take(&mut m.outputs).into_iter().map(|seg| (m.shard, seg)))
+            .collect();
+        let mut handles = self.persist_segments_locked(w, outputs)?.into_iter().peekable();
+        for m in staged {
+            let mut st = self.shards[m.shard].write();
+            while st.levels.len() <= m.target {
+                st.levels.push(Vec::new());
             }
+            for level in m.consumed_levels {
+                for h in st.levels[level].drain(..) {
+                    w.pending_delete.push(segment_key(&self.cfg.prefix, m.shard as u32, h.seq));
+                }
+            }
+            st.levels[m.target] = take_shard(&mut handles, m.shard);
+            drop(st);
+            self.c.compactions.inc();
+            self.c.compaction_bytes.add(m.stats.bytes_in);
+            self.c.dedup_records.add(m.stats.dedup_records);
+            self.c.overwritten_records.add(m.stats.overwritten_records);
+            self.c.tombstones_dropped.add(m.stats.tombstones_dropped);
         }
-        st.levels[target as usize] = handles.into_iter().map(|(_, h)| h).collect();
-        drop(st);
-        self.c.compactions.inc();
-        self.c.compaction_bytes.add(stats.bytes_in);
-        self.c.dedup_records.add(stats.dedup_records);
-        self.c.overwritten_records.add(stats.overwritten_records);
-        self.c.tombstones_dropped.add(stats.tombstones_dropped);
         Ok(())
     }
 
     // ------------------------------------------------------------- manifest
 
-    /// Write the next manifest describing the current resident tree; on
-    /// success, retire replaced segments, superseded manifests, and the
-    /// WAL tail below the floor (all best-effort deletes).
+    /// Write the next manifest describing the current resident tree; once
+    /// it is acked, retire what it stopped referencing — replaced
+    /// segments, superseded manifests, the WAL tail below the floor — in
+    /// one best-effort GC wave.
     fn write_manifest_locked(&self, w: &mut WalState) -> Result<()> {
         let mut m = Manifest {
             shards: self.shards.len() as u32,
@@ -991,21 +1050,43 @@ impl Catalog {
         let seq = w.next_manifest;
         self.store.put(&manifest_key(&self.cfg.prefix, seq), &m.encode())?;
         w.next_manifest = seq + 1;
-        for key in w.pending_delete.drain(..) {
-            let _ = self.store.delete(&key);
-        }
         // Keep the previous manifest as a fallback; drop anything older.
-        for old in w.manifest_trimmed_to..seq.saturating_sub(1) {
-            let _ = self.store.delete(&manifest_key(&self.cfg.prefix, old));
+        let keep_from = seq.saturating_sub(1);
+        for old in w.manifest_trimmed_to..keep_from {
+            w.pending_delete.push(manifest_key(&self.cfg.prefix, old));
         }
-        w.manifest_trimmed_to = w.manifest_trimmed_to.max(seq.saturating_sub(1));
+        w.manifest_trimmed_to = w.manifest_trimmed_to.max(keep_from);
         for old in w.wal_trimmed_to..w.wal_floor {
-            if self.store.delete(&wal_key(&self.cfg.prefix, old)).is_ok() {
-                self.c.wal_trimmed.inc();
-            }
+            w.pending_delete.push(wal_key(&self.cfg.prefix, old));
         }
         w.wal_trimmed_to = w.wal_floor;
+        self.collect_garbage_locked(w);
         Ok(())
+    }
+
+    /// Durability step 4: delete everything in `pending_delete` in one
+    /// wave. Only called right after a manifest ack, so every key is
+    /// already unreferenced by durable state. A key whose delete failed
+    /// transiently stays queued for the next swap's wave; `NotFound` means
+    /// an earlier attempt landed and only its acknowledgement was lost.
+    fn collect_garbage_locked(&self, w: &mut WalState) {
+        if w.pending_delete.is_empty() {
+            return;
+        }
+        let keys = std::mem::take(&mut w.pending_delete);
+        let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+        let results = self.store.delete_many(&refs);
+        let wal_dir = format!("{}/wal/", self.cfg.prefix);
+        for (key, result) in keys.into_iter().zip(results) {
+            match result {
+                Ok(()) if key.starts_with(&wal_dir) => self.c.wal_trimmed.inc(),
+                Err(NsdfError::Io(_)) => {
+                    self.c.gc_failed.inc();
+                    w.pending_delete.push(key);
+                }
+                _ => {}
+            }
+        }
     }
 
     // ------------------------------------------------------------- recovery
@@ -1015,21 +1096,24 @@ impl Catalog {
         let prefix = self.cfg.prefix.clone();
         let manifests = self.store.list(&format!("{prefix}/manifest/"))?;
         let mut manifest: Option<(u64, Manifest)> = None;
-        // Newest first; quarantine torn manifests until one decodes.
+        // Newest first; quarantine torn manifests until one decodes, and
+        // any a crashed GC wave left behind below that one's fallback.
+        let mut dead_manifests: Vec<&str> = Vec::new();
         for meta in manifests.iter().rev() {
             let Some(seq) = parse_seq(&meta.key) else { continue };
+            if let Some((chosen, _)) = &manifest {
+                if seq + 1 < *chosen {
+                    dead_manifests.push(&meta.key);
+                }
+                continue;
+            }
             match self.store.get(&meta.key).and_then(|b| Manifest::decode(&b)) {
-                Ok(m) => {
-                    manifest = Some((seq, m));
-                    break;
-                }
-                Err(e) if e.is_corrupt() => {
-                    let _ = self.store.delete(&meta.key);
-                    self.c.quarantined.inc();
-                }
+                Ok(m) => manifest = Some((seq, m)),
+                Err(e) if e.is_corrupt() => dead_manifests.push(&meta.key),
                 Err(e) => return Err(e),
             }
         }
+        self.quarantine(&dead_manifests);
         let (manifest_seq, manifest) = match manifest {
             Some((seq, m)) => (Some(seq), m),
             None => (None, Manifest { shards: self.shards.len() as u32, ..Default::default() }),
@@ -1087,12 +1171,13 @@ impl Catalog {
         // Quarantine orphan segments (durably written, never referenced —
         // a crash between segment put and manifest swap leaves these).
         let referenced: std::collections::HashSet<&str> = keys.iter().map(|k| k.as_str()).collect();
-        for meta in self.store.list(&format!("{prefix}/seg/"))? {
-            if !referenced.contains(meta.key.as_str()) {
-                let _ = self.store.delete(&meta.key);
-                self.c.quarantined.inc();
-            }
-        }
+        let segments = self.store.list(&format!("{prefix}/seg/"))?;
+        let orphans: Vec<&str> = segments
+            .iter()
+            .map(|meta| meta.key.as_str())
+            .filter(|key| !referenced.contains(key))
+            .collect();
+        self.quarantine(&orphans);
 
         // Replay the WAL tail in order; quarantine a torn batch and
         // everything after it (nothing past a torn write was ever acked).
@@ -1102,35 +1187,27 @@ impl Catalog {
         w.wal_trimmed_to = manifest.wal_floor;
         w.next_manifest = manifest_seq.map_or(0, |s| s + 1);
         w.manifest_trimmed_to = manifest_seq.map_or(0, |s| s.saturating_sub(1));
+        let mut stale: Vec<String> = Vec::new();
         let mut tail: Vec<(u64, String)> = Vec::new();
         for meta in self.store.list(&format!("{prefix}/wal/"))? {
             let Some(seq) = parse_seq(&meta.key) else { continue };
             if seq < manifest.wal_floor {
-                if self.store.delete(&meta.key).is_ok() {
-                    self.c.wal_trimmed.inc();
-                }
+                stale.push(meta.key);
             } else {
                 tail.push((seq, meta.key));
             }
         }
         tail.sort();
         w.next_wal = manifest.wal_floor;
-        let mut poisoned = false;
+        let mut poisoned_from = tail.len();
         let tail_keys: Vec<&str> = tail.iter().map(|(_, k)| k.as_str()).collect();
         let fetched = self.store.get_many(&tail_keys);
-        for ((seq, key), bytes) in tail.iter().zip(fetched) {
-            if poisoned {
-                let _ = self.store.delete(key);
-                self.c.quarantined.inc();
-                continue;
-            }
+        for (i, ((seq, _), bytes)) in tail.iter().zip(fetched).enumerate() {
             let batch = match bytes.and_then(|b| WalBatch::decode(&b)) {
                 Ok(b) => b,
                 Err(e) if e.is_corrupt() => {
-                    let _ = self.store.delete(key);
-                    self.c.quarantined.inc();
-                    poisoned = true;
-                    continue;
+                    poisoned_from = i;
+                    break;
                 }
                 Err(e) => return Err(e),
             };
@@ -1146,7 +1223,28 @@ impl Catalog {
             }
             w.next_wal = seq + 1;
         }
+        // One wave retires the WAL objects below the floor (trimmed) and
+        // the poisoned tail (quarantined).
+        let mut garbage: Vec<&str> = stale.iter().map(|k| k.as_str()).collect();
+        garbage.extend(&tail_keys[poisoned_from..]);
+        if !garbage.is_empty() {
+            let results = self.store.delete_many(&garbage);
+            let trimmed = results.iter().take(stale.len()).filter(|r| r.is_ok()).count();
+            self.c.wal_trimmed.add(trimmed as u64);
+            self.c.quarantined.add((garbage.len() - stale.len()) as u64);
+        }
         Ok(())
+    }
+
+    /// One recovery wave: best-effort delete of torn or orphaned objects,
+    /// each counted as quarantined. Failures are not queued for the next
+    /// GC wave — these sequence numbers are about to be reused — so a
+    /// survivor waits for the next open.
+    fn quarantine(&self, keys: &[&str]) {
+        if !keys.is_empty() {
+            let _ = self.store.delete_many(keys);
+            self.c.quarantined.add(keys.len() as u64);
+        }
     }
 }
 

@@ -431,9 +431,8 @@ impl VirtualFs {
         st.next_pack = pack_no;
         self.persist_index(&st)?;
         st.dirty = false;
-        for key in old_packs {
-            let _ = self.store.delete(&key);
-        }
+        let old_refs: Vec<&str> = old_packs.iter().map(String::as_str).collect();
+        let _ = self.store.delete_many(&old_refs);
         Ok((live_bytes, pack_bytes.saturating_sub(live_bytes)))
     }
 
@@ -452,10 +451,12 @@ impl VirtualFs {
 
     fn delete_chunked(&self, path: &str) -> Result<()> {
         let (_, chunks) = self.read_manifest(path)?;
-        for i in 0..chunks {
-            let _ = self.store.delete(&self.chunk_key(path, i));
-        }
-        self.store.delete(&self.manifest_key(path))
+        // Chunks, then the manifest, in one wave; chunk results are
+        // best-effort and the manifest's result is the file's.
+        let mut keys: Vec<String> = (0..chunks).map(|i| self.chunk_key(path, i)).collect();
+        keys.push(self.manifest_key(path));
+        let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+        self.store.delete_many(&refs).pop().expect("one result per key")
     }
 }
 
@@ -510,6 +511,10 @@ mod tests {
         v.write_file("f", b"xy").unwrap();
         assert_eq!(store.object_count(), 2);
         assert_eq!(v.read_file("f").unwrap(), b"xy");
+        // Deleting the file leaves neither chunk nor manifest listed.
+        v.write_file("f", b"0123456789").unwrap();
+        v.delete_file("f").unwrap();
+        assert!(store.list("").unwrap().is_empty(), "left: {:?}", store.list("").unwrap());
     }
 
     #[test]
@@ -567,12 +572,15 @@ mod tests {
             v.delete_file(&format!("f{i:02}")).unwrap();
         }
         v.sync().unwrap();
-        let packs_before: u64 = store.list("fs/p/pack-").unwrap().iter().map(|m| m.size).sum();
+        let old_packs = store.list("fs/p/pack-").unwrap();
+        let packs_before: u64 = old_packs.iter().map(|m| m.size).sum();
         let (live, reclaimed) = v.compact().unwrap();
         assert_eq!(live, 5 * 64);
         assert_eq!(reclaimed, packs_before - live);
-        let packs_after: u64 = store.list("fs/p/pack-").unwrap().iter().map(|m| m.size).sum();
-        assert_eq!(packs_after, live);
+        let new_packs = store.list("fs/p/pack-").unwrap();
+        assert_eq!(new_packs.iter().map(|m| m.size).sum::<u64>(), live);
+        // No replaced pack is left listed.
+        assert!(old_packs.iter().all(|old| new_packs.iter().all(|new| new.key != old.key)));
         // Every surviving file still reads back.
         for i in 15..20 {
             assert_eq!(v.read_file(&format!("f{i:02}")).unwrap(), vec![i as u8; 64]);

@@ -439,6 +439,53 @@ impl FaultStore {
         let factor = if is_read { self.plan.slow_factor_at(now) } else { 1.0 };
         Ok(Some((attempt, factor, self.clock.now_ns())))
     }
+
+    /// Shared shape of the payload-free batches (`head_many`,
+    /// `delete_many`): window effects once per batch — it is one network
+    /// episode — then per-key admission in input order, consuming the same
+    /// pure `(seed, key, attempt)` draws as N single calls, and the
+    /// survivors forwarded as one inner batch.
+    fn gate_many<T>(
+        &self,
+        is_read: bool,
+        keys: &[&str],
+        what: &str,
+        forward: impl FnOnce(&[&str]) -> Vec<Result<T>>,
+    ) -> Vec<Result<T>> {
+        if !self.in_scope(is_read) {
+            return forward(keys);
+        }
+        let now = self.clock.now_secs();
+        if self.plan.in_outage(now) {
+            return keys
+                .iter()
+                .map(|k| {
+                    let _ = self.next_attempt(k);
+                    Err(self.outage_error(what))
+                })
+                .collect();
+        }
+        self.charge_spike(now);
+        let rate = self.plan.rate_at(now);
+        let mut out: Vec<Option<Result<T>>> = keys.iter().map(|_| None).collect();
+        let mut pass_idx = Vec::with_capacity(keys.len());
+        let mut pass_keys = Vec::with_capacity(keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            match self.admit(k, rate, what) {
+                Ok(_) => {
+                    pass_idx.push(i);
+                    pass_keys.push(*k);
+                }
+                Err(e) => out[i] = Some(Err(e)),
+            }
+        }
+        if !pass_keys.is_empty() {
+            for (i, r) in pass_idx.into_iter().zip(forward(&pass_keys)) {
+                out[i] = Some(r);
+            }
+        }
+        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+    }
 }
 
 impl ObjectStore for FaultStore {
@@ -591,39 +638,7 @@ impl ObjectStore for FaultStore {
     }
 
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
-        if !self.in_scope(true) {
-            return self.inner.head_many(keys);
-        }
-        let now = self.clock.now_secs();
-        if self.plan.in_outage(now) {
-            return keys
-                .iter()
-                .map(|k| {
-                    let _ = self.next_attempt(k);
-                    Err(self.outage_error("head_many"))
-                })
-                .collect();
-        }
-        self.charge_spike(now);
-        let rate = self.plan.rate_at(now);
-        let mut out: Vec<Option<Result<ObjectMeta>>> = keys.iter().map(|_| None).collect();
-        let mut pass_idx = Vec::with_capacity(keys.len());
-        let mut pass_keys = Vec::with_capacity(keys.len());
-        for (i, k) in keys.iter().enumerate() {
-            match self.admit(k, rate, "head_many") {
-                Ok(_) => {
-                    pass_idx.push(i);
-                    pass_keys.push(*k);
-                }
-                Err(e) => out[i] = Some(Err(e)),
-            }
-        }
-        if !pass_keys.is_empty() {
-            for (i, r) in pass_idx.into_iter().zip(self.inner.head_many(&pass_keys)) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+        self.gate_many(true, keys, "head_many", |pass| self.inner.head_many(pass))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
@@ -634,6 +649,10 @@ impl ObjectStore for FaultStore {
     fn delete(&self, key: &str) -> Result<()> {
         self.gate(false, key, "delete")?;
         self.inner.delete(key)
+    }
+
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        self.gate_many(false, keys, "delete_many", |pass| self.inner.delete_many(pass))
     }
 
     fn describe(&self) -> String {
@@ -925,5 +944,29 @@ mod tests {
         };
         assert_eq!(singles, batched);
         assert!(singles.iter().any(|&ok| !ok) && singles.iter().any(|&ok| ok));
+    }
+
+    #[test]
+    fn delete_many_draws_per_key_like_single_deletes() {
+        let plan = || FaultPlan::new(21).with_fault_rate(0.4).with_scope(FailScope::Writes);
+        let run = |batched: bool| {
+            let (mem, keys) = seeded_store(30);
+            let s = fault(mem.clone(), plan(), SimClock::new());
+            let ok: Vec<bool> = if batched {
+                let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+                s.delete_many(&refs).iter().map(|r| r.is_ok()).collect()
+            } else {
+                keys.iter().map(|k| s.delete(k).is_ok()).collect()
+            };
+            // Same verdicts, same draw-stream position per key, and only
+            // the admitted keys left the store.
+            let attempts: Vec<u64> = keys.iter().map(|k| s.attempts_for(k)).collect();
+            let left: Vec<String> = mem.list("").unwrap().into_iter().map(|m| m.key).collect();
+            (ok, attempts, left, s.injected_failures())
+        };
+        let (singles, wave) = (run(false), run(true));
+        assert_eq!(singles, wave);
+        assert!(wave.0.iter().any(|&ok| !ok) && wave.0.iter().any(|&ok| ok));
+        assert_eq!(wave.2.len(), wave.0.iter().filter(|&&ok| !ok).count());
     }
 }

@@ -156,6 +156,11 @@ impl ObjectStore for LocalStore {
         })
     }
 
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        // Independent files: overlap the per-file unlink syscalls.
+        nsdf_util::par::par_map(keys, nsdf_util::par::num_threads(), |k| self.delete(k))
+    }
+
     fn describe(&self) -> String {
         format!("local object store at {}", self.root.display())
     }

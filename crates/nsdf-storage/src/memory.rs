@@ -107,6 +107,20 @@ impl ObjectStore for MemoryStore {
             .ok_or_else(|| NsdfError::not_found(format!("object {key:?}")))
     }
 
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        // One write-lock acquisition for the whole batch; removals are
+        // pointer work, so there is nothing to overlap.
+        let mut objects = self.objects.write();
+        keys.iter()
+            .map(|key| {
+                objects
+                    .remove(*key)
+                    .map(|_| ())
+                    .ok_or_else(|| NsdfError::not_found(format!("object {key:?}")))
+            })
+            .collect()
+    }
+
     fn describe(&self) -> String {
         "in-memory object store".to_string()
     }

@@ -181,6 +181,39 @@ impl RetryStore {
             }
         }
     }
+
+    /// Wave-based retry for the write batches (`put_many`, `delete_many`),
+    /// exactly like `get_many` minus hedging: a hedged backup wave would
+    /// race two writes of the same key, and "first ack wins" is not a
+    /// coherent write semantic. `send` issues one inner batch for the
+    /// given input positions; transiently failed keys re-batch and share
+    /// one backoff per wave, permanent errors resolve immediately.
+    fn retry_waves<T>(
+        &self,
+        n: usize,
+        send: impl Fn(&[usize]) -> Vec<Result<T>>,
+    ) -> Vec<Result<T>> {
+        let mut out: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..n).collect();
+        let mut backoff = self.policy.initial_backoff_secs;
+        let mut attempt = 1;
+        loop {
+            let mut next = Vec::new();
+            for (&i, r) in pending.iter().zip(send(&pending)) {
+                match r {
+                    Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
+                    r => out[i] = Some(r),
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            backoff = self.charge_backoff(backoff, next.len() as u64);
+            attempt += 1;
+            pending = next;
+        }
+        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+    }
 }
 
 impl ObjectStore for RetryStore {
@@ -253,32 +286,10 @@ impl ObjectStore for RetryStore {
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        // Wave-based retry exactly like `get_many`, minus hedging: a
-        // hedged backup wave would race two writes of the same key, and
-        // "first ack wins" is not a coherent write semantic. Transiently
-        // failed keys re-batch and share one backoff per wave.
-        let mut out: Vec<Option<Result<ObjectMeta>>> = items.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..items.len()).collect();
-        let mut backoff = self.policy.initial_backoff_secs;
-        let mut attempt = 1;
-        loop {
+        self.retry_waves(items.len(), |pending| {
             let wave: Vec<(&str, &[u8])> = pending.iter().map(|&i| items[i]).collect();
-            let results = self.inner.put_many(&wave);
-            let mut next = Vec::new();
-            for (&i, r) in pending.iter().zip(results) {
-                match r {
-                    Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
-                    r => out[i] = Some(r),
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            backoff = self.charge_backoff(backoff, next.len() as u64);
-            attempt += 1;
-            pending = next;
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+            self.inner.put_many(&wave)
+        })
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
@@ -291,6 +302,13 @@ impl ObjectStore for RetryStore {
 
     fn delete(&self, key: &str) -> Result<()> {
         self.with_retries(|| self.inner.delete(key))
+    }
+
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        self.retry_waves(keys.len(), |pending| {
+            let wave: Vec<&str> = pending.iter().map(|&i| keys[i]).collect();
+            self.inner.delete_many(&wave)
+        })
     }
 
     fn describe(&self) -> String {
@@ -501,6 +519,19 @@ impl BreakerStore {
         self.record(!matches!(&r, Err(NsdfError::Io(_))));
         r
     }
+
+    /// Batch form of [`Self::guarded`]: admit `n` requests or fast-fail
+    /// them all, then record every per-key outcome.
+    fn guarded_many<T>(&self, n: usize, f: impl FnOnce() -> Vec<Result<T>>) -> Vec<Result<T>> {
+        if !self.admit(n as u64) {
+            return (0..n).map(|_| Err(self.open_error())).collect();
+        }
+        let results = f();
+        for r in &results {
+            self.record(!matches!(r, Err(NsdfError::Io(_))));
+        }
+        results
+    }
 }
 
 impl ObjectStore for BreakerStore {
@@ -517,25 +548,11 @@ impl ObjectStore for BreakerStore {
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        if !self.admit(keys.len() as u64) {
-            return keys.iter().map(|_| Err(self.open_error())).collect();
-        }
-        let results = self.inner.get_many(keys);
-        for r in &results {
-            self.record(!matches!(r, Err(NsdfError::Io(_))));
-        }
-        results
+        self.guarded_many(keys.len(), || self.inner.get_many(keys))
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        if !self.admit(items.len() as u64) {
-            return items.iter().map(|_| Err(self.open_error())).collect();
-        }
-        let results = self.inner.put_many(items);
-        for r in &results {
-            self.record(!matches!(r, Err(NsdfError::Io(_))));
-        }
-        results
+        self.guarded_many(items.len(), || self.inner.put_many(items))
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
@@ -543,14 +560,7 @@ impl ObjectStore for BreakerStore {
     }
 
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
-        if !self.admit(keys.len() as u64) {
-            return keys.iter().map(|_| Err(self.open_error())).collect();
-        }
-        let results = self.inner.head_many(keys);
-        for r in &results {
-            self.record(!matches!(r, Err(NsdfError::Io(_))));
-        }
-        results
+        self.guarded_many(keys.len(), || self.inner.head_many(keys))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
@@ -559,6 +569,10 @@ impl ObjectStore for BreakerStore {
 
     fn delete(&self, key: &str) -> Result<()> {
         self.guarded(|| self.inner.delete(key))
+    }
+
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        self.guarded_many(keys.len(), || self.inner.delete_many(keys))
     }
 
     fn describe(&self) -> String {
@@ -706,6 +720,10 @@ impl ObjectStore for IntegrityStore {
 
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)
+    }
+
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        self.inner.delete_many(keys)
     }
 
     fn describe(&self) -> String {
@@ -1161,6 +1179,41 @@ mod tests {
         assert!(results[1].is_err());
         assert_eq!(retry.retries(), 0, "invalid-key errors are permanent");
         assert_eq!(clock.now_secs(), 0.0);
+    }
+
+    #[test]
+    fn retry_delete_many_resends_only_transient_failures() {
+        let clock = SimClock::new();
+        let mem = Arc::new(MemoryStore::new());
+        let keys: Vec<String> = (0..30).map(|i| format!("k{i}")).collect();
+        for k in &keys {
+            mem.put(k, b"v").unwrap(); // below the fault layer: no draws consumed
+        }
+        let plan = FaultPlan::new(7).with_fault_rate(0.4).with_scope(FailScope::Writes);
+        let flaky = Arc::new(FaultStore::new(mem.clone(), plan, clock.clone()).unwrap());
+        let retry = RetryStore::new(
+            flaky.clone(),
+            RetryPolicy { max_attempts: 10, initial_backoff_secs: 0.05, multiplier: 2.0 },
+            clock.clone(),
+        )
+        .unwrap();
+        let mut refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+        refs.push("never-stored");
+        let results = retry.delete_many(&refs);
+        // A key removed by one wave and sent again would come back
+        // NotFound: all-Ok proves no acked delete was re-sent.
+        assert!(results[..30].iter().all(|r| r.is_ok()), "retries absorb 40% write faults");
+        assert!(results[30].as_ref().unwrap_err().is_not_found(), "permanent, in input order");
+        assert_eq!(mem.object_count(), 0);
+        // Every extra attempt the endpoint saw is a counted retry of a
+        // transiently failed key, and each wave paid one shared backoff.
+        let resent: u64 = refs.iter().map(|k| flaky.attempts_for(k) - 1).sum();
+        assert_eq!(resent, retry.retries());
+        assert_eq!(resent, flaky.injected_failures());
+        let waves = retry.m.waves.get();
+        let schedule: f64 = (0..waves).map(|w| 0.05 * 2f64.powi(w as i32)).sum();
+        assert!((clock.now_secs() - schedule).abs() < 1e-9, "one backoff per wave");
+        assert!(retry.retries() > waves, "waves must be shared across keys");
     }
 
     #[test]

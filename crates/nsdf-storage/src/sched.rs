@@ -1118,9 +1118,9 @@ pub fn ambient_tag() -> (Option<TenantId>, Option<Priority>) {
 /// ambient tag (falling back to the adapter's defaults) and drive the
 /// scheduler until it is granted, so higher-ranked work queued ahead runs
 /// first and the caller experiences admission queueing as virtual time.
-/// Control-plane calls (`head`, `list`, `delete`, ranged reads) pass
-/// through unscheduled — they are metadata, not link bandwidth, in this
-/// model.
+/// Control-plane calls (`head`, `list`, `delete`/`delete_many`, ranged
+/// reads) pass through unscheduled — they are metadata, not link
+/// bandwidth, in this model.
 ///
 /// Place the adapter *above* the cache layer (`SchedStore(TierCache(
 /// CloudStore))`): cache hits then still clear admission (cheaply — a
@@ -1228,6 +1228,10 @@ impl ObjectStore for SchedStore {
 
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)
+    }
+
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        self.inner.delete_many(keys)
     }
 
     fn describe(&self) -> String {

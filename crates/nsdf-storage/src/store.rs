@@ -87,6 +87,23 @@ pub trait ObjectStore: Send + Sync {
     /// Remove `key`. Removing a missing key is an error.
     fn delete(&self, key: &str) -> Result<()>;
 
+    /// Remove many objects in one call, returning per-key results in input
+    /// order.
+    ///
+    /// The batched entry point of garbage collection (catalog segments,
+    /// WAL objects and manifests; FUSE chunks and packs), mirroring
+    /// [`ObjectStore::put_many`]: S3-class endpoints have a multi-object
+    /// delete, so the WAN simulator overrides this to amortize round trips
+    /// like the other `*_many` calls. A failed key — a missing one
+    /// included — never aborts the batch. The default is the per-key
+    /// [`ObjectStore::delete`] loop, so a wrapper written against the
+    /// older trait stays correct (it merely pays one call per key), and an
+    /// override must return, for distinct keys, exactly what that loop
+    /// would.
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        keys.iter().map(|k| self.delete(k)).collect()
+    }
+
     /// True when `key` exists.
     fn exists(&self, key: &str) -> Result<bool> {
         match self.head(key) {

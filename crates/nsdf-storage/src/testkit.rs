@@ -11,10 +11,11 @@
 //!   mid-fetch so a write can land inside the miss window.
 //! * [`CrashStore`] kills the process model at a scripted write: the n-th
 //!   `put` matching a prefix either fails before any byte lands, lands a
-//!   torn (truncated) object, or lands fully and *then* dies. After the
-//!   crash point every operation fails, simulating the dead process; the
-//!   test then reopens the underlying store with a fresh client and checks
-//!   recovery.
+//!   torn (truncated) object, or lands fully and *then* dies — or the n-th
+//!   matching delete dies with the earlier keys of its `delete_many` wave
+//!   already gone. After the crash point every operation fails, simulating
+//!   the dead process; the test then reopens the underlying store with a
+//!   fresh client and checks recovery.
 //!
 //! Both wrappers are deterministic: no clocks, no randomness — the scripted
 //! write index alone decides when the event fires.
@@ -25,7 +26,9 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Where, relative to the n-th matching `put`, a [`CrashStore`] dies.
+/// Where, relative to the n-th matching `put` (or, for
+/// [`CrashPoint::BeforeDelete`], the n-th matching delete), a
+/// [`CrashStore`] dies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashPoint {
     /// Die before any byte reaches the inner store: the object is absent.
@@ -37,17 +40,23 @@ pub enum CrashPoint {
     /// Die after the write fully landed but before the caller could act on
     /// the acknowledgement.
     AfterWrite,
+    /// Count deletes instead of puts — single `delete`s and the keys of a
+    /// `delete_many` in input order — and die before the scripted one
+    /// removes its key: the matching keys ahead of it (in the same wave
+    /// included) are gone, it and everything after it are not.
+    BeforeDelete,
 }
 
-/// One scripted crash: the `nth` (0-based) `put` whose key starts with
-/// `prefix` triggers `point`.
+/// One scripted crash: the `nth` (0-based) `put` — or delete, for
+/// [`CrashPoint::BeforeDelete`] — whose key starts with `prefix` triggers
+/// `point`.
 #[derive(Debug, Clone)]
 pub struct CrashSpec {
-    /// Key prefix the scripted put must match.
+    /// Key prefix the scripted operation must match.
     pub prefix: String,
-    /// 0-based index among matching puts.
+    /// 0-based index among matching operations.
     pub nth: u64,
-    /// What happens at that put.
+    /// What happens at that operation.
     pub point: CrashPoint,
 }
 
@@ -92,27 +101,29 @@ impl CrashStore {
             Ok(())
         }
     }
+
+    /// Count `key` against the armed script if it scripts this kind of
+    /// operation; the crash point when this is the scripted one.
+    fn fires(&self, key: &str, is_delete: bool) -> Option<CrashPoint> {
+        let armed = self.armed.lock();
+        let spec = armed.as_ref()?;
+        if (spec.point == CrashPoint::BeforeDelete) != is_delete || !key.starts_with(&spec.prefix) {
+            return None;
+        }
+        let n = self.matched.fetch_add(1, Ordering::SeqCst);
+        (n == spec.nth).then_some(spec.point)
+    }
 }
 
 impl ObjectStore for CrashStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
         self.guard()?;
-        let fire = {
-            let armed = self.armed.lock();
-            match armed.as_ref() {
-                Some(spec) if key.starts_with(&spec.prefix) => {
-                    let n = self.matched.fetch_add(1, Ordering::SeqCst);
-                    (n == spec.nth).then_some(spec.point)
-                }
-                _ => None,
-            }
-        };
-        match fire {
+        match self.fires(key, false) {
             None => self.inner.put(key, data),
             Some(point) => {
                 self.dead.store(true, Ordering::SeqCst);
                 match point {
-                    CrashPoint::BeforeWrite => {}
+                    CrashPoint::BeforeWrite | CrashPoint::BeforeDelete => {}
                     CrashPoint::Torn(frac) => {
                         let keep = ((data.len() as f64) * frac.clamp(0.0, 1.0)) as usize;
                         // A torn object exists with only a prefix of the
@@ -145,7 +156,27 @@ impl ObjectStore for CrashStore {
 
     fn delete(&self, key: &str) -> Result<()> {
         self.guard()?;
+        if self.fires(key, true).is_some() {
+            self.dead.store(true, Ordering::SeqCst);
+            return Err(self.dead_err());
+        }
         self.inner.delete(key)
+    }
+
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        // The keys ahead of the scripted delete go down as one inner
+        // batch; from the scripted key on, the process is dead.
+        let cut = if self.is_dead() {
+            0
+        } else {
+            keys.iter().position(|k| self.fires(k, true).is_some()).unwrap_or(keys.len())
+        };
+        let mut results = if cut == 0 { Vec::new() } else { self.inner.delete_many(&keys[..cut]) };
+        if cut < keys.len() {
+            self.dead.store(true, Ordering::SeqCst);
+            results.extend(keys[cut..].iter().map(|_| Err(self.dead_err())));
+        }
+        results
     }
 
     fn describe(&self) -> String {
@@ -251,6 +282,10 @@ impl ObjectStore for GateStore {
         self.inner.delete(key)
     }
 
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        self.inner.delete_many(keys)
+    }
+
     fn describe(&self) -> String {
         format!("gated({}) {}", self.prefix, self.inner.describe())
     }
@@ -294,6 +329,24 @@ mod tests {
         crash.arm(CrashSpec { prefix: "m/".into(), nth: 0, point: CrashPoint::AfterWrite });
         assert!(crash.put("m/mf-0", b"manifest").is_err());
         assert_eq!(mem.get("m/mf-0").unwrap(), b"manifest");
+    }
+
+    #[test]
+    fn crash_inside_a_delete_wave_removes_only_the_keys_ahead_of_it() {
+        let mem = Arc::new(MemoryStore::new());
+        let crash = CrashStore::new(mem.clone());
+        for k in ["gc/a", "keep/x", "gc/b", "gc/c"] {
+            crash.put(k, b"v").unwrap();
+        }
+        crash.arm(CrashSpec { prefix: "gc/".into(), nth: 2, point: CrashPoint::BeforeDelete });
+        crash.put("gc/d", b"puts are not counted by a delete script").unwrap();
+        let results = crash.delete_many(&["gc/a", "keep/x", "gc/b", "gc/c", "gc/d"]);
+        let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
+        assert_eq!(ok, [true, true, true, false, false]);
+        assert!(crash.is_dead());
+        let left: Vec<String> = mem.list("").unwrap().into_iter().map(|m| m.key).collect();
+        assert_eq!(left, ["gc/c", "gc/d"]);
+        assert!(crash.delete("gc/c").is_err(), "dead store fails everything");
     }
 
     #[test]

@@ -1057,6 +1057,19 @@ impl ObjectStore for TierCache {
         result
     }
 
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        // One inner batch, one epoch bump, and every key leaves both
+        // tiers whatever its result: a delete reported as failed may have
+        // landed anyway (a lost acknowledgement).
+        let results = self.inner.delete_many(keys);
+        let mut st = self.state.lock();
+        st.write_epoch += 1;
+        for key in keys {
+            self.invalidate(&mut st, key);
+        }
+        results
+    }
+
     fn describe(&self) -> String {
         match &self.disk_store {
             Some(d) => format!(
@@ -1729,6 +1742,28 @@ mod tests {
         tc.put("die", b"x").unwrap_err();
         tc.delete("k").unwrap_err();
         assert_eq!(tc.stats().resident_bytes, 0);
+        assert_eq!(tc.tier_stats().disk_resident_bytes, 0);
+        assert_reopen_converges(origin, disk, b"v1");
+    }
+
+    #[test]
+    fn delete_many_drops_every_key_from_both_tiers_whatever_its_result() {
+        let (tc, crash, origin, disk) = lost_ack_cache();
+        tc.put_many(&[("a", b"a1" as &[u8]), ("k", b"v1"), ("z", b"z1")]);
+        let epoch_evictions = tc.stats().evictions_epoch;
+        // The origin dies inside the wave: a is removed, k and z are not.
+        crash.arm(CrashSpec { prefix: "k".into(), nth: 0, point: CrashPoint::BeforeDelete });
+        let ok: Vec<bool> = tc.delete_many(&["a", "k", "z"]).iter().map(|r| r.is_ok()).collect();
+        assert_eq!(ok, [true, false, false]);
+        assert!(origin.get("a").unwrap_err().is_not_found());
+        assert_eq!(origin.get("z").unwrap(), b"z1", "the failed deletes never landed");
+        // Neither tier answers for any of the three: every read goes to
+        // the (dead) origin handle.
+        for k in ["a", "k", "z"] {
+            assert!(tc.get(k).is_err(), "{k} served from a cache tier after the wave");
+        }
+        assert_eq!(tc.stats().resident_bytes, 0);
+        assert_eq!(tc.stats().evictions_epoch, epoch_evictions + 3);
         assert_eq!(tc.tier_stats().disk_resident_bytes, 0);
         assert_reopen_converges(origin, disk, b"v1");
     }

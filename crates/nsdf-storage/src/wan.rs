@@ -336,6 +336,22 @@ impl ObjectStore for CloudStore {
         Ok(())
     }
 
+    fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
+        let _wave = self.m.obs.span("wave");
+        let results = self.inner.delete_many(keys);
+        let removed = results.iter().filter(|r| r.is_ok()).count() as u64;
+        if removed > 0 {
+            // A multi-object delete rides the parallel streams like
+            // `head_many`: ceil(n/streams) serialized round trips (single
+            // `delete` pays one), one jitter draw, no payload to move.
+            let trips = (removed as u32).div_ceil(self.profile.streams.max(1));
+            self.charge(trips, 0);
+            self.m.waves.inc();
+            self.m.write_ops.add(removed);
+        }
+        results
+    }
+
     fn describe(&self) -> String {
         format!("{} behind {} WAN", self.inner.describe(), self.profile.name)
     }
@@ -534,6 +550,79 @@ mod tests {
         assert_eq!(spans[0].label, "wan.wave");
         assert_eq!(c.obs().counter("waves").get(), 1);
         assert_eq!(c.obs().counter("busy_vns").get(), c.clock().now_ns());
+    }
+
+    #[test]
+    fn delete_many_amortizes_round_trips() {
+        let keys: Vec<String> = (0..16).map(|i| format!("k{i}")).collect();
+        let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+
+        let sequential = cloud(NetworkProfile::private_seal());
+        let batched = cloud(NetworkProfile::private_seal());
+        for k in &keys {
+            sequential.put(k, b"x").unwrap();
+            batched.put(k, b"x").unwrap();
+        }
+        let t0 = sequential.clock().now_secs();
+        for k in &keys {
+            sequential.delete(k).unwrap();
+        }
+        let seq_secs = sequential.clock().now_secs() - t0;
+
+        batched.reset_log();
+        let t0 = batched.clock().now_secs();
+        let results = batched.delete_many(&refs);
+        let batch_secs = batched.clock().now_secs() - t0;
+
+        assert!(results.iter().all(|r| r.is_ok()));
+        // 16 deletes over 8 streams: 2 serialized round trips instead of 16.
+        assert!(
+            batch_secs < seq_secs * 0.25,
+            "batched {batch_secs:.4}s vs sequential {seq_secs:.4}s"
+        );
+        // Accounting still counts every object, and moves no bytes.
+        let log = batched.transfer_log();
+        assert_eq!(log.write_ops, 16);
+        assert_eq!((log.bytes_up, log.bytes_down), (0, 0));
+        assert!(batched.list("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn delete_many_charges_only_successes() {
+        let c = cloud(NetworkProfile::private_seal());
+        c.put("present", b"data").unwrap();
+        c.reset_log();
+        let t0 = c.clock().now_ns();
+        let results = c.delete_many(&["missing-a", "present", "missing-b"]);
+        assert!(results[0].as_ref().unwrap_err().is_not_found());
+        assert!(results[1].is_ok());
+        assert!(results[2].as_ref().unwrap_err().is_not_found());
+        assert_eq!(c.transfer_log().write_ops, 1);
+        assert!(c.clock().now_ns() > t0, "the one success must charge time");
+
+        c.reset_log();
+        let t1 = c.clock().now_ns();
+        let all_missing = c.delete_many(&["present", "nope"]);
+        assert!(all_missing.iter().all(|r| r.as_ref().unwrap_err().is_not_found()));
+        assert_eq!(c.transfer_log().write_ops, 0);
+        assert_eq!(c.obs().counter("waves").get(), 0);
+        assert_eq!(c.clock().now_ns(), t1, "all-error batch charges nothing");
+    }
+
+    #[test]
+    fn delete_many_records_wave_span_and_mirrors_busy_vns() {
+        let c = cloud(NetworkProfile::private_seal());
+        c.put("a", b"xx").unwrap();
+        c.put("b", b"yy").unwrap();
+        c.reset_log();
+        let before = c.clock().now_ns();
+        c.delete_many(&["a", "b"]);
+        let spans = c.obs().span_tree();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].label, "wan.wave");
+        assert!(spans[0].end_vns > before, "wave span must cover the batch charge");
+        assert_eq!(c.obs().counter("waves").get(), 1);
+        assert_eq!(c.obs().counter("busy_vns").get(), c.clock().now_ns() - before);
     }
 
     #[test]

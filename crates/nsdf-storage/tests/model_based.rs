@@ -18,6 +18,7 @@ enum Op {
     GetRange(u8, u8, u8),
     Head(u8),
     Delete(u8),
+    DeleteMany(Vec<u8>),
     List,
 }
 
@@ -28,6 +29,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..10, any::<u8>(), any::<u8>()).prop_map(|(k, o, l)| Op::GetRange(k, o, l)),
         (0u8..10).prop_map(Op::Head),
         (0u8..10).prop_map(Op::Delete),
+        proptest::collection::vec(0u8..10, 0..6).prop_map(Op::DeleteMany),
         Just(Op::List),
     ]
 }
@@ -74,6 +76,24 @@ fn check_store(store: &dyn ObjectStore, ops: &[Op]) {
                     got.unwrap();
                 } else {
                     assert!(got.unwrap_err().is_not_found());
+                }
+            }
+            Op::DeleteMany(ks) => {
+                // Distinct keys only: which copy of a repeated key is
+                // reported missing is not part of the contract.
+                let mut ks = ks.clone();
+                ks.sort_unstable();
+                ks.dedup();
+                let keys: Vec<String> = ks.iter().map(|k| key(*k)).collect();
+                let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+                let got = store.delete_many(&refs);
+                assert_eq!(got.len(), keys.len());
+                for (k, r) in keys.iter().zip(got) {
+                    if model.remove(k).is_some() {
+                        r.unwrap();
+                    } else {
+                        assert!(r.unwrap_err().is_not_found());
+                    }
                 }
             }
             Op::List => {

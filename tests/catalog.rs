@@ -4,7 +4,9 @@
 //! so flushes and compactions fire constantly mid-trace — and against a
 //! plain `BTreeMap` oracle. Every query must agree bitwise, the final
 //! scans must be identical across shard counts and WAN profiles, and the
-//! state must survive forced compaction and close→reopen recovery.
+//! state must survive forced compaction and close→reopen recovery. Two
+//! wave-shape regressions pin how many WAN waves a checkpoint's garbage
+//! collection and a many-shard load + compaction may cost.
 
 use nsdf::catalog::{Catalog, CatalogConfig, CatalogStats, Record};
 use nsdf::storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
@@ -196,5 +198,100 @@ fn close_reopen_recovers_exact_state() {
         run_trace(&cat, &mut oracle, &ops[..200], &ctx);
         cat.compact().expect("compact recovered engine");
         assert_state_eq(&cat, &oracle, &format!("{ctx} post-recovery compact"));
+    }
+}
+
+/// `(wan.waves, wan.write_ops)` of a `CloudStore`.
+fn wan_marks(wan: &CloudStore) -> (u64, u64) {
+    (wan.obs().counter("waves").get(), wan.transfer_log().write_ops)
+}
+
+fn segment_count(cat: &Catalog) -> u64 {
+    cat.layout().iter().flatten().flatten().count() as u64
+}
+
+#[test]
+fn checkpoint_retires_its_wal_tail_in_one_delete_wave() {
+    const N: u64 = 25;
+    let clock = SimClock::new();
+    let wan = Arc::new(CloudStore::new(
+        Arc::new(MemoryStore::new()),
+        NetworkProfile::private_seal(),
+        clock.clone(),
+        SEED,
+    ));
+    // Default 8 MiB budget: nothing checkpoints before close().
+    let cat = Catalog::open(Arc::clone(&wan) as _, clock, CatalogConfig::new(4)).expect("open");
+    for id in 0..N {
+        cat.upsert(synth(id, 0)).expect("upsert"); // one WAL object each
+    }
+    let (waves, write_ops) = wan_marks(&wan);
+    cat.close().expect("checkpoint");
+    let snap = cat.obs().snapshot();
+    let segments = snap.counter("catalog.segments_written");
+    assert_eq!(snap.counter("catalog.wal_trimmed"), N);
+    // One put_many wave (the L0 segments), the manifest put, and one
+    // delete wave carrying all N WAL objects — not N round trips.
+    let (waves_after, write_ops_after) = wan_marks(&wan);
+    assert_eq!(waves_after - waves, 2, "segment wave + one GC wave");
+    assert_eq!(write_ops_after - write_ops, segments + 1 + N);
+}
+
+#[test]
+fn many_shard_load_and_compaction_share_segment_waves() {
+    const RECORDS: u64 = 200_000;
+    const SHARDS: usize = 64;
+    // (scan, layout, [load waves, compact waves]) for one budget.
+    let run = |memtable_budget_bytes: usize| {
+        let clock = SimClock::new();
+        let wan = Arc::new(CloudStore::new(
+            Arc::new(MemoryStore::new()),
+            NetworkProfile::private_seal(),
+            clock.clone(),
+            SEED,
+        ));
+        let cfg = CatalogConfig { memtable_budget_bytes, ..CatalogConfig::new(SHARDS) };
+        let cat = Catalog::open(Arc::clone(&wan) as _, clock, cfg).expect("open");
+        let bytes_written = || cat.obs().snapshot().counter("catalog.segment_bytes_written");
+        let mut waves = [0u64; 2];
+        for (phase, slot) in waves.iter_mut().enumerate() {
+            let (waves_before, ops_before) = wan_marks(&wan);
+            let (bytes_before, segs_before) = (bytes_written(), segment_count(&cat));
+            if phase == 0 {
+                cat.bulk_load((0..RECORDS).map(|i| synth(i, i % 8))).expect("bulk load");
+            } else {
+                cat.compact().expect("forced compaction");
+            }
+            let (waves_after, ops_after) = wan_marks(&wan);
+            *slot = waves_after - waves_before;
+            let staged = bytes_written() - bytes_before;
+            let put_waves = staged.div_ceil(memtable_budget_bytes as u64) + 1;
+            // The load's manifest is the first, so it has nothing to
+            // collect; the compaction's retires every replaced segment in
+            // one GC wave (manifest 0 stays as the fallback).
+            assert!(*slot <= put_waves + phase as u64, "phase {phase}: {slot} waves");
+            let written = segment_count(&cat);
+            assert_eq!(
+                ops_after - ops_before,
+                written + 1 + phase as u64 * segs_before,
+                "phase {phase}: new segments + manifest + one delete per replaced segment"
+            );
+        }
+        (cat.scan_all(), cat.layout(), waves)
+    };
+    let (scan, layout, waves) = run(CatalogConfig::new(SHARDS).memtable_budget_bytes);
+    let (scan_1, layout_1, waves_1) = run(1); // every wave holds one shard
+    println!("64-shard load/compact waves: shared {waves:?}, one shard per wave {waves_1:?}");
+    assert_eq!(waves_1, [SHARDS as u64, SHARDS as u64 + 1]);
+    assert!(waves[0] < 8 && waves[1] < 8, "waves must not scale with shards: {waves:?}");
+    assert_eq!(scan.len(), RECORDS as usize);
+    assert_eq!(scan, scan_1, "wave size changed what the catalog holds");
+    assert_eq!(layout, layout_1, "wave size changed the resident layout");
+    for shard in &layout {
+        // Forced compaction: one populated level, sorted, non-overlapping.
+        assert_eq!(shard.iter().filter(|l| !l.is_empty()).count(), 1);
+        for level in shard {
+            assert!(level.windows(2).all(|p| p[0].max_id < p[1].min_id));
+        }
     }
 }

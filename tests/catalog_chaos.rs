@@ -5,7 +5,10 @@
 //! mutations is built through the stack, closed, and reopened *through
 //! 20% injected read faults and 5% payload corruption*; recovery and the
 //! mixed query workload after it must be digest-equal to a fault-free
-//! oracle, and the whole run must replay byte-identically.
+//! oracle, and the whole run must replay byte-identically. A second
+//! scenario scripts a write outage onto one garbage-collection wave: the
+//! keys it failed to delete must leave with the next manifest swap's wave,
+//! not wait for the next `open`.
 
 use nsdf::catalog::{Catalog, CatalogConfig, Record};
 use nsdf::storage::{
@@ -192,4 +195,106 @@ fn chaos_run_replays_byte_identically() {
     assert_eq!(l1, l2, "live count must replay exactly");
     assert_eq!(clock1, clock2, "virtual clock must land on the same nanosecond");
     assert_eq!(m1.to_json(), m2.to_json(), "metrics snapshots must be byte-identical");
+}
+
+/// Keys on `mem` under `dir`, sorted.
+fn keys_under(mem: &MemoryStore, dir: &str) -> Vec<String> {
+    mem.list(dir).unwrap().into_iter().map(|m| m.key).collect()
+}
+
+/// Segment keys the engine's resident layout references, sorted.
+fn referenced_seg_keys(cat: &Catalog) -> Vec<String> {
+    let mut keys = Vec::new();
+    for (si, levels) in cat.layout().iter().enumerate() {
+        for seg in levels.iter().flatten() {
+            keys.push(format!("catalog/seg/s{si:04}-{:08}.seg", seg.seq));
+        }
+    }
+    keys.sort();
+    keys
+}
+
+#[test]
+fn garbage_whose_delete_failed_leaves_with_the_next_swap() {
+    // Default (8 MiB) memtable budget: checkpoints happen only where the
+    // script asks for them.
+    let cfg = CatalogConfig { segment_target_bytes: 4_000, ..CatalogConfig::new(2) };
+    // Catalog -> FaultStore (writes only, optional outage) -> seeded WAN.
+    let stack = |outage: Option<(f64, f64)>| {
+        let clock = SimClock::new();
+        let mem = Arc::new(MemoryStore::new());
+        let wan = Arc::new(CloudStore::new(
+            Arc::clone(&mem) as Arc<dyn ObjectStore>,
+            NetworkProfile::private_seal(),
+            clock.clone(),
+            derive_seed(SEED, "wan"),
+        ));
+        let mut plan = FaultPlan::new(derive_seed(SEED, "gc")).with_scope(FailScope::Writes);
+        if let Some((start, end)) = outage {
+            plan = plan.outage(start, end);
+        }
+        let fault = FaultStore::new(Arc::clone(&wan) as _, plan, clock.clone()).unwrap();
+        let cat = Catalog::open(Arc::new(fault), clock.clone(), cfg.clone()).expect("open");
+        (cat, wan, mem, clock)
+    };
+    // Two settled manifests, then 40 WAL objects for the next checkpoint
+    // to retire (together with manifest 0).
+    let settle = |cat: &Catalog| {
+        cat.ingest((0..300).map(|i| synth(i, 0))).expect("ingest");
+        cat.flush().expect("flush");
+        for i in 0..30 {
+            cat.upsert(synth(i, 1)).expect("upsert");
+        }
+        cat.flush().expect("flush");
+        for i in 30..60 {
+            cat.upsert(synth(i, 2)).expect("upsert");
+        }
+        for i in 290..300 {
+            assert!(cat.delete(i).expect("delete"));
+        }
+    };
+
+    // Probe, fault-free: at which virtual instant does compact()'s first
+    // GC wave reach the WAN? compact() = checkpoint (segment wave,
+    // manifest put, GC wave) + forced merge (the same three again).
+    let gc_wave_secs = {
+        let (cat, wan, _, _) = stack(None);
+        settle(&cat);
+        let before = wan.obs().span_tree().len();
+        cat.compact().expect("fault-free compact");
+        let waves = wan.obs().span_tree();
+        assert_eq!(waves.len(), before + 4, "two segment waves, two GC waves");
+        waves[before + 1].start_vns as f64 / 1e9
+    };
+
+    // Same script, with the endpoint refusing writes from just before
+    // that wave (the manifest put ahead of it entered ~60 ms earlier).
+    let (cat, _, mem, clock) = stack(Some((gc_wave_secs - 0.001, gc_wave_secs + 1.0)));
+    let counter = |name: &str| cat.obs().snapshot().counter(&format!("catalog.{name}"));
+    settle(&cat);
+    let wal_garbage = keys_under(&mem, "catalog/wal/");
+    assert_eq!(wal_garbage.len(), 40);
+    cat.compact().expect_err("the outage refuses the merge's segment wave");
+    // The checkpoint inside compact() is durable (manifest 2 landed); its
+    // GC wave failed wholesale and every key is still on the store.
+    assert_eq!(counter("gc_failed"), 41, "40 WAL objects + manifest 0");
+    assert_eq!(keys_under(&mem, "catalog/wal/"), wal_garbage);
+    assert_eq!(keys_under(&mem, "catalog/manifest/").len(), 3);
+    cat.upsert(synth(1, 3)).expect_err("the outage refuses the WAL append");
+
+    // Failed operations charge no virtual time: step past the window.
+    clock.advance_secs(2.0);
+    cat.upsert(synth(1, 3)).expect("upsert after the outage");
+    cat.flush().expect("flush after the outage");
+    assert_eq!(keys_under(&mem, "catalog/seg/"), referenced_seg_keys(&cat));
+    assert!(keys_under(&mem, "catalog/manifest/").len() <= 2);
+    assert_eq!(keys_under(&mem, "catalog/wal/"), Vec::<String>::new(), "floor == next WAL seq");
+    assert_eq!(counter("gc_failed"), 41, "nothing failed after the window");
+    assert_eq!(counter("wal_trimmed"), counter("wal_batches"), "every WAL object was retired");
+
+    // And the catalog itself never noticed: equal to a quiet oracle.
+    let oracle = Catalog::open(Arc::new(MemoryStore::new()), SimClock::new(), cfg).unwrap();
+    settle(&oracle);
+    oracle.upsert(synth(1, 3)).unwrap();
+    assert_eq!(cat.scan_all(), oracle.scan_all());
 }

@@ -5,7 +5,9 @@
 //! over the surviving bytes must recover exactly the acknowledged state
 //! (plus, only for a fully-landed WAL append, the in-flight record),
 //! quarantine torn objects rather than serve them, and leave no orphan
-//! segments behind. A [`GateStore`] regression test pins the
+//! segments behind. A fourth script kills it inside a garbage-collection
+//! `delete_many` wave, after the manifest swap: recovery must collect
+//! whatever the wave left. A [`GateStore`] regression test pins the
 //! WAL-ack-before-visibility ordering the engine guarantees.
 //!
 //! The engine's contract under test: an op that returned `Ok` is durable
@@ -209,6 +211,76 @@ fn crash_during_manifest_swap_recovers_either_side() {
     for point in [CrashPoint::BeforeWrite, CrashPoint::Torn(0.4), CrashPoint::AfterWrite] {
         for shards in [2usize, 4, 9] {
             check_scenario("catalog/manifest/", point, shards);
+        }
+    }
+}
+
+#[test]
+fn crash_during_gc_wave_recovers_and_collects_leftovers() {
+    // compact() swaps two manifests, each followed by one GC wave:
+    //   checkpoint  -> [manifest 0, 40 WAL objects]
+    //   forced merge -> [every replaced segment, manifest 1]
+    // "catalog/" dies at the 8th key of the first wave (the merge then
+    // fails on the dead store); "catalog/seg/" lets the first wave through
+    // and dies at the 2nd segment of the second.
+    for (prefix, nth) in [("catalog/", 7), ("catalog/seg/", 1)] {
+        for shards in [2usize, 4, 9] {
+            let ctx = format!("gc wave {prefix} nth={nth} shards={shards}");
+            let clock = SimClock::new();
+            let mem = Arc::new(MemoryStore::new());
+            let crash = Arc::new(CrashStore::new(Arc::clone(&mem) as Arc<dyn ObjectStore>));
+            let cat = Catalog::open(Arc::clone(&crash) as _, clock.clone(), cfg(shards)).unwrap();
+            let mut oracle = BTreeMap::new();
+            for i in 0..120 {
+                let r = synth(i, 0);
+                cat.upsert(r.clone()).expect("settle upsert");
+                oracle.insert(r.id, r);
+            }
+            cat.flush().expect("settle flush");
+            cat.compact().expect("settle compact");
+            for k in 0..40u64 {
+                let op = mutation(k);
+                match &op {
+                    MutOp::Up(r) => cat.upsert(r.clone()).map(|_| ()),
+                    MutOp::Del(id) => cat.delete(*id).map(|_| ()),
+                }
+                .expect("acknowledged mutation");
+                oracle_apply(&mut oracle, &op);
+            }
+
+            crash.arm(CrashSpec { prefix: prefix.into(), nth, point: CrashPoint::BeforeDelete });
+            let _ = cat.compact(); // GC is best-effort: the call may well return Ok
+            assert!(crash.is_dead(), "{ctx}: scripted crash never fired");
+            drop(cat);
+            let before: BTreeSet<String> =
+                mem.list("catalog/").unwrap().into_iter().map(|m| m.key).collect();
+
+            // Every mutation was acknowledged, so all of them survive.
+            let cat = Catalog::open(Arc::clone(&mem) as _, clock, cfg(shards)).expect("reopen");
+            let want: Vec<Record> = oracle.values().cloned().collect();
+            assert_eq!(cat.scan_all(), want, "{ctx}: recovered state");
+            assert_eq!(cat.len(), oracle.len() as u64, "{ctx}: live count");
+
+            // Recovery's own waves removed the leftovers: what remains is
+            // the referenced segments, the manifest with its fallback, and
+            // no WAL object (the floor is the next sequence number).
+            let after: BTreeSet<String> =
+                mem.list("catalog/").unwrap().into_iter().map(|m| m.key).collect();
+            let segs: BTreeSet<String> =
+                after.iter().filter(|k| k.starts_with("catalog/seg/")).cloned().collect();
+            assert_eq!(segs, referenced_seg_keys(&cat), "{ctx}: orphan or missing segments");
+            let manifests = after.iter().filter(|k| k.starts_with("catalog/manifest/")).count();
+            assert!((1..=2).contains(&manifests), "{ctx}: {manifests} manifests left");
+            assert_eq!(after.len(), segs.len() + manifests, "{ctx}: WAL objects left");
+            // ... and its counters account for every one of them.
+            let removed = before.difference(&after).count() as u64;
+            assert!(after.is_subset(&before) && removed > 0, "{ctx}: nothing was left over");
+            let snap = cat.obs().snapshot();
+            assert_eq!(
+                snap.counter("catalog.quarantined") + snap.counter("catalog.wal_trimmed"),
+                removed,
+                "{ctx}: unaccounted leftovers"
+            );
         }
     }
 }
