@@ -175,31 +175,22 @@ impl BlockStats {
 pub struct AdaptiveCodec {
     sample_size: u8,
     ratio_target: Option<f64>,
-    sample_budget: usize,
     obs: Option<Obs>,
 }
+
+/// Bytes sampled per block at most.
+const SAMPLE_BUDGET: usize = 4096;
 
 impl AdaptiveCodec {
     /// Selector for `sample_size`-byte samples (4 for `f32` fields).
     pub fn new(sample_size: u8) -> AdaptiveCodec {
-        AdaptiveCodec {
-            sample_size: sample_size.max(1),
-            ratio_target: None,
-            sample_budget: 4096,
-            obs: None,
-        }
+        AdaptiveCodec { sample_size: sample_size.max(1), ratio_target: None, obs: None }
     }
 
     /// Pick the cheapest-decoding codec whose sampled ratio reaches
     /// `target` (raw/compressed, > 1.0) instead of the best-ratio codec.
     pub fn with_ratio_target(mut self, target: f64) -> AdaptiveCodec {
         self.ratio_target = (target > 1.0).then_some(target);
-        self
-    }
-
-    /// Cap the bytes sampled per block (default 4096).
-    pub fn with_sample_budget(mut self, budget: usize) -> AdaptiveCodec {
-        self.sample_budget = budget.max(256);
         self
     }
 
@@ -214,10 +205,10 @@ impl AdaptiveCodec {
     /// sample-aligned chunks spread evenly across the block.
     fn sample_of<'a>(&self, src: &'a [u8]) -> std::borrow::Cow<'a, [u8]> {
         let s = self.sample_size as usize;
-        if src.len() <= self.sample_budget {
+        if src.len() <= SAMPLE_BUDGET {
             return std::borrow::Cow::Borrowed(src);
         }
-        let chunk = (self.sample_budget / 4) / s * s;
+        let chunk = (SAMPLE_BUDGET / 4) / s * s;
         let mut out = Vec::with_capacity(4 * chunk);
         for k in 0..4usize {
             // Even spread, aligned down to a whole sample.

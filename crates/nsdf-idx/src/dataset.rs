@@ -16,10 +16,8 @@ use nsdf_compress::{AdaptiveCodec, Codec};
 use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::{Counter, Gauge, Obs};
-use nsdf_util::par::{num_threads, try_par_map, try_par_map_owned};
-use nsdf_util::{
-    bytes_to_samples, samples_to_bytes, Box2i, NsdfError, Raster, Result, Sample, SimClock,
-};
+use nsdf_util::par::{num_threads, try_par_map_owned};
+use nsdf_util::{Box2i, NsdfError, Raster, Result, Sample, SimClock};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,20 +156,22 @@ impl QueryStats {
 }
 
 /// Identity of one decoded block: (field index, timestep, block index).
-type BlockKey = (usize, u32, u64);
+pub(crate) type BlockKey = (usize, u32, u64);
 /// Decoded raw payload, or `None` for a block known missing from storage.
 pub(crate) type DecodedEntry = Option<Arc<Vec<u8>>>;
 
-/// Byte-budgeted FIFO cache of decoded (raw, uncompressed) block payloads,
-/// keyed by `(field, time, block)`. `None` records a block known to be
-/// missing from storage, so progressive refinement neither refetches nor
-/// redecodes — nor re-misses — a block it already resolved.
-struct DecodedCache {
+/// Byte-budgeted FIFO cache of decoded (raw, uncompressed) block images,
+/// keyed by `(field, time, block)` — the one block cache type of the crate:
+/// the dataset's decoded cache and every session's resident set are both
+/// one of these, holding `Arc`s of the same images. `None` records a block
+/// known to be missing from storage, so progressive refinement neither
+/// refetches nor redecodes — nor re-misses — a block it already resolved.
+pub(crate) struct DecodedCache {
     entries: HashMap<BlockKey, DecodedEntry>,
     /// Insertion order; stale keys (invalidated by writes) are skipped
     /// lazily at eviction time.
     queue: VecDeque<BlockKey>,
-    bytes: u64,
+    pub(crate) bytes: u64,
     budget: u64,
     /// Bumped by every write-side invalidation. A read records the epoch
     /// when it partitions against the cache; if a write lands while its
@@ -183,7 +183,7 @@ struct DecodedCache {
 }
 
 impl DecodedCache {
-    fn new(budget: u64) -> Self {
+    pub(crate) fn new(budget: u64) -> Self {
         DecodedCache {
             entries: HashMap::new(),
             queue: VecDeque::new(),
@@ -197,13 +197,13 @@ impl DecodedCache {
         entry.as_ref().map_or(0, |d| d.len() as u64)
     }
 
-    fn get(&self, key: &BlockKey) -> Option<DecodedEntry> {
+    pub(crate) fn get(&self, key: &BlockKey) -> Option<DecodedEntry> {
         self.entries.get(key).cloned()
     }
 
     /// Admit `value`; returns how many resident entries were evicted to
     /// respect the byte budget (reported as `decoded_evictions.budget`).
-    fn insert(&mut self, key: BlockKey, value: DecodedEntry) -> u64 {
+    pub(crate) fn insert(&mut self, key: BlockKey, value: DecodedEntry) -> u64 {
         let cost = Self::cost(&value);
         if cost > self.budget {
             return 0; // Larger than the whole budget: never admit.
@@ -395,9 +395,9 @@ const DEFAULT_DECODED_CACHE_BYTES: u64 = 256 << 20;
 /// leave in the write buffer; a call that would leave more uploads them all.
 const WRITE_BUFFER_BYTES: u64 = 64 << 20;
 
-/// Aligned origin, per-axis strides, and output dims of a box query at one
-/// resolution level: `(x0, y0, sx, sy, out_w, out_h)`.
-pub(crate) type LevelLayout = (i64, i64, i64, i64, usize, usize);
+/// Per-axis `(origin, stride, count)` of a box query's output grid at one
+/// resolution level; a 2-D query is one sample deep.
+pub(crate) type LevelGrid = [(i64, i64, usize); 3];
 
 /// Where one read wave reports the store time it spends: the registry and
 /// label of the span opened around `get_many` (the `decode` span follows in
@@ -816,37 +816,72 @@ impl IdxDataset {
                 raster.shape()
             )));
         }
-        let block_samples = self.meta.block_samples();
-
         let _write_span = self.m.obs.span("write_raster");
-        let plan_span = self.m.obs.span("plan");
-        // Scatter row-major samples into per-block HZ-ordered buffers.
-        let mut blocks: BTreeMap<u64, Vec<T>> = BTreeMap::new();
-        for y in 0..h {
-            for x in 0..w {
-                let (block, offset) =
-                    self.curve.block_offset(&[x as u64, y as u64], block_samples)?;
-                blocks.entry(block).or_insert_with(|| vec![T::ZERO; block_samples as usize])
-                    [offset] = raster.get(x, y);
-            }
-        }
-        drop(plan_span);
-        self.put_full_blocks(field_idx, time, blocks)
+        let images = self.full_grid_images([w, h, 1], raster.data())?;
+        self.put_full_blocks(field_idx, time, images)
     }
 
-    /// Store the complete payloads of a full-grid write (raster or volume):
-    /// the data covers every non-padding sample of every block it touches,
-    /// so no block needs a read-modify-write fetch, blocks it never touches
-    /// hold only power-of-two padding, and a pending image of a block it
-    /// does touch is out of date — the upload that succeeds retires it.
-    pub(crate) fn put_full_blocks<T: Sample>(
+    /// The one coordinate walk on the way in — where samples become bytes.
+    /// `data` holds `shape` samples, x fastest, the first at grid position
+    /// `origin` (a 2-D grid is one sample deep); each goes to `sink` as its
+    /// block, its in-block offset and its little-endian bytes.
+    fn scatter<T: Sample>(
+        &self,
+        origin: [u64; 3],
+        shape: [usize; 3],
+        data: &[T],
+        mut sink: impl FnMut(u64, usize, &[u8]),
+    ) -> Result<()> {
+        let block_samples = self.meta.block_samples();
+        let mut samples = data.iter();
+        let mut le = Vec::with_capacity(T::DTYPE.size_bytes());
+        for z in 0..shape[2] as u64 {
+            for y in 0..shape[1] as u64 {
+                for x in 0..shape[0] as u64 {
+                    let coords = [origin[0] + x, origin[1] + y, origin[2] + z];
+                    let (block, offset) = self.curve.block_offset(&coords, block_samples)?;
+                    le.clear();
+                    samples.next().expect("callers check data against shape").write_le(&mut le);
+                    sink(block, offset, &le);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Plan a full-grid write (raster or volume): the raw image of every
+    /// block `data` — the whole grid, `shape` equal to the dataset's dims —
+    /// has a sample in, zero where it has none (power-of-two padding).
+    pub(crate) fn full_grid_images<T: Sample>(
+        &self,
+        shape: [usize; 3],
+        data: &[T],
+    ) -> Result<BTreeMap<u64, Vec<u8>>> {
+        let _plan_span = self.m.obs.span("plan");
+        let size = T::DTYPE.size_bytes();
+        let block_bytes = self.meta.block_samples() as usize * size;
+        let mut images: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        self.scatter([0; 3], shape, data, |block, offset, le| {
+            images.entry(block).or_insert_with(|| vec![0; block_bytes])[offset * size..][..size]
+                .copy_from_slice(le);
+        })?;
+        Ok(images)
+    }
+
+    /// Store the complete images of a full-grid write
+    /// ([`IdxDataset::full_grid_images`]): the data covers every non-padding
+    /// sample of every block it touches, so no block needs a
+    /// read-modify-write fetch, blocks it never touches hold only
+    /// power-of-two padding, and a pending image of a block it does touch is
+    /// out of date — the upload that succeeds retires it.
+    pub(crate) fn put_full_blocks(
         &self,
         field_idx: usize,
         time: u32,
-        blocks: BTreeMap<u64, Vec<T>>,
+        images: BTreeMap<u64, Vec<u8>>,
     ) -> Result<WriteStats> {
         let mut stats = WriteStats {
-            blocks_skipped: self.meta.blocks_per_field() - blocks.len() as u64,
+            blocks_skipped: self.meta.blocks_per_field() - images.len() as u64,
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
@@ -856,14 +891,12 @@ impl IdxDataset {
             for (key, pending) in
                 state.pending.blocks.range_mut((field_idx, time, 0)..=(field_idx, time, u64::MAX))
             {
-                pending.uploading |= blocks.contains_key(&key.2);
+                pending.uploading |= images.contains_key(&key.2);
             }
         }
-        let entries = blocks
+        let entries = images
             .into_iter()
-            .map(|(block, samples)| {
-                ((field_idx, time, block), Arc::new(samples_to_bytes(&samples)))
-            })
+            .map(|(block, image)| ((field_idx, time, block), Arc::new(image)))
             .collect();
         let result = self.encode_and_put(entries, &mut stats);
         self.note_write(&mut stats, &[]);
@@ -1033,6 +1066,12 @@ impl IdxDataset {
     /// through another handle meanwhile are not seen. Writes and flushes
     /// through one handle from several threads run one at a time.
     ///
+    /// A pending image is shared, not copied, with whoever read it through
+    /// this handle — a [`crate::QuerySession`] keeps it resident. Such a
+    /// reader keeps seeing the snapshot it resolved: a later merge into
+    /// that block copies the image first, so a resident reader costs the
+    /// block one copy per merge.
+    ///
     /// If an upload fails the error is returned, the samples stay merged,
     /// and the blocks that did not store stay dirty for a later `flush`.
     pub fn write_box<T: Sample>(
@@ -1062,15 +1101,11 @@ impl IdxDataset {
         let plan_span = self.m.obs.span("plan");
         // Group incoming samples by block.
         let mut touched: BTreeMap<u64, BlockUpdate> = BTreeMap::new();
-        for y in 0..rh {
-            for x in 0..rw {
-                let (block, offset) =
-                    self.curve.block_offset(&[x0 + x as u64, y0 + y as u64], block_samples)?;
-                let update = touched.entry(block).or_default();
-                update.offsets.push(offset);
-                raster.get(x, y).write_le(&mut update.bytes);
-            }
-        }
+        self.scatter([x0, y0, 0], [rw, rh, 1], raster.data(), |block, offset, le| {
+            let update = touched.entry(block).or_default();
+            update.offsets.push(offset);
+            update.bytes.extend_from_slice(le);
+        })?;
         for (&block, update) in &mut touched {
             update.in_bounds =
                 self.curve.block_samples_in_bounds(block, block_samples, &self.meta.dims)?;
@@ -1190,27 +1225,11 @@ impl IdxDataset {
         self.curve.blocks_in_region(region, level, self.meta.block_samples())
     }
 
-    /// Output layout of a box query at `level`: aligned origin `(x0, y0)`,
-    /// per-axis strides `(sx, sy)`, and output dimensions. `None` when the
-    /// region contains no samples on that level's grid.
-    pub(crate) fn level_layout(&self, region: Box2i, level: u32) -> Result<Option<LevelLayout>> {
-        let grid =
-            self.curve.level_grid(level, [region.x0, region.y0, 0], [region.x1, region.y1, 1])?;
-        Ok(grid.map(|[(x0, sx, out_w), (y0, sy, out_h), _]| (x0, y0, sx, sy, out_w, out_h)))
-    }
-
-    /// O(samples) reference planner kept solely to cross-check
-    /// [`IdxDataset::blocks_for_query`] in tests.
-    #[cfg(test)]
-    fn blocks_for_query_by_sample_walk(&self, region: Box2i, level: u32) -> Result<Vec<u64>> {
-        let mut blocks = std::collections::BTreeSet::new();
-        let block_samples = self.meta.block_samples();
-        for l in 0..=level {
-            for (_, _, hz) in self.curve.level_samples_in_region(l, region)? {
-                blocks.insert(hz / block_samples);
-            }
-        }
-        Ok(blocks.into_iter().collect())
+    /// Output grid of a box query at `level` — the 3-D grid of the curve,
+    /// one sample deep. `None` when the region contains no samples on that
+    /// level's grid.
+    pub(crate) fn level_layout(&self, region: Box2i, level: u32) -> Result<Option<LevelGrid>> {
+        self.curve.level_grid(level, [region.x0, region.y0, 0], [region.x1, region.y1, 1])
     }
 
     /// One fetch→decode wave — the only block read in the crate. Fetches
@@ -1308,10 +1327,10 @@ impl IdxDataset {
         Ok(wave)
     }
 
-    /// Resolve the planned blocks of a one-shot box query, typed: decoded-
-    /// cache hits (including known-missing ones) skip the store and the
-    /// codec entirely — this is what makes progressive refinement decode
-    /// each block exactly once — and the rest arrive in `fetch_concurrency`
+    /// Resolve the planned blocks of a one-shot box query: decoded-cache
+    /// hits (including known-missing ones) skip the store and the codec
+    /// entirely — this is what makes progressive refinement decode each
+    /// block exactly once — and the rest arrive in `fetch_concurrency`
     /// waves under the `idx.fetch` span. `unavailable` as for
     /// `IdxDataset::read_wave`.
     pub(crate) fn query_blocks(
@@ -1359,44 +1378,50 @@ impl IdxDataset {
         Ok(raw_blocks)
     }
 
-    /// Reinterpret resolved payloads as typed samples (cheap, per query —
-    /// the cache stays dtype-agnostic), counting the known-missing ones.
-    pub(crate) fn typed_blocks<T: Sample>(
-        raw_blocks: BTreeMap<u64, DecodedEntry>,
-        stats: &mut QueryStats,
-    ) -> Result<BTreeMap<u64, Option<Vec<T>>>> {
-        let entries: Vec<(u64, DecodedEntry)> = raw_blocks.into_iter().collect();
-        let typed = try_par_map(&entries, num_threads(), |(block, raw)| -> Result<_> {
-            match raw {
-                Some(raw) => Ok((*block, Some(bytes_to_samples::<T>(raw)?))),
-                None => Ok((*block, None)),
-            }
-        })?;
-        stats.blocks_missing = typed.iter().filter(|(_, v)| v.is_none()).count() as u64;
-        Ok(typed.into_iter().collect())
-    }
-
-    /// Gather the decimated raster of `layout` from typed blocks — sample
-    /// `(i, j)` is the stored value at `(x0 + i*sx, y0 + j*sy)`, zero where
-    /// `block_of` has no payload — georeferenced to the window and strides.
-    pub(crate) fn gather_raster<'a, T: Sample>(
+    /// The one gather of the crate — where bytes become samples. Output
+    /// sample `(i, j, k)` of `grid`, x fastest, is the stored value at
+    /// `(x0 + i*sx, y0 + j*sy, z0 + k*sz)`, read straight from its block's
+    /// raw image at `offset * size`; zero where `blocks` has no image (a
+    /// known-missing block, or one a cancelled resolve never reached).
+    /// Closes the query's accounting: `samples_out`, and `blocks_missing`
+    /// as the known-missing entries of `blocks`.
+    pub(crate) fn gather<T: Sample>(
         &self,
-        (x0, y0, sx, sy, out_w, out_h): LevelLayout,
-        block_of: impl Fn(u64) -> Option<&'a [T]>,
-    ) -> Result<Raster<T>> {
+        [(x0, sx, ow), (y0, sy, oh), (z0, sz, od)]: LevelGrid,
+        blocks: &BTreeMap<u64, DecodedEntry>,
+        stats: &mut QueryStats,
+    ) -> Result<Vec<T>> {
         let block_samples = self.meta.block_samples();
-        let mut out = Raster::<T>::zeros(out_w, out_h);
-        for j in 0..out_h {
-            let y = y0 + j as i64 * sy;
-            for i in 0..out_w {
-                let x = x0 + i as i64 * sx;
-                let (block, offset) =
-                    self.curve.block_offset(&[x as u64, y as u64], block_samples)?;
-                if let Some(samples) = block_of(block) {
-                    out.set(i, j, samples[offset]);
+        let size = T::DTYPE.size_bytes();
+        let mut out = vec![T::ZERO; ow * oh * od];
+        for k in 0..od {
+            for j in 0..oh {
+                for i in 0..ow {
+                    let at = [x0 + i as i64 * sx, y0 + j as i64 * sy, z0 + k as i64 * sz];
+                    let (block, offset) =
+                        self.curve.block_offset(&at.map(|c| c as u64), block_samples)?;
+                    if let Some(Some(raw)) = blocks.get(&block) {
+                        out[(k * oh + j) * ow + i] =
+                            T::read_le(raw.get(offset * size..).unwrap_or_default())?;
+                    }
                 }
             }
         }
+        stats.samples_out = out.len() as u64;
+        stats.blocks_missing = blocks.values().filter(|raw| raw.is_none()).count() as u64;
+        Ok(out)
+    }
+
+    /// [`IdxDataset::gather`] of a 2-D query as a raster, georeferenced to
+    /// the window and strides.
+    pub(crate) fn gather_raster<T: Sample>(
+        &self,
+        grid: LevelGrid,
+        blocks: &BTreeMap<u64, DecodedEntry>,
+        stats: &mut QueryStats,
+    ) -> Result<Raster<T>> {
+        let [(x0, sx, ow), (y0, sy, oh), _] = grid;
+        let mut out = Raster::from_vec(ow, oh, self.gather(grid, blocks, stats)?)?;
         out.geo = self.meta.geo.map(|g| {
             let windowed = g.for_window(x0, y0);
             nsdf_util::GeoTransform {
@@ -1500,9 +1525,7 @@ impl IdxDataset {
         }
 
         let _gather_span = self.m.obs.span("gather");
-        let fetched = Self::typed_blocks::<T>(raw_blocks, &mut stats)?;
-        let out = self.gather_raster(layout, |b| fetched.get(&b).and_then(|s| s.as_deref()))?;
-        stats.samples_out = (out.width() * out.height()) as u64;
+        let out = self.gather_raster(layout, &raw_blocks, &mut stats)?;
         self.note_query(&stats);
         Ok((out, stats))
     }
@@ -1735,6 +1758,18 @@ mod tests {
         assert_eq!(back.data(), smooth.data());
     }
 
+    /// O(samples) reference planner kept solely to cross-check
+    /// [`IdxDataset::blocks_for_query`].
+    fn blocks_for_query_by_sample_walk(ds: &IdxDataset, region: Box2i, level: u32) -> Vec<u64> {
+        let mut blocks = std::collections::BTreeSet::new();
+        for l in 0..=level {
+            for (_, _, hz) in ds.curve.level_samples_in_region(l, region).unwrap() {
+                blocks.insert(hz / ds.meta.block_samples());
+            }
+        }
+        blocks.into_iter().collect()
+    }
+
     #[test]
     fn blocks_for_query_matches_sample_walk() {
         // The O(blocks) planner must agree with the retired O(samples)
@@ -1751,7 +1786,7 @@ mod tests {
             for level in 0..=ds.max_level() {
                 assert_eq!(
                     ds.blocks_for_query(region, level).unwrap(),
-                    ds.blocks_for_query_by_sample_walk(region, level).unwrap(),
+                    blocks_for_query_by_sample_walk(&ds, region, level),
                     "region {region:?} level {level}"
                 );
             }

@@ -10,9 +10,14 @@
 //!   [`nsdf_hz::HzCurve::blocks_at_level`]) and subtracts blocks already
 //!   resident, so a full refinement sequence fetches and decodes each
 //!   block at most once;
-//! * keeps a per-session **gather buffer** of typed decoded blocks that
-//!   upgrades in place as finer samples land — pans and slice probes over
-//!   the same data reuse it wholesale;
+//! * keeps a per-session **resident set** of the blocks it resolved — a
+//!   byte-budgeted `DecodedCache` (256 MiB, FIFO) of the *same* `Arc`'d raw
+//!   images the dataset's decoded cache (or write buffer) holds, never a
+//!   copy — so pans and slice probes over the same data resolve nothing
+//!   twice. The budget bounds what a viewer keeps *between* frames: a
+//!   frame pins every image it needs while it gathers, so a view larger
+//!   than the budget still renders whole and merely reuses less next time.
+//!   [`VolumeSliceSession`] is bounded the same way;
 //! * honors a [`CancelToken`] checked between `get_many` waves, so a new
 //!   interaction (pan / zoom / time change) abandons in-flight refinement
 //!   deterministically on the virtual clock;
@@ -35,16 +40,17 @@
 //! `fetch_vns` counter reconciles exactly with the store's
 //! `wan.busy_vns`.
 
-use crate::dataset::{DecodedEntry, IdxDataset, QueryStats, WaveReport};
+use crate::dataset::{DecodedCache, DecodedEntry, IdxDataset, QueryStats, WaveReport};
 use crate::volume::IdxVolume;
 use nsdf_storage::sched::{tag_class, tag_tenant, Priority, TenantId};
 use nsdf_util::obs::{Counter, Obs};
-use nsdf_util::{bytes_to_samples, Box2i, NsdfError, Raster, Result, Sample, SimClock};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use nsdf_util::{Box2i, NsdfError, Raster, Result, Sample, SimClock};
+use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default byte budget of a session's resident typed-block buffer.
+/// Byte budget of a session's resident set (raw block-image bytes).
 const DEFAULT_RESIDENT_BUDGET: u64 = 256 << 20;
 
 #[derive(Debug)]
@@ -110,9 +116,9 @@ impl CancelToken {
 /// Cumulative per-session accounting (mirrored into `session.*` counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Completed frames gathered from the resident buffer.
+    /// Completed frames gathered.
     pub frames: u64,
-    /// Needed blocks served from the resident buffer without any resolve.
+    /// Needed blocks served from the resident set without any resolve.
     pub blocks_reused: u64,
     /// Blocks the session resolved (store fetch or decoded-cache hit) —
     /// over a cold refinement this equals the planner's unique block count.
@@ -180,7 +186,8 @@ pub struct SessionFrame<T: Sample> {
     /// Needed blocks that arrived via an earlier speculative prefetch.
     pub prefetch_hits: u64,
     /// True when the cancel token fired mid-fetch: the raster holds the
-    /// partially upgraded state of the resident buffer.
+    /// partially upgraded view — blocks already resident plus those
+    /// resolved before it fired.
     pub cancelled: bool,
 }
 
@@ -206,28 +213,46 @@ pub struct RefineRun<T: Sample> {
     pub cancelled_at: Option<u32>,
 }
 
-/// Per-frame resolve accounting threaded through the fetch path.
+/// Per-frame resolve accounting threaded through the fetch path, with the
+/// images the frame gathers from.
 #[derive(Debug, Default)]
 struct FrameAcct {
     reused: u64,
     fetched: u64,
     prefetch_hits: u64,
+    /// `needed → image` of the frame in the making: what it found resident
+    /// plus what it resolved. Holding the `Arc`s pins them for the gather,
+    /// whatever the resident set evicts while the frame resolves.
+    blocks: BTreeMap<u64, DecodedEntry>,
 }
 
-/// A resident typed block (`None` = known missing from storage).
-type TypedEntry<T> = Option<Arc<Vec<T>>>;
-
-fn typed_entry<T: Sample>(raw: DecodedEntry) -> Result<TypedEntry<T>> {
-    raw.map(|r| bytes_to_samples::<T>(&r).map(Arc::new)).transpose()
+/// Split a frame's `needed` blocks of field/timestep `at` against a
+/// session's resident set: the images it holds, and the blocks to resolve.
+fn split_resident(
+    resident: &DecodedCache,
+    at: (usize, u32),
+    needed: &[u64],
+) -> (BTreeMap<u64, DecodedEntry>, Vec<u64>) {
+    let mut held = BTreeMap::new();
+    let mut to_resolve = Vec::new();
+    for &block in needed {
+        match resident.get(&(at.0, at.1, block)) {
+            Some(image) => {
+                held.insert(block, image);
+            }
+            None => to_resolve.push(block),
+        }
+    }
+    (held, to_resolve)
 }
 
 /// The chunk loop both session kinds drive the dataset's block pipeline
-/// with: blocks already in the shared decoded cache first, then
+/// with: blocks the handle already holds in RAM first, then
 /// `fetch_concurrency`-wide [`IdxDataset::read_wave`]s with `cancel` checked
 /// before each. Every resolved block goes to `sink` as it arrives (the flag
-/// says it came from the decoded cache, not a store trip), so what earlier
-/// waves brought stays with the caller whether a later wave is cancelled,
-/// shed, or fails. Returns `true` when the token fired.
+/// says it came from RAM, not a store trip), so what earlier waves brought
+/// stays with the caller whether a later wave is cancelled, shed, or fails.
+/// Returns `true` when the token fired.
 fn resolve_waves(
     ds: &IdxDataset,
     at: (usize, u32),
@@ -235,19 +260,19 @@ fn resolve_waves(
     cancel: &CancelToken,
     report: &WaveReport,
     stats: &mut QueryStats,
-    mut sink: impl FnMut(u64, DecodedEntry, bool) -> Result<()>,
+    mut sink: impl FnMut(u64, DecodedEntry, bool),
 ) -> Result<bool> {
     let (hits, misses, epoch) = ds.decoded_partition(at.0, at.1, to_resolve);
     for (block, raw) in hits {
         stats.decoded_cache_hits += 1;
-        sink(block, raw, true)?;
+        sink(block, raw, true);
     }
     for chunk in misses.chunks(ds.fetch_concurrency()) {
         if cancel.is_cancelled_at(report.clock.now_ns()) {
             return Ok(true);
         }
         for (block, raw) in ds.read_wave(at, chunk, Some(epoch), report, None, stats)? {
-            sink(block, raw, false)?;
+            sink(block, raw, false);
         }
     }
     Ok(false)
@@ -273,11 +298,9 @@ pub struct QuerySession<T: Sample> {
     /// level planned so far, which may exceed `covered` after a cancel).
     view_blocks: BTreeSet<u64>,
     planned: Option<u32>,
-    /// The gather buffer: typed decoded blocks (`None` = known missing).
-    resident: BTreeMap<u64, TypedEntry<T>>,
-    resident_queue: VecDeque<u64>,
-    resident_bytes: u64,
-    resident_budget: u64,
+    /// Blocks of the current field and timestep resolved by earlier frames
+    /// (`None` = known missing), shared with the dataset by `Arc`.
+    resident: DecodedCache,
     /// Blocks resolved speculatively, keyed `(time, block)`; consumed (and
     /// counted as hits) by the first frame that needs them.
     prefetched: BTreeSet<(u32, u64)>,
@@ -288,6 +311,7 @@ pub struct QuerySession<T: Sample> {
     clock: SimClock,
     stats: SessionStats,
     m: SessionMetrics,
+    _sample: PhantomData<T>,
 }
 
 impl<T: Sample> QuerySession<T> {
@@ -316,10 +340,7 @@ impl<T: Sample> QuerySession<T> {
             covered: None,
             view_blocks: BTreeSet::new(),
             planned: None,
-            resident: BTreeMap::new(),
-            resident_queue: VecDeque::new(),
-            resident_bytes: 0,
-            resident_budget: DEFAULT_RESIDENT_BUDGET,
+            resident: DecodedCache::new(DEFAULT_RESIDENT_BUDGET),
             prefetched: BTreeSet::new(),
             tenant: None,
             cancel: CancelToken::new(),
@@ -327,6 +348,7 @@ impl<T: Sample> QuerySession<T> {
             clock,
             stats: SessionStats::default(),
             m,
+            _sample: PhantomData,
         })
     }
 
@@ -335,12 +357,6 @@ impl<T: Sample> QuerySession<T> {
     /// with `wan.busy_vns` on one timeline.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.m = SessionMetrics::new(obs);
-        self
-    }
-
-    /// Cap the resident typed-block buffer (bytes, FIFO eviction).
-    pub fn with_resident_budget(mut self, bytes: u64) -> Self {
-        self.resident_budget = bytes;
         self
     }
 
@@ -455,7 +471,7 @@ impl<T: Sample> QuerySession<T> {
         Ok(())
     }
 
-    /// Move the time slider. Flushes the resident buffer (blocks are
+    /// Move the time slider. Flushes the resident set (blocks are
     /// per-timestep) and interrupts in-flight refinement.
     pub fn set_time(&mut self, time: u32) -> Result<()> {
         self.ds.check_time(time)?;
@@ -469,7 +485,7 @@ impl<T: Sample> QuerySession<T> {
         Ok(())
     }
 
-    /// Switch fields. Flushes the resident buffer and interrupts in-flight
+    /// Switch fields. Flushes the resident set and interrupts in-flight
     /// refinement.
     pub fn set_field(&mut self, field: &str) -> Result<()> {
         if field == self.field {
@@ -484,37 +500,16 @@ impl<T: Sample> QuerySession<T> {
     }
 
     fn flush_resident(&mut self) {
-        self.resident.clear();
-        self.resident_queue.clear();
-        self.resident_bytes = 0;
+        self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
         self.covered = None;
         self.planned = None;
         self.view_blocks.clear();
     }
 
-    fn resident_insert(&mut self, block: u64, entry: TypedEntry<T>) {
-        let cost =
-            |e: &TypedEntry<T>| e.as_ref().map_or(0, |v| (v.len() * T::DTYPE.size_bytes()) as u64);
-        let added = cost(&entry);
-        if added > self.resident_budget {
-            return;
-        }
-        match self.resident.insert(block, entry) {
-            Some(old) => self.resident_bytes -= cost(&old),
-            None => self.resident_queue.push_back(block),
-        }
-        self.resident_bytes += added;
-        while self.resident_bytes > self.resident_budget {
-            let Some(victim) = self.resident_queue.pop_front() else { break };
-            if let Some(old) = self.resident.remove(&victim) {
-                self.resident_bytes -= cost(&old);
-            }
-        }
-    }
-
     /// Resolve `to_resolve` blocks of `time` through [`resolve_waves`].
     /// Resolved blocks of the session's current timestep land in the
-    /// resident buffer; all decoded payloads land in the dataset's shared
+    /// resident set and, on a demand resolve, in `acct.blocks` for the
+    /// frame's gather; all decoded payloads land in the dataset's shared
     /// decoded cache (and therefore warmed any `TierCache` below on the
     /// way).
     ///
@@ -559,9 +554,11 @@ impl<T: Sample> QuerySession<T> {
                     acct.prefetch_hits += 1;
                 }
                 if install_resident {
-                    self.resident_insert(b, typed_entry(raw)?);
+                    self.resident.insert((at.0, time, b), raw.clone());
                 }
-                Ok(())
+                if !prefetch {
+                    acct.blocks.insert(b, raw);
+                }
             });
         match resolved {
             // The admission layer shed this speculative wave: skip the rest
@@ -615,28 +612,18 @@ impl<T: Sample> QuerySession<T> {
         })?;
         let mut stats =
             QueryStats { blocks_touched: needed.len() as u64, ..self.ds.query_stats(level) };
-        let mut acct = FrameAcct::default();
-        let mut to_resolve = Vec::new();
-        for &b in needed {
-            if self.resident.contains_key(&b) {
-                acct.reused += 1;
-                if self.prefetched.remove(&(self.time, b)) {
-                    acct.prefetch_hits += 1;
-                }
-            } else {
-                to_resolve.push(b);
+        let at = (self.field_idx, self.time);
+        let (held, to_resolve) = split_resident(&self.resident, at, needed);
+        let mut acct =
+            FrameAcct { reused: held.len() as u64, blocks: held, ..FrameAcct::default() };
+        for &b in acct.blocks.keys() {
+            if self.prefetched.remove(&(self.time, b)) {
+                acct.prefetch_hits += 1;
             }
         }
         let cancelled =
             self.resolve_blocks(self.time, &to_resolve, false, &mut stats, &mut acct)?;
-
-        let resident = &self.resident;
-        let raster = self
-            .ds
-            .gather_raster(layout, |b| resident.get(&b).and_then(|e| e.as_ref().map(|v| &v[..])))?;
-        stats.samples_out = (raster.width() * raster.height()) as u64;
-        stats.blocks_missing =
-            needed.iter().filter(|b| matches!(self.resident.get(b), Some(None))).count() as u64;
+        let raster = self.ds.gather_raster(layout, &acct.blocks, &mut stats)?;
 
         // Blocks resolved before a cancellation still cost WAN time and
         // stay resident; credit them so fetched-block accounting always
@@ -739,7 +726,7 @@ impl<T: Sample> QuerySession<T> {
 
     /// Speculatively resolve the neighbor viewport one region-width ahead
     /// in the last pan direction, refined to `level`. Blocks land in the
-    /// resident buffer and shared caches and are counted as
+    /// resident set and shared caches and are counted as
     /// `prefetch_hits` when a later frame needs them. Returns the number
     /// of blocks resolved.
     pub fn prefetch_pan_neighbor(&mut self, level: u32) -> Result<u64> {
@@ -759,8 +746,9 @@ impl<T: Sample> QuerySession<T> {
         };
         let level = level.min(self.ds.max_level());
         let needed = self.ds.blocks_for_query(neighbor, level)?;
+        let key = |b: u64| (self.field_idx, self.time, b);
         let to_resolve: Vec<u64> =
-            needed.into_iter().filter(|b| !self.resident.contains_key(b)).collect();
+            needed.into_iter().filter(|&b| self.resident.get(&key(b)).is_none()).collect();
         let mut stats = QueryStats::default();
         let mut acct = FrameAcct::default();
         self.resolve_blocks(self.time, &to_resolve, true, &mut stats, &mut acct)?;
@@ -786,19 +774,21 @@ impl<T: Sample> QuerySession<T> {
 }
 
 /// A stateful slice-exploration session over a 3-D [`IdxVolume`]: the
-/// volumetric analogue of [`QuerySession`], holding resident decoded
-/// blocks so adjacent z-slices and repeated flythroughs reuse the coarse
-/// blocks they share instead of refetching per slice.
+/// volumetric analogue of [`QuerySession`], holding the blocks it resolved
+/// resident — under the same byte budget — so adjacent z-slices and
+/// repeated flythroughs reuse the coarse blocks they share instead of
+/// refetching per slice.
 pub struct VolumeSliceSession<T: Sample> {
     vol: Arc<IdxVolume>,
     field: String,
     field_idx: usize,
     time: u32,
-    resident: BTreeMap<u64, TypedEntry<T>>,
+    resident: DecodedCache,
     cancel: CancelToken,
     clock: SimClock,
     stats: SessionStats,
     m: SessionMetrics,
+    _sample: PhantomData<T>,
 }
 
 impl<T: Sample> VolumeSliceSession<T> {
@@ -810,11 +800,12 @@ impl<T: Sample> VolumeSliceSession<T> {
             field: field.to_string(),
             field_idx,
             time: 0,
-            resident: BTreeMap::new(),
+            resident: DecodedCache::new(DEFAULT_RESIDENT_BUDGET),
             cancel: CancelToken::new(),
             clock: SimClock::new(),
             stats: SessionStats::default(),
             m: SessionMetrics::new(&Obs::default()),
+            _sample: PhantomData,
         })
     }
 
@@ -846,23 +837,23 @@ impl<T: Sample> VolumeSliceSession<T> {
         self.cancel = CancelToken::new();
     }
 
-    /// Switch fields, flushing the resident buffer.
+    /// Switch fields, flushing the resident set.
     pub fn set_field(&mut self, field: &str) -> Result<()> {
         if field == self.field {
             return Ok(());
         }
         self.field_idx = self.vol.dataset().field_checked::<T>(field)?;
         self.field = field.to_string();
-        self.resident.clear();
+        self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
         Ok(())
     }
 
-    /// Switch timesteps, flushing the resident buffer.
+    /// Switch timesteps, flushing the resident set.
     pub fn set_time(&mut self, time: u32) -> Result<()> {
         self.vol.dataset().check_time(time)?;
         if time != self.time {
             self.time = time;
-            self.resident.clear();
+            self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
         }
         Ok(())
     }
@@ -878,9 +869,9 @@ impl<T: Sample> VolumeSliceSession<T> {
         let needed = vol.blocks_for_box(region, level)?;
         let mut stats =
             QueryStats { blocks_touched: needed.len() as u64, ..vol.dataset().query_stats(level) };
-        let to_resolve: Vec<u64> =
-            needed.iter().copied().filter(|b| !self.resident.contains_key(b)).collect();
-        let reused = (needed.len() - to_resolve.len()) as u64;
+        let at = (self.field_idx, self.time);
+        let (mut blocks, to_resolve) = split_resident(&self.resident, at, &needed);
+        let reused = blocks.len() as u64;
 
         let report = WaveReport {
             obs: &self.m.obs,
@@ -888,7 +879,6 @@ impl<T: Sample> VolumeSliceSession<T> {
             vns: &self.m.fetch_vns,
             clock: &self.clock,
         };
-        let at = (self.field_idx, self.time);
         let resident = &mut self.resident;
         let mut fetched = 0;
         let cancelled = resolve_waves(
@@ -900,8 +890,8 @@ impl<T: Sample> VolumeSliceSession<T> {
             &mut stats,
             |block, raw, _| {
                 fetched += 1;
-                resident.insert(block, typed_entry(raw)?);
-                Ok(())
+                resident.insert((at.0, at.1, block), raw.clone());
+                blocks.insert(block, raw);
             },
         )?;
         // Waves fetched before a cancellation still cost WAN time and stay
@@ -915,17 +905,106 @@ impl<T: Sample> VolumeSliceSession<T> {
             self.m.cancelled.inc();
             return Ok((None, stats));
         }
-        stats.blocks_missing =
-            needed.iter().filter(|b| matches!(self.resident.get(b), Some(None))).count() as u64;
         self.stats.blocks_reused += reused;
         self.m.blocks_reused.add(reused);
         self.stats.frames += 1;
         self.m.frames.inc();
 
-        let resident = &self.resident;
-        let plane =
-            vol.gather_box(grid, |b| resident.get(&b).and_then(|e| e.as_ref().map(|v| &v[..])))?;
-        stats.samples_out = plane.len() as u64;
-        Ok((Some(plane.slice_z(0)?), stats))
+        let [(_, _, ow), (_, _, oh), _] = grid;
+        let plane = Raster::from_vec(ow, oh, vol.dataset().gather(grid, &blocks, &mut stats)?)?;
+        Ok((Some(plane), stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::meta::{Field, IdxMeta};
+    use nsdf_compress::Codec;
+    use nsdf_storage::{MemoryStore, ObjectStore};
+    use nsdf_util::{DType, Volume};
+
+    /// Raw bytes of one block image in the datasets below (2^8 `f32`s).
+    const BLOCK_BYTES: u64 = 256 * 4;
+
+    fn dataset(w: u64, h: u64) -> Arc<IdxDataset> {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let meta = IdxMeta::new_2d("s", w, h, fields, 8, Codec::Lz4).unwrap();
+        Arc::new(IdxDataset::create(store, "s", meta).unwrap())
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_budget_renders_whole() {
+        let ds = dataset(100, 60);
+        let data = Raster::from_fn(100, 60, |x, y| (y * 100 + x) as f32 + 0.5);
+        ds.write_raster("v", 0, &data).unwrap();
+        let level = ds.max_level();
+        let (want, direct) = ds.read_full::<f32>("v", 0).unwrap();
+        assert!(direct.blocks_touched > 8, "the view must not fit four blocks");
+
+        let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+        session.resident = DecodedCache::new(4 * BLOCK_BYTES);
+        for round in 0..2 {
+            let frame = session.frame_at(level).unwrap();
+            assert_eq!(frame.raster.data(), want.data(), "round {round}");
+            assert_eq!(frame.stats.blocks_missing, direct.blocks_missing);
+            assert_eq!(frame.blocks_reused + frame.blocks_fetched, direct.blocks_touched);
+            assert!(frame.blocks_reused <= 4);
+            assert!(session.resident.bytes <= 4 * BLOCK_BYTES);
+        }
+    }
+
+    #[test]
+    fn a_resident_snapshot_outlives_a_later_merge_into_its_block() {
+        let ds = dataset(32, 32);
+        let first = Raster::from_fn(8, 8, |x, y| (y * 8 + x) as f32 + 1.0);
+        ds.write_box("v", 0, 0, 0, &first).unwrap();
+
+        // The session resolves the pending images themselves, not copies.
+        let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+        let level = ds.max_level();
+        let before = session.frame_at(level).unwrap();
+        assert_eq!(before.raster.window(Box2i::new(0, 0, 8, 8)).unwrap().data(), first.data());
+        assert_eq!(before.raster.get(20, 20), 0.0);
+
+        // A later write merges into those blocks: the handle sees it, the
+        // session keeps the snapshot it resolved.
+        let second = Raster::from_fn(32, 16, |x, y| -((y * 32 + x) as f32) - 1.0);
+        ds.write_box("v", 0, 0, 0, &second).unwrap();
+        let (now, _) = ds.read_full::<f32>("v", 0).unwrap();
+        assert_eq!(now.window(Box2i::new(0, 0, 32, 16)).unwrap().data(), second.data());
+        let after = session.frame_at(level).unwrap();
+        assert_eq!(after.blocks_fetched, 0);
+        assert_eq!(after.raster.data(), before.raster.data());
+
+        // A fresh view of the same handle resolves the merged images.
+        let mut fresh = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+        assert_eq!(fresh.frame_at(level).unwrap().raster.data(), now.data());
+    }
+
+    #[test]
+    fn a_flythrough_larger_than_the_budget_stays_within_it() {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let meta = IdxMeta::new_3d("vol", 20, 12, 9, fields, 8, Codec::Lz4).unwrap();
+        let vol = Arc::new(IdxVolume::create(store, "vol", meta).unwrap());
+        let data = Volume::from_fn(20, 12, 9, |x, y, z| ((z * 12 + y) * 20 + x) as f32 - 7.0);
+        vol.write_volume("v", 0, &data).unwrap();
+        let level = vol.max_level();
+
+        let budget = 3 * BLOCK_BYTES;
+        let mut session = VolumeSliceSession::<f32>::new(Arc::clone(&vol), "v").unwrap();
+        session.resident = DecodedCache::new(budget);
+        let mut touched = BTreeSet::new();
+        for z in (0..9).chain((0..9).rev()) {
+            let (plane, stats) = session.slice_z(z, level).unwrap();
+            assert_eq!(plane.unwrap().data(), data.slice_z(z as usize).unwrap().data(), "z={z}");
+            assert_eq!(stats.blocks_missing, 0);
+            assert!(session.resident.bytes <= budget, "z={z}: {}", session.resident.bytes);
+            touched.extend(vol.blocks_for_box(vol.slice_region(z, level).unwrap(), level).unwrap());
+        }
+        assert!(touched.len() as u64 * BLOCK_BYTES > budget, "the sweep must not fit");
+        assert!(session.stats().blocks_fetched > touched.len() as u64, "nothing was evicted");
     }
 }

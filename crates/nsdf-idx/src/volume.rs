@@ -3,13 +3,13 @@
 //! and sub-boxes), with the same HZ block layout, codecs, and progressive
 //! query semantics as the 2-D [`crate::IdxDataset`].
 
-use crate::dataset::{IdxDataset, QueryStats, WriteStats};
+use crate::dataset::{IdxDataset, LevelGrid, QueryStats, WriteStats};
 use crate::meta::{Field, IdxMeta};
 use nsdf_compress::Codec;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::Obs;
 use nsdf_util::{Box3i, NsdfError, Raster, Result, Sample, Volume};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl IdxMeta {
@@ -30,9 +30,6 @@ impl IdxMeta {
         Ok(meta)
     }
 }
-
-/// Per-axis `(origin, stride, count)` of a box query's output grid.
-type LevelGrid = [(i64, i64, usize); 3];
 
 /// An open 3-D IDX dataset bound to an object store.
 ///
@@ -120,25 +117,9 @@ impl IdxVolume {
                 volume.shape()
             )));
         }
-        let block_samples = self.ds.meta().block_samples();
-
         let _write_span = self.ds.obs().span("write_volume");
-        let plan_span = self.ds.obs().span("plan");
-        let mut blocks: BTreeMap<u64, Vec<T>> = BTreeMap::new();
-        for z in 0..d {
-            for y in 0..h {
-                for x in 0..w {
-                    let (block, offset) = self
-                        .ds
-                        .curve()
-                        .block_offset(&[x as u64, y as u64, z as u64], block_samples)?;
-                    blocks.entry(block).or_insert_with(|| vec![T::ZERO; block_samples as usize])
-                        [offset] = volume.get(x, y, z);
-                }
-            }
-        }
-        drop(plan_span);
-        self.ds.put_full_blocks(field_idx, time, blocks)
+        let images = self.ds.full_grid_images([w, h, d], volume.data())?;
+        self.ds.put_full_blocks(field_idx, time, images)
     }
 
     /// Blocks a box query at `level` must read: a cumulative sample walk
@@ -168,35 +149,6 @@ impl IdxVolume {
             })
     }
 
-    /// Gather the decimated volume of `grid` from typed blocks — sample
-    /// `(i, j, k)` is the stored value at `(x0 + i*sx, y0 + j*sy, z0 + k*sz)`,
-    /// zero where `block_of` has no payload.
-    pub(crate) fn gather_box<'a, T: Sample>(
-        &self,
-        [(x0, sx, ow), (y0, sy, oh), (z0, sz, od)]: LevelGrid,
-        block_of: impl Fn(u64) -> Option<&'a [T]>,
-    ) -> Result<Volume<T>> {
-        let block_samples = self.ds.meta().block_samples();
-        let mut out = Volume::<T>::zeros(ow, oh, od);
-        for k in 0..od {
-            let z = z0 + k as i64 * sz;
-            for j in 0..oh {
-                let y = y0 + j as i64 * sy;
-                for i in 0..ow {
-                    let x = x0 + i as i64 * sx;
-                    let (block, offset) = self
-                        .ds
-                        .curve()
-                        .block_offset(&[x as u64, y as u64, z as u64], block_samples)?;
-                    if let Some(samples) = block_of(block) {
-                        out.set(i, j, k, samples[offset]);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Read a sub-box at resolution `level`; sample `(i, j, k)` of the
     /// result is the stored value at `(x0 + i*sx, y0 + j*sy, z0 + k*sz)`.
     pub fn read_box<T: Sample>(
@@ -223,9 +175,8 @@ impl IdxVolume {
         let raw_blocks = self.ds.query_blocks((field_idx, time), &needed, None, &mut stats)?;
 
         let _gather_span = self.ds.obs().span("gather");
-        let fetched = IdxDataset::typed_blocks::<T>(raw_blocks, &mut stats)?;
-        let out = self.gather_box(grid, |b| fetched.get(&b).and_then(|s| s.as_deref()))?;
-        stats.samples_out = out.len() as u64;
+        let [(_, _, ow), (_, _, oh), (_, _, od)] = grid;
+        let out = Volume::from_vec(ow, oh, od, self.ds.gather(grid, &raw_blocks, &mut stats)?)?;
         self.ds.note_query(&stats);
         Ok((out, stats))
     }

@@ -1,11 +1,13 @@
 //! Property tests: IDX round-trips and query/window agreement over random
-//! shapes, codecs, regions, and levels.
+//! sample types, 2-D and 3-D shapes, codecs, regions, and levels.
 
 use nsdf_compress::Codec;
-use nsdf_idx::{Field, IdxDataset, IdxMeta};
+use nsdf_hz::HzCurve;
+use nsdf_idx::{Field, IdxDataset, IdxMeta, IdxVolume};
 use nsdf_storage::{MemoryStore, ObjectStore};
-use nsdf_util::{Box2i, DType, Raster};
+use nsdf_util::{samples_to_bytes, Box2i, Box3i, DType, Raster, Sample, Volume};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn any_codec() -> impl Strategy<Value = Codec> {
@@ -73,6 +75,118 @@ fn dump(store: &MemoryStore) -> Vec<(String, Vec<u8>)> {
         .into_iter()
         .map(|m| (m.key.clone(), store.get(&m.key).unwrap()))
         .collect()
+}
+
+/// The block objects of `store`: `dump` without the header.
+fn dump_blocks(store: &MemoryStore) -> Vec<(String, Vec<u8>)> {
+    dump(store).into_iter().filter(|(key, _)| key.ends_with(".bin")).collect()
+}
+
+/// One case of `full_roundtrip_any_shape_any_codec` at sample type `T`: a
+/// `dims` grid (one sample deep = a 2-D dataset) of seeded values, written
+/// whole and — in 2-D — tile by tile, then read back through `window`
+/// (fractions of each axis: low corner, then extent) at the level
+/// `level_frac` picks.
+fn roundtrip_case<T: Sample + std::fmt::Debug>(
+    [w, h, d]: [usize; 3],
+    codec: Codec,
+    window: [f64; 6],
+    level_frac: f64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = seed | 1;
+    let src: Vec<T> =
+        (0..w * h * d).map(|_| T::from_f64((xorshift(&mut rng) % 1021) as f64 * 0.25)).collect();
+    let fields = vec![Field::new("v", T::DTYPE).unwrap()];
+    let meta = if d == 1 {
+        IdxMeta::new_2d("prop", w as u64, h as u64, fields, 6, codec)
+    } else {
+        IdxMeta::new_3d("prop", w as u64, h as u64, d as u64, fields, 6, codec)
+    }
+    .unwrap();
+
+    // The reference for the write walk: scatter sample by sample into typed
+    // blocks, then turn each finished block into bytes and encode it.
+    let curve = HzCurve::new(meta.bitmask.clone());
+    let block_samples = meta.block_samples();
+    let mut typed: BTreeMap<u64, Vec<T>> = BTreeMap::new();
+    for (i, &v) in src.iter().enumerate() {
+        let at = [i % w, i / w % h, i / (w * h)].map(|c| c as u64);
+        let hz = curve.hz_from_coords(&at).unwrap();
+        typed.entry(hz / block_samples).or_insert_with(|| vec![T::ZERO; block_samples as usize])
+            [(hz % block_samples) as usize] = v;
+    }
+    let want_blocks: Vec<(String, Vec<u8>)> = typed
+        .iter()
+        .map(|(block, samples)| {
+            let key = format!("prop/f0/t0/b{block:08}.bin");
+            (key, codec.encode(&samples_to_bytes(samples)).unwrap())
+        })
+        .collect();
+
+    // The reference for the gather: a strided read of the source grid.
+    let level = (level_frac * meta.bitmask.num_bits() as f64) as u32;
+    let strides = meta.bitmask.level_strides(level).unwrap();
+    let (mut lo, mut hi) = ([0i64; 3], [1i64; 3]);
+    for (a, n) in [w, h, d].into_iter().enumerate() {
+        lo[a] = ((window[a] * n as f64) as i64).min(n as i64 - 1);
+        hi[a] = (lo[a] + 1 + (window[3 + a] * (n as i64 - lo[a]) as f64) as i64).min(n as i64);
+    }
+    let on_grid = |a: usize| {
+        let stride = strides.get(a).copied().unwrap_or(1) as i64;
+        ((lo[a] + stride - 1) / stride * stride..hi[a]).step_by(stride as usize)
+    };
+    let mut want = Vec::new();
+    for z in on_grid(2) {
+        for y in on_grid(1) {
+            for x in on_grid(0) {
+                want.push(src[(z as usize * h + y as usize) * w + x as usize]);
+            }
+        }
+    }
+    let want_shape = (on_grid(0).count(), on_grid(1).count(), on_grid(2).count());
+
+    let mem = Arc::new(MemoryStore::new());
+    let store: Arc<dyn ObjectStore> = mem.clone();
+    if d > 1 {
+        let vol = IdxVolume::create(store, "prop", meta).unwrap();
+        vol.write_volume("v", 0, &Volume::from_vec(w, h, d, src).unwrap()).unwrap();
+        prop_assert_eq!(dump_blocks(&mem), want_blocks);
+        let region = Box3i::new(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]);
+        match vol.read_box::<T>("v", 0, region, level) {
+            Ok((got, _)) => {
+                prop_assert_eq!(got.shape(), want_shape);
+                prop_assert_eq!(got.data(), &want[..]);
+            }
+            Err(_) => prop_assert!(want.is_empty(), "{:?} level {}", region, level),
+        }
+        return Ok(());
+    }
+
+    let grid = Raster::from_vec(w, h, src).unwrap();
+    let ds = IdxDataset::create(store, "prop", meta.clone()).unwrap();
+    ds.write_raster("v", 0, &grid).unwrap();
+    prop_assert_eq!(dump_blocks(&mem), &want_blocks[..]);
+    let region = Box2i::new(lo[0], lo[1], hi[0], hi[1]);
+    match ds.read_box::<T>("v", 0, region, level) {
+        Ok((got, _)) => {
+            prop_assert_eq!(got.shape(), (want_shape.0, want_shape.1));
+            prop_assert_eq!(got.data(), &want[..]);
+        }
+        Err(_) => prop_assert!(want.is_empty(), "{:?} level {}", region, level),
+    }
+
+    let tiled_mem = Arc::new(MemoryStore::new());
+    let tiled =
+        IdxDataset::create(tiled_mem.clone() as Arc<dyn ObjectStore>, "prop", meta).unwrap();
+    for tile in random_partition(w, h, 5, &mut rng) {
+        tiled
+            .write_box("v", 0, tile.x0 as u64, tile.y0 as u64, &grid.window(tile).unwrap())
+            .unwrap();
+    }
+    tiled.flush().unwrap();
+    prop_assert_eq!(dump_blocks(&tiled_mem), want_blocks);
+    Ok(())
 }
 
 proptest! {
@@ -177,20 +291,34 @@ proptest! {
         prop_assert_eq!(dump(&mem), dump(&whole_mem));
     }
 
+    /// Samples change type once on the way in and once on the way out,
+    /// whatever the type: for any dtype, any 2-D or 3-D non-power-of-two
+    /// grid and any codec, a whole-grid write — and in 2-D a tile-by-tile
+    /// one — stores the block keys and bytes a naive typed scatter produces,
+    /// and any window at any level reads back as a strided read of the
+    /// source grid.
     #[test]
     fn full_roundtrip_any_shape_any_codec(
-        w in 1usize..70,
-        h in 1usize..70,
+        w in 1usize..40,
+        h in 1usize..24,
+        depth in 0usize..6,
+        dtype in 0usize..5,
         codec in any_codec(),
-        seed in any::<u32>(),
+        lo in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        extent in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        level_frac in 0.0f64..=1.0,
+        seed in any::<u64>(),
     ) {
-        let r = Raster::<f32>::from_fn(w, h, |x, y| {
-            let v = (x as u32).wrapping_mul(31).wrapping_add((y as u32).wrapping_mul(17)).wrapping_add(seed);
-            (v % 1000) as f32 * 0.5
-        });
-        let ds = publish(&r, codec);
-        let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
-        prop_assert_eq!(back.data(), r.data());
+        // Half of the cases are 2-D (one sample deep).
+        let dims = [w, h, depth.saturating_sub(1).max(1)];
+        let window = [lo.0, lo.1, lo.2, extent.0, extent.1, extent.2];
+        match dtype {
+            0 => roundtrip_case::<u8>(dims, codec, window, level_frac, seed)?,
+            1 => roundtrip_case::<u16>(dims, codec, window, level_frac, seed)?,
+            2 => roundtrip_case::<u32>(dims, codec, window, level_frac, seed)?,
+            3 => roundtrip_case::<f32>(dims, codec, window, level_frac, seed)?,
+            _ => roundtrip_case::<f64>(dims, codec, window, level_frac, seed)?,
+        }
     }
 
     #[test]

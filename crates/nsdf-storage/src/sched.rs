@@ -207,11 +207,6 @@ impl TokenBucket {
         let delta = deficit.div_ceil(rate);
         now_vns.saturating_add(u64::try_from(delta).unwrap_or(u64::MAX))
     }
-
-    /// Tokens currently available, in bytes (floor), at `now_vns`.
-    pub fn available_bytes(&self, now_vns: u64) -> u64 {
-        u64::try_from(self.tokens_at(now_vns) / BNS).unwrap_or(u64::MAX)
-    }
 }
 
 /// Scheduler configuration.
@@ -962,11 +957,6 @@ impl Scheduler {
         self.m.granted_vns.get()
     }
 
-    /// Queued requests per tier `[interactive, prefetch, bulk]`.
-    pub fn queue_depths(&self) -> [usize; 3] {
-        self.state.lock().queued
-    }
-
     /// Shed prefetch descriptors currently parked for re-issue.
     pub fn deferred_len(&self) -> usize {
         self.state.lock().deferred.len()
@@ -1131,21 +1121,15 @@ pub struct SchedStore {
     inner: Arc<dyn ObjectStore>,
     sched: Arc<Scheduler>,
     tenant: TenantId,
-    class: Priority,
     est_per_key: u64,
 }
 
 impl SchedStore {
-    /// Schedule `inner`'s data plane as `tenant` (default class
-    /// [`Priority::Interactive`], zero per-key cost estimate).
+    /// Schedule `inner`'s data plane as `tenant` (zero per-key cost
+    /// estimate). Calls with no ambient class tag run as
+    /// [`Priority::Interactive`].
     pub fn new(inner: Arc<dyn ObjectStore>, sched: Arc<Scheduler>, tenant: TenantId) -> SchedStore {
-        SchedStore { inner, sched, tenant, class: Priority::Interactive, est_per_key: 0 }
-    }
-
-    /// Default class for calls with no ambient class tag.
-    pub fn with_class(mut self, class: Priority) -> SchedStore {
-        self.class = class;
-        self
+        SchedStore { inner, sched, tenant, est_per_key: 0 }
     }
 
     /// Estimated bytes per key charged against the tenant's bucket for
@@ -1162,7 +1146,7 @@ impl SchedStore {
 
     fn tag(&self) -> (TenantId, Priority) {
         let (t, c) = ambient_tag();
-        (t.unwrap_or(self.tenant), c.unwrap_or(self.class))
+        (t.unwrap_or(self.tenant), c.unwrap_or(Priority::Interactive))
     }
 }
 

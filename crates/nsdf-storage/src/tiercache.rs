@@ -651,12 +651,6 @@ impl TierCache {
         self.m.resident_bytes.set(0.0);
     }
 
-    /// The admission sketch's current frequency estimate for `key`
-    /// (test introspection).
-    pub fn freq_estimate(&self, key: &str) -> u8 {
-        self.state.lock().sketch.estimate(key)
-    }
-
     /// Drain the admission decision log (empty unless
     /// [`TierCache::with_decision_log`] was set).
     pub fn take_decisions(&self) -> Vec<AdmissionDecision> {

@@ -120,11 +120,6 @@ impl TaskCtx {
     pub fn charge_compute_ns(&mut self, ns: u64) {
         self.compute_ns = self.compute_ns.saturating_add(ns);
     }
-
-    /// [`TaskCtx::charge_compute_ns`] in seconds.
-    pub fn charge_compute_secs(&mut self, secs: f64) {
-        self.charge_compute_ns(nsdf_util::secs_to_ns(secs));
-    }
 }
 
 /// What a task hands back to the engine.
