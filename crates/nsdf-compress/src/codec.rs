@@ -385,4 +385,15 @@ mod tests {
             assert_eq!(codec.decode(&enc, 0).unwrap(), Vec::<u8>::new());
         }
     }
+
+    #[test]
+    fn zlib_forged_length_prefix_is_corrupt_not_an_allocation() {
+        let codec = Codec::LzssHuff { sample_size: 4 };
+        let data = sample_data();
+        let mut enc = codec.encode(&data).unwrap();
+        // The middle-stage length is four stream bytes: claim 4 GiB.
+        enc[..4].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+        let err = codec.decode(&enc, data.len()).unwrap_err();
+        assert!(err.is_corrupt() && err.to_string().contains("cannot fit"), "{err}");
+    }
 }

@@ -12,12 +12,36 @@
 //! length is 15, enforced by the same package-merge-free heuristic zlib
 //! uses in spirit: depths beyond the limit are clamped and the Kraft sum
 //! repaired by deepening the shallowest leaves.
+//!
+//! # Decoding
+//!
+//! [`huffman_decode`] keeps the next code bits in a 64-bit window refilled
+//! four bytes at a time and resolves a code of at most `PRIMARY_BITS` (11)
+//! bits with one lookup in a 2048-entry table filled from the canonical
+//! codes: every window value that starts with the code holds its symbol
+//! and length. A longer code (rare: its symbol has probability below
+//! 2⁻¹¹) leaves its entry empty and is found by walking the remaining
+//! lengths against the per-length first code and count. Past the end of
+//! the stream the window reads zeros, and a match that needed more bits
+//! than were left is the truncation error.
+//!
+//! The decoder is a pure function of the stream: a canonical code is
+//! prefix-free, so "the first length at which the bits read so far name a
+//! code" — what a bit-at-a-time reader decides, and what the tests keep as
+//! their reference — and "the entry at this window" are the same symbol.
+//! The stream format, [`MAX_CODE_LEN`] and each `Corrupt` error are those
+//! of the bit-serial decoder; the one addition is that an output length
+//! larger than the number of code bits is refused before anything is
+//! allocated for it.
 
 use crate::bits::{BitReader, BitWriter};
 use nsdf_util::{NsdfError, Result};
 
 /// Maximum code length in bits.
 pub const MAX_CODE_LEN: u8 = 15;
+
+/// Codes of at most this many bits decode in one table lookup.
+const PRIMARY_BITS: u8 = 11;
 
 /// Build Huffman code lengths for the given symbol frequencies.
 ///
@@ -184,6 +208,53 @@ pub fn huffman_encode(src: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// MSB-first window over the code bits: `held` valid bits sit at the top of
+/// `acc`, everything below them is zero, so a [`BitWindow::peek`] past the
+/// end of the stream reads zero padding instead of failing.
+struct BitWindow<'a> {
+    bytes: &'a [u8],
+    /// Next byte of `bytes` to load.
+    next: usize,
+    acc: u64,
+    held: u32,
+}
+
+impl<'a> BitWindow<'a> {
+    /// A window whose first bit is bit `bit_pos` of `bytes`.
+    fn at(bytes: &'a [u8], bit_pos: usize) -> Self {
+        let mut w = BitWindow { bytes, next: bit_pos / 8, acc: 0, held: 0 };
+        w.refill();
+        w.consume((bit_pos % 8) as u32);
+        w
+    }
+
+    /// Top up from `held < 32`: four bytes at once, single bytes at the tail.
+    fn refill(&mut self) {
+        if let Some(four) = self.bytes.get(self.next..self.next + 4) {
+            let word = u32::from_be_bytes(four.try_into().expect("4 bytes"));
+            self.acc |= (word as u64) << (32 - self.held);
+            self.next += 4;
+            self.held += 32;
+        } else {
+            for &b in &self.bytes[self.next..] {
+                self.acc |= (b as u64) << (56 - self.held);
+                self.held += 8;
+            }
+            self.next = self.bytes.len();
+        }
+    }
+
+    /// The next `n` bits (`1 <= n <= 32`) without consuming them.
+    fn peek(&self, n: u8) -> u32 {
+        (self.acc >> (64 - n)) as u32
+    }
+
+    fn consume(&mut self, n: u32) {
+        self.acc <<= n;
+        self.held -= n;
+    }
+}
+
 /// Decompress `src` into exactly `dst_len` bytes.
 pub fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
     if dst_len == 0 {
@@ -191,11 +262,12 @@ pub fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
     }
     let mut r = BitReader::new(src);
     let lens = read_lengths(&mut r)?;
+    let code_bits = r.remaining_bits();
     let codes = canonical_codes(&lens);
 
-    // Build a decode table: for canonical codes, decoding walks lengths in
-    // increasing order comparing the accumulated prefix.
-    // first_code[l] and first_sym_index[l] over symbols sorted by (len, sym).
+    // Canonical decode tables over the symbols sorted by (len, sym): the
+    // codes of length `l` are the `count_per_len[l]` consecutive values
+    // from `first_code[l]`, naming `symbols[first_index[l]..]` in order.
     let mut symbols: Vec<u16> = (0..256u16).filter(|&s| lens[s as usize] > 0).collect();
     if symbols.is_empty() {
         return Err(NsdfError::corrupt("huffman: empty code table"));
@@ -208,38 +280,76 @@ pub fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
         for l in 1..=MAX_CODE_LEN {
             first_index[l as usize] = idx;
             first_code[l as usize] = codes[symbols.get(idx).map(|&s| s as usize).unwrap_or(0)];
-            // Only meaningful when symbols of this length exist; decoder
-            // checks counts below.
+            // Only meaningful when symbols of this length exist; the
+            // lookups below check the count.
             while idx < symbols.len() && lens[symbols[idx] as usize] == l {
                 idx += 1;
             }
         }
     }
-    let mut count_per_len = [0usize; (MAX_CODE_LEN + 1) as usize];
+    let mut count_per_len = [0u32; (MAX_CODE_LEN + 1) as usize];
     for &s in &symbols {
         count_per_len[lens[s as usize] as usize] += 1;
     }
+    // The symbol whose `len`-bit code is `code`, if the table has one.
+    let symbol_at = |code: u32, len: u8| {
+        let first = first_code[len as usize];
+        (code >= first && code - first < count_per_len[len as usize])
+            .then(|| symbols[first_index[len as usize] + (code - first) as usize])
+    };
 
-    let mut out = Vec::with_capacity(dst_len);
-    while out.len() < dst_len {
-        let mut code = 0u32;
-        let mut len = 0u8;
-        loop {
-            code = (code << 1) | r.read_bits(1)? as u32;
-            len += 1;
-            if len > MAX_CODE_LEN {
-                return Err(NsdfError::corrupt("huffman: code longer than limit"));
-            }
-            let n = count_per_len[len as usize];
-            if n > 0 {
-                let first = first_code[len as usize];
-                if code >= first && (code - first) < n as u32 {
-                    let sym = symbols[first_index[len as usize] + (code - first) as usize];
-                    out.push(sym as u8);
-                    break;
-                }
-            }
+    // Primary table: every `PRIMARY_BITS`-bit window that starts with a
+    // code of at most that length maps to `symbol << 4 | length`; 0 marks
+    // a window that starts with a longer code (or none). Canonical
+    // assignment keeps the codes prefix-free whatever lengths a forged
+    // header claims — an oversubscribed one pushes codes past `2^len`,
+    // where no read reaches them — so no two codes claim one slot.
+    let mut primary = [0u16; 1 << PRIMARY_BITS];
+    for len in 1..=PRIMARY_BITS {
+        let pad = PRIMARY_BITS - len;
+        let run = &symbols[first_index[len as usize]..][..count_per_len[len as usize] as usize];
+        for (code, &sym) in (first_code[len as usize]..).zip(run).take_while(|(c, _)| c >> len == 0)
+        {
+            primary[(code << pad) as usize..((code + 1) << pad) as usize]
+                .fill(sym << 4 | len as u16);
         }
+    }
+
+    // Every symbol costs at least one bit, so a longer output than the
+    // stream has bits is a forged length: refuse before allocating for it.
+    if dst_len > code_bits {
+        return Err(NsdfError::corrupt(format!(
+            "huffman: {dst_len} symbols cannot fit in {code_bits} code bits"
+        )));
+    }
+    let mut out = Vec::with_capacity(dst_len);
+    let mut w = BitWindow::at(src, src.len() * 8 - code_bits);
+    while out.len() < dst_len {
+        if w.held < 32 {
+            w.refill();
+        }
+        let entry = primary[w.peek(PRIMARY_BITS) as usize];
+        let (sym, len) = if entry != 0 {
+            (entry >> 4, (entry & 15) as u8)
+        } else {
+            // A longer code: walk the remaining lengths over one window.
+            let bits = w.peek(MAX_CODE_LEN);
+            let hit = (PRIMARY_BITS + 1..=MAX_CODE_LEN)
+                .find_map(|len| Some((symbol_at(bits >> (MAX_CODE_LEN - len), len)?, len)));
+            match hit {
+                Some(hit) => hit,
+                None if w.held > MAX_CODE_LEN as u32 => {
+                    return Err(NsdfError::corrupt("huffman: code longer than limit"));
+                }
+                None => return Err(NsdfError::corrupt("bit stream exhausted")),
+            }
+        };
+        if len as u32 > w.held {
+            // The match leaned on the zero padding past the last byte.
+            return Err(NsdfError::corrupt("bit stream exhausted"));
+        }
+        w.consume(len as u32);
+        out.push(sym as u8);
     }
     Ok(out)
 }
@@ -336,5 +446,165 @@ mod tests {
         let kraft: u64 = lens.iter().filter(|&&l| l > 0).map(|&l| unit >> l).sum();
         assert!(kraft <= unit);
         assert!(lens.iter().all(|&l| l <= MAX_CODE_LEN));
+    }
+
+    /// The decoder this module shipped before the lookup table: one
+    /// `read_bits(1)` per code bit, lengths tried in increasing order. Kept
+    /// as the reference the table decoder is compared against.
+    fn decode_bit_serial(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+        if dst_len == 0 {
+            return Ok(Vec::new());
+        }
+        let mut r = BitReader::new(src);
+        let lens = read_lengths(&mut r)?;
+        let codes = canonical_codes(&lens);
+        let mut symbols: Vec<u16> = (0..256u16).filter(|&s| lens[s as usize] > 0).collect();
+        if symbols.is_empty() {
+            return Err(NsdfError::corrupt("huffman: empty code table"));
+        }
+        symbols.sort_by_key(|&s| (lens[s as usize], s));
+        let mut first_code = [0u32; (MAX_CODE_LEN + 1) as usize];
+        let mut first_index = [0usize; (MAX_CODE_LEN + 1) as usize];
+        let mut idx = 0usize;
+        for l in 1..=MAX_CODE_LEN {
+            first_index[l as usize] = idx;
+            first_code[l as usize] = codes[symbols.get(idx).map(|&s| s as usize).unwrap_or(0)];
+            while idx < symbols.len() && lens[symbols[idx] as usize] == l {
+                idx += 1;
+            }
+        }
+        let mut count_per_len = [0usize; (MAX_CODE_LEN + 1) as usize];
+        for &s in &symbols {
+            count_per_len[lens[s as usize] as usize] += 1;
+        }
+        let mut out = Vec::new();
+        while out.len() < dst_len {
+            let mut code = 0u32;
+            let mut len = 0u8;
+            loop {
+                code = (code << 1) | r.read_bits(1)? as u32;
+                len += 1;
+                if len > MAX_CODE_LEN {
+                    return Err(NsdfError::corrupt("huffman: code longer than limit"));
+                }
+                let n = count_per_len[len as usize];
+                if n > 0 {
+                    let first = first_code[len as usize];
+                    if code >= first && (code - first) < n as u32 {
+                        out.push(
+                            symbols[first_index[len as usize] + (code - first) as usize] as u8,
+                        );
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The table decoder must agree with the bit-serial reference: the same
+    /// bytes, or the same `Corrupt` error.
+    fn assert_same_as_bit_serial(stream: &[u8], dst_len: usize, what: &str) {
+        match (huffman_decode(stream, dst_len), decode_bit_serial(stream, dst_len)) {
+            (Ok(table), Ok(serial)) => assert_eq!(table, serial, "{what}"),
+            (Err(table), Err(serial)) => {
+                assert!(table.is_corrupt() && serial.is_corrupt(), "{what}: {table} / {serial}");
+                // The same error, but for the output-length bound, which
+                // speaks up before the reference runs out of bits.
+                let (table, serial) = (table.to_string(), serial.to_string());
+                assert!(
+                    table == serial || table.contains("cannot fit"),
+                    "{what}: {table} / {serial}"
+                );
+            }
+            (table, serial) => panic!("{what}: table {table:?} but bit-serial {serial:?}"),
+        }
+    }
+
+    /// Symbol `s` repeated `fib(s)` times: the deepest tree a byte count
+    /// can buy, so 14 symbols reach 13-bit codes (past `PRIMARY_BITS`) and
+    /// 24 symbols reach the `MAX_CODE_LEN` limiter.
+    fn fibonacci_skew(symbols: u8) -> Vec<u8> {
+        let (mut a, mut b) = (1usize, 1usize);
+        let mut src = Vec::new();
+        for s in 0..symbols {
+            src.extend(std::iter::repeat_n(s, a));
+            (a, b) = (b, a + b);
+        }
+        src
+    }
+
+    /// Small sources covering the code shapes: skewed text, near-uniform
+    /// bytes, all 256 symbols, codes longer than `PRIMARY_BITS`, and a
+    /// single symbol. Small because the sweeps below decode each of them
+    /// once per encoded byte or bit.
+    fn differential_sources() -> Vec<(&'static str, Vec<u8>)> {
+        let mut x = 7u64;
+        let uniform: Vec<u8> = (0..300)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as u8
+            })
+            .collect();
+        vec![
+            ("skewed", b"the quick brown fox jumps over the lazy dog ".repeat(8)),
+            ("uniform", uniform),
+            ("all-256", (0..=255u8).cycle().take(512).collect()),
+            ("long-codes", fibonacci_skew(14)),
+            ("single-symbol", vec![7u8; 200]),
+        ]
+    }
+
+    fn max_code_len(stream: &[u8]) -> u8 {
+        *read_lengths(&mut BitReader::new(stream)).unwrap().iter().max().unwrap()
+    }
+
+    #[test]
+    fn table_decoder_matches_bit_serial_on_valid_streams() {
+        let mut sources = differential_sources();
+        sources.push(("length-limit", fibonacci_skew(24)));
+        for (name, src) in &sources {
+            let enc = huffman_encode(src);
+            assert_eq!(&huffman_decode(&enc, src.len()).unwrap(), src, "{name}");
+            // Shorter and longer outputs than were encoded, too.
+            for dst_len in [1, src.len() / 2, src.len(), src.len() + 1, src.len() + 9] {
+                assert_same_as_bit_serial(&enc, dst_len, name);
+            }
+        }
+        // The two deep sources are what their names say.
+        assert_eq!(max_code_len(&huffman_encode(&fibonacci_skew(14))), 13);
+        assert_eq!(max_code_len(&huffman_encode(&fibonacci_skew(24))), MAX_CODE_LEN);
+    }
+
+    #[test]
+    fn every_truncation_matches_bit_serial() {
+        for (name, src) in differential_sources() {
+            let enc = huffman_encode(&src);
+            for cut in 0..enc.len() {
+                assert_same_as_bit_serial(&enc[..cut], src.len(), &format!("{name} cut at {cut}"));
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_matches_bit_serial() {
+        for (name, src) in differential_sources() {
+            let enc = huffman_encode(&src);
+            for bit in 0..enc.len() * 8 {
+                let mut flipped = enc.clone();
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                assert_same_as_bit_serial(&flipped, src.len(), &format!("{name} bit {bit}"));
+            }
+        }
+    }
+
+    #[test]
+    fn forged_output_length_is_rejected_before_allocating() {
+        let enc = huffman_encode(b"hello hello hello");
+        // `Vec::with_capacity(usize::MAX)` would panic; 4 GiB would be asked for.
+        for dst_len in [usize::MAX, u32::MAX as usize, enc.len() * 8 + 1] {
+            let err = huffman_decode(&enc, dst_len).unwrap_err();
+            assert!(err.is_corrupt() && err.to_string().contains("cannot fit"), "{err}");
+        }
     }
 }

@@ -16,19 +16,31 @@ use nsdf_util::{derive_seed, NsdfError, Raster, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Aspect encoded as "northness" so the circular variable is continuous;
+/// flat cells (which the aspect kernel marks -1) get 0.
+pub(crate) fn northness(aspect_deg: f64) -> f64 {
+    if aspect_deg < 0.0 {
+        0.0
+    } else {
+        aspect_deg.to_radians().cos()
+    }
+}
+
 /// Feature vector at one cell: (x, y, elevation, slope, aspect-northness).
-fn features(
+pub(crate) fn features(
     x: usize,
     y: usize,
     elev: &Raster<f32>,
     slope: &Raster<f32>,
     aspect: &Raster<f32>,
-) -> Vec<f64> {
-    let a = aspect.get(x, y) as f64;
-    // Encode aspect as "northness" so the circular variable is continuous;
-    // flat cells (-1) get 0.
-    let northness = if a < 0.0 { 0.0 } else { a.to_radians().cos() };
-    vec![x as f64, y as f64, elev.get(x, y) as f64, slope.get(x, y) as f64, northness]
+) -> [f64; 5] {
+    [
+        x as f64,
+        y as f64,
+        elev.get(x, y) as f64,
+        slope.get(x, y) as f64,
+        northness(aspect.get(x, y) as f64),
+    ]
 }
 
 /// Ground truth generator and its derived products.
@@ -78,12 +90,10 @@ impl SyntheticTruth {
         let fine_truth = Raster::from_fn(w, h, |x, y| {
             let rel_elev = (elevation.get(x, y) as f64 - lo) / span; // 0 valley .. 1 peak
             let s = slope.get(x, y) as f64;
-            let a = aspect.get(x, y) as f64;
-            let northness = if a < 0.0 { 0.0 } else { a.to_radians().cos() };
             // Valleys hold water; steep slopes drain (effect saturating at
             // 45°); north faces stay moist.
             let m = 0.35 - 0.20 * rel_elev - 0.06 * (s / 45.0).min(1.0)
-                + 0.03 * northness
+                + 0.03 * northness(aspect.get(x, y) as f64)
                 + 0.02 * noise.get(x, y) as f64;
             m.clamp(0.02, 0.5) as f32
         });
@@ -121,7 +131,7 @@ pub fn downscale_knn(truth: &SyntheticTruth, k: usize) -> Result<DownscaleReport
             let x = (cx * f + f / 2).min(w - 1);
             let y = (cy * f + f / 2).min(h - 1);
             train.push((
-                features(x, y, &truth.elevation, &truth.slope, &truth.aspect),
+                features(x, y, &truth.elevation, &truth.slope, &truth.aspect).to_vec(),
                 truth.coarse_obs.get(cx, cy) as f64,
             ));
         }

@@ -11,6 +11,7 @@
 //! own inputs.
 
 use crate::knn::KnnRegressor;
+use crate::moisture::{features, northness};
 use nsdf_util::{NsdfError, Raster, Result};
 
 /// Parameters of the tile-local downscaling model.
@@ -59,31 +60,6 @@ fn check_shapes(elev: &Raster<f32>, slope: &Raster<f32>, aspect: &Raster<f32>) -
         return Err(NsdfError::invalid("empty terrain tile"));
     }
     Ok(())
-}
-
-fn northness(aspect_deg: f64) -> f64 {
-    // Flat cells are encoded as -1 by the aspect kernel.
-    if aspect_deg < 0.0 {
-        0.0
-    } else {
-        aspect_deg.to_radians().cos()
-    }
-}
-
-fn features(
-    x: usize,
-    y: usize,
-    elev: &Raster<f32>,
-    slope: &Raster<f32>,
-    aspect: &Raster<f32>,
-) -> Vec<f64> {
-    vec![
-        x as f64,
-        y as f64,
-        elev.get(x, y) as f64,
-        slope.get(x, y) as f64,
-        northness(aspect.get(x, y) as f64),
-    ]
 }
 
 /// The tile-local "true" moisture surface: the [`crate::moisture`]
@@ -141,7 +117,7 @@ pub fn downscale_tile(
     let mut train = Vec::new();
     for y in (0..h).step_by(params.sample_stride) {
         for x in (0..w).step_by(params.sample_stride) {
-            train.push((features(x, y, elev, slope, aspect), truth.get(x, y) as f64));
+            train.push((features(x, y, elev, slope, aspect).to_vec(), truth.get(x, y) as f64));
         }
     }
     let model = KnnRegressor::fit(&train)?;
@@ -207,6 +183,42 @@ mod tests {
         assert!(r1.rmse < 0.02, "rmse {}", r1.rmse);
         let (lo, hi) = r1.predicted.min_max().unwrap();
         assert!(lo >= 0.0 && hi <= 0.55, "range [{lo}, {hi}]");
+    }
+
+    #[test]
+    fn benchmark_sized_tile_equals_the_exhaustive_scan_bitwise() {
+        // The `pipeline` benchmark's tile: 192x144, 48 x 36 = 1728 training
+        // points, k = 5. The reference rebuilds the training set on its own
+        // and ranks every training point for every pixel.
+        let dem = DemConfig::conus_like(192, 144, 2024).generate();
+        let (e, s, a) = terrain(&dem);
+        let params = TileMoistureParams::default();
+        let tile = downscale_tile(&e, &s, &a, &params).unwrap();
+        assert_eq!(tile.train_points, 1728);
+
+        let truth = tile_truth(&e, &s, &a, params.relief_m).unwrap();
+        let mut train = Vec::new();
+        for y in (0..144).step_by(params.sample_stride) {
+            for x in (0..192).step_by(params.sample_stride) {
+                train.push((features(x, y, &e, &s, &a).to_vec(), truth.get(x, y) as f64));
+            }
+        }
+        let model = KnnRegressor::fit(&train).unwrap();
+        let rows: Vec<usize> = (0..144).collect();
+        let scan = nsdf_util::par::par_map(&rows, 2, |&y| {
+            (0..192)
+                .map(|x| model.predict_exhaustive(&features(x, y, &e, &s, &a), params.k) as f32)
+                .collect::<Vec<f32>>()
+        })
+        .concat();
+        let differing = tile
+            .predicted
+            .data()
+            .iter()
+            .zip(&scan)
+            .filter(|(p, q)| p.to_bits() != q.to_bits())
+            .count();
+        assert_eq!(differing, 0, "of {} pixels", scan.len());
     }
 
     #[test]
