@@ -286,7 +286,5 @@ fn main() {
          ],\n  \"bulk\": {bulk},\n  \"acceptance\": {{\"bloom_fpr_max\": 0.02}}\n}}\n",
         sweep.join(",\n    ")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_catalog.json");
-    std::fs::write(out, json).expect("write BENCH_catalog.json");
-    println!("wrote {out}");
+    nsdf_bench::write_artifact("BENCH_catalog.json", &json);
 }

@@ -9,8 +9,8 @@
 //! same seed produce byte-identical files, and CI diffs them.
 
 use nsdf_storage::{
-    CloudStore, FailScope, FaultPlan, FaultStore, HedgePolicy, IntegrityStore, MemoryStore,
-    NetworkProfile, ObjectStore, RetryPolicy, RetryStore,
+    CloudStore, EndpointPolicy, FailScope, FaultPlan, HedgePolicy, MemoryStore, NetworkProfile,
+    ObjectStore, RetryPolicy,
 };
 use nsdf_util::{Obs, SimClock};
 use std::sync::Arc;
@@ -79,17 +79,13 @@ fn run_case(
         .with_scope(FailScope::Reads)
         .with_fault_rate(fault_rate)
         .with_corrupt_rate(fault_rate / 4.0);
-    let fault =
-        Arc::new(FaultStore::new(wan, plan, clock.clone()).expect("valid plan").with_obs(&obs));
-    let verified = Arc::new(IntegrityStore::new(fault).with_obs(&obs));
-    let retry_policy = RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.05, multiplier: 2.0 };
-    let mut retry = RetryStore::new(verified, retry_policy, clock.clone()).expect("valid policy");
-    if hedged {
-        retry = retry
-            .with_hedging(HedgePolicy { delay_secs: 0.01, max_hedges: 2 })
-            .expect("valid hedge");
-    }
-    let store = retry.with_obs(&obs);
+    let policy = EndpointPolicy {
+        retry: RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.05, multiplier: 2.0 },
+        hedge: hedged.then_some(HedgePolicy { delay_secs: 0.01, max_hedges: 2 }),
+        breaker: None,
+        ..EndpointPolicy::default()
+    };
+    let store = policy.resilient(wan, plan, &clock, &obs).expect("valid plan and policy");
 
     let keys: Vec<String> = (0..OBJECTS).map(|i| format!("chaos/{i:03}")).collect();
     let v0 = clock.now_secs();
@@ -137,17 +133,13 @@ fn metrics_artifact(mem: &Arc<MemoryStore>) -> String {
         .with_fault_rate(0.05)
         .latency_spike(2.0, 6.0, 0.25)
         .error_burst(8.0, 12.0, 0.6);
-    let fault =
-        Arc::new(FaultStore::new(wan, plan, clock.clone()).expect("valid plan").with_obs(&seal));
-    let store = RetryStore::new(
-        fault,
-        RetryPolicy { max_attempts: 10, initial_backoff_secs: 0.05, multiplier: 2.0 },
-        clock.clone(),
-    )
-    .expect("valid policy")
-    .with_hedging(HedgePolicy::default())
-    .expect("valid hedge")
-    .with_obs(&seal);
+    let policy = EndpointPolicy {
+        retry: RetryPolicy { max_attempts: 10, initial_backoff_secs: 0.05, multiplier: 2.0 },
+        breaker: None,
+        verify_checksums: false,
+        ..EndpointPolicy::default()
+    };
+    let store = policy.resilient(wan, plan, &clock, &seal).expect("valid plan and policy");
 
     let keys: Vec<String> = (0..OBJECTS).map(|i| format!("chaos/{i:03}")).collect();
     // Walk the timeline through the scripted windows in 1s strides.
@@ -229,9 +221,7 @@ fn main() {
          \"windowed_scenario\": {metrics}\n}}\n",
         ratios.join(", ")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    std::fs::write(out, json).expect("write BENCH_chaos.json");
-    println!("wrote {out}");
+    nsdf_bench::write_artifact("BENCH_chaos.json", &json);
 
     assert!(pass, "hedged reads must beat plain backoff at the 20% fault tier");
 }

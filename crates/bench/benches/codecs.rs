@@ -389,9 +389,7 @@ fn main() {
          \"bits_per_block\": {BITS_PER_BLOCK}}},\n  \"records\": [\n    {compare_body}\n  ],\n  \
          \"acceptance\": {acceptance}\n}}\n"
     );
-    let compare_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codecs_compare.json");
-    std::fs::write(compare_out, &compare).expect("write BENCH_codecs_compare.json");
-    println!("wrote {compare_out}");
+    nsdf_bench::write_artifact("BENCH_codecs_compare.json", &compare);
 
     let kernels = kernel_microbench(&specs);
     let full_body = records.iter().map(Record::full_json).collect::<Vec<_>>().join(",\n    ");
@@ -401,9 +399,7 @@ fn main() {
          \"acceptance\": {acceptance},\n  \"kernel_microbench\": [\n    {}\n  ]\n}}\n",
         kernels.join(",\n    ")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codecs.json");
-    std::fs::write(out, full).expect("write BENCH_codecs.json");
-    println!("wrote {out}");
+    nsdf_bench::write_artifact("BENCH_codecs.json", &full);
 
     assert!(vs_best <= 1.05, "adaptive must track the best static codec within 5%");
 }

@@ -650,7 +650,5 @@ fn main() {
         profiles.join(",\n"),
         tier.to_json(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dashboard.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("wrote {path}");
+    nsdf_bench::write_artifact("BENCH_dashboard.json", &json);
 }

@@ -165,7 +165,5 @@ fn main() {
          {body}\n  ],\n  \"acceptance\": [{}]\n}}\n",
         acceptance.join(", ")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(out, json).expect("write BENCH_fleet.json");
-    println!("wrote {out}");
+    nsdf_bench::write_artifact("BENCH_fleet.json", &json);
 }

@@ -1,97 +1,84 @@
-//! §III-B NSDF-FUSE: mapping packages under small-file and large-file op
-//! mixes. The interesting output is virtual seconds per workload (request
-//! economics), which the bench exposes as the measured return value while
-//! wall time tracks the in-process overhead of each mapping.
+//! §III-B NSDF-FUSE: which mapping package wins which op mix. Runs the
+//! mapping palette over the small-file and large-file mixes on both WAN
+//! profiles of §III, plus a chunk-size ablation of the Chunked mapping.
+//! Emits `BENCH_fuse.json` at the repo root; the public-dataverse rows are
+//! the table `reproduce -- fuse` prints and EXPERIMENTS.md quotes
+//! ("NSDF-FUSE mapping packages").
+//!
+//! Every quantity in the artifact is a request counter or virtual-clock
+//! time, so two runs with the same seed produce byte-identical files, and
+//! CI diffs them.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nsdf_bench::fast_criterion;
-use nsdf_fuse::{run_workload, Mapping, OpMix};
+use nsdf_fuse::{run_workload, FuseBenchResult, Mapping, OpMix};
 use nsdf_storage::NetworkProfile;
 
-fn small_files(c: &mut Criterion) {
-    let mix = OpMix { files: 50, file_bytes: 16 * 1024, read_passes: 1, delete: true };
-    let mut g = c.benchmark_group("fuse/small_files");
-    for mapping in Mapping::palette() {
-        g.bench_with_input(BenchmarkId::from_parameter(mapping.name()), &mapping, |b, &m| {
-            b.iter(|| {
-                run_workload(m, NetworkProfile::public_dataverse(), mix, 3).unwrap().store_write_ops
-            })
-        });
-    }
-    g.finish();
-}
+const SEED: u64 = 2024;
+/// Mix of the chunk-size ablation: two 4 MiB files, written and read once.
+const ABLATION_MIX: OpMix = OpMix { files: 2, file_bytes: 4 << 20, read_passes: 1, delete: false };
+const ABLATION_CHUNKS: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 4 << 20];
 
-fn large_files(c: &mut Criterion) {
-    let mix = OpMix { files: 2, file_bytes: 4 << 20, read_passes: 1, delete: false };
-    let mut g = c.benchmark_group("fuse/large_files");
-    for mapping in Mapping::palette() {
-        g.bench_with_input(BenchmarkId::from_parameter(mapping.name()), &mapping, |b, &m| {
-            b.iter(|| {
-                run_workload(m, NetworkProfile::private_seal(), mix, 3).unwrap().store_read_ops
-            })
-        });
-    }
-    g.finish();
-}
-
-/// Round-trip economics of the batched Chunked/Packed paths: chunk reads
-/// and writes now go through `get_many`/`put_many`, so a whole file costs
-/// a handful of WAN waves instead of one round trip per chunk.
-fn batched_round_trips(c: &mut Criterion) {
-    let mix = OpMix { files: 4, file_bytes: 2 << 20, read_passes: 1, delete: false };
-    let chunked = run_workload(
-        Mapping::Chunked { chunk_bytes: 256 << 10 },
-        NetworkProfile::private_seal(),
-        mix,
-        7,
-    )
-    .unwrap();
+/// One artifact row; `extra` is the leading `"key":value,` pair that tells
+/// a palette row (`"workload"`) from an ablation row (`"chunk_bytes"`).
+fn row(extra: &str, r: &FuseBenchResult) -> String {
     println!(
-        "fuse chunked(256k, seal): {} reads + {} writes in {} WAN waves \
-         ({:.3} virtual secs) — {:.1} requests per round trip",
-        chunked.store_read_ops,
-        chunked.store_write_ops,
-        chunked.store_waves,
-        chunked.virtual_secs,
-        (chunked.store_read_ops + chunked.store_write_ops) as f64 / chunked.store_waves as f64,
+        "{extra:<28} {:<17} {:<11} rd={:<5} wr={:<5} waves={:<5} virtual={:>8.3}s",
+        r.network,
+        r.mapping.name(),
+        r.store_read_ops,
+        r.store_write_ops,
+        r.store_waves,
+        r.virtual_secs
     );
-    assert!(
-        chunked.store_waves < chunked.store_read_ops + chunked.store_write_ops,
-        "batched chunk I/O must collapse round trips"
-    );
-    let mut g = c.benchmark_group("fuse/batched_round_trips");
-    g.bench_function("chunked_256k_seal", |b| {
-        b.iter(|| {
-            run_workload(
-                Mapping::Chunked { chunk_bytes: 256 << 10 },
-                NetworkProfile::private_seal(),
-                mix,
-                7,
-            )
-            .unwrap()
-            .store_waves
-        })
-    });
-    g.finish();
+    format!(
+        "{{{extra}\"profile\":\"{}\",\"mapping\":\"{}\",\"file_ops\":{},\"store_read_ops\":{},\
+         \"store_write_ops\":{},\"store_waves\":{},\"virtual_secs\":{:.6}}}",
+        r.network,
+        r.mapping.name(),
+        r.file_ops,
+        r.store_read_ops,
+        r.store_write_ops,
+        r.store_waves,
+        r.virtual_secs
+    )
 }
 
-fn chunk_size_ablation(c: &mut Criterion) {
-    let mix = OpMix { files: 2, file_bytes: 4 << 20, read_passes: 1, delete: false };
-    let mut g = c.benchmark_group("fuse/chunk_bytes");
-    for chunk in [64usize << 10, 256 << 10, 1 << 20, 4 << 20] {
-        let mapping = Mapping::Chunked { chunk_bytes: chunk };
-        g.bench_with_input(BenchmarkId::from_parameter(chunk), &mapping, |b, &m| {
-            b.iter(|| {
-                run_workload(m, NetworkProfile::private_seal(), mix, 3).unwrap().store_write_ops
-            })
-        });
+fn main() {
+    let mut records = Vec::new();
+    for profile in [NetworkProfile::public_dataverse, NetworkProfile::private_seal] {
+        for (name, mix) in
+            [("small-files", OpMix::small_files()), ("large-files", OpMix::large_files())]
+        {
+            for mapping in Mapping::palette() {
+                let r = run_workload(mapping, profile(), mix, SEED).expect("workload runs");
+                records.push(row(&format!("\"workload\":\"{name}\","), &r));
+            }
+        }
     }
-    g.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = fast_criterion();
-    targets = small_files, large_files, batched_round_trips, chunk_size_ablation
+    let mut ablation = Vec::new();
+    for chunk_bytes in ABLATION_CHUNKS {
+        let mapping = Mapping::Chunked { chunk_bytes };
+        let r = run_workload(mapping, NetworkProfile::private_seal(), ABLATION_MIX, SEED)
+            .expect("workload runs");
+        ablation.push(row(&format!("\"chunk_bytes\":{chunk_bytes},"), &r));
+        // Chunk reads and writes go through `get_many`/`put_many`, so a
+        // file split into several chunks costs a handful of WAN waves, not
+        // one round trip per chunk.
+        if chunk_bytes < ABLATION_MIX.file_bytes {
+            assert!(
+                r.store_waves < r.store_read_ops + r.store_write_ops,
+                "chunked({chunk_bytes}): batched chunk I/O must collapse round trips"
+            );
+        }
+    }
+
+    let json = format!(
+        "{{\n  \"bench\": \"fuse\",\n  \"seed\": {SEED},\n  \"records\": [\n    {}\n  ],\n  \
+         \"chunk_ablation\": {{\"files\": {}, \"file_bytes\": {}, \"records\": [\n    {}\n  ]}}\n}}\n",
+        records.join(",\n    "),
+        ABLATION_MIX.files,
+        ABLATION_MIX.file_bytes,
+        ablation.join(",\n    ")
+    );
+    nsdf_bench::write_artifact("BENCH_fuse.json", &json);
 }
-criterion_main!(benches);

@@ -185,9 +185,7 @@ fn main() {
         tiles.len(),
         ratios.join(", ")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-    std::fs::write(out, json).expect("write BENCH_ingest.json");
-    println!("wrote {out}");
+    nsdf_bench::write_artifact("BENCH_ingest.json", &json);
 
     assert!(pass, "batched ingest at concurrency >= 4 must beat sequential on private-seal");
 }

@@ -232,14 +232,10 @@ fn main() {
          \"parallel_over_sequential_virtual\": {ratio:.4}, \"threshold\": 0.5, \"pass\": {pass}}},\n  \
          \"planner\": {planner}\n}}\n"
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-    std::fs::write(out, json).expect("write BENCH_streaming.json");
-    println!("wrote {out}");
+    nsdf_bench::write_artifact("BENCH_streaming.json", &json);
 
     let metrics = metrics_artifact(&mem);
-    let metrics_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming_metrics.json");
-    std::fs::write(metrics_out, metrics).expect("write BENCH_streaming_metrics.json");
-    println!("wrote {metrics_out}");
+    nsdf_bench::write_artifact("BENCH_streaming_metrics.json", &metrics);
 
     assert!(pass, "parallel fetch must beat 0.5x sequential virtual time");
 }

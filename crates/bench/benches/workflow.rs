@@ -157,7 +157,6 @@ fn main() {
          {body}\n  ]\n}}\n",
         cfg.width, cfg.height, cfg.tiles.0, cfg.tiles.1, cfg.threads, EDIT.x, EDIT.y, EDIT.delta_m
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_workflow.json");
-    std::fs::write(out, json).expect("write BENCH_workflow.json");
-    println!("wrote {out} in {:.1}s wall", wall.elapsed().as_secs_f64());
+    nsdf_bench::write_artifact("BENCH_workflow.json", &json);
+    println!("{:.1}s wall", wall.elapsed().as_secs_f64());
 }

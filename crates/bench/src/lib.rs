@@ -1,56 +1,19 @@
 //! # nsdf-bench
 //!
-//! Shared helpers for the Criterion benchmark suite. Each bench target in
-//! `benches/` regenerates one table or figure of the paper (see DESIGN.md's
-//! per-experiment index); this crate holds the common workload builders so
-//! benches measure the system, not setup code.
+//! The deterministic artifact generators. Each target in `benches/` is a
+//! plain `main` that writes one committed `BENCH_*.json` made of
+//! virtual-clock times, counters and seeded draws;
+//! `scripts/seeded_determinism.sh` runs every target twice, compares the
+//! two files and diffs the result against the committed one, and refuses a
+//! target that is not on its list. Wall-clock time is measured in one
+//! place only, the end-to-end `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
-use nsdf_compress::Codec;
-use nsdf_geotiled::DemConfig;
-use nsdf_idx::{Field, IdxDataset, IdxMeta};
-use nsdf_storage::{MemoryStore, ObjectStore};
-use nsdf_util::{DType, Raster};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Deterministic seed shared by every bench.
-pub const BENCH_SEED: u64 = 2024;
-
-/// Criterion settings that keep the full suite's wall time reasonable.
-pub fn fast_criterion() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_millis(1200))
-        .configure_from_args()
-}
-
-/// A CONUS-like DEM of the given square size.
-pub fn bench_dem(size: usize) -> Raster<f32> {
-    DemConfig::conus_like(size, size, BENCH_SEED).generate()
-}
-
-/// Publish a raster as a single-field IDX dataset in a fresh memory store.
-pub fn publish_idx(raster: &Raster<f32>, codec: Codec, bits_per_block: u32) -> IdxDataset {
-    let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-    let (w, h) = raster.shape();
-    let meta = IdxMeta::new_2d(
-        "bench",
-        w as u64,
-        h as u64,
-        vec![Field::new("v", DType::F32).expect("valid field")],
-        bits_per_block,
-        codec,
-    )
-    .expect("valid meta");
-    let ds = IdxDataset::create(store, "bench", meta).expect("create dataset");
-    ds.write_raster("v", 0, raster).expect("write raster");
-    ds
-}
-
-/// Little-endian bytes of a raster, the raw codec payload.
-pub fn raster_bytes(raster: &Raster<f32>) -> Vec<u8> {
-    nsdf_util::samples_to_bytes(raster.data())
+/// Write one artifact to the repository root, where the determinism script
+/// and `git diff` look for it.
+pub fn write_artifact(name: &str, json: &str) {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }

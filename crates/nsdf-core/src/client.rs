@@ -9,9 +9,9 @@
 //! workflows report coherent end-to-end times.
 
 use nsdf_idx::{IdxDataset, QuerySession};
+pub use nsdf_storage::EndpointPolicy;
 use nsdf_storage::{
-    BreakerPolicy, BreakerStore, CloudStore, FaultPlan, FaultStore, HedgePolicy, IntegrityStore,
-    MemoryStore, NetworkProfile, ObjectStore, RetryPolicy, RetryStore, SchedConfig, SchedStore,
+    CloudStore, FaultPlan, MemoryStore, NetworkProfile, ObjectStore, SchedConfig, SchedStore,
     Scheduler, TenantPolicy, TierCache,
 };
 use nsdf_util::obs::Obs;
@@ -24,55 +24,6 @@ const CLIENT_TENANT: u32 = 0;
 
 /// Disk-tier byte budget for the tiered constructors.
 const DEFAULT_DISK_TIER_BYTES: u64 = 1 << 30;
-
-/// Resilience policy for a simulated remote endpoint: how its store stack
-/// retries, hedges, sheds load, and verifies payloads.
-///
-/// Applied by [`NsdfClient::simulated_chaos`], which assembles each remote
-/// endpoint as
-///
-/// ```text
-/// SchedStore → TierCache → RetryStore → IntegrityStore → BreakerStore → FaultStore → CloudStore
-/// ```
-///
-/// so a fault injected at the bottom is first seen by the breaker (endpoint
-/// health), then surfaced as a checksum failure if it was silent
-/// corruption, then retried/hedged, and finally hidden from warm reads by
-/// the cache tiers — only verified payloads are ever cached or persisted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EndpointPolicy {
-    /// Exponential-backoff retry policy.
-    pub retry: RetryPolicy,
-    /// Hedged backup waves for batch reads; `None` disables hedging.
-    pub hedge: Option<HedgePolicy>,
-    /// Per-endpoint circuit breaker; `None` disables the breaker.
-    pub breaker: Option<BreakerPolicy>,
-    /// Verify payload checksums against object metadata, turning silent
-    /// corruption into retryable I/O errors.
-    pub verify_checksums: bool,
-    /// Read-cache budget in bytes.
-    pub cache_bytes: u64,
-}
-
-impl Default for EndpointPolicy {
-    /// Defaults tolerate sustained ~20% fault rates without tripping: three
-    /// retry attempts with one 20 ms hedge wave, a breaker that only opens
-    /// on 16 consecutive failures, checksum verification on, and the same
-    /// 256 MiB cache as [`NsdfClient::simulated`].
-    fn default() -> Self {
-        EndpointPolicy {
-            retry: RetryPolicy::default(),
-            hedge: Some(HedgePolicy::default()),
-            breaker: Some(BreakerPolicy {
-                failure_threshold: 16,
-                cooldown_secs: 0.05,
-                success_threshold: 2,
-            }),
-            verify_checksums: true,
-            cache_bytes: 256 << 20,
-        }
-    }
-}
 
 /// Classes of storage endpoint the tutorial distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +88,8 @@ impl NsdfClient {
     }
 
     /// A simulated client whose remote endpoints run a scripted fault plan
-    /// behind the full resilience stack described by [`EndpointPolicy`].
+    /// behind the full resilience stack described by [`EndpointPolicy`]:
+    /// `SchedStore → TierCache →` [`EndpointPolicy::resilient`] `→ CloudStore`.
     ///
     /// Both remotes execute the same `plan` timeline, but every stochastic
     /// draw is salted per endpoint (`derive_seed(plan.seed, name)`), so
@@ -216,20 +168,7 @@ impl NsdfClient {
             if let Some((plan, policy)) = chaos {
                 let mut ep_plan = plan.clone();
                 ep_plan.seed = derive_seed(plan.seed, name);
-                stack = Arc::new(FaultStore::new(stack, ep_plan, clock.clone())?.with_obs(&ep_obs));
-                if let Some(breaker) = policy.breaker {
-                    stack = Arc::new(
-                        BreakerStore::new(stack, breaker, clock.clone())?.with_obs(&ep_obs),
-                    );
-                }
-                if policy.verify_checksums {
-                    stack = Arc::new(IntegrityStore::new(stack).with_obs(&ep_obs));
-                }
-                let mut retry = RetryStore::new(stack, policy.retry, clock.clone())?;
-                if let Some(hedge) = policy.hedge {
-                    retry = retry.with_hedging(hedge)?;
-                }
-                stack = Arc::new(retry.with_obs(&ep_obs));
+                stack = policy.resilient(stack, ep_plan, &clock, &ep_obs)?;
                 cache_bytes = policy.cache_bytes;
             }
             let mut tier = TierCache::new(stack, cache_bytes);
@@ -334,6 +273,7 @@ impl NsdfClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsdf_storage::{BreakerPolicy, RetryPolicy};
 
     #[test]
     fn simulated_client_has_three_endpoints() {

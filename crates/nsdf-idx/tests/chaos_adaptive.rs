@@ -8,11 +8,8 @@
 
 use nsdf_compress::Codec;
 use nsdf_idx::{Field, IdxDataset, IdxMeta};
-use nsdf_storage::{
-    FailScope, FaultPlan, FaultStore, IntegrityStore, MemoryStore, ObjectStore, RetryPolicy,
-    RetryStore,
-};
-use nsdf_util::{DType, Raster, SimClock};
+use nsdf_storage::{EndpointPolicy, FailScope, FaultPlan, MemoryStore, ObjectStore, RetryPolicy};
+use nsdf_util::{DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 
 fn adaptive_meta() -> IdxMeta {
@@ -63,12 +60,14 @@ fn adaptive_dataset_survives_chaos_bitwise() {
         .with_scope(FailScope::Reads)
         .with_fault_rate(0.20)
         .with_corrupt_rate(0.05);
-    let fault =
-        Arc::new(FaultStore::new(mem as Arc<dyn ObjectStore>, plan, clock.clone()).unwrap());
-    let verified = Arc::new(IntegrityStore::new(fault));
-    let policy = RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.05, multiplier: 2.0 };
-    let retry = Arc::new(RetryStore::new(verified, policy, clock).unwrap());
-    let chaotic = IdxDataset::open(retry as Arc<dyn ObjectStore>, "data/chaos").unwrap();
+    let policy = EndpointPolicy {
+        retry: RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.05, multiplier: 2.0 },
+        hedge: None,
+        breaker: None,
+        ..EndpointPolicy::default()
+    };
+    let retry = policy.resilient(mem, plan, &clock, &Obs::default()).unwrap();
+    let chaotic = IdxDataset::open(retry, "data/chaos").unwrap();
     let (got, q) = chaotic.read_full::<f32>("v", 0).unwrap();
     assert!(!q.degraded);
     assert_eq!(got.data(), expect.data(), "chaos read must be bitwise-identical to the oracle");

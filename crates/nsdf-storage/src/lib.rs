@@ -46,8 +46,8 @@ pub use fleet::{FleetReport, FleetSim, FleetSpec, LatencySummary};
 pub use local::LocalStore;
 pub use memory::MemoryStore;
 pub use reliability::{
-    BreakerPolicy, BreakerState, BreakerStore, FailScope, HedgePolicy, IntegrityStore, RetryPolicy,
-    RetryStore,
+    BreakerPolicy, BreakerState, BreakerStore, EndpointPolicy, FailScope, HedgePolicy,
+    IntegrityStore, RetryPolicy, RetryStore,
 };
 pub use sched::{
     Priority, SchedConfig, SchedStore, Scheduler, TenantId, TenantPolicy, TokenBucket,

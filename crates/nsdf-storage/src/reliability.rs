@@ -14,6 +14,7 @@
 //! stack proves end-to-end that a lossy substrate still yields correct
 //! datasets.
 
+use crate::fault::{FaultPlan, FaultStore};
 use crate::store::{ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, secs_to_ns, NsdfError, Result, SimClock};
@@ -166,35 +167,32 @@ impl RetryStore {
         backoff * self.policy.multiplier
     }
 
-    fn with_retries<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-        let mut backoff = self.policy.initial_backoff_secs;
-        let mut attempt = 1;
-        loop {
-            match f() {
-                Ok(v) => return Ok(v),
-                Err(NsdfError::Io(e)) if attempt < self.policy.max_attempts => {
-                    let _ = e; // transient: retry after backoff
-                    backoff = self.charge_backoff(backoff, 1);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// A single call is a wave of one.
+    fn with_retries<T>(&self, f: impl Fn() -> Result<T>) -> Result<T> {
+        self.retry_waves(&[()], None, |_| vec![f()]).pop().expect("one result per wave slot")
     }
 
-    /// Wave-based retry for the write batches (`put_many`, `delete_many`),
-    /// exactly like `get_many` minus hedging: a hedged backup wave would
-    /// race two writes of the same key, and "first ack wins" is not a
-    /// coherent write semantic. `send` issues one inner batch for the
-    /// given input positions; transiently failed keys re-batch and share
-    /// one backoff per wave, permanent errors resolve immediately.
-    fn retry_waves<T>(
+    /// The one retry loop. `send` issues one inner batch for a subset of
+    /// `items`; transiently failed ones re-batch and share one backoff per
+    /// wave (concurrent retries back off in parallel, not in sequence),
+    /// permanent errors resolve immediately, and the retry counter counts
+    /// per key so it agrees with the single-call accounting.
+    ///
+    /// With `hedge` (only `get_many` passes it), each round may launch
+    /// backup waves for its transient failures after a short hedge delay —
+    /// rescued keys skip the backoff wave entirely, the rest fall through
+    /// to the normal schedule. The write batches and `head_many` stay
+    /// unhedged: a hedged backup wave would race two writes of the same
+    /// key, and "first ack wins" is not a coherent write semantic.
+    fn retry_waves<I: Copy, T>(
         &self,
-        n: usize,
-        send: impl Fn(&[usize]) -> Vec<Result<T>>,
+        items: &[I],
+        hedge: Option<HedgePolicy>,
+        send: impl Fn(&[I]) -> Vec<Result<T>>,
     ) -> Vec<Result<T>> {
-        let mut out: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..n).collect();
+        let send = |at: &[usize]| send(&at.iter().map(|&i| items[i]).collect::<Vec<I>>());
+        let mut out: Vec<Option<Result<T>>> = items.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..items.len()).collect();
         let mut backoff = self.policy.initial_backoff_secs;
         let mut attempt = 1;
         loop {
@@ -203,6 +201,27 @@ impl RetryStore {
                 match r {
                     Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
                     r => out[i] = Some(r),
+                }
+            }
+            if let Some(hedge) = hedge {
+                let mut round = 0;
+                while round < hedge.max_hedges && !next.is_empty() {
+                    self.m.hedge_waves.inc();
+                    self.m.hedge_vns.add(secs_to_ns(hedge.delay_secs));
+                    self.clock.advance_secs(hedge.delay_secs);
+                    self.m.hedges.add(next.len() as u64);
+                    let mut still = Vec::new();
+                    for (&i, r) in next.iter().zip(send(&next)) {
+                        match r {
+                            Err(NsdfError::Io(_)) => still.push(i),
+                            r => {
+                                self.m.hedge_wins.inc();
+                                out[i] = Some(r);
+                            }
+                        }
+                    }
+                    next = still;
+                    round += 1;
                 }
             }
             if next.is_empty() {
@@ -230,70 +249,19 @@ impl ObjectStore for RetryStore {
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        // Wave-based retry: re-batch all transiently failed keys and retry
-        // them together, charging one shared backoff per wave (concurrent
-        // retries back off in parallel, not in sequence). Permanent errors
-        // resolve immediately; the retry counter still counts per key so
-        // it agrees with the single-get accounting. With hedging enabled,
-        // each round may launch backup waves for its transient failures
-        // after a short hedge delay — rescued keys skip the backoff wave
-        // entirely, the rest fall through to the normal schedule.
-        let mut out: Vec<Option<Result<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..keys.len()).collect();
-        let mut backoff = self.policy.initial_backoff_secs;
-        let mut attempt = 1;
-        loop {
-            let wave: Vec<&str> = pending.iter().map(|&i| keys[i]).collect();
-            let results = self.inner.get_many(&wave);
-            let mut next = Vec::new();
-            for (&i, r) in pending.iter().zip(results) {
-                match r {
-                    Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
-                    r => out[i] = Some(r),
-                }
-            }
-            if let Some(hedge) = self.hedge {
-                let mut round = 0;
-                while round < hedge.max_hedges && !next.is_empty() {
-                    self.m.hedge_waves.inc();
-                    self.m.hedge_vns.add(secs_to_ns(hedge.delay_secs));
-                    self.clock.advance_secs(hedge.delay_secs);
-                    let hedge_keys: Vec<&str> = next.iter().map(|&i| keys[i]).collect();
-                    self.m.hedges.add(hedge_keys.len() as u64);
-                    let hedge_results = self.inner.get_many(&hedge_keys);
-                    let mut still = Vec::new();
-                    for (&i, r) in next.iter().zip(hedge_results) {
-                        match r {
-                            Err(NsdfError::Io(_)) => still.push(i),
-                            r => {
-                                self.m.hedge_wins.inc();
-                                out[i] = Some(r);
-                            }
-                        }
-                    }
-                    next = still;
-                    round += 1;
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            backoff = self.charge_backoff(backoff, next.len() as u64);
-            attempt += 1;
-            pending = next;
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+        self.retry_waves(keys, self.hedge, |wave| self.inner.get_many(wave))
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        self.retry_waves(items.len(), |pending| {
-            let wave: Vec<(&str, &[u8])> = pending.iter().map(|&i| items[i]).collect();
-            self.inner.put_many(&wave)
-        })
+        self.retry_waves(items, None, |wave| self.inner.put_many(wave))
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
         self.with_retries(|| self.inner.head(key))
+    }
+
+    fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
+        self.retry_waves(keys, None, |wave| self.inner.head_many(wave))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
@@ -305,10 +273,7 @@ impl ObjectStore for RetryStore {
     }
 
     fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
-        self.retry_waves(keys.len(), |pending| {
-            let wave: Vec<&str> = pending.iter().map(|&i| keys[i]).collect();
-            self.inner.delete_many(&wave)
-        })
+        self.retry_waves(keys, None, |wave| self.inner.delete_many(wave))
     }
 
     fn describe(&self) -> String {
@@ -728,6 +693,81 @@ impl ObjectStore for IntegrityStore {
 
     fn describe(&self) -> String {
         format!("{} with checksum verification", self.inner.describe())
+    }
+}
+
+/// Resilience policy for a remote endpoint: how its store stack retries,
+/// hedges, sheds load, and verifies payloads.
+///
+/// [`EndpointPolicy::resilient`] is the one place the stack is assembled:
+///
+/// ```text
+/// RetryStore(+hedge?) → IntegrityStore? → BreakerStore? → FaultStore → wan
+/// ```
+///
+/// so a fault injected at the bottom is first seen by the breaker (endpoint
+/// health), then surfaced as a checksum failure if it was silent
+/// corruption, then retried/hedged — a cache above the result only ever
+/// holds verified payloads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EndpointPolicy {
+    /// Exponential-backoff retry policy.
+    pub retry: RetryPolicy,
+    /// Hedged backup waves for batch reads; `None` disables hedging.
+    pub hedge: Option<HedgePolicy>,
+    /// Per-endpoint circuit breaker; `None` disables the breaker.
+    pub breaker: Option<BreakerPolicy>,
+    /// Verify payload checksums against object metadata, turning silent
+    /// corruption into retryable I/O errors.
+    pub verify_checksums: bool,
+    /// Read-cache budget in bytes, for the cache tier a client puts above
+    /// the stack.
+    pub cache_bytes: u64,
+}
+
+impl Default for EndpointPolicy {
+    /// Defaults tolerate sustained ~20% fault rates without tripping: three
+    /// retry attempts with one 20 ms hedge wave, a breaker that only opens
+    /// on 16 consecutive failures, checksum verification on, and a 256 MiB
+    /// cache.
+    fn default() -> Self {
+        EndpointPolicy {
+            retry: RetryPolicy::default(),
+            hedge: Some(HedgePolicy::default()),
+            breaker: Some(BreakerPolicy {
+                failure_threshold: 16,
+                cooldown_secs: 0.05,
+                success_threshold: 2,
+            }),
+            verify_checksums: true,
+            cache_bytes: 256 << 20,
+        }
+    }
+}
+
+impl EndpointPolicy {
+    /// `wan` under the scripted `plan` and this policy's resilience layers,
+    /// every layer timing itself on `clock` and reporting into `obs`.
+    pub fn resilient(
+        &self,
+        wan: Arc<dyn ObjectStore>,
+        plan: FaultPlan,
+        clock: &SimClock,
+        obs: &Obs,
+    ) -> Result<Arc<dyn ObjectStore>> {
+        let mut stack: Arc<dyn ObjectStore> =
+            Arc::new(FaultStore::new(wan, plan, clock.clone())?.with_obs(obs));
+        if let Some(breaker) = self.breaker {
+            stack = Arc::new(BreakerStore::new(stack, breaker, clock.clone())?.with_obs(obs));
+        }
+        if self.verify_checksums {
+            stack = Arc::new(IntegrityStore::new(stack).with_obs(obs));
+        }
+        let mut retry = RetryStore::new(stack, self.retry, clock.clone())?;
+        if let Some(hedge) = self.hedge {
+            retry = retry.with_hedging(hedge)?;
+        }
+        Ok(Arc::new(retry.with_obs(obs)))
     }
 }
 
@@ -1214,6 +1254,55 @@ mod tests {
         let schedule: f64 = (0..waves).map(|w| 0.05 * 2f64.powi(w as i32)).sum();
         assert!((clock.now_secs() - schedule).abs() < 1e-9, "one backoff per wave");
         assert!(retry.retries() > waves, "waves must be shared across keys");
+    }
+
+    #[test]
+    fn retry_head_many_rides_waves_not_one_round_trip_per_key() {
+        use crate::wan::{CloudStore, NetworkProfile};
+        // Twenty heads in one batch over a seeded WAN with its own registry:
+        // (WAN episodes charged, metrics).
+        let run = |fault_rate: f64| {
+            let clock = SimClock::new();
+            let obs = Obs::new(clock.clone());
+            let mem = Arc::new(MemoryStore::new());
+            let keys: Vec<String> = (0..20).map(|i| format!("k{i:02}")).collect();
+            for k in &keys {
+                mem.put(k, b"v").unwrap(); // below the WAN: no clock, no draws
+            }
+            let wan = CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 5)
+                .with_obs(&obs);
+            let plan = FaultPlan::new(7).with_fault_rate(fault_rate).with_scope(FailScope::Reads);
+            let flaky = FaultStore::new(Arc::new(wan), plan, clock.clone()).unwrap();
+            let retry = RetryStore::new(
+                Arc::new(flaky),
+                RetryPolicy { max_attempts: 10, initial_backoff_secs: 0.05, multiplier: 2.0 },
+                clock,
+            )
+            .unwrap()
+            .with_obs(&obs);
+            let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+            let metas = retry.head_many(&refs);
+            for (k, m) in refs.iter().zip(&metas) {
+                assert_eq!(&m.as_ref().unwrap().key, k, "per-key results in input order");
+            }
+            let snap = obs.snapshot();
+            let episodes: u64 = snap.histograms["wan.op_vsecs"].counts.iter().sum();
+            (episodes, snap)
+        };
+
+        // Quiet endpoint: one batch is one WAN episode, not twenty.
+        let (episodes, snap) = run(0.0);
+        assert_eq!(episodes, 1);
+        assert_eq!(snap.counter("wan.read_ops"), 20);
+        assert_eq!(snap.counter("retry.waves"), 0);
+
+        // 25% read faults: failed keys re-batch, so back-offs are counted
+        // per wave (shared by the keys in it) and every wave is one episode.
+        let (episodes, snap) = run(0.25);
+        let (waves, retries) = (snap.counter("retry.waves"), snap.counter("retry.retries"));
+        assert!(waves >= 1 && waves < retries, "{waves} waves for {retries} retried keys");
+        assert_eq!(episodes, waves + 1, "one WAN episode per wave");
+        assert_eq!(snap.counter("wan.read_ops"), 20, "an acked head is never re-sent");
     }
 
     #[test]

@@ -36,7 +36,23 @@ PAIRS=(
   # DAG schedules, task statuses and mosaic digests: all store I/O happens
   # on the caller thread, in per-wave batches ordered by task id.
   workflow:BENCH_workflow.json
+  # Request counters, WAN waves and virtual seconds per mapping x op mix.
+  fuse:BENCH_fuse.json
 )
+
+# crates/bench holds the artifact generators and nothing else: a [[bench]]
+# or a benches/*.rs file that is not listed above (or a pair without its
+# target) fails here, before anything is built.
+declared="$({
+  sed -n 's/^name = "\(.*\)"$/\1/p' crates/bench/Cargo.toml | grep -vx nsdf-bench
+  basename -s .rs crates/bench/benches/*.rs
+} | sort -u)"
+listed="$(printf '%s\n' "${PAIRS[@]%%:*}" | sort)"
+if [ "$declared" != "$listed" ]; then
+  echo "determinism: crates/bench/Cargo.toml targets and PAIRS differ (< crates/bench, > PAIRS):" >&2
+  diff <(echo "$declared") <(echo "$listed") >&2 || true
+  exit 1
+fi
 
 first="$(mktemp -d)"
 trap 'rm -rf "$first"' EXIT

@@ -12,11 +12,13 @@
 
 use nsdf::catalog::{Catalog, CatalogConfig, Record};
 use nsdf::storage::{
-    BreakerPolicy, BreakerStore, CloudStore, FailScope, FaultPlan, FaultStore, HedgePolicy,
-    IntegrityStore, MemoryStore, NetworkProfile, ObjectStore, RetryPolicy, RetryStore,
+    CloudStore, FailScope, FaultPlan, FaultStore, MemoryStore, NetworkProfile, ObjectStore,
 };
 use nsdf::util::{derive_seed, fnv1a64, splitmix64, MetricsSnapshot, Obs, SimClock};
 use std::sync::Arc;
+
+mod common;
+use common::chaos_policy;
 
 const SEED: u64 = 0xCA7C4A05;
 const N: u64 = 5_000;
@@ -61,20 +63,7 @@ fn chaos_stack(
         .with_scope(FailScope::Reads)
         .with_fault_rate(0.2)
         .with_corrupt_rate(0.05);
-    let fault = Arc::new(FaultStore::new(wan, plan, clock.clone()).unwrap().with_obs(obs));
-    let breaker =
-        BreakerPolicy { failure_threshold: 200, cooldown_secs: 0.05, success_threshold: 1 };
-    let guarded = Arc::new(BreakerStore::new(fault, breaker, clock.clone()).unwrap().with_obs(obs));
-    let verified = Arc::new(IntegrityStore::new(guarded).with_obs(obs));
-    let retry = RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.01, multiplier: 2.0 };
-    let hedge = HedgePolicy { delay_secs: 0.005, max_hedges: 2 };
-    Arc::new(
-        RetryStore::new(verified, retry, clock.clone())
-            .unwrap()
-            .with_hedging(hedge)
-            .unwrap()
-            .with_obs(obs),
-    )
+    chaos_policy(200).resilient(wan, plan, clock, obs).unwrap()
 }
 
 /// Bulk-load + mixed mutations, identical on every substrate.

@@ -6,12 +6,12 @@
 
 use nsdf::compress::Codec;
 use nsdf::idx::{Field, IdxDataset, IdxMeta};
-use nsdf::storage::{
-    BreakerPolicy, BreakerStore, CloudStore, FailScope, FaultPlan, FaultStore, HedgePolicy,
-    IntegrityStore, MemoryStore, NetworkProfile, ObjectStore, RetryPolicy, RetryStore,
-};
+use nsdf::storage::{FailScope, FaultPlan, MemoryStore, NetworkProfile, ObjectStore};
 use nsdf::util::{fnv1a64, samples_to_bytes, Box2i, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
+
+mod common;
+use common::chaos_stack;
 
 const W: usize = 128;
 const H: usize = 96;
@@ -41,30 +41,6 @@ fn seed_data(mem: Arc<MemoryStore>) {
         ((x as u32).wrapping_mul(2654435761).wrapping_add(y as u32) % 10_000) as f32 * 0.25
     });
     ds.write_raster("v", 0, &r).unwrap();
-}
-
-/// The full resilience stack over a WAN-simulated view of `mem`.
-fn chaos_stack(
-    mem: Arc<MemoryStore>,
-    profile: NetworkProfile,
-    plan: FaultPlan,
-    clock: SimClock,
-    obs: &Obs,
-) -> Arc<dyn ObjectStore> {
-    let wan_seed = plan.seed ^ 0x57A6_57A6_57A6_57A6;
-    let wan = Arc::new(CloudStore::new(mem, profile, clock.clone(), wan_seed).with_obs(obs));
-    let fault = Arc::new(FaultStore::new(wan, plan, clock.clone()).unwrap().with_obs(obs));
-    // Breaker tuned to tolerate a sustained 20% fault rate without opening
-    // spuriously (24 consecutive failures at p=0.25 is ~1e-15).
-    let breaker =
-        BreakerPolicy { failure_threshold: 24, cooldown_secs: 0.05, success_threshold: 1 };
-    let guarded = Arc::new(BreakerStore::new(fault, breaker, clock.clone()).unwrap().with_obs(obs));
-    let verified = Arc::new(IntegrityStore::new(guarded).with_obs(obs));
-    let retry = RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.01, multiplier: 2.0 };
-    let hedge = HedgePolicy { delay_secs: 0.005, max_hedges: 2 };
-    Arc::new(
-        RetryStore::new(verified, retry, clock).unwrap().with_hedging(hedge).unwrap().with_obs(obs),
-    )
 }
 
 /// A deterministic sweep of query regions/levels within the dataset bounds.

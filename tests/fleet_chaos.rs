@@ -8,13 +8,15 @@
 
 use nsdf::storage::sched::{digest_get_results, SchedOp, SchedRequest};
 use nsdf::storage::{
-    BreakerPolicy, BreakerStore, CloudStore, FailScope, FaultPlan, FaultStore, HedgePolicy,
-    IntegrityStore, MemoryStore, NetworkProfile, ObjectStore, Priority, RetryPolicy, RetryStore,
+    CloudStore, FailScope, FaultPlan, MemoryStore, NetworkProfile, ObjectStore, Priority,
     SchedConfig, Scheduler, TenantPolicy,
 };
 use nsdf::util::{derive_seed, MetricsSnapshot, Obs, SimClock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+mod common;
+use common::chaos_policy;
 
 const TENANTS: u32 = 6;
 const REQS_PER_TENANT: usize = 8;
@@ -50,23 +52,7 @@ fn tenant_stack(t: u32, wan: Arc<CloudStore>, clock: SimClock, obs: &Obs) -> Arc
     if t == 0 {
         plan = plan.outage(2.0, 2.3);
     }
-    let fault = Arc::new(FaultStore::new(wan, plan, clock.clone()).unwrap().with_obs(&scoped));
-    // High threshold: the oracle comparison needs every read to succeed,
-    // so the breaker must observe the chaos without ever fast-failing.
-    let breaker =
-        BreakerPolicy { failure_threshold: 200, cooldown_secs: 0.05, success_threshold: 1 };
-    let guarded =
-        Arc::new(BreakerStore::new(fault, breaker, clock.clone()).unwrap().with_obs(&scoped));
-    let verified = Arc::new(IntegrityStore::new(guarded).with_obs(&scoped));
-    let retry = RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.01, multiplier: 2.0 };
-    let hedge = HedgePolicy { delay_secs: 0.005, max_hedges: 2 };
-    Arc::new(
-        RetryStore::new(verified, retry, clock)
-            .unwrap()
-            .with_hedging(hedge)
-            .unwrap()
-            .with_obs(&scoped),
-    )
+    chaos_policy(200).resilient(wan, plan, &clock, &scoped).unwrap()
 }
 
 /// One completion, reduced to (tenant, arrival_vns, errors, digest).

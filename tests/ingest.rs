@@ -10,12 +10,12 @@
 
 use nsdf::idx::WriteStats;
 use nsdf::prelude::*;
-use nsdf::storage::{
-    BreakerPolicy, BreakerStore, CrashPoint, CrashSpec, CrashStore, FailScope, FaultPlan,
-    FaultStore, GateStore, HedgePolicy, IntegrityStore, RetryPolicy, RetryStore,
-};
+use nsdf::storage::{CrashPoint, CrashSpec, CrashStore, FailScope, FaultPlan, GateStore};
 use nsdf::util::SpanNode;
 use std::sync::Arc;
+
+mod common;
+use common::chaos_stack;
 
 const W: usize = 160;
 const H: usize = 120;
@@ -67,31 +67,6 @@ fn dump(store: &MemoryStore) -> Vec<(String, Vec<u8>)> {
         .into_iter()
         .map(|m| (m.key.clone(), store.get(&m.key).unwrap()))
         .collect()
-}
-
-/// The full resilience stack over a WAN-simulated view of `mem` (same
-/// shape as the read-side chaos tests, here exercised by writes).
-fn chaos_stack(
-    mem: Arc<MemoryStore>,
-    profile: NetworkProfile,
-    plan: FaultPlan,
-    clock: SimClock,
-    obs: &Obs,
-) -> Arc<dyn ObjectStore> {
-    let wan_seed = plan.seed ^ 0x57A6_57A6_57A6_57A6;
-    let wan = Arc::new(CloudStore::new(mem, profile, clock.clone(), wan_seed).with_obs(obs));
-    let fault = Arc::new(FaultStore::new(wan, plan, clock.clone()).unwrap().with_obs(obs));
-    // Breaker tuned to tolerate a sustained 20% fault rate without opening
-    // spuriously (24 consecutive failures at p=0.25 is ~1e-15).
-    let breaker =
-        BreakerPolicy { failure_threshold: 24, cooldown_secs: 0.05, success_threshold: 1 };
-    let guarded = Arc::new(BreakerStore::new(fault, breaker, clock.clone()).unwrap().with_obs(obs));
-    let verified = Arc::new(IntegrityStore::new(guarded).with_obs(obs));
-    let retry = RetryPolicy { max_attempts: 8, initial_backoff_secs: 0.01, multiplier: 2.0 };
-    let hedge = HedgePolicy { delay_secs: 0.005, max_hedges: 2 };
-    Arc::new(
-        RetryStore::new(verified, retry, clock).unwrap().with_hedging(hedge).unwrap().with_obs(obs),
-    )
 }
 
 /// What one chaotic ingest run is judged on: stored bytes, write stats,
