@@ -128,7 +128,7 @@ fn planner_comparison() -> String {
     let t0 = Instant::now();
     let mut walk_blocks = std::collections::BTreeSet::new();
     for l in 0..=level {
-        for (_, _, hz) in curve.level_samples_in_region(l, region).expect("walk") {
+        for (_, hz) in curve.level_samples_in_box(l, region).expect("walk") {
             walk_blocks.insert(hz / block_samples);
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::colormap::Colormap;
 use crate::render::{render, Image, RangeMode};
-use nsdf_idx::{IdxVolume, QueryStats, SessionStats, VolumeSliceSession};
+use nsdf_idx::{IdxVolume, QuerySession, QueryStats, SessionFrame, SessionStats};
 use nsdf_util::obs::Obs;
 use nsdf_util::{NsdfError, Result};
 use parking_lot::Mutex;
@@ -16,13 +16,13 @@ use std::sync::Arc;
 
 /// Interactive slice view over an [`IdxVolume`].
 ///
-/// Slices are read through a lazily created [`VolumeSliceSession`]: the
-/// coarse blocks adjacent z-planes share stay resident, so dragging the
+/// Slices are frames of a lazily created [`QuerySession`] on the volume:
+/// the coarse blocks adjacent z-planes share stay resident, so dragging the
 /// slider (or a flythrough sweep) refetches only what each new plane
 /// actually adds.
 pub struct VolumeExplorer {
     volume: Arc<IdxVolume>,
-    session: Mutex<Option<VolumeSliceSession<f32>>>,
+    session: Mutex<Option<QuerySession<f32>>>,
     obs_root: Obs,
     field: String,
     time: u32,
@@ -64,23 +64,18 @@ impl VolumeExplorer {
         self.session.lock().as_ref().map(|s| s.stats())
     }
 
-    /// Run `f` against the slice session, creating it lazily and syncing
-    /// field and timestep first.
-    fn with_session<R>(
-        &self,
-        f: impl FnOnce(&mut VolumeSliceSession<f32>) -> Result<R>,
-    ) -> Result<R> {
+    /// The frame of plane `z` at the current field, timestep and level,
+    /// through the slice session (created lazily).
+    fn slice(&self, z: i64) -> Result<SessionFrame<f32>> {
         let mut guard = self.session.lock();
         if guard.is_none() {
-            *guard = Some(
-                VolumeSliceSession::<f32>::new(Arc::clone(&self.volume), &self.field)?
-                    .with_obs(&self.obs_root),
-            );
+            *guard = Some(self.volume.session::<f32>(&self.field)?.with_obs(&self.obs_root));
         }
         let session = guard.as_mut().expect("session just created");
         session.set_field(&self.field)?;
         session.set_time(self.time)?;
-        f(session)
+        session.set_slice(z)?;
+        session.frame_at(self.level)
     }
 
     /// Depth of the volume (number of z-slices).
@@ -140,11 +135,8 @@ impl VolumeExplorer {
 
     /// Render the active slice through the slice session.
     pub fn render_slice(&self) -> Result<(Image, QueryStats)> {
-        let (raster, stats) = self.with_session(|s| s.slice_z(self.z, self.level))?;
-        let raster =
-            raster.ok_or_else(|| NsdfError::invalid("slice fetch cancelled mid-flight"))?;
-        let img = render(&raster, self.colormap, self.range)?;
-        Ok((img, stats))
+        let frame = self.slice(self.z)?;
+        Ok((render(&frame.raster, self.colormap, self.range)?, frame.stats))
     }
 
     /// Flythrough: render `count` slices evenly spaced through the volume
@@ -160,10 +152,7 @@ impl VolumeExplorer {
         for i in 0..count {
             let z =
                 if count == 1 { depth / 2 } else { i as i64 * (depth - 1) / (count as i64 - 1) };
-            let (raster, _) = self.with_session(|s| s.slice_z(z, self.level))?;
-            let raster =
-                raster.ok_or_else(|| NsdfError::invalid("slice fetch cancelled mid-flight"))?;
-            out.push((z, render(&raster, self.colormap, self.range)?));
+            out.push((z, render(&self.slice(z)?.raster, self.colormap, self.range)?));
         }
         Ok(out)
     }

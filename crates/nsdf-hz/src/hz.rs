@@ -13,7 +13,7 @@
 //! with the trailing zeros *and* the lowest set bit stripped.
 
 use crate::bitmask::BitMask;
-use nsdf_util::{Box2i, NsdfError, Result};
+use nsdf_util::{Box3i, NsdfError, Result};
 
 /// HZ address from a Z (Morton) address on an `n`-bit grid.
 #[inline]
@@ -83,6 +83,11 @@ impl HzCurve {
         Ok(HzCurve::new(BitMask::for_dims_2d(width, height)?))
     }
 
+    /// Curve for a 3-D grid of the given logical size.
+    pub fn for_dims_3d(width: u64, height: u64, depth: u64) -> Result<Self> {
+        Ok(HzCurve::new(BitMask::for_dims(&[width, height, depth])?))
+    }
+
     /// The interleaving mask.
     pub fn mask(&self) -> &BitMask {
         &self.mask
@@ -112,26 +117,25 @@ impl HzCurve {
         Ok((hz / block_samples, (hz % block_samples) as usize))
     }
 
-    /// Output grid of a box query `[lo, hi)` at `level`: per axis, the
-    /// first coordinate on the level's grid, its stride, and the sample
-    /// count. Axes the mask owns no bits on (a 100x1 dataset, the z axis of
-    /// a 2-D one) have stride 1. `None` when the box holds no sample of
-    /// that grid.
-    pub fn level_grid(
-        &self,
-        level: u32,
-        lo: [i64; 3],
-        hi: [i64; 3],
-    ) -> Result<Option<[(i64, i64, usize); 3]>> {
-        let strides = self.mask.level_strides(level)?;
+    /// Output grid of a box query at `level`: per axis, the first
+    /// coordinate on the level's grid, its stride, and the sample count.
+    /// Axes the mask owns no bits on (a 100x1 dataset, the z axis of a 2-D
+    /// one) have stride 1. `None` when the box holds no sample of that
+    /// grid.
+    pub fn level_grid(&self, level: u32, region: Box3i) -> Result<Option<[(i64, i64, usize); 3]>> {
+        let strides = axes3(&self.mask.level_strides(level)?, 1);
+        let (lo, hi) = corners(region);
         let mut grid = [(0, 1, 1); 3];
         for (a, axis) in grid.iter_mut().enumerate() {
-            let stride = strides.get(a).copied().unwrap_or(1) as i64;
-            let origin = align_up(lo[a], stride);
+            let origin = align_up(lo[a], strides[a]);
             if origin >= hi[a] {
                 return Ok(None);
             }
-            *axis = (origin, stride, ((hi[a] - origin) as u64).div_ceil(stride as u64) as usize);
+            *axis = (
+                origin,
+                strides[a],
+                ((hi[a] - origin) as u64).div_ceil(strides[a] as u64) as usize,
+            );
         }
         Ok(Some(grid))
     }
@@ -141,86 +145,70 @@ impl HzCurve {
         self.mask.decode(z_from_hz(h, self.mask.num_bits()))
     }
 
-    /// Iterate the HZ addresses of all level-`level` samples (exactly that
-    /// level, not cumulative) whose 2-D coordinates fall inside `region`.
+    /// Walk the samples of exactly `level` (not cumulative) whose
+    /// coordinates fall inside `region`, x fastest, yielding
+    /// `([x, y, z], hz)`. Samples of level ℓ lie on the cumulative level-ℓ
+    /// grid but *off* the level-(ℓ-1) grid, so the walk steps the finer
+    /// strides and skips the coarser points.
     ///
-    /// Yields `(x, y, hz)` tuples. Samples of level ℓ lie on the cumulative
-    /// level-ℓ grid but *off* the level-(ℓ-1) grid, which the iterator
-    /// enforces by stepping the finer strides and skipping coarser points.
-    pub fn level_samples_in_region(
+    /// O(samples): the oracle the block planners are tested against, and the
+    /// address source of the layout ablation — queries plan with
+    /// [`HzCurve::blocks_in_region`].
+    pub fn level_samples_in_box(
         &self,
         level: u32,
-        region: Box2i,
-    ) -> Result<Vec<(u64, u64, u64)>> {
-        if self.mask.num_axes() > 2 {
-            return Err(NsdfError::unsupported("region iteration is 2-D only"));
-        }
-        if level > self.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.max_level()
-            )));
-        }
-        let strides = self.mask.level_strides(level)?;
-        let (sx, sy) = (strides[0] as i64, strides.get(1).copied().unwrap_or(1) as i64);
-        let coarser = if level == 0 { None } else { Some(self.mask.level_strides(level - 1)?) };
-        let padded = self.mask.padded_dims();
-        let max_x = padded[0] as i64;
-        let max_y = padded.get(1).copied().unwrap_or(1) as i64;
-
-        let x0 = align_up(region.x0.max(0), sx);
-        let y0 = align_up(region.y0.max(0), sy);
-        let x1 = region.x1.min(max_x);
-        let y1 = region.y1.min(max_y);
-
+        region: impl Into<Box3i>,
+    ) -> Result<Vec<([u64; 3], u64)>> {
+        let strides = axes3(&self.mask.level_strides(level)?, 1);
+        let coarser = match level {
+            0 => None,
+            l => Some(axes3(&self.mask.level_strides(l - 1)?, 1)),
+        };
+        let padded = axes3(&self.mask.padded_dims(), 1);
+        let (lo, hi) = corners(region.into());
+        let axis = |a: usize| {
+            (align_up(lo[a].max(0), strides[a])..hi[a].min(padded[a])).step_by(strides[a] as usize)
+        };
         let mut out = Vec::new();
-        let mut y = y0;
-        while y < y1 {
-            let mut x = x0;
-            while x < x1 {
-                let on_coarser = coarser.as_ref().is_some_and(|c| {
-                    x % c[0] as i64 == 0 && y % c.get(1).copied().unwrap_or(1) as i64 == 0
-                });
-                if !on_coarser {
-                    let h =
-                        self.hz_from_coords(&[x as u64, y as u64]).expect("in-range coordinates");
+        for z in axis(2) {
+            for y in axis(1) {
+                for x in axis(0) {
+                    let at = [x, y, z];
+                    if coarser.is_some_and(|c| (0..3).all(|a| at[a] % c[a] == 0)) {
+                        continue;
+                    }
+                    let at = at.map(|c| c as u64);
+                    let h = self.hz_from_coords(&at).expect("in-range coordinates");
                     debug_assert_eq!(hz_level(h), level);
-                    out.push((x as u64, y as u64, h));
+                    out.push((at, h));
                 }
-                x += sx;
             }
-            y += sy;
         }
         Ok(out)
     }
 
     /// Blocks of `block_samples` consecutive HZ addresses that hold at
     /// least one sample of levels `0..=level` inside `region` — the block
-    /// set a box query must fetch.
+    /// set a box query must fetch. A 2-D region is a box one sample deep.
     ///
     /// Runs in time proportional to the number of *blocks* returned (plus
     /// a logarithmic descent overhead), not the number of samples in the
     /// region: within each level, aligned in-level rank ranges map to exact
-    /// axis-aligned bounding rectangles (every varying Z bit feeds exactly
-    /// one coordinate bit, monotonically), so whole subtrees are accepted —
+    /// axis-aligned bounding boxes (every varying Z bit feeds exactly one
+    /// coordinate bit, monotonically), so whole subtrees are accepted —
     /// their HZ span is contiguous, every block in it is marked at once —
     /// or rejected without visiting individual samples.
     pub fn blocks_in_region(
         &self,
-        region: Box2i,
+        region: impl Into<Box3i>,
         level: u32,
         block_samples: u64,
     ) -> Result<Vec<u64>> {
-        let Some(region) = self.clip_plan_region(region, level, block_samples)? else {
-            return Ok(Vec::new());
-        };
         let mut blocks = std::collections::BTreeSet::new();
-        // Level 0 is the single sample at the origin (HZ address 0).
-        if region.contains(0, 0) {
-            blocks.insert(0);
-        }
-        for l in 1..=level {
-            self.descend_ranks(l, 0, 1u64 << (l - 1), &region, block_samples, &mut blocks);
+        if let Some(region) = self.clip_plan_region(region.into(), level, block_samples)? {
+            for l in 0..=level {
+                self.descend_level(l, &region, block_samples, &mut blocks);
+            }
         }
         Ok(blocks.into_iter().collect())
     }
@@ -235,20 +223,13 @@ impl HzCurve {
     /// Same subtree-descent cost model as [`HzCurve::blocks_in_region`].
     pub fn blocks_at_level(
         &self,
-        region: Box2i,
+        region: impl Into<Box3i>,
         level: u32,
         block_samples: u64,
     ) -> Result<Vec<u64>> {
-        let Some(region) = self.clip_plan_region(region, level, block_samples)? else {
-            return Ok(Vec::new());
-        };
         let mut blocks = std::collections::BTreeSet::new();
-        if level == 0 {
-            if region.contains(0, 0) {
-                blocks.insert(0);
-            }
-        } else {
-            self.descend_ranks(level, 0, 1u64 << (level - 1), &region, block_samples, &mut blocks);
+        if let Some(region) = self.clip_plan_region(region.into(), level, block_samples)? {
+            self.descend_level(level, &region, block_samples, &mut blocks);
         }
         Ok(blocks.into_iter().collect())
     }
@@ -322,16 +303,14 @@ impl HzCurve {
     }
 
     /// Shared validation + clip for the block planners: errors on bad
-    /// arguments, `None` when the clipped region is empty.
+    /// arguments, else the `[lo, hi)` corners of the region clipped to the
+    /// padded grid — `None` when nothing is left.
     fn clip_plan_region(
         &self,
-        region: Box2i,
+        region: Box3i,
         level: u32,
         block_samples: u64,
-    ) -> Result<Option<Box2i>> {
-        if self.mask.num_axes() > 2 {
-            return Err(NsdfError::unsupported("block planning is 2-D only"));
-        }
+    ) -> Result<Option<Corners>> {
         if level > self.max_level() {
             return Err(NsdfError::invalid(format!(
                 "level {level} exceeds max {}",
@@ -341,19 +320,28 @@ impl HzCurve {
         if block_samples == 0 {
             return Err(NsdfError::invalid("block_samples must be positive"));
         }
-        let padded = self.mask.padded_dims();
-        let max_x = padded[0] as i64;
-        let max_y = padded.get(1).copied().unwrap_or(1) as i64;
-        let region = Box2i::new(
-            region.x0.max(0),
-            region.y0.max(0),
-            region.x1.min(max_x),
-            region.y1.min(max_y),
-        );
-        if region.x0 >= region.x1 || region.y0 >= region.y1 {
-            return Ok(None);
+        let padded = axes3(&self.mask.padded_dims(), 1);
+        let (lo, hi) = corners(region);
+        let lo = lo.map(|v| v.max(0));
+        let hi: [i64; 3] = std::array::from_fn(|a| hi[a].min(padded[a]));
+        Ok((0..3).all(|a| lo[a] < hi[a]).then_some((lo, hi)))
+    }
+
+    /// Mark the blocks holding a sample of exactly `level` inside the
+    /// clipped `region`.
+    fn descend_level(
+        &self,
+        level: u32,
+        region: &Corners,
+        block_samples: u64,
+        blocks: &mut std::collections::BTreeSet<u64>,
+    ) {
+        if level > 0 {
+            self.descend_ranks(level, 0, 1u64 << (level - 1), region, block_samples, blocks);
+        } else if region.0 == [0; 3] {
+            // Level 0 is the single sample at the origin (HZ address 0).
+            blocks.insert(0);
         }
-        Ok(Some(region))
     }
 
     /// Recursive step of [`HzCurve::blocks_in_region`]: resolve the
@@ -364,26 +352,10 @@ impl HzCurve {
         level: u32,
         r0: u64,
         count: u64,
-        region: &Box2i,
+        region: &Corners,
         block_samples: u64,
         blocks: &mut std::collections::BTreeSet<u64>,
     ) {
-        // A level-`level` rank r maps to z = (r << (t+1)) | (1 << t) with
-        // t = n - level trailing bits. Over an aligned rank range only the
-        // low rank bits vary; each such z bit raises exactly one coordinate
-        // bit of one axis, so all-zeros / all-ones of the varying bits
-        // decode to the exact per-axis min / max of the range.
-        let t = self.max_level() - level;
-        let z_lo = (r0 << (t + 1)) | (1u64 << t);
-        let varying = (count - 1) << (t + 1);
-        let lo = self.mask.decode(z_lo);
-        let hi = self.mask.decode(z_lo | varying);
-        let (lx, ly) = (lo[0] as i64, lo.get(1).copied().unwrap_or(0) as i64);
-        let (hx, hy) = (hi[0] as i64, hi.get(1).copied().unwrap_or(0) as i64);
-        // Bounding rect misses the region: no sample below contributes.
-        if lx >= region.x1 || ly >= region.y1 || hx < region.x0 || hy < region.y0 {
-            return;
-        }
         // Contiguous HZ span of the range, and the blocks it overlaps.
         let hz_lo = level_start(level) + r0;
         let b_lo = hz_lo / block_samples;
@@ -392,16 +364,26 @@ impl HzCurve {
         if blocks.range(b_lo..=b_hi).count() as u64 == b_hi - b_lo + 1 {
             return;
         }
-        // Rect fully inside: every sample of the range is in-region, and
-        // every overlapped block holds at least one of them.
-        if lx >= region.x0 && ly >= region.y0 && hx < region.x1 && hy < region.y1 {
-            blocks.extend(b_lo..=b_hi);
+        // A level-`level` rank r maps to z = (r << (t+1)) | (1 << t) with
+        // t = n - level trailing bits. Over an aligned rank range only the
+        // low rank bits vary; each such z bit raises exactly one coordinate
+        // bit of one axis, so all-zeros / all-ones of the varying bits
+        // decode to the exact per-axis min / max of the range.
+        let (r_lo, r_hi) = region;
+        let t = self.max_level() - level;
+        let z_lo = (r0 << (t + 1)) | (1u64 << t);
+        let varying = (count - 1) << (t + 1);
+        let lo = axes3(&self.mask.decode(z_lo), 0);
+        let hi = axes3(&self.mask.decode(z_lo | varying), 0);
+        // Bounding box misses the region: no sample below contributes.
+        if (0..3).any(|a| lo[a] >= r_hi[a] || hi[a] < r_lo[a]) {
             return;
         }
-        if count == 1 {
-            if region.contains(lx, ly) {
-                blocks.insert(b_lo);
-            }
+        // Box fully inside (as the box of a single rank that does not miss
+        // the region is): every sample of the range is in-region, and every
+        // overlapped block holds at least one of them.
+        if (0..3).all(|a| lo[a] >= r_lo[a] && hi[a] < r_hi[a]) {
+            blocks.extend(b_lo..=b_hi);
             return;
         }
         let half = count / 2;
@@ -410,63 +392,17 @@ impl HzCurve {
     }
 }
 
-impl HzCurve {
-    /// Curve for a 3-D grid of the given logical size.
-    pub fn for_dims_3d(width: u64, height: u64, depth: u64) -> Result<Self> {
-        Ok(HzCurve::new(BitMask::for_dims(&[width, height, depth])?))
-    }
+/// `[lo, hi)` corners of a box, per axis.
+type Corners = ([i64; 3], [i64; 3]);
 
-    /// 3-D analogue of [`HzCurve::level_samples_in_region`]: iterate the
-    /// samples of exactly `level` whose coordinates fall inside `region`,
-    /// yielding `(x, y, z, hz)`.
-    pub fn level_samples_in_box3(
-        &self,
-        level: u32,
-        region: nsdf_util::Box3i,
-    ) -> Result<Vec<(u64, u64, u64, u64)>> {
-        if level > self.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.max_level()
-            )));
-        }
-        let strides = self.mask.level_strides(level)?;
-        let stride = |a: usize| strides.get(a).copied().unwrap_or(1) as i64;
-        let (sx, sy, sz) = (stride(0), stride(1), stride(2));
-        let coarser = if level == 0 { None } else { Some(self.mask.level_strides(level - 1)?) };
-        let cstride = |c: &Vec<u64>, a: usize| c.get(a).copied().unwrap_or(1) as i64;
-        let padded = self.mask.padded_dims();
-        let pad = |a: usize| padded.get(a).copied().unwrap_or(1) as i64;
+fn corners(b: Box3i) -> Corners {
+    ([b.x0, b.y0, b.z0], [b.x1, b.y1, b.z1])
+}
 
-        let x0 = align_up(region.x0.max(0), sx);
-        let y0 = align_up(region.y0.max(0), sy);
-        let z0 = align_up(region.z0.max(0), sz);
-        let (x1, y1, z1) = (region.x1.min(pad(0)), region.y1.min(pad(1)), region.z1.min(pad(2)));
-
-        let mut out = Vec::new();
-        let mut z = z0;
-        while z < z1 {
-            let mut y = y0;
-            while y < y1 {
-                let mut x = x0;
-                while x < x1 {
-                    let on_coarser = coarser.as_ref().is_some_and(|c| {
-                        x % cstride(c, 0) == 0 && y % cstride(c, 1) == 0 && z % cstride(c, 2) == 0
-                    });
-                    if !on_coarser {
-                        let h = self
-                            .hz_from_coords(&[x as u64, y as u64, z as u64])
-                            .expect("in-range coordinates");
-                        out.push((x as u64, y as u64, z as u64, h));
-                    }
-                    x += sx;
-                }
-                y += sy;
-            }
-            z += sz;
-        }
-        Ok(out)
-    }
+/// A per-axis quantity of the mask over all three axes, `fill` on those a
+/// 1-D or 2-D mask owns no bits on.
+fn axes3(v: &[u64], fill: u64) -> [i64; 3] {
+    std::array::from_fn(|a| v.get(a).copied().unwrap_or(fill) as i64)
 }
 
 /// Smallest multiple of `m` that is `>= v`, for non-negative `v`.
@@ -483,6 +419,7 @@ fn align_up(v: i64, m: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsdf_util::Box2i;
 
     #[test]
     fn hz_1d_classic_ordering() {
@@ -548,7 +485,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut total = 0;
         for level in 0..=c.max_level() {
-            for (x, y, h) in c.level_samples_in_region(level, full).unwrap() {
+            for ([x, y, _], h) in c.level_samples_in_box(level, full).unwrap() {
                 assert!(seen.insert((x, y)), "duplicate sample ({x},{y})");
                 assert_eq!(hz_level(h), level);
                 total += 1;
@@ -562,14 +499,14 @@ mod tests {
         let c = HzCurve::for_dims_2d(16, 16).unwrap();
         let region = Box2i::new(4, 4, 9, 9);
         for level in 0..=c.max_level() {
-            for (x, y, _) in c.level_samples_in_region(level, region).unwrap() {
+            for ([x, y, _], _) in c.level_samples_in_box(level, region).unwrap() {
                 assert!(region.contains(x as i64, y as i64));
             }
         }
         // Finest level inside a 5x5 region: every off-coarse cell appears;
         // cumulative count across levels must equal the region area.
         let total: usize =
-            (0..=c.max_level()).map(|l| c.level_samples_in_region(l, region).unwrap().len()).sum();
+            (0..=c.max_level()).map(|l| c.level_samples_in_box(l, region).unwrap().len()).sum();
         assert_eq!(total, 25);
     }
 
@@ -578,14 +515,14 @@ mod tests {
         let c = HzCurve::for_dims_2d(8, 8).unwrap();
         let region = Box2i::new(-10, -10, 100, 100);
         let total: usize =
-            (0..=c.max_level()).map(|l| c.level_samples_in_region(l, region).unwrap().len()).sum();
+            (0..=c.max_level()).map(|l| c.level_samples_in_box(l, region).unwrap().len()).sum();
         assert_eq!(total, 64);
     }
 
     #[test]
     fn level_samples_rejects_overflow_level() {
         let c = HzCurve::for_dims_2d(8, 8).unwrap();
-        assert!(c.level_samples_in_region(7, Box2i::new(0, 0, 8, 8)).is_err());
+        assert!(c.level_samples_in_box(7, Box2i::new(0, 0, 8, 8)).is_err());
     }
 
     /// O(samples) reference implementation of [`HzCurve::blocks_in_region`]:
@@ -599,7 +536,7 @@ mod tests {
     ) -> Vec<u64> {
         let mut blocks = std::collections::BTreeSet::new();
         for l in 0..=level {
-            for (_, _, hz) in c.level_samples_in_region(l, region).unwrap() {
+            for (_, hz) in c.level_samples_in_box(l, region).unwrap() {
                 blocks.insert(hz / block_samples);
             }
         }
@@ -697,7 +634,7 @@ mod tests {
         block_samples: u64,
     ) -> Vec<u64> {
         let mut blocks = std::collections::BTreeSet::new();
-        for (_, _, hz) in c.level_samples_in_region(level, region).unwrap() {
+        for (_, hz) in c.level_samples_in_box(level, region).unwrap() {
             blocks.insert(hz / block_samples);
         }
         blocks.into_iter().collect()
@@ -834,14 +771,14 @@ mod tests {
         // property: consecutive finest-level HZ addresses differ by a bounded
         // spatial distance on average compared to random order.
         let c = HzCurve::for_dims_2d(32, 32).unwrap();
-        let samples = c.level_samples_in_region(c.max_level(), Box2i::new(0, 0, 32, 32)).unwrap();
+        let samples = c.level_samples_in_box(c.max_level(), Box2i::new(0, 0, 32, 32)).unwrap();
         let mut by_h = samples.clone();
-        by_h.sort_by_key(|&(_, _, h)| h);
+        by_h.sort_by_key(|&(_, h)| h);
         let mean_jump: f64 = by_h
             .windows(2)
             .map(|w| {
-                let (x0, y0, _) = w[0];
-                let (x1, y1, _) = w[1];
+                let ([x0, y0, _], _) = w[0];
+                let ([x1, y1, _], _) = w[1];
                 ((x0 as f64 - x1 as f64).powi(2) + (y0 as f64 - y1 as f64).powi(2)).sqrt()
             })
             .sum::<f64>()
@@ -854,7 +791,6 @@ mod tests {
 #[cfg(test)]
 mod tests3d {
     use super::*;
-    use nsdf_util::Box3i;
 
     #[test]
     fn curve_3d_roundtrips() {
@@ -876,7 +812,7 @@ mod tests3d {
         let full = Box3i::of_size(8, 8, 8);
         let mut seen = std::collections::HashSet::new();
         for level in 0..=c.max_level() {
-            for (x, y, z, h) in c.level_samples_in_box3(level, full).unwrap() {
+            for ([x, y, z], h) in c.level_samples_in_box(level, full).unwrap() {
                 assert!(seen.insert((x, y, z)), "duplicate ({x},{y},{z})");
                 assert_eq!(hz_level(h), level);
             }
@@ -889,14 +825,14 @@ mod tests3d {
         let c = HzCurve::for_dims_3d(16, 16, 16).unwrap();
         let region = Box3i::new(4, 4, 4, 9, 9, 9);
         let total: usize =
-            (0..=c.max_level()).map(|l| c.level_samples_in_box3(l, region).unwrap().len()).sum();
+            (0..=c.max_level()).map(|l| c.level_samples_in_box(l, region).unwrap().len()).sum();
         assert_eq!(total, 125);
         for level in 0..=c.max_level() {
-            for (x, y, z, _) in c.level_samples_in_box3(level, region).unwrap() {
+            for ([x, y, z], _) in c.level_samples_in_box(level, region).unwrap() {
                 assert!(region.contains(x as i64, y as i64, z as i64));
             }
         }
-        assert!(c.level_samples_in_box3(99, region).is_err());
+        assert!(c.level_samples_in_box(99, region).is_err());
     }
 
     #[test]
@@ -904,7 +840,7 @@ mod tests3d {
         let c = HzCurve::for_dims_3d(8, 4, 2).unwrap();
         let full = Box3i::of_size(8, 4, 2);
         let total: usize =
-            (0..=c.max_level()).map(|l| c.level_samples_in_box3(l, full).unwrap().len()).sum();
+            (0..=c.max_level()).map(|l| c.level_samples_in_box(l, full).unwrap().len()).sum();
         assert_eq!(total, 64);
     }
 }

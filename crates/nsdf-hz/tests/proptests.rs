@@ -6,9 +6,9 @@ use nsdf_hz::{
     hz_from_z, hz_level, level_end, level_start, morton2_decode, morton2_encode, z_from_hz,
     BitMask, HzCurve,
 };
-use nsdf_util::Box2i;
+use nsdf_util::{Box2i, Box3i};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -50,12 +50,54 @@ proptest! {
         let full = Box2i::new(0, 0, w as i64, h as i64);
         let mut seen = HashSet::new();
         for level in 0..=curve.max_level() {
-            for (x, y, hz) in curve.level_samples_in_region(level, full).unwrap() {
+            for ([x, y, _], hz) in curve.level_samples_in_box(level, full).unwrap() {
                 prop_assert!(seen.insert((x, y)));
                 prop_assert_eq!(hz_level(hz), level);
             }
         }
         prop_assert_eq!(seen.len() as u64, w * h);
+    }
+
+    #[test]
+    fn planner_matches_sample_walk_in_any_dimension(
+        dims in (1u64..24, 1u64..20, 1u64..12),
+        corner in (any::<u64>(), any::<u64>(), any::<u64>()),
+        extent in (any::<u64>(), any::<u64>(), any::<u64>()),
+        thin_axis in 0usize..4,
+        level_pick in any::<u32>(),
+        bs_pick in 0usize..3,
+    ) {
+        // Non-power-of-two extents; `d == 1` is a 2-D grid one sample deep.
+        let (w, h, d) = dims;
+        let curve = HzCurve::new(BitMask::for_dims(&[w, h, d]).unwrap());
+        // A random box that may overhang the grid by up to two samples per
+        // side; `thin_axis < 3` flattens it to a one-sample slab there.
+        let side = |a: usize, dim: u64, at: u64, len: u64| {
+            let lo = (at % (dim + 2)) as i64 - 2;
+            let len = if a == thin_axis { 1 } else { 1 + (len % (dim + 2)) as i64 };
+            (lo, lo + len)
+        };
+        let (x, y, z) =
+            (side(0, w, corner.0, extent.0), side(1, h, corner.1, extent.1), side(2, d, corner.2, extent.2));
+        let region = Box3i::new(x.0, y.0, z.0, x.1, y.1, z.1);
+        let level = level_pick % (curve.max_level() + 1);
+        // One sample per block, a mid-sized block, a block larger than any level.
+        let bs = [1, 16, curve.num_addresses() * 2][bs_pick];
+
+        let walk = |l: u32| -> BTreeSet<u64> {
+            curve.level_samples_in_box(l, region).unwrap().into_iter().map(|(_, hz)| hz / bs).collect()
+        };
+        let mut cumulative = BTreeSet::new();
+        let mut union = BTreeSet::new();
+        for l in 0..=level {
+            let exact = curve.blocks_at_level(region, l, bs).unwrap();
+            prop_assert_eq!(&exact, &walk(l).into_iter().collect::<Vec<_>>(), "level {}", l);
+            cumulative.extend(walk(l));
+            union.extend(exact);
+        }
+        let planned = curve.blocks_in_region(region, level, bs).unwrap();
+        prop_assert_eq!(&planned, &cumulative.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(planned, union.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::par::{num_threads, try_par_map_owned};
-use nsdf_util::{Box2i, NsdfError, Raster, Result, Sample, SimClock};
+use nsdf_util::{Box2i, Box3i, NsdfError, Raster, Result, Sample, SimClock};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -585,9 +585,9 @@ impl IdxDataset {
         Ok(ds)
     }
 
-    /// [`IdxDataset::create`] for metadata of any dimensionality: the block
-    /// pipeline is dimension-agnostic, only planning and gather are not, and
-    /// [`crate::IdxVolume`] brings its own.
+    /// [`IdxDataset::create`] for metadata of any dimensionality: planning,
+    /// the block pipeline and gather are dimension-agnostic, and
+    /// [`crate::IdxVolume`] is the typed 3-D front.
     pub(crate) fn create_nd(
         store: Arc<dyn ObjectStore>,
         base: &str,
@@ -716,6 +716,26 @@ impl IdxDataset {
     /// Full-grid bounding box.
     pub fn bounds(&self) -> Box2i {
         Box2i::new(0, 0, self.meta.dims[0] as i64, self.meta.dims[1] as i64)
+    }
+
+    /// Full-grid bounding box over all three axes (a 2-D grid is one sample
+    /// deep).
+    pub(crate) fn extent(&self) -> Box3i {
+        let dim = |a: usize| self.meta.dims.get(a).copied().unwrap_or(1) as i64;
+        Box3i::new(0, 0, 0, dim(0), dim(1), dim(2))
+    }
+
+    /// The one-sample-thick box of `region` on the z-plane at depth `z`,
+    /// snapped down to the z-stride of `level` so it holds samples of that
+    /// level's grid — plane 0 is all there is of a 2-D dataset.
+    pub(crate) fn plane_box(&self, region: Box2i, z: i64, level: u32) -> Result<Box3i> {
+        if z < 0 || z >= self.extent().z1 {
+            return Err(NsdfError::invalid(format!("slice z={z} outside volume")));
+        }
+        let strides = self.curve.mask().level_strides(level)?;
+        let sz = strides.get(2).copied().unwrap_or(1) as i64;
+        let z = z / sz * sz;
+        Ok(Box3i::new(region.x0, region.y0, z, region.x1, region.y1, z + 1))
     }
 
     /// Storage key of one block.
@@ -1225,13 +1245,6 @@ impl IdxDataset {
         self.curve.blocks_in_region(region, level, self.meta.block_samples())
     }
 
-    /// Output grid of a box query at `level` — the 3-D grid of the curve,
-    /// one sample deep. `None` when the region contains no samples on that
-    /// level's grid.
-    pub(crate) fn level_layout(&self, region: Box2i, level: u32) -> Result<Option<LevelGrid>> {
-        self.curve.level_grid(level, [region.x0, region.y0, 0], [region.x1, region.y1, 1])
-    }
-
     /// One fetch→decode wave — the only block read in the crate. Fetches
     /// `chunk` (one `fetch_concurrency`-sized slice of some caller's plan) of
     /// field/timestep `at` with a single `get_many` under `report`'s span and
@@ -1333,7 +1346,7 @@ impl IdxDataset {
     /// block exactly once — and the rest arrive in `fetch_concurrency`
     /// waves under the `idx.fetch` span. `unavailable` as for
     /// `IdxDataset::read_wave`.
-    pub(crate) fn query_blocks(
+    fn query_blocks(
         &self,
         at: (usize, u32),
         needed: &[u64],
@@ -1412,16 +1425,14 @@ impl IdxDataset {
         Ok(out)
     }
 
-    /// [`IdxDataset::gather`] of a 2-D query as a raster, georeferenced to
-    /// the window and strides.
-    pub(crate) fn gather_raster<T: Sample>(
+    /// One z-plane of gathered samples as a raster, georeferenced to the
+    /// grid's window and strides.
+    pub(crate) fn plane<T: Sample>(
         &self,
-        grid: LevelGrid,
-        blocks: &BTreeMap<u64, DecodedEntry>,
-        stats: &mut QueryStats,
+        [(x0, sx, ow), (y0, sy, oh), _]: LevelGrid,
+        samples: Vec<T>,
     ) -> Result<Raster<T>> {
-        let [(x0, sx, ow), (y0, sy, oh), _] = grid;
-        let mut out = Raster::from_vec(ow, oh, self.gather(grid, blocks, stats)?)?;
+        let mut out = Raster::from_vec(ow, oh, samples)?;
         out.geo = self.meta.geo.map(|g| {
             let windowed = g.for_window(x0, y0);
             nsdf_util::GeoTransform {
@@ -1436,7 +1447,7 @@ impl IdxDataset {
 
     /// Feed the registry with one query's totals so cross-layer snapshots
     /// see query-side accounting alongside the store-side counters.
-    pub(crate) fn note_query(&self, stats: &QueryStats) {
+    fn note_query(&self, stats: &QueryStats) {
         self.m.queries.inc();
         self.m.blocks_touched.add(stats.blocks_touched);
         self.m.blocks_missing.add(stats.blocks_missing);
@@ -1450,36 +1461,35 @@ impl IdxDataset {
         }
     }
 
-    /// Read a rectangular region at resolution `level` (0 = coarsest,
-    /// [`IdxDataset::max_level`] = full resolution).
-    ///
-    /// Returns the decimated raster — sample `(i, j)` holds the stored
-    /// full-resolution value at `(x0 + i*sx, y0 + j*sy)` where `(sx, sy)`
-    /// are the level strides — plus per-query accounting.
-    pub fn read_box<T: Sample>(
+    /// The one box query of the crate — check, plan, fetch, fall back when
+    /// degraded, gather, account — behind [`IdxDataset::read_box`] and the
+    /// [`crate::IdxVolume`] reads. Returns the samples of the delivered
+    /// level's grid, x fastest, with that grid.
+    pub(crate) fn query_box<T: Sample>(
         &self,
         field: &str,
         time: u32,
-        region: Box2i,
+        region: Box3i,
         level: u32,
-    ) -> Result<(Raster<T>, QueryStats)> {
+    ) -> Result<(LevelGrid, Vec<T>, QueryStats)> {
         self.check_time(time)?;
         let field_idx = self.field_checked::<T>(field)?;
         self.check_level(level)?;
         let region = region
-            .intersect(&self.bounds())
+            .intersect(&self.extent())
             .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
 
         let _query_span = self.m.obs.span("read_box");
         let plan_span = self.m.obs.span("plan");
-        let Some(mut layout) = self.level_layout(region, level)? else {
+        let Some(mut grid) = self.curve.level_grid(level, region)? else {
             return Err(NsdfError::invalid(
                 "query region contains no samples at the requested level",
             ));
         };
 
         // Which blocks, fetched once each.
-        let needed = self.blocks_for_query(region, level)?;
+        let block_samples = self.meta.block_samples();
+        let needed = self.curve.blocks_in_region(region, level, block_samples)?;
         drop(plan_span);
         let mut stats =
             QueryStats { blocks_touched: needed.len() as u64, ..self.query_stats(level) };
@@ -1502,17 +1512,18 @@ impl IdxDataset {
         if !failed.is_empty() {
             let mut fallback = None;
             for d in (0..level).rev() {
-                if self.blocks_for_query(region, d)?.iter().any(|b| failed.contains_key(b)) {
+                let coarser = self.curve.blocks_in_region(region, d, block_samples)?;
+                if coarser.iter().any(|b| failed.contains_key(b)) {
                     continue;
                 }
                 // Strides only grow as levels coarsen: a region empty at
                 // this level stays empty at every coarser one.
-                fallback = self.level_layout(region, d)?.map(|layout| (d, layout));
+                fallback = self.curve.level_grid(d, region)?.map(|grid| (d, grid));
                 break;
             }
             match fallback {
                 Some((d, coarser)) => {
-                    layout = coarser;
+                    grid = coarser;
                     stats.delivered_level = d;
                     stats.degraded = true;
                     self.m.obs.event("degraded");
@@ -1525,9 +1536,26 @@ impl IdxDataset {
         }
 
         let _gather_span = self.m.obs.span("gather");
-        let out = self.gather_raster(layout, &raw_blocks, &mut stats)?;
+        let samples = self.gather(grid, &raw_blocks, &mut stats)?;
         self.note_query(&stats);
-        Ok((out, stats))
+        Ok((grid, samples, stats))
+    }
+
+    /// Read a rectangular region at resolution `level` (0 = coarsest,
+    /// [`IdxDataset::max_level`] = full resolution).
+    ///
+    /// Returns the decimated raster — sample `(i, j)` holds the stored
+    /// full-resolution value at `(x0 + i*sx, y0 + j*sy)` where `(sx, sy)`
+    /// are the level strides — plus per-query accounting.
+    pub fn read_box<T: Sample>(
+        &self,
+        field: &str,
+        time: u32,
+        region: Box2i,
+        level: u32,
+    ) -> Result<(Raster<T>, QueryStats)> {
+        let (grid, samples, stats) = self.query_box(field, time, region.into(), level)?;
+        Ok((self.plane(grid, samples)?, stats))
     }
 
     /// Read the entire grid at full resolution.
@@ -1763,7 +1791,7 @@ mod tests {
     fn blocks_for_query_by_sample_walk(ds: &IdxDataset, region: Box2i, level: u32) -> Vec<u64> {
         let mut blocks = std::collections::BTreeSet::new();
         for l in 0..=level {
-            for (_, _, hz) in ds.curve.level_samples_in_region(l, region).unwrap() {
+            for (_, hz) in ds.curve.level_samples_in_box(l, region).unwrap() {
                 blocks.insert(hz / ds.meta.block_samples());
             }
         }

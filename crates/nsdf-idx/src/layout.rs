@@ -60,7 +60,7 @@ pub fn blocks_touched(
     let width = padded[0];
     let mut blocks = BTreeSet::new();
     for l in 0..=level {
-        for (x, y, hz) in curve.level_samples_in_region(l, region)? {
+        for ([x, y, _], hz) in curve.level_samples_in_box(l, region)? {
             let addr = match layout {
                 Layout::Hz => hz,
                 Layout::ZOrder => curve.mask().encode(&[x, y])?,

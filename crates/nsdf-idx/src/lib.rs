@@ -15,8 +15,9 @@
 //! * [`layout`] — HZ vs Z vs row-major block-touch ablation baselines;
 //! * [`volume`] — 3-D volumetric datasets ([`IdxVolume`]) with sub-box
 //!   queries and z-slice extraction;
-//! * [`session`] — stateful interactive [`QuerySession`]s with level-delta
-//!   planning, cancellation, and speculative prefetch.
+//! * [`session`] — stateful interactive [`QuerySession`]s over a 2-D view
+//!   or a volume's z-slices, with level-delta planning, cancellation, and
+//!   speculative prefetch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +33,5 @@ pub use layout::{blocks_touched, Layout};
 pub use meta::{Field, IdxMeta, IDX_VERSION};
 pub use session::{
     CancelToken, QuerySession, RefineOutcome, RefineRun, SessionFrame, SessionStats,
-    VolumeSliceSession,
 };
 pub use volume::IdxVolume;

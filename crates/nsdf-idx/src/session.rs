@@ -2,8 +2,11 @@
 //!
 //! A [`QuerySession`] is the progressive-query engine one viewer (a
 //! dashboard viewport, a notebook cell, a FUSE reader) owns for the
-//! lifetime of its interaction with a dataset. Where a bare
-//! [`IdxDataset::read_box`] starts from zero every call, a session:
+//! lifetime of its interaction with a dataset. Its view is a rectangle of
+//! one z-plane: the only plane of a 2-D dataset, or the slice of a 3-D one
+//! that [`QuerySession::set_slice`] scrubs to ([`crate::IdxVolume::session`]).
+//! Where a bare [`IdxDataset::read_box`] starts from zero every call, a
+//! session:
 //!
 //! * plans **level deltas** — stepping refinement from level `L-1` to `L`
 //!   enumerates only the blocks newly required at `L` (via
@@ -16,8 +19,7 @@
 //!   copy — so pans and slice probes over the same data resolve nothing
 //!   twice. The budget bounds what a viewer keeps *between* frames: a
 //!   frame pins every image it needs while it gathers, so a view larger
-//!   than the budget still renders whole and merely reuses less next time.
-//!   [`VolumeSliceSession`] is bounded the same way;
+//!   than the budget still renders whole and merely reuses less next time;
 //! * honors a [`CancelToken`] checked between `get_many` waves, so a new
 //!   interaction (pan / zoom / time change) abandons in-flight refinement
 //!   deterministically on the virtual clock;
@@ -41,10 +43,9 @@
 //! `wan.busy_vns`.
 
 use crate::dataset::{DecodedCache, DecodedEntry, IdxDataset, QueryStats, WaveReport};
-use crate::volume::IdxVolume;
 use nsdf_storage::sched::{tag_class, tag_tenant, Priority, TenantId};
 use nsdf_util::obs::{Counter, Obs};
-use nsdf_util::{Box2i, NsdfError, Raster, Result, Sample, SimClock};
+use nsdf_util::{Box2i, Box3i, NsdfError, Raster, Result, Sample, SimClock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -246,8 +247,8 @@ fn split_resident(
     (held, to_resolve)
 }
 
-/// The chunk loop both session kinds drive the dataset's block pipeline
-/// with: blocks the handle already holds in RAM first, then
+/// The chunk loop a session drives the dataset's block pipeline with:
+/// blocks the handle already holds in RAM first, then
 /// `fetch_concurrency`-wide [`IdxDataset::read_wave`]s with `cancel` checked
 /// before each. Every resolved block goes to `sink` as it arrives (the flag
 /// says it came from RAM, not a store trip), so what earlier waves brought
@@ -278,7 +279,8 @@ fn resolve_waves(
     Ok(false)
 }
 
-/// A stateful progressive-query session over a 2-D [`IdxDataset`].
+/// A stateful progressive-query session over one z-plane of an
+/// [`IdxDataset`].
 ///
 /// See the [module docs](crate::session) for the full behavioural model.
 pub struct QuerySession<T: Sample> {
@@ -287,6 +289,8 @@ pub struct QuerySession<T: Sample> {
     field_idx: usize,
     time: u32,
     region: Box2i,
+    /// Depth of the viewed plane (always 0 on a 2-D dataset).
+    z: i64,
     start_level: u32,
     target_level: u32,
     /// Next level `refine_step` delivers (`> target_level` = done).
@@ -294,10 +298,11 @@ pub struct QuerySession<T: Sample> {
     /// Finest level whose cumulative block plan is held in `view_blocks`
     /// and fully resolved for the current view.
     covered: Option<u32>,
-    /// Cumulative planned block set of the current view (up to the finest
-    /// level planned so far, which may exceed `covered` after a cancel).
+    /// Cumulative planned block set of the box in `planned`.
     view_blocks: BTreeSet<u64>,
-    planned: Option<u32>,
+    /// The view box `view_blocks` was planned for, and the finest level
+    /// planned so far (which may exceed `covered` after a cancel).
+    planned: Option<(Box3i, u32)>,
     /// Blocks of the current field and timestep resolved by earlier frames
     /// (`None` = known missing), shared with the dataset by `Arc`.
     resident: DecodedCache,
@@ -334,6 +339,7 @@ impl<T: Sample> QuerySession<T> {
             field_idx,
             time: 0,
             region,
+            z: 0,
             start_level: 0,
             target_level: target,
             next_level: 0,
@@ -442,9 +448,7 @@ impl<T: Sample> QuerySession<T> {
                 self.last_pan =
                     ((region.x0 - self.region.x0).signum(), (region.y0 - self.region.y0).signum());
             }
-            self.covered = None;
-            self.planned = None;
-            self.view_blocks.clear();
+            self.forget_plan();
         }
         self.region = region;
         self.start_level = start;
@@ -467,6 +471,21 @@ impl<T: Sample> QuerySession<T> {
         // the caller's intent when clamping swallowed the move entirely.
         if (dx, dy) != (0, 0) {
             self.last_pan = (dx.signum(), dy.signum());
+        }
+        Ok(())
+    }
+
+    /// Scrub to the z-plane at depth `z` of a 3-D dataset (a 2-D one has
+    /// plane 0 only). A frame at level `L` shows the plane snapped down to
+    /// `L`'s z-stride. Blocks adjacent planes share stay resident; a genuine
+    /// change interrupts in-flight refinement and restarts the cursor.
+    pub fn set_slice(&mut self, z: i64) -> Result<()> {
+        self.ds.plane_box(self.region, z, 0)?;
+        if z != self.z {
+            self.z = z;
+            self.forget_plan();
+            self.next_level = self.start_level;
+            self.interrupt();
         }
         Ok(())
     }
@@ -501,6 +520,11 @@ impl<T: Sample> QuerySession<T> {
 
     fn flush_resident(&mut self) {
         self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
+        self.forget_plan();
+    }
+
+    /// The view moved: what was planned and covered describes another box.
+    fn forget_plan(&mut self) {
         self.covered = None;
         self.planned = None;
         self.view_blocks.clear();
@@ -580,34 +604,45 @@ impl<T: Sample> QuerySession<T> {
         }
     }
 
-    /// Extend the view's cumulative block plan to `level`.
-    fn plan_level(&mut self, level: u32) -> Result<()> {
-        let bs = self.ds.meta().block_samples();
+    /// `region` of the viewed plane as the one-sample-deep box a query at
+    /// `level` reads.
+    fn view_box(&self, region: Box2i, level: u32) -> Result<Box3i> {
+        self.ds.plane_box(region, self.z, level)
+    }
+
+    /// Blocks a query of `region` at `level` must read.
+    fn plan(&self, region: Box3i, level: u32) -> Result<Vec<u64>> {
+        self.ds.curve().blocks_in_region(region, level, self.ds.meta().block_samples())
+    }
+
+    /// Extend the cumulative block plan of the view's box at `level` to that
+    /// level, and return the box.
+    fn plan_level(&mut self, level: u32) -> Result<Box3i> {
+        let region = self.view_box(self.region, level)?;
         match self.planned {
             // Level-delta planning: the only new blocks stepping from a
             // planned level P to `level` can need are those holding samples
             // of exactly P+1..=level.
-            Some(p) if p >= level => {}
-            Some(p) => {
+            Some((planned, p)) if planned == region => {
+                let bs = self.ds.meta().block_samples();
                 for l in (p + 1)..=level {
-                    self.view_blocks.extend(self.ds.curve().blocks_at_level(self.region, l, bs)?);
+                    self.view_blocks.extend(self.ds.curve().blocks_at_level(region, l, bs)?);
                 }
-                self.planned = Some(level);
+                self.planned = Some((region, p.max(level)));
             }
-            None => {
-                self.view_blocks =
-                    self.ds.blocks_for_query(self.region, level)?.into_iter().collect();
-                self.planned = Some(level);
+            _ => {
+                self.view_blocks = self.plan(region, level)?.into_iter().collect();
+                self.planned = Some((region, level));
             }
         }
-        Ok(())
+        Ok(region)
     }
 
     /// Resolve `needed` minus what is already resident, then gather and
     /// account one frame of `region` at `level` — the shared body of
     /// [`QuerySession::frame_at`] and [`QuerySession::read_region`].
-    fn frame(&mut self, region: Box2i, level: u32, needed: &[u64]) -> Result<SessionFrame<T>> {
-        let layout = self.ds.level_layout(region, level)?.ok_or_else(|| {
+    fn frame(&mut self, region: Box3i, level: u32, needed: &[u64]) -> Result<SessionFrame<T>> {
+        let grid = self.ds.curve().level_grid(level, region)?.ok_or_else(|| {
             NsdfError::invalid("query region contains no samples at the requested level")
         })?;
         let mut stats =
@@ -623,7 +658,7 @@ impl<T: Sample> QuerySession<T> {
         }
         let cancelled =
             self.resolve_blocks(self.time, &to_resolve, false, &mut stats, &mut acct)?;
-        let raster = self.ds.gather_raster(layout, &acct.blocks, &mut stats)?;
+        let raster = self.ds.plane(grid, self.ds.gather(grid, &acct.blocks, &mut stats)?)?;
 
         // Blocks resolved before a cancellation still cost WAN time and
         // stay resident; credit them so fetched-block accounting always
@@ -663,9 +698,9 @@ impl<T: Sample> QuerySession<T> {
     pub fn frame_at(&mut self, level: u32) -> Result<SessionFrame<T>> {
         self.ds.check_level(level)?;
         let _frame_span = self.m.obs.span("frame");
-        self.plan_level(level)?;
+        let region = self.plan_level(level)?;
         let needed: Vec<u64> = self.view_blocks.iter().copied().collect();
-        let frame = self.frame(self.region, level, &needed)?;
+        let frame = self.frame(region, level, &needed)?;
         if !frame.cancelled {
             self.covered = Some(self.covered.map_or(level, |c| c.max(level)));
         }
@@ -679,7 +714,8 @@ impl<T: Sample> QuerySession<T> {
     /// retried after [`QuerySession::reset_cancel`] (or a view change).
     pub fn refine_step(&mut self) -> Result<RefineOutcome<T>> {
         while self.next_level <= self.target_level {
-            if self.ds.level_layout(self.region, self.next_level)?.is_none() {
+            let view = self.view_box(self.region, self.next_level)?;
+            if self.ds.curve().level_grid(self.next_level, view)?.is_none() {
                 self.next_level += 1;
                 continue;
             }
@@ -720,7 +756,8 @@ impl<T: Sample> QuerySession<T> {
             .intersect(&self.ds.bounds())
             .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
         let _frame_span = self.m.obs.span("frame");
-        let needed = self.ds.blocks_for_query(region, level)?;
+        let region = self.view_box(region, level)?;
+        let needed = self.plan(region, level)?;
         self.frame(region, level, &needed)
     }
 
@@ -745,7 +782,7 @@ impl<T: Sample> QuerySession<T> {
             return Ok(0);
         };
         let level = level.min(self.ds.max_level());
-        let needed = self.ds.blocks_for_query(neighbor, level)?;
+        let needed = self.plan(self.view_box(neighbor, level)?, level)?;
         let key = |b: u64| (self.field_idx, self.time, b);
         let to_resolve: Vec<u64> =
             needed.into_iter().filter(|&b| self.resident.get(&key(b)).is_none()).collect();
@@ -765,154 +802,11 @@ impl<T: Sample> QuerySession<T> {
             return Ok(0);
         }
         let level = level.min(self.ds.max_level());
-        let needed = self.ds.blocks_for_query(self.region, level)?;
+        let needed = self.plan(self.view_box(self.region, level)?, level)?;
         let mut stats = QueryStats::default();
         let mut acct = FrameAcct::default();
         self.resolve_blocks(time, &needed, true, &mut stats, &mut acct)?;
         Ok(acct.fetched)
-    }
-}
-
-/// A stateful slice-exploration session over a 3-D [`IdxVolume`]: the
-/// volumetric analogue of [`QuerySession`], holding the blocks it resolved
-/// resident — under the same byte budget — so adjacent z-slices and
-/// repeated flythroughs reuse the coarse blocks they share instead of
-/// refetching per slice.
-pub struct VolumeSliceSession<T: Sample> {
-    vol: Arc<IdxVolume>,
-    field: String,
-    field_idx: usize,
-    time: u32,
-    resident: DecodedCache,
-    cancel: CancelToken,
-    clock: SimClock,
-    stats: SessionStats,
-    m: SessionMetrics,
-    _sample: PhantomData<T>,
-}
-
-impl<T: Sample> VolumeSliceSession<T> {
-    /// Open a slice session on `field` of `vol` at timestep 0.
-    pub fn new(vol: Arc<IdxVolume>, field: &str) -> Result<VolumeSliceSession<T>> {
-        let field_idx = vol.dataset().field_checked::<T>(field)?;
-        Ok(VolumeSliceSession {
-            vol,
-            field: field.to_string(),
-            field_idx,
-            time: 0,
-            resident: DecodedCache::new(DEFAULT_RESIDENT_BUDGET),
-            cancel: CancelToken::new(),
-            clock: SimClock::new(),
-            stats: SessionStats::default(),
-            m: SessionMetrics::new(&Obs::default()),
-            _sample: PhantomData,
-        })
-    }
-
-    /// Report `session.*` counters into `obs`, and check cancellation
-    /// deadlines against its clock.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.clock = obs.clock().clone();
-        self.m = SessionMetrics::new(obs);
-        self
-    }
-
-    /// The field this session reads.
-    pub fn field(&self) -> &str {
-        &self.field
-    }
-
-    /// Cumulative session accounting.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
-    /// A handle on the token guarding in-flight slice fetches.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Replace a fired token with a fresh one.
-    pub fn reset_cancel(&mut self) {
-        self.cancel = CancelToken::new();
-    }
-
-    /// Switch fields, flushing the resident set.
-    pub fn set_field(&mut self, field: &str) -> Result<()> {
-        if field == self.field {
-            return Ok(());
-        }
-        self.field_idx = self.vol.dataset().field_checked::<T>(field)?;
-        self.field = field.to_string();
-        self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
-        Ok(())
-    }
-
-    /// Switch timesteps, flushing the resident set.
-    pub fn set_time(&mut self, time: u32) -> Result<()> {
-        self.vol.dataset().check_time(time)?;
-        if time != self.time {
-            self.time = time;
-            self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
-        }
-        Ok(())
-    }
-
-    /// Read the z-slice at depth `z` (snapped to the level's z-stride) as a
-    /// 2-D raster, reusing resident blocks across calls. Returns the frame
-    /// plus per-call accounting; a `None` raster means the cancel token
-    /// fired mid-fetch.
-    pub fn slice_z(&mut self, z: i64, level: u32) -> Result<(Option<Raster<T>>, QueryStats)> {
-        let vol = &self.vol;
-        let region = vol.slice_region(z, level)?;
-        let grid = vol.level_grid(region, level)?;
-        let needed = vol.blocks_for_box(region, level)?;
-        let mut stats =
-            QueryStats { blocks_touched: needed.len() as u64, ..vol.dataset().query_stats(level) };
-        let at = (self.field_idx, self.time);
-        let (mut blocks, to_resolve) = split_resident(&self.resident, at, &needed);
-        let reused = blocks.len() as u64;
-
-        let report = WaveReport {
-            obs: &self.m.obs,
-            span: "fetch",
-            vns: &self.m.fetch_vns,
-            clock: &self.clock,
-        };
-        let resident = &mut self.resident;
-        let mut fetched = 0;
-        let cancelled = resolve_waves(
-            vol.dataset(),
-            at,
-            &to_resolve,
-            &self.cancel,
-            &report,
-            &mut stats,
-            |block, raw, _| {
-                fetched += 1;
-                resident.insert((at.0, at.1, block), raw.clone());
-                blocks.insert(block, raw);
-            },
-        )?;
-        // Waves fetched before a cancellation still cost WAN time and stay
-        // resident; credit them so a resumed slice sums to the planner's
-        // unique block count, exactly as `QuerySession` frames do.
-        self.stats.blocks_fetched += fetched;
-        self.m.blocks_fetched.add(fetched);
-        self.stats.fetch_vns = self.m.fetch_vns.get();
-        if cancelled {
-            self.stats.cancelled += 1;
-            self.m.cancelled.inc();
-            return Ok((None, stats));
-        }
-        self.stats.blocks_reused += reused;
-        self.m.blocks_reused.add(reused);
-        self.stats.frames += 1;
-        self.m.frames.inc();
-
-        let [(_, _, ow), (_, _, oh), _] = grid;
-        let plane = Raster::from_vec(ow, oh, vol.dataset().gather(grid, &blocks, &mut stats)?)?;
-        Ok((Some(plane), stats))
     }
 }
 
@@ -988,21 +882,22 @@ mod tests {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let fields = vec![Field::new("v", DType::F32).unwrap()];
         let meta = IdxMeta::new_3d("vol", 20, 12, 9, fields, 8, Codec::Lz4).unwrap();
-        let vol = Arc::new(IdxVolume::create(store, "vol", meta).unwrap());
+        let vol = crate::IdxVolume::create(store, "vol", meta).unwrap();
         let data = Volume::from_fn(20, 12, 9, |x, y, z| ((z * 12 + y) * 20 + x) as f32 - 7.0);
         vol.write_volume("v", 0, &data).unwrap();
         let level = vol.max_level();
 
         let budget = 3 * BLOCK_BYTES;
-        let mut session = VolumeSliceSession::<f32>::new(Arc::clone(&vol), "v").unwrap();
+        let mut session = vol.session::<f32>("v").unwrap();
         session.resident = DecodedCache::new(budget);
         let mut touched = BTreeSet::new();
         for z in (0..9).chain((0..9).rev()) {
-            let (plane, stats) = session.slice_z(z, level).unwrap();
-            assert_eq!(plane.unwrap().data(), data.slice_z(z as usize).unwrap().data(), "z={z}");
-            assert_eq!(stats.blocks_missing, 0);
+            session.set_slice(z).unwrap();
+            let frame = session.frame_at(level).unwrap();
+            assert_eq!(frame.raster.data(), data.slice_z(z as usize).unwrap().data(), "z={z}");
+            assert_eq!(frame.stats.blocks_missing, 0);
             assert!(session.resident.bytes <= budget, "z={z}: {}", session.resident.bytes);
-            touched.extend(vol.blocks_for_box(vol.slice_region(z, level).unwrap(), level).unwrap());
+            touched.extend(session.view_blocks.iter().copied());
         }
         assert!(touched.len() as u64 * BLOCK_BYTES > budget, "the sweep must not fit");
         assert!(session.stats().blocks_fetched > touched.len() as u64, "nothing was evicted");

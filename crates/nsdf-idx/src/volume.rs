@@ -3,13 +3,13 @@
 //! and sub-boxes), with the same HZ block layout, codecs, and progressive
 //! query semantics as the 2-D [`crate::IdxDataset`].
 
-use crate::dataset::{IdxDataset, LevelGrid, QueryStats, WriteStats};
+use crate::dataset::{IdxDataset, QueryStats, WriteStats};
 use crate::meta::{Field, IdxMeta};
+use crate::session::QuerySession;
 use nsdf_compress::Codec;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::Obs;
 use nsdf_util::{Box3i, NsdfError, Raster, Result, Sample, Volume};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl IdxMeta {
@@ -33,13 +33,12 @@ impl IdxMeta {
 
 /// An open 3-D IDX dataset bound to an object store.
 ///
-/// A typed 3-D plan-and-gather view over an [`IdxDataset`]: which blocks a
-/// box or slice needs and where each sample lands are decided here; block
-/// fetch, decode, the decoded-block cache, its write-side invalidation,
-/// `idx.*` observability and upload all belong to the dataset underneath,
-/// exactly as for 2-D data.
+/// The typed 3-D front of an [`IdxDataset`]: it takes and returns
+/// [`Volume`]s and [`Box3i`]es. Planning, block fetch and decode, the
+/// decoded-block cache, gather, `idx.*` observability and upload all belong
+/// to the dataset underneath, exactly as for 2-D data.
 pub struct IdxVolume {
-    ds: IdxDataset,
+    ds: Arc<IdxDataset>,
 }
 
 impl IdxVolume {
@@ -48,7 +47,7 @@ impl IdxVolume {
         if meta.dims.len() != 3 {
             return Err(NsdfError::invalid("IdxVolume requires 3-D metadata (IdxMeta::new_3d)"));
         }
-        Ok(IdxVolume { ds: IdxDataset::create_nd(store, base, meta)? })
+        Ok(IdxVolume { ds: Arc::new(IdxDataset::create_nd(store, base, meta)?) })
     }
 
     /// Open an existing volumetric dataset.
@@ -60,23 +59,31 @@ impl IdxVolume {
                 ds.meta().dims.len()
             )));
         }
-        Ok(IdxVolume { ds })
+        Ok(IdxVolume { ds: Arc::new(ds) })
+    }
+
+    /// Apply one of the dataset's builders. Builders configure a volume
+    /// before it is used: they panic once a [`IdxVolume::session`] shares
+    /// the dataset.
+    fn configure(self, f: impl FnOnce(IdxDataset) -> IdxDataset) -> Self {
+        let ds = Arc::into_inner(self.ds).expect("IdxVolume configured after a session was opened");
+        IdxVolume { ds: Arc::new(f(ds)) }
     }
 
     /// Report `idx.*` accounting and spans into `obs`
     /// (see [`IdxDataset::with_obs`]).
     pub fn with_obs(self, obs: &Obs) -> Self {
-        IdxVolume { ds: self.ds.with_obs(obs) }
+        self.configure(|ds| ds.with_obs(obs))
     }
 
     /// Set how many blocks each batched store fetch carries (>= 1).
     pub fn with_fetch_concurrency(self, n: usize) -> Self {
-        IdxVolume { ds: self.ds.with_fetch_concurrency(n) }
+        self.configure(|ds| ds.with_fetch_concurrency(n))
     }
 
     /// Set how many encoded blocks each batched store upload carries (>= 1).
     pub fn with_write_concurrency(self, n: usize) -> Self {
-        IdxVolume { ds: self.ds.with_write_concurrency(n) }
+        self.configure(|ds| ds.with_write_concurrency(n))
     }
 
     /// Dataset metadata.
@@ -91,13 +98,16 @@ impl IdxVolume {
 
     /// Full-volume bounding box.
     pub fn bounds(&self) -> Box3i {
-        let dims = &self.ds.meta().dims;
-        Box3i::of_size(dims[0] as usize, dims[1] as usize, dims[2] as usize)
+        self.ds.extent()
     }
 
-    /// The dataset that owns this volume's block I/O (for slice sessions).
-    pub(crate) fn dataset(&self) -> &IdxDataset {
-        &self.ds
+    /// Open a slice-exploration session on `field`: a [`QuerySession`] whose
+    /// view is one z-plane of the volume ([`QuerySession::set_slice`]), so
+    /// adjacent slices and repeated flythroughs reuse the coarse blocks they
+    /// share instead of refetching per slice. Configure the volume (`with_*`)
+    /// first: those builders panic while a session shares the dataset.
+    pub fn session<T: Sample>(&self, field: &str) -> Result<QuerySession<T>> {
+        QuerySession::new(Arc::clone(&self.ds), field)
     }
 
     /// Write a full-resolution volume into `field` at `time`.
@@ -122,33 +132,6 @@ impl IdxVolume {
         self.ds.put_full_blocks(field_idx, time, images)
     }
 
-    /// Blocks a box query at `level` must read: a cumulative sample walk
-    /// (3-D has no subtree planner yet).
-    pub(crate) fn blocks_for_box(&self, region: Box3i, level: u32) -> Result<Vec<u64>> {
-        let block_samples = self.ds.meta().block_samples();
-        let mut blocks = BTreeSet::new();
-        for l in 0..=level {
-            for (_, _, _, hz) in self.ds.curve().level_samples_in_box3(l, region)? {
-                blocks.insert(hz / block_samples);
-            }
-        }
-        Ok(blocks.into_iter().collect())
-    }
-
-    /// Output grid of a box query at `level`.
-    pub(crate) fn level_grid(&self, region: Box3i, level: u32) -> Result<LevelGrid> {
-        self.ds
-            .curve()
-            .level_grid(
-                level,
-                [region.x0, region.y0, region.z0],
-                [region.x1, region.y1, region.z1],
-            )?
-            .ok_or_else(|| {
-                NsdfError::invalid("query region contains no samples at the requested level")
-            })
-    }
-
     /// Read a sub-box at resolution `level`; sample `(i, j, k)` of the
     /// result is the stored value at `(x0 + i*sx, y0 + j*sy, z0 + k*sz)`.
     pub fn read_box<T: Sample>(
@@ -158,45 +141,14 @@ impl IdxVolume {
         region: Box3i,
         level: u32,
     ) -> Result<(Volume<T>, QueryStats)> {
-        self.ds.check_time(time)?;
-        let field_idx = self.ds.field_checked::<T>(field)?;
-        self.ds.check_level(level)?;
-        let region = region
-            .intersect(&self.bounds())
-            .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
-
-        let _query_span = self.ds.obs().span("read_box");
-        let plan_span = self.ds.obs().span("plan");
-        let grid = self.level_grid(region, level)?;
-        let needed = self.blocks_for_box(region, level)?;
-        drop(plan_span);
-        let mut stats =
-            QueryStats { blocks_touched: needed.len() as u64, ..self.ds.query_stats(level) };
-        let raw_blocks = self.ds.query_blocks((field_idx, time), &needed, None, &mut stats)?;
-
-        let _gather_span = self.ds.obs().span("gather");
-        let [(_, _, ow), (_, _, oh), (_, _, od)] = grid;
-        let out = Volume::from_vec(ow, oh, od, self.ds.gather(grid, &raw_blocks, &mut stats)?)?;
-        self.ds.note_query(&stats);
-        Ok((out, stats))
+        let ([(_, _, ow), (_, _, oh), (_, _, od)], samples, stats) =
+            self.ds.query_box(field, time, region, level)?;
+        Ok((Volume::from_vec(ow, oh, od, samples)?, stats))
     }
 
     /// Read the entire volume at full resolution.
     pub fn read_full<T: Sample>(&self, field: &str, time: u32) -> Result<(Volume<T>, QueryStats)> {
         self.read_box(field, time, self.bounds(), self.max_level())
-    }
-
-    /// The one-sample-thick box of the z-plane at depth `z`, snapped to the
-    /// z-stride of `level` so it holds samples of that level's grid.
-    pub(crate) fn slice_region(&self, z: i64, level: u32) -> Result<Box3i> {
-        let b = self.bounds();
-        if z < 0 || z >= b.z1 {
-            return Err(NsdfError::invalid(format!("slice z={z} outside volume")));
-        }
-        let strides = self.ds.curve().mask().level_strides(level)?;
-        let sz = strides.get(2).copied().unwrap_or(1) as i64;
-        let z_snapped = (z / sz) * sz;
-        Ok(Box3i::new(b.x0, b.y0, z_snapped, b.x1, b.y1, z_snapped + 1))
     }
 
     /// Read the z-slice at depth `z` as a 2-D raster at resolution `level`
@@ -209,9 +161,9 @@ impl IdxVolume {
         z: i64,
         level: u32,
     ) -> Result<(Raster<T>, QueryStats)> {
-        let region = self.slice_region(z, level)?;
-        let (vol, stats) = self.read_box::<T>(field, time, region, level)?;
-        Ok((vol.slice_z(0)?, stats))
+        let region = self.ds.plane_box(self.ds.bounds(), z, level)?;
+        let (grid, samples, stats) = self.ds.query_box(field, time, region, level)?;
+        Ok((self.ds.plane(grid, samples)?, stats))
     }
 }
 

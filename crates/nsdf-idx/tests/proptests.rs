@@ -7,7 +7,7 @@ use nsdf_idx::{Field, IdxDataset, IdxMeta, IdxVolume};
 use nsdf_storage::{MemoryStore, ObjectStore};
 use nsdf_util::{samples_to_bytes, Box2i, Box3i, DType, Raster, Sample, Volume};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn any_codec() -> impl Strategy<Value = Codec> {
@@ -154,9 +154,15 @@ fn roundtrip_case<T: Sample + std::fmt::Debug>(
         prop_assert_eq!(dump_blocks(&mem), want_blocks);
         let region = Box3i::new(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]);
         match vol.read_box::<T>("v", 0, region, level) {
-            Ok((got, _)) => {
+            Ok((got, stats)) => {
                 prop_assert_eq!(got.shape(), want_shape);
                 prop_assert_eq!(got.data(), &want[..]);
+                // The planner fetched exactly the blocks a sample walk finds.
+                let walked: BTreeSet<u64> = (0..=level)
+                    .flat_map(|l| curve.level_samples_in_box(l, region).unwrap())
+                    .map(|(_, hz)| hz / block_samples)
+                    .collect();
+                prop_assert_eq!(stats.blocks_touched, walked.len() as u64);
             }
             Err(_) => prop_assert!(want.is_empty(), "{:?} level {}", region, level),
         }

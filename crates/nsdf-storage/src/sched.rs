@@ -1121,22 +1121,15 @@ pub struct SchedStore {
     inner: Arc<dyn ObjectStore>,
     sched: Arc<Scheduler>,
     tenant: TenantId,
-    est_per_key: u64,
 }
 
 impl SchedStore {
-    /// Schedule `inner`'s data plane as `tenant` (zero per-key cost
-    /// estimate). Calls with no ambient class tag run as
-    /// [`Priority::Interactive`].
+    /// Schedule `inner`'s data plane as `tenant`. Calls with no ambient
+    /// class tag run as [`Priority::Interactive`]. Reads charge nothing
+    /// against the tenant's bucket up front; writes charge their exact
+    /// payload size.
     pub fn new(inner: Arc<dyn ObjectStore>, sched: Arc<Scheduler>, tenant: TenantId) -> SchedStore {
-        SchedStore { inner, sched, tenant, est_per_key: 0 }
-    }
-
-    /// Estimated bytes per key charged against the tenant's bucket for
-    /// reads (writes charge their exact payload size).
-    pub fn with_cost_estimate(mut self, bytes_per_key: u64) -> SchedStore {
-        self.est_per_key = bytes_per_key;
-        self
+        SchedStore { inner, sched, tenant }
     }
 
     /// The scheduler this adapter submits to.
@@ -1174,7 +1167,7 @@ impl ObjectStore for SchedStore {
                 store: Arc::clone(&self.inner),
                 keys: keys.iter().map(|k| k.to_string()).collect(),
             },
-            est_bytes: self.est_per_key.saturating_mul(keys.len() as u64),
+            est_bytes: 0,
         };
         match self.sched.submit_and_wait(req) {
             Served::Get(results) => results,
@@ -1467,7 +1460,7 @@ mod tests {
         let store: Arc<dyn ObjectStore> =
             Arc::new(CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 1));
         let sched = Arc::new(Scheduler::new(clock, SchedConfig::default()));
-        let s = SchedStore::new(store, sched.clone(), 3).with_cost_estimate(64);
+        let s = SchedStore::new(store, sched.clone(), 3);
         s.put("x/1", b"hello").unwrap();
         assert_eq!(s.get("x/1").unwrap(), b"hello");
         let metas = s.put_many(&[("x/2", b"aa".as_slice()), ("x/3", b"bbb".as_slice())]);

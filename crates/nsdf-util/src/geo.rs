@@ -404,6 +404,13 @@ impl Box3i {
     }
 }
 
+/// A 2-D box is the 3-D box one sample deep, on the plane `z = 0`.
+impl From<Box2i> for Box3i {
+    fn from(b: Box2i) -> Box3i {
+        Box3i { x0: b.x0, y0: b.y0, z0: 0, x1: b.x1, y1: b.y1, z1: 1 }
+    }
+}
+
 #[cfg(test)]
 mod box3_tests {
     use super::*;

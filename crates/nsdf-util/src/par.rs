@@ -2,11 +2,14 @@
 //!
 //! The workspace deliberately avoids a global thread-pool dependency; these
 //! helpers give GEOtiled tiles, IDX block codecs, and benchmark sweeps
-//! fork-join parallelism with deterministic output ordering. Work is split
-//! into contiguous index ranges, one per worker, which is the right shape for
-//! the large uniform tiles this stack processes.
+//! fork-join parallelism with deterministic output ordering. Workers claim
+//! items one at a time from a shared cursor, so uneven per-item cost
+//! balances across them.
 
+use std::cell::UnsafeCell;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of worker threads to use: `available_parallelism`, floored at 1.
 pub fn num_threads() -> usize {
@@ -32,148 +35,73 @@ pub fn par_map_indexed<T: Sync, U: Send>(
     threads: usize,
     f: impl Fn(usize, &T) -> U + Sync,
 ) -> Vec<U> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
+    let mapped = claim_by_cursor(items.iter(), threads, |i, item| Ok::<U, Infallible>(f(i, item)));
+    match mapped {
+        Ok(out) => out,
+        Err(never) => match never {},
     }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-
-    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let cursor = AtomicUsize::new(0);
-    let out_slots = SyncSlots(out.as_mut_ptr(), n);
-
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i, &items[i]);
-                // SAFETY: each index i is claimed by exactly one worker via
-                // the atomic fetch_add, so no two threads write the same slot,
-                // and the scope joins all workers before `out` is read.
-                unsafe { out_slots.write(i, v) };
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    out.into_iter().map(|v| v.expect("all slots filled")).collect()
 }
 
-/// Fallible parallel ordered map: applies `f` to every item and returns the
-/// results in input order, or the error `f` produced for the **earliest**
-/// item that failed.
+/// Fallible parallel ordered map that consumes `items` and hands each one to
+/// `f` **by value**, so codecs can reuse an input buffer instead of copying
+/// it (the `Raw` passthrough becomes a move). Returns the results in input
+/// order, or the error `f` produced for the **earliest** item that failed.
 ///
 /// The error choice is deterministic regardless of thread count or
 /// scheduling: workers record the lowest failing index seen so far and skip
-/// items beyond it, and every item before the final lowest failure has
-/// already been computed, so the returned error is always the one a
-/// sequential left-to-right run would hit first. This keeps parallel IDX
-/// block decoding byte- and error-identical to the sequential path.
-pub fn try_par_map<T: Sync, U: Send, E: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> std::result::Result<U, E> + Sync,
-) -> std::result::Result<Vec<U>, E> {
-    let n = items.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let cursor = AtomicUsize::new(0);
-    // Lowest failing index seen so far; items beyond it are skipped.
-    let err_idx = AtomicUsize::new(usize::MAX);
-    let err_slot: std::sync::Mutex<Option<(usize, E)>> = std::sync::Mutex::new(None);
-    let out_slots = SyncSlots(out.as_mut_ptr(), n);
-
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if i > err_idx.load(Ordering::Acquire) {
-                    continue;
-                }
-                match f(&items[i]) {
-                    // SAFETY: each index i is claimed by exactly one worker
-                    // via the atomic fetch_add, so no two threads write the
-                    // same slot, and the scope joins before `out` is read.
-                    Ok(v) => unsafe { out_slots.write(i, v) },
-                    Err(e) => {
-                        // CAS-min: only the lowest failing index keeps its
-                        // error in the slot.
-                        let mut cur = err_idx.load(Ordering::Acquire);
-                        while i < cur {
-                            match err_idx.compare_exchange(
-                                cur,
-                                i,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => {
-                                    let mut slot = err_slot.lock().expect("error slot poisoned");
-                                    if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                        *slot = Some((i, e));
-                                    }
-                                    break;
-                                }
-                                Err(seen) => cur = seen,
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    match err_slot.into_inner().expect("error slot poisoned") {
-        Some((_, e)) => Err(e),
-        None => Ok(out.into_iter().map(|v| v.expect("all slots filled")).collect()),
-    }
-}
-
-/// Like [`try_par_map`] but consumes `items` and hands each one to `f` **by
-/// value**, so codecs can reuse an input buffer instead of copying it (the
-/// `Raw` passthrough becomes a move). Error semantics match [`try_par_map`]:
-/// the earliest failing index wins deterministically; items past it may be
-/// dropped unprocessed.
+/// items beyond it (those may be dropped unprocessed), and every item before
+/// the final lowest failure has already been computed, so the returned error
+/// is always the one a sequential left-to-right run would hit first. This
+/// keeps parallel IDX block decoding byte- and error-identical to the
+/// sequential path.
 pub fn try_par_map_owned<T: Send, U: Send, E: Send>(
     items: Vec<T>,
     threads: usize,
     f: impl Fn(T) -> std::result::Result<U, E> + Sync,
 ) -> std::result::Result<Vec<U>, E> {
-    let n = items.len();
-    if n == 0 {
-        return Ok(Vec::new());
+    claim_by_cursor(items.into_iter(), threads, |_, item| f(item))
+}
+
+/// One item's place in the worker loop: the input until a worker claims it,
+/// the result once computed.
+enum Slot<T, U> {
+    Todo(T),
+    Taken,
+    Done(U),
+}
+
+/// Slots that scoped workers fill at disjoint indices.
+struct Slots<T, U>(Vec<UnsafeCell<Slot<T, U>>>);
+
+// SAFETY: only `claim_by_cursor` touches the cells, each index from at most
+// one thread (enforced by its atomic cursor) until the scope has joined.
+unsafe impl<T: Send, U: Send> Sync for Slots<T, U> {}
+
+impl<T, U> Slots<T, U> {
+    fn cell(&self, i: usize) -> *mut Slot<T, U> {
+        self.0[i].get()
     }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return items.into_iter().map(&f).collect();
+}
+
+/// The one worker loop behind the maps above: up to `threads` scoped workers
+/// claim indices from a shared cursor, take the item and leave the result —
+/// or record the lowest failing index — in its slot.
+fn claim_by_cursor<T: Send, U: Send, E: Send>(
+    items: impl ExactSizeIterator<Item = T>,
+    threads: usize,
+    f: impl Fn(usize, T) -> std::result::Result<U, E> + Sync,
+) -> std::result::Result<Vec<U>, E> {
+    let n = items.len();
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return items.enumerate().map(|(i, item)| f(i, item)).collect();
     }
 
-    let mut src: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
+    let slots = Slots(items.map(|item| UnsafeCell::new(Slot::Todo(item))).collect());
     let cursor = AtomicUsize::new(0);
+    // Lowest failing index seen so far; items beyond it are skipped.
     let err_idx = AtomicUsize::new(usize::MAX);
-    let err_slot: std::sync::Mutex<Option<(usize, E)>> = std::sync::Mutex::new(None);
-    let src_slots = SyncSlots(src.as_mut_ptr(), n);
-    let out_slots = SyncSlots(out.as_mut_ptr(), n);
+    let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     crossbeam::scope(|s| {
         for _ in 0..threads {
@@ -186,30 +114,19 @@ pub fn try_par_map_owned<T: Send, U: Send, E: Send>(
                     continue;
                 }
                 // SAFETY: each index i is claimed by exactly one worker via
-                // the atomic fetch_add, so the item is taken (and the result
-                // slot written) by at most one thread, and the scope joins
-                // all workers before `src`/`out` are touched again.
-                let item = unsafe { src_slots.take(i) }.expect("item taken twice");
-                match f(item) {
-                    Ok(v) => unsafe { out_slots.write(i, v) },
+                // the atomic fetch_add, so no two threads hold the same slot,
+                // and the scope joins all workers before `slots` is read.
+                let slot = unsafe { &mut *slots.cell(i) };
+                let Slot::Todo(item) = std::mem::replace(slot, Slot::Taken) else {
+                    unreachable!("slot {i} claimed twice")
+                };
+                match f(i, item) {
+                    Ok(v) => *slot = Slot::Done(v),
                     Err(e) => {
-                        let mut cur = err_idx.load(Ordering::Acquire);
-                        while i < cur {
-                            match err_idx.compare_exchange(
-                                cur,
-                                i,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => {
-                                    let mut slot = err_slot.lock().expect("error slot poisoned");
-                                    if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                        *slot = Some((i, e));
-                                    }
-                                    break;
-                                }
-                                Err(seen) => cur = seen,
-                            }
+                        err_idx.fetch_min(i, Ordering::AcqRel);
+                        let mut first = first_err.lock().expect("error slot poisoned");
+                        if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                            *first = Some((i, e));
                         }
                     }
                 }
@@ -218,88 +135,17 @@ pub fn try_par_map_owned<T: Send, U: Send, E: Send>(
     })
     .expect("worker thread panicked");
 
-    match err_slot.into_inner().expect("error slot poisoned") {
+    match first_err.into_inner().expect("error slot poisoned") {
         Some((_, e)) => Err(e),
-        None => Ok(out.into_iter().map(|v| v.expect("all slots filled")).collect()),
-    }
-}
-
-/// Pointer wrapper that lets scoped workers write disjoint slots of a
-/// results vector.
-struct SyncSlots<U>(*mut Option<U>, usize);
-
-// SAFETY: SyncSlots is only used inside the par-map helpers above, where
-// every index is written (or taken) by at most one thread (enforced by the
-// atomic cursor) and the underlying vector outlives the crossbeam scope.
-unsafe impl<U: Send> Sync for SyncSlots<U> {}
-unsafe impl<U: Send> Send for SyncSlots<U> {}
-
-impl<U> SyncSlots<U> {
-    unsafe fn write(&self, i: usize, v: U) {
-        debug_assert!(i < self.1);
-        unsafe { *self.0.add(i) = Some(v) };
-    }
-
-    unsafe fn take(&self, i: usize) -> Option<U> {
-        debug_assert!(i < self.1);
-        unsafe { (*self.0.add(i)).take() }
-    }
-}
-
-/// Run `f` over mutually disjoint mutable chunks of `data`, in parallel.
-/// `f` receives the chunk index and the chunk. Chunk size is
-/// `ceil(len / threads)`.
-pub fn par_chunks_mut<T: Send>(data: &mut [T], threads: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(n);
-    let chunk = n.div_ceil(threads);
-    crossbeam::scope(|s| {
-        for (i, c) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(i, c));
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// Parallel fold-then-reduce: each worker folds a private accumulator over
-/// the items it claims, then the accumulators are reduced in one pass.
-pub fn par_fold<T: Sync, A: Send>(
-    items: &[T],
-    threads: usize,
-    init: impl Fn() -> A + Sync,
-    fold: impl Fn(A, &T) -> A + Sync,
-    reduce: impl Fn(A, A) -> A,
-) -> Option<A> {
-    let n = items.len();
-    if n == 0 {
-        return None;
-    }
-    let threads = threads.max(1).min(n);
-    let cursor = AtomicUsize::new(0);
-    let accs: Vec<A> = crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|_| {
-                    let mut acc = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        acc = fold(acc, &items[i]);
-                    }
-                    acc
-                })
+        None => Ok(slots
+            .0
+            .into_iter()
+            .map(|slot| match slot.into_inner() {
+                Slot::Done(v) => v,
+                _ => unreachable!("all slots filled"),
             })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-    .expect("scope failed");
-    accs.into_iter().reduce(reduce)
+            .collect()),
+    }
 }
 
 #[cfg(test)]
@@ -331,55 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_covers_everything() {
-        let mut data = vec![0u32; 103];
-        par_chunks_mut(&mut data, 4, |_, chunk| {
-            for v in chunk {
-                *v += 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn par_fold_sums() {
-        let items: Vec<u64> = (1..=100).collect();
-        let total = par_fold(&items, 8, || 0u64, |a, &x| a + x, |a, b| a + b);
-        assert_eq!(total, Some(5050));
-        let none = par_fold::<u64, u64>(&[], 8, || 0, |a, &x| a + x, |a, b| a + b);
-        assert_eq!(none, None);
-    }
-
-    #[test]
     fn num_threads_positive() {
         assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn try_par_map_ok_preserves_order() {
-        let items: Vec<u64> = (0..500).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for threads in [1, 2, 8, 32] {
-            let par = try_par_map(&items, threads, |x| Ok::<u64, String>(x * 3));
-            assert_eq!(par.as_ref().unwrap(), &seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn try_par_map_returns_earliest_error() {
-        // Items 100, 300 and 400 fail; the earliest (100) must win no
-        // matter how threads interleave.
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [1, 2, 8, 32] {
-            let r = try_par_map(&items, threads, |&x| {
-                if x == 100 || x == 300 || x == 400 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(x)
-                }
-            });
-            assert_eq!(r.unwrap_err(), "bad 100", "threads={threads}");
-        }
     }
 
     #[test]
@@ -413,10 +212,28 @@ mod tests {
     }
 
     #[test]
+    fn try_par_map_returns_earliest_error() {
+        // Borrowed items are the owned map over references. Items 100, 300
+        // and 400 fail; the earliest (100) must win no matter how threads
+        // interleave.
+        let items: Vec<u64> = (0..500).collect();
+        for threads in [1, 2, 8, 32] {
+            let r = try_par_map_owned(items.iter().collect(), threads, |&x| {
+                if x == 100 || x == 300 || x == 400 {
+                    Err(format!("bad {x}"))
+                } else {
+                    Ok(x)
+                }
+            });
+            assert_eq!(r.unwrap_err(), "bad 100", "threads={threads}");
+        }
+    }
+
+    #[test]
     fn try_par_map_empty_and_single() {
         let empty: Vec<u32> = vec![];
-        assert_eq!(try_par_map(&empty, 4, |x| Ok::<u32, ()>(*x)).unwrap(), Vec::<u32>::new());
-        assert_eq!(try_par_map(&[9u32], 4, |x| Ok::<u32, ()>(x + 1)).unwrap(), vec![10]);
-        assert!(try_par_map(&[9u32], 4, |_| Err::<u32, &str>("nope")).is_err());
+        assert_eq!(try_par_map_owned(empty, 4, Ok::<u32, ()>).unwrap(), Vec::<u32>::new());
+        assert_eq!(try_par_map_owned(vec![9u32], 4, |x| Ok::<u32, ()>(x + 1)).unwrap(), vec![10]);
+        assert!(try_par_map_owned(vec![9u32], 4, |_| Err::<u32, &str>("nope")).is_err());
     }
 }

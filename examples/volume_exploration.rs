@@ -98,6 +98,31 @@ fn main() -> Result<()> {
     }
     println!("\nflythrough: 4 frames at level {} written", explorer.level());
 
+    // What planning those reads costs: the O(blocks) HZ descent every query
+    // runs, against the O(samples) walk kept as its test oracle.
+    let curve = HzCurve::new(ds.meta().bitmask.clone());
+    let bs = ds.meta().block_samples();
+    let slab = nsdf::util::Box3i::new(0, 0, z, n as i64, n as i64, z + 1);
+    println!("\nplanner at level {max}:");
+    for (what, region) in [("full volume", ds.bounds()), ("one z-slice", slab)] {
+        let t = std::time::Instant::now();
+        let planned = curve.blocks_in_region(region, max, bs)?;
+        let descent = t.elapsed();
+        let t = std::time::Instant::now();
+        let mut walked = std::collections::BTreeSet::new();
+        for l in 0..=max {
+            walked.extend(curve.level_samples_in_box(l, region)?.iter().map(|(_, hz)| hz / bs));
+        }
+        let walk = t.elapsed();
+        assert!(planned.iter().eq(&walked), "planner and walk disagree on the {what}");
+        println!(
+            "  {what:<12} {:>4} blocks: descent {:>6.1} us, sample walk {:>7.2} ms",
+            planned.len(),
+            descent.as_secs_f64() * 1e6,
+            walk.as_secs_f64() * 1e3
+        );
+    }
+
     // Sub-box extraction around the anomaly at full resolution.
     let b = nsdf::util::Box3i::new(
         n as i64 / 2 - 12,

@@ -24,7 +24,6 @@ PAIRS=(
   # Upload waves, RMW fetches and the acceptance ratios.
   ingest:BENCH_ingest.json
   # Per-interaction latencies and refinement curves on both WAN profiles.
-  # Leaves its disk tier at target/bench-tiercache for the reopen step.
   dashboard:BENCH_dashboard.json
   # Sizes, ratios, per-block codec histograms and virtual WAN times — the
   # wall-clock MB/s live in BENCH_codecs.json, which is not compared.

@@ -61,9 +61,7 @@ pub mod prelude {
         compute_terrain, compute_terrain_tiled, DemConfig, DemEdit, Sun, TerrainParam, TilePlan,
     };
     pub use nsdf_hz::{BitMask, HzCurve};
-    pub use nsdf_idx::{
-        CancelToken, Field, IdxDataset, IdxMeta, QuerySession, SessionStats, VolumeSliceSession,
-    };
+    pub use nsdf_idx::{CancelToken, Field, IdxDataset, IdxMeta, QuerySession, SessionStats};
     pub use nsdf_plugin::{run_campaign, select_entry_point, Testbed};
     pub use nsdf_somospie::{downscale_knn, KnnRegressor, SyntheticTruth};
     pub use nsdf_storage::{

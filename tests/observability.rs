@@ -197,10 +197,11 @@ fn volume_pipeline_reconciles_with_the_wan() {
     let max = vol.max_level();
     vol.read_slice_z::<f32>("density", 0, 11, max - 3).unwrap();
     vol.read_box::<f32>("density", 0, nsdf::util::Box3i::new(2, 3, 9, 30, 29, 22), max).unwrap();
-    let mut session =
-        VolumeSliceSession::<f32>::new(Arc::clone(&vol), "density").unwrap().with_obs(&seal);
-    session.slice_z(0, max).unwrap();
-    session.slice_z(31, max).unwrap();
+    let mut session = vol.session::<f32>("density").unwrap().with_obs(&seal);
+    for z in [0, 31] {
+        session.set_slice(z).unwrap();
+        session.frame_at(max).unwrap();
+    }
 
     let snap = obs.snapshot();
     assert_eq!(snap.counter("seal.idx.queries"), 2, "one per box query, slices included");
@@ -214,6 +215,14 @@ fn volume_pipeline_reconciles_with_the_wan() {
     assert_eq!(session.stats().fetch_vns, snap.counter("seal.session.fetch_vns"));
     let spans = obs.span_tree();
     assert_eq!(span_vns(&spans, "seal.idx.fetch"), snap.counter("seal.idx.fetch_vns"));
+    // A slice is a session frame like any other: one `frame` span a slice,
+    // its fetch waves inside.
+    let frames: Vec<_> = spans.iter().filter(|r| r.label == "seal.session.frame").collect();
+    assert_eq!(frames.len(), 2);
+    assert_eq!(
+        frames.iter().map(|f| span_vns(&f.children, "seal.session.fetch")).sum::<u64>(),
+        snap.counter("seal.session.fetch_vns")
+    );
     for root in spans.iter().filter(|r| r.label == "seal.idx.read_box") {
         let labels: Vec<&str> = root.children.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels.first(), Some(&"seal.idx.plan"));

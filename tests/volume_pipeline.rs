@@ -3,7 +3,7 @@
 //! pipeline.
 
 use nsdf::core::EndpointPolicy;
-use nsdf::idx::{IdxMeta, IdxVolume, VolumeSliceSession};
+use nsdf::idx::{IdxMeta, IdxVolume};
 use nsdf::prelude::*;
 use nsdf::storage::{FaultPlan, RetryPolicy};
 use nsdf::util::{fnv1a64, samples_to_bytes, Box3i, Volume};
@@ -147,13 +147,14 @@ fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
 
     let max = vol.max_level();
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
-    let mut session = VolumeSliceSession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
+    let mut session = vol.session::<f32>("v").unwrap().with_obs(&obs);
     for (z, level) in [(0, max), (13, max - 2), (14, max), (31, max - 4), (20, max)] {
-        let (got, _) = session.slice_z(z, level).unwrap();
+        session.set_slice(z).unwrap();
+        let got = session.frame_at(level).unwrap();
         let (want, _) = oracle.read_slice_z::<f32>("v", 0, z, level).unwrap();
-        let got = got.expect("no cancel token armed");
-        assert_eq!(got.data(), want.data(), "{endpoint}: slice z={z} level {level}");
-        fp ^= fnv1a64(&samples_to_bytes(got.data()));
+        assert!(!got.cancelled, "no cancel token armed");
+        assert_eq!(got.raster.data(), want.data(), "{endpoint}: slice z={z} level {level}");
+        fp ^= fnv1a64(&samples_to_bytes(got.raster.data()));
     }
     let region = Box3i::new(3, 5, 7, 29, 23, 30);
     for level in [max - 3, max] {
@@ -227,28 +228,38 @@ fn cancelled_slice(cancel_after: Option<u64>) -> (u64, u64, u64, u64) {
     let obs = Obs::new(clock.clone());
     let wan =
         CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 42).with_obs(&obs);
-    let vol = Arc::new(IdxVolume::open(Arc::new(wan), "v3").unwrap().with_fetch_concurrency(4));
-    let mut session = VolumeSliceSession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
+    // The session checks deadlines against the clock of the volume's registry.
+    let vol =
+        IdxVolume::open(Arc::new(wan), "v3").unwrap().with_obs(&obs).with_fetch_concurrency(4);
+    let mut session = vol.session::<f32>("v").unwrap().with_obs(&obs);
     // Opening fetched the metadata over the WAN; measure only the slice.
     obs.reset();
+    obs.clear_spans();
 
     let (z, level) = (17, vol.max_level());
+    session.set_slice(z).unwrap();
     let v0 = clock.now_ns();
     if let Some(after_vns) = cancel_after {
         session.cancel_token().cancel_at(v0 + after_vns);
-        let (plane, _) = session.slice_z(z, level).unwrap();
-        assert!(plane.is_none(), "the deadline must fire mid-slice");
+        assert!(session.frame_at(level).unwrap().cancelled, "the deadline must fire mid-slice");
         assert_eq!(session.stats().cancelled, 1);
         assert!(session.stats().blocks_fetched > 0, "waves before the deadline are credited");
+        // An abandoned slice lands on the span timeline like any abandoned frame.
+        assert!(obs.spans_json().contains("session.cancelled"), "spans: {}", obs.render_spans());
         session.reset_cancel();
     }
-    let (plane, stats) = session.slice_z(z, level).unwrap();
-    let plane = plane.expect("resumed slice completes");
+    let frame = session.frame_at(level).unwrap();
+    assert!(!frame.cancelled, "resumed slice completes");
     for (x, y) in [(0, 0), (5, 9), (31, 31)] {
-        assert_eq!(plane.get(x, y), data.get(x, y, z as usize));
+        assert_eq!(frame.raster.get(x, y), data.get(x, y, z as usize));
     }
+    // Every slice, abandoned or not, is one `frame` span over its fetch waves.
+    let frames: Vec<_> =
+        obs.span_tree().into_iter().filter(|s| s.label == "session.frame").collect();
+    assert_eq!(frames.len(), 1 + cancel_after.is_some() as usize);
+    assert!(frames.iter().all(|f| f.children.iter().any(|c| c.label == "session.fetch")));
     let read_ops = obs.snapshot().counter("wan.read_ops");
-    (session.stats().blocks_fetched, stats.blocks_touched, read_ops, clock.now_ns() - v0)
+    (session.stats().blocks_fetched, frame.stats.blocks_touched, read_ops, clock.now_ns() - v0)
 }
 
 #[test]
@@ -261,4 +272,46 @@ fn cancelled_slice_credits_the_waves_it_fetched() {
     let (fetched, planned, read_ops, _) = cancelled_slice(Some(cold_vns / 3));
     assert_eq!(fetched, planned, "cancelled + resumed slice undercounts fetched blocks");
     assert_eq!(read_ops, planned, "no block crossed the WAN twice");
+}
+
+#[test]
+fn flythrough_fetches_each_planned_block_once() {
+    let mem = Arc::new(MemoryStore::new());
+    let data = plume(32);
+    IdxVolume::create(mem.clone(), "v3", plume_meta(32, 8, Codec::Lz4))
+        .unwrap()
+        .write_volume("v", 0, &data)
+        .unwrap();
+    let clock = SimClock::new();
+    let obs = Obs::new(clock.clone());
+    let wan = CloudStore::new(mem, NetworkProfile::private_seal(), clock, 42).with_obs(&obs);
+    let vol = IdxVolume::open(Arc::new(wan), "v3").unwrap().with_obs(&obs);
+    let mut session = vol.session::<f32>("v").unwrap().with_obs(&obs);
+    obs.reset();
+
+    // What the sweep needs: the planner's blocks of every plane, each once.
+    let (level, bs) = (vol.max_level(), vol.meta().block_samples());
+    let curve = HzCurve::new(vol.meta().bitmask.clone());
+    let planned: std::collections::BTreeSet<u64> = (0..32)
+        .flat_map(|z| {
+            curve.blocks_in_region(Box3i::new(0, 0, z, 32, 32, z + 1), level, bs).unwrap()
+        })
+        .collect();
+
+    let sweep = |session: &mut QuerySession<f32>| {
+        for z in 0..32 {
+            session.set_slice(z).unwrap();
+            let frame = session.frame_at(level).unwrap();
+            assert_eq!(frame.raster.data(), data.slice_z(z as usize).unwrap().data(), "z={z}");
+        }
+    };
+    sweep(&mut session);
+    assert_eq!(session.stats().blocks_fetched, planned.len() as u64);
+    let cold_ops = obs.snapshot().counter("wan.read_ops");
+    assert_eq!(cold_ops, planned.len() as u64, "each planned block crossed the WAN once");
+
+    // The sweep again: everything is resident.
+    sweep(&mut session);
+    assert_eq!(session.stats().blocks_fetched, planned.len() as u64);
+    assert_eq!(obs.snapshot().counter("wan.read_ops"), cold_ops, "a repeated sweep is free");
 }
