@@ -17,7 +17,7 @@
 //!    identically-seeded runs see identical fault sequences regardless of
 //!    wall-clock scheduling.
 
-use crate::store::{ObjectMeta, ObjectStore};
+use crate::store::{sole, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Obs};
 use nsdf_util::{fnv1a64, secs_to_ns, splitmix64, NsdfError, Result, SimClock};
 use parking_lot::Mutex;
@@ -421,238 +421,183 @@ impl FaultStore {
         }
     }
 
-    /// Shared prologue for single-key ops: window effects + failure draw.
-    /// Returns `(attempt, slow_factor, entry_ns)` for the epilogue.
-    fn gate(&self, is_read: bool, key: &str, what: &str) -> Result<Option<(u64, f64, u64)>> {
-        if !self.in_scope(is_read) {
-            return Ok(None);
-        }
-        let now = self.clock.now_secs();
-        if self.plan.in_outage(now) {
-            // Outages still consume an attempt so the draw stream stays
-            // aligned with a healthy run of the same call sequence.
-            let _ = self.next_attempt(key);
-            return Err(self.outage_error(what));
-        }
-        self.charge_spike(now);
-        let attempt = self.admit(key, self.plan.rate_at(now), what)?;
-        let factor = if is_read { self.plan.slow_factor_at(now) } else { 1.0 };
-        Ok(Some((attempt, factor, self.clock.now_ns())))
-    }
-
-    /// Shared shape of the payload-free batches (`head_many`,
-    /// `delete_many`): window effects once per batch — it is one network
-    /// episode — then per-key admission in input order, consuming the same
-    /// pure `(seed, key, attempt)` draws as N single calls, and the
-    /// survivors forwarded as one inner batch.
-    fn gate_many<T>(
+    /// One network episode over `items`, the body of every operation: a
+    /// single call is an episode of one. Out of the plan's scope, `send`
+    /// gets every item and no attempts. In scope, an outage fails every
+    /// item (each still consumes an attempt, so the draw stream stays
+    /// aligned with a healthy run of the same call sequence); otherwise the
+    /// episode pays one spike charge — mirroring the WAN model's single
+    /// jitter draw — and admits each key in input order, consuming the same
+    /// pure `(seed, key, attempt)` draws as N single calls, so batch
+    /// composition never shifts the sequence. The admitted items go to
+    /// `send` as one inner call with their attempts, and a payload read is
+    /// slowed by the factor in force at entry.
+    fn episode<I: Keyed, T>(
         &self,
-        is_read: bool,
-        keys: &[&str],
+        side: Side,
+        items: &[I],
         what: &str,
-        forward: impl FnOnce(&[&str]) -> Vec<Result<T>>,
+        send: impl FnOnce(&[I], Option<&[u64]>) -> Vec<Result<T>>,
     ) -> Vec<Result<T>> {
-        if !self.in_scope(is_read) {
-            return forward(keys);
+        if !self.in_scope(side != Side::Write) {
+            return send(items, None);
         }
         let now = self.clock.now_secs();
         if self.plan.in_outage(now) {
-            return keys
+            return items
                 .iter()
-                .map(|k| {
-                    let _ = self.next_attempt(k);
+                .map(|it| {
+                    let _ = self.next_attempt(it.key());
                     Err(self.outage_error(what))
                 })
                 .collect();
         }
         self.charge_spike(now);
         let rate = self.plan.rate_at(now);
-        let mut out: Vec<Option<Result<T>>> = keys.iter().map(|_| None).collect();
-        let mut pass_idx = Vec::with_capacity(keys.len());
-        let mut pass_keys = Vec::with_capacity(keys.len());
-        for (i, k) in keys.iter().enumerate() {
-            match self.admit(k, rate, what) {
-                Ok(_) => {
+        let factor = if side == Side::Fetch { self.plan.slow_factor_at(now) } else { 1.0 };
+        let mut out: Vec<Option<Result<T>>> = items.iter().map(|_| None).collect();
+        let (mut pass_idx, mut pass, mut attempts) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, it) in items.iter().enumerate() {
+            match self.admit(it.key(), rate, what) {
+                Ok(attempt) => {
                     pass_idx.push(i);
-                    pass_keys.push(*k);
+                    pass.push(*it);
+                    attempts.push(attempt);
                 }
                 Err(e) => out[i] = Some(Err(e)),
             }
         }
-        if !pass_keys.is_empty() {
-            for (i, r) in pass_idx.into_iter().zip(forward(&pass_keys)) {
+        if !pass.is_empty() {
+            // The surcharge scales what the inner call charged, so a
+            // failure that cost the endpoint nothing adds nothing.
+            let entry_ns = self.clock.now_ns();
+            let results = send(&pass, Some(&attempts));
+            self.charge_slowdown(factor, entry_ns);
+            for (i, r) in pass_idx.into_iter().zip(results) {
                 out[i] = Some(r);
             }
         }
         out.into_iter().map(|o| o.expect("every slot decided")).collect()
+    }
+
+    /// A payload-read episode: `send` fetches the admitted keys, and each
+    /// payload may arrive corrupted.
+    fn fetch(
+        &self,
+        keys: &[&str],
+        what: &str,
+        send: impl FnOnce(&[&str]) -> Vec<Result<Vec<u8>>>,
+    ) -> Vec<Result<Vec<u8>>> {
+        self.episode(Side::Fetch, keys, what, |pass, attempts| {
+            let mut results = send(pass);
+            // Out of scope there are no attempts, so nothing is corrupted.
+            for ((key, &attempt), r) in pass.iter().zip(attempts.unwrap_or(&[])).zip(&mut results) {
+                if let Ok(data) = r {
+                    self.maybe_corrupt(key, attempt, data);
+                }
+            }
+            results
+        })
+    }
+
+    /// A payload-write episode. Write-path corruption lands in the stored
+    /// object, so the returned meta checksums the damaged bytes — which is
+    /// how the integrity layer catches it against the original payload
+    /// and turns it into a retryable failure.
+    fn store(
+        &self,
+        items: &[(&str, &[u8])],
+        what: &str,
+        send: impl FnOnce(&[(&str, &[u8])]) -> Vec<Result<ObjectMeta>>,
+    ) -> Vec<Result<ObjectMeta>> {
+        self.episode(Side::Write, items, what, |pass, attempts| match attempts {
+            Some(attempts) if self.plan.corrupt_rate > 0.0 => {
+                let copies: Vec<Vec<u8>> = pass
+                    .iter()
+                    .zip(attempts)
+                    .map(|(&(k, d), &attempt)| {
+                        let mut copy = d.to_vec();
+                        self.maybe_corrupt(k, attempt, &mut copy);
+                        copy
+                    })
+                    .collect();
+                let damaged: Vec<(&str, &[u8])> =
+                    pass.iter().zip(&copies).map(|(&(k, _), c)| (k, c.as_slice())).collect();
+                send(&damaged)
+            }
+            _ => send(pass),
+        })
+    }
+}
+
+/// Which way an episode moves data: reads and writes fall under
+/// different [`FailScope`]s, and only payload reads are slowed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// A metadata read (`head`, `list`).
+    Read,
+    /// A payload read (`get`, `get_range`, `get_many`).
+    Fetch,
+    /// A write or delete.
+    Write,
+}
+
+/// An episode item the plan draws on by key.
+trait Keyed: Copy {
+    fn key(&self) -> &str;
+}
+
+impl Keyed for &str {
+    fn key(&self) -> &str {
+        self
+    }
+}
+
+impl Keyed for (&str, &[u8]) {
+    fn key(&self) -> &str {
+        self.0
     }
 }
 
 impl ObjectStore for FaultStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        match self.gate(false, key, "put")? {
-            None => self.inner.put(key, data),
-            Some((attempt, _, _)) => {
-                // Write-path corruption lands in the stored object, so the
-                // returned meta checksums the damaged bytes — which is how
-                // the integrity layer catches it against the original
-                // payload and turns it into a retryable failure.
-                if self.plan.corrupt_rate > 0.0 {
-                    let mut payload = data.to_vec();
-                    self.maybe_corrupt(key, attempt, &mut payload);
-                    self.inner.put(key, &payload)
-                } else {
-                    self.inner.put(key, data)
-                }
-            }
-        }
+        sole(self.store(&[(key, data)], "put", |w| vec![self.inner.put(w[0].0, w[0].1)]))
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        match self.gate(true, key, "get")? {
-            None => self.inner.get(key),
-            Some((attempt, factor, entry_ns)) => {
-                let mut data = self.inner.get(key)?;
-                self.charge_slowdown(factor, entry_ns);
-                self.maybe_corrupt(key, attempt, &mut data);
-                Ok(data)
-            }
-        }
+        sole(self.fetch(&[key], "get", |_| vec![self.inner.get(key)]))
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        match self.gate(true, key, "get_range")? {
-            None => self.inner.get_range(key, offset, len),
-            Some((attempt, factor, entry_ns)) => {
-                let mut data = self.inner.get_range(key, offset, len)?;
-                self.charge_slowdown(factor, entry_ns);
-                self.maybe_corrupt(key, attempt, &mut data);
-                Ok(data)
-            }
-        }
+        sole(self.fetch(&[key], "get_range", |_| vec![self.inner.get_range(key, offset, len)]))
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        if !self.in_scope(true) {
-            return self.inner.get_many(keys);
-        }
-        let now = self.clock.now_secs();
-        if self.plan.in_outage(now) {
-            return keys
-                .iter()
-                .map(|k| {
-                    let _ = self.next_attempt(k);
-                    Err(self.outage_error("get_many"))
-                })
-                .collect();
-        }
-        // One spike charge and one slow-read factor per batch: the batch is
-        // one network episode, mirroring the WAN model's single jitter draw.
-        self.charge_spike(now);
-        let rate = self.plan.rate_at(now);
-        let factor = self.plan.slow_factor_at(now);
-
-        let mut out: Vec<Option<Result<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        let mut pass_idx = Vec::with_capacity(keys.len());
-        let mut pass_keys = Vec::with_capacity(keys.len());
-        let mut pass_attempts = Vec::with_capacity(keys.len());
-        for (i, k) in keys.iter().enumerate() {
-            match self.admit(k, rate, "get_many") {
-                Ok(attempt) => {
-                    pass_idx.push(i);
-                    pass_keys.push(*k);
-                    pass_attempts.push(attempt);
-                }
-                Err(e) => out[i] = Some(Err(e)),
-            }
-        }
-        if !pass_keys.is_empty() {
-            let entry_ns = self.clock.now_ns();
-            let results = self.inner.get_many(&pass_keys);
-            self.charge_slowdown(factor, entry_ns);
-            for ((i, attempt), r) in pass_idx.into_iter().zip(pass_attempts).zip(results) {
-                out[i] = Some(r.map(|mut data| {
-                    self.maybe_corrupt(keys[i], attempt, &mut data);
-                    data
-                }));
-            }
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+        self.fetch(keys, "get_many", |wave| self.inner.get_many(wave))
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        if !self.in_scope(false) {
-            return self.inner.put_many(items);
-        }
-        let now = self.clock.now_secs();
-        if self.plan.in_outage(now) {
-            return items
-                .iter()
-                .map(|(k, _)| {
-                    let _ = self.next_attempt(k);
-                    Err(self.outage_error("put_many"))
-                })
-                .collect();
-        }
-        // One spike charge per batch, exactly like `get_many`: the upload
-        // wave is one network episode. Per-key admission and corruption
-        // draws consume the same pure `(seed, key, attempt)` stream as
-        // single puts, so batch composition never shifts the sequence.
-        self.charge_spike(now);
-        let rate = self.plan.rate_at(now);
-        let mut out: Vec<Option<Result<ObjectMeta>>> = items.iter().map(|_| None).collect();
-        let mut pass_idx = Vec::with_capacity(items.len());
-        let mut pass_payloads: Vec<std::borrow::Cow<[u8]>> = Vec::with_capacity(items.len());
-        for (i, (k, d)) in items.iter().enumerate() {
-            match self.admit(k, rate, "put_many") {
-                Ok(attempt) => {
-                    let payload = if self.plan.corrupt_rate > 0.0 {
-                        let mut copy = d.to_vec();
-                        self.maybe_corrupt(k, attempt, &mut copy);
-                        std::borrow::Cow::Owned(copy)
-                    } else {
-                        std::borrow::Cow::Borrowed(*d)
-                    };
-                    pass_idx.push(i);
-                    pass_payloads.push(payload);
-                }
-                Err(e) => out[i] = Some(Err(e)),
-            }
-        }
-        if !pass_idx.is_empty() {
-            let pass_items: Vec<(&str, &[u8])> = pass_idx
-                .iter()
-                .zip(&pass_payloads)
-                .map(|(&i, p)| (items[i].0, p.as_ref()))
-                .collect();
-            for (&i, r) in pass_idx.iter().zip(self.inner.put_many(&pass_items)) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+        self.store(items, "put_many", |wave| self.inner.put_many(wave))
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
-        self.gate(true, key, "head")?;
-        self.inner.head(key)
+        sole(self.episode(Side::Read, &[key], "head", |_, _| vec![self.inner.head(key)]))
     }
 
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
-        self.gate_many(true, keys, "head_many", |pass| self.inner.head_many(pass))
+        self.episode(Side::Read, keys, "head_many", |wave, _| self.inner.head_many(wave))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.gate(true, prefix, "list")?;
-        self.inner.list(prefix)
+        sole(self.episode(Side::Read, &[prefix], "list", |_, _| vec![self.inner.list(prefix)]))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.gate(false, key, "delete")?;
-        self.inner.delete(key)
+        sole(self.episode(Side::Write, &[key], "delete", |_, _| vec![self.inner.delete(key)]))
     }
 
     fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
-        self.gate_many(false, keys, "delete_many", |pass| self.inner.delete_many(pass))
+        self.episode(Side::Write, keys, "delete_many", |wave, _| self.inner.delete_many(wave))
     }
 
     fn describe(&self) -> String {

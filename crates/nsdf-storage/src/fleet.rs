@@ -177,7 +177,6 @@ pub struct FleetSim {
     spec: FleetSpec,
     obs: Obs,
     clock: SimClock,
-    backing: Arc<MemoryStore>,
     wan: Arc<CloudStore>,
     sched: Arc<Scheduler>,
 }
@@ -200,16 +199,11 @@ impl FleetSim {
             }
         }
         let wan = Arc::new(
-            CloudStore::new(
-                Arc::clone(&backing) as Arc<dyn ObjectStore>,
-                profile,
-                clock.clone(),
-                derive_seed(spec.seed, "wan"),
-            )
-            .with_obs(&obs),
+            CloudStore::new(backing, profile, clock.clone(), derive_seed(spec.seed, "wan"))
+                .with_obs(&obs),
         );
         let sched = Arc::new(Scheduler::new(clock.clone(), cfg).with_obs(&obs));
-        let sim = FleetSim { spec, obs, clock, backing, wan, sched };
+        let sim = FleetSim { spec, obs, clock, wan, sched };
         sim.register_tenants();
         sim.script_arrivals();
         sim
@@ -314,11 +308,6 @@ impl FleetSim {
     /// The WAN endpoint (for `busy_vns` reconciliation).
     pub fn wan(&self) -> &Arc<CloudStore> {
         &self.wan
-    }
-
-    /// The backing store behind the WAN (the fault-free oracle view).
-    pub fn backing(&self) -> &Arc<MemoryStore> {
-        &self.backing
     }
 
     /// The admission scheduler.

@@ -15,7 +15,7 @@
 //! datasets.
 
 use crate::fault::{FaultPlan, FaultStore};
-use crate::store::{ObjectMeta, ObjectStore};
+use crate::store::{sole, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, secs_to_ns, NsdfError, Result, SimClock};
 use parking_lot::Mutex;
@@ -169,7 +169,7 @@ impl RetryStore {
 
     /// A single call is a wave of one.
     fn with_retries<T>(&self, f: impl Fn() -> Result<T>) -> Result<T> {
-        self.retry_waves(&[()], None, |_| vec![f()]).pop().expect("one result per wave slot")
+        sole(self.retry_waves(&[()], None, |_| vec![f()]))
     }
 
     /// The one retry loop. `send` issues one inner batch for a subset of
@@ -476,17 +476,8 @@ impl BreakerStore {
         }
     }
 
-    fn guarded<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        if !self.admit(1) {
-            return Err(self.open_error());
-        }
-        let r = f();
-        self.record(!matches!(&r, Err(NsdfError::Io(_))));
-        r
-    }
-
-    /// Batch form of [`Self::guarded`]: admit `n` requests or fast-fail
-    /// them all, then record every per-key outcome.
+    /// Admit `n` requests or fast-fail them all, then record every
+    /// per-key outcome. A single call is a wave of one.
     fn guarded_many<T>(&self, n: usize, f: impl FnOnce() -> Vec<Result<T>>) -> Vec<Result<T>> {
         if !self.admit(n as u64) {
             return (0..n).map(|_| Err(self.open_error())).collect();
@@ -501,15 +492,15 @@ impl BreakerStore {
 
 impl ObjectStore for BreakerStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        self.guarded(|| self.inner.put(key, data))
+        sole(self.guarded_many(1, || vec![self.inner.put(key, data)]))
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        self.guarded(|| self.inner.get(key))
+        sole(self.guarded_many(1, || vec![self.inner.get(key)]))
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.guarded(|| self.inner.get_range(key, offset, len))
+        sole(self.guarded_many(1, || vec![self.inner.get_range(key, offset, len)]))
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
@@ -521,7 +512,7 @@ impl ObjectStore for BreakerStore {
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
-        self.guarded(|| self.inner.head(key))
+        sole(self.guarded_many(1, || vec![self.inner.head(key)]))
     }
 
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
@@ -529,11 +520,11 @@ impl ObjectStore for BreakerStore {
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.guarded(|| self.inner.list(prefix))
+        sole(self.guarded_many(1, || vec![self.inner.list(prefix)]))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.guarded(|| self.inner.delete(key))
+        sole(self.guarded_many(1, || vec![self.inner.delete(key)]))
     }
 
     fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
@@ -611,34 +602,65 @@ impl IntegrityStore {
             )))
         }
     }
-}
 
-impl ObjectStore for IntegrityStore {
-    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        let meta = self.inner.put(key, data)?;
-        self.check(key, data, &meta)?;
-        Ok(meta)
-    }
-
-    fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        let mut results = self.inner.put_many(items);
+    /// The one write-verify body: `send` stores `items`, and every stored
+    /// object's checksum is compared against the payload sent.
+    fn verified_writes(
+        &self,
+        items: &[(&str, &[u8])],
+        send: impl FnOnce(&[(&str, &[u8])]) -> Vec<Result<ObjectMeta>>,
+    ) -> Vec<Result<ObjectMeta>> {
+        let mut results = send(items);
         for (r, (k, d)) in results.iter_mut().zip(items) {
-            let verdict = match &*r {
-                Ok(meta) => self.check(k, d, meta),
-                Err(_) => Ok(()),
-            };
-            if let Err(e) = verdict {
+            if let Err(e) = r.as_ref().map_or(Ok(()), |meta| self.check(k, d, meta)) {
                 *r = Err(e);
             }
         }
         results
     }
 
+    /// The one read-verify body: `fetch` the keys, then `head` the ones
+    /// that arrived and check each payload against its stored checksum.
+    fn verified_reads(
+        &self,
+        keys: &[&str],
+        fetch: impl FnOnce(&[&str]) -> Vec<Result<Vec<u8>>>,
+        head: impl FnOnce(&[&str]) -> Vec<Result<ObjectMeta>>,
+    ) -> Vec<Result<Vec<u8>>> {
+        let mut results = fetch(keys);
+        let ok_idx: Vec<usize> =
+            results.iter().enumerate().filter(|(_, r)| r.is_ok()).map(|(i, _)| i).collect();
+        if ok_idx.is_empty() {
+            return results;
+        }
+        let ok_keys: Vec<&str> = ok_idx.iter().map(|&i| keys[i]).collect();
+        for (&i, meta) in ok_idx.iter().zip(head(&ok_keys)) {
+            // A payload whose checksum did not arrive is one failed
+            // (retryable) fetch.
+            let data = results[i].as_ref().expect("index filtered on Ok");
+            if let Err(e) = meta.and_then(|meta| self.check(keys[i], data, &meta)) {
+                results[i] = Err(e);
+            }
+        }
+        results
+    }
+}
+
+impl ObjectStore for IntegrityStore {
+    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
+        sole(self.verified_writes(&[(key, data)], |_| vec![self.inner.put(key, data)]))
+    }
+
+    fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
+        self.verified_writes(items, |wave| self.inner.put_many(wave))
+    }
+
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let data = self.inner.get(key)?;
-        let meta = self.inner.head(key)?;
-        self.check(key, &data, &meta)?;
-        Ok(data)
+        sole(self.verified_reads(
+            &[key],
+            |_| vec![self.inner.get(key)],
+            |_| vec![self.inner.head(key)],
+        ))
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
@@ -646,29 +668,7 @@ impl ObjectStore for IntegrityStore {
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        let mut results = self.inner.get_many(keys);
-        let ok_idx: Vec<usize> =
-            results.iter().enumerate().filter(|(_, r)| r.is_ok()).map(|(i, _)| i).collect();
-        if ok_idx.is_empty() {
-            return results;
-        }
-        let ok_keys: Vec<&str> = ok_idx.iter().map(|&i| keys[i]).collect();
-        let metas = self.inner.head_many(&ok_keys);
-        for (&i, meta) in ok_idx.iter().zip(metas) {
-            let verdict = match meta {
-                Ok(meta) => {
-                    let data = results[i].as_ref().expect("index filtered on Ok");
-                    self.check(keys[i], data, &meta)
-                }
-                // The payload arrived but its checksum did not: treat the
-                // pair as one failed (retryable) fetch.
-                Err(e) => Err(e),
-            };
-            if let Err(e) = verdict {
-                results[i] = Err(e);
-            }
-        }
-        results
+        self.verified_reads(keys, |wave| self.inner.get_many(wave), |ok| self.inner.head_many(ok))
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {

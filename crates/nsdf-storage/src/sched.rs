@@ -48,10 +48,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use nsdf_util::{Counter, NsdfError, Obs, Result, SimClock};
+use nsdf_util::{Counter, Fnv1a, NsdfError, Obs, Result, SimClock};
 use parking_lot::Mutex;
 
-use crate::store::{ObjectMeta, ObjectStore};
+use crate::store::{sole, ObjectMeta, ObjectStore};
 
 /// Identifies one tenant (user, session owner, ingest job) to the scheduler.
 pub type TenantId = u32;
@@ -560,11 +560,6 @@ impl Scheduler {
         self
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SchedConfig {
-        &self.cfg
-    }
-
     /// The virtual clock grants execute against.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -962,12 +957,6 @@ impl Scheduler {
         self.state.lock().deferred.len()
     }
 
-    /// Queued + deferred + future scripted requests.
-    pub fn backlog(&self) -> usize {
-        let st = self.state.lock();
-        st.queued.iter().sum::<usize>() + st.deferred.len() + st.arrivals.len()
-    }
-
     /// Per-tenant accounting, sorted by tenant id.
     pub fn tenant_stats(&self) -> Vec<(TenantId, String, TenantStats)> {
         let st = self.state.lock();
@@ -1021,33 +1010,19 @@ fn shed_err(key: &str, tenant: TenantId) -> NsdfError {
     NsdfError::shed(format!("prefetch {key:?} shed under demand pressure (tenant {tenant})"))
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The [`Completion::digest`] of a `Get`: FNV-1a over per-key outcomes —
 /// `0x01`, payload length (LE), payload bytes for each `Ok`; a lone `0x00`
 /// for each `Err`. Public so harnesses can compute the same digest from a
 /// fault-free oracle and compare reads bitwise without retaining payloads.
 pub fn digest_get_results(results: &[Result<Vec<u8>>]) -> u64 {
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv1a::new();
     for r in results {
         match r {
-            Ok(d) => {
-                digest = fnv_step(digest, &[1]);
-                digest = fnv_step(digest, &(d.len() as u64).to_le_bytes());
-                digest = fnv_step(digest, d);
-            }
-            Err(_) => digest = fnv_step(digest, &[0]),
-        }
+            Ok(d) => digest.update(&[1]).update(&(d.len() as u64).to_le_bytes()).update(d),
+            Err(_) => digest.update(&[0]),
+        };
     }
-    digest
+    digest.digest()
 }
 
 // ---------------------------------------------------------------------------
@@ -1145,13 +1120,11 @@ impl SchedStore {
 
 impl ObjectStore for SchedStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        let mut results = self.put_many(&[(key, data)]);
-        results.pop().expect("one result per item")
+        sole(self.put_many(&[(key, data)]))
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let mut results = self.get_many(&[key]);
-        results.pop().expect("one result per key")
+        sole(self.get_many(&[key]))
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {

@@ -25,6 +25,14 @@ pub struct ObjectMeta {
 ///
 /// Implementations must be thread-safe; the IDX reader issues concurrent
 /// block fetches against a shared store.
+///
+/// Every store in this crate implements each operation once. A wrapper
+/// writes the batch form, taking the inner call as a closure, and its
+/// single-key method is a wave of one through that body whose closure
+/// calls the inner *single* method. That last part matters: the WAN model
+/// ([`crate::CloudStore`]) counts `wan.waves` only for batch calls, so a
+/// single call must reach it as a single call to cost and count what it
+/// did before it was wrapped.
 pub trait ObjectStore: Send + Sync {
     /// Store `data` under `key`, replacing any existing object.
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta>;
@@ -117,6 +125,13 @@ pub trait ObjectStore: Send + Sync {
     fn describe(&self) -> String {
         "object store".to_string()
     }
+}
+
+/// The one result of a wave of one: how a single-key call unwraps the
+/// batch body it rides.
+pub(crate) fn sole<T>(mut wave: Vec<Result<T>>) -> Result<T> {
+    debug_assert_eq!(wave.len(), 1, "a wave of one has one result");
+    wave.pop().expect("a wave of one has one result")
 }
 
 /// Validate an object key: non-empty `/`-separated segments, no `.`/`..`,

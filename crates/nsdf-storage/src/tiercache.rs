@@ -40,7 +40,7 @@
 //! have landed (a lost acknowledgement), so it drops the key from both
 //! tiers and the next read converges to the origin.
 
-use crate::store::{slice_range, validate_key, ObjectMeta, ObjectStore};
+use crate::store::{slice_range, sole, validate_key, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, splitmix64, NsdfError, Result};
 use parking_lot::{Condvar, Mutex};
@@ -278,46 +278,79 @@ impl CacheStats {
 }
 
 #[derive(Debug)]
-struct RamEntry {
-    data: Arc<Vec<u8>>,
+struct LruEntry<V> {
+    value: V,
+    size: u64,
     tick: u64,
 }
 
-/// The hot RAM tier: LRU with lazy invalidation.
-#[derive(Debug, Default)]
-struct RamTier {
-    entries: HashMap<String, RamEntry>,
+/// A size-accounted LRU with lazy invalidation — both tiers' recency
+/// order. Every touch or insert stamps its entry with a fresh tick and
+/// queues `(key, tick)`; a queued pair is live while its tick is still the
+/// entry's, so each entry has exactly one live pair. Stale pairs are
+/// dropped once they outnumber the live ones, which keeps the queue within
+/// twice the entry count plus one, however many hits land between
+/// evictions.
+#[derive(Debug)]
+struct Lru<V> {
+    entries: HashMap<String, LruEntry<V>>,
     queue: VecDeque<(String, u64)>,
     next_tick: u64,
     resident: u64,
 }
 
-impl RamTier {
-    fn touch(&mut self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let tick = self.next_tick;
+impl<V> Default for Lru<V> {
+    fn default() -> Self {
+        Lru { entries: HashMap::new(), queue: VecDeque::new(), next_tick: 0, resident: 0 }
+    }
+}
+
+impl<V> Lru<V> {
+    /// Drop every stale pair when they outnumber the live ones; the live
+    /// pairs keep their order, so eviction order is unchanged.
+    fn compact(&mut self) {
+        if self.queue.len() > 2 * self.entries.len() {
+            let entries = &self.entries;
+            self.queue.retain(|(key, tick)| entries.get(key).is_some_and(|e| e.tick == *tick));
+        }
+    }
+
+    /// Mark `key` most recently used; `None` when it is not resident.
+    fn touch(&mut self, key: &str) -> Option<&V> {
+        self.compact();
         let entry = self.entries.get_mut(key)?;
-        entry.tick = tick;
+        entry.tick = self.next_tick;
         self.next_tick += 1;
-        self.queue.push_back((key.to_string(), tick));
-        Some(entry.data.clone())
+        self.queue.push_back((key.to_string(), entry.tick));
+        Some(&entry.value)
+    }
+
+    /// Insert (or replace) `key` as most recently used.
+    fn insert(&mut self, key: String, value: V, size: u64) {
+        self.compact();
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        if let Some(old) = self.entries.insert(key.clone(), LruEntry { value, size, tick }) {
+            self.resident -= old.size;
+        }
+        self.resident += size;
+        self.queue.push_back((key, tick));
     }
 
     fn remove(&mut self, key: &str) -> bool {
         match self.entries.remove(key) {
             Some(old) => {
-                self.resident -= old.data.len() as u64;
+                self.resident -= old.size;
                 true
             }
             None => false,
         }
     }
 
-    /// Next live LRU victim, skipping stale queue pairs. `skip` excludes
-    /// a key (the candidate itself) from victimhood.
-    fn peek_victim(&mut self, skip: &str) -> Option<String> {
+    /// The least recently used resident key, skipping stale pairs.
+    fn victim(&mut self) -> Option<String> {
         while let Some((key, tick)) = self.queue.front() {
-            let live = self.entries.get(key).is_some_and(|e| e.tick == *tick);
-            if live && key != skip {
+            if self.entries.get(key).is_some_and(|e| e.tick == *tick) {
                 return Some(key.clone());
             }
             self.queue.pop_front();
@@ -326,62 +359,14 @@ impl RamTier {
     }
 }
 
-/// Disk-tier accounting: shard path → size, with an LRU recency queue.
-/// Rebuilt deterministically (sorted path order) when a cache opens over
-/// an existing shard tree.
-#[derive(Debug, Default)]
-struct DiskTier {
-    index: HashMap<String, (u64, u64)>, // path -> (size, tick)
-    queue: VecDeque<(String, u64)>,
-    next_tick: u64,
-    resident: u64,
-}
-
-impl DiskTier {
-    fn touch(&mut self, path: &str) {
-        let tick = self.next_tick;
-        if let Some((_, t)) = self.index.get_mut(path) {
-            *t = tick;
-            self.next_tick += 1;
-            self.queue.push_back((path.to_string(), tick));
-        }
-    }
-
-    fn insert(&mut self, path: String, size: u64) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        if let Some((old, _)) = self.index.insert(path.clone(), (size, tick)) {
-            self.resident -= old;
-        }
-        self.resident += size;
-        self.queue.push_back((path, tick));
-    }
-
-    fn remove(&mut self, path: &str) -> bool {
-        match self.index.remove(path) {
-            Some((size, _)) => {
-                self.resident -= size;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Pop the next live LRU shard path, or None when empty.
-    fn pop_victim(&mut self) -> Option<String> {
-        while let Some((path, tick)) = self.queue.pop_front() {
-            if self.index.get(&path).is_some_and(|(_, t)| *t == tick) {
-                return Some(path);
-            }
-        }
-        None
-    }
-}
-
 #[derive(Default)]
 struct TierState {
-    ram: RamTier,
-    disk: DiskTier,
+    /// The hot tier: key → payload.
+    ram: Lru<Arc<Vec<u8>>>,
+    /// Disk-tier accounting: shard path → envelope size. Rebuilt
+    /// deterministically (sorted path order) when a cache opens over an
+    /// existing shard tree.
+    disk: Lru<()>,
     sketch: FrequencySketch,
     /// One epoch guards both tiers: bumped by every write/delete so an
     /// in-flight fetch that raced a write is handed to waiters but never
@@ -415,11 +400,6 @@ impl InFlight {
             Err(e) => Err(e.replicate()),
         }
     }
-}
-
-enum Flight {
-    Leader(Arc<InFlight>),
-    Follower(Arc<InFlight>),
 }
 
 /// Which tier resolved a miss-path fetch.
@@ -572,7 +552,7 @@ impl TierCache {
         validate_key(namespace)?;
         let mut st = TierState::default();
         for meta in disk.list(&format!("{namespace}/"))? {
-            st.disk.insert(meta.key, meta.size);
+            st.disk.insert(meta.key, (), meta.size);
         }
         self.namespace = namespace.to_string();
         self.disk_capacity = disk_bytes;
@@ -604,11 +584,6 @@ impl TierCache {
     /// The observability handle this cache reports into.
     pub fn obs(&self) -> &Obs {
         &self.m.obs
-    }
-
-    /// RAM tier byte budget.
-    pub fn capacity(&self) -> u64 {
-        self.ram_capacity
     }
 
     /// RAM-tier statistics (hit rate, residency, evictions),
@@ -647,7 +622,7 @@ impl TierCache {
     /// keeping the disk tier warm). Statistics are preserved.
     pub fn clear_ram(&self) {
         let mut st = self.state.lock();
-        st.ram = RamTier::default();
+        st.ram = Lru::default();
         self.m.resident_bytes.set(0.0);
     }
 
@@ -685,7 +660,7 @@ impl TierCache {
         let candidate_freq = st.sketch.estimate(key);
         let mut admitted = true;
         while st.ram.resident + size > self.ram_capacity {
-            let Some(victim) = st.ram.peek_victim(key) else { break };
+            let Some(victim) = st.ram.victim() else { break };
             let victim_freq = st.sketch.estimate(&victim);
             let evict = victim_freq < candidate_freq;
             if self.log_decisions {
@@ -708,11 +683,7 @@ impl TierCache {
             }
         }
         if admitted {
-            let tick = st.ram.next_tick;
-            st.ram.next_tick += 1;
-            st.ram.entries.insert(key.to_string(), RamEntry { data, tick });
-            st.ram.queue.push_back((key.to_string(), tick));
-            st.ram.resident += size;
+            st.ram.insert(key.to_string(), data, size);
         }
         self.m.resident_bytes.set(st.ram.resident as f64);
         admitted
@@ -730,7 +701,7 @@ impl TierCache {
         let shard = encode_shard(key, payload);
         let path = hash_to_path(&self.namespace, key);
         if shard.len() as u64 <= self.disk_capacity && disk.put(&path, &shard).is_ok() {
-            st.disk.insert(path, shard.len() as u64);
+            st.disk.insert(path, (), shard.len() as u64);
             self.m.disk_writes.inc();
             self.evict_disk_to_budget(st);
         } else {
@@ -742,7 +713,7 @@ impl TierCache {
     fn evict_disk_to_budget(&self, st: &mut TierState) {
         let Some(disk) = &self.disk_store else { return };
         while st.disk.resident > self.disk_capacity {
-            let Some(path) = st.disk.pop_victim() else { break };
+            let Some(path) = st.disk.victim() else { break };
             st.disk.remove(&path);
             let _ = disk.delete(&path);
             self.m.disk_evictions.inc();
@@ -811,41 +782,13 @@ impl TierCache {
         }
     }
 
-    /// Miss-path fetch: disk tier first, then the origin.
-    fn fetch_through_tiers(&self, key: &str) -> Result<(Vec<u8>, FetchSource)> {
-        if let Some(payload) = self.fetch_disk(key) {
-            self.m.disk_hits.inc();
-            return Ok((payload, FetchSource::Disk));
-        }
-        self.m.wan_fetches.inc();
-        Ok((self.inner.get(key)?, FetchSource::Wan))
-    }
-
     // -- single-flight read path --------------------------------------------
-
-    fn join_flight(&self, key: &str) -> Flight {
-        let mut inflight = self.inflight.lock();
-        match inflight.get(key) {
-            Some(f) => Flight::Follower(f.clone()),
-            None => {
-                let f = Arc::new(InFlight::default());
-                inflight.insert(key.to_string(), f.clone());
-                Flight::Leader(f)
-            }
-        }
-    }
 
     /// Leader-side completion: install a success into the tiers (unless
     /// a write bumped the epoch since the leader missed), publish to
     /// waiters, retire the slot. Errors are shared but never cached.
-    fn publish(
-        &self,
-        key: &str,
-        flight: &InFlight,
-        result: Result<(Arc<Vec<u8>>, FetchSource)>,
-        epoch: u64,
-    ) {
-        let shared = match &result {
+    fn publish(&self, key: &str, flight: &InFlight, result: &Fetched, epoch: u64) {
+        let shared = match result {
             Ok((data, source)) => {
                 let mut st = self.state.lock();
                 if st.write_epoch == epoch {
@@ -866,70 +809,15 @@ impl TierCache {
         flight.cv.notify_all();
     }
 
-    fn cached_get(&self, key: &str) -> Result<Arc<Vec<u8>>> {
-        let epoch = {
-            let mut st = self.state.lock();
-            st.sketch.record(key);
-            if let Some(data) = st.ram.touch(key) {
-                self.m.hits.inc();
-                self.m.lookups.inc();
-                self.m.ram_hits.inc();
-                return Ok(data);
-            }
-            st.write_epoch
-        };
-        match self.join_flight(key) {
-            Flight::Leader(f) => {
-                self.m.misses.inc();
-                self.m.lookups.inc();
-                // Fetch outside every lock so a slow origin get serializes
-                // neither hits nor fetches of other keys.
-                let result = self.fetch_through_tiers(key).map(|(d, s)| (Arc::new(d), s));
-                let replica = match &result {
-                    Ok((data, source)) => Ok((data.clone(), *source)),
-                    Err(e) => Err(e.replicate()),
-                };
-                self.publish(key, &f, replica, epoch);
-                result.map(|(d, _)| d)
-            }
-            Flight::Follower(f) => {
-                let result = f.wait();
-                self.m.coalesced_waits.inc();
-                result
-            }
-        }
-    }
-}
-
-impl ObjectStore for TierCache {
-    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        let result = self.inner.put(key, data);
-        let mut st = self.state.lock();
-        st.write_epoch += 1;
-        self.settle_write(&mut st, key, data, result.is_ok());
-        result
-    }
-
-    fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        // One inner batch (so the WAN amortizes the upload wave), then
-        // write-through every stored payload under one lock acquisition —
-        // the cache can never serve bytes older than an acked write, nor
-        // keep a copy the origin may have replaced behind a failed one.
-        let results = self.inner.put_many(items);
-        let mut st = self.state.lock();
-        st.write_epoch += 1;
-        for ((k, d), r) in items.iter().zip(&results) {
-            self.settle_write(&mut st, k, d, r.is_ok());
-        }
-        results
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>> {
-        Ok(self.cached_get(key)?.as_ref().clone())
-    }
-
-    fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        let mut out: Vec<Option<Result<Vec<u8>>>> = keys.iter().map(|_| None).collect();
+    /// The one read path, RAM → disk → origin; a single read is a batch of
+    /// one. `fetch` reads the keys no tier holds from the origin as one
+    /// inner call.
+    fn read_through(
+        &self,
+        keys: &[&str],
+        fetch: impl FnOnce(&[&str]) -> Vec<Result<Vec<u8>>>,
+    ) -> Vec<Result<Arc<Vec<u8>>>> {
+        let mut out: Vec<Option<Result<Arc<Vec<u8>>>>> = keys.iter().map(|_| None).collect();
 
         // Phase 1: partition RAM hits from misses under one lock,
         // recording the write epoch so a write landing mid-batch keeps
@@ -944,7 +832,7 @@ impl ObjectStore for TierCache {
                 st.sketch.record(k);
                 if let Some(data) = st.ram.touch(k) {
                     hits += 1;
-                    out[i] = Some(Ok(data.as_ref().clone()));
+                    out[i] = Some(Ok(Arc::clone(data)));
                 } else {
                     missing.push(i);
                 }
@@ -978,8 +866,10 @@ impl ObjectStore for TierCache {
         }
 
         // Phase 3: led keys try the disk tier individually; the
-        // remainder is fetched from the origin as one batch, then every
-        // leader publishes under the recorded epoch.
+        // remainder is fetched from the origin as one batch — outside
+        // every lock, so a slow origin serializes neither hits nor fetches
+        // of other keys — then every leader publishes under the recorded
+        // epoch.
         if !leaders.is_empty() {
             self.m.misses.add(leaders.len() as u64);
             self.m.lookups.add(leaders.len() as u64);
@@ -997,19 +887,14 @@ impl ObjectStore for TierCache {
             if !wan_slots.is_empty() {
                 self.m.wan_fetches.add(wan_slots.len() as u64);
                 let wan_keys: Vec<&str> = wan_slots.iter().map(|&s| keys[leaders[s].0]).collect();
-                let results = self.inner.get_many(&wan_keys);
-                for (&slot, r) in wan_slots.iter().zip(results) {
+                for (&slot, r) in wan_slots.iter().zip(fetch(&wan_keys)) {
                     resolved[slot] = Some(r.map(|d| (Arc::new(d), FetchSource::Wan)));
                 }
             }
             for ((i, f), r) in leaders.into_iter().zip(resolved) {
                 let r = r.expect("every leader slot resolved");
-                let replica = match &r {
-                    Ok((data, source)) => Ok((data.clone(), *source)),
-                    Err(e) => Err(e.replicate()),
-                };
-                self.publish(keys[i], &f, replica, epoch);
-                out[i] = Some(r.map(|(d, _)| d.as_ref().clone()));
+                self.publish(keys[i], &f, &r, epoch);
+                out[i] = Some(r.map(|(d, _)| d));
             }
         }
 
@@ -1018,7 +903,7 @@ impl ObjectStore for TierCache {
         if !followers.is_empty() {
             let n = followers.len() as u64;
             for (i, f) in followers {
-                out[i] = Some(f.wait().map(|d| d.as_ref().clone()));
+                out[i] = Some(f.wait());
             }
             self.m.coalesced_waits.add(n);
         }
@@ -1026,9 +911,65 @@ impl ObjectStore for TierCache {
         out.into_iter().map(|o| o.expect("every slot decided")).collect()
     }
 
+    /// The one write path: `send` stores `items` at the origin as one
+    /// inner call, then every payload is written through under one lock
+    /// acquisition and one epoch bump — the cache can never serve bytes
+    /// older than an acked write, nor keep a copy the origin may have
+    /// replaced behind a failed one.
+    fn write_through(
+        &self,
+        items: &[(&str, &[u8])],
+        send: impl FnOnce(&[(&str, &[u8])]) -> Vec<Result<ObjectMeta>>,
+    ) -> Vec<Result<ObjectMeta>> {
+        let results = send(items);
+        let mut st = self.state.lock();
+        st.write_epoch += 1;
+        for ((k, d), r) in items.iter().zip(&results) {
+            self.settle_write(&mut st, k, d, r.is_ok());
+        }
+        results
+    }
+
+    /// The one delete path: `send` deletes `keys` at the origin as one
+    /// inner call, then under one epoch bump every key leaves both tiers
+    /// whatever its result — a delete reported as failed may have landed
+    /// anyway (a lost acknowledgement).
+    fn delete_through(
+        &self,
+        keys: &[&str],
+        send: impl FnOnce(&[&str]) -> Vec<Result<()>>,
+    ) -> Vec<Result<()>> {
+        let results = send(keys);
+        let mut st = self.state.lock();
+        st.write_epoch += 1;
+        for key in keys {
+            self.invalidate(&mut st, key);
+        }
+        results
+    }
+}
+
+impl ObjectStore for TierCache {
+    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
+        sole(self.write_through(&[(key, data)], |_| vec![self.inner.put(key, data)]))
+    }
+
+    fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
+        self.write_through(items, |wave| self.inner.put_many(wave))
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>> {
+        sole(self.read_through(&[key], |_| vec![self.inner.get(key)])).map(Arc::unwrap_or_clone)
+    }
+
+    fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
+        let results = self.read_through(keys, |wave| self.inner.get_many(wave));
+        results.into_iter().map(|r| r.map(Arc::unwrap_or_clone)).collect()
+    }
+
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let data = self.cached_get(key)?;
-        slice_range(&data, offset, len, key)
+        sole(self.read_through(&[key], |_| vec![self.inner.get(key)]))
+            .and_then(|data| slice_range(&data, offset, len, key))
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
@@ -1044,24 +985,11 @@ impl ObjectStore for TierCache {
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        let result = self.inner.delete(key);
-        let mut st = self.state.lock();
-        st.write_epoch += 1;
-        self.invalidate(&mut st, key);
-        result
+        sole(self.delete_through(&[key], |_| vec![self.inner.delete(key)]))
     }
 
     fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
-        // One inner batch, one epoch bump, and every key leaves both
-        // tiers whatever its result: a delete reported as failed may have
-        // landed anyway (a lost acknowledgement).
-        let results = self.inner.delete_many(keys);
-        let mut st = self.state.lock();
-        st.write_epoch += 1;
-        for key in keys {
-            self.invalidate(&mut st, key);
-        }
-        results
+        self.delete_through(keys, |wave| self.inner.delete_many(wave))
     }
 
     fn describe(&self) -> String {
@@ -1293,6 +1221,30 @@ mod tests {
         let s = tc.tier_stats();
         assert!(s.disk_resident_bytes > 0);
         assert!(tc.stats().evictions_budget > 0 || s.admit_rejected > 0);
+    }
+
+    #[test]
+    fn recency_queues_stay_bounded_under_repeated_hits() {
+        // Regression: every hit queued one `(key, tick)` pair and stale
+        // pairs left only inside an eviction, so a working set that fits
+        // its budget leaked one heap string per hit.
+        let (tc, mem) = tiered("hit-queue", 1 << 20, 1 << 20);
+        mem.put("k", b"resident").unwrap();
+        for _ in 0..10_000 {
+            tc.get("k").unwrap(); // one WAN fetch, then RAM hits
+        }
+        assert_eq!(tc.tier_stats().ram_hits, 9_999);
+        assert!(tc.state.lock().ram.queue.len() <= 3, "RAM queue grew with hits");
+
+        // A RAM tier too small to admit the payload: every read after the
+        // first is a disk hit.
+        let (tc, mem) = tiered("hit-queue-disk", 4, 1 << 20);
+        mem.put("k", b"resident").unwrap();
+        for _ in 0..10_000 {
+            tc.get("k").unwrap();
+        }
+        assert_eq!(tc.tier_stats().disk_hits, 9_999);
+        assert!(tc.state.lock().disk.queue.len() <= 3, "disk queue grew with hits");
     }
 
     #[test]

@@ -212,12 +212,22 @@ impl CloudStore {
         self.m.obs.reset();
     }
 
-    /// Charge one operation: `round_trips` control round-trips plus the
-    /// payload transfer time, with deterministic jitter. Returns the
-    /// charged duration in seconds.
-    fn charge(&self, round_trips: u32, payload_bytes: u64) -> f64 {
-        let base = self.profile.rtt_ms / 1000.0 * round_trips as f64
-            + self.profile.transfer_secs(payload_bytes);
+    /// Charge and count one episode of `ops` successful requests, each of
+    /// `trips` control round trips, moving `bytes` over the wire. The
+    /// episode rides the profile's parallel streams: each stream carries
+    /// ceil(ops/streams) requests back to back, so only that many round
+    /// trips serialize (a single call pays its own `trips`), while
+    /// `transfer_secs` spreads the payload across the streams. One
+    /// deterministic jitter draw for the whole episode — it is one network
+    /// episode, not `ops`. An episode where nothing succeeded costs nothing
+    /// and returns false.
+    fn settle(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) -> bool {
+        if ops == 0 {
+            return false;
+        }
+        let round_trips = trips * (ops as u32).div_ceil(self.profile.streams.max(1));
+        let base =
+            self.profile.rtt_ms / 1000.0 * round_trips as f64 + self.profile.transfer_secs(bytes);
         let op = self.op_counter.fetch_add(1, Ordering::Relaxed);
         let jitter_u = splitmix64(self.seed ^ op) as f64 / u64::MAX as f64; // [0,1)
         let factor = 1.0 + self.profile.jitter * (2.0 * jitter_u - 1.0);
@@ -225,130 +235,106 @@ impl CloudStore {
         self.clock.advance_secs(secs);
         self.m.busy_vns.add(secs_to_ns(secs));
         self.m.op_vsecs.observe(secs);
-        secs
+        if traffic == Traffic::Write {
+            self.m.write_ops.add(ops);
+        } else {
+            self.m.read_ops.add(ops);
+        }
+        match traffic {
+            Traffic::Read => self.m.bytes_down.add(bytes),
+            Traffic::Write => self.m.bytes_up.add(bytes),
+            Traffic::Listing => {}
+        }
+        true
     }
+
+    /// [`CloudStore::settle`] for a batch: a charged episode is a wave.
+    fn settle_wave(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) {
+        if self.settle(traffic, ops, trips, bytes) {
+            self.m.waves.inc();
+        }
+    }
+}
+
+/// How [`CloudStore::settle`] counts an episode.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Traffic {
+    /// `GET` / `HEAD`: read ops, payload counted as `bytes_down`.
+    Read,
+    /// `LIST`: read ops whose metadata takes wire time but is not object
+    /// payload.
+    Listing,
+    /// `PUT` / `DELETE`: write ops, payload counted as `bytes_up`.
+    Write,
 }
 
 impl ObjectStore for CloudStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
         let meta = self.inner.put(key, data)?;
-        self.charge(2, data.len() as u64); // handshake + ack
-        self.m.write_ops.inc();
-        self.m.bytes_up.add(data.len() as u64);
+        self.settle(Traffic::Write, 1, 2, data.len() as u64); // handshake + ack
         Ok(meta)
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
         let data = self.inner.get(key)?;
-        self.charge(1, data.len() as u64);
-        self.m.read_ops.inc();
-        self.m.bytes_down.add(data.len() as u64);
+        self.settle(Traffic::Read, 1, 1, data.len() as u64);
         Ok(data)
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
         let data = self.inner.get_range(key, offset, len)?;
-        self.charge(1, data.len() as u64);
-        self.m.read_ops.inc();
-        self.m.bytes_down.add(data.len() as u64);
+        self.settle(Traffic::Read, 1, 1, data.len() as u64);
         Ok(data)
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
         let _wave = self.m.obs.span("wave");
         let results = self.inner.get_many(keys);
-        let fetched: u64 = results.iter().filter_map(|r| r.as_ref().ok()).count() as u64;
-        if fetched > 0 {
-            // The batch rides the profile's parallel streams: each stream
-            // carries ceil(n/streams) requests back to back, so only that
-            // many round-trips serialize, while `transfer_secs` already
-            // spreads the payload across the streams. One jitter draw for
-            // the whole batch — it is one network episode, not n.
-            let total: u64 =
-                results.iter().filter_map(|r| r.as_ref().ok()).map(|d| d.len() as u64).sum();
-            let trips = (fetched as u32).div_ceil(self.profile.streams.max(1));
-            self.charge(trips, total);
-            self.m.waves.inc();
-            self.m.read_ops.add(fetched);
-            self.m.bytes_down.add(total);
-        }
+        let fetched = results.iter().filter_map(|r| r.as_ref().ok());
+        let total: u64 = fetched.clone().map(|d| d.len() as u64).sum();
+        self.settle_wave(Traffic::Read, fetched.count() as u64, 1, total);
         results
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
         let _wave = self.m.obs.span("wave");
         let results = self.inner.put_many(items);
-        let stored: u64 = results.iter().filter(|r| r.is_ok()).count() as u64;
-        if stored > 0 {
-            // Upload waves amortize exactly like `get_many`: each parallel
-            // stream serializes ceil(n/streams) uploads, each a
-            // handshake + ack pair (matching single `put`'s two round
-            // trips), while `transfer_secs` spreads the payload across the
-            // streams. One jitter draw for the whole episode.
-            let total: u64 = results
-                .iter()
-                .zip(items)
-                .filter(|(r, _)| r.is_ok())
-                .map(|(_, (_, d))| d.len() as u64)
-                .sum();
-            let trips = 2 * (stored as u32).div_ceil(self.profile.streams.max(1));
-            self.charge(trips, total);
-            self.m.waves.inc();
-            self.m.write_ops.add(stored);
-            self.m.bytes_up.add(total);
-        }
+        let stored = results.iter().zip(items).filter(|(r, _)| r.is_ok());
+        let total: u64 = stored.clone().map(|(_, (_, d))| d.len() as u64).sum();
+        // Each upload is a handshake + ack pair, like a single `put`.
+        self.settle_wave(Traffic::Write, stored.count() as u64, 2, total);
         results
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
         let meta = self.inner.head(key)?;
-        self.charge(1, 0);
-        self.m.read_ops.inc();
+        self.settle(Traffic::Read, 1, 1, 0);
         Ok(meta)
     }
 
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
         let results = self.inner.head_many(keys);
-        let fetched = results.iter().filter(|r| r.is_ok()).count() as u64;
-        if fetched > 0 {
-            // Same amortization as `get_many`: the batch of HEADs rides the
-            // parallel streams, so ceil(n/streams) round-trips serialize and
-            // one jitter draw covers the episode. No payload to move.
-            let trips = (fetched as u32).div_ceil(self.profile.streams.max(1));
-            self.charge(trips, 0);
-            self.m.read_ops.add(fetched);
-        }
+        self.settle(Traffic::Read, results.iter().filter(|r| r.is_ok()).count() as u64, 1, 0);
         results
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
         let listing = self.inner.list(prefix)?;
         // Listing payload: ~100 bytes of metadata per entry.
-        self.charge(1, listing.len() as u64 * 100);
-        self.m.read_ops.inc();
+        self.settle(Traffic::Listing, 1, 1, listing.len() as u64 * 100);
         Ok(listing)
     }
 
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)?;
-        self.charge(1, 0);
-        self.m.write_ops.inc();
+        self.settle(Traffic::Write, 1, 1, 0);
         Ok(())
     }
 
     fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
         let _wave = self.m.obs.span("wave");
         let results = self.inner.delete_many(keys);
-        let removed = results.iter().filter(|r| r.is_ok()).count() as u64;
-        if removed > 0 {
-            // A multi-object delete rides the parallel streams like
-            // `head_many`: ceil(n/streams) serialized round trips (single
-            // `delete` pays one), one jitter draw, no payload to move.
-            let trips = (removed as u32).div_ceil(self.profile.streams.max(1));
-            self.charge(trips, 0);
-            self.m.waves.inc();
-            self.m.write_ops.add(removed);
-        }
+        self.settle_wave(Traffic::Write, results.iter().filter(|r| r.is_ok()).count() as u64, 1, 0);
         results
     }
 

@@ -236,3 +236,65 @@ fn a_batch_through_a_production_wrapper_costs_what_the_bare_wan_batch_costs() {
         step("delete_many", 20, &|s| oks(s.delete_many(&keys)));
     }
 }
+
+/// The other half of the contract: a single call through a wrapper reaches
+/// the WAN as the single call it is, so it costs and counts what the bare
+/// endpoint's single call does — even in the wrappers whose one body per
+/// operation is the batch form.
+#[test]
+fn a_single_call_through_a_production_wrapper_costs_what_the_bare_wan_single_call_costs() {
+    // A seeded WAN endpoint over 20 stored objects, on its own clock.
+    let endpoint = || {
+        let backing = MemoryStore::new();
+        for i in 0..20 {
+            backing.put(&format!("o/{i:02}"), &vec![i as u8; 4096 + i * 100]).unwrap();
+        }
+        let clock = SimClock::new();
+        let wan = Arc::new(CloudStore::new(
+            Arc::new(backing),
+            NetworkProfile::public_dataverse(),
+            clock.clone(),
+            11,
+        ));
+        (wan, clock)
+    };
+    let payload = vec![9u8; 2048];
+
+    for (name, wrap) in WRAPPERS {
+        let (wan, clock) = endpoint();
+        let wrapped = wrap(Arc::clone(&wan) as Arc<dyn ObjectStore>, &clock);
+        let (bare, bare_clock) = endpoint();
+        let step = |what: &str, call: &dyn Fn(&dyn ObjectStore) -> bool| {
+            let (t, bare_t) = (clock.now_ns(), bare_clock.now_ns());
+            assert!(call(&*wrapped), "{name}: {what} failed");
+            match (what, name) {
+                // A fetched payload is verified against its own `head`.
+                ("get", "IntegrityStore") => {
+                    bare.get("o/03").unwrap();
+                    bare.head("o/03").unwrap();
+                }
+                // The cache serves a range from the whole object it fetched.
+                ("get_range", "TierCache") => assert!(bare.get("o/04").is_ok()),
+                _ => assert!(call(&*bare), "bare WAN: {what} failed"),
+            }
+            assert!(clock.now_ns() > t, "{name}: {what} must cross the WAN");
+            assert_eq!(
+                clock.now_ns() - t,
+                bare_clock.now_ns() - bare_t,
+                "{name}: {what} did not cost what the bare WAN single call costs"
+            );
+            let (log, bare_log) = (wan.transfer_log(), bare.transfer_log());
+            assert_eq!(
+                (log.read_ops, log.write_ops),
+                (bare_log.read_ops, bare_log.write_ops),
+                "{name}: {what} counted other WAN operations than the bare single call"
+            );
+        };
+        step("put", &|s| s.put("n/00", &payload).is_ok());
+        step("get", &|s| s.get("o/03").is_ok());
+        step("get_range", &|s| s.get_range("o/04", 100, 1000).is_ok());
+        step("head", &|s| s.head("o/05").is_ok());
+        step("list", &|s| s.list("o/").is_ok_and(|l| l.len() == 20));
+        step("delete", &|s| s.delete("o/06").is_ok());
+    }
+}

@@ -8,14 +8,7 @@
 
 /// FNV-1a 64-bit hash of a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    Fnv1a::new().update(bytes).digest()
 }
 
 /// Incremental FNV-1a 64-bit hasher.
