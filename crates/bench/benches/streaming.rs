@@ -1,21 +1,20 @@
 //! Concurrent streaming: the parallel block fetch/decode pipeline against
 //! the simulated WAN profiles of §III (public Dataverse commons, private
 //! Seal cloud). Sweeps fetch concurrency {1, 2, 4, 8} on cold and warm
-//! caches, plus the O(blocks) query-planner speedup over the O(samples)
-//! sample walk. Emits `BENCH_streaming.json` at the repo root; numbers are
-//! quoted in EXPERIMENTS.md ("concurrent streaming").
+//! caches and emits `BENCH_streaming.json` at the repo root, plus the
+//! instrumented cold + warm progressive read in
+//! `BENCH_streaming_metrics.json`.
 //!
 //! Latency over the WAN is *virtual* time charged to the shared
-//! [`SimClock`], so the run is deterministic and machine-independent;
-//! decode cost is real CPU time and reported separately.
+//! [`SimClock`], so both artifacts are deterministic and
+//! machine-independent; CI runs the bench twice and `cmp`s them. Decode and
+//! planning CPU are measured end to end by the `benchmark/` package.
 
 use nsdf_compress::Codec;
-use nsdf_hz::HzCurve;
 use nsdf_idx::{Field, IdxDataset, IdxMeta};
 use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore, TierCache};
-use nsdf_util::{Box2i, DType, Obs, Raster, SimClock};
+use nsdf_util::{DType, Obs, Raster, SimClock};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// 256x256 f32 at 2^10 samples/block = 64 blocks at full resolution.
 const SIZE: usize = 256;
@@ -30,7 +29,6 @@ struct Record {
     fetch_batches: u64,
     bytes_fetched: u64,
     virtual_secs: f64,
-    real_decode_secs: f64,
 }
 
 impl Record {
@@ -40,7 +38,7 @@ impl Record {
         format!(
             "{{\"profile\":\"{}\",\"concurrency\":{},\"cache\":\"{}\",\"blocks\":{},\
              \"fetch_batches\":{},\"bytes_fetched\":{},\"virtual_secs\":{:.6},\
-             \"blocks_per_virtual_sec\":{:.1},\"real_decode_secs\":{:.6}}}",
+             \"blocks_per_virtual_sec\":{:.1}}}",
             self.profile,
             self.concurrency,
             self.cache,
@@ -49,7 +47,6 @@ impl Record {
             self.bytes_fetched,
             self.virtual_secs,
             blocks_per_vsec,
-            self.real_decode_secs,
         )
     }
 }
@@ -102,9 +99,7 @@ fn run_case(
         ds
     };
     let v0 = clock.now_secs();
-    let t0 = Instant::now();
     let (_, stats) = ds.read_box::<f32>("v", 0, region, level).expect("read box");
-    let _real = t0.elapsed();
     Record {
         profile: profile_name,
         concurrency,
@@ -113,43 +108,7 @@ fn run_case(
         fetch_batches: stats.fetch_batches,
         bytes_fetched: stats.bytes_fetched,
         virtual_secs: clock.now_secs() - v0,
-        real_decode_secs: stats.decode_secs,
     }
-}
-
-/// Time the legacy O(samples) planner (per-level sample walk, as shipped
-/// before `HzCurve::blocks_in_region`) against the O(blocks) descent.
-fn planner_comparison() -> String {
-    let curve = HzCurve::for_dims_2d(2048, 2048).expect("curve");
-    let block_samples = 1u64 << 12;
-    let region = Box2i::new(300, 200, 1324, 1224);
-    let level = curve.max_level();
-
-    let t0 = Instant::now();
-    let mut walk_blocks = std::collections::BTreeSet::new();
-    for l in 0..=level {
-        for (_, hz) in curve.level_samples_in_box(l, region).expect("walk") {
-            walk_blocks.insert(hz / block_samples);
-        }
-    }
-    let walk_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let span_blocks = curve.blocks_in_region(region, level, block_samples).expect("spans");
-    let span_secs = t1.elapsed().as_secs_f64();
-
-    assert_eq!(walk_blocks.into_iter().collect::<Vec<_>>(), span_blocks, "planners disagree");
-    let speedup = if span_secs > 0.0 { walk_secs / span_secs } else { 0.0 };
-    println!(
-        "planner 1024x1024 window on 2048x2048: sample walk {:.1} ms, hz spans {:.3} ms ({speedup:.0}x)",
-        walk_secs * 1e3,
-        span_secs * 1e3
-    );
-    format!(
-        "{{\"grid\":2048,\"window\":1024,\"blocks\":{},\"sample_walk_secs\":{walk_secs:.6},\
-         \"hz_span_secs\":{span_secs:.6},\"speedup\":{speedup:.1}}}",
-        span_blocks.len()
-    )
 }
 
 /// Instrumented cold+warm progressive read over the private-seal profile.
@@ -194,14 +153,13 @@ fn main() {
             for conc in CONCURRENCIES {
                 let rec = run_case(&mem, profile(), conc, warm);
                 println!(
-                    "{:<17} {:>4} conc={} blocks={} batches={} virtual={:.3}s decode={:.4}s",
+                    "{:<17} {:>4} conc={} blocks={} batches={} virtual={:.3}s",
                     rec.profile,
                     rec.cache,
                     rec.concurrency,
                     rec.blocks,
                     rec.fetch_batches,
                     rec.virtual_secs,
-                    rec.real_decode_secs,
                 );
                 records.push(rec);
             }
@@ -223,14 +181,12 @@ fn main() {
         if pass { "PASS: < 0.5x" } else { "FAIL: >= 0.5x" }
     );
 
-    let planner = planner_comparison();
     let body = records.iter().map(Record::to_json).collect::<Vec<_>>().join(",\n    ");
     let json = format!(
         "{{\n  \"bench\": \"streaming\",\n  \"dataset\": {{\"dims\": [{SIZE}, {SIZE}], \
          \"dtype\": \"f32\", \"bits_per_block\": {BITS_PER_BLOCK}}},\n  \"records\": [\n    \
          {body}\n  ],\n  \"acceptance\": {{\"profile\": \"private-seal\", \
-         \"parallel_over_sequential_virtual\": {ratio:.4}, \"threshold\": 0.5, \"pass\": {pass}}},\n  \
-         \"planner\": {planner}\n}}\n"
+         \"parallel_over_sequential_virtual\": {ratio:.4}, \"threshold\": 0.5, \"pass\": {pass}}}\n}}\n"
     );
     nsdf_bench::write_artifact("BENCH_streaming.json", &json);
 

@@ -1,7 +1,7 @@
 //! # nsdf-bench
 //!
 //! The deterministic artifact generators. Each target in `benches/` is a
-//! plain `main` that writes one committed `BENCH_*.json` made of
+//! plain `main` that writes committed `BENCH_*.json` files made of
 //! virtual-clock times, counters and seeded draws;
 //! `scripts/seeded_determinism.sh` runs every target twice, compares the
 //! two files and diffs the result against the committed one, and refuses a

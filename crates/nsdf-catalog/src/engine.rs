@@ -347,11 +347,6 @@ impl Catalog {
         &self.clock
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_index(&self, id: u64) -> usize {
         (splitmix64(id) % self.shards.len() as u64) as usize
     }

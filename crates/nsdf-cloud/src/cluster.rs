@@ -45,11 +45,6 @@ impl Cluster {
     pub fn cost_per_hour(&self) -> f64 {
         self.nodes.iter().map(|n| n.cost_per_hour).sum()
     }
-
-    /// Aggregate relative speed.
-    pub fn total_speed(&self) -> f64 {
-        self.nodes.iter().map(|n| n.speed).sum()
-    }
 }
 
 /// Plan a cluster across `providers`: academic pools are drained first

@@ -18,6 +18,4 @@ pub mod tutorial;
 pub use client::{EndpointKind, EndpointPolicy, NsdfClient, StorageEndpoint};
 pub use dag::{build_terrain_graph, run_terrain_dag, DagConfig, DagReport};
 pub use pipeline::{run_tutorial, Interaction, TutorialConfig, TutorialReport};
-pub use tutorial::{
-    format_table1, Background, Modality, QuestionTally, Session, SurveyModel, SurveyQuestion,
-};
+pub use tutorial::{Background, Modality, QuestionTally, Session, SurveyModel, SurveyQuestion};

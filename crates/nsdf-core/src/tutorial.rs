@@ -278,34 +278,6 @@ impl SurveyModel {
     }
 }
 
-/// Format Table I as aligned text (the `reproduce` harness's output).
-pub fn format_table1(sessions: &[Session]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<88} | {:<9} | {:<36} | {}\n",
-        "Tutorial", "Modality", "Audience", "Participants"
-    ));
-    out.push_str(&"-".repeat(150));
-    out.push('\n');
-    for s in sessions {
-        out.push_str(&format!(
-            "{:<88} | {:<9} | {:<36} | {}\n",
-            s.venue,
-            s.modality.label(),
-            s.audience.label(),
-            s.participants
-        ));
-    }
-    out.push_str(&format!(
-        "{:<88} | {:<9} | {:<36} | {}\n",
-        "Total Participants",
-        "",
-        "",
-        Session::total_participants(sessions)
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,14 +290,6 @@ mod tests {
         assert_eq!(sessions[0].participants, 25);
         assert_eq!(sessions[2].audience, Background::GeneralPublic);
         assert_eq!(sessions[3].modality, Modality::InPerson);
-    }
-
-    #[test]
-    fn table1_formatting_contains_all_rows() {
-        let text = format_table1(&Session::paper_sessions());
-        assert!(text.contains("San Diego Supercomputer Center"));
-        assert!(text.contains("108"));
-        assert_eq!(text.lines().count(), 7);
     }
 
     #[test]

@@ -295,13 +295,10 @@ pub struct QuerySession<T: Sample> {
     target_level: u32,
     /// Next level `refine_step` delivers (`> target_level` = done).
     next_level: u32,
-    /// Finest level whose cumulative block plan is held in `view_blocks`
-    /// and fully resolved for the current view.
-    covered: Option<u32>,
     /// Cumulative planned block set of the box in `planned`.
     view_blocks: BTreeSet<u64>,
     /// The view box `view_blocks` was planned for, and the finest level
-    /// planned so far (which may exceed `covered` after a cancel).
+    /// planned so far.
     planned: Option<(Box3i, u32)>,
     /// Blocks of the current field and timestep resolved by earlier frames
     /// (`None` = known missing), shared with the dataset by `Arc`.
@@ -343,7 +340,6 @@ impl<T: Sample> QuerySession<T> {
             start_level: 0,
             target_level: target,
             next_level: 0,
-            covered: None,
             view_blocks: BTreeSet::new(),
             planned: None,
             resident: DecodedCache::new(DEFAULT_RESIDENT_BUDGET),
@@ -393,11 +389,6 @@ impl<T: Sample> QuerySession<T> {
     /// The refinement target level.
     pub fn target_level(&self) -> u32 {
         self.target_level
-    }
-
-    /// Finest level fully resolved for the current view, if any.
-    pub fn covered_level(&self) -> Option<u32> {
-        self.covered
     }
 
     /// Cumulative session accounting.
@@ -523,9 +514,8 @@ impl<T: Sample> QuerySession<T> {
         self.forget_plan();
     }
 
-    /// The view moved: what was planned and covered describes another box.
+    /// The view moved: what was planned describes another box.
     fn forget_plan(&mut self) {
-        self.covered = None;
         self.planned = None;
         self.view_blocks.clear();
     }
@@ -700,11 +690,7 @@ impl<T: Sample> QuerySession<T> {
         let _frame_span = self.m.obs.span("frame");
         let region = self.plan_level(level)?;
         let needed: Vec<u64> = self.view_blocks.iter().copied().collect();
-        let frame = self.frame(region, level, &needed)?;
-        if !frame.cancelled {
-            self.covered = Some(self.covered.map_or(level, |c| c.max(level)));
-        }
-        Ok(frame)
+        self.frame(region, level, &needed)
     }
 
     /// Deliver the next refinement level of the current view.

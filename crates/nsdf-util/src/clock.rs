@@ -71,62 +71,6 @@ pub fn secs_to_ns(secs: f64) -> u64 {
     }
 }
 
-/// A labelled span of virtual time, used to report per-stage timings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSpan {
-    /// Human-readable stage label.
-    pub label: String,
-    /// Start of the span (virtual ns).
-    pub start_ns: u64,
-    /// End of the span (virtual ns).
-    pub end_ns: u64,
-}
-
-impl SimSpan {
-    /// Span duration in seconds.
-    pub fn secs(&self) -> f64 {
-        (self.end_ns.saturating_sub(self.start_ns)) as f64 / 1e9
-    }
-}
-
-/// Records labelled spans against a [`SimClock`]; a tiny tracing facility
-/// for the workflow engine and the `reproduce` harness.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRecorder {
-    spans: Arc<parking_lot::Mutex<Vec<SimSpan>>>,
-}
-
-impl SpanRecorder {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a span with explicit bounds.
-    pub fn record(&self, label: impl Into<String>, start_ns: u64, end_ns: u64) {
-        self.spans.lock().push(SimSpan { label: label.into(), start_ns, end_ns });
-    }
-
-    /// Run `f`, timing it against `clock`, and record the span.
-    pub fn time<R>(&self, clock: &SimClock, label: impl Into<String>, f: impl FnOnce() -> R) -> R {
-        let start = clock.now_ns();
-        let r = f();
-        let end = clock.now_ns();
-        self.record(label, start, end);
-        r
-    }
-
-    /// Snapshot of all recorded spans, in recording order.
-    pub fn spans(&self) -> Vec<SimSpan> {
-        self.spans.lock().clone()
-    }
-
-    /// Total virtual seconds across spans with the given label.
-    pub fn total_secs(&self, label: &str) -> f64 {
-        self.spans.lock().iter().filter(|s| s.label == label).map(|s| s.secs()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,26 +107,5 @@ mod tests {
         assert_eq!(c.now_ns(), 1000);
         c.advance_to_ns(500); // in the past: no-op
         assert_eq!(c.now_ns(), 1000);
-    }
-
-    #[test]
-    fn recorder_times_spans() {
-        let clock = SimClock::new();
-        let rec = SpanRecorder::new();
-        rec.time(&clock, "convert", || {
-            clock.advance_secs(2.0);
-        });
-        rec.time(&clock, "upload", || {
-            clock.advance_secs(3.0);
-        });
-        rec.time(&clock, "convert", || {
-            clock.advance_secs(1.0);
-        });
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 3);
-        assert!((rec.total_secs("convert") - 3.0).abs() < 1e-9);
-        assert!((rec.total_secs("upload") - 3.0).abs() < 1e-9);
-        assert_eq!(spans[0].label, "convert");
-        assert!((spans[0].secs() - 2.0).abs() < 1e-9);
     }
 }

@@ -55,11 +55,6 @@ impl DType {
             other => Err(NsdfError::format(format!("unknown dtype `{other}`"))),
         }
     }
-
-    /// True for floating-point sample types.
-    pub fn is_float(self) -> bool {
-        matches!(self, DType::F32 | DType::F64)
-    }
 }
 
 impl std::fmt::Display for DType {

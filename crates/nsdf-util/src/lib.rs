@@ -32,7 +32,7 @@ pub mod raster;
 pub mod stats;
 pub mod volume;
 
-pub use clock::{secs_to_ns, SimClock, SimSpan, SpanRecorder};
+pub use clock::{secs_to_ns, SimClock};
 pub use dtype::{bytes_to_samples, samples_to_bytes, DType, Sample};
 pub use error::{NsdfError, Result};
 pub use geo::{haversine_km, Box2i, Box3i, GeoTransform, LatLon};

@@ -100,11 +100,6 @@ impl<T: Sample> Raster<T> {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Sample at `(x, y)`; panics out of bounds (use [`Raster::try_get`] to
     /// check).
     #[inline]
@@ -142,11 +137,6 @@ impl<T: Sample> Raster<T> {
     /// Borrow row `y`.
     pub fn row(&self, y: usize) -> &[T] {
         &self.data[y * self.width..(y + 1) * self.width]
-    }
-
-    /// Mutably borrow row `y`.
-    pub fn row_mut(&mut self, y: usize) -> &mut [T] {
-        &mut self.data[y * self.width..(y + 1) * self.width]
     }
 
     /// Copy out a window. The window must lie inside the raster.

@@ -3,11 +3,15 @@
 //! Usage: `cargo run --release --example reproduce -- [target]`
 //! where `target` is one of `table1`, `fig3`, `fig4`, `fig5`, `fig6`,
 //! `fig7`, `fig8`, `hz`, `compress`, `fuse`, `catalog`, `plugin`, `cloud`,
-//! or
-//! `all` (default). Output is deterministic for a fixed seed.
+//! or `all` (default).
+//!
+//! Each target prints one markdown block on stdout, between
+//! `<!-- reproduce:<target> -->` and `<!-- /reproduce -->`. Every number
+//! in a block is a function of the seed, so the blocks are byte-stable on
+//! any machine and `scripts/docs_numbers.sh` pastes them into
+//! EXPERIMENTS.md verbatim. Wall-clock readings go to stderr instead.
 
-use nsdf::catalog::{Catalog, Record};
-use nsdf::compress::CompressionStats;
+use nsdf::catalog::{CatalogConfig, Record};
 use nsdf::fuse::{run_workload, Mapping, OpMix};
 use nsdf::idx::{blocks_touched, Layout};
 use nsdf::plugin::{run_campaign, select_entry_point, select_entry_point_oracle};
@@ -18,32 +22,34 @@ use std::time::Instant;
 
 const SEED: u64 = 2024;
 
+type Target = (&'static str, fn() -> Result<String>);
+
+const TARGETS: [Target; 13] = [
+    ("table1", table1),
+    ("fig8", fig8),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("hz", hz_locality),
+    ("compress", compress_table),
+    ("fuse", fuse_table),
+    ("catalog", catalog_table),
+    ("plugin", plugin_table),
+    ("cloud", cloud_table),
+];
+
 fn main() -> Result<()> {
     let target = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let all = target == "all";
     let mut ran = false;
-    macro_rules! section {
-        ($name:literal, $f:expr) => {
-            if all || target == $name {
-                println!("\n================ {} ================", $name);
-                $f?;
-                ran = true;
-            }
-        };
+    for (name, run) in TARGETS {
+        if target == "all" || target == name {
+            // Blank lines keep the markers out of the markdown around them.
+            print!("<!-- reproduce:{name} -->\n\n{}\n<!-- /reproduce -->\n\n", run()?);
+            ran = true;
+        }
     }
-    section!("table1", table1());
-    section!("fig8", fig8());
-    section!("fig3", fig3());
-    section!("fig4", fig4());
-    section!("fig5", fig5());
-    section!("fig6", fig6());
-    section!("fig7", fig7());
-    section!("hz", hz_locality());
-    section!("compress", compress_table());
-    section!("fuse", fuse_table());
-    section!("catalog", catalog_table());
-    section!("plugin", plugin_table());
-    section!("cloud", cloud_table());
     if !ran {
         eprintln!("unknown target {target:?}");
         std::process::exit(2);
@@ -51,79 +57,107 @@ fn main() -> Result<()> {
     Ok(())
 }
 
+/// One markdown table: the header row, its separator, then `rows`.
+fn table<const N: usize>(header: [&str; N], rows: impl IntoIterator<Item = [String; N]>) -> String {
+    let mut out = format!("| {} |\n|{}\n", header.join(" | "), "---|".repeat(N));
+    for row in rows {
+        out += &format!("| {} |\n", row.join(" | "));
+    }
+    out
+}
+
 /// Table I: participants per session.
-fn table1() -> Result<()> {
-    print!("{}", format_table1(&Session::paper_sessions()));
-    Ok(())
+fn table1() -> Result<String> {
+    let sessions = Session::paper_sessions();
+    let total = Session::total_participants(&sessions);
+    let rows = sessions.iter().map(|s| {
+        [
+            s.venue.clone(),
+            s.modality.label().into(),
+            s.audience.label().into(),
+            s.participants.to_string(),
+        ]
+    });
+    let total = ["**Total participants**".into(), String::new(), String::new(), total.to_string()];
+    Ok(table(["Tutorial", "Modality", "Audience", "Participants"], rows.chain([total])))
 }
 
 /// Fig. 8: survey Likert histograms (simulated cohorts; see DESIGN.md).
-fn fig8() -> Result<()> {
+fn fig8() -> Result<String> {
     let tallies = SurveyModel::new(SEED).run(&Session::paper_sessions())?;
+    let rows = tallies.iter().map(|t| {
+        [
+            t.question.panel().into(),
+            t.question.text().into(),
+            t.total().to_string(),
+            format!("{:.2}", t.mean()),
+            format!("{:.0} %", t.positive_fraction() * 100.0),
+        ]
+    });
+    let mut out = table(["Fig.", "Question", "n", "mean", "positive (4–5)"], rows);
+    out += "\nResponses per rating, 1 (top) to 5 (bottom):\n\n```\n";
     for t in &tallies {
-        println!("\n(Fig. {}) {}", t.question.panel(), t.question.text());
-        println!(
-            "  n={} mean={:.2} positive={:.0}%",
-            t.total(),
-            t.mean(),
-            t.positive_fraction() * 100.0
-        );
-        print!("{}", t.ascii());
+        out += &format!("({})\n{}", t.question.panel(), t.ascii());
     }
-    Ok(())
+    out += "```\n";
+    Ok(out)
 }
 
 /// Fig. 3: the data-conversion flow across storage environments.
-fn fig3() -> Result<()> {
-    println!("TIFF->IDX conversion pipeline routed through each environment:");
-    println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>14}",
-        "endpoint", "tiff_bytes", "idx_bytes", "ratio", "virt_secs"
-    );
+fn fig3() -> Result<String> {
+    let mut rows = Vec::new();
     for endpoint in ["local", "dataverse", "seal"] {
         let client = NsdfClient::simulated(SEED);
         let mut cfg = TutorialConfig::small(SEED);
         cfg.storage_endpoint = endpoint.into();
         let report = run_tutorial(&client, &cfg)?;
-        println!(
-            "{:<12} {:>12} {:>12} {:>10.3} {:>14.2}",
-            endpoint,
-            report.tiff_bytes,
-            report.idx_bytes,
-            report.size_ratio(),
-            report.total_virtual_secs
-        );
+        rows.push([
+            endpoint.into(),
+            report.tiff_bytes.to_string(),
+            report.idx_bytes.to_string(),
+            format!("{:.3}", report.size_ratio()),
+            format!("{:.2}", report.total_virtual_secs),
+        ]);
     }
-    Ok(())
+    Ok(table(["endpoint", "TIFF bytes", "IDX bytes", "ratio", "virtual s"], rows))
 }
 
 /// Fig. 4: the four-step workflow with per-step timing and artifacts.
-fn fig4() -> Result<()> {
+fn fig4() -> Result<String> {
     let client = NsdfClient::simulated(SEED);
     let report = run_tutorial(&client, &TutorialConfig::small(SEED))?;
-    println!("{:<28} {:>10} {:>10} {:>14}", "step", "secs", "artifacts", "bytes");
-    for r in &report.run.records {
+    let rows = report.run.records.iter().map(|r| {
         // Step 2's artifact is the dataset header; its product is the
         // whole IDX dataset behind it.
         let own: u64 = r.produced.iter().map(|a| a.bytes).sum();
         let bytes = if r.name == "2-convert-to-idx" { report.idx_bytes } else { own };
-        let secs = report.run.wave_secs(r.wave);
-        println!("{:<28} {:>10.3} {:>10} {:>14}", r.name, secs, r.produced.len(), bytes);
-    }
-    println!("validation exact: {}", report.validation_exact());
-    for i in &report.interactions {
-        println!("  interaction {:<14} {:>8.3}s", i.label, i.virtual_secs);
-    }
-    Ok(())
+        [
+            r.name.clone(),
+            format!("{:.3}", report.run.wave_secs(r.wave)),
+            r.produced.len().to_string(),
+            bytes.to_string(),
+        ]
+    });
+    let mut out = table(["step", "virtual s", "artifacts", "bytes"], rows);
+    let interactions: Vec<String> = report
+        .interactions
+        .iter()
+        .map(|i| format!("{} {:.3} s", i.label, i.virtual_secs))
+        .collect();
+    out += &format!(
+        "\nValidation exact: {}. Dashboard interactions: {}.\n",
+        report.validation_exact(),
+        interactions.join(", ")
+    );
+    Ok(out)
 }
 
-/// Fig. 5: GEOtiled — tiling preserves accuracy while parallelising.
-fn fig5() -> Result<()> {
-    println!(
-        "{:<10} {:<8} {:<6} {:>9} {:>9} {:>9} {:>12}",
-        "grid", "tiles", "halo", "seq_ms", "par_ms", "speedup", "max_err"
-    );
-    for &size in &[256usize, 512] {
+/// Fig. 5: GEOtiled — tiling preserves accuracy while parallelising. The
+/// accuracy table is the block; the sequential vs tiled wall clock goes to
+/// stderr.
+fn fig5() -> Result<String> {
+    let (mut accuracy, mut timing) = (Vec::new(), Vec::new());
+    for size in [256usize, 512] {
         let dem = DemConfig::conus_like(size, size, SEED).generate();
         let t0 = Instant::now();
         let (reference, _) = compute_terrain_tiled(
@@ -141,31 +175,36 @@ fn fig5() -> Result<()> {
                 compute_terrain_tiled(&dem, TerrainParam::Slope, Sun::default(), &plan, 8)?;
             let par_ms = t1.elapsed().as_secs_f64() * 1e3;
             let acc = AccuracyReport::compare(&reference, &tiled)?;
-            println!(
-                "{:<10} {:<8} {:<6} {:>9.1} {:>9.1} {:>8.2}x {:>12.2e}",
-                format!("{size}x{size}"),
-                format!("{tiles}x{tiles}"),
-                halo,
-                seq_ms,
-                par_ms,
-                seq_ms / par_ms,
-                acc.max_abs_err
-            );
+            let (grid, tiles) = (format!("{size}²"), format!("{tiles}×{tiles}"));
+            accuracy.push([
+                grid.clone(),
+                tiles.clone(),
+                halo.to_string(),
+                format!("{:.1}", acc.max_abs_err),
+            ]);
+            timing.push([
+                grid,
+                tiles,
+                halo.to_string(),
+                format!("{seq_ms:.1}"),
+                format!("{par_ms:.1}"),
+                format!("{:.2}×", seq_ms / par_ms),
+            ]);
         }
     }
-    Ok(())
+    eprint!(
+        "fig5 wall clock (this box, not gated):\n{}",
+        table(["grid", "tiles", "halo", "sequential ms", "tiled ms", "speed-up"], timing)
+    );
+    Ok(table(["grid", "tiles", "halo", "max slope error vs untiled (°)"], accuracy))
 }
 
 /// Fig. 6 + §IV-B: TIFF-vs-IDX static validation and the ~20 % size claim.
-fn fig6() -> Result<()> {
+fn fig6() -> Result<String> {
     let dem = DemConfig::conus_like(512, 512, SEED).generate();
     let slope = nsdf::geotiled::compute_terrain(&dem, TerrainParam::Slope, Sun::default())?;
     let tiff = write_tiff(&slope, TiffCompression::None)?;
-    println!("slope raster 512x512 f32; uncompressed TIFF = {} bytes", tiff.len());
-    println!(
-        "{:<16} {:>12} {:>10} {:>12} {:>10}",
-        "idx codec", "idx_bytes", "vs_tiff", "max_err", "psnr_dB"
-    );
+    let mut rows = Vec::new();
     for codec in [
         Codec::Raw,
         Codec::PackBits,
@@ -183,21 +222,25 @@ fn fig6() -> Result<()> {
         let stats = ds.write_raster("slope", 0, &slope)?;
         let (back, _) = ds.read_full::<f32>("slope", 0)?;
         let acc = AccuracyReport::compare(&slope, &back)?;
-        println!(
-            "{:<16} {:>12} {:>9.3} {:>12.4e} {:>10.1}",
+        rows.push([
             codec.name(),
-            stats.bytes_stored,
-            stats.bytes_stored as f64 / tiff.len() as f64,
-            acc.max_abs_err,
-            acc.psnr_db
-        );
+            stats.bytes_stored.to_string(),
+            format!("{:.3}", stats.bytes_stored as f64 / tiff.len() as f64),
+            format!("{:.1e}", acc.max_abs_err),
+            format!("{:.1}", acc.psnr_db),
+        ]);
     }
-    Ok(())
+    Ok(format!(
+        "512×512 f32 slope raster; uncompressed TIFF = {} bytes.\n\n{}",
+        tiff.len(),
+        table(["IDX codec", "bytes", "vs TIFF", "max err", "PSNR dB"], rows)
+    ))
 }
 
 /// Fig. 7: interactive dashboard latencies over local vs Seal storage.
-fn fig7() -> Result<()> {
+fn fig7() -> Result<String> {
     let dem = DemConfig::conus_like(1024, 1024, SEED).generate();
+    let mut rows = Vec::new();
     for (label, remote) in [("local", false), ("seal", true)] {
         let clock = SimClock::new();
         let base: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
@@ -225,7 +268,7 @@ fn fig7() -> Result<()> {
         let ds = Arc::new(IdxDataset::create(store.clone(), "fig7", meta)?);
         ds.write_raster("elevation", 0, &dem)?;
         // Cold dashboard: drop the transfer cache.
-        if remote {
+        let ds = if remote {
             // Rebuild a fresh cache so interactive reads start cold.
             let inner: Arc<dyn ObjectStore> = Arc::new(CloudStore::new(
                 Arc::new(MemoryStore::new()),
@@ -238,82 +281,81 @@ fn fig7() -> Result<()> {
                 inner.put(&m.key, &store.get(&m.key)?)?;
             }
             let cold: Arc<dyn ObjectStore> = Arc::new(TierCache::new(inner, 128 << 20));
-            let ds = Arc::new(IdxDataset::open(cold, "fig7")?);
-            run_session(label, ds, &clock)?;
+            Arc::new(IdxDataset::open(cold, "fig7")?)
         } else {
-            run_session(label, ds, &clock)?;
-        }
+            ds
+        };
+        run_session(label, ds, &clock, &mut rows)?;
     }
-    Ok(())
+    Ok(table(["storage", "interaction", "level", "blocks", "bytes", "virtual ms"], rows))
 }
 
-fn run_session(label: &str, ds: Arc<IdxDataset>, clock: &SimClock) -> Result<()> {
+fn run_session(
+    label: &str,
+    ds: Arc<IdxDataset>,
+    clock: &SimClock,
+    rows: &mut Vec<[String; 6]>,
+) -> Result<()> {
     let mut dash = Dashboard::new();
     dash.add_dataset("conus", ds);
     dash.select_dataset("conus")?;
     dash.set_viewport_px(512)?;
-    println!("-- {label} storage --");
-    println!(
-        "{:<18} {:>8} {:>10} {:>12} {:>10}",
-        "interaction", "level", "blocks", "bytes", "virt_ms"
-    );
-    let shot = |name: &str, dash: &Dashboard| -> Result<()> {
+    let mut shot = |name: &str, dash: &Dashboard| -> Result<()> {
         let t = clock.now_secs();
         let (_, info) = dash.render_frame()?;
-        println!(
-            "{:<18} {:>8} {:>10} {:>12} {:>10.1}",
-            name,
-            info.level,
-            info.stats.blocks_touched,
-            info.stats.bytes_fetched,
-            (clock.now_secs() - t) * 1e3
-        );
+        rows.push([
+            label.into(),
+            name.into(),
+            info.level.to_string(),
+            info.stats.blocks_touched.to_string(),
+            info.stats.bytes_fetched.to_string(),
+            format!("{:.1}", (clock.now_secs() - t) * 1e3),
+        ]);
         Ok(())
     };
-    shot("overview-cold", &dash)?;
-    shot("overview-warm", &dash)?;
+    shot("overview, cold", &dash)?;
+    shot("overview, warm", &dash)?;
     dash.zoom(4.0)?;
-    shot("zoom-4x", &dash)?;
+    shot("zoom 4×", &dash)?;
     dash.pan(128, 128)?;
     shot("pan", &dash)?;
     dash.zoom(4.0)?;
-    shot("zoom-16x", &dash)?;
+    shot("zoom 16×", &dash)?;
     Ok(())
 }
 
 /// §III-A ablation: blocks touched per layout (HZ vs Z vs row-major).
-fn hz_locality() -> Result<()> {
+fn hz_locality() -> Result<String> {
     let curve = HzCurve::for_dims_2d(1024, 1024)?;
     let bpb = 12;
-    println!("1024x1024 grid, 4096-sample blocks; blocks touched per query:");
-    println!("{:<34} {:>8} {:>10} {:>11}", "query", "hz", "z-order", "row-major");
     let max = curve.max_level();
     let cases = [
-        ("full grid, overview (1/64 res)", Box2i::new(0, 0, 1024, 1024), max - 6),
+        ("full grid, 1/64-res overview", Box2i::new(0, 0, 1024, 1024), max - 6),
         ("full grid, half res", Box2i::new(0, 0, 1024, 1024), max - 2),
-        ("128x128 region, full res", Box2i::new(448, 448, 576, 576), max),
-        ("64x64 region, full res", Box2i::new(100, 900, 164, 964), max),
+        ("128² region, full res", Box2i::new(448, 448, 576, 576), max),
+        ("64² region, full res", Box2i::new(100, 900, 164, 964), max),
     ];
+    let mut rows = Vec::new();
     for (name, region, level) in cases {
-        let counts: Vec<u64> = Layout::all()
+        let counts: Vec<String> = Layout::all()
             .iter()
-            .map(|&l| blocks_touched(&curve, l, region, level, bpb))
+            .map(|&l| Ok(blocks_touched(&curve, l, region, level, bpb)?.to_string()))
             .collect::<Result<_>>()?;
-        println!("{:<34} {:>8} {:>10} {:>11}", name, counts[0], counts[1], counts[2]);
+        let [hz, z, row_major]: [String; 3] = counts.try_into().expect("three layouts");
+        rows.push([name.into(), hz, z, row_major]);
     }
-    Ok(())
+    Ok(format!(
+        "1024² grid, 4096-sample blocks; blocks touched per query:\n\n{}",
+        table(["query", "HZ", "Z-order", "row-major"], rows)
+    ))
 }
 
-/// §III-A/IV-B: codec ratio/throughput table on terrain data.
-fn compress_table() -> Result<()> {
+/// §III-A/IV-B: codec sizes on terrain data. Throughput is measured end to
+/// end by the `benchmark/` package (`compress.*_mb_s`).
+fn compress_table() -> Result<String> {
     let dem = DemConfig::conus_like(512, 512, SEED).generate();
     let raw = samples_to_bytes(dem.data());
-    println!("512x512 f32 DEM = {} bytes raw", raw.len());
-    println!(
-        "{:<16} {:>10} {:>8} {:>12} {:>12}",
-        "codec", "bytes", "ratio", "enc_MB/s", "dec_MB/s"
-    );
-    let mb = raw.len() as f64 / 1e6;
+    let mut rows = Vec::new();
     for codec in [
         Codec::PackBits,
         Codec::Lz4,
@@ -322,119 +364,119 @@ fn compress_table() -> Result<()> {
         Codec::LzssHuff { sample_size: 4 },
         Codec::FixedRate { bits: 16 },
     ] {
-        let t0 = Instant::now();
         let enc = codec.encode(&raw)?;
-        let enc_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let _ = codec.decode(&enc, raw.len())?;
-        let dec_s = t1.elapsed().as_secs_f64();
+        let exact = codec.decode(&enc, raw.len())? == raw;
         let stats = CompressionStats { codec, raw_bytes: raw.len(), compressed_bytes: enc.len() };
-        println!(
-            "{:<16} {:>10} {:>8.2} {:>12.1} {:>12.1}",
+        rows.push([
             codec.name(),
-            enc.len(),
-            stats.ratio(),
-            mb / enc_s,
-            mb / dec_s
-        );
+            enc.len().to_string(),
+            format!("{:.2}", stats.ratio()),
+            if exact { "exact" } else { "lossy" }.into(),
+        ]);
     }
-    Ok(())
+    Ok(format!(
+        "512×512 f32 DEM = {} bytes raw.\n\n{}",
+        raw.len(),
+        table(["codec", "bytes", "raw / stored", "round trip"], rows)
+    ))
 }
 
 /// §III-B NSDF-FUSE: mapping-package comparison.
-fn fuse_table() -> Result<()> {
-    println!(
-        "{:<14} {:<12} {:>10} {:>10} {:>12}",
-        "workload", "mapping", "store_rd", "store_wr", "virt_secs"
-    );
+fn fuse_table() -> Result<String> {
+    let mut rows = Vec::new();
     for (name, mix) in
-        [("small-files", OpMix::small_files()), ("large-files", OpMix::large_files())]
+        [("200 × 16 KiB files", OpMix::small_files()), ("4 × 16 MiB files", OpMix::large_files())]
     {
         for mapping in Mapping::palette() {
             let r = run_workload(mapping, NetworkProfile::public_dataverse(), mix, SEED)?;
-            println!(
-                "{:<14} {:<12} {:>10} {:>10} {:>12.2}",
-                name,
-                mapping.name(),
-                r.store_read_ops,
-                r.store_write_ops,
-                r.virtual_secs
-            );
+            rows.push([
+                name.into(),
+                mapping.name().into(),
+                r.store_read_ops.to_string(),
+                r.store_write_ops.to_string(),
+                format!("{:.2}", r.virtual_secs),
+            ]);
         }
     }
-    Ok(())
+    Ok(table(["workload", "mapping", "store reads", "store writes", "virtual s"], rows))
 }
 
-/// §III-B NSDF-Catalog: ingest/query throughput + extrapolation.
-fn catalog_table() -> Result<()> {
-    let cat = Catalog::new(64)?;
+/// §III-B NSDF-Catalog: ingest, queries and crash recovery. Ingest and
+/// scan CPU are measured end to end by the `benchmark/` package
+/// (`catalog.ingest_cpu_s`, `catalog.scan_cpu_ms`).
+fn catalog_table() -> Result<String> {
+    let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+    let open = || Catalog::open(store.clone(), SimClock::new(), CatalogConfig::new(64));
+    let cat = open()?;
     let n = 200_000u64;
-    let t0 = Instant::now();
     cat.ingest((0..n).map(|i| {
         Record::new(i, format!("d{:03}/o{i:07}", i % 200), "dataverse", 4096, i % 50_000)
             .expect("valid")
     }))?;
-    let rate = n as f64 / t0.elapsed().as_secs_f64();
-    println!("ingest: {rate:.0} records/s (single node)");
-    println!("1.59e9 records => {:.1} h single-node ingest", 1.59e9 / rate / 3600.0);
-    let t1 = Instant::now();
-    let hits = cat.find_by_prefix("d077/");
-    println!("prefix query: {} hits in {:.1} ms", hits.len(), t1.elapsed().as_secs_f64() * 1e3);
-    Ok(())
+    let hits = cat.find_by_prefix("d077/").len();
+    let stats = cat.stats();
+    let segments: usize = cat.layout().iter().flatten().map(Vec::len).sum();
+    let acked = cat.scan_all();
+    // Drop without `close`: the reopen must rebuild the rest from the WAL.
+    drop(cat);
+    let recovered = open()?.scan_all() == acked;
+    Ok(table(
+        ["64-shard catalog, 200 000 records", "value"],
+        [
+            ["live records".into(), stats.records.to_string()],
+            ["segments checkpointed during ingest".into(), segments.to_string()],
+            ["`d077/` prefix-query hits".into(), hits.to_string()],
+            ["checksums shared by several records".into(), stats.duplicate_checksums.to_string()],
+            ["reopen without close equals the acked state".into(), recovered.to_string()],
+        ],
+    ))
 }
 
 /// §III / Fig. 2 computing services: NSDF-Cloud ad-hoc clusters.
-fn cloud_table() -> Result<()> {
-    use nsdf::cloud::{provision, ClusterRequest, Job, Provider};
+fn cloud_table() -> Result<String> {
+    use nsdf::cloud::Job;
     let providers = Provider::nsdf_federation();
-    println!("bag of 256 jobs x 10 core-minutes over the NSDF federation:");
-    println!("{:<8} {:>12} {:>12} {:>10} {:>8}", "nodes", "makespan_s", "cost_$", "util_%", "$/h");
     let jobs: Vec<Job> = (0..256).map(|id| Job { id, work: 600.0 }).collect();
+    let mut rows = Vec::new();
     for nodes in [4u32, 16, 36, 64] {
         let cluster = provision(&providers, &ClusterRequest { nodes, max_cost_per_hour: 50.0 })?;
-        let clock = SimClock::new();
-        let report = cluster.run_jobs(&jobs, &clock)?;
-        println!(
-            "{:<8} {:>12.0} {:>12.2} {:>10.1} {:>8.2}",
-            nodes,
-            report.makespan_secs,
-            report.cost_dollars,
-            report.utilisation * 100.0,
-            cluster.cost_per_hour()
-        );
+        let report = cluster.run_jobs(&jobs, &SimClock::new())?;
+        rows.push([
+            nodes.to_string(),
+            format!("{:.0}", report.makespan_secs),
+            format!("{:.2}", report.cost_dollars),
+            format!("{:.0} %", report.utilisation * 100.0),
+            format!("{:.2}", cluster.cost_per_hour()),
+        ]);
     }
-    Ok(())
+    Ok(format!(
+        "256 jobs × 10 core-minutes over the NSDF federation ($50/h ceiling):\n\n{}",
+        table(["nodes", "makespan s", "cost $", "utilisation", "$/h"], rows)
+    ))
 }
 
 /// §III-B NSDF-Plugin: constraints matrix summary + selection quality.
-fn plugin_table() -> Result<()> {
-    let tb = nsdf::plugin::Testbed::nsdf_default();
+fn plugin_table() -> Result<String> {
+    let tb = Testbed::nsdf_default();
     let matrix = run_campaign(&tb, 50, SEED)?;
-    let mut worst: (f64, &str, &str) = (0.0, "", "");
-    let mut best: (f64, &str, &str) = (f64::INFINITY, "", "");
-    for p in &matrix.pairs {
-        if p.from != p.to {
-            if p.rtt_mean_ms > worst.0 {
-                worst = (p.rtt_mean_ms, &p.from, &p.to);
-            }
-            if p.rtt_mean_ms < best.0 {
-                best = (p.rtt_mean_ms, &p.from, &p.to);
-            }
-        }
-    }
-    println!("8-site campaign, 50 probes/pair:");
-    println!("  fastest pair: {} -> {} ({:.1} ms)", best.1, best.2, best.0);
-    println!("  slowest pair: {} -> {} ({:.1} ms)", worst.1, worst.2, worst.0);
+    let links = || matrix.pairs.iter().filter(|p| p.from != p.to);
+    let fastest = links().min_by(|a, b| a.rtt_mean_ms.total_cmp(&b.rtt_mean_ms));
+    let slowest = links().max_by(|a, b| a.rtt_mean_ms.total_cmp(&b.rtt_mean_ms));
+    let (fastest, slowest) = (fastest.expect("testbed has links"), slowest.expect("links"));
+    let pairs = [("fastest", fastest), ("slowest", slowest)].map(|(label, p)| {
+        [label.into(), p.from.clone(), p.to.clone(), format!("{:.1}", p.rtt_mean_ms)]
+    });
     let replicas = ["utah", "sdsc", "mghpcc", "tacc"];
-    let mut agree = 0;
-    let clients = ["utk", "umich", "clemson", "jhu"];
-    for c in clients {
-        let (got, _) = select_entry_point(&matrix, c, &replicas, 1 << 30)?;
-        let (want, _) = select_entry_point_oracle(&tb, c, &replicas, 1 << 30)?;
-        if got == want {
-            agree += 1;
-        }
+    let mut choices = Vec::new();
+    for client in ["utk", "umich", "clemson", "jhu"] {
+        let (got, _) = select_entry_point(&matrix, client, &replicas, 1 << 30)?;
+        let (want, _) = select_entry_point_oracle(&tb, client, &replicas, 1 << 30)?;
+        choices.push([client.into(), got, want]);
     }
-    println!("  entry-point selection matches oracle: {agree}/{} clients", clients.len());
-    Ok(())
+    Ok(format!(
+        "8-site campaign, 50 probes per pair:\n\n{}\nEntry point for a 1 GiB transfer, \
+         measured vs noise-free oracle:\n\n{}",
+        table(["pair", "from", "to", "mean RTT ms"], pairs),
+        table(["client", "selected", "oracle"], choices)
+    ))
 }

@@ -9,13 +9,13 @@
 # never drifts past it silently.
 #
 # Extra arguments go to cargo, e.g. `scripts/seeded_determinism.sh --offline`.
-# The streaming and codecs benches also rewrite their wall-clock artifacts
-# (BENCH_streaming.json, BENCH_codecs.json); `git checkout` those afterwards.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # bench:artifact
 PAIRS=(
+  # Cold and warm read latency per fetch concurrency and WAN profile.
+  streaming:BENCH_streaming.json
   # Spans and counters of the streaming read path.
   streaming:BENCH_streaming_metrics.json
   # Fault injection, hedging, back-off and the scripted fault window, plus
@@ -25,8 +25,7 @@ PAIRS=(
   ingest:BENCH_ingest.json
   # Per-interaction latencies and refinement curves on both WAN profiles.
   dashboard:BENCH_dashboard.json
-  # Sizes, ratios, per-block codec histograms and virtual WAN times — the
-  # wall-clock MB/s live in BENCH_codecs.json, which is not compared.
+  # Sizes, ratios, per-block codec histograms and virtual WAN times.
   codecs:BENCH_codecs_compare.json
   # Arrivals, zipf popularity, grant order and every latency percentile.
   fleet:BENCH_fleet.json
@@ -41,12 +40,13 @@ PAIRS=(
 
 # crates/bench holds the artifact generators and nothing else: a [[bench]]
 # or a benches/*.rs file that is not listed above (or a pair without its
-# target) fails here, before anything is built.
+# target) fails here, before anything is built. A bench may own several
+# artifacts, so the listed names are deduplicated.
 declared="$({
   sed -n 's/^name = "\(.*\)"$/\1/p' crates/bench/Cargo.toml | grep -vx nsdf-bench
   basename -s .rs crates/bench/benches/*.rs
 } | sort -u)"
-listed="$(printf '%s\n' "${PAIRS[@]%%:*}" | sort)"
+listed="$(printf '%s\n' "${PAIRS[@]%%:*}" | sort -u)"
 if [ "$declared" != "$listed" ]; then
   echo "determinism: crates/bench/Cargo.toml targets and PAIRS differ (< crates/bench, > PAIRS):" >&2
   diff <(echo "$declared") <(echo "$listed") >&2 || true

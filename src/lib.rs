@@ -52,8 +52,8 @@ pub mod prelude {
     pub use nsdf_cloud::{provision, ClusterRequest, Provider};
     pub use nsdf_compress::{Codec, CompressionStats};
     pub use nsdf_core::{
-        format_table1, run_terrain_dag, run_tutorial, DagConfig, DagReport, NsdfClient, Session,
-        SurveyModel, TutorialConfig,
+        run_terrain_dag, run_tutorial, DagConfig, DagReport, NsdfClient, Session, SurveyModel,
+        TutorialConfig,
     };
     pub use nsdf_dashboard::{Colormap, Dashboard, Image, RangeMode, VolumeExplorer};
     pub use nsdf_fuse::{Mapping, VirtualFs};
