@@ -12,7 +12,7 @@ use nsdf_util::{splitmix64, NsdfError, Result};
 
 /// Immutable bloom filter over a set of u64 ids.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bloom {
+pub(crate) struct Bloom {
     bits: Vec<u64>,
     k: u32,
 }
@@ -57,18 +57,13 @@ impl Bloom {
         })
     }
 
-    /// Probe count per key.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// Serialized footprint in bytes (for space-amplification accounting).
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         8 + self.bits.len() * 8
     }
 
     /// Append the wire encoding: `k u32 · words u32 · bit words`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.k.to_le_bytes());
         out.extend_from_slice(&(self.bits.len() as u32).to_le_bytes());
         for w in &self.bits {
@@ -78,7 +73,7 @@ impl Bloom {
 
     /// Decode an encoding written by [`Bloom::encode_into`], advancing
     /// `pos` past it.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Bloom> {
+    pub(crate) fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Bloom> {
         let err = || NsdfError::corrupt("truncated bloom filter");
         let word = |pos: &mut usize| -> Result<u32> {
             let b = buf.get(*pos..*pos + 4).ok_or_else(err)?;
@@ -103,6 +98,8 @@ impl Bloom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn no_false_negatives() {
@@ -125,7 +122,7 @@ mod tests {
     #[test]
     fn empty_and_single_key_filters_work() {
         let empty = Bloom::build(&[], 10);
-        assert!(!empty.contains(7) || empty.k() >= 1); // may be fp, never panic
+        let _ = empty.contains(7); // may be fp, never panic
         let one = Bloom::build(&[42], 10);
         assert!(one.contains(42));
     }
@@ -144,5 +141,30 @@ mod tests {
         // Truncated encodings are structured corruption.
         let mut p = 3;
         assert!(Bloom::decode_from(&buf[..buf.len() - 2], &mut p).unwrap_err().is_corrupt());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bloom_never_false_negative(raw in collection::vec(any::<u64>(), 1..400),
+                                      bpk in 1u32..16) {
+            let mut ids = raw.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            let bloom = Bloom::build(&ids, bpk);
+            for id in &ids {
+                prop_assert!(bloom.contains(*id), "false negative for {id} at bpk={bpk}");
+            }
+            // The wire roundtrip answers identically, members and strangers.
+            let mut buf = Vec::new();
+            bloom.encode_into(&mut buf);
+            let mut pos = 0;
+            let back = Bloom::decode_from(&buf, &mut pos).expect("decode");
+            prop_assert_eq!(pos, buf.len());
+            for probe in ids.iter().chain(raw.iter()).chain([0, u64::MAX].iter()) {
+                prop_assert_eq!(back.contains(*probe), bloom.contains(*probe));
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ use nsdf_util::Result;
 
 /// What one merge consumed and produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
+pub(crate) struct MergeStats {
     /// Entries across all input runs.
     pub entries_in: u64,
     /// Entries written to output segments.
@@ -44,7 +44,7 @@ pub struct MergeStats {
 /// segments are sorted and non-overlapping by construction. Set
 /// `drop_tombstones` only when no level deeper than the target holds data
 /// for this shard — a dropped tombstone must have nothing left to shadow.
-pub fn merge_segments(
+pub(crate) fn merge_segments(
     inputs: &[&Segment],
     target_level: u32,
     drop_tombstones: bool,
@@ -144,6 +144,9 @@ fn push_split(
 mod tests {
     use super::*;
     use crate::record::Record;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rec(id: u64, ck: u64) -> Record {
         Record::new(id, format!("n{id}"), "s", id * 10, ck).unwrap()
@@ -215,5 +218,97 @@ mod tests {
         let (segs, st) = merge_segments(&[], 1, true, 10, 1024).unwrap();
         assert!(segs.is_empty());
         assert_eq!(st, MergeStats::default());
+    }
+
+    /// Version `v` of record `id`; the tiny checksum domain forces both
+    /// dedup (same content re-ingested) and overwrite (changed content).
+    fn synth(id: u64, v: u64) -> Record {
+        let checksum = nsdf_util::splitmix64(id.wrapping_mul(7).wrapping_add(v) % 64);
+        Record::new(
+            id,
+            format!("g{:02}/obj-{id:04}", id % 11),
+            ["dataverse", "seal"][(v % 2) as usize],
+            256 + (id ^ v) % 1024,
+            checksum,
+        )
+        .expect("valid record")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn merge_accounting_is_exact(old_raw in collection::vec((0u64..120, 0u64..4, any::<bool>()), 1..120),
+                                     new_raw in collection::vec((0u64..120, 0u64..4, any::<bool>()), 1..120),
+                                     drop_tombstones in any::<bool>()) {
+            // Two generations, each reduced to one entry per id (builder needs
+            // strictly increasing ids); `true` means a tombstone.
+            let gen = |raw: &[(u64, u64, bool)]| -> BTreeMap<u64, Option<Record>> {
+                raw.iter().map(|&(id, v, del)| (id, (!del).then(|| synth(id, v)))).collect()
+            };
+            let build = |entries: &BTreeMap<u64, Option<Record>>, level: u32| {
+                let mut b = SegmentBuilder::new(level, 10);
+                for (id, e) in entries {
+                    b.push(*id, e.as_ref()).expect("increasing ids");
+                }
+                b.finish().expect("non-empty segment")
+            };
+            let old = gen(&old_raw);
+            let new = gen(&new_raw);
+            let (outs, stats) =
+                merge_segments(&[&build(&new, 0), &build(&old, 1)], 1, drop_tombstones, 10, 2_000)
+                    .expect("merge");
+
+            // Oracle: winner per id is the newest entry; count what merge must
+            // have dropped and why.
+            let mut want: BTreeMap<u64, Option<Record>> = BTreeMap::new();
+            let (mut dedup, mut overwritten, mut dropped_tombstones) = (0u64, 0u64, 0u64);
+            let ids: std::collections::BTreeSet<u64> = old.keys().chain(new.keys()).copied().collect();
+            for id in &ids {
+                let winner = new.get(id).or_else(|| old.get(id)).unwrap();
+                if let (Some(Some(loser)), true) = (old.get(id), new.contains_key(id)) {
+                    // An older Put lost: dedup iff the winning Put carries the
+                    // same content checksum, otherwise a plain overwrite.
+                    match winner {
+                        Some(w) if w.checksum == loser.checksum => dedup += 1,
+                        _ => overwritten += 1,
+                    }
+                }
+                if old.contains_key(id) && new.contains_key(id) && old[id].is_none() {
+                    dropped_tombstones += 1; // shadowed older tombstone
+                }
+                if winner.is_none() && drop_tombstones {
+                    dropped_tombstones += 1; // winning tombstone at the bottom
+                    want.remove(id);
+                } else {
+                    want.insert(*id, winner.clone());
+                }
+            }
+            prop_assert_eq!(stats.dedup_records, dedup, "dedup accounting");
+            prop_assert_eq!(stats.overwritten_records, overwritten, "overwrite accounting");
+            prop_assert_eq!(stats.tombstones_dropped, dropped_tombstones, "tombstone accounting");
+
+            // Output is exactly the winners, in id order, split into sorted
+            // non-overlapping runs at the target level.
+            let mut got: Vec<(u64, Option<Record>)> = Vec::new();
+            for seg in &outs {
+                prop_assert_eq!(seg.level(), 1);
+                for (i, id) in seg.ids().iter().enumerate() {
+                    got.push((*id, match seg.entry_at(i).expect("decode entry") {
+                        SegEntry::Put(r) => Some(r),
+                        SegEntry::Tombstone => None,
+                    }));
+                }
+            }
+            for w in got.windows(2) {
+                prop_assert!(w[0].0 < w[1].0, "merged ids must be strictly increasing");
+            }
+            prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(
+                stats.entries_in,
+                (old.len() + new.len()) as u64,
+                "every input entry is consumed"
+            );
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The log-structured merge engine behind [`Catalog`].
 //!
 //! Writes land in a WAL object **before** they become visible, then in a
-//! per-shard [`Memtable`]. Checkpoints turn memtables into immutable
-//! sorted [`Segment`]s persisted through any [`ObjectStore`] — which is
+//! per-shard `Memtable`. Checkpoints turn memtables into immutable
+//! sorted `Segment`s persisted through any [`ObjectStore`] — which is
 //! the point: segments ride `put_many`/`get_many`, and therefore the WAN
 //! simulator, tier cache, QoS scheduler, and chaos stacks, unchanged.
 //! Leveled compaction keeps read amplification bounded and retires
@@ -10,7 +10,7 @@
 //!
 //! Durability protocol (each step individually crash-safe):
 //!
-//! 1. **WAL append** — `put` one [`WalBatch`] object; only after the store
+//! 1. **WAL append** — `put` one `WalBatch` object; only after the store
 //!    acks does the write apply to a memtable. Both happen under the
 //!    engine's write mutex, so a reader can never observe a record whose
 //!    WAL object has not been durably acknowledged ahead of it.

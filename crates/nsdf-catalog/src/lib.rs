@@ -12,23 +12,23 @@
 //! throughput.
 //!
 //! * [`record`] — the indexed record and its wire encodings;
-//! * [`memtable`] — sorted mutable write buffer, one per shard;
-//! * [`bloom`] — per-segment bloom filters (no false negatives);
-//! * [`segment`] — immutable sorted runs with checksum footers;
-//! * [`manifest`] — checksummed manifests and WAL batches;
-//! * [`compact`] — leveled k-way merge with dedup accounting;
+//! * `memtable` — sorted mutable write buffer, one per shard;
+//! * `bloom` — per-segment bloom filters (no false negatives);
+//! * `segment` — immutable sorted runs with checksum footers;
+//! * `manifest` — checksummed manifests and WAL batches;
+//! * `compact` — leveled k-way merge with dedup accounting;
 //! * [`engine`] — [`Catalog`]: the public service tying it together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bloom;
-pub mod compact;
+mod bloom;
+mod compact;
 pub mod engine;
-pub mod manifest;
-pub mod memtable;
+mod manifest;
+mod memtable;
 pub mod record;
-pub mod segment;
+mod segment;
 
-pub use engine::{Catalog, CatalogConfig, CatalogStats, SegmentInfo};
+pub use engine::{Catalog, CatalogConfig, CatalogStats};
 pub use record::Record;

@@ -27,25 +27,25 @@ pub fn manifest_key(prefix: &str, seq: u64) -> String {
 }
 
 /// Key of segment `seq` belonging to `shard`.
-pub fn segment_key(prefix: &str, shard: u32, seq: u64) -> String {
+pub(crate) fn segment_key(prefix: &str, shard: u32, seq: u64) -> String {
     format!("{prefix}/seg/s{shard:04}-{seq:08}.seg")
 }
 
 /// Key of the WAL batch with sequence `seq`.
-pub fn wal_key(prefix: &str, seq: u64) -> String {
+pub(crate) fn wal_key(prefix: &str, seq: u64) -> String {
     format!("{prefix}/wal/w-{seq:08}.wal")
 }
 
 /// Extract the trailing sequence number from a key produced by the
 /// functions above (the 8-digit run before the extension).
-pub fn parse_seq(key: &str) -> Option<u64> {
+pub(crate) fn parse_seq(key: &str) -> Option<u64> {
     let stem = key.rsplit('/').next()?.rsplit_once('.')?.0;
     stem.rsplit('-').next()?.parse().ok()
 }
 
 /// One manifest row: where a segment lives and what it must contain.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentRef {
+pub(crate) struct SegmentRef {
     /// Owning shard.
     pub shard: u32,
     /// LSM level.
@@ -153,7 +153,7 @@ impl Manifest {
 
 /// One logged write.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     /// Insert or replace a record.
     Put(Record),
     /// Delete an id.
@@ -162,7 +162,7 @@ pub enum WalOp {
 
 /// One WAL object: a batch of writes acknowledged together.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct WalBatch {
+pub(crate) struct WalBatch {
     /// Writes in application order.
     pub ops: Vec<WalOp>,
 }

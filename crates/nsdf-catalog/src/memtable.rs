@@ -39,7 +39,7 @@ impl Entry {
 
 /// Sorted mutable buffer of the newest writes for one shard.
 #[derive(Debug, Default)]
-pub struct Memtable {
+pub(crate) struct Memtable {
     map: BTreeMap<u64, Entry>,
     approx_bytes: usize,
 }
@@ -63,11 +63,6 @@ impl Memtable {
     /// The newest write for `id`, if this memtable has one.
     pub fn get(&self, id: u64) -> Option<&Entry> {
         self.map.get(&id)
-    }
-
-    /// Number of buffered writes (tombstones included).
-    pub fn len(&self) -> usize {
-        self.map.len()
     }
 
     /// True when nothing is buffered.
@@ -112,7 +107,7 @@ mod tests {
         assert_eq!(mt.approx_bytes(), before);
         mt.insert(5, Entry::Tombstone);
         assert!(mt.approx_bytes() < before);
-        assert_eq!(mt.len(), 2);
+        assert_eq!(mt.iter().count(), 2);
         assert_eq!(mt.get(5), Some(&Entry::Tombstone));
         assert_eq!(mt.get(3).unwrap().record().unwrap().id, 3);
     }

@@ -48,7 +48,7 @@ impl Record {
     /// `size u64 · checksum u64 · name_len u16 · name · source_len u16 ·
     /// source`, all little-endian. The id lives in the segment's sorted id
     /// column, not here.
-    pub fn encode_body(&self, out: &mut Vec<u8>) -> Result<()> {
+    pub(crate) fn encode_body(&self, out: &mut Vec<u8>) -> Result<()> {
         if self.name.len() > u16::MAX as usize || self.source.len() > u16::MAX as usize {
             return Err(NsdfError::invalid(format!("record {} name/source too long", self.id)));
         }
@@ -62,7 +62,7 @@ impl Record {
     }
 
     /// Decode a body written by [`Record::encode_body`] for the given id.
-    pub fn decode_body(id: u64, buf: &[u8]) -> Result<Record> {
+    pub(crate) fn decode_body(id: u64, buf: &[u8]) -> Result<Record> {
         let err = || NsdfError::corrupt(format!("truncated record body for id {id}"));
         let take = |buf: &[u8], pos: &mut usize, n: usize| -> Result<Vec<u8>> {
             let end = pos.checked_add(n).ok_or_else(err)?;
@@ -91,7 +91,7 @@ impl Record {
     }
 
     /// Parse a line produced by [`Record::to_line`].
-    pub fn from_line(line: &str) -> Result<Record> {
+    pub(crate) fn from_line(line: &str) -> Result<Record> {
         let mut it = line.split_whitespace();
         let (Some(id), Some(source), Some(size), Some(name), Some(ck)) =
             (it.next(), it.next(), it.next(), it.next(), it.next())

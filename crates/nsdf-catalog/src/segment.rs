@@ -42,7 +42,7 @@ pub struct Segment {
 
 /// What a segment holds for one id.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SegEntry {
+pub(crate) enum SegEntry {
     /// A live record version.
     Put(Record),
     /// A deletion marker.
@@ -71,7 +71,7 @@ impl Segment {
     }
 
     /// Size of the wire encoding in bytes.
-    pub fn encoded_bytes(&self) -> u64 {
+    pub(crate) fn encoded_bytes(&self) -> u64 {
         self.encoded_bytes
     }
 
@@ -91,24 +91,13 @@ impl Segment {
     }
 
     /// True when entry `i` is a tombstone.
-    pub fn is_tombstone(&self, i: usize) -> bool {
+    pub(crate) fn is_tombstone(&self, i: usize) -> bool {
         self.flags[i] == 1
-    }
-
-    /// Raw name bytes of entry `i` without materializing the record —
-    /// `None` for tombstones. Prefix scans test against this directly.
-    pub fn name_bytes(&self, i: usize) -> Option<&[u8]> {
-        if self.is_tombstone(i) {
-            return None;
-        }
-        let body = &self.payload[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        let name_len = u16::from_le_bytes([body[16], body[17]]) as usize;
-        Some(&body[18..18 + name_len])
     }
 
     /// Content checksum of entry `i` without materializing the record —
     /// `None` for tombstones. Compaction's dedup accounting peeks this.
-    pub fn checksum_at(&self, i: usize) -> Option<u64> {
+    pub(crate) fn checksum_at(&self, i: usize) -> Option<u64> {
         if self.is_tombstone(i) {
             return None;
         }
@@ -117,7 +106,7 @@ impl Segment {
     }
 
     /// Materialize entry `i`.
-    pub fn entry_at(&self, i: usize) -> Result<SegEntry> {
+    pub(crate) fn entry_at(&self, i: usize) -> Result<SegEntry> {
         if self.is_tombstone(i) {
             return Ok(SegEntry::Tombstone);
         }
@@ -222,7 +211,7 @@ impl Segment {
 
 /// Builds a segment from entries pushed in strictly increasing id order.
 #[derive(Debug)]
-pub struct SegmentBuilder {
+pub(crate) struct SegmentBuilder {
     level: u32,
     bits_per_key: u32,
     ids: Vec<u64>,
@@ -335,8 +324,6 @@ mod tests {
         assert_eq!(back.entry_at(t).unwrap(), SegEntry::Tombstone);
         assert!(back.position(8).is_none());
         assert!(back.covers(8) && !back.covers(1) && !back.covers(12));
-        assert_eq!(back.name_bytes(i).unwrap(), b"ds/obj-00009");
-        assert!(back.name_bytes(t).is_none());
         // Bloom admits every stored id.
         for &id in back.ids() {
             assert!(back.bloom().contains(id));

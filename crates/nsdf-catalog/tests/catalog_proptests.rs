@@ -1,14 +1,10 @@
-//! Property tests for the LSM engine's structural invariants: bloom
-//! filters never produce false negatives, every level of every shard
-//! keeps its segments sorted and (below L0) non-overlapping, compaction
-//! preserves the live-record multiset while strictly removing
-//! duplicate-checksum versions with exact accounting, and replaying one
-//! trace into engines with different shard counts always produces the
-//! same index.
+//! Property tests for the LSM engine's structural invariants: every level
+//! of every shard keeps its segments sorted and (below L0) non-overlapping,
+//! compaction preserves the live-record multiset, and replaying one trace
+//! into engines with different shard counts always produces the same
+//! index. The bloom and merge-accounting properties of the engine's parts
+//! are unit tests of `bloom` and `compact`.
 
-use nsdf_catalog::bloom::Bloom;
-use nsdf_catalog::compact::merge_segments;
-use nsdf_catalog::segment::SegmentBuilder;
 use nsdf_catalog::{Catalog, Record};
 use nsdf_util::splitmix64;
 use proptest::prelude::*;
@@ -53,27 +49,6 @@ fn apply(cat: &Catalog, oracle: &mut BTreeMap<u64, Record>, ops: &[(u8, u64, u64
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn bloom_never_false_negative(raw in collection::vec(any::<u64>(), 1..400),
-                                  bpk in 1u32..16) {
-        let mut ids = raw.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        let bloom = Bloom::build(&ids, bpk);
-        for id in &ids {
-            prop_assert!(bloom.contains(*id), "false negative for {id} at bpk={bpk}");
-        }
-        // The wire roundtrip answers identically, members and strangers.
-        let mut buf = Vec::new();
-        bloom.encode_into(&mut buf);
-        let mut pos = 0;
-        let back = Bloom::decode_from(&buf, &mut pos).expect("decode");
-        prop_assert_eq!(pos, buf.len());
-        for probe in ids.iter().chain(raw.iter()).chain([0, u64::MAX].iter()) {
-            prop_assert_eq!(back.contains(*probe), bloom.contains(*probe));
-        }
-    }
 
     #[test]
     fn levels_stay_sorted_and_non_overlapping(ops in op_trace(), shards in 1usize..9) {
@@ -122,80 +97,6 @@ proptest! {
         prop_assert_eq!(cat.scan_all(), before.clone(), "compaction changed the live view");
         prop_assert_eq!(before, oracle.values().cloned().collect::<Vec<_>>());
         prop_assert_eq!(cat.len(), oracle.len() as u64);
-    }
-
-    #[test]
-    fn merge_accounting_is_exact(old_raw in collection::vec((0u64..120, 0u64..4, any::<bool>()), 1..120),
-                                 new_raw in collection::vec((0u64..120, 0u64..4, any::<bool>()), 1..120),
-                                 drop_tombstones in any::<bool>()) {
-        // Two generations, each reduced to one entry per id (builder needs
-        // strictly increasing ids); `true` means a tombstone.
-        let gen = |raw: &[(u64, u64, bool)]| -> BTreeMap<u64, Option<Record>> {
-            raw.iter().map(|&(id, v, del)| (id, (!del).then(|| synth(id, v)))).collect()
-        };
-        let build = |entries: &BTreeMap<u64, Option<Record>>, level: u32| {
-            let mut b = SegmentBuilder::new(level, 10);
-            for (id, e) in entries {
-                b.push(*id, e.as_ref()).expect("increasing ids");
-            }
-            b.finish().expect("non-empty segment")
-        };
-        let old = gen(&old_raw);
-        let new = gen(&new_raw);
-        let (outs, stats) =
-            merge_segments(&[&build(&new, 0), &build(&old, 1)], 1, drop_tombstones, 10, 2_000)
-                .expect("merge");
-
-        // Oracle: winner per id is the newest entry; count what merge must
-        // have dropped and why.
-        let mut want: BTreeMap<u64, Option<Record>> = BTreeMap::new();
-        let (mut dedup, mut overwritten, mut dropped_tombstones) = (0u64, 0u64, 0u64);
-        let ids: std::collections::BTreeSet<u64> = old.keys().chain(new.keys()).copied().collect();
-        for id in &ids {
-            let winner = new.get(id).or_else(|| old.get(id)).unwrap();
-            if let (Some(Some(loser)), true) = (old.get(id), new.contains_key(id)) {
-                // An older Put lost: dedup iff the winning Put carries the
-                // same content checksum, otherwise a plain overwrite.
-                match winner {
-                    Some(w) if w.checksum == loser.checksum => dedup += 1,
-                    _ => overwritten += 1,
-                }
-            }
-            if old.contains_key(id) && new.contains_key(id) && old[id].is_none() {
-                dropped_tombstones += 1; // shadowed older tombstone
-            }
-            if winner.is_none() && drop_tombstones {
-                dropped_tombstones += 1; // winning tombstone at the bottom
-                want.remove(id);
-            } else {
-                want.insert(*id, winner.clone());
-            }
-        }
-        prop_assert_eq!(stats.dedup_records, dedup, "dedup accounting");
-        prop_assert_eq!(stats.overwritten_records, overwritten, "overwrite accounting");
-        prop_assert_eq!(stats.tombstones_dropped, dropped_tombstones, "tombstone accounting");
-
-        // Output is exactly the winners, in id order, split into sorted
-        // non-overlapping runs at the target level.
-        let mut got: Vec<(u64, Option<Record>)> = Vec::new();
-        for seg in &outs {
-            prop_assert_eq!(seg.level(), 1);
-            for (i, id) in seg.ids().iter().enumerate() {
-                got.push((*id, match seg.entry_at(i).expect("decode entry") {
-                    nsdf_catalog::segment::SegEntry::Put(r) => Some(r),
-                    nsdf_catalog::segment::SegEntry::Tombstone => None,
-                }));
-            }
-        }
-        for w in got.windows(2) {
-            prop_assert!(w[0].0 < w[1].0, "merged ids must be strictly increasing");
-        }
-        prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
-        prop_assert_eq!(
-            stats.entries_in,
-            (old.len() + new.len()) as u64,
-            "every input entry is consumed"
-        );
     }
 
     #[test]

@@ -14,5 +14,5 @@
 pub mod cluster;
 pub mod provider;
 
-pub use cluster::{provision, Cluster, ClusterRequest, Job, Node, RunReport};
-pub use provider::{Provider, ProviderKind};
+pub use cluster::{provision, ClusterRequest, Job, Node};
+pub use provider::Provider;

@@ -30,7 +30,7 @@ const TAG_FIXED_RATE: u8 = 6;
 /// Append the self-describing header for `codec` to `out`, returning the
 /// header length. `Adaptive` itself never appears in a header — blocks
 /// always record the concrete codec that encoded them.
-pub fn write_block_header(out: &mut Vec<u8>, codec: Codec) -> Result<usize> {
+pub(crate) fn write_block_header(out: &mut Vec<u8>, codec: Codec) -> Result<usize> {
     match codec {
         Codec::Raw => out.push(TAG_RAW),
         Codec::PackBits => out.push(TAG_PACKBITS),
@@ -95,17 +95,8 @@ pub fn read_block_header(src: &[u8]) -> Result<(Codec, usize)> {
     }
 }
 
-/// Encode `src` with `codec` behind a self-describing header.
-pub fn encode_tagged(codec: Codec, src: &[u8]) -> Result<Vec<u8>> {
-    let payload = codec.encode(src)?;
-    let mut out = Vec::with_capacity(payload.len() + 2);
-    write_block_header(&mut out, codec)?;
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
-
 /// Decode a tagged block into exactly `dst_len` bytes.
-pub fn decode_tagged(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+pub(crate) fn decode_tagged(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
     let (codec, header) = read_block_header(src)?;
     codec.decode(&src[header..], dst_len)
 }
@@ -113,7 +104,7 @@ pub fn decode_tagged(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
 /// Quick shape statistics over a block sample, the inputs to codec
 /// shortlisting.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockStats {
+pub(crate) struct BlockStats {
     /// Shannon entropy of the byte histogram, in bits per byte (0..=8).
     pub entropy_bits: f64,
     /// Fraction of positions equal to their predecessor (run friendliness).
@@ -163,18 +154,15 @@ impl BlockStats {
 
 /// Per-block codec selector.
 ///
-/// For each block it draws a strided sample, measures [`BlockStats`],
+/// For each block it draws a strided sample, measures `BlockStats`,
 /// shortlists candidate codecs, trial-encodes the sample, and picks the
-/// winner: with a `ratio_target`, the cheapest-to-decode codec whose
-/// sampled ratio meets the target; otherwise the best sampled ratio
-/// (ties favour the cheaper decoder). The chosen codec then encodes the
+/// winner: the best sampled ratio (ties favour the cheaper decoder). The chosen codec then encodes the
 /// full block behind a self-describing header; if the result would expand
 /// past a raw block, it falls back to `Raw`, so an adaptive block never
 /// costs more than `raw + 2` bytes.
 #[derive(Debug, Clone)]
 pub struct AdaptiveCodec {
     sample_size: u8,
-    ratio_target: Option<f64>,
     obs: Option<Obs>,
 }
 
@@ -184,14 +172,7 @@ const SAMPLE_BUDGET: usize = 4096;
 impl AdaptiveCodec {
     /// Selector for `sample_size`-byte samples (4 for `f32` fields).
     pub fn new(sample_size: u8) -> AdaptiveCodec {
-        AdaptiveCodec { sample_size: sample_size.max(1), ratio_target: None, obs: None }
-    }
-
-    /// Pick the cheapest-decoding codec whose sampled ratio reaches
-    /// `target` (raw/compressed, > 1.0) instead of the best-ratio codec.
-    pub fn with_ratio_target(mut self, target: f64) -> AdaptiveCodec {
-        self.ratio_target = (target > 1.0).then_some(target);
-        self
+        AdaptiveCodec { sample_size: sample_size.max(1), obs: None }
     }
 
     /// Report `codec.selected.<name>` / `codec.sampled_bytes` counters into
@@ -248,12 +229,6 @@ impl AdaptiveCodec {
                 continue;
             }
             let ratio = sample.len() as f64 / enc.len() as f64;
-            if let Some(target) = self.ratio_target {
-                // Cheapest (earliest) candidate meeting the target wins.
-                if ratio >= target {
-                    return (codec, sample.len());
-                }
-            }
             if ratio > best.1 {
                 best = (codec, ratio);
             }
@@ -345,7 +320,9 @@ mod tests {
     fn tagged_roundtrip_mixes_codecs() {
         let data = smooth_f32(1024);
         for codec in Codec::lossless_palette(4) {
-            let enc = encode_tagged(codec, &data).unwrap();
+            let mut enc = Vec::new();
+            write_block_header(&mut enc, codec).unwrap();
+            enc.extend_from_slice(&codec.encode(&data).unwrap());
             assert_eq!(decode_tagged(&enc, data.len()).unwrap(), data, "codec {codec}");
         }
     }
@@ -381,17 +358,6 @@ mod tests {
             matches!(c, Codec::ShuffleLzss { .. } | Codec::LzssHuff { .. }),
             "chose {c} for smooth floats"
         );
-    }
-
-    #[test]
-    fn ratio_target_prefers_cheaper_codec() {
-        let a = AdaptiveCodec::new(4).with_ratio_target(1.5);
-        let best = AdaptiveCodec::new(4);
-        let data = vec![7u8; 16384];
-        // Constant data: everything beats 1.5x, so the cheapest candidate
-        // (PackBits) wins over whatever the best-ratio pick is.
-        assert_eq!(a.choose(&data).0, Codec::PackBits);
-        let _ = best.choose(&data); // best-ratio mode still works
     }
 
     #[test]

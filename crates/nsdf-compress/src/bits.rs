@@ -4,7 +4,7 @@ use nsdf_util::{NsdfError, Result};
 
 /// Append-only MSB-first bit writer.
 #[derive(Debug, Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     buf: Vec<u8>,
     /// Bits already used in the final byte (0..8).
     used: u8,
@@ -17,7 +17,7 @@ impl BitWriter {
     }
 
     /// Write the low `n` bits of `value`, most significant first. `n <= 64`.
-    pub fn write_bits(&mut self, value: u64, n: u8) {
+    pub(crate) fn write_bits(&mut self, value: u64, n: u8) {
         debug_assert!(n <= 64);
         let mut remaining = n;
         while remaining > 0 {
@@ -35,15 +35,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.used == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.used as usize
-        }
-    }
-
     /// Finish, returning the byte buffer (final byte zero-padded).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -52,7 +43,7 @@ impl BitWriter {
 
 /// MSB-first bit reader over a byte slice.
 #[derive(Debug)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     buf: &'a [u8],
     pos_bits: usize,
 }
@@ -64,7 +55,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read `n` bits (`n <= 64`), MSB first.
-    pub fn read_bits(&mut self, n: u8) -> Result<u64> {
+    pub(crate) fn read_bits(&mut self, n: u8) -> Result<u64> {
         debug_assert!(n <= 64);
         if self.pos_bits + n as usize > self.buf.len() * 8 {
             return Err(NsdfError::corrupt("bit stream exhausted"));
@@ -85,7 +76,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits remaining in the stream.
-    pub fn remaining_bits(&self) -> usize {
+    pub(crate) fn remaining_bits(&self) -> usize {
         self.buf.len() * 8 - self.pos_bits
     }
 }
@@ -113,7 +104,6 @@ mod tests {
         for &(v, n) in fields {
             w.write_bits(v, n);
         }
-        assert_eq!(w.bit_len(), 51);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in fields {

@@ -143,12 +143,6 @@ impl Codec {
         }
     }
 
-    /// True when decoding reproduces the input bit-exactly. `Adaptive`
-    /// chooses only among lossless codecs, so it is lossless.
-    pub fn is_lossless(&self) -> bool {
-        !matches!(self, Codec::FixedRate { .. })
-    }
-
     /// Stable textual name, as stored in `.idx` metadata.
     pub fn name(&self) -> String {
         match *self {
@@ -256,15 +250,6 @@ impl CompressionStats {
             self.raw_bytes as f64 / self.compressed_bytes as f64
         }
     }
-
-    /// Space saved as a fraction of the input (the paper's "~20 % smaller").
-    pub fn savings(&self) -> f64 {
-        if self.raw_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.compressed_bytes as f64 / self.raw_bytes as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +268,6 @@ mod tests {
             let enc = codec.encode(&data).unwrap();
             let dec = codec.decode(&enc, data.len()).unwrap();
             assert_eq!(dec, data, "codec {codec}");
-            assert!(codec.is_lossless());
         }
     }
 
@@ -291,7 +275,6 @@ mod tests {
     fn fixed_rate_is_lossy_but_close() {
         let data = sample_data();
         let codec = Codec::FixedRate { bits: 16 };
-        assert!(!codec.is_lossless());
         let enc = codec.encode(&data).unwrap();
         assert!(enc.len() < data.len() / 2 + 64);
         let dec = codec.decode(&enc, data.len()).unwrap();
@@ -328,7 +311,6 @@ mod tests {
     fn adaptive_codec_roundtrips_via_enum() {
         let data = sample_data();
         let c = Codec::Adaptive { sample_size: 4 };
-        assert!(c.is_lossless());
         let enc = c.encode(&data).unwrap();
         assert!(enc.len() < data.len());
         assert_eq!(c.decode(&enc, data.len()).unwrap(), data);
@@ -368,14 +350,15 @@ mod tests {
             shuf.compressed_bytes,
             plain.compressed_bytes
         );
-        assert!(shuf.savings() > 0.1);
+        assert!(shuf.ratio() > 1.0 / 0.9, "less than 10 % saved");
     }
 
     #[test]
     fn stats_ratio_and_savings() {
         let s = CompressionStats { codec: Codec::Raw, raw_bytes: 100, compressed_bytes: 80 };
         assert!((s.ratio() - 1.25).abs() < 1e-12);
-        assert!((s.savings() - 0.2).abs() < 1e-12);
+        // The space saved, the paper's "~20 % smaller", is 1 - 1/ratio.
+        assert!((1.0 - 1.0 / s.ratio() - 0.2).abs() < 1e-12);
     }
 
     #[test]

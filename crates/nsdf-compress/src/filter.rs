@@ -17,7 +17,7 @@ use nsdf_util::{NsdfError, Result};
 
 /// Transpose `src` (a sequence of `sample_size`-byte samples) so all first
 /// bytes come first, then all second bytes, and so on.
-pub fn shuffle(src: &[u8], sample_size: usize) -> Result<Vec<u8>> {
+pub(crate) fn shuffle(src: &[u8], sample_size: usize) -> Result<Vec<u8>> {
     check_sample_size(src.len(), sample_size)?;
     let mut out = vec![0u8; src.len()];
     match sample_size {
@@ -36,7 +36,7 @@ pub fn shuffle(src: &[u8], sample_size: usize) -> Result<Vec<u8>> {
 }
 
 /// Inverse of [`shuffle`].
-pub fn unshuffle(src: &[u8], sample_size: usize) -> Result<Vec<u8>> {
+pub(crate) fn unshuffle(src: &[u8], sample_size: usize) -> Result<Vec<u8>> {
     check_sample_size(src.len(), sample_size)?;
     let mut out = vec![0u8; src.len()];
     match sample_size {
@@ -119,7 +119,7 @@ fn unshuffle4(src: &[u8], out: &mut [u8]) {
 /// Byte-wise delta coding: each output byte is the wrapping difference from
 /// the previous input byte. Applied after [`shuffle`], slowly varying byte
 /// planes become runs of zeros.
-pub fn delta_encode(src: &[u8]) -> Vec<u8> {
+pub(crate) fn delta_encode(src: &[u8]) -> Vec<u8> {
     let Some((&first, _)) = src.split_first() else {
         return Vec::new();
     };
@@ -134,7 +134,7 @@ pub fn delta_encode(src: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`delta_encode`].
-pub fn delta_decode(src: &[u8]) -> Vec<u8> {
+pub(crate) fn delta_decode(src: &[u8]) -> Vec<u8> {
     let mut out = vec![0u8; src.len()];
     let mut prev = 0u8;
     for (o, &d) in out.iter_mut().zip(src) {
@@ -159,6 +159,7 @@ fn check_sample_size(len: usize, sample_size: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Reference scalar transpose the lane kernels must agree with.
     fn shuffle_ref(src: &[u8], sample_size: usize) -> Vec<u8> {
@@ -243,5 +244,19 @@ mod tests {
         let raw_c = crate::lzss::lzss_encode(&raw).len();
         let filt_c = crate::lzss::lzss_encode(&filtered).len();
         assert!(filt_c < raw_c, "filtered {filt_c} vs raw {raw_c}");
+    }
+
+    proptest! {
+        #[test]
+        fn filters_are_involutions(
+            src in proptest::collection::vec(any::<u8>(), 0..4096),
+            size in 1usize..9,
+        ) {
+            let mut padded = src;
+            padded.truncate(padded.len() / size * size);
+            let s = shuffle(&padded, size).unwrap();
+            prop_assert_eq!(unshuffle(&s, size).unwrap(), padded.clone());
+            prop_assert_eq!(delta_decode(&delta_encode(&padded)), padded);
+        }
     }
 }

@@ -23,7 +23,7 @@ use crate::bits::{BitReader, BitWriter};
 use nsdf_util::{bytes_to_samples, samples_to_bytes, NsdfError, Result};
 
 /// Values per block; matches ZFP's 4x4x4 / 64-sample granularity.
-pub const BLOCK: usize = 64;
+pub(crate) const BLOCK: usize = 64;
 
 /// Exponent byte reserved for an all-zero (or all-non-finite) block.
 const ZERO_BLOCK: u8 = 0xFF;
@@ -51,7 +51,7 @@ fn transpose64(a: &mut [u64; 64]) {
 ///
 /// Non-finite inputs are flushed to zero (documented lossy behaviour, as in
 /// most fixed-rate scientific codecs).
-pub fn fixedrate_encode_f32(values: &[f32], bits: u8) -> Result<Vec<u8>> {
+pub(crate) fn fixedrate_encode_f32(values: &[f32], bits: u8) -> Result<Vec<u8>> {
     if !(2..=30).contains(&bits) {
         return Err(NsdfError::invalid("fixed-rate bits must be in 2..=30"));
     }
@@ -90,7 +90,7 @@ pub fn fixedrate_encode_f32(values: &[f32], bits: u8) -> Result<Vec<u8>> {
 
 /// Decode a buffer produced by [`fixedrate_encode_f32`]; `count` is the
 /// original number of samples.
-pub fn fixedrate_decode_f32(src: &[u8], bits: u8, count: usize) -> Result<Vec<f32>> {
+pub(crate) fn fixedrate_decode_f32(src: &[u8], bits: u8, count: usize) -> Result<Vec<f32>> {
     if !(2..=30).contains(&bits) {
         return Err(NsdfError::invalid("fixed-rate bits must be in 2..=30"));
     }
@@ -120,23 +120,18 @@ pub fn fixedrate_decode_f32(src: &[u8], bits: u8, count: usize) -> Result<Vec<f3
 }
 
 /// Byte-buffer adapter: treats `src` as little-endian `f32`s.
-pub fn fixedrate_encode_bytes(src: &[u8], bits: u8) -> Result<Vec<u8>> {
+pub(crate) fn fixedrate_encode_bytes(src: &[u8], bits: u8) -> Result<Vec<u8>> {
     let values: Vec<f32> = bytes_to_samples(src)?;
     fixedrate_encode_f32(&values, bits)
 }
 
 /// Byte-buffer adapter producing `dst_len` bytes of little-endian `f32`s.
-pub fn fixedrate_decode_bytes(src: &[u8], bits: u8, dst_len: usize) -> Result<Vec<u8>> {
+pub(crate) fn fixedrate_decode_bytes(src: &[u8], bits: u8, dst_len: usize) -> Result<Vec<u8>> {
     if !dst_len.is_multiple_of(4) {
         return Err(NsdfError::invalid("fixed-rate output length must be a multiple of 4"));
     }
     let values = fixedrate_decode_f32(src, bits, dst_len / 4)?;
     Ok(samples_to_bytes(&values))
-}
-
-/// Worst-case absolute error for a block whose max exponent is `e_max`.
-pub fn error_bound(e_max: i32, bits: u8) -> f64 {
-    pow2(e_max + 2 - bits as i32)
 }
 
 #[inline]
@@ -153,6 +148,11 @@ fn pow2(e: i32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Worst-case absolute error for a block whose max exponent is `e_max`.
+    fn error_bound(e_max: i32, bits: u8) -> f64 {
+        pow2(e_max + 2 - bits as i32)
+    }
 
     fn max_err(a: &[f32], b: &[f32]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (*x as f64 - *y as f64).abs()).fold(0.0, f64::max)

@@ -38,7 +38,7 @@ use crate::bits::{BitReader, BitWriter};
 use nsdf_util::{NsdfError, Result};
 
 /// Maximum code length in bits.
-pub const MAX_CODE_LEN: u8 = 15;
+pub(crate) const MAX_CODE_LEN: u8 = 15;
 
 /// Codes of at most this many bits decode in one table lookup.
 const PRIMARY_BITS: u8 = 11;
@@ -190,7 +190,7 @@ fn read_lengths(r: &mut BitReader) -> Result<[u8; 256]> {
 ///
 /// Output layout: `[lengths header][bitstream]`. Empty input encodes to an
 /// empty buffer.
-pub fn huffman_encode(src: &[u8]) -> Vec<u8> {
+pub(crate) fn huffman_encode(src: &[u8]) -> Vec<u8> {
     if src.is_empty() {
         return Vec::new();
     }
@@ -256,7 +256,7 @@ impl<'a> BitWindow<'a> {
 }
 
 /// Decompress `src` into exactly `dst_len` bytes.
-pub fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+pub(crate) fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
     if dst_len == 0 {
         return Ok(Vec::new());
     }
@@ -357,6 +357,7 @@ pub fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(src: &[u8]) -> usize {
         let enc = huffman_encode(src);
@@ -605,6 +606,20 @@ mod tests {
         for dst_len in [usize::MAX, u32::MAX as usize, enc.len() * 8 + 1] {
             let err = huffman_decode(&enc, dst_len).unwrap_err();
             assert!(err.is_corrupt() && err.to_string().contains("cannot fit"), "{err}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn huffman_roundtrips_adversarial(
+            src in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..4096),
+                proptest::collection::vec(0u8..4, 0..4096),
+                (any::<u8>(), 0usize..4096).prop_map(|(b, n)| vec![b; n]),
+            ],
+        ) {
+            let enc = huffman_encode(&src);
+            prop_assert_eq!(huffman_decode(&enc, src.len()).unwrap(), src);
         }
     }
 }

@@ -4,30 +4,30 @@
 //! ZIP/ZLIB, LZ4, and ZFP in the OpenVisus data stack (§III-A, §IV-B):
 //!
 //! * [`rle`] — PackBits run-length coding (also used by the TIFF writer);
-//! * [`lzss`] — LZ77/LZSS with hash chains, the "zlib-class" codec;
-//! * [`lz4like`] — token-format fast byte LZ, the "lz4-class" codec;
-//! * [`filter`] — byte shuffle and delta pre-filters for float rasters;
-//! * [`huffman`] — canonical Huffman entropy stage ("zlib" pipeline tail);
-//! * [`fixedrate`] — block fixed-rate lossy float codec, the "zfp-class"
+//! * `lzss` — LZ77/LZSS with hash chains, the "zlib-class" codec;
+//! * `lz4like` — token-format fast byte LZ, the "lz4-class" codec;
+//! * `filter` — byte shuffle and delta pre-filters for float rasters;
+//! * `huffman` — canonical Huffman entropy stage ("zlib" pipeline tail);
+//! * `fixedrate` — block fixed-rate lossy float codec, the "zfp-class"
 //!   codec with a precision-bits knob;
 //! * [`adaptive`] — per-block codec selection behind a one-byte
 //!   self-describing block header;
 //! * [`codec`] — the unified [`Codec`] palette with stable textual names;
-//! * [`bits`] — MSB-first bit I/O underlying the fixed-rate codec.
+//! * `bits` — MSB-first bit I/O underlying the fixed-rate codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod bits;
+mod bits;
 pub mod codec;
-pub mod filter;
-pub mod fixedrate;
-pub mod huffman;
-pub mod lz4like;
-pub mod lzss;
+mod filter;
+mod fixedrate;
+mod huffman;
+mod lz4like;
+mod lzss;
 mod matchfinder;
 pub mod rle;
 
-pub use adaptive::{AdaptiveCodec, BlockStats};
+pub use adaptive::AdaptiveCodec;
 pub use codec::{Codec, CompressionStats};

@@ -44,7 +44,7 @@ fn read_len(src: &[u8], i: &mut usize, base: usize) -> Result<usize> {
 }
 
 /// Compress `src` with the LZ4-style fast coder.
-pub fn lz4_encode(src: &[u8]) -> Vec<u8> {
+pub(crate) fn lz4_encode(src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() / 2 + 16);
     if src.is_empty() {
         return out;
@@ -91,7 +91,7 @@ pub fn lz4_encode(src: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress into exactly `dst_len` bytes.
-pub fn lz4_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+pub(crate) fn lz4_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(dst_len);
     let mut i = 0usize;
     if dst_len == 0 {

@@ -22,7 +22,7 @@ const MAX_CHAIN: usize = 64;
 const HASH_BITS: u32 = 15;
 
 /// Compress `src` with LZSS.
-pub fn lzss_encode(src: &[u8]) -> Vec<u8> {
+pub(crate) fn lzss_encode(src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() / 2 + 16);
     if src.is_empty() {
         return out;
@@ -68,7 +68,7 @@ pub fn lzss_encode(src: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress LZSS output into exactly `dst_len` bytes.
-pub fn lzss_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+pub(crate) fn lzss_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(dst_len);
     let mut i = 0usize;
     let mut flags = 0u8;

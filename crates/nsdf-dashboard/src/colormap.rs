@@ -8,7 +8,7 @@
 use nsdf_util::{NsdfError, Result};
 
 /// An RGB color.
-pub type Rgb = [u8; 3];
+pub(crate) type Rgb = [u8; 3];
 
 /// Available palettes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,7 +13,7 @@
 
 use crate::colormap::Colormap;
 use crate::render::{render, Image, RangeMode};
-use nsdf_idx::{CancelToken, IdxDataset, QuerySession, QueryStats, SessionStats};
+use nsdf_idx::{CancelToken, IdxDataset, QuerySession, QueryStats};
 use nsdf_util::obs::Obs;
 use nsdf_util::{Box2i, NsdfError, Result};
 use parking_lot::Mutex;
@@ -281,7 +281,7 @@ impl Dashboard {
 
     /// Speculatively warm the next timestep of the current viewport at the
     /// level playback would render it. Returns blocks resolved.
-    pub fn prefetch_next_time(&self) -> Result<u64> {
+    pub(crate) fn prefetch_next_time(&self) -> Result<u64> {
         let n = self.timesteps()?;
         if n <= 1 {
             return Ok(0);
@@ -304,11 +304,6 @@ impl Dashboard {
     /// refinement at the next fetch-wave boundary.
     pub fn cancel_token(&self) -> Result<CancelToken> {
         self.with_session(|s| Ok(s.cancel_token()))
-    }
-
-    /// Cumulative session accounting for the selected dataset.
-    pub fn session_stats(&self) -> Result<SessionStats> {
-        self.with_session(|s| Ok(s.stats()))
     }
 
     // ---- viewport: zoom & pan ----------------------------------------------

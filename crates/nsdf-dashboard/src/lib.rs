@@ -15,7 +15,7 @@ pub mod dashboard;
 pub mod render;
 pub mod volume_view;
 
-pub use colormap::{Colormap, Rgb};
-pub use dashboard::{Dashboard, FrameInfo, Playback, Snippet};
+pub use colormap::Colormap;
+pub use dashboard::{Dashboard, FrameInfo, Playback};
 pub use render::{render, render_difference, Image, RangeMode};
 pub use volume_view::VolumeExplorer;

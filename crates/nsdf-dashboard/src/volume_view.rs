@@ -1,14 +1,13 @@
 //! Volumetric exploration: a z-slider over a 3-D IDX dataset.
 //!
 //! The dashboard's slice tooling (paper §III-A) applied to volumes: the
-//! explorer holds a current depth, resolution level, palette, and range;
-//! renders the active z-plane; and supports a "flythrough" playback that
-//! sweeps the slider through the volume — the volumetric analogue of the
-//! time slider's playback control.
+//! explorer holds a field, timestep, resolution level, palette, and range,
+//! and renders a "flythrough" playback that sweeps z-planes through the
+//! volume — the volumetric analogue of the time slider's playback control.
 
 use crate::colormap::Colormap;
 use crate::render::{render, Image, RangeMode};
-use nsdf_idx::{IdxVolume, QuerySession, QueryStats, SessionFrame, SessionStats};
+use nsdf_idx::{IdxVolume, QuerySession, SessionFrame};
 use nsdf_util::obs::Obs;
 use nsdf_util::{NsdfError, Result};
 use parking_lot::Mutex;
@@ -17,27 +16,23 @@ use std::sync::Arc;
 /// Interactive slice view over an [`IdxVolume`].
 ///
 /// Slices are frames of a lazily created [`QuerySession`] on the volume:
-/// the coarse blocks adjacent z-planes share stay resident, so dragging the
-/// slider (or a flythrough sweep) refetches only what each new plane
-/// actually adds.
+/// the coarse blocks adjacent z-planes share stay resident, so a
+/// flythrough sweep refetches only what each new plane actually adds.
 pub struct VolumeExplorer {
     volume: Arc<IdxVolume>,
     session: Mutex<Option<QuerySession<f32>>>,
     obs_root: Obs,
     field: String,
     time: u32,
-    z: i64,
     level: u32,
     colormap: Colormap,
     range: RangeMode,
 }
 
 impl VolumeExplorer {
-    /// Explore `volume`, starting at the middle slice, full resolution,
-    /// viridis, dynamic range.
+    /// Explore `volume` at full resolution, viridis, dynamic range.
     pub fn new(volume: Arc<IdxVolume>) -> VolumeExplorer {
         let field = volume.meta().fields[0].name.clone();
-        let depth = volume.bounds().z1;
         let level = volume.max_level();
         VolumeExplorer {
             volume,
@@ -45,7 +40,6 @@ impl VolumeExplorer {
             obs_root: Obs::default(),
             field,
             time: 0,
-            z: depth / 2,
             level,
             colormap: Colormap::Viridis,
             range: RangeMode::Dynamic,
@@ -57,11 +51,6 @@ impl VolumeExplorer {
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs_root = obs.clone();
         *self.session.lock() = None;
-    }
-
-    /// Cumulative accounting of the slice session, if one exists yet.
-    pub fn session_stats(&self) -> Option<SessionStats> {
-        self.session.lock().as_ref().map(|s| s.stats())
     }
 
     /// The frame of plane `z` at the current field, timestep and level,
@@ -81,20 +70,6 @@ impl VolumeExplorer {
     /// Depth of the volume (number of z-slices).
     pub fn depth(&self) -> i64 {
         self.volume.bounds().z1
-    }
-
-    /// Current slider position.
-    pub fn z(&self) -> i64 {
-        self.z
-    }
-
-    /// Move the z-slider.
-    pub fn set_z(&mut self, z: i64) -> Result<()> {
-        if z < 0 || z >= self.depth() {
-            return Err(NsdfError::invalid(format!("z={z} outside volume depth {}", self.depth())));
-        }
-        self.z = z;
-        Ok(())
     }
 
     /// Select the displayed field.
@@ -133,15 +108,9 @@ impl VolumeExplorer {
         Ok(())
     }
 
-    /// Render the active slice through the slice session.
-    pub fn render_slice(&self) -> Result<(Image, QueryStats)> {
-        let frame = self.slice(self.z)?;
-        Ok((render(&frame.raster, self.colormap, self.range)?, frame.stats))
-    }
-
     /// Flythrough: render `count` slices evenly spaced through the volume
-    /// (the playback walkthrough along z instead of time). Returns the
-    /// slice depths with their images. All planes share one session, so
+    /// (the playback walkthrough along z instead of time; one slice is the
+    /// middle plane). Returns the slice depths with their images. All planes share one session, so
     /// blocks spanning several z-planes are fetched once for the sweep.
     pub fn flythrough(&self, count: usize) -> Result<Vec<(i64, Image)>> {
         if count == 0 {
@@ -188,29 +157,18 @@ mod tests {
     fn starts_at_middle_slice() {
         let e = explorer();
         assert_eq!(e.depth(), 8);
-        assert_eq!(e.z(), 4);
+        assert_eq!(e.flythrough(1).unwrap()[0].0, 4);
         assert_eq!(e.level(), 11); // 16*16*8 = 2^11 addresses
-    }
-
-    #[test]
-    fn slider_moves_and_clamps() {
-        let mut e = explorer();
-        e.set_z(7).unwrap();
-        assert_eq!(e.z(), 7);
-        assert!(e.set_z(8).is_err());
-        assert!(e.set_z(-1).is_err());
     }
 
     #[test]
     fn renders_the_selected_plane() {
         let mut e = explorer();
         e.set_range(RangeMode::Manual(0.0, 800.0));
-        e.set_z(0).unwrap();
-        let (img0, stats) = e.render_slice().unwrap();
+        let frames = e.flythrough(2).unwrap();
+        let ((z0, img0), (z7, img7)) = (&frames[0], &frames[1]);
+        assert_eq!((*z0, *z7), (0, 7));
         assert_eq!((img0.width, img0.height), (16, 16));
-        assert!(stats.blocks_touched > 0);
-        e.set_z(7).unwrap();
-        let (img7, _) = e.render_slice().unwrap();
         // Different planes (offset 100*z) must render differently.
         assert_ne!(img0.rgb, img7.rgb);
     }
@@ -219,7 +177,7 @@ mod tests {
     fn coarse_level_shrinks_slice() {
         let mut e = explorer();
         e.set_level(e.level() - 2);
-        let (img, _) = e.render_slice().unwrap();
+        let (_, img) = &e.flythrough(1).unwrap()[0];
         assert!(img.width < 16);
     }
 
@@ -232,7 +190,6 @@ mod tests {
         assert_eq!(frames[3].0, 7);
         assert!(frames.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(e.flythrough(0).is_err());
-        assert_eq!(e.flythrough(1).unwrap()[0].0, 4);
     }
 
     #[test]

@@ -17,6 +17,6 @@ pub mod mapping;
 pub mod vfs;
 pub mod workload;
 
-pub use mapping::{FileStat, Mapping};
+pub use mapping::Mapping;
 pub use vfs::VirtualFs;
 pub use workload::{run_workload, FuseBenchResult, OpMix};

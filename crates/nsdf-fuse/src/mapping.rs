@@ -61,17 +61,8 @@ impl Mapping {
     }
 }
 
-/// Metadata for one virtual file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileStat {
-    /// File path within the filesystem.
-    pub path: String,
-    /// Size in bytes.
-    pub size: u64,
-}
-
 /// Validate a virtual file path (same grammar as object keys).
-pub fn validate_path(path: &str) -> Result<()> {
+pub(crate) fn validate_path(path: &str) -> Result<()> {
     nsdf_storage::validate_key(path)
 }
 

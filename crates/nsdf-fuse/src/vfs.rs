@@ -1,6 +1,6 @@
 //! The virtual filesystem over an object store.
 
-use crate::mapping::{validate_path, FileStat, Mapping};
+use crate::mapping::{validate_path, Mapping};
 use nsdf_storage::ObjectStore;
 use nsdf_util::{NsdfError, Result};
 use parking_lot::Mutex;
@@ -171,67 +171,8 @@ impl VirtualFs {
         }
     }
 
-    /// Read `len` bytes of a file starting at `offset`.
-    pub fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        validate_path(path)?;
-        match self.mapping {
-            Mapping::OneToOne => self.store.get_range(&self.o_key(path), offset, len),
-            Mapping::Chunked { chunk_bytes } => {
-                let (size, _chunks) = self.read_manifest(path)?;
-                let end =
-                    offset.checked_add(len).ok_or_else(|| NsdfError::invalid("range overflow"))?;
-                if end > size {
-                    return Err(NsdfError::invalid(format!(
-                        "range {offset}+{len} exceeds file {path:?} of {size} bytes"
-                    )));
-                }
-                let cb = chunk_bytes as u64;
-                let mut out = Vec::with_capacity(len as usize);
-                let mut pos = offset;
-                while pos < end {
-                    let chunk_idx = (pos / cb) as usize;
-                    let within = pos % cb;
-                    let take = (cb - within).min(end - pos);
-                    out.extend_from_slice(&self.store.get_range(
-                        &self.chunk_key(path, chunk_idx),
-                        within,
-                        take,
-                    )?);
-                    pos += take;
-                }
-                Ok(out)
-            }
-            Mapping::Packed { .. } => {
-                let data = self.read_file(path)?;
-                nsdf_storage::store::slice_range(&data, offset, len, path)
-            }
-        }
-    }
-
-    /// File metadata.
-    pub fn stat(&self, path: &str) -> Result<FileStat> {
-        validate_path(path)?;
-        match self.mapping {
-            Mapping::OneToOne => {
-                let meta = self.store.head(&self.o_key(path))?;
-                Ok(FileStat { path: path.to_string(), size: meta.size })
-            }
-            Mapping::Chunked { .. } => {
-                let (size, _) = self.read_manifest(path)?;
-                Ok(FileStat { path: path.to_string(), size })
-            }
-            Mapping::Packed { .. } => {
-                let st = self.packed.lock();
-                st.index
-                    .get(path)
-                    .map(|loc| FileStat { path: path.to_string(), size: loc.len })
-                    .ok_or_else(|| NsdfError::not_found(format!("file {path:?}")))
-            }
-        }
-    }
-
     /// Delete a file.
-    pub fn delete_file(&self, path: &str) -> Result<()> {
+    pub(crate) fn delete_file(&self, path: &str) -> Result<()> {
         validate_path(path)?;
         match self.mapping {
             Mapping::OneToOne => self.store.delete(&self.o_key(path)),
@@ -247,46 +188,6 @@ impl VirtualFs {
         }
     }
 
-    /// List files whose path starts with `prefix`, sorted.
-    pub fn list_files(&self, prefix: &str) -> Result<Vec<FileStat>> {
-        match self.mapping {
-            Mapping::OneToOne => {
-                let p = format!("{}/o/{prefix}", self.root);
-                Ok(self
-                    .store
-                    .list(&p)?
-                    .into_iter()
-                    .map(|m| FileStat {
-                        path: m.key[self.root.len() + 3..].to_string(),
-                        size: m.size,
-                    })
-                    .collect())
-            }
-            Mapping::Chunked { .. } => {
-                let p = format!("{}/c/{prefix}", self.root);
-                let mut out = Vec::new();
-                for m in self.store.list(&p)? {
-                    if m.key.ends_with("/manifest.txt") {
-                        let path = m.key[self.root.len() + 3..m.key.len() - "/manifest.txt".len()]
-                            .to_string();
-                        let (size, _) = self.read_manifest(&path)?;
-                        out.push(FileStat { path, size });
-                    }
-                }
-                Ok(out)
-            }
-            Mapping::Packed { .. } => {
-                let st = self.packed.lock();
-                Ok(st
-                    .index
-                    .iter()
-                    .filter(|(p, _)| p.starts_with(prefix))
-                    .map(|(p, loc)| FileStat { path: p.clone(), size: loc.len })
-                    .collect())
-            }
-        }
-    }
-
     /// Persist any open pack buffer and the pack index. A no-op for
     /// non-packed mappings.
     pub fn sync(&self) -> Result<()> {
@@ -294,7 +195,8 @@ impl VirtualFs {
             return Ok(());
         }
         let mut st = self.packed.lock();
-        if !st.buffer.is_empty() {
+        // A zero-length file sits in the open buffer without growing it.
+        if !st.buffer.is_empty() || st.index.values().any(|l| l.pack == u64::MAX) {
             self.flush_pack(&mut st)?;
         }
         if st.dirty {
@@ -423,7 +325,9 @@ impl VirtualFs {
                 pack_no += 1;
             }
         }
-        if !buffer.is_empty() {
+        // Every pack an entry names must exist, even one holding only
+        // zero-length files.
+        if !buffer.is_empty() || new_index.values().any(|l| l.pack == pack_no) {
             self.store.put(&self.pack_key(pack_no), &buffer)?;
             pack_no += 1;
         }
@@ -464,6 +368,8 @@ impl VirtualFs {
 mod tests {
     use super::*;
     use nsdf_storage::MemoryStore;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn fs(mapping: Mapping) -> VirtualFs {
         VirtualFs::new(Arc::new(MemoryStore::new()), "fs", mapping).unwrap()
@@ -476,11 +382,7 @@ mod tests {
         v.write_file("top.dat", b"").unwrap();
         assert_eq!(v.read_file("dir/a.dat").unwrap(), b"alpha", "{name}");
         assert_eq!(v.read_file("top.dat").unwrap(), b"", "{name}");
-        assert_eq!(v.stat("dir/b.dat").unwrap().size, 11, "{name}");
-        assert_eq!(v.read_range("dir/b.dat", 6, 5).unwrap(), b"bravo", "{name}");
-        let listed = v.list_files("dir/").unwrap();
-        assert_eq!(listed.len(), 2, "{name}");
-        assert_eq!(listed[0].path, "dir/a.dat", "{name}");
+        assert_eq!(v.read_file("dir/b.dat").unwrap(), b"bravo-bravo", "{name}");
         // Overwrite.
         v.write_file("dir/a.dat", b"ALPHA2").unwrap();
         assert_eq!(v.read_file("dir/a.dat").unwrap(), b"ALPHA2", "{name}");
@@ -506,7 +408,6 @@ mod tests {
         // 3 chunks + manifest.
         assert_eq!(store.object_count(), 4);
         assert_eq!(v.read_file("f").unwrap(), b"0123456789");
-        assert_eq!(v.read_range("f", 3, 5).unwrap(), b"34567");
         // Shrinking rewrite removes stale chunks.
         v.write_file("f", b"xy").unwrap();
         assert_eq!(store.object_count(), 2);
@@ -538,7 +439,6 @@ mod tests {
         let v = fs(Mapping::Packed { pack_target_bytes: 1 << 20 });
         v.write_file("pending", b"not yet flushed").unwrap();
         assert_eq!(v.read_file("pending").unwrap(), b"not yet flushed");
-        assert_eq!(v.read_range("pending", 4, 3).unwrap(), b"yet");
     }
 
     #[test]
@@ -555,7 +455,6 @@ mod tests {
         let v2 = VirtualFs::new(store, "fs", Mapping::Packed { pack_target_bytes: 32 }).unwrap();
         assert_eq!(v2.read_file("b").unwrap(), b"bbbbbbbb");
         assert!(v2.read_file("a").unwrap_err().is_not_found());
-        assert_eq!(v2.list_files("").unwrap().len(), 1);
     }
 
     #[test]
@@ -588,8 +487,21 @@ mod tests {
         // And the compacted index survives reopen.
         drop(v);
         let v2 = VirtualFs::new(store, "fs", Mapping::Packed { pack_target_bytes: 256 }).unwrap();
-        assert_eq!(v2.list_files("").unwrap().len(), 5);
+        assert!(v2.read_file("f03").unwrap_err().is_not_found());
         assert_eq!(v2.read_file("f17").unwrap(), vec![17u8; 64]);
+    }
+
+    #[test]
+    fn empty_file_in_the_open_pack_survives_compaction_and_reopen() {
+        let store = Arc::new(MemoryStore::new());
+        let mapping = Mapping::Packed { pack_target_bytes: 64 };
+        let v = VirtualFs::new(store.clone(), "fs", mapping).unwrap();
+        v.write_file("empty", b"").unwrap();
+        v.compact().unwrap();
+        assert_eq!(v.read_file("empty").unwrap(), b"");
+        drop(v);
+        let v2 = VirtualFs::new(store, "fs", mapping).unwrap();
+        assert_eq!(v2.read_file("empty").unwrap(), b"");
     }
 
     #[test]
@@ -607,12 +519,100 @@ mod tests {
         assert!(v.write_file("a/../b", b"x").is_err());
     }
 
-    #[test]
-    fn ranged_read_bounds_checked() {
-        for m in Mapping::palette() {
-            let v = fs(m);
-            v.write_file("f", b"0123456789").unwrap();
-            assert!(v.read_range("f", 8, 5).is_err(), "{}", m.name());
+    // Model-based property testing: every mapping package must behave
+    // identically to a plain in-memory map of `path -> bytes` under
+    // arbitrary interleavings of write/read/delete/overwrite/sync/compact/
+    // reopen.
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write(u8, Vec<u8>),
+        Read(u8),
+        Delete(u8),
+        /// Read every path of the key domain: the visible namespace.
+        Sweep,
+        Sync,
+        Compact,
+        Reopen,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u8..12, proptest::collection::vec(any::<u8>(), 0..200))
+                .prop_map(|(k, v)| Op::Write(k, v)),
+            (0u8..12).prop_map(Op::Read),
+            (0u8..12).prop_map(Op::Delete),
+            Just(Op::Sweep),
+            Just(Op::Sync),
+            Just(Op::Compact),
+            Just(Op::Reopen),
+        ]
+    }
+
+    fn path(k: u8) -> String {
+        format!("dir{}/file-{k:02}.dat", k % 3)
+    }
+
+    fn check_read(fs: &VirtualFs, model: &HashMap<String, Vec<u8>>, k: u8) {
+        let got = fs.read_file(&path(k));
+        match model.get(&path(k)) {
+            Some(want) => assert_eq!(&got.unwrap(), want, "{}", fs.mapping().name()),
+            None => assert!(got.unwrap_err().is_not_found(), "{}", fs.mapping().name()),
+        }
+    }
+
+    fn run_model(mapping: Mapping, ops: Vec<Op>) {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let mut fs = VirtualFs::new(store.clone(), "mbt", mapping).unwrap();
+        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+
+        for op in ops {
+            match op {
+                Op::Write(k, data) => {
+                    fs.write_file(&path(k), &data).unwrap();
+                    model.insert(path(k), data);
+                }
+                Op::Read(k) => check_read(&fs, &model, k),
+                Op::Delete(k) => {
+                    let got = fs.delete_file(&path(k));
+                    if model.remove(&path(k)).is_some() {
+                        got.unwrap();
+                    } else {
+                        assert!(got.unwrap_err().is_not_found());
+                    }
+                }
+                Op::Sweep => (0..12).for_each(|k| check_read(&fs, &model, k)),
+                Op::Sync => fs.sync().unwrap(),
+                Op::Compact => {
+                    fs.compact().unwrap();
+                }
+                Op::Reopen => {
+                    // Durability boundary: everything must survive a restart.
+                    fs.sync().unwrap();
+                    fs = VirtualFs::new(store.clone(), "mbt", mapping).unwrap();
+                }
+            }
+        }
+        // Final full check.
+        (0..12).for_each(|k| check_read(&fs, &model, k));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn one_to_one_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+            run_model(Mapping::OneToOne, ops);
+        }
+
+        #[test]
+        fn chunked_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+            run_model(Mapping::Chunked { chunk_bytes: 64 }, ops);
+        }
+
+        #[test]
+        fn packed_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+            run_model(Mapping::Packed { pack_target_bytes: 256 }, ops);
         }
     }
 }

@@ -237,8 +237,9 @@ fn normalise_relief(dem: &mut Raster<f32>, relief_m: f64) {
 /// A Gaussian hill `z(x, y) = amp * exp(-((x-cx)^2 + (y-cy)^2) / (2 s^2))`
 /// with its analytic gradient — the reference surface for kernel accuracy
 /// tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct AnalyticHill {
+pub(crate) struct AnalyticHill {
     /// Hill centre x (pixels).
     pub cx: f64,
     /// Hill centre y (pixels).
@@ -249,6 +250,7 @@ pub struct AnalyticHill {
     pub amp: f64,
 }
 
+#[cfg(test)]
 impl AnalyticHill {
     /// Elevation at `(x, y)`.
     pub fn z(&self, x: f64, y: f64) -> f64 {

@@ -16,9 +16,6 @@ pub mod dem;
 pub mod terrain;
 pub mod tiling;
 
-pub use dem::{AnalyticHill, DemConfig, DemEdit, DemKind};
+pub use dem::{DemConfig, DemEdit, DemKind};
 pub use terrain::{compute_terrain, Sun, TerrainParam};
-pub use tiling::{
-    compute_all_terrain_tiled, compute_terrain_tiled, compute_terrain_tiled_obs, TilePlan,
-    TileRunStats, MIN_SAFE_HALO,
-};
+pub use tiling::{compute_terrain_tiled, compute_terrain_tiled_obs, TilePlan};

@@ -12,9 +12,6 @@ use nsdf_util::obs::Obs;
 use nsdf_util::par::{num_threads, par_map};
 use nsdf_util::{Box2i, NsdfError, Raster, Result};
 
-/// Horn's stencil reaches one pixel; halos below this lose accuracy.
-pub const MIN_SAFE_HALO: usize = 1;
-
 /// Tiling plan for a DEM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TilePlan {
@@ -85,7 +82,8 @@ impl TileRunStats {
 /// Compute a terrain parameter tile by tile with halos, in parallel, and
 /// mosaic the result.
 ///
-/// With `plan.halo >= MIN_SAFE_HALO` the result is bit-identical to
+/// With `plan.halo >= 1` (Horn's stencil reaches one pixel) the result is
+/// bit-identical to
 /// [`compute_terrain`] on the whole DEM; with `halo = 0` tile borders use
 /// clamped (wrong) neighbours — kept available because it is the ablation
 /// the accuracy claim is measured against.
@@ -158,25 +156,24 @@ pub fn compute_terrain_tiled_obs(
     Ok((mosaic, stats))
 }
 
-/// Compute all four terrain parameters tiled; returns them in
-/// [`TerrainParam::all`] order.
-pub fn compute_all_terrain_tiled(
-    dem: &Raster<f32>,
-    sun: Sun,
-    plan: &TilePlan,
-    threads: usize,
-) -> Result<Vec<(TerrainParam, Raster<f32>)>> {
-    TerrainParam::all()
-        .into_iter()
-        .map(|p| compute_terrain_tiled(dem, p, sun, plan, threads).map(|(r, _)| (p, r)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dem::DemConfig;
     use nsdf_util::AccuracyReport;
+
+    #[test]
+    fn compute_all_returns_four_params() {
+        let dem = DemConfig::conus_like(32, 32, 1).generate();
+        let plan = TilePlan::new(2, 2, 1).unwrap();
+        let all: Vec<(TerrainParam, Raster<f32>)> = TerrainParam::all()
+            .into_iter()
+            .map(|p| (p, compute_terrain_tiled(&dem, p, Sun::default(), &plan, 2).unwrap().0))
+            .collect();
+        assert_eq!(all.len(), 4);
+        assert_eq!(all[0].0, TerrainParam::Elevation);
+        assert_eq!(all[0].1.shape(), (32, 32));
+    }
 
     #[test]
     fn tile_boxes_partition_the_dem() {
@@ -201,7 +198,7 @@ mod tests {
         let dem = DemConfig::conus_like(128, 96, 5).generate();
         let reference = compute_terrain(&dem, TerrainParam::Slope, Sun::default()).unwrap();
         for (tx, ty) in [(1, 1), (2, 2), (4, 3), (8, 8)] {
-            let plan = TilePlan::new(tx, ty, MIN_SAFE_HALO).unwrap();
+            let plan = TilePlan::new(tx, ty, 1).unwrap();
             let (tiled, stats) =
                 compute_terrain_tiled(&dem, TerrainParam::Slope, Sun::default(), &plan, 4).unwrap();
             assert_eq!(tiled.data(), reference.data(), "grid {tx}x{ty}");
@@ -281,15 +278,5 @@ mod tests {
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].label, "geotiled.compute");
         assert!(roots[0].children.is_empty(), "no per-tile spans from workers");
-    }
-
-    #[test]
-    fn compute_all_returns_four_params() {
-        let dem = DemConfig::conus_like(32, 32, 1).generate();
-        let plan = TilePlan::new(2, 2, 1).unwrap();
-        let all = compute_all_terrain_tiled(&dem, Sun::default(), &plan, 2).unwrap();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[0].0, TerrainParam::Elevation);
-        assert_eq!(all[0].1.shape(), (32, 32));
     }
 }

@@ -9,9 +9,9 @@
 use nsdf_util::{NsdfError, Result};
 
 /// Maximum number of axes a mask may reference.
-pub const MAX_AXES: usize = 3;
+pub(crate) const MAX_AXES: usize = 3;
 
-/// An interleaving pattern for up to [`MAX_AXES`] axes.
+/// An interleaving pattern for up to `MAX_AXES` (3) axes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMask {
     /// Axis for each address bit, most significant first.
@@ -100,13 +100,8 @@ impl BitMask {
         self.axes_msb_first.len() as u32
     }
 
-    /// Number of mask positions owned by `axis`.
-    pub fn axis_bits(&self, axis: usize) -> u32 {
-        self.bits_per_axis.get(axis).copied().unwrap_or(0)
-    }
-
     /// Number of axes that own at least one bit.
-    pub fn num_axes(&self) -> usize {
+    pub(crate) fn num_axes(&self) -> usize {
         (0..MAX_AXES).rev().find(|&a| self.bits_per_axis[a] > 0).map_or(0, |a| a + 1)
     }
 
@@ -180,17 +175,10 @@ impl BitMask {
         }
         Ok((0..self.num_axes()).map(|a| 1u64 << k[a]).collect())
     }
-
-    /// Dimensions of the level-`level` grid for a dataset of logical size
-    /// `dims` (may be smaller than the padded grid).
-    pub fn level_dims(&self, level: u32, dims: &[u64]) -> Result<Vec<u64>> {
-        let strides = self.level_strides(level)?;
-        Ok(dims.iter().zip(&strides).map(|(&d, &s)| d.div_ceil(s)).collect())
-    }
 }
 
 /// Ceiling of log2, with `ceil_log2(1) == 0`.
-pub fn ceil_log2(v: u64) -> u32 {
+pub(crate) fn ceil_log2(v: u64) -> u32 {
     debug_assert!(v > 0);
     64 - (v - 1).leading_zeros().min(64)
 }
@@ -220,8 +208,7 @@ mod tests {
     fn parse_and_print_roundtrip() {
         let m = BitMask::parse("V01010").unwrap();
         assert_eq!(m.num_bits(), 5);
-        assert_eq!(m.axis_bits(0), 3);
-        assert_eq!(m.axis_bits(1), 2);
+        assert_eq!(m.padded_dims(), vec![8, 4]);
         assert_eq!(m.to_text(), "V01010");
         assert!(BitMask::parse("01010").is_err());
         assert!(BitMask::parse("V015").is_err());
@@ -240,8 +227,7 @@ mod tests {
     fn for_dims_rectangular_gives_extra_bits_to_long_axis() {
         let m = BitMask::for_dims_2d(8, 2).unwrap();
         // x: 3 bits, y: 1 bit. LSB-first cycle: x,y,x,x -> msb-first "0010".
-        assert_eq!(m.axis_bits(0), 3);
-        assert_eq!(m.axis_bits(1), 1);
+        assert_eq!(m.padded_dims(), vec![8, 2]);
         assert_eq!(m.to_text(), "V0010");
     }
 
@@ -333,9 +319,11 @@ mod tests {
     #[test]
     fn level_dims_cover_logical_grid() {
         let m = BitMask::for_dims_2d(100, 60).unwrap();
-        let full = m.level_dims(m.num_bits(), &[100, 60]).unwrap();
-        assert_eq!(full, vec![100, 60]);
-        let coarse = m.level_dims(0, &[100, 60]).unwrap();
-        assert_eq!(coarse, vec![1, 1]);
+        let level_dims = |level| -> Vec<u64> {
+            let strides = m.level_strides(level).unwrap();
+            [100u64, 60].iter().zip(&strides).map(|(&d, &s)| d.div_ceil(s)).collect()
+        };
+        assert_eq!(level_dims(m.num_bits()), vec![100, 60]);
+        assert_eq!(level_dims(0), vec![1, 1]);
     }
 }

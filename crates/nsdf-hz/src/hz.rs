@@ -17,7 +17,7 @@ use nsdf_util::{Box3i, NsdfError, Result};
 
 /// HZ address from a Z (Morton) address on an `n`-bit grid.
 #[inline]
-pub fn hz_from_z(z: u64, n: u32) -> u64 {
+pub(crate) fn hz_from_z(z: u64, n: u32) -> u64 {
     debug_assert!(n < 64 && (n == 63 || z < (1u64 << n)));
     if z == 0 {
         return 0;
@@ -27,9 +27,9 @@ pub fn hz_from_z(z: u64, n: u32) -> u64 {
     (1u64 << (level - 1)) + (z >> (t + 1))
 }
 
-/// Inverse of [`hz_from_z`].
-#[inline]
-pub fn z_from_hz(h: u64, n: u32) -> u64 {
+/// Inverse of [`hz_from_z`]: the oracle the tests decode addresses with.
+#[cfg(test)]
+fn z_from_hz(h: u64, n: u32) -> u64 {
     debug_assert!(n < 64 && (n == 63 || h < (1u64 << n)));
     if h == 0 {
         return 0;
@@ -41,7 +41,7 @@ pub fn z_from_hz(h: u64, n: u32) -> u64 {
 
 /// Resolution level of an HZ address: 0 for the root, else `floor(log2)+1`.
 #[inline]
-pub fn hz_level(h: u64) -> u32 {
+pub(crate) fn hz_level(h: u64) -> u32 {
     if h == 0 {
         0
     } else {
@@ -51,7 +51,7 @@ pub fn hz_level(h: u64) -> u32 {
 
 /// First HZ address of level `level` (inclusive).
 #[inline]
-pub fn level_start(level: u32) -> u64 {
+pub(crate) fn level_start(level: u32) -> u64 {
     if level == 0 {
         0
     } else {
@@ -61,7 +61,7 @@ pub fn level_start(level: u32) -> u64 {
 
 /// One past the last HZ address of level `level`.
 #[inline]
-pub fn level_end(level: u32) -> u64 {
+pub(crate) fn level_end(level: u32) -> u64 {
     1u64 << level
 }
 
@@ -83,11 +83,6 @@ impl HzCurve {
         Ok(HzCurve::new(BitMask::for_dims_2d(width, height)?))
     }
 
-    /// Curve for a 3-D grid of the given logical size.
-    pub fn for_dims_3d(width: u64, height: u64, depth: u64) -> Result<Self> {
-        Ok(HzCurve::new(BitMask::for_dims(&[width, height, depth])?))
-    }
-
     /// The interleaving mask.
     pub fn mask(&self) -> &BitMask {
         &self.mask
@@ -99,7 +94,7 @@ impl HzCurve {
     }
 
     /// Total number of addresses on the padded grid.
-    pub fn num_addresses(&self) -> u64 {
+    pub(crate) fn num_addresses(&self) -> u64 {
         1u64 << self.mask.num_bits()
     }
 
@@ -141,7 +136,8 @@ impl HzCurve {
     }
 
     /// Coordinates of the sample with the given HZ address.
-    pub fn coords_from_hz(&self, h: u64) -> Vec<u64> {
+    #[cfg(test)]
+    fn coords_from_hz(&self, h: u64) -> Vec<u64> {
         self.mask.decode(z_from_hz(h, self.mask.num_bits()))
     }
 
@@ -420,6 +416,7 @@ fn align_up(v: i64, m: i64) -> i64 {
 mod tests {
     use super::*;
     use nsdf_util::Box2i;
+    use proptest::prelude::*;
 
     #[test]
     fn hz_1d_classic_ordering() {
@@ -458,6 +455,38 @@ mod tests {
         assert_eq!(level_end(0) - level_start(0), 1);
         assert_eq!(level_end(1) - level_start(1), 1);
         assert_eq!(level_end(5) - level_start(5), 16);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hz_z_bijection(n in 1u32..20, samples in proptest::collection::vec(any::<u64>(), 1..50)) {
+            let size = 1u64 << n;
+            for s in samples {
+                let z = s % size;
+                let h = hz_from_z(z, n);
+                prop_assert!(h < size);
+                prop_assert_eq!(z_from_hz(h, n), z);
+                prop_assert!(hz_level(h) <= n);
+            }
+        }
+
+        #[test]
+        fn hz_levels_partition_the_address_space(n in 1u32..24, h in any::<u64>()) {
+            // Level ranges tile [0, 2^n) contiguously ...
+            prop_assert_eq!(level_start(0), 0);
+            for l in 1..=n {
+                prop_assert_eq!(level_start(l), level_end(l - 1));
+                prop_assert!(level_start(l) < level_end(l));
+            }
+            prop_assert_eq!(level_end(n), 1u64 << n);
+            // ... and hz_level is the inverse lookup for every address.
+            let h = h % (1u64 << n);
+            let l = hz_level(h);
+            prop_assert!(l <= n);
+            prop_assert!(level_start(l) <= h && h < level_end(l));
+        }
     }
 
     #[test]
@@ -733,7 +762,7 @@ mod tests {
             (HzCurve::for_dims_2d(64, 64).unwrap(), vec![64, 64]),
             (HzCurve::for_dims_2d(100, 1).unwrap(), vec![100, 1]),
             (HzCurve::for_dims_2d(1, 1).unwrap(), vec![1, 1]),
-            (HzCurve::for_dims_3d(20, 9, 5).unwrap(), vec![20, 9, 5]),
+            (HzCurve::new(BitMask::for_dims(&[20, 9, 5]).unwrap()), vec![20, 9, 5]),
         ];
         for (c, dims) in &curves {
             // Powers of two (what IDX uses), odd sizes, and a block larger
@@ -794,7 +823,7 @@ mod tests3d {
 
     #[test]
     fn curve_3d_roundtrips() {
-        let c = HzCurve::for_dims_3d(8, 8, 8).unwrap();
+        let c = HzCurve::new(BitMask::for_dims(&[8, 8, 8]).unwrap());
         assert_eq!(c.max_level(), 9);
         for z in 0..8u64 {
             for y in 0..8u64 {
@@ -808,7 +837,7 @@ mod tests3d {
 
     #[test]
     fn level_samples_cover_volume_once() {
-        let c = HzCurve::for_dims_3d(8, 8, 8).unwrap();
+        let c = HzCurve::new(BitMask::for_dims(&[8, 8, 8]).unwrap());
         let full = Box3i::of_size(8, 8, 8);
         let mut seen = std::collections::HashSet::new();
         for level in 0..=c.max_level() {
@@ -822,7 +851,7 @@ mod tests3d {
 
     #[test]
     fn box3_region_respected() {
-        let c = HzCurve::for_dims_3d(16, 16, 16).unwrap();
+        let c = HzCurve::new(BitMask::for_dims(&[16, 16, 16]).unwrap());
         let region = Box3i::new(4, 4, 4, 9, 9, 9);
         let total: usize =
             (0..=c.max_level()).map(|l| c.level_samples_in_box(l, region).unwrap().len()).sum();
@@ -837,7 +866,7 @@ mod tests3d {
 
     #[test]
     fn rectangular_volume_covered() {
-        let c = HzCurve::for_dims_3d(8, 4, 2).unwrap();
+        let c = HzCurve::new(BitMask::for_dims(&[8, 4, 2]).unwrap());
         let full = Box3i::of_size(8, 4, 2);
         let total: usize =
             (0..=c.max_level()).map(|l| c.level_samples_in_box(l, full).unwrap().len()).sum();

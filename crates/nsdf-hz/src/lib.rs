@@ -4,7 +4,6 @@
 //! reorganisation scheme at the heart of the OpenVisus/IDX framework that
 //! the NSDF dashboard is built on (paper §III-A).
 //!
-//! * [`morton`] — classic bit-trick Morton codes for square 2-D grids;
 //! * [`bitmask`] — IDX-style `V0101…` masks generalising the interleave to
 //!   rectangular, non-power-of-two, up to 3-D grids;
 //! * [`hz`] — the hierarchical reordering into resolution levels, plus
@@ -15,8 +14,8 @@
 
 pub mod bitmask;
 pub mod hz;
-pub mod morton;
+#[cfg(test)]
+mod morton;
 
-pub use bitmask::{ceil_log2, BitMask, MAX_AXES};
-pub use hz::{hz_from_z, hz_level, level_end, level_start, z_from_hz, HzCurve};
-pub use morton::{morton2_decode, morton2_encode};
+pub use bitmask::BitMask;
+pub use hz::HzCurve;

@@ -1,12 +1,10 @@
-//! Plain Morton (Z-order) encoding for square 2-D grids.
-//!
-//! These fixed-shape helpers use the classic parallel-prefix bit tricks and
-//! serve two roles: a fast path for power-of-two square rasters, and the
-//! baseline layout the HZ-locality benchmark compares against.
+//! Plain Morton (Z-order) encoding for square 2-D grids, with the classic
+//! parallel-prefix bit tricks: the reference [`crate::BitMask`]'s 2-D
+//! encoding is checked against.
 
 /// Spread the low 32 bits of `v` so bit i moves to bit 2i.
 #[inline]
-pub fn part1by1(v: u32) -> u64 {
+fn part1by1(v: u32) -> u64 {
     let mut x = v as u64;
     x &= 0x0000_0000_ffff_ffff;
     x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
@@ -19,7 +17,7 @@ pub fn part1by1(v: u32) -> u64 {
 
 /// Inverse of [`part1by1`]: gather even-position bits back together.
 #[inline]
-pub fn compact1by1(v: u64) -> u32 {
+fn compact1by1(v: u64) -> u32 {
     let mut x = v & 0x5555_5555_5555_5555;
     x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
     x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
@@ -31,19 +29,20 @@ pub fn compact1by1(v: u64) -> u32 {
 
 /// Interleave `(x, y)` into a Morton address with `x` in the even bits.
 #[inline]
-pub fn morton2_encode(x: u32, y: u32) -> u64 {
+pub(crate) fn morton2_encode(x: u32, y: u32) -> u64 {
     part1by1(x) | (part1by1(y) << 1)
 }
 
 /// Inverse of [`morton2_encode`].
 #[inline]
-pub fn morton2_decode(z: u64) -> (u32, u32) {
+fn morton2_decode(z: u64) -> (u32, u32) {
     (compact1by1(z), compact1by1(z >> 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn encode_matches_manual_interleave() {
@@ -78,5 +77,28 @@ mod tests {
         let max_ll = (0..2).flat_map(|y| (0..2).map(move |x| morton2_encode(x, y))).max().unwrap();
         let min_rest = morton2_encode(2, 0);
         assert!(max_ll < min_rest);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn morton_bijection_over_full_u32_domain(x in any::<u32>(), y in any::<u32>()) {
+            // part1by1/compact1by1 are exact inverses on the whole u32 domain,
+            // and the interleave keeps the axes in disjoint bit lanes.
+            prop_assert_eq!(compact1by1(part1by1(x)), x);
+            prop_assert_eq!(compact1by1(part1by1(y)), y);
+            prop_assert_eq!(part1by1(x) & (part1by1(y) << 1), 0);
+            let z = morton2_encode(x, y);
+            prop_assert_eq!(morton2_decode(z), (x, y));
+        }
+
+        #[test]
+        fn morton_is_strictly_monotone_per_axis(x in 0u32..u32::MAX, y in 0u32..u32::MAX) {
+            // With the other axis fixed, a coordinate increment strictly
+            // increases the Morton address (each axis owns its bit lane).
+            prop_assert!(morton2_encode(x + 1, y) > morton2_encode(x, y));
+            prop_assert!(morton2_encode(x, y + 1) > morton2_encode(x, y));
+        }
     }
 }

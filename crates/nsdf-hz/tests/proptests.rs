@@ -1,29 +1,13 @@
 //! Property tests for the space-filling curve layer: bijectivity and level
 //! structure must hold for arbitrary (not just square) grid shapes.
 
-use nsdf_hz::morton::{compact1by1, part1by1};
-use nsdf_hz::{
-    hz_from_z, hz_level, level_end, level_start, morton2_decode, morton2_encode, z_from_hz,
-    BitMask, HzCurve,
-};
+use nsdf_hz::{BitMask, HzCurve};
 use nsdf_util::{Box2i, Box3i};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn hz_z_bijection(n in 1u32..20, samples in proptest::collection::vec(any::<u64>(), 1..50)) {
-        let size = 1u64 << n;
-        for s in samples {
-            let z = s % size;
-            let h = hz_from_z(z, n);
-            prop_assert!(h < size);
-            prop_assert_eq!(z_from_hz(h, n), z);
-            prop_assert!(hz_level(h) <= n);
-        }
-    }
 
     #[test]
     fn mask_encode_is_bijective_for_random_shapes(w in 1u64..40, h in 1u64..40) {
@@ -37,7 +21,7 @@ proptest! {
                 prop_assert!(seen.insert(z), "collision at ({x},{y})");
                 // Degenerate axes own no mask bits and are dropped by decode.
                 let mut want = vec![x, y];
-                want.truncate(mask.num_axes());
+                want.truncate(padded.len());
                 prop_assert_eq!(mask.decode(z), want);
             }
         }
@@ -52,7 +36,8 @@ proptest! {
         for level in 0..=curve.max_level() {
             for ([x, y, _], hz) in curve.level_samples_in_box(level, full).unwrap() {
                 prop_assert!(seen.insert((x, y)));
-                prop_assert_eq!(hz_level(hz), level);
+                // Level ℓ holds the HZ addresses [2^ℓ / 2, 2^ℓ).
+                prop_assert!(hz < 1 << level && hz >= (1 << level) >> 1);
             }
         }
         prop_assert_eq!(seen.len() as u64, w * h);
@@ -82,7 +67,7 @@ proptest! {
         let region = Box3i::new(x.0, y.0, z.0, x.1, y.1, z.1);
         let level = level_pick % (curve.max_level() + 1);
         // One sample per block, a mid-sized block, a block larger than any level.
-        let bs = [1, 16, curve.num_addresses() * 2][bs_pick];
+        let bs = [1, 16, 2 << curve.max_level()][bs_pick];
 
         let walk = |l: u32| -> BTreeSet<u64> {
             curve.level_samples_in_box(l, region).unwrap().into_iter().map(|(_, hz)| hz / bs).collect()
@@ -120,40 +105,5 @@ proptest! {
         let mask = BitMask::for_dims_2d(w, h).unwrap();
         let back = BitMask::parse(&mask.to_text()).unwrap();
         prop_assert_eq!(back, mask);
-    }
-
-    #[test]
-    fn morton_bijection_over_full_u32_domain(x in any::<u32>(), y in any::<u32>()) {
-        // part1by1/compact1by1 are exact inverses on the whole u32 domain,
-        // and the interleave keeps the axes in disjoint bit lanes.
-        prop_assert_eq!(compact1by1(part1by1(x)), x);
-        prop_assert_eq!(compact1by1(part1by1(y)), y);
-        prop_assert_eq!(part1by1(x) & (part1by1(y) << 1), 0);
-        let z = morton2_encode(x, y);
-        prop_assert_eq!(morton2_decode(z), (x, y));
-    }
-
-    #[test]
-    fn morton_is_strictly_monotone_per_axis(x in 0u32..u32::MAX, y in 0u32..u32::MAX) {
-        // With the other axis fixed, a coordinate increment strictly
-        // increases the Morton address (each axis owns its bit lane).
-        prop_assert!(morton2_encode(x + 1, y) > morton2_encode(x, y));
-        prop_assert!(morton2_encode(x, y + 1) > morton2_encode(x, y));
-    }
-
-    #[test]
-    fn hz_levels_partition_the_address_space(n in 1u32..24, h in any::<u64>()) {
-        // Level ranges tile [0, 2^n) contiguously ...
-        prop_assert_eq!(level_start(0), 0);
-        for l in 1..=n {
-            prop_assert_eq!(level_start(l), level_end(l - 1));
-            prop_assert!(level_start(l) < level_end(l));
-        }
-        prop_assert_eq!(level_end(n), 1u64 << n);
-        // ... and hz_level is the inverse lookup for every address.
-        let h = h % (1u64 << n);
-        let l = hz_level(h);
-        prop_assert!(l <= n);
-        prop_assert!(level_start(l) <= h && h < level_end(l));
     }
 }

@@ -167,10 +167,15 @@ pub(crate) type DecodedEntry = Option<Arc<Vec<u8>>>;
 /// known to be missing from storage, so progressive refinement neither
 /// refetches nor redecodes — nor re-misses — a block it already resolved.
 pub(crate) struct DecodedCache {
-    entries: HashMap<BlockKey, DecodedEntry>,
-    /// Insertion order; stale keys (invalidated by writes) are skipped
-    /// lazily at eviction time.
-    queue: VecDeque<BlockKey>,
+    /// Each entry with the tick of its latest insertion.
+    entries: HashMap<BlockKey, (DecodedEntry, u64)>,
+    /// Insertion order as `(key, tick)`; a pair is live while its tick is
+    /// still the entry's. Stale pairs (the key was removed by a write, or
+    /// inserted again) are skipped at eviction time and dropped once they
+    /// outnumber the live ones, so the queue stays within twice the entry
+    /// count plus one.
+    queue: VecDeque<(BlockKey, u64)>,
+    next_tick: u64,
     pub(crate) bytes: u64,
     budget: u64,
     /// Bumped by every write-side invalidation. A read records the epoch
@@ -187,6 +192,7 @@ impl DecodedCache {
         DecodedCache {
             entries: HashMap::new(),
             queue: VecDeque::new(),
+            next_tick: 0,
             bytes: 0,
             budget,
             write_epoch: 0,
@@ -198,25 +204,33 @@ impl DecodedCache {
     }
 
     pub(crate) fn get(&self, key: &BlockKey) -> Option<DecodedEntry> {
-        self.entries.get(key).cloned()
+        self.entries.get(key).map(|(entry, _)| entry.clone())
     }
 
-    /// Admit `value`; returns how many resident entries were evicted to
-    /// respect the byte budget (reported as `decoded_evictions.budget`).
+    /// Admit `value` as the newest entry; returns how many resident entries
+    /// were evicted to respect the byte budget (reported as
+    /// `decoded_evictions.budget`).
     pub(crate) fn insert(&mut self, key: BlockKey, value: DecodedEntry) -> u64 {
         let cost = Self::cost(&value);
         if cost > self.budget {
             return 0; // Larger than the whole budget: never admit.
         }
-        match self.entries.insert(key, value) {
-            Some(old) => self.bytes -= Self::cost(&old),
-            None => self.queue.push_back(key),
+        if self.queue.len() > 2 * self.entries.len() {
+            let entries = &self.entries;
+            self.queue.retain(|(k, tick)| entries.get(k).is_some_and(|e| e.1 == *tick));
         }
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        if let Some((old, _)) = self.entries.insert(key, (value, tick)) {
+            self.bytes -= Self::cost(&old);
+        }
+        self.queue.push_back((key, tick));
         self.bytes += cost;
         let mut evicted = 0;
         while self.bytes > self.budget {
-            let Some(victim) = self.queue.pop_front() else { break };
-            if let Some(old) = self.entries.remove(&victim) {
+            let Some((victim, tick)) = self.queue.pop_front() else { break };
+            if self.entries.get(&victim).is_some_and(|e| e.1 == tick) {
+                let (old, _) = self.entries.remove(&victim).expect("live pair");
                 self.bytes -= Self::cost(&old);
                 evicted += 1;
             }
@@ -228,7 +242,7 @@ impl DecodedCache {
     /// (reported as `decoded_evictions.epoch` on the write path).
     fn remove(&mut self, key: &BlockKey) -> bool {
         match self.entries.remove(key) {
-            Some(old) => {
+            Some((old, _)) => {
                 self.bytes -= Self::cost(&old);
                 true
             }
@@ -689,7 +703,7 @@ impl IdxDataset {
     }
 
     /// Fetch batch size in force.
-    pub fn fetch_concurrency(&self) -> usize {
+    pub(crate) fn fetch_concurrency(&self) -> usize {
         self.fetch_concurrency
     }
 
@@ -1894,6 +1908,32 @@ mod tests {
         let (stored, q) = ds.read_full::<f32>("v", 0).unwrap();
         assert!(q.blocks_decoded > 0, "flushed images do not enter the decoded cache");
         assert_eq!(stored.data(), after.data());
+    }
+
+    #[test]
+    fn decoded_cache_evicts_a_reinserted_block_by_its_latest_insertion() {
+        let block = || Some(Arc::new(vec![0u8; 8]));
+        let (a, b, c) = ((0, 0, 1), (0, 0, 2), (0, 0, 3));
+        let mut cache = DecodedCache::new(16);
+        cache.insert(a, block());
+        cache.insert(b, block());
+        assert!(cache.remove(&a), "a write invalidates A");
+        cache.insert(a, block());
+        assert_eq!(cache.insert(c, block()), 1, "C forces one eviction");
+        assert!(cache.get(&b).is_none(), "B is now the oldest insertion");
+        assert!(cache.get(&a).is_some() && cache.get(&c).is_some());
+    }
+
+    #[test]
+    fn decoded_cache_queue_stays_bounded_under_write_read_cycles() {
+        let key = (0, 0, 7);
+        let mut cache = DecodedCache::new(1 << 20);
+        cache.insert(key, Some(Arc::new(vec![1u8; 64])));
+        for _ in 0..1000 {
+            cache.remove(&key);
+            cache.insert(key, Some(Arc::new(vec![1u8; 64])));
+        }
+        assert!(cache.queue.len() <= 2 * cache.entries.len() + 1, "{}", cache.queue.len());
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub mod volume;
 
 pub use dataset::{CodecThroughput, IdxDataset, QueryStats, WriteStats};
 pub use layout::{blocks_touched, Layout};
-pub use meta::{Field, IdxMeta, IDX_VERSION};
-pub use session::{
-    CancelToken, QuerySession, RefineOutcome, RefineRun, SessionFrame, SessionStats,
-};
+pub use meta::{Field, IdxMeta};
+pub use session::{CancelToken, QuerySession, SessionFrame, SessionStats};
 pub use volume::IdxVolume;

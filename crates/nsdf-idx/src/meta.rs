@@ -10,7 +10,7 @@ use nsdf_hz::BitMask;
 use nsdf_util::{DType, GeoTransform, Meta, NsdfError, Result};
 
 /// Current header format version.
-pub const IDX_VERSION: u32 = 1;
+pub(crate) const IDX_VERSION: u32 = 1;
 
 /// One named field (variable) of the dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -108,7 +108,7 @@ impl CancelToken {
     }
 
     /// Whether the token is cancelled as of virtual time `now_vns`.
-    pub fn is_cancelled_at(&self, now_vns: u64) -> bool {
+    pub(crate) fn is_cancelled_at(&self, now_vns: u64) -> bool {
         self.inner.flag.load(Ordering::SeqCst)
             || now_vns >= self.inner.deadline_vns.load(Ordering::SeqCst)
     }
@@ -194,7 +194,7 @@ pub struct SessionFrame<T: Sample> {
 
 /// Outcome of one [`QuerySession::refine_step`].
 #[derive(Debug)]
-pub enum RefineOutcome<T: Sample> {
+pub(crate) enum RefineOutcome<T: Sample> {
     /// The next level completed.
     Frame(SessionFrame<T>),
     /// The step was abandoned mid-fetch; the frame holds the partial state
@@ -698,7 +698,7 @@ impl<T: Sample> QuerySession<T> {
     /// Levels whose grid has no samples inside the viewport are skipped. A
     /// cancelled step leaves the cursor in place so the same level is
     /// retried after [`QuerySession::reset_cancel`] (or a view change).
-    pub fn refine_step(&mut self) -> Result<RefineOutcome<T>> {
+    pub(crate) fn refine_step(&mut self) -> Result<RefineOutcome<T>> {
         while self.next_level <= self.target_level {
             let view = self.view_box(self.region, self.next_level)?;
             if self.ds.curve().level_grid(self.next_level, view)?.is_none() {

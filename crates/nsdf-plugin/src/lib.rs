@@ -11,7 +11,5 @@
 pub mod probe;
 pub mod testbed;
 
-pub use probe::{
-    run_campaign, select_entry_point, select_entry_point_oracle, PairMeasurement, ProbeMatrix,
-};
-pub use testbed::{Site, Testbed};
+pub use probe::{run_campaign, select_entry_point, select_entry_point_oracle};
+pub use testbed::Testbed;

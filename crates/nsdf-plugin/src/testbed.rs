@@ -87,7 +87,7 @@ impl Testbed {
     }
 
     /// Great-circle distance between two sites (km).
-    pub fn distance_km(&self, a: &str, b: &str) -> Result<f64> {
+    pub(crate) fn distance_km(&self, a: &str, b: &str) -> Result<f64> {
         Ok(haversine_km(self.site(a)?.loc, self.site(b)?.loc))
     }
 
@@ -102,7 +102,7 @@ impl Testbed {
 
     /// Modelled sustainable bandwidth between two sites (Gbit/s): the
     /// slower endpoint's uplink, derated for wide-area sharing.
-    pub fn bandwidth_gbps(&self, a: &str, b: &str) -> Result<f64> {
+    pub(crate) fn bandwidth_gbps(&self, a: &str, b: &str) -> Result<f64> {
         let sa = self.site(a)?;
         let sb = self.site(b)?;
         if a == b {
@@ -121,13 +121,6 @@ impl Testbed {
             jitter: 0.10,
             streams: 4,
         })
-    }
-
-    /// Predicted seconds to move `bytes` from `a` to `b` (single stream
-    /// aggregate, RTT-inclusive).
-    pub fn predicted_transfer_secs(&self, a: &str, b: &str, bytes: u64) -> Result<f64> {
-        let p = self.link_profile(a, b)?;
-        Ok(p.rtt_ms / 1000.0 + p.transfer_secs(bytes))
     }
 }
 
@@ -179,14 +172,6 @@ mod tests {
         assert!(p.rtt_ms > 0.0);
         assert!(p.bandwidth_mbps > 0.0);
         assert_eq!(p.name, "utk->utah");
-    }
-
-    #[test]
-    fn prediction_combines_rtt_and_bandwidth() {
-        let tb = Testbed::nsdf_default();
-        let small = tb.predicted_transfer_secs("utk", "utah", 1_000).unwrap();
-        let large = tb.predicted_transfer_secs("utk", "utah", 10_000_000_000).unwrap();
-        assert!(large > small * 10.0);
     }
 
     #[test]

@@ -329,19 +329,6 @@ impl KnnRegressor {
         all.sort_unstable_by(rank);
         weighted_mean(all.iter().map(|&(d2, i)| (d2, self.targets[i])))
     }
-
-    /// Mean prediction error over a labelled evaluation set.
-    pub fn rmse_on(&self, eval: &[(Vec<f64>, f64)], k: usize) -> Result<f64> {
-        if eval.is_empty() {
-            return Err(NsdfError::invalid("empty evaluation set"));
-        }
-        let mut ss = 0.0;
-        for (f, t) in eval {
-            let p = self.predict(f, k)?;
-            ss += (p - t) * (p - t);
-        }
-        Ok((ss / eval.len() as f64).sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -405,14 +392,14 @@ mod tests {
         let m = KnnRegressor::fit(&[(vec![0.0], 1.0)]).unwrap();
         assert!(m.predict(&[0.0, 0.0], 1).is_err());
         assert!(m.predict(&[0.0], 0).is_err());
-        assert!(m.rmse_on(&[], 1).is_err());
     }
 
     #[test]
     fn rmse_zero_on_training_data_k1() {
         let pts = grid_points(|x, y| x - y);
         let m = KnnRegressor::fit(&pts).unwrap();
-        assert_eq!(m.rmse_on(&pts, 1).unwrap(), 0.0);
+        let ss: f64 = pts.iter().map(|(f, t)| (m.predict(f, 1).unwrap() - t).powi(2)).sum();
+        assert_eq!((ss / pts.len() as f64).sqrt(), 0.0);
     }
 
     #[test]

@@ -15,6 +15,6 @@ pub mod tile;
 pub mod validate;
 
 pub use knn::KnnRegressor;
-pub use moisture::{downscale_knn, DownscaleReport, SyntheticTruth};
-pub use tile::{downscale_tile, tile_truth, TileMoisture, TileMoistureParams};
-pub use validate::{select_k, CvReport};
+pub use moisture::{downscale_knn, SyntheticTruth};
+pub use tile::{downscale_tile, TileMoistureParams};
+pub use validate::select_k;

@@ -68,7 +68,7 @@ fn check_shapes(elev: &Raster<f32>, slope: &Raster<f32>, aspect: &Raster<f32>) -
 /// without the stochastic noise term. Pointwise means the value at a
 /// cell depends only on that cell's terrain — windowing commutes with
 /// evaluation, which the tile tests pin down.
-pub fn tile_truth(
+pub(crate) fn tile_truth(
     elev: &Raster<f32>,
     slope: &Raster<f32>,
     aspect: &Raster<f32>,

@@ -3,10 +3,10 @@
 //!
 //! Remote community storage — the public Dataverse commons, the private
 //! Seal cloud — fails in structured ways: whole-endpoint outages, latency
-//! spikes, slow reads under congestion, transient per-request errors, and
-//! the occasional corrupted payload. [`FaultPlan`] scripts all of these
-//! against the shared virtual [`SimClock`] timeline, and [`FaultStore`]
-//! executes the plan over any inner [`ObjectStore`].
+//! spikes, transient per-request errors, and the occasional corrupted
+//! payload. [`FaultPlan`] scripts all of these against the shared virtual
+//! [`SimClock`] timeline, and [`FaultStore`] executes the plan over any
+//! inner [`ObjectStore`].
 //!
 //! Two determinism rules make chaos runs byte-for-byte reproducible:
 //!
@@ -35,7 +35,7 @@ const SALT_SITE: u64 = 0xB17E_B17E_B17E_0003;
 
 /// One scripted disturbance over a virtual-time window.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultWindow {
+pub(crate) struct FaultWindow {
     /// Window start, virtual seconds (inclusive).
     pub start_secs: f64,
     /// Window end, virtual seconds (exclusive).
@@ -53,7 +53,7 @@ impl FaultWindow {
 
 /// The disturbance a [`FaultWindow`] applies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Total endpoint outage: every in-scope operation fails.
     Outage,
     /// Each in-scope operation (or batch) charges `extra_secs` of extra
@@ -61,12 +61,6 @@ pub enum FaultKind {
     LatencySpike {
         /// Extra virtual seconds charged per operation/batch.
         extra_secs: f64,
-    },
-    /// Reads take `factor` times their normal virtual duration (congestion
-    /// on the return path). Applies to the whole operation or batch.
-    SlowReads {
-        /// Multiplier on the inner operation's virtual cost (>= 1).
-        factor: f64,
     },
     /// Elevated per-key transient failure probability inside the window.
     ErrorBurst {
@@ -85,7 +79,6 @@ pub enum FaultKind {
 ///     .with_corrupt_rate(0.01)    // 1 % of payloads arrive damaged
 ///     .outage(10.0, 12.5)         // endpoint dark for 2.5 virtual secs
 ///     .latency_spike(20.0, 25.0, 0.25)
-///     .slow_reads(30.0, 40.0, 3.0)
 ///     .error_burst(50.0, 55.0, 0.5);
 /// assert!(plan.validate().is_ok());
 /// ```
@@ -103,7 +96,7 @@ pub struct FaultPlan {
     /// verification in the integrity layer.
     pub corrupt_rate: f64,
     /// Scripted windows, applied on the virtual clock.
-    pub windows: Vec<FaultWindow>,
+    pub(crate) windows: Vec<FaultWindow>,
 }
 
 impl FaultPlan {
@@ -152,16 +145,6 @@ impl FaultPlan {
         self
     }
 
-    /// Script a slow-read window: reads cost `factor`× their virtual time.
-    pub fn slow_reads(mut self, start_secs: f64, end_secs: f64, factor: f64) -> Self {
-        self.windows.push(FaultWindow {
-            start_secs,
-            end_secs,
-            kind: FaultKind::SlowReads { factor },
-        });
-        self
-    }
-
     /// Script an error burst: failure rate `rate` inside the window.
     pub fn error_burst(mut self, start_secs: f64, end_secs: f64, rate: f64) -> Self {
         self.windows.push(FaultWindow {
@@ -195,9 +178,6 @@ impl FaultPlan {
                 FaultKind::LatencySpike { extra_secs } if extra_secs < 0.0 => {
                     return Err(NsdfError::invalid("latency spike must be non-negative"));
                 }
-                FaultKind::SlowReads { factor } if factor < 1.0 => {
-                    return Err(NsdfError::invalid("slow-read factor must be >= 1"));
-                }
                 _ => {}
             }
         }
@@ -206,7 +186,7 @@ impl FaultPlan {
 
     /// The failure rate in force at virtual time `now` (background rate,
     /// raised by any active error burst).
-    pub fn rate_at(&self, now_secs: f64) -> f64 {
+    pub(crate) fn rate_at(&self, now_secs: f64) -> f64 {
         let mut rate = self.fault_rate;
         for w in &self.windows {
             if let FaultKind::ErrorBurst { rate: r } = w.kind {
@@ -219,12 +199,12 @@ impl FaultPlan {
     }
 
     /// True when an outage window covers virtual time `now`.
-    pub fn in_outage(&self, now_secs: f64) -> bool {
+    pub(crate) fn in_outage(&self, now_secs: f64) -> bool {
         self.windows.iter().any(|w| matches!(w.kind, FaultKind::Outage) && w.contains(now_secs))
     }
 
     /// Sum of active latency-spike charges at virtual time `now`.
-    pub fn spike_at(&self, now_secs: f64) -> f64 {
+    pub(crate) fn spike_at(&self, now_secs: f64) -> f64 {
         self.windows
             .iter()
             .filter(|w| w.contains(now_secs))
@@ -234,18 +214,6 @@ impl FaultPlan {
             })
             .sum()
     }
-
-    /// Combined slow-read factor at virtual time `now` (1.0 = no slowdown).
-    pub fn slow_factor_at(&self, now_secs: f64) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.contains(now_secs))
-            .filter_map(|w| match w.kind {
-                FaultKind::SlowReads { factor } => Some(factor),
-                _ => None,
-            })
-            .fold(1.0, f64::max)
-    }
 }
 
 /// Registry handles for one `FaultStore`, under the `fault` scope.
@@ -254,7 +222,6 @@ struct FaultMetrics {
     outage_failures: Counter,
     corrupted: Counter,
     delay_vns: Counter,
-    slow_vns: Counter,
 }
 
 impl FaultMetrics {
@@ -265,7 +232,6 @@ impl FaultMetrics {
             outage_failures: obs.counter("outage_failures"),
             corrupted: obs.counter("corrupted"),
             delay_vns: obs.counter("delay_vns"),
-            slow_vns: obs.counter("slow_vns"),
         }
     }
 }
@@ -318,13 +284,9 @@ impl FaultStore {
         self.m.injected.get() + self.m.outage_failures.get()
     }
 
-    /// Payloads corrupted so far.
-    pub fn corrupted_payloads(&self) -> u64 {
-        self.m.corrupted.get()
-    }
-
     /// Attempts consumed for `key` so far (draw-stream position).
-    pub fn attempts_for(&self, key: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn attempts_for(&self, key: &str) -> u64 {
         self.attempts.lock().get(key).copied().unwrap_or(0)
     }
 
@@ -359,21 +321,6 @@ impl FaultStore {
         if extra > 0.0 {
             self.clock.advance_secs(extra);
             self.m.delay_vns.add(secs_to_ns(extra));
-        }
-    }
-
-    /// Charge the slow-read surcharge: `(factor - 1) ×` the virtual cost
-    /// the inner operation accrued. The factor is sampled at entry time so
-    /// the decision is deterministic even when the op itself moves the
-    /// clock past the window edge.
-    fn charge_slowdown(&self, factor: f64, entry_ns: u64) {
-        if factor > 1.0 {
-            let inner_ns = self.clock.now_ns().saturating_sub(entry_ns);
-            let extra_ns = ((factor - 1.0) * inner_ns as f64).round() as u64;
-            if extra_ns > 0 {
-                self.clock.advance_ns(extra_ns);
-                self.m.slow_vns.add(extra_ns);
-            }
         }
     }
 
@@ -430,8 +377,7 @@ impl FaultStore {
     /// jitter draw — and admits each key in input order, consuming the same
     /// pure `(seed, key, attempt)` draws as N single calls, so batch
     /// composition never shifts the sequence. The admitted items go to
-    /// `send` as one inner call with their attempts, and a payload read is
-    /// slowed by the factor in force at entry.
+    /// `send` as one inner call with their attempts.
     fn episode<I: Keyed, T>(
         &self,
         side: Side,
@@ -454,7 +400,6 @@ impl FaultStore {
         }
         self.charge_spike(now);
         let rate = self.plan.rate_at(now);
-        let factor = if side == Side::Fetch { self.plan.slow_factor_at(now) } else { 1.0 };
         let mut out: Vec<Option<Result<T>>> = items.iter().map(|_| None).collect();
         let (mut pass_idx, mut pass, mut attempts) = (Vec::new(), Vec::new(), Vec::new());
         for (i, it) in items.iter().enumerate() {
@@ -468,11 +413,7 @@ impl FaultStore {
             }
         }
         if !pass.is_empty() {
-            // The surcharge scales what the inner call charged, so a
-            // failure that cost the endpoint nothing adds nothing.
-            let entry_ns = self.clock.now_ns();
             let results = send(&pass, Some(&attempts));
-            self.charge_slowdown(factor, entry_ns);
             for (i, r) in pass_idx.into_iter().zip(results) {
                 out[i] = Some(r);
             }
@@ -488,7 +429,7 @@ impl FaultStore {
         what: &str,
         send: impl FnOnce(&[&str]) -> Vec<Result<Vec<u8>>>,
     ) -> Vec<Result<Vec<u8>>> {
-        self.episode(Side::Fetch, keys, what, |pass, attempts| {
+        self.episode(Side::Read, keys, what, |pass, attempts| {
             let mut results = send(pass);
             // Out of scope there are no attempts, so nothing is corrupted.
             for ((key, &attempt), r) in pass.iter().zip(attempts.unwrap_or(&[])).zip(&mut results) {
@@ -531,13 +472,11 @@ impl FaultStore {
 }
 
 /// Which way an episode moves data: reads and writes fall under
-/// different [`FailScope`]s, and only payload reads are slowed.
+/// different [`FailScope`]s.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Side {
-    /// A metadata read (`head`, `list`).
+    /// A read (`get`, `get_range`, `head`, `list` and their batches).
     Read,
-    /// A payload read (`get`, `get_range`, `get_many`).
-    Fetch,
     /// A write or delete.
     Write,
 }
@@ -637,7 +576,7 @@ mod tests {
             s.get(k).unwrap();
         }
         assert_eq!(s.injected_failures(), 0);
-        assert_eq!(s.corrupted_payloads(), 0);
+        assert_eq!(s.m.corrupted.get(), 0);
     }
 
     #[test]
@@ -708,7 +647,7 @@ mod tests {
             let items: Vec<(&str, &[u8])> =
                 keys.iter().map(|k| (k.as_str(), b"clean-payload" as &[u8])).collect();
             let metas = s.put_many(&items);
-            (keys, metas, s.corrupted_payloads())
+            (keys, metas, s.m.corrupted.get())
         };
         let (keys, metas, corrupted) = run(&mem);
         assert!(corrupted > 5, "rate 0.4 over 40 writes corrupts something");
@@ -764,31 +703,6 @@ mod tests {
         let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
         s.get_many(&refs); // one charge per batch
         assert_eq!(clock.now_ns(), 500_000_000);
-    }
-
-    #[test]
-    fn slow_reads_multiply_inner_cost() {
-        use crate::wan::{CloudStore, NetworkProfile};
-        let (mem, keys) = seeded_store(1);
-        let clock = SimClock::new();
-        let wan = Arc::new(CloudStore::new(mem.clone(), NetworkProfile::local(), clock.clone(), 3));
-        let plain_cost = {
-            wan.get(&keys[0]).unwrap();
-            clock.now_ns()
-        };
-        let clock2 = SimClock::new();
-        let wan2 = Arc::new(CloudStore::new(mem, NetworkProfile::local(), clock2.clone(), 3));
-        let s = fault(
-            Arc::new(MemoryStore::new()), // placeholder, replaced below
-            FaultPlan::new(7),
-            clock2.clone(),
-        );
-        drop(s);
-        let s = FaultStore::new(wan2, FaultPlan::new(7).slow_reads(0.0, 10.0, 3.0), clock2.clone())
-            .unwrap();
-        s.get(&keys[0]).unwrap();
-        // 3x the WAN cost: the surcharge is exactly 2x the inner charge.
-        assert_eq!(clock2.now_ns(), plain_cost * 3);
     }
 
     #[test]
@@ -867,7 +781,6 @@ mod tests {
             FaultPlan::new(1).with_corrupt_rate(-0.1),
             FaultPlan::new(1).outage(5.0, 5.0),
             FaultPlan::new(1).error_burst(0.0, 1.0, 2.0),
-            FaultPlan::new(1).slow_reads(0.0, 1.0, 0.5),
             FaultPlan::new(1).latency_spike(0.0, 1.0, -0.5),
         ] {
             assert!(FaultStore::new(mem.clone(), plan, SimClock::new()).is_err());

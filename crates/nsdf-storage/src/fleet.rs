@@ -120,7 +120,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarize a set of end-to-end latencies (order irrelevant).
-    pub fn from_latencies(mut vns: Vec<u64>) -> LatencySummary {
+    pub(crate) fn from_latencies(mut vns: Vec<u64>) -> LatencySummary {
         if vns.is_empty() {
             return LatencySummary::default();
         }

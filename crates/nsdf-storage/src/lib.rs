@@ -10,8 +10,8 @@
 //! * [`local`] — filesystem backend;
 //! * [`wan`] — [`wan::CloudStore`] WAN wrapper with [`wan::NetworkProfile`]s;
 //! * [`fault`] — scripted, seeded chaos: [`fault::FaultPlan`] windows
-//!   (outages, latency spikes, slow reads, error bursts, corruption)
-//!   executed by [`fault::FaultStore`] on the virtual clock;
+//!   (outages, latency spikes, error bursts, corruption) executed by
+//!   [`fault::FaultStore`] on the virtual clock;
 //! * [`reliability`] — the resilience stack: failure injection, retries
 //!   with hedged backup waves, a per-endpoint circuit breaker, and
 //!   checksum verification;
@@ -41,20 +41,18 @@ pub mod testkit;
 pub mod tiercache;
 pub mod wan;
 
-pub use fault::{FaultKind, FaultPlan, FaultStore, FaultWindow};
-pub use fleet::{FleetReport, FleetSim, FleetSpec, LatencySummary};
+pub use fault::{FaultPlan, FaultStore};
+pub use fleet::{FleetSim, FleetSpec, LatencySummary};
 pub use local::LocalStore;
 pub use memory::MemoryStore;
 pub use reliability::{
-    BreakerPolicy, BreakerState, BreakerStore, EndpointPolicy, FailScope, HedgePolicy,
-    IntegrityStore, RetryPolicy, RetryStore,
+    BreakerPolicy, BreakerStore, EndpointPolicy, FailScope, HedgePolicy, IntegrityStore,
+    RetryPolicy, RetryStore,
 };
 pub use sched::{
     Priority, SchedConfig, SchedStore, Scheduler, TenantId, TenantPolicy, TokenBucket,
 };
 pub use store::{validate_key, ObjectMeta, ObjectStore};
 pub use testkit::{CrashPoint, CrashSpec, CrashStore, GateStore};
-pub use tiercache::{
-    hash_to_path, AdmissionDecision, CacheStats, FrequencySketch, TierCache, TierStats,
-};
-pub use wan::{CloudStore, NetworkProfile, TransferLog};
+pub use tiercache::{hash_to_path, TierCache};
+pub use wan::{CloudStore, NetworkProfile};

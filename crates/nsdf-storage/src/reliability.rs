@@ -300,10 +300,10 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// Circuit-breaker state, visible through [`BreakerStore::state`] and the
-/// `breaker.state` gauge (0 = closed, 1 = open, 2 = half-open).
+/// Circuit-breaker state, visible through the `breaker.state` gauge
+/// (0 = closed, 1 = open, 2 = half-open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Requests flow; consecutive transient failures are counted.
     Closed,
     /// Requests fail fast without touching the endpoint.
@@ -396,12 +396,6 @@ impl BreakerStore {
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.m = BreakerMetrics::new(obs);
         self
-    }
-
-    /// The breaker's current state (open may lazily report half-open once
-    /// the cooldown has elapsed and a request arrives).
-    pub fn state(&self) -> BreakerState {
-        self.core.lock().state
     }
 
     /// Requests fast-failed while open.
@@ -1047,11 +1041,11 @@ mod tests {
             BreakerStore::new(dead.clone(), policy, clock.clone()).unwrap().with_obs(&obs);
         breaker.put("k", b"v").unwrap(); // writes pass (scope Reads)
 
-        assert_eq!(breaker.state(), BreakerState::Closed);
+        assert_eq!(breaker.core.lock().state, BreakerState::Closed);
         for _ in 0..3 {
             assert!(breaker.get("k").is_err());
         }
-        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.core.lock().state, BreakerState::Open);
         let injected_when_open = dead.injected_failures();
 
         // Open: fast-fail without touching the inner store.
@@ -1066,7 +1060,7 @@ mod tests {
         clock.advance_secs(0.6);
         assert!(breaker.get("k").is_err());
         assert!(dead.injected_failures() > injected_when_open, "half-open probes the endpoint");
-        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.core.lock().state, BreakerState::Open);
 
         let snap = obs.snapshot();
         assert_eq!(snap.counter("breaker.opened"), 2, "tripped once, re-opened once");
@@ -1095,12 +1089,12 @@ mod tests {
 
         assert!(breaker.get("k").is_err());
         assert!(breaker.get("k").is_err());
-        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.core.lock().state, BreakerState::Open);
         clock.advance_secs(1.1); // past cooldown AND past the burst window
         assert!(breaker.get("k").is_ok(), "first probe succeeds");
-        assert_eq!(breaker.state(), BreakerState::HalfOpen);
+        assert_eq!(breaker.core.lock().state, BreakerState::HalfOpen);
         assert!(breaker.get("k").is_ok(), "second probe closes");
-        assert_eq!(breaker.state(), BreakerState::Closed);
+        assert_eq!(breaker.core.lock().state, BreakerState::Closed);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("breaker.opened"), 1);
         assert_eq!(snap.counter("breaker.closed"), 1);
@@ -1119,7 +1113,7 @@ mod tests {
         .unwrap();
         let r = breaker.get_many(&["a", "b", "c"]);
         assert!(r.iter().all(|x| x.is_err()), "dead endpoint fails the batch and trips");
-        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.core.lock().state, BreakerState::Open);
         let r = breaker.get_many(&["a", "b", "c"]);
         assert!(r.iter().all(|x| x.is_err()));
         assert_eq!(breaker.fast_failures(), 3, "every key of the shed batch is counted");
@@ -1136,7 +1130,7 @@ mod tests {
         for _ in 0..5 {
             assert!(breaker.get("missing").unwrap_err().is_not_found());
         }
-        assert_eq!(breaker.state(), BreakerState::Closed);
+        assert_eq!(breaker.core.lock().state, BreakerState::Closed);
     }
 
     #[test]
@@ -1317,7 +1311,7 @@ mod tests {
         .unwrap();
         let items: Vec<(&str, &[u8])> = vec![("a", b"1"), ("b", b"2"), ("c", b"3")];
         assert!(breaker.put_many(&items).iter().all(|r| r.is_err()));
-        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.core.lock().state, BreakerState::Open);
         let injected = dead.injected_failures();
         assert!(breaker.put_many(&items).iter().all(|r| r.is_err()));
         assert_eq!(dead.injected_failures(), injected, "open breaker shields inner");

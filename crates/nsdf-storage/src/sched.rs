@@ -115,13 +115,13 @@ impl TenantPolicy {
     }
 
     /// True when the bucket never gates.
-    pub fn is_unthrottled(&self) -> bool {
+    pub(crate) fn is_unthrottled(&self) -> bool {
         self.rate_bytes_per_sec == 0
     }
 
     /// The charge a request of `bytes` pays against this share: clamped to
     /// the burst so oversized requests stay schedulable.
-    pub fn charge_bytes(&self, bytes: u64) -> u64 {
+    pub(crate) fn charge_bytes(&self, bytes: u64) -> u64 {
         if self.is_unthrottled() {
             0
         } else {
@@ -326,7 +326,7 @@ impl Completion {
     }
 
     /// Service time: the virtual time the operation itself consumed.
-    pub fn service_vns(&self) -> u64 {
+    pub(crate) fn service_vns(&self) -> u64 {
         self.end_vns.saturating_sub(self.start_vns)
     }
 
@@ -338,7 +338,7 @@ impl Completion {
 
 /// Result of a blocking [`Scheduler::submit_and_wait`].
 #[derive(Debug)]
-pub enum Served {
+pub(crate) enum Served {
     /// Per-key results of a granted `Get`.
     Get(Vec<Result<Vec<u8>>>),
     /// Per-key results of a granted `Put`.
@@ -600,7 +600,7 @@ impl Scheduler {
     /// is granted first — the caller experiences admission queueing as
     /// virtual time. Sheddable requests under pressure return
     /// [`Served::Shed`] immediately.
-    pub fn submit_and_wait(&self, req: SchedRequest) -> Served {
+    pub(crate) fn submit_and_wait(&self, req: SchedRequest) -> Served {
         let id = {
             let now = self.clock.now_ns();
             let mut st = self.state.lock();
@@ -626,45 +626,42 @@ impl Scheduler {
         }
     }
 
-    fn admit(&self, st: &mut State, req: SchedRequest, arrival_vns: u64, waited: bool) -> u64 {
+    /// The one way a request enters the scheduler: it gets the next id and
+    /// — unless it carries a scripted `seq` — the next submission sequence,
+    /// and counts as submitted.
+    fn pending(
+        &self,
+        st: &mut State,
+        req: SchedRequest,
+        arrival_vns: u64,
+        seq: Option<u64>,
+        waited: bool,
+    ) -> Pending {
         st.ensure_tenant(req.tenant);
         let id = st.next_id;
         st.next_id += 1;
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        self.m.submitted.inc();
-        st.push(Pending {
-            id,
-            seq,
-            tenant: req.tenant,
-            class: req.class,
-            op: req.op,
-            est_bytes: req.est_bytes,
-            arrival_vns,
-            waited,
+        let seq = seq.unwrap_or_else(|| {
+            let next = st.next_seq;
+            st.next_seq += 1;
+            next
         });
+        self.m.submitted.inc();
+        let SchedRequest { tenant, class, op, est_bytes } = req;
+        Pending { id, seq, tenant, class, op, est_bytes, arrival_vns, waited }
+    }
+
+    fn admit(&self, st: &mut State, req: SchedRequest, arrival_vns: u64, waited: bool) -> u64 {
+        let p = self.pending(st, req, arrival_vns, None, waited);
+        let id = p.id;
+        st.push(p);
         id
     }
 
     fn shed_into_deferred(&self, st: &mut State, req: SchedRequest, arrival_vns: u64) {
-        st.ensure_tenant(req.tenant);
-        let id = st.next_id;
-        st.next_id += 1;
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        self.m.submitted.inc();
+        let p = self.pending(st, req, arrival_vns, None, false);
         self.m.shed.inc();
-        st.ensure_tenant(req.tenant).stats.shed += 1;
-        st.deferred.push_back(Pending {
-            id,
-            seq,
-            tenant: req.tenant,
-            class: req.class,
-            op: req.op,
-            est_bytes: req.est_bytes,
-            arrival_vns,
-            waited: false,
-        });
+        st.ensure_tenant(p.tenant).stats.shed += 1;
+        st.deferred.push_back(p);
     }
 
     /// Advance the scheduler by one decision: drain due arrivals, apply
@@ -712,22 +709,8 @@ impl Scheduler {
                 break;
             }
             let Reverse(a) = st.arrivals.pop().expect("peeked arrival");
-            let seq = a.seq;
-            let at = a.at_vns;
-            st.ensure_tenant(a.req.tenant);
-            let id = st.next_id;
-            st.next_id += 1;
-            self.m.submitted.inc();
-            st.push(Pending {
-                id,
-                seq,
-                tenant: a.req.tenant,
-                class: a.req.class,
-                op: a.req.op,
-                est_bytes: a.req.est_bytes,
-                arrival_vns: at,
-                waited: false,
-            });
+            let p = self.pending(st, a.req, a.at_vns, Some(a.seq), false);
+            st.push(p);
         }
     }
 
@@ -1069,7 +1052,7 @@ pub fn tag_class(class: Priority) -> TagGuard {
 }
 
 /// The ambient `(tenant, class)` tag of the calling thread.
-pub fn ambient_tag() -> (Option<TenantId>, Option<Priority>) {
+pub(crate) fn ambient_tag() -> (Option<TenantId>, Option<Priority>) {
     AMBIENT.with(|c| c.get())
 }
 

@@ -158,7 +158,7 @@ pub fn validate_key(key: &str) -> Result<()> {
 }
 
 /// Shared ranged-read slicing with bounds checking.
-pub fn slice_range(data: &[u8], offset: u64, len: u64, key: &str) -> Result<Vec<u8>> {
+pub(crate) fn slice_range(data: &[u8], offset: u64, len: u64, key: &str) -> Result<Vec<u8>> {
     let end = offset.checked_add(len).ok_or_else(|| NsdfError::invalid("range overflow"))?;
     if end > data.len() as u64 {
         return Err(NsdfError::invalid(format!(

@@ -138,7 +138,7 @@ const ROW_SEEDS: [u64; SKETCH_DEPTH] =
 /// wonders, aged by periodic halving. Deterministic: indices derive
 /// from fnv1a64/splitmix64 of the key only.
 #[derive(Debug)]
-pub struct FrequencySketch {
+pub(crate) struct FrequencySketch {
     rows: Vec<Vec<u8>>,
     doorkeeper: Vec<u64>,
     samples: u64,
@@ -221,12 +221,12 @@ impl FrequencySketch {
     }
 }
 
-/// One admission ruling at RAM-eviction time, recorded when the
-/// decision log is enabled ([`TierCache::with_decision_log`]): either
-/// the candidate was admitted at the victim's expense, or the victim's
-/// higher sketch frequency kept the candidate out.
+/// One admission ruling at RAM-eviction time, logged in test builds:
+/// either the candidate was admitted at the victim's expense, or the
+/// victim's higher sketch frequency kept the candidate out.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionDecision {
+struct AdmissionDecision {
     /// Key asking to enter the RAM tier.
     pub candidate: String,
     /// Sketch frequency of the candidate at decision time.
@@ -508,7 +508,7 @@ pub struct TierCache {
     state: Mutex<TierState>,
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
     m: TierMetrics,
-    log_decisions: bool,
+    #[cfg(test)]
     decisions: Mutex<Vec<AdmissionDecision>>,
 }
 
@@ -528,7 +528,7 @@ impl TierCache {
             state: Mutex::new(TierState::default()),
             inflight: Mutex::new(HashMap::new()),
             m: TierMetrics::new(&Obs::default()),
-            log_decisions: false,
+            #[cfg(test)]
             decisions: Mutex::new(Vec::new()),
         }
     }
@@ -571,13 +571,6 @@ impl TierCache {
         let disk_resident = self.state.lock().disk.resident;
         self.m = TierMetrics::new(obs);
         self.m.disk_resident_bytes.set(disk_resident as f64);
-        self
-    }
-
-    /// Record every RAM-admission ruling for later inspection via
-    /// [`TierCache::take_decisions`] (test instrumentation).
-    pub fn with_decision_log(mut self) -> TierCache {
-        self.log_decisions = true;
         self
     }
 
@@ -626,9 +619,9 @@ impl TierCache {
         self.m.resident_bytes.set(0.0);
     }
 
-    /// Drain the admission decision log (empty unless
-    /// [`TierCache::with_decision_log`] was set).
-    pub fn take_decisions(&self) -> Vec<AdmissionDecision> {
+    /// Drain the admission decision log.
+    #[cfg(test)]
+    fn take_decisions(&self) -> Vec<AdmissionDecision> {
         std::mem::take(&mut *self.decisions.lock())
     }
 
@@ -663,15 +656,14 @@ impl TierCache {
             let Some(victim) = st.ram.victim() else { break };
             let victim_freq = st.sketch.estimate(&victim);
             let evict = victim_freq < candidate_freq;
-            if self.log_decisions {
-                self.decisions.lock().push(AdmissionDecision {
-                    candidate: key.to_string(),
-                    candidate_freq,
-                    victim: victim.clone(),
-                    victim_freq,
-                    admitted: evict,
-                });
-            }
+            #[cfg(test)]
+            self.decisions.lock().push(AdmissionDecision {
+                candidate: key.to_string(),
+                candidate_freq,
+                victim: victim.clone(),
+                victim_freq,
+                admitted: evict,
+            });
             if evict {
                 st.ram.remove(&victim);
                 self.m.evictions.inc();
@@ -1014,6 +1006,8 @@ mod tests {
     use crate::testkit::{CrashPoint, CrashSpec, CrashStore, GateStore};
     use crate::wan::{CloudStore, NetworkProfile};
     use nsdf_util::SimClock;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// A RAM-only cache over a fresh in-memory origin.
     fn ram_only(capacity: u64) -> (TierCache, Arc<MemoryStore>) {
@@ -1289,7 +1283,6 @@ mod tests {
     #[test]
     fn decision_log_never_admits_a_colder_candidate() {
         let (tc, mem) = tiered("decisions", 4 * 64, 1 << 20);
-        let tc = tc.with_decision_log();
         for i in 0..16 {
             mem.put(&format!("d/{i}"), &[1u8; 64]).unwrap();
         }
@@ -1712,5 +1705,51 @@ mod tests {
         assert_eq!(tc.stats().evictions_epoch, epoch_evictions + 3);
         assert_eq!(tc.tier_stats().disk_resident_bytes, 0);
         assert_reopen_converges(origin, disk, b"v1");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Scan resistance: under any interleaving of hot-set touches and
+        /// one-shot scan keys, the TinyLFU filter never evicts a resident
+        /// key whose sketch frequency meets or exceeds the candidate's —
+        /// checked against the logged ruling for every eviction decision —
+        /// and the sketch itself never underestimates in-window history.
+        #[test]
+        fn admission_never_evicts_a_hotter_victim_under_any_scan(
+            ops in proptest::collection::vec(0usize..24, 20..300),
+        ) {
+            let key = |i: usize| format!("pool/obj-{i:03}");
+            // A sketch driven alongside: estimates never undershoot history.
+            let mut shadow = FrequencySketch::new();
+            let mut counts: BTreeMap<usize, u64> = BTreeMap::new();
+
+            let wan = Arc::new(MemoryStore::new());
+            for i in 0..24 {
+                wan.put(&key(i), &[i as u8; 64]).unwrap();
+            }
+            // Room for ~4 of the 64-byte objects: every admission contends.
+            let tier = TierCache::new(wan as Arc<dyn ObjectStore>, 300);
+            for &i in &ops {
+                tier.get(&key(i)).unwrap();
+                shadow.record(&key(i));
+                *counts.entry(i).or_insert(0) += 1;
+            }
+            for d in tier.take_decisions() {
+                prop_assert_eq!(
+                    d.admitted,
+                    d.victim_freq < d.candidate_freq,
+                    "ruling must be exactly `victim colder than candidate`: {:?}", d
+                );
+            }
+            for (&i, &n) in &counts {
+                let floor = n.min(16) as u8;
+                prop_assert!(
+                    shadow.estimate(&key(i)) >= floor,
+                    "sketch underestimated key {} ({} recorded, estimate {})",
+                    i, n, shadow.estimate(&key(i))
+                );
+            }
+        }
     }
 }

@@ -83,7 +83,7 @@ impl NetworkProfile {
     }
 
     /// Seconds to move `bytes` over this path, excluding RTT and jitter.
-    pub fn transfer_secs(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_secs(&self, bytes: u64) -> f64 {
         let bits = bytes as f64 * 8.0;
         bits / (self.bandwidth_mbps * 1e6 * self.streams.max(1) as f64)
     }
@@ -205,11 +205,6 @@ impl CloudStore {
             bytes_up: self.m.bytes_up.get(),
             busy_secs: self.m.busy_vns.get() as f64 / 1e9,
         }
-    }
-
-    /// Reset accounting (e.g. between benchmark phases).
-    pub fn reset_log(&self) {
-        self.m.obs.reset();
     }
 
     /// Charge and count one episode of `ops` successful requests, each of
@@ -406,7 +401,7 @@ mod tests {
         assert_eq!(log.bytes_up, 1000);
         assert_eq!(log.bytes_down, 1100);
         assert!(log.busy_secs > 0.0);
-        c.reset_log();
+        c.obs().reset();
         assert_eq!(c.transfer_log(), TransferLog::default());
     }
 
@@ -458,7 +453,7 @@ mod tests {
     fn get_many_charges_only_successes() {
         let c = cloud(NetworkProfile::private_seal());
         c.put("present", b"data").unwrap();
-        c.reset_log();
+        c.obs().reset();
         let t0 = c.clock().now_ns();
         let results = c.get_many(&["missing-a", "present", "missing-b"]);
         assert!(results[0].as_ref().unwrap_err().is_not_found());
@@ -468,7 +463,7 @@ mod tests {
         assert_eq!(c.transfer_log().bytes_down, 4);
         assert!(c.clock().now_ns() > t0, "the one success must charge time");
 
-        c.reset_log();
+        c.obs().reset();
         let t1 = c.clock().now_ns();
         let all_missing = c.get_many(&["nope-1", "nope-2"]);
         assert!(all_missing.iter().all(|r| r.as_ref().unwrap_err().is_not_found()));
@@ -555,7 +550,7 @@ mod tests {
         }
         let seq_secs = sequential.clock().now_secs() - t0;
 
-        batched.reset_log();
+        batched.obs().reset();
         let t0 = batched.clock().now_secs();
         let results = batched.delete_many(&refs);
         let batch_secs = batched.clock().now_secs() - t0;
@@ -577,7 +572,7 @@ mod tests {
     fn delete_many_charges_only_successes() {
         let c = cloud(NetworkProfile::private_seal());
         c.put("present", b"data").unwrap();
-        c.reset_log();
+        c.obs().reset();
         let t0 = c.clock().now_ns();
         let results = c.delete_many(&["missing-a", "present", "missing-b"]);
         assert!(results[0].as_ref().unwrap_err().is_not_found());
@@ -586,7 +581,7 @@ mod tests {
         assert_eq!(c.transfer_log().write_ops, 1);
         assert!(c.clock().now_ns() > t0, "the one success must charge time");
 
-        c.reset_log();
+        c.obs().reset();
         let t1 = c.clock().now_ns();
         let all_missing = c.delete_many(&["present", "nope"]);
         assert!(all_missing.iter().all(|r| r.as_ref().unwrap_err().is_not_found()));
@@ -600,7 +595,7 @@ mod tests {
         let c = cloud(NetworkProfile::private_seal());
         c.put("a", b"xx").unwrap();
         c.put("b", b"yy").unwrap();
-        c.reset_log();
+        c.obs().reset();
         let before = c.clock().now_ns();
         c.delete_many(&["a", "b"]);
         let spans = c.obs().span_tree();
@@ -634,7 +629,7 @@ mod tests {
         let log = c.transfer_log();
         assert_eq!(log.write_ops, 1);
         assert_eq!(log.busy_secs, snap.counter("seal.wan.busy_vns") as f64 / 1e9);
-        c.reset_log();
+        c.obs().reset();
         assert_eq!(c.transfer_log(), TransferLog::default());
     }
 
@@ -667,7 +662,7 @@ mod tests {
     fn ranged_read_cheaper_than_full_get() {
         let c = cloud(NetworkProfile::public_dataverse());
         c.put("k", &vec![0u8; 64 << 20]).unwrap();
-        c.reset_log();
+        c.obs().reset();
         let t0 = c.clock().now_ns();
         c.get_range("k", 0, 4096).unwrap();
         let ranged = c.clock().now_ns() - t0;

@@ -8,39 +8,39 @@
 //! exactly the slice of TIFF the tutorial's GEOtiled rasters exercise.
 
 /// TIFF magic: byte order `II` (little endian) + 42.
-pub const LITTLE_ENDIAN_MAGIC: [u8; 4] = [b'I', b'I', 42, 0];
+pub(crate) const LITTLE_ENDIAN_MAGIC: [u8; 4] = [b'I', b'I', 42, 0];
 
 /// Tag numbers used by this implementation.
-pub mod tag {
+pub(crate) mod tag {
     /// Image width in pixels.
-    pub const IMAGE_WIDTH: u16 = 256;
+    pub(crate) const IMAGE_WIDTH: u16 = 256;
     /// Image height (length) in pixels.
-    pub const IMAGE_LENGTH: u16 = 257;
+    pub(crate) const IMAGE_LENGTH: u16 = 257;
     /// Bits per sample.
-    pub const BITS_PER_SAMPLE: u16 = 258;
+    pub(crate) const BITS_PER_SAMPLE: u16 = 258;
     /// Compression scheme (1 = none, 32773 = PackBits).
-    pub const COMPRESSION: u16 = 259;
+    pub(crate) const COMPRESSION: u16 = 259;
     /// Photometric interpretation (1 = BlackIsZero).
-    pub const PHOTOMETRIC: u16 = 262;
+    pub(crate) const PHOTOMETRIC: u16 = 262;
     /// Byte offset of each strip.
-    pub const STRIP_OFFSETS: u16 = 273;
+    pub(crate) const STRIP_OFFSETS: u16 = 273;
     /// Samples per pixel (always 1 here).
-    pub const SAMPLES_PER_PIXEL: u16 = 277;
+    pub(crate) const SAMPLES_PER_PIXEL: u16 = 277;
     /// Rows per strip.
-    pub const ROWS_PER_STRIP: u16 = 278;
+    pub(crate) const ROWS_PER_STRIP: u16 = 278;
     /// Compressed byte count of each strip.
-    pub const STRIP_BYTE_COUNTS: u16 = 279;
+    pub(crate) const STRIP_BYTE_COUNTS: u16 = 279;
     /// Sample format (1 = unsigned int, 3 = IEEE float).
-    pub const SAMPLE_FORMAT: u16 = 339;
+    pub(crate) const SAMPLE_FORMAT: u16 = 339;
     /// GeoTIFF: model pixel scale (3 doubles: sx, sy, sz).
-    pub const MODEL_PIXEL_SCALE: u16 = 33550;
+    pub(crate) const MODEL_PIXEL_SCALE: u16 = 33550;
     /// GeoTIFF: model tiepoint (6 doubles: i, j, k, x, y, z).
-    pub const MODEL_TIEPOINT: u16 = 33922;
+    pub(crate) const MODEL_TIEPOINT: u16 = 33922;
 }
 
 /// TIFF field types used by this implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldType {
+pub(crate) enum FieldType {
     /// 16-bit unsigned.
     Short,
     /// 32-bit unsigned.
@@ -69,7 +69,7 @@ impl FieldType {
     }
 
     /// Parse a numeric code (only the supported subset).
-    pub fn from_code(code: u16) -> Option<FieldType> {
+    pub(crate) fn from_code(code: u16) -> Option<FieldType> {
         match code {
             3 => Some(FieldType::Short),
             4 => Some(FieldType::Long),
@@ -98,7 +98,7 @@ impl TiffCompression {
     }
 
     /// Parse a TIFF tag value.
-    pub fn from_code(code: u32) -> Option<Self> {
+    pub(crate) fn from_code(code: u32) -> Option<Self> {
         match code {
             1 => Some(TiffCompression::None),
             32773 => Some(TiffCompression::PackBits),

@@ -14,5 +14,5 @@ pub mod reader;
 pub mod writer;
 
 pub use format::TiffCompression;
-pub use reader::{read_tiff, tiff_info, TiffInfo};
-pub use writer::{write_tiff, write_tiff_auto};
+pub use reader::{read_tiff, tiff_info};
+pub use writer::write_tiff;

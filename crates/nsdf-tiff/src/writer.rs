@@ -2,18 +2,10 @@
 
 use crate::format::{tag, FieldType, TiffCompression, LITTLE_ENDIAN_MAGIC};
 use nsdf_compress::rle::packbits_encode;
-use nsdf_compress::BlockStats;
 use nsdf_util::{DType, NsdfError, Raster, Result, Sample};
 
 /// Target uncompressed strip size; strips of ~64 KiB match common practice.
 const STRIP_TARGET_BYTES: usize = 64 * 1024;
-
-/// Rows sampled (evenly spaced) when `write_tiff_auto` probes the raster.
-const AUTO_SAMPLE_ROWS: usize = 16;
-
-/// Below this run density PackBits cannot win: literal runs cost one extra
-/// control byte per 128 bytes, so an image with almost no repeats only grows.
-const AUTO_MIN_RUN_DENSITY: f64 = 0.05;
 
 /// Serialize `raster` as a TIFF file.
 ///
@@ -128,36 +120,6 @@ pub fn write_tiff<T: Sample>(raster: &Raster<T>, compression: TiffCompression) -
     Ok(out)
 }
 
-/// Serialize `raster`, choosing between `None` and `PackBits` by sampling
-/// the pixel data the same way the IDX adaptive selector samples blocks
-/// (§ `nsdf_compress::AdaptiveCodec`): measure run density on a strided row
-/// sample, rule PackBits out when runs are rare, and otherwise trial-encode
-/// the sample to confirm it actually shrinks. TIFF records one compression
-/// per IFD, so the choice is per-file; the decision is returned alongside
-/// the bytes and also lands in the `COMPRESSION` tag as usual.
-pub fn write_tiff_auto<T: Sample>(raster: &Raster<T>) -> Result<(Vec<u8>, TiffCompression)> {
-    let (width, height) = raster.shape();
-    if width == 0 || height == 0 {
-        return Err(NsdfError::invalid("cannot write an empty TIFF"));
-    }
-    let step = height.div_ceil(AUTO_SAMPLE_ROWS).max(1);
-    let mut sample = Vec::with_capacity(width * T::DTYPE.size_bytes() * AUTO_SAMPLE_ROWS);
-    for y in (0..height).step_by(step) {
-        for &v in raster.row(y) {
-            v.write_le(&mut sample);
-        }
-    }
-    let stats = BlockStats::measure(&sample, T::DTYPE.size_bytes());
-    let compression = if stats.run_density < AUTO_MIN_RUN_DENSITY
-        || packbits_encode(&sample).len() >= sample.len()
-    {
-        TiffCompression::None
-    } else {
-        TiffCompression::PackBits
-    };
-    Ok((write_tiff(raster, compression)?, compression))
-}
-
 struct Entry {
     tag: u16,
     ftype: FieldType,
@@ -237,25 +199,6 @@ mod tests {
         let raw = write_tiff(&r, TiffCompression::None).unwrap();
         let packed = write_tiff(&r, TiffCompression::PackBits).unwrap();
         assert!(packed.len() < raw.len() / 10);
-    }
-
-    #[test]
-    fn auto_picks_packbits_on_runny_data_and_none_on_noise() {
-        let flat = Raster::<u8>::filled(256, 256, 9);
-        let (bytes, chosen) = write_tiff_auto(&flat).unwrap();
-        assert_eq!(chosen, TiffCompression::PackBits);
-        assert_eq!(bytes, write_tiff(&flat, TiffCompression::PackBits).unwrap());
-
-        // Deterministic pseudo-noise: no runs, PackBits can only add control
-        // bytes, so the sampler must keep the file uncompressed.
-        let mut state = 0x2545F491_4F6CDD1Du64;
-        let noisy = Raster::<u8>::from_fn(256, 256, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 56) as u8
-        });
-        let (bytes, chosen) = write_tiff_auto(&noisy).unwrap();
-        assert_eq!(chosen, TiffCompression::None);
-        assert_eq!(bytes, write_tiff(&noisy, TiffCompression::None).unwrap());
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! convention (origin + per-pixel step) used by GeoTIFF. `haversine_km` backs
 //! the NSDF-Plugin testbed model.
 
-use crate::error::{NsdfError, Result};
-
 /// Half-open axis-aligned 2-D integer box: `x0 <= x < x1`, `y0 <= y < y1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Box2i {
@@ -142,19 +140,6 @@ impl GeoTransform {
         GeoTransform { x0, y0, dx: pixel_size, dy: -pixel_size }
     }
 
-    /// World coordinates of the center of pixel `(col, row)`.
-    pub fn pixel_to_world(&self, col: f64, row: f64) -> (f64, f64) {
-        (self.x0 + (col + 0.5) * self.dx, self.y0 + (row + 0.5) * self.dy)
-    }
-
-    /// Fractional pixel coordinates of a world point.
-    pub fn world_to_pixel(&self, x: f64, y: f64) -> Result<(f64, f64)> {
-        if self.dx == 0.0 || self.dy == 0.0 {
-            return Err(NsdfError::invalid("degenerate geotransform"));
-        }
-        Ok(((x - self.x0) / self.dx - 0.5, (y - self.y0) / self.dy - 0.5))
-    }
-
     /// Transform for a window of this raster whose top-left pixel is
     /// `(col0, row0)` in the parent.
     pub fn for_window(&self, col0: i64, row0: i64) -> GeoTransform {
@@ -167,7 +152,7 @@ impl GeoTransform {
     }
 
     /// Transform for the same extent downsampled by integer `factor`.
-    pub fn downsampled(&self, factor: u32) -> GeoTransform {
+    pub(crate) fn downsampled(&self, factor: u32) -> GeoTransform {
         let f = factor.max(1) as f64;
         GeoTransform { x0: self.x0, y0: self.y0, dx: self.dx * f, dy: self.dy * f }
     }
@@ -255,15 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn geotransform_roundtrip() {
-        let gt = GeoTransform::north_up(-125.0, 50.0, 0.01);
-        let (x, y) = gt.pixel_to_world(10.0, 20.0);
-        let (c, r) = gt.world_to_pixel(x, y).unwrap();
-        assert!((c - 10.0).abs() < 1e-9);
-        assert!((r - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn geotransform_window_and_downsample() {
         let gt = GeoTransform::north_up(0.0, 0.0, 1.0);
         let w = gt.for_window(10, 5);
@@ -271,12 +247,6 @@ mod tests {
         let d = gt.downsampled(4);
         assert_eq!(d.dx, 4.0);
         assert_eq!(d.dy, -4.0);
-    }
-
-    #[test]
-    fn degenerate_geotransform_rejected() {
-        let gt = GeoTransform { x0: 0.0, y0: 0.0, dx: 0.0, dy: 1.0 };
-        assert!(gt.world_to_pixel(1.0, 1.0).is_err());
     }
 
     #[test]

@@ -422,20 +422,6 @@ impl Obs {
         roots.into_iter().map(|i| build(i, &records, &children)).collect()
     }
 
-    /// Total virtual seconds across all recorded spans whose full label
-    /// equals `label` (scoped through this handle).
-    pub fn total_span_vsecs(&self, label: &str) -> f64 {
-        let want = self.full_name(label);
-        let log = self.inner.spans.lock();
-        let total_ns: u64 = log
-            .records
-            .iter()
-            .filter(|r| r.label == want)
-            .map(|r| r.end_vns.saturating_sub(r.start_vns))
-            .sum();
-        total_ns as f64 / 1e9
-    }
-
     /// Human-readable ASCII rendering of the span forest, two-space
     /// indented, showing virtual and wall time per span.
     pub fn render_spans(&self) -> String {
@@ -470,21 +456,11 @@ impl Obs {
                 node.start_vns,
                 node.end_vns.saturating_sub(node.start_vns)
             ));
-            for (i, c) in node.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write(c, out);
-            }
+            push_json_list(out, &node.children, |out, c| write(c, out));
             out.push_str("]}");
         }
         let mut out = String::from("[");
-        for (i, root) in self.span_tree().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write(root, &mut out);
-        }
+        push_json_list(&mut out, &self.span_tree(), |out, root| write(root, out));
         out.push(']');
         out
     }
@@ -524,21 +500,6 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
-    /// Counters under the dot-separated `scope`, with the scope prefix
-    /// stripped: `counters_under("t042.wan")` yields `("read_ops", n)`
-    /// for counter `t042.wan.read_ops`. Matching respects dot boundaries
-    /// (`"wan"` does not match `wand.x`), so per-tenant scopes aggregate
-    /// cleanly in multi-tenant views.
-    pub fn counters_under<'a>(
-        &'a self,
-        scope: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters.iter().filter_map(move |(k, v)| {
-            let rest = k.strip_prefix(scope)?.strip_prefix('.')?;
-            Some((rest, *v))
-        })
-    }
-
     /// Sum of one counter `name` across every scope that ends with it:
     /// `sum_counter_across_scopes("retry.retries")` adds
     /// `t000.retry.retries`, `t001.retry.retries`, … — the fleet-wide
@@ -558,44 +519,25 @@ impl MetricsSnapshot {
     /// of identically-seeded runs serialize to identical bytes.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(k, &mut out);
+        push_json_list(&mut out, &self.counters, |out, (k, v)| {
+            push_json_string(k, out);
             out.push_str(&format!(":{v}"));
-        }
+        });
         out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(k, &mut out);
+        push_json_list(&mut out, &self.gauges, |out, (k, v)| {
+            push_json_string(k, out);
             out.push(':');
             out.push_str(&json_f64(*v));
-        }
+        });
         out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(k, &mut out);
+        push_json_list(&mut out, &self.histograms, |out, (k, h)| {
+            push_json_string(k, out);
             out.push_str(":{\"bounds\":[");
-            for (j, b) in h.bounds.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_f64(*b));
-            }
+            push_json_list(out, &h.bounds, |out, b| out.push_str(&json_f64(*b)));
             out.push_str("],\"counts\":[");
-            for (j, c) in h.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{c}"));
-            }
+            push_json_list(out, &h.counts, |out, c| out.push_str(&format!("{c}")));
             out.push_str(&format!("],\"sum\":{}}}", json_f64(h.sum)));
-        }
+        });
         out.push_str("}}");
         out
     }
@@ -610,6 +552,22 @@ fn json_f64(v: f64) -> String {
         s
     } else {
         "0".to_string()
+    }
+}
+
+/// Append `items` onto `out`, comma-separated, each written by `push`: the
+/// body of a JSON array or object (the caller writes the brackets), so the
+/// byte-stable emitters separate their lists alike.
+pub fn push_json_list<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut push: impl FnMut(&mut String, I::Item),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, item);
     }
 }
 
@@ -656,18 +614,6 @@ mod tests {
         assert_eq!(obs.snapshot().counter("seal.wan.bytes_down"), 10);
         // Root handle sees the same slot under the full name.
         assert_eq!(obs.counter("seal.wan.bytes_down").get(), 10);
-    }
-
-    #[test]
-    fn counters_under_respects_dot_boundaries() {
-        let obs = Obs::default();
-        obs.counter("t042.wan.read_ops").add(3);
-        obs.counter("t042.wan.bytes_down").add(100);
-        obs.counter("t0421.wan.read_ops").add(9); // different tenant, no match
-        obs.counter("t042.wandering").add(5); // not a scope match
-        let snap = obs.snapshot();
-        let under: Vec<(&str, u64)> = snap.counters_under("t042.wan").collect();
-        assert_eq!(under, vec![("bytes_down", 100), ("read_ops", 3)]);
     }
 
     #[test]
@@ -742,7 +688,6 @@ mod tests {
         assert_eq!(q.children[0].label, "fetch");
         assert!((q.children[0].virtual_secs() - 2.0).abs() < 1e-12);
         assert_eq!(q.children[1].label, "decode");
-        assert!((obs.total_span_vsecs("fetch") - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub fn par_map<T: Sync, U: Send>(
 }
 
 /// Like [`par_map`] but `f` also receives the item index.
-pub fn par_map_indexed<T: Sync, U: Send>(
+pub(crate) fn par_map_indexed<T: Sync, U: Send>(
     items: &[T],
     threads: usize,
     f: impl Fn(usize, &T) -> U + Sync,

@@ -100,22 +100,11 @@ impl<T: Sample> Raster<T> {
         &mut self.data
     }
 
-    /// Sample at `(x, y)`; panics out of bounds (use [`Raster::try_get`] to
-    /// check).
+    /// Sample at `(x, y)`; panics out of bounds.
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> T {
         debug_assert!(x < self.width && y < self.height);
         self.data[y * self.width + x]
-    }
-
-    /// Checked sample access.
-    #[inline]
-    pub fn try_get(&self, x: usize, y: usize) -> Option<T> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
     }
 
     /// Sample with clamp-to-edge semantics for possibly-negative coordinates;
@@ -259,26 +248,6 @@ impl<T: Sample> Raster<T> {
         r
     }
 
-    /// Downsample by striding (nearest-neighbour decimation): keep sample
-    /// `(x*f, y*f)`. Cheaper than [`Raster::downsample_mean`] but aliases.
-    pub fn downsample_stride(&self, factor: u32) -> Raster<T> {
-        let f = factor.max(1) as usize;
-        if f == 1 {
-            return self.clone();
-        }
-        let ow = self.width.div_ceil(f);
-        let oh = self.height.div_ceil(f);
-        let mut out = Vec::with_capacity(ow * oh);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                out.push(self.get((ox * f).min(self.width - 1), (oy * f).min(self.height - 1)));
-            }
-        }
-        let mut r = Raster { width: ow, height: oh, data: out, geo: None };
-        r.geo = self.geo.map(|g| g.downsampled(factor));
-        r
-    }
-
     /// Bilinear upsample to an exact target shape, used by the dashboard to
     /// stretch a coarse progressive level onto the viewport.
     pub fn resize_bilinear(&self, new_w: usize, new_h: usize) -> Raster<T> {
@@ -331,7 +300,6 @@ mod tests {
         assert_eq!(r.shape(), (4, 3));
         assert_eq!(r.get(0, 0), 0.0);
         assert_eq!(r.get(3, 2), 11.0);
-        assert_eq!(r.try_get(4, 0), None);
         assert_eq!(r.row(1), &[4.0, 5.0, 6.0, 7.0]);
     }
 
@@ -414,13 +382,6 @@ mod tests {
         assert_eq!(d.shape(), (3, 3));
         // Right-edge block covers a single column.
         assert_eq!(d.get(2, 0), (4.0 + 9.0) / 2.0);
-    }
-
-    #[test]
-    fn downsample_stride_decimates() {
-        let r = ramp(4, 4);
-        let d = r.downsample_stride(2);
-        assert_eq!(d.data(), &[0.0, 2.0, 8.0, 10.0]);
     }
 
     #[test]

@@ -231,12 +231,6 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// `(center, count)` pairs for plotting.
-    pub fn bins(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts.iter().enumerate().map(|(i, &c)| (self.lo + (i as f64 + 0.5) * w, c)).collect()
-    }
-
     /// Render a one-line-per-bin ASCII bar chart (used by the `reproduce`
     /// harness to print the survey figures).
     pub fn ascii(&self, width: usize) -> String {

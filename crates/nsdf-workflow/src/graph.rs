@@ -70,6 +70,7 @@
 use crate::artifact::Artifact;
 use crate::json::{parse_hex_u64, push_hex_u64, push_json_string, JsonValue};
 use nsdf_storage::ObjectStore;
+use nsdf_util::obs::push_json_list;
 use nsdf_util::{Fnv1a, NsdfError, Result, SimClock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -177,7 +178,7 @@ pub enum TaskStatus {
 
 impl TaskStatus {
     /// Stable wire name used in run-report JSON.
-    pub fn wire_name(self) -> &'static str {
+    pub(crate) fn wire_name(self) -> &'static str {
         match self {
             TaskStatus::Succeeded => "succeeded",
             TaskStatus::UpToDate => "up-to-date",
@@ -213,12 +214,7 @@ impl TaskRecord {
         out.push_str("{\"compute_ns\":");
         out.push_str(&self.compute_ns.to_string());
         out.push_str(",\"consumed\":[");
-        for (i, c) in self.consumed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(c, out);
-        }
+        push_json_list(out, &self.consumed, |out, c| push_json_string(c, out));
         out.push_str("],\"error\":");
         match &self.error {
             Some(e) => push_json_string(e, out),
@@ -229,12 +225,7 @@ impl TaskRecord {
         out.push_str(",\"name\":");
         push_json_string(&self.name, out);
         out.push_str(",\"produced\":[");
-        for (i, a) in self.produced.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            a.push_json(out);
-        }
+        push_json_list(out, &self.produced, |out, a| a.push_json(out));
         out.push_str("],\"status\":");
         push_json_string(self.status.wire_name(), out);
         out.push_str(",\"wave\":");
@@ -341,12 +332,7 @@ impl GraphRun {
         out.push_str(",\"name\":");
         push_json_string(&self.name, &mut out);
         out.push_str(",\"records\":[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            r.push_json(&mut out);
-        }
+        push_json_list(&mut out, &self.records, |out, r| r.push_json(out));
         out.push_str("],\"started_ns\":");
         out.push_str(&self.started_ns.to_string());
         out.push_str(",\"wave_ended_ns\":[");
@@ -361,7 +347,7 @@ impl GraphRun {
 
 /// Persisted fingerprint + outputs of one completed task.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ManifestEntry {
+pub(crate) struct ManifestEntry {
     /// Input fingerprint the task last succeeded with.
     pub fingerprint: u64,
     /// The artifacts that execution produced.
@@ -372,35 +358,27 @@ pub struct ManifestEntry {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Manifest {
     /// Task name → last successful fingerprint and outputs.
-    pub tasks: BTreeMap<String, ManifestEntry>,
+    pub(crate) tasks: BTreeMap<String, ManifestEntry>,
 }
 
 impl Manifest {
     /// Byte-stable JSON rendering (sorted keys, hex-string u64s).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"tasks\":{");
-        for (i, (name, entry)) in self.tasks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(name, &mut out);
+        push_json_list(&mut out, &self.tasks, |out, (name, entry)| {
+            push_json_string(name, out);
             out.push_str(":{\"fingerprint\":");
-            push_hex_u64(entry.fingerprint, &mut out);
+            push_hex_u64(entry.fingerprint, out);
             out.push_str(",\"outputs\":[");
-            for (j, a) in entry.outputs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                a.push_json(&mut out);
-            }
+            push_json_list(out, &entry.outputs, |out, a| a.push_json(out));
             out.push_str("]}");
-        }
+        });
         out.push_str("}}");
         out
     }
 
     /// Parse a [`Manifest::to_json`] rendering back.
-    pub fn from_json(text: &str) -> Result<Manifest> {
+    pub(crate) fn from_json(text: &str) -> Result<Manifest> {
         let v = JsonValue::parse(text)?;
         let mut tasks = BTreeMap::new();
         for (name, entry) in v.field("tasks")?.obj_of("manifest.tasks")? {
@@ -527,7 +505,7 @@ impl TaskGraph {
     }
 
     /// The id of the task named `name`.
-    pub fn task_id(&self, name: &str) -> Option<usize> {
+    pub(crate) fn task_id(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
     }
 

@@ -52,7 +52,7 @@ impl JsonValue {
     }
 
     /// The value as an exact `u64` (written as a plain digit token).
-    pub fn u64_of(&self, what: &str) -> Result<u64> {
+    pub(crate) fn u64_of(&self, what: &str) -> Result<u64> {
         match self {
             JsonValue::Num(raw) => raw
                 .parse::<u64>()
@@ -70,7 +70,7 @@ impl JsonValue {
     }
 
     /// The object map, or an error naming `what`.
-    pub fn obj_of(&self, what: &str) -> Result<&BTreeMap<String, JsonValue>> {
+    pub(crate) fn obj_of(&self, what: &str) -> Result<&BTreeMap<String, JsonValue>> {
         match self {
             JsonValue::Obj(map) => Ok(map),
             other => Err(NsdfError::corrupt(format!("json: {what} is not an object: {other:?}"))),
@@ -322,14 +322,14 @@ fn utf8_width(first: u8) -> Result<usize> {
 /// Render a `u64` as a fixed-width 16-digit hex JSON string. JSON numbers
 /// are doubles and silently lose precision past 2^53; checksums and
 /// fingerprints use the full 64 bits, so they travel as strings.
-pub fn push_hex_u64(v: u64, out: &mut String) {
+pub(crate) fn push_hex_u64(v: u64, out: &mut String) {
     out.push('"');
     out.push_str(&format!("{v:016x}"));
     out.push('"');
 }
 
 /// Parse a [`push_hex_u64`]-encoded value back.
-pub fn parse_hex_u64(v: &JsonValue, what: &str) -> Result<u64> {
+pub(crate) fn parse_hex_u64(v: &JsonValue, what: &str) -> Result<u64> {
     let s = v.str_of(what)?;
     u64::from_str_radix(s, 16)
         .map_err(|_| NsdfError::corrupt(format!("json: {what} is not hex-u64: {s:?}")))

@@ -23,7 +23,4 @@ pub mod graph;
 pub mod json;
 
 pub use artifact::Artifact;
-pub use graph::{
-    GraphRun, Manifest, ManifestEntry, RunOptions, TaskCtx, TaskGraph, TaskInput, TaskOutput,
-    TaskRecord, TaskStatus,
-};
+pub use graph::{GraphRun, Manifest, RunOptions, TaskCtx, TaskGraph, TaskOutput, TaskStatus};
