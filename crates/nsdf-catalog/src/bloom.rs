@@ -72,25 +72,27 @@ impl Bloom {
     }
 
     /// Decode an encoding written by [`Bloom::encode_into`], advancing
-    /// `pos` past it.
+    /// `pos` past it. The word count is checked against the bytes left
+    /// before anything is allocated.
     pub(crate) fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Bloom> {
         let err = || NsdfError::corrupt("truncated bloom filter");
+        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
+            let b = pos.checked_add(n).and_then(|end| buf.get(*pos..end)).ok_or_else(err)?;
+            *pos += n;
+            Ok(b)
+        };
         let word = |pos: &mut usize| -> Result<u32> {
-            let b = buf.get(*pos..*pos + 4).ok_or_else(err)?;
-            *pos += 4;
-            Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes")))
         };
         let k = word(pos)?;
         let words = word(pos)? as usize;
         if k == 0 || k > 64 || words == 0 {
             return Err(NsdfError::corrupt("bloom filter header out of range"));
         }
-        let mut bits = Vec::with_capacity(words);
-        for _ in 0..words {
-            let b = buf.get(*pos..*pos + 8).ok_or_else(err)?;
-            *pos += 8;
-            bits.push(u64::from_le_bytes(b.try_into().expect("8 bytes")));
-        }
+        let bits = take(pos, words.checked_mul(8).ok_or_else(err)?)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect();
         Ok(Bloom { bits, k })
     }
 }
@@ -141,6 +143,16 @@ mod tests {
         // Truncated encodings are structured corruption.
         let mut p = 3;
         assert!(Bloom::decode_from(&buf[..buf.len() - 2], &mut p).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn forged_word_count_is_corrupt_not_allocated() {
+        let mut buf = Vec::new();
+        Bloom::build(&[1, 2, 3], 10).encode_into(&mut buf);
+        for words in [u32::MAX, 1 << 28] {
+            buf[4..8].copy_from_slice(&words.to_le_bytes());
+            assert!(Bloom::decode_from(&buf, &mut 0).unwrap_err().is_corrupt(), "words {words}");
+        }
     }
 
     proptest! {

@@ -1,26 +1,38 @@
-//! Leveled compaction: k-way merge of sorted runs with checksum-based
-//! dedup accounting.
+//! The one newest-wins merge over sorted runs, and leveled compaction as
+//! its caller.
 //!
-//! Inputs are ordered **newest first**; for every id the newest version
-//! wins, so merging never changes what queries observe — the differential
+//! [`merge`] walks runs ranked **newest first** in id order. For every id
+//! the newest version wins and is handed to the caller; every shadowed
+//! version is attributed to exactly one bucket:
+//!
+//! * `dedup_records` — a shadowed `Put` whose content checksum equals the
+//!   winning `Put`'s (the same bytes re-ingested, e.g. the same object
+//!   harvested from two repositories);
+//! * `overwritten_records` — a shadowed `Put` with different content (a
+//!   genuine update, or a put under a winning tombstone);
+//! * `tombstones_dropped` — a shadowed deletion marker.
+//!
+//! A run may repeat an id on consecutive entries — a bulk-load batch,
+//! stably sorted, in arrival order — and then the later entry is newer.
+//! The engine writes the recency order of a shard's runs once
+//! (`ShardState::runs`: memtable, L0 newest→oldest, then each deeper
+//! level as one chained run), and the merge has three callers: scans keep
+//! the put winners, [`merge_segments`] (compaction) writes every winner
+//! into fresh segments, and bulk load hands it its sorted batch as one run.
+//!
+//! Compaction never changes what queries observe — the differential
 //! harness holds the engine bitwise-equal to a `BTreeMap` oracle across
-//! every compaction. What compaction *does* change is bookkeeping, and the
-//! merge attributes every dropped entry to exactly one bucket:
-//!
-//! * `dedup_records` — a shadowed older `Put` whose content checksum
-//!   equals the surviving winner's (the same bytes re-ingested, e.g. the
-//!   same object harvested from two repositories);
-//! * `overwritten_records` — a shadowed older `Put` with different
-//!   content (a genuine update, or a put under a winning tombstone);
-//! * `tombstones_dropped` — deletion markers retired: shadowed tombstones
-//!   anywhere, and winning tombstones at the bottom level (nothing deeper
-//!   left to shadow).
-//!
+//! every compaction. It also retires winning tombstones at the bottom
+//! level (nothing deeper left to shadow), counted as `tombstones_dropped`.
 //! Conservation invariant (asserted): `entries_in == entries_out +
 //! dedup_records + overwritten_records + tombstones_dropped`.
 
-use crate::segment::{SegEntry, Segment, SegmentBuilder};
+use crate::memtable::Entry;
+use crate::record::Record;
+use crate::segment::{Segment, SegmentBuilder};
 use nsdf_util::Result;
+use std::borrow::Cow;
+use std::iter::Peekable;
 
 /// What one merge consumed and produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,84 +47,133 @@ pub(crate) struct MergeStats {
     pub overwritten_records: u64,
     /// Tombstones retired (shadowed anywhere, or winners at the bottom).
     pub tombstones_dropped: u64,
-    /// Encoded bytes across all input runs.
-    pub bytes_in: u64,
 }
 
-/// Merge `inputs` (newest first) into fresh segments for `target_level`,
-/// splitting output at roughly `target_bytes` per segment. Output
-/// segments are sorted and non-overlapping by construction. Set
-/// `drop_tombstones` only when no level deeper than the target holds data
-/// for this shard — a dropped tombstone must have nothing left to shadow.
-pub(crate) fn merge_segments(
-    inputs: &[&Segment],
-    target_level: u32,
-    drop_tombstones: bool,
-    bits_per_key: u32,
-    target_bytes: u64,
-) -> Result<(Vec<Segment>, MergeStats)> {
-    let mut stats = MergeStats::default();
-    for seg in inputs {
-        stats.entries_in += seg.count() as u64;
-        stats.bytes_in += seg.encoded_bytes();
+/// One version of one id, wherever it lives; materialized on demand.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Version<'a> {
+    /// A memtable entry.
+    Mem(&'a Entry),
+    /// Entry `i` of a segment.
+    Seg(&'a Segment, usize),
+    /// A record of a bulk-load batch.
+    Batch(&'a Record),
+}
+
+impl<'a> Version<'a> {
+    /// True for a deletion marker.
+    pub(crate) fn is_tombstone(&self) -> bool {
+        match *self {
+            Version::Mem(e) => e.record().is_none(),
+            Version::Seg(seg, i) => seg.is_tombstone(i),
+            Version::Batch(_) => false,
+        }
     }
-    let mut pos: Vec<usize> = vec![0; inputs.len()];
-    let mut out = Vec::new();
-    let mut builder = SegmentBuilder::new(target_level, bits_per_key);
-    loop {
-        // Smallest id still unconsumed across all runs.
-        let mut id = u64::MAX;
-        let mut any = false;
-        for (ri, seg) in inputs.iter().enumerate() {
-            if let Some(&cand) = seg.ids().get(pos[ri]) {
-                any = true;
-                id = id.min(cand);
+
+    /// Content checksum without materializing a segment entry; `None`
+    /// for a tombstone.
+    fn checksum(&self) -> Option<u64> {
+        match *self {
+            Version::Mem(e) => e.record().map(|r| r.checksum),
+            Version::Seg(seg, i) => seg.checksum_at(i),
+            Version::Batch(r) => Some(r.checksum),
+        }
+    }
+
+    /// The record, `None` for a tombstone: borrowed when resident,
+    /// decoded when it lives in a segment.
+    pub(crate) fn record(&self) -> Result<Option<Cow<'a, Record>>> {
+        Ok(match *self {
+            Version::Mem(e) => e.record().map(Cow::Borrowed),
+            Version::Seg(seg, i) => seg.record_at(i)?.map(Cow::Owned),
+            Version::Batch(r) => Some(Cow::Borrowed(r)),
+        })
+    }
+}
+
+/// One sorted run of versions, ascending by id; equal ids may repeat on
+/// consecutive entries, the later one newer.
+pub(crate) type Run<'a> = Peekable<Box<dyn Iterator<Item = (u64, Version<'a>)> + 'a>>;
+
+/// The run of `versions`.
+pub(crate) fn run<'a>(versions: impl Iterator<Item = (u64, Version<'a>)> + 'a) -> Run<'a> {
+    let boxed: Box<dyn Iterator<Item = (u64, Version<'a>)> + 'a> = Box::new(versions);
+    boxed.peekable()
+}
+
+/// `segs`, ascending and non-overlapping, chained into one run.
+pub(crate) fn segment_run<'a>(segs: impl IntoIterator<Item = &'a Segment> + 'a) -> Run<'a> {
+    run(segs.into_iter().flat_map(|seg| {
+        seg.ids().iter().enumerate().map(move |(i, &id)| (id, Version::Seg(seg, i)))
+    }))
+}
+
+/// The one newest-wins merge: walk `runs` (newest first) in id order and
+/// hand each id's newest version to `win`, classifying every shadowed
+/// version (see the module docs). `entries_out` is the caller's to count.
+pub(crate) fn merge<'a>(
+    mut runs: Vec<Run<'a>>,
+    mut win: impl FnMut(u64, Version<'a>) -> Result<()>,
+) -> Result<MergeStats> {
+    let mut stats = MergeStats::default();
+    let mut shadowed: Vec<Option<u64>> = Vec::new();
+    while let Some(id) = runs.iter_mut().filter_map(|r| r.peek().map(|&(id, _)| id)).min() {
+        // The winner is the last version of `id` in the first run that
+        // holds it; everything else it shadows. Peek first: `next_if` would
+        // take and put back the head of every run without `id`, which costs
+        // scans a quarter of their time.
+        let mut winner = None;
+        for run in &mut runs {
+            let newest_run = winner.is_none();
+            while run.peek().is_some_and(|&(next, _)| next == id) {
+                let (_, version) = run.next().expect("peeked");
+                stats.entries_in += 1;
+                let loser = if newest_run { winner.replace(version) } else { Some(version) };
+                shadowed.extend(loser.map(|v| v.checksum()));
             }
         }
-        if !any {
-            break;
-        }
-        // Winner = the newest run holding this id (lowest run index).
-        let winner = inputs
-            .iter()
-            .enumerate()
-            .find(|(ri, seg)| seg.ids().get(pos[*ri]) == Some(&id))
-            .map(|(ri, _)| ri)
-            .expect("some run holds the minimum id");
-        let winner_ck = inputs[winner].checksum_at(pos[winner]);
-        for (ri, seg) in inputs.iter().enumerate() {
-            if seg.ids().get(pos[ri]) != Some(&id) {
-                continue;
-            }
-            if ri == winner {
-                pos[ri] += 1;
-                continue;
-            }
-            match seg.checksum_at(pos[ri]) {
+        let winner = winner.expect("some run holds the minimum id");
+        for loser in shadowed.drain(..) {
+            match loser {
                 None => stats.tombstones_dropped += 1,
-                Some(ck) if Some(ck) == winner_ck => stats.dedup_records += 1,
+                Some(ck) if Some(ck) == winner.checksum() => stats.dedup_records += 1,
                 Some(_) => stats.overwritten_records += 1,
             }
-            pos[ri] += 1;
         }
-        let entry = inputs[winner].entry_at(pos[winner] - 1)?;
-        match entry {
-            SegEntry::Tombstone if drop_tombstones => stats.tombstones_dropped += 1,
-            SegEntry::Tombstone => {
-                push_split(&mut builder, &mut out, target_level, bits_per_key, target_bytes)?;
-                builder.push(id, None)?;
-                stats.entries_out += 1;
-            }
-            SegEntry::Put(rec) => {
-                push_split(&mut builder, &mut out, target_level, bits_per_key, target_bytes)?;
-                builder.push(id, Some(&rec))?;
-                stats.entries_out += 1;
-            }
+        win(id, winner)?;
+    }
+    Ok(stats)
+}
+
+/// Compaction's (and bulk load's) caller of [`merge`]: write every winner
+/// of `runs` (newest first) into fresh segments for `level`, splitting
+/// output at roughly `target_bytes` per segment. Output segments are
+/// sorted and non-overlapping by construction. Set `drop_tombstones` only
+/// when no level deeper than the target holds data for this shard — a
+/// dropped tombstone must have nothing left to shadow.
+pub(crate) fn merge_segments(
+    runs: Vec<Run<'_>>,
+    level: u32,
+    drop_tombstones: bool,
+    target_bytes: u64,
+) -> Result<(Vec<Segment>, MergeStats)> {
+    let mut out = Vec::new();
+    let mut builder = SegmentBuilder::new(level);
+    let (mut entries_out, mut winning_tombstones) = (0u64, 0u64);
+    let mut stats = merge(runs, |id, winner| {
+        let record = winner.record()?;
+        if record.is_none() && drop_tombstones {
+            winning_tombstones += 1;
+            return Ok(());
         }
-    }
-    if let Some(seg) = builder.finish() {
-        out.push(seg);
-    }
+        push_split(&mut builder, &mut out, level, target_bytes);
+        builder.push(id, record.as_deref())?;
+        entries_out += 1;
+        Ok(())
+    })?;
+    out.extend(builder.finish());
+    stats.entries_out = entries_out;
+    stats.tombstones_dropped += winning_tombstones;
     debug_assert_eq!(
         stats.entries_in,
         stats.entries_out
@@ -126,24 +187,16 @@ pub(crate) fn merge_segments(
 
 /// Roll the builder over into a finished segment once it crosses the
 /// target size, keeping outputs non-overlapping and roughly even.
-fn push_split(
-    builder: &mut SegmentBuilder,
-    out: &mut Vec<Segment>,
-    level: u32,
-    bits_per_key: u32,
-    target_bytes: u64,
-) -> Result<()> {
+fn push_split(builder: &mut SegmentBuilder, out: &mut Vec<Segment>, level: u32, target_bytes: u64) {
     if builder.count() > 0 && builder.approx_bytes() >= target_bytes {
-        let full = std::mem::replace(builder, SegmentBuilder::new(level, bits_per_key));
+        let full = std::mem::replace(builder, SegmentBuilder::new(level));
         out.push(full.finish().expect("non-empty builder"));
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
     use proptest::collection;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -153,7 +206,7 @@ mod tests {
     }
 
     fn seg_of(level: u32, entries: &[(u64, Option<u64>)]) -> Segment {
-        let mut b = SegmentBuilder::new(level, 10);
+        let mut b = SegmentBuilder::new(level);
         for &(id, ck) in entries {
             match ck {
                 Some(ck) => b.push(id, Some(&rec(id, ck))).unwrap(),
@@ -163,13 +216,23 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Merge `segs` (newest first), each its own run, into level 1.
+    fn merge_of(
+        segs: &[&Segment],
+        drop_tombstones: bool,
+        target_bytes: u64,
+    ) -> (Vec<Segment>, MergeStats) {
+        let runs = segs.iter().map(|&s| segment_run([s])).collect();
+        merge_segments(runs, 1, drop_tombstones, target_bytes).unwrap()
+    }
+
     #[test]
     fn newest_wins_and_buckets_are_exact() {
         // newer: 1=>ckA, 2=>tombstone, 3=>ckC
         // older: 1=>ckA (dedup), 2=>ckB (overwritten by tombstone), 4=>ckD
         let newer = seg_of(0, &[(1, Some(0xA)), (2, None), (3, Some(0xC))]);
         let older = seg_of(1, &[(1, Some(0xA)), (2, Some(0xB)), (4, Some(0xD))]);
-        let (segs, st) = merge_segments(&[&newer, &older], 1, false, 10, u64::MAX).unwrap();
+        let (segs, st) = merge_of(&[&newer, &older], false, u64::MAX);
         assert_eq!(segs.len(), 1);
         let s = &segs[0];
         assert_eq!(s.ids(), &[1, 2, 3, 4]);
@@ -181,7 +244,7 @@ mod tests {
         assert_eq!(st.tombstones_dropped, 0);
 
         // Same merge at the bottom: the winning tombstone retires too.
-        let (segs, st) = merge_segments(&[&newer, &older], 1, true, 10, u64::MAX).unwrap();
+        let (segs, st) = merge_of(&[&newer, &older], true, u64::MAX);
         assert_eq!(segs[0].ids(), &[1, 3, 4]);
         assert_eq!(st.tombstones_dropped, 1);
         assert_eq!(st.entries_out, 3);
@@ -191,7 +254,7 @@ mod tests {
     fn shadowed_tombstones_count_as_dropped() {
         let newer = seg_of(0, &[(7, Some(0x1))]);
         let older = seg_of(0, &[(7, None)]);
-        let (_, st) = merge_segments(&[&newer, &older], 1, false, 10, u64::MAX).unwrap();
+        let (_, st) = merge_of(&[&newer, &older], false, u64::MAX);
         assert_eq!(st.tombstones_dropped, 1);
         assert_eq!(st.entries_out, 1);
     }
@@ -200,7 +263,7 @@ mod tests {
     fn outputs_split_sorted_and_non_overlapping() {
         let a = seg_of(0, &(0..400).map(|i| (i * 2, Some(i))).collect::<Vec<_>>());
         let b = seg_of(0, &(0..400).map(|i| (i * 2 + 1, Some(i))).collect::<Vec<_>>());
-        let (segs, st) = merge_segments(&[&a, &b], 1, true, 10, 2048).unwrap();
+        let (segs, st) = merge_of(&[&a, &b], true, 2048);
         assert!(segs.len() > 1, "expected a split, got {} segment(s)", segs.len());
         assert_eq!(st.entries_out, 800);
         let total: usize = segs.iter().map(|s| s.count()).sum();
@@ -215,7 +278,7 @@ mod tests {
 
     #[test]
     fn empty_input_set_produces_nothing() {
-        let (segs, st) = merge_segments(&[], 1, true, 10, 1024).unwrap();
+        let (segs, st) = merge_segments(Vec::new(), 1, true, 1024).unwrap();
         assert!(segs.is_empty());
         assert_eq!(st, MergeStats::default());
     }
@@ -239,15 +302,16 @@ mod tests {
 
         #[test]
         fn merge_accounting_is_exact(old_raw in collection::vec((0u64..120, 0u64..4, any::<bool>()), 1..120),
+                                     batch_raw in collection::vec((0u64..120, 0u64..4), 0..120),
                                      new_raw in collection::vec((0u64..120, 0u64..4, any::<bool>()), 1..120),
                                      drop_tombstones in any::<bool>()) {
             // Two generations, each reduced to one entry per id (builder needs
-            // strictly increasing ids); `true` means a tombstone.
+            // strictly increasing ids); `None` means a tombstone.
             let gen = |raw: &[(u64, u64, bool)]| -> BTreeMap<u64, Option<Record>> {
                 raw.iter().map(|&(id, v, del)| (id, (!del).then(|| synth(id, v)))).collect()
             };
             let build = |entries: &BTreeMap<u64, Option<Record>>, level: u32| {
-                let mut b = SegmentBuilder::new(level, 10);
+                let mut b = SegmentBuilder::new(level);
                 for (id, e) in entries {
                     b.push(*id, e.as_ref()).expect("increasing ids");
                 }
@@ -255,33 +319,40 @@ mod tests {
             };
             let old = gen(&old_raw);
             let new = gen(&new_raw);
-            let (outs, stats) =
-                merge_segments(&[&build(&new, 0), &build(&old, 1)], 1, drop_tombstones, 10, 2_000)
-                    .expect("merge");
+            // Between them, ranked as such, a bulk-load batch: stably sorted
+            // by id, so repeated ids sit on consecutive entries, last newest.
+            let mut batch: Vec<Record> = batch_raw.iter().map(|&(id, v)| synth(id, v)).collect();
+            batch.sort_by_key(|r| r.id);
+            let (new_seg, old_seg) = (build(&new, 0), build(&old, 1));
+            let runs = vec![
+                segment_run([&new_seg]),
+                run(batch.iter().map(|r| (r.id, Version::Batch(r)))),
+                segment_run([&old_seg]),
+            ];
+            let (outs, stats) = merge_segments(runs, 1, drop_tombstones, 2_000).expect("merge");
 
-            // Oracle: winner per id is the newest entry; count what merge must
-            // have dropped and why.
+            // Oracle: every version of an id, newest first; the first wins and
+            // each other one is dropped for exactly one reason.
             let mut want: BTreeMap<u64, Option<Record>> = BTreeMap::new();
             let (mut dedup, mut overwritten, mut dropped_tombstones) = (0u64, 0u64, 0u64);
-            let ids: std::collections::BTreeSet<u64> = old.keys().chain(new.keys()).copied().collect();
+            let ids: std::collections::BTreeSet<u64> =
+                old.keys().chain(new.keys()).chain(batch.iter().map(|r| &r.id)).copied().collect();
             for id in &ids {
-                let winner = new.get(id).or_else(|| old.get(id)).unwrap();
-                if let (Some(Some(loser)), true) = (old.get(id), new.contains_key(id)) {
-                    // An older Put lost: dedup iff the winning Put carries the
-                    // same content checksum, otherwise a plain overwrite.
-                    match winner {
-                        Some(w) if w.checksum == loser.checksum => dedup += 1,
-                        _ => overwritten += 1,
+                let mut versions: Vec<Option<Record>> = new.get(id).cloned().into_iter().collect();
+                versions.extend(batch.iter().rev().filter(|r| r.id == *id).map(|r| Some(r.clone())));
+                versions.extend(old.get(id).cloned());
+                let winner = versions[0].clone();
+                for loser in &versions[1..] {
+                    match (loser, &winner) {
+                        (None, _) => dropped_tombstones += 1,
+                        (Some(l), Some(w)) if l.checksum == w.checksum => dedup += 1,
+                        (Some(_), _) => overwritten += 1,
                     }
-                }
-                if old.contains_key(id) && new.contains_key(id) && old[id].is_none() {
-                    dropped_tombstones += 1; // shadowed older tombstone
                 }
                 if winner.is_none() && drop_tombstones {
                     dropped_tombstones += 1; // winning tombstone at the bottom
-                    want.remove(id);
                 } else {
-                    want.insert(*id, winner.clone());
+                    want.insert(*id, winner);
                 }
             }
             prop_assert_eq!(stats.dedup_records, dedup, "dedup accounting");
@@ -294,10 +365,7 @@ mod tests {
             for seg in &outs {
                 prop_assert_eq!(seg.level(), 1);
                 for (i, id) in seg.ids().iter().enumerate() {
-                    got.push((*id, match seg.entry_at(i).expect("decode entry") {
-                        SegEntry::Put(r) => Some(r),
-                        SegEntry::Tombstone => None,
-                    }));
+                    got.push((*id, seg.record_at(i).expect("decode entry")));
                 }
             }
             for w in got.windows(2) {
@@ -306,7 +374,7 @@ mod tests {
             prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
             prop_assert_eq!(
                 stats.entries_in,
-                (old.len() + new.len()) as u64,
+                (old.len() + batch.len() + new.len()) as u64,
                 "every input entry is consumed"
             );
         }

@@ -8,6 +8,15 @@
 //! Leveled compaction keeps read amplification bounded and retires
 //! shadowed versions with checksum-based dedup accounting.
 //!
+//! One merge, one run order. Every multi-run read — scans (`scan_all`,
+//! `find_by_*`, `stats`), compaction and bulk load — is the newest-wins
+//! merge of `compact` over runs ranked newest first, and the rank of a
+//! shard's runs is written once, in `ShardState::runs`: the memtable, then
+//! L0's segments newest→oldest (each its own run, since they overlap),
+//! then each deeper level as one chained run. A point lookup is no merge:
+//! it probes the same order (bloom filter, then binary search) and stops
+//! at the first version it finds.
+//!
 //! Durability protocol (each step individually crash-safe):
 //!
 //! 1. **WAL append** — `put` one `WalBatch` object; only after the store
@@ -39,23 +48,32 @@
 //! orphaned objects (one `delete_many` wave each for manifests, segments
 //! and WAL objects), and replays the WAL tail floor..next in order.
 
-use crate::compact::{merge_segments, MergeStats};
+use crate::compact::{merge, merge_segments, run, segment_run, MergeStats, Run, Version};
 use crate::manifest::{
     manifest_key, parse_seq, segment_key, wal_key, Manifest, SegmentRef, WalBatch, WalOp,
 };
 use crate::memtable::{Entry, Memtable};
 use crate::record::Record;
-use crate::segment::{SegEntry, Segment, SegmentBuilder};
+use crate::segment::{Segment, SegmentBuilder};
 use nsdf_storage::{MemoryStore, ObjectStore};
 use nsdf_util::{fnv1a64, splitmix64, Counter, NsdfError, Obs, Result, SimClock};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Virtual merge throughput for the compaction cost model: one byte per
 /// nanosecond (≈1 GB/s), charged to the [`SimClock`] per merge.
 const MERGE_NS_PER_BYTE: u64 = 1;
+
+/// Bloom filter density of every segment: 10 bits per key, ≈1 % false
+/// positives.
+pub(crate) const BITS_PER_KEY: u32 = 10;
+
+/// Growth factor between adjacent levels' byte budgets.
+const LEVEL_RATIO: u64 = 8;
 
 /// Tuning knobs for the LSM engine.
 #[derive(Debug, Clone)]
@@ -68,14 +86,10 @@ pub struct CatalogConfig {
     /// triggers a checkpoint. Bulk load and compaction honour the same
     /// budget for segments staged ahead of a shared `put_many` wave.
     pub memtable_budget_bytes: usize,
-    /// Bloom filter density for new segments.
-    pub bits_per_key: u32,
     /// L0 segment count per shard that triggers compaction into L1.
     pub l0_compact_trigger: usize,
-    /// Byte budget of L1; each deeper level gets `level_ratio`× more.
+    /// Byte budget of L1; each deeper level gets 8× more.
     pub level_base_bytes: u64,
-    /// Growth factor between adjacent levels (≥2).
-    pub level_ratio: u64,
     /// Max write ops per WAL object during batched ingest.
     pub wal_batch_ops: usize,
     /// Split compaction/bulk-load output segments at roughly this size.
@@ -89,10 +103,8 @@ impl CatalogConfig {
             shards,
             prefix: "catalog".to_string(),
             memtable_budget_bytes: 8 << 20,
-            bits_per_key: 10,
             l0_compact_trigger: 4,
             level_base_bytes: 4 << 20,
-            level_ratio: 8,
             wal_batch_ops: 1024,
             segment_target_bytes: 2 << 20,
         }
@@ -101,9 +113,6 @@ impl CatalogConfig {
     fn validate(&self) -> Result<()> {
         if self.shards == 0 || self.shards > 4096 {
             return Err(NsdfError::invalid("shard count must be in 1..=4096"));
-        }
-        if self.level_ratio < 2 {
-            return Err(NsdfError::invalid("level_ratio must be >= 2"));
         }
         if self.memtable_budget_bytes == 0 || self.segment_target_bytes == 0 {
             return Err(NsdfError::invalid("byte budgets must be positive"));
@@ -181,6 +190,37 @@ impl ShardState {
     fn level_bytes(&self, level: usize) -> u64 {
         self.levels.get(level).map_or(0, |l| l.iter().map(|h| h.seg.encoded_bytes()).sum())
     }
+
+    /// The shard's sorted runs over `levels`, newest first — the one place
+    /// the recency order is written: the memtable, then L0's segments
+    /// newest→oldest (overlapping, so each is its own run), then each
+    /// deeper level as one chained run. Compaction runs right after a
+    /// checkpoint, so its memtable run is empty.
+    fn runs(&self, levels: impl RangeBounds<usize>) -> Vec<Run<'_>> {
+        let mut runs = vec![run(self.memtable.iter().map(|(&id, e)| (id, Version::Mem(e))))];
+        for (level, handles) in self.levels.iter().enumerate() {
+            if !levels.contains(&level) {
+                continue;
+            }
+            if level == 0 {
+                runs.extend(handles.iter().rev().map(|h| segment_run([&*h.seg])));
+            } else {
+                runs.push(segment_run(handles.iter().map(|h| &*h.seg)));
+            }
+        }
+        runs
+    }
+
+    /// Every live record, in id order: the merge's put winners.
+    fn for_each_live(&self, mut f: impl FnMut(&Record)) {
+        merge(self.runs(..), |_, winner| {
+            if let Some(r) = winner.record()? {
+                f(&r);
+            }
+            Ok(())
+        })
+        .expect("segment verified at load");
+    }
 }
 
 /// One shard's merge, done in memory and waiting for its output segments
@@ -190,6 +230,8 @@ struct StagedMerge {
     target: usize,
     /// Levels whose resident segments the outputs replace.
     consumed_levels: Vec<usize>,
+    /// Encoded bytes of the consumed segments.
+    bytes_in: u64,
     outputs: Vec<Segment>,
     stats: MergeStats,
 }
@@ -280,12 +322,6 @@ pub struct Catalog {
     shards: Vec<RwLock<ShardState>>,
     live: AtomicU64,
     c: Counters,
-}
-
-/// Where a point lookup found its newest version.
-enum Loc<'a> {
-    Mem(&'a Entry),
-    Seg(&'a Segment, usize),
 }
 
 impl Catalog {
@@ -413,8 +449,7 @@ impl Catalog {
         let mut stats = CatalogStats::default();
         let mut checksums: HashMap<u64, u64> = HashMap::new();
         for shard in &self.shards {
-            let st = shard.read();
-            self.for_each_live(&st, &mut |r: &Record| {
+            shard.read().for_each_live(|r| {
                 stats.records += 1;
                 stats.total_bytes += r.size;
                 *stats.per_source.entry(r.source.clone()).or_insert(0) += 1;
@@ -455,8 +490,7 @@ impl Catalog {
     fn scan_filter(&self, keep: impl Fn(&Record) -> bool) -> Vec<Record> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let st = shard.read();
-            self.for_each_live(&st, &mut |r: &Record| {
+            shard.read().for_each_live(|r| {
                 if keep(r) {
                     out.push(r.clone());
                 }
@@ -468,9 +502,9 @@ impl Catalog {
 
     /// Newest-version-wins point lookup across memtable and levels, with
     /// bloom accounting on every segment probe.
-    fn locate<'a>(&self, st: &'a ShardState, id: u64) -> Option<Loc<'a>> {
+    fn locate<'a>(&self, st: &'a ShardState, id: u64) -> Option<Version<'a>> {
         if let Some(e) = st.memtable.get(id) {
-            return Some(Loc::Mem(e));
+            return Some(Version::Mem(e));
         }
         // L0 newest first (overlapping runs).
         if let Some(l0) = st.levels.first() {
@@ -493,7 +527,7 @@ impl Catalog {
         None
     }
 
-    fn probe_segment<'a>(&self, seg: &'a Segment, id: u64) -> Option<Loc<'a>> {
+    fn probe_segment<'a>(&self, seg: &'a Segment, id: u64) -> Option<Version<'a>> {
         if !seg.covers(id) {
             return None;
         }
@@ -504,7 +538,7 @@ impl Catalog {
         match seg.position(id) {
             Some(i) => {
                 self.c.bloom_hit.inc();
-                Some(Loc::Seg(seg, i))
+                Some(Version::Seg(seg, i))
             }
             None => {
                 self.c.bloom_fp.inc();
@@ -513,112 +547,12 @@ impl Catalog {
         }
     }
 
-    fn materialize(&self, loc: Option<Loc<'_>>) -> Option<Record> {
-        match loc? {
-            Loc::Mem(Entry::Put(r)) => Some(r.clone()),
-            Loc::Mem(Entry::Tombstone) => None,
-            Loc::Seg(seg, i) => match seg.entry_at(i).expect("segment verified at load") {
-                SegEntry::Put(r) => Some(r),
-                SegEntry::Tombstone => None,
-            },
-        }
+    fn materialize(&self, version: Option<Version<'_>>) -> Option<Record> {
+        version?.record().expect("segment verified at load").map(Cow::into_owned)
     }
 
     fn is_live(&self, st: &ShardState, id: u64) -> bool {
-        match self.locate(st, id) {
-            Some(Loc::Mem(Entry::Put(_))) => true,
-            Some(Loc::Mem(Entry::Tombstone)) => false,
-            Some(Loc::Seg(seg, i)) => !seg.is_tombstone(i),
-            None => false,
-        }
-    }
-
-    /// Merged iteration over one shard's live records in id order:
-    /// newest-first run ranking (memtable, L0 newest→oldest, then each
-    /// deeper level as one chained run).
-    fn for_each_live(&self, st: &ShardState, f: &mut dyn FnMut(&Record)) {
-        enum Run<'a> {
-            Mem { items: Vec<(u64, &'a Entry)>, pos: usize },
-            Segs { segs: Vec<&'a Segment>, si: usize, pos: usize },
-        }
-        impl<'a> Run<'a> {
-            fn peek_id(&mut self) -> Option<u64> {
-                match self {
-                    Run::Mem { items, pos } => items.get(*pos).map(|(id, _)| *id),
-                    Run::Segs { segs, si, pos } => {
-                        while let Some(seg) = segs.get(*si) {
-                            if *pos < seg.count() {
-                                return Some(seg.ids()[*pos]);
-                            }
-                            *si += 1;
-                            *pos = 0;
-                        }
-                        None
-                    }
-                }
-            }
-            fn take(&mut self, f: Option<&mut dyn FnMut(&Record)>) {
-                match self {
-                    Run::Mem { items, pos } => {
-                        if let (Some(f), Entry::Put(r)) = (f, items[*pos].1) {
-                            f(r);
-                        }
-                        *pos += 1;
-                    }
-                    Run::Segs { segs, si, pos } => {
-                        let seg = segs[*si];
-                        if let Some(f) = f {
-                            if let SegEntry::Put(r) =
-                                seg.entry_at(*pos).expect("segment verified at load")
-                            {
-                                f(&r);
-                            }
-                        }
-                        *pos += 1;
-                    }
-                }
-            }
-        }
-        let mut runs: Vec<Run<'_>> = Vec::new();
-        runs.push(Run::Mem { items: st.memtable.iter().map(|(id, e)| (*id, e)).collect(), pos: 0 });
-        if let Some(l0) = st.levels.first() {
-            for h in l0.iter().rev() {
-                runs.push(Run::Segs { segs: vec![h.seg.as_ref()], si: 0, pos: 0 });
-            }
-        }
-        for level in st.levels.iter().skip(1) {
-            if !level.is_empty() {
-                runs.push(Run::Segs {
-                    segs: level.iter().map(|h| &*h.seg).collect(),
-                    si: 0,
-                    pos: 0,
-                });
-            }
-        }
-        loop {
-            let mut id = u64::MAX;
-            let mut any = false;
-            for run in runs.iter_mut() {
-                if let Some(cand) = run.peek_id() {
-                    any = true;
-                    id = id.min(cand);
-                }
-            }
-            if !any {
-                return;
-            }
-            let mut winner_taken = false;
-            for run in runs.iter_mut() {
-                if run.peek_id() == Some(id) {
-                    if winner_taken {
-                        run.take(None);
-                    } else {
-                        run.take(Some(f));
-                        winner_taken = true;
-                    }
-                }
-            }
-        }
+        self.locate(st, id).is_some_and(|v| !v.is_tombstone())
     }
 
     // --------------------------------------------------------------- writes
@@ -701,7 +635,8 @@ impl Catalog {
 
     /// Bypass the WAL and load `records` straight into bottom-level
     /// segments — the fast path for harvesting an existing repository
-    /// into an **empty** catalog. Later arrivals win on duplicate ids.
+    /// into an **empty** catalog. Later arrivals win on duplicate ids: each
+    /// shard's batch, stably sorted, is one run of the merge.
     /// Durability: nothing is acknowledged until the single manifest swap
     /// at the end, so a crash mid-load recovers to the empty catalog.
     pub fn bulk_load(&self, records: impl IntoIterator<Item = Record>) -> Result<u64> {
@@ -731,33 +666,17 @@ impl Catalog {
             }
             // Stable sort keeps arrival order within an id: last wins.
             batch.sort_by_key(|r| r.id);
-            let mut builder = SegmentBuilder::new(1, self.cfg.bits_per_key);
-            let mut i = 0usize;
-            while i < batch.len() {
-                let mut last = i;
-                while last + 1 < batch.len() && batch[last + 1].id == batch[i].id {
-                    last += 1;
-                }
-                for dup in &batch[i..last] {
-                    if dup.checksum == batch[last].checksum {
-                        self.c.dedup_records.inc();
-                    } else {
-                        self.c.overwritten_records.inc();
-                    }
-                }
-                if builder.count() > 0 && builder.approx_bytes() >= self.cfg.segment_target_bytes {
-                    let full = std::mem::replace(
-                        &mut builder,
-                        SegmentBuilder::new(1, self.cfg.bits_per_key),
-                    );
-                    staged.push((si, full.finish().expect("non-empty builder")));
-                }
-                builder.push(batch[last].id, Some(&batch[last]))?;
-                live_total += 1;
-                i = last + 1;
-            }
+            let (segs, stats) = merge_segments(
+                vec![run(batch.iter().map(|r| (r.id, Version::Batch(r))))],
+                1,
+                true,
+                self.cfg.segment_target_bytes,
+            )?;
             drop(batch);
-            staged.extend(builder.finish().map(|seg| (si, seg)));
+            self.c.dedup_records.add(stats.dedup_records);
+            self.c.overwritten_records.add(stats.overwritten_records);
+            live_total += stats.entries_out;
+            staged.extend(segs.into_iter().map(|seg| (si, seg)));
             let staged_bytes: u64 = staged.iter().map(|(_, seg)| seg.encoded_bytes()).sum();
             if staged_bytes >= self.cfg.memtable_budget_bytes as u64 {
                 self.install_bulk_locked(&mut w, std::mem::take(&mut staged))?;
@@ -822,7 +741,7 @@ impl Catalog {
             if st.memtable.is_empty() {
                 continue;
             }
-            let mut b = SegmentBuilder::new(0, self.cfg.bits_per_key);
+            let mut b = SegmentBuilder::new(0);
             for (&id, e) in st.memtable.iter() {
                 b.push(id, e.record())?;
             }
@@ -931,53 +850,39 @@ impl Catalog {
     /// one below; `force` merges every level into the deepest. Nothing is
     /// persisted or installed here.
     fn merge_shard(&self, si: usize, force: bool) -> Result<Option<StagedMerge>> {
-        // Plan, then snapshot the input runs newest-first and remember
-        // what they replace, under one read lock.
-        let (target, inputs, consumed_levels, drop_tombstones) = {
-            let st = self.shards[si].read();
-            let plan = if force {
-                st.has_segments().then(|| (0, (st.levels.len() - 1).max(1)))
-            } else if st.levels.first().map_or(0, |l| l.len()) >= self.cfg.l0_compact_trigger {
-                Some((0, 1))
-            } else {
-                let mut due = None;
-                let mut budget = self.cfg.level_base_bytes;
-                for level in 1..st.levels.len() {
-                    if st.level_bytes(level) > budget {
-                        due = Some((level, level + 1));
-                        break;
-                    }
-                    budget = budget.saturating_mul(self.cfg.level_ratio);
+        // Plan and merge under one read lock; writers are quiesced anyway.
+        let st = self.shards[si].read();
+        let plan = if force {
+            st.has_segments().then(|| (0, (st.levels.len() - 1).max(1)))
+        } else if st.levels.first().map_or(0, |l| l.len()) >= self.cfg.l0_compact_trigger {
+            Some((0, 1))
+        } else {
+            let mut due = None;
+            let mut budget = self.cfg.level_base_bytes;
+            for level in 1..st.levels.len() {
+                if st.level_bytes(level) > budget {
+                    due = Some((level, level + 1));
+                    break;
                 }
-                due
-            };
-            let Some((from, target)) = plan else { return Ok(None) };
-            let mut inputs: Vec<Arc<Segment>> = Vec::new();
-            let mut consumed: Vec<usize> = Vec::new();
-            for level in from..=target {
-                let Some(handles) = st.levels.get(level) else { continue };
-                if handles.is_empty() {
-                    continue;
-                }
-                if level == 0 {
-                    inputs.extend(handles.iter().rev().map(|h| Arc::clone(&h.seg)));
-                } else {
-                    inputs.extend(handles.iter().map(|h| Arc::clone(&h.seg)));
-                }
-                consumed.push(level);
+                budget = budget.saturating_mul(LEVEL_RATIO);
             }
-            (target, inputs, consumed, st.is_bottom(target as u32))
+            due
         };
-        let refs: Vec<&Segment> = inputs.iter().map(|s| &**s).collect();
+        let Some((from, target)) = plan else { return Ok(None) };
+        debug_assert!(st.memtable.is_empty(), "compaction follows a checkpoint");
+        let consumed_levels: Vec<usize> = (from..=target)
+            .filter(|&level| st.levels.get(level).is_some_and(|l| !l.is_empty()))
+            .collect();
+        let bytes_in: u64 = consumed_levels.iter().map(|&level| st.level_bytes(level)).sum();
         let (outputs, stats) = merge_segments(
-            &refs,
+            st.runs(from..=target),
             target as u32,
-            drop_tombstones,
-            self.cfg.bits_per_key,
+            st.is_bottom(target as u32),
             self.cfg.segment_target_bytes,
         )?;
-        self.clock.advance_ns(stats.bytes_in.saturating_mul(MERGE_NS_PER_BYTE));
-        Ok(Some(StagedMerge { shard: si, target, consumed_levels, outputs, stats }))
+        drop(st);
+        self.clock.advance_ns(bytes_in.saturating_mul(MERGE_NS_PER_BYTE));
+        Ok(Some(StagedMerge { shard: si, target, consumed_levels, bytes_in, outputs, stats }))
     }
 
     /// Make one wave of staged merges durable, then install each: the
@@ -1003,7 +908,7 @@ impl Catalog {
             st.levels[m.target] = take_shard(&mut handles, m.shard);
             drop(st);
             self.c.compactions.inc();
-            self.c.compaction_bytes.add(m.stats.bytes_in);
+            self.c.compaction_bytes.add(m.bytes_in);
             self.c.dedup_records.add(m.stats.dedup_records);
             self.c.overwritten_records.add(m.stats.overwritten_records);
             self.c.tombstones_dropped.add(m.stats.tombstones_dropped);

@@ -16,7 +16,8 @@
 //! * `bloom` — per-segment bloom filters (no false negatives);
 //! * `segment` — immutable sorted runs with checksum footers;
 //! * `manifest` — checksummed manifests and WAL batches;
-//! * `compact` — leveled k-way merge with dedup accounting;
+//! * `compact` — the one newest-wins k-way merge (scans, compaction, bulk
+//!   load) with dedup accounting;
 //! * [`engine`] — [`Catalog`]: the public service tying it together.
 
 #![forbid(unsafe_code)]

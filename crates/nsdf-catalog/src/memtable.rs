@@ -3,8 +3,10 @@
 //! One memtable per shard: a sorted map from record id to the newest write
 //! for that id — a live record or a tombstone. Because the map is sorted,
 //! flushing is a straight iteration into an immutable sorted segment with
-//! no extra sort pass, and scans merge it against segment cursors like any
-//! other sorted run (recency rank 0).
+//! no extra sort pass, and a scan hands it to the one newest-wins merge
+//! (`compact::merge`) as the newest of the shard's runs: the run order
+//! (`ShardState::runs`) is this memtable, then L0 newest→oldest, then each
+//! deeper level as one chained run.
 
 use crate::record::Record;
 use std::collections::BTreeMap;

@@ -23,6 +23,7 @@
 //! what lets recovery quarantine damage instead of serving it.
 
 use crate::bloom::Bloom;
+use crate::engine::BITS_PER_KEY;
 use crate::record::Record;
 use nsdf_util::{fnv1a64, NsdfError, Result};
 
@@ -38,15 +39,6 @@ pub struct Segment {
     payload: Vec<u8>,
     bloom: Bloom,
     encoded_bytes: u64,
-}
-
-/// What a segment holds for one id.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SegEntry {
-    /// A live record version.
-    Put(Record),
-    /// A deletion marker.
-    Tombstone,
 }
 
 impl Segment {
@@ -96,7 +88,7 @@ impl Segment {
     }
 
     /// Content checksum of entry `i` without materializing the record —
-    /// `None` for tombstones. Compaction's dedup accounting peeks this.
+    /// `None` for tombstones. The merge's dedup accounting peeks this.
     pub(crate) fn checksum_at(&self, i: usize) -> Option<u64> {
         if self.is_tombstone(i) {
             return None;
@@ -105,13 +97,13 @@ impl Segment {
         Some(u64::from_le_bytes(body[8..16].try_into().expect("8 bytes")))
     }
 
-    /// Materialize entry `i`.
-    pub(crate) fn entry_at(&self, i: usize) -> Result<SegEntry> {
+    /// Materialize entry `i`: its record, `None` for a tombstone.
+    pub(crate) fn record_at(&self, i: usize) -> Result<Option<Record>> {
         if self.is_tombstone(i) {
-            return Ok(SegEntry::Tombstone);
+            return Ok(None);
         }
         let body = &self.payload[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        Ok(SegEntry::Put(Record::decode_body(self.ids[i], body)?))
+        Record::decode_body(self.ids[i], body).map(Some)
     }
 
     /// Binary-search position of `id` in the id column.
@@ -146,7 +138,9 @@ impl Segment {
     }
 
     /// Decode and verify a wire encoding. Any truncation, bit flip, or
-    /// structural inconsistency yields [`NsdfError::Corrupt`].
+    /// structural inconsistency yields [`NsdfError::Corrupt`]; no column is
+    /// allocated before the bytes it sizes are known to be present, since
+    /// the footer is no defence against a forged count.
     pub fn decode(buf: &[u8]) -> Result<Segment> {
         let corrupt = |what: &str| NsdfError::corrupt(format!("segment: {what}"));
         if buf.len() < 8 + 4 + 24 + 8 {
@@ -168,18 +162,23 @@ impl Segment {
             *pos = end;
             Ok(s)
         };
+        // Bytes of a `count`-long column of `width`-byte cells.
+        let column = |count: usize, width: usize| {
+            count.checked_mul(width).ok_or_else(|| corrupt("count out of range"))
+        };
         let level = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4"));
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8")) as usize;
+        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
+        let count = usize::try_from(count).map_err(|_| corrupt("count out of range"))?;
         if count == 0 {
             return Err(corrupt("empty segment"));
         }
         let min = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
         let max = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
         let bloom = Bloom::decode_from(body, &mut pos)?;
-        let mut ids = Vec::with_capacity(count);
-        for chunk in take(&mut pos, count * 8)?.chunks_exact(8) {
-            ids.push(u64::from_le_bytes(chunk.try_into().expect("8")));
-        }
+        let ids: Vec<u64> = take(&mut pos, column(count, 8)?)?
+            .chunks_exact(8)
+            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8")))
+            .collect();
         if ids[0] != min || *ids.last().expect("non-empty") != max {
             return Err(corrupt("id range disagrees with header"));
         }
@@ -190,10 +189,10 @@ impl Segment {
         if flags.iter().any(|&f| f > 1) {
             return Err(corrupt("bad entry flag"));
         }
-        let mut offsets = Vec::with_capacity(count + 1);
-        for chunk in take(&mut pos, (count + 1) * 4)?.chunks_exact(4) {
-            offsets.push(u32::from_le_bytes(chunk.try_into().expect("4")));
-        }
+        let offsets: Vec<u32> = take(&mut pos, column(count.saturating_add(1), 4)?)?
+            .chunks_exact(4)
+            .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4")))
+            .collect();
         let payload_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8")) as usize;
         let payload = take(&mut pos, payload_len)?.to_vec();
         if pos != body.len() {
@@ -213,7 +212,6 @@ impl Segment {
 #[derive(Debug)]
 pub(crate) struct SegmentBuilder {
     level: u32,
-    bits_per_key: u32,
     ids: Vec<u64>,
     flags: Vec<u8>,
     offsets: Vec<u32>,
@@ -222,10 +220,9 @@ pub(crate) struct SegmentBuilder {
 
 impl SegmentBuilder {
     /// Builder for a segment destined for `level`.
-    pub fn new(level: u32, bits_per_key: u32) -> Self {
+    pub fn new(level: u32) -> Self {
         SegmentBuilder {
             level,
-            bits_per_key,
             ids: Vec::new(),
             flags: Vec::new(),
             offsets: vec![0],
@@ -272,7 +269,7 @@ impl SegmentBuilder {
         if self.ids.is_empty() {
             return None;
         }
-        let bloom = Bloom::build(&self.ids, self.bits_per_key);
+        let bloom = Bloom::build(&self.ids, BITS_PER_KEY);
         let mut seg = Segment {
             level: self.level,
             ids: self.ids,
@@ -296,7 +293,7 @@ mod tests {
     }
 
     fn build(ids: &[u64], tombstones: &[u64]) -> Segment {
-        let mut b = SegmentBuilder::new(1, 10);
+        let mut b = SegmentBuilder::new(1);
         let mut all: Vec<u64> = ids.iter().chain(tombstones).copied().collect();
         all.sort_unstable();
         for id in all {
@@ -319,9 +316,9 @@ mod tests {
         assert_eq!(back.level(), 1);
         assert_eq!(back.encoded_bytes(), bytes.len() as u64);
         let i = back.position(9).unwrap();
-        assert_eq!(back.entry_at(i).unwrap(), SegEntry::Put(rec(9)));
+        assert_eq!(back.record_at(i).unwrap(), Some(rec(9)));
         let t = back.position(7).unwrap();
-        assert_eq!(back.entry_at(t).unwrap(), SegEntry::Tombstone);
+        assert_eq!(back.record_at(t).unwrap(), None);
         assert!(back.position(8).is_none());
         assert!(back.covers(8) && !back.covers(1) && !back.covers(12));
         // Bloom admits every stored id.
@@ -332,11 +329,11 @@ mod tests {
 
     #[test]
     fn out_of_order_push_rejected() {
-        let mut b = SegmentBuilder::new(0, 10);
+        let mut b = SegmentBuilder::new(0);
         b.push(5, Some(&rec(5))).unwrap();
         assert!(b.push(5, Some(&rec(5))).is_err());
         assert!(b.push(3, None).is_err());
-        assert!(SegmentBuilder::new(0, 10).finish().is_none());
+        assert!(SegmentBuilder::new(0).finish().is_none());
     }
 
     #[test]
@@ -351,5 +348,30 @@ mod tests {
             assert!(Segment::decode(&bad).unwrap_err().is_corrupt(), "flip {flip}");
         }
         assert!(Segment::decode(&bytes).is_ok());
+    }
+
+    /// `bytes` with the little-endian `value` written at `at` and the
+    /// footer recomputed — a forgery the checksum cannot catch.
+    fn forge(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+        let mut forged = bytes[..bytes.len() - 8].to_vec();
+        forged[at..at + value.len()].copy_from_slice(value);
+        let digest = fnv1a64(&forged);
+        forged.extend_from_slice(&digest.to_le_bytes());
+        forged
+    }
+
+    #[test]
+    fn forged_counts_are_corrupt_not_allocated() {
+        let bytes = build(&[2, 5, 9, 11], &[7]).encode();
+        // The entry count sits after magic and level; the bloom's word
+        // count after the 24-byte count/min/max header and its `k`.
+        for count in [u64::MAX, u64::MAX / 4, 1 << 40, 6] {
+            let forged = forge(&bytes, 12, &count.to_le_bytes());
+            assert!(Segment::decode(&forged).unwrap_err().is_corrupt(), "count {count}");
+        }
+        for words in [u32::MAX, 1 << 28] {
+            let forged = forge(&bytes, 8 + 4 + 24 + 4, &words.to_le_bytes());
+            assert!(Segment::decode(&forged).unwrap_err().is_corrupt(), "bloom words {words}");
+        }
     }
 }

@@ -1,14 +1,17 @@
 //! Property tests for the LSM engine's structural invariants: every level
 //! of every shard keeps its segments sorted and (below L0) non-overlapping,
-//! compaction preserves the live-record multiset, and replaying one trace
+//! compaction preserves the live-record multiset, replaying one trace
 //! into engines with different shard counts always produces the same
-//! index. The bloom and merge-accounting properties of the engine's parts
-//! are unit tests of `bloom` and `compact`.
+//! index, and bulk load keeps the last arrival of every id with exact
+//! dedup / overwrite counts. The bloom and merge-accounting properties of
+//! the engine's parts are unit tests of `bloom` and `compact`.
 
-use nsdf_catalog::{Catalog, Record};
-use nsdf_util::splitmix64;
+use nsdf_catalog::{Catalog, CatalogConfig, Record};
+use nsdf_storage::MemoryStore;
+use nsdf_util::{splitmix64, SimClock};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Version `v` of record `id`; the tiny checksum domain forces both
 /// dedup (same content re-ingested) and overwrite (changed content).
@@ -118,5 +121,46 @@ proptest! {
         let resharded = Catalog::new(13).expect("catalog");
         resharded.ingest(scans[0].iter().cloned()).expect("reshard replay");
         prop_assert_eq!(resharded.scan_all(), scans[0].clone());
+    }
+
+    #[test]
+    fn bulk_load_keeps_the_last_arrival_and_counts_every_repeat(
+        raw in collection::vec((0u64..200, 0u64..3), 1..600),
+        shards in 1usize..9,
+    ) {
+        // Small segments and write waves, so a load splits output and
+        // persists in several waves.
+        let cfg = CatalogConfig {
+            memtable_budget_bytes: 4_000,
+            segment_target_bytes: 1_500,
+            ..CatalogConfig::new(shards)
+        };
+        let cat = Catalog::open(Arc::new(MemoryStore::new()), SimClock::new(), cfg)
+            .expect("catalog");
+        // Repeated ids arrive with the same version (identical content) or
+        // another one (different content, unless the checksum collides).
+        let batch: Vec<Record> = raw.iter().map(|&(id, v)| synth(id, v)).collect();
+        let mut last_wins: BTreeMap<u64, Record> = BTreeMap::new();
+        for r in &batch {
+            last_wins.insert(r.id, r.clone());
+        }
+        let (mut dedup, mut overwritten) = (0u64, 0u64);
+        for (i, r) in batch.iter().enumerate() {
+            if batch[i + 1..].iter().any(|later| later.id == r.id) {
+                if r.checksum == last_wins[&r.id].checksum {
+                    dedup += 1;
+                } else {
+                    overwritten += 1;
+                }
+            }
+        }
+        prop_assert_eq!(cat.bulk_load(batch).expect("bulk load"), last_wins.len() as u64);
+        prop_assert_eq!(cat.scan_all(), last_wins.values().cloned().collect::<Vec<_>>());
+        for id in 0..200 {
+            prop_assert_eq!(cat.get(id), last_wins.get(&id).cloned(), "get({})", id);
+        }
+        let snap = cat.obs().snapshot();
+        prop_assert_eq!(snap.counter("catalog.dedup_records"), dedup, "dedup count");
+        prop_assert_eq!(snap.counter("catalog.overwritten_records"), overwritten, "overwrite count");
     }
 }

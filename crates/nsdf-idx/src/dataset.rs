@@ -17,9 +17,9 @@ use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::par::{num_threads, try_par_map_owned};
-use nsdf_util::{Box2i, Box3i, NsdfError, Raster, Result, Sample, SimClock};
+use nsdf_util::{Box2i, Box3i, Lru, NsdfError, Raster, Result, Sample, SimClock};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -166,17 +166,11 @@ pub(crate) type DecodedEntry = Option<Arc<Vec<u8>>>;
 /// one of these, holding `Arc`s of the same images. `None` records a block
 /// known to be missing from storage, so progressive refinement neither
 /// refetches nor redecodes — nor re-misses — a block it already resolved.
+///
+/// The recency queue is an [`Lru`] that is never touched on a hit, so it
+/// evicts by latest insertion.
 pub(crate) struct DecodedCache {
-    /// Each entry with the tick of its latest insertion.
-    entries: HashMap<BlockKey, (DecodedEntry, u64)>,
-    /// Insertion order as `(key, tick)`; a pair is live while its tick is
-    /// still the entry's. Stale pairs (the key was removed by a write, or
-    /// inserted again) are skipped at eviction time and dropped once they
-    /// outnumber the live ones, so the queue stays within twice the entry
-    /// count plus one.
-    queue: VecDeque<(BlockKey, u64)>,
-    next_tick: u64,
-    pub(crate) bytes: u64,
+    lru: Lru<BlockKey, DecodedEntry>,
     budget: u64,
     /// Bumped by every write-side invalidation. A read records the epoch
     /// when it partitions against the cache; if a write lands while its
@@ -189,51 +183,27 @@ pub(crate) struct DecodedCache {
 
 impl DecodedCache {
     pub(crate) fn new(budget: u64) -> Self {
-        DecodedCache {
-            entries: HashMap::new(),
-            queue: VecDeque::new(),
-            next_tick: 0,
-            bytes: 0,
-            budget,
-            write_epoch: 0,
-        }
-    }
-
-    fn cost(entry: &DecodedEntry) -> u64 {
-        entry.as_ref().map_or(0, |d| d.len() as u64)
+        DecodedCache { lru: Lru::default(), budget, write_epoch: 0 }
     }
 
     pub(crate) fn get(&self, key: &BlockKey) -> Option<DecodedEntry> {
-        self.entries.get(key).map(|(entry, _)| entry.clone())
+        self.lru.entries.get(key).map(|(entry, ..)| entry.clone())
     }
 
     /// Admit `value` as the newest entry; returns how many resident entries
     /// were evicted to respect the byte budget (reported as
     /// `decoded_evictions.budget`).
     pub(crate) fn insert(&mut self, key: BlockKey, value: DecodedEntry) -> u64 {
-        let cost = Self::cost(&value);
+        let cost = value.as_ref().map_or(0, |d| d.len() as u64);
         if cost > self.budget {
             return 0; // Larger than the whole budget: never admit.
         }
-        if self.queue.len() > 2 * self.entries.len() {
-            let entries = &self.entries;
-            self.queue.retain(|(k, tick)| entries.get(k).is_some_and(|e| e.1 == *tick));
-        }
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        if let Some((old, _)) = self.entries.insert(key, (value, tick)) {
-            self.bytes -= Self::cost(&old);
-        }
-        self.queue.push_back((key, tick));
-        self.bytes += cost;
+        self.lru.insert(key, value, cost);
         let mut evicted = 0;
-        while self.bytes > self.budget {
-            let Some((victim, tick)) = self.queue.pop_front() else { break };
-            if self.entries.get(&victim).is_some_and(|e| e.1 == tick) {
-                let (old, _) = self.entries.remove(&victim).expect("live pair");
-                self.bytes -= Self::cost(&old);
-                evicted += 1;
-            }
+        while self.lru.bytes() > self.budget {
+            let Some(victim) = self.lru.victim() else { break };
+            self.lru.remove(&victim);
+            evicted += 1;
         }
         evicted
     }
@@ -241,13 +211,17 @@ impl DecodedCache {
     /// Drop `key`; true when a resident entry was actually invalidated
     /// (reported as `decoded_evictions.epoch` on the write path).
     fn remove(&mut self, key: &BlockKey) -> bool {
-        match self.entries.remove(key) {
-            Some((old, _)) => {
-                self.bytes -= Self::cost(&old);
-                true
-            }
-            None => false,
-        }
+        self.lru.remove(key)
+    }
+}
+
+/// Tests inspect the queue through the cache.
+#[cfg(test)]
+impl std::ops::Deref for DecodedCache {
+    type Target = Lru<BlockKey, DecodedEntry>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.lru
     }
 }
 

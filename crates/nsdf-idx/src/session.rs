@@ -386,11 +386,6 @@ impl<T: Sample> QuerySession<T> {
         self.region
     }
 
-    /// The refinement target level.
-    pub fn target_level(&self) -> u32 {
-        self.target_level
-    }
-
     /// Cumulative session accounting.
     pub fn stats(&self) -> SessionStats {
         self.stats
@@ -831,7 +826,7 @@ mod tests {
             assert_eq!(frame.stats.blocks_missing, direct.blocks_missing);
             assert_eq!(frame.blocks_reused + frame.blocks_fetched, direct.blocks_touched);
             assert!(frame.blocks_reused <= 4);
-            assert!(session.resident.bytes <= 4 * BLOCK_BYTES);
+            assert!(session.resident.bytes() <= 4 * BLOCK_BYTES);
         }
     }
 
@@ -882,7 +877,7 @@ mod tests {
             let frame = session.frame_at(level).unwrap();
             assert_eq!(frame.raster.data(), data.slice_z(z as usize).unwrap().data(), "z={z}");
             assert_eq!(frame.stats.blocks_missing, 0);
-            assert!(session.resident.bytes <= budget, "z={z}: {}", session.resident.bytes);
+            assert!(session.resident.bytes() <= budget, "z={z}: {}", session.resident.bytes());
             touched.extend(session.view_blocks.iter().copied());
         }
         assert!(touched.len() as u64 * BLOCK_BYTES > budget, "the sweep must not fit");

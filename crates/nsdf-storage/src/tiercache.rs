@@ -42,9 +42,9 @@
 
 use crate::store::{slice_range, sole, validate_key, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
-use nsdf_util::{fnv1a64, splitmix64, NsdfError, Result};
+use nsdf_util::{fnv1a64, splitmix64, Lru, NsdfError, Result};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -106,7 +106,8 @@ fn decode_shard(expected_key: &str, shard: &[u8]) -> Result<Vec<u8>> {
     let checksum = u64::from_le_bytes(shard[at..at + 8].try_into().expect("8 bytes"));
     let payload_len = u64::from_le_bytes(shard[at + 8..at + 16].try_into().expect("8 bytes"));
     at += 16;
-    if shard.len() != at + payload_len as usize {
+    // The header is not under the checksum: compare, never add, its length.
+    if (shard.len() - at) as u64 != payload_len {
         return fail("torn payload");
     }
     let payload = &shard[at..];
@@ -277,96 +278,14 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug)]
-struct LruEntry<V> {
-    value: V,
-    size: u64,
-    tick: u64,
-}
-
-/// A size-accounted LRU with lazy invalidation — both tiers' recency
-/// order. Every touch or insert stamps its entry with a fresh tick and
-/// queues `(key, tick)`; a queued pair is live while its tick is still the
-/// entry's, so each entry has exactly one live pair. Stale pairs are
-/// dropped once they outnumber the live ones, which keeps the queue within
-/// twice the entry count plus one, however many hits land between
-/// evictions.
-#[derive(Debug)]
-struct Lru<V> {
-    entries: HashMap<String, LruEntry<V>>,
-    queue: VecDeque<(String, u64)>,
-    next_tick: u64,
-    resident: u64,
-}
-
-impl<V> Default for Lru<V> {
-    fn default() -> Self {
-        Lru { entries: HashMap::new(), queue: VecDeque::new(), next_tick: 0, resident: 0 }
-    }
-}
-
-impl<V> Lru<V> {
-    /// Drop every stale pair when they outnumber the live ones; the live
-    /// pairs keep their order, so eviction order is unchanged.
-    fn compact(&mut self) {
-        if self.queue.len() > 2 * self.entries.len() {
-            let entries = &self.entries;
-            self.queue.retain(|(key, tick)| entries.get(key).is_some_and(|e| e.tick == *tick));
-        }
-    }
-
-    /// Mark `key` most recently used; `None` when it is not resident.
-    fn touch(&mut self, key: &str) -> Option<&V> {
-        self.compact();
-        let entry = self.entries.get_mut(key)?;
-        entry.tick = self.next_tick;
-        self.next_tick += 1;
-        self.queue.push_back((key.to_string(), entry.tick));
-        Some(&entry.value)
-    }
-
-    /// Insert (or replace) `key` as most recently used.
-    fn insert(&mut self, key: String, value: V, size: u64) {
-        self.compact();
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        if let Some(old) = self.entries.insert(key.clone(), LruEntry { value, size, tick }) {
-            self.resident -= old.size;
-        }
-        self.resident += size;
-        self.queue.push_back((key, tick));
-    }
-
-    fn remove(&mut self, key: &str) -> bool {
-        match self.entries.remove(key) {
-            Some(old) => {
-                self.resident -= old.size;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The least recently used resident key, skipping stale pairs.
-    fn victim(&mut self) -> Option<String> {
-        while let Some((key, tick)) = self.queue.front() {
-            if self.entries.get(key).is_some_and(|e| e.tick == *tick) {
-                return Some(key.clone());
-            }
-            self.queue.pop_front();
-        }
-        None
-    }
-}
-
 #[derive(Default)]
 struct TierState {
     /// The hot tier: key → payload.
-    ram: Lru<Arc<Vec<u8>>>,
+    ram: Lru<String, Arc<Vec<u8>>>,
     /// Disk-tier accounting: shard path → envelope size. Rebuilt
     /// deterministically (sorted path order) when a cache opens over an
     /// existing shard tree.
-    disk: Lru<()>,
+    disk: Lru<String, ()>,
     sketch: FrequencySketch,
     /// One epoch guards both tiers: bumped by every write/delete so an
     /// in-flight fetch that raced a write is handed to waiters but never
@@ -561,14 +480,14 @@ impl TierCache {
         {
             let mut st = self.state.lock();
             self.evict_disk_to_budget(&mut st);
-            self.m.disk_resident_bytes.set(st.disk.resident as f64);
+            self.m.disk_resident_bytes.set(st.disk.bytes() as f64);
         }
         Ok(self)
     }
 
     /// Re-home accounting into `obs` (scopes `…cache` and `…tiercache`).
     pub fn with_obs(mut self, obs: &Obs) -> TierCache {
-        let disk_resident = self.state.lock().disk.resident;
+        let disk_resident = self.state.lock().disk.bytes();
         self.m = TierMetrics::new(obs);
         self.m.disk_resident_bytes.set(disk_resident as f64);
         self
@@ -588,7 +507,7 @@ impl TierCache {
             evictions: self.m.evictions.get(),
             evictions_budget: self.m.evictions_budget.get(),
             evictions_epoch: self.m.evictions_epoch.get(),
-            resident_bytes: self.state.lock().ram.resident,
+            resident_bytes: self.state.lock().ram.bytes(),
             coalesced_waits: self.m.coalesced_waits.get(),
         }
     }
@@ -604,8 +523,8 @@ impl TierCache {
             quarantined: self.m.quarantined.get(),
             promotions: self.m.promotions.get(),
             admit_rejected: self.m.admit_rejected.get(),
-            ram_resident_bytes: st.ram.resident,
-            disk_resident_bytes: st.disk.resident,
+            ram_resident_bytes: st.ram.bytes(),
+            disk_resident_bytes: st.disk.bytes(),
             ram_capacity: self.ram_capacity,
             disk_capacity: self.disk_capacity,
         }
@@ -641,7 +560,7 @@ impl TierCache {
                 self.m.evictions.inc();
                 self.m.evictions_epoch.inc();
             }
-            self.m.resident_bytes.set(st.ram.resident as f64);
+            self.m.resident_bytes.set(st.ram.bytes() as f64);
             return false;
         }
         let replaced = st.ram.remove(key);
@@ -652,7 +571,7 @@ impl TierCache {
         // Admission filter: evict only victims colder than the candidate.
         let candidate_freq = st.sketch.estimate(key);
         let mut admitted = true;
-        while st.ram.resident + size > self.ram_capacity {
+        while st.ram.bytes() + size > self.ram_capacity {
             let Some(victim) = st.ram.victim() else { break };
             let victim_freq = st.sketch.estimate(&victim);
             let evict = victim_freq < candidate_freq;
@@ -677,7 +596,7 @@ impl TierCache {
         if admitted {
             st.ram.insert(key.to_string(), data, size);
         }
-        self.m.resident_bytes.set(st.ram.resident as f64);
+        self.m.resident_bytes.set(st.ram.bytes() as f64);
         admitted
     }
 
@@ -699,12 +618,12 @@ impl TierCache {
         } else {
             self.drop_shard(st, &path);
         }
-        self.m.disk_resident_bytes.set(st.disk.resident as f64);
+        self.m.disk_resident_bytes.set(st.disk.bytes() as f64);
     }
 
     fn evict_disk_to_budget(&self, st: &mut TierState) {
         let Some(disk) = &self.disk_store else { return };
-        while st.disk.resident > self.disk_capacity {
+        while st.disk.bytes() > self.disk_capacity {
             let Some(path) = st.disk.victim() else { break };
             st.disk.remove(&path);
             let _ = disk.delete(&path);
@@ -717,7 +636,7 @@ impl TierCache {
     fn drop_shard(&self, st: &mut TierState, path: &str) {
         if let Some(disk) = &self.disk_store {
             if st.disk.remove(path) {
-                self.m.disk_resident_bytes.set(st.disk.resident as f64);
+                self.m.disk_resident_bytes.set(st.disk.bytes() as f64);
             }
             let _ = disk.delete(path);
         }
@@ -745,7 +664,7 @@ impl TierCache {
             self.m.evictions.inc();
             self.m.evictions_epoch.inc();
         }
-        self.m.resident_bytes.set(st.ram.resident as f64);
+        self.m.resident_bytes.set(st.ram.bytes() as f64);
         self.drop_shard(st, &hash_to_path(&self.namespace, key));
     }
 
@@ -822,7 +741,7 @@ impl TierCache {
             let mut hits = 0;
             for (i, k) in keys.iter().enumerate() {
                 st.sketch.record(k);
-                if let Some(data) = st.ram.touch(k) {
+                if let Some(data) = st.ram.touch(*k) {
                     hits += 1;
                     out[i] = Some(Ok(Arc::clone(data)));
                 } else {
@@ -1060,6 +979,18 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(decode_shard("k/1", &flipped).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn forged_payload_length_is_corrupt() {
+        // The payload checksum still matches; only the unprotected length
+        // field lies, by an amount that overflows `offset + length`.
+        let mut forged = encode_shard("k/1", b"payload-bytes");
+        let at = 8 + 4 + "k/1".len() + 8;
+        for len in [u64::MAX, u64::MAX - 20, 14] {
+            forged[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            assert!(decode_shard("k/1", &forged).unwrap_err().is_corrupt(), "length {len}");
+        }
     }
 
     #[test]

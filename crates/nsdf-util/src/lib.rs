@@ -15,7 +15,8 @@
 //! * [`obs`] — the unified metrics registry + virtual-clock span tracer;
 //! * [`clock`] — the deterministic virtual clock driving all simulations;
 //! * [`meta`] — the text key/value metadata format used by `.idx` headers;
-//! * [`hash`] — content checksums and seed derivation.
+//! * [`hash`] — content checksums and seed derivation;
+//! * [`lru`] — the tick-stamped recency queue of the byte-budgeted caches.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -25,6 +26,7 @@ pub mod dtype;
 pub mod error;
 pub mod geo;
 pub mod hash;
+pub mod lru;
 pub mod meta;
 pub mod obs;
 pub mod par;
@@ -37,6 +39,7 @@ pub use dtype::{bytes_to_samples, samples_to_bytes, DType, Sample};
 pub use error::{NsdfError, Result};
 pub use geo::{haversine_km, Box2i, Box3i, GeoTransform, LatLon};
 pub use hash::{derive_seed, fnv1a64, splitmix64, Fnv1a};
+pub use lru::Lru;
 pub use meta::Meta;
 pub use obs::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Obs, SpanGuard, SpanNode};
 pub use raster::Raster;
