@@ -82,16 +82,6 @@ impl Codec {
         }
     }
 
-    /// Compress an owned buffer. Identical to [`Codec::encode`] except that
-    /// `Raw` moves the buffer instead of copying it — the zero-copy path for
-    /// callers that already own the bytes.
-    pub fn encode_owned(&self, src: Vec<u8>) -> Result<Vec<u8>> {
-        match *self {
-            Codec::Raw => Ok(src),
-            _ => self.encode(&src),
-        }
-    }
-
     /// Decompress `src` into exactly `dst_len` bytes.
     pub fn decode(&self, src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
         match *self {
@@ -321,7 +311,6 @@ mod tests {
         let data = sample_data();
         for codec in Codec::lossless_palette(4) {
             let enc = codec.encode(&data).unwrap();
-            assert_eq!(codec.encode_owned(data.clone()).unwrap(), enc, "codec {codec}");
             assert_eq!(
                 codec.decode_owned(enc.clone(), data.len()).unwrap(),
                 codec.decode(&enc, data.len()).unwrap(),

@@ -10,6 +10,13 @@
 //! because it is spatially coherent, a small region at full resolution
 //! touches few blocks — those two properties are the whole point of the
 //! format and are benchmarked in `bench/hz_locality.rs`.
+//!
+//! Writes have one path, `IdxDataset::write_region`: a tile
+//! ([`IdxDataset::write_box`]) and a whole grid ([`IdxDataset::write_raster`],
+//! [`crate::IdxVolume::write_volume`]) are both scattered into per-block
+//! images, merged into the handle's write buffer and uploaded by the call
+//! that completes a block — which, for a whole grid, is every block it
+//! touches.
 
 use crate::meta::IdxMeta;
 use nsdf_compress::{AdaptiveCodec, Codec};
@@ -29,9 +36,9 @@ use std::time::Instant;
 /// ingest-pipeline counters mirroring [`QueryStats`] on the read side.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteStats {
-    /// Blocks this call uploaded: for [`IdxDataset::write_box`] the blocks
-    /// it completed (or everything pending, when too much would have stayed
-    /// behind), not the blocks it touched.
+    /// Blocks this call uploaded: the blocks it completed (every one a
+    /// full-grid write touches; or everything pending, when too much would
+    /// have stayed behind), not the blocks it touched.
     pub blocks_written: u64,
     /// Blocks this write touched and left in the write buffer instead of
     /// uploading — each one an upload that write-combining deferred.
@@ -39,8 +46,6 @@ pub struct WriteStats {
     /// Dirty blocks the handle's write buffer held when the call returned
     /// (see [`IdxDataset::flush`]).
     pub blocks_pending: u64,
-    /// Blocks skipped because they hold only power-of-two padding.
-    pub blocks_skipped: u64,
     /// Uncompressed payload bytes.
     pub bytes_raw: u64,
     /// Stored (compressed) bytes.
@@ -52,7 +57,7 @@ pub struct WriteStats {
     pub put_batches: u64,
     /// Upload batch size (block put concurrency) in force for this write.
     pub write_concurrency: u64,
-    /// Wall-clock seconds spent merging and encoding blocks.
+    /// Wall-clock seconds spent in the codec, encoding the uploaded blocks.
     pub encode_secs: f64,
     /// Wall-clock seconds spent uploading encoded blocks.
     pub put_secs: f64,
@@ -80,7 +85,6 @@ impl WriteStats {
         self.blocks_written += other.blocks_written;
         self.blocks_combined += other.blocks_combined;
         self.blocks_pending = self.blocks_pending.max(other.blocks_pending);
-        self.blocks_skipped += other.blocks_skipped;
         self.bytes_raw += other.bytes_raw;
         self.bytes_stored += other.bytes_stored;
         self.rmw_fetches += other.rmw_fetches;
@@ -225,13 +229,12 @@ impl std::ops::Deref for DecodedCache {
     }
 }
 
-/// The samples one `write_box` call brings to one block: in-block offsets
-/// and, in the same order, their little-endian bytes — so merging them into
-/// a raw block image needs no sample type.
-#[derive(Default)]
+/// The samples one write brings to one block: a raw block image holding
+/// them at their offsets, zeros elsewhere, and the set of offsets they
+/// cover — so merging them needs no sample type.
 struct BlockUpdate {
-    offsets: Vec<usize>,
-    bytes: Vec<u8>,
+    raw: Vec<u8>,
+    covered: BitSet,
     /// How many of the block's samples lie inside the logical grid: the
     /// block is complete once that many distinct offsets are written.
     in_bounds: u64,
@@ -275,11 +278,18 @@ struct PendingBlock {
 }
 
 impl PendingBlock {
+    /// Copy the samples `update` covers over this image.
     fn merge(&mut self, update: &BlockUpdate, sample_size: usize) {
         let raw = Arc::make_mut(&mut self.raw);
-        for (&offset, bytes) in update.offsets.iter().zip(update.bytes.chunks_exact(sample_size)) {
-            raw[offset * sample_size..][..sample_size].copy_from_slice(bytes);
-            self.covered.insert(offset);
+        for (w, &word) in update.covered.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let offset = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let at = offset * sample_size..(offset + 1) * sample_size;
+                raw[at.clone()].copy_from_slice(&update.raw[at]);
+                self.covered.insert(offset);
+            }
         }
         self.uploading = false;
     }
@@ -320,24 +330,30 @@ impl WriteBuffer {
 
     /// Merge `update` into `key`'s image — `base` (zeros when `None`) if the
     /// block was not pending yet — and return how many offsets are covered.
+    /// An update that covers every in-bounds sample, or that has nothing to
+    /// go over, becomes the block's image itself, moved in without a copy.
     fn merge(
         &mut self,
         key: BlockKey,
         base: DecodedEntry,
-        update: &BlockUpdate,
-        block_bytes: usize,
+        update: BlockUpdate,
         sample_size: usize,
     ) -> u64 {
-        let block = self.blocks.entry(key).or_insert_with(|| {
-            self.bytes += block_bytes as u64;
-            PendingBlock {
-                raw: base.unwrap_or_else(|| Arc::new(vec![0; block_bytes])),
-                covered: BitSet::default(),
-                uploading: false,
+        let pending = self.blocks.remove(&key);
+        if pending.is_none() {
+            self.bytes += update.raw.len() as u64;
+        }
+        let fresh = |raw| PendingBlock { raw, covered: BitSet::default(), uploading: false };
+        let block = match pending.or(base.map(fresh)) {
+            Some(mut block) if update.covered.ones < update.in_bounds => {
+                block.merge(&update, sample_size);
+                block
             }
-        });
-        block.merge(update, sample_size);
-        block.covered.ones
+            _ => PendingBlock { covered: update.covered, ..fresh(Arc::new(update.raw)) },
+        };
+        let covered = block.covered.ones;
+        self.blocks.insert(key, block);
+        covered
     }
 
     /// Mark the pending blocks `wanted` picks as in flight and return their
@@ -805,110 +821,42 @@ impl IdxDataset {
     /// Write a full-resolution raster into `field` at `time`.
     ///
     /// The raster shape must equal the dataset's logical dims and `T` must
-    /// match the field dtype. All samples are scattered to their HZ address
-    /// and stored block by block; blocks consisting purely of power-of-two
-    /// padding are skipped. Every block is uploaded before the call returns,
-    /// superseding whatever [`IdxDataset::write_box`] left pending for it.
+    /// match the field dtype. This is [`IdxDataset::write_box`] over the
+    /// whole grid: it covers every in-bounds sample of every block it
+    /// touches, so it completes them all and uploads them before it
+    /// returns, superseding whatever an earlier `write_box` left pending
+    /// for them; blocks of pure power-of-two padding are never touched. On
+    /// an upload error the same rule as `write_box`'s holds: the samples
+    /// stay merged and the blocks that did not store stay dirty.
     pub fn write_raster<T: Sample>(
         &self,
         field: &str,
         time: u32,
         raster: &Raster<T>,
     ) -> Result<WriteStats> {
-        self.check_time(time)?;
-        let field_idx = self.field_checked::<T>(field)?;
-        let (w, h) = (self.meta.dims[0] as usize, self.meta.dims[1] as usize);
-        if raster.shape() != (w, h) {
+        let (w, h) = raster.shape();
+        self.write_full("write_raster", field, time, [w, h, 1], raster.data())
+    }
+
+    /// A full-grid write ([`IdxDataset::write_raster`],
+    /// [`crate::IdxVolume::write_volume`]): `shape` must equal the dataset's
+    /// dims, and the write is [`IdxDataset::write_region`] from the origin.
+    pub(crate) fn write_full<T: Sample>(
+        &self,
+        span: &str,
+        field: &str,
+        time: u32,
+        shape: [usize; 3],
+        data: &[T],
+    ) -> Result<WriteStats> {
+        let e = self.extent();
+        let dims = [e.x1, e.y1, e.z1].map(|d| d as usize);
+        if shape != dims {
             return Err(NsdfError::invalid(format!(
-                "raster shape {:?} does not match dataset dims ({w}, {h})",
-                raster.shape()
+                "{span}: shape {shape:?} does not match dataset dims {dims:?}"
             )));
         }
-        let _write_span = self.m.obs.span("write_raster");
-        let images = self.full_grid_images([w, h, 1], raster.data())?;
-        self.put_full_blocks(field_idx, time, images)
-    }
-
-    /// The one coordinate walk on the way in — where samples become bytes.
-    /// `data` holds `shape` samples, x fastest, the first at grid position
-    /// `origin` (a 2-D grid is one sample deep); each goes to `sink` as its
-    /// block, its in-block offset and its little-endian bytes.
-    fn scatter<T: Sample>(
-        &self,
-        origin: [u64; 3],
-        shape: [usize; 3],
-        data: &[T],
-        mut sink: impl FnMut(u64, usize, &[u8]),
-    ) -> Result<()> {
-        let block_samples = self.meta.block_samples();
-        let mut samples = data.iter();
-        let mut le = Vec::with_capacity(T::DTYPE.size_bytes());
-        for z in 0..shape[2] as u64 {
-            for y in 0..shape[1] as u64 {
-                for x in 0..shape[0] as u64 {
-                    let coords = [origin[0] + x, origin[1] + y, origin[2] + z];
-                    let (block, offset) = self.curve.block_offset(&coords, block_samples)?;
-                    le.clear();
-                    samples.next().expect("callers check data against shape").write_le(&mut le);
-                    sink(block, offset, &le);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Plan a full-grid write (raster or volume): the raw image of every
-    /// block `data` — the whole grid, `shape` equal to the dataset's dims —
-    /// has a sample in, zero where it has none (power-of-two padding).
-    pub(crate) fn full_grid_images<T: Sample>(
-        &self,
-        shape: [usize; 3],
-        data: &[T],
-    ) -> Result<BTreeMap<u64, Vec<u8>>> {
-        let _plan_span = self.m.obs.span("plan");
-        let size = T::DTYPE.size_bytes();
-        let block_bytes = self.meta.block_samples() as usize * size;
-        let mut images: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        self.scatter([0; 3], shape, data, |block, offset, le| {
-            images.entry(block).or_insert_with(|| vec![0; block_bytes])[offset * size..][..size]
-                .copy_from_slice(le);
-        })?;
-        Ok(images)
-    }
-
-    /// Store the complete images of a full-grid write
-    /// ([`IdxDataset::full_grid_images`]): the data covers every non-padding
-    /// sample of every block it touches, so no block needs a
-    /// read-modify-write fetch, blocks it never touches hold only
-    /// power-of-two padding, and a pending image of a block it does touch is
-    /// out of date — the upload that succeeds retires it.
-    pub(crate) fn put_full_blocks(
-        &self,
-        field_idx: usize,
-        time: u32,
-        images: BTreeMap<u64, Vec<u8>>,
-    ) -> Result<WriteStats> {
-        let mut stats = WriteStats {
-            blocks_skipped: self.meta.blocks_per_field() - images.len() as u64,
-            write_concurrency: self.write_concurrency as u64,
-            ..WriteStats::default()
-        };
-        let _writer = self.writer.lock();
-        {
-            let mut state = self.blocks.lock();
-            for (key, pending) in
-                state.pending.blocks.range_mut((field_idx, time, 0)..=(field_idx, time, u64::MAX))
-            {
-                pending.uploading |= images.contains_key(&key.2);
-            }
-        }
-        let entries = images
-            .into_iter()
-            .map(|(block, image)| ((field_idx, time, block), Arc::new(image)))
-            .collect();
-        let result = self.encode_and_put(entries, &mut stats);
-        self.note_write(&mut stats, &[]);
-        result.map(|()| stats)
+        self.write_region(span, field, time, [0; 3], shape, data)
     }
 
     /// The one write tail of the crate: encode complete raw block images —
@@ -932,17 +880,14 @@ impl IdxDataset {
             let _encode_span = self.m.obs.span("encode");
             try_par_map_owned(entries, num_threads(), |(key, raw)| -> Result<_> {
                 let raw_len = raw.len();
-                let (enc, chosen) = match &self.adaptive {
-                    Some(selector) => selector.encode_block(&raw)?,
-                    // An image nobody else holds (a full-grid write's) moves
-                    // into the codec: the `Raw` arm is no second full copy.
-                    None => {
-                        let enc = match Arc::try_unwrap(raw) {
-                            Ok(owned) => self.meta.codec.encode_owned(owned)?,
-                            Err(shared) => self.meta.codec.encode(&shared)?,
-                        };
-                        (enc, self.meta.codec)
+                let (enc, chosen) = match (&self.adaptive, self.meta.codec) {
+                    (Some(selector), _) => {
+                        let (enc, chosen) = selector.encode_block(&raw)?;
+                        (Arc::new(enc), chosen)
                     }
+                    // A raw block is stored as the image itself, not a copy.
+                    (None, Codec::Raw) => (raw, Codec::Raw),
+                    (None, codec) => (Arc::new(codec.encode(&raw)?), codec),
                 };
                 Ok((key, raw_len, enc, chosen))
             })?
@@ -1090,14 +1035,36 @@ impl IdxDataset {
         y0: u64,
         raster: &Raster<T>,
     ) -> Result<WriteStats> {
+        let (w, h) = raster.shape();
+        self.write_region("write_box", field, time, [x0, y0, 0], [w, h, 1], raster.data())
+    }
+
+    /// The one write path of the crate, behind [`IdxDataset::write_box`],
+    /// [`IdxDataset::write_raster`] and [`crate::IdxVolume::write_volume`]
+    /// (their rules are documented on `write_box`), under a root span named
+    /// `span`. `data` holds `shape` samples, x fastest, the first at grid
+    /// position `origin` (a 2-D grid is one sample deep). It scatters them
+    /// into one image per touched block, fetches the base images partial
+    /// blocks need, merges into the write buffer, picks what to upload and
+    /// hands that to [`IdxDataset::encode_and_put`].
+    fn write_region<T: Sample>(
+        &self,
+        span: &str,
+        field: &str,
+        time: u32,
+        origin: [u64; 3],
+        shape: [usize; 3],
+        data: &[T],
+    ) -> Result<WriteStats> {
         self.check_time(time)?;
         let field_idx = self.field_checked::<T>(field)?;
-        let (rw, rh) = raster.shape();
-        let target = Box2i::new(x0 as i64, y0 as i64, x0 as i64 + rw as i64, y0 as i64 + rh as i64);
-        if !self.bounds().contains_box(&target) {
+        let e = self.extent();
+        let ends = [e.x1, e.y1, e.z1];
+        if (0..3)
+            .any(|a| origin[a].checked_add(shape[a] as u64).is_none_or(|end| end > ends[a] as u64))
+        {
             return Err(NsdfError::invalid(format!(
-                "write box {target:?} exceeds dataset bounds {:?}",
-                self.bounds()
+                "write of shape {shape:?} at {origin:?} exceeds dataset bounds {e:?}"
             )));
         }
         let block_samples = self.meta.block_samples();
@@ -1105,15 +1072,30 @@ impl IdxDataset {
         let block_bytes = block_samples as usize * sample_size;
 
         let _writer = self.writer.lock();
-        let _write_span = self.m.obs.span("write_box");
+        let _write_span = self.m.obs.span(span);
         let plan_span = self.m.obs.span("plan");
-        // Group incoming samples by block.
+        // Scatter — the one coordinate walk on the way in, where samples
+        // become bytes — into one image per touched block.
         let mut touched: BTreeMap<u64, BlockUpdate> = BTreeMap::new();
-        self.scatter([x0, y0, 0], [rw, rh, 1], raster.data(), |block, offset, le| {
-            let update = touched.entry(block).or_default();
-            update.offsets.push(offset);
-            update.bytes.extend_from_slice(le);
-        })?;
+        let mut samples = data.iter();
+        let mut le = Vec::with_capacity(sample_size);
+        for z in 0..shape[2] as u64 {
+            for y in 0..shape[1] as u64 {
+                for x in 0..shape[0] as u64 {
+                    let coords = [origin[0] + x, origin[1] + y, origin[2] + z];
+                    let (block, offset) = self.curve.block_offset(&coords, block_samples)?;
+                    let update = touched.entry(block).or_insert_with(|| BlockUpdate {
+                        raw: vec![0; block_bytes],
+                        covered: BitSet::default(),
+                        in_bounds: 0,
+                    });
+                    le.clear();
+                    samples.next().expect("callers pass `shape` samples").write_le(&mut le);
+                    update.raw[offset * sample_size..][..sample_size].copy_from_slice(&le);
+                    update.covered.insert(offset);
+                }
+            }
+        }
         for (&block, update) in &mut touched {
             update.in_bounds =
                 self.curve.block_samples_in_bounds(block, block_samples, &self.meta.dims)?;
@@ -1126,7 +1108,7 @@ impl IdxDataset {
                 .iter()
                 .filter(|(block, update)| {
                     let key = (field_idx, time, **block);
-                    (update.offsets.len() as u64) < update.in_bounds
+                    update.covered.ones < update.in_bounds
                         && !state.pending.blocks.contains_key(&key)
                         && !state.pending.known_absent(&key)
                 })
@@ -1165,21 +1147,20 @@ impl IdxDataset {
         // or everything pending when more than the budget would stay behind.
         // A merge invalidates like an upload does — the pending image is the
         // block's truth now.
-        let t_merge = Instant::now();
         let keys: Vec<BlockKey> = touched.keys().map(|&b| (field_idx, time, b)).collect();
         let ready = {
             let mut state = self.blocks.lock();
             let state = &mut *state;
             state.decoded.write_epoch += 1;
             let mut completed = Vec::new();
-            for (&block, update) in &touched {
+            for (block, update) in touched {
                 let key = (field_idx, time, block);
                 if state.decoded.remove(&key) {
                     self.m.decoded_evictions_epoch.inc();
                 }
                 let base = bases.remove(&block).flatten();
-                let covered = state.pending.merge(key, base, update, block_bytes, sample_size);
-                if covered == update.in_bounds {
+                let in_bounds = update.in_bounds;
+                if state.pending.merge(key, base, update, sample_size) == in_bounds {
                     completed.push(key);
                 }
             }
@@ -1188,7 +1169,6 @@ impl IdxDataset {
             let everything = held > pending.budget;
             pending.check_out(|key| everything || completed.binary_search(key).is_ok())
         };
-        stats.encode_secs += t_merge.elapsed().as_secs_f64();
 
         let result = self.encode_and_put(ready, &mut stats);
         self.note_write(&mut stats, &keys);
@@ -1631,8 +1611,16 @@ mod tests {
         let (_s, ds) = make_dataset(100, 37, Codec::Lzss);
         let r = ramp(100, 37);
         let stats = ds.write_raster("v", 0, &r).unwrap();
-        // 128x64 padded grid = 8192 addresses = 32 blocks; some all-padding.
-        assert!(stats.blocks_skipped > 0 || stats.blocks_written == 32);
+        // 128x64 padded grid = 8192 addresses = 32 blocks; the write stores
+        // exactly those holding a sample, and some hold only padding.
+        let mut holding = std::collections::BTreeSet::new();
+        for y in 0..37 {
+            for x in 0..100 {
+                holding.insert(ds.curve.block_offset(&[x, y], 256).unwrap().0);
+            }
+        }
+        assert!(holding.len() < 32);
+        assert_eq!(stats.blocks_written, holding.len() as u64);
         let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
         assert_eq!(back.data(), r.data());
     }
@@ -2121,9 +2109,11 @@ mod tests {
         let stats = ds.write_box("v", 0, 30, 30, &patch).unwrap();
         assert!(stats.rmw_fetches > 0);
         assert_eq!((stats.blocks_written, stats.put_batches), (0, 0));
+        assert_eq!(stats.encode_secs, 0.0, "encode_secs times the codec alone");
         assert_eq!(stats.blocks_pending, stats.rmw_fetches);
         let flushed = ds.flush().unwrap();
         assert_eq!(flushed.blocks_written, stats.blocks_pending);
+        assert!(flushed.encode_secs > 0.0);
         assert_eq!(flushed.blocks_pending, 0);
         let tree = obs.span_tree();
         let labels = |n: &nsdf_util::SpanNode| -> Vec<String> {
@@ -2180,7 +2170,6 @@ mod tests {
             blocks_written: 2,
             blocks_combined: 2,
             blocks_pending: 2,
-            blocks_skipped: 1,
             rmw_fetches: 2,
             put_batches: 1,
             write_concurrency: 8,
@@ -2192,7 +2181,6 @@ mod tests {
         assert_eq!(a.blocks_written, 5);
         assert_eq!(a.blocks_combined, 3);
         assert_eq!(a.blocks_pending, 5, "a level: merging keeps the peak");
-        assert_eq!(a.blocks_skipped, 1);
         assert_eq!(a.bytes_raw, 1024);
         assert_eq!(a.rmw_fetches, 2);
         assert_eq!(a.put_batches, 2);
@@ -2208,7 +2196,6 @@ mod tests {
             blocks_written: 7,
             blocks_combined: 4,
             blocks_pending: 3,
-            blocks_skipped: 2,
             bytes_raw: 512,
             bytes_stored: 300,
             rmw_fetches: 3,
@@ -2551,6 +2538,11 @@ mod write_box_tests {
         assert!(ds.write_box("v", 0, 60, 60, &patch).is_err());
         assert!(ds.write_box("missing", 0, 0, 0, &patch).is_err());
         assert!(ds.write_box("v", 9, 0, 0, &patch).is_err());
+        // An origin whose end overflows is out of bounds on either axis.
+        for (x0, y0) in [(i64::MAX as u64, 0), (0, i64::MAX as u64), (u64::MAX, 0), (0, u64::MAX)] {
+            let err = ds.write_box("v", 0, x0, y0, &patch).unwrap_err();
+            assert!(matches!(err, NsdfError::InvalidArg(_)), "({x0}, {y0}): {err}");
+        }
     }
 
     /// A 64x64 f32 dataset of 256-sample blocks whose store refuses writes
@@ -2577,30 +2569,43 @@ mod write_box_tests {
 
     #[test]
     fn failed_upload_keeps_the_block_dirty_until_a_later_flush_stores_it() {
-        let (store, ds, clock, obs) = write_outage_dataset();
-        // A 32x32 tile completes several blocks, so this call must upload —
-        // inside the outage.
-        clock.advance_secs(15.0);
+        // Each input's last call must upload inside the outage: a 32x32 tile
+        // completes several blocks, a full-grid write completes all of them
+        // — the last input over a partial block a patch left pending.
         let tile = ramp(32, 32, 7.0);
-        let err = ds.write_box("v", 0, 0, 0, &tile).unwrap_err();
-        assert!(err.to_string().contains("outage"), "the put error surfaces: {err}");
-        assert_eq!(store.list("wb/f0/").unwrap().len(), 0, "nothing stored");
-        // The samples stay merged: visible through the handle, still dirty.
-        let region = Box2i::new(0, 0, 32, 32);
-        let (seen, _) = ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
-        assert_eq!(seen.data(), tile.data());
-        assert!(obs.snapshot().gauge("idx.pending_bytes") > 0.0);
-        assert!(ds.flush().is_err(), "still inside the outage");
-        assert_eq!(obs.snapshot().counter("idx.flush_failures"), 1);
+        let grid = ramp(64, 64, 3.0);
+        for (input, over_patch) in [(&tile, false), (&grid, false), (&grid, true)] {
+            let (store, ds, clock, obs) = write_outage_dataset();
+            if over_patch {
+                let stats = ds.write_box("v", 0, 5, 5, &Raster::<f32>::filled(3, 3, -9.0)).unwrap();
+                assert!(stats.blocks_written == 0 && stats.blocks_pending > 0);
+            }
+            clock.advance_secs(15.0);
+            let err = if input.shape() == (64, 64) {
+                ds.write_raster("v", 0, input).unwrap_err()
+            } else {
+                ds.write_box("v", 0, 0, 0, input).unwrap_err()
+            };
+            assert!(err.to_string().contains("outage"), "the put error surfaces: {err}");
+            assert_eq!(store.list("wb/f0/").unwrap().len(), 0, "nothing stored");
+            // The samples stay merged: visible through the handle, still dirty.
+            let (w, h) = input.shape();
+            let region = Box2i::new(0, 0, w as i64, h as i64);
+            let (seen, _) = ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
+            assert_eq!(seen.data(), input.data(), "{w}x{h}, over a patch: {over_patch}");
+            assert!(obs.snapshot().gauge("idx.pending_bytes") > 0.0);
+            assert!(ds.flush().is_err(), "still inside the outage");
+            assert_eq!(obs.snapshot().counter("idx.flush_failures"), 1);
 
-        clock.advance_secs(20.0);
-        let flushed = ds.flush().unwrap();
-        assert!(flushed.blocks_written > 0);
-        assert_eq!(flushed.blocks_pending, 0);
-        assert_eq!(obs.snapshot().gauge("idx.pending_bytes"), 0.0);
-        let reader = IdxDataset::open(store, "wb").unwrap();
-        let (stored, _) = reader.read_box::<f32>("v", 0, region, reader.max_level()).unwrap();
-        assert_eq!(stored.data(), tile.data());
+            clock.advance_secs(20.0);
+            let flushed = ds.flush().unwrap();
+            assert!(flushed.blocks_written > 0);
+            assert_eq!(flushed.blocks_pending, 0);
+            assert_eq!(obs.snapshot().gauge("idx.pending_bytes"), 0.0);
+            let reader = IdxDataset::open(store, "wb").unwrap();
+            let (stored, _) = reader.read_box::<f32>("v", 0, region, reader.max_level()).unwrap();
+            assert_eq!(stored.data(), input.data(), "{w}x{h}, over a patch: {over_patch}");
+        }
     }
 
     #[test]
@@ -2681,13 +2686,22 @@ mod write_box_tests {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (rng >> 33) % n
             };
-            // The first box covers the grid, so every sample gets written.
+            // The first box covers the grid, so every sample gets written;
+            // now and then a step is a full-grid `write_raster` instead.
             for step in 0..60 {
-                let (x0, y0) = if step == 0 { (0, 0) } else { (next(64), next(64)) };
-                let (w, h) =
-                    if step == 0 { (64, 64) } else { (1 + next(64 - x0), 1 + next(64 - y0)) };
+                let whole = step > 0 && next(10) == 0;
+                let (x0, y0) = if step == 0 || whole { (0, 0) } else { (next(64), next(64)) };
+                let (w, h) = if step == 0 || whole {
+                    (64, 64)
+                } else {
+                    (1 + next(64 - x0), 1 + next(64 - y0))
+                };
                 let patch = ramp(w as usize, h as usize, step as f32 * 4099.0 + 1.0);
-                let stats = ds.write_box("v", 0, x0, y0, &patch).unwrap();
+                let stats = if whole {
+                    ds.write_raster("v", 0, &patch).unwrap()
+                } else {
+                    ds.write_box("v", 0, x0, y0, &patch).unwrap()
+                };
                 oracle.paste(&patch, x0 as usize, y0 as usize).unwrap();
                 assert!(
                     stats.blocks_pending <= budget_blocks,

@@ -110,26 +110,17 @@ impl IdxVolume {
         QuerySession::new(Arc::clone(&self.ds), field)
     }
 
-    /// Write a full-resolution volume into `field` at `time`.
+    /// Write a full-resolution volume into `field` at `time`: the volume's
+    /// shape must equal the dataset's dims, and the write follows
+    /// [`IdxDataset::write_raster`]'s rules.
     pub fn write_volume<T: Sample>(
         &self,
         field: &str,
         time: u32,
         volume: &Volume<T>,
     ) -> Result<WriteStats> {
-        self.ds.check_time(time)?;
-        let field_idx = self.ds.field_checked::<T>(field)?;
-        let b = self.bounds();
-        let (w, h, d) = (b.x1 as usize, b.y1 as usize, b.z1 as usize);
-        if volume.shape() != (w, h, d) {
-            return Err(NsdfError::invalid(format!(
-                "volume shape {:?} does not match dataset dims ({w}, {h}, {d})",
-                volume.shape()
-            )));
-        }
-        let _write_span = self.ds.obs().span("write_volume");
-        let images = self.ds.full_grid_images([w, h, d], volume.data())?;
-        self.ds.put_full_blocks(field_idx, time, images)
+        let (w, h, d) = volume.shape();
+        self.ds.write_full("write_volume", field, time, [w, h, d], volume.data())
     }
 
     /// Read a sub-box at resolution `level`; sample `(i, j, k)` of the
