@@ -18,6 +18,7 @@
 
 use nsdf_catalog::{Catalog, CatalogConfig, Record};
 use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile};
+use nsdf_util::json::JsonValue;
 use nsdf_util::{splitmix64, Counter, Obs, SimClock};
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,15 +77,16 @@ impl Bloomed {
     fn fpr(&self) -> f64 {
         self.fp as f64 / (self.fp + self.skip).max(1) as f64
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"hit\":{},\"fp\":{},\"skip\":{},\"fpr\":{:.6}}}",
-            self.hit,
-            self.fp,
-            self.skip,
-            self.fpr()
-        )
+impl From<&Bloomed> for JsonValue {
+    fn from(b: &Bloomed) -> JsonValue {
+        JsonValue::obj([
+            ("hit", b.hit.into()),
+            ("fp", b.fp.into()),
+            ("skip", b.skip.into()),
+            ("fpr", JsonValue::fixed(b.fpr(), 6)),
+        ])
     }
 }
 
@@ -108,8 +110,8 @@ fn open_catalog(profile: NetworkProfile, shards: usize) -> (Catalog, Obs, SimClo
     (cat, obs, clock, waves)
 }
 
-/// One sweep row: its JSON and the `(load, compact)` wave counts.
-fn sweep_case(profile: NetworkProfile, shards: usize) -> (String, [u64; 2]) {
+/// One sweep row and its `(load, compact)` wave counts.
+fn sweep_case(profile: NetworkProfile, shards: usize) -> (JsonValue, [u64; 2]) {
     let profile_name = profile.name.clone();
     let (cat, obs, clock, waves) = open_catalog(profile, shards);
     let wall = Instant::now();
@@ -180,29 +182,31 @@ fn sweep_case(profile: NetworkProfile, shards: usize) -> (String, [u64; 2]) {
         bloom.fpr(),
         wall.elapsed().as_secs_f64(),
     );
-    let row = format!(
-        "{{\"profile\":\"{profile_name}\",\"shards\":{shards},\"n\":{SWEEP_N},\
-         \"load_vsecs\":{load_vsecs:.6},\"load_krec_per_vsec\":{:.4},\
-         \"load_waves\":{load_waves},\"bloom\":{},\
-         \"read_amp_point\":{read_amp:.4},\"prefix_hits\":{},\
-         \"dedup_records\":{},\"overwritten_records\":{},\"tombstones_dropped\":{},\
-         \"compactions\":{},\"compact_vsecs\":{compact_vsecs:.6},\
-         \"compact_waves\":{compact_waves},\"write_amp\":{write_amp:.4},\
-         \"resident_bytes_pre_compact\":{pre_bytes},\"resident_bytes_post_compact\":{post_bytes},\
-         \"live\":{}}}",
-        SWEEP_N as f64 / 1e3 / load_vsecs,
-        bloom.to_json(),
-        hits.len(),
-        snap.counter("catalog.dedup_records"),
-        snap.counter("catalog.overwritten_records"),
-        snap.counter("catalog.tombstones_dropped"),
-        snap.counter("catalog.compactions"),
-        cat.len(),
-    );
+    let row = JsonValue::obj([
+        ("profile", profile_name.as_str().into()),
+        ("shards", shards.into()),
+        ("n", SWEEP_N.into()),
+        ("load_vsecs", JsonValue::fixed(load_vsecs, 6)),
+        ("load_krec_per_vsec", JsonValue::fixed(SWEEP_N as f64 / 1e3 / load_vsecs, 4)),
+        ("load_waves", load_waves.into()),
+        ("bloom", (&bloom).into()),
+        ("read_amp_point", JsonValue::fixed(read_amp, 4)),
+        ("prefix_hits", hits.len().into()),
+        ("dedup_records", snap.counter("catalog.dedup_records").into()),
+        ("overwritten_records", snap.counter("catalog.overwritten_records").into()),
+        ("tombstones_dropped", snap.counter("catalog.tombstones_dropped").into()),
+        ("compactions", snap.counter("catalog.compactions").into()),
+        ("compact_vsecs", JsonValue::fixed(compact_vsecs, 6)),
+        ("compact_waves", compact_waves.into()),
+        ("write_amp", JsonValue::fixed(write_amp, 4)),
+        ("resident_bytes_pre_compact", pre_bytes.into()),
+        ("resident_bytes_post_compact", post_bytes.into()),
+        ("live", cat.len().into()),
+    ]);
     (row, [load_waves, compact_waves])
 }
 
-fn bulk_case() -> String {
+fn bulk_case() -> JsonValue {
     let profile = NetworkProfile::public_dataverse();
     let profile_name = profile.name.clone();
     let shards = 64usize;
@@ -244,17 +248,21 @@ fn bulk_case() -> String {
         fpr <= 0.02,
         "acceptance: bloom FPR {fpr:.5} over 2% on {BULK_MISS_PROBES} interior misses"
     );
-    format!(
-        "{{\"profile\":\"{profile_name}\",\"shards\":{shards},\"n\":{BULK_N},\
-         \"load_vsecs\":{load_vsecs:.6},\"load_krec_per_vsec\":{:.4},\"live\":{live},\
-         \"resident_bytes\":{},\"segments\":{},\"hit_probes\":{BULK_HIT_PROBES},\
-         \"miss_probes\":{BULK_MISS_PROBES},\"bloom_miss\":{},\"fpr\":{fpr:.6},\
-         \"read_amp_miss\":{read_amp_miss:.4}}}",
-        BULK_N as f64 / 1e3 / load_vsecs,
-        resident_bytes(&cat),
-        segment_count(&cat),
-        miss_bloom.to_json(),
-    )
+    JsonValue::obj([
+        ("profile", profile_name.as_str().into()),
+        ("shards", shards.into()),
+        ("n", BULK_N.into()),
+        ("load_vsecs", JsonValue::fixed(load_vsecs, 6)),
+        ("load_krec_per_vsec", JsonValue::fixed(BULK_N as f64 / 1e3 / load_vsecs, 4)),
+        ("live", live.into()),
+        ("resident_bytes", resident_bytes(&cat).into()),
+        ("segments", segment_count(&cat).into()),
+        ("hit_probes", BULK_HIT_PROBES.into()),
+        ("miss_probes", BULK_MISS_PROBES.into()),
+        ("bloom_miss", (&miss_bloom).into()),
+        ("fpr", JsonValue::fixed(fpr, 6)),
+        ("read_amp_miss", JsonValue::fixed(read_amp_miss, 4)),
+    ])
 }
 
 fn main() {
@@ -280,11 +288,18 @@ fn main() {
         }
     }
     let bulk = bulk_case();
-    let json = format!(
-        "{{\n  \"bench\": \"catalog\",\n  \"seed\": {SEED},\n  \"workload\": {{\"sweep_n\": \
-         {SWEEP_N}, \"shards\": [4, 16, 64], \"bulk_n\": {BULK_N}}},\n  \"sweep\": [\n    {}\n  \
-         ],\n  \"bulk\": {bulk},\n  \"acceptance\": {{\"bloom_fpr_max\": 0.02}}\n}}\n",
-        sweep.join(",\n    ")
-    );
-    nsdf_bench::write_artifact("BENCH_catalog.json", &json);
+    let workload = JsonValue::obj([
+        ("sweep_n", SWEEP_N.into()),
+        ("shards", SWEEP_SHARDS.into_iter().collect()),
+        ("bulk_n", BULK_N.into()),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "catalog".into()),
+        ("seed", SEED.into()),
+        ("workload", workload),
+        ("sweep", JsonValue::Arr(sweep)),
+        ("bulk", bulk),
+        ("acceptance", JsonValue::obj([("bloom_fpr_max", 0.02f64.into())])),
+    ]);
+    nsdf_bench::write_artifact("BENCH_catalog.json", &doc);
 }

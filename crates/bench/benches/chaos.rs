@@ -12,6 +12,7 @@ use nsdf_storage::{
     CloudStore, EndpointPolicy, FailScope, FaultPlan, HedgePolicy, MemoryStore, NetworkProfile,
     ObjectStore, RetryPolicy,
 };
+use nsdf_util::json::JsonValue;
 use nsdf_util::{Obs, SimClock};
 use std::sync::Arc;
 
@@ -21,34 +22,6 @@ const OBJECT_BYTES: usize = 64 << 10;
 const BATCH: usize = 16;
 const ROUNDS: usize = 3;
 const FAULT_RATES: [f64; 3] = [0.01, 0.05, 0.20];
-
-struct Record {
-    profile: String,
-    fault_rate: f64,
-    mode: &'static str,
-    virtual_secs: f64,
-    injected: u64,
-    retries: u64,
-    hedges: u64,
-    hedge_wins: u64,
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"profile\":\"{}\",\"fault_rate\":{},\"mode\":\"{}\",\"virtual_secs\":{:.6},\
-             \"injected\":{},\"retries\":{},\"hedges\":{},\"hedge_wins\":{}}}",
-            self.profile,
-            self.fault_rate,
-            self.mode,
-            self.virtual_secs,
-            self.injected,
-            self.retries,
-            self.hedges,
-            self.hedge_wins,
-        )
-    }
-}
 
 /// Seed the object population once; reads are the measured workload.
 fn seed_store() -> Arc<MemoryStore> {
@@ -61,13 +34,14 @@ fn seed_store() -> Arc<MemoryStore> {
 }
 
 /// One measured configuration: batched `get_many` sweeps through the
-/// retry(+hedge) → integrity → fault → WAN stack.
+/// retry(+hedge) → integrity → fault → WAN stack. Returns its virtual
+/// seconds and its artifact record.
 fn run_case(
     mem: &Arc<MemoryStore>,
     profile: NetworkProfile,
     fault_rate: f64,
     hedged: bool,
-) -> Record {
+) -> (f64, JsonValue) {
     let profile_name = profile.name.clone();
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
@@ -99,23 +73,33 @@ fn run_case(
         }
     }
 
+    let secs = clock.now_secs() - v0;
+    let mode = if hedged { "hedged" } else { "plain" };
     let snap = obs.snapshot();
-    Record {
-        profile: profile_name,
-        fault_rate,
-        mode: if hedged { "hedged" } else { "plain" },
-        virtual_secs: clock.now_secs() - v0,
-        injected: snap.counter("fault.injected"),
-        retries: snap.counter("retry.retries"),
-        hedges: snap.counter("retry.hedges"),
-        hedge_wins: snap.counter("retry.hedge_wins"),
-    }
+    let [injected, retries, hedges, hedge_wins] =
+        ["fault.injected", "retry.retries", "retry.hedges", "retry.hedge_wins"]
+            .map(|c| snap.counter(c));
+    println!(
+        "{profile_name:<17} rate={fault_rate:<4} {mode:<6} virtual={secs:>8.3}s \
+         injected={injected:<4} retries={retries:<4} hedges={hedges:<3} wins={hedge_wins}"
+    );
+    let record = JsonValue::obj([
+        ("profile", profile_name.as_str().into()),
+        ("fault_rate", fault_rate.into()),
+        ("mode", mode.into()),
+        ("virtual_secs", JsonValue::fixed(secs, 6)),
+        ("injected", injected.into()),
+        ("retries", retries.into()),
+        ("hedges", hedges.into()),
+        ("hedge_wins", hedge_wins.into()),
+    ]);
+    (secs, record)
 }
 
 /// A scripted-window scenario (outage + latency spike + error burst) whose
 /// full metrics snapshot and span tree go into the artifact verbatim: the
 /// determinism check CI runs covers every counter the stack owns.
-fn metrics_artifact(mem: &Arc<MemoryStore>) -> String {
+fn metrics_artifact(mem: &Arc<MemoryStore>) -> JsonValue {
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
     let seal = obs.scoped("seal");
@@ -156,72 +140,57 @@ fn metrics_artifact(mem: &Arc<MemoryStore>) -> String {
         }
     }
     println!("metrics artifact: {} virtual secs end to end", clock.now_secs());
-    format!(
-        "{{\"scenario\": \"windowed-outage-spike-burst\", \"seed\": {SEED}, \"metrics\": {}, \
-         \"spans\": {}}}",
-        obs.snapshot().to_json(),
-        obs.spans_json()
-    )
+    JsonValue::obj([
+        ("scenario", "windowed-outage-spike-burst".into()),
+        ("seed", SEED.into()),
+        ("metrics", obs.snapshot().to_json()),
+        ("spans", obs.spans_json()),
+    ])
 }
 
 fn main() {
     let mem = seed_store();
     let mut records = Vec::new();
+    let mut pass = true;
+    let mut ratios = Vec::new();
     for profile in [NetworkProfile::public_dataverse, NetworkProfile::private_seal] {
         for rate in FAULT_RATES {
-            for hedged in [false, true] {
-                let rec = run_case(&mem, profile(), rate, hedged);
+            let (plain, plain_record) = run_case(&mem, profile(), rate, false);
+            let (hedged, hedged_record) = run_case(&mem, profile(), rate, true);
+            records.extend([plain_record, hedged_record]);
+            // Acceptance: hedging beats plain backoff on virtual time
+            // wherever faults actually bite (the 20% tier on both profiles).
+            if rate == 0.20 {
+                let name = profile().name;
+                let ratio = hedged / plain;
+                pass &= ratio < 1.0;
                 println!(
-                    "{:<17} rate={:<4} {:<6} virtual={:>8.3}s injected={:<4} retries={:<4} \
-                     hedges={:<3} wins={}",
-                    rec.profile,
-                    rec.fault_rate,
-                    rec.mode,
-                    rec.virtual_secs,
-                    rec.injected,
-                    rec.retries,
-                    rec.hedges,
-                    rec.hedge_wins,
+                    "acceptance: {name} hedged/plain virtual time at 20% faults = {ratio:.3} ({})",
+                    if ratio < 1.0 { "PASS: < 1.0" } else { "FAIL: >= 1.0" }
                 );
-                records.push(rec);
+                ratios.push(JsonValue::obj([
+                    ("profile", name.as_str().into()),
+                    ("hedged_over_plain_virtual", JsonValue::fixed(ratio, 4)),
+                ]));
             }
         }
     }
 
-    // Acceptance: hedging beats plain backoff on virtual time wherever
-    // faults actually bite (the 20% tier on both profiles).
-    let find = |profile: &str, rate: f64, mode: &str| {
-        records
-            .iter()
-            .find(|r| r.profile == profile && r.fault_rate == rate && r.mode == mode)
-            .expect("case present")
-    };
-    let mut pass = true;
-    let mut ratios = Vec::new();
-    for profile in ["public-dataverse", "private-seal"] {
-        let plain = find(profile, 0.20, "plain").virtual_secs;
-        let hedged = find(profile, 0.20, "hedged").virtual_secs;
-        let ratio = hedged / plain;
-        pass &= ratio < 1.0;
-        println!(
-            "acceptance: {profile} hedged/plain virtual time at 20% faults = {ratio:.3} ({})",
-            if ratio < 1.0 { "PASS: < 1.0" } else { "FAIL: >= 1.0" }
-        );
-        ratios.push(format!(
-            "{{\"profile\":\"{profile}\",\"hedged_over_plain_virtual\":{ratio:.4}}}"
-        ));
-    }
-
-    let body = records.iter().map(Record::to_json).collect::<Vec<_>>().join(",\n    ");
-    let metrics = metrics_artifact(&mem);
-    let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"seed\": {SEED},\n  \"workload\": {{\"objects\": \
-         {OBJECTS}, \"object_bytes\": {OBJECT_BYTES}, \"batch\": {BATCH}, \"rounds\": \
-         {ROUNDS}}},\n  \"records\": [\n    {body}\n  ],\n  \"acceptance\": [{}],\n  \
-         \"windowed_scenario\": {metrics}\n}}\n",
-        ratios.join(", ")
-    );
-    nsdf_bench::write_artifact("BENCH_chaos.json", &json);
+    let workload = JsonValue::obj([
+        ("objects", OBJECTS.into()),
+        ("object_bytes", OBJECT_BYTES.into()),
+        ("batch", BATCH.into()),
+        ("rounds", ROUNDS.into()),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "chaos".into()),
+        ("seed", SEED.into()),
+        ("workload", workload),
+        ("records", JsonValue::Arr(records)),
+        ("acceptance", JsonValue::Arr(ratios)),
+        ("windowed_scenario", metrics_artifact(&mem)),
+    ]);
+    nsdf_bench::write_artifact("BENCH_chaos.json", &doc);
 
     assert!(pass, "hedged reads must beat plain backoff at the 20% fault tier");
 }

@@ -12,7 +12,9 @@
 use nsdf_compress::Codec;
 use nsdf_idx::{Field, IdxDataset, IdxMeta};
 use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
+use nsdf_util::json::JsonValue;
 use nsdf_util::{DType, NsdfError, Raster, Result, Sample, SimClock};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const SEED: u64 = 42;
@@ -85,31 +87,29 @@ struct Record {
     ratio: f64,
     /// Per-codec block counts the dataset write reported (adaptive rows
     /// show the mix; static rows show a single entry).
-    codec_blocks: Vec<(String, u64)>,
+    codec_blocks: BTreeMap<String, u64>,
     virtual_secs: Vec<(String, f64, f64)>, // (profile, write, read)
 }
 
-impl Record {
-    fn to_json(&self) -> String {
-        let blocks = self
-            .codec_blocks
-            .iter()
-            .map(|(n, c)| format!("\"{n}\":{c}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let wan = self
-            .virtual_secs
-            .iter()
-            .map(|(p, w, r)| {
-                format!("{{\"profile\":\"{p}\",\"write_secs\":{w:.6},\"read_secs\":{r:.6}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"field\":\"{}\",\"codec\":\"{}\",\"raw_bytes\":{},\"stored_bytes\":{},\
-             \"ratio\":{:.6},\"codec_blocks\":{{{blocks}}},\"wan\":[{wan}]}}",
-            self.field, self.codec, self.raw_bytes, self.stored_bytes, self.ratio
-        )
+impl From<&Record> for JsonValue {
+    fn from(r: &Record) -> JsonValue {
+        let blocks = r.codec_blocks.iter().map(|(n, &c)| (n.clone(), c.into())).collect();
+        let wan = r.virtual_secs.iter().map(|(p, w, rd)| {
+            JsonValue::obj([
+                ("profile", p.as_str().into()),
+                ("write_secs", JsonValue::fixed(*w, 6)),
+                ("read_secs", JsonValue::fixed(*rd, 6)),
+            ])
+        });
+        JsonValue::obj([
+            ("field", r.field.into()),
+            ("codec", r.codec.as_str().into()),
+            ("raw_bytes", r.raw_bytes.into()),
+            ("stored_bytes", r.stored_bytes.into()),
+            ("ratio", JsonValue::fixed(r.ratio, 6)),
+            ("codec_blocks", JsonValue::Obj(blocks)),
+            ("wan", wan.collect()),
+        ])
     }
 }
 
@@ -150,7 +150,7 @@ fn wan_roundtrip<T: Sample>(
 fn measure(spec: &FieldSpec, codec: Codec) -> Record {
     let mut virtual_secs = Vec::new();
     let mut stored = 0u64;
-    let mut codec_blocks: Vec<(String, u64)> = Vec::new();
+    let mut codec_blocks = BTreeMap::new();
     for profile in [NetworkProfile::public_dataverse(), NetworkProfile::private_seal()] {
         let name = profile.name.clone();
         let (w, r, stats) = match spec.dtype {
@@ -161,7 +161,7 @@ fn measure(spec: &FieldSpec, codec: Codec) -> Record {
         .expect("WAN roundtrip");
         virtual_secs.push((name, w, r));
         stored = stats.bytes_stored;
-        codec_blocks = stats.codecs.into_iter().collect();
+        codec_blocks = stats.codecs;
     }
     Record {
         field: spec.name,
@@ -220,18 +220,21 @@ fn main() {
         if vs_best <= 1.05 { "PASS: <= 1.05" } else { "FAIL: > 1.05" }
     );
 
-    let body = records.iter().map(Record::to_json).collect::<Vec<_>>().join(",\n    ");
-    let acceptance = format!(
-        "{{\"adaptive_stored_bytes\":{adaptive_total},\"best_static\":\"{}\",\
-         \"best_static_stored_bytes\":{},\"adaptive_over_best_static\":{vs_best:.6}}}",
-        best_static.0, best_static.1
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"codecs\",\n  \"seed\": {SEED},\n  \"workload\": {{\"dim\": {DIM}, \
-         \"bits_per_block\": {BITS_PER_BLOCK}}},\n  \"records\": [\n    {body}\n  ],\n  \
-         \"acceptance\": {acceptance}\n}}\n"
-    );
-    nsdf_bench::write_artifact("BENCH_codecs_compare.json", &json);
+    let acceptance = JsonValue::obj([
+        ("adaptive_stored_bytes", adaptive_total.into()),
+        ("best_static", best_static.0.as_str().into()),
+        ("best_static_stored_bytes", best_static.1.into()),
+        ("adaptive_over_best_static", JsonValue::fixed(vs_best, 6)),
+    ]);
+    let workload = JsonValue::obj([("dim", DIM.into()), ("bits_per_block", BITS_PER_BLOCK.into())]);
+    let doc = JsonValue::obj([
+        ("bench", "codecs".into()),
+        ("seed", SEED.into()),
+        ("workload", workload),
+        ("records", records.iter().collect()),
+        ("acceptance", acceptance),
+    ]);
+    nsdf_bench::write_artifact("BENCH_codecs_compare.json", &doc);
 
     assert!(vs_best <= 1.05, "adaptive must track the best static codec within 5%");
 }

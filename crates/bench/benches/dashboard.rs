@@ -20,6 +20,7 @@ use nsdf_compress::Codec;
 use nsdf_dashboard::Dashboard;
 use nsdf_idx::{Field, IdxDataset, IdxMeta, QuerySession};
 use nsdf_storage::{CloudStore, LocalStore, MemoryStore, NetworkProfile, ObjectStore, TierCache};
+use nsdf_util::json::JsonValue;
 use nsdf_util::{derive_seed, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 
@@ -107,20 +108,19 @@ impl Interaction {
             wan_read_ops: m1.wan_reads - m0.wan_reads,
         }
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"virtual_secs\":{:.6},\"blocks_fetched\":{},\
-             \"blocks_reused\":{},\"prefetch_issued\":{},\"prefetch_hits\":{},\
-             \"wan_read_ops\":{}}}",
-            self.name,
-            self.virtual_secs,
-            self.blocks_fetched,
-            self.blocks_reused,
-            self.prefetch_issued,
-            self.prefetch_hits,
-            self.wan_read_ops,
-        )
+impl From<&Interaction> for JsonValue {
+    fn from(i: &Interaction) -> JsonValue {
+        JsonValue::obj([
+            ("name", i.name.into()),
+            ("virtual_secs", JsonValue::fixed(i.virtual_secs, 6)),
+            ("blocks_fetched", i.blocks_fetched.into()),
+            ("blocks_reused", i.blocks_reused.into()),
+            ("prefetch_issued", i.prefetch_issued.into()),
+            ("prefetch_hits", i.prefetch_hits.into()),
+            ("wan_read_ops", i.wan_read_ops.into()),
+        ])
     }
 }
 
@@ -131,12 +131,13 @@ struct LevelPoint {
     blocks_fetched: u64,
 }
 
-impl LevelPoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"level\":{},\"virtual_secs\":{:.6},\"blocks_fetched\":{}}}",
-            self.level, self.virtual_secs, self.blocks_fetched
-        )
+impl From<&LevelPoint> for JsonValue {
+    fn from(p: &LevelPoint) -> JsonValue {
+        JsonValue::obj([
+            ("level", p.level.into()),
+            ("virtual_secs", JsonValue::fixed(p.virtual_secs, 6)),
+            ("blocks_fetched", p.blocks_fetched.into()),
+        ])
     }
 }
 
@@ -158,44 +159,45 @@ struct ProfileReport {
     total_virtual_secs: f64,
 }
 
-impl ProfileReport {
-    fn to_json(&self) -> String {
-        let joined = |v: &[String]| -> String { format!("[{}]", v.join(",")) };
-        let interactions: Vec<String> = self.interactions.iter().map(|i| i.to_json()).collect();
-        let overview: Vec<String> = self.overview_curve.iter().map(|p| p.to_json()).collect();
-        let zoom: Vec<String> = self.zoom_curve.iter().map(|p| p.to_json()).collect();
-        format!(
-            "{{\"profile\":\"{}\",\"interactions\":{},\
-             \"refinement\":{{\"overview\":{},\"zoom\":{}}},\
-             \"fetch_once\":{{\"planner_blocks\":{},\"session_blocks_fetched\":{},\
-             \"wan_read_ops\":{},\"pass\":{}}},\
-             \"pan_after_zoom\":{{\"session_cold_secs\":{:.6},\
-             \"session_prefetched_secs\":{:.6},\"baseline_cold_secs\":{:.6},\
-             \"baseline_repeat_secs\":{:.6},\"saved_secs\":{:.6},\"pass\":{}}},\
-             \"playback\":{{\"session_cold_step_secs\":{:.6},\
-             \"session_prefetched_step_secs\":{:.6},\"baseline_step_secs\":{:.6}}},\
-             \"total_virtual_secs\":{:.6}}}",
-            self.profile,
-            joined(&interactions),
-            joined(&overview),
-            joined(&zoom),
-            self.planner_blocks,
-            self.cold_fetched,
-            self.cold_wan_reads,
-            self.fetch_once_pass(),
-            self.session_pan_cold_secs,
-            self.session_pan_prefetched_secs,
-            self.baseline_pan1_secs,
-            self.baseline_pan2_secs,
-            self.baseline_pan2_secs - self.session_pan_prefetched_secs,
-            self.pan_pass(),
-            self.session_step_cold_secs,
-            self.session_step_prefetched_secs,
-            self.baseline_step_secs,
-            self.total_virtual_secs,
-        )
+impl From<&ProfileReport> for JsonValue {
+    fn from(r: &ProfileReport) -> JsonValue {
+        let secs = |v: f64| JsonValue::fixed(v, 6);
+        let refinement = JsonValue::obj([
+            ("overview", r.overview_curve.iter().collect()),
+            ("zoom", r.zoom_curve.iter().collect()),
+        ]);
+        let fetch_once = JsonValue::obj([
+            ("planner_blocks", r.planner_blocks.into()),
+            ("session_blocks_fetched", r.cold_fetched.into()),
+            ("wan_read_ops", r.cold_wan_reads.into()),
+            ("pass", r.fetch_once_pass().into()),
+        ]);
+        let pan_after_zoom = JsonValue::obj([
+            ("session_cold_secs", secs(r.session_pan_cold_secs)),
+            ("session_prefetched_secs", secs(r.session_pan_prefetched_secs)),
+            ("baseline_cold_secs", secs(r.baseline_pan1_secs)),
+            ("baseline_repeat_secs", secs(r.baseline_pan2_secs)),
+            ("saved_secs", secs(r.baseline_pan2_secs - r.session_pan_prefetched_secs)),
+            ("pass", r.pan_pass().into()),
+        ]);
+        let playback = JsonValue::obj([
+            ("session_cold_step_secs", secs(r.session_step_cold_secs)),
+            ("session_prefetched_step_secs", secs(r.session_step_prefetched_secs)),
+            ("baseline_step_secs", secs(r.baseline_step_secs)),
+        ]);
+        JsonValue::obj([
+            ("profile", r.profile.as_str().into()),
+            ("interactions", r.interactions.iter().collect()),
+            ("refinement", refinement),
+            ("fetch_once", fetch_once),
+            ("pan_after_zoom", pan_after_zoom),
+            ("playback", playback),
+            ("total_virtual_secs", secs(r.total_virtual_secs)),
+        ])
     }
+}
 
+impl ProfileReport {
     fn fetch_once_pass(&self) -> bool {
         self.cold_fetched == self.planner_blocks && self.cold_wan_reads == self.planner_blocks
     }
@@ -424,19 +426,22 @@ struct TierReport {
     scan_hit_rate: f64,
 }
 
-impl TierReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"objects\":{TIER_OBJECTS},\"object_bytes\":{TIER_OBJECT_BYTES},\
-             \"cold_secs\":{:.6},\"warm_disk_secs\":{:.6},\"warm_ram_secs\":{:.6},\
-             \"scan\":{{\"hot_keys\":{SCAN_HOT},\"scan_keys\":{SCAN_COLD},\
-             \"ram_hit_rate\":{:.6},\"pass\":{}}}}}",
-            self.cold_secs,
-            self.warm_disk_secs,
-            self.warm_ram_secs,
-            self.scan_hit_rate,
-            self.scan_hit_rate >= 0.9,
-        )
+impl From<&TierReport> for JsonValue {
+    fn from(t: &TierReport) -> JsonValue {
+        let scan = JsonValue::obj([
+            ("hot_keys", SCAN_HOT.into()),
+            ("scan_keys", SCAN_COLD.into()),
+            ("ram_hit_rate", JsonValue::fixed(t.scan_hit_rate, 6)),
+            ("pass", (t.scan_hit_rate >= 0.9).into()),
+        ]);
+        JsonValue::obj([
+            ("objects", TIER_OBJECTS.into()),
+            ("object_bytes", TIER_OBJECT_BYTES.into()),
+            ("cold_secs", JsonValue::fixed(t.cold_secs, 6)),
+            ("warm_disk_secs", JsonValue::fixed(t.warm_disk_secs, 6)),
+            ("warm_ram_secs", JsonValue::fixed(t.warm_ram_secs, 6)),
+            ("scan", scan),
+        ])
     }
 }
 
@@ -594,7 +599,7 @@ fn main() {
             rep.session_step_prefetched_secs,
             rep.baseline_step_secs,
         );
-        profiles.push(rep.to_json());
+        profiles.push(JsonValue::from(&rep));
     }
     let tier = run_tier_triple();
     println!(
@@ -607,13 +612,18 @@ fn main() {
         TIER_OBJECT_BYTES >> 10,
         tier.scan_hit_rate,
     );
-    let json = format!(
-        "{{\n\"bench\":\"dashboard\",\"seed\":{WAN_SEED},\
-         \"dataset\":{{\"size\":{SIZE},\"bits_per_block\":{BITS_PER_BLOCK},\
-         \"timesteps\":{TIMESTEPS},\"viewport_px\":{VIEWPORT_PX}}},\n\"profiles\":[\n{}\n],\
-         \n\"tiercache\":{}\n}}\n",
-        profiles.join(",\n"),
-        tier.to_json(),
-    );
-    nsdf_bench::write_artifact("BENCH_dashboard.json", &json);
+    let dataset = JsonValue::obj([
+        ("size", SIZE.into()),
+        ("bits_per_block", BITS_PER_BLOCK.into()),
+        ("timesteps", TIMESTEPS.into()),
+        ("viewport_px", VIEWPORT_PX.into()),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "dashboard".into()),
+        ("seed", WAN_SEED.into()),
+        ("dataset", dataset),
+        ("profiles", JsonValue::Arr(profiles)),
+        ("tiercache", (&tier).into()),
+    ]);
+    nsdf_bench::write_artifact("BENCH_dashboard.json", &doc);
 }

@@ -10,6 +10,7 @@
 //! byte-identical files, and CI diffs them.
 
 use nsdf_storage::{FleetSim, FleetSpec, LatencySummary, NetworkProfile, SchedConfig};
+use nsdf_util::json::JsonValue;
 
 const SEED: u64 = 42;
 const FLEETS: [usize; 3] = [16, 48, 96];
@@ -29,36 +30,32 @@ struct Record {
     wan_busy_vns: u64,
 }
 
-fn summary_json(s: &LatencySummary) -> String {
-    format!(
-        "{{\"count\":{},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\"p999_ms\":{:.3},\"max_ms\":{:.3}}}",
-        s.count,
-        s.p50_vns as f64 / 1e6,
-        s.p99_vns as f64 / 1e6,
-        s.p999_vns as f64 / 1e6,
-        s.max_vns as f64 / 1e6,
-    )
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"profile\":\"{}\",\"tenants\":{},\"qos\":{},\"makespan_vsecs\":{:.6},\
-             \"interactive\":{},\"prefetch\":{},\"bulk\":{},\"bulk_throughput_mbps\":{:.4},\
-             \"shed\":{},\"reissued\":{},\"granted_vns\":{},\"wan_busy_vns\":{}}}",
-            self.profile,
-            self.tenants,
-            self.qos,
-            self.makespan_vsecs,
-            summary_json(&self.interactive),
-            summary_json(&self.prefetch),
-            summary_json(&self.bulk),
-            self.bulk_throughput_mbps,
-            self.shed,
-            self.reissued,
-            self.granted_vns,
-            self.wan_busy_vns,
-        )
+impl From<&Record> for JsonValue {
+    fn from(r: &Record) -> JsonValue {
+        let latency = |s: &LatencySummary| {
+            let ms = |vns: u64| JsonValue::fixed(vns as f64 / 1e6, 3);
+            JsonValue::obj([
+                ("count", s.count.into()),
+                ("p50_ms", ms(s.p50_vns)),
+                ("p99_ms", ms(s.p99_vns)),
+                ("p999_ms", ms(s.p999_vns)),
+                ("max_ms", ms(s.max_vns)),
+            ])
+        };
+        JsonValue::obj([
+            ("profile", r.profile.as_str().into()),
+            ("tenants", r.tenants.into()),
+            ("qos", r.qos.into()),
+            ("makespan_vsecs", JsonValue::fixed(r.makespan_vsecs, 6)),
+            ("interactive", latency(&r.interactive)),
+            ("prefetch", latency(&r.prefetch)),
+            ("bulk", latency(&r.bulk)),
+            ("bulk_throughput_mbps", JsonValue::fixed(r.bulk_throughput_mbps, 4)),
+            ("shed", r.shed.into()),
+            ("reissued", r.reissued.into()),
+            ("granted_vns", r.granted_vns.into()),
+            ("wan_busy_vns", r.wan_busy_vns.into()),
+        ])
     }
 }
 
@@ -150,20 +147,26 @@ fn main() {
             if p99_ok { "PASS: <= 0.5" } else { "FAIL: > 0.5" },
             if thr_ok { "PASS: >= 0.8" } else { "FAIL: < 0.8" },
         );
-        acceptance.push(format!(
-            "{{\"profile\":\"{profile}\",\"tenants\":{largest},\
-             \"interactive_p99_qos_over_fifo\":{p99_ratio:.4},\
-             \"bulk_throughput_qos_over_fifo\":{thr_ratio:.4}}}"
-        ));
+        acceptance.push(JsonValue::obj([
+            ("profile", profile.into()),
+            ("tenants", largest.into()),
+            ("interactive_p99_qos_over_fifo", JsonValue::fixed(p99_ratio, 4)),
+            ("bulk_throughput_qos_over_fifo", JsonValue::fixed(thr_ratio, 4)),
+        ]));
     }
     assert!(pass, "fleet QoS acceptance failed");
 
-    let body = records.iter().map(Record::to_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"fleet\",\n  \"seed\": {SEED},\n  \"workload\": {{\"fleets\": \
-         [16, 48, 96], \"horizon_vsecs\": 60.0, \"interactive_frac\": 0.75}},\n  \"records\": [\n    \
-         {body}\n  ],\n  \"acceptance\": [{}]\n}}\n",
-        acceptance.join(", ")
-    );
-    nsdf_bench::write_artifact("BENCH_fleet.json", &json);
+    let workload = JsonValue::obj([
+        ("fleets", FLEETS.into_iter().collect()),
+        ("horizon_vsecs", 60.0f64.into()),
+        ("interactive_frac", 0.75f64.into()),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "fleet".into()),
+        ("seed", SEED.into()),
+        ("workload", workload),
+        ("records", records.iter().collect()),
+        ("acceptance", JsonValue::Arr(acceptance)),
+    ]);
+    nsdf_bench::write_artifact("BENCH_fleet.json", &doc);
 }

@@ -11,17 +11,19 @@
 
 use nsdf_fuse::{run_workload, FuseBenchResult, Mapping, OpMix};
 use nsdf_storage::NetworkProfile;
+use nsdf_util::json::JsonValue;
 
 const SEED: u64 = 2024;
 /// Mix of the chunk-size ablation: two 4 MiB files, written and read once.
 const ABLATION_MIX: OpMix = OpMix { files: 2, file_bytes: 4 << 20, read_passes: 1, delete: false };
 const ABLATION_CHUNKS: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 4 << 20];
 
-/// One artifact row; `extra` is the leading `"key":value,` pair that tells
-/// a palette row (`"workload"`) from an ablation row (`"chunk_bytes"`).
-fn row(extra: &str, r: &FuseBenchResult) -> String {
+/// One artifact row; `extra` is the member that tells a palette row
+/// (`workload`) from an ablation row (`chunk_bytes`).
+fn row(extra: (&str, JsonValue), r: &FuseBenchResult) -> JsonValue {
     println!(
-        "{extra:<28} {:<17} {:<11} rd={:<5} wr={:<5} waves={:<5} virtual={:>8.3}s",
+        "{:<28} {:<17} {:<11} rd={:<5} wr={:<5} waves={:<5} virtual={:>8.3}s",
+        format!("{}={}", extra.0, extra.1),
         r.network,
         r.mapping.name(),
         r.store_read_ops,
@@ -29,17 +31,16 @@ fn row(extra: &str, r: &FuseBenchResult) -> String {
         r.store_waves,
         r.virtual_secs
     );
-    format!(
-        "{{{extra}\"profile\":\"{}\",\"mapping\":\"{}\",\"file_ops\":{},\"store_read_ops\":{},\
-         \"store_write_ops\":{},\"store_waves\":{},\"virtual_secs\":{:.6}}}",
-        r.network,
-        r.mapping.name(),
-        r.file_ops,
-        r.store_read_ops,
-        r.store_write_ops,
-        r.store_waves,
-        r.virtual_secs
-    )
+    JsonValue::obj([
+        extra,
+        ("profile", r.network.as_str().into()),
+        ("mapping", r.mapping.name().into()),
+        ("file_ops", r.file_ops.into()),
+        ("store_read_ops", r.store_read_ops.into()),
+        ("store_write_ops", r.store_write_ops.into()),
+        ("store_waves", r.store_waves.into()),
+        ("virtual_secs", JsonValue::fixed(r.virtual_secs, 6)),
+    ])
 }
 
 fn main() {
@@ -50,7 +51,7 @@ fn main() {
         {
             for mapping in Mapping::palette() {
                 let r = run_workload(mapping, profile(), mix, SEED).expect("workload runs");
-                records.push(row(&format!("\"workload\":\"{name}\","), &r));
+                records.push(row(("workload", name.into()), &r));
             }
         }
     }
@@ -60,7 +61,7 @@ fn main() {
         let mapping = Mapping::Chunked { chunk_bytes };
         let r = run_workload(mapping, NetworkProfile::private_seal(), ABLATION_MIX, SEED)
             .expect("workload runs");
-        ablation.push(row(&format!("\"chunk_bytes\":{chunk_bytes},"), &r));
+        ablation.push(row(("chunk_bytes", chunk_bytes.into()), &r));
         // Chunk reads and writes go through `get_many`/`put_many`, so a
         // file split into several chunks costs a handful of WAN waves, not
         // one round trip per chunk.
@@ -72,13 +73,16 @@ fn main() {
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"fuse\",\n  \"seed\": {SEED},\n  \"records\": [\n    {}\n  ],\n  \
-         \"chunk_ablation\": {{\"files\": {}, \"file_bytes\": {}, \"records\": [\n    {}\n  ]}}\n}}\n",
-        records.join(",\n    "),
-        ABLATION_MIX.files,
-        ABLATION_MIX.file_bytes,
-        ablation.join(",\n    ")
-    );
-    nsdf_bench::write_artifact("BENCH_fuse.json", &json);
+    let chunk_ablation = JsonValue::obj([
+        ("files", ABLATION_MIX.files.into()),
+        ("file_bytes", ABLATION_MIX.file_bytes.into()),
+        ("records", JsonValue::Arr(ablation)),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "fuse".into()),
+        ("seed", SEED.into()),
+        ("records", JsonValue::Arr(records)),
+        ("chunk_ablation", chunk_ablation),
+    ]);
+    nsdf_bench::write_artifact("BENCH_fuse.json", &doc);
 }

@@ -14,6 +14,7 @@ use nsdf_compress::Codec;
 use nsdf_geotiled::{compute_terrain_tiled, DemConfig, Sun, TerrainParam, TilePlan};
 use nsdf_idx::{Field, IdxDataset, IdxMeta, WriteStats};
 use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
+use nsdf_util::json::JsonValue;
 use nsdf_util::{Box2i, DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 
@@ -23,37 +24,6 @@ const H: usize = 256;
 const TILES_X: usize = 6;
 const TILES_Y: usize = 4;
 const CONCURRENCIES: [usize; 4] = [1, 2, 4, 8];
-
-struct Record {
-    profile: String,
-    write_concurrency: usize,
-    virtual_secs: f64,
-    blocks_written: u64,
-    put_batches: u64,
-    rmw_fetches: u64,
-    wan_write_ops: u64,
-    wan_waves: u64,
-    bytes_up: u64,
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"profile\":\"{}\",\"write_concurrency\":{},\"virtual_secs\":{:.6},\
-             \"blocks_written\":{},\"put_batches\":{},\"rmw_fetches\":{},\
-             \"wan_write_ops\":{},\"wan_waves\":{},\"bytes_up\":{}}}",
-            self.profile,
-            self.write_concurrency,
-            self.virtual_secs,
-            self.blocks_written,
-            self.put_batches,
-            self.rmw_fetches,
-            self.wan_write_ops,
-            self.wan_waves,
-            self.bytes_up,
-        )
-    }
-}
 
 /// The ingest payload: a hillshade computed by the tiled GEOtiled
 /// pipeline, plus the tile grid its upload follows.
@@ -72,13 +42,14 @@ fn sub_raster(src: &Raster<f32>, b: &Box2i) -> Raster<f32> {
 }
 
 /// One measured configuration: the full tile sweep written through a
-/// WAN-modeled store at one `write_concurrency`.
+/// WAN-modeled store at one `write_concurrency`. Returns its virtual
+/// seconds and its artifact record.
 fn run_case(
     shade: &Raster<f32>,
     tiles: &[Box2i],
     profile: NetworkProfile,
     write_concurrency: usize,
-) -> Record {
+) -> (f64, JsonValue) {
     let profile_name = profile.name.clone();
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
@@ -113,79 +84,76 @@ fn run_case(
     let resident = mem.list("ingest/f0/").expect("list").len() as u64;
     assert_eq!(ingest.blocks_written, resident, "wc={write_concurrency}: one upload per block");
     assert_eq!(ingest.rmw_fetches, 0, "wc={write_concurrency}: a fresh conversion never RMWs");
-    Record {
-        profile: profile_name,
-        write_concurrency,
-        virtual_secs: clock.now_secs() - v0,
-        blocks_written: ingest.blocks_written,
-        put_batches: ingest.put_batches,
-        rmw_fetches: ingest.rmw_fetches,
-        wan_write_ops: snap.counter("wan.write_ops") - snap0.counter("wan.write_ops"),
-        wan_waves: snap.counter("wan.waves") - snap0.counter("wan.waves"),
-        bytes_up: snap.counter("wan.bytes_up") - snap0.counter("wan.bytes_up"),
-    }
+    let secs = clock.now_secs() - v0;
+    let [wan_write_ops, wan_waves, bytes_up] =
+        ["wan.write_ops", "wan.waves", "wan.bytes_up"].map(|c| snap.counter(c) - snap0.counter(c));
+    println!(
+        "{profile_name:<17} wc={write_concurrency:<2} virtual={secs:>8.3}s blocks={:<4} \
+         batches={:<4} rmw={:<4} waves={wan_waves:<4} bytes_up={bytes_up}",
+        ingest.blocks_written, ingest.put_batches, ingest.rmw_fetches,
+    );
+    let record = JsonValue::obj([
+        ("profile", profile_name.as_str().into()),
+        ("write_concurrency", write_concurrency.into()),
+        ("virtual_secs", JsonValue::fixed(secs, 6)),
+        ("blocks_written", ingest.blocks_written.into()),
+        ("put_batches", ingest.put_batches.into()),
+        ("rmw_fetches", ingest.rmw_fetches.into()),
+        ("wan_write_ops", wan_write_ops.into()),
+        ("wan_waves", wan_waves.into()),
+        ("bytes_up", bytes_up.into()),
+    ]);
+    (secs, record)
 }
 
 fn main() {
     let (shade, tiles) = payload();
     let mut records = Vec::new();
-    for profile in [NetworkProfile::public_dataverse, NetworkProfile::private_seal] {
-        for wc in CONCURRENCIES {
-            let rec = run_case(&shade, &tiles, profile(), wc);
-            println!(
-                "{:<17} wc={:<2} virtual={:>8.3}s blocks={:<4} batches={:<4} rmw={:<4} \
-                 waves={:<4} bytes_up={}",
-                rec.profile,
-                rec.write_concurrency,
-                rec.virtual_secs,
-                rec.blocks_written,
-                rec.put_batches,
-                rec.rmw_fetches,
-                rec.wan_waves,
-                rec.bytes_up,
-            );
-            records.push(rec);
-        }
-    }
-
-    // Acceptance: batched uploads at concurrency >= 4 beat the sequential
-    // ingest on virtual time over the private (Seal-class) profile.
-    let find = |profile: &str, wc: usize| {
-        records
-            .iter()
-            .find(|r| r.profile == profile && r.write_concurrency == wc)
-            .expect("case present")
-    };
     let mut pass = true;
     let mut ratios = Vec::new();
-    for profile in ["public-dataverse", "private-seal"] {
-        let sequential = find(profile, 1).virtual_secs;
-        for wc in [4, 8] {
-            let ratio = find(profile, wc).virtual_secs / sequential;
+    for profile in [NetworkProfile::public_dataverse, NetworkProfile::private_seal] {
+        let mut secs = Vec::new();
+        for wc in CONCURRENCIES {
+            let (s, record) = run_case(&shade, &tiles, profile(), wc);
+            secs.push(s);
+            records.push(record);
+        }
+        // Acceptance: batched uploads at concurrency >= 4 beat the
+        // sequential ingest on virtual time over the private (Seal-class)
+        // profile.
+        let name = profile().name;
+        for (&wc, s) in CONCURRENCIES.iter().zip(&secs).skip(2) {
+            let ratio = s / secs[0];
             let ok = ratio < 1.0;
-            if profile == "private-seal" {
+            if name == "private-seal" {
                 pass &= ok;
             }
             println!(
-                "acceptance: {profile} wc={wc}/sequential virtual time = {ratio:.3} ({})",
+                "acceptance: {name} wc={wc}/sequential virtual time = {ratio:.3} ({})",
                 if ok { "PASS: < 1.0" } else { "FAIL: >= 1.0" }
             );
-            ratios.push(format!(
-                "{{\"profile\":\"{profile}\",\"write_concurrency\":{wc},\
-                 \"over_sequential_virtual\":{ratio:.4}}}"
-            ));
+            ratios.push(JsonValue::obj([
+                ("profile", name.as_str().into()),
+                ("write_concurrency", wc.into()),
+                ("over_sequential_virtual", JsonValue::fixed(ratio, 4)),
+            ]));
         }
     }
 
-    let body = records.iter().map(Record::to_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"ingest\",\n  \"seed\": {SEED},\n  \"workload\": {{\"width\": {W}, \
-         \"height\": {H}, \"tiles\": {}, \"concurrencies\": [1, 2, 4, 8]}},\n  \"records\": [\n    \
-         {body}\n  ],\n  \"acceptance\": [{}]\n}}\n",
-        tiles.len(),
-        ratios.join(", ")
-    );
-    nsdf_bench::write_artifact("BENCH_ingest.json", &json);
+    let workload = JsonValue::obj([
+        ("width", W.into()),
+        ("height", H.into()),
+        ("tiles", tiles.len().into()),
+        ("concurrencies", CONCURRENCIES.into_iter().collect()),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "ingest".into()),
+        ("seed", SEED.into()),
+        ("workload", workload),
+        ("records", JsonValue::Arr(records)),
+        ("acceptance", JsonValue::Arr(ratios)),
+    ]);
+    nsdf_bench::write_artifact("BENCH_ingest.json", &doc);
 
     assert!(pass, "batched ingest at concurrency >= 4 must beat sequential on private-seal");
 }

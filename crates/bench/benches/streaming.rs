@@ -13,6 +13,7 @@
 use nsdf_compress::Codec;
 use nsdf_idx::{Field, IdxDataset, IdxMeta};
 use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore, TierCache};
+use nsdf_util::json::JsonValue;
 use nsdf_util::{DType, Obs, Raster, SimClock};
 use std::sync::Arc;
 
@@ -20,36 +21,6 @@ use std::sync::Arc;
 const SIZE: usize = 256;
 const BITS_PER_BLOCK: u32 = 10;
 const CONCURRENCIES: [usize; 4] = [1, 2, 4, 8];
-
-struct Record {
-    profile: String,
-    concurrency: usize,
-    cache: &'static str,
-    blocks: u64,
-    fetch_batches: u64,
-    bytes_fetched: u64,
-    virtual_secs: f64,
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        let blocks_per_vsec =
-            if self.virtual_secs > 0.0 { self.blocks as f64 / self.virtual_secs } else { 0.0 };
-        format!(
-            "{{\"profile\":\"{}\",\"concurrency\":{},\"cache\":\"{}\",\"blocks\":{},\
-             \"fetch_batches\":{},\"bytes_fetched\":{},\"virtual_secs\":{:.6},\
-             \"blocks_per_virtual_sec\":{:.1}}}",
-            self.profile,
-            self.concurrency,
-            self.cache,
-            self.blocks,
-            self.fetch_batches,
-            self.bytes_fetched,
-            self.virtual_secs,
-            blocks_per_vsec,
-        )
-    }
-}
 
 /// Seed a dataset into a plain memory store (writes are not part of the
 /// measurement, so they bypass the WAN wrapper).
@@ -71,12 +42,13 @@ fn seed_store() -> Arc<MemoryStore> {
     mem
 }
 
+/// One measured read: its virtual seconds and its artifact record.
 fn run_case(
     mem: &Arc<MemoryStore>,
     profile: NetworkProfile,
     concurrency: usize,
     warm: bool,
-) -> Record {
+) -> (f64, JsonValue) {
     let profile_name = profile.name.clone();
     let clock = SimClock::new();
     let cloud: Arc<dyn ObjectStore> =
@@ -100,21 +72,32 @@ fn run_case(
     };
     let v0 = clock.now_secs();
     let (_, stats) = ds.read_box::<f32>("v", 0, region, level).expect("read box");
-    Record {
-        profile: profile_name,
-        concurrency,
-        cache: if warm { "warm" } else { "cold" },
-        blocks: stats.blocks_touched,
-        fetch_batches: stats.fetch_batches,
-        bytes_fetched: stats.bytes_fetched,
-        virtual_secs: clock.now_secs() - v0,
-    }
+    let secs = clock.now_secs() - v0;
+    let cache = if warm { "warm" } else { "cold" };
+    let blocks = stats.blocks_touched;
+    println!(
+        "{profile_name:<17} {cache:>4} conc={concurrency} blocks={blocks} batches={} \
+         virtual={secs:.3}s",
+        stats.fetch_batches
+    );
+    let blocks_per_vsec = if secs > 0.0 { blocks as f64 / secs } else { 0.0 };
+    let record = JsonValue::obj([
+        ("profile", profile_name.as_str().into()),
+        ("concurrency", concurrency.into()),
+        ("cache", cache.into()),
+        ("blocks", blocks.into()),
+        ("fetch_batches", stats.fetch_batches.into()),
+        ("bytes_fetched", stats.bytes_fetched.into()),
+        ("virtual_secs", JsonValue::fixed(secs, 6)),
+        ("blocks_per_virtual_sec", JsonValue::fixed(blocks_per_vsec, 1)),
+    ]);
+    (secs, record)
 }
 
 /// Instrumented cold+warm progressive read over the private-seal profile.
 /// Everything in the artifact is virtual-clock or counter state, so two
 /// runs of the bench emit byte-identical files — CI diffs them.
-fn metrics_artifact(mem: &Arc<MemoryStore>) -> String {
+fn metrics_artifact(mem: &Arc<MemoryStore>) -> JsonValue {
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
     let seal = obs.scoped("seal");
@@ -136,62 +119,59 @@ fn metrics_artifact(mem: &Arc<MemoryStore>) -> String {
     ds.read_progressive::<f32>("v", 0, region, max - 3, max).expect("cold progressive");
     ds.read_progressive::<f32>("v", 0, region, max - 3, max).expect("warm progressive");
     println!("metrics artifact: {} virtual secs end to end", clock.now_secs());
-    format!(
-        "{{\n  \"bench\": \"streaming-metrics\",\n  \"profile\": \"private-seal\",\n  \
-         \"seed\": 42,\n  \"metrics\": {},\n  \"spans\": {}\n}}\n",
-        obs.snapshot().to_json(),
-        obs.spans_json()
-    )
+    JsonValue::obj([
+        ("bench", "streaming-metrics".into()),
+        ("profile", "private-seal".into()),
+        ("seed", 42u64.into()),
+        ("metrics", obs.snapshot().to_json()),
+        ("spans", obs.spans_json()),
+    ])
 }
 
 fn main() {
     // `cargo bench` passes harness flags; this target ignores them.
     let mem = seed_store();
     let mut records = Vec::new();
+    // Cold private-seal virtual seconds, in CONCURRENCIES order.
+    let mut seal_cold = Vec::new();
     for profile in [NetworkProfile::public_dataverse, NetworkProfile::private_seal] {
         for warm in [false, true] {
             for conc in CONCURRENCIES {
-                let rec = run_case(&mem, profile(), conc, warm);
-                println!(
-                    "{:<17} {:>4} conc={} blocks={} batches={} virtual={:.3}s",
-                    rec.profile,
-                    rec.cache,
-                    rec.concurrency,
-                    rec.blocks,
-                    rec.fetch_batches,
-                    rec.virtual_secs,
-                );
-                records.push(rec);
+                let (secs, record) = run_case(&mem, profile(), conc, warm);
+                if !warm && profile().name == "private-seal" {
+                    seal_cold.push(secs);
+                }
+                records.push(record);
             }
         }
     }
 
-    let find = |profile: &str, conc: usize| {
-        records
-            .iter()
-            .find(|r| r.profile == profile && r.concurrency == conc && r.cache == "cold")
-            .expect("case present")
-    };
-    let seq = find("private-seal", 1).virtual_secs;
-    let par = find("private-seal", 8).virtual_secs;
-    let ratio = par / seq;
+    let ratio = seal_cold[3] / seal_cold[0]; // concurrency 8 over 1
     let pass = ratio < 0.5;
     println!(
         "acceptance: private-seal cold conc=8 is {ratio:.3}x sequential virtual time ({})",
         if pass { "PASS: < 0.5x" } else { "FAIL: >= 0.5x" }
     );
 
-    let body = records.iter().map(Record::to_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"streaming\",\n  \"dataset\": {{\"dims\": [{SIZE}, {SIZE}], \
-         \"dtype\": \"f32\", \"bits_per_block\": {BITS_PER_BLOCK}}},\n  \"records\": [\n    \
-         {body}\n  ],\n  \"acceptance\": {{\"profile\": \"private-seal\", \
-         \"parallel_over_sequential_virtual\": {ratio:.4}, \"threshold\": 0.5, \"pass\": {pass}}}\n}}\n"
-    );
-    nsdf_bench::write_artifact("BENCH_streaming.json", &json);
-
-    let metrics = metrics_artifact(&mem);
-    nsdf_bench::write_artifact("BENCH_streaming_metrics.json", &metrics);
+    let dataset = JsonValue::obj([
+        ("dims", [SIZE, SIZE].into_iter().collect()),
+        ("dtype", "f32".into()),
+        ("bits_per_block", BITS_PER_BLOCK.into()),
+    ]);
+    let acceptance = JsonValue::obj([
+        ("profile", "private-seal".into()),
+        ("parallel_over_sequential_virtual", JsonValue::fixed(ratio, 4)),
+        ("threshold", 0.5f64.into()),
+        ("pass", pass.into()),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "streaming".into()),
+        ("dataset", dataset),
+        ("records", JsonValue::Arr(records)),
+        ("acceptance", acceptance),
+    ]);
+    nsdf_bench::write_artifact("BENCH_streaming.json", &doc);
+    nsdf_bench::write_artifact("BENCH_streaming_metrics.json", &metrics_artifact(&mem));
 
     assert!(pass, "parallel fetch must beat 0.5x sequential virtual time");
 }

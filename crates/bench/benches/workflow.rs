@@ -11,6 +11,7 @@
 
 use nsdf_core::{run_terrain_dag, DagConfig, NsdfClient};
 use nsdf_geotiled::DemEdit;
+use nsdf_util::json::JsonValue;
 use nsdf_workflow::TaskStatus;
 
 const SEED: u64 = 42;
@@ -29,33 +30,23 @@ struct ProfileRecord {
     incremental_secs: f64,
     incremental_executed: usize,
     incremental_up_to_date: usize,
-    digests: Vec<(String, String)>,
+    digests: JsonValue,
 }
 
-impl ProfileRecord {
-    fn to_json(&self) -> String {
-        let digests = self
-            .digests
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":\"{v}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"endpoint\":\"{}\",\"parallel_virtual_secs\":{:.6},\"parallel_waves\":{},\
-             \"sequential_virtual_secs\":{:.6},\"sequential_waves\":{},\
-             \"speedup\":{:.4},\"incremental_virtual_secs\":{:.6},\
-             \"incremental_executed\":{},\"incremental_up_to_date\":{},\
-             \"digests\":{{{digests}}}}}",
-            self.endpoint,
-            self.parallel_secs,
-            self.parallel_waves,
-            self.sequential_secs,
-            self.sequential_waves,
-            self.sequential_secs / self.parallel_secs,
-            self.incremental_secs,
-            self.incremental_executed,
-            self.incremental_up_to_date,
-        )
+impl From<&ProfileRecord> for JsonValue {
+    fn from(r: &ProfileRecord) -> JsonValue {
+        JsonValue::obj([
+            ("endpoint", r.endpoint.into()),
+            ("parallel_virtual_secs", JsonValue::fixed(r.parallel_secs, 6)),
+            ("parallel_waves", r.parallel_waves.into()),
+            ("sequential_virtual_secs", JsonValue::fixed(r.sequential_secs, 6)),
+            ("sequential_waves", r.sequential_waves.into()),
+            ("speedup", JsonValue::fixed(r.sequential_secs / r.parallel_secs, 4)),
+            ("incremental_virtual_secs", JsonValue::fixed(r.incremental_secs, 6)),
+            ("incremental_executed", r.incremental_executed.into()),
+            ("incremental_up_to_date", r.incremental_up_to_date.into()),
+            ("digests", r.digests.clone()),
+        ])
     }
 }
 
@@ -124,7 +115,9 @@ fn run_profile(endpoint: &'static str) -> ProfileRecord {
         incremental_secs: inc.virtual_secs,
         incremental_executed: inc.run.count(TaskStatus::Succeeded),
         incremental_up_to_date: inc.run.count(TaskStatus::UpToDate),
-        digests: inc.digests.into_iter().collect(),
+        digests: JsonValue::Obj(
+            inc.digests.into_iter().map(|(k, v)| (k, v.as_str().into())).collect(),
+        ),
     }
 }
 
@@ -149,14 +142,25 @@ fn main() {
     }
 
     let cfg = DagConfig::small(SEED);
-    let body = records.iter().map(ProfileRecord::to_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"workflow\",\n  \"seed\": {SEED},\n  \"workload\": {{\"width\": {}, \
-         \"height\": {}, \"tiles\": [{}, {}], \"tasks\": 107, \"threads\": {}, \
-         \"edit\": {{\"x\": {}, \"y\": {}, \"delta_m\": {:.1}}}}},\n  \"profiles\": [\n    \
-         {body}\n  ]\n}}\n",
-        cfg.width, cfg.height, cfg.tiles.0, cfg.tiles.1, cfg.threads, EDIT.x, EDIT.y, EDIT.delta_m
-    );
-    nsdf_bench::write_artifact("BENCH_workflow.json", &json);
+    let edit = JsonValue::obj([
+        ("x", EDIT.x.into()),
+        ("y", EDIT.y.into()),
+        ("delta_m", JsonValue::fixed(f64::from(EDIT.delta_m), 1)),
+    ]);
+    let workload = JsonValue::obj([
+        ("width", cfg.width.into()),
+        ("height", cfg.height.into()),
+        ("tiles", [cfg.tiles.0, cfg.tiles.1].into_iter().collect()),
+        ("tasks", 107u64.into()),
+        ("threads", cfg.threads.into()),
+        ("edit", edit),
+    ]);
+    let doc = JsonValue::obj([
+        ("bench", "workflow".into()),
+        ("seed", SEED.into()),
+        ("workload", workload),
+        ("profiles", records.iter().collect()),
+    ]);
+    nsdf_bench::write_artifact("BENCH_workflow.json", &doc);
     println!("{:.1}s wall", wall.elapsed().as_secs_f64());
 }

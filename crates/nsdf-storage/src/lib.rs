@@ -49,9 +49,7 @@ pub use reliability::{
     BreakerPolicy, BreakerStore, EndpointPolicy, FailScope, HedgePolicy, IntegrityStore,
     RetryPolicy, RetryStore,
 };
-pub use sched::{
-    Priority, SchedConfig, SchedStore, Scheduler, TenantId, TenantPolicy, TokenBucket,
-};
+pub use sched::{Priority, SchedConfig, SchedStore, Scheduler, TenantId, TenantPolicy};
 pub use store::{validate_key, ObjectMeta, ObjectStore};
 pub use testkit::{CrashPoint, CrashSpec, CrashStore, GateStore};
 pub use tiercache::{hash_to_path, TierCache};

@@ -16,7 +16,7 @@
 //!   quota (default 8/2/1) so interactive pans preempt bulk ingest without
 //!   starving it, and round-robin across tenants within a tier so one
 //!   tenant cannot monopolize its class.
-//! * [`TokenBucket`] — per-tenant bandwidth shares in exact integer
+//! * `TokenBucket` — per-tenant bandwidth shares in exact integer
 //!   byte-nanosecond arithmetic: a grant is eligible only when the
 //!   tenant's bucket holds the request's charge, and the bucket never
 //!   over-grants within any virtual window (property-tested).
@@ -75,9 +75,6 @@ pub enum Priority {
 }
 
 impl Priority {
-    /// All classes, scheduling order (index == tier).
-    pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Prefetch, Priority::Bulk];
-
     /// Stable lowercase name (metric keys, reports).
     pub fn name(&self) -> &'static str {
         match self {
@@ -138,7 +135,7 @@ impl TenantPolicy {
 /// over-grant invariant (grants inside any virtual window `[t0, t1]` never
 /// exceed `burst + rate * (t1 - t0)` bytes-equivalent) holds to the unit.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_bytes_per_sec: u64,
     cap_bns: u128,
     tokens_bns: u128,
@@ -148,7 +145,7 @@ pub struct TokenBucket {
 impl TokenBucket {
     /// A full bucket with `burst_bytes` capacity refilling at
     /// `rate_bytes_per_sec`.
-    pub fn new(rate_bytes_per_sec: u64, burst_bytes: u64) -> TokenBucket {
+    pub(crate) fn new(rate_bytes_per_sec: u64, burst_bytes: u64) -> TokenBucket {
         let cap = (burst_bytes as u128).saturating_mul(BNS);
         TokenBucket { rate_bytes_per_sec, cap_bns: cap, tokens_bns: cap, last_vns: 0 }
     }
@@ -161,7 +158,7 @@ impl TokenBucket {
     }
 
     /// Advance the refill to `now_vns` (monotonic; earlier times are ignored).
-    pub fn refill(&mut self, now_vns: u64) {
+    pub(crate) fn refill(&mut self, now_vns: u64) {
         if now_vns <= self.last_vns {
             return;
         }
@@ -170,13 +167,13 @@ impl TokenBucket {
     }
 
     /// Whether `bytes` could be taken at `now_vns` (no mutation).
-    pub fn can_take(&self, bytes: u64, now_vns: u64) -> bool {
+    pub(crate) fn can_take(&self, bytes: u64, now_vns: u64) -> bool {
         self.rate_bytes_per_sec == 0 || self.tokens_at(now_vns) >= (bytes as u128) * BNS
     }
 
     /// Take `bytes` at `now_vns`; `false` (and no deduction) when the
     /// bucket cannot afford it.
-    pub fn try_take(&mut self, bytes: u64, now_vns: u64) -> bool {
+    pub(crate) fn try_take(&mut self, bytes: u64, now_vns: u64) -> bool {
         if self.rate_bytes_per_sec == 0 {
             return true;
         }
@@ -194,7 +191,7 @@ impl TokenBucket {
     ///
     /// Returns `u64::MAX` if the cost exceeds the bucket's capacity (the
     /// scheduler avoids this by clamping charges to the burst).
-    pub fn ready_at(&self, bytes: u64, now_vns: u64) -> u64 {
+    pub(crate) fn ready_at(&self, bytes: u64, now_vns: u64) -> u64 {
         if self.can_take(bytes, now_vns) {
             return now_vns;
         }
@@ -1177,6 +1174,7 @@ mod tests {
     use super::*;
     use crate::memory::MemoryStore;
     use crate::wan::{CloudStore, NetworkProfile};
+    use proptest::prelude::*;
 
     fn get_req(
         store: &Arc<dyn ObjectStore>,
@@ -1225,11 +1223,63 @@ mod tests {
         assert_eq!(b.ready_at(u64::MAX, 7), 7);
     }
 
+    /// Replay `events` against a bucket, recording each successful take, and
+    /// check the windowed over-grant bound across every pair of grant times.
+    fn check_no_over_grant(rate: u64, burst: u64, events: &[(u64, u64)]) {
+        let mut bucket = TokenBucket::new(rate, burst);
+        let mut now = 0u64;
+        let mut grants: Vec<(u64, u64)> = Vec::new();
+        for &(delta, bytes) in events {
+            now = now.saturating_add(delta);
+            // ready_at must agree with can_take at the instant it names.
+            let at = bucket.ready_at(bytes, now);
+            if at != u64::MAX {
+                assert!(bucket.can_take(bytes, at), "ready_at({bytes}, {now}) = {at} not takeable");
+            }
+            if bucket.try_take(bytes, now) {
+                grants.push((now, bytes));
+            }
+        }
+        for i in 0..grants.len() {
+            let mut granted_bns = 0u128;
+            for j in i..grants.len() {
+                granted_bns += grants[j].1 as u128 * BNS;
+                let window = (grants[j].0 - grants[i].0) as u128;
+                let allowed = burst as u128 * BNS + rate as u128 * window;
+                assert!(
+                    granted_bns <= allowed,
+                    "over-grant: {granted_bns} byte-ns granted in window \
+                     [{}, {}] with burst {burst} rate {rate} (allowed {allowed})",
+                    grants[i].0,
+                    grants[j].0,
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// No over-grant: a bucket never grants more than
+        /// `burst + rate * window` bytes inside *any* virtual window,
+        /// checked in exact byte-nanosecond units over every window of
+        /// every generated take sequence.
+        #[test]
+        fn token_bucket_never_over_grants_in_any_window(
+            rate in 1u64..10_000,
+            burst in 1u64..100_000,
+            events in proptest::collection::vec(
+                (0u64..200_000_000, 0u64..4_096), 1..60),
+        ) {
+            check_no_over_grant(rate, burst, &events);
+        }
+    }
+
     #[test]
     fn priority_order_is_total() {
         assert!(Priority::Interactive < Priority::Prefetch);
         assert!(Priority::Prefetch < Priority::Bulk);
-        assert_eq!(Priority::ALL[1].name(), "prefetch");
+        assert_eq!(Priority::Prefetch.name(), "prefetch");
     }
 
     #[test]
@@ -1360,7 +1410,7 @@ mod tests {
             sched.submit_detached(get_req(
                 &store,
                 i % 3,
-                Priority::ALL[(i % 3) as usize],
+                [Priority::Interactive, Priority::Prefetch, Priority::Bulk][(i % 3) as usize],
                 &[key.as_str()],
                 0,
             ));

@@ -1,67 +1,29 @@
 //! Property tests for the shared-WAN admission scheduler.
 //!
-//! Three invariants the multi-tenant QoS story rests on:
+//! Two invariants the multi-tenant QoS story rests on (the third, that a
+//! token bucket never over-grants, is a property test in `sched`'s unit
+//! tests):
 //!
-//! 1. **No over-grant**: a token bucket never grants more than
-//!    `burst + rate * window` bytes inside *any* virtual window — checked
-//!    in exact byte-nanosecond integer units over every window of every
-//!    generated take sequence.
-//! 2. **Total, stable ordering**: grant order is a pure function of the
+//! 1. **Total, stable ordering**: grant order is a pure function of the
 //!    submitted sequence (rerun-identical), and same-tenant same-class
 //!    requests are served FIFO in submission order.
-//! 3. **Starvation-freedom**: with tier quotas in force, every request's
+//! 2. **Starvation-freedom**: with tier quotas in force, every request's
 //!    grant index is bounded by a closed-form function of its queue
 //!    position, its tier's tenant count, and the quota — no mix of
 //!    competing tenants can push a ready request back indefinitely.
 
 use nsdf_storage::sched::{SchedOp, SchedRequest};
-use nsdf_storage::{MemoryStore, ObjectStore, Priority, SchedConfig, Scheduler, TokenBucket};
+use nsdf_storage::{MemoryStore, ObjectStore, Priority, SchedConfig, Scheduler};
 use nsdf_util::SimClock;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-const BNS: u128 = 1_000_000_000;
-
-/// Replay `events` against a bucket, recording each successful take, and
-/// check the windowed over-grant bound across every pair of grant times.
-fn check_no_over_grant(rate: u64, burst: u64, events: &[(u64, u64)]) {
-    let mut bucket = TokenBucket::new(rate, burst);
-    let mut now = 0u64;
-    let mut grants: Vec<(u64, u64)> = Vec::new();
-    for &(delta, bytes) in events {
-        now = now.saturating_add(delta);
-        // ready_at must agree with can_take at the instant it names.
-        let at = bucket.ready_at(bytes, now);
-        if at != u64::MAX {
-            assert!(bucket.can_take(bytes, at), "ready_at({bytes}, {now}) = {at} not takeable");
-        }
-        if bucket.try_take(bytes, now) {
-            grants.push((now, bytes));
-        }
-    }
-    for i in 0..grants.len() {
-        let mut granted_bns = 0u128;
-        for j in i..grants.len() {
-            granted_bns += grants[j].1 as u128 * BNS;
-            let window = (grants[j].0 - grants[i].0) as u128;
-            let allowed = burst as u128 * BNS + rate as u128 * window;
-            assert!(
-                granted_bns <= allowed,
-                "over-grant: {granted_bns} byte-ns granted in window \
-                 [{}, {}] with burst {burst} rate {rate} (allowed {allowed})",
-                grants[i].0,
-                grants[j].0,
-            );
-        }
-    }
-}
-
 /// One generated request: (tenant, class).
 type ReqSpec = (u32, Priority);
 
 fn class_strategy() -> impl Strategy<Value = Priority> {
-    (0usize..3).prop_map(|i| Priority::ALL[i])
+    (0usize..3).prop_map(|i| [Priority::Interactive, Priority::Prefetch, Priority::Bulk][i])
 }
 
 /// Submit every request detached (all unthrottled tenants), drive to
@@ -85,16 +47,6 @@ fn run_mix(cfg: SchedConfig, reqs: &[ReqSpec]) -> Vec<(u64, u32, Priority)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn token_bucket_never_over_grants_in_any_window(
-        rate in 1u64..10_000,
-        burst in 1u64..100_000,
-        events in proptest::collection::vec(
-            (0u64..200_000_000, 0u64..4_096), 1..60),
-    ) {
-        check_no_over_grant(rate, burst, &events);
-    }
 
     #[test]
     fn grant_order_is_stable_and_rerun_identical(

@@ -12,6 +12,8 @@
 //! * [`geo`] — integer boxes, geotransforms, great-circle distance;
 //! * [`stats`] — accuracy metrics (RMSE/PSNR), streaming stats, histograms;
 //! * [`par`] — crossbeam-based fork-join parallel helpers;
+//! * [`json`] — the one JSON value type, parser and writer, which every
+//!   document the workspace reads or writes goes through;
 //! * [`obs`] — the unified metrics registry + virtual-clock span tracer;
 //! * [`clock`] — the deterministic virtual clock driving all simulations;
 //! * [`meta`] — the text key/value metadata format used by `.idx` headers;
@@ -26,6 +28,7 @@ pub mod dtype;
 pub mod error;
 pub mod geo;
 pub mod hash;
+pub mod json;
 pub mod lru;
 pub mod meta;
 pub mod obs;

@@ -21,6 +21,7 @@
 //!   from [`MetricsSnapshot::to_json`] and [`Obs::spans_json`].
 
 use crate::clock::SimClock;
+use crate::json::JsonValue;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -445,24 +446,18 @@ impl Obs {
         out
     }
 
-    /// Deterministic JSON for the span forest: labels, virtual start and
+    /// The span forest as a JSON document: labels, virtual start and
     /// duration only (wall time deliberately excluded).
-    pub fn spans_json(&self) -> String {
-        fn write(node: &SpanNode, out: &mut String) {
-            out.push_str("{\"label\":");
-            push_json_string(&node.label, out);
-            out.push_str(&format!(
-                ",\"start_vns\":{},\"dur_vns\":{},\"children\":[",
-                node.start_vns,
-                node.end_vns.saturating_sub(node.start_vns)
-            ));
-            push_json_list(out, &node.children, |out, c| write(c, out));
-            out.push_str("]}");
+    pub fn spans_json(&self) -> JsonValue {
+        fn node(n: &SpanNode) -> JsonValue {
+            JsonValue::obj([
+                ("children", n.children.iter().map(node).collect()),
+                ("dur_vns", n.end_vns.saturating_sub(n.start_vns).into()),
+                ("label", n.label.as_str().into()),
+                ("start_vns", n.start_vns.into()),
+            ])
         }
-        let mut out = String::from("[");
-        push_json_list(&mut out, &self.span_tree(), |out, root| write(root, out));
-        out.push(']');
-        out
+        self.span_tree().iter().map(node).collect()
     }
 }
 
@@ -514,79 +509,28 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Byte-stable JSON: keys sorted (BTreeMap order), floats rendered via
-    /// Rust's shortest-roundtrip formatting, no whitespace. Two snapshots
-    /// of identically-seeded runs serialize to identical bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        push_json_list(&mut out, &self.counters, |out, (k, v)| {
-            push_json_string(k, out);
-            out.push_str(&format!(":{v}"));
-        });
-        out.push_str("},\"gauges\":{");
-        push_json_list(&mut out, &self.gauges, |out, (k, v)| {
-            push_json_string(k, out);
-            out.push(':');
-            out.push_str(&json_f64(*v));
-        });
-        out.push_str("},\"histograms\":{");
-        push_json_list(&mut out, &self.histograms, |out, (k, h)| {
-            push_json_string(k, out);
-            out.push_str(":{\"bounds\":[");
-            push_json_list(out, &h.bounds, |out, b| out.push_str(&json_f64(*b)));
-            out.push_str("],\"counts\":[");
-            push_json_list(out, &h.counts, |out, c| out.push_str(&format!("{c}")));
-            out.push_str(&format!("],\"sum\":{}}}", json_f64(h.sum)));
-        });
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Render an f64 as a JSON number (shortest round-trip form; non-finite
-/// values become 0, which JSON cannot express).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v:?}");
-        // Rust Debug prints integral floats as e.g. "3.0", already valid JSON.
-        s
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Append `items` onto `out`, comma-separated, each written by `push`: the
-/// body of a JSON array or object (the caller writes the brackets), so the
-/// byte-stable emitters separate their lists alike.
-pub fn push_json_list<I: IntoIterator>(
-    out: &mut String,
-    items: I,
-    mut push: impl FnMut(&mut String, I::Item),
-) {
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// The snapshot as a JSON document. Floats are written in Rust's
+    /// shortest round-trip form, so two snapshots of identically-seeded
+    /// runs render to identical bytes.
+    pub fn to_json(&self) -> JsonValue {
+        fn map<V>(m: &BTreeMap<String, V>, value: impl Fn(&V) -> JsonValue) -> JsonValue {
+            JsonValue::Obj(m.iter().map(|(k, v)| (k.clone(), value(v))).collect())
         }
-        push(out, item);
+        JsonValue::obj([
+            ("counters", map(&self.counters, |&c| c.into())),
+            ("gauges", map(&self.gauges, |&g| g.into())),
+            (
+                "histograms",
+                map(&self.histograms, |h| {
+                    JsonValue::obj([
+                        ("bounds", h.bounds.iter().copied().collect()),
+                        ("counts", h.counts.iter().copied().collect()),
+                        ("sum", h.sum.into()),
+                    ])
+                }),
+            ),
+        ])
     }
-}
-
-/// Append `s` as a JSON string literal onto `out` — the workspace's one
-/// escaper, so every byte-stable artifact quotes strings alike.
-pub fn push_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -715,8 +659,8 @@ mod tests {
         obs.counter("alpha").add(2);
         obs.gauge("g").set(0.15);
         obs.histogram("h", &[1.0]).observe(0.5);
-        let j1 = obs.snapshot().to_json();
-        let j2 = obs.snapshot().to_json();
+        let j1 = obs.snapshot().to_json().to_string();
+        let j2 = obs.snapshot().to_json().to_string();
         assert_eq!(j1, j2);
         assert!(j1.find("\"alpha\"").unwrap() < j1.find("\"zeta\"").unwrap());
         let expected = concat!(
@@ -736,8 +680,8 @@ mod tests {
             clock.advance_ns(500);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let j = obs.spans_json();
-        assert_eq!(j, "[{\"label\":\"work\",\"start_vns\":0,\"dur_vns\":500,\"children\":[]}]");
+        let j = obs.spans_json().to_string();
+        assert_eq!(j, "[{\"children\":[],\"dur_vns\":500,\"label\":\"work\",\"start_vns\":0}]");
     }
 
     #[test]
@@ -764,7 +708,7 @@ mod tests {
         drop(obs.span("x"));
         obs.clear_spans();
         assert!(obs.span_tree().is_empty());
-        assert_eq!(obs.spans_json(), "[]");
+        assert_eq!(obs.spans_json().to_string(), "[]");
     }
 
     #[test]

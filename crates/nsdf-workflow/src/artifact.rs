@@ -8,7 +8,7 @@
 //! which artifact, so a finished run can answer "where did this file come
 //! from" and every entry can be checked against the object it names.
 
-use crate::json::{parse_hex_u64, push_hex_u64, push_json_string, JsonValue};
+use nsdf_util::json::{hex_u64, parse_hex_u64, JsonValue};
 use nsdf_util::{fnv1a64, Result};
 
 /// Descriptor of one produced artifact.
@@ -35,20 +35,17 @@ impl Artifact {
         }
     }
 
-    /// Append this artifact as a sorted-key JSON object.
-    pub(crate) fn push_json(&self, out: &mut String) {
-        out.push_str("{\"bytes\":");
-        out.push_str(&self.bytes.to_string());
-        out.push_str(",\"checksum\":");
-        push_hex_u64(self.checksum, out);
-        out.push_str(",\"location\":");
-        push_json_string(&self.location, out);
-        out.push_str(",\"name\":");
-        push_json_string(&self.name, out);
-        out.push('}');
+    /// This artifact as a JSON object.
+    pub(crate) fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("bytes", self.bytes.into()),
+            ("checksum", hex_u64(self.checksum)),
+            ("location", self.location.as_str().into()),
+            ("name", self.name.as_str().into()),
+        ])
     }
 
-    /// Parse one artifact from its [`Artifact::push_json`] form.
+    /// Parse one artifact from its [`Artifact::to_json`] form.
     pub(crate) fn from_json_value(v: &JsonValue) -> Result<Artifact> {
         Ok(Artifact {
             name: v.field("name")?.str_of("artifact.name")?.to_string(),

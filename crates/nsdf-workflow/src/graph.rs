@@ -68,9 +68,8 @@
 //! byte-identical output cuts the dirty cone off early.
 
 use crate::artifact::Artifact;
-use crate::json::{parse_hex_u64, push_hex_u64, push_json_string, JsonValue};
 use nsdf_storage::ObjectStore;
-use nsdf_util::obs::push_json_list;
+use nsdf_util::json::{hex_u64, parse_hex_u64, JsonValue};
 use nsdf_util::{Fnv1a, NsdfError, Result, SimClock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -210,27 +209,17 @@ pub struct TaskRecord {
 }
 
 impl TaskRecord {
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"compute_ns\":");
-        out.push_str(&self.compute_ns.to_string());
-        out.push_str(",\"consumed\":[");
-        push_json_list(out, &self.consumed, |out, c| push_json_string(c, out));
-        out.push_str("],\"error\":");
-        match &self.error {
-            Some(e) => push_json_string(e, out),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"fingerprint\":");
-        push_hex_u64(self.fingerprint, out);
-        out.push_str(",\"name\":");
-        push_json_string(&self.name, out);
-        out.push_str(",\"produced\":[");
-        push_json_list(out, &self.produced, |out, a| a.push_json(out));
-        out.push_str("],\"status\":");
-        push_json_string(self.status.wire_name(), out);
-        out.push_str(",\"wave\":");
-        out.push_str(&self.wave.to_string());
-        out.push('}');
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("compute_ns", self.compute_ns.into()),
+            ("consumed", self.consumed.iter().map(String::as_str).collect()),
+            ("error", self.error.as_deref().map_or(JsonValue::Null, JsonValue::from)),
+            ("fingerprint", hex_u64(self.fingerprint)),
+            ("name", self.name.as_str().into()),
+            ("produced", self.produced.iter().map(Artifact::to_json).collect()),
+            ("status", self.status.wire_name().into()),
+            ("wave", self.wave.into()),
+        ])
     }
 }
 
@@ -324,24 +313,18 @@ impl GraphRun {
         end.saturating_sub(start) as f64 / 1e9
     }
 
-    /// Byte-stable JSON rendering (sorted keys, hex-string u64s) so two
-    /// identically-seeded runs can be compared with `cmp`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"ended_ns\":");
-        out.push_str(&self.ended_ns.to_string());
-        out.push_str(",\"name\":");
-        push_json_string(&self.name, &mut out);
-        out.push_str(",\"records\":[");
-        push_json_list(&mut out, &self.records, |out, r| r.push_json(out));
-        out.push_str("],\"started_ns\":");
-        out.push_str(&self.started_ns.to_string());
-        out.push_str(",\"wave_ended_ns\":[");
-        let ends: Vec<String> = self.wave_ended_ns.iter().map(u64::to_string).collect();
-        out.push_str(&ends.join(","));
-        out.push_str("],\"waves\":");
-        out.push_str(&self.waves.to_string());
-        out.push('}');
-        out
+    /// The run report as a JSON document (hex-string u64s); two
+    /// identically-seeded runs render to the same bytes, so they can be
+    /// compared with `cmp`.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("ended_ns", self.ended_ns.into()),
+            ("name", self.name.as_str().into()),
+            ("records", self.records.iter().map(TaskRecord::to_json).collect()),
+            ("started_ns", self.started_ns.into()),
+            ("wave_ended_ns", self.wave_ended_ns.iter().copied().collect()),
+            ("waves", self.waves.into()),
+        ])
     }
 }
 
@@ -362,19 +345,16 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Byte-stable JSON rendering (sorted keys, hex-string u64s).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"tasks\":{");
-        push_json_list(&mut out, &self.tasks, |out, (name, entry)| {
-            push_json_string(name, out);
-            out.push_str(":{\"fingerprint\":");
-            push_hex_u64(entry.fingerprint, out);
-            out.push_str(",\"outputs\":[");
-            push_json_list(out, &entry.outputs, |out, a| a.push_json(out));
-            out.push_str("]}");
-        });
-        out.push_str("}}");
-        out
+    /// The manifest as a JSON document (hex-string u64s).
+    pub fn to_json(&self) -> JsonValue {
+        let entry = |e: &ManifestEntry| {
+            JsonValue::obj([
+                ("fingerprint", hex_u64(e.fingerprint)),
+                ("outputs", e.outputs.iter().map(Artifact::to_json).collect()),
+            ])
+        };
+        let tasks = self.tasks.iter().map(|(name, e)| (name.clone(), entry(e))).collect();
+        JsonValue::obj([("tasks", JsonValue::Obj(tasks))])
     }
 
     /// Parse a [`Manifest::to_json`] rendering back.
@@ -409,7 +389,7 @@ impl Manifest {
 
     /// Persist the manifest at `key`.
     pub fn save(&self, store: &dyn ObjectStore, key: &str) -> Result<()> {
-        store.put(key, self.to_json().as_bytes())?;
+        store.put(key, self.to_json().to_string().as_bytes())?;
         Ok(())
     }
 }
@@ -1105,7 +1085,10 @@ mod tests {
         // 10 (gen) + max(20, 30) + 5 = 45 ms of virtual compute.
         assert_eq!(clock.now_ns(), 45 * MS);
         assert_eq!(run.wave_ended_ns, vec![10 * MS, 40 * MS, 45 * MS]);
-        assert!(run.to_json().contains("\"wave_ended_ns\":[10000000,40000000,45000000],"));
+        assert!(run
+            .to_json()
+            .to_string()
+            .contains("\"wave_ended_ns\":[10000000,40000000,45000000],"));
 
         // Sequential baseline: 10 + 20 + 30 + 5 = 65 ms — strictly more.
         let seq_clock = SimClock::new();
@@ -1560,10 +1543,44 @@ mod tests {
             },
         );
         m.tasks.insert("a-task".into(), ManifestEntry { fingerprint: 7, outputs: vec![] });
-        let json = m.to_json();
+        let json = m.to_json().to_string();
         let back = Manifest::from_json(&json).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.to_json(), json);
+        assert_eq!(back.to_json().to_string(), json);
+    }
+
+    /// The bytes of a manifest and of a run report are pinned: a manifest
+    /// already stored loads and re-serialises to the same bytes, and the
+    /// escapes, hex fingerprints and key order stay as they were written.
+    #[test]
+    fn manifest_and_run_report_bytes_are_pinned() {
+        let manifest = concat!(
+            r#"{"tasks":{"a-task":{"fingerprint":"0000000000000007","outputs":[]},"#,
+            r#""b-task \"quoted\"\n":{"fingerprint":"ffffffffffffffff","outputs":[{"bytes":2,"#,
+            r#""checksum":"08f14f07b58deb1a","location":"obj/o\u0001","name":"o\\ut"}]}}}"#,
+        );
+        assert_eq!(Manifest::from_json(manifest).unwrap().to_json().to_string(), manifest);
+
+        let mut g = TaskGraph::new("pin");
+        g.add_task("gen", &[], "v1", |ctx| {
+            ctx.charge_compute_ns(5);
+            Ok(vec![TaskOutput::payload("dem", "obj/dem", b"abc".to_vec())])
+        })
+        .unwrap();
+        g.add_task("bad", &["gen"], "v1", |_| Err(NsdfError::invalid("boom\t!"))).unwrap();
+        g.add_task("after", &["bad"], "v1", |_| Ok(vec![])).unwrap();
+        let run = g.run(&RunOptions::new(SimClock::new())).unwrap();
+        let report = concat!(
+            r#"{"ended_ns":5,"name":"pin","records":[{"compute_ns":5,"consumed":[],"error":null,"#,
+            r#""fingerprint":"b50dc87cb9c68de5","name":"gen","produced":[{"bytes":3,"#,
+            r#""checksum":"e71fa2190541574b","location":"obj/dem","name":"dem"}],"#,
+            r#""status":"succeeded","wave":0},{"compute_ns":0,"consumed":["dem"],"#,
+            r#""error":"invalid argument: boom\t!","fingerprint":"84d30bcc81202dd8","name":"bad","#,
+            r#""produced":[],"status":"failed","wave":1},{"compute_ns":0,"consumed":[],"#,
+            r#""error":null,"fingerprint":"0000000000000000","name":"after","produced":[],"#,
+            r#""status":"skipped","wave":2}],"started_ns":0,"wave_ended_ns":[5,5],"waves":2}"#,
+        );
+        assert_eq!(run.to_json().to_string(), report);
     }
 
     /// Graph construction rejects duplicates, empty names, and unknown

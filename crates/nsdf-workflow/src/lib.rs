@@ -12,15 +12,15 @@
 //!   any object store.
 //! - [`artifact`] — the descriptor (name, size, checksum, location) of
 //!   one stored object a task produced.
-//! - [`json`] — the byte-stable JSON reader/writer behind run reports and
-//!   manifests.
+//! - [`json`] — [`nsdf_util::json`], the workspace's one JSON module, in
+//!   which run reports and manifests are written and read back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifact;
 pub mod graph;
-pub mod json;
+pub use nsdf_util::json;
 
 pub use artifact::Artifact;
 pub use graph::{GraphRun, Manifest, RunOptions, TaskCtx, TaskGraph, TaskOutput, TaskStatus};

@@ -132,7 +132,7 @@ fn run_over_wan(spec: &DagSpec, threads: usize, wan_seed: u64) -> (String, Strin
     }
     let rerun = spec.build(&versions).run(&opts).unwrap();
     assert!(cold.succeeded() && rerun.succeeded());
-    (cold.to_json(), rerun.to_json(), obs.snapshot().to_json())
+    (cold.to_json().to_string(), rerun.to_json().to_string(), obs.snapshot().to_json().to_string())
 }
 
 proptest! {

@@ -96,7 +96,13 @@ fn chaos_ingest(seed: u64) -> IngestOutput {
             ds.write_box("hillshade", 0, b.x0 as u64, b.y0 as u64, &sub_raster(&shade, b)).unwrap();
         ingest.merge(&stats);
     }
-    (dump(&mem), ingest, clock.now_ns(), obs.snapshot().to_json(), obs.spans_json())
+    (
+        dump(&mem),
+        ingest,
+        clock.now_ns(),
+        obs.snapshot().to_json().to_string(),
+        obs.spans_json().to_string(),
+    )
 }
 
 #[test]
@@ -430,8 +436,8 @@ fn seeded_write_run(seed: u64) -> WriteRun {
 
     let snapshot = obs.snapshot();
     WriteRun {
-        snapshot_json: snapshot.to_json(),
-        spans_json: obs.spans_json(),
+        snapshot_json: snapshot.to_json().to_string(),
+        spans_json: obs.spans_json().to_string(),
         spans: obs.span_tree(),
         snapshot,
         write_vns,

@@ -61,8 +61,8 @@ fn seeded_run(seed: u64) -> RunOutput {
 
     let snapshot = obs.snapshot();
     RunOutput {
-        snapshot_json: snapshot.to_json(),
-        spans_json: obs.spans_json(),
+        snapshot_json: snapshot.to_json().to_string(),
+        spans_json: obs.spans_json().to_string(),
         spans: obs.span_tree(),
         snapshot,
         cold_vns,

@@ -200,7 +200,8 @@ fn cancelled_timeline() -> (Option<u32>, u64, String, Vec<f32>, u64) {
     let resumed = s.refine().unwrap();
     assert!(resumed.cancelled_at.is_none());
     let finest = resumed.frames.last().unwrap().raster.data().to_vec();
-    (cancelled_at, clock.now_ns(), obs.snapshot().to_json(), finest, s.stats().blocks_fetched)
+    let metrics = obs.snapshot().to_json().to_string();
+    (cancelled_at, clock.now_ns(), metrics, finest, s.stats().blocks_fetched)
 }
 
 #[test]
@@ -287,5 +288,9 @@ fn read_region_keeps_stats_and_spans_in_step_with_frame_at() {
     let abandoned = s.read_region(ds.bounds(), ds.max_level()).unwrap();
     assert!(abandoned.cancelled);
     assert_eq!(s.stats().cancelled, 1);
-    assert!(obs.spans_json().contains("session.cancelled"), "spans: {}", obs.render_spans());
+    assert!(
+        obs.spans_json().to_string().contains("session.cancelled"),
+        "spans: {}",
+        obs.render_spans()
+    );
 }

@@ -175,7 +175,7 @@ fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
     // The 3-D path runs the shared block pipeline: what the slices decoded
     // the box reads found in the decoded cache.
     assert!(counter("idx.decoded_cache_hits") > 0, "{endpoint}: boxes reuse slice decodes");
-    (fp, client.clock().now_ns(), snap.to_json())
+    (fp, client.clock().now_ns(), snap.to_json().to_string())
 }
 
 #[test]
@@ -245,7 +245,11 @@ fn cancelled_slice(cancel_after: Option<u64>) -> (u64, u64, u64, u64) {
         assert_eq!(session.stats().cancelled, 1);
         assert!(session.stats().blocks_fetched > 0, "waves before the deadline are credited");
         // An abandoned slice lands on the span timeline like any abandoned frame.
-        assert!(obs.spans_json().contains("session.cancelled"), "spans: {}", obs.render_spans());
+        assert!(
+            obs.spans_json().to_string().contains("session.cancelled"),
+            "spans: {}",
+            obs.render_spans()
+        );
         session.reset_cancel();
     }
     let frame = session.frame_at(level).unwrap();
