@@ -459,6 +459,34 @@ impl Dashboard {
         (start..=end).map(|l| self.render_at_level(l)).collect()
     }
 
+    /// Flythrough: render `count` z-planes evenly spaced through the
+    /// selected dataset's depth at `level` (clamped like
+    /// [`Dashboard::render_at_level`]) — the playback walkthrough along z
+    /// instead of time; one plane is the middle one, and a 2-D dataset has
+    /// plane 0 only. Returns each plane's depth with its image. The planes
+    /// are frames of the dataset's one session, so blocks spanning several
+    /// planes are fetched once for the sweep; the session is back on plane
+    /// 0, the plane every other view shows, when this returns.
+    pub fn flythrough(&self, count: usize, level: u32) -> Result<Vec<(i64, Image)>> {
+        if count == 0 {
+            return Err(NsdfError::invalid("flythrough needs at least one plane"));
+        }
+        let depth = self.current()?.extent().z1;
+        let level = self.min_renderable_level(level)?;
+        self.with_session(|s| {
+            let frames = (0..count as i64)
+                .map(|i| {
+                    let z =
+                        if count == 1 { depth / 2 } else { i * (depth - 1) / (count as i64 - 1) };
+                    s.set_slice(z)?;
+                    Ok((z, render(&s.frame_at(level)?.raster, self.colormap, self.range)?))
+                })
+                .collect();
+            s.set_slice(0)?;
+            frames
+        })
+    }
+
     // ---- analysis tools ----------------------------------------------------
 
     /// Horizontal slice: the data profile along the row at fraction
@@ -862,6 +890,83 @@ mod tests {
             status.contains("seal: lookups 2 = ram 1 + disk 0 + wan 1"),
             "missing tier reconciliation row: {status}"
         );
+    }
+
+    /// A 16 x 16 x 8 volume holding `x + y + 100 z`, selected.
+    fn dashboard_with_volume() -> Dashboard {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("density", DType::F32).unwrap()];
+        let meta = IdxMeta::new("vol", &[16, 16, 8], fields, 6, Codec::Raw).unwrap();
+        let ds = IdxDataset::create(store, "v", meta).unwrap();
+        let data = nsdf_util::Volume::from_fn(16, 16, 8, |x, y, z| (x + y + 100 * z) as f32);
+        ds.write_volume("density", 0, &data).unwrap();
+        let mut d = Dashboard::new();
+        d.add_dataset("vol", Arc::new(ds));
+        d.select_dataset("vol").unwrap();
+        d
+    }
+
+    #[test]
+    fn starts_at_middle_slice() {
+        let d = dashboard_with_volume();
+        let ds = d.current().unwrap();
+        assert_eq!(ds.extent().z1, 8);
+        assert_eq!(ds.max_level(), 11); // 16*16*8 = 2^11 addresses
+        assert_eq!(d.flythrough(1, 11).unwrap()[0].0, 4);
+    }
+
+    #[test]
+    fn renders_the_selected_plane() {
+        let mut d = dashboard_with_volume();
+        d.set_range(RangeMode::Manual(0.0, 800.0)).unwrap();
+        let frames = d.flythrough(2, 11).unwrap();
+        let ((z0, img0), (z7, img7)) = (&frames[0], &frames[1]);
+        assert_eq!((*z0, *z7), (0, 7));
+        assert_eq!((img0.width, img0.height), (16, 16));
+        // Different planes (offset 100*z) must render differently.
+        assert_ne!(img0.rgb, img7.rgb);
+        // The flythrough leaves the view on plane 0.
+        assert_eq!(d.render_at_level(11).unwrap().0.rgb, img0.rgb);
+    }
+
+    #[test]
+    fn coarse_level_shrinks_slice() {
+        let d = dashboard_with_volume();
+        let (_, img) = &d.flythrough(1, 11 - 2).unwrap()[0];
+        assert!(img.width < 16);
+    }
+
+    #[test]
+    fn flythrough_sweeps_the_volume() {
+        let d = dashboard_with_volume();
+        let frames = d.flythrough(4, 11).unwrap();
+        assert_eq!(frames.len(), 4);
+        assert_eq!(frames[0].0, 0);
+        assert_eq!(frames[3].0, 7);
+        assert!(frames.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(d.flythrough(0, 11).is_err());
+    }
+
+    #[test]
+    fn field_and_time_validation() {
+        let mut d = dashboard_with_volume();
+        assert!(d.select_field("density").is_ok());
+        assert!(d.select_field("pressure").is_err());
+        assert!(d.set_time(0).is_ok());
+        assert!(d.set_time(1).is_err());
+    }
+
+    #[test]
+    fn flythrough_of_a_flat_dataset_renders_plane_zero() {
+        let d = dashboard_with_data();
+        let level = d.auto_level().unwrap();
+        let (want, _) = d.render_at_level(level).unwrap();
+        let frames = d.flythrough(3, level).unwrap();
+        assert_eq!(frames.len(), 3);
+        for (z, img) in &frames {
+            assert_eq!(*z, 0);
+            assert_eq!(img.rgb, want.rgb);
+        }
     }
 
     #[test]

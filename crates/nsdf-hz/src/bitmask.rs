@@ -90,11 +90,6 @@ impl BitMask {
         Ok(BitMask { axes_msb_first: lsb_first, bits_per_axis: bits })
     }
 
-    /// Convenience constructor for 2-D grids.
-    pub fn for_dims_2d(width: u64, height: u64) -> Result<Self> {
-        Self::for_dims(&[width, height])
-    }
-
     /// Total number of address bits (= maximum HZ level).
     pub fn num_bits(&self) -> u32 {
         self.axes_msb_first.len() as u32
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn for_dims_square_alternates() {
-        let m = BitMask::for_dims_2d(8, 8).unwrap();
+        let m = BitMask::for_dims(&[8, 8]).unwrap();
         // 3 bits each; finest (rightmost) is x.
         assert_eq!(m.to_text(), "V101010");
         assert_eq!(m.padded_dims(), vec![8, 8]);
@@ -225,7 +220,7 @@ mod tests {
 
     #[test]
     fn for_dims_rectangular_gives_extra_bits_to_long_axis() {
-        let m = BitMask::for_dims_2d(8, 2).unwrap();
+        let m = BitMask::for_dims(&[8, 2]).unwrap();
         // x: 3 bits, y: 1 bit. LSB-first cycle: x,y,x,x -> msb-first "0010".
         assert_eq!(m.padded_dims(), vec![8, 2]);
         assert_eq!(m.to_text(), "V0010");
@@ -233,7 +228,7 @@ mod tests {
 
     #[test]
     fn for_dims_pads_to_power_of_two() {
-        let m = BitMask::for_dims_2d(100, 60).unwrap();
+        let m = BitMask::for_dims(&[100, 60]).unwrap();
         assert_eq!(m.padded_dims(), vec![128, 64]);
         assert_eq!(m.num_bits(), 13);
     }
@@ -255,7 +250,7 @@ mod tests {
 
     #[test]
     fn encode_matches_plain_morton_on_square_grid() {
-        let m = BitMask::for_dims_2d(16, 16).unwrap();
+        let m = BitMask::for_dims(&[16, 16]).unwrap();
         for y in 0..16u64 {
             for x in 0..16u64 {
                 let z = m.encode(&[x, y]).unwrap();
@@ -266,7 +261,7 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_rectangular() {
-        let m = BitMask::for_dims_2d(32, 8).unwrap();
+        let m = BitMask::for_dims(&[32, 8]).unwrap();
         for y in 0..8u64 {
             for x in 0..32u64 {
                 let z = m.encode(&[x, y]).unwrap();
@@ -277,7 +272,7 @@ mod tests {
 
     #[test]
     fn encode_is_bijective_on_padded_grid() {
-        let m = BitMask::for_dims_2d(8, 4).unwrap();
+        let m = BitMask::for_dims(&[8, 4]).unwrap();
         let mut seen = [false; 32];
         for y in 0..4u64 {
             for x in 0..8u64 {
@@ -291,7 +286,7 @@ mod tests {
 
     #[test]
     fn encode_rejects_out_of_range() {
-        let m = BitMask::for_dims_2d(8, 8).unwrap();
+        let m = BitMask::for_dims(&[8, 8]).unwrap();
         assert!(m.encode(&[8, 0]).is_err());
         assert!(m.encode(&[0, 9]).is_err());
     }
@@ -307,7 +302,7 @@ mod tests {
 
     #[test]
     fn level_strides_shrink_with_level() {
-        let m = BitMask::for_dims_2d(8, 8).unwrap(); // V101010
+        let m = BitMask::for_dims(&[8, 8]).unwrap(); // V101010
         assert_eq!(m.level_strides(0).unwrap(), vec![8, 8]);
         assert_eq!(m.level_strides(6).unwrap(), vec![1, 1]);
         // One level up from finest removes the rightmost mask bit (x).
@@ -318,7 +313,7 @@ mod tests {
 
     #[test]
     fn level_dims_cover_logical_grid() {
-        let m = BitMask::for_dims_2d(100, 60).unwrap();
+        let m = BitMask::for_dims(&[100, 60]).unwrap();
         let level_dims = |level| -> Vec<u64> {
             let strides = m.level_strides(level).unwrap();
             [100u64, 60].iter().zip(&strides).map(|(&d, &s)| d.div_ceil(s)).collect()

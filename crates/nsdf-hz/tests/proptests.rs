@@ -11,7 +11,7 @@ proptest! {
 
     #[test]
     fn mask_encode_is_bijective_for_random_shapes(w in 1u64..40, h in 1u64..40) {
-        let mask = BitMask::for_dims_2d(w, h).unwrap();
+        let mask = BitMask::for_dims(&[w, h]).unwrap();
         let padded = mask.padded_dims();
         let (pw, ph) = (padded[0], padded.get(1).copied().unwrap_or(1));
         let mut seen = HashSet::new();
@@ -30,7 +30,7 @@ proptest! {
 
     #[test]
     fn level_samples_partition_random_grids(w in 2u64..24, h in 2u64..24) {
-        let curve = HzCurve::for_dims_2d(w, h).unwrap();
+        let curve = HzCurve::new(BitMask::for_dims(&[w, h]).unwrap());
         let full = Box2i::new(0, 0, w as i64, h as i64);
         let mut seen = HashSet::new();
         for level in 0..=curve.max_level() {
@@ -87,7 +87,7 @@ proptest! {
 
     #[test]
     fn strides_are_monotone_in_level(w in 2u64..64, h in 2u64..64) {
-        let mask = BitMask::for_dims_2d(w, h).unwrap();
+        let mask = BitMask::for_dims(&[w, h]).unwrap();
         let mut prev = u64::MAX;
         for level in 0..=mask.num_bits() {
             let s = mask.level_strides(level).unwrap();
@@ -102,7 +102,7 @@ proptest! {
 
     #[test]
     fn text_roundtrip_random_masks(w in 1u64..100, h in 1u64..100) {
-        let mask = BitMask::for_dims_2d(w, h).unwrap();
+        let mask = BitMask::for_dims(&[w, h]).unwrap();
         let back = BitMask::parse(&mask.to_text()).unwrap();
         prop_assert_eq!(back, mask);
     }

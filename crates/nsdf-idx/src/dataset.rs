@@ -13,7 +13,7 @@
 //!
 //! Writes have one path, `IdxDataset::write_region`: a tile
 //! ([`IdxDataset::write_box`]) and a whole grid ([`IdxDataset::write_raster`],
-//! [`crate::IdxVolume::write_volume`]) are both scattered into per-block
+//! [`IdxDataset::write_volume`]) are both scattered into per-block
 //! images, merged into the handle's write buffer and uploaded by the call
 //! that completes a block — which, for a whole grid, is every block it
 //! touches.
@@ -24,7 +24,7 @@ use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::par::{num_threads, try_par_map_owned};
-use nsdf_util::{Box2i, Box3i, Lru, NsdfError, Raster, Result, Sample, SimClock};
+use nsdf_util::{Box2i, Box3i, Lru, NsdfError, Raster, Result, Sample, SimClock, Volume};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -531,12 +531,18 @@ impl IdxMetrics {
 
 /// An open IDX dataset bound to an object store.
 ///
-/// The only owner of block I/O in this crate: every block read — a box
-/// query here, a [`crate::QuerySession`] frame, an [`crate::IdxVolume`]
-/// cutout or slice — is a sequence of `IdxDataset::read_wave` calls, and
-/// every block write ends in `IdxDataset::encode_and_put`. The decoded-block
-/// cache, its write epoch, the write buffer of [`IdxDataset::write_box`], and
-/// the codec throughput counters live here and nowhere else.
+/// A 2-D grid or a 3-D volume: one type for either, with 2-D reads
+/// ([`IdxDataset::read_box`], [`IdxDataset::read_slice_z`]) that return
+/// [`Raster`]s and 3-D ones ([`IdxDataset::read_volume`]) that return
+/// [`Volume`]s. A 2-D read of a volume shows its z-plane 0; a volume read
+/// of a 2-D grid is one sample deep.
+///
+/// The only owner of block I/O in this crate: every block read — a box,
+/// slice or volume query here, a [`crate::QuerySession`] frame — is a
+/// sequence of `IdxDataset::read_wave` calls, and every block write ends
+/// in `IdxDataset::encode_and_put`. The decoded-block cache, its write
+/// epoch, the write buffer of [`IdxDataset::write_box`], and the codec
+/// throughput counters live here and nowhere else.
 ///
 /// Dropping the handle flushes its write buffer; a flush that fails there
 /// can only be counted (`idx.flush_failures`) and marked on the span
@@ -566,7 +572,8 @@ pub struct IdxDataset {
 }
 
 impl IdxDataset {
-    /// Create a new dataset under `base`, writing the header object.
+    /// Create a new 2-D or 3-D dataset under `base`, writing the header
+    /// object.
     ///
     /// `base` must hold no blocks yet: the handle takes every block it has
     /// not uploaded itself to be absent, so a partial
@@ -574,35 +581,13 @@ impl IdxDataset {
     /// asking the store. To patch a dataset that already has blocks, use
     /// [`IdxDataset::open`].
     pub fn create(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta) -> Result<IdxDataset> {
-        if meta.dims.len() != 2 {
-            return Err(NsdfError::unsupported("IdxDataset currently supports 2-D datasets"));
-        }
-        Self::create_nd(store, base, meta)
-    }
-
-    /// Open an existing dataset by reading its header object.
-    pub fn open(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxDataset> {
-        let ds = Self::open_nd(store, base)?;
-        if ds.meta.dims.len() != 2 {
-            return Err(NsdfError::unsupported("IdxDataset currently supports 2-D datasets"));
-        }
-        Ok(ds)
-    }
-
-    /// [`IdxDataset::create`] for metadata of any dimensionality: planning,
-    /// the block pipeline and gather are dimension-agnostic, and
-    /// [`crate::IdxVolume`] is the typed 3-D front.
-    pub(crate) fn create_nd(
-        store: Arc<dyn ObjectStore>,
-        base: &str,
-        meta: IdxMeta,
-    ) -> Result<IdxDataset> {
+        meta.validate()?;
         store.put(&format!("{base}/dataset.idx"), meta.to_text().as_bytes())?;
         Ok(Self::assemble(store, base, meta, true))
     }
 
-    /// [`IdxDataset::open`] for metadata of any dimensionality.
-    pub(crate) fn open_nd(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxDataset> {
+    /// Open an existing dataset by reading its header object.
+    pub fn open(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxDataset> {
         let text = store.get(&format!("{base}/dataset.idx"))?;
         let text = String::from_utf8(text)
             .map_err(|_| NsdfError::format("dataset.idx is not valid UTF-8"))?;
@@ -717,14 +702,14 @@ impl IdxDataset {
         self.curve.max_level()
     }
 
-    /// Full-grid bounding box.
+    /// Full-grid bounding box of the x/y plane.
     pub fn bounds(&self) -> Box2i {
         Box2i::new(0, 0, self.meta.dims[0] as i64, self.meta.dims[1] as i64)
     }
 
     /// Full-grid bounding box over all three axes (a 2-D grid is one sample
     /// deep).
-    pub(crate) fn extent(&self) -> Box3i {
+    pub fn extent(&self) -> Box3i {
         let dim = |a: usize| self.meta.dims.get(a).copied().unwrap_or(1) as i64;
         Box3i::new(0, 0, 0, dim(0), dim(1), dim(2))
     }
@@ -838,10 +823,24 @@ impl IdxDataset {
         self.write_full("write_raster", field, time, [w, h, 1], raster.data())
     }
 
+    /// Write a full-resolution volume into `field` at `time`: the volume's
+    /// shape must equal the dataset's [`IdxDataset::extent`] (a 2-D grid
+    /// takes a depth-1 volume), and the write follows
+    /// [`IdxDataset::write_raster`]'s rules.
+    pub fn write_volume<T: Sample>(
+        &self,
+        field: &str,
+        time: u32,
+        volume: &Volume<T>,
+    ) -> Result<WriteStats> {
+        let (w, h, d) = volume.shape();
+        self.write_full("write_volume", field, time, [w, h, d], volume.data())
+    }
+
     /// A full-grid write ([`IdxDataset::write_raster`],
-    /// [`crate::IdxVolume::write_volume`]): `shape` must equal the dataset's
+    /// [`IdxDataset::write_volume`]): `shape` must equal the dataset's
     /// dims, and the write is [`IdxDataset::write_region`] from the origin.
-    pub(crate) fn write_full<T: Sample>(
+    fn write_full<T: Sample>(
         &self,
         span: &str,
         field: &str,
@@ -1040,7 +1039,7 @@ impl IdxDataset {
     }
 
     /// The one write path of the crate, behind [`IdxDataset::write_box`],
-    /// [`IdxDataset::write_raster`] and [`crate::IdxVolume::write_volume`]
+    /// [`IdxDataset::write_raster`] and [`IdxDataset::write_volume`]
     /// (their rules are documented on `write_box`), under a root span named
     /// `span`. `data` holds `shape` samples, x fastest, the first at grid
     /// position `origin` (a 2-D grid is one sample deep). It scatters them
@@ -1430,9 +1429,9 @@ impl IdxDataset {
     }
 
     /// The one box query of the crate — check, plan, fetch, fall back when
-    /// degraded, gather, account — behind [`IdxDataset::read_box`] and the
-    /// [`crate::IdxVolume`] reads. Returns the samples of the delivered
-    /// level's grid, x fastest, with that grid.
+    /// degraded, gather, account — behind [`IdxDataset::read_box`],
+    /// [`IdxDataset::read_volume`] and [`IdxDataset::read_slice_z`]. Returns
+    /// the samples of the delivered level's grid, x fastest, with that grid.
     pub(crate) fn query_box<T: Sample>(
         &self,
         field: &str,
@@ -1526,9 +1525,41 @@ impl IdxDataset {
         Ok((self.plane(grid, samples)?, stats))
     }
 
-    /// Read the entire grid at full resolution.
+    /// Read the entire grid at full resolution (z-plane 0 of a volume; the
+    /// whole volume is [`IdxDataset::read_volume`] over
+    /// [`IdxDataset::extent`]).
     pub fn read_full<T: Sample>(&self, field: &str, time: u32) -> Result<(Raster<T>, QueryStats)> {
         self.read_box(field, time, self.bounds(), self.max_level())
+    }
+
+    /// Read a sub-box of a volume at resolution `level`; sample `(i, j, k)`
+    /// of the result is the stored value at `(x0 + i*sx, y0 + j*sy,
+    /// z0 + k*sz)`.
+    pub fn read_volume<T: Sample>(
+        &self,
+        field: &str,
+        time: u32,
+        region: Box3i,
+        level: u32,
+    ) -> Result<(Volume<T>, QueryStats)> {
+        let ([(_, _, ow), (_, _, oh), (_, _, od)], samples, stats) =
+            self.query_box(field, time, region, level)?;
+        Ok((Volume::from_vec(ow, oh, od, samples)?, stats))
+    }
+
+    /// Read the z-plane at depth `z` (snapped down to `level`'s z-stride)
+    /// as a raster at resolution `level` — the dashboard's volumetric slice
+    /// view (paper §III-A's "horizontal and vertical slices").
+    pub fn read_slice_z<T: Sample>(
+        &self,
+        field: &str,
+        time: u32,
+        z: i64,
+        level: u32,
+    ) -> Result<(Raster<T>, QueryStats)> {
+        let region = self.plane_box(self.bounds(), z, level)?;
+        let (grid, samples, stats) = self.query_box(field, time, region, level)?;
+        Ok((self.plane(grid, samples)?, stats))
     }
 
     /// Progressive read: the same region at every level in
@@ -1633,6 +1664,25 @@ mod tests {
         assert_eq!(reopened.meta(), ds.meta());
         let (back, _) = reopened.read_full::<f32>("v", 0).unwrap();
         assert_eq!(back.get(5, 7), ramp(32, 32).get(5, 7));
+    }
+
+    #[test]
+    fn a_forged_header_fails_open_instead_of_panicking() {
+        let (store, ds) = make_dataset(32, 32, Codec::Raw);
+        ds.write_raster("v", 0, &ramp(32, 32)).unwrap();
+        let header = "data/test/dataset.idx";
+        let text = String::from_utf8(store.get(header).unwrap()).unwrap();
+        for (from, to) in [
+            ("bits_per_block=8", "bits_per_block=64"),
+            ("bits_per_block=8", "bits_per_block=63"),
+            ("dims=32 32", "dims=32 32 32"),
+            ("dims=32 32", "dims=32"),
+        ] {
+            store.put(header, text.replace(from, to).as_bytes()).unwrap();
+            let read = IdxDataset::open(store.clone() as Arc<dyn ObjectStore>, "data/test")
+                .and_then(|ds| ds.read_full::<f32>("v", 0));
+            assert!(read.is_err(), "{to:?} opened and read");
+        }
     }
 
     #[test]
@@ -2814,5 +2864,214 @@ mod write_box_tests {
         assert_eq!(back.get(8, 8), 100.0);
         assert_eq!(back.get(0, 0), 0.0);
         assert_eq!(back.get(40, 40), 0.0);
+    }
+}
+
+#[cfg(test)]
+mod volume_tests {
+    use super::*;
+    use crate::meta::Field;
+    use nsdf_compress::Codec;
+    use nsdf_storage::MemoryStore;
+    use nsdf_util::DType;
+
+    fn make_volume(w: u64, h: u64, d: u64, codec: Codec) -> (IdxDataset, Volume<f32>) {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("density", DType::F32).unwrap()];
+        let meta = IdxMeta::new("vol", &[w, h, d], fields, 8, codec).unwrap();
+        let ds = IdxDataset::create(store, "vols/test", meta).unwrap();
+        let data = Volume::from_fn(w as usize, h as usize, d as usize, |x, y, z| {
+            ((z * h as usize + y) * w as usize + x) as f32
+        });
+        ds.write_volume("density", 0, &data).unwrap();
+        (ds, data)
+    }
+
+    fn read_all(ds: &IdxDataset) -> (Volume<f32>, QueryStats) {
+        ds.read_volume("density", 0, ds.extent(), ds.max_level()).unwrap()
+    }
+
+    /// Every stored object of `store`, keys sorted.
+    fn dump(store: &MemoryStore) -> Vec<(String, Vec<u8>)> {
+        let keys = store.list("").unwrap().into_iter().map(|m| m.key);
+        keys.map(|k| (k.clone(), store.get(&k).unwrap())).collect()
+    }
+
+    #[test]
+    fn full_resolution_roundtrip() {
+        let (ds, data) = make_volume(16, 16, 16, Codec::Raw);
+        let (back, q) = read_all(&ds);
+        assert_eq!(back.data(), data.data());
+        assert_eq!(q.samples_out, 4096);
+        assert_eq!(q.blocks_missing, 0);
+    }
+
+    #[test]
+    fn rectangular_non_pow2_roundtrip_compressed() {
+        let (ds, data) = make_volume(20, 12, 6, Codec::LzssHuff { sample_size: 4 });
+        assert_eq!(read_all(&ds).0.data(), data.data());
+    }
+
+    #[test]
+    fn read_box_deterministic_across_fetch_concurrency() {
+        let region = Box3i::new(3, 2, 1, 15, 13, 6);
+        let (ds, _) = make_volume(16, 16, 8, Codec::Raw);
+        let level = ds.max_level();
+        let (baseline, base_stats) = ds.read_volume::<f32>("density", 0, region, level).unwrap();
+        for conc in [1usize, 2, 4, 32] {
+            let (ds, _) = make_volume(16, 16, 8, Codec::Raw);
+            let ds = ds.with_fetch_concurrency(conc);
+            let (vol, stats) = ds.read_volume::<f32>("density", 0, region, level).unwrap();
+            assert_eq!(vol.data(), baseline.data(), "concurrency {conc} changed bytes");
+            assert_eq!(stats.blocks_touched, base_stats.blocks_touched);
+            assert_eq!(stats.fetch_concurrency, conc as u64);
+            assert_eq!(
+                stats.fetch_batches,
+                base_stats.blocks_touched.div_ceil(conc as u64),
+                "concurrency {conc} issued wrong batch count"
+            );
+            assert_eq!(stats.blocks_decoded, stats.blocks_touched - stats.blocks_missing);
+        }
+    }
+
+    #[test]
+    fn subbox_matches_window() {
+        let (ds, data) = make_volume(16, 16, 16, Codec::Lz4);
+        let region = Box3i::new(3, 5, 7, 11, 13, 15);
+        let (sub, _) = ds.read_volume::<f32>("density", 0, region, ds.max_level()).unwrap();
+        assert_eq!(sub.data(), data.window(region).unwrap().data());
+    }
+
+    #[test]
+    fn coarse_level_is_strided_subsample() {
+        let (ds, data) = make_volume(16, 16, 16, Codec::Raw);
+        let level = ds.max_level() - 3; // strides (2,2,2)
+        let (coarse, _) = ds.read_volume::<f32>("density", 0, ds.extent(), level).unwrap();
+        assert_eq!(coarse.shape(), (8, 8, 8));
+        for k in 0..8 {
+            for j in 0..8 {
+                for i in 0..8 {
+                    assert_eq!(coarse.get(i, j, k), data.get(i * 2, j * 2, k * 2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coarse_levels_touch_fewer_blocks() {
+        let (ds, _) = make_volume(32, 32, 32, Codec::Raw);
+        let (_, full) = read_all(&ds);
+        let (_, coarse) =
+            ds.read_volume::<f32>("density", 0, ds.extent(), ds.max_level() - 6).unwrap();
+        assert!(coarse.blocks_touched * 4 <= full.blocks_touched);
+    }
+
+    #[test]
+    fn z_slice_reads_one_plane() {
+        let (ds, data) = make_volume(16, 16, 16, Codec::Raw);
+        let (slice, q) = ds.read_slice_z::<f32>("density", 0, 5, ds.max_level()).unwrap();
+        assert_eq!(slice.shape(), (16, 16));
+        assert_eq!(slice.data(), data.slice_z(5).unwrap().data());
+        // A plane needs far fewer blocks than the whole volume.
+        let (_, full) = read_all(&ds);
+        assert!(q.blocks_touched < full.blocks_touched / 2);
+        assert!(ds.read_slice_z::<f32>("density", 0, 16, ds.max_level()).is_err());
+    }
+
+    #[test]
+    fn read_box_of_a_volume_is_its_plane_zero_at_every_level() {
+        let (ds, _) = make_volume(20, 12, 6, Codec::Lz4);
+        for level in 0..=ds.max_level() {
+            let plane = ds.read_slice_z::<f32>("density", 0, 0, level);
+            let boxed = ds.read_box::<f32>("density", 0, ds.bounds(), level);
+            match (plane, boxed) {
+                (Ok((plane, _)), Ok((boxed, _))) => {
+                    assert_eq!(boxed.shape(), plane.shape(), "level {level}");
+                    assert_eq!(boxed.data(), plane.data(), "level {level}");
+                }
+                (plane, boxed) => assert!(plane.is_err() && boxed.is_err(), "level {level}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reopen_from_store() {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let meta = IdxMeta::new("vol", &[8, 8, 8], fields, 6, Codec::Raw).unwrap();
+        let ds = IdxDataset::create(store.clone(), "v", meta).unwrap();
+        let data = Volume::from_fn(8, 8, 8, |x, y, z| (x + y + z) as f32);
+        ds.write_volume("v", 0, &data).unwrap();
+        let ds2 = IdxDataset::open(store, "v").unwrap();
+        assert_eq!(ds2.meta(), ds.meta());
+        let (back, _) = ds2.read_volume::<f32>("v", 0, ds2.extent(), ds2.max_level()).unwrap();
+        assert_eq!(back.data(), data.data());
+    }
+
+    #[test]
+    fn write_volume_deterministic_across_write_concurrency() {
+        // Stored block bytes are identical whether uploads go one at a time
+        // or in wide put_many batches.
+        let mut reference: Option<Vec<(String, Vec<u8>)>> = None;
+        for conc in [1usize, 2, 8, 32] {
+            let store = Arc::new(MemoryStore::new());
+            let fields = vec![Field::new("density", DType::F32).unwrap()];
+            let codec = Codec::LzssHuff { sample_size: 4 };
+            let meta = IdxMeta::new("vol", &[20, 12, 6], fields, 8, codec).unwrap();
+            let ds = IdxDataset::create(store.clone() as Arc<dyn ObjectStore>, "vols/wc", meta)
+                .unwrap()
+                .with_write_concurrency(conc);
+            let data = Volume::from_fn(20, 12, 6, |x, y, z| ((z * 12 + y) * 20 + x) as f32);
+            let stats = ds.write_volume("density", 0, &data).unwrap();
+            assert_eq!(stats.write_concurrency, conc as u64);
+            assert_eq!(stats.put_batches, stats.blocks_written.div_ceil(conc as u64));
+            let dump = dump(&store);
+            match &reference {
+                None => reference = Some(dump),
+                Some(want) => assert_eq!(&dump, want, "write_concurrency {conc}"),
+            }
+        }
+    }
+
+    #[test]
+    fn write_volume_of_depth_one_is_write_raster() {
+        let fields = vec![Field::new("density", DType::F32).unwrap()];
+        let meta = IdxMeta::new_2d("flat", 20, 12, fields, 6, Codec::Lz4).unwrap();
+        let data = Volume::from_fn(20, 12, 1, |x, y, _| (y * 20 + x) as f32 * 0.5);
+        let stored = |write: &dyn Fn(&IdxDataset) -> Result<WriteStats>| {
+            let store = Arc::new(MemoryStore::new());
+            let ds = IdxDataset::create(store.clone(), "flat", meta.clone()).unwrap();
+            write(&ds).unwrap();
+            dump(&store)
+        };
+        let by_volume = stored(&|ds| ds.write_volume("density", 0, &data));
+        let by_raster = stored(&|ds| ds.write_raster("density", 0, &data.slice_z(0)?));
+        assert_eq!(by_volume, by_raster);
+    }
+
+    #[test]
+    fn write_raster_on_a_volume_is_invalid() {
+        let (ds, data) = make_volume(8, 8, 4, Codec::Raw);
+        let plane = Raster::<f32>::zeros(8, 8);
+        let err = ds.write_raster("density", 0, &plane).unwrap_err();
+        assert!(matches!(err, NsdfError::InvalidArg(_)), "{err}");
+        assert_eq!(read_all(&ds).0.data(), data.data(), "the volume is untouched");
+    }
+
+    #[test]
+    fn validation_errors() {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        // `create` re-checks metadata whose public fields were edited.
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let mut flat = IdxMeta::new("flat", &[8, 8, 8], fields, 6, Codec::Raw).unwrap();
+        flat.dims = vec![8];
+        assert!(IdxDataset::create(store.clone(), "x", flat).is_err());
+        let (ds, _) = make_volume(8, 8, 8, Codec::Raw);
+        assert!(ds.write_volume("v", 0, &Volume::<f32>::zeros(8, 8, 8)).is_err()); // bad field
+        assert!(ds.write_volume("density", 0, &Volume::<f32>::zeros(4, 8, 8)).is_err()); // bad shape
+        let all = ds.extent();
+        assert!(ds.read_volume::<u16>("density", 0, all, ds.max_level()).is_err()); // bad dtype
+        let outside = Box3i::new(99, 99, 99, 120, 120, 120);
+        assert!(ds.read_volume::<f32>("density", 0, outside, 2).is_err());
     }
 }

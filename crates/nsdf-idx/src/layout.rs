@@ -76,9 +76,10 @@ pub fn blocks_touched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsdf_hz::BitMask;
 
     fn curve() -> HzCurve {
-        HzCurve::for_dims_2d(256, 256).unwrap()
+        HzCurve::new(BitMask::for_dims(&[256, 256]).unwrap())
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! needs.
 //!
 //! * [`meta`] — the text `.idx` header ([`IdxMeta`], [`Field`]);
-//! * [`dataset`] — [`IdxDataset`] with write, box query, progressive read;
+//! * [`dataset`] — [`IdxDataset`], one type for 2-D grids and 3-D volumes,
+//!   with write, box and sub-volume queries, z-slices, progressive read;
 //! * [`layout`] — HZ vs Z vs row-major block-touch ablation baselines;
-//! * [`volume`] — 3-D volumetric datasets ([`IdxVolume`]) with sub-box
-//!   queries and z-slice extraction;
 //! * [`session`] — stateful interactive [`QuerySession`]s over a 2-D view
 //!   or a volume's z-slices, with level-delta planning, cancellation, and
 //!   speculative prefetch.
@@ -26,10 +25,8 @@ pub mod dataset;
 pub mod layout;
 pub mod meta;
 pub mod session;
-pub mod volume;
 
 pub use dataset::{CodecThroughput, IdxDataset, QueryStats, WriteStats};
 pub use layout::{blocks_touched, Layout};
 pub use meta::{Field, IdxMeta};
 pub use session::{CancelToken, QuerySession, SessionFrame, SessionStats};
-pub use volume::IdxVolume;

@@ -39,7 +39,8 @@ impl Field {
 pub struct IdxMeta {
     /// Dataset display name.
     pub name: String,
-    /// Logical grid dimensions (x, y), possibly non-power-of-two.
+    /// Logical grid dimensions (x, y) or (x, y, z), possibly
+    /// non-power-of-two.
     pub dims: Vec<u64>,
     /// HZ interleaving mask (covers the padded power-of-two grid).
     pub bitmask: BitMask,
@@ -56,7 +57,30 @@ pub struct IdxMeta {
 }
 
 impl IdxMeta {
-    /// Build metadata for a 2-D dataset, deriving the bitmask from `dims`.
+    /// Build metadata for a 2-D (`[width, height]`) or 3-D
+    /// (`[width, height, depth]`) dataset, deriving the bitmask from `dims`.
+    pub fn new(
+        name: impl Into<String>,
+        dims: &[u64],
+        fields: Vec<Field>,
+        bits_per_block: u32,
+        codec: Codec,
+    ) -> Result<IdxMeta> {
+        let meta = IdxMeta {
+            name: name.into(),
+            dims: dims.to_vec(),
+            bitmask: BitMask::for_dims(dims)?,
+            fields,
+            bits_per_block,
+            codec,
+            timesteps: 1,
+            geo: None,
+        };
+        meta.validate()?;
+        Ok(meta)
+    }
+
+    /// [`IdxMeta::new`] for a `width` x `height` grid.
     pub fn new_2d(
         name: impl Into<String>,
         width: u64,
@@ -65,32 +89,36 @@ impl IdxMeta {
         bits_per_block: u32,
         codec: Codec,
     ) -> Result<IdxMeta> {
-        let name = name.into();
-        if fields.is_empty() {
+        IdxMeta::new(name, &[width, height], fields, bits_per_block, codec)
+    }
+
+    /// The one consistency check of a header, whoever built it
+    /// ([`IdxMeta::new`], [`IdxMeta::from_text`], or a caller editing the
+    /// public fields before `IdxDataset::create`): every block-size, shape
+    /// and address computation downstream relies on it.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.fields.is_empty() {
             return Err(NsdfError::invalid("dataset needs at least one field"));
         }
-        if !(4..=28).contains(&bits_per_block) {
+        if !(4..=28).contains(&self.bits_per_block) {
             return Err(NsdfError::invalid("bits_per_block must be in 4..=28"));
         }
-        let bitmask = BitMask::for_dims_2d(width, height)?;
-        Ok(IdxMeta {
-            name,
-            dims: vec![width, height],
-            bitmask,
-            fields,
-            bits_per_block,
-            codec,
-            timesteps: 1,
-            geo: None,
-        })
+        if self.timesteps == 0 {
+            return Err(NsdfError::invalid("timesteps must be positive"));
+        }
+        if !(2..=3).contains(&self.dims.len()) {
+            return Err(NsdfError::invalid("a dataset has 2 or 3 dims"));
+        }
+        if self.bitmask != BitMask::for_dims(&self.dims)? {
+            return Err(NsdfError::invalid("bitmask does not match dims"));
+        }
+        Ok(())
     }
 
     /// Builder: set the number of timesteps.
     pub fn with_timesteps(mut self, t: u32) -> Result<IdxMeta> {
-        if t == 0 {
-            return Err(NsdfError::invalid("timesteps must be positive"));
-        }
         self.timesteps = t;
+        self.validate()?;
         Ok(self)
     }
 
@@ -164,9 +192,6 @@ impl IdxMeta {
                 .ok_or_else(|| NsdfError::format(format!("bad field descriptor {tok:?}")))?;
             fields.push(Field::new(name, DType::parse(dt)?)?);
         }
-        if fields.is_empty() {
-            return Err(NsdfError::format("idx header declares no fields"));
-        }
         let geo = match m.get("geo") {
             None => None,
             Some(_) => {
@@ -177,7 +202,7 @@ impl IdxMeta {
                 Some(GeoTransform { x0: v[0], y0: v[1], dx: v[2], dy: v[3] })
             }
         };
-        Ok(IdxMeta {
+        let meta = IdxMeta {
             name: m.require("name")?.to_string(),
             dims,
             bitmask,
@@ -186,7 +211,9 @@ impl IdxMeta {
             codec: Codec::parse(m.require("codec")?)?,
             timesteps: m.get_parsed("timesteps")?,
             geo,
-        })
+        };
+        meta.validate()?;
+        Ok(meta)
     }
 }
 
@@ -238,6 +265,11 @@ mod tests {
         let f = vec![Field::new("v", DType::F32).unwrap()];
         assert!(IdxMeta::new_2d("x", 16, 16, f.clone(), 2, Codec::Raw).is_err());
         assert!(IdxMeta::new_2d("x", 16, 16, f.clone(), 29, Codec::Raw).is_err());
+        assert!(IdxMeta::new("x", &[16], f.clone(), 6, Codec::Raw).is_err());
+        assert!(IdxMeta::new("x", &[16, 16, 16, 16], f.clone(), 6, Codec::Raw).is_err());
+        assert!(IdxMeta::new("x", &[16, 0, 4], f.clone(), 6, Codec::Raw).is_err());
+        let cube = IdxMeta::new("x", &[16, 16, 4], f.clone(), 6, Codec::Raw).unwrap();
+        assert_eq!(cube.bitmask, BitMask::for_dims(&[16, 16, 4]).unwrap());
         let ok = IdxMeta::new_2d("x", 16, 16, f, 14, Codec::Raw).unwrap();
         assert!(ok.with_timesteps(0).is_err());
     }
@@ -246,9 +278,25 @@ mod tests {
     fn parse_rejects_malformed_headers() {
         assert!(IdxMeta::from_text("version=99\n").is_err());
         assert!(IdxMeta::from_text("").is_err());
-        let meta = sample_meta();
-        let broken = meta.to_text().replace("float32", "float99");
-        assert!(IdxMeta::from_text(&broken).is_err());
+        let text = sample_meta().to_text();
+        // Each edit is a forged `dataset.idx`: every one of them must be an
+        // error here, before a dataset computes block sizes from it.
+        for (from, to) in [
+            ("float32", "float99"),
+            ("bits_per_block=14", "bits_per_block=64"),
+            ("bits_per_block=14", "bits_per_block=63"),
+            ("bits_per_block=14", "bits_per_block=3"),
+            ("timesteps=3", "timesteps=0"),
+            ("fields=elevation:float32 slope:float32", "fields="),
+            ("dims=4096 2160", "dims=4096"),
+            ("dims=4096 2160", "dims=4096 2160 8 8"),
+            ("dims=4096 2160", "dims=4096 9000"),
+            ("dims=4096 2160", "dims=4096 2160 2"),
+        ] {
+            assert!(text.contains(from), "{from:?} not in the header");
+            let forged = text.replace(from, to);
+            assert!(IdxMeta::from_text(&forged).is_err(), "accepted {to:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! dashboard viewport, a notebook cell, a FUSE reader) owns for the
 //! lifetime of its interaction with a dataset. Its view is a rectangle of
 //! one z-plane: the only plane of a 2-D dataset, or the slice of a 3-D one
-//! that [`QuerySession::set_slice`] scrubs to ([`crate::IdxVolume::session`]).
+//! that [`QuerySession::set_slice`] scrubs to.
 //! Where a bare [`IdxDataset::read_box`] starts from zero every call, a
 //! session:
 //!
@@ -862,14 +862,14 @@ mod tests {
     fn a_flythrough_larger_than_the_budget_stays_within_it() {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let fields = vec![Field::new("v", DType::F32).unwrap()];
-        let meta = IdxMeta::new_3d("vol", 20, 12, 9, fields, 8, Codec::Lz4).unwrap();
-        let vol = crate::IdxVolume::create(store, "vol", meta).unwrap();
+        let meta = IdxMeta::new("vol", &[20, 12, 9], fields, 8, Codec::Lz4).unwrap();
+        let vol = Arc::new(IdxDataset::create(store, "vol", meta).unwrap());
         let data = Volume::from_fn(20, 12, 9, |x, y, z| ((z * 12 + y) * 20 + x) as f32 - 7.0);
         vol.write_volume("v", 0, &data).unwrap();
         let level = vol.max_level();
 
         let budget = 3 * BLOCK_BYTES;
-        let mut session = vol.session::<f32>("v").unwrap();
+        let mut session = QuerySession::<f32>::new(Arc::clone(&vol), "v").unwrap();
         session.resident = DecodedCache::new(budget);
         let mut touched = BTreeSet::new();
         for z in (0..9).chain((0..9).rev()) {

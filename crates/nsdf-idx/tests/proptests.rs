@@ -3,7 +3,7 @@
 
 use nsdf_compress::Codec;
 use nsdf_hz::HzCurve;
-use nsdf_idx::{Field, IdxDataset, IdxMeta, IdxVolume};
+use nsdf_idx::{Field, IdxDataset, IdxMeta};
 use nsdf_storage::{MemoryStore, ObjectStore};
 use nsdf_util::{samples_to_bytes, Box2i, Box3i, DType, Raster, Sample, Volume};
 use proptest::prelude::*;
@@ -98,12 +98,8 @@ fn roundtrip_case<T: Sample + std::fmt::Debug>(
     let src: Vec<T> =
         (0..w * h * d).map(|_| T::from_f64((xorshift(&mut rng) % 1021) as f64 * 0.25)).collect();
     let fields = vec![Field::new("v", T::DTYPE).unwrap()];
-    let meta = if d == 1 {
-        IdxMeta::new_2d("prop", w as u64, h as u64, fields, 6, codec)
-    } else {
-        IdxMeta::new_3d("prop", w as u64, h as u64, d as u64, fields, 6, codec)
-    }
-    .unwrap();
+    let dims = [w, h, d].map(|n| n as u64);
+    let meta = IdxMeta::new("prop", &dims[..if d == 1 { 2 } else { 3 }], fields, 6, codec).unwrap();
 
     // The reference for the write walk: scatter sample by sample into typed
     // blocks, then turn each finished block into bytes and encode it.
@@ -149,11 +145,11 @@ fn roundtrip_case<T: Sample + std::fmt::Debug>(
     let mem = Arc::new(MemoryStore::new());
     let store: Arc<dyn ObjectStore> = mem.clone();
     if d > 1 {
-        let vol = IdxVolume::create(store, "prop", meta).unwrap();
+        let vol = IdxDataset::create(store, "prop", meta).unwrap();
         vol.write_volume("v", 0, &Volume::from_vec(w, h, d, src).unwrap()).unwrap();
         prop_assert_eq!(dump_blocks(&mem), want_blocks);
         let region = Box3i::new(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]);
-        match vol.read_box::<T>("v", 0, region, level) {
+        match vol.read_volume::<T>("v", 0, region, level) {
             Ok((got, stats)) => {
                 prop_assert_eq!(got.shape(), want_shape);
                 prop_assert_eq!(got.data(), &want[..]);

@@ -326,7 +326,7 @@ fn run_session(
 
 /// §III-A ablation: blocks touched per layout (HZ vs Z vs row-major).
 fn hz_locality() -> Result<String> {
-    let curve = HzCurve::for_dims_2d(1024, 1024)?;
+    let curve = HzCurve::new(BitMask::for_dims(&[1024, 1024])?);
     let bpb = 12;
     let max = curve.max_level();
     let cases = [

@@ -4,12 +4,11 @@
 //!
 //! Builds a synthetic 3-D scalar field (a buried plume in layered strata),
 //! publishes it as a 3-D IDX dataset on a simulated private cloud, then
-//! explores it the way the dashboard does: progressive z-slices, a sub-box
-//! extraction, and cold/warm cache economics.
+//! explores it the way the dashboard does: progressive z-slices, a
+//! flythrough, a sub-box extraction, and cold/warm cache economics.
 //!
 //! Run with: `cargo run --release --example volume_exploration`
 
-use nsdf::idx::IdxVolume;
 use nsdf::prelude::*;
 use nsdf::util::Volume;
 use std::sync::Arc;
@@ -40,16 +39,14 @@ fn main() -> Result<()> {
     ));
     let cached = Arc::new(TierCache::new(wan, 64 << 20));
 
-    let meta = nsdf::idx::IdxMeta::new_3d(
+    let meta = IdxMeta::new(
         "plume",
-        n as u64,
-        n as u64,
-        n as u64,
-        vec![nsdf::idx::Field::new("density", DType::F32)?],
+        &[n as u64; 3],
+        vec![Field::new("density", DType::F32)?],
         10,
         Codec::LzssHuff { sample_size: 4 },
     )?;
-    let ds = IdxVolume::create(cached.clone() as Arc<dyn ObjectStore>, "volumes/plume", meta)?;
+    let ds = IdxDataset::create(cached.clone() as Arc<dyn ObjectStore>, "volumes/plume", meta)?;
     let t0 = clock.now_secs();
     let stats = ds.write_volume("density", 0, &truth)?;
     println!(
@@ -85,18 +82,17 @@ fn main() -> Result<()> {
         std::fs::write(out_dir.join(format!("slice-z{z}-l{level}.ppm")), img.to_ppm())?;
     }
 
-    // Interactive exploration through the VolumeExplorer (the dashboard's
-    // z-slider over volumes): a 4-frame flythrough.
-    let mut explorer = nsdf::dashboard::VolumeExplorer::new(Arc::new(IdxVolume::open(
-        cached.clone() as Arc<dyn ObjectStore>,
-        "volumes/plume",
-    )?));
-    explorer.set_colormap(Colormap::CoolWarm);
-    explorer.set_level(max - 3);
-    for (z, img) in explorer.flythrough(4)? {
+    // Interactive exploration through the dashboard, which opens a volume
+    // like any dataset: a 4-frame flythrough along z.
+    let mut dash = Dashboard::new();
+    let opened = IdxDataset::open(cached.clone() as Arc<dyn ObjectStore>, "volumes/plume")?;
+    dash.add_dataset("plume", Arc::new(opened));
+    dash.select_dataset("plume")?;
+    dash.set_colormap(Colormap::CoolWarm);
+    for (z, img) in dash.flythrough(4, max - 3)? {
         std::fs::write(out_dir.join(format!("fly-z{z}.ppm")), img.to_ppm())?;
     }
-    println!("\nflythrough: 4 frames at level {} written", explorer.level());
+    println!("\nflythrough: 4 frames at level {} written", max - 3);
 
     // What planning those reads costs: the O(blocks) HZ descent every query
     // runs, against the O(samples) walk kept as its test oracle.
@@ -104,7 +100,7 @@ fn main() -> Result<()> {
     let bs = ds.meta().block_samples();
     let slab = nsdf::util::Box3i::new(0, 0, z, n as i64, n as i64, z + 1);
     println!("\nplanner at level {max}:");
-    for (what, region) in [("full volume", ds.bounds()), ("one z-slice", slab)] {
+    for (what, region) in [("full volume", ds.extent()), ("one z-slice", slab)] {
         let t = std::time::Instant::now();
         let planned = curve.blocks_in_region(region, max, bs)?;
         let descent = t.elapsed();
@@ -133,7 +129,7 @@ fn main() -> Result<()> {
         n as i64 / 3 + 14,
     );
     let t = clock.now_secs();
-    let (sub, q) = ds.read_box::<f32>("density", 0, b, max)?;
+    let (sub, q) = ds.read_volume::<f32>("density", 0, b, max)?;
     println!(
         "\nsub-box {:?}: {:?} samples, {} blocks, {:.1} virt_ms",
         (b.width(), b.height(), b.depth()),
@@ -148,7 +144,7 @@ fn main() -> Result<()> {
 
     // Warm repeat.
     let t = clock.now_secs();
-    ds.read_box::<f32>("density", 0, b, max)?;
+    ds.read_volume::<f32>("density", 0, b, max)?;
     println!("same sub-box warm: {:.3} virt_ms", (clock.now_secs() - t) * 1e3);
     println!("\nslices written to {}", out_dir.display());
     println!("ok");

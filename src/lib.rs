@@ -55,7 +55,7 @@ pub mod prelude {
         run_terrain_dag, run_tutorial, DagConfig, DagReport, NsdfClient, Session, SurveyModel,
         TutorialConfig,
     };
-    pub use nsdf_dashboard::{Colormap, Dashboard, Image, RangeMode, VolumeExplorer};
+    pub use nsdf_dashboard::{Colormap, Dashboard, Image, RangeMode};
     pub use nsdf_fuse::{Mapping, VirtualFs};
     pub use nsdf_geotiled::{
         compute_terrain, compute_terrain_tiled, DemConfig, DemEdit, Sun, TerrainParam, TilePlan,

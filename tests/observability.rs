@@ -154,7 +154,6 @@ fn identically_seeded_runs_serialize_identically() {
 /// queries through the volume and slices through a session alike.
 #[test]
 fn volume_pipeline_reconciles_with_the_wan() {
-    use nsdf::idx::IdxVolume;
     use nsdf::util::Volume;
 
     let clock = SimClock::new();
@@ -167,18 +166,16 @@ fn volume_pipeline_reconciles_with_the_wan() {
         42,
     )
     .with_obs(&seal);
-    let meta = IdxMeta::new_3d(
+    let meta = IdxMeta::new(
         "obs-volume",
-        32,
-        32,
-        32,
+        &[32, 32, 32],
         vec![Field::new("density", DType::F32).unwrap()],
         8,
         Codec::ShuffleLzss { sample_size: 4 },
     )
     .unwrap();
     let vol =
-        Arc::new(IdxVolume::create(Arc::new(wan), "obs/plume", meta).unwrap().with_obs(&seal));
+        Arc::new(IdxDataset::create(Arc::new(wan), "obs/plume", meta).unwrap().with_obs(&seal));
     // Creating uploaded the header over the WAN; measure only the pipeline.
     obs.reset();
     obs.clear_spans();
@@ -196,8 +193,9 @@ fn volume_pipeline_reconciles_with_the_wan() {
     obs.clear_spans();
     let max = vol.max_level();
     vol.read_slice_z::<f32>("density", 0, 11, max - 3).unwrap();
-    vol.read_box::<f32>("density", 0, nsdf::util::Box3i::new(2, 3, 9, 30, 29, 22), max).unwrap();
-    let mut session = vol.session::<f32>("density").unwrap().with_obs(&seal);
+    vol.read_volume::<f32>("density", 0, nsdf::util::Box3i::new(2, 3, 9, 30, 29, 22), max).unwrap();
+    let mut session =
+        QuerySession::<f32>::new(Arc::clone(&vol), "density").unwrap().with_obs(&seal);
     for z in [0, 31] {
         session.set_slice(z).unwrap();
         session.frame_at(max).unwrap();

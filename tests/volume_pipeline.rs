@@ -3,11 +3,16 @@
 //! pipeline.
 
 use nsdf::core::EndpointPolicy;
-use nsdf::idx::{IdxMeta, IdxVolume};
+use nsdf::idx::QueryStats;
 use nsdf::prelude::*;
 use nsdf::storage::{FaultPlan, RetryPolicy};
 use nsdf::util::{fnv1a64, samples_to_bytes, Box3i, Volume};
 use std::sync::Arc;
+
+/// The whole volume in field `v` at full resolution.
+fn read_all(ds: &IdxDataset) -> (Volume<f32>, QueryStats) {
+    ds.read_volume("v", 0, ds.extent(), ds.max_level()).unwrap()
+}
 
 fn plume(n: usize) -> Volume<f32> {
     Volume::from_fn(n, n, n, |x, y, z| {
@@ -26,28 +31,26 @@ fn volume_roundtrip_over_wan_with_cache() {
     ));
     let cached = Arc::new(TierCache::new(wan, 32 << 20));
     let data = plume(32);
-    let meta = IdxMeta::new_3d(
+    let meta = IdxMeta::new(
         "p",
-        32,
-        32,
-        32,
-        vec![nsdf::idx::Field::new("v", DType::F32).unwrap()],
+        &[32; 3],
+        vec![Field::new("v", DType::F32).unwrap()],
         8,
         Codec::LzssHuff { sample_size: 4 },
     )
     .unwrap();
-    let ds = IdxVolume::create(cached.clone() as Arc<dyn ObjectStore>, "v3", meta).unwrap();
+    let ds = IdxDataset::create(cached.clone() as Arc<dyn ObjectStore>, "v3", meta).unwrap();
     ds.write_volume("v", 0, &data).unwrap();
     cached.clear_ram();
 
     let t0 = clock.now_secs();
-    let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
+    let (back, _) = read_all(&ds);
     assert_eq!(back.data(), data.data());
     let cold = clock.now_secs() - t0;
     assert!(cold > 0.0);
 
     let t1 = clock.now_secs();
-    ds.read_full::<f32>("v", 0).unwrap();
+    read_all(&ds);
     assert_eq!(clock.now_secs(), t1, "warm volume read free");
 }
 
@@ -55,17 +58,10 @@ fn volume_roundtrip_over_wan_with_cache() {
 fn volume_slices_feed_the_renderer() {
     let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
     let data = plume(24);
-    let meta = IdxMeta::new_3d(
-        "p",
-        24,
-        24,
-        24,
-        vec![nsdf::idx::Field::new("v", DType::F32).unwrap()],
-        6,
-        Codec::Lz4,
-    )
-    .unwrap();
-    let ds = IdxVolume::create(store, "v3", meta).unwrap();
+    let meta =
+        IdxMeta::new("p", &[24; 3], vec![Field::new("v", DType::F32).unwrap()], 6, Codec::Lz4)
+            .unwrap();
+    let ds = IdxDataset::create(store, "v3", meta).unwrap();
     ds.write_volume("v", 0, &data).unwrap();
     for z in [0i64, 7, 23] {
         let (slice, _) = ds.read_slice_z::<f32>("v", 0, z, ds.max_level()).unwrap();
@@ -93,26 +89,19 @@ fn volume_reads_survive_flaky_storage() {
         .unwrap(),
     );
     let data = plume(16);
-    let meta = IdxMeta::new_3d(
-        "p",
-        16,
-        16,
-        16,
-        vec![nsdf::idx::Field::new("v", DType::F32).unwrap()],
-        6,
-        Codec::Raw,
-    )
-    .unwrap();
-    let ds = IdxVolume::create(retry, "v3", meta).unwrap();
+    let meta =
+        IdxMeta::new("p", &[16; 3], vec![Field::new("v", DType::F32).unwrap()], 6, Codec::Raw)
+            .unwrap();
+    let ds = IdxDataset::create(retry, "v3", meta).unwrap();
     ds.write_volume("v", 0, &data).unwrap();
     let region = Box3i::new(2, 3, 4, 12, 13, 14);
-    let (sub, _) = ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
+    let (sub, _) = ds.read_volume::<f32>("v", 0, region, ds.max_level()).unwrap();
     assert_eq!(sub.data(), data.window(region).unwrap().data());
 }
 
 fn plume_meta(n: u64, bits_per_block: u32, codec: Codec) -> IdxMeta {
-    let fields = vec![nsdf::idx::Field::new("v", DType::F32).unwrap()];
-    IdxMeta::new_3d("p", n, n, n, fields, bits_per_block, codec).unwrap()
+    let fields = vec![Field::new("v", DType::F32).unwrap()];
+    IdxMeta::new("p", &[n; 3], fields, bits_per_block, codec).unwrap()
 }
 
 /// One seeded chaos timeline on `endpoint`: publish a volume through the
@@ -122,7 +111,7 @@ fn plume_meta(n: u64, bits_per_block: u32, codec: Codec) -> IdxMeta {
 fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
     let data = plume(32);
     let oracle =
-        IdxVolume::create(Arc::new(MemoryStore::new()), "v3", plume_meta(32, 8, Codec::Lz4))
+        IdxDataset::create(Arc::new(MemoryStore::new()), "v3", plume_meta(32, 8, Codec::Lz4))
             .unwrap();
     oracle.write_volume("v", 0, &data).unwrap();
 
@@ -136,7 +125,7 @@ fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
     let client = NsdfClient::simulated_chaos(31, &plan, &policy).unwrap();
     let obs = client.obs().scoped(endpoint);
     let vol = Arc::new(
-        IdxVolume::create(client.store(endpoint).unwrap(), "v3", plume_meta(32, 8, Codec::Lz4))
+        IdxDataset::create(client.store(endpoint).unwrap(), "v3", plume_meta(32, 8, Codec::Lz4))
             .unwrap()
             .with_obs(&obs)
             .with_fetch_concurrency(4),
@@ -147,7 +136,7 @@ fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
 
     let max = vol.max_level();
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
-    let mut session = vol.session::<f32>("v").unwrap().with_obs(&obs);
+    let mut session = QuerySession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
     for (z, level) in [(0, max), (13, max - 2), (14, max), (31, max - 4), (20, max)] {
         session.set_slice(z).unwrap();
         let got = session.frame_at(level).unwrap();
@@ -158,12 +147,12 @@ fn chaos_volume_timeline(endpoint: &str) -> (u64, u64, String) {
     }
     let region = Box3i::new(3, 5, 7, 29, 23, 30);
     for level in [max - 3, max] {
-        let (got, _) = vol.read_box::<f32>("v", 0, region, level).unwrap();
-        let (want, _) = oracle.read_box::<f32>("v", 0, region, level).unwrap();
+        let (got, _) = vol.read_volume::<f32>("v", 0, region, level).unwrap();
+        let (want, _) = oracle.read_volume::<f32>("v", 0, region, level).unwrap();
         assert_eq!(got.data(), want.data(), "{endpoint}: box level {level}");
         fp ^= fnv1a64(&samples_to_bytes(got.data()));
     }
-    let (full, _) = vol.read_full::<f32>("v", 0).unwrap();
+    let (full, _) = read_all(&vol);
     assert_eq!(full.data(), data.data(), "{endpoint}: full read");
 
     let snap = client.obs().snapshot();
@@ -189,16 +178,16 @@ fn volume_chaos_differential_is_transparent_and_replayable() {
 #[test]
 fn volume_overwrite_never_serves_old_decoded_bytes() {
     let obs = Obs::default();
-    let vol = IdxVolume::create(Arc::new(MemoryStore::new()), "v3", plume_meta(16, 6, Codec::Lz4))
+    let vol = IdxDataset::create(Arc::new(MemoryStore::new()), "v3", plume_meta(16, 6, Codec::Lz4))
         .unwrap()
         .with_obs(&obs);
     let first = plume(16);
     let second = Volume::from_fn(16, 16, 16, |x, y, z| first.get(x, y, z) * -2.0 + 1.0);
 
     vol.write_volume("v", 0, &first).unwrap();
-    let (back, cold) = vol.read_full::<f32>("v", 0).unwrap();
+    let (back, cold) = read_all(&vol);
     assert_eq!(back.data(), first.data());
-    let (_, warm) = vol.read_full::<f32>("v", 0).unwrap();
+    let (_, warm) = read_all(&vol);
     assert_eq!(warm.decoded_cache_hits, cold.blocks_touched, "decoded payloads stay resident");
 
     // The overwrite invalidates every resident block it stores, so the
@@ -206,7 +195,7 @@ fn volume_overwrite_never_serves_old_decoded_bytes() {
     vol.write_volume("v", 0, &second).unwrap();
     let evicted = obs.snapshot().counter("idx.decoded_evictions.epoch");
     assert_eq!(evicted, cold.blocks_touched - cold.blocks_missing);
-    let (back, reread) = vol.read_full::<f32>("v", 0).unwrap();
+    let (back, reread) = read_all(&vol);
     assert_eq!(back.data(), second.data(), "stale decoded bytes served after overwrite");
     assert_eq!(reread.blocks_decoded, evicted);
     let (plane, _) = vol.read_slice_z::<f32>("v", 0, 9, vol.max_level()).unwrap();
@@ -219,7 +208,7 @@ fn volume_overwrite_never_serves_old_decoded_bytes() {
 fn cancelled_slice(cancel_after: Option<u64>) -> (u64, u64, u64, u64) {
     let mem = Arc::new(MemoryStore::new());
     let data = plume(32);
-    IdxVolume::create(mem.clone(), "v3", plume_meta(32, 8, Codec::Lz4))
+    IdxDataset::create(mem.clone(), "v3", plume_meta(32, 8, Codec::Lz4))
         .unwrap()
         .write_volume("v", 0, &data)
         .unwrap();
@@ -230,8 +219,9 @@ fn cancelled_slice(cancel_after: Option<u64>) -> (u64, u64, u64, u64) {
         CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 42).with_obs(&obs);
     // The session checks deadlines against the clock of the volume's registry.
     let vol =
-        IdxVolume::open(Arc::new(wan), "v3").unwrap().with_obs(&obs).with_fetch_concurrency(4);
-    let mut session = vol.session::<f32>("v").unwrap().with_obs(&obs);
+        IdxDataset::open(Arc::new(wan), "v3").unwrap().with_obs(&obs).with_fetch_concurrency(4);
+    let vol = Arc::new(vol);
+    let mut session = QuerySession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
     // Opening fetched the metadata over the WAN; measure only the slice.
     obs.reset();
     obs.clear_spans();
@@ -282,15 +272,15 @@ fn cancelled_slice_credits_the_waves_it_fetched() {
 fn flythrough_fetches_each_planned_block_once() {
     let mem = Arc::new(MemoryStore::new());
     let data = plume(32);
-    IdxVolume::create(mem.clone(), "v3", plume_meta(32, 8, Codec::Lz4))
+    IdxDataset::create(mem.clone(), "v3", plume_meta(32, 8, Codec::Lz4))
         .unwrap()
         .write_volume("v", 0, &data)
         .unwrap();
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
     let wan = CloudStore::new(mem, NetworkProfile::private_seal(), clock, 42).with_obs(&obs);
-    let vol = IdxVolume::open(Arc::new(wan), "v3").unwrap().with_obs(&obs);
-    let mut session = vol.session::<f32>("v").unwrap().with_obs(&obs);
+    let vol = Arc::new(IdxDataset::open(Arc::new(wan), "v3").unwrap().with_obs(&obs));
+    let mut session = QuerySession::<f32>::new(Arc::clone(&vol), "v").unwrap().with_obs(&obs);
     obs.reset();
 
     // What the sweep needs: the planner's blocks of every plane, each once.
