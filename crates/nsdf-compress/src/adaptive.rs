@@ -8,8 +8,9 @@
 //! a **one-byte self-describing header** (plus one parameter byte for the
 //! parameterised codecs) so blocks of one dataset can mix codecs freely.
 //!
-//! Datasets using a concrete static codec keep writing *headerless* blocks,
-//! so everything written before adaptive mode existed decodes unchanged.
+//! Datasets using a concrete static codec keep writing *headerless* codec
+//! streams, so everything written before adaptive mode existed decodes
+//! unchanged (`nsdf-idx` seals either kind in one checksummed envelope).
 //! Selection is fully deterministic (fixed stride, no randomness), which
 //! keeps identically-seeded benches byte-identical.
 

@@ -115,24 +115,6 @@ impl Codec {
         }
     }
 
-    /// Decompress an owned buffer. Identical to [`Codec::decode`] except
-    /// that `Raw` moves the buffer after the length check instead of
-    /// copying it.
-    pub fn decode_owned(&self, src: Vec<u8>, dst_len: usize) -> Result<Vec<u8>> {
-        match *self {
-            Codec::Raw => {
-                if src.len() != dst_len {
-                    return Err(NsdfError::corrupt(format!(
-                        "raw codec: stored {} bytes, expected {dst_len}",
-                        src.len()
-                    )));
-                }
-                Ok(src)
-            }
-            _ => self.decode(&src, dst_len),
-        }
-    }
-
     /// Stable textual name, as stored in `.idx` metadata.
     pub fn name(&self) -> String {
         match *self {
@@ -304,21 +286,6 @@ mod tests {
         let enc = c.encode(&data).unwrap();
         assert!(enc.len() < data.len());
         assert_eq!(c.decode(&enc, data.len()).unwrap(), data);
-    }
-
-    #[test]
-    fn owned_paths_match_borrowed_paths() {
-        let data = sample_data();
-        for codec in Codec::lossless_palette(4) {
-            let enc = codec.encode(&data).unwrap();
-            assert_eq!(
-                codec.decode_owned(enc.clone(), data.len()).unwrap(),
-                codec.decode(&enc, data.len()).unwrap(),
-                "codec {codec}"
-            );
-        }
-        // Raw rejects a length mismatch on the owned path too.
-        assert!(Codec::Raw.decode_owned(vec![1, 2, 3], 4).is_err());
     }
 
     #[test]

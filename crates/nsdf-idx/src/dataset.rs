@@ -3,7 +3,8 @@
 //! OpenVisus data fabric the NSDF dashboard streams from (paper §III-A).
 //!
 //! Layout: one text header object (`<base>/dataset.idx`) plus one object
-//! per block per field per timestep (`<base>/f<F>/t<T>/b<BLOCK>.bin`).
+//! per block per field per timestep (`<base>/f<F>/t<T>/b<BLOCK>.bin`): its
+//! codec stream, [`nsdf_util::seal`]ed so the checksum travels with it.
 //! Samples live at their HZ address; block `b` covers HZ addresses
 //! `[b * 2^bits_per_block, (b+1) * 2^bits_per_block)`. Because HZ order is
 //! resolution-major, a coarse query touches only the first few blocks, and
@@ -24,7 +25,9 @@ use nsdf_hz::HzCurve;
 use nsdf_storage::ObjectStore;
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::par::{num_threads, try_par_map_owned};
-use nsdf_util::{Box2i, Box3i, Lru, NsdfError, Raster, Result, Sample, SimClock, Volume};
+use nsdf_util::{
+    seal, unseal, Box2i, Box3i, Lru, NsdfError, Raster, Result, Sample, SimClock, Volume,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +51,7 @@ pub struct WriteStats {
     pub blocks_pending: u64,
     /// Uncompressed payload bytes.
     pub bytes_raw: u64,
-    /// Stored (compressed) bytes.
+    /// Stored bytes: the sealed, compressed block objects put.
     pub bytes_stored: u64,
     /// Base images of partially covered blocks fetched back from the store
     /// for read-modify-write merges.
@@ -57,7 +60,7 @@ pub struct WriteStats {
     pub put_batches: u64,
     /// Upload batch size (block put concurrency) in force for this write.
     pub write_concurrency: u64,
-    /// Wall-clock seconds spent in the codec, encoding the uploaded blocks.
+    /// Wall-clock seconds spent encoding and sealing the uploaded blocks.
     pub encode_secs: f64,
     /// Wall-clock seconds spent uploading encoded blocks.
     pub put_secs: f64,
@@ -386,6 +389,10 @@ struct BlockState {
     pending: WriteBuffer,
 }
 
+/// Envelope magic of a stored block. No codec tag (0–6) is `N`, so only a
+/// bare static-codec stream stored before the envelope could be mistaken.
+const BLOCK_MAGIC: &[u8; 8] = b"NSDFBK01";
+
 /// Default number of blocks fetched per `get_many` batch.
 const DEFAULT_FETCH_CONCURRENCY: usize = 8;
 
@@ -588,10 +595,15 @@ impl IdxDataset {
 
     /// Open an existing dataset by reading its header object.
     pub fn open(store: Arc<dyn ObjectStore>, base: &str) -> Result<IdxDataset> {
-        let text = store.get(&format!("{base}/dataset.idx"))?;
-        let text = String::from_utf8(text)
-            .map_err(|_| NsdfError::format("dataset.idx is not valid UTF-8"))?;
-        Ok(Self::assemble(store, base, IdxMeta::from_text(&text)?, false))
+        let key = format!("{base}/dataset.idx");
+        let text = store.get(&key)?;
+        // Stored bytes that do not parse into valid metadata are damage,
+        // whatever the parser calls them.
+        let meta = String::from_utf8(text)
+            .map_err(|_| NsdfError::format("not valid UTF-8"))
+            .and_then(|text| IdxMeta::from_text(&text))
+            .map_err(|e| NsdfError::corrupt(format!("{key}: {e}")))?;
+        Ok(Self::assemble(store, base, meta, false))
     }
 
     /// `created`: the handle comes from `create`, whose caller vouches that
@@ -858,8 +870,8 @@ impl IdxDataset {
         self.write_region(span, field, time, [0; 3], shape, data)
     }
 
-    /// The one write tail of the crate: encode complete raw block images —
-    /// of any field and timestep, in the order given — in parallel
+    /// The one write tail of the crate: encode and seal complete raw block
+    /// images — of any field and timestep, in the order given — in parallel
     /// (deterministic earliest-block error), then upload them in
     /// `write_concurrency`-sized `put_many` batches. Every block that
     /// actually stored loses its decoded-block cache entry, so a later read
@@ -878,17 +890,11 @@ impl IdxDataset {
         let encoded = {
             let _encode_span = self.m.obs.span("encode");
             try_par_map_owned(entries, num_threads(), |(key, raw)| -> Result<_> {
-                let raw_len = raw.len();
-                let (enc, chosen) = match (&self.adaptive, self.meta.codec) {
-                    (Some(selector), _) => {
-                        let (enc, chosen) = selector.encode_block(&raw)?;
-                        (Arc::new(enc), chosen)
-                    }
-                    // A raw block is stored as the image itself, not a copy.
-                    (None, Codec::Raw) => (raw, Codec::Raw),
-                    (None, codec) => (Arc::new(codec.encode(&raw)?), codec),
+                let (enc, chosen) = match &self.adaptive {
+                    Some(selector) => selector.encode_block(&raw)?,
+                    None => (self.meta.codec.encode(&raw)?, self.meta.codec),
                 };
-                Ok((key, raw_len, enc, chosen))
+                Ok((key, raw.len(), seal(BLOCK_MAGIC, &enc), chosen))
             })?
         };
         let encode_secs = t_encode.elapsed().as_secs_f64();
@@ -1273,9 +1279,13 @@ impl IdxDataset {
                 match enc {
                     Some(enc) => {
                         let enc_len = enc.len() as u64;
-                        // Owned fetch result: the `Raw` passthrough moves the
-                        // buffer instead of copying it.
-                        let raw = self.meta.codec.decode_owned(enc, raw_len)?;
+                        // A block stored before the envelope is the bare stream.
+                        let stream = if enc.starts_with(BLOCK_MAGIC) {
+                            unseal(BLOCK_MAGIC, &enc)?
+                        } else {
+                            &enc
+                        };
+                        let raw = self.meta.codec.decode(stream, raw_len)?;
                         Ok((block, enc_len, Some(Arc::new(raw))))
                     }
                     None => Ok((block, 0, None)),
@@ -1672,16 +1682,27 @@ mod tests {
         ds.write_raster("v", 0, &ramp(32, 32)).unwrap();
         let header = "data/test/dataset.idx";
         let text = String::from_utf8(store.get(header).unwrap()).unwrap();
-        for (from, to) in [
+        let mut forged: Vec<Vec<u8>> = [
             ("bits_per_block=8", "bits_per_block=64"),
             ("bits_per_block=8", "bits_per_block=63"),
             ("dims=32 32", "dims=32 32 32"),
             ("dims=32 32", "dims=32"),
-        ] {
-            store.put(header, text.replace(from, to).as_bytes()).unwrap();
-            let read = IdxDataset::open(store.clone() as Arc<dyn ObjectStore>, "data/test")
-                .and_then(|ds| ds.read_full::<f32>("v", 0));
-            assert!(read.is_err(), "{to:?} opened and read");
+            ("version=", "version=9"),
+            ("codec=raw", "codec=rle"),
+        ]
+        .iter()
+        .map(|(from, to)| {
+            assert!(text.contains(from), "{from:?}");
+            text.replacen(from, to, 1).into_bytes()
+        })
+        .collect();
+        forged.push(vec![0xff, 0xfe]);
+        for bytes in forged {
+            store.put(header, &bytes).unwrap();
+            match IdxDataset::open(store.clone() as Arc<dyn ObjectStore>, "data/test") {
+                Err(e) => assert!(e.is_corrupt(), "{e}"),
+                Ok(_) => panic!("{:?} opened", String::from_utf8_lossy(&bytes)),
+            }
         }
     }
 
@@ -2323,8 +2344,9 @@ mod tests {
         let (store, ds) = make_dataset(32, 32, Codec::Adaptive { sample_size: 4 });
         ds.write_raster("v", 0, &ramp(32, 32)).unwrap();
         // A full write always covers block 0 (the coarsest HZ addresses).
-        let enc = store.get(&ds.block_key(0, 0, 0)).unwrap();
-        let (codec, header) = nsdf_compress::adaptive::read_block_header(&enc).unwrap();
+        let sealed = store.get(&ds.block_key(0, 0, 0)).unwrap();
+        let enc = unseal(BLOCK_MAGIC, &sealed).unwrap();
+        let (codec, header) = nsdf_compress::adaptive::read_block_header(enc).unwrap();
         assert!(header >= 1);
         let block_bytes = ds.meta().block_samples() as usize * 4;
         let raw = codec.decode(&enc[header..], block_bytes).unwrap();
@@ -2332,16 +2354,40 @@ mod tests {
     }
 
     #[test]
-    fn static_codec_blocks_stay_headerless_legacy_format() {
-        let (store, ds) = make_dataset(32, 32, Codec::Lzss);
-        ds.write_raster("v", 0, &ramp(32, 32)).unwrap();
-        let enc = store.get(&ds.block_key(0, 0, 0)).unwrap();
-        let block_bytes = ds.meta().block_samples() as usize * 4;
-        // The stored object is exactly the bare codec stream — no header
-        // byte — so datasets written before adaptive selection existed (and
-        // static-codec datasets written after) share one on-disk format.
-        let raw = Codec::Lzss.decode(&enc, block_bytes).unwrap();
-        assert_eq!(Codec::Lzss.encode(&raw).unwrap(), enc);
+    fn blocks_stored_before_the_envelope_still_read() {
+        // A static codec stored the bare stream, adaptive the tagged one.
+        for codec in [Codec::Lzss, Codec::Adaptive { sample_size: 4 }] {
+            let (store, ds) = make_dataset(32, 32, codec);
+            let r = ramp(32, 32);
+            ds.write_raster("v", 0, &r).unwrap();
+            for m in store.list("data/test/f0/").unwrap() {
+                let sealed = store.get(&m.key).unwrap();
+                store.put(&m.key, unseal(BLOCK_MAGIC, &sealed).unwrap()).unwrap();
+            }
+            let legacy = IdxDataset::open(store as Arc<dyn ObjectStore>, "data/test").unwrap();
+            let (back, _) = legacy.read_full::<f32>("v", 0).unwrap();
+            assert_eq!(back.data(), r.data(), "{codec}");
+        }
+    }
+
+    #[test]
+    fn a_damaged_sealed_block_is_corrupt_never_wrong_data() {
+        let (store, ds) = make_dataset(32, 32, Codec::Lz4);
+        let r = ramp(32, 32);
+        ds.write_raster("v", 0, &r).unwrap();
+        let key = ds.block_key(0, 0, 1);
+        let sealed = store.get(&key).unwrap();
+        assert!(sealed.starts_with(BLOCK_MAGIC));
+        for (i, flip) in (0..sealed.len()).flat_map(|i| [0x01, 0x5a, 0x80, 0xff].map(|f| (i, f))) {
+            let mut bad = sealed.clone();
+            bad[i] ^= flip;
+            store.put(&key, &bad).unwrap();
+            let fresh = IdxDataset::open(store.clone() as Arc<dyn ObjectStore>, "data/test");
+            match fresh.unwrap().read_full::<f32>("v", 0) {
+                Ok((back, _)) => assert_eq!(back.data(), r.data(), "byte {i} ^ {flip:#x}"),
+                Err(e) => assert!(e.is_corrupt(), "byte {i} ^ {flip:#x}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! optionally with hedged backup waves — on top, charging all waiting to
 //! the virtual clock. `BreakerStore` adds a per-endpoint circuit breaker so
 //! a dead endpoint fails fast instead of burning retry budget, and
-//! `IntegrityStore` verifies payload checksums against stored metadata so
-//! corrupted-in-flight payloads surface as retryable I/O errors. The
-//! stack proves end-to-end that a lossy substrate still yields correct
-//! datasets.
+//! `IntegrityStore` verifies payload checksums (sealed in the payload, else
+//! in stored metadata) so corrupted-in-flight payloads surface as
+//! retryable I/O errors. The stack proves end-to-end that a lossy substrate
+//! still yields correct datasets.
 
 use crate::fault::{FaultPlan, FaultStore};
 use crate::store::{sole, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
-use nsdf_util::{fnv1a64, secs_to_ns, NsdfError, Result, SimClock};
+use nsdf_util::{fnv1a64, is_sealed, secs_to_ns, NsdfError, Result, SimClock};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -549,14 +549,17 @@ impl IntegrityMetrics {
 
 /// End-to-end payload verification over any [`ObjectStore`].
 ///
-/// Every `get`/`get_many` payload is checked against the FNV-1a checksum
-/// the store's metadata carries ([`ObjectMeta::checksum`]); a mismatch —
-/// e.g. a payload damaged in flight by a [`crate::FaultStore`] corruption draw —
-/// surfaces as a retryable I/O error, so a [`RetryStore`] above re-fetches
-/// instead of handing corrupt bytes to the decoder. Batch verification
-/// rides [`ObjectStore::head_many`], which the WAN model amortizes like
-/// the data fetch itself. Ranged reads pass through unverified (there is
-/// no whole-object checksum to check a fragment against).
+/// An intact [`nsdf_util::seal`] envelope (every IDX block) carries its
+/// checksum and is verified in place. Any other `get`/`get_many` payload
+/// (headers, TIFFs, FUSE files, catalog objects, unsealed older blocks, a
+/// sealed payload damaged in flight) is checked against
+/// [`ObjectMeta::checksum`], fetched by one [`ObjectStore::head_many`]
+/// wave over just those keys. A mismatch surfaces as a retryable I/O
+/// error, so a [`RetryStore`] above re-fetches instead of handing corrupt
+/// bytes to the decoder. Ranged reads pass through unverified. Like S3's
+/// in-response checksum, the in-place check proves the bytes are what a
+/// writer sealed, not that they are the latest version: that takes
+/// content addressing.
 ///
 /// Writes are verified symmetrically: the [`ObjectMeta`] a `put`/`put_many`
 /// returns checksums what the endpoint actually stored, so comparing it
@@ -613,8 +616,8 @@ impl IntegrityStore {
         results
     }
 
-    /// The one read-verify body: `fetch` the keys, then `head` the ones
-    /// that arrived and check each payload against its stored checksum.
+    /// The one read-verify body: `fetch` the keys, pass the intact sealed
+    /// payloads, and `head` the other arrivals to check their checksums.
     fn verified_reads(
         &self,
         keys: &[&str],
@@ -622,8 +625,14 @@ impl IntegrityStore {
         head: impl FnOnce(&[&str]) -> Vec<Result<ObjectMeta>>,
     ) -> Vec<Result<Vec<u8>>> {
         let mut results = fetch(keys);
-        let ok_idx: Vec<usize> =
-            results.iter().enumerate().filter(|(_, r)| r.is_ok()).map(|(i, _)| i).collect();
+        let mut ok_idx = Vec::new();
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(data) if is_sealed(data) => self.m.verified.inc(),
+                Ok(_) => ok_idx.push(i),
+                Err(_) => {}
+            }
+        }
         if ok_idx.is_empty() {
             return results;
         }

@@ -81,9 +81,10 @@ pub trait ObjectStore: Send + Sync {
     /// Metadata for many objects in one call, per-key results in input
     /// order.
     ///
-    /// The integrity layer uses this to verify a whole fetched batch
-    /// against stored checksums without paying one WAN round trip per key;
-    /// the WAN simulator overrides it to amortize like [`ObjectStore::get_many`].
+    /// The integrity layer uses this to verify the fetched payloads that do
+    /// not carry their own checksum (anything not sealed, or a sealed one
+    /// damaged in flight) without paying one WAN round trip per key; the
+    /// WAN simulator overrides it to amortize like [`ObjectStore::get_many`].
     /// A failed key never aborts the batch.
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
         keys.iter().map(|k| self.head(k)).collect()

@@ -12,7 +12,7 @@ use nsdf_storage::{
     IntegrityStore, LocalStore, MemoryStore, NetworkProfile, ObjectMeta, ObjectStore, RetryPolicy,
     RetryStore, SchedConfig, SchedStore, Scheduler, TierCache,
 };
-use nsdf_util::{NsdfError, SimClock};
+use nsdf_util::{seal, NsdfError, Obs, SimClock};
 use std::sync::Arc;
 
 fn mem() -> Arc<dyn ObjectStore> {
@@ -234,6 +234,53 @@ fn a_batch_through_a_production_wrapper_costs_what_the_bare_wan_batch_costs() {
         step("head_many", 20, &|s| oks(s.head_many(&keys)));
         step("put_many", 20, &|s| oks(s.put_many(&items)));
         step("delete_many", 20, &|s| oks(s.delete_many(&keys)));
+    }
+}
+
+/// A sealed payload carries its own checksum, so `IntegrityStore` verifies
+/// it in place: a batch of sealed payloads costs exactly the bare WAN
+/// `get_many`, while unsealed payloads keep the `head_many` episode.
+#[test]
+fn a_sealed_batch_through_integrity_store_costs_one_bare_get_many() {
+    let endpoint = |sealed: bool| {
+        let backing = MemoryStore::new();
+        for i in 0..20 {
+            let body = vec![i as u8; 4096 + i * 100];
+            let payload = if sealed { seal(b"NSDFBK01", &body) } else { body };
+            backing.put(&format!("o/{i:02}"), &payload).unwrap();
+        }
+        let clock = SimClock::new();
+        let wan = Arc::new(CloudStore::new(
+            Arc::new(backing),
+            NetworkProfile::public_dataverse(),
+            clock.clone(),
+            11,
+        ));
+        (wan, clock)
+    };
+    let stored: Vec<String> = (0..20).map(|i| format!("o/{i:02}")).collect();
+    let keys: Vec<&str> = stored.iter().map(|k| k.as_str()).collect();
+    for sealed in [true, false] {
+        let (wan, clock) = endpoint(sealed);
+        let obs = Obs::default();
+        let verified = IntegrityStore::new(Arc::clone(&wan) as Arc<dyn ObjectStore>).with_obs(&obs);
+        let (bare, bare_clock) = endpoint(sealed);
+        assert_eq!(oks(verified.get_many(&keys)), 20);
+        assert_eq!(oks(bare.get_many(&keys)), 20);
+        if !sealed {
+            assert_eq!(oks(bare.head_many(&keys)), 20);
+        }
+        assert_eq!(clock.now_ns(), bare_clock.now_ns(), "sealed {sealed}: virtual time");
+        assert_eq!(
+            wan.transfer_log().read_ops,
+            bare.transfer_log().read_ops,
+            "sealed {sealed}: WAN read operations"
+        );
+        let snap = obs.snapshot();
+        assert_eq!(
+            (snap.counter("integrity.verified"), snap.counter("integrity.rejected")),
+            (20, 0)
+        );
     }
 }
 

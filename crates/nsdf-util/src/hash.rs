@@ -4,7 +4,10 @@
 //! catalog (fast, dependency-free, good dispersion for content blobs — not
 //! cryptographic, which the simulation does not need). `splitmix64` and
 //! `derive_seed` give every stochastic component an independent, documented
-//! stream from one experiment master seed.
+//! stream from one experiment master seed. [`seal`] / [`unseal`] frame a
+//! persisted object so its checksum travels with its bytes.
+
+use crate::error::{NsdfError, Result};
 
 /// FNV-1a 64-bit hash of a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -49,6 +52,44 @@ impl Fnv1a {
     }
 }
 
+/// Frame `body` as one self-verifying envelope,
+/// `magic · body · fnv1a64(magic · body)` (digest little-endian): 16
+/// bytes of overhead. `magic` starts with `NSDF`.
+pub fn seal(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
+    debug_assert!(magic.starts_with(b"NSDF"), "{magic:?}: see `is_sealed`");
+    let mut out = Vec::with_capacity(body.len() + 16);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(body);
+    let digest = fnv1a64(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// The body of a [`seal`]ed envelope under `magic`, borrowed from `bytes`.
+/// A wrong magic, a truncation or any damaged byte is
+/// [`NsdfError::Corrupt`]; nothing is allocated.
+pub fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8]> {
+    if !bytes.starts_with(magic) {
+        return Err(NsdfError::corrupt(format!("envelope: magic is not {magic:?}")));
+    }
+    envelope_body(bytes).ok_or_else(|| NsdfError::corrupt("envelope: checksum mismatch"))
+}
+
+/// True when `bytes` is an intact envelope under any `NSDF` magic: what a
+/// layer that does not know the magic (a checksum verifier) can check.
+pub fn is_sealed(bytes: &[u8]) -> bool {
+    envelope_body(bytes).is_some()
+}
+
+fn envelope_body(bytes: &[u8]) -> Option<&[u8]> {
+    if bytes.len() < 16 || !bytes.starts_with(b"NSDF") {
+        return None;
+    }
+    let (framed, digest) = bytes.split_at(bytes.len() - 8);
+    let digest = u64::from_le_bytes(digest.try_into().expect("8 bytes"));
+    (fnv1a64(framed) == digest).then(|| &framed[8..])
+}
+
 /// One step of the SplitMix64 generator; a strong 64→64 bit mixer.
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -90,6 +131,47 @@ mod tests {
             assert_eq!(h.digest(), fnv1a64(data), "split at {split}");
         }
         assert_eq!(Fnv1a::new().digest(), fnv1a64(b""));
+    }
+
+    const MAGIC: &[u8; 8] = b"NSDFXX01";
+
+    #[test]
+    fn sealed_bodies_roundtrip() {
+        for body in [&b""[..], b"x", b"block payload bytes"] {
+            let sealed = seal(MAGIC, body);
+            assert_eq!(sealed.len(), body.len() + 16);
+            assert!(is_sealed(&sealed));
+            assert_eq!(unseal(MAGIC, &sealed).unwrap(), body);
+        }
+    }
+
+    #[test]
+    fn every_flip_and_truncation_of_an_envelope_is_corrupt() {
+        let sealed = seal(MAGIC, b"sixteen-ish body");
+        for i in 0..sealed.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bad = sealed.clone();
+                bad[i] ^= flip;
+                assert!(!is_sealed(&bad), "flip {flip:#x} at {i}");
+                assert!(unseal(MAGIC, &bad).unwrap_err().is_corrupt(), "flip {flip:#x} at {i}");
+            }
+        }
+        // Every proper prefix, lengths 0..=16 included.
+        for len in 0..sealed.len() {
+            assert!(!is_sealed(&sealed[..len]), "prefix {len}");
+            assert!(unseal(MAGIC, &sealed[..len]).unwrap_err().is_corrupt(), "prefix {len}");
+        }
+    }
+
+    #[test]
+    fn a_wrong_magic_is_corrupt_even_when_intact() {
+        let other = seal(b"NSDFYY01", b"body");
+        assert!(is_sealed(&other));
+        assert!(unseal(MAGIC, &other).unwrap_err().is_corrupt());
+        // Outside the NSDF family nothing is an envelope.
+        let mut foreign = b"ABCDXX01body".to_vec();
+        foreign.extend_from_slice(&fnv1a64(&foreign).to_le_bytes());
+        assert!(!is_sealed(&foreign));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 # produce byte-identical files (any drift means nondeterminism leaked into
 # that layer), and the result must equal the committed file: a change that
 # moves a wave, a span or a counter regenerates and commits the artifact,
-# never drifts past it silently.
+# never drifts past it silently. Every pair is checked before the script
+# exits non-zero, listing each artifact that failed.
 #
 # Extra arguments go to cargo, e.g. `scripts/seeded_determinism.sh --offline`.
 set -euo pipefail
@@ -55,14 +56,24 @@ fi
 
 first="$(mktemp -d)"
 trap 'rm -rf "$first"' EXIT
+bad=()
 for pair in "${PAIRS[@]}"; do
   bench="${pair%%:*}"
   artifact="${pair#*:}"
-  cargo bench "$@" -p nsdf-bench --bench "$bench"
-  cp "$artifact" "$first/$artifact"
-  cargo bench "$@" -p nsdf-bench --bench "$bench"
-  cmp "$first/$artifact" "$artifact"
-  git diff --exit-code -- "$artifact"
-  echo "determinism: $bench -> $artifact: two runs identical, equal to the committed file"
+  if ! { cargo bench "$@" -p nsdf-bench --bench "$bench" && cp "$artifact" "$first/$artifact" &&
+    cargo bench "$@" -p nsdf-bench --bench "$bench"; }; then
+    bad+=("$artifact: bench $bench failed")
+  elif ! cmp "$first/$artifact" "$artifact"; then
+    bad+=("$artifact: two runs differ (nondeterministic)")
+  elif ! git diff --exit-code -- "$artifact"; then
+    bad+=("$artifact: differs from the committed file")
+  else
+    echo "determinism: $bench -> $artifact: two runs identical, equal to the committed file"
+  fi
 done
+if [ ${#bad[@]} -gt 0 ]; then
+  echo "determinism: FAILED (${#bad[@]} of ${#PAIRS[@]} artifacts):" >&2
+  printf '  %s\n' "${bad[@]}" >&2
+  exit 1
+fi
 echo "determinism: ok (${#PAIRS[@]} artifacts)"

@@ -6,8 +6,12 @@
 
 use nsdf::compress::Codec;
 use nsdf::idx::{Field, IdxDataset, IdxMeta};
-use nsdf::storage::{FailScope, FaultPlan, MemoryStore, NetworkProfile, ObjectStore};
-use nsdf::util::{fnv1a64, samples_to_bytes, Box2i, DType, Obs, Raster, SimClock};
+use nsdf::storage::{
+    FailScope, FaultPlan, FaultStore, IntegrityStore, MemoryStore, NetworkProfile, ObjectMeta,
+    ObjectStore, RetryPolicy, RetryStore,
+};
+use nsdf::util::{fnv1a64, samples_to_bytes, Box2i, DType, Obs, Raster, Result, SimClock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -152,4 +156,60 @@ fn outage_degrades_through_full_stack_then_recovers() {
     let (_, q2) = ds.read_box::<f32>("v", 0, ds.bounds(), ds.max_level()).unwrap();
     assert!(!q2.degraded);
     assert_eq!(q2.delivered_level, ds.max_level());
+}
+
+/// Counts the keys its `head` calls ask for, forwarding everything.
+struct HeadCounter {
+    inner: Arc<dyn ObjectStore>,
+    heads: AtomicU64,
+}
+
+impl ObjectStore for HeadCounter {
+    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
+        self.inner.put(key, data)
+    }
+    fn get(&self, key: &str) -> Result<Vec<u8>> {
+        self.inner.get(key)
+    }
+    fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
+        self.inner.get_many(keys)
+    }
+    fn head(&self, key: &str) -> Result<ObjectMeta> {
+        self.heads.fetch_add(1, Ordering::Relaxed);
+        self.inner.head(key)
+    }
+    fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
+        self.heads.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        self.inner.head_many(keys)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, key: &str) -> Result<()> {
+        self.inner.delete(key)
+    }
+}
+
+#[test]
+fn sealed_blocks_are_headed_only_when_damaged_in_flight() {
+    let mem = Arc::new(MemoryStore::new());
+    seed_data(mem.clone());
+    let clock = SimClock::new();
+    let plan = FaultPlan::new(11).with_scope(FailScope::Reads).with_corrupt_rate(0.2);
+    let faulty = Arc::new(FaultStore::new(mem.clone(), plan, clock.clone()).unwrap());
+    let counter = Arc::new(HeadCounter { inner: faulty, heads: AtomicU64::new(0) });
+    let verified = Arc::new(IntegrityStore::new(counter.clone()));
+    let policy = RetryPolicy { max_attempts: 12, ..RetryPolicy::default() };
+    let stack = Arc::new(RetryStore::new(verified.clone(), policy, clock).unwrap());
+
+    let oracle = IdxDataset::open(mem as Arc<dyn ObjectStore>, "chaos").unwrap();
+    let (want, _) = oracle.read_full::<f32>("v", 0).unwrap();
+    // The header is not sealed, so opening heads it; count the block reads.
+    let ds = IdxDataset::open(stack, "chaos").unwrap();
+    let (heads0, rejected0) = (counter.heads.load(Ordering::Relaxed), verified.rejected());
+    let (got, _) = ds.read_full::<f32>("v", 0).unwrap();
+    assert_eq!(got.data(), want.data());
+    let rejected = verified.rejected() - rejected0;
+    assert!(rejected > 0, "a 20% corruption rate damaged no block");
+    assert_eq!(counter.heads.load(Ordering::Relaxed) - heads0, rejected);
 }
