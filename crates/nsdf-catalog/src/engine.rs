@@ -46,7 +46,9 @@
 //! cleanly, fetches every referenced segment with one batched `get_many`,
 //! verifies each against its manifest checksum, quarantines torn or
 //! orphaned objects (one `delete_many` wave each for manifests, segments
-//! and WAL objects), and replays the WAL tail floor..next in order.
+//! and WAL objects), and replays the WAL tail floor..next in order. An
+//! object in a retired framing is a format error: open returns it before
+//! any quarantine, so a store this build cannot read loses nothing.
 
 use crate::compact::{merge, merge_segments, run, segment_run, MergeStats, Run, Version};
 use crate::manifest::{
@@ -122,6 +124,13 @@ impl CatalogConfig {
         }
         nsdf_storage::validate_key(&manifest_key(&self.prefix, 0))?;
         Ok(())
+    }
+
+    /// Byte budget of `level` (≥ 1): `level_base_bytes ·
+    /// LEVEL_RATIO^(level-1)`. `None` when that overflows: no tree grows
+    /// that deep.
+    fn level_budget(&self, level: u32) -> Option<u64> {
+        LEVEL_RATIO.checked_pow(level.saturating_sub(1))?.checked_mul(self.level_base_bytes)
     }
 }
 
@@ -857,16 +866,12 @@ impl Catalog {
         } else if st.levels.first().map_or(0, |l| l.len()) >= self.cfg.l0_compact_trigger {
             Some((0, 1))
         } else {
-            let mut due = None;
-            let mut budget = self.cfg.level_base_bytes;
-            for level in 1..st.levels.len() {
-                if st.level_bytes(level) > budget {
-                    due = Some((level, level + 1));
-                    break;
-                }
-                budget = budget.saturating_mul(LEVEL_RATIO);
-            }
-            due
+            (1..st.levels.len())
+                .find(|&level| {
+                    let budget = self.cfg.level_budget(level as u32).unwrap_or(u64::MAX);
+                    st.level_bytes(level) > budget
+                })
+                .map(|level| (level, level + 1))
         };
         let Some((from, target)) = plan else { return Ok(None) };
         debug_assert!(st.memtable.is_empty(), "compaction follows a checkpoint");
@@ -1047,6 +1052,9 @@ impl Catalog {
                 return Err(NsdfError::corrupt(format!(
                     "segment {key} shape disagrees with manifest"
                 )));
+            }
+            if self.cfg.level_budget(r.level).is_none() {
+                return Err(NsdfError::corrupt(format!("segment {key} is on level {}", r.level)));
             }
             let mut st = self.shards[r.shard as usize].write();
             while st.levels.len() <= r.level as usize {
@@ -1277,6 +1285,81 @@ mod tests {
         cat.close().unwrap();
         drop(cat);
         assert!(Catalog::open(store, SimClock::new(), small_cfg(8)).is_err());
+    }
+
+    /// A closed 4-shard catalog that holds segments.
+    fn closed_catalog() -> Arc<dyn ObjectStore> {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let cat = Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4)).unwrap();
+        cat.ingest((0..300).map(|i| rec(i, &format!("f/n{i:03}"), "s"))).unwrap();
+        cat.close().unwrap();
+        store
+    }
+
+    /// The newest manifest on `store`, with its key.
+    fn newest_manifest(store: &dyn ObjectStore) -> (String, Manifest) {
+        let key = store.list("catalog/manifest/").unwrap().pop().unwrap().key;
+        let manifest = Manifest::decode(&store.get(&key).unwrap()).unwrap();
+        (key, manifest)
+    }
+
+    #[test]
+    fn a_forged_manifest_shard_fails_open_instead_of_panicking() {
+        // A resealed manifest whose row names shard 9 of 4, with the
+        // segment it names stored under that shard's key.
+        let store = closed_catalog();
+        let (key, mut manifest) = newest_manifest(&*store);
+        let row = &mut manifest.segments[0];
+        let seg = store.get(&row.key("catalog")).unwrap();
+        row.shard = 9;
+        store.put(&row.key("catalog"), &seg).unwrap();
+        store.put(&key, &manifest.encode()).unwrap();
+        match Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4)) {
+            Ok(_) => {
+                assert!(store.get(&key).is_err(), "open fell back past a quarantined manifest")
+            }
+            Err(e) => assert!(e.is_corrupt(), "{e}"),
+        }
+    }
+
+    #[test]
+    fn a_forged_segment_level_fails_open_instead_of_allocating() {
+        // A resealed manifest + segment pair that agree on level u32::MAX,
+        // a level with no byte budget.
+        let store = closed_catalog();
+        let (key, mut manifest) = newest_manifest(&*store);
+        let row = &mut manifest.segments[0];
+        let seg_key = row.key("catalog");
+        let mut body =
+            nsdf_util::unseal(b"NSDFSG01", &store.get(&seg_key).unwrap()).unwrap().to_vec();
+        body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let forged = nsdf_util::seal(b"NSDFSG01", &body);
+        (row.level, row.checksum) = (u32::MAX, fnv1a64(&forged));
+        store.put(&seg_key, &forged).unwrap();
+        store.put(&key, &manifest.encode()).unwrap();
+        let err = Catalog::open(store, SimClock::new(), small_cfg(4)).err().expect("refused");
+        assert!(err.is_corrupt(), "{err}");
+    }
+
+    #[test]
+    fn retired_framings_fail_open_and_delete_nothing() {
+        use crate::manifest::tests::retired_framing;
+        let manifest = retired_framing("NSDFMF01", "shards 4\nnext-seg 0\nwal-floor 0\nlive 1\n");
+        let wal = retired_framing("NSDFWL01", "put 1 s 101 a/b 0000000000000001\n");
+        let objects = [(manifest_key("catalog", 0), manifest), (wal_key("catalog", 0), wal)];
+        // Old manifest and WAL batch, then an old WAL batch alone.
+        for objects in [&objects[..], &objects[1..]] {
+            let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+            for (key, bytes) in objects {
+                store.put(key, bytes).unwrap();
+            }
+            let before = store.list("catalog/").unwrap();
+            let err = Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4))
+                .err()
+                .expect("refused");
+            assert!(matches!(err, NsdfError::Format(_)), "{err}");
+            assert_eq!(store.list("catalog/").unwrap(), before, "nothing was quarantined");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`record`] — the indexed record and its wire encodings;
 //! * `memtable` — sorted mutable write buffer, one per shard;
 //! * `bloom` — per-segment bloom filters (no false negatives);
-//! * `segment` — immutable sorted runs with checksum footers;
-//! * `manifest` — checksummed manifests and WAL batches;
+//! * `segment` — immutable sorted runs, each one sealed envelope;
+//! * `manifest` — sealed text manifests and WAL batches;
 //! * `compact` — the one newest-wins k-way merge (scans, compaction, bulk
 //!   load) with dedup accounting;
 //! * [`engine`] — [`Catalog`]: the public service tying it together.

@@ -1,8 +1,11 @@
 //! Durable metadata for the LSM engine: the manifest and the WAL batch.
 //!
-//! Both are human-readable text objects with an FNV-1a footer line, so a
-//! torn or bit-flipped object decodes to [`NsdfError::Corrupt`] instead of
-//! silently wrong state — recovery quarantines it.
+//! Both are human-readable text bodies in one [`nsdf_util::seal`]
+//! envelope (magic `NSDFMF02` / `NSDFWL02`), so a torn or bit-flipped
+//! object decodes to [`NsdfError::Corrupt`] instead of silently wrong
+//! state — recovery quarantines it. The retired `NSDFMF01` / `NSDFWL01`
+//! text framing decodes to [`NsdfError::Format`]: recovery refuses such a
+//! store and deletes nothing.
 //!
 //! * **Manifest** (`{prefix}/manifest/mf-{seq:08}.mft`): the authoritative
 //!   list of every live segment per shard and level, plus the WAL floor
@@ -16,10 +19,12 @@
 //!   order reproduces every acknowledged write.
 
 use crate::record::Record;
-use nsdf_util::{fnv1a64, NsdfError, Result};
+use nsdf_util::{seal, unseal, NsdfError, Result};
 
-const MANIFEST_MAGIC: &str = "NSDFMF01";
-const WAL_MAGIC: &str = "NSDFWL01";
+const MANIFEST_MAGIC: &[u8; 8] = b"NSDFMF02";
+const WAL_MAGIC: &[u8; 8] = b"NSDFWL02";
+/// First lines of the retired text framing of the two objects.
+const RETIRED: [&[u8]; 2] = [b"NSDFMF01\n", b"NSDFWL01\n"];
 
 /// Key of the manifest with sequence `seq`.
 pub fn manifest_key(prefix: &str, seq: u64) -> String {
@@ -89,11 +94,9 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Wire-encode as checksummed text.
+    /// Wire-encode as sealed text.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = String::with_capacity(64 + self.segments.len() * 64);
-        body.push_str(MANIFEST_MAGIC);
-        body.push('\n');
         body.push_str(&format!(
             "shards {}\nnext-seg {}\nwal-floor {}\nlive {}\n",
             self.shards, self.next_seg, self.wal_floor, self.live
@@ -104,27 +107,26 @@ impl Manifest {
                 s.shard, s.level, s.seq, s.count, s.min_id, s.max_id, s.bytes, s.checksum
             ));
         }
-        finish_checksummed(body)
+        seal(MANIFEST_MAGIC, body.as_bytes())
     }
 
-    /// Decode and verify an encoding; torn or flipped bytes are corrupt.
+    /// Decode and verify an encoding; torn or flipped bytes, and a row
+    /// naming a shard the tree does not have, are corrupt.
     pub fn decode(buf: &[u8]) -> Result<Manifest> {
-        let body = verify_checksummed(buf, "manifest")?;
-        let mut lines = body.lines();
-        if lines.next() != Some(MANIFEST_MAGIC) {
-            return Err(NsdfError::corrupt("manifest: bad magic"));
-        }
-        let mut m = Manifest::default();
-        let field = |line: Option<&str>, name: &str| -> Result<u64> {
-            let line = line.ok_or_else(|| NsdfError::corrupt("manifest: truncated header"))?;
-            line.strip_prefix(name)
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| NsdfError::corrupt(format!("manifest: bad {name} line")))
+        let mut lines = open_text(MANIFEST_MAGIC, buf, "manifest")?.lines();
+        let mut header = |name: &str| -> Result<&str> {
+            lines
+                .next()
+                .and_then(|line| line.strip_prefix(name))
+                .ok_or_else(|| NsdfError::corrupt(format!("manifest: missing {name:?} line")))
         };
-        m.shards = field(lines.next(), "shards ")? as u32;
-        m.next_seg = field(lines.next(), "next-seg ")?;
-        m.wal_floor = field(lines.next(), "wal-floor ")?;
-        m.live = field(lines.next(), "live ")?;
+        let mut m = Manifest {
+            shards: int(header("shards ")?, "manifest shards")?,
+            next_seg: int(header("next-seg ")?, "manifest next-seg")?,
+            wal_floor: int(header("wal-floor ")?, "manifest wal-floor")?,
+            live: int(header("live ")?, "manifest live")?,
+            segments: Vec::new(),
+        };
         for line in lines {
             let rest = line
                 .strip_prefix("seg ")
@@ -133,19 +135,24 @@ impl Manifest {
             if f.len() != 8 {
                 return Err(NsdfError::corrupt("manifest: wrong column count"));
             }
-            let num =
-                |i: usize| f[i].parse::<u64>().map_err(|_| NsdfError::corrupt("manifest: bad int"));
-            m.segments.push(SegmentRef {
-                shard: num(0)? as u32,
-                level: num(1)? as u32,
-                seq: num(2)?,
-                count: num(3)?,
-                min_id: num(4)?,
-                max_id: num(5)?,
-                bytes: num(6)?,
+            let row = SegmentRef {
+                shard: int(f[0], "manifest shard")?,
+                level: int(f[1], "manifest level")?,
+                seq: int(f[2], "manifest seq")?,
+                count: int(f[3], "manifest count")?,
+                min_id: int(f[4], "manifest min id")?,
+                max_id: int(f[5], "manifest max id")?,
+                bytes: int(f[6], "manifest bytes")?,
                 checksum: u64::from_str_radix(f[7], 16)
                     .map_err(|_| NsdfError::corrupt("manifest: bad checksum"))?,
-            });
+            };
+            if row.shard >= m.shards {
+                return Err(NsdfError::corrupt(format!(
+                    "manifest: row names shard {} of {}",
+                    row.shard, m.shards
+                )));
+            }
+            m.segments.push(row);
         }
         Ok(m)
     }
@@ -168,11 +175,9 @@ pub(crate) struct WalBatch {
 }
 
 impl WalBatch {
-    /// Wire-encode as checksummed text.
+    /// Wire-encode as sealed text.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = String::with_capacity(16 + self.ops.len() * 48);
-        body.push_str(WAL_MAGIC);
-        body.push('\n');
+        let mut body = String::with_capacity(self.ops.len() * 48);
         for op in &self.ops {
             match op {
                 WalOp::Put(r) => {
@@ -183,24 +188,17 @@ impl WalBatch {
             }
             body.push('\n');
         }
-        finish_checksummed(body)
+        seal(WAL_MAGIC, body.as_bytes())
     }
 
     /// Decode and verify an encoding.
     pub fn decode(buf: &[u8]) -> Result<WalBatch> {
-        let body = verify_checksummed(buf, "wal batch")?;
-        let mut lines = body.lines();
-        if lines.next() != Some(WAL_MAGIC) {
-            return Err(NsdfError::corrupt("wal batch: bad magic"));
-        }
         let mut ops = Vec::new();
-        for line in lines {
+        for line in open_text(WAL_MAGIC, buf, "wal batch")?.lines() {
             if let Some(rest) = line.strip_prefix("put ") {
                 ops.push(WalOp::Put(Record::from_line(rest)?));
             } else if let Some(rest) = line.strip_prefix("del ") {
-                let id =
-                    rest.parse().map_err(|_| NsdfError::corrupt("wal batch: bad delete id"))?;
-                ops.push(WalOp::Del(id));
+                ops.push(WalOp::Del(int(rest, "wal batch delete id")?));
             } else {
                 return Err(NsdfError::corrupt(format!("wal batch: bad op line {line:?}")));
             }
@@ -209,38 +207,65 @@ impl WalBatch {
     }
 }
 
-/// Append the `fnv <digest>` footer line over `body`'s bytes.
-fn finish_checksummed(mut body: String) -> Vec<u8> {
-    let digest = fnv1a64(body.as_bytes());
-    body.push_str(&format!("fnv {digest:016x}\n"));
-    body.into_bytes()
+/// The text body of a sealed `what` under `magic`. Damage is corrupt; an
+/// object in the retired text framing (magic line · body · `fnv` footer
+/// line) is a format error, so recovery refuses the store rather than
+/// quarantine a catalog it cannot read.
+fn open_text<'a>(magic: &[u8; 8], buf: &'a [u8], what: &str) -> Result<&'a str> {
+    if RETIRED.iter().any(|line| buf.starts_with(line)) {
+        return Err(NsdfError::format(format!(
+            "{what}: retired {:?} framing; this build reads only {:?}",
+            String::from_utf8_lossy(&buf[..8]),
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    let body = unseal(magic, buf)?;
+    std::str::from_utf8(body).map_err(|_| NsdfError::corrupt(format!("{what}: not UTF-8")))
 }
 
-/// Verify and strip the footer line; returns the body text.
-fn verify_checksummed(buf: &[u8], what: &str) -> Result<String> {
-    let text =
-        std::str::from_utf8(buf).map_err(|_| NsdfError::corrupt(format!("{what}: not UTF-8")))?;
-    let stripped = text
-        .strip_suffix('\n')
-        .ok_or_else(|| NsdfError::corrupt(format!("{what}: missing trailing newline")))?;
-    let (body_end, footer) = stripped
-        .rsplit_once('\n')
-        .map(|(b, f)| (b.len() + 1, f))
-        .ok_or_else(|| NsdfError::corrupt(format!("{what}: missing footer")))?;
-    let want = footer
-        .strip_prefix("fnv ")
-        .and_then(|v| u64::from_str_radix(v, 16).ok())
-        .ok_or_else(|| NsdfError::corrupt(format!("{what}: bad footer line")))?;
-    let body = &text[..body_end];
-    if fnv1a64(body.as_bytes()) != want {
-        return Err(NsdfError::corrupt(format!("{what}: checksum mismatch (torn or flipped)")));
-    }
-    Ok(body.to_string())
+/// `text` as a `T`; anything else, out-of-range numbers included, is
+/// corrupt.
+fn int<T: std::str::FromStr>(text: &str, what: &str) -> Result<T> {
+    text.parse()
+        .map_err(|_| NsdfError::corrupt(format!("{what}: {text:?} is not a number in range")))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `body` in the retired text framing: `magic_line`, the body, and an
+    /// `fnv <digest>` footer line over both.
+    pub(crate) fn retired_framing(magic_line: &str, body: &str) -> Vec<u8> {
+        let text = format!("{magic_line}\n{body}");
+        format!("{text}fnv {:016x}\n", nsdf_util::fnv1a64(text.as_bytes())).into_bytes()
+    }
+
+    /// Every single-byte flip (masks `0x01`, `0x80`, `0xff`) and every
+    /// proper prefix of `bytes` is corrupt under `decode`.
+    fn assert_every_flip_and_cut_is_corrupt<T: std::fmt::Debug>(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T>,
+    ) {
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bad = bytes.to_vec();
+                bad[i] ^= mask;
+                assert!(decode(&bad).unwrap_err().is_corrupt(), "flip {mask:#x} at {i}");
+            }
+        }
+        for len in 0..bytes.len() {
+            assert!(decode(&bytes[..len]).unwrap_err().is_corrupt(), "prefix {len}");
+        }
+    }
+
+    /// `body` with `from` replaced by `to` (which must occur), resealed
+    /// under `magic`: a forgery the checksum cannot catch.
+    fn reseal(magic: &[u8; 8], body: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = body.windows(from.len()).position(|w| w == from).expect("pattern present");
+        let forged = [&body[..at], to, &body[at + from.len()..]].concat();
+        seal(magic, &forged)
+    }
 
     #[test]
     fn key_naming_and_seq_parse() {
@@ -286,15 +311,43 @@ mod tests {
         };
         let bytes = m.encode();
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
-        // Truncation, bit flips, and footer damage are all corrupt.
-        assert!(Manifest::decode(&bytes[..bytes.len() - 2]).unwrap_err().is_corrupt());
-        let mut bad = bytes.clone();
-        bad[20] ^= 1;
-        assert!(Manifest::decode(&bad).unwrap_err().is_corrupt());
-        assert!(Manifest::decode(b"").unwrap_err().is_corrupt());
-        // Empty manifests (fresh tree) roundtrip too.
+        // Every truncation and every flipped byte is corrupt.
+        assert_every_flip_and_cut_is_corrupt(&bytes, Manifest::decode);
+        // So is every resealed body that does not parse to a manifest the
+        // tree can hold: non-UTF-8, a non-numeric field, a missing header
+        // line, a wrong column count, a row naming a shard past `shards`
+        // (the tree has 8), and a shard count or level past `u32`.
+        let body = unseal(MANIFEST_MAGIC, &bytes).unwrap();
+        for (from, to) in [
+            (&b"live 12345"[..], &b"live 12\xff45"[..]),
+            (b"live 12345", b"live 12x45"),
+            (b"wal-floor 9\n", b""),
+            (b" 64000 ", b" "),
+            (b"seg 7 2", b"seg 8 2"),
+            (b"seg 7 2", b"seg 4294967296 2"),
+            (b"seg 7 2", b"seg 7 4294967298"),
+            (b"shards 8", b"shards 4294967304"),
+        ] {
+            let forged = reseal(MANIFEST_MAGIC, body, from, to);
+            let err = Manifest::decode(&forged).unwrap_err();
+            assert!(
+                err.is_corrupt(),
+                "{:?} -> {:?}: {err}",
+                from.escape_ascii(),
+                to.escape_ascii()
+            );
+        }
+        // The retired text framing is refused as a format, not as damage.
+        let text = std::str::from_utf8(body).unwrap();
+        let retired = retired_framing("NSDFMF01", text);
+        assert!(matches!(Manifest::decode(&retired), Err(NsdfError::Format(_))));
+        // Empty manifests (fresh tree) roundtrip too, 14 bytes smaller
+        // than in the retired framing.
         let empty = Manifest { shards: 4, ..Default::default() };
-        assert_eq!(Manifest::decode(&empty.encode()).unwrap(), empty);
+        let bytes = empty.encode();
+        assert_eq!(Manifest::decode(&bytes).unwrap(), empty);
+        let text = std::str::from_utf8(unseal(MANIFEST_MAGIC, &bytes).unwrap()).unwrap();
+        assert_eq!(retired_framing("NSDFMF01", text).len(), bytes.len() + 14);
     }
 
     #[test]
@@ -308,11 +361,33 @@ mod tests {
         };
         let bytes = b.encode();
         assert_eq!(WalBatch::decode(&bytes).unwrap(), b);
-        assert!(WalBatch::decode(&bytes[..bytes.len() - 1]).unwrap_err().is_corrupt());
-        let mut bad = bytes.clone();
-        let at = bytes.len() / 2;
-        bad[at] ^= 0x10;
-        assert!(WalBatch::decode(&bad).is_err());
+        // Every truncation and every flipped byte is corrupt.
+        assert_every_flip_and_cut_is_corrupt(&bytes, WalBatch::decode);
+        // So is every resealed body that does not parse: non-UTF-8, a
+        // non-numeric id, a put line with a column missing or one too
+        // many, and an unknown op.
+        let body = unseal(WAL_MAGIC, &bytes).unwrap();
+        for (from, to) in [
+            (&b"del 5"[..], &b"del \xc3"[..]),
+            (b"del 5", b"del five"),
+            (b"put 5 ", b"put x5 "),
+            (b"put 6 src 11 c", b"put 6 src c"),
+            (b"put 6 src 11 c", b"put 6 src 11 c d"),
+            (b"del 5", b"get 5"),
+        ] {
+            let forged = reseal(WAL_MAGIC, body, from, to);
+            let err = WalBatch::decode(&forged).unwrap_err();
+            assert!(
+                err.is_corrupt(),
+                "{:?} -> {:?}: {err}",
+                from.escape_ascii(),
+                to.escape_ascii()
+            );
+        }
+        // The retired text framing is refused as a format, not as damage,
+        // and an empty batch roundtrips.
+        let retired = retired_framing("NSDFWL01", std::str::from_utf8(body).unwrap());
+        assert!(matches!(WalBatch::decode(&retired), Err(NsdfError::Format(_))));
         assert_eq!(WalBatch::decode(&WalBatch::default().encode()).unwrap().ops, vec![]);
     }
 }

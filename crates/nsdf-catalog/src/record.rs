@@ -93,8 +93,8 @@ impl Record {
     /// Parse a line produced by [`Record::to_line`].
     pub(crate) fn from_line(line: &str) -> Result<Record> {
         let mut it = line.split_whitespace();
-        let (Some(id), Some(source), Some(size), Some(name), Some(ck)) =
-            (it.next(), it.next(), it.next(), it.next(), it.next())
+        let (Some(id), Some(source), Some(size), Some(name), Some(ck), None) =
+            (it.next(), it.next(), it.next(), it.next(), it.next(), it.next())
         else {
             return Err(NsdfError::corrupt(format!("bad record line {line:?}")));
         };

@@ -1,23 +1,22 @@
 //! Immutable sorted segments — the on-store representation of the LSM tree.
 //!
 //! A segment is one sorted run of `(id, entry)` pairs flushed from a
-//! memtable or produced by compaction. The layout is columnar and
-//! self-verifying:
+//! memtable or produced by compaction, stored as one [`nsdf_util::seal`]
+//! envelope under magic `NSDFSG01` around a columnar body:
 //!
 //! ```text
-//! magic "NSDFSG01" · level u32 · count u64 · min u64 · max u64
+//! level u32 · count u64 · min u64 · max u64
 //! bloom (k u32 · words u32 · bit words)
 //! ids      count × u64          (sorted, strictly increasing)
 //! flags    count × u8           (0 = record, 1 = tombstone)
 //! offsets  (count+1) × u32      (into payload)
 //! payload_len u64 · payload     (packed record bodies)
-//! footer fnv1a64 over everything above
 //! ```
 //!
 //! The columnar split keeps the resident form compact (~no per-record heap
 //! allocations: ids and bodies live in two flat buffers, records
 //! materialize on demand) and makes point lookups a binary search over the
-//! id column after a bloom-filter admission check. The footer checksum
+//! id column after a bloom-filter admission check. The envelope's checksum
 //! makes torn or bit-flipped segments structurally detectable:
 //! [`Segment::decode`] refuses them with a [`NsdfError::Corrupt`], which is
 //! what lets recovery quarantine damage instead of serving it.
@@ -25,7 +24,7 @@
 use crate::bloom::Bloom;
 use crate::engine::BITS_PER_KEY;
 use crate::record::Record;
-use nsdf_util::{fnv1a64, NsdfError, Result};
+use nsdf_util::{seal, unseal, NsdfError, Result};
 
 const MAGIC: &[u8; 8] = b"NSDFSG01";
 
@@ -115,9 +114,8 @@ impl Segment {
     pub fn encode(&self) -> Vec<u8> {
         let count = self.ids.len();
         let mut out = Vec::with_capacity(
-            8 + 4 + 24 + self.bloom.encoded_len() + count * 13 + 4 + 8 + self.payload.len() + 16,
+            4 + 24 + self.bloom.encoded_len() + count * 13 + 4 + 8 + self.payload.len(),
         );
-        out.extend_from_slice(MAGIC);
         out.extend_from_slice(&self.level.to_le_bytes());
         out.extend_from_slice(&(count as u64).to_le_bytes());
         out.extend_from_slice(&self.min_id().to_le_bytes());
@@ -132,29 +130,17 @@ impl Segment {
         }
         out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.payload);
-        let digest = fnv1a64(&out);
-        out.extend_from_slice(&digest.to_le_bytes());
-        out
+        seal(MAGIC, &out)
     }
 
     /// Decode and verify a wire encoding. Any truncation, bit flip, or
     /// structural inconsistency yields [`NsdfError::Corrupt`]; no column is
     /// allocated before the bytes it sizes are known to be present, since
-    /// the footer is no defence against a forged count.
+    /// the checksum is no defence against a forged count.
     pub fn decode(buf: &[u8]) -> Result<Segment> {
         let corrupt = |what: &str| NsdfError::corrupt(format!("segment: {what}"));
-        if buf.len() < 8 + 4 + 24 + 8 {
-            return Err(corrupt("too short"));
-        }
-        let (body, footer) = buf.split_at(buf.len() - 8);
-        let want = u64::from_le_bytes(footer.try_into().expect("8 bytes"));
-        if fnv1a64(body) != want {
-            return Err(corrupt("checksum mismatch (torn or bit-flipped)"));
-        }
-        if &body[..8] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let mut pos = 8usize;
+        let body = unseal(MAGIC, buf)?;
+        let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
             let end = pos.checked_add(n).filter(|&e| e <= body.len());
             let end = end.ok_or_else(|| corrupt("truncated"))?;
@@ -350,27 +336,34 @@ mod tests {
         assert!(Segment::decode(&bytes).is_ok());
     }
 
-    /// `bytes` with the little-endian `value` written at `at` and the
-    /// footer recomputed — a forgery the checksum cannot catch.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        // The envelope is the layout segments had before `seal` framed
+        // them: this digest was taken from the hand-written encoder.
+        let bytes = build(&[2, 5, 9, 11], &[7]).encode();
+        assert_eq!(bytes.len(), 281);
+        assert_eq!(nsdf_util::fnv1a64(&bytes), 0x6e26_5397_1cbd_9e08);
+    }
+
+    /// `bytes` with the little-endian `value` written at body offset `at`
+    /// and resealed — a forgery the checksum cannot catch.
     fn forge(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
-        let mut forged = bytes[..bytes.len() - 8].to_vec();
-        forged[at..at + value.len()].copy_from_slice(value);
-        let digest = fnv1a64(&forged);
-        forged.extend_from_slice(&digest.to_le_bytes());
-        forged
+        let mut body = unseal(MAGIC, bytes).unwrap().to_vec();
+        body[at..at + value.len()].copy_from_slice(value);
+        seal(MAGIC, &body)
     }
 
     #[test]
     fn forged_counts_are_corrupt_not_allocated() {
         let bytes = build(&[2, 5, 9, 11], &[7]).encode();
-        // The entry count sits after magic and level; the bloom's word
-        // count after the 24-byte count/min/max header and its `k`.
+        // The entry count sits after the level; the bloom's word count
+        // after the 24-byte count/min/max header and its `k`.
         for count in [u64::MAX, u64::MAX / 4, 1 << 40, 6] {
-            let forged = forge(&bytes, 12, &count.to_le_bytes());
+            let forged = forge(&bytes, 4, &count.to_le_bytes());
             assert!(Segment::decode(&forged).unwrap_err().is_corrupt(), "count {count}");
         }
         for words in [u32::MAX, 1 << 28] {
-            let forged = forge(&bytes, 8 + 4 + 24 + 4, &words.to_le_bytes());
+            let forged = forge(&bytes, 4 + 24 + 4, &words.to_le_bytes());
             assert!(Segment::decode(&forged).unwrap_err().is_corrupt(), "bloom words {words}");
         }
     }

@@ -549,10 +549,10 @@ impl IntegrityMetrics {
 
 /// End-to-end payload verification over any [`ObjectStore`].
 ///
-/// An intact [`nsdf_util::seal`] envelope (every IDX block) carries its
-/// checksum and is verified in place. Any other `get`/`get_many` payload
-/// (headers, TIFFs, FUSE files, catalog objects, unsealed older blocks, a
-/// sealed payload damaged in flight) is checked against
+/// An intact [`nsdf_util::seal`] envelope (every IDX block and catalog
+/// object) carries its checksum and is verified in place. Any other
+/// `get`/`get_many` payload (headers, TIFFs, FUSE files, unsealed older
+/// blocks, a sealed payload damaged in flight) is checked against
 /// [`ObjectMeta::checksum`], fetched by one [`ObjectStore::head_many`]
 /// wave over just those keys. A mismatch surfaces as a retryable I/O
 /// error, so a [`RetryStore`] above re-fetches instead of handing corrupt

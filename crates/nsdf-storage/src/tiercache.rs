@@ -22,11 +22,10 @@
 //!   ([`hash_to_path`]: digest → hash-prefix fan-out directories, one
 //!   file per object) over any inner [`ObjectStore`] — typically
 //!   [`crate::local::LocalStore`], whose tmp-then-rename writes make
-//!   each shard atomic. Shards are self-describing envelopes carrying
-//!   the original key and an fnv1a64 payload checksum (the same checksum
-//!   machinery `ObjectMeta`/`IntegrityStore` use), so promotion
-//!   disk→RAM is integrity-checked: a torn, truncated, or corrupted
-//!   shard is **quarantined** (deleted, counted as
+//!   each shard atomic. A shard is one [`nsdf_util::seal`] envelope
+//!   (magic `NSDFTC02`) around the original key and the payload, so
+//!   promotion disk→RAM is integrity-checked: a torn, truncated, or
+//!   corrupted shard is **quarantined** (deleted, counted as
 //!   `tiercache.quarantined`) and transparently refetched from the
 //!   origin — corrupt bytes are never returned.
 //!
@@ -42,7 +41,7 @@
 
 use crate::store::{slice_range, sole, validate_key, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
-use nsdf_util::{fnv1a64, splitmix64, Lru, NsdfError, Result};
+use nsdf_util::{fnv1a64, seal, splitmix64, unseal, Lru, NsdfError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,51 +68,32 @@ pub fn hash_to_path(namespace: &str, key: &str) -> String {
 }
 
 /// Shard envelope magic: identifies the format and its version.
-const SHARD_MAGIC: &[u8; 8] = b"NSDFTC01";
+const SHARD_MAGIC: &[u8; 8] = b"NSDFTC02";
 
-/// Serialize a payload into a self-describing shard envelope:
-/// magic, key length + key (collision/mismatch detection), fnv1a64
-/// payload checksum, payload length, payload.
+/// Frame a payload as one shard, `seal(NSDFTC02, key_len u32 · key ·
+/// payload)`: the key catches a digest collision or a relocated shard.
 fn encode_shard(key: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 + key.len() + 8 + 8 + payload.len());
-    out.extend_from_slice(SHARD_MAGIC);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut body = Vec::with_capacity(4 + key.len() + payload.len());
+    body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    body.extend_from_slice(key.as_bytes());
+    body.extend_from_slice(payload);
+    seal(SHARD_MAGIC, &body)
 }
 
-/// Parse and verify a shard envelope, returning the payload. Any
-/// structural damage (torn write, truncation, bit flip, digest
-/// collision with a different key) is a `corrupt` error — the caller
-/// quarantines the shard and refetches from the origin.
+/// Verify a shard and return its payload. Any damage (torn write,
+/// truncation, bit flip, a shard of a different key) is a `corrupt`
+/// error — the caller quarantines the shard and refetches from the
+/// origin.
 fn decode_shard(expected_key: &str, shard: &[u8]) -> Result<Vec<u8>> {
-    let fail = |what: &str| Err(NsdfError::corrupt(format!("shard for {expected_key:?}: {what}")));
-    if shard.len() < 8 + 4 || &shard[0..8] != SHARD_MAGIC {
-        return fail("bad magic");
-    }
-    let key_len = u32::from_le_bytes(shard[8..12].try_into().expect("4 bytes")) as usize;
-    let mut at = 12;
-    if shard.len() < at + key_len + 16 {
-        return fail("truncated header");
-    }
-    if &shard[at..at + key_len] != expected_key.as_bytes() {
-        return fail("key mismatch (digest collision or relocated shard)");
-    }
-    at += key_len;
-    let checksum = u64::from_le_bytes(shard[at..at + 8].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(shard[at + 8..at + 16].try_into().expect("8 bytes"));
-    at += 16;
-    // The header is not under the checksum: compare, never add, its length.
-    if (shard.len() - at) as u64 != payload_len {
-        return fail("torn payload");
-    }
-    let payload = &shard[at..];
-    if fnv1a64(payload) != checksum {
-        return fail("checksum mismatch");
-    }
+    let body = unseal(SHARD_MAGIC, shard)?;
+    let payload = body
+        .strip_prefix(&(expected_key.len() as u32).to_le_bytes())
+        .and_then(|rest| rest.strip_prefix(expected_key.as_bytes()))
+        .ok_or_else(|| {
+            NsdfError::corrupt(format!(
+                "shard for {expected_key:?}: key mismatch (digest collision or relocated shard)"
+            ))
+        })?;
     Ok(payload.to_vec())
 }
 
@@ -757,8 +737,10 @@ impl TierCache {
         }
 
         // Phase 2: claim leadership for keys nobody is fetching; keys
-        // already in flight are joined as followers. Leaders never wait,
-        // so batches cannot deadlock each other.
+        // already in flight are joined as followers. A flight that landed
+        // since phase 1 left its payload in RAM (`publish` installs before
+        // it retires the slot), so that key is a hit, not a second fetch.
+        // Leaders never wait, so batches cannot deadlock each other.
         let mut leaders = Vec::new();
         let mut followers = Vec::new();
         {
@@ -768,6 +750,13 @@ impl TierCache {
                 match inflight.get(k) {
                     Some(f) => followers.push((i, f.clone())),
                     None => {
+                        if let Some(data) = self.state.lock().ram.touch(k) {
+                            self.m.hits.inc();
+                            self.m.lookups.inc();
+                            self.m.ram_hits.inc();
+                            out[i] = Some(Ok(Arc::clone(data)));
+                            continue;
+                        }
                         let f = Arc::new(InFlight::default());
                         inflight.insert(k.to_string(), f.clone());
                         leaders.push((i, f));
@@ -970,9 +959,9 @@ mod tests {
         assert_eq!(decode_shard("k/1", &shard).unwrap(), b"payload-bytes");
         // Wrong key (digest collision): rejected.
         assert!(decode_shard("k/2", &shard).unwrap_err().is_corrupt());
-        // Truncation (torn write): rejected at any cut point.
-        for cut in [0, 7, 12, shard.len() - 1] {
-            assert!(decode_shard("k/1", &shard[..cut]).unwrap_err().is_corrupt());
+        // Truncation (torn write): rejected at every cut point.
+        for cut in 0..shard.len() {
+            assert!(decode_shard("k/1", &shard[..cut]).unwrap_err().is_corrupt(), "cut {cut}");
         }
         // Single bit flip in the payload: rejected.
         let mut flipped = shard.clone();
@@ -983,13 +972,15 @@ mod tests {
 
     #[test]
     fn forged_payload_length_is_corrupt() {
-        // The payload checksum still matches; only the unprotected length
-        // field lies, by an amount that overflows `offset + length`.
-        let mut forged = encode_shard("k/1", b"payload-bytes");
-        let at = 8 + 4 + "k/1".len() + 8;
-        for len in [u64::MAX, u64::MAX - 20, 14] {
-            forged[at..at + 8].copy_from_slice(&len.to_le_bytes());
-            assert!(decode_shard("k/1", &forged).unwrap_err().is_corrupt(), "length {len}");
+        // The payload's length is what the key length leaves of the body:
+        // a resealed key length that lies, by an amount that overflows
+        // `4 + key_len` or runs past the body, is corrupt, not a panic.
+        let body = unseal(SHARD_MAGIC, &encode_shard("k/1", b"payload-bytes")).unwrap().to_vec();
+        for len in [u32::MAX, u32::MAX - 2, 4, 2, 0] {
+            let mut forged = body.clone();
+            forged[..4].copy_from_slice(&len.to_le_bytes());
+            let forged = seal(SHARD_MAGIC, &forged);
+            assert!(decode_shard("k/1", &forged).unwrap_err().is_corrupt(), "key length {len}");
         }
     }
 
@@ -1051,19 +1042,29 @@ mod tests {
             .with_disk(Arc::clone(&disk) as Arc<dyn ObjectStore>, "t", 1 << 20)
             .unwrap();
         tc.get("q/k").unwrap();
-        // Flip a payload bit directly in the shard file (silent disk
-        // corruption), then drop the RAM copy so the next read promotes.
         let shard_path = dir.join(hash_to_path("t", "q/k"));
-        let mut bytes = std::fs::read(&shard_path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x80;
-        std::fs::write(&shard_path, &bytes).unwrap();
-        tc.clear_ram();
-        assert_eq!(tc.get("q/k").unwrap(), b"true-bytes", "corrupt bytes are never returned");
-        let s = tc.tier_stats();
-        assert_eq!(s.quarantined, 1);
-        assert_eq!(s.disk_hits, 0);
-        assert_eq!(s.wan_fetches, 2, "the damaged shard forced a refetch");
+        // A payload bit flipped in the shard file (silent disk corruption),
+        // and an intact shard in the retired `NSDFTC01` framing (magic · key
+        // length · key · payload digest · payload length · payload).
+        let mut flipped = std::fs::read(&shard_path).unwrap();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x80;
+        let mut retired = b"NSDFTC01".to_vec();
+        retired.extend_from_slice(&3u32.to_le_bytes());
+        retired.extend_from_slice(b"q/k");
+        retired.extend_from_slice(&fnv1a64(b"true-bytes").to_le_bytes());
+        retired.extend_from_slice(&10u64.to_le_bytes());
+        retired.extend_from_slice(b"true-bytes");
+        for (i, damaged) in [flipped, retired].iter().enumerate() {
+            // Drop the RAM copy so the next read promotes the shard.
+            std::fs::write(&shard_path, damaged).unwrap();
+            tc.clear_ram();
+            assert_eq!(tc.get("q/k").unwrap(), b"true-bytes", "corrupt bytes are never returned");
+            let s = tc.tier_stats();
+            assert_eq!(s.quarantined, i as u64 + 1, "input {i}");
+            assert_eq!(s.disk_hits, 0, "input {i}");
+            assert_eq!(s.wan_fetches, i as u64 + 2, "input {i}: the shard forced a refetch");
+        }
         // The refetch re-persisted a healthy shard.
         tc.clear_ram();
         assert_eq!(tc.get("q/k").unwrap(), b"true-bytes");

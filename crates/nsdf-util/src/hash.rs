@@ -4,8 +4,9 @@
 //! catalog (fast, dependency-free, good dispersion for content blobs — not
 //! cryptographic, which the simulation does not need). `splitmix64` and
 //! `derive_seed` give every stochastic component an independent, documented
-//! stream from one experiment master seed. [`seal`] / [`unseal`] frame a
-//! persisted object so its checksum travels with its bytes.
+//! stream from one experiment master seed. [`seal`] / [`unseal`] frame
+//! every persisted object (IDX blocks, catalog segments, manifests and WAL
+//! batches, tier-cache shards) so its checksum travels with its bytes.
 
 use crate::error::{NsdfError, Result};
 
@@ -16,9 +17,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Incremental FNV-1a 64-bit hasher.
 ///
-/// Streaming counterpart of [`fnv1a64`] for callers that assemble a
-/// checksummed byte stream piecewise (log-structured segments, WAL batch
-/// footers) without concatenating into one buffer first. Feeding the same
+/// Streaming counterpart of [`fnv1a64`] for callers that fingerprint
+/// several pieces (DAG task inputs, scheduler traces) without
+/// concatenating them into one buffer first. Feeding the same
 /// bytes in any split produces the same digest as [`fnv1a64`] over the
 /// concatenation.
 #[derive(Debug, Clone)]
