@@ -1,6 +1,8 @@
 //! Parallel ingest: virtual-time cost of tile-by-tile GEOtiled→IDX
-//! conversion as `write_concurrency` scales the `put_many` upload waves,
-//! over both WAN profiles of §III. The write buffer uploads each block
+//! conversion as `write_concurrency` scales the `put_many` upload waves
+//! and the block uploads a handle keeps in flight (`write_box` issues its
+//! waves, so consecutive tiles share the link's streams), over both WAN
+//! profiles of §III. The write buffer uploads each block
 //! once, by the tile that completes it, so every configuration must write
 //! exactly the resident blocks with no read-modify-write fetch. Emits
 //! `BENCH_ingest.json` at the repo root; numbers are quoted in

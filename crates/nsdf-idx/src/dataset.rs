@@ -17,12 +17,14 @@
 //! [`IdxDataset::write_volume`]) are both scattered into per-block
 //! images, merged into the handle's write buffer and uploaded by the call
 //! that completes a block — which, for a whole grid, is every block it
-//! touches.
+//! touches. A tile write *issues* its uploads on the handle's
+//! [`UploadLanes`], so consecutive tiles share the WAN's streams; a
+//! whole-grid write blocks until they are stored.
 
 use crate::meta::IdxMeta;
 use nsdf_compress::{AdaptiveCodec, Codec};
 use nsdf_hz::HzCurve;
-use nsdf_storage::ObjectStore;
+use nsdf_storage::{ObjectStore, UploadLanes};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::par::{num_threads, try_par_map_owned};
 use nsdf_util::{
@@ -58,7 +60,8 @@ pub struct WriteStats {
     pub rmw_fetches: u64,
     /// Batched `put_many` calls issued to the object store.
     pub put_batches: u64,
-    /// Upload batch size (block put concurrency) in force for this write.
+    /// Upload batch size, and the handle's bound on uploads in flight, in
+    /// force for this write.
     pub write_concurrency: u64,
     /// Wall-clock seconds spent encoding and sealing the uploaded blocks.
     pub encode_secs: f64,
@@ -566,8 +569,10 @@ pub struct IdxDataset {
     blocks: Mutex<BlockState>,
     /// Held by every write and flush from start to end, so none of them
     /// sees the write buffer change between deciding which base images it
-    /// needs and merging into them. Reads never take it.
-    writer: Mutex<()>,
+    /// needs and merging into them. Reads never take it. It guards the
+    /// `write_concurrency` lanes the handle's `write_box` uploads are
+    /// issued on.
+    writer: Mutex<UploadLanes>,
     /// Per-block codec selector, present exactly when `meta.codec` is
     /// [`Codec::Adaptive`]. Kept alongside the plain enum so the write path
     /// can observe which codec the selector chose (for [`WriteStats`] and
@@ -626,7 +631,7 @@ impl IdxDataset {
                 decoded: DecodedCache::new(DEFAULT_DECODED_CACHE_BYTES),
                 pending: WriteBuffer::new(created),
             }),
-            writer: Mutex::new(()),
+            writer: Mutex::new(UploadLanes::new(DEFAULT_WRITE_CONCURRENCY)),
             adaptive,
             m: IdxMetrics::new(&Obs::default()),
             wall: WallCodec::default(),
@@ -663,10 +668,15 @@ impl IdxDataset {
     }
 
     /// Set how many encoded blocks each batched store upload carries
-    /// (>= 1). Higher values amortize WAN round-trips across parallel
-    /// streams on ingest; 1 restores strictly sequential uploads.
+    /// (>= 1), which is also how many block uploads the handle keeps in
+    /// flight: [`IdxDataset::write_box`] issues its waves on that many
+    /// lanes, so consecutive waves overlap on the WAN's streams up to this
+    /// bound. 1 restores strictly sequential uploads, each waiting for the
+    /// one before. Uploads already in flight are joined first.
     pub fn with_write_concurrency(mut self, n: usize) -> Self {
         self.write_concurrency = n.max(1);
+        self.join_uploads(&self.writer.lock());
+        *self.writer.get_mut() = UploadLanes::new(self.write_concurrency);
         self
     }
 
@@ -873,15 +883,19 @@ impl IdxDataset {
     /// The one write tail of the crate: encode and seal complete raw block
     /// images — of any field and timestep, in the order given — in parallel
     /// (deterministic earliest-block error), then upload them in
-    /// `write_concurrency`-sized `put_many` batches. Every block that
-    /// actually stored loses its decoded-block cache entry, so a later read
-    /// can never observe stale decoded bytes, and its write-buffer image:
-    /// a written-back block leaves RAM. A block that did not store keeps
-    /// its pending image, dirty, for a later [`IdxDataset::flush`].
+    /// `write_concurrency`-sized `put_many` batches, issued on `lanes` when
+    /// given (the store's results still come back here; only the wait for
+    /// the uploads to end is left to [`IdxDataset::join_uploads`]). Every
+    /// block that actually stored loses its decoded-block cache entry, so
+    /// a later read can never observe stale decoded bytes, and its
+    /// write-buffer image: a written-back block leaves RAM. A block that
+    /// did not store keeps its pending image, dirty, for a later
+    /// [`IdxDataset::flush`].
     fn encode_and_put(
         &self,
         entries: Vec<(BlockKey, Arc<Vec<u8>>)>,
         stats: &mut WriteStats,
+        mut lanes: Option<&mut UploadLanes>,
     ) -> Result<()> {
         if entries.is_empty() {
             return Ok(());
@@ -917,7 +931,10 @@ impl IdxDataset {
             let results = {
                 let _put_span = self.m.obs.span("put");
                 let v0 = self.m.obs.clock().now_ns();
-                let results = self.store.put_many(&items);
+                let results = match lanes.as_deref_mut() {
+                    Some(lanes) => lanes.issue(|| self.store.put_many(&items)),
+                    None => self.store.put_many(&items),
+                };
                 self.m.put_vns.add(self.m.obs.clock().now_ns().saturating_sub(v0));
                 results
             };
@@ -958,6 +975,15 @@ impl IdxDataset {
             }
         }
         Ok(())
+    }
+
+    /// Wait, inside a `put` span booked as `put_vns`, until every upload
+    /// issued on `lanes` has ended.
+    fn join_uploads(&self, lanes: &UploadLanes) {
+        if lanes.in_flight() {
+            let _put_span = self.m.obs.span("put");
+            self.m.put_vns.add(lanes.join());
+        }
     }
 
     /// Snapshot the cumulative wall-clock codec throughput counters of this
@@ -1015,6 +1041,14 @@ impl IdxDataset {
     /// durable: call `flush` before anything else looks at the store, and
     /// always when the handle is shared (`Arc<IdxDataset>`), where the
     /// write-back on drop waits for the last clone.
+    ///
+    /// The uploads are *issued*, not waited for: on a WAN store
+    /// ([`nsdf_storage::CloudStore`]) the call returns once its last upload
+    /// has started, keeping at most `write_concurrency` block uploads in
+    /// flight, so the next tile's waves share the link with this one's.
+    /// The store has taken the blocks by then, and each upload's result is
+    /// known; only the virtual time until they end is still owed. `flush`,
+    /// drop and every blocking store call wait for it.
     ///
     /// A block first touched by a partial write starts from its current
     /// contents, fetched through the read pipeline (`rmw-fetch` span) — or
@@ -1076,7 +1110,7 @@ impl IdxDataset {
         let sample_size = T::DTYPE.size_bytes();
         let block_bytes = block_samples as usize * sample_size;
 
-        let _writer = self.writer.lock();
+        let mut lanes = self.writer.lock();
         let _write_span = self.m.obs.span(span);
         let plan_span = self.m.obs.span("plan");
         // Scatter — the one coordinate walk on the way in, where samples
@@ -1175,34 +1209,43 @@ impl IdxDataset {
             pending.check_out(|key| everything || completed.binary_search(key).is_ok())
         };
 
-        let result = self.encode_and_put(ready, &mut stats);
+        // A tile issues its uploads; a full grid promises they are stored
+        // when it returns.
+        let issue = (span == "write_box").then_some(&mut *lanes);
+        let result = self.encode_and_put(ready, &mut stats, issue);
         self.note_write(&mut stats, &keys);
         result.map(|()| stats)
     }
 
     /// Upload every block the write buffer still holds, in
-    /// `(field, time, block)` order — what makes the partial blocks of
-    /// earlier [`IdxDataset::write_box`] calls durable and visible to other
-    /// handles. The returned stats count what this call uploaded; with
-    /// nothing pending it does nothing. On an error the blocks that did not
-    /// store stay pending and `idx.flush_failures` counts the failure; call
+    /// `(field, time, block)` order, and wait until every upload this
+    /// handle issued has ended — what makes the partial blocks of earlier
+    /// [`IdxDataset::write_box`] calls durable and visible to other
+    /// handles, and what puts their upload time on the clock. The returned
+    /// stats count what this call uploaded; with nothing pending or in
+    /// flight it does nothing. On an error the blocks that did not store
+    /// stay pending and `idx.flush_failures` counts the failure; call
     /// again to retry.
     pub fn flush(&self) -> Result<WriteStats> {
         let mut stats = WriteStats {
             write_concurrency: self.write_concurrency as u64,
             ..WriteStats::default()
         };
-        let _writer = self.writer.lock();
+        let mut lanes = self.writer.lock();
         let ready = self.blocks.lock().pending.check_out(|_| true);
-        if ready.is_empty() {
+        if ready.is_empty() && !lanes.in_flight() {
             return Ok(stats);
         }
         let _flush_span = self.m.obs.span("flush");
-        let result = self.encode_and_put(ready, &mut stats);
+        let uploads = !ready.is_empty();
+        let result = self.encode_and_put(ready, &mut stats, Some(&mut lanes));
+        self.join_uploads(&lanes);
         if result.is_err() {
             self.m.flush_failures.inc();
         }
-        self.note_write(&mut stats, &[]);
+        if uploads {
+            self.note_write(&mut stats, &[]);
+        }
         result.map(|()| stats)
     }
 
@@ -1596,10 +1639,11 @@ impl IdxDataset {
 }
 
 impl Drop for IdxDataset {
-    /// Write back what [`IdxDataset::write_box`] left pending. A failure
-    /// cannot be returned from here: `flush` counts it in
-    /// `idx.flush_failures`, and an `idx.flush-lost` event marks on the span
-    /// timeline that the blocks are gone with the handle.
+    /// Write back what [`IdxDataset::write_box`] left pending and wait for
+    /// every upload in flight. A failure cannot be returned from here:
+    /// `flush` counts it in `idx.flush_failures`, and an `idx.flush-lost`
+    /// event marks on the span timeline that the blocks are gone with the
+    /// handle.
     fn drop(&mut self) {
         if self.flush().is_err() {
             self.m.obs.event("flush-lost");
@@ -2856,6 +2900,134 @@ mod write_box_tests {
         want.paste(&Raster::<f32>::filled(2, 1, -2.0), x as usize, 9).unwrap();
         let reader = IdxDataset::open(mem as Arc<dyn ObjectStore>, "wb").unwrap();
         assert_eq!(reader.read_full::<f32>("v", 0).unwrap().0.data(), want.data());
+    }
+
+    /// A 64x64 f32 dataset of 256-sample blocks behind a Seal-class WAN
+    /// (under `faults`, when given) with `wc` uploads in flight, reporting
+    /// into the WAN's registry; the header upload is reset away.
+    fn wan_dataset(wc: usize, faults: Option<nsdf_storage::FaultPlan>) -> (IdxDataset, Obs) {
+        use nsdf_storage::{CloudStore, FaultStore, NetworkProfile};
+        let obs = Obs::new(SimClock::new());
+        let clock = obs.clock().clone();
+        let wan = CloudStore::new(
+            Arc::new(MemoryStore::new()),
+            NetworkProfile::private_seal(),
+            clock.clone(),
+            11,
+        )
+        .with_obs(&obs);
+        let store: Arc<dyn ObjectStore> = match faults {
+            Some(plan) => Arc::new(FaultStore::new(Arc::new(wan), plan, clock).unwrap()),
+            None => Arc::new(wan),
+        };
+        let meta = IdxMeta::new_2d(
+            "wb",
+            64,
+            64,
+            vec![Field::new("v", DType::F32).unwrap()],
+            8,
+            Codec::Lz4,
+        )
+        .unwrap();
+        let ds = IdxDataset::create(store, "wb", meta)
+            .unwrap()
+            .with_write_concurrency(wc)
+            .with_obs(&obs);
+        obs.reset();
+        (ds, obs)
+    }
+
+    /// Write `full` as sixteen 16x16 tiles, row-major; the last call's stats.
+    fn sweep(ds: &IdxDataset, full: &Raster<f32>) -> WriteStats {
+        let mut last = WriteStats::default();
+        for y0 in (0..64).step_by(16) {
+            for x0 in (0..64).step_by(16) {
+                let tile = full.window(Box2i::new(x0, y0, x0 + 16, y0 + 16)).unwrap();
+                last = ds.write_box("v", 0, x0 as u64, y0 as u64, &tile).unwrap();
+            }
+        }
+        last
+    }
+
+    #[test]
+    fn write_box_issues_its_uploads_and_flush_joins_them() {
+        let (ds, obs) = wan_dataset(8, None);
+        let clock = obs.clock().clone();
+        let t0 = clock.now_ns();
+        let full = ramp(64, 64, 0.5);
+        assert_eq!(sweep(&ds, &full).blocks_pending, 0, "the tiles complete every block");
+        let finish = ds.writer.lock().finish_vns();
+        assert!(finish > clock.now_ns(), "the last uploads are still in flight");
+        // Nothing is pending, yet `flush` waits for the uploads.
+        assert_eq!(ds.flush().unwrap().blocks_written, 0);
+        assert!(clock.now_ns() >= finish);
+        let busy = obs.snapshot().counter("wan.busy_vns");
+        assert!(busy > clock.now_ns() - t0, "the waves overlapped on the link");
+
+        // A patch of stored blocks fetches its bases after the link
+        // drains; its flush issues and joins again.
+        sweep(&ds, &full);
+        let patch = Raster::<f32>::filled(3, 3, -4.0);
+        assert!(ds.write_box("v", 0, 5, 5, &patch).unwrap().rmw_fetches > 0);
+        ds.flush().unwrap();
+        assert!(clock.now_ns() >= ds.writer.lock().finish_vns());
+        let snap = obs.snapshot();
+        assert!(snap.counter("idx.rmw_fetch_vns") > 0);
+        assert_eq!(
+            snap.counter("idx.put_vns") + snap.counter("idx.rmw_fetch_vns"),
+            clock.now_ns() - t0,
+            "upload and base-fetch stages own every virtual nanosecond"
+        );
+        let mut want = full;
+        want.paste(&patch, 5, 5).unwrap();
+        assert_eq!(ds.read_full::<f32>("v", 0).unwrap().0.data(), want.data());
+    }
+
+    #[test]
+    fn a_dropped_handle_joins_and_one_lane_is_the_blocking_sequence() {
+        let full = ramp(64, 64, 2.0);
+        // (elapsed, link occupancy) of one sweep, ended by a flush or a drop.
+        let run = |wc: usize, flush: bool| {
+            let (ds, obs) = wan_dataset(wc, None);
+            let t0 = obs.clock().now_ns();
+            sweep(&ds, &full);
+            let finish = ds.writer.lock().finish_vns();
+            if flush {
+                ds.flush().unwrap();
+            } else {
+                drop(ds);
+            }
+            assert!(obs.clock().now_ns() >= finish);
+            (obs.clock().now_ns() - t0, obs.snapshot().counter("wan.busy_vns"))
+        };
+        let (flushed, busy) = run(8, true);
+        assert_eq!(run(8, false), (flushed, busy), "a dropped handle joins like flush");
+        assert!(flushed < busy);
+        let (elapsed, busy) = run(1, true);
+        assert_eq!(elapsed, busy, "on one lane every upload waits for the one before");
+    }
+
+    #[test]
+    fn an_issued_upload_error_returns_from_its_write_box_and_leaves_blocks_dirty() {
+        use nsdf_storage::{FailScope, FaultPlan};
+        let plan = FaultPlan::new(3).with_scope(FailScope::Writes).outage(10.0, 30.0);
+        let (ds, obs) = wan_dataset(8, Some(plan));
+        let clock = obs.clock().clone();
+        let (left, right) = (ramp(32, 32, 7.0), ramp(32, 32, 8.0));
+        assert!(ds.write_box("v", 0, 0, 0, &left).unwrap().blocks_written > 0);
+        let finish = ds.writer.lock().finish_vns();
+        clock.advance_secs(15.0);
+        let err = ds.write_box("v", 0, 32, 0, &right).unwrap_err();
+        assert!(err.to_string().contains("outage"), "the put error surfaces: {err}");
+        assert_eq!(ds.writer.lock().finish_vns(), finish, "a failed upload holds no lane");
+        let dirty = ds.blocks.lock().pending.blocks.len();
+        assert!(dirty > 0, "the tile's completed blocks stay dirty");
+
+        clock.advance_secs(20.0);
+        assert_eq!(ds.flush().unwrap().blocks_written as usize, dirty);
+        let region = Box2i::new(32, 0, 64, 32);
+        let (back, _) = ds.read_box::<f32>("v", 0, region, ds.max_level()).unwrap();
+        assert_eq!(back.data(), right.data());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`store`] — the [`ObjectStore`] trait, key validation, ranged reads;
 //! * [`memory`] — in-memory backend;
 //! * [`local`] — filesystem backend;
-//! * [`wan`] — [`wan::CloudStore`] WAN wrapper with [`wan::NetworkProfile`]s;
+//! * [`wan`] — [`wan::CloudStore`] WAN wrapper with [`wan::NetworkProfile`]s
+//!   and a per-stream link timeline that [`wan::UploadLanes`] issue on;
 //! * [`fault`] — scripted, seeded chaos: [`fault::FaultPlan`] windows
 //!   (outages, latency spikes, error bursts, corruption) executed by
 //!   [`fault::FaultStore`] on the virtual clock;
@@ -53,4 +54,4 @@ pub use sched::{Priority, SchedConfig, SchedStore, Scheduler, TenantId, TenantPo
 pub use store::{validate_key, ObjectMeta, ObjectStore};
 pub use testkit::{CrashPoint, CrashSpec, CrashStore, GateStore};
 pub use tiercache::{hash_to_path, TierCache};
-pub use wan::{CloudStore, NetworkProfile};
+pub use wan::{CloudStore, NetworkProfile, UploadLanes};

@@ -31,17 +31,24 @@
 //!   through the scheduler, attributing each call to a tenant and class.
 //!   Callers higher in the stack (sessions) tag their calls through the
 //!   ambient [`tag_tenant`]/[`tag_class`] guards without widening the
-//!   `ObjectStore` signatures.
+//!   `ObjectStore` signatures. A caller's issue frame ([`UploadLanes`])
+//!   travels the same way, and the adapter moves it into the caller's own
+//!   request: another tenant's grant run on the caller's thread meanwhile
+//!   stays blocking.
 //!
 //! Everything is deterministic under seed and single-threaded driving:
 //! queues are `BTreeMap`-ordered, ties break on submission sequence, and
 //! idle time advances the virtual clock to the earliest token refill or
 //! scripted arrival. Instrumentation lands under the `sched.*` scope;
 //! when every WAN call runs inside a grant, `sched.granted_vns`
-//! reconciles *exactly* with `wan.busy_vns` ([`CloudStore::busy_vns`]).
+//! reconciles *exactly* with `wan.busy_vns` ([`CloudStore::busy_vns`]):
+//! a grant counts the link time it booked, including the charge of an
+//! issued wave that moved the clock only to its start, and not the time
+//! it waited for the link to drain.
 //!
 //! [`CloudStore`]: crate::wan::CloudStore
 //! [`CloudStore::busy_vns`]: crate::wan::CloudStore::busy_vns
+//! [`UploadLanes`]: crate::wan::UploadLanes
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -52,6 +59,9 @@ use nsdf_util::{Counter, Fnv1a, NsdfError, Obs, Result, SimClock};
 use parking_lot::Mutex;
 
 use crate::store::{sole, ObjectMeta, ObjectStore};
+use crate::wan::{
+    link_ledger, restore_issue_frame, take_issue_frame, with_issue_frame, UploadLanes,
+};
 
 /// Identifies one tenant (user, session owner, ingest job) to the scheduler.
 pub type TenantId = u32;
@@ -322,11 +332,6 @@ impl Completion {
         self.start_vns.saturating_sub(self.arrival_vns)
     }
 
-    /// Service time: the virtual time the operation itself consumed.
-    pub(crate) fn service_vns(&self) -> u64 {
-        self.end_vns.saturating_sub(self.start_vns)
-    }
-
     /// End-to-end virtual latency: completion minus arrival.
     pub fn latency_vns(&self) -> u64 {
         self.end_vns.saturating_sub(self.arrival_vns)
@@ -383,6 +388,9 @@ struct Pending {
     est_bytes: u64,
     arrival_vns: u64,
     waited: bool,
+    /// The blocked caller's issue frame, installed only while this request
+    /// executes.
+    frame: Option<UploadLanes>,
 }
 
 struct Arrival {
@@ -434,7 +442,8 @@ struct State {
     next_id: u64,
     next_seq: u64,
     completions: Vec<Completion>,
-    waited: BTreeMap<u64, Served>,
+    /// Results for blocked callers, with the issue frame each one lent.
+    waited: BTreeMap<u64, (Served, Option<UploadLanes>)>,
 }
 
 impl State {
@@ -589,15 +598,20 @@ impl Scheduler {
     pub fn submit_detached(&self, req: SchedRequest) -> u64 {
         let now = self.clock.now_ns();
         let mut st = self.state.lock();
-        self.admit(&mut st, req, now, false)
+        self.admit(&mut st, req, now, false, None)
     }
 
     /// Submit a request arriving now and drive the scheduler until it
-    /// completes, returning its results. Higher-ranked work queued ahead
+    /// completes, returning its results and `frame`, the caller's issue
+    /// frame, which its grant ran under. Higher-ranked work queued ahead
     /// is granted first — the caller experiences admission queueing as
     /// virtual time. Sheddable requests under pressure return
     /// [`Served::Shed`] immediately.
-    pub(crate) fn submit_and_wait(&self, req: SchedRequest) -> Served {
+    pub(crate) fn submit_and_wait(
+        &self,
+        req: SchedRequest,
+        frame: Option<UploadLanes>,
+    ) -> (Served, Option<UploadLanes>) {
         let id = {
             let now = self.clock.now_ns();
             let mut st = self.state.lock();
@@ -606,9 +620,9 @@ impl Scheduler {
                 && st.demand_backlog() >= self.cfg.shed_high
             {
                 self.shed_into_deferred(&mut st, req, now);
-                return Served::Shed;
+                return (Served::Shed, frame);
             }
-            self.admit(&mut st, req, now, true)
+            self.admit(&mut st, req, now, true, frame)
         };
         loop {
             if let Some(served) = self.state.lock().waited.remove(&id) {
@@ -644,11 +658,20 @@ impl Scheduler {
         });
         self.m.submitted.inc();
         let SchedRequest { tenant, class, op, est_bytes } = req;
-        Pending { id, seq, tenant, class, op, est_bytes, arrival_vns, waited }
+        Pending { id, seq, tenant, class, op, est_bytes, arrival_vns, waited, frame: None }
     }
 
-    fn admit(&self, st: &mut State, req: SchedRequest, arrival_vns: u64, waited: bool) -> u64 {
-        let p = self.pending(st, req, arrival_vns, None, waited);
+    /// Queue `req`; a `waited` one carries its blocked caller's `frame`.
+    fn admit(
+        &self,
+        st: &mut State,
+        req: SchedRequest,
+        arrival_vns: u64,
+        waited: bool,
+        frame: Option<UploadLanes>,
+    ) -> u64 {
+        let mut p = self.pending(st, req, arrival_vns, None, waited);
+        p.frame = frame;
         let id = p.id;
         st.push(p);
         id
@@ -743,7 +766,7 @@ impl Scheduler {
                             items.iter().map(|(k, _)| Err(shed_err(k, p.tenant))).collect(),
                         ),
                     };
-                    st.waited.insert(p.id, served);
+                    st.waited.insert(p.id, (served, p.frame.take()));
                     p.waited = false;
                 }
                 self.m.shed.inc();
@@ -856,10 +879,11 @@ impl Scheduler {
         None
     }
 
-    fn execute(&self, p: Pending) {
+    fn execute(&self, mut p: Pending) {
         let _span = self.m.obs.span("grant");
         let start = self.clock.now_ns();
-        let (bytes, errors, digest, served) = match &p.op {
+        let ledger = link_ledger();
+        let run = || match &p.op {
             SchedOp::Get { store, keys } => {
                 let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
                 let results = store.get_many(&refs);
@@ -884,7 +908,14 @@ impl Scheduler {
                 (bytes, errors, 0, p.waited.then_some(Served::Put(results)))
             }
         };
+        let ((bytes, errors, digest, served), frame) = with_issue_frame(p.frame.take(), run);
         let end = self.clock.now_ns();
+        // Service is the link time the grant booked: an issued wave moved
+        // the clock only to its start, and waiting for the link to drain
+        // is not service.
+        let link = link_ledger();
+        let service = (end - start).saturating_sub(link.waited_vns.wrapping_sub(ledger.waited_vns))
+            + link.issued_vns.wrapping_sub(ledger.issued_vns);
         let c = Completion {
             id: p.id,
             tenant: p.tenant,
@@ -898,7 +929,7 @@ impl Scheduler {
         };
         self.m.granted.inc();
         self.m.granted_class[p.class.tier()].inc();
-        self.m.granted_vns.add(c.service_vns());
+        self.m.granted_vns.add(service);
         self.m.queue_wait_vns.add(c.wait_vns());
         self.m.bytes.add(bytes);
         self.m.errors.add(errors);
@@ -909,11 +940,11 @@ impl Scheduler {
             e.stats.bytes += bytes;
             e.stats.wait_vns += c.wait_vns();
             e.stats.max_wait_vns = e.stats.max_wait_vns.max(c.wait_vns());
-            e.stats.busy_vns += c.service_vns();
+            e.stats.busy_vns += service;
         }
         st.completions.push(c);
         if let Some(served) = served {
-            st.waited.insert(p.id, served);
+            st.waited.insert(p.id, (served, frame));
         }
     }
 
@@ -922,7 +953,9 @@ impl Scheduler {
         std::mem::take(&mut self.state.lock().completions)
     }
 
-    /// Total virtual nanoseconds spent executing grants — reconciles
+    /// Total virtual nanoseconds of service the grants booked: the clock
+    /// time each spent executing, with an issued wave counted at its link
+    /// charge and a wait for the link to drain left out. Reconciles
     /// exactly with [`CloudStore::busy_vns`] when every WAN call runs
     /// inside a grant (fault-free stacks; retry backoff inside a grant
     /// adds scheduler-visible service time the WAN never charged).
@@ -1096,6 +1129,14 @@ impl SchedStore {
         let (t, c) = ambient_tag();
         (t.unwrap_or(self.tenant), c.unwrap_or(Priority::Interactive))
     }
+
+    /// Submit `req` and wait for it, its grant running under the calling
+    /// thread's issue frame (moved into the request, and back after).
+    fn serve(&self, req: SchedRequest) -> Served {
+        let (served, frame) = self.sched.submit_and_wait(req, take_issue_frame());
+        restore_issue_frame(frame);
+        served
+    }
 }
 
 impl ObjectStore for SchedStore {
@@ -1122,7 +1163,7 @@ impl ObjectStore for SchedStore {
             },
             est_bytes: 0,
         };
-        match self.sched.submit_and_wait(req) {
+        match self.serve(req) {
             Served::Get(results) => results,
             Served::Shed => keys.iter().map(|k| Err(shed_err(k, tenant))).collect(),
             Served::Put(_) => unreachable!("get request served as put"),
@@ -1137,7 +1178,7 @@ impl ObjectStore for SchedStore {
         };
         let est = op.payload_bytes();
         let req = SchedRequest { tenant, class, op, est_bytes: est };
-        match self.sched.submit_and_wait(req) {
+        match self.serve(req) {
             Served::Put(results) => results,
             Served::Shed => items.iter().map(|(k, _)| Err(shed_err(k, tenant))).collect(),
             Served::Get(_) => unreachable!("put request served as get"),
@@ -1420,6 +1461,60 @@ mod tests {
         assert_eq!(sched.granted_vns(), wan.busy_vns());
         let snap = obs.snapshot();
         assert_eq!(snap.counter("sched.granted_vns"), snap.counter("wan.busy_vns"));
+    }
+
+    #[test]
+    fn an_issued_grant_keeps_its_frame_and_books_its_link_charge() {
+        let clock = SimClock::new();
+        let obs = Obs::new(clock.clone());
+        let wan = Arc::new(
+            CloudStore::new(
+                Arc::new(MemoryStore::new()),
+                NetworkProfile::private_seal(),
+                clock.clone(),
+                9,
+            )
+            .with_obs(&obs),
+        );
+        let store: Arc<dyn ObjectStore> = wan.clone();
+        let sched = Arc::new(Scheduler::new(clock.clone(), SchedConfig::fifo()).with_obs(&obs));
+        // Tenant 2's blocking upload is queued first, so the writer's
+        // thread grants it before its own.
+        let bulk: Vec<(String, Vec<u8>)> =
+            (0..3).map(|i| (format!("bulk/{i}"), vec![2; 512])).collect();
+        sched.submit_detached(SchedRequest {
+            tenant: 2,
+            class: Priority::Interactive,
+            op: SchedOp::Put { store: Arc::clone(&store), items: bulk },
+            est_bytes: 1536,
+        });
+        let writer = SchedStore::new(store, Arc::clone(&sched), 1);
+        let mut lanes = UploadLanes::new(8);
+        let items: Vec<(&str, &[u8])> = vec![("tile/0", &[1; 512]), ("tile/1", &[1; 512])];
+        let results = lanes.issue(|| writer.put_many(&items));
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert!(take_issue_frame().is_none(), "the frame went back to `lanes`");
+
+        let done = sched.take_completions();
+        assert_eq!(done.iter().map(|c| c.tenant).collect::<Vec<_>>(), vec![2, 1]);
+        let (other, own) = (done[0], done[1]);
+        assert!(other.end_vns > other.start_vns, "the other tenant's grant blocked");
+        assert_eq!(own.start_vns, other.end_vns);
+        assert_eq!(own.end_vns, own.start_vns, "the writer's wave was issued");
+        assert!(lanes.finish_vns() > clock.now_ns());
+        // Both grants count the link time they booked.
+        assert_eq!(sched.granted_vns(), wan.busy_vns());
+
+        // A blocking read first waits for the issued wave to drain, and
+        // that wait is not service either.
+        let (finish, busy) = (lanes.finish_vns(), wan.busy_vns());
+        let reader = SchedStore::new(wan.clone(), Arc::clone(&sched), 3);
+        assert_eq!(reader.get("tile/0").unwrap(), vec![1; 512]);
+        let read = sched.take_completions()[0];
+        assert_eq!(read.start_vns, own.end_vns);
+        assert_eq!(read.end_vns, finish + (wan.busy_vns() - busy));
+        assert_eq!(sched.granted_vns(), wan.busy_vns());
+        assert!(!lanes.in_flight());
     }
 
     #[test]

@@ -4,18 +4,45 @@
 //! private Seal Storage cloud — differ from local disk in exactly one way
 //! that matters to the workflows: the network in front of them. `CloudStore`
 //! wraps any [`ObjectStore`] with a parameterised WAN model and charges
-//! every operation against the shared virtual [`SimClock`]:
+//! every operation against the shared virtual [`SimClock`]. An episode of
+//! `ops` successful requests of `trips` round trips each, moving `bytes`,
+//! costs
 //!
 //! ```text
-//! op time = RTT x round_trips + bytes / (bandwidth x streams) + jitter
+//! secs = (RTT x trips x ceil(ops / streams) + bytes / (bandwidth x streams)) x (1 + jitter x u)
 //! ```
 //!
-//! Jitter is drawn deterministically from a seeded stream, so experiments
-//! are exactly reproducible while still exercising variance-sensitive code.
+//! with one draw `u` in `[-1, 1)` per episode. It is drawn deterministically
+//! from a seeded stream, so experiments are exactly reproducible while
+//! still exercising variance-sensitive code.
+//!
+//! # The link timeline
+//!
+//! The store keeps a busy-until time per stream, plus one for the
+//! aggregate byte rate. A *blocking* call first advances the clock to the
+//! link's drain time (the latest busy-until), then advances it by `secs`,
+//! so with nothing issued every call costs exactly the formula above and
+//! concurrent blocking callers accumulate.
+//!
+//! A `put_many` wave made inside [`UploadLanes::issue`] is *issued*
+//! instead. It is charged the same `secs` (same formula, same jitter
+//! draw), but each of its ops takes the earliest-free stream and the
+//! earliest-free lane of the caller's [`UploadLanes`], starts at
+//! `max(now, stream, lane)` and holds both for `secs`. A wave with more
+//! ops than streams takes every stream at once, which is the `ceil` rule
+//! above. Overlapping waves share the byte rate: each op's share of the
+//! payload queues on the aggregate timeline, and the op ends no earlier
+//! than its bytes got through. The issuing call advances the clock only to
+//! its last op's *start*, as a caller waiting for a pooled connection
+//! would; [`UploadLanes::join`] later waits for the last op's end.
+//! Per-key results still come back from the issuing call: only the wait is
+//! deferred.
 
 use crate::store::{ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, HistogramMetric, Obs};
 use nsdf_util::{secs_to_ns, splitmix64, Result, SimClock};
+use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -100,15 +127,18 @@ pub struct TransferLog {
     pub bytes_down: u64,
     /// Bytes uploaded.
     pub bytes_up: u64,
-    /// Total virtual seconds spent in this store's operations.
+    /// Total virtual seconds this store's operations occupied the link:
+    /// the sum of every episode's charge. It is occupancy, not elapsed
+    /// time, so issued waves that overlap can make it exceed the clock
+    /// time that passed (a `wan.busy_share` above 1 means overlap).
     pub busy_secs: f64,
 }
 
 /// Registry handles for one `CloudStore`, under the `wan` scope.
 ///
-/// `busy_vns` mirrors every clock charge in integer nanoseconds (via
-/// [`secs_to_ns`]) so the accounting sums exactly what the clock advanced,
-/// independent of thread interleaving.
+/// `busy_vns` mirrors every charge in integer nanoseconds (via
+/// [`secs_to_ns`]), so with nothing issued the accounting sums exactly what
+/// the clock advanced, independent of thread interleaving.
 struct WanMetrics {
     obs: Obs,
     read_ops: Counter,
@@ -140,6 +170,172 @@ impl WanMetrics {
     }
 }
 
+/// The upload lanes of one writer: at most one in-flight upload per lane,
+/// each lane free from the virtual time its last upload ends.
+///
+/// A handle that writes back (an IDX dataset's `write_box`) owns one set
+/// and makes its upload waves inside [`UploadLanes::issue`]; a
+/// [`CloudStore`] below then issues each wave on the link timeline instead
+/// of blocking on it (see the [module docs](crate::wan)). The lanes travel
+/// as the calling thread's *issue frame*, so no [`ObjectStore`] signature
+/// carries them.
+#[derive(Debug, Clone)]
+pub struct UploadLanes {
+    free_vns: Vec<u64>,
+    /// The clock of the store that issued on these lanes last.
+    clock: Option<SimClock>,
+}
+
+impl UploadLanes {
+    /// `n` free lanes (at least one).
+    pub fn new(n: usize) -> UploadLanes {
+        UploadLanes { free_vns: vec![0; n.max(1)], clock: None }
+    }
+
+    /// Run `f` with these lanes as the calling thread's issue frame: every
+    /// `put_many` wave `f` makes on a [`CloudStore`] is issued on them.
+    /// The previous frame is back when `f` returns or unwinds.
+    pub fn issue<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let (result, frame) = with_issue_frame(Some(self.clone()), f);
+        if let Some(lanes) = frame {
+            *self = lanes;
+        }
+        result
+    }
+
+    /// Virtual time the last upload issued on these lanes ends.
+    pub fn finish_vns(&self) -> u64 {
+        self.free_vns.iter().copied().max().unwrap_or(0)
+    }
+
+    /// True while an issued upload has not ended on its store's clock.
+    pub fn in_flight(&self) -> bool {
+        self.clock.as_ref().is_some_and(|c| self.finish_vns() > c.now_ns())
+    }
+
+    /// Advance the issuing store's clock to [`UploadLanes::finish_vns`];
+    /// returns the nanoseconds it moved.
+    pub fn join(&self) -> u64 {
+        let Some(clock) = &self.clock else { return 0 };
+        let now = clock.now_ns();
+        clock.advance_to_ns(self.finish_vns());
+        self.finish_vns().saturating_sub(now)
+    }
+}
+
+thread_local! {
+    static ISSUE_FRAME: Cell<Option<UploadLanes>> = const { Cell::new(None) };
+    static LEDGER: Cell<LinkLedger> = const { Cell::new(LinkLedger { waited_vns: 0, issued_vns: 0 }) };
+}
+
+/// Run `f` with `frame` as the calling thread's issue frame, and put the
+/// previous one back when `f` returns or unwinds. Returns `f`'s result and
+/// the frame as `f` left it.
+pub(crate) fn with_issue_frame<R>(
+    frame: Option<UploadLanes>,
+    f: impl FnOnce() -> R,
+) -> (R, Option<UploadLanes>) {
+    struct Restore(Option<UploadLanes>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ISSUE_FRAME.with(|c| c.set(self.0.take()));
+        }
+    }
+    let _restore = Restore(ISSUE_FRAME.with(|c| c.replace(frame)));
+    let result = f();
+    (result, ISSUE_FRAME.with(Cell::take))
+}
+
+/// Take the calling thread's issue frame, leaving none: a layer that runs
+/// other callers' requests on this thread moves the frame into the
+/// caller's own request.
+pub(crate) fn take_issue_frame() -> Option<UploadLanes> {
+    ISSUE_FRAME.with(Cell::take)
+}
+
+/// Put back a frame [`take_issue_frame`] took.
+pub(crate) fn restore_issue_frame(frame: Option<UploadLanes>) {
+    ISSUE_FRAME.with(|c| c.set(frame));
+}
+
+/// Running totals of what `CloudStore` calls on one thread did to the
+/// clock besides charging it: nanoseconds it advanced waiting for the link
+/// (a blocking call's drain, an issued wave's wait for its last op's
+/// start), and charges it booked without advancing (issued waves). A
+/// layer that times calls by the clock (the scheduler's grants) swaps the
+/// first for the second to count link occupancy, not waiting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkLedger {
+    pub(crate) waited_vns: u64,
+    pub(crate) issued_vns: u64,
+}
+
+/// The calling thread's [`LinkLedger`].
+pub(crate) fn link_ledger() -> LinkLedger {
+    LEDGER.with(Cell::get)
+}
+
+fn ledger_add(waited_vns: u64, issued_vns: u64) {
+    LEDGER.with(|c| {
+        let l = c.get();
+        c.set(LinkLedger {
+            waited_vns: l.waited_vns.wrapping_add(waited_vns),
+            issued_vns: l.issued_vns.wrapping_add(issued_vns),
+        });
+    });
+}
+
+/// Busy-until times of one endpoint's link.
+struct Link {
+    /// Per stream.
+    streams: Vec<u64>,
+    /// The aggregate byte rate.
+    bandwidth: u64,
+}
+
+impl Link {
+    /// Place an issued wave of `ops` ops, each held `secs_ns`, whose
+    /// payload takes `xfer_ns` of the aggregate rate, on the streams and
+    /// on `lanes`; returns when its last op starts and when its last op
+    /// ends.
+    fn place(
+        &mut self,
+        lanes: &mut [u64],
+        now: u64,
+        ops: usize,
+        secs_ns: u64,
+        xfer_ns: u64,
+    ) -> (u64, u64) {
+        fn earliest(times: &[u64]) -> usize {
+            (0..times.len()).min_by_key(|&i| times[i]).expect("at least one")
+        }
+        // A wave wider than the link takes every stream at once.
+        let wide = ops > self.streams.len();
+        let all_free = self.streams.iter().copied().max().unwrap_or(0);
+        let (mut last_start, mut last_end) = (now, now);
+        for i in 0..ops {
+            let lane = earliest(lanes);
+            let stream = earliest(&self.streams);
+            let stream_free = if wide { all_free } else { self.streams[stream] };
+            let start = now.max(stream_free).max(lanes[lane]);
+            let (i, n) = (i as u64, ops as u64);
+            let share = xfer_ns * (i + 1) / n - xfer_ns * i / n;
+            self.bandwidth = self.bandwidth.max(start) + share;
+            let end = (start + secs_ns).max(self.bandwidth);
+            lanes[lane] = end;
+            if !wide {
+                self.streams[stream] = end;
+            }
+            last_start = last_start.max(start);
+            last_end = last_end.max(end);
+        }
+        if wide {
+            self.streams.iter_mut().for_each(|s| *s = last_end);
+        }
+        (last_start, last_end)
+    }
+}
+
 /// An [`ObjectStore`] behind a simulated WAN.
 pub struct CloudStore {
     inner: Arc<dyn ObjectStore>,
@@ -147,6 +343,9 @@ pub struct CloudStore {
     clock: SimClock,
     seed: u64,
     op_counter: AtomicU64,
+    link: Mutex<Link>,
+    /// The latest busy-until of `link`: what a blocking call waits for.
+    drain_vns: AtomicU64,
     m: WanMetrics,
 }
 
@@ -162,7 +361,17 @@ impl CloudStore {
         seed: u64,
     ) -> Self {
         let m = WanMetrics::new(&Obs::new(clock.clone()));
-        CloudStore { inner, profile, clock, seed, op_counter: AtomicU64::new(0), m }
+        let link = Link { streams: vec![0; profile.streams.max(1) as usize], bandwidth: 0 };
+        CloudStore {
+            inner,
+            profile,
+            clock,
+            seed,
+            op_counter: AtomicU64::new(0),
+            link: Mutex::new(link),
+            drain_vns: AtomicU64::new(0),
+            m,
+        }
     }
 
     /// Re-home accounting into `obs` (under its scope + `.wan`), so this
@@ -187,8 +396,9 @@ impl CloudStore {
         &self.clock
     }
 
-    /// Integer virtual nanoseconds this endpoint has charged to the clock —
-    /// the exact quantity an admission layer above must account for: when
+    /// Integer virtual nanoseconds this endpoint's episodes occupied the
+    /// link (issued waves included, so it can exceed elapsed time) — the
+    /// exact quantity an admission layer above must account for: when
     /// every WAN call runs inside a scheduler grant, `sched.granted_vns`
     /// reconciles with this counter nanosecond for nanosecond.
     pub fn busy_vns(&self) -> u64 {
@@ -207,27 +417,79 @@ impl CloudStore {
         }
     }
 
-    /// Charge and count one episode of `ops` successful requests, each of
-    /// `trips` control round trips, moving `bytes` over the wire. The
-    /// episode rides the profile's parallel streams: each stream carries
-    /// ceil(ops/streams) requests back to back, so only that many round
-    /// trips serialize (a single call pays its own `trips`), while
-    /// `transfer_secs` spreads the payload across the streams. One
-    /// deterministic jitter draw for the whole episode — it is one network
-    /// episode, not `ops`. An episode where nothing succeeded costs nothing
-    /// and returns false.
+    /// The charge of one episode of `ops` successful requests, each of
+    /// `trips` control round trips, moving `bytes` over the wire, and the
+    /// part of it the payload takes. The episode rides the profile's
+    /// parallel streams: each stream carries ceil(ops/streams) requests
+    /// back to back, so only that many round trips serialize (a single
+    /// call pays its own `trips`), while `transfer_secs` spreads the
+    /// payload across the streams. One deterministic jitter draw for the
+    /// whole episode — it is one network episode, not `ops`.
+    fn episode_secs(&self, ops: u64, trips: u32, bytes: u64) -> (f64, f64) {
+        let round_trips = trips * (ops as u32).div_ceil(self.profile.streams.max(1));
+        let transfer = self.profile.transfer_secs(bytes);
+        let base = self.profile.rtt_ms / 1000.0 * round_trips as f64 + transfer;
+        let op = self.op_counter.fetch_add(1, Ordering::Relaxed);
+        let jitter_u = splitmix64(self.seed ^ op) as f64 / u64::MAX as f64; // [0,1)
+        let factor = (1.0 + self.profile.jitter * (2.0 * jitter_u - 1.0)).max(0.0);
+        (base * factor, transfer * factor)
+    }
+
+    /// Charge and count one blocking episode (see
+    /// [`CloudStore::episode_secs`]): wait for the link to drain, then
+    /// advance the clock by the charge. An episode where nothing
+    /// succeeded costs nothing and returns false.
     fn settle(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) -> bool {
         if ops == 0 {
             return false;
         }
-        let round_trips = trips * (ops as u32).div_ceil(self.profile.streams.max(1));
-        let base =
-            self.profile.rtt_ms / 1000.0 * round_trips as f64 + self.profile.transfer_secs(bytes);
-        let op = self.op_counter.fetch_add(1, Ordering::Relaxed);
-        let jitter_u = splitmix64(self.seed ^ op) as f64 / u64::MAX as f64; // [0,1)
-        let factor = 1.0 + self.profile.jitter * (2.0 * jitter_u - 1.0);
-        let secs = base * factor.max(0.0);
+        let (secs, _) = self.episode_secs(ops, trips, bytes);
+        let now = self.clock.now_ns();
+        let drain = self.drain_vns.load(Ordering::SeqCst);
+        if drain > now {
+            self.clock.advance_to_ns(drain);
+            ledger_add(drain - now, 0);
+        }
         self.clock.advance_secs(secs);
+        self.book(traffic, ops, bytes, secs);
+        true
+    }
+
+    /// [`CloudStore::settle`] for a batch: a charged episode is a wave.
+    fn settle_wave(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) {
+        if self.settle(traffic, ops, trips, bytes) {
+            self.m.waves.inc();
+        }
+    }
+
+    /// Issue one upload wave on `lanes` (see the [module docs](crate::wan)):
+    /// the same charge as [`CloudStore::settle_wave`], but the clock moves
+    /// only to the wave's last op start.
+    fn issue_wave(&self, lanes: &mut UploadLanes, ops: u64, trips: u32, bytes: u64) {
+        if ops == 0 {
+            return;
+        }
+        let (secs, transfer) = self.episode_secs(ops, trips, bytes);
+        let secs_ns = secs_to_ns(secs);
+        let now = self.clock.now_ns();
+        let (last_start, last_end) = self.link.lock().place(
+            &mut lanes.free_vns,
+            now,
+            ops as usize,
+            secs_ns,
+            secs_to_ns(transfer),
+        );
+        lanes.clock = Some(self.clock.clone());
+        self.drain_vns.fetch_max(last_end, Ordering::SeqCst);
+        self.clock.advance_to_ns(last_start);
+        ledger_add(last_start - now, secs_ns);
+        self.book(Traffic::Write, ops, bytes, secs);
+        self.m.waves.inc();
+    }
+
+    /// Count one charged episode: `busy_vns` mirrors the charge in integer
+    /// nanoseconds, whether the clock advanced by it or not.
+    fn book(&self, traffic: Traffic, ops: u64, bytes: u64, secs: f64) {
         self.m.busy_vns.add(secs_to_ns(secs));
         self.m.op_vsecs.observe(secs);
         if traffic == Traffic::Write {
@@ -240,18 +502,10 @@ impl CloudStore {
             Traffic::Write => self.m.bytes_up.add(bytes),
             Traffic::Listing => {}
         }
-        true
-    }
-
-    /// [`CloudStore::settle`] for a batch: a charged episode is a wave.
-    fn settle_wave(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) {
-        if self.settle(traffic, ops, trips, bytes) {
-            self.m.waves.inc();
-        }
     }
 }
 
-/// How [`CloudStore::settle`] counts an episode.
+/// How [`CloudStore::book`] counts an episode.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Traffic {
     /// `GET` / `HEAD`: read ops, payload counted as `bytes_down`.
@@ -297,7 +551,13 @@ impl ObjectStore for CloudStore {
         let stored = results.iter().zip(items).filter(|(r, _)| r.is_ok());
         let total: u64 = stored.clone().map(|(_, (_, d))| d.len() as u64).sum();
         // Each upload is a handshake + ack pair, like a single `put`.
-        self.settle_wave(Traffic::Write, stored.count() as u64, 2, total);
+        match take_issue_frame() {
+            Some(mut lanes) => {
+                self.issue_wave(&mut lanes, stored.count() as u64, 2, total);
+                restore_issue_frame(Some(lanes));
+            }
+            None => self.settle_wave(Traffic::Write, stored.count() as u64, 2, total),
+        }
         results
     }
 
@@ -670,5 +930,249 @@ mod tests {
         c.get("k").unwrap();
         let full = c.clock().now_ns() - t1;
         assert!(ranged < full / 4, "ranged {ranged} vs full {full}");
+    }
+
+    /// The WAN model before the link timeline, copied as the oracle: the
+    /// charge of the `op`-th episode.
+    fn blocking_oracle_secs(
+        p: &NetworkProfile,
+        seed: u64,
+        op: u64,
+        ops: u64,
+        trips: u32,
+        bytes: u64,
+    ) -> f64 {
+        let round_trips = trips * (ops as u32).div_ceil(p.streams.max(1));
+        let base = p.rtt_ms / 1000.0 * round_trips as f64 + p.transfer_secs(bytes);
+        let jitter_u = splitmix64(seed ^ op) as f64 / u64::MAX as f64;
+        let factor = 1.0 + p.jitter * (2.0 * jitter_u - 1.0);
+        base * factor.max(0.0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// With nothing issued, every call moves the clock and `busy_vns`
+        /// exactly as the old arithmetic did, episode by episode.
+        #[test]
+        fn blocking_calls_cost_exactly_the_old_arithmetic(
+            seed in 0u64..1_000,
+            profile in 0usize..4,
+            calls in proptest::collection::vec((0u8..8, 1usize..20, 0usize..5_000), 1..40),
+        ) {
+            let p = [
+                NetworkProfile::public_dataverse(),
+                NetworkProfile::private_seal(),
+                NetworkProfile::campus(),
+                NetworkProfile::local(),
+            ][profile].clone();
+            let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), seed);
+            let (mut clock, mut op) = (0u64, 0u64);
+            let mut charge = |ops: u64, trips: u32, bytes: u64| {
+                if ops > 0 {
+                    clock += secs_to_ns(blocking_oracle_secs(&p, seed, op, ops, trips, bytes));
+                    op += 1;
+                }
+                clock
+            };
+            c.put("k0", b"seed").unwrap();
+            charge(1, 2, 4);
+            for (kind, n, size) in calls {
+                let keys: Vec<String> = (0..n).map(|i| format!("k{i}")).collect();
+                let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+                let payload = vec![kind; size];
+                let expect = match kind {
+                    0 => {
+                        c.put(refs[0], &payload).unwrap();
+                        charge(1, 2, size as u64)
+                    }
+                    1 => {
+                        let items: Vec<(&str, &[u8])> =
+                            refs.iter().map(|k| (*k, payload.as_slice())).collect();
+                        c.put_many(&items);
+                        charge(n as u64, 2, (n * size) as u64)
+                    }
+                    2 => {
+                        let got = c.get_many(&refs);
+                        let hits: Vec<u64> =
+                            got.iter().filter_map(|r| r.as_ref().ok()).map(|d| d.len() as u64).collect();
+                        charge(hits.len() as u64, 1, hits.iter().sum())
+                    }
+                    3 => {
+                        let bytes = c.get("k0").map(|d| d.len() as u64).unwrap();
+                        charge(1, 1, bytes)
+                    }
+                    4 => {
+                        let heads = c.head_many(&refs).iter().filter(|r| r.is_ok()).count();
+                        charge(heads as u64, 1, 0)
+                    }
+                    5 => {
+                        let listed = c.list("k").unwrap().len() as u64;
+                        charge(1, 1, listed * 100)
+                    }
+                    6 => {
+                        let gone = c.delete_many(&refs[1..]).iter().filter(|r| r.is_ok()).count();
+                        charge(gone as u64, 1, 0)
+                    }
+                    _ => {
+                        assert!(c.get("missing").is_err());
+                        charge(0, 1, 0)
+                    }
+                };
+                proptest::prop_assert_eq!(c.clock().now_ns(), expect);
+                proptest::prop_assert_eq!(c.busy_vns(), expect);
+            }
+        }
+    }
+
+    /// Seal's shape without jitter, so charges can be named exactly.
+    fn flat(rtt_ms: f64, bandwidth_mbps: f64) -> NetworkProfile {
+        NetworkProfile { name: "flat".into(), rtt_ms, bandwidth_mbps, jitter: 0.0, streams: 8 }
+    }
+
+    /// One `put_many` wave of `n` objects of `size` bytes, issued on
+    /// `lanes`.
+    fn issue(c: &CloudStore, lanes: &mut UploadLanes, prefix: &str, n: usize, size: usize) {
+        let keys: Vec<String> = (0..n).map(|i| format!("{prefix}{i}")).collect();
+        let payload = vec![1u8; size];
+        let items: Vec<(&str, &[u8])> = keys.iter().map(|k| (k.as_str(), &payload[..])).collect();
+        assert!(lanes.issue(|| c.put_many(&items)).iter().all(|r| r.is_ok()));
+    }
+
+    /// The charge of a wave of `ops` uploads of `size` bytes each.
+    fn wave_ns(p: &NetworkProfile, ops: u64, size: u64) -> u64 {
+        secs_to_ns(blocking_oracle_secs(p, 0, 0, ops, 2, ops * size))
+    }
+
+    #[test]
+    fn two_issued_narrow_waves_finish_together() {
+        let p = flat(30.0, 1000.0);
+        let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let mut lanes = UploadLanes::new(8);
+        issue(&c, &mut lanes, "a", 4, 100);
+        issue(&c, &mut lanes, "b", 4, 100);
+        // Both waves found four free streams and lanes at time 0.
+        assert_eq!(c.clock().now_ns(), 0, "issuing waits for no upload");
+        let s = wave_ns(&p, 4, 100);
+        assert_eq!(lanes.finish_vns(), s);
+        assert!(lanes.in_flight());
+        assert_eq!(c.busy_vns(), 2 * s, "busy_vns is occupancy");
+        assert_eq!(c.transfer_log().write_ops, 8);
+        assert_eq!(c.obs().counter("waves").get(), 2);
+        assert_eq!(lanes.join(), s);
+        assert_eq!(c.clock().now_ns(), s);
+        assert!(!lanes.in_flight());
+    }
+
+    #[test]
+    fn a_five_plus_five_pair_splits_per_op() {
+        let p = flat(30.0, 1000.0);
+        let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let mut lanes = UploadLanes::new(10);
+        issue(&c, &mut lanes, "a", 5, 100);
+        let s = wave_ns(&p, 5, 100);
+        issue(&c, &mut lanes, "b", 5, 100);
+        // Three of the second wave's ops start at once on the free streams;
+        // the other two wait for the first wave's streams.
+        assert_eq!(c.clock().now_ns(), s, "the issuing call waits for its last op's start");
+        let started_late = lanes.free_vns.iter().filter(|&&t| t == 2 * s).count();
+        let started_now = lanes.free_vns.iter().filter(|&&t| t == s).count();
+        assert_eq!((started_now, started_late), (8, 2));
+        assert_eq!(lanes.finish_vns(), 2 * s);
+    }
+
+    #[test]
+    fn a_wave_wider_than_the_streams_waits_for_all_of_them() {
+        let p = flat(30.0, 1000.0);
+        let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let mut lanes = UploadLanes::new(16);
+        issue(&c, &mut lanes, "a", 1, 100);
+        let one = wave_ns(&p, 1, 100);
+        // Seven streams are free, but nine ops take all eight at once.
+        issue(&c, &mut lanes, "b", 9, 100);
+        assert_eq!(c.clock().now_ns(), one);
+        let nine = wave_ns(&p, 9, 100);
+        let two_pairs = secs_to_ns(p.rtt_ms / 1000.0 * 4.0 + p.transfer_secs(900));
+        assert_eq!(nine, two_pairs, "nine ops on eight streams serialize two round-trip pairs");
+        assert_eq!(lanes.finish_vns(), one + nine);
+        assert_eq!(c.link.lock().streams, vec![one + nine; 8]);
+    }
+
+    #[test]
+    fn overlapping_waves_share_the_byte_rate() {
+        // 1 ms RTT at 100 Mbit/s per stream: payload dominates the charge.
+        let p = flat(1.0, 100.0);
+        let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let mut lanes = UploadLanes::new(8);
+        let (ops, size) = (4, 1 << 20);
+        let b = (ops * size) as u64;
+        issue(&c, &mut lanes, "a", ops, size);
+        issue(&c, &mut lanes, "b", ops, size);
+        assert_eq!(c.clock().now_ns(), 0, "both waves start at once");
+        let alone = wave_ns(&p, ops as u64, size as u64);
+        assert!(secs_to_ns(p.transfer_secs(2 * b)) > alone, "the test needs payload-bound waves");
+        // Each wave alone would end at `alone`; together they cannot beat
+        // the aggregate rate.
+        assert!(lanes.finish_vns() >= secs_to_ns(p.transfer_secs(2 * b)));
+        assert_eq!(c.busy_vns(), 2 * alone, "the charge is unchanged");
+    }
+
+    #[test]
+    fn a_blocking_call_after_issued_waves_starts_at_drain() {
+        let p = NetworkProfile::private_seal();
+        let mem = Arc::new(MemoryStore::new());
+        let c = CloudStore::new(mem.clone(), p.clone(), SimClock::new(), 5);
+        let twin = CloudStore::new(Arc::new(MemoryStore::new()), p, SimClock::new(), 5);
+        let mut lanes = UploadLanes::new(8);
+        issue(&c, &mut lanes, "a", 3, 4096);
+        issue(&c, &mut lanes, "b", 3, 4096);
+        let drain = *c.link.lock().streams.iter().max().unwrap();
+        assert!(drain > c.clock().now_ns());
+        c.get("a0").unwrap();
+        // The twin pays the same two jitter draws blocking, then the get.
+        for prefix in ["a", "b"] {
+            let payload = vec![1u8; 4096];
+            let keys: Vec<String> = (0..3).map(|i| format!("{prefix}{i}")).collect();
+            let items: Vec<(&str, &[u8])> =
+                keys.iter().map(|k| (k.as_str(), &payload[..])).collect();
+            twin.put_many(&items);
+        }
+        let before = twin.clock().now_ns();
+        twin.get("a0").unwrap();
+        assert_eq!(c.clock().now_ns(), drain + (twin.clock().now_ns() - before));
+        assert_eq!(c.busy_vns(), twin.busy_vns());
+    }
+
+    #[test]
+    fn a_failed_op_is_neither_charged_nor_holds_a_lane() {
+        let p = flat(30.0, 1000.0);
+        let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let mut lanes = UploadLanes::new(4);
+        let results = lanes.issue(|| {
+            c.put_many(&[("a", b"x" as &[u8]), ("bad//key", b"y"), ("b", b"z"), ("c", b"w")])
+        });
+        assert!(results[1].is_err());
+        assert_eq!(c.transfer_log().write_ops, 3);
+        assert_eq!(c.busy_vns(), wave_ns(&p, 3, 1));
+        assert_eq!(lanes.free_vns.iter().filter(|&&t| t == 0).count(), 1, "one lane stays free");
+
+        let before = lanes.clone();
+        let all_bad = lanes.issue(|| c.put_many(&[("also//bad", b"y" as &[u8])]));
+        assert!(all_bad[0].is_err());
+        assert_eq!(lanes.free_vns, before.free_vns);
+        assert_eq!(c.busy_vns(), wave_ns(&p, 3, 1));
+        assert_eq!(c.obs().counter("waves").get(), 1);
+    }
+
+    #[test]
+    fn the_issue_frame_is_scoped_to_its_closure() {
+        let c = cloud(NetworkProfile::private_seal());
+        let mut lanes = UploadLanes::new(8);
+        issue(&c, &mut lanes, "a", 2, 10);
+        assert_eq!(c.clock().now_ns(), 0);
+        // Outside `issue`, the same call blocks again, after the drain.
+        c.put_many(&[("z", b"z" as &[u8])]);
+        assert!(c.clock().now_ns() > lanes.finish_vns());
+        assert!(take_issue_frame().is_none());
     }
 }
