@@ -18,8 +18,11 @@
 //! images, merged into the handle's write buffer and uploaded by the call
 //! that completes a block — which, for a whole grid, is every block it
 //! touches. A tile write *issues* its uploads on the handle's
-//! [`UploadLanes`], so consecutive tiles share the WAN's streams; a
-//! whole-grid write blocks until they are stored.
+//! [`UploadLanes`], so consecutive tiles share the WAN's streams. A
+//! whole-grid write blocks until they are stored, unless the caller runs
+//! it inside an issue frame of its own ([`UploadLanes::issue`], as a
+//! task-graph run does): its upload waves are then issued on the caller's
+//! lanes, and the caller owns the join.
 
 use crate::meta::IdxMeta;
 use nsdf_compress::{AdaptiveCodec, Codec};
@@ -832,7 +835,10 @@ impl IdxDataset {
     /// whole grid: it covers every in-bounds sample of every block it
     /// touches, so it completes them all and uploads them before it
     /// returns, superseding whatever an earlier `write_box` left pending
-    /// for them; blocks of pure power-of-two padding are never touched. On
+    /// for them; blocks of pure power-of-two padding are never touched.
+    /// The uploads block, unless the caller's issue frame
+    /// ([`UploadLanes::issue`]) owns the join: then the call returns once
+    /// its last upload has started, with every upload's result known. On
     /// an upload error the same rule as `write_box`'s holds: the samples
     /// stay merged and the blocks that did not store stay dirty.
     pub fn write_raster<T: Sample>(
@@ -848,7 +854,8 @@ impl IdxDataset {
     /// Write a full-resolution volume into `field` at `time`: the volume's
     /// shape must equal the dataset's [`IdxDataset::extent`] (a 2-D grid
     /// takes a depth-1 volume), and the write follows
-    /// [`IdxDataset::write_raster`]'s rules.
+    /// [`IdxDataset::write_raster`]'s rules, blocking uploads included
+    /// unless the caller's issue frame owns the join.
     pub fn write_volume<T: Sample>(
         &self,
         field: &str,

@@ -182,6 +182,8 @@ impl WanMetrics {
 #[derive(Debug, Clone)]
 pub struct UploadLanes {
     free_vns: Vec<u64>,
+    /// Open a lane rather than wait for one ([`UploadLanes::unbounded`]).
+    grows: bool,
     /// The clock of the store that issued on these lanes last.
     clock: Option<SimClock>,
 }
@@ -189,7 +191,28 @@ pub struct UploadLanes {
 impl UploadLanes {
     /// `n` free lanes (at least one).
     pub fn new(n: usize) -> UploadLanes {
-        UploadLanes { free_vns: vec![0; n.max(1)], clock: None }
+        UploadLanes { free_vns: vec![0; n.max(1)], grows: false, clock: None }
+    }
+
+    /// Lanes that never bind: an upload that finds every lane busy opens
+    /// another, so only the link's streams and byte rate delay it. For a
+    /// writer that bounds nothing itself, such as a task-graph run, whose
+    /// exclusive tasks make upload waves of any width.
+    pub fn unbounded() -> UploadLanes {
+        UploadLanes { free_vns: Vec::new(), grows: true, clock: None }
+    }
+
+    /// The lane an upload ready to start at `ready_vns` takes: the
+    /// earliest free one, or a new one when lanes grow and none is free
+    /// by then.
+    fn lane_for(&mut self, ready_vns: u64) -> usize {
+        match (0..self.free_vns.len()).min_by_key(|&i| self.free_vns[i]) {
+            Some(i) if !self.grows || self.free_vns[i] <= ready_vns => i,
+            _ => {
+                self.free_vns.push(0);
+                self.free_vns.len() - 1
+            }
+        }
     }
 
     /// Run `f` with these lanes as the calling thread's issue frame: every
@@ -300,29 +323,27 @@ impl Link {
     /// ends.
     fn place(
         &mut self,
-        lanes: &mut [u64],
+        lanes: &mut UploadLanes,
         now: u64,
         ops: usize,
         secs_ns: u64,
         xfer_ns: u64,
     ) -> (u64, u64) {
-        fn earliest(times: &[u64]) -> usize {
-            (0..times.len()).min_by_key(|&i| times[i]).expect("at least one")
-        }
         // A wave wider than the link takes every stream at once.
         let wide = ops > self.streams.len();
         let all_free = self.streams.iter().copied().max().unwrap_or(0);
         let (mut last_start, mut last_end) = (now, now);
         for i in 0..ops {
-            let lane = earliest(lanes);
-            let stream = earliest(&self.streams);
+            let stream =
+                (0..self.streams.len()).min_by_key(|&s| self.streams[s]).expect("at least one");
             let stream_free = if wide { all_free } else { self.streams[stream] };
-            let start = now.max(stream_free).max(lanes[lane]);
+            let lane = lanes.lane_for(now.max(stream_free));
+            let start = now.max(stream_free).max(lanes.free_vns[lane]);
             let (i, n) = (i as u64, ops as u64);
             let share = xfer_ns * (i + 1) / n - xfer_ns * i / n;
             self.bandwidth = self.bandwidth.max(start) + share;
             let end = (start + secs_ns).max(self.bandwidth);
-            lanes[lane] = end;
+            lanes.free_vns[lane] = end;
             if !wide {
                 self.streams[stream] = end;
             }
@@ -472,13 +493,8 @@ impl CloudStore {
         let (secs, transfer) = self.episode_secs(ops, trips, bytes);
         let secs_ns = secs_to_ns(secs);
         let now = self.clock.now_ns();
-        let (last_start, last_end) = self.link.lock().place(
-            &mut lanes.free_vns,
-            now,
-            ops as usize,
-            secs_ns,
-            secs_to_ns(transfer),
-        );
+        let (last_start, last_end) =
+            self.link.lock().place(lanes, now, ops as usize, secs_ns, secs_to_ns(transfer));
         lanes.clock = Some(self.clock.clone());
         self.drain_vns.fetch_max(last_end, Ordering::SeqCst);
         self.clock.advance_to_ns(last_start);
@@ -1162,6 +1178,26 @@ mod tests {
         assert_eq!(lanes.free_vns, before.free_vns);
         assert_eq!(c.busy_vns(), wave_ns(&p, 3, 1));
         assert_eq!(c.obs().counter("waves").get(), 1);
+    }
+
+    #[test]
+    fn unbounded_lanes_never_delay_an_upload() {
+        let p = flat(30.0, 1000.0);
+        let bounded = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let open = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), 1);
+        let (mut four, mut lanes) = (UploadLanes::new(4), UploadLanes::unbounded());
+        // Sixteen ops take all eight streams at once; four lanes serialize
+        // them four at a time, open lanes start all of them at issue.
+        issue(&bounded, &mut four, "a", 16, 100);
+        issue(&open, &mut lanes, "a", 16, 100);
+        let s = wave_ns(&p, 16, 100);
+        assert_eq!((bounded.clock().now_ns(), open.clock().now_ns()), (3 * s, 0));
+        assert_eq!((lanes.free_vns.len(), lanes.finish_vns()), (16, s));
+        // A narrow wave waits for the streams only, and reuses ended lanes.
+        issue(&open, &mut lanes, "b", 2, 100);
+        assert_eq!(open.clock().now_ns(), s);
+        assert_eq!(lanes.free_vns.len(), 16);
+        assert_eq!(lanes.join(), wave_ns(&p, 2, 100));
     }
 
     #[test]

@@ -36,9 +36,29 @@
 //!    executing tasks consume that no earlier task of this run left in
 //!    memory, each checksum-verified before use;
 //! 3. one `put_many` of every payload the wave's parallel tasks
-//!    returned, issued right after the parallel compute so those objects
-//!    are durable before the exclusive tasks start;
+//!    returned, right after the parallel compute;
 //! 4. one `put_many` of the payloads its exclusive tasks returned.
+//!
+//! # Issued uploads
+//!
+//! A run owns one [`UploadLanes`] that never binds
+//! ([`UploadLanes::unbounded`]), and calls 3 and 4, and every exclusive
+//! task's closure between them, run in its issue frame. A
+//! [`nsdf_storage::CloudStore`] below therefore *issues* each upload wave
+//! on its link timeline: the call returns with per-key results once its
+//! last upload has started, so only the link's streams and byte rate delay
+//! an upload, and the uploads run on under the following compute. An
+//! exclusive task's own `put_many` waves (`IdxDataset::write_raster`'s)
+//! are issued the same way. The uploads issued in wave `n` are joined at
+//! the end of wave `n + 1`: a one-deep pipeline, in which an upload
+//! overlaps the next wave's work and no more, so a chain of one-task
+//! waves (the sequential baseline) cannot hide its whole upload time
+//! under its compute. The last wave joins every upload and then saves
+//! the manifest, so a manifest never names an object still in flight.
+//! Blocking calls (calls 1 and 2, an exclusive task's reads) first wait
+//! for the link to drain, so a read never overtakes a write in virtual
+//! time. Over a store with no `CloudStore` below, the frame changes
+//! nothing.
 //!
 //! A batch is per-object, not all-or-nothing. A head that fails or
 //! mismatches re-executes its task. A task with an input that could not
@@ -68,7 +88,7 @@
 //! byte-identical output cuts the dirty cone off early.
 
 use crate::artifact::Artifact;
-use nsdf_storage::ObjectStore;
+use nsdf_storage::{ObjectStore, UploadLanes};
 use nsdf_util::json::{hex_u64, parse_hex_u64, JsonValue};
 use nsdf_util::{Fnv1a, NsdfError, Result, SimClock};
 use std::collections::{BTreeMap, BTreeSet};
@@ -236,9 +256,13 @@ pub struct GraphRun {
     pub started_ns: u64,
     /// Virtual time when the run finished (ns).
     pub ended_ns: u64,
-    /// Virtual time at the end of each wave (ns), uploads included: wave
-    /// `k` ran from `wave_ended_ns[k - 1]` (`started_ns` for the first)
-    /// to `wave_ended_ns[k]`, and the last entry equals `ended_ns`.
+    /// Virtual time at the end of each wave (ns): wave `k` ran from
+    /// `wave_ended_ns[k - 1]` (`started_ns` for the first) to
+    /// `wave_ended_ns[k]`, and the last entry equals `ended_ns`. A wave's
+    /// span holds its compute, its blocking store calls, the wait for its
+    /// own uploads to start and the wait for the previous wave's uploads
+    /// to end; the last wave's also holds the wait for every upload and
+    /// the manifest save.
     pub wave_ended_ns: Vec<u64>,
 }
 
@@ -507,7 +531,9 @@ impl TaskGraph {
     /// Add an *exclusive* task: runs serialized on the caller thread and
     /// may perform its own store I/O (dataset creation, ingest,
     /// validation), returning [`TaskOutput::Stored`] artifacts for what
-    /// it persisted itself and payloads for what the engine should.
+    /// it persisted itself and payloads for what the engine should. It
+    /// runs in the run's issue frame, so its own `put_many` waves are
+    /// issued and joined with its wave's uploads (see the module docs).
     pub fn add_exclusive_task(
         &mut self,
         name: impl Into<String>,
@@ -643,10 +669,11 @@ impl TaskGraph {
     /// instantly, parallel tasks run on the work-stealing pool (clock
     /// advances by the wave maximum), exclusive tasks then run
     /// serialized (clock advances per task). The engine's own store
-    /// traffic is at most four batched calls per wave (see the module
-    /// docs). A failed task fails alone; only its downstream cone is
-    /// skipped, and independent branches complete. The run report,
-    /// including failures, is always returned.
+    /// traffic is at most four batched calls per wave, and its uploads
+    /// are issued and joined one wave later (see the module docs). A
+    /// failed task fails alone; only its downstream cone is skipped, and
+    /// independent branches complete. The run report, including failures,
+    /// is always returned.
     pub fn run(&self, opts: &RunOptions) -> Result<GraphRun> {
         if opts.manifest_key.is_some() && opts.store.is_none() {
             return Err(NsdfError::invalid("manifest requires a store"));
@@ -665,6 +692,9 @@ impl TaskGraph {
         let mut claimed = Claimed::default();
         let mut wave_ended_ns = Vec::new();
         let mut wave = 0u64;
+        let mut lanes = UploadLanes::unbounded();
+        // When every upload issued up to the previous wave has ended.
+        let mut owed_ns = 0u64;
 
         loop {
             // Propagate skips: deps have smaller ids, so one forward scan
@@ -738,8 +768,6 @@ impl TaskGraph {
             // (3) Parallel wave: pure closures on the work-stealing pool.
             // The closure returns its outcome; the outer error type is
             // never constructed, keeping per-task failures isolated.
-            // Their payloads land in one `put_many` before any exclusive
-            // task starts.
             let outcomes =
                 nsdf_util::par::try_par_map_owned(par, opts.threads, |(i, fp, inputs)| {
                     let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
@@ -747,38 +775,55 @@ impl TaskGraph {
                     Ok::<_, NsdfError>(Outcome { i, fp, compute_ns: ctx.compute_ns, result })
                 })?;
             clock.advance_ns(outcomes.iter().map(|o| o.compute_ns).max().unwrap_or(0));
-            self.persist_wave(outcomes, wave, &mut records, &mut blackboard, &mut claimed, store);
 
-            // (4) Exclusive tasks: serialized on the caller thread, own
-            // I/O; the payloads they hand back share one `put_many`.
-            let mut outcomes = Vec::with_capacity(excl.len());
-            for (i, fp, inputs) in excl {
-                let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
-                let result = (self.tasks[i].run)(&mut ctx);
-                clock.advance_ns(ctx.compute_ns);
-                outcomes.push(Outcome { i, fp, compute_ns: ctx.compute_ns, result });
-            }
-            self.persist_wave(outcomes, wave, &mut records, &mut blackboard, &mut claimed, store);
+            // (4) The rest of the wave runs in the run's issue frame: the
+            // parallel payloads' `put_many`, the exclusive tasks
+            // (serialized on the caller thread, own I/O) and the
+            // `put_many` of the payloads they hand back.
+            lanes.issue(|| {
+                self.persist_wave(
+                    outcomes,
+                    wave,
+                    &mut records,
+                    &mut blackboard,
+                    &mut claimed,
+                    store,
+                );
+                let mut outcomes = Vec::with_capacity(excl.len());
+                for (i, fp, inputs) in excl {
+                    let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
+                    let result = (self.tasks[i].run)(&mut ctx);
+                    clock.advance_ns(ctx.compute_ns);
+                    outcomes.push(Outcome { i, fp, compute_ns: ctx.compute_ns, result });
+                }
+                self.persist_wave(
+                    outcomes,
+                    wave,
+                    &mut records,
+                    &mut blackboard,
+                    &mut claimed,
+                    store,
+                );
+            });
 
+            // One-deep join: this wave's uploads may run on through the
+            // next wave; the previous wave's must have ended by now.
+            clock.advance_to_ns(owed_ns);
+            owed_ns = lanes.finish_vns();
             wave_ended_ns.push(clock.now_ns());
             wave += 1;
         }
 
-        let ended_ns = clock.now_ns();
-        let run = GraphRun {
-            name: self.name.clone(),
-            records: records.into_iter().map(|r| r.expect("all tasks resolved")).collect(),
-            waves: wave,
-            started_ns,
-            ended_ns,
-            wave_ended_ns,
-        };
-
+        // The last wave joins every upload, then saves the manifest, so a
+        // manifest never names an object still in flight.
+        clock.advance_to_ns(lanes.finish_vns());
+        let records: Vec<TaskRecord> =
+            records.into_iter().map(|r| r.expect("all tasks resolved")).collect();
         if let (Some(store), Some(key)) = (store, &opts.manifest_key) {
             // Merge into the previous manifest: tasks skipped this run
             // keep their last-known-good entries for future reruns.
             let mut manifest = prev;
-            for r in &run.records {
+            for r in &records {
                 if matches!(r.status, TaskStatus::Succeeded | TaskStatus::UpToDate) {
                     manifest.tasks.insert(
                         r.name.clone(),
@@ -788,7 +833,18 @@ impl TaskGraph {
             }
             manifest.save(store, key)?;
         }
-        Ok(run)
+        let ended_ns = clock.now_ns();
+        if let Some(last) = wave_ended_ns.last_mut() {
+            *last = ended_ns;
+        }
+        Ok(GraphRun {
+            name: self.name.clone(),
+            records,
+            waves: wave,
+            started_ns,
+            ended_ns,
+            wave_ended_ns,
+        })
     }
 
     /// For each ready `(task, fingerprint)`: the manifest's recorded
@@ -1033,7 +1089,9 @@ impl Claimed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsdf_storage::{CloudStore, FailScope, FaultPlan, FaultStore, MemoryStore, NetworkProfile};
+    use nsdf_storage::{
+        CloudStore, FailScope, FaultPlan, FaultStore, MemoryStore, NetworkProfile, ObjectMeta,
+    };
     use nsdf_util::obs::Obs;
 
     const MS: u64 = 1_000_000;
@@ -1302,6 +1360,179 @@ mod tests {
         // 40 round trips would be 1.2 s.
         let secs = clock.now_secs();
         assert!((0.165..0.195).contains(&secs), "upload wave took {secs} s");
+    }
+
+    /// A Seal-class WAN under a probe that logs every upload call: for a
+    /// single `put`, its key, when it started and when it returned; for a
+    /// `put_many`, its first key, when it returned and when its last upload
+    /// ends. An issued wave returns at its last upload's start, and with
+    /// payloads this small that upload holds its stream for exactly the
+    /// wave's charge, which `busy_vns` books.
+    struct UploadProbe {
+        wan: CloudStore,
+        log: std::sync::Mutex<Vec<(String, u64, u64)>>,
+    }
+
+    impl UploadProbe {
+        fn seal(clock: &SimClock) -> Arc<UploadProbe> {
+            let inner = Arc::new(MemoryStore::new());
+            let wan = CloudStore::new(inner, NetworkProfile::private_seal(), clock.clone(), 7);
+            Arc::new(UploadProbe { wan, log: std::sync::Mutex::new(Vec::new()) })
+        }
+    }
+
+    impl ObjectStore for UploadProbe {
+        fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
+            let start = self.wan.clock().now_ns();
+            let meta = self.wan.put(key, data)?;
+            self.log.lock().unwrap().push((key.to_string(), start, self.wan.clock().now_ns()));
+            Ok(meta)
+        }
+        fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
+            let busy = self.wan.busy_vns();
+            let acks = self.wan.put_many(items);
+            let issued = self.wan.clock().now_ns();
+            let end = issued + (self.wan.busy_vns() - busy);
+            self.log.lock().unwrap().push((items[0].0.to_string(), issued, end));
+            acks
+        }
+        fn get(&self, key: &str) -> Result<Vec<u8>> {
+            self.wan.get(key)
+        }
+        fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
+            self.wan.get_many(keys)
+        }
+        fn head(&self, key: &str) -> Result<ObjectMeta> {
+            self.wan.head(key)
+        }
+        fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
+            self.wan.head_many(keys)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
+            self.wan.list(prefix)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            self.wan.delete(key)
+        }
+    }
+
+    /// `n` parallel tasks of no compute, each persisting one payload, then
+    /// a task of `compute_ms` that consumes one of them and stores nothing.
+    fn fan_out_then_compute(n: usize, compute_ms: u64) -> TaskGraph {
+        let mut g = TaskGraph::new("fan-out");
+        for i in 0..n {
+            let name = format!("t{i:02}");
+            g.add_task(&name, &[], "v1", emit(&format!("o{i:02}"), name.as_bytes(), 0)).unwrap();
+        }
+        g.add_task("next", &["t00"], "v1", move |ctx| {
+            ctx.charge_compute_ns(compute_ms * MS);
+            Ok(vec![])
+        })
+        .unwrap();
+        g
+    }
+
+    /// Wave 0's 20 uploads run under wave 1's compute: the run ends at the
+    /// later of the two to the nanosecond, not at their sum.
+    #[test]
+    fn a_waves_uploads_overlap_the_next_waves_compute() {
+        for compute_ms in [300, 100] {
+            let clock = SimClock::new();
+            let (store, _, obs) = seal(&clock);
+            let g = fan_out_then_compute(20, compute_ms);
+            let run = g.run(&RunOptions::new(clock.clone()).with_store(store)).unwrap();
+            assert!(run.succeeded());
+            let wan = Wan::of(&obs);
+            assert_eq!((wan.waves, wan.write_ops, wan.episodes), (1, 20, 1));
+            // The one wave's charge: 6 round trips of 30 ms, +-8 % jitter.
+            let upload = obs.snapshot().counter("wan.busy_vns");
+            assert!((165 * MS..195 * MS).contains(&upload), "upload wave took {upload} ns");
+            let end = upload.max(compute_ms * MS);
+            assert_eq!(run.wave_ended_ns, vec![0, end], "compute {compute_ms} ms");
+            assert_eq!((run.ended_ns, clock.now_ns()), (end, end));
+        }
+    }
+
+    /// A 64-payload wave is wider than Seal's 8 streams, so it takes all
+    /// of them at once: the run's lanes never bind, every upload starts at
+    /// issue and the clock does not move until the wave is joined.
+    #[test]
+    fn a_wide_wave_starts_every_upload_at_issue() {
+        let clock = SimClock::new();
+        let probe = UploadProbe::seal(&clock);
+        let g = fan_out_then_compute(64, 0);
+        let run = g.run(&RunOptions::new(clock.clone()).with_store(probe.clone())).unwrap();
+        assert!(run.succeeded());
+        let log = probe.log.lock().unwrap();
+        assert_eq!(log.len(), 1);
+        let (_, issued, end) = log[0];
+        assert_eq!(issued, 0, "the issuing call waited for an upload");
+        // 2 x ceil(64 / 8) round trips of 30 ms, +-8 % jitter.
+        assert!((440 * MS..520 * MS).contains(&end), "upload wave took {end} ns");
+        assert_eq!(run.wave_ended_ns, vec![0, end]);
+    }
+
+    /// Uploads issued in wave `n` have ended by the end of wave `n + 1`,
+    /// some are still in flight when their own wave ends, and the manifest
+    /// is saved after the last upload ended, inside the last wave.
+    #[test]
+    fn a_waves_uploads_end_by_the_end_of_the_next_wave() {
+        let clock = SimClock::new();
+        let probe = UploadProbe::seal(&clock);
+        let opts = RunOptions::new(clock.clone()).with_store(probe.clone()).with_manifest(MANIFEST);
+        for mid_def in ["v1", "v2"] {
+            probe.log.lock().unwrap().clear();
+            let run = fan_graph(mid_def).run(&opts).unwrap();
+            assert!(run.succeeded());
+            assert_eq!(
+                (run.ended_ns, run.wave_ended_ns.last()),
+                (clock.now_ns(), Some(&clock.now_ns()))
+            );
+            let log = probe.log.lock().unwrap();
+            let (manifest, uploads) = log.split_last().unwrap();
+            assert_eq!((manifest.0.as_str(), manifest.2), (MANIFEST, run.ended_ns));
+            let mut overlapped = 0;
+            for (key, _, end) in uploads {
+                let task =
+                    run.records.iter().find(|r| r.produced.iter().any(|a| a.location == *key));
+                let wave = task.unwrap().wave as usize;
+                let due = run.wave_ended_ns.get(wave + 1).copied().unwrap_or(run.ended_ns);
+                assert!(*end <= due, "{key}: wave {wave}'s upload ends at {end}, after {due}");
+                assert!(*end <= manifest.1, "{key}: the manifest put started before {end}");
+                overlapped += usize::from(*end > run.wave_ended_ns[wave]);
+            }
+            assert!(overlapped > 0, "{mid_def}: no wave's uploads outlived it");
+        }
+    }
+
+    /// With no store, or over a bare `MemoryStore`, no upload costs time,
+    /// so issuing changes nothing: the digests of the run reports and the
+    /// manifest are those an engine with blocking uploads produces.
+    #[test]
+    fn runs_without_a_wan_are_unchanged() {
+        let mut g = fan_graph("v1");
+        g.add_exclusive_task("tail", &["sink"], "v1", |ctx| {
+            ctx.charge_compute_ns(3 * MS);
+            let sink = ctx.input_bytes("sink-out")?.to_vec();
+            Ok(vec![TaskOutput::payload("tail-out", "obj/tail", sink)])
+        })
+        .unwrap();
+        let digest = |run: &GraphRun| nsdf_util::fnv1a64(run.to_json().to_string().as_bytes());
+        let bare = g.run(&RunOptions::new(SimClock::new())).unwrap();
+        assert_eq!(bare.wave_ended_ns, vec![MS, MS, 2 * MS, 5 * MS]);
+        assert_eq!(digest(&bare), 0x31d9_494a_6a20_ec67);
+
+        let store = Arc::new(MemoryStore::new());
+        let opts = RunOptions::new(SimClock::new())
+            .with_store(Arc::clone(&store) as Arc<dyn ObjectStore>)
+            .with_manifest(MANIFEST);
+        let cold = g.run(&opts).unwrap();
+        assert_eq!(digest(&cold), digest(&bare));
+        let rerun = g.run(&opts).unwrap();
+        assert_eq!(rerun.wave_ended_ns, vec![5 * MS; 4]);
+        assert_eq!(digest(&rerun), 0x444d_6a68_48a1_94a7);
+        let manifest = store.get(MANIFEST).unwrap();
+        assert_eq!(nsdf_util::fnv1a64(&manifest), 0x5fd7_c051_d75d_9ed3);
     }
 
     /// An unchanged rerun verifies each wave's recorded outputs with one

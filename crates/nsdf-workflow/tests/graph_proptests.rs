@@ -17,6 +17,10 @@
 //!    *exactly* the dependency cone of the edited tasks — every task in
 //!    the cone is `Succeeded`, every task outside it is `UpToDate`, and
 //!    nothing is skipped or failed.
+//! 4. **Virtual time is compute plus link time**: over a seeded WAN a
+//!    run takes at least the sum of its waves' critical compute, and at
+//!    most that plus the link time its store calls booked, however its
+//!    issued uploads overlapped the compute.
 
 use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
 use nsdf_util::obs::Obs;
@@ -135,6 +139,17 @@ fn run_over_wan(spec: &DagSpec, threads: usize, wan_seed: u64) -> (String, Strin
     (cold.to_json().to_string(), rerun.to_json().to_string(), obs.snapshot().to_json().to_string())
 }
 
+/// The sum over waves of the longest compute a task of the wave charged
+/// (every task of these graphs is parallel).
+fn critical_compute_ns(run: &GraphRun) -> u64 {
+    let mut longest = vec![0u64; run.waves as usize];
+    for r in run.records.iter().filter(|r| r.status == TaskStatus::Succeeded) {
+        let w = &mut longest[r.wave as usize];
+        *w = (*w).max(r.compute_ns);
+    }
+    longest.iter().sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -175,6 +190,41 @@ proptest! {
         let c = run_over_wan(&spec, 8, seed);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&b, &c);
+    }
+
+    #[test]
+    fn run_time_is_critical_compute_plus_at_most_the_link_time(seed in any::<u64>()) {
+        let spec = DagSpec::from_seed(seed);
+        let clock = SimClock::new();
+        let obs = Obs::new(clock.clone());
+        let wan = CloudStore::new(
+            Arc::new(MemoryStore::new()),
+            NetworkProfile::private_seal(),
+            clock.clone(),
+            seed,
+        )
+        .with_obs(&obs);
+        let opts = RunOptions::new(clock)
+            .with_threads(4)
+            .with_store(Arc::new(wan))
+            .with_manifest("prop/manifest.json");
+        let mut versions: Vec<u64> = (0..spec.len() as u64).map(|i| i % 5 + 1).collect();
+        for _ in 0..2 {
+            // A cold run, then a rerun with every third task edited.
+            let busy = obs.snapshot().counter("wan.busy_vns");
+            let run = spec.build(&versions).run(&opts).unwrap();
+            let link = obs.snapshot().counter("wan.busy_vns") - busy;
+            let (compute, elapsed) = (critical_compute_ns(&run), run.ended_ns - run.started_ns);
+            prop_assert!(run.succeeded());
+            prop_assert!(compute <= elapsed, "compute {} > run {}", compute, elapsed);
+            prop_assert!(
+                elapsed <= compute + link,
+                "run {} > compute {} + link {}", elapsed, compute, link
+            );
+            for v in versions.iter_mut().step_by(3) {
+                *v += 1;
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# same_numbers.sh <parent-checkout> [seed=2024]
+# same_numbers.sh <parent-checkout> [seed=2024] [workloads=all]
 #
 # The check a refactor that claims "same numbers" owes: builds benchmark/
 # from <parent-checkout> and from this checkout into ab_pairs.sh's target
 # directories ($AB_DIR/target-{parent,change}), runs every workload of
 # BENCHMARK.json once per side untraced (end-to-end metrics) and once with
 # --trace 1 (per-layer metrics), each for the file's run_seconds, and
-# compares the two sides' result lines.
+# compares the two sides' result lines. The optional third argument names
+# the workloads to compare instead, space- or comma-separated (one
+# argument), so a change that claims a gain on one workload can show by
+# exit status that the others did not move.
 #
 # Every metric must be identical except those read from the wall clock or
 # the process size: names containing `cpu`, `setup_s`, `peak_rss_mib`,
@@ -17,8 +20,9 @@
 #
 #   git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
 #   AB_DIR=../ab scripts/same_numbers.sh ../parent 2024
+#   AB_DIR=../ab scripts/same_numbers.sh ../parent 7 "ingest classroom catalog"
 set -euo pipefail
-[ $# -ge 1 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
 PARENT="$(cd "$1" && pwd)"
 SEED="${2:-2024}"
 CHANGE="$(cd "$(dirname "$0")/.." && pwd)"
@@ -29,6 +33,12 @@ read -r SECONDS_BUDGET WORKLOADS < <(python3 -c '
 import json, sys
 spec = json.load(open(sys.argv[1]))
 print(spec["run_seconds"], " ".join(w["name"] for w in spec["workloads"]))' "$CHANGE/BENCHMARK.json")
+if [ -n "${3:-}" ]; then
+  for w in ${3//,/ }; do
+    case " $WORKLOADS " in *" $w "*) ;; *) echo "same_numbers: unknown workload $w" >&2; exit 2 ;; esac
+  done
+  WORKLOADS="${3//,/ }"
+fi
 
 for side in parent change; do
   root="$PARENT"; [ "$side" = change ] && root="$CHANGE"
