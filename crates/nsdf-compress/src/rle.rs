@@ -46,11 +46,12 @@ pub fn packbits_encode(src: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress PackBits into a buffer of exactly `dst_len` bytes.
+/// Decompress all of `src` into a buffer of exactly `dst_len` bytes.
 pub fn packbits_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(dst_len);
+    // Two input bytes yield at most 128: reserve no more than `src` can make.
+    let mut out = Vec::with_capacity(dst_len.min(src.len().saturating_mul(64)));
     let mut i = 0;
-    while i < src.len() && out.len() < dst_len {
+    while i < src.len() && out.len() <= dst_len {
         let ctrl = src[i];
         i += 1;
         match ctrl {
@@ -137,6 +138,19 @@ mod tests {
     fn truncated_stream_rejected() {
         let enc = packbits_encode(&[7u8; 100]);
         assert!(packbits_decode(&enc[..enc.len() - 1], 100).is_err());
+    }
+
+    #[test]
+    fn trailing_input_and_forged_lengths_rejected() {
+        let enc = packbits_encode(b"hello world");
+        let mut noop = enc.clone();
+        noop.push(128);
+        assert_eq!(packbits_decode(&noop, 11).unwrap(), b"hello world");
+        let mut trailing = enc.clone();
+        trailing.extend_from_slice(&[0, b'!']);
+        assert!(packbits_decode(&trailing, 11).is_err());
+        // A forged length reserves no more than the input can yield.
+        assert!(packbits_decode(&enc, usize::MAX).is_err());
     }
 
     #[test]

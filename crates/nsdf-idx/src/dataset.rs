@@ -838,7 +838,8 @@ impl IdxDataset {
     /// for them; blocks of pure power-of-two padding are never touched.
     /// The uploads block, unless the caller's issue frame
     /// ([`UploadLanes::issue`]) owns the join: then the call returns once
-    /// its last upload has started, with every upload's result known. On
+    /// each upload holds one of the caller's lanes, with every upload's
+    /// result known. On
     /// an upload error the same rule as `write_box`'s holds: the samples
     /// stay merged and the blocks that did not store stay dirty.
     pub fn write_raster<T: Sample>(
@@ -1050,9 +1051,10 @@ impl IdxDataset {
     /// write-back on drop waits for the last clone.
     ///
     /// The uploads are *issued*, not waited for: on a WAN store
-    /// ([`nsdf_storage::CloudStore`]) the call returns once its last upload
-    /// has started, keeping at most `write_concurrency` block uploads in
-    /// flight, so the next tile's waves share the link with this one's.
+    /// ([`nsdf_storage::CloudStore`]) the call returns once each upload
+    /// holds one of the handle's `write_concurrency` lanes, so it blocks
+    /// only while that many are outstanding, and the next tile's waves
+    /// share the link with this one's.
     /// The store has taken the blocks by then, and each upload's result is
     /// known; only the virtual time until they end is still owed. `flush`,
     /// drop and every blocking store call wait for it.

@@ -32,9 +32,11 @@
 //! ops than streams takes every stream at once, which is the `ceil` rule
 //! above. Overlapping waves share the byte rate: each op's share of the
 //! payload queues on the aggregate timeline, and the op ends no earlier
-//! than its bytes got through. The issuing call advances the clock only to
-//! its last op's *start*, as a caller waiting for a pooled connection
-//! would; [`UploadLanes::join`] later waits for the last op's end.
+//! than its bytes got through. A lane is the caller's request slot, held
+//! from issue to the op's end, so the issuing call advances the clock
+//! only to its last op's lane grant, `max(now, lane)`, as a transfer
+//! manager's caller waits for room in its request queue, never for a
+//! stream; [`UploadLanes::join`] later waits for the last op's end.
 //! Per-key results still come back from the issuing call: only the wait is
 //! deferred.
 
@@ -170,20 +172,21 @@ impl WanMetrics {
     }
 }
 
-/// The upload lanes of one writer: at most one in-flight upload per lane,
-/// each lane free from the virtual time its last upload ends.
+/// The upload lanes of one writer: request slots, each holding one upload
+/// from issue until it ends, queueing for a stream included.
 ///
 /// A handle that writes back (an IDX dataset's `write_box`) owns one set
 /// and makes its upload waves inside [`UploadLanes::issue`]; a
 /// [`CloudStore`] below then issues each wave on the link timeline instead
-/// of blocking on it (see the [module docs](crate::wan)). The lanes travel
-/// as the calling thread's *issue frame*, so no [`ObjectStore`] signature
-/// carries them.
+/// of blocking on it (see the [module docs](crate::wan)), so the caller
+/// blocks only while every lane is held. The lanes travel as the calling
+/// thread's *issue frame*, so no [`ObjectStore`] signature carries them.
 #[derive(Debug, Clone)]
 pub struct UploadLanes {
+    /// Per lane, when its last upload ends; none when lanes never bind.
     free_vns: Vec<u64>,
-    /// Open a lane rather than wait for one ([`UploadLanes::unbounded`]).
-    grows: bool,
+    /// When the last upload issued on these lanes ends.
+    finish_vns: u64,
     /// The clock of the store that issued on these lanes last.
     clock: Option<SimClock>,
 }
@@ -191,28 +194,15 @@ pub struct UploadLanes {
 impl UploadLanes {
     /// `n` free lanes (at least one).
     pub fn new(n: usize) -> UploadLanes {
-        UploadLanes { free_vns: vec![0; n.max(1)], grows: false, clock: None }
+        UploadLanes { free_vns: vec![0; n.max(1)], finish_vns: 0, clock: None }
     }
 
-    /// Lanes that never bind: an upload that finds every lane busy opens
-    /// another, so only the link's streams and byte rate delay it. For a
-    /// writer that bounds nothing itself, such as a task-graph run, whose
-    /// exclusive tasks make upload waves of any width.
+    /// Lanes that never bind: the issuing call never waits, and only the
+    /// link's streams and byte rate delay an upload. For a writer that
+    /// bounds nothing itself, such as a task-graph run, whose exclusive
+    /// tasks make upload waves of any width.
     pub fn unbounded() -> UploadLanes {
-        UploadLanes { free_vns: Vec::new(), grows: true, clock: None }
-    }
-
-    /// The lane an upload ready to start at `ready_vns` takes: the
-    /// earliest free one, or a new one when lanes grow and none is free
-    /// by then.
-    fn lane_for(&mut self, ready_vns: u64) -> usize {
-        match (0..self.free_vns.len()).min_by_key(|&i| self.free_vns[i]) {
-            Some(i) if !self.grows || self.free_vns[i] <= ready_vns => i,
-            _ => {
-                self.free_vns.push(0);
-                self.free_vns.len() - 1
-            }
-        }
+        UploadLanes { free_vns: Vec::new(), finish_vns: 0, clock: None }
     }
 
     /// Run `f` with these lanes as the calling thread's issue frame: every
@@ -228,7 +218,7 @@ impl UploadLanes {
 
     /// Virtual time the last upload issued on these lanes ends.
     pub fn finish_vns(&self) -> u64 {
-        self.free_vns.iter().copied().max().unwrap_or(0)
+        self.finish_vns
     }
 
     /// True while an issued upload has not ended on its store's clock.
@@ -282,9 +272,9 @@ pub(crate) fn restore_issue_frame(frame: Option<UploadLanes>) {
 }
 
 /// Running totals of what `CloudStore` calls on one thread did to the
-/// clock besides charging it: nanoseconds it advanced waiting for the link
-/// (a blocking call's drain, an issued wave's wait for its last op's
-/// start), and charges it booked without advancing (issued waves). A
+/// clock besides charging it: nanoseconds it advanced waiting (a blocking
+/// call's drain of the link, an issued wave's wait for the caller's own
+/// lanes), and charges it booked without advancing (issued waves). A
 /// layer that times calls by the clock (the scheduler's grants) swaps the
 /// first for the second to count link occupancy, not waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,18 +299,22 @@ fn ledger_add(waited_vns: u64, issued_vns: u64) {
 }
 
 /// Busy-until times of one endpoint's link.
+#[derive(Default)]
 struct Link {
     /// Per stream.
     streams: Vec<u64>,
     /// The aggregate byte rate.
     bandwidth: u64,
+    /// Every op placed so far: its start and end.
+    #[cfg(test)]
+    placed: Vec<(u64, u64)>,
 }
 
 impl Link {
     /// Place an issued wave of `ops` ops, each held `secs_ns`, whose
     /// payload takes `xfer_ns` of the aggregate rate, on the streams and
-    /// on `lanes`; returns when its last op starts and when its last op
-    /// ends.
+    /// on `lanes`; returns when its last op was granted a lane and when
+    /// its last op ends.
     fn place(
         &mut self,
         lanes: &mut UploadLanes,
@@ -332,28 +326,34 @@ impl Link {
         // A wave wider than the link takes every stream at once.
         let wide = ops > self.streams.len();
         let all_free = self.streams.iter().copied().max().unwrap_or(0);
-        let (mut last_start, mut last_end) = (now, now);
+        let (mut last_grant, mut last_end) = (now, now);
         for i in 0..ops {
             let stream =
                 (0..self.streams.len()).min_by_key(|&s| self.streams[s]).expect("at least one");
             let stream_free = if wide { all_free } else { self.streams[stream] };
-            let lane = lanes.lane_for(now.max(stream_free));
-            let start = now.max(stream_free).max(lanes.free_vns[lane]);
+            let lane = lanes.free_vns.iter_mut().min_by_key(|t| **t);
+            let grant = now.max(lane.as_deref().copied().unwrap_or(0));
+            let start = grant.max(stream_free);
             let (i, n) = (i as u64, ops as u64);
             let share = xfer_ns * (i + 1) / n - xfer_ns * i / n;
             self.bandwidth = self.bandwidth.max(start) + share;
             let end = (start + secs_ns).max(self.bandwidth);
-            lanes.free_vns[lane] = end;
+            if let Some(lane) = lane {
+                *lane = end;
+            }
             if !wide {
                 self.streams[stream] = end;
             }
-            last_start = last_start.max(start);
+            #[cfg(test)]
+            self.placed.push((start, end));
+            last_grant = last_grant.max(grant);
             last_end = last_end.max(end);
         }
         if wide {
             self.streams.iter_mut().for_each(|s| *s = last_end);
         }
-        (last_start, last_end)
+        lanes.finish_vns = lanes.finish_vns.max(last_end);
+        (last_grant, last_end)
     }
 }
 
@@ -382,7 +382,7 @@ impl CloudStore {
         seed: u64,
     ) -> Self {
         let m = WanMetrics::new(&Obs::new(clock.clone()));
-        let link = Link { streams: vec![0; profile.streams.max(1) as usize], bandwidth: 0 };
+        let link = Link { streams: vec![0; profile.streams.max(1) as usize], ..Link::default() };
         CloudStore {
             inner,
             profile,
@@ -485,7 +485,7 @@ impl CloudStore {
 
     /// Issue one upload wave on `lanes` (see the [module docs](crate::wan)):
     /// the same charge as [`CloudStore::settle_wave`], but the clock moves
-    /// only to the wave's last op start.
+    /// only to the wave's last lane grant.
     fn issue_wave(&self, lanes: &mut UploadLanes, ops: u64, trips: u32, bytes: u64) {
         if ops == 0 {
             return;
@@ -493,12 +493,12 @@ impl CloudStore {
         let (secs, transfer) = self.episode_secs(ops, trips, bytes);
         let secs_ns = secs_to_ns(secs);
         let now = self.clock.now_ns();
-        let (last_start, last_end) =
+        let (last_grant, last_end) =
             self.link.lock().place(lanes, now, ops as usize, secs_ns, secs_to_ns(transfer));
         lanes.clock = Some(self.clock.clone());
         self.drain_vns.fetch_max(last_end, Ordering::SeqCst);
-        self.clock.advance_to_ns(last_start);
-        ledger_add(last_start - now, secs_ns);
+        self.clock.advance_to_ns(last_grant);
+        ledger_add(last_grant - now, secs_ns);
         self.book(Traffic::Write, ops, bytes, secs);
         self.m.waves.inc();
     }
@@ -1089,8 +1089,9 @@ mod tests {
         let s = wave_ns(&p, 5, 100);
         issue(&c, &mut lanes, "b", 5, 100);
         // Three of the second wave's ops start at once on the free streams;
-        // the other two wait for the first wave's streams.
-        assert_eq!(c.clock().now_ns(), s, "the issuing call waits for its last op's start");
+        // the other two wait for the first wave's streams, but each holds
+        // one of the ten lanes at issue, so the caller does not wait.
+        assert_eq!(c.clock().now_ns(), 0, "the issuing call waits only for lanes");
         let started_late = lanes.free_vns.iter().filter(|&&t| t == 2 * s).count();
         let started_now = lanes.free_vns.iter().filter(|&&t| t == s).count();
         assert_eq!((started_now, started_late), (8, 2));
@@ -1104,9 +1105,10 @@ mod tests {
         let mut lanes = UploadLanes::new(16);
         issue(&c, &mut lanes, "a", 1, 100);
         let one = wave_ns(&p, 1, 100);
-        // Seven streams are free, but nine ops take all eight at once.
+        // Seven streams are free, but nine ops take all eight at once; the
+        // caller holds nine of its sixteen lanes at issue and goes on.
         issue(&c, &mut lanes, "b", 9, 100);
-        assert_eq!(c.clock().now_ns(), one);
+        assert_eq!(c.clock().now_ns(), 0);
         let nine = wave_ns(&p, 9, 100);
         let two_pairs = secs_to_ns(p.rtt_ms / 1000.0 * 4.0 + p.transfer_secs(900));
         assert_eq!(nine, two_pairs, "nine ops on eight streams serialize two round-trip pairs");
@@ -1192,12 +1194,158 @@ mod tests {
         issue(&open, &mut lanes, "a", 16, 100);
         let s = wave_ns(&p, 16, 100);
         assert_eq!((bounded.clock().now_ns(), open.clock().now_ns()), (3 * s, 0));
-        assert_eq!((lanes.free_vns.len(), lanes.finish_vns()), (16, s));
-        // A narrow wave waits for the streams only, and reuses ended lanes.
+        assert_eq!(four.finish_vns(), 4 * s);
+        assert_eq!(lanes.finish_vns(), s);
+        // A narrow wave queues for the streams, but its caller does not.
         issue(&open, &mut lanes, "b", 2, 100);
-        assert_eq!(open.clock().now_ns(), s);
-        assert_eq!(lanes.free_vns.len(), 16);
-        assert_eq!(lanes.join(), wave_ns(&p, 2, 100));
+        assert_eq!(open.clock().now_ns(), 0);
+        assert_eq!(lanes.finish_vns(), s + wave_ns(&p, 2, 100));
+        assert_eq!(lanes.join(), s + wave_ns(&p, 2, 100));
+    }
+
+    /// The lanes before a lane stopped delaying its caller, copied as the
+    /// oracle: unbounded lanes open a lane rather than wait for one.
+    struct OracleLanes {
+        free_vns: Vec<u64>,
+        grows: bool,
+    }
+
+    impl OracleLanes {
+        fn lane_for(&mut self, ready_vns: u64) -> usize {
+            match (0..self.free_vns.len()).min_by_key(|&i| self.free_vns[i]) {
+                Some(i) if !self.grows || self.free_vns[i] <= ready_vns => i,
+                _ => {
+                    self.free_vns.push(0);
+                    self.free_vns.len() - 1
+                }
+            }
+        }
+    }
+
+    /// `Link::place` before a lane stopped delaying its caller, copied as
+    /// the oracle. Returns each op's start and end, and the latest time one
+    /// of them was granted a lane of its own: `now` on lanes that grow, the
+    /// lane's free time on bounded ones.
+    fn oracle_place(
+        streams: &mut [u64],
+        bandwidth: &mut u64,
+        lanes: &mut OracleLanes,
+        now: u64,
+        ops: usize,
+        secs_ns: u64,
+        xfer_ns: u64,
+    ) -> (Vec<(u64, u64)>, u64) {
+        let wide = ops > streams.len();
+        let all_free = streams.iter().copied().max().unwrap_or(0);
+        let (mut placed, mut last_grant, mut last_end) = (Vec::new(), now, now);
+        for i in 0..ops {
+            let stream = (0..streams.len()).min_by_key(|&s| streams[s]).expect("at least one");
+            let stream_free = if wide { all_free } else { streams[stream] };
+            let lane = lanes.lane_for(now.max(stream_free));
+            let start = now.max(stream_free).max(lanes.free_vns[lane]);
+            let (i, n) = (i as u64, ops as u64);
+            let share = xfer_ns * (i + 1) / n - xfer_ns * i / n;
+            *bandwidth = (*bandwidth).max(start) + share;
+            let end = (start + secs_ns).max(*bandwidth);
+            if !lanes.grows {
+                last_grant = last_grant.max(lanes.free_vns[lane]);
+            }
+            lanes.free_vns[lane] = end;
+            if !wide {
+                streams[stream] = end;
+            }
+            placed.push((start, end));
+            last_end = last_end.max(end);
+        }
+        if wide {
+            streams.iter_mut().for_each(|s| *s = last_end);
+        }
+        (placed, last_grant)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Only the caller's clock follows the lanes: every issued op is
+        /// placed as the oracle places it for the same call at the same
+        /// `now` (start, end, stream and byte-rate state, `busy_vns`), and
+        /// the issuing call returns at the latest lane grant. Blocking calls
+        /// between waves still wait for the drain.
+        #[test]
+        fn issuing_moves_no_upload(
+            seed in 0u64..1_000,
+            profile in 0usize..3,
+            bounds in proptest::collection::vec(0usize..16, 3),
+            calls in proptest::collection::vec((0usize..5, 1usize..24, 0usize..300_000), 1..40),
+        ) {
+            let p = [
+                NetworkProfile::public_dataverse(),
+                NetworkProfile::private_seal(),
+                flat(30.0, 1000.0),
+            ][profile].clone();
+            let c = CloudStore::new(Arc::new(MemoryStore::new()), p.clone(), SimClock::new(), seed);
+            // Lane set `i` is unbounded when its bound is 0.
+            let mut lanes: Vec<UploadLanes> = bounds
+                .iter()
+                .map(|&b| if b == 0 { UploadLanes::unbounded() } else { UploadLanes::new(b) })
+                .collect();
+            let mut oracle: Vec<OracleLanes> = bounds
+                .iter()
+                .map(|&b| OracleLanes { free_vns: vec![0; b], grows: b == 0 })
+                .collect();
+            let mut streams = vec![0u64; p.streams as usize];
+            let (mut bandwidth, mut drain, mut busy, mut op) = (0u64, 0u64, 0u64, 0u64);
+            for (step, (kind, n, size)) in calls.into_iter().enumerate() {
+                let now = c.clock().now_ns();
+                let bytes = (n * size) as u64;
+                // The charge and payload time of the `op`-th episode.
+                let secs = blocking_oracle_secs(&p, seed, op, n as u64, 2, bytes);
+                let jitter_u = splitmix64(seed ^ op) as f64 / u64::MAX as f64;
+                let xfer = p.transfer_secs(bytes) * (1.0 + p.jitter * (2.0 * jitter_u - 1.0)).max(0.0);
+                let expect = match kind {
+                    0..=2 => {
+                        let (placed, grant) = oracle_place(
+                            &mut streams,
+                            &mut bandwidth,
+                            &mut oracle[kind],
+                            now,
+                            n,
+                            secs_to_ns(secs),
+                            secs_to_ns(xfer),
+                        );
+                        c.link.lock().placed.clear();
+                        issue(&c, &mut lanes[kind], &format!("w{step}/"), n, size);
+                        (op, busy) = (op + 1, busy + secs_to_ns(secs));
+                        drain = drain.max(placed.iter().map(|&(_, e)| e).max().unwrap());
+                        proptest::prop_assert_eq!(&c.link.lock().placed, &placed);
+                        let finish = oracle[kind].free_vns.iter().copied().max().unwrap();
+                        proptest::prop_assert_eq!(lanes[kind].finish_vns(), finish);
+                        if bounds[kind] > 0 {
+                            proptest::prop_assert_eq!(&lanes[kind].free_vns, &oracle[kind].free_vns);
+                        }
+                        grant
+                    }
+                    3 => {
+                        let payload = vec![3u8; size];
+                        let keys: Vec<String> = (0..n).map(|i| format!("b{step}/{i}")).collect();
+                        let items: Vec<(&str, &[u8])> =
+                            keys.iter().map(|k| (k.as_str(), &payload[..])).collect();
+                        c.put_many(&items);
+                        (op, busy) = (op + 1, busy + secs_to_ns(secs));
+                        now.max(drain) + secs_to_ns(secs)
+                    }
+                    _ => {
+                        let set = n % lanes.len();
+                        lanes[set].join();
+                        now.max(lanes[set].finish_vns())
+                    }
+                };
+                proptest::prop_assert_eq!(c.clock().now_ns(), expect);
+                proptest::prop_assert_eq!(&c.link.lock().streams, &streams);
+                proptest::prop_assert_eq!(c.link.lock().bandwidth, bandwidth);
+                proptest::prop_assert_eq!(c.busy_vns(), busy);
+            }
+        }
     }
 
     #[test]

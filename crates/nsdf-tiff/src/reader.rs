@@ -41,7 +41,7 @@ impl Ifd {
         }
         let ifd_offset = read_u32(bytes, 4)? as usize;
         let count = read_u16(bytes, ifd_offset)? as usize;
-        let mut entries = HashMap::with_capacity(count);
+        let mut entries = HashMap::new();
         for i in 0..count {
             let at = ifd_offset + 2 + i * 12;
             let tag_id = read_u16(bytes, at)?;
@@ -134,6 +134,13 @@ pub fn tiff_info(bytes: &[u8]) -> Result<TiffInfo> {
     };
     let compression = TiffCompression::from_code(ifd.u32_or(tag::COMPRESSION, 1)?)
         .ok_or_else(|| NsdfError::unsupported("compression scheme"))?;
+    if width == 0 || height == 0 {
+        return Err(NsdfError::format(format!("empty {width}x{height} TIFF")));
+    }
+    width
+        .checked_mul(height)
+        .and_then(|n| n.checked_mul(dtype.size_bytes()))
+        .ok_or_else(|| NsdfError::format(format!("{width}x{height} TIFF overflows memory")))?;
     let strips = ifd.u32s(tag::STRIP_OFFSETS)?.len();
 
     let geo = match (ifd.doubles(tag::MODEL_PIXEL_SCALE), ifd.doubles(tag::MODEL_TIEPOINT)) {
@@ -174,9 +181,30 @@ pub fn read_tiff<T: Sample>(bytes: &[u8]) -> Result<Raster<T>> {
     if rows_per_strip == 0 {
         return Err(NsdfError::format("rows per strip is zero"));
     }
+    if offsets.len() != info.height.div_ceil(rows_per_strip) {
+        return Err(NsdfError::format(format!(
+            "{} strips for {} rows of {rows_per_strip}",
+            offsets.len(),
+            info.height
+        )));
+    }
+    // `tiff_info` checked that the image size fits. Reserve it only once
+    // the strips can yield it: they lie inside the file, and PackBits
+    // turns two bytes into at most 128.
     let row_bytes = info.width * info.dtype.size_bytes();
+    let total = info.height * row_bytes;
+    let stored: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+    let ratio = match info.compression {
+        TiffCompression::None => 1,
+        TiffCompression::PackBits => 64,
+    };
+    if stored > bytes.len() as u64 || total as u64 > stored * ratio {
+        return Err(NsdfError::corrupt(format!(
+            "strips of {stored} bytes cannot hold a {total}-byte image"
+        )));
+    }
 
-    let mut raw = Vec::with_capacity(info.height * row_bytes);
+    let mut raw = Vec::with_capacity(total);
     for (s, (&off, &cnt)) in offsets.iter().zip(&counts).enumerate() {
         let rows = rows_per_strip.min(info.height - s * rows_per_strip);
         let expect = rows * row_bytes;
@@ -202,8 +230,8 @@ pub fn read_tiff<T: Sample>(bytes: &[u8]) -> Result<Raster<T>> {
 }
 
 fn get(bytes: &[u8], at: usize, len: usize) -> Result<&[u8]> {
-    bytes
-        .get(at..at + len)
+    at.checked_add(len)
+        .and_then(|end| bytes.get(at..end))
         .ok_or_else(|| NsdfError::corrupt(format!("TIFF read of {len} bytes at {at} out of range")))
 }
 

@@ -45,9 +45,10 @@
 //! ([`UploadLanes::unbounded`]), and calls 3 and 4, and every exclusive
 //! task's closure between them, run in its issue frame. A
 //! [`nsdf_storage::CloudStore`] below therefore *issues* each upload wave
-//! on its link timeline: the call returns with per-key results once its
-//! last upload has started, so only the link's streams and byte rate delay
-//! an upload, and the uploads run on under the following compute. An
+//! on its link timeline: the call returns with per-key results at once,
+//! without waiting for a stream, since every upload holds a lane of its
+//! own; only the link's streams and byte rate delay an upload, and the
+//! uploads run on under the following compute. An
 //! exclusive task's own `put_many` waves (`IdxDataset::write_raster`'s)
 //! are issued the same way. The uploads issued in wave `n` are joined at
 //! the end of wave `n + 1`: a one-deep pipeline, in which an upload
@@ -1365,9 +1366,10 @@ mod tests {
     /// A Seal-class WAN under a probe that logs every upload call: for a
     /// single `put`, its key, when it started and when it returned; for a
     /// `put_many`, its first key, when it returned and when its last upload
-    /// ends. An issued wave returns at its last upload's start, and with
-    /// payloads this small that upload holds its stream for exactly the
-    /// wave's charge, which `busy_vns` books.
+    /// ends. An issued wave returns at issue, since a run's lanes never
+    /// bind. Every wave of these small graphs finds its streams free, and
+    /// with payloads this small its last upload then ends exactly the
+    /// wave's charge later, which `busy_vns` books.
     struct UploadProbe {
         wan: CloudStore,
         log: std::sync::Mutex<Vec<(String, u64, u64)>>,
