@@ -1,9 +1,10 @@
 //! # nsdf-core
 //!
 //! The top of the NSDF stack: a client session over named storage
-//! endpoints ([`client`]), the paper's four-step tutorial workflow as an
-//! instrumented pipeline ([`pipeline`]) and as a tile-level scheduled
-//! task DAG with incremental recompute ([`dag`]), and the
+//! endpoints ([`client`]), the paper's four-step tutorial workflow as one
+//! tile-level scheduled task DAG with incremental recompute ([`dag`],
+//! Steps 1–2 and the read-back check) plus its static renders and
+//! dashboard session ([`pipeline`], Steps 3–4), and the
 //! tutorial-delivery / survey simulation behind Table I and Fig. 8
 //! ([`tutorial`]).
 
@@ -17,5 +18,5 @@ pub mod tutorial;
 
 pub use client::{EndpointKind, EndpointPolicy, NsdfClient, StorageEndpoint};
 pub use dag::{build_terrain_graph, run_terrain_dag, DagConfig, DagReport};
-pub use pipeline::{run_tutorial, Interaction, TutorialConfig};
+pub use pipeline::{run_tutorial, step_of, Interaction, StepRow};
 pub use tutorial::{Background, Modality, Session, SurveyModel};

@@ -1,78 +1,38 @@
-//! The four-step tutorial workflow (paper §IV, Figs. 3–4): data
-//! generation → conversion to IDX → static visualization/validation →
-//! interactive visualization & analysis — as a chain of four exclusive
-//! tasks on the [`nsdf_workflow::graph`] engine over an [`NsdfClient`].
-//!
-//! Data crosses steps as artifacts, the way Fig. 3 draws it: step 1 hands
-//! the four TIFFs to the engine, which uploads them in one batch; step 2
-//! converts them and hands on the dataset header, the one hashed object
-//! that stands for the IDX dataset; step 3 validates the read-back against
-//! the TIFFs and hands on its PPMs; step 4 hands back the snipped script
-//! and array. So every artifact in the run report is a stored object with
-//! its size and checksum; report-only results (ingest and read-back
-//! accounting, accuracy, interactions) leave through one `StepResults`.
-//!
-//! Timing model: storage operations charge the shared virtual clock
-//! through the WAN simulation; compute stages charge the *modelled*
-//! per-pixel costs [`crate::dag`] owns, through
-//! [`nsdf_workflow::TaskCtx::charge_compute_ns`]. No host wall time
-//! reaches the clock, so the run report reads as one coherent timeline
-//! that repeats bit for bit for a seed; with one step per wave, step `k`
-//! took [`GraphRun::wave_secs`]`(k)`. Wall-clock codec throughput
-//! ([`TutorialReport::encode_mb_s`]) is a report field, never a charge.
+//! The four-step tutorial workflow (paper §IV, Figs. 3–4) as one task
+//! graph: the terrain DAG of [`crate::dag`] (Steps 1–2 and the
+//! digest-checked read-back) plus two kinds of task only the tutorial runs:
+//! `static/{field}` reads one field back, measures it against the mosaic
+//! of its tiles and renders a PPM (Step 3), and `dashboard` drives a
+//! scripted interactive session that hands back a snipped region (Step 4).
+//! [`step_of`] maps every task to one of the paper's four steps.
 
 use crate::client::NsdfClient;
-use crate::dag::{GEN_NS_PER_PX, INGEST_NS_PER_PX, TERRAIN_NS_PER_PX, VALIDATE_NS_PER_PX};
+use crate::dag::{build_terrain_graph, DagConfig, VALIDATE_NS_PER_PX};
 use nsdf_compress::Codec;
 use nsdf_dashboard::{Colormap, Dashboard, FrameInfo, RangeMode};
-use nsdf_geotiled::{compute_terrain_tiled_obs, DemConfig, Sun, TerrainParam, TilePlan};
-use nsdf_idx::{Field, IdxDataset, IdxMeta, QueryStats, WriteStats};
-use nsdf_tiff::{read_tiff, write_tiff, TiffCompression};
-use nsdf_util::{samples_to_bytes, AccuracyReport, Box2i, DType, NsdfError, Result};
-use nsdf_workflow::{Artifact, GraphRun, RunOptions, TaskGraph, TaskOutput, TaskStatus};
+use nsdf_geotiled::TilePlan;
+use nsdf_idx::IdxDataset;
+use nsdf_util::{samples_to_bytes, AccuracyReport, Box2i, NsdfError, Result};
+use nsdf_workflow::{GraphRun, TaskOutput, TaskStatus};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Configuration of one tutorial run.
-#[derive(Debug, Clone)]
-pub struct TutorialConfig {
-    /// DEM width in pixels.
-    pub width: usize,
-    /// DEM height in pixels.
-    pub height: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// GEOtiled tile grid.
-    pub tiles: (usize, usize),
-    /// Worker threads for tiled computation.
-    pub threads: usize,
-    /// Block codec for the IDX dataset.
-    pub codec: Codec,
-    /// log2 samples per IDX block.
-    pub bits_per_block: u32,
-    /// Blocks uploaded per `put_many` batch during Step 2's conversion.
-    pub write_concurrency: usize,
-    /// Storage endpoint holding the TIFFs and the IDX dataset
-    /// (`"local"`, `"dataverse"`, or `"seal"` on a simulated client).
-    pub storage_endpoint: String,
-    /// Dashboard viewport size in pixels.
-    pub viewport_px: usize,
-}
+/// Dashboard viewport size in pixels.
+const VIEWPORT_PX: usize = 256;
 
-impl TutorialConfig {
-    /// A Tennessee-scale run that completes in seconds.
-    pub fn small(seed: u64) -> TutorialConfig {
-        TutorialConfig {
-            width: 512,
-            height: 256,
-            seed,
-            tiles: (4, 2),
-            threads: 4,
-            codec: Codec::LzssHuff { sample_size: 4 },
-            bits_per_block: 12,
-            write_concurrency: 8,
-            storage_endpoint: "seal".into(),
-            viewport_px: 256,
-        }
+/// The paper's four steps, in order: Fig. 4's rows.
+const STEPS: [&str; 4] =
+    ["1-data-generation", "2-convert-to-idx", "3-static-visualization", "4-interactive-dashboard"];
+
+/// The paper's step the task named `task` belongs to: DEM, terrain
+/// and moisture tiles are Step 1, `dataset-init` and `ingest/*` Step 2,
+/// `validate/*` and `static/*` Step 3, and `dashboard` Step 4.
+pub fn step_of(task: &str) -> &'static str {
+    match task.split('/').next().unwrap_or(task) {
+        "dataset-init" | "ingest" => STEPS[1],
+        "validate" | "static" => STEPS[2],
+        "dashboard" => STEPS[3],
+        _ => STEPS[0],
     }
 }
 
@@ -87,27 +47,41 @@ pub struct Interaction {
     pub frame: Option<FrameInfo>,
 }
 
+/// One of the paper's four steps, folded from the run report (Fig. 4).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StepRow {
+    /// The step's name, as [`step_of`] gives it.
+    pub step: &'static str,
+    /// Tasks the step holds.
+    pub tasks: usize,
+    /// First and last wave a task of the step ran in.
+    pub waves: (u64, u64),
+    /// Modelled compute its tasks charged, in virtual ns.
+    pub compute_ns: u64,
+    /// Artifacts its tasks produced.
+    pub artifacts: usize,
+    /// Bytes of those artifacts.
+    pub bytes: u64,
+}
+
 /// Everything a tutorial run produces.
 #[derive(Debug)]
 pub struct TutorialReport {
-    /// Run report: one record per step (one step per wave) with its
-    /// artifacts, plus the per-wave timeline.
+    /// Run report: one record per task, with its artifacts, plus the
+    /// per-wave timeline.
     pub run: GraphRun,
-    /// Total bytes of the four TIFFs (Step 1 output).
+    /// Total bytes of the field-tile TIFFs (Step 1 output).
     pub tiff_bytes: u64,
     /// Total stored bytes of the IDX dataset (Step 2 output).
     pub idx_bytes: u64,
-    /// Merged ingest accounting across Step 2's per-parameter writes.
-    pub ingest: WriteStats,
-    /// Merged read-back accounting across Step 3's validation queries.
-    pub readback: QueryStats,
-    /// Per-parameter accuracy of IDX-read-back vs the original rasters
-    /// (Step 3's validation).
-    pub accuracy: Vec<(TerrainParam, AccuracyReport)>,
-    /// Scripted dashboard interactions (Step 4).
+    /// Per-field accuracy of the read-back vs the tile mosaic, from the
+    /// `static/*` tasks this run executed.
+    pub accuracy: BTreeMap<String, AccuracyReport>,
+    /// Scripted dashboard interactions, when `dashboard` executed.
     pub interactions: Vec<Interaction>,
     /// End-to-end virtual seconds.
     pub total_virtual_secs: f64,
+    lossless: bool,
 }
 
 impl TutorialReport {
@@ -121,255 +95,153 @@ impl TutorialReport {
         }
     }
 
-    /// True when every parameter validated bit-exactly in Step 3.
+    /// True when the codec is lossless and every field's digest-checked
+    /// read-back (`validate/*`) succeeded or was verified up to date.
     pub fn validation_exact(&self) -> bool {
-        !self.accuracy.is_empty() && self.accuracy.iter().all(|(_, r)| r.is_exact())
+        let mut validations = self.run.records.iter().filter(|r| r.name.starts_with("validate/"));
+        self.lossless
+            && validations.all(|r| matches!(r.status, TaskStatus::Succeeded | TaskStatus::UpToDate))
     }
 
-    /// Wall-clock codec encode throughput of Step 2's ingest, in MB/s
-    /// (raw bytes over `encode_secs`), when any encoding was timed.
-    pub fn encode_mb_s(&self) -> Option<f64> {
-        (self.ingest.encode_secs > 0.0)
-            .then(|| self.ingest.bytes_raw as f64 / (1 << 20) as f64 / self.ingest.encode_secs)
-    }
-
-    /// Wall-clock codec decode throughput of Step 3's read-back, in MB/s
-    /// (decoded bytes over `decode_secs`), when any decoding was timed.
-    pub fn decode_mb_s(&self) -> Option<f64> {
-        (self.readback.decode_secs > 0.0).then(|| {
-            self.readback.bytes_decoded as f64 / (1 << 20) as f64 / self.readback.decode_secs
-        })
-    }
-
-    /// Human-readable run summary: sizes, validation, timings, and the
-    /// wall-clock codec throughput both directions.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("== NSDF tutorial summary ==\n");
-        let _ = writeln!(out, "TIFF bytes:   {}", self.tiff_bytes);
-        let _ = writeln!(
-            out,
-            "IDX bytes:    {} ({:.1} % of TIFF)",
-            self.idx_bytes,
-            self.size_ratio() * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "validation:   {}",
-            if self.validation_exact() { "bit-exact" } else { "lossy" }
-        );
-        let _ = writeln!(out, "virtual time: {:.3}s", self.total_virtual_secs);
-        if let Some(v) = self.encode_mb_s() {
-            let _ = writeln!(out, "encode:       {v:.1} MB/s (wall clock)");
+    /// Fig. 4's rows, which partition the run's tasks and artifacts.
+    pub fn steps(&self) -> Vec<StepRow> {
+        let mut rows =
+            STEPS.map(|step| StepRow { step, waves: (u64::MAX, 0), ..StepRow::default() });
+        for r in &self.run.records {
+            let row = rows.iter_mut().find(|row| row.step == step_of(&r.name)).expect("a step");
+            row.tasks += 1;
+            row.waves = (row.waves.0.min(r.wave), row.waves.1.max(r.wave));
+            row.compute_ns += r.compute_ns;
+            row.artifacts += r.produced.len();
+            row.bytes += r.produced.iter().map(|a| a.bytes).sum::<u64>();
         }
-        if let Some(v) = self.decode_mb_s() {
-            let _ = writeln!(out, "decode:       {v:.1} MB/s (wall clock)");
-        }
-        out
+        rows.to_vec()
     }
 }
 
-/// Report-only results the step closures hand out beside their artifacts.
-#[derive(Default)]
-struct StepResults {
-    ingest: WriteStats,
-    readback: QueryStats,
-    accuracy: Vec<(TerrainParam, AccuracyReport)>,
-    interactions: Vec<Interaction>,
-}
-
-/// The four steps, in order: task names, span labels and Fig. 4's rows.
-const GENERATE: &str = "1-data-generation";
-const CONVERT: &str = "2-convert-to-idx";
-const VISUALIZE: &str = "3-static-visualization";
-const DASHBOARD: &str = "4-interactive-dashboard";
-
-fn tiff_name(param: TerrainParam) -> String {
-    format!("{}.tif", param.name())
-}
-
-/// Run the four-step workflow. See module docs for the data flow and the
-/// timing model.
-pub fn run_tutorial(client: &NsdfClient, cfg: &TutorialConfig) -> Result<TutorialReport> {
-    if cfg.width == 0 || cfg.height == 0 {
-        return Err(NsdfError::invalid("tutorial grid must be non-empty"));
-    }
-    let store = client.store(&cfg.storage_endpoint)?;
-    let clock = client.clock().clone();
+/// Run the four-step workflow: the terrain DAG for `cfg` plus its Step 3
+/// renders and Step 4 session.
+pub fn run_tutorial(client: &NsdfClient, cfg: &DagConfig) -> Result<TutorialReport> {
+    let (mut g, store) = build_terrain_graph(client, cfg)?;
     let obs = client.obs().scoped("tutorial");
-    let results = Arc::new(Mutex::new(StepResults::default()));
-    let definition = format!("{cfg:?}");
-    let mut g = TaskGraph::new("nsdf-tutorial");
+    let accuracy = Arc::new(Mutex::new(BTreeMap::new()));
+    let interactions = Arc::new(Mutex::new(Vec::new()));
+    let plan = TilePlan::new(cfg.tiles.0, cfg.tiles.1, 1)?;
+    let (w, prefix) = (cfg.width, cfg.prefix.clone());
+    let idx_prefix = format!("{prefix}/idx");
 
-    // ---- Step 1: data generation (GEOtiled) -------------------------------
-    let (cfg1, obs1) = (cfg.clone(), obs.clone());
-    g.add_exclusive_task(GENERATE, &[], &definition, move |ctx| {
-        let _step_span = obs1.span(GENERATE);
-        let dem = DemConfig::conus_like(cfg1.width, cfg1.height, cfg1.seed).generate();
-        ctx.charge_compute_ns(dem.len() as u64 * GEN_NS_PER_PX);
-        let plan = TilePlan::new(cfg1.tiles.0, cfg1.tiles.1, 1)?;
-        let mut tiffs = Vec::new();
-        for param in TerrainParam::all() {
-            let (raster, stats) =
-                compute_terrain_tiled_obs(&dem, param, Sun::default(), &plan, cfg1.threads, &obs1)?;
-            ctx.charge_compute_ns(stats.pixels_computed * TERRAIN_NS_PER_PX);
-            tiffs.push(TaskOutput::payload(
-                tiff_name(param),
-                format!("tutorial/tiff/{}", tiff_name(param)),
-                write_tiff(&raster, TiffCompression::None)?,
-            ));
+    // ---- Step 3: static visualization, one task per field -----------------
+    let mut statics = Vec::new();
+    for field in DagConfig::field_names() {
+        let mut deps = vec![format!("validate/{field}")];
+        for ty in 0..cfg.tiles.1 {
+            deps.extend((0..cfg.tiles.0).map(|tx| format!("{field}/{tx}_{ty}")));
         }
-        Ok(tiffs)
-    })?;
-
-    // ---- Step 2: conversion to IDX ----------------------------------------
-    let (cfg2, store2, obs2, results2) = (cfg.clone(), store.clone(), obs.clone(), results.clone());
-    g.add_exclusive_task(CONVERT, &[GENERATE], &definition, move |ctx| {
-        let _step_span = obs2.span(CONVERT);
-        let mut rasters = Vec::new();
-        let mut fields = Vec::new();
-        for param in TerrainParam::all() {
-            rasters.push((param, read_tiff::<f32>(ctx.input_bytes(&tiff_name(param))?)?));
-            fields.push(Field::new(param.name(), DType::F32)?);
-        }
-        let mut meta = IdxMeta::new_2d(
-            "tutorial-terrain",
-            cfg2.width as u64,
-            cfg2.height as u64,
-            fields,
-            cfg2.bits_per_block,
-            cfg2.codec,
-        )?;
-        if let Some(g) = rasters[0].1.geo {
-            meta = meta.with_geo(g);
-        }
-        let ds = IdxDataset::create(store2.clone(), "tutorial/idx", meta)?
-            .with_obs(&obs2)
-            .with_write_concurrency(cfg2.write_concurrency);
-        let mut ingest = WriteStats::default();
-        for (param, raster) in &rasters {
-            ingest.merge(&ds.write_raster(param.name(), 0, raster)?);
-            ctx.charge_compute_ns(raster.len() as u64 * INGEST_NS_PER_PX);
-        }
-        results2.lock().expect("step results poisoned").ingest = ingest;
-        // The block objects stay behind the dataset; the header is the
-        // one hashed object that stands for it on the edges below.
-        let header_key = "tutorial/idx/dataset.idx";
-        let header = store2.get(header_key)?;
-        Ok(vec![TaskOutput::Stored(Artifact::of_bytes("dataset.idx", &header, header_key))])
-    })?;
-
-    // ---- Step 3: static visualization & validation -------------------------
-    let (store3, obs3, results3) = (store.clone(), obs.clone(), results.clone());
-    g.add_exclusive_task(VISUALIZE, &[GENERATE, CONVERT], &definition, move |ctx| {
-        let _step_span = obs3.span(VISUALIZE);
-        let ds = IdxDataset::open(store3.clone(), "tutorial/idx")?.with_obs(&obs3);
-        let mut accuracy = Vec::new();
-        let mut readback = QueryStats::default();
-        let mut ppms = Vec::new();
-        for param in TerrainParam::all() {
-            let original = read_tiff::<f32>(ctx.input_bytes(&tiff_name(param))?)?;
-            let (from_idx, q) = ds.read_full::<f32>(param.name(), 0)?;
-            readback.merge(&q);
-            accuracy.push((param, AccuracyReport::compare(&original, &from_idx)?));
-            let img = nsdf_dashboard::render(&from_idx, Colormap::Terrain, RangeMode::Dynamic)?;
-            ctx.charge_compute_ns(from_idx.len() as u64 * VALIDATE_NS_PER_PX);
-            ppms.push(TaskOutput::payload(
-                format!("{}.ppm", param.name()),
-                format!("tutorial/static/{}.ppm", param.name()),
-                img.to_ppm(),
-            ));
-        }
-        let mut results = results3.lock().expect("step results poisoned");
-        results.accuracy = accuracy;
-        results.readback = readback;
-        Ok(ppms)
-    })?;
+        let deps: Vec<&str> = deps.iter().map(String::as_str).collect();
+        let name = format!("static/{field}");
+        g.add_exclusive_task(name.as_str(), &deps, &name, {
+            let (store, obs, accuracy) = (store.clone(), obs.clone(), accuracy.clone());
+            let (cfg, plan, idx_prefix) = (cfg.clone(), plan.clone(), idx_prefix.clone());
+            move |ctx| {
+                let original = cfg.mosaic(ctx, field, &plan)?;
+                let ds = IdxDataset::open(store.clone(), &idx_prefix)?.with_obs(&obs);
+                let (from_idx, _) = ds.read_full::<f32>(field, 0)?;
+                let report = AccuracyReport::compare(&original, &from_idx)?;
+                accuracy.lock().expect("accuracy poisoned").insert(field.to_string(), report);
+                let img = nsdf_dashboard::render(&from_idx, Colormap::Terrain, RangeMode::Dynamic)?;
+                ctx.charge_compute_ns(from_idx.len() as u64 * VALIDATE_NS_PER_PX);
+                let key = format!("{}/static/{field}.ppm", cfg.prefix);
+                Ok(vec![TaskOutput::payload(format!("static/{field}"), key, img.to_ppm())])
+            }
+        })?;
+        statics.push(name);
+    }
 
     // ---- Step 4: interactive visualization & analysis ----------------------
-    let (cfg4, store4, obs4, results4) = (cfg.clone(), store.clone(), obs.clone(), results.clone());
-    g.add_exclusive_task(DASHBOARD, &[CONVERT, VISUALIZE], &definition, move |ctx| {
-        let _step_span = obs4.span(DASHBOARD);
-        let ds = Arc::new(IdxDataset::open(store4.clone(), "tutorial/idx")?.with_obs(&obs4));
-        let mut dash = Dashboard::new();
-        dash.set_obs(&obs4);
-        dash.add_dataset("tutorial-terrain", ds.clone());
-        dash.select_dataset("tutorial-terrain")?;
-        dash.set_viewport_px(cfg4.viewport_px)?;
-        dash.set_colormap(Colormap::Terrain);
+    let deps: Vec<&str> = statics.iter().map(String::as_str).collect();
+    g.add_exclusive_task("dashboard", &deps, &format!("dashboard|viewport={VIEWPORT_PX}"), {
+        let (store, obs, results) = (store.clone(), obs.clone(), interactions.clone());
+        let (idx_prefix, prefix) = (idx_prefix.clone(), prefix.clone());
+        move |ctx| {
+            let ds = Arc::new(IdxDataset::open(store.clone(), &idx_prefix)?.with_obs(&obs));
+            let mut dash = Dashboard::new();
+            dash.set_obs(&obs);
+            dash.add_dataset("tutorial-terrain", ds.clone());
+            dash.select_dataset("tutorial-terrain")?;
+            dash.set_viewport_px(VIEWPORT_PX)?;
+            dash.set_colormap(Colormap::Terrain);
 
-        let clock = ctx.clock();
-        let mut interactions = Vec::new();
-        let mut record = |label: &str, frame: Option<FrameInfo>, t0: f64| {
-            interactions.push(Interaction {
-                label: label.to_string(),
-                virtual_secs: clock.now_secs() - t0,
-                frame,
-            });
-        };
+            let clock = ctx.clock();
+            let mut interactions = Vec::new();
+            let mut record = |label: &str, frame: Option<FrameInfo>, t0: f64| {
+                interactions.push(Interaction {
+                    label: label.to_string(),
+                    virtual_secs: clock.now_secs() - t0,
+                    frame,
+                });
+            };
 
-        let t = clock.now_secs();
-        let (_, info) = dash.render_frame()?;
-        record("overview", Some(info), t);
+            let t = clock.now_secs();
+            let (_, info) = dash.render_frame()?;
+            record("overview", Some(info), t);
 
-        let t = clock.now_secs();
-        dash.zoom(4.0)?;
-        let (_, info) = dash.render_frame()?;
-        record("zoom-4x", Some(info), t);
+            let t = clock.now_secs();
+            dash.zoom(4.0)?;
+            let (_, info) = dash.render_frame()?;
+            record("zoom-4x", Some(info), t);
 
-        let t = clock.now_secs();
-        dash.pan((cfg4.width / 8) as i64, 0)?;
-        let (_, info) = dash.render_frame()?;
-        record("pan", Some(info), t);
+            let t = clock.now_secs();
+            dash.pan((w / 8) as i64, 0)?;
+            let (_, info) = dash.render_frame()?;
+            record("pan", Some(info), t);
 
-        let t = clock.now_secs();
-        dash.select_field("slope")?;
-        let (_, info) = dash.render_frame()?;
-        record("switch-field", Some(info), t);
+            let t = clock.now_secs();
+            dash.select_field("slope")?;
+            let (_, info) = dash.render_frame()?;
+            record("switch-field", Some(info), t);
 
-        let t = clock.now_secs();
-        let region = dash.region();
-        let quarter = Box2i::new(
-            region.x0,
-            region.y0,
-            region.x0 + (region.width() / 2).max(1),
-            region.y0 + (region.height() / 2).max(1),
-        );
-        let snip = dash.snip(quarter)?;
-        record("snip", None, t);
+            let t = clock.now_secs();
+            let r = dash.region();
+            let (qw, qh) = ((r.width() / 2).max(1), (r.height() / 2).max(1));
+            let snip = dash.snip(Box2i::new(r.x0, r.y0, r.x0 + qw, r.y0 + qh))?;
+            record("snip", None, t);
 
-        results4.lock().expect("step results poisoned").interactions = interactions;
-        let script = snip.python_script.into_bytes();
-        let array = samples_to_bytes(snip.raster.data());
-        Ok(vec![
-            TaskOutput::payload("snippet.py", "tutorial/snippets/extract.py", script),
-            TaskOutput::payload("snippet.npy", "tutorial/snippets/region.npy", array),
-        ])
+            *results.lock().expect("interactions poisoned") = interactions;
+            let script = snip.python_script.into_bytes();
+            let array = samples_to_bytes(snip.raster.data());
+            Ok(vec![
+                TaskOutput::payload("snippet.py", format!("{prefix}/snippets/extract.py"), script),
+                TaskOutput::payload("snippet.npy", format!("{prefix}/snippets/region.npy"), array),
+            ])
+        }
     })?;
 
     let run_span = obs.span("run");
-    let run = g.run(&RunOptions::new(clock).with_store(store))?;
+    let run = g.run(&cfg.run_options(client.clock().clone(), &store))?;
     drop(run_span);
     if let Some(failed) = run.records.iter().find(|r| r.status == TaskStatus::Failed) {
         return Err(NsdfError::invalid(format!(
-            "tutorial workflow failed at {:?}: {}",
+            "tutorial workflow failed in step {:?} at task {:?}: {}",
+            step_of(&failed.name),
             failed.name,
             failed.error.as_deref().unwrap_or_default()
         )));
     }
 
-    let StepResults { ingest, readback, accuracy, interactions } =
-        std::mem::take(&mut *results.lock().expect("step results poisoned"));
+    let fields = DagConfig::field_names();
+    let field_tiles = run.records.iter().filter(|r| fields.iter().any(|f| r.name.starts_with(f)));
+    let tiff_bytes = field_tiles.flat_map(|r| &r.produced).map(|a| a.bytes).sum();
+    let idx_bytes = store.list(&format!("{idx_prefix}/"))?.iter().map(|m| m.size).sum();
+    let accuracy = std::mem::take(&mut *accuracy.lock().expect("accuracy poisoned"));
+    let interactions = std::mem::take(&mut *interactions.lock().expect("interactions poisoned"));
     Ok(TutorialReport {
-        tiff_bytes: run.records[0].produced.iter().map(|a| a.bytes).sum(),
-        idx_bytes: ingest.bytes_stored,
-        ingest,
-        readback,
+        tiff_bytes,
+        idx_bytes,
         accuracy,
         interactions,
         total_virtual_secs: run.virtual_secs(),
         run,
+        lossless: !matches!(cfg.codec, Codec::FixedRate { .. }),
     })
 }
 
@@ -377,10 +249,12 @@ pub fn run_tutorial(client: &NsdfClient, cfg: &TutorialConfig) -> Result<Tutoria
 mod tests {
     use super::*;
     use crate::client::{EndpointKind, StorageEndpoint};
+    use crate::dag::run_terrain_dag;
     use nsdf_storage::{FailScope, FaultPlan, FaultStore, MemoryStore, ObjectStore};
+    use nsdf_workflow::Artifact;
 
-    fn small_config(seed: u64, endpoint: &str) -> TutorialConfig {
-        let mut cfg = TutorialConfig::small(seed);
+    fn small_config(seed: u64, endpoint: &str) -> DagConfig {
+        let mut cfg = DagConfig::tutorial(seed);
         cfg.width = 128;
         cfg.height = 64;
         cfg.tiles = (2, 2);
@@ -392,41 +266,32 @@ mod tests {
         run_tutorial(&NsdfClient::simulated(5), &small_config(5, endpoint)).unwrap()
     }
 
-    /// Labels of the step spans under the run's one root span. The
-    /// engine's per-wave uploads open endpoint-scoped siblings between
-    /// them, which this leaves out.
-    fn step_spans(client: &NsdfClient) -> Vec<String> {
-        let roots = client.obs().span_tree();
-        assert_eq!(roots.len(), 1, "one root span for the whole run");
-        assert_eq!(roots[0].label, "tutorial.run");
-        let labels = roots[0].children.iter().map(|c| c.label.clone());
-        labels.filter(|l| l.starts_with("tutorial.")).collect()
-    }
-
     #[test]
     fn four_steps_all_succeed() {
         let report = run_small("seal");
-        assert_eq!(report.run.records.len(), 4);
-        assert!(report.run.succeeded());
-        let names: Vec<&str> = report.run.records.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "1-data-generation",
-                "2-convert-to-idx",
-                "3-static-visualization",
-                "4-interactive-dashboard"
-            ]
-        );
-        // One step per wave, each costing virtual time; together they tile
-        // the run to the nanosecond.
         let run = &report.run;
-        assert!(run.records.iter().enumerate().all(|(k, r)| r.wave == k as u64));
+        // 4 DEM + 16 terrain + 4 moisture tiles, dataset-init, 5 ingests,
+        // 5 validations, 5 renders and the dashboard.
+        assert_eq!(run.records.len(), 4 + 16 + 4 + 1 + 5 + 5 + 5 + 1);
+        assert_eq!(run.count(TaskStatus::Succeeded), run.records.len());
+        let steps = report.steps();
+        let rows: Vec<(&str, usize)> = steps.iter().map(|s| (s.step, s.tasks)).collect();
+        assert_eq!(rows, vec![(STEPS[0], 24), (STEPS[1], 6), (STEPS[2], 10), (STEPS[3], 1)]);
+        // The steps follow each other: none starts before the previous one
+        // started, and the dashboard runs last, alone.
+        assert!(steps.windows(2).all(|s| s[0].waves.0 <= s[1].waves.0), "{steps:?}");
+        assert_eq!(steps[3].waves, (run.waves - 1, run.waves - 1));
+        // The rows partition the run's artifacts.
+        let produced = run.records.iter().flat_map(|r| &r.produced);
+        assert_eq!(steps.iter().map(|s| s.artifacts).sum::<usize>(), produced.clone().count());
+        assert_eq!(steps.iter().map(|s| s.bytes).sum::<u64>(), produced.map(|a| a.bytes).sum());
+        // Every wave costs virtual time, and together the waves tile the
+        // run to the nanosecond.
         let mut marks = vec![run.started_ns];
         marks.extend(&run.wave_ended_ns);
-        assert_eq!((marks.len(), marks[4]), (5, run.ended_ns));
+        assert_eq!((marks.len() as u64, marks[run.waves as usize]), (run.waves + 1, run.ended_ns));
         assert!(marks.windows(2).all(|w| w[0] < w[1]), "{marks:?}");
-        let secs: f64 = run.records.iter().map(|r| run.wave_secs(r.wave)).sum();
+        let secs: f64 = (0..run.waves).map(|k| run.wave_secs(k)).sum();
         assert!((secs - report.total_virtual_secs).abs() < 1e-9);
     }
 
@@ -441,23 +306,9 @@ mod tests {
             report.tiff_bytes
         );
         assert!(report.validation_exact(), "lossless codec must validate exactly");
-        assert_eq!(report.accuracy.len(), 4);
-        // Step 2's merged ingest accounting agrees with the byte totals and
-        // records the batched upload pipeline.
-        assert_eq!(report.ingest.bytes_stored, report.idx_bytes);
-        assert!(report.ingest.blocks_written > 0);
-        assert_eq!(report.ingest.write_concurrency, 8);
-        assert!(report.ingest.put_batches > 0);
-        assert_eq!(report.ingest.rmw_fetches, 0, "full-raster conversion never RMWs");
-        // Step 3's read-back accounting yields the wall-clock codec
-        // throughput the summary panel prints.
-        assert!(report.readback.blocks_decoded > 0);
-        assert!(report.readback.bytes_decoded >= report.ingest.bytes_raw);
-        assert!(report.encode_mb_s().unwrap() > 0.0);
-        assert!(report.decode_mb_s().unwrap() > 0.0);
-        let summary = report.summary();
-        assert!(summary.contains("encode:") && summary.contains("decode:"), "{summary}");
-        assert!(summary.contains("bit-exact"), "{summary}");
+        let fields: Vec<&str> = report.accuracy.keys().map(String::as_str).collect();
+        assert_eq!(fields, vec!["aspect", "elevation", "hillshade", "moisture", "slope"]);
+        assert!(report.accuracy.values().all(AccuracyReport::is_exact));
     }
 
     #[test]
@@ -477,7 +328,7 @@ mod tests {
     fn local_endpoint_has_zero_storage_time_for_interactions() {
         let report = run_small("local");
         // All data local: the memory store charges no time for reads, and
-        // modelled compute lands on the clock only when a step returns.
+        // modelled compute lands on the clock only when a task returns.
         assert!(report.interactions.iter().all(|i| i.virtual_secs < 0.5));
         assert!(report.validation_exact());
     }
@@ -490,21 +341,25 @@ mod tests {
         let client = NsdfClient::simulated(5);
         let report = run_tutorial(&client, &small_config(5, "seal")).unwrap();
         let p = &report.run;
-        assert_eq!(p.producer_of("elevation.tif").unwrap().name, "1-data-generation");
-        let consumers = p.consumers_of("dataset.idx");
-        assert_eq!(consumers.len(), 2); // steps 3 and 4
+        assert_eq!(p.producer_of("elevation/0_0").unwrap().name, "elevation/0_0");
+        let readers: Vec<&str> =
+            p.consumers_of("elevation/1_1").iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(readers, vec!["moisture/1_1", "ingest/elevation", "static/elevation"]);
+        assert_eq!(p.consumers_of("idx/meta").len(), 5); // the ingests
+        assert_eq!(p.consumers_of("validated/slope")[0].name, "static/slope");
+        assert_eq!(p.consumers_of("static/moisture")[0].name, "dashboard");
 
         let store = client.store("seal").unwrap();
         let produced: Vec<&Artifact> = p.records.iter().flat_map(|r| &r.produced).collect();
-        assert_eq!(produced.len(), 4 + 1 + 4 + 2);
+        assert_eq!(produced.len(), 4 + 16 + 4 + 1 + 5 + 5 + 5 + 2);
         for a in produced {
             let head = store.head(&a.location).unwrap();
             assert_eq!((head.size, head.checksum), (a.bytes, a.checksum), "{}", a.name);
         }
     }
 
-    /// An endpoint that refuses every write fails step 1's upload: the
-    /// error names the step and nothing downstream ran.
+    /// An endpoint that refuses every write fails Step 1's uploads: the
+    /// error names the step and the task, and nothing downstream ran.
     #[test]
     fn failed_step_is_named_and_nothing_downstream_runs() {
         let mut client = NsdfClient::simulated(8);
@@ -517,10 +372,13 @@ mod tests {
             store: Arc::new(faulty),
         });
         let err = run_tutorial(&client, &small_config(8, "read-only")).unwrap_err().to_string();
-        let want = "tutorial workflow failed at \"1-data-generation\": persist ";
+        let want = "tutorial workflow failed in step \"1-data-generation\" at task \"gen/0_0\": \
+                    persist ";
         assert!(err.contains(want), "{err}");
         assert!(inner.list("").unwrap().is_empty(), "no object landed");
-        assert_eq!(step_spans(&client), vec!["tutorial.1-data-generation"]);
+        let snap = client.obs().snapshot();
+        assert_eq!(snap.counter("dag.idx.queries") + snap.counter("tutorial.idx.queries"), 0);
+        assert_eq!(snap.counter("tutorial.dashboard.frames"), 0);
     }
 
     #[test]
@@ -528,18 +386,13 @@ mod tests {
         let client = NsdfClient::simulated(12);
         run_tutorial(&client, &small_config(12, "seal")).unwrap();
 
-        assert_eq!(
-            step_spans(&client),
-            vec![
-                "tutorial.1-data-generation",
-                "tutorial.2-convert-to-idx",
-                "tutorial.3-static-visualization",
-                "tutorial.4-interactive-dashboard"
-            ]
-        );
-        // Layers below the steps landed in the same registry.
+        let roots = client.obs().span_tree();
+        assert_eq!(roots.len(), 1, "one root span for the whole run");
+        assert_eq!(roots[0].label, "tutorial.run");
+        // Layers below the tasks landed in the same registry: the DAG's
+        // validations, the renders' read-back and the dashboard session.
         let snap = client.obs().snapshot();
-        assert!(snap.counter("tutorial.geotiled.tiles") > 0);
+        assert!(snap.counter("dag.idx.queries") > 0);
         assert!(snap.counter("tutorial.idx.queries") > 0);
         assert!(snap.counter("tutorial.dashboard.frames") > 0);
         assert!(snap.counter("seal.wan.bytes_up") > 0, "tutorial stored on seal");
@@ -551,11 +404,43 @@ mod tests {
         cfg.width = 64;
         cfg.codec = Codec::FixedRate { bits: 12 };
         let report = run_tutorial(&NsdfClient::simulated(6), &cfg).unwrap();
+        assert!(report.run.succeeded());
         assert!(!report.validation_exact());
         // But still close: PSNR above 40 dB for 12-bit terrain.
-        for (p, acc) in &report.accuracy {
-            assert!(acc.psnr_db > 40.0, "{}: {} dB", p.name(), acc.psnr_db);
+        assert_eq!(report.accuracy.len(), 5);
+        for (field, acc) in &report.accuracy {
+            assert!(acc.psnr_db > 40.0, "{field}: {} dB", acc.psnr_db);
         }
         assert!(report.size_ratio() < 0.5);
+    }
+
+    /// The tutorial is the terrain DAG plus its Step 3–4 tasks: every DAG
+    /// task's record and every validated digest match a plain DAG run.
+    #[test]
+    fn tutorial_runs_the_terrain_dag_unchanged() {
+        let cfg = small_config(9, "seal");
+        let tutorial = run_tutorial(&NsdfClient::simulated(9), &cfg).unwrap();
+        let client = NsdfClient::simulated(9);
+        let dag = run_terrain_dag(&client, &cfg).unwrap();
+        assert_eq!(tutorial.run.records[..dag.run.records.len()], dag.run.records[..]);
+        let store = client.store("seal").unwrap();
+        for (field, digest) in &dag.digests {
+            let key = format!("{}/validated/{field}", cfg.prefix);
+            assert_eq!(store.get(&key).unwrap(), digest.as_bytes(), "{field}");
+        }
+    }
+
+    #[test]
+    fn rerun_with_manifest_is_up_to_date_and_still_exact() {
+        let client = NsdfClient::simulated(10);
+        let mut cfg = small_config(10, "seal");
+        cfg.manifest_key = Some("manifest.json".into());
+        let cold = run_tutorial(&client, &cfg).unwrap();
+        assert_eq!(cold.run.count(TaskStatus::Succeeded), cold.run.records.len());
+        let again = run_tutorial(&client, &cfg).unwrap();
+        assert_eq!(again.run.count(TaskStatus::UpToDate), again.run.records.len());
+        assert!(again.validation_exact());
+        assert_eq!((again.tiff_bytes, again.idx_bytes), (cold.tiff_bytes, cold.idx_bytes));
+        assert!(again.accuracy.is_empty() && again.interactions.is_empty(), "nothing re-ran");
     }
 }

@@ -18,4 +18,4 @@ pub mod tiling;
 
 pub use dem::{DemConfig, DemEdit, DemKind};
 pub use terrain::{compute_terrain, Sun, TerrainParam};
-pub use tiling::{compute_terrain_tiled, compute_terrain_tiled_obs, TilePlan};
+pub use tiling::{compute_terrain_tiled, TilePlan};

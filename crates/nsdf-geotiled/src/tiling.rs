@@ -8,7 +8,6 @@
 //! bit-exactness claim against the untiled kernel.
 
 use crate::terrain::{compute_terrain, Sun, TerrainParam};
-use nsdf_util::obs::Obs;
 use nsdf_util::par::{num_threads, par_map};
 use nsdf_util::{Box2i, NsdfError, Raster, Result};
 
@@ -94,23 +93,6 @@ pub fn compute_terrain_tiled(
     plan: &TilePlan,
     threads: usize,
 ) -> Result<(Raster<f32>, TileRunStats)> {
-    compute_terrain_tiled_obs(dem, param, sun, plan, threads, &Obs::default())
-}
-
-/// [`compute_terrain_tiled`] reporting into a shared observability
-/// registry: one `geotiled.compute` span per run plus tile/pixel counters
-/// under the `geotiled` scope. Tile workers run inside the single span —
-/// spans are opened only on the caller thread, never per worker.
-pub fn compute_terrain_tiled_obs(
-    dem: &Raster<f32>,
-    param: TerrainParam,
-    sun: Sun,
-    plan: &TilePlan,
-    threads: usize,
-    obs: &Obs,
-) -> Result<(Raster<f32>, TileRunStats)> {
-    let obs = obs.scoped("geotiled");
-    let _span = obs.span("compute");
     let (w, h) = dem.shape();
     if w == 0 || h == 0 {
         return Err(NsdfError::invalid("empty DEM"));
@@ -150,9 +132,6 @@ pub fn compute_terrain_tiled_obs(
     }
     stats.pixels_output = (w * h) as u64;
     mosaic.geo = dem.geo;
-    obs.counter("tiles").add(stats.tiles as u64);
-    obs.counter("pixels_computed").add(stats.pixels_computed);
-    obs.counter("pixels_output").add(stats.pixels_output);
     Ok((mosaic, stats))
 }
 
@@ -260,23 +239,5 @@ mod tests {
         let dem = DemConfig::conus_like(8, 8, 1).generate();
         let plan = TilePlan::new(16, 1, 1).unwrap();
         assert!(compute_terrain_tiled(&dem, TerrainParam::Slope, Sun::default(), &plan, 1).is_err());
-    }
-
-    #[test]
-    fn obs_variant_records_span_and_counters() {
-        let dem = DemConfig::conus_like(64, 48, 3).generate();
-        let plan = TilePlan::new(4, 2, 1).unwrap();
-        let obs = Obs::default();
-        let (_, stats) =
-            compute_terrain_tiled_obs(&dem, TerrainParam::Slope, Sun::default(), &plan, 4, &obs)
-                .unwrap();
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("geotiled.tiles"), stats.tiles as u64);
-        assert_eq!(snap.counter("geotiled.pixels_computed"), stats.pixels_computed);
-        assert_eq!(snap.counter("geotiled.pixels_output"), (64 * 48) as u64);
-        let roots = obs.span_tree();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].label, "geotiled.compute");
-        assert!(roots[0].children.is_empty(), "no per-tile spans from workers");
     }
 }

@@ -1,7 +1,7 @@
 //! Scheduled task-graph engine with hash-verified incremental recompute.
 //!
-//! The workspace's one workflow runtime — the four-step tutorial chain
-//! and the tile-level terrain DAG both run on it. Tasks are typed nodes
+//! The workspace's one workflow runtime — the tile-level terrain DAG
+//! and the four-step tutorial built on it run here. Tasks are typed nodes
 //! with explicit data dependencies (GEOtiled halo-exchange edges make a
 //! terrain tile depend on its DEM tile plus up to eight neighbors), and a
 //! ready-queue scheduler runs each wave of independent tasks on a

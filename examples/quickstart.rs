@@ -4,8 +4,8 @@
 //! Generates CONUS-like terrain with GEOtiled, uploads TIFFs to a simulated
 //! Seal-class private cloud, converts them to an IDX dataset, validates the
 //! conversion, and drives the dashboard through a scripted interactive
-//! session — printing per-step timings, artifact sizes, and the IDX-vs-TIFF
-//! size ratio.
+//! session — printing each step's tasks and artifacts, the wave timeline,
+//! and the IDX-vs-TIFF size ratio.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -13,7 +13,7 @@ use nsdf::prelude::*;
 
 fn main() -> Result<()> {
     let client = NsdfClient::simulated(2024);
-    let cfg = TutorialConfig::small(2024);
+    let cfg = DagConfig::tutorial(2024);
 
     println!("== NSDF tutorial quickstart ==");
     println!(
@@ -23,13 +23,22 @@ fn main() -> Result<()> {
 
     let report = run_tutorial(&client, &cfg)?;
 
-    println!("-- per-step timeline (virtual seconds) --");
-    for step in &report.run.records {
-        let secs = report.run.wave_secs(step.wave);
-        println!("  {:<28} {:>8.3}s  ({} artifacts)", step.name, secs, step.produced.len());
-        for a in &step.produced {
-            println!("      {:<24} {:>12} bytes  -> {}", a.name, a.bytes, a.location);
-        }
+    println!("-- the four steps (tasks, waves, modelled compute, artifacts) --");
+    for s in report.steps() {
+        println!(
+            "  {:<24} {:>3} tasks  waves {}-{}  {:>7.3}s compute  {:>3} artifacts {:>9} bytes",
+            s.step,
+            s.tasks,
+            s.waves.0,
+            s.waves.1,
+            s.compute_ns as f64 / 1e9,
+            s.artifacts,
+            s.bytes
+        );
+    }
+    println!("\n-- wave timeline (virtual seconds) --");
+    for k in 0..report.run.waves {
+        println!("  wave {k}  {:>8.3}s", report.run.wave_secs(k));
     }
 
     println!("\n-- conversion (Step 2, paper claim: IDX ~20% smaller) --");
@@ -42,10 +51,10 @@ fn main() -> Result<()> {
     );
 
     println!("\n-- validation (Step 3) --");
-    for (param, acc) in &report.accuracy {
+    for (field, acc) in &report.accuracy {
         println!(
             "  {:<10} rmse={:<12.6} max_err={:<12.6} psnr={:>6.1} dB  exact={}",
-            param.name(),
+            field,
             acc.rmse,
             acc.max_abs_err,
             acc.psnr_db,

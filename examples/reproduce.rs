@@ -12,11 +12,15 @@
 //! EXPERIMENTS.md verbatim. Wall-clock readings go to stderr instead.
 
 use nsdf::catalog::{CatalogConfig, Record};
+use nsdf::core::pipeline::TutorialReport;
+use nsdf::core::{step_of, StepRow};
 use nsdf::fuse::{run_workload, Mapping, OpMix};
 use nsdf::idx::{blocks_touched, Layout};
 use nsdf::plugin::{run_campaign, select_entry_point, select_entry_point_oracle};
 use nsdf::prelude::*;
 use nsdf::util::samples_to_bytes;
+use nsdf::workflow::GraphRun;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,14 +107,17 @@ fn fig8() -> Result<String> {
     Ok(out)
 }
 
+/// The tutorial run of Figs. 3–4 on `endpoint`.
+fn tutorial_on(endpoint: &str) -> Result<TutorialReport> {
+    let cfg = DagConfig { storage_endpoint: endpoint.into(), ..DagConfig::tutorial(SEED) };
+    run_tutorial(&NsdfClient::simulated(SEED), &cfg)
+}
+
 /// Fig. 3: the data-conversion flow across storage environments.
 fn fig3() -> Result<String> {
     let mut rows = Vec::new();
     for endpoint in ["local", "dataverse", "seal"] {
-        let client = NsdfClient::simulated(SEED);
-        let mut cfg = TutorialConfig::small(SEED);
-        cfg.storage_endpoint = endpoint.into();
-        let report = run_tutorial(&client, &cfg)?;
+        let report = tutorial_on(endpoint)?;
         rows.push([
             endpoint.into(),
             report.tiff_bytes.to_string(),
@@ -122,23 +129,48 @@ fn fig3() -> Result<String> {
     Ok(table(["endpoint", "TIFF bytes", "IDX bytes", "ratio", "virtual s"], rows))
 }
 
-/// Fig. 4: the four-step workflow with per-step timing and artifacts.
+/// Fig. 4: the four-step workflow on `seal`, one row per step, then the
+/// wave timeline on every endpoint. The total rows are read off the whole
+/// run, so they check that the rows above them add up.
 fn fig4() -> Result<String> {
-    let client = NsdfClient::simulated(SEED);
-    let report = run_tutorial(&client, &TutorialConfig::small(SEED))?;
-    let rows = report.run.records.iter().map(|r| {
-        // Step 2's artifact is the dataset header; its product is the
-        // whole IDX dataset behind it.
-        let own: u64 = r.produced.iter().map(|a| a.bytes).sum();
-        let bytes = if r.name == "2-convert-to-idx" { report.idx_bytes } else { own };
+    let report = tutorial_on("seal")?;
+    let run = &report.run;
+    let step_row = |s: &StepRow| {
         [
-            r.name.clone(),
-            format!("{:.3}", report.run.wave_secs(r.wave)),
-            r.produced.len().to_string(),
-            bytes.to_string(),
+            s.step.to_string(),
+            s.tasks.to_string(),
+            format!("{}–{}", s.waves.0, s.waves.1),
+            format!("{:.3}", s.compute_ns as f64 / 1e9),
+            s.artifacts.to_string(),
+            s.bytes.to_string(),
         ]
+    };
+    let produced = run.records.iter().flat_map(|r| &r.produced);
+    let total = StepRow {
+        step: "total",
+        tasks: run.records.len(),
+        waves: (0, run.waves - 1),
+        compute_ns: run.records.iter().map(|r| r.compute_ns).sum(),
+        artifacts: produced.clone().count(),
+        bytes: produced.map(|a| a.bytes).sum(),
+    };
+    let rows = report.steps().iter().chain([&total]).map(step_row).collect::<Vec<_>>();
+    let mut out = table(["step", "tasks", "waves", "compute s", "artifacts", "bytes"], rows);
+
+    let [local, seal, dataverse] = ["local", "seal", "dataverse"].map(tutorial_on);
+    let runs = [local?.run, seal?.run, dataverse?.run];
+    let row = |label: String, steps: String, secs: &dyn Fn(&GraphRun) -> f64| {
+        let [l, s, d] = runs.each_ref().map(|r| format!("{:.3}", secs(r)));
+        [label, steps, l, s, d]
+    };
+    let waves = (0..run.waves).map(|k| {
+        let in_wave = run.records.iter().filter(|r| r.wave == k);
+        let steps: BTreeSet<&str> = in_wave.map(|r| &step_of(&r.name)[..1]).collect();
+        row(k.to_string(), steps.into_iter().collect::<Vec<_>>().join(", "), &|r| r.wave_secs(k))
     });
-    let mut out = table(["step", "virtual s", "artifacts", "bytes"], rows);
+    let total = row("total".into(), String::new(), &|r| r.virtual_secs());
+    out += "\n";
+    out += &table(["wave", "steps", "local s", "seal s", "dataverse s"], waves.chain([total]));
     let interactions: Vec<String> = report
         .interactions
         .iter()

@@ -252,13 +252,27 @@ fn tutorial(opts: &Opts) -> Result<()> {
     let size: usize = num(opts, "size", 512)?;
     let endpoint = opts.get("endpoint").map(|s| s.as_str()).unwrap_or("seal").to_string();
     let client = NsdfClient::simulated(seed);
-    let mut cfg = TutorialConfig::small(seed);
-    cfg.width = size;
-    cfg.height = size / 2;
-    cfg.storage_endpoint = endpoint;
+    let cfg = DagConfig {
+        width: size,
+        height: size / 2,
+        storage_endpoint: endpoint,
+        ..DagConfig::tutorial(seed)
+    };
     let report = run_tutorial(&client, &cfg)?;
-    for r in &report.run.records {
-        println!("{:<28} {:>8.3}s", r.name, report.run.wave_secs(r.wave));
+    println!(
+        "{:<24} {:>5} {:>6} {:>10} {:>9} {:>10}",
+        "step", "tasks", "waves", "compute s", "artifacts", "bytes"
+    );
+    for s in report.steps() {
+        let waves = format!("{}-{}", s.waves.0, s.waves.1);
+        let compute = s.compute_ns as f64 / 1e9;
+        println!(
+            "{:<24} {:>5} {waves:>6} {compute:>10.3} {:>9} {:>10}",
+            s.step, s.tasks, s.artifacts, s.bytes
+        );
+    }
+    for k in 0..report.run.waves {
+        println!("wave {k:<3} {:>8.3}s", report.run.wave_secs(k));
     }
     println!(
         "TIFF {} B -> IDX {} B (ratio {:.3}); validation exact: {}",

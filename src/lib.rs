@@ -53,7 +53,6 @@ pub mod prelude {
     pub use nsdf_compress::{Codec, CompressionStats};
     pub use nsdf_core::{
         run_terrain_dag, run_tutorial, DagConfig, DagReport, NsdfClient, Session, SurveyModel,
-        TutorialConfig,
     };
     pub use nsdf_dashboard::{Colormap, Dashboard, Image, RangeMode};
     pub use nsdf_fuse::{Mapping, VirtualFs};

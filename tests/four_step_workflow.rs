@@ -2,13 +2,13 @@
 //! endpoint, codec, and scale — the cross-crate path from DEM synthesis
 //! through TIFF, IDX, validation, and the dashboard.
 //!
-//! Two graphs on the one task-graph engine are covered: the four-task
-//! `run_tutorial` chain (whole rasters, one step per wave) and the
-//! tile-level task DAG (`run_terrain_dag`), for which these tests pin down
-//! the headline claims — endpoint-independent digests, hash-verified
-//! incremental recompute that is bitwise equal to a from-scratch run,
-//! chaos transparency, and a parallel schedule strictly faster than the
-//! sequential baseline on both WAN profiles.
+//! One tile-level task DAG drives all four steps: `run_tutorial` is
+//! `run_terrain_dag`'s graph plus its Step 3 renders and Step 4 dashboard
+//! session. For the DAG these tests pin down the headline claims —
+//! endpoint-independent digests, hash-verified incremental recompute that
+//! is bitwise equal to a from-scratch run, chaos transparency, and a
+//! parallel schedule strictly faster than the sequential baseline on both
+//! WAN profiles.
 
 use nsdf::core::{run_terrain_dag, DagConfig, EndpointPolicy};
 use nsdf::geotiled::DemEdit;
@@ -16,8 +16,8 @@ use nsdf::prelude::*;
 use nsdf::storage::{FaultPlan, RetryPolicy};
 use nsdf::workflow::TaskStatus;
 
-fn config(seed: u64) -> TutorialConfig {
-    let mut cfg = TutorialConfig::small(seed);
+fn config(seed: u64) -> DagConfig {
+    let mut cfg = DagConfig::tutorial(seed);
     cfg.width = 160;
     cfg.height = 96;
     cfg.tiles = (2, 2);
@@ -196,15 +196,23 @@ fn provenance_covers_all_artifacts() {
     let client = NsdfClient::simulated(15);
     let report = run_tutorial(&client, &config(15)).unwrap();
     let p = &report.run;
-    for name in ["elevation.tif", "slope.tif", "aspect.tif", "hillshade.tif"] {
-        assert_eq!(p.producer_of(name).unwrap().name, "1-data-generation");
+    for name in ["elevation/0_0", "slope/1_0", "aspect/0_1", "hillshade/1_1", "moisture/0_0"] {
+        assert_eq!(p.producer_of(name).unwrap().name, name);
     }
-    assert_eq!(p.producer_of("dataset.idx").unwrap().name, "2-convert-to-idx");
-    let readers: Vec<&str> =
-        p.consumers_of("dataset.idx").iter().map(|r| r.name.as_str()).collect();
-    assert_eq!(readers, vec!["3-static-visualization", "4-interactive-dashboard"]);
+    assert_eq!(p.producer_of("idx/meta").unwrap().name, "dataset-init");
+    let readers: Vec<&str> = p.consumers_of("idx/meta").iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(
+        readers,
+        vec![
+            "ingest/elevation",
+            "ingest/slope",
+            "ingest/aspect",
+            "ingest/hillshade",
+            "ingest/moisture"
+        ]
+    );
     for name in ["snippet.py", "snippet.npy"] {
-        assert_eq!(p.producer_of(name).unwrap().name, "4-interactive-dashboard");
+        assert_eq!(p.producer_of(name).unwrap().name, "dashboard");
     }
     assert!(p.records.iter().flat_map(|r| &r.produced).all(|a| a.bytes > 0 && a.checksum != 0));
 }
