@@ -141,6 +141,14 @@ impl BitMask {
         Ok(z)
     }
 
+    /// The Z-address bits axis `a` owns: what [`BitMask::encode`] sets for
+    /// the all-ones coordinate on that axis.
+    pub(crate) fn axis_bits(&self, a: usize) -> u64 {
+        let n = self.axes_msb_first.len();
+        let owned = self.axes_msb_first.iter().enumerate().filter(|&(_, &b)| b as usize == a);
+        owned.fold(0, |bits, (i, _)| bits | 1 << (n - 1 - i))
+    }
+
     /// Inverse of [`BitMask::encode`].
     pub fn decode(&self, z: u64) -> Vec<u64> {
         let n = self.num_bits();

@@ -11,6 +11,12 @@
 //! Pascucci et al.: a sample with Z address `z > 0` whose binary expansion
 //! ends in `t` zeros sits at level `n - t`, and its in-level rank is `z`
 //! with the trailing zeros *and* the lowest set bit stripped.
+//!
+//! IDX stores `2^k` consecutive HZ addresses per block, and a scatter or
+//! gather visits a box one x-row at a time: [`HzCurve::row_block_offsets`]
+//! yields a row's `(block, offset)` pairs by Morton addition along x, so a
+//! sample costs a few word operations rather than one mask step per
+//! address bit. [`HzCurve::block_offset`] is the per-sample oracle.
 
 use crate::bitmask::BitMask;
 use nsdf_util::{Box3i, NsdfError, Result};
@@ -99,12 +105,57 @@ impl HzCurve {
     }
 
     /// Block index and in-block sample offset of the sample at `coords`,
-    /// for blocks of `block_samples` consecutive HZ addresses — the address
-    /// arithmetic every IDX scatter and gather loop shares.
+    /// for blocks of `block_samples` consecutive HZ addresses — one sample
+    /// at a time, the oracle of [`HzCurve::row_block_offsets`].
     #[inline]
     pub fn block_offset(&self, coords: &[u64], block_samples: u64) -> Result<(u64, usize)> {
         let hz = self.hz_from_coords(coords)?;
         Ok((hz / block_samples, (hz % block_samples) as usize))
+    }
+
+    /// [`HzCurve::block_offset`] of each of the `n` samples
+    /// `start + i·(step, 0, 0)`, `i < n`, in order — the row walk every
+    /// IDX scatter and gather loop runs on. `block_samples` must be a power
+    /// of two, as an IDX block is.
+    ///
+    /// The row is checked once, at its first and last sample, with the
+    /// error `block_offset` returns (and one for a last `x` past `u64`).
+    /// Then each sample costs a few word operations instead of a bit-by-bit
+    /// [`BitMask::encode`]: the y/z bits of the Z address are deposited
+    /// once, and x advances by masked Morton addition — with `mx` the bits
+    /// x owns and `dep(step)` the step spread onto them,
+    /// `dx = ((dx | !mx) + dep(step)) & mx` carries through the bits x
+    /// does not own.
+    pub fn row_block_offsets(
+        &self,
+        start: [u64; 3],
+        step: u64,
+        n: usize,
+        block_samples: u64,
+    ) -> Result<impl Iterator<Item = (u64, usize)>> {
+        if !block_samples.is_power_of_two() {
+            return Err(NsdfError::invalid(format!(
+                "block_samples {block_samples} is not a power of two"
+            )));
+        }
+        let last = (n.saturating_sub(1) as u64)
+            .checked_mul(step)
+            .and_then(|span| span.checked_add(start[0]))
+            .ok_or_else(|| {
+                NsdfError::invalid(format!("row of {n} from x {} by {step} overflows", start[0]))
+            })?;
+        self.mask.encode(&[last, start[1], start[2]])?;
+        let z = self.mask.encode(&start)?;
+        // A row of two or more ends at or past `step`, so it fits x's bits.
+        let dstep = self.mask.encode(&[if n > 1 { step } else { 0 }])?;
+        let mx = self.mask.axis_bits(0);
+        let (yz, mut dx) = (z & !mx, z & mx);
+        let (bits, shift) = (self.max_level(), block_samples.trailing_zeros());
+        Ok((0..n).map(move |_| {
+            let hz = hz_from_z(dx | yz, bits);
+            dx = (dx | !mx).wrapping_add(dstep) & mx;
+            (hz >> shift, (hz & (block_samples - 1)) as usize)
+        }))
     }
 
     /// Output grid of a box query at `level`: per axis, the first

@@ -7,7 +7,8 @@
 //! * [`bitmask`] — IDX-style `V0101…` masks generalising the interleave to
 //!   rectangular, non-power-of-two, up to 3-D grids;
 //! * [`hz`] — the hierarchical reordering into resolution levels, plus
-//!   per-level region iteration used by progressive box queries.
+//!   per-level region iteration used by progressive box queries and the
+//!   row walk ([`HzCurve::row_block_offsets`]) IDX scatters and gathers on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

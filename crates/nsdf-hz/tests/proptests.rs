@@ -2,7 +2,7 @@
 //! structure must hold for arbitrary (not just square) grid shapes.
 
 use nsdf_hz::{BitMask, HzCurve};
-use nsdf_util::{Box2i, Box3i};
+use nsdf_util::{Box2i, Box3i, NsdfError};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
@@ -105,5 +105,71 @@ proptest! {
         let mask = BitMask::for_dims(&[w, h]).unwrap();
         let back = BitMask::parse(&mask.to_text()).unwrap();
         prop_assert_eq!(back, mask);
+    }
+}
+
+proptest! {
+    // Cheap cases, a third of them off the grid: run many.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn row_walk_matches_block_offset_per_sample(
+        sides in (any::<u64>(), any::<u64>(), any::<u64>()),
+        axes in 1usize..4,
+        shuffle in any::<u64>(),
+        start in (any::<u64>(), any::<u64>(), any::<u64>()),
+        len in any::<u64>(),
+        level_pick in any::<u32>(),
+        bs_pick in any::<u32>(),
+        off_grid in 0u32..6,
+    ) {
+        // 1–3 axes, a quarter of them 1 wide (an axis that owns no bits).
+        let side = |v: u64, max: u64| if v.is_multiple_of(4) { 1 } else { 1 + v / 4 % max };
+        let dims = [side(sides.0, 40), side(sides.1, 24), side(sides.2, 10)];
+        let canonical = BitMask::for_dims(&dims[..axes]).unwrap();
+        // Half the cases permute the canonical mask's digits.
+        let mask = if shuffle.is_multiple_of(2) {
+            canonical
+        } else {
+            let mut digits: Vec<char> = canonical.to_text()[1..].chars().collect();
+            let mut rng = shuffle;
+            for i in (1..digits.len()).rev() {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                digits.swap(i, (rng >> 33) as usize % (i + 1));
+            }
+            BitMask::parse(&format!("V{}", digits.into_iter().collect::<String>())).unwrap()
+        };
+        let curve = HzCurve::new(mask.clone());
+        let padded: Vec<u64> = (0..3).map(|a| mask.padded_dims().get(a).copied().unwrap_or(1)).collect();
+        // Each level's x stride, and blocks from one sample to past the grid.
+        let level = level_pick % (curve.max_level() + 1);
+        let mut step = mask.level_strides(level).unwrap()[0];
+        let bs = 1u64 << (bs_pick % (curve.max_level() + 2));
+        let mut at = [start.0 % padded[0], start.1 % padded[1], start.2 % padded[2]];
+        let mut n = (len % (padded[0] / step + 3)) as usize;
+        match off_grid {
+            // Past the padded grid on y or z, or a row running off in x.
+            0 => at[1] = padded[1] + start.1 % 3,
+            1 => at[2] = padded[2] + start.2 % 3,
+            2 => n = (padded[0] / step + 1 + len % 3) as usize,
+            // A last x past `u64`: an error, never a wrap or a panic.
+            3 => (at[0], step, n) = (u64::MAX - start.0 % 5, 1 + len % 7, 2 + (len % 3) as usize),
+            _ => {}
+        }
+        let oracle: Option<Vec<(u64, usize)>> = (0..n as u64)
+            .map(|i| {
+                let x = i.checked_mul(step).and_then(|d| d.checked_add(at[0]))?;
+                curve.block_offset(&[x, at[1], at[2]], bs).ok()
+            })
+            .collect();
+        match curve.row_block_offsets(at, step, n, bs) {
+            Ok(walk) => prop_assert_eq!(Some(walk.collect::<Vec<_>>()), oracle),
+            Err(e) => {
+                prop_assert!(matches!(e, NsdfError::InvalidArg(_)), "{e}");
+                // An empty row checks its start only.
+                prop_assert!(oracle.is_none() || n == 0, "{e}");
+                prop_assert!(n > 0 || curve.block_offset(&at, bs).is_err());
+            }
+        }
     }
 }

@@ -395,6 +395,17 @@ struct BlockState {
     pending: WriteBuffer,
 }
 
+/// Block id of an empty level cursor: no block reaches it.
+const NO_BLOCK: u64 = u64::MAX;
+
+/// Which of the scatter's and gather's 64 current blocks `block` uses: its
+/// bit length, one cursor per HZ level (block 0 holds levels
+/// `0..=bits_per_block`, block `b > 0` lies within one level). A block id
+/// has at most 62 bits, as an HZ address does.
+fn level_cursor(block: u64) -> usize {
+    (u64::BITS - block.leading_zeros()) as usize
+}
+
 /// Envelope magic of a stored block. No codec tag (0–6) is `N`, so only a
 /// bare static-codec stream stored before the envelope could be mistaken.
 const BLOCK_MAGIC: &[u8; 8] = b"NSDFBK01";
@@ -1115,39 +1126,13 @@ impl IdxDataset {
                 "write of shape {shape:?} at {origin:?} exceeds dataset bounds {e:?}"
             )));
         }
-        let block_samples = self.meta.block_samples();
         let sample_size = T::DTYPE.size_bytes();
-        let block_bytes = block_samples as usize * sample_size;
+        let block_bytes = self.meta.block_samples() as usize * sample_size;
 
         let mut lanes = self.writer.lock();
         let _write_span = self.m.obs.span(span);
         let plan_span = self.m.obs.span("plan");
-        // Scatter — the one coordinate walk on the way in, where samples
-        // become bytes — into one image per touched block.
-        let mut touched: BTreeMap<u64, BlockUpdate> = BTreeMap::new();
-        let mut samples = data.iter();
-        let mut le = Vec::with_capacity(sample_size);
-        for z in 0..shape[2] as u64 {
-            for y in 0..shape[1] as u64 {
-                for x in 0..shape[0] as u64 {
-                    let coords = [origin[0] + x, origin[1] + y, origin[2] + z];
-                    let (block, offset) = self.curve.block_offset(&coords, block_samples)?;
-                    let update = touched.entry(block).or_insert_with(|| BlockUpdate {
-                        raw: vec![0; block_bytes],
-                        covered: BitSet::default(),
-                        in_bounds: 0,
-                    });
-                    le.clear();
-                    samples.next().expect("callers pass `shape` samples").write_le(&mut le);
-                    update.raw[offset * sample_size..][..sample_size].copy_from_slice(&le);
-                    update.covered.insert(offset);
-                }
-            }
-        }
-        for (&block, update) in &mut touched {
-            update.in_bounds =
-                self.curve.block_samples_in_bounds(block, block_samples, &self.meta.dims)?;
-        }
+        let touched = self.scatter(origin, shape, data)?;
         // Only a block this call covers partially, that is not pending
         // already and that the store may hold needs its current contents.
         let need_base: Vec<u64> = {
@@ -1224,6 +1209,51 @@ impl IdxDataset {
         let result = self.encode_and_put(ready, &mut stats, issue);
         self.note_write(&mut stats, &keys);
         result.map(|()| stats)
+    }
+
+    /// The scatter — the one coordinate walk on the way in, where samples
+    /// become bytes: `shape` samples of `data`, x fastest, the first at
+    /// grid position `origin`, written into one zero-filled image per
+    /// touched block. It walks x-rows with [`HzCurve::row_block_offsets`]
+    /// and keeps one current block per HZ level ([`level_cursor`]): along a
+    /// row the samples hop between levels, but within a level they come in
+    /// rank order, so the map is touched only when a level's block changes.
+    fn scatter<T: Sample>(
+        &self,
+        origin: [u64; 3],
+        [w, h, d]: [usize; 3],
+        data: &[T],
+    ) -> Result<BTreeMap<u64, BlockUpdate>> {
+        let block_samples = self.meta.block_samples();
+        let size = T::DTYPE.size_bytes();
+        let fresh = |raw| BlockUpdate { raw, covered: BitSet::default(), in_bounds: 0 };
+        let mut touched = BTreeMap::new();
+        let mut cursors: [(u64, BlockUpdate); 64] =
+            std::array::from_fn(|_| (NO_BLOCK, fresh(Vec::new())));
+        for (r, row) in (0..d * h).map(|r| (r, &data[r * w..][..w])) {
+            let start = [origin[0], origin[1] + (r % h) as u64, origin[2] + (r / h) as u64];
+            let walk = self.curve.row_block_offsets(start, 1, w, block_samples)?;
+            for (&v, (block, offset)) in row.iter().zip(walk) {
+                let (at, current) = &mut cursors[level_cursor(block)];
+                if *at != block {
+                    let next = touched
+                        .remove(&block)
+                        .unwrap_or_else(|| fresh(vec![0; block_samples as usize * size]));
+                    let done = (std::mem::replace(at, block), std::mem::replace(current, next));
+                    if done.0 != NO_BLOCK {
+                        touched.insert(done.0, done.1);
+                    }
+                }
+                v.write_le(&mut current.raw[offset * size..]);
+                current.covered.insert(offset);
+            }
+        }
+        touched.extend(cursors.into_iter().filter(|(at, _)| *at != NO_BLOCK));
+        for (&block, update) in &mut touched {
+            update.in_bounds =
+                self.curve.block_samples_in_bounds(block, block_samples, &self.meta.dims)?;
+        }
+        Ok(touched)
     }
 
     /// Upload every block the write buffer still holds, in
@@ -1425,8 +1455,10 @@ impl IdxDataset {
     /// `(x0 + i*sx, y0 + j*sy, z0 + k*sz)`, read straight from its block's
     /// raw image at `offset * size`; zero where `blocks` has no image (a
     /// known-missing block, or one a cancelled resolve never reached).
-    /// Closes the query's accounting: `samples_out`, and `blocks_missing`
-    /// as the known-missing entries of `blocks`.
+    /// It walks rows with one current block per HZ level, as
+    /// [`IdxDataset::scatter`] does. Closes the query's accounting:
+    /// `samples_out`, and `blocks_missing` as the known-missing entries of
+    /// `blocks`.
     pub(crate) fn gather<T: Sample>(
         &self,
         [(x0, sx, ow), (y0, sy, oh), (z0, sz, od)]: LevelGrid,
@@ -1436,16 +1468,19 @@ impl IdxDataset {
         let block_samples = self.meta.block_samples();
         let size = T::DTYPE.size_bytes();
         let mut out = vec![T::ZERO; ow * oh * od];
-        for k in 0..od {
-            for j in 0..oh {
-                for i in 0..ow {
-                    let at = [x0 + i as i64 * sx, y0 + j as i64 * sy, z0 + k as i64 * sz];
-                    let (block, offset) =
-                        self.curve.block_offset(&at.map(|c| c as u64), block_samples)?;
-                    if let Some(Some(raw)) = blocks.get(&block) {
-                        out[(k * oh + j) * ow + i] =
-                            T::read_le(raw.get(offset * size..).unwrap_or_default())?;
-                    }
+        let mut cursors: [(u64, Option<&[u8]>); 64] = [(NO_BLOCK, None); 64];
+        for (r, row) in out.chunks_mut(ow.max(1)).enumerate() {
+            let (j, k) = ((r % oh) as i64, (r / oh) as i64);
+            let start = [x0, y0 + j * sy, z0 + k * sz].map(|c| c as u64);
+            let walk = self.curve.row_block_offsets(start, sx as u64, ow, block_samples)?;
+            for (v, (block, offset)) in row.iter_mut().zip(walk) {
+                let (at, image) = &mut cursors[level_cursor(block)];
+                if *at != block {
+                    *at = block;
+                    *image = blocks.get(&block).and_then(Option::as_deref).map(Vec::as_slice);
+                }
+                if let Some(raw) = image {
+                    *v = T::read_le(raw.get(offset * size..).unwrap_or_default())?;
                 }
             }
         }
@@ -3300,5 +3335,220 @@ mod volume_tests {
         assert!(ds.read_volume::<u16>("density", 0, all, ds.max_level()).is_err()); // bad dtype
         let outside = Box3i::new(99, 99, 99, 120, 120, 120);
         assert!(ds.read_volume::<f32>("density", 0, outside, 2).is_err());
+    }
+}
+
+/// The row walk against the scatter and gather it replaced: one
+/// `HzCurve::block_offset` and one map lookup per sample, kept here as the
+/// reference the way `blocks_for_query_by_sample_walk` keeps the planner's.
+#[cfg(test)]
+mod row_walk_tests {
+    use super::*;
+    use crate::meta::Field;
+    use nsdf_storage::MemoryStore;
+    use nsdf_util::DType;
+    use proptest::prelude::*;
+
+    /// [`IdxDataset::scatter`], one sample at a time.
+    fn scatter_by_sample<T: Sample>(
+        ds: &IdxDataset,
+        origin: [u64; 3],
+        shape: [usize; 3],
+        data: &[T],
+    ) -> Result<BTreeMap<u64, BlockUpdate>> {
+        let block_samples = ds.meta.block_samples();
+        let size = T::DTYPE.size_bytes();
+        let mut touched: BTreeMap<u64, BlockUpdate> = BTreeMap::new();
+        let mut samples = data.iter();
+        for z in 0..shape[2] as u64 {
+            for y in 0..shape[1] as u64 {
+                for x in 0..shape[0] as u64 {
+                    let coords = [origin[0] + x, origin[1] + y, origin[2] + z];
+                    let (block, offset) = ds.curve.block_offset(&coords, block_samples)?;
+                    let update = touched.entry(block).or_insert_with(|| BlockUpdate {
+                        raw: vec![0; block_samples as usize * size],
+                        covered: BitSet::default(),
+                        in_bounds: 0,
+                    });
+                    let v = samples.next().expect("callers pass `shape` samples");
+                    v.write_le(&mut update.raw[offset * size..]);
+                    update.covered.insert(offset);
+                }
+            }
+        }
+        for (&block, update) in &mut touched {
+            update.in_bounds =
+                ds.curve.block_samples_in_bounds(block, block_samples, &ds.meta.dims)?;
+        }
+        Ok(touched)
+    }
+
+    /// [`IdxDataset::gather`], one sample at a time.
+    fn gather_by_sample<T: Sample>(
+        ds: &IdxDataset,
+        [(x0, sx, ow), (y0, sy, oh), (z0, sz, od)]: LevelGrid,
+        blocks: &BTreeMap<u64, DecodedEntry>,
+    ) -> Result<Vec<T>> {
+        let block_samples = ds.meta.block_samples();
+        let size = T::DTYPE.size_bytes();
+        let mut out = vec![T::ZERO; ow * oh * od];
+        for k in 0..od {
+            for j in 0..oh {
+                for i in 0..ow {
+                    let at = [x0 + i as i64 * sx, y0 + j as i64 * sy, z0 + k as i64 * sz];
+                    let (block, offset) =
+                        ds.curve.block_offset(&at.map(|c| c as u64), block_samples)?;
+                    if let Some(Some(raw)) = blocks.get(&block) {
+                        out[(k * oh + j) * ow + i] =
+                            T::read_le(raw.get(offset * size..).unwrap_or_default())?;
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The stored block objects of `store`, sorted by key.
+    fn stored_blocks(store: &MemoryStore) -> Vec<(String, Vec<u8>)> {
+        let keys = store.list("").unwrap().into_iter().map(|m| m.key);
+        keys.filter(|k| k.ends_with(".bin")).map(|k| (k.clone(), store.get(&k).unwrap())).collect()
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random box of `dims` that may overhang each side by two samples
+    /// (a plane, `dims[2] == 1`, stays one sample deep).
+    fn random_box(dims: [u64; 3], rng: &mut u64) -> Box3i {
+        let mut side = |dim: u64| {
+            let lo = (xorshift(rng) % (dim + 2)) as i64 - 2;
+            (lo, lo + 1 + (xorshift(rng) % (dim + 2)) as i64)
+        };
+        let ((x0, x1), (y0, y1)) = (side(dims[0]), side(dims[1]));
+        let (z0, z1) = if dims[2] == 1 { (0, 1) } else { side(dims[2]) };
+        Box3i::new(x0, y0, z0, x1, y1, z1)
+    }
+
+    /// One case: `writes` random boxes — whole grids, and boxes of plane 0
+    /// by `write_box` — scattered both ways and written in random order,
+    /// then every read kind at every level gathered both ways.
+    fn row_walk_case(dims: &[u64], bits_per_block: u32, writes: usize, seed: u64) {
+        let mut rng = seed | 1;
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let meta = IdxMeta::new("walk", dims, fields, bits_per_block, Codec::Raw).unwrap();
+        let store = Arc::new(MemoryStore::new());
+        let ds = IdxDataset::create(store.clone(), "walk", meta.clone()).unwrap();
+        let extent = ds.extent();
+        let [w, h, d] = [extent.x1, extent.y1, extent.z1].map(|v| v as u64);
+        let block_bytes = ds.meta.block_samples() as usize * 4;
+
+        // Every block's image as the per-sample scatter leaves it.
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for _ in 0..writes {
+            let whole = xorshift(&mut rng).is_multiple_of(3);
+            let (origin, shape) = if whole {
+                ([0; 3], [w, h, d].map(|v| v as usize))
+            } else {
+                let b = loop {
+                    if let Some(b) = random_box([w, h, 1], &mut rng).intersect(&extent) {
+                        break b;
+                    }
+                };
+                let [x0, y0, x1, y1] = [b.x0, b.y0, b.x1, b.y1].map(|v| v as u64);
+                ([x0, y0, 0], [(x1 - x0) as usize, (y1 - y0) as usize, 1])
+            };
+            let data: Vec<f32> = (0..shape.iter().product())
+                .map(|_| (xorshift(&mut rng) >> 40) as f32 - 8e6)
+                .collect();
+            let rows = ds.scatter(origin, shape, &data).unwrap();
+            let samples = scatter_by_sample(&ds, origin, shape, &data).unwrap();
+            assert_eq!(rows.keys().collect::<Vec<_>>(), samples.keys().collect::<Vec<_>>());
+            for ((block, a), b) in rows.iter().zip(samples.values()) {
+                assert_eq!(a.raw, b.raw, "block {block}");
+                assert_eq!((&a.covered.words, a.covered.ones), (&b.covered.words, b.covered.ones));
+                assert_eq!(a.in_bounds, b.in_bounds, "block {block}");
+            }
+            for (block, update) in samples {
+                let image = model.entry(block).or_insert_with(|| vec![0; block_bytes]);
+                for offset in (0..block_bytes / 4).filter(|&o| update.covered.contains(o)) {
+                    image[offset * 4..][..4].copy_from_slice(&update.raw[offset * 4..][..4]);
+                }
+            }
+            if whole {
+                let volume = Volume::from_vec(shape[0], shape[1], shape[2], data).unwrap();
+                ds.write_volume("v", 0, &volume).unwrap();
+            } else {
+                let raster = Raster::from_vec(shape[0], shape[1], data).unwrap();
+                ds.write_box("v", 0, origin[0], origin[1], &raster).unwrap();
+            }
+        }
+        ds.flush().unwrap();
+
+        // The store a per-sample scatter would have left.
+        let want_store = Arc::new(MemoryStore::new());
+        let want = IdxDataset::create(want_store.clone(), "walk", meta).unwrap();
+        let images = model.into_iter().map(|(b, raw)| ((0, 0, b), Arc::new(raw))).collect();
+        want.encode_and_put(images, &mut WriteStats::default(), None).unwrap();
+        assert_eq!(stored_blocks(&store), stored_blocks(&want_store));
+
+        // Reads: what each returns must be the per-sample gather over the
+        // images its plan resolves.
+        let check = |region: Box3i, level: u32, got: Result<Vec<f32>>| {
+            let region = region.intersect(&extent);
+            let grid = region.and_then(|r| ds.curve.level_grid(level, r).unwrap());
+            let (Some(region), Some(grid)) = (region, grid) else {
+                assert!(got.is_err(), "{region:?} holds no level-{level} sample");
+                return;
+            };
+            let needed = ds.curve.blocks_in_region(region, level, ds.meta.block_samples());
+            let mut stats = QueryStats::default();
+            let blocks = ds.query_blocks((0, 0), &needed.unwrap(), None, &mut stats).unwrap();
+            let reference = gather_by_sample::<f32>(&ds, grid, &blocks).unwrap();
+            assert_eq!(ds.gather::<f32>(grid, &blocks, &mut stats).unwrap(), reference);
+            assert_eq!(got.unwrap(), reference, "{region:?} level {level}");
+        };
+        for level in 0..=ds.max_level() {
+            for region in [extent, random_box([w, h, d], &mut rng)] {
+                let volume = ds.read_volume::<f32>("v", 0, region, level);
+                check(region, level, volume.map(|(v, _)| v.data().to_vec()));
+                if d == 1 {
+                    let plane = Box2i::new(region.x0, region.y0, region.x1, region.y1);
+                    let raster = ds.read_box::<f32>("v", 0, plane, level);
+                    check(region, level, raster.map(|(r, _)| r.data().to_vec()));
+                }
+            }
+            if d > 1 {
+                let z = (xorshift(&mut rng) % d) as i64;
+                let region = ds.plane_box(ds.bounds(), z, level).unwrap();
+                let slice = ds.read_slice_z::<f32>("v", 0, z, level);
+                check(region, level, slice.map(|(r, _)| r.data().to_vec()));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn row_walk_scatter_and_gather_equal_the_per_sample_walk(
+            sides in (any::<u64>(), any::<u64>(), any::<u64>()),
+            three_d in any::<bool>(),
+            bits_per_block in 4u32..8,
+            writes in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            // Non-power-of-two sides, a quarter of them 1 wide.
+            let side = |v: u64, max: u64| if v.is_multiple_of(4) { 1 } else { 1 + v / 4 % max };
+            let dims = if three_d {
+                vec![side(sides.0, 20), side(sides.1, 14), side(sides.2, 7)]
+            } else {
+                vec![side(sides.0, 45), side(sides.1, 33)]
+            };
+            row_walk_case(&dims, bits_per_block, writes, seed);
+        }
     }
 }

@@ -45,11 +45,10 @@ pub fn write_tiff<T: Sample>(raster: &Raster<T>, compression: TiffCompression) -
     for s in 0..strip_count {
         let y0 = s * rows_per_strip;
         let y1 = ((s + 1) * rows_per_strip).min(height);
-        let mut raw = Vec::with_capacity((y1 - y0) * row_bytes);
-        for y in y0..y1 {
-            for &v in raster.row(y) {
-                v.write_le(&mut raw);
-            }
+        let mut raw = vec![0; (y1 - y0) * row_bytes];
+        let samples = (y0..y1).flat_map(|y| raster.row(y));
+        for (&v, slot) in samples.zip(raw.chunks_exact_mut(bytes_per_sample)) {
+            v.write_le(slot);
         }
         strips.push(match compression {
             TiffCompression::None => raw,

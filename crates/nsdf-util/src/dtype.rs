@@ -82,8 +82,10 @@ pub trait Sample: Copy + PartialOrd + Send + Sync + 'static {
     /// Narrow from `f64`, saturating/rounding as appropriate for the type.
     fn from_f64(v: f64) -> Self;
 
-    /// Append the little-endian encoding of `self` to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Write the little-endian encoding of `self` over the first
+    /// `DTYPE.size_bytes()` bytes of `out` — a sample's slot in a block
+    /// image or a TIFF strip. Panics when `out` is shorter.
+    fn write_le(self, out: &mut [u8]);
 
     /// Decode one sample from the start of `bytes`.
     ///
@@ -115,8 +117,8 @@ macro_rules! int_sample {
                 }
             }
 
-            fn write_le(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn write_le(self, out: &mut [u8]) {
+                out[..std::mem::size_of::<$t>()].copy_from_slice(&self.to_le_bytes());
             }
 
             fn read_le(bytes: &[u8]) -> Result<Self> {
@@ -146,8 +148,8 @@ macro_rules! float_sample {
                 v as $t
             }
 
-            fn write_le(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn write_le(self, out: &mut [u8]) {
+                out[..std::mem::size_of::<$t>()].copy_from_slice(&self.to_le_bytes());
             }
 
             fn read_le(bytes: &[u8]) -> Result<Self> {
@@ -171,9 +173,10 @@ float_sample!(f64, DType::F64);
 
 /// Encode a whole slice of samples as little-endian bytes.
 pub fn samples_to_bytes<T: Sample>(samples: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples.len() * T::DTYPE.size_bytes());
-    for &s in samples {
-        s.write_le(&mut out);
+    let size = T::DTYPE.size_bytes();
+    let mut out = vec![0; samples.len() * size];
+    for (&s, slot) in samples.iter().zip(out.chunks_exact_mut(size)) {
+        s.write_le(slot);
     }
     out
 }
