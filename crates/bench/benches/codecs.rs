@@ -31,6 +31,7 @@ fn palette() -> Vec<Codec> {
         Codec::Lz4,
         Codec::ShuffleLzss { sample_size: 4 },
         Codec::LzssHuff { sample_size: 4 },
+        Codec::Planes { sample_size: 4 },
         Codec::Adaptive { sample_size: 4 },
     ]
 }
@@ -181,8 +182,10 @@ fn main() {
         for codec in palette() {
             // Sample-framed static codecs need the payload to divide evenly;
             // all our payloads do (DIM*DIM elements, sample_size 4 | 1-byte).
-            if matches!(codec, Codec::ShuffleLzss { .. } | Codec::LzssHuff { .. })
-                && spec.bytes.len() % 4 != 0
+            if matches!(
+                codec,
+                Codec::ShuffleLzss { .. } | Codec::LzssHuff { .. } | Codec::Planes { .. }
+            ) && spec.bytes.len() % 4 != 0
             {
                 continue;
             }

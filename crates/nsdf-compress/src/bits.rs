@@ -1,13 +1,19 @@
-//! Bit-level I/O used by the fixed-rate float codec.
+//! Bit-level I/O used by the Huffman and fixed-rate float codecs.
 
 use nsdf_util::{NsdfError, Result};
 
 /// Append-only MSB-first bit writer.
+///
+/// Bits gather in a 64-bit accumulator and leave it four bytes at a time,
+/// so a write is a shift, an or and (one time in several) one 4-byte
+/// append; the bytes are those of a bit-at-a-time writer.
 #[derive(Debug, Default)]
 pub(crate) struct BitWriter {
     buf: Vec<u8>,
-    /// Bits already used in the final byte (0..8).
-    used: u8,
+    /// Pending bits, the oldest highest, in the low `held` bits.
+    acc: u64,
+    /// Bits pending in `acc` (0..32 between writes).
+    held: u32,
 }
 
 impl BitWriter {
@@ -16,27 +22,34 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Empty writer with room for `bytes` output bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        BitWriter { buf: Vec::with_capacity(bytes), ..Self::default() }
+    }
+
     /// Write the low `n` bits of `value`, most significant first. `n <= 64`.
     pub(crate) fn write_bits(&mut self, value: u64, n: u8) {
         debug_assert!(n <= 64);
-        let mut remaining = n;
-        while remaining > 0 {
-            if self.used == 0 {
-                self.buf.push(0);
-            }
-            let free = 8 - self.used;
-            let take = free.min(remaining);
-            let shift = remaining - take;
-            let bits = ((value >> shift) & ((1u64 << take) - 1)) as u8;
-            let last = self.buf.last_mut().expect("byte pushed above");
-            *last |= bits << (free - take);
-            self.used = (self.used + take) % 8;
-            remaining -= take;
+        if n > 32 {
+            self.write_bits(value >> 32, n - 32);
+            self.write_bits(value, 32);
+            return;
+        }
+        // `held < 32` and `n <= 32`, so the accumulator never overflows.
+        let n = u32::from(n);
+        self.acc = (self.acc << n) | (value & ((1u64 << n) - 1));
+        self.held += n;
+        if self.held >= 32 {
+            self.held -= 32;
+            self.buf.extend_from_slice(&((self.acc >> self.held) as u32).to_be_bytes());
         }
     }
 
     /// Finish, returning the byte buffer (final byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = (self.acc << (32 - self.held)) as u32;
+        let tail_bytes = self.held.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&tail.to_be_bytes()[..tail_bytes]);
         self.buf
     }
 }
@@ -84,6 +97,37 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Bit-at-a-time reference writer.
+    fn write_serial(fields: &[(u64, u8)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut used = 0usize;
+        for &(v, n) in fields {
+            for i in (0..n).rev() {
+                if used.is_multiple_of(8) {
+                    out.push(0);
+                }
+                let bit = ((v >> i) & 1) as u8;
+                *out.last_mut().expect("byte pushed above") |= bit << (7 - used % 8);
+                used += 1;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn word_writer_matches_bit_serial(
+            fields in proptest::collection::vec((any::<u64>(), 0u8..=64), 0..200),
+        ) {
+            let mut w = BitWriter::new();
+            for &(v, n) in &fields {
+                w.write_bits(v, n);
+            }
+            prop_assert_eq!(w.into_bytes(), write_serial(&fields));
+        }
+    }
 
     #[test]
     fn roundtrip_aligned_bytes() {

@@ -7,6 +7,7 @@ use crate::fixedrate::{fixedrate_decode_bytes, fixedrate_encode_bytes};
 use crate::huffman::{huffman_decode, huffman_encode};
 use crate::lz4like::{lz4_decode, lz4_encode};
 use crate::lzss::{lzss_decode, lzss_encode};
+use crate::planes::{planes_decode, planes_encode};
 use crate::rle::{packbits_decode, packbits_encode};
 use nsdf_util::{NsdfError, Result};
 
@@ -39,18 +40,27 @@ pub enum Codec {
         /// Bytes per sample for the shuffle transpose.
         sample_size: u8,
     },
+    /// Shuffle + delta, then each byte plane on its own as the smallest of
+    /// canonical Huffman, PackBits or the plane itself (the crate's
+    /// `planes` module). No LZ stage: the float-native lossless codec, and
+    /// the one [`Codec::Adaptive`] blocks use.
+    Planes {
+        /// Bytes per sample for the shuffle transpose.
+        sample_size: u8,
+    },
     /// Fixed-rate lossy float codec ("zfp-class"); input must be
     /// little-endian `f32`s. `bits` is the per-sample budget (2..=30).
     FixedRate {
         /// Quantised bits per sample.
         bits: u8,
     },
-    /// Adaptive per-block selection: each block is sampled and encoded with
-    /// the best-fitting lossless codec, framed behind a one-byte
-    /// self-describing header (see [`crate::adaptive`]). Blocks of one
+    /// Per-block framing: each block is encoded with [`Codec::Planes`], or
+    /// stored raw when that would not shrink it, behind a self-describing
+    /// header naming the codec (see [`crate::adaptive`]). Blocks of one
     /// dataset may therefore mix codecs.
     Adaptive {
-        /// Bytes per sample for the shuffle-family candidates.
+        /// Bytes per sample for blocks encoded through this enum; a
+        /// dataset passes each field's own sample width instead.
         sample_size: u8,
     },
 }
@@ -75,10 +85,11 @@ impl Codec {
                 out.extend_from_slice(&huffman_encode(&lz));
                 Ok(out)
             }
+            Codec::Planes { sample_size } => planes_encode(src, sample_size as usize),
             Codec::FixedRate { bits } => fixedrate_encode_bytes(src, bits),
-            Codec::Adaptive { sample_size } => {
-                crate::adaptive::AdaptiveCodec::new(sample_size).encode_block(src).map(|(v, _)| v)
-            }
+            Codec::Adaptive { sample_size } => crate::adaptive::AdaptiveCodec::default()
+                .encode_block(src, sample_size)
+                .map(|(v, _)| v),
         }
     }
 
@@ -110,6 +121,7 @@ impl Codec {
                 let filtered = lzss_decode(&lz, dst_len)?;
                 unshuffle(&delta_decode(&filtered), sample_size as usize)
             }
+            Codec::Planes { sample_size } => planes_decode(src, sample_size as usize, dst_len),
             Codec::FixedRate { bits } => fixedrate_decode_bytes(src, bits, dst_len),
             Codec::Adaptive { .. } => crate::adaptive::decode_tagged(src, dst_len),
         }
@@ -124,6 +136,7 @@ impl Codec {
             Codec::Lz4 => "lz4".into(),
             Codec::ShuffleLzss { sample_size } => format!("shuffle{sample_size}-lzss"),
             Codec::LzssHuff { sample_size } => format!("zlib{sample_size}"),
+            Codec::Planes { sample_size } => format!("planes{sample_size}"),
             Codec::FixedRate { bits } => format!("fixedrate{bits}"),
             Codec::Adaptive { sample_size } => format!("adaptive{sample_size}"),
         }
@@ -141,21 +154,18 @@ impl Codec {
                 return Ok(Codec::ShuffleLzss { sample_size });
             }
         }
-        if let Some(sz) = s.strip_prefix("zlib") {
+        for prefix in ["zlib", "planes", "adaptive"] {
+            let Some(sz) = s.strip_prefix(prefix) else { continue };
             let sample_size: u8 =
                 sz.parse().map_err(|_| NsdfError::format(format!("bad codec `{s}`")))?;
             if sample_size == 0 {
-                return Err(NsdfError::format("zlib sample size must be positive"));
+                return Err(NsdfError::format(format!("{prefix} sample size must be positive")));
             }
-            return Ok(Codec::LzssHuff { sample_size });
-        }
-        if let Some(sz) = s.strip_prefix("adaptive") {
-            let sample_size: u8 =
-                sz.parse().map_err(|_| NsdfError::format(format!("bad codec `{s}`")))?;
-            if sample_size == 0 {
-                return Err(NsdfError::format("adaptive sample size must be positive"));
-            }
-            return Ok(Codec::Adaptive { sample_size });
+            return Ok(match prefix {
+                "zlib" => Codec::LzssHuff { sample_size },
+                "planes" => Codec::Planes { sample_size },
+                _ => Codec::Adaptive { sample_size },
+            });
         }
         if let Some(bits) = s.strip_prefix("fixedrate") {
             let bits: u8 =
@@ -175,8 +185,7 @@ impl Codec {
     }
 
     /// The *static* lossless codecs, for sweeps and benches. `Adaptive` is
-    /// deliberately excluded: it is a meta-codec that picks among exactly
-    /// these members per block.
+    /// deliberately excluded: it frames `Planes` (or `Raw`) per block.
     pub fn lossless_palette(sample_size: u8) -> Vec<Codec> {
         vec![
             Codec::Raw,
@@ -185,6 +194,7 @@ impl Codec {
             Codec::Lzss,
             Codec::ShuffleLzss { sample_size },
             Codec::LzssHuff { sample_size },
+            Codec::Planes { sample_size },
         ]
     }
 }
@@ -266,6 +276,7 @@ mod tests {
             Codec::Lz4,
             Codec::ShuffleLzss { sample_size: 4 },
             Codec::LzssHuff { sample_size: 4 },
+            Codec::Planes { sample_size: 4 },
             Codec::FixedRate { bits: 12 },
             Codec::Adaptive { sample_size: 4 },
         ];
@@ -276,6 +287,7 @@ mod tests {
         assert!(Codec::parse("fixedrate99").is_err());
         assert!(Codec::parse("shuffle0-lzss").is_err());
         assert!(Codec::parse("adaptive0").is_err());
+        assert!(Codec::parse("planes0").is_err());
         assert!(Codec::parse("adaptiveX").is_err());
     }
 

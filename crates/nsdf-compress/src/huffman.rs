@@ -156,18 +156,23 @@ fn canonical_codes(lens: &[u8; 256]) -> [u32; 256] {
     codes
 }
 
+/// The code-length header's `(length, run)` pairs: runs of equal lengths
+/// over the 256 symbols, each at most 64 long.
+fn length_runs(lens: &[u8; 256]) -> impl Iterator<Item = (u8, usize)> + '_ {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        let l = *lens.get(i)?;
+        let run = lens[i..].iter().take(64).take_while(|&&x| x == l).count();
+        i += run;
+        Some((l, run))
+    })
+}
+
 /// Serialize code lengths: run-length over the 256 nibbles.
 fn write_lengths(w: &mut BitWriter, lens: &[u8; 256]) {
-    let mut i = 0usize;
-    while i < 256 {
-        let l = lens[i];
-        let mut run = 1usize;
-        while i + run < 256 && lens[i + run] == l && run < 64 {
-            run += 1;
-        }
+    for (l, run) in length_runs(lens) {
         w.write_bits(l as u64, 4);
         w.write_bits((run - 1) as u64, 6);
-        i += run;
     }
 }
 
@@ -191,21 +196,43 @@ fn read_lengths(r: &mut BitReader) -> Result<[u8; 256]> {
 /// Output layout: `[lengths header][bitstream]`. Empty input encodes to an
 /// empty buffer.
 pub(crate) fn huffman_encode(src: &[u8]) -> Vec<u8> {
+    huffman_encode_below(src, usize::MAX).expect("every stream is shorter than usize::MAX")
+}
+
+/// [`huffman_encode`] of `src` if that is shorter than `limit` bytes, else
+/// `None`. The length is known from the code lengths, so a stream that
+/// would lose to `limit` is never emitted.
+pub(crate) fn huffman_encode_below(src: &[u8], limit: usize) -> Option<Vec<u8>> {
     if src.is_empty() {
-        return Vec::new();
+        return (limit > 0).then(Vec::new);
     }
     let mut freqs = [0u64; 256];
     for &b in src {
         freqs[b as usize] += 1;
     }
+    // No prefix code beats the entropy or one bit a symbol, so a plainly
+    // losing stream is refused before its code is built. The bound is
+    // shaded down a millionth against rounding.
+    let n = src.len() as f64;
+    let entropy: f64 =
+        freqs.iter().filter(|&&f| f > 0).map(|&f| f as f64 / n).map(|p| -p * p.log2()).sum();
+    if n * entropy.max(1.0) * (1.0 - 1e-6) / 8.0 >= limit as f64 {
+        return None;
+    }
     let lens = code_lengths(&freqs);
+    let header_bits = 10 * length_runs(&lens).count() as u64;
+    let code_bits: u64 = freqs.iter().zip(&lens).map(|(&f, &l)| f * u64::from(l)).sum();
+    let bytes = (header_bits + code_bits).div_ceil(8) as usize;
+    if bytes >= limit {
+        return None;
+    }
     let codes = canonical_codes(&lens);
-    let mut w = BitWriter::new();
+    let mut w = BitWriter::with_capacity(bytes);
     write_lengths(&mut w, &lens);
     for &b in src {
         w.write_bits(codes[b as usize] as u64, lens[b as usize]);
     }
-    w.into_bytes()
+    Some(w.into_bytes())
 }
 
 /// MSB-first window over the code bits: `held` valid bits sit at the top of
@@ -257,8 +284,27 @@ impl<'a> BitWindow<'a> {
 
 /// Decompress `src` into exactly `dst_len` bytes.
 pub(crate) fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+    decode_counting_tail(src, dst_len).map(|(out, _)| out)
+}
+
+/// [`huffman_decode`] of a stream that must end with its last code: a
+/// whole byte left unread is `Corrupt`, as [`huffman_encode`] never
+/// writes one.
+pub(crate) fn huffman_decode_exact(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
+    let (out, unread_bits) = decode_counting_tail(src, dst_len)?;
+    if unread_bits >= 8 {
+        return Err(NsdfError::corrupt(format!(
+            "huffman: {} bytes past the last code",
+            unread_bits / 8
+        )));
+    }
+    Ok(out)
+}
+
+/// The decoded bytes, and how many bits of `src` follow the last code.
+fn decode_counting_tail(src: &[u8], dst_len: usize) -> Result<(Vec<u8>, usize)> {
     if dst_len == 0 {
-        return Ok(Vec::new());
+        return Ok((Vec::new(), src.len() * 8));
     }
     let mut r = BitReader::new(src);
     let lens = read_lengths(&mut r)?;
@@ -351,7 +397,7 @@ pub(crate) fn huffman_decode(src: &[u8], dst_len: usize) -> Result<Vec<u8>> {
         w.consume(len as u32);
         out.push(sym as u8);
     }
-    Ok(out)
+    Ok((out, (src.len() - w.next) * 8 + w.held as usize))
 }
 
 #[cfg(test)]
@@ -619,6 +665,10 @@ mod tests {
             ],
         ) {
             let enc = huffman_encode(&src);
+            // A limit refuses the stream exactly when the stream does not
+            // beat it, the entropy bound included.
+            prop_assert_eq!(huffman_encode_below(&src, enc.len() + 1), Some(enc.clone()));
+            prop_assert_eq!(huffman_encode_below(&src, enc.len()), None);
             prop_assert_eq!(huffman_decode(&enc, src.len()).unwrap(), src);
         }
     }

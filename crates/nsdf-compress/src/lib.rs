@@ -8,12 +8,14 @@
 //! * `lz4like` — token-format fast byte LZ, the "lz4-class" codec;
 //! * `filter` — byte shuffle and delta pre-filters for float rasters;
 //! * `huffman` — canonical Huffman entropy stage ("zlib" pipeline tail);
+//! * `planes` — shuffle + delta, then one entropy body per byte plane:
+//!   the float-native lossless codec adaptive blocks use;
 //! * `fixedrate` — block fixed-rate lossy float codec, the "zfp-class"
 //!   codec with a precision-bits knob;
-//! * [`adaptive`] — per-block codec selection behind a one-byte
-//!   self-describing block header;
+//! * [`adaptive`] — per-block framing (`planes`, or raw when that does
+//!   not shrink the block) behind a self-describing block header;
 //! * [`codec`] — the unified [`Codec`] palette with stable textual names;
-//! * `bits` — MSB-first bit I/O underlying the fixed-rate codec.
+//! * `bits` — MSB-first bit I/O under the Huffman and fixed-rate codecs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ mod huffman;
 mod lz4like;
 mod lzss;
 mod matchfinder;
+mod planes;
 pub mod rle;
 
 pub use adaptive::AdaptiveCodec;

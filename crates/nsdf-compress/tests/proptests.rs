@@ -2,6 +2,7 @@
 
 use nsdf_compress::codec::Codec;
 use nsdf_compress::AdaptiveCodec;
+use nsdf_util::NsdfError;
 use proptest::prelude::*;
 
 /// Tagged adaptive blocks decode through the palette entry; its sample
@@ -36,6 +37,46 @@ fn adaptive_buffers() -> impl Strategy<Value = Vec<u8>> {
         }),
         byte_buffers().prop_map(|src| Codec::Lzss.encode(&src).unwrap()),
     ]
+}
+
+/// `(sample_size, payload)` for sample sizes 1–8: samples cut from the low
+/// bytes of NaN, subnormal, ±0 and arbitrary bit patterns (of `f64` and
+/// `f32`), as an arbitrary, a constant or a steadily stepping sequence.
+fn plane_payloads() -> impl Strategy<Value = (usize, Vec<u8>)> {
+    let sample = prop_oneof![
+        Just(f64::NAN.to_bits()),
+        Just(u64::from(f32::NAN.to_bits())),
+        Just(1u64),
+        Just(0x8000_0001u64),
+        Just(0u64),
+        Just(1u64 << 63),
+        Just(0x8000_0000u64),
+        any::<u64>(),
+    ];
+    let samples = proptest::collection::vec(sample, 0..600);
+    (1usize..=8, 0u8..3, samples, any::<u16>()).prop_map(|(size, shape, samples, step)| {
+        let first = samples.first().copied().unwrap_or(0);
+        let samples: Vec<u64> = match shape {
+            0 => samples,
+            1 => vec![first; samples.len()],
+            _ => {
+                (0..samples.len() as u64).map(|i| first.wrapping_add(i * u64::from(step))).collect()
+            }
+        };
+        (size, samples.iter().flat_map(|x| x.to_le_bytes()[..size].to_vec()).collect())
+    })
+}
+
+/// Offsets of each plane header in a `planes{size}` stream.
+fn plane_headers(enc: &[u8], size: usize) -> Vec<usize> {
+    let mut at = 0;
+    (0..size)
+        .map(|_| {
+            let here = at;
+            at += 5 + u32::from_le_bytes(enc[at + 1..at + 5].try_into().unwrap()) as usize;
+            here
+        })
+        .collect()
 }
 
 proptest! {
@@ -138,12 +179,72 @@ proptest! {
         // Whatever codec the selector picks, the tagged stream must decode
         // bitwise-identically — both from the selector's block and through
         // the `Codec::Adaptive` palette entry's own encode.
-        let selector = AdaptiveCodec::new(4);
-        let (enc, chosen) = selector.encode_block(&src).unwrap();
+        let selector = AdaptiveCodec::default();
+        let (enc, chosen) = selector.encode_block(&src, 4).unwrap();
         prop_assert_eq!(&TAGGED.decode(&enc, src.len()).unwrap(), &src, "chose {}", chosen);
         let codec = Codec::Adaptive { sample_size: 4 };
         let via_enum = codec.encode(&src).unwrap();
         prop_assert_eq!(codec.decode(&via_enum, src.len()).unwrap(), src);
+    }
+
+    #[test]
+    fn planes_roundtrips_any_sample_width(payload in plane_payloads()) {
+        let (size, src) = payload;
+        let codec = Codec::Planes { sample_size: size as u8 };
+        let enc = codec.encode(&src).unwrap();
+        prop_assert_eq!(codec.decode(&enc, src.len()).unwrap(), src.clone());
+        // Through the adaptive framing at the same width.
+        let (tagged, chosen) = AdaptiveCodec::default().encode_block(&src, size as u8).unwrap();
+        prop_assert!(tagged.len() <= src.len() + 1, "{} expanded", chosen);
+        prop_assert_eq!(TAGGED.decode(&tagged, src.len()).unwrap(), src);
+    }
+
+    #[test]
+    fn planes_rejects_ragged_lengths(
+        size in 2usize..=8,
+        samples in 0usize..64,
+        extra in 1usize..8,
+    ) {
+        let extra = extra % size;
+        prop_assume!(extra != 0);
+        let src = vec![0x3c; samples * size + extra];
+        let codec = Codec::Planes { sample_size: size as u8 };
+        prop_assert!(matches!(codec.encode(&src), Err(NsdfError::InvalidArg(_))));
+        let whole = codec.encode(&src[..samples * size]).unwrap();
+        prop_assert!(codec.decode(&whole, src.len()).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn forged_planes_streams_are_corrupt(
+        payload in plane_payloads(),
+        plane in any::<usize>(),
+        mode in 3u8..=255,
+        len in any::<u32>(),
+        cut in any::<usize>(),
+    ) {
+        let (size, src) = payload;
+        let codec = Codec::Planes { sample_size: size as u8 };
+        let enc = codec.encode(&src).unwrap();
+        let at = plane_headers(&enc, size)[plane % size];
+        // An unknown plane mode.
+        let mut forged = enc.clone();
+        forged[at] = mode;
+        prop_assert!(codec.decode(&forged, src.len()).unwrap_err().is_corrupt());
+        // Any other body length, from one byte off to 4 GiB.
+        let real = u32::from_le_bytes(enc[at + 1..at + 5].try_into().unwrap());
+        for len in [len, real.wrapping_add(1), real.wrapping_sub(1)] {
+            if len != real {
+                let mut forged = enc.clone();
+                forged[at + 1..at + 5].copy_from_slice(&len.to_le_bytes());
+                prop_assert!(
+                    codec.decode(&forged, src.len()).unwrap_err().is_corrupt(),
+                    "plane at {} length {} -> {}", at, real, len
+                );
+            }
+        }
+        // Any truncation.
+        let cut = cut % enc.len();
+        prop_assert!(codec.decode(&enc[..cut], src.len()).unwrap_err().is_corrupt());
     }
 
     #[test]
@@ -155,16 +256,16 @@ proptest! {
         // Decoding a tagged stream whose header byte was corrupted must
         // return a structured error or a (possibly wrong) buffer — never
         // panic. Unknown tags specifically must classify as Corrupt.
-        let (mut enc, _) = AdaptiveCodec::new(4).encode_block(&src).unwrap();
+        let (mut enc, _) = AdaptiveCodec::default().encode_block(&src, 4).unwrap();
         enc[0] = tag;
         // Any `Err` is a structured NsdfError by construction; reaching this
         // line at all proves no panic. Unknown tags must classify Corrupt.
         let _ = TAGGED.decode(&enc, src.len());
-        if tag > 6 {
+        if tag > 7 {
             prop_assert!(TAGGED.decode(&enc, src.len()).unwrap_err().is_corrupt());
         }
         // Truncation and payload bit-flips are equally non-fatal.
-        let (enc, _) = AdaptiveCodec::new(4).encode_block(&src).unwrap();
+        let (enc, _) = AdaptiveCodec::default().encode_block(&src, 4).unwrap();
         let _ = TAGGED.decode(&enc[..enc.len() / 2], src.len());
         let mut flipped = enc.clone();
         let at = (flip as usize) % flipped.len();

@@ -106,9 +106,14 @@ impl HzCurve {
 
     /// Block index and in-block sample offset of the sample at `coords`,
     /// for blocks of `block_samples` consecutive HZ addresses — one sample
-    /// at a time, the oracle of [`HzCurve::row_block_offsets`].
+    /// at a time, the oracle of [`HzCurve::row_block_offsets`]. A zero
+    /// `block_samples` is an `InvalidArg`, as for
+    /// [`HzCurve::blocks_in_region`].
     #[inline]
     pub fn block_offset(&self, coords: &[u64], block_samples: u64) -> Result<(u64, usize)> {
+        if block_samples == 0 {
+            return Err(NsdfError::invalid("block_samples must be positive"));
+        }
         let hz = self.hz_from_coords(coords)?;
         Ok((hz / block_samples, (hz % block_samples) as usize))
     }
@@ -684,6 +689,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn block_offset_rejects_zero_block_samples() {
+        let c = HzCurve::new(BitMask::for_dims(&[16, 16]).unwrap());
+        let err = c.block_offset(&[3, 5], 0).unwrap_err();
+        assert!(matches!(err, NsdfError::InvalidArg(_)), "{err}");
+        assert_eq!(c.block_offset(&[0, 0], 1).unwrap(), (0, 0));
     }
 
     #[test]

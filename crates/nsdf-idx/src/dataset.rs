@@ -589,9 +589,9 @@ pub struct IdxDataset {
     writer: Mutex<UploadLanes>,
     /// Per-block codec selector, present exactly when `meta.codec` is
     /// [`Codec::Adaptive`]. Kept alongside the plain enum so the write path
-    /// can observe which codec the selector chose (for [`WriteStats`] and
-    /// the `codec.selected.*` counters) instead of dispatching blindly
-    /// through [`Codec::encode`].
+    /// can pass each field's own sample width and observe which codec the
+    /// selector chose (for [`WriteStats`] and the `codec.selected.*`
+    /// counters) instead of dispatching blindly through [`Codec::encode`].
     adaptive: Option<AdaptiveCodec>,
     m: IdxMetrics,
     wall: WallCodec,
@@ -630,7 +630,7 @@ impl IdxDataset {
     /// there itself.
     fn assemble(store: Arc<dyn ObjectStore>, base: &str, meta: IdxMeta, created: bool) -> Self {
         let adaptive = match meta.codec {
-            Codec::Adaptive { sample_size } => Some(AdaptiveCodec::new(sample_size)),
+            Codec::Adaptive { .. } => Some(AdaptiveCodec::default()),
             _ => None,
         };
         IdxDataset {
@@ -660,10 +660,10 @@ impl IdxDataset {
     /// inside.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.m = IdxMetrics::new(obs);
-        // Rebuild the selector so `codec.selected.*` / `codec.sampled_bytes`
-        // land in the caller's registry rather than a throwaway default.
-        if let Codec::Adaptive { sample_size } = self.meta.codec {
-            self.adaptive = Some(AdaptiveCodec::new(sample_size).with_obs(obs));
+        // Rebuild the selector so `codec.selected.*` lands in the caller's
+        // registry rather than a throwaway default.
+        if let Codec::Adaptive { .. } = self.meta.codec {
+            self.adaptive = Some(AdaptiveCodec::default().with_obs(obs));
         }
         self
     }
@@ -924,7 +924,11 @@ impl IdxDataset {
             let _encode_span = self.m.obs.span("encode");
             try_par_map_owned(entries, num_threads(), |(key, raw)| -> Result<_> {
                 let (enc, chosen) = match &self.adaptive {
-                    Some(selector) => selector.encode_block(&raw)?,
+                    // Each field is planed at its own sample width.
+                    Some(selector) => {
+                        let width = self.meta.fields[key.0].dtype.size_bytes() as u8;
+                        selector.encode_block(&raw, width)?
+                    }
                     None => (self.meta.codec.encode(&raw)?, self.meta.codec),
                 };
                 Ok((key, raw.len(), seal(BLOCK_MAGIC, &enc), chosen))
@@ -2422,9 +2426,24 @@ mod tests {
         let selected: u64 =
             stats.codecs.keys().map(|name| snap.counter(&format!("codec.selected.{name}"))).sum();
         assert_eq!(selected, stats.blocks_written);
-        assert!(snap.counter("codec.sampled_bytes") > 0);
         let (back, _) = ds.read_full::<f32>("v", 0).unwrap();
         assert_eq!(back.data(), r.data());
+    }
+
+    #[test]
+    fn adaptive_planes_each_field_at_its_own_sample_width() {
+        let store = Arc::new(MemoryStore::new());
+        let fields =
+            vec![Field::new("f", DType::F32).unwrap(), Field::new("c", DType::U8).unwrap()];
+        let meta =
+            IdxMeta::new_2d("test", 64, 64, fields, 8, Codec::Adaptive { sample_size: 4 }).unwrap();
+        let ds = IdxDataset::create(store as Arc<dyn ObjectStore>, "data/test", meta).unwrap();
+        let labels = Raster::<u8>::from_fn(64, 64, |x, y| (x / 16 + y / 16 * 4) as u8);
+        let stats = ds.write_raster("c", 0, &labels).unwrap();
+        assert_eq!(stats.codecs.keys().collect::<Vec<_>>(), ["planes1"]);
+        let stats = ds.write_raster("f", 0, &ramp(64, 64)).unwrap();
+        assert_eq!(stats.codecs.keys().collect::<Vec<_>>(), ["planes4"]);
+        assert_eq!(ds.read_full::<u8>("c", 0).unwrap().0.data(), labels.data());
     }
 
     #[test]

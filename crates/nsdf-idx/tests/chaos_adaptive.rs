@@ -25,8 +25,9 @@ fn adaptive_meta() -> IdxMeta {
 }
 
 /// Mixed-content raster: a constant plateau (run-coder food), a smooth ramp
-/// (shuffle/delta food), and deterministic pseudo-noise (incompressible) —
-/// forcing the per-block selector to mix codecs across the dataset.
+/// (shuffle/delta food), and deterministic pseudo-noise (incompressible:
+/// random NaN-free bit patterns) — forcing the per-block selector to mix
+/// codecs across the dataset.
 fn mixed_raster() -> Raster<f32> {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     Raster::from_fn(96, 96, move |x, y| {
@@ -36,7 +37,8 @@ fn mixed_raster() -> Raster<f32> {
             (y * 96 + x) as f32 * 0.25
         } else {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 40) as f32) / 1e4
+            // Bit 30 clear: the exponent is never all ones, so no NaN.
+            f32::from_bits((state >> 32) as u32 & 0xBFFF_FFFF)
         }
     })
 }

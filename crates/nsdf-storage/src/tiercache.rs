@@ -175,7 +175,7 @@ impl FrequencySketch {
     /// Estimated access frequency of `key` (doorkeeper bit counts as
     /// one access on top of the count-min minimum). Never underestimates
     /// recorded history within a window; may overestimate on collisions.
-    pub fn estimate(&self, key: &str) -> u8 {
+    pub(crate) fn estimate(&self, key: &str) -> u8 {
         let (idx, dk) = Self::indices(key);
         let min = self
             .rows

@@ -394,6 +394,7 @@ fn compress_table() -> Result<String> {
         Codec::Lzss,
         Codec::ShuffleLzss { sample_size: 4 },
         Codec::LzssHuff { sample_size: 4 },
+        Codec::Planes { sample_size: 4 },
         Codec::FixedRate { bits: 16 },
     ] {
         let enc = codec.encode(&raw)?;

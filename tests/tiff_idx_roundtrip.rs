@@ -37,6 +37,29 @@ fn tiff_to_idx_to_tiff_is_identity_for_lossless_codecs() {
 }
 
 #[test]
+fn adaptive_tracks_best_static_choice() {
+    // Real terrain HZ blocks: a DEM written at the 14-bit blocks of the
+    // `ingest` workload. Adaptive (`planes4`, or raw per block) must store
+    // no more than zlib4 and stay within 5 % of the best static codec.
+    let dem = DemConfig::conus_like(256, 256, 2024).generate();
+    let stored = |codec: Codec| {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let meta = IdxMeta::new_2d("t", 256, 256, fields, 14, codec).unwrap();
+        let ds = IdxDataset::create(store, "t", meta).unwrap();
+        ds.write_raster("v", 0, &dem).unwrap().bytes_stored
+    };
+    let adaptive = stored(Codec::Adaptive { sample_size: 4 });
+    let zlib4 = stored(Codec::LzssHuff { sample_size: 4 });
+    assert!(adaptive <= zlib4, "adaptive {adaptive} vs zlib4 {zlib4}");
+    let best_static = Codec::lossless_palette(4).into_iter().map(stored).min().unwrap();
+    assert!(
+        adaptive as f64 <= best_static as f64 * 1.05,
+        "adaptive {adaptive} vs best static {best_static}"
+    );
+}
+
+#[test]
 fn geotransform_survives_the_full_chain() {
     let dem = DemConfig::conus_like(64, 64, 5).generate();
     let g0 = dem.geo.unwrap();
