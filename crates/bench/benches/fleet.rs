@@ -1,6 +1,6 @@
 //! Multi-tenant QoS at fleet scale: per-interaction virtual latency
 //! percentiles vs fleet size, with the admission scheduler's QoS on
-//! (priority tiers + token buckets + prefetch shedding) and off (one
+//! (priority tiers + token buckets) and off (one
 //! shared FIFO), over both WAN profiles of §III. Emits `BENCH_fleet.json`
 //! at the repo root; numbers are quoted in EXPERIMENTS.md ("Multi-tenant
 //! QoS").
@@ -24,8 +24,6 @@ struct Record {
     prefetch: LatencySummary,
     bulk: LatencySummary,
     bulk_throughput_mbps: f64,
-    shed: u64,
-    reissued: u64,
     granted_vns: u64,
     wan_busy_vns: u64,
 }
@@ -51,8 +49,6 @@ impl From<&Record> for JsonValue {
             ("prefetch", latency(&r.prefetch)),
             ("bulk", latency(&r.bulk)),
             ("bulk_throughput_mbps", JsonValue::fixed(r.bulk_throughput_mbps, 4)),
-            ("shed", r.shed.into()),
-            ("reissued", r.reissued.into()),
             ("granted_vns", r.granted_vns.into()),
             ("wan_busy_vns", r.wan_busy_vns.into()),
         ])
@@ -74,7 +70,8 @@ fn spec_for(profile_name: &str, tenants: usize) -> FleetSpec {
 fn run_case(profile: NetworkProfile, tenants: usize, qos: bool) -> Record {
     let profile_name = profile.name.clone();
     let cfg = if qos { SchedConfig::default() } else { SchedConfig::fifo() };
-    let sim = FleetSim::new(spec_for(&profile_name, tenants), cfg, profile);
+    let sim =
+        FleetSim::new(spec_for(&profile_name, tenants), cfg, profile).expect("valid fleet spec");
     let r = sim.run();
     assert_eq!(
         r.granted_vns, r.wan_busy_vns,
@@ -90,8 +87,6 @@ fn run_case(profile: NetworkProfile, tenants: usize, qos: bool) -> Record {
         prefetch: r.prefetch,
         bulk: r.bulk,
         bulk_throughput_mbps: r.bulk_throughput_bps / 1e6,
-        shed: r.shed,
-        reissued: r.reissued,
         granted_vns: r.granted_vns,
         wan_busy_vns: r.wan_busy_vns,
     }
@@ -105,7 +100,7 @@ fn main() {
                 let rec = run_case(profile(), tenants, qos);
                 println!(
                     "{:<17} tenants={:<3} qos={:<5} int p50/p99={:>9.2}/{:>9.2} ms  \
-                     bulk p99={:>9.2} ms thr={:>7.3} MB/s shed={:<3} reissued={}",
+                     bulk p99={:>9.2} ms thr={:>7.3} MB/s",
                     rec.profile,
                     rec.tenants,
                     rec.qos,
@@ -113,8 +108,6 @@ fn main() {
                     rec.interactive.p99_vns as f64 / 1e6,
                     rec.bulk.p99_vns as f64 / 1e6,
                     rec.bulk_throughput_mbps,
-                    rec.shed,
-                    rec.reissued,
                 );
                 records.push(rec);
             }

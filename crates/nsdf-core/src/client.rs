@@ -122,8 +122,9 @@ impl NsdfClient {
     /// clock/registry and admission scheduler, and per remote endpoint the
     /// WAN model — under the scripted fault plan and resilience stack when
     /// `chaos` is given — fronted by the tier cache (persistent when `disk`
-    /// is given) and put under scheduler admission, so shed-and-reissued
-    /// prefetch warms the shared tiers for every tenant of this entry point.
+    /// is given) and put under scheduler admission, so a granted cache hit
+    /// costs no link time and every tenant of this entry point warms the
+    /// shared tiers for the others.
     fn build(
         seed: u64,
         chaos: Option<(&FaultPlan, &EndpointPolicy)>,

@@ -120,8 +120,8 @@ impl Dashboard {
 
     /// Attach the shared-WAN admission scheduler serving this
     /// deployment's tenants; [`Dashboard::status`] then renders a
-    /// per-tenant section (grants, bytes, shed/re-issued prefetch, queue
-    /// waits) from the scheduler's accounting.
+    /// per-tenant section (grants, bytes, queue waits, link busy time)
+    /// from the scheduler's accounting.
     pub fn attach_scheduler(&self, sched: Arc<nsdf_storage::Scheduler>) {
         *self.scheduler.lock() = Some(sched);
     }
@@ -601,15 +601,13 @@ impl Dashboard {
             let st = s.stats();
             let _ = writeln!(
                 out,
-                "{name}: frames {} reused {} fetched {} cancelled {} prefetch hits {}/{} issued \
-                 ({} shed)",
+                "{name}: frames {} reused {} fetched {} cancelled {} prefetch hits {}/{} issued",
                 st.frames,
                 st.blocks_reused,
                 st.blocks_fetched,
                 st.cancelled,
                 st.prefetch_hits,
                 st.prefetch_issued,
-                st.prefetch_shed,
             );
         }
         drop(sessions);

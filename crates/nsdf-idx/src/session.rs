@@ -27,18 +27,16 @@
 //!   direction, next timestep during playback) through the same store
 //!   path, warming the shared caches so the next interaction is cheap.
 //!   Prefetch cooperates with a shared-WAN admission layer: the store
-//!   calls run under the sheddable `Priority::Prefetch` ambient tag, and
-//!   a [`NsdfError::Shed`] from a `SchedStore` under pressure quietly
-//!   skips the speculation (`session.prefetch_shed`) — the scheduler
-//!   re-issues the work itself when pressure drops, so nothing is lost;
+//!   calls run under the `Priority::Prefetch` ambient tag, so a
+//!   `SchedStore` queues them behind interactive work;
 //! * optionally tags all its store calls with a tenant id
 //!   ([`QuerySession::with_tenant`]) so a shared admission scheduler can
 //!   attribute and meter this viewer's traffic.
 //!
 //! Sessions report `session.{frames,blocks_reused,blocks_fetched,
-//! cancelled,prefetch_issued,prefetch_hits,prefetch_shed,fetch_vns,
-//! prefetch_vns}` counters and `session.fetch` spans into the registry
-//! passed to [`QuerySession::with_obs`]; on a shared clock the
+//! cancelled,prefetch_issued,prefetch_hits,fetch_vns,prefetch_vns}`
+//! counters and `session.fetch` spans into the registry passed to
+//! [`QuerySession::with_obs`]; on a shared clock the
 //! `fetch_vns` counter reconciles exactly with the store's
 //! `wan.busy_vns`.
 
@@ -130,9 +128,6 @@ pub struct SessionStats {
     pub prefetch_issued: u64,
     /// Prefetched blocks a later frame actually needed.
     pub prefetch_hits: u64,
-    /// Prefetch attempts shed by an admission layer under pressure (the
-    /// scheduler re-issues the work itself; the session just skips).
-    pub prefetch_shed: u64,
     /// Virtual nanoseconds the clock advanced inside demand fetch waves.
     pub fetch_vns: u64,
     /// Virtual nanoseconds the clock advanced inside prefetch waves.
@@ -148,7 +143,6 @@ struct SessionMetrics {
     cancelled: Counter,
     prefetch_issued: Counter,
     prefetch_hits: Counter,
-    prefetch_shed: Counter,
     fetch_vns: Counter,
     prefetch_vns: Counter,
 }
@@ -163,7 +157,6 @@ impl SessionMetrics {
             cancelled: obs.counter("cancelled"),
             prefetch_issued: obs.counter("prefetch_issued"),
             prefetch_hits: obs.counter("prefetch_hits"),
-            prefetch_shed: obs.counter("prefetch_shed"),
             fetch_vns: obs.counter("fetch_vns"),
             prefetch_vns: obs.counter("prefetch_vns"),
             obs,
@@ -252,7 +245,7 @@ fn split_resident(
 /// `fetch_concurrency`-wide [`IdxDataset::read_wave`]s with `cancel` checked
 /// before each. Every resolved block goes to `sink` as it arrives (the flag
 /// says it came from RAM, not a store trip), so what earlier waves brought
-/// stays with the caller whether a later wave is cancelled, shed, or fails.
+/// stays with the caller whether a later wave is cancelled or fails.
 /// Returns `true` when the token fired.
 fn resolve_waves(
     ds: &IdxDataset,
@@ -543,43 +536,30 @@ impl<T: Sample> QuerySession<T> {
         let install_resident = time == self.time;
 
         // Attribute the store calls below to this session's tenant, and
-        // mark speculative resolves with the sheddable prefetch class —
-        // an admission scheduler in the store stack reads both at call
-        // time, and under demand pressure sheds the speculation (handled
-        // below) instead of queueing it behind real work.
+        // mark speculative resolves with the prefetch class — an admission
+        // scheduler in the store stack reads both at call time and ranks
+        // the speculation behind interactive work.
         let _tenant_tag = self.tenant.map(tag_tenant);
         let _class_tag = prefetch.then(|| tag_class(Priority::Prefetch));
 
         let at = (self.field_idx, time);
-        let resolved =
-            resolve_waves(&ds, at, to_resolve, &cancel, &report, stats, |b, raw, warm| {
-                acct.fetched += 1;
-                if prefetch {
-                    self.note_prefetched(time, b);
-                } else if self.prefetched.remove(&(time, b)) && warm {
-                    // Prefetched earlier, kept warm by the decoded cache. (A
-                    // marker on a block that still needed a store trip is stale
-                    // — evicted since — and is consumed without a hit.)
-                    acct.prefetch_hits += 1;
-                }
-                if install_resident {
-                    self.resident.insert((at.0, time, b), raw.clone());
-                }
-                if !prefetch {
-                    acct.blocks.insert(b, raw);
-                }
-            });
-        match resolved {
-            // The admission layer shed this speculative wave: skip the rest
-            // of the resolve — the scheduler holds the descriptor and
-            // re-issues it itself when pressure drops, so nothing is lost.
-            Err(e) if prefetch && e.is_shed() => {
-                self.stats.prefetch_shed += 1;
-                self.m.prefetch_shed.inc();
-                Ok(false)
+        resolve_waves(&ds, at, to_resolve, &cancel, &report, stats, |b, raw, warm| {
+            acct.fetched += 1;
+            if prefetch {
+                self.note_prefetched(time, b);
+            } else if self.prefetched.remove(&(time, b)) && warm {
+                // Prefetched earlier, kept warm by the decoded cache. (A
+                // marker on a block that still needed a store trip is stale
+                // — evicted since — and is consumed without a hit.)
+                acct.prefetch_hits += 1;
             }
-            resolved => resolved,
-        }
+            if install_resident {
+                self.resident.insert((at.0, time, b), raw.clone());
+            }
+            if !prefetch {
+                acct.blocks.insert(b, raw);
+            }
+        })
     }
 
     fn note_prefetched(&mut self, time: u32, block: u64) {

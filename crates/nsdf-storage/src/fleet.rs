@@ -2,8 +2,8 @@
 //!
 //! The paper's services exist to serve *populations* — hundreds of
 //! students hitting the same endpoints in a workshop — and scheduler
-//! properties (fairness, starvation-freedom, shed/re-issue) only show up
-//! under population-scale contention. [`FleetSim`] builds that load
+//! properties (fairness, starvation-freedom) only show up under
+//! population-scale contention. [`FleetSim`] builds that load
 //! deterministically:
 //!
 //! * **open-loop arrivals** — every tenant emits requests on its own
@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use nsdf_util::{derive_seed, splitmix64, Obs, SimClock};
+use nsdf_util::{derive_seed, splitmix64, NsdfError, Obs, Result, SimClock};
 
 use crate::memory::MemoryStore;
 use crate::sched::{
@@ -96,6 +96,24 @@ impl FleetSpec {
         }
     }
 
+    /// Check that the arrival process terminates: the horizon and both
+    /// per-tenant rates must be finite (a NaN or infinite one would script
+    /// arrivals forever).
+    pub fn validate(&self) -> Result<()> {
+        for (field, v) in [
+            ("horizon_vsecs", self.horizon_vsecs),
+            ("interactive_rate_hz", self.interactive_rate_hz),
+            ("bulk_rate_hz", self.bulk_rate_hz),
+        ] {
+            if !v.is_finite() {
+                return Err(NsdfError::invalid(format!(
+                    "FleetSpec::{field} must be finite, got {v}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Interactive tenants in this spec.
     pub fn interactive_tenants(&self) -> usize {
         (self.tenants as f64 * self.interactive_frac).round() as usize
@@ -152,8 +170,7 @@ pub struct FleetReport {
     pub makespan_vns: u64,
     /// Interactive-class latency percentiles.
     pub interactive: LatencySummary,
-    /// Prefetch-class latency percentiles (includes deferred time of
-    /// re-issued requests).
+    /// Prefetch-class latency percentiles.
     pub prefetch: LatencySummary,
     /// Bulk-class latency percentiles.
     pub bulk: LatencySummary,
@@ -161,10 +178,6 @@ pub struct FleetReport {
     pub bulk_bytes: u64,
     /// Bulk aggregate throughput in bytes per virtual second.
     pub bulk_throughput_bps: f64,
-    /// Prefetch requests shed under pressure.
-    pub shed: u64,
-    /// Deferred prefetch requests re-issued.
-    pub reissued: u64,
     /// Scheduler-accounted execution time (virtual ns).
     pub granted_vns: u64,
     /// WAN-charged busy time (virtual ns) — equals `granted_vns` here:
@@ -184,8 +197,10 @@ pub struct FleetSim {
 impl FleetSim {
     /// Build the fleet: seed the backing store, stand up the WAN endpoint
     /// and scheduler on one fresh clock, register tenants, and script
-    /// every arrival in `[0, horizon)`.
-    pub fn new(spec: FleetSpec, cfg: SchedConfig, profile: NetworkProfile) -> FleetSim {
+    /// every arrival in `[0, horizon)`. Fails with `InvalidArg` when
+    /// [`FleetSpec::validate`] rejects `spec`.
+    pub fn new(spec: FleetSpec, cfg: SchedConfig, profile: NetworkProfile) -> Result<FleetSim> {
+        spec.validate()?;
         let clock = SimClock::new();
         let obs = Obs::new(clock.clone());
         let backing = Arc::new(MemoryStore::new());
@@ -206,7 +221,7 @@ impl FleetSim {
         let sim = FleetSim { spec, obs, clock, wan, sched };
         sim.register_tenants();
         sim.script_arrivals();
-        sim
+        Ok(sim)
     }
 
     fn register_tenants(&self) {
@@ -233,7 +248,7 @@ impl FleetSim {
         let spec = &self.spec;
         let n_int = spec.interactive_tenants();
         let zipf = ZipfCdf::new(spec.datasets, spec.zipf_s);
-        let store = self.store();
+        let store = Arc::clone(&self.wan) as Arc<dyn ObjectStore>;
         for t in 0..spec.tenants {
             let mut rng = derive_seed(spec.seed, &format!("tenant-{t}"));
             let interactive = t < n_int;
@@ -300,16 +315,6 @@ impl FleetSim {
         }
     }
 
-    /// The shared WAN-fronted store fleet requests execute against.
-    pub fn store(&self) -> Arc<dyn ObjectStore> {
-        Arc::clone(&self.wan) as Arc<dyn ObjectStore>
-    }
-
-    /// The WAN endpoint (for `busy_vns` reconciliation).
-    pub fn wan(&self) -> &Arc<CloudStore> {
-        &self.wan
-    }
-
     /// The admission scheduler.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
@@ -323,11 +328,6 @@ impl FleetSim {
     /// The virtual clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// The spec this fleet was built from.
-    pub fn spec(&self) -> &FleetSpec {
-        &self.spec
     }
 
     /// Drive the fleet to full drain and summarize.
@@ -348,7 +348,6 @@ impl FleetSim {
         }
         let makespan_vns = self.clock.now_ns();
         let makespan_secs = makespan_vns as f64 / 1e9;
-        let snap = self.obs.snapshot();
         let [i, p, b] = by_class;
         FleetReport {
             tenants: self.spec.tenants,
@@ -363,8 +362,6 @@ impl FleetSim {
             } else {
                 0.0
             },
-            shed: snap.counter("sched.shed"),
-            reissued: snap.counter("sched.reissued"),
             granted_vns: self.sched.granted_vns(),
             wan_busy_vns: self.wan.busy_vns(),
         }
@@ -453,7 +450,8 @@ mod tests {
     fn small_fleet_runs_and_reconciles() {
         let mut spec = FleetSpec::demo(8, 2024);
         spec.horizon_vsecs = 5.0;
-        let sim = FleetSim::new(spec, SchedConfig::default(), NetworkProfile::private_seal());
+        let sim =
+            FleetSim::new(spec, SchedConfig::default(), NetworkProfile::private_seal()).unwrap();
         let r = sim.run();
         assert!(r.grants > 0);
         assert_eq!(r.grants, r.interactive.count + r.prefetch.count + r.bulk.count);
@@ -467,7 +465,8 @@ mod tests {
             let mut spec = FleetSpec::demo(6, 7);
             spec.horizon_vsecs = 4.0;
             let sim =
-                FleetSim::new(spec, SchedConfig::default(), NetworkProfile::public_dataverse());
+                FleetSim::new(spec, SchedConfig::default(), NetworkProfile::public_dataverse())
+                    .unwrap();
             let r = sim.run();
             (r, sim.clock().now_ns(), sim.obs().snapshot().to_json())
         };
@@ -476,5 +475,30 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(c1, c2);
         assert_eq!(j1, j2);
+    }
+
+    /// A NaN or infinite horizon or rate never ends `script_arrivals`'
+    /// loop; `FleetSim::new` rejects each one before scripting anything.
+    #[test]
+    fn non_finite_horizon_or_rate_is_rejected() {
+        type Set = fn(&mut FleetSpec, f64);
+        let fields: [(&str, Set); 3] = [
+            ("horizon_vsecs", |s, v| s.horizon_vsecs = v),
+            ("interactive_rate_hz", |s, v| s.interactive_rate_hz = v),
+            ("bulk_rate_hz", |s, v| s.bulk_rate_hz = v),
+        ];
+        for (field, set) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut spec = FleetSpec::demo(4, 1);
+                set(&mut spec, bad);
+                let err =
+                    FleetSim::new(spec, SchedConfig::default(), NetworkProfile::private_seal())
+                        .err()
+                        .unwrap_or_else(|| panic!("{field} = {bad} accepted"));
+                assert!(matches!(err, NsdfError::InvalidArg(_)), "{field} = {bad}: {err}");
+                assert!(err.to_string().contains(field), "{field} = {bad}: {err}");
+            }
+        }
+        FleetSpec::demo(4, 1).validate().unwrap();
     }
 }

@@ -17,8 +17,8 @@
 //!   with hedged backup waves, a per-endpoint circuit breaker, and
 //!   checksum verification;
 //! * [`sched`] — the multi-tenant shared-WAN admission layer: priority
-//!   tiers, per-tenant token buckets, prefetch shedding with autonomous
-//!   re-issue, all deterministic on the virtual clock;
+//!   tiers and per-tenant token buckets, deterministic on the virtual
+//!   clock;
 //! * [`fleet`] — a seeded synthetic fleet generator (open-loop arrivals,
 //!   zipf dataset popularity) driving the scheduler at population scale;
 //! * [`testkit`] — deterministic crash/gate injection stores shared by

@@ -20,12 +20,6 @@
 //!   byte-nanosecond arithmetic: a grant is eligible only when the
 //!   tenant's bucket holds the request's charge, and the bucket never
 //!   over-grants within any virtual window (property-tested).
-//! * Backpressure that sheds speculative work first: when the demand
-//!   backlog (interactive + bulk) crosses a high watermark, queued
-//!   [`Priority::Prefetch`] requests are *deferred*, not dropped — a
-//!   blocked caller gets [`NsdfError::Shed`] immediately and moves on,
-//!   while the scheduler re-issues the descriptor itself once the backlog
-//!   drains below the low watermark (`sched.shed` / `sched.reissued`).
 //! * [`SchedStore`] — an [`ObjectStore`] adapter that routes the data
 //!   plane (`get`/`get_many`/`put`/`put_many`) of an existing stack
 //!   through the scheduler, attributing each call to a tenant and class.
@@ -55,7 +49,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use nsdf_util::{Counter, Fnv1a, NsdfError, Obs, Result, SimClock};
+use nsdf_util::{Counter, Fnv1a, Obs, Result, SimClock};
 use parking_lot::Mutex;
 
 use crate::store::{sole, ObjectMeta, ObjectStore};
@@ -78,7 +72,7 @@ const BNS: u128 = 1_000_000_000;
 pub enum Priority {
     /// A user is waiting on this request (pans, zooms, demand fetches).
     Interactive = 0,
-    /// Speculative work issued ahead of need; sheddable under pressure.
+    /// Speculative work issued ahead of need.
     Prefetch = 1,
     /// Throughput-oriented background transfers (bulk ingest).
     Bulk = 2,
@@ -219,28 +213,23 @@ impl TokenBucket {
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// QoS on: priority tiers, token buckets, and prefetch shedding. QoS
-    /// off: one FIFO over the shared link (the comparison baseline).
+    /// QoS on: priority tiers and token buckets. QoS off: one FIFO over
+    /// the shared link (the comparison baseline).
     pub qos: bool,
     /// Grants per cycle for `[interactive, prefetch, bulk]`. Every tier
     /// with queued eligible work receives its quota within one cycle, so
     /// a ready tenant's wait is bounded (no starvation).
     pub tier_quota: [u32; 3],
-    /// Demand backlog (queued interactive + bulk requests) at or above
-    /// which queued prefetch work is deferred.
-    pub shed_high: usize,
-    /// Demand backlog at or below which deferred prefetch is re-issued.
-    pub shed_low: usize,
 }
 
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
-        SchedConfig { qos: true, tier_quota: [8, 2, 1], shed_high: 32, shed_low: 8 }
+        SchedConfig { qos: true, tier_quota: [8, 2, 1] }
     }
 }
 
 impl SchedConfig {
-    /// The QoS-off baseline: a single FIFO, no buckets, no shedding.
+    /// The QoS-off baseline: a single FIFO, no buckets.
     pub fn fifo() -> SchedConfig {
         SchedConfig { qos: false, ..SchedConfig::default() }
     }
@@ -345,29 +334,21 @@ pub(crate) enum Served {
     Get(Vec<Result<Vec<u8>>>),
     /// Per-key results of a granted `Put`.
     Put(Vec<Result<ObjectMeta>>),
-    /// The request was shed at admission (sheddable class under demand
-    /// pressure). The scheduler keeps the descriptor and re-issues it
-    /// itself when pressure drops; the caller should skip, not retry.
-    Shed,
 }
 
 /// Cumulative per-tenant accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
+struct TenantStats {
     /// Requests granted and executed.
-    pub granted: u64,
+    granted: u64,
     /// Actual payload bytes moved by this tenant's grants.
-    pub bytes: u64,
-    /// Prefetch requests shed under pressure.
-    pub shed: u64,
-    /// Deferred prefetch requests re-issued after pressure dropped.
-    pub reissued: u64,
+    bytes: u64,
     /// Total queueing delay across grants (virtual ns).
-    pub wait_vns: u64,
+    wait_vns: u64,
     /// Worst single queueing delay (virtual ns).
-    pub max_wait_vns: u64,
+    max_wait_vns: u64,
     /// Virtual time this tenant's grants occupied the link.
-    pub busy_vns: u64,
+    busy_vns: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -436,7 +417,6 @@ struct State {
     /// Last tenant granted per tier (round-robin resumes after it).
     rr_cursor: [Option<TenantId>; 3],
     cycle_left: [u32; 3],
-    deferred: VecDeque<Pending>,
     arrivals: BinaryHeap<Reverse<Arrival>>,
     tenants: BTreeMap<TenantId, TenantEntry>,
     next_id: u64,
@@ -447,10 +427,6 @@ struct State {
 }
 
 impl State {
-    fn demand_backlog(&self) -> usize {
-        self.queued[Priority::Interactive.tier()] + self.queued[Priority::Bulk.tier()]
-    }
-
     fn push(&mut self, p: Pending) {
         let tier = p.class.tier();
         self.queues[tier].entry(p.tenant).or_default().push_back(p);
@@ -491,8 +467,6 @@ struct SchedMetrics {
     granted_vns: Counter,
     queue_wait_vns: Counter,
     idle_advanced_vns: Counter,
-    shed: Counter,
-    reissued: Counter,
     bytes: Counter,
     errors: Counter,
 }
@@ -511,8 +485,6 @@ impl SchedMetrics {
             granted_vns: obs.counter("granted_vns"),
             queue_wait_vns: obs.counter("queue_wait_vns"),
             idle_advanced_vns: obs.counter("idle_advanced_vns"),
-            shed: obs.counter("shed"),
-            reissued: obs.counter("reissued"),
             bytes: obs.counter("bytes"),
             errors: obs.counter("errors"),
             obs,
@@ -546,7 +518,6 @@ impl Scheduler {
                 queued: [0; 3],
                 rr_cursor: [None; 3],
                 cycle_left: cfg.tier_quota,
-                deferred: VecDeque::new(),
                 arrivals: BinaryHeap::new(),
                 tenants: BTreeMap::new(),
                 next_id: 0,
@@ -592,21 +563,11 @@ impl Scheduler {
         st.arrivals.push(Reverse(Arrival { at_vns, seq, req }));
     }
 
-    /// Submit a request arriving now, without blocking on its result
-    /// (results are summarized in the [`Completion`] stream).
-    /// Returns the request id.
-    pub fn submit_detached(&self, req: SchedRequest) -> u64 {
-        let now = self.clock.now_ns();
-        let mut st = self.state.lock();
-        self.admit(&mut st, req, now, false, None)
-    }
-
     /// Submit a request arriving now and drive the scheduler until it
     /// completes, returning its results and `frame`, the caller's issue
     /// frame, which its grant ran under. Higher-ranked work queued ahead
     /// is granted first — the caller experiences admission queueing as
-    /// virtual time. Sheddable requests under pressure return
-    /// [`Served::Shed`] immediately.
+    /// virtual time.
     pub(crate) fn submit_and_wait(
         &self,
         req: SchedRequest,
@@ -615,14 +576,11 @@ impl Scheduler {
         let id = {
             let now = self.clock.now_ns();
             let mut st = self.state.lock();
-            if self.cfg.qos
-                && req.class == Priority::Prefetch
-                && st.demand_backlog() >= self.cfg.shed_high
-            {
-                self.shed_into_deferred(&mut st, req, now);
-                return (Served::Shed, frame);
-            }
-            self.admit(&mut st, req, now, true, frame)
+            let mut p = self.pending(&mut st, req, now, None, true);
+            p.frame = frame;
+            let id = p.id;
+            st.push(p);
+            id
         };
         loop {
             if let Some(served) = self.state.lock().waited.remove(&id) {
@@ -661,38 +619,14 @@ impl Scheduler {
         Pending { id, seq, tenant, class, op, est_bytes, arrival_vns, waited, frame: None }
     }
 
-    /// Queue `req`; a `waited` one carries its blocked caller's `frame`.
-    fn admit(
-        &self,
-        st: &mut State,
-        req: SchedRequest,
-        arrival_vns: u64,
-        waited: bool,
-        frame: Option<UploadLanes>,
-    ) -> u64 {
-        let mut p = self.pending(st, req, arrival_vns, None, waited);
-        p.frame = frame;
-        let id = p.id;
-        st.push(p);
-        id
-    }
-
-    fn shed_into_deferred(&self, st: &mut State, req: SchedRequest, arrival_vns: u64) {
-        let p = self.pending(st, req, arrival_vns, None, false);
-        self.m.shed.inc();
-        st.ensure_tenant(p.tenant).stats.shed += 1;
-        st.deferred.push_back(p);
-    }
-
-    /// Advance the scheduler by one decision: drain due arrivals, apply
-    /// shed/re-issue watermarks, then grant the next eligible request or
-    /// advance the clock toward eligibility.
+    /// Advance the scheduler by one decision: drain due arrivals, then
+    /// grant the next eligible request or advance the clock toward
+    /// eligibility.
     pub fn step(&self) -> StepOutcome {
         let grant = {
             let mut st = self.state.lock();
             let now = self.clock.now_ns();
             self.drain_arrivals(&mut st, now);
-            self.rebalance(&mut st);
             match self.pick(&mut st, now) {
                 Pick::Grant(p) => p,
                 Pick::Wait(t) => {
@@ -734,61 +668,10 @@ impl Scheduler {
         }
     }
 
-    /// Shed queued prefetch above the high watermark; re-issue deferred
-    /// prefetch at or below the low watermark.
-    fn rebalance(&self, st: &mut State) {
-        if !self.cfg.qos {
-            return;
-        }
-        let backlog = st.demand_backlog();
-        let tier = Priority::Prefetch.tier();
-        if backlog >= self.cfg.shed_high && st.queued[tier] > 0 {
-            let drained: Vec<Pending> = {
-                let mut out = Vec::new();
-                let tenants: Vec<TenantId> = st.queues[tier].keys().copied().collect();
-                for t in tenants {
-                    if let Some(q) = st.queues[tier].remove(&t) {
-                        out.extend(q);
-                    }
-                }
-                out
-            };
-            st.queued[tier] = 0;
-            for mut p in drained {
-                // A blocked caller cannot be parked in the deferred set:
-                // fail it now (Shed) and keep a detached copy to re-issue.
-                if p.waited {
-                    let served = match &p.op {
-                        SchedOp::Get { keys, .. } => {
-                            Served::Get(keys.iter().map(|k| Err(shed_err(k, p.tenant))).collect())
-                        }
-                        SchedOp::Put { items, .. } => Served::Put(
-                            items.iter().map(|(k, _)| Err(shed_err(k, p.tenant))).collect(),
-                        ),
-                    };
-                    st.waited.insert(p.id, (served, p.frame.take()));
-                    p.waited = false;
-                }
-                self.m.shed.inc();
-                st.ensure_tenant(p.tenant).stats.shed += 1;
-                st.deferred.push_back(p);
-            }
-        } else if backlog <= self.cfg.shed_low && !st.deferred.is_empty() {
-            while let Some(p) = st.deferred.pop_front() {
-                self.m.reissued.inc();
-                st.ensure_tenant(p.tenant).stats.reissued += 1;
-                st.push(p);
-            }
-        }
-    }
-
     fn pick(&self, st: &mut State, now: u64) -> Pick {
         if st.queued.iter().all(|&n| n == 0) {
             return match st.arrivals.peek() {
                 Some(Reverse(a)) => Pick::Wait(a.at_vns.max(now)),
-                // Deferred prefetch with an empty fleet cannot linger: a
-                // zero backlog is at or below every low watermark, so
-                // `rebalance` re-issued it before `pick` ran.
                 None => Pick::Idle,
             };
         }
@@ -965,35 +848,22 @@ impl Scheduler {
         self.m.granted_vns.get()
     }
 
-    /// Shed prefetch descriptors currently parked for re-issue.
-    pub fn deferred_len(&self) -> usize {
-        self.state.lock().deferred.len()
-    }
-
-    /// Per-tenant accounting, sorted by tenant id.
-    pub fn tenant_stats(&self) -> Vec<(TenantId, String, TenantStats)> {
-        let st = self.state.lock();
-        st.tenants.iter().map(|(id, e)| (*id, e.label.clone(), e.stats)).collect()
-    }
-
     /// Human-readable per-tenant status table (dashboard's tenants view).
     pub fn render_status(&self) -> String {
         let st = self.state.lock();
         let mut out = String::new();
         out.push_str(&format!(
-            "queues int/pre/bulk: {}/{}/{}  deferred: {}  scripted: {}\n",
+            "queues int/pre/bulk: {}/{}/{}  scripted: {}\n",
             st.queued[0],
             st.queued[1],
             st.queued[2],
-            st.deferred.len(),
             st.arrivals.len()
         ));
         for e in st.tenants.values() {
             let s = e.stats;
             let avg_wait = s.wait_vns.checked_div(s.granted).unwrap_or(0);
             out.push_str(&format!(
-                "{} [{}] granted={} bytes={} shed={} reissued={} \
-                 wait avg/max={}/{} vns busy={} vns\n",
+                "{} [{}] granted={} bytes={} wait avg/max={}/{} vns busy={} vns\n",
                 e.label,
                 if e.policy.is_unthrottled() {
                     "unthrottled".to_string()
@@ -1002,8 +872,6 @@ impl Scheduler {
                 },
                 s.granted,
                 s.bytes,
-                s.shed,
-                s.reissued,
                 avg_wait,
                 s.max_wait_vns,
                 s.busy_vns,
@@ -1017,10 +885,6 @@ enum Pick {
     Grant(Pending),
     Wait(u64),
     Idle,
-}
-
-fn shed_err(key: &str, tenant: TenantId) -> NsdfError {
-    NsdfError::shed(format!("prefetch {key:?} shed under demand pressure (tenant {tenant})"))
 }
 
 /// The [`Completion::digest`] of a `Get`: FNV-1a over per-key outcomes —
@@ -1101,10 +965,8 @@ pub(crate) fn ambient_tag() -> (Option<TenantId>, Option<Priority>) {
 /// bandwidth, in this model.
 ///
 /// Place the adapter *above* the cache layer (`SchedStore(TierCache(
-/// CloudStore))`): cache hits then still clear admission (cheaply — a
-/// granted hit charges zero virtual time) and, more importantly, a shed
-/// prefetch the scheduler re-issues on its own warms the cache for the
-/// demand fetch that follows.
+/// CloudStore))`): cache hits then still clear admission cheaply — a
+/// granted hit charges zero virtual time.
 pub struct SchedStore {
     inner: Arc<dyn ObjectStore>,
     sched: Arc<Scheduler>,
@@ -1118,11 +980,6 @@ impl SchedStore {
     /// payload size.
     pub fn new(inner: Arc<dyn ObjectStore>, sched: Arc<Scheduler>, tenant: TenantId) -> SchedStore {
         SchedStore { inner, sched, tenant }
-    }
-
-    /// The scheduler this adapter submits to.
-    pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.sched
     }
 
     fn tag(&self) -> (TenantId, Priority) {
@@ -1165,7 +1022,6 @@ impl ObjectStore for SchedStore {
         };
         match self.serve(req) {
             Served::Get(results) => results,
-            Served::Shed => keys.iter().map(|k| Err(shed_err(k, tenant))).collect(),
             Served::Put(_) => unreachable!("get request served as put"),
         }
     }
@@ -1180,7 +1036,6 @@ impl ObjectStore for SchedStore {
         let req = SchedRequest { tenant, class, op, est_bytes: est };
         match self.serve(req) {
             Served::Put(results) => results,
-            Served::Shed => items.iter().map(|(k, _)| Err(shed_err(k, tenant))).collect(),
             Served::Get(_) => unreachable!("put request served as get"),
         }
     }
@@ -1332,9 +1187,9 @@ mod tests {
             Arc::new(CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 1));
         let sched = Scheduler::new(clock, SchedConfig::default());
         for _ in 0..4 {
-            sched.submit_detached(get_req(&store, 2, Priority::Bulk, &["a"], 0));
+            sched.script(0, get_req(&store, 2, Priority::Bulk, &["a"], 0));
         }
-        sched.submit_detached(get_req(&store, 1, Priority::Interactive, &["a"], 0));
+        sched.script(0, get_req(&store, 1, Priority::Interactive, &["a"], 0));
         sched.run_to_idle();
         let done = sched.take_completions();
         assert_eq!(done.len(), 5);
@@ -1351,8 +1206,8 @@ mod tests {
         let store: Arc<dyn ObjectStore> =
             Arc::new(CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 1));
         let sched = Scheduler::new(clock, SchedConfig::fifo());
-        sched.submit_detached(get_req(&store, 2, Priority::Bulk, &["a"], 0));
-        sched.submit_detached(get_req(&store, 1, Priority::Interactive, &["a"], 0));
+        sched.script(0, get_req(&store, 2, Priority::Bulk, &["a"], 0));
+        sched.script(0, get_req(&store, 1, Priority::Interactive, &["a"], 0));
         sched.run_to_idle();
         let done = sched.take_completions();
         assert_eq!(done[0].class, Priority::Bulk, "fifo serves submission order");
@@ -1368,10 +1223,10 @@ mod tests {
         let sched = Scheduler::new(clock, SchedConfig::default());
         // Tenant 1 floods first; tenant 2 queues two requests after.
         for _ in 0..4 {
-            sched.submit_detached(get_req(&store, 1, Priority::Interactive, &["a"], 0));
+            sched.script(0, get_req(&store, 1, Priority::Interactive, &["a"], 0));
         }
         for _ in 0..2 {
-            sched.submit_detached(get_req(&store, 2, Priority::Interactive, &["a"], 0));
+            sched.script(0, get_req(&store, 2, Priority::Interactive, &["a"], 0));
         }
         sched.run_to_idle();
         let tenants: Vec<TenantId> = sched.take_completions().iter().map(|c| c.tenant).collect();
@@ -1390,8 +1245,8 @@ mod tests {
         // 1000 B/s with a 1000 B burst: the second 1000 B request must wait
         // a full virtual second of refill.
         sched.register_tenant(1, "metered", TenantPolicy::new(1000, 1000));
-        sched.submit_detached(get_req(&store, 1, Priority::Bulk, &["a"], 1000));
-        sched.submit_detached(get_req(&store, 1, Priority::Bulk, &["a"], 1000));
+        sched.script(0, get_req(&store, 1, Priority::Bulk, &["a"], 1000));
+        sched.script(0, get_req(&store, 1, Priority::Bulk, &["a"], 1000));
         sched.run_to_idle();
         let done = sched.take_completions();
         assert_eq!(done.len(), 2);
@@ -1401,35 +1256,6 @@ mod tests {
             done[1].start_vns
         );
         assert!(sched.m.idle_advanced_vns.get() > 0);
-    }
-
-    #[test]
-    fn shed_then_reissue_keeps_prefetch() {
-        let clock = SimClock::new();
-        let mem = Arc::new(MemoryStore::new());
-        mem.put("a", b"xx").unwrap();
-        let store: Arc<dyn ObjectStore> =
-            Arc::new(CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 1));
-        let cfg = SchedConfig { shed_high: 4, shed_low: 1, ..SchedConfig::default() };
-        let sched = Arc::new(Scheduler::new(clock, cfg));
-        for _ in 0..6 {
-            sched.submit_detached(get_req(&store, 1, Priority::Bulk, &["a"], 0));
-        }
-        // Blocked prefetch under pressure: shed immediately, not queued.
-        let shed = SchedStore::new(Arc::clone(&store), Arc::clone(&sched), 2);
-        let _class = tag_class(Priority::Prefetch);
-        let results = shed.get_many(&["a"]);
-        assert!(results[0].as_ref().err().is_some_and(|e| e.is_shed()));
-        assert_eq!(sched.deferred_len(), 1);
-        // Draining the bulk backlog drops pressure below the low watermark
-        // and the deferred prefetch is re-issued and executed.
-        sched.run_to_idle();
-        assert_eq!(sched.deferred_len(), 0);
-        let done = sched.take_completions();
-        assert_eq!(done.len(), 7, "6 bulk + 1 reissued prefetch");
-        assert_eq!(done.iter().filter(|c| c.class == Priority::Prefetch).count(), 1);
-        assert_eq!(sched.m.shed.get(), 1);
-        assert_eq!(sched.m.reissued.get(), 1);
     }
 
     #[test]
@@ -1448,13 +1274,16 @@ mod tests {
         let sched = Scheduler::new(clock, SchedConfig::default()).with_obs(&obs);
         for i in 0..8 {
             let key = format!("k{i}");
-            sched.submit_detached(get_req(
-                &store,
-                i % 3,
-                [Priority::Interactive, Priority::Prefetch, Priority::Bulk][(i % 3) as usize],
-                &[key.as_str()],
+            sched.script(
                 0,
-            ));
+                get_req(
+                    &store,
+                    i % 3,
+                    [Priority::Interactive, Priority::Prefetch, Priority::Bulk][(i % 3) as usize],
+                    &[key.as_str()],
+                    0,
+                ),
+            );
         }
         sched.run_to_idle();
         assert!(wan.busy_vns() > 0);
@@ -1482,12 +1311,15 @@ mod tests {
         // thread grants it before its own.
         let bulk: Vec<(String, Vec<u8>)> =
             (0..3).map(|i| (format!("bulk/{i}"), vec![2; 512])).collect();
-        sched.submit_detached(SchedRequest {
-            tenant: 2,
-            class: Priority::Interactive,
-            op: SchedOp::Put { store: Arc::clone(&store), items: bulk },
-            est_bytes: 1536,
-        });
+        sched.script(
+            0,
+            SchedRequest {
+                tenant: 2,
+                class: Priority::Interactive,
+                op: SchedOp::Put { store: Arc::clone(&store), items: bulk },
+                est_bytes: 1536,
+            },
+        );
         let writer = SchedStore::new(store, Arc::clone(&sched), 1);
         let mut lanes = UploadLanes::new(8);
         let items: Vec<(&str, &[u8])> = vec![("tile/0", &[1; 512]), ("tile/1", &[1; 512])];
@@ -1570,10 +1402,9 @@ mod tests {
         assert_eq!(got[0].as_ref().unwrap(), b"hello");
         assert_eq!(got[2].as_ref().unwrap(), b"bbb");
         assert!(got[3].as_ref().err().is_some_and(|e| e.is_not_found()));
-        let stats = sched.tenant_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].0, 3);
-        assert_eq!(stats[0].2.granted, 4);
+        let granted: Vec<(TenantId, u64)> =
+            sched.state.lock().tenants.iter().map(|(id, e)| (*id, e.stats.granted)).collect();
+        assert_eq!(granted, vec![(3, 4)]);
         let status = sched.render_status();
         assert!(status.contains("t0003"), "{status}");
     }

@@ -26,20 +26,16 @@ fn class_strategy() -> impl Strategy<Value = Priority> {
     (0usize..3).prop_map(|i| [Priority::Interactive, Priority::Prefetch, Priority::Bulk][i])
 }
 
-/// Submit every request detached (all unthrottled tenants), drive to
-/// idle, and return completions in grant order.
+/// Script every request at virtual time 0 (all unthrottled tenants),
+/// drive to idle, and return completions in grant order.
 fn run_mix(cfg: SchedConfig, reqs: &[ReqSpec]) -> Vec<(u64, u32, Priority)> {
     let sched = Scheduler::new(SimClock::new(), cfg);
     let mem = Arc::new(MemoryStore::new());
     mem.put("ns/k", b"payload").unwrap();
     let store: Arc<dyn ObjectStore> = mem;
     for &(tenant, class) in reqs {
-        sched.submit_detached(SchedRequest {
-            tenant,
-            class,
-            op: SchedOp::Get { store: Arc::clone(&store), keys: vec!["ns/k".into()] },
-            est_bytes: 0,
-        });
+        let op = SchedOp::Get { store: Arc::clone(&store), keys: vec!["ns/k".into()] };
+        sched.script(0, SchedRequest { tenant, class, op, est_bytes: 0 });
     }
     sched.run_to_idle();
     sched.take_completions().into_iter().map(|c| (c.id, c.tenant, c.class)).collect()
@@ -80,10 +76,7 @@ proptest! {
     fn starvation_freedom_bounds_every_grant_index(
         reqs in proptest::collection::vec((0u32..6, class_strategy()), 1..90),
     ) {
-        // Shedding is off so the bound isolates the quota/round-robin
-        // machinery: a deferred prefetch deliberately waits out demand
-        // pressure, which is a policy choice, not starvation.
-        let cfg = SchedConfig { shed_high: usize::MAX, ..SchedConfig::default() };
+        let cfg = SchedConfig::default();
         // Queue position of each submitted request within its
         // (tenant, tier) FIFO, and the tenant population per tier.
         let mut pos_in_queue: Vec<usize> = Vec::with_capacity(reqs.len());

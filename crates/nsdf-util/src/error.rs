@@ -24,12 +24,6 @@ pub enum NsdfError {
     Corrupt(String),
     /// The operation is valid but not supported by this implementation.
     Unsupported(String),
-    /// The request was shed by an admission/backpressure layer before any
-    /// work ran. Distinct from a transport fault: nothing was attempted,
-    /// nothing should be retried by the caller — speculative work simply
-    /// did not happen this round (the shedding layer re-issues it itself
-    /// when pressure drops).
-    Shed(String),
 }
 
 impl fmt::Display for NsdfError {
@@ -41,7 +35,6 @@ impl fmt::Display for NsdfError {
             NsdfError::InvalidArg(m) => write!(f, "invalid argument: {m}"),
             NsdfError::Corrupt(m) => write!(f, "corrupt data: {m}"),
             NsdfError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            NsdfError::Shed(m) => write!(f, "shed: {m}"),
         }
     }
 }
@@ -87,11 +80,6 @@ impl NsdfError {
         NsdfError::Unsupported(msg.into())
     }
 
-    /// Convenience constructor for [`NsdfError::Shed`].
-    pub fn shed(msg: impl Into<String>) -> Self {
-        NsdfError::Shed(msg.into())
-    }
-
     /// True when the error represents a missing object rather than a fault.
     pub fn is_not_found(&self) -> bool {
         matches!(self, NsdfError::NotFound(_))
@@ -101,12 +89,6 @@ impl NsdfError {
     /// truncated codec streams, checksum mismatches).
     pub fn is_corrupt(&self) -> bool {
         matches!(self, NsdfError::Corrupt(_))
-    }
-
-    /// True when the request was shed by a backpressure layer rather than
-    /// failing — speculative callers skip, they do not surface the error.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, NsdfError::Shed(_))
     }
 
     /// Produce an equivalent error preserving the variant and message.
@@ -125,7 +107,6 @@ impl NsdfError {
             NsdfError::InvalidArg(m) => NsdfError::InvalidArg(m.clone()),
             NsdfError::Corrupt(m) => NsdfError::Corrupt(m.clone()),
             NsdfError::Unsupported(m) => NsdfError::Unsupported(m.clone()),
-            NsdfError::Shed(m) => NsdfError::Shed(m.clone()),
         }
     }
 }
@@ -163,14 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn is_shed_discriminates() {
-        assert!(NsdfError::shed("prefetch under pressure").is_shed());
-        assert!(!NsdfError::unsupported("x").is_shed());
-        assert!(!NsdfError::shed("x").is_not_found());
-        assert_eq!(NsdfError::shed("p").to_string(), "shed: p");
-    }
-
-    #[test]
     fn replicate_preserves_variant_and_message() {
         let nf = NsdfError::not_found("block 9");
         let r = nf.replicate();
@@ -194,7 +167,6 @@ mod tests {
             NsdfError::invalid("i"),
             NsdfError::corrupt("c"),
             NsdfError::unsupported("u"),
-            NsdfError::shed("s"),
         ] {
             assert_eq!(e.replicate().to_string(), e.to_string());
         }

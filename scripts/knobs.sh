@@ -9,6 +9,10 @@
 # one line each, then a count per crate and the total. Simplicity PRs quote
 # the total before and after: a change that simplifies adds no option.
 #
+# The total is a ratchet: when the counted checkout has a
+# `scripts/knobs.ceiling` (one integer), a total above it exits 1. A change
+# that really needs a new option raises the ceiling in the same diff.
+#
 # Usage: scripts/knobs.sh [repo-root]   (default: this checkout)
 set -euo pipefail
 export LC_ALL=C
@@ -54,3 +58,16 @@ for src in crates/*/src src; do
 done
 printf '\n%s' "$counts"
 printf '%-18s %7d\n' total "$total"
+
+if [ -f scripts/knobs.ceiling ]; then
+  ceiling="$(tr -d '[:space:]' < scripts/knobs.ceiling)"
+  if ! [[ "$ceiling" =~ ^[0-9]+$ ]]; then
+    echo "knobs.sh: scripts/knobs.ceiling must hold one integer, got '$ceiling'" >&2
+    exit 1
+  fi
+  if [ "$total" -gt "$ceiling" ]; then
+    echo "knobs.sh: $total settable values exceed the ceiling of $ceiling in scripts/knobs.ceiling" >&2
+    exit 1
+  fi
+  printf '%-18s %7d\n' ceiling "$ceiling"
+fi

@@ -2,13 +2,13 @@
 //! *transparent to data* (a tenant reads bitwise the same bytes alone as
 //! inside a 100-tenant fleet — contention moves virtual time, never
 //! payloads), byte-identically reproducible under a seed, and exactly
-//! reconciled (`sched.granted_vns == wan.busy_vns`). Plus the regression
-//! suite for the prefetch shed/re-issue path: a shed speculative fetch is
-//! deferred and re-issued by the scheduler, not lost.
+//! reconciled (`sched.granted_vns == wan.busy_vns`). Plus the session
+//! path: a speculative fetch through the scheduler warms the cache below
+//! it for the next pan.
 
 use nsdf::compress::Codec;
 use nsdf::idx::{Field, IdxDataset, IdxMeta, QuerySession};
-use nsdf::storage::sched::{Completion, SchedOp, SchedRequest};
+use nsdf::storage::sched::Completion;
 use nsdf::storage::{
     CloudStore, FleetSim, FleetSpec, MemoryStore, NetworkProfile, ObjectStore, Priority,
     SchedConfig, SchedStore, Scheduler, TenantPolicy, TierCache,
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Run a fleet to full drain and return its completion stream.
 fn run_fleet(spec: FleetSpec, cfg: SchedConfig, profile: NetworkProfile) -> Vec<Completion> {
-    let sim = FleetSim::new(spec, cfg, profile);
+    let sim = FleetSim::new(spec, cfg, profile).unwrap();
     sim.scheduler().run_to_idle();
     sim.scheduler().take_completions()
 }
@@ -67,7 +67,7 @@ fn identically_seeded_fleets_are_byte_identical() {
     let build = |profile: NetworkProfile| {
         let mut spec = FleetSpec::demo(48, 0xA11CE);
         spec.horizon_vsecs = 20.0;
-        let sim = FleetSim::new(spec, SchedConfig::default(), profile);
+        let sim = FleetSim::new(spec, SchedConfig::default(), profile).unwrap();
         let report = sim.run();
         (report, sim.clock().now_ns(), sim.obs().snapshot().to_json())
     };
@@ -90,7 +90,7 @@ fn granted_vns_reconciles_with_wan_busy_vns_across_configs() {
     ] {
         let mut spec = FleetSpec::demo(12, 99);
         spec.horizon_vsecs = 10.0;
-        let sim = FleetSim::new(spec, cfg, profile);
+        let sim = FleetSim::new(spec, cfg, profile).unwrap();
         let report = sim.run();
         assert!(report.grants > 0);
         assert_eq!(
@@ -103,7 +103,7 @@ fn granted_vns_reconciles_with_wan_busy_vns_across_configs() {
 }
 
 /// An IDX dataset on `backing`, fronted by WAN -> cache -> scheduler.
-fn session_stack(shed_high: usize) -> (Arc<Scheduler>, Obs, Arc<MemoryStore>, Arc<IdxDataset>) {
+fn session_stack() -> (Obs, Arc<IdxDataset>) {
     let clock = SimClock::new();
     let obs = Obs::new(clock.clone());
     let backing = Arc::new(MemoryStore::new());
@@ -132,80 +132,15 @@ fn session_stack(shed_high: usize) -> (Arc<Scheduler>, Obs, Arc<MemoryStore>, Ar
         .with_obs(&obs),
     );
     let cache = Arc::new(TierCache::new(wan, 32 * 1024 * 1024).with_obs(&obs));
-    let cfg = SchedConfig { shed_high, shed_low: 0, ..SchedConfig::default() };
-    let sched = Arc::new(Scheduler::new(clock, cfg).with_obs(&obs));
+    let sched = Arc::new(Scheduler::new(clock, SchedConfig::default()).with_obs(&obs));
     let sstore: Arc<dyn ObjectStore> = Arc::new(SchedStore::new(cache, Arc::clone(&sched), 7));
     let ds = IdxDataset::open(sstore, "fleetds").unwrap().with_fetch_concurrency(64);
-    (sched, obs, backing, Arc::new(ds))
+    (obs, Arc::new(ds))
 }
 
 #[test]
-fn shed_session_prefetch_is_reissued_and_warms_the_cache() {
-    let (sched, obs, backing, ds) = session_stack(4);
-    let level = ds.max_level();
-    let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap().with_tenant(7);
-    session.set_view(Box2i::new(0, 0, 96, 64), level, level).unwrap();
-    session.frame_at(level).unwrap();
-    session.pan(32, 0).unwrap();
-    session.frame_at(level).unwrap();
-
-    // Pile queued demand past the shed watermark — nothing pumps the
-    // scheduler yet, so the backlog is visible at prefetch submit time.
-    backing.put("pressure/k", b"x").unwrap();
-    for t in 0..4 {
-        sched.submit_detached(SchedRequest {
-            tenant: 100 + t,
-            class: Priority::Interactive,
-            op: SchedOp::Get {
-                store: Arc::clone(&backing) as Arc<dyn ObjectStore>,
-                keys: vec!["pressure/k".into()],
-            },
-            est_bytes: 1,
-        });
-    }
-
-    // The speculative fetch is shed, not failed: the session counts it
-    // and moves on, the scheduler keeps the descriptor.
-    let fetched = session.prefetch_pan_neighbor(level).unwrap();
-    assert_eq!(fetched, 0, "shed prefetch resolves nothing now");
-    assert_eq!(session.stats().prefetch_shed, 1);
-    assert_eq!(sched.deferred_len(), 1, "shed wave parked for re-issue");
-
-    // Draining the demand backlog drops pressure below the low watermark;
-    // the scheduler re-issues the deferred wave itself, through the
-    // cache, with no help from the session.
-    sched.run_to_idle();
-    assert_eq!(sched.deferred_len(), 0, "deferred prefetch re-issued, not lost");
-    let snap = obs.snapshot();
-    assert_eq!(snap.counter("sched.shed"), 1);
-    assert_eq!(snap.counter("sched.reissued"), 1);
-    let tenant7 = sched
-        .tenant_stats()
-        .into_iter()
-        .find(|(id, _, _)| *id == 7)
-        .expect("tenant 7 registered")
-        .2;
-    assert_eq!(tenant7.shed, 1);
-    assert_eq!(tenant7.reissued, 1);
-
-    // The re-issued wave warmed the cache: panning onto the prefetched
-    // neighbor renders without touching the WAN again.
-    let wan_reads_before = obs.snapshot().counter("wan.read_ops");
-    session.pan(96, 0).unwrap();
-    let frame = session.frame_at(level).unwrap();
-    assert!(frame.raster.width() > 0, "neighbor frame must render");
-    assert_eq!(
-        obs.snapshot().counter("wan.read_ops"),
-        wan_reads_before,
-        "neighbor frame must be served from the scheduler-warmed cache"
-    );
-}
-
-#[test]
-fn prefetch_shed_wave_is_skipped_without_losing_the_frame() {
-    // With the watermark set high, the identical sequence sheds nothing —
-    // the counters separate the two paths.
-    let (sched, obs, _backing, ds) = session_stack(usize::MAX);
+fn scheduled_prefetch_warms_the_cache_for_the_next_pan() {
+    let (obs, ds) = session_stack();
     let level = ds.max_level();
     let mut session = QuerySession::<f32>::new(ds, "v").unwrap().with_tenant(7);
     session.set_view(Box2i::new(0, 0, 96, 64), level, level).unwrap();
@@ -213,10 +148,19 @@ fn prefetch_shed_wave_is_skipped_without_losing_the_frame() {
     session.pan(32, 0).unwrap();
     session.frame_at(level).unwrap();
     let fetched = session.prefetch_pan_neighbor(level).unwrap();
-    assert!(fetched > 0, "unpressured prefetch resolves its blocks");
-    assert_eq!(session.stats().prefetch_shed, 0);
-    assert_eq!(sched.deferred_len(), 0);
-    assert_eq!(obs.snapshot().counter("sched.shed"), 0);
+    assert!(fetched > 0, "a prefetch through the scheduler resolves its blocks");
+
+    // The prefetch went through the cache below the scheduler: panning
+    // onto the prefetched neighbor renders without touching the WAN again.
+    let wan_reads_before = obs.snapshot().counter("wan.read_ops");
+    session.pan(96, 0).unwrap();
+    let frame = session.frame_at(level).unwrap();
+    assert!(frame.raster.width() > 0, "neighbor frame must render");
+    assert_eq!(
+        obs.snapshot().counter("wan.read_ops"),
+        wan_reads_before,
+        "neighbor frame must be served from the prefetch-warmed cache"
+    );
 }
 
 #[test]
