@@ -245,10 +245,11 @@ impl Dashboard {
         self.playback.playing = playing;
     }
 
-    /// Set playback speed (timesteps per second); must be positive.
+    /// Set playback speed (timesteps per second); must be finite and
+    /// positive.
     pub fn set_speed(&mut self, speed: f64) -> Result<()> {
-        if speed <= 0.0 || speed.is_nan() {
-            return Err(NsdfError::invalid("playback speed must be positive"));
+        if !(speed > 0.0 && speed.is_finite()) {
+            return Err(NsdfError::invalid("playback speed must be finite and positive"));
         }
         self.playback.speed = speed;
         Ok(())
@@ -260,15 +261,21 @@ impl Dashboard {
     }
 
     /// Advance playback by `dt_secs`; wraps around the time range.
-    /// Returns the (possibly unchanged) current timestep.
+    /// Returns the (possibly unchanged) current timestep. A non-finite
+    /// `dt_secs`, or one whose advance `dt_secs * speed` overflows, is
+    /// `InvalidArg`; a non-positive one does nothing.
     ///
     /// While playing, advancing the timestep also speculatively prefetches
     /// the step after it (best effort) so steady playback renders from
     /// warm caches.
     pub fn tick(&mut self, dt_secs: f64) -> Result<u32> {
+        let advance = dt_secs * self.playback.speed;
+        if !advance.is_finite() {
+            return Err(NsdfError::invalid("playback advance must be finite"));
+        }
         if self.playback.playing && dt_secs > 0.0 {
             let n = self.timesteps()? as f64;
-            self.playback.accum += dt_secs * self.playback.speed;
+            self.playback.accum += advance;
             let steps = self.playback.accum.floor();
             if steps >= 1.0 {
                 self.playback.accum -= steps;
@@ -346,8 +353,8 @@ impl Dashboard {
     pub fn pan(&mut self, dx: i64, dy: i64) -> Result<()> {
         let bounds = self.current()?.bounds();
         let (w, h) = (self.region.width(), self.region.height());
-        let x0 = (self.region.x0 + dx).clamp(bounds.x0, bounds.x1 - w);
-        let y0 = (self.region.y0 + dy).clamp(bounds.y0, bounds.y1 - h);
+        let x0 = self.region.x0.saturating_add(dx).clamp(bounds.x0, bounds.x1 - w);
+        let y0 = self.region.y0.saturating_add(dy).clamp(bounds.y0, bounds.y1 - h);
         self.region = Box2i::new(x0, y0, x0 + w, y0 + h);
         Ok(())
     }
@@ -409,24 +416,15 @@ impl Dashboard {
         self.render_at_level(self.auto_level()?)
     }
 
-    /// Smallest level `>= level` whose cumulative sample grid intersects
-    /// the current viewport. A deeply zoomed region plus a large
+    /// Smallest level `>= level` whose `HzCurve::level_grid` over the
+    /// current viewport is non-empty. A deeply zoomed region plus a large
     /// resolution bias can otherwise land between coarse samples and have
     /// nothing to draw; the dashboard always falls forward to the first
     /// level that does.
     fn min_renderable_level(&self, level: u32) -> Result<u32> {
         let ds = self.current()?;
-        let mask = ds.curve().mask();
-        let r = self.region;
         for l in level..=ds.max_level() {
-            let strides = mask.level_strides(l)?;
-            let sx = strides[0] as i64;
-            let sy = strides.get(1).copied().unwrap_or(1) as i64;
-            let first_x =
-                r.x0.max(0).div_euclid(sx) * sx + if r.x0.max(0) % sx == 0 { 0 } else { sx };
-            let first_y =
-                r.y0.max(0).div_euclid(sy) * sy + if r.y0.max(0) % sy == 0 { 0 } else { sy };
-            if first_x < r.x1 && first_y < r.y1 {
+            if ds.curve().level_grid(l, self.region.into())?.is_some() {
                 return Ok(l);
             }
         }
@@ -657,6 +655,7 @@ mod tests {
     use nsdf_idx::{Field, IdxMeta};
     use nsdf_storage::{MemoryStore, ObjectStore};
     use nsdf_util::{DType, Raster};
+    use proptest::prelude::*;
 
     fn dashboard_with_data() -> Dashboard {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
@@ -734,6 +733,108 @@ mod tests {
         assert_eq!(d.region().y1, 128);
         d.reset_view().unwrap();
         assert_eq!(d.region(), Box2i::new(0, 0, 256, 128));
+    }
+
+    #[test]
+    fn a_huge_pan_lands_on_the_edge() {
+        let mut d = dashboard_with_data();
+        d.zoom(4.0).unwrap();
+        let (w, h) = (d.region().width(), d.region().height());
+
+        // Nothing lies beyond the edge a saturated pan lands on, so the
+        // neighbor prefetch in the pan's direction finds nothing.
+        d.pan(i64::MAX, 0).unwrap();
+        assert_eq!((d.region().x1, d.region().width()), (256, w));
+        assert_eq!(d.prefetch_neighbors().unwrap(), 0);
+        d.pan(-w, 0).unwrap();
+        assert!(d.prefetch_neighbors().unwrap() > 0, "a view lies to the left");
+        d.pan(i64::MIN, 0).unwrap();
+        assert_eq!((d.region().x0, d.region().width()), (0, w));
+        assert_eq!(d.prefetch_neighbors().unwrap(), 0);
+        d.pan(0, i64::MAX).unwrap();
+        assert_eq!((d.region().y1, d.region().height()), (128, h));
+        assert_eq!(d.prefetch_neighbors().unwrap(), 0);
+        d.pan(0, i64::MIN).unwrap();
+        assert_eq!((d.region().y0, d.region().height()), (0, h));
+        assert_eq!(d.prefetch_neighbors().unwrap(), 0);
+    }
+
+    #[test]
+    fn non_finite_playback_is_rejected() {
+        let mut d = dashboard_with_data();
+        for speed in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+            assert!(d.set_speed(speed).is_err(), "speed {speed}");
+        }
+        assert_eq!(d.playback().speed, 1.0);
+        d.set_playing(true);
+        for dt in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(d.tick(dt).is_err(), "dt {dt}");
+        }
+        // A finite speed and step whose product overflows.
+        d.set_speed(f64::MAX).unwrap();
+        assert!(d.tick(2.0).is_err());
+        assert_eq!((d.time(), d.playback().accum), (0, 0.0));
+        // A non-positive step does nothing; playback still advances.
+        d.set_speed(1.0).unwrap();
+        assert_eq!(d.tick(0.0).unwrap(), 0);
+        assert_eq!(d.tick(-1.0).unwrap(), 0);
+        assert_eq!(d.tick(1.0).unwrap(), 1);
+        assert_eq!(d.tick(1.0).unwrap(), 2);
+        assert_eq!(d.playback().accum, 0.0);
+    }
+
+    /// The stride arithmetic `min_renderable_level` ran before it asked
+    /// `level_grid`: the first level from `level` on whose x and y strides
+    /// put a sample inside the viewport.
+    fn min_renderable_by_strides(d: &Dashboard, level: u32) -> u32 {
+        let ds = d.current().unwrap();
+        let mask = ds.curve().mask();
+        let r = d.region;
+        for l in level..=ds.max_level() {
+            let strides = mask.level_strides(l).unwrap();
+            let sx = strides[0] as i64;
+            let sy = strides.get(1).copied().unwrap_or(1) as i64;
+            let first_x =
+                r.x0.max(0).div_euclid(sx) * sx + if r.x0.max(0) % sx == 0 { 0 } else { sx };
+            let first_y =
+                r.y0.max(0).div_euclid(sy) * sy + if r.y0.max(0) % sy == 0 { 0 } else { sy };
+            if first_x < r.x1 && first_y < r.y1 {
+                return l;
+            }
+        }
+        ds.max_level()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn min_renderable_level_agrees_with_the_stride_arithmetic(
+            dims in collection::vec(1u64..48, 2..=3),
+            bits_per_block in 4u32..8,
+            zoom in 1.0f64..48.0,
+            pan in prop_oneof![
+                (-64i64..64, -64i64..64),
+                (any::<i64>(), any::<i64>()),
+            ],
+        ) {
+            let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+            let fields = vec![Field::new("v", DType::F32).unwrap()];
+            let meta = IdxMeta::new("g", &dims, fields, bits_per_block, Codec::Raw).unwrap();
+            let mut d = Dashboard::new();
+            d.add_dataset("g", Arc::new(IdxDataset::create(store, "g", meta).unwrap()));
+            d.select_dataset("g").unwrap();
+            d.zoom(zoom).unwrap();
+            d.pan(pan.0, pan.1).unwrap();
+            let max = d.current().unwrap().max_level();
+            for level in 0..=max + 1 {
+                prop_assert_eq!(
+                    d.min_renderable_level(level).unwrap(),
+                    min_renderable_by_strides(&d, level),
+                    "level {} of {:?} over {:?}", level, d.region(), dims
+                );
+            }
+        }
     }
 
     #[test]

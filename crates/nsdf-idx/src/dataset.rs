@@ -25,6 +25,7 @@
 //! lanes, and the caller owns the join.
 
 use crate::meta::IdxMeta;
+use crate::session::CancelToken;
 use nsdf_compress::{AdaptiveCodec, Codec};
 use nsdf_hz::HzCurve;
 use nsdf_storage::{ObjectStore, UploadLanes};
@@ -427,15 +428,19 @@ const WRITE_BUFFER_BYTES: u64 = 64 << 20;
 /// resolution level; a 2-D query is one sample deep.
 pub(crate) type LevelGrid = [(i64, i64, usize); 3];
 
-/// Where one read wave reports the store time it spends: the registry and
-/// label of the span opened around `get_many` (the `decode` span follows in
-/// the same registry), the `*_vns` counter that accumulates the clock
-/// advance, and the clock it is read from.
+/// How one [`IdxDataset::resolve`] runs its read waves: the registry and
+/// label of the span opened around each `get_many` (the `decode` span
+/// follows in the same registry), the `*_vns` counter that accumulates the
+/// clock advance, and the clock it is read from; whether fetched payloads
+/// go into the decoded cache (not for the base images `write_box` is about
+/// to supersede); and the token checked on that clock before each wave.
 pub(crate) struct WaveReport<'a> {
     pub(crate) obs: &'a Obs,
     pub(crate) span: &'a str,
     pub(crate) vns: &'a Counter,
     pub(crate) clock: &'a SimClock,
+    pub(crate) install: bool,
+    pub(crate) cancel: Option<&'a CancelToken>,
 }
 
 /// Registry handles for one `IdxDataset`, under the `idx` scope.
@@ -562,11 +567,12 @@ impl IdxMetrics {
 /// of a 2-D grid is one sample deep.
 ///
 /// The only owner of block I/O in this crate: every block read — a box,
-/// slice or volume query here, a [`crate::QuerySession`] frame — is a
-/// sequence of `IdxDataset::read_wave` calls, and every block write ends
-/// in `IdxDataset::encode_and_put`. The decoded-block cache, its write
-/// epoch, the write buffer of [`IdxDataset::write_box`], and the codec
-/// throughput counters live here and nowhere else.
+/// slice or volume query here, a [`crate::QuerySession`] frame or
+/// prefetch, a `write_box` base image — is one `IdxDataset::resolve` call,
+/// and every block write ends in `IdxDataset::encode_and_put`. The
+/// decoded-block cache, its write epoch, the write buffer of
+/// [`IdxDataset::write_box`], and the codec throughput counters live here
+/// and nowhere else.
 ///
 /// Dropping the handle flushes its write buffer; a flush that fails there
 /// can only be counted (`idx.flush_failures`) and marked on the span
@@ -713,11 +719,6 @@ impl IdxDataset {
         self
     }
 
-    /// Fetch batch size in force.
-    pub(crate) fn fetch_concurrency(&self) -> usize {
-        self.fetch_concurrency
-    }
-
     /// Upload batch size in force.
     pub fn write_concurrency(&self) -> usize {
         self.write_concurrency
@@ -817,7 +818,7 @@ impl IdxDataset {
     /// payload or a known-missing mark — blocks still to fetch, and the
     /// write epoch observed — pass it back to `IdxDataset::read_wave` so
     /// payloads decoded while a write landed are never installed.
-    pub(crate) fn decoded_partition(
+    fn decoded_partition(
         &self,
         field_idx: usize,
         time: u32,
@@ -1168,10 +1169,14 @@ impl IdxDataset {
             span: "rmw-fetch",
             vns: &self.m.rmw_fetch_vns,
             clock: self.m.obs.clock(),
+            install: false,
+            cancel: None,
         };
         let mut fetch = QueryStats::default();
-        let mut bases =
-            self.resolve_blocks((field_idx, time), &need_base, &report, false, None, &mut fetch)?;
+        let mut bases = BTreeMap::new();
+        self.resolve((field_idx, time), &need_base, &report, None, &mut fetch, |b, raw, _| {
+            bases.insert(b, raw);
+        })?;
         stats.rmw_fetches = need_base.len() as u64 - fetch.decoded_cache_hits;
         if let Some(bad) = bases.values().flatten().find(|raw| raw.len() != block_bytes) {
             return Err(NsdfError::corrupt(format!(
@@ -1304,27 +1309,26 @@ impl IdxDataset {
         self.curve.blocks_in_region(region, level, self.meta.block_samples())
     }
 
-    /// One fetch→decode wave — the only block read in the crate. Fetches
-    /// `chunk` (one `fetch_concurrency`-sized slice of some caller's plan) of
-    /// field/timestep `at` with a single `get_many` under `report`'s span and
-    /// counter, decodes the payloads in parallel with deterministic
-    /// (earliest-block) error semantics, books the work into `stats` and the
-    /// codec throughput counters, and installs the decoded payloads into the
-    /// shared cache unless a write landed since `epoch` was observed
-    /// ([`IdxDataset::decoded_partition`]) — or there is none, as for the
-    /// base images `write_box` is about to supersede.
+    /// One fetch→decode wave of [`IdxDataset::resolve`]. Fetches `chunk`
+    /// (one `fetch_concurrency`-sized slice of the plan) of field/timestep
+    /// `at` with a single `get_many` under `report`'s span and counter,
+    /// decodes the payloads in parallel with deterministic (earliest-block)
+    /// error semantics, books the work into `stats` and the codec throughput
+    /// counters, and installs the decoded payloads into the shared cache when
+    /// `report` asks for it, unless a write landed since `epoch` was observed
+    /// ([`IdxDataset::decoded_partition`]).
     ///
     /// `NotFound` is unwritten data and resolves to a known-missing entry.
     /// Any other fetch error aborts the wave before anything of it is
     /// decoded or installed — unless the caller collects them: with
     /// `unavailable` present the failed blocks land there (and stay out of
     /// the cache, so a retry re-fetches them) while the rest of the wave
-    /// completes. Which waves to run, and when to stop, is the caller's.
-    pub(crate) fn read_wave(
+    /// completes.
+    fn read_wave(
         &self,
         at: (usize, u32),
         chunk: &[u64],
-        epoch: Option<u64>,
+        epoch: u64,
         report: &WaveReport,
         mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
         stats: &mut QueryStats,
@@ -1384,7 +1388,7 @@ impl IdxDataset {
 
         let mut state = self.blocks.lock();
         let cache = &mut state.decoded;
-        let install = epoch == Some(cache.write_epoch);
+        let install = report.install && epoch == cache.write_epoch;
         let mut cache_evicted = 0;
         let mut wave = Vec::with_capacity(decoded.len());
         for (block, enc_len, raw) in decoded {
@@ -1403,55 +1407,41 @@ impl IdxDataset {
         Ok(wave)
     }
 
-    /// Resolve the planned blocks of a one-shot box query: decoded-cache
-    /// hits (including known-missing ones) skip the store and the codec
-    /// entirely — this is what makes progressive refinement decode each
-    /// block exactly once — and the rest arrive in `fetch_concurrency`
-    /// waves under the `idx.fetch` span. `unavailable` as for
-    /// `IdxDataset::read_wave`.
-    fn query_blocks(
-        &self,
-        at: (usize, u32),
-        needed: &[u64],
-        unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
-        stats: &mut QueryStats,
-    ) -> Result<BTreeMap<u64, DecodedEntry>> {
-        let report = WaveReport {
-            obs: &self.m.obs,
-            span: "fetch",
-            vns: &self.m.fetch_vns,
-            clock: self.m.obs.clock(),
-        };
-        self.resolve_blocks(at, needed, &report, true, unavailable, stats)
-    }
-
-    /// The chunk loop behind [`IdxDataset::query_blocks`] and `write_box`'s
-    /// base images: hits of [`IdxDataset::decoded_partition`] first, then
-    /// `fetch_concurrency`-wide read waves under `report`. With `install`
-    /// off the fetched payloads stay out of the decoded cache.
-    fn resolve_blocks(
+    /// The one resolve loop of the crate, behind every box query, session
+    /// frame and prefetch, and `write_box`'s base images: the blocks of
+    /// field/timestep `at` the handle holds in RAM
+    /// ([`IdxDataset::decoded_partition`]; a decoded-cache hit skips the
+    /// store and the codec, which is what makes progressive refinement
+    /// decode each block once) first, then `fetch_concurrency`-wide
+    /// [`IdxDataset::read_wave`]s run as `report` says, its cancel token
+    /// checked on its clock before each. Every block goes to `sink` as it
+    /// arrives, flagged when it came from RAM, so what earlier waves brought
+    /// stays with the caller whether a later wave is cancelled or fails.
+    /// `unavailable` as for `read_wave`. Returns `true` when the token fired.
+    pub(crate) fn resolve(
         &self,
         at: (usize, u32),
         needed: &[u64],
         report: &WaveReport,
-        install: bool,
         mut unavailable: Option<&mut BTreeMap<u64, NsdfError>>,
         stats: &mut QueryStats,
-    ) -> Result<BTreeMap<u64, DecodedEntry>> {
-        let (hits, to_fetch, epoch) = self.decoded_partition(at.0, at.1, needed);
+        mut sink: impl FnMut(u64, DecodedEntry, bool),
+    ) -> Result<bool> {
+        let (hits, misses, epoch) = self.decoded_partition(at.0, at.1, needed);
         stats.decoded_cache_hits += hits.len() as u64;
-        let mut raw_blocks: BTreeMap<u64, DecodedEntry> = hits.into_iter().collect();
-        for chunk in to_fetch.chunks(self.fetch_concurrency) {
-            raw_blocks.extend(self.read_wave(
-                at,
-                chunk,
-                install.then_some(epoch),
-                report,
-                unavailable.as_deref_mut(),
-                stats,
-            )?);
+        for (block, raw) in hits {
+            sink(block, raw, true);
         }
-        Ok(raw_blocks)
+        for chunk in misses.chunks(self.fetch_concurrency) {
+            if report.cancel.is_some_and(|c| c.is_cancelled_at(report.clock.now_ns())) {
+                return Ok(true);
+            }
+            let failed = unavailable.as_deref_mut();
+            for (block, raw) in self.read_wave(at, chunk, epoch, report, failed, stats)? {
+                sink(block, raw, false);
+            }
+        }
+        Ok(false)
     }
 
     /// The one gather of the crate — where bytes become samples. Output
@@ -1565,11 +1555,24 @@ impl IdxDataset {
         // With degraded reads enabled, transport failures are collected
         // instead of aborting so the query can fall back to a coarser level.
         let mut failed: BTreeMap<u64, NsdfError> = BTreeMap::new();
-        let raw_blocks = self.query_blocks(
+        let report = WaveReport {
+            obs: &self.m.obs,
+            span: "fetch",
+            vns: &self.m.fetch_vns,
+            clock: self.m.obs.clock(),
+            install: true,
+            cancel: None,
+        };
+        let mut raw_blocks = BTreeMap::new();
+        self.resolve(
             (field_idx, time),
             &needed,
+            &report,
             self.degraded_reads.then_some(&mut failed),
             &mut stats,
+            |b, raw, _| {
+                raw_blocks.insert(b, raw);
+            },
         )?;
 
         // Degraded fallback: if any block stayed unreachable, deliver the
@@ -3525,7 +3528,19 @@ mod row_walk_tests {
             };
             let needed = ds.curve.blocks_in_region(region, level, ds.meta.block_samples());
             let mut stats = QueryStats::default();
-            let blocks = ds.query_blocks((0, 0), &needed.unwrap(), None, &mut stats).unwrap();
+            let report = WaveReport {
+                obs: &ds.m.obs,
+                span: "fetch",
+                vns: &ds.m.fetch_vns,
+                clock: ds.m.obs.clock(),
+                install: true,
+                cancel: None,
+            };
+            let mut blocks = BTreeMap::new();
+            ds.resolve((0, 0), &needed.unwrap(), &report, None, &mut stats, |b, raw, _| {
+                blocks.insert(b, raw);
+            })
+            .unwrap();
             let reference = gather_by_sample::<f32>(&ds, grid, &blocks).unwrap();
             assert_eq!(ds.gather::<f32>(grid, &blocks, &mut stats).unwrap(), reference);
             assert_eq!(got.unwrap(), reference, "{region:?} level {level}");

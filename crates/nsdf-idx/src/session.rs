@@ -22,7 +22,9 @@
 //!   than the budget still renders whole and merely reuses less next time;
 //! * honors a [`CancelToken`] checked between `get_many` waves, so a new
 //!   interaction (pan / zoom / time change) abandons in-flight refinement
-//!   deterministically on the virtual clock;
+//!   deterministically on the virtual clock; refinement keeps no cursor,
+//!   so a run resumed after [`QuerySession::reset_cancel`] starts at the
+//!   view's start level again and refetches nothing it holds;
 //! * issues **speculative prefetch** (neighbor viewport in the last pan
 //!   direction, next timestep during playback) through the same store
 //!   path, warming the shared caches so the next interaction is cheap.
@@ -185,18 +187,6 @@ pub struct SessionFrame<T: Sample> {
     pub cancelled: bool,
 }
 
-/// Outcome of one [`QuerySession::refine_step`].
-#[derive(Debug)]
-pub(crate) enum RefineOutcome<T: Sample> {
-    /// The next level completed.
-    Frame(SessionFrame<T>),
-    /// The step was abandoned mid-fetch; the frame holds the partial state
-    /// and the same level is retried by the next step.
-    Cancelled(SessionFrame<T>),
-    /// The target level has been delivered; nothing left to refine.
-    Done,
-}
-
 /// Result of running [`QuerySession::refine`] to completion or cancellation.
 #[derive(Debug)]
 pub struct RefineRun<T: Sample> {
@@ -240,38 +230,6 @@ fn split_resident(
     (held, to_resolve)
 }
 
-/// The chunk loop a session drives the dataset's block pipeline with:
-/// blocks the handle already holds in RAM first, then
-/// `fetch_concurrency`-wide [`IdxDataset::read_wave`]s with `cancel` checked
-/// before each. Every resolved block goes to `sink` as it arrives (the flag
-/// says it came from RAM, not a store trip), so what earlier waves brought
-/// stays with the caller whether a later wave is cancelled or fails.
-/// Returns `true` when the token fired.
-fn resolve_waves(
-    ds: &IdxDataset,
-    at: (usize, u32),
-    to_resolve: &[u64],
-    cancel: &CancelToken,
-    report: &WaveReport,
-    stats: &mut QueryStats,
-    mut sink: impl FnMut(u64, DecodedEntry, bool),
-) -> Result<bool> {
-    let (hits, misses, epoch) = ds.decoded_partition(at.0, at.1, to_resolve);
-    for (block, raw) in hits {
-        stats.decoded_cache_hits += 1;
-        sink(block, raw, true);
-    }
-    for chunk in misses.chunks(ds.fetch_concurrency()) {
-        if cancel.is_cancelled_at(report.clock.now_ns()) {
-            return Ok(true);
-        }
-        for (block, raw) in ds.read_wave(at, chunk, Some(epoch), report, None, stats)? {
-            sink(block, raw, false);
-        }
-    }
-    Ok(false)
-}
-
 /// A stateful progressive-query session over one z-plane of an
 /// [`IdxDataset`].
 ///
@@ -286,8 +244,6 @@ pub struct QuerySession<T: Sample> {
     z: i64,
     start_level: u32,
     target_level: u32,
-    /// Next level `refine_step` delivers (`> target_level` = done).
-    next_level: u32,
     /// Cumulative planned block set of the box in `planned`.
     view_blocks: BTreeSet<u64>,
     /// The view box `view_blocks` was planned for, and the finest level
@@ -332,7 +288,6 @@ impl<T: Sample> QuerySession<T> {
             z: 0,
             start_level: 0,
             target_level: target,
-            next_level: 0,
             view_blocks: BTreeSet::new(),
             planned: None,
             resident: DecodedCache::new(DEFAULT_RESIDENT_BUDGET),
@@ -410,9 +365,9 @@ impl<T: Sample> QuerySession<T> {
 
     /// Point the session at a new viewport: `region` (clipped to bounds)
     /// refined from `start_level` up to `target_level`. A genuine change
-    /// interrupts in-flight refinement and restarts the cursor; a no-op
-    /// call leaves the session untouched. Pure translations record the pan
-    /// direction for [`QuerySession::prefetch_pan_neighbor`].
+    /// interrupts in-flight refinement; a no-op call leaves the session
+    /// untouched. Pure translations record the pan direction for
+    /// [`QuerySession::prefetch_pan_neighbor`].
     pub fn set_view(&mut self, region: Box2i, start_level: u32, target_level: u32) -> Result<()> {
         let region = region
             .intersect(&self.ds.bounds())
@@ -432,7 +387,6 @@ impl<T: Sample> QuerySession<T> {
         self.region = region;
         self.start_level = start;
         self.target_level = target;
-        self.next_level = start;
         self.interrupt();
         Ok(())
     }
@@ -442,8 +396,8 @@ impl<T: Sample> QuerySession<T> {
     pub fn pan(&mut self, dx: i64, dy: i64) -> Result<()> {
         let bounds = self.ds.bounds();
         let (w, h) = (self.region.width(), self.region.height());
-        let x0 = (self.region.x0 + dx).clamp(bounds.x0, bounds.x1 - w);
-        let y0 = (self.region.y0 + dy).clamp(bounds.y0, bounds.y1 - h);
+        let x0 = self.region.x0.saturating_add(dx).clamp(bounds.x0, bounds.x1 - w);
+        let y0 = self.region.y0.saturating_add(dy).clamp(bounds.y0, bounds.y1 - h);
         let region = Box2i::new(x0, y0, x0 + w, y0 + h);
         self.set_view(region, self.start_level, self.target_level)?;
         // set_view derives the direction from the clamped translation; keep
@@ -457,13 +411,12 @@ impl<T: Sample> QuerySession<T> {
     /// Scrub to the z-plane at depth `z` of a 3-D dataset (a 2-D one has
     /// plane 0 only). A frame at level `L` shows the plane snapped down to
     /// `L`'s z-stride. Blocks adjacent planes share stay resident; a genuine
-    /// change interrupts in-flight refinement and restarts the cursor.
+    /// change interrupts in-flight refinement.
     pub fn set_slice(&mut self, z: i64) -> Result<()> {
         self.ds.plane_box(self.region, z, 0)?;
         if z != self.z {
             self.z = z;
             self.forget_plan();
-            self.next_level = self.start_level;
             self.interrupt();
         }
         Ok(())
@@ -478,7 +431,6 @@ impl<T: Sample> QuerySession<T> {
         }
         self.time = time;
         self.flush_resident();
-        self.next_level = self.start_level;
         self.interrupt();
         Ok(())
     }
@@ -492,7 +444,6 @@ impl<T: Sample> QuerySession<T> {
         self.field_idx = self.ds.field_checked::<T>(field)?;
         self.field = field.to_string();
         self.flush_resident();
-        self.next_level = self.start_level;
         self.interrupt();
         Ok(())
     }
@@ -508,7 +459,7 @@ impl<T: Sample> QuerySession<T> {
         self.view_blocks.clear();
     }
 
-    /// Resolve `to_resolve` blocks of `time` through [`resolve_waves`].
+    /// Resolve `to_resolve` blocks of `time` through [`IdxDataset::resolve`].
     /// Resolved blocks of the session's current timestep land in the
     /// resident set and, on a demand resolve, in `acct.blocks` for the
     /// frame's gather; all decoded payloads land in the dataset's shared
@@ -516,7 +467,7 @@ impl<T: Sample> QuerySession<T> {
     /// way).
     ///
     /// Returns `true` when the token fired and the resolve was abandoned.
-    fn resolve_blocks(
+    fn resolve(
         &mut self,
         time: u32,
         to_resolve: &[u64],
@@ -532,6 +483,8 @@ impl<T: Sample> QuerySession<T> {
             span: if prefetch { "prefetch" } else { "fetch" },
             vns: &vns,
             clock: &clock,
+            install: true,
+            cancel: Some(&cancel),
         };
         let install_resident = time == self.time;
 
@@ -543,7 +496,7 @@ impl<T: Sample> QuerySession<T> {
         let _class_tag = prefetch.then(|| tag_class(Priority::Prefetch));
 
         let at = (self.field_idx, time);
-        resolve_waves(&ds, at, to_resolve, &cancel, &report, stats, |b, raw, warm| {
+        ds.resolve(at, to_resolve, &report, None, stats, |b, raw, warm| {
             acct.fetched += 1;
             if prefetch {
                 self.note_prefetched(time, b);
@@ -621,8 +574,7 @@ impl<T: Sample> QuerySession<T> {
                 acct.prefetch_hits += 1;
             }
         }
-        let cancelled =
-            self.resolve_blocks(self.time, &to_resolve, false, &mut stats, &mut acct)?;
+        let cancelled = self.resolve(self.time, &to_resolve, false, &mut stats, &mut acct)?;
         let raster = self.ds.plane(grid, self.ds.gather(grid, &acct.blocks, &mut stats)?)?;
 
         // Blocks resolved before a cancellation still cost WAN time and
@@ -668,49 +620,33 @@ impl<T: Sample> QuerySession<T> {
         self.frame(region, level, &needed)
     }
 
-    /// Deliver the next refinement level of the current view.
-    ///
-    /// Levels whose grid has no samples inside the viewport are skipped. A
-    /// cancelled step leaves the cursor in place so the same level is
-    /// retried after [`QuerySession::reset_cancel`] (or a view change).
-    pub(crate) fn refine_step(&mut self) -> Result<RefineOutcome<T>> {
-        while self.next_level <= self.target_level {
-            let view = self.view_box(self.region, self.next_level)?;
-            if self.ds.curve().level_grid(self.next_level, view)?.is_none() {
-                self.next_level += 1;
-                continue;
-            }
-            let frame = self.frame_at(self.next_level)?;
-            if frame.cancelled {
-                return Ok(RefineOutcome::Cancelled(frame));
-            }
-            self.next_level += 1;
-            return Ok(RefineOutcome::Frame(frame));
-        }
-        Ok(RefineOutcome::Done)
-    }
-
-    /// Run refinement until the target level is delivered or the token
-    /// fires.
+    /// Run refinement of the current view: a frame at every level from the
+    /// start level to the target, skipping levels whose grid holds no
+    /// sample inside the viewport, until the target is delivered or the
+    /// token fires. A run resumed after [`QuerySession::reset_cancel`] starts
+    /// again at the start level: the view's plan is cumulative, so its first
+    /// frame resolves what the abandoned level still lacked and the levels
+    /// up to that one gather from the resident set.
     pub fn refine(&mut self) -> Result<RefineRun<T>> {
         let mut frames = Vec::new();
-        loop {
-            match self.refine_step()? {
-                RefineOutcome::Frame(f) => frames.push(f),
-                RefineOutcome::Cancelled(f) => {
-                    let cancelled_at = Some(f.level);
-                    frames.push(f);
-                    return Ok(RefineRun { frames, cancelled_at });
-                }
-                RefineOutcome::Done => return Ok(RefineRun { frames, cancelled_at: None }),
+        for level in self.start_level..=self.target_level {
+            let view = self.view_box(self.region, level)?;
+            if self.ds.curve().level_grid(level, view)?.is_none() {
+                continue;
+            }
+            let frame = self.frame_at(level)?;
+            let cancelled = frame.cancelled;
+            frames.push(frame);
+            if cancelled {
+                return Ok(RefineRun { frames, cancelled_at: Some(level) });
             }
         }
+        Ok(RefineRun { frames, cancelled_at: None })
     }
 
     /// One-shot read of an arbitrary `region` at `level` through the
     /// session (the snip / slice-probe path): resolves only blocks not
-    /// already resident, without disturbing the refinement cursor of the
-    /// current view.
+    /// already resident, without disturbing the current view's plan.
     pub fn read_region(&mut self, region: Box2i, level: u32) -> Result<SessionFrame<T>> {
         self.ds.check_level(level)?;
         let region = region
@@ -744,12 +680,10 @@ impl<T: Sample> QuerySession<T> {
         };
         let level = level.min(self.ds.max_level());
         let needed = self.plan(self.view_box(neighbor, level)?, level)?;
-        let key = |b: u64| (self.field_idx, self.time, b);
-        let to_resolve: Vec<u64> =
-            needed.into_iter().filter(|&b| self.resident.get(&key(b)).is_none()).collect();
+        let (_, to_resolve) = split_resident(&self.resident, (self.field_idx, self.time), &needed);
         let mut stats = QueryStats::default();
         let mut acct = FrameAcct::default();
-        self.resolve_blocks(self.time, &to_resolve, true, &mut stats, &mut acct)?;
+        self.resolve(self.time, &to_resolve, true, &mut stats, &mut acct)?;
         Ok(acct.fetched)
     }
 
@@ -766,7 +700,7 @@ impl<T: Sample> QuerySession<T> {
         let needed = self.plan(self.view_box(self.region, level)?, level)?;
         let mut stats = QueryStats::default();
         let mut acct = FrameAcct::default();
-        self.resolve_blocks(time, &needed, true, &mut stats, &mut acct)?;
+        self.resolve(time, &needed, true, &mut stats, &mut acct)?;
         Ok(acct.fetched)
     }
 }
@@ -776,7 +710,7 @@ mod tests {
     use super::*;
     use crate::meta::{Field, IdxMeta};
     use nsdf_compress::Codec;
-    use nsdf_storage::{MemoryStore, ObjectStore};
+    use nsdf_storage::{CloudStore, MemoryStore, NetworkProfile, ObjectStore};
     use nsdf_util::{DType, Volume};
 
     /// Raw bytes of one block image in the datasets below (2^8 `f32`s).
@@ -787,6 +721,119 @@ mod tests {
         let fields = vec![Field::new("v", DType::F32).unwrap()];
         let meta = IdxMeta::new_2d("s", w, h, fields, 8, Codec::Lz4).unwrap();
         Arc::new(IdxDataset::create(store, "s", meta).unwrap())
+    }
+
+    fn ramp(w: u64, h: u64) -> Raster<f32> {
+        Raster::from_fn(w as usize, h as usize, |x, y| (y * w as usize + x) as f32 + 0.5)
+    }
+
+    /// A `w` x `h` ramp read back through a private-seal WAN that charges
+    /// the clock the session checks deadlines against.
+    fn wan_dataset(w: u64, h: u64) -> (Arc<IdxDataset>, SimClock) {
+        let mem: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let fields = vec![Field::new("v", DType::F32).unwrap()];
+        let meta = IdxMeta::new_2d("s", w, h, fields, 8, Codec::Lz4).unwrap();
+        let author = IdxDataset::create(Arc::clone(&mem), "s", meta).unwrap();
+        author.write_raster("v", 0, &ramp(w, h)).unwrap();
+        let clock = SimClock::new();
+        let wan = CloudStore::new(mem, NetworkProfile::private_seal(), clock.clone(), 42);
+        let ds = IdxDataset::open(Arc::new(wan), "s").unwrap().with_obs(&Obs::new(clock.clone()));
+        (Arc::new(ds), clock)
+    }
+
+    #[test]
+    fn refine_starts_at_the_first_level_with_a_sample_in_the_view() {
+        let ds = dataset(100, 60);
+        ds.write_raster("v", 0, &ramp(100, 60)).unwrap();
+        let max = ds.max_level();
+        // One odd column: no coarse level has a sample in it.
+        let region = Box2i::new(37, 5, 38, 55);
+        let filled: Vec<u32> = (0..=max)
+            .filter(|&l| ds.curve().level_grid(l, region.into()).unwrap().is_some())
+            .collect();
+        assert!(filled[0] > 0, "the coarse levels must hold no sample of the view");
+
+        let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+        session.set_view(region, 0, max).unwrap();
+        let run = session.refine().unwrap();
+        assert!(run.cancelled_at.is_none());
+        assert_eq!(run.frames.iter().map(|f| f.level).collect::<Vec<_>>(), filled);
+        let (want, _) = ds.read_box::<f32>("v", 0, region, max).unwrap();
+        assert_eq!(run.frames.last().unwrap().raster.data(), want.data());
+    }
+
+    #[test]
+    fn a_run_resumed_after_a_deadline_starts_over_from_resident_blocks() {
+        let (w, h, start) = (128, 96, 2);
+        let cold_vns = {
+            let (ds, clock) = wan_dataset(w, h);
+            let mut probe = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+            probe.set_view(ds.bounds(), start, ds.max_level()).unwrap();
+            let v0 = clock.now_ns();
+            probe.refine().unwrap();
+            clock.now_ns() - v0
+        };
+
+        let (ds, clock) = wan_dataset(w, h);
+        let max = ds.max_level();
+        let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+        session.set_view(ds.bounds(), start, max).unwrap();
+        session.cancel_token().cancel_at(clock.now_ns() + cold_vns / 2);
+        let run = session.refine().unwrap();
+        let cancelled_at = run.cancelled_at.expect("the deadline must fire mid-refinement");
+        assert!(cancelled_at > start, "a level before the deadline completed");
+        let fetched = session.stats().blocks_fetched;
+
+        // The view's plan is cumulative: the first resumed frame resolves
+        // what the abandoned level still lacked, and the levels up to that
+        // one gather from the resident set alone.
+        session.reset_cancel();
+        let resumed = session.refine().unwrap();
+        assert!(resumed.cancelled_at.is_none());
+        assert_eq!(resumed.frames[0].level, start);
+        let caught_up = &resumed.frames[1..=(cancelled_at - start) as usize];
+        for frame in caught_up {
+            assert_eq!(frame.blocks_fetched, 0, "level {} is resident", frame.level);
+        }
+        assert_eq!(caught_up.last().unwrap().level, cancelled_at);
+        let resolved: u64 = resumed.frames.iter().map(|f| f.blocks_fetched).sum();
+        assert_eq!(fetched + resolved, session.stats().blocks_fetched);
+        assert_eq!(
+            session.stats().blocks_fetched,
+            ds.blocks_for_query(ds.bounds(), max).unwrap().len() as u64,
+            "no block crossed the WAN twice"
+        );
+        assert_eq!(resumed.frames.last().unwrap().raster.data(), ramp(w, h).data());
+    }
+
+    #[test]
+    fn a_huge_pan_lands_on_the_edge_and_prefetches_the_way_it_was_asked() {
+        let ds = dataset(256, 128);
+        ds.write_raster("v", 0, &ramp(256, 128)).unwrap();
+        let max = ds.max_level();
+        let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
+        session.set_view(Box2i::new(96, 48, 160, 80), max, max).unwrap();
+
+        // Nothing lies beyond the edge a saturated pan lands on.
+        session.pan(i64::MAX, 0).unwrap();
+        assert_eq!(session.region(), Box2i::new(192, 48, 256, 80));
+        assert_eq!(session.last_pan, (1, 0));
+        assert_eq!(session.prefetch_pan_neighbor(max).unwrap(), 0);
+        session.pan(-64, 0).unwrap();
+        assert!(session.prefetch_pan_neighbor(max).unwrap() > 0, "x 64..128 lies to the left");
+        session.pan(i64::MIN, 0).unwrap();
+        assert_eq!(session.region(), Box2i::new(0, 48, 64, 80));
+        assert_eq!(session.last_pan, (-1, 0));
+        assert_eq!(session.prefetch_pan_neighbor(max).unwrap(), 0);
+
+        session.pan(0, i64::MAX).unwrap();
+        assert_eq!(session.region(), Box2i::new(0, 96, 64, 128));
+        assert_eq!(session.last_pan, (0, 1));
+        assert_eq!(session.prefetch_pan_neighbor(max).unwrap(), 0);
+        session.pan(0, i64::MIN).unwrap();
+        assert_eq!(session.region(), Box2i::new(0, 0, 64, 32));
+        assert_eq!(session.last_pan, (0, -1));
+        assert_eq!(session.prefetch_pan_neighbor(max).unwrap(), 0);
     }
 
     #[test]

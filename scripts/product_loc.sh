@@ -8,6 +8,10 @@
 # not a statement count — but tests, benches and examples do not.
 # Simplicity PRs quote this number before and after.
 #
+# The total is a ratchet: when the counted checkout has a
+# `scripts/product_loc.ceiling` (one integer), a total above it exits 1. A
+# change that must add lines raises the ceiling in the same diff.
+#
 # Usage: scripts/product_loc.sh [repo-root]   (default: this checkout)
 set -euo pipefail
 product_lines="$(cd "$(dirname "$0")" && pwd)/product_lines.awk"
@@ -27,3 +31,16 @@ for src in crates/*/src src; do
   printf '%-18s %7d\n' "$name" "$n"
 done
 printf '%-18s %7d\n' total "$total"
+
+if [ -f scripts/product_loc.ceiling ]; then
+  ceiling="$(tr -d '[:space:]' < scripts/product_loc.ceiling)"
+  if ! [[ "$ceiling" =~ ^[0-9]+$ ]]; then
+    echo "product_loc.sh: scripts/product_loc.ceiling must hold one integer, got '$ceiling'" >&2
+    exit 1
+  fi
+  if [ "$total" -gt "$ceiling" ]; then
+    echo "product_loc.sh: $total product lines exceed the ceiling of $ceiling in scripts/product_loc.ceiling" >&2
+    exit 1
+  fi
+  printf '%-18s %7d\n' ceiling "$ceiling"
+fi
