@@ -134,6 +134,12 @@ impl Cluster {
         if jobs.is_empty() {
             return Err(NsdfError::invalid("no jobs to run"));
         }
+        if let Some(j) = jobs.iter().find(|j| !(0.0..f64::INFINITY).contains(&j.work)) {
+            return Err(NsdfError::invalid(format!(
+                "job {} work {} not in [0, inf)",
+                j.id, j.work
+            )));
+        }
         clock.advance_secs(self.provision_secs);
         // LPT scheduling on heterogeneous nodes.
         let mut sorted: Vec<&Job> = jobs.iter().collect();
@@ -249,6 +255,19 @@ mod tests {
         let clock = SimClock::new();
         let report = c.run_jobs(&jobs(100, 100.0), &clock).unwrap();
         assert!(report.utilisation > 0.7);
+    }
+
+    #[test]
+    fn negative_or_non_finite_work_is_rejected() {
+        let node = Node { provider: "p".into(), speed: 1.0, cost_per_hour: 0.0 };
+        let c = Cluster { nodes: vec![node], provision_secs: 0.0 };
+        let clock = SimClock::new();
+        for bad in [-5.0, f64::NAN, f64::INFINITY] {
+            let err = c.run_jobs(&[Job { id: 7, work: bad }, Job { id: 8, work: 3.0 }], &clock);
+            assert!(matches!(err, Err(NsdfError::InvalidArg(m)) if m.contains("job 7")));
+        }
+        assert_eq!(clock.now_ns(), 0, "a rejected run charges nothing");
+        assert_eq!(c.run_jobs(&[Job { id: 8, work: 3.0 }], &clock).unwrap().makespan_secs, 3.0);
     }
 
     #[test]

@@ -35,12 +35,14 @@ pub struct Provider {
 }
 
 impl Provider {
-    /// Validate parameter sanity.
+    /// Validate parameter sanity: every number finite, none negative, and
+    /// a positive node speed.
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(NsdfError::invalid("provider needs a name"));
         }
-        if self.provision_secs < 0.0 || self.cost_per_node_hour < 0.0 || self.node_speed <= 0.0 {
+        let values = [self.provision_secs, self.cost_per_node_hour, self.node_speed];
+        if !values.iter().all(|v| (0.0..f64::INFINITY).contains(v)) || self.node_speed == 0.0 {
             return Err(NsdfError::invalid(format!(
                 "provider {:?} has invalid parameters",
                 self.name
@@ -118,5 +120,16 @@ mod tests {
         p.node_speed = 1.0;
         p.name.clear();
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_requires_finite_numbers() {
+        let p = Provider::nsdf_federation().remove(0);
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(Provider { provision_secs: bad, ..p.clone() }.validate().is_err());
+            assert!(Provider { cost_per_node_hour: bad, ..p.clone() }.validate().is_err());
+            assert!(Provider { node_speed: bad, ..p.clone() }.validate().is_err());
+        }
+        p.validate().unwrap();
     }
 }

@@ -175,8 +175,8 @@ impl FaultPlan {
             }
             match w.kind {
                 FaultKind::ErrorBurst { rate } => unit(rate, "error burst rate")?,
-                FaultKind::LatencySpike { extra_secs } if extra_secs < 0.0 => {
-                    return Err(NsdfError::invalid("latency spike must be non-negative"));
+                FaultKind::LatencySpike { extra_secs: s } if !(0.0..f64::INFINITY).contains(&s) => {
+                    return Err(NsdfError::invalid("spike extra_secs must be finite and >= 0"));
                 }
                 _ => {}
             }
@@ -782,6 +782,8 @@ mod tests {
             FaultPlan::new(1).outage(5.0, 5.0),
             FaultPlan::new(1).error_burst(0.0, 1.0, 2.0),
             FaultPlan::new(1).latency_spike(0.0, 1.0, -0.5),
+            FaultPlan::new(1).latency_spike(0.0, 1.0, f64::NAN),
+            FaultPlan::new(1).latency_spike(0.0, 1.0, f64::INFINITY),
         ] {
             assert!(FaultStore::new(mem.clone(), plan, SimClock::new()).is_err());
         }

@@ -126,13 +126,19 @@ impl RetryStore {
         if policy.max_attempts == 0 {
             return Err(NsdfError::invalid("retry policy needs at least one attempt"));
         }
+        let RetryPolicy { initial_backoff_secs: backoff, multiplier, .. } = policy;
+        for (field, v) in [("initial_backoff_secs", backoff), ("multiplier", multiplier)] {
+            if !(0.0..f64::INFINITY).contains(&v) {
+                return Err(NsdfError::invalid(format!("retry {field} must be finite, >= 0: {v}")));
+            }
+        }
         Ok(RetryStore { inner, policy, hedge: None, clock, m: RetryMetrics::new(&Obs::default()) })
     }
 
     /// Enable hedged backup waves on `get_many`.
     pub fn with_hedging(mut self, hedge: HedgePolicy) -> Result<Self> {
-        if hedge.delay_secs < 0.0 {
-            return Err(NsdfError::invalid("hedge delay must be non-negative"));
+        if !(0.0..f64::INFINITY).contains(&hedge.delay_secs) {
+            return Err(NsdfError::invalid("HedgePolicy::delay_secs must be finite and >= 0"));
         }
         if hedge.max_hedges == 0 {
             return Err(NsdfError::invalid("hedge policy needs at least one backup wave"));
@@ -375,8 +381,8 @@ impl BreakerStore {
         if policy.failure_threshold == 0 || policy.success_threshold == 0 {
             return Err(NsdfError::invalid("breaker thresholds must be >= 1"));
         }
-        if policy.cooldown_secs <= 0.0 {
-            return Err(NsdfError::invalid("breaker cooldown must be positive"));
+        if !(policy.cooldown_secs > 0.0 && policy.cooldown_secs.is_finite()) {
+            return Err(NsdfError::invalid("BreakerPolicy::cooldown_secs must be finite and > 0"));
         }
         Ok(BreakerStore {
             inner,
@@ -956,9 +962,27 @@ mod tests {
             SimClock::new()
         )
         .is_err());
-        let retry =
-            RetryStore::new(inner.clone(), RetryPolicy::default(), SimClock::new()).unwrap();
-        assert!(retry.with_hedging(HedgePolicy { delay_secs: -0.1, max_hedges: 1 }).is_err());
+        for (backoff, multiplier, field) in [
+            (f64::INFINITY, 2.0, "initial_backoff_secs"),
+            (f64::NAN, 2.0, "initial_backoff_secs"),
+            (-0.1, 2.0, "initial_backoff_secs"),
+            (0.1, f64::NAN, "multiplier"),
+            (0.1, f64::INFINITY, "multiplier"),
+            (0.1, -2.0, "multiplier"),
+        ] {
+            let policy = RetryPolicy { max_attempts: 3, initial_backoff_secs: backoff, multiplier };
+            let err = RetryStore::new(inner.clone(), policy, SimClock::new()).err().unwrap();
+            assert!(matches!(err, NsdfError::InvalidArg(ref m) if m.contains(field)), "{err}");
+        }
+        for delay_secs in [-0.1, f64::NAN, f64::INFINITY] {
+            let retry =
+                RetryStore::new(inner.clone(), RetryPolicy::default(), SimClock::new()).unwrap();
+            let err = retry.with_hedging(HedgePolicy { delay_secs, max_hedges: 1 }).err().unwrap();
+            assert!(
+                matches!(err, NsdfError::InvalidArg(ref m) if m.contains("delay_secs")),
+                "{err}"
+            );
+        }
         let retry =
             RetryStore::new(inner.clone(), RetryPolicy::default(), SimClock::new()).unwrap();
         assert!(retry.with_hedging(HedgePolicy { delay_secs: 0.1, max_hedges: 0 }).is_err());
@@ -968,12 +992,11 @@ mod tests {
             SimClock::new()
         )
         .is_err());
-        assert!(BreakerStore::new(
-            inner,
-            BreakerPolicy { cooldown_secs: 0.0, ..BreakerPolicy::default() },
-            SimClock::new()
-        )
-        .is_err());
+        for cooldown_secs in [0.0, f64::NAN, f64::INFINITY] {
+            let policy = BreakerPolicy { cooldown_secs, ..BreakerPolicy::default() };
+            let err = BreakerStore::new(inner.clone(), policy, SimClock::new()).err().unwrap();
+            assert!(matches!(err, NsdfError::InvalidArg(ref m) if m.contains("cooldown_secs")));
+        }
     }
 
     #[test]

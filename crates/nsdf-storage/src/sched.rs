@@ -36,9 +36,10 @@
 //! scripted arrival. Instrumentation lands under the `sched.*` scope;
 //! when every WAN call runs inside a grant, `sched.granted_vns`
 //! reconciles *exactly* with `wan.busy_vns` ([`CloudStore::busy_vns`]):
-//! a grant counts the link time it booked, including the charge of an
-//! issued wave that moved the clock only to its start, and not the time
-//! it waited for the link to drain.
+//! every WAN call is a placement on the link timeline, and a grant counts
+//! the charges its placements booked — an issued wave's included, though
+//! it moved the clock only to its lane grant, and a blocking call's wait
+//! for the link to drain left out.
 //!
 //! [`CloudStore`]: crate::wan::CloudStore
 //! [`CloudStore::busy_vns`]: crate::wan::CloudStore::busy_vns
@@ -54,7 +55,7 @@ use parking_lot::Mutex;
 
 use crate::store::{sole, ObjectMeta, ObjectStore};
 use crate::wan::{
-    link_ledger, restore_issue_frame, take_issue_frame, with_issue_frame, UploadLanes,
+    restore_issue_frame, take_issue_frame, uncharged_vns, with_issue_frame, UploadLanes,
 };
 
 /// Identifies one tenant (user, session owner, ingest job) to the scheduler.
@@ -765,7 +766,7 @@ impl Scheduler {
     fn execute(&self, mut p: Pending) {
         let _span = self.m.obs.span("grant");
         let start = self.clock.now_ns();
-        let ledger = link_ledger();
+        let uncharged = uncharged_vns();
         let run = || match &p.op {
             SchedOp::Get { store, keys } => {
                 let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
@@ -793,12 +794,10 @@ impl Scheduler {
         };
         let ((bytes, errors, digest, served), frame) = with_issue_frame(p.frame.take(), run);
         let end = self.clock.now_ns();
-        // Service is the link time the grant booked: an issued wave moved
-        // the clock only to its start, and waiting for the link to drain
-        // is not service.
-        let link = link_ledger();
-        let service = (end - start).saturating_sub(link.waited_vns.wrapping_sub(ledger.waited_vns))
-            + link.issued_vns.wrapping_sub(ledger.issued_vns);
+        // Service is the link time the grant booked: its elapsed time less
+        // what its WAN calls advanced the clock beyond their charges. Exact,
+        // since each call's advance ends before the next one reads the clock.
+        let service = (end - start).wrapping_sub(uncharged_vns().wrapping_sub(uncharged));
         let c = Completion {
             id: p.id,
             tenant: p.tenant,
@@ -837,11 +836,12 @@ impl Scheduler {
     }
 
     /// Total virtual nanoseconds of service the grants booked: the clock
-    /// time each spent executing, with an issued wave counted at its link
-    /// charge and a wait for the link to drain left out. Reconciles
-    /// exactly with [`CloudStore::busy_vns`] when every WAN call runs
-    /// inside a grant (fault-free stacks; retry backoff inside a grant
-    /// adds scheduler-visible service time the WAN never charged).
+    /// time each spent executing, less what its WAN calls advanced the
+    /// clock beyond their charges: an issued wave counts at its link
+    /// charge, and a wait for the link to drain counts not at all.
+    /// Reconciles exactly with [`CloudStore::busy_vns`] when every WAN
+    /// call runs inside a grant (fault-free stacks; retry backoff inside a
+    /// grant adds scheduler-visible service time the WAN never charged).
     ///
     /// [`CloudStore::busy_vns`]: crate::wan::CloudStore::busy_vns
     pub fn granted_vns(&self) -> u64 {

@@ -19,10 +19,14 @@
 //! # The link timeline
 //!
 //! The store keeps a busy-until time per stream, plus one for the
-//! aggregate byte rate. A *blocking* call first advances the clock to the
-//! link's drain time (the latest busy-until), then advances it by `secs`,
-//! so with nothing issued every call costs exactly the formula above and
-//! concurrent blocking callers accumulate.
+//! aggregate byte rate, and every episode is a placement on them. The
+//! link's drain time is its busiest stream.
+//!
+//! A *blocking* call is a placement that takes every stream at once from
+//! `max(now, drain)`, holds them for `secs` and is joined at once: the
+//! clock advances to its end. So with nothing issued every call costs
+//! exactly the formula above, and concurrent blocking callers accumulate,
+//! each placed after the last under the link's lock.
 //!
 //! A `put_many` wave made inside [`UploadLanes::issue`] is *issued*
 //! instead. It is charged the same `secs` (same formula, same jitter
@@ -238,7 +242,7 @@ impl UploadLanes {
 
 thread_local! {
     static ISSUE_FRAME: Cell<Option<UploadLanes>> = const { Cell::new(None) };
-    static LEDGER: Cell<LinkLedger> = const { Cell::new(LinkLedger { waited_vns: 0, issued_vns: 0 }) };
+    static UNCHARGED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Run `f` with `frame` as the calling thread's issue frame, and put the
@@ -271,31 +275,15 @@ pub(crate) fn restore_issue_frame(frame: Option<UploadLanes>) {
     ISSUE_FRAME.with(|c| c.set(frame));
 }
 
-/// Running totals of what `CloudStore` calls on one thread did to the
-/// clock besides charging it: nanoseconds it advanced waiting (a blocking
-/// call's drain of the link, an issued wave's wait for the caller's own
-/// lanes), and charges it booked without advancing (issued waves). A
-/// layer that times calls by the clock (the scheduler's grants) swaps the
-/// first for the second to count link occupancy, not waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LinkLedger {
-    pub(crate) waited_vns: u64,
-    pub(crate) issued_vns: u64,
-}
-
-/// The calling thread's [`LinkLedger`].
-pub(crate) fn link_ledger() -> LinkLedger {
-    LEDGER.with(Cell::get)
-}
-
-fn ledger_add(waited_vns: u64, issued_vns: u64) {
-    LEDGER.with(|c| {
-        let l = c.get();
-        c.set(LinkLedger {
-            waited_vns: l.waited_vns.wrapping_add(waited_vns),
-            issued_vns: l.issued_vns.wrapping_add(issued_vns),
-        });
-    });
+/// What `CloudStore` calls on the calling thread advanced the clock by
+/// beyond their charges, as a running wrapping total: each call adds its
+/// clock advance minus its charge. A blocking call adds its wait for the
+/// link to drain; an issued wave adds its wait for the caller's own lanes
+/// minus the charge it booked without advancing. A layer that times calls
+/// by the clock (the scheduler's grants) subtracts the change in this
+/// total to count link occupancy, not waiting.
+pub(crate) fn uncharged_vns() -> u64 {
+    UNCHARGED.with(Cell::get)
 }
 
 /// Busy-until times of one endpoint's link.
@@ -311,20 +299,22 @@ struct Link {
 }
 
 impl Link {
-    /// Place an issued wave of `ops` ops, each held `secs_ns`, whose
-    /// payload takes `xfer_ns` of the aggregate rate, on the streams and
-    /// on `lanes`; returns when its last op was granted a lane and when
-    /// its last op ends.
+    /// Place an episode of `ops` ops, each held `secs_ns`, whose payload
+    /// takes `xfer_ns` of the aggregate rate, on the streams and on
+    /// `lanes`; returns when its last op was granted a lane and when its
+    /// last op ends.
     fn place(
         &mut self,
         lanes: &mut UploadLanes,
         now: u64,
+        blocking: bool,
         ops: usize,
         secs_ns: u64,
         xfer_ns: u64,
     ) -> (u64, u64) {
-        // A wave wider than the link takes every stream at once.
-        let wide = ops > self.streams.len();
+        // A blocking call, or a wave wider than the link, takes every
+        // stream at once.
+        let wide = blocking || ops > self.streams.len();
         let all_free = self.streams.iter().copied().max().unwrap_or(0);
         let (mut last_grant, mut last_end) = (now, now);
         for i in 0..ops {
@@ -365,8 +355,6 @@ pub struct CloudStore {
     seed: u64,
     op_counter: AtomicU64,
     link: Mutex<Link>,
-    /// The latest busy-until of `link`: what a blocking call waits for.
-    drain_vns: AtomicU64,
     m: WanMetrics,
 }
 
@@ -390,7 +378,6 @@ impl CloudStore {
             seed,
             op_counter: AtomicU64::new(0),
             link: Mutex::new(link),
-            drain_vns: AtomicU64::new(0),
             m,
         }
     }
@@ -456,51 +443,40 @@ impl CloudStore {
         (base * factor, transfer * factor)
     }
 
-    /// Charge and count one blocking episode (see
-    /// [`CloudStore::episode_secs`]): wait for the link to drain, then
-    /// advance the clock by the charge. An episode where nothing
-    /// succeeded costs nothing and returns false.
-    fn settle(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) -> bool {
-        if ops == 0 {
-            return false;
-        }
-        let (secs, _) = self.episode_secs(ops, trips, bytes);
-        let now = self.clock.now_ns();
-        let drain = self.drain_vns.load(Ordering::SeqCst);
-        if drain > now {
-            self.clock.advance_to_ns(drain);
-            ledger_add(drain - now, 0);
-        }
-        self.clock.advance_secs(secs);
-        self.book(traffic, ops, bytes, secs);
-        true
-    }
-
-    /// [`CloudStore::settle`] for a batch: a charged episode is a wave.
-    fn settle_wave(&self, traffic: Traffic, ops: u64, trips: u32, bytes: u64) {
-        if self.settle(traffic, ops, trips, bytes) {
-            self.m.waves.inc();
-        }
-    }
-
-    /// Issue one upload wave on `lanes` (see the [module docs](crate::wan)):
-    /// the same charge as [`CloudStore::settle_wave`], but the clock moves
-    /// only to the wave's last lane grant.
-    fn issue_wave(&self, lanes: &mut UploadLanes, ops: u64, trips: u32, bytes: u64) {
+    /// Charge, count and place one episode (see
+    /// [`CloudStore::episode_secs`] and the [module docs](crate::wan)):
+    /// issued on `lanes` when given, else blocking. A `wave` counts in
+    /// `wan.waves`. An episode where nothing succeeded costs nothing.
+    fn charge(
+        &self,
+        traffic: Traffic,
+        ops: u64,
+        trips: u32,
+        bytes: u64,
+        wave: bool,
+        lanes: Option<&mut UploadLanes>,
+    ) {
         if ops == 0 {
             return;
         }
         let (secs, transfer) = self.episode_secs(ops, trips, bytes);
         let secs_ns = secs_to_ns(secs);
+        let blocking = lanes.is_none();
+        let mut one_shot = UploadLanes::unbounded();
+        let lanes = lanes.unwrap_or(&mut one_shot);
+        let mut link = self.link.lock();
         let now = self.clock.now_ns();
-        let (last_grant, last_end) =
-            self.link.lock().place(lanes, now, ops as usize, secs_ns, secs_to_ns(transfer));
+        let (grant, end) =
+            link.place(lanes, now, blocking, ops as usize, secs_ns, secs_to_ns(transfer));
+        let to = if blocking { end } else { grant };
+        self.clock.advance_to_ns(to);
+        drop(link);
         lanes.clock = Some(self.clock.clone());
-        self.drain_vns.fetch_max(last_end, Ordering::SeqCst);
-        self.clock.advance_to_ns(last_grant);
-        ledger_add(last_grant - now, secs_ns);
-        self.book(Traffic::Write, ops, bytes, secs);
-        self.m.waves.inc();
+        UNCHARGED.with(|c| c.set(c.get().wrapping_add(to - now).wrapping_sub(secs_ns)));
+        self.book(traffic, ops, bytes, secs);
+        if wave {
+            self.m.waves.inc();
+        }
     }
 
     /// Count one charged episode: `busy_vns` mirrors the charge in integer
@@ -536,19 +512,19 @@ enum Traffic {
 impl ObjectStore for CloudStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
         let meta = self.inner.put(key, data)?;
-        self.settle(Traffic::Write, 1, 2, data.len() as u64); // handshake + ack
+        self.charge(Traffic::Write, 1, 2, data.len() as u64, false, None); // handshake + ack
         Ok(meta)
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
         let data = self.inner.get(key)?;
-        self.settle(Traffic::Read, 1, 1, data.len() as u64);
+        self.charge(Traffic::Read, 1, 1, data.len() as u64, false, None);
         Ok(data)
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
         let data = self.inner.get_range(key, offset, len)?;
-        self.settle(Traffic::Read, 1, 1, data.len() as u64);
+        self.charge(Traffic::Read, 1, 1, data.len() as u64, false, None);
         Ok(data)
     }
 
@@ -557,7 +533,7 @@ impl ObjectStore for CloudStore {
         let results = self.inner.get_many(keys);
         let fetched = results.iter().filter_map(|r| r.as_ref().ok());
         let total: u64 = fetched.clone().map(|d| d.len() as u64).sum();
-        self.settle_wave(Traffic::Read, fetched.count() as u64, 1, total);
+        self.charge(Traffic::Read, fetched.count() as u64, 1, total, true, None);
         results
     }
 
@@ -567,45 +543,43 @@ impl ObjectStore for CloudStore {
         let stored = results.iter().zip(items).filter(|(r, _)| r.is_ok());
         let total: u64 = stored.clone().map(|(_, (_, d))| d.len() as u64).sum();
         // Each upload is a handshake + ack pair, like a single `put`.
-        match take_issue_frame() {
-            Some(mut lanes) => {
-                self.issue_wave(&mut lanes, stored.count() as u64, 2, total);
-                restore_issue_frame(Some(lanes));
-            }
-            None => self.settle_wave(Traffic::Write, stored.count() as u64, 2, total),
-        }
+        let mut frame = take_issue_frame();
+        self.charge(Traffic::Write, stored.count() as u64, 2, total, true, frame.as_mut());
+        restore_issue_frame(frame);
         results
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
         let meta = self.inner.head(key)?;
-        self.settle(Traffic::Read, 1, 1, 0);
+        self.charge(Traffic::Read, 1, 1, 0, false, None);
         Ok(meta)
     }
 
     fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
         let results = self.inner.head_many(keys);
-        self.settle(Traffic::Read, results.iter().filter(|r| r.is_ok()).count() as u64, 1, 0);
+        let heads = results.iter().filter(|r| r.is_ok()).count() as u64;
+        self.charge(Traffic::Read, heads, 1, 0, false, None);
         results
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
         let listing = self.inner.list(prefix)?;
         // Listing payload: ~100 bytes of metadata per entry.
-        self.settle(Traffic::Listing, 1, 1, listing.len() as u64 * 100);
+        self.charge(Traffic::Listing, 1, 1, listing.len() as u64 * 100, false, None);
         Ok(listing)
     }
 
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)?;
-        self.settle(Traffic::Write, 1, 1, 0);
+        self.charge(Traffic::Write, 1, 1, 0, false, None);
         Ok(())
     }
 
     fn delete_many(&self, keys: &[&str]) -> Vec<Result<()>> {
         let _wave = self.m.obs.span("wave");
         let results = self.inner.delete_many(keys);
-        self.settle_wave(Traffic::Write, results.iter().filter(|r| r.is_ok()).count() as u64, 1, 0);
+        let gone = results.iter().filter(|r| r.is_ok()).count() as u64;
+        self.charge(Traffic::Write, gone, 1, 0, true, None);
         results
     }
 
@@ -1270,7 +1244,7 @@ mod tests {
         /// placed as the oracle places it for the same call at the same
         /// `now` (start, end, stream and byte-rate state, `busy_vns`), and
         /// the issuing call returns at the latest lane grant. Blocking calls
-        /// between waves still wait for the drain.
+        /// between waves still wait for the drain, and take every stream.
         #[test]
         fn issuing_moves_no_upload(
             seed in 0u64..1_000,
@@ -1332,7 +1306,11 @@ mod tests {
                             keys.iter().map(|k| (k.as_str(), &payload[..])).collect();
                         c.put_many(&items);
                         (op, busy) = (op + 1, busy + secs_to_ns(secs));
-                        now.max(drain) + secs_to_ns(secs)
+                        // It takes every stream from the drain to its end.
+                        let end = now.max(drain) + secs_to_ns(secs);
+                        streams.iter_mut().for_each(|s| *s = end);
+                        bandwidth = now.max(drain) + secs_to_ns(xfer);
+                        end
                     }
                     _ => {
                         let set = n % lanes.len();
@@ -1346,6 +1324,25 @@ mod tests {
                 proptest::prop_assert_eq!(c.busy_vns(), busy);
             }
         }
+    }
+
+    #[test]
+    fn concurrent_blocking_callers_accumulate() {
+        let c = cloud(NetworkProfile::public_dataverse());
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let c = &c;
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let key = format!("t{t}/{i}");
+                        c.put(&key, &vec![t as u8; 1000 * i]).unwrap();
+                        c.get(&key).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.transfer_log().write_ops, 200);
+        assert_eq!(c.clock().now_ns(), c.busy_vns(), "no two blocking calls overlap");
     }
 
     #[test]

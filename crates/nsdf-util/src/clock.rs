@@ -34,9 +34,12 @@ impl SimClock {
     /// Advance the clock by `dur_ns` nanoseconds and return the *new* time.
     ///
     /// Concurrent advances accumulate, modelling serialized use of a shared
-    /// resource (e.g. one NIC).
+    /// resource (e.g. one NIC). The clock saturates at `u64::MAX` rather
+    /// than wrapping back to the start.
     pub fn advance_ns(&self, dur_ns: u64) -> u64 {
-        self.ns.fetch_add(dur_ns, Ordering::SeqCst) + dur_ns
+        let step = |t: u64| Some(t.saturating_add(dur_ns));
+        let prev = self.ns.fetch_update(Ordering::SeqCst, Ordering::SeqCst, step);
+        prev.unwrap_or(u64::MAX).saturating_add(dur_ns)
     }
 
     /// Advance by a floating-point number of seconds (negative clamps to 0).
@@ -90,6 +93,14 @@ mod tests {
         let c = SimClock::new();
         c.advance_secs(-3.0);
         assert_eq!(c.now_ns(), 0);
+    }
+
+    #[test]
+    fn an_infinite_advance_saturates() {
+        let c = SimClock::new();
+        c.advance_secs(f64::INFINITY);
+        assert_eq!(c.advance_ns(1), u64::MAX);
+        assert_eq!(c.now_ns(), u64::MAX, "the clock never runs backwards");
     }
 
     #[test]

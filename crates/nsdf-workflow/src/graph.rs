@@ -56,9 +56,10 @@
 //! waves (the sequential baseline) cannot hide its whole upload time
 //! under its compute. The last wave joins every upload and then saves
 //! the manifest, so a manifest never names an object still in flight.
-//! Blocking calls (calls 1 and 2, an exclusive task's reads) first wait
-//! for the link to drain, so a read never overtakes a write in virtual
-//! time. Over a store with no `CloudStore` below, the frame changes
+//! Blocking calls (calls 1 and 2, an exclusive task's reads) are placed
+//! on the same timeline: each takes every stream from the link's drain
+//! (its busiest stream) and is joined at once, so a read never overtakes
+//! a write in virtual time. Over a store with no `CloudStore` below, the frame changes
 //! nothing.
 //!
 //! A batch is per-object, not all-or-nothing. A head that fails or
