@@ -12,13 +12,15 @@
 //!   genuine update, or a put under a winning tombstone);
 //! * `tombstones_dropped` — a shadowed deletion marker.
 //!
-//! A run may repeat an id on consecutive entries — a bulk-load batch,
-//! stably sorted, in arrival order — and then the later entry is newer.
+//! A [`Run`] is a concrete cursor over a memtable, chained segments or a
+//! bulk-load batch; the batch, stably sorted in arrival order, may repeat
+//! an id on consecutive entries, and then the later entry is newer.
 //! The engine writes the recency order of a shard's runs once
 //! (`ShardState::runs`: memtable, L0 newest→oldest, then each deeper
-//! level as one chained run), and the merge has three callers: scans keep
-//! the put winners, [`merge_segments`] (compaction) writes every winner
-//! into fresh segments, and bulk load hands it its sorted batch as one run.
+//! level as one chained run), and the merge has three callers: scans view
+//! the put winners in place, [`merge_segments`] (compaction) writes every
+//! winner into fresh segments — a segment winner's body is copied as bytes,
+//! never decoded — and bulk load hands it its sorted batch as one run.
 //!
 //! Compaction never changes what queries observe — the differential
 //! harness holds the engine bitwise-equal to a `BTreeMap` oracle across
@@ -28,10 +30,10 @@
 //! dedup_records + overwritten_records + tombstones_dropped`.
 
 use crate::memtable::Entry;
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use crate::segment::{Segment, SegmentBuilder};
 use nsdf_util::Result;
-use std::borrow::Cow;
+use std::collections::btree_map;
 use std::iter::Peekable;
 
 /// What one merge consumed and produced.
@@ -80,32 +82,58 @@ impl<'a> Version<'a> {
         }
     }
 
-    /// The record, `None` for a tombstone: borrowed when resident,
-    /// decoded when it lives in a segment.
-    pub(crate) fn record(&self) -> Result<Option<Cow<'a, Record>>> {
+    /// The record viewed in place, `None` for a tombstone.
+    pub(crate) fn view(&self) -> Result<Option<RecordRef<'a>>> {
         Ok(match *self {
-            Version::Mem(e) => e.record().map(Cow::Borrowed),
-            Version::Seg(seg, i) => seg.record_at(i)?.map(Cow::Owned),
-            Version::Batch(r) => Some(Cow::Borrowed(r)),
+            Version::Mem(e) => e.record().map(RecordRef::from),
+            Version::Seg(seg, i) => seg.record_at(i)?,
+            Version::Batch(r) => Some(RecordRef::from(r)),
         })
     }
 }
 
 /// One sorted run of versions, ascending by id; equal ids may repeat on
 /// consecutive entries, the later one newer.
-pub(crate) type Run<'a> = Peekable<Box<dyn Iterator<Item = (u64, Version<'a>)> + 'a>>;
-
-/// The run of `versions`.
-pub(crate) fn run<'a>(versions: impl Iterator<Item = (u64, Version<'a>)> + 'a) -> Run<'a> {
-    let boxed: Box<dyn Iterator<Item = (u64, Version<'a>)> + 'a> = Box::new(versions);
-    boxed.peekable()
+pub(crate) enum Run<'a> {
+    /// A memtable's writes.
+    Mem(Peekable<btree_map::Iter<'a, u64, Entry>>),
+    /// Ascending, non-overlapping (never empty) segments; entry `i` of `segs[at]` next.
+    Segs { segs: Vec<&'a Segment>, at: usize, i: usize },
+    /// A bulk-load batch, stably sorted by id.
+    Batch(&'a [Record]),
 }
 
-/// `segs`, ascending and non-overlapping, chained into one run.
-pub(crate) fn segment_run<'a>(segs: impl IntoIterator<Item = &'a Segment> + 'a) -> Run<'a> {
-    run(segs.into_iter().flat_map(|seg| {
-        seg.ids().iter().enumerate().map(move |(i, &id)| (id, Version::Seg(seg, i)))
-    }))
+impl<'a> Run<'a> {
+    /// `segs`, ascending and non-overlapping, chained into one run.
+    pub(crate) fn segments(segs: impl IntoIterator<Item = &'a Segment>) -> Run<'a> {
+        Run::Segs { segs: segs.into_iter().collect(), at: 0, i: 0 }
+    }
+
+    /// Id of the next version.
+    fn peek(&mut self) -> Option<u64> {
+        match self {
+            Run::Mem(entries) => entries.peek().map(|(&id, _)| id),
+            Run::Segs { segs, at, i } => segs.get(*at).map(|seg| seg.ids()[*i]),
+            Run::Batch(batch) => batch.first().map(|r| r.id),
+        }
+    }
+
+    /// Take the next version.
+    fn pop(&mut self) -> Option<Version<'a>> {
+        match self {
+            Run::Mem(entries) => entries.next().map(|(_, e)| Version::Mem(e)),
+            Run::Segs { segs, at, i } => {
+                let (seg, entry) = (*segs.get(*at)?, *i);
+                (*at, *i) = if entry + 1 == seg.count() { (*at + 1, 0) } else { (*at, entry + 1) };
+                Some(Version::Seg(seg, entry))
+            }
+            Run::Batch(batch) => {
+                let (r, rest) = batch.split_first()?;
+                *batch = rest;
+                Some(Version::Batch(r))
+            }
+        }
+    }
 }
 
 /// The one newest-wins merge: walk `runs` (newest first) in id order and
@@ -117,7 +145,7 @@ pub(crate) fn merge<'a>(
 ) -> Result<MergeStats> {
     let mut stats = MergeStats::default();
     let mut shadowed: Vec<Option<u64>> = Vec::new();
-    while let Some(id) = runs.iter_mut().filter_map(|r| r.peek().map(|&(id, _)| id)).min() {
+    while let Some(id) = runs.iter_mut().filter_map(Run::peek).min() {
         // The winner is the last version of `id` in the first run that
         // holds it; everything else it shadows. Peek first: `next_if` would
         // take and put back the head of every run without `id`, which costs
@@ -125,8 +153,8 @@ pub(crate) fn merge<'a>(
         let mut winner = None;
         for run in &mut runs {
             let newest_run = winner.is_none();
-            while run.peek().is_some_and(|&(next, _)| next == id) {
-                let (_, version) = run.next().expect("peeked");
+            while run.peek() == Some(id) {
+                let version = run.pop().expect("peeked");
                 stats.entries_in += 1;
                 let loser = if newest_run { winner.replace(version) } else { Some(version) };
                 shadowed.extend(loser.map(|v| v.checksum()));
@@ -161,13 +189,16 @@ pub(crate) fn merge_segments(
     let mut builder = SegmentBuilder::new(level);
     let (mut entries_out, mut winning_tombstones) = (0u64, 0u64);
     let mut stats = merge(runs, |id, winner| {
-        let record = winner.record()?;
-        if record.is_none() && drop_tombstones {
+        if winner.is_tombstone() && drop_tombstones {
             winning_tombstones += 1;
             return Ok(());
         }
         push_split(&mut builder, &mut out, level, target_bytes);
-        builder.push(id, record.as_deref())?;
+        match winner {
+            Version::Seg(seg, i) => builder.push_from(id, seg, i)?,
+            Version::Mem(e) => builder.push(id, e.record())?,
+            Version::Batch(r) => builder.push(id, Some(r))?,
+        }
         entries_out += 1;
         Ok(())
     })?;
@@ -197,6 +228,7 @@ fn push_split(builder: &mut SegmentBuilder, out: &mut Vec<Segment>, level: u32, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::Memtable;
     use proptest::collection;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -222,7 +254,7 @@ mod tests {
         drop_tombstones: bool,
         target_bytes: u64,
     ) -> (Vec<Segment>, MergeStats) {
-        let runs = segs.iter().map(|&s| segment_run([s])).collect();
+        let runs = segs.iter().map(|&s| Run::segments([s])).collect();
         merge_segments(runs, 1, drop_tombstones, target_bytes).unwrap()
     }
 
@@ -325,9 +357,9 @@ mod tests {
             batch.sort_by_key(|r| r.id);
             let (new_seg, old_seg) = (build(&new, 0), build(&old, 1));
             let runs = vec![
-                segment_run([&new_seg]),
-                run(batch.iter().map(|r| (r.id, Version::Batch(r)))),
-                segment_run([&old_seg]),
+                Run::segments([&new_seg]),
+                Run::Batch(&batch),
+                Run::segments([&old_seg]),
             ];
             let (outs, stats) = merge_segments(runs, 1, drop_tombstones, 2_000).expect("merge");
 
@@ -365,7 +397,7 @@ mod tests {
             for seg in &outs {
                 prop_assert_eq!(seg.level(), 1);
                 for (i, id) in seg.ids().iter().enumerate() {
-                    got.push((*id, seg.record_at(i).expect("decode entry")));
+                    got.push((*id, seg.record_at(i).expect("decode entry").map(RecordRef::to_owned)));
                 }
             }
             for w in got.windows(2) {
@@ -377,6 +409,100 @@ mod tests {
                 (old.len() + batch.len() + new.len()) as u64,
                 "every input entry is consumed"
             );
+        }
+    }
+
+    /// Compaction as it was before bodies moved as bytes: every winner is
+    /// decoded into a [`Record`] and encoded again. The oracle of the
+    /// byte path in [`merge_segments`].
+    fn merge_segments_by_decoding(
+        runs: Vec<Run<'_>>,
+        level: u32,
+        drop_tombstones: bool,
+        target_bytes: u64,
+    ) -> Result<(Vec<Segment>, MergeStats)> {
+        let mut out = Vec::new();
+        let mut builder = SegmentBuilder::new(level);
+        let (mut entries_out, mut winning_tombstones) = (0u64, 0u64);
+        let mut stats = merge(runs, |id, winner| {
+            let record = winner.view()?.map(RecordRef::to_owned);
+            if record.is_none() && drop_tombstones {
+                winning_tombstones += 1;
+                return Ok(());
+            }
+            push_split(&mut builder, &mut out, level, target_bytes);
+            builder.push(id, record.as_ref())?;
+            entries_out += 1;
+            Ok(())
+        })?;
+        out.extend(builder.finish());
+        stats.entries_out = entries_out;
+        stats.tombstones_dropped += winning_tombstones;
+        Ok((out, stats))
+    }
+
+    /// One entry per id of `raw` (`id`, version, deleted), later ones
+    /// winning; `None` is a tombstone.
+    fn entries(raw: &[(u64, u64, bool)]) -> BTreeMap<u64, Option<Record>> {
+        raw.iter().map(|&(id, v, del)| (id, (!del).then(|| synth(id, v)))).collect()
+    }
+
+    /// `entries` as ascending, non-overlapping segments of at most `per`
+    /// entries each.
+    fn chained(entries: &BTreeMap<u64, Option<Record>>, per: usize, level: u32) -> Vec<Segment> {
+        let entries: Vec<_> = entries.iter().collect();
+        let segment = |chunk: &[(&u64, &Option<Record>)]| {
+            let mut b = SegmentBuilder::new(level);
+            for (id, e) in chunk {
+                b.push(**id, e.as_ref()).expect("increasing ids");
+            }
+            b.finish().expect("non-empty chunk")
+        };
+        entries.chunks(per).map(segment).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn byte_copying_merge_matches_decoding_merge(
+            mem_raw in collection::vec((0u64..150, 0u64..4, any::<bool>()), 0..60),
+            newer_raw in collection::vec((0u64..150, 0u64..4, any::<bool>()), 1..80),
+            older_raw in collection::vec((0u64..150, 0u64..4, any::<bool>()), 1..80),
+            batch_raw in collection::vec((0u64..150, 0u64..4), 0..80),
+            level_raw in collection::vec((0u64..150, 0u64..4, any::<bool>()), 1..150),
+            per in 1usize..40,
+            drop_tombstones in any::<bool>(),
+            target_bytes in 200u64..4_000,
+        ) {
+            // Runs newest first: a memtable, two overlapping L0 segments, a
+            // bulk batch with repeated ids, and a chained deeper level.
+            let mut mem = Memtable::new();
+            for (id, e) in entries(&mem_raw) {
+                mem.insert(id, e.map_or(Entry::Tombstone, Entry::Put));
+            }
+            let newer = chained(&entries(&newer_raw), usize::MAX, 0);
+            let older = chained(&entries(&older_raw), usize::MAX, 0);
+            let mut batch: Vec<Record> = batch_raw.iter().map(|&(id, v)| synth(id, v)).collect();
+            batch.sort_by_key(|r| r.id);
+            let level = chained(&entries(&level_raw), per, 1);
+            let runs = || {
+                vec![
+                    Run::Mem(mem.iter().peekable()),
+                    Run::segments(&newer),
+                    Run::segments(&older),
+                    Run::Batch(&batch),
+                    Run::segments(&level),
+                ]
+            };
+            let (got, got_stats) = merge_segments(runs(), 2, drop_tombstones, target_bytes)
+                .expect("merge");
+            let (want, want_stats) =
+                merge_segments_by_decoding(runs(), 2, drop_tombstones, target_bytes)
+                    .expect("oracle merge");
+            prop_assert_eq!(got_stats, want_stats);
+            let encode = |segs: &[Segment]| segs.iter().map(Segment::encode).collect::<Vec<_>>();
+            prop_assert_eq!(encode(&got), encode(&want));
         }
     }
 }

@@ -50,17 +50,16 @@
 //! object in a retired framing is a format error: open returns it before
 //! any quarantine, so a store this build cannot read loses nothing.
 
-use crate::compact::{merge, merge_segments, run, segment_run, MergeStats, Run, Version};
+use crate::compact::{merge, merge_segments, MergeStats, Run, Version};
 use crate::manifest::{
     manifest_key, parse_seq, segment_key, wal_key, Manifest, SegmentRef, WalBatch, WalOp,
 };
 use crate::memtable::{Entry, Memtable};
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use crate::segment::{Segment, SegmentBuilder};
 use nsdf_storage::{MemoryStore, ObjectStore};
-use nsdf_util::{fnv1a64, splitmix64, Counter, NsdfError, Obs, Result, SimClock};
+use nsdf_util::{sealed_fnv1a64, splitmix64, Counter, NsdfError, Obs, Result, SimClock};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,25 +205,26 @@ impl ShardState {
     /// deeper level as one chained run. Compaction runs right after a
     /// checkpoint, so its memtable run is empty.
     fn runs(&self, levels: impl RangeBounds<usize>) -> Vec<Run<'_>> {
-        let mut runs = vec![run(self.memtable.iter().map(|(&id, e)| (id, Version::Mem(e))))];
+        let mut runs = vec![Run::Mem(self.memtable.iter().peekable())];
         for (level, handles) in self.levels.iter().enumerate() {
             if !levels.contains(&level) {
                 continue;
             }
             if level == 0 {
-                runs.extend(handles.iter().rev().map(|h| segment_run([&*h.seg])));
+                runs.extend(handles.iter().rev().map(|h| Run::segments([&*h.seg])));
             } else {
-                runs.push(segment_run(handles.iter().map(|h| &*h.seg)));
+                runs.push(Run::segments(handles.iter().map(|h| &*h.seg)));
             }
         }
         runs
     }
 
-    /// Every live record, in id order: the merge's put winners.
-    fn for_each_live(&self, mut f: impl FnMut(&Record)) {
+    /// Every live record, in id order and viewed in place: the merge's
+    /// put winners.
+    fn for_each_live(&self, mut f: impl FnMut(RecordRef<'_>)) {
         merge(self.runs(..), |_, winner| {
-            if let Some(r) = winner.record()? {
-                f(&r);
+            if let Some(r) = winner.view()? {
+                f(r);
             }
             Ok(())
         })
@@ -461,7 +461,10 @@ impl Catalog {
             shard.read().for_each_live(|r| {
                 stats.records += 1;
                 stats.total_bytes += r.size;
-                *stats.per_source.entry(r.source.clone()).or_insert(0) += 1;
+                match stats.per_source.get_mut(r.source) {
+                    Some(n) => *n += 1,
+                    None => _ = stats.per_source.insert(r.source.to_owned(), 1),
+                }
                 *checksums.entry(r.checksum).or_insert(0) += 1;
             });
         }
@@ -496,12 +499,12 @@ impl Catalog {
             .collect()
     }
 
-    fn scan_filter(&self, keep: impl Fn(&Record) -> bool) -> Vec<Record> {
+    fn scan_filter(&self, keep: impl Fn(&RecordRef<'_>) -> bool) -> Vec<Record> {
         let mut out = Vec::new();
         for shard in &self.shards {
             shard.read().for_each_live(|r| {
-                if keep(r) {
-                    out.push(r.clone());
+                if keep(&r) {
+                    out.push(r.to_owned());
                 }
             });
         }
@@ -557,7 +560,7 @@ impl Catalog {
     }
 
     fn materialize(&self, version: Option<Version<'_>>) -> Option<Record> {
-        version?.record().expect("segment verified at load").map(Cow::into_owned)
+        version?.view().expect("segment verified at load").map(RecordRef::to_owned)
     }
 
     fn is_live(&self, st: &ShardState, id: u64) -> bool {
@@ -569,16 +572,7 @@ impl Catalog {
     /// Insert or replace a record. Returns `true` when the id was new.
     /// The write is durably logged before it becomes visible to readers.
     pub fn upsert(&self, record: Record) -> Result<bool> {
-        let mut w = self.wal.lock();
-        let batch = WalBatch { ops: vec![WalOp::Put(record)] };
-        self.append_wal_locked(&mut w, &batch)?;
-        let WalOp::Put(record) = batch.ops.into_iter().next().expect("one op") else {
-            unreachable!("batch built from a put");
-        };
-        let new = self.apply_put(record);
-        self.c.upserts.inc();
-        self.maybe_checkpoint_locked(&mut w)?;
-        Ok(new)
+        Ok(self.ingest([record])? == 1)
     }
 
     /// Bulk ingest through the WAL in batches of
@@ -675,12 +669,8 @@ impl Catalog {
             }
             // Stable sort keeps arrival order within an id: last wins.
             batch.sort_by_key(|r| r.id);
-            let (segs, stats) = merge_segments(
-                vec![run(batch.iter().map(|r| (r.id, Version::Batch(r))))],
-                1,
-                true,
-                self.cfg.segment_target_bytes,
-            )?;
+            let (segs, stats) =
+                merge_segments(vec![Run::Batch(&batch)], 1, true, self.cfg.segment_target_bytes)?;
             drop(batch);
             self.c.dedup_records.add(stats.dedup_records);
             self.c.overwritten_records.add(stats.overwritten_records);
@@ -777,7 +767,7 @@ impl Catalog {
     }
 
     /// Encode, checksum, and `put_many` a batch of `(shard, segment)`
-    /// pairs in one wave.
+    /// pairs in one wave; `seal` is the one pass that hashes each.
     fn persist_segments_locked(
         &self,
         w: &mut WalState,
@@ -794,7 +784,8 @@ impl Catalog {
             let seq = w.next_seg;
             w.next_seg += 1;
             keys.push(segment_key(&self.cfg.prefix, shard as u32, seq));
-            handles.push((shard, SegHandle { seq, checksum: fnv1a64(&bytes), seg: Arc::new(seg) }));
+            let checksum = sealed_fnv1a64(&bytes);
+            handles.push((shard, SegHandle { seq, checksum, seg: Arc::new(seg) }));
             blobs.push(bytes);
         }
         let items: Vec<(&str, &[u8])> =
@@ -1037,13 +1028,14 @@ impl Catalog {
         let key_refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
         let fetched = self.store.get_many(&key_refs);
         for ((r, key), bytes) in manifest.segments.iter().zip(&keys).zip(fetched) {
+            // Unsealing is the one hashing pass; the checksum is its trailer.
             let bytes = bytes?;
-            if fnv1a64(&bytes) != r.checksum || bytes.len() as u64 != r.bytes {
+            let seg = Segment::decode(&bytes)?;
+            if sealed_fnv1a64(&bytes) != r.checksum || bytes.len() as u64 != r.bytes {
                 return Err(NsdfError::corrupt(format!(
                     "segment {key} does not match its manifest entry"
                 )));
             }
-            let seg = Segment::decode(&bytes)?;
             if seg.count() as u64 != r.count
                 || seg.min_id() != r.min_id
                 || seg.max_id() != r.max_id
@@ -1334,11 +1326,56 @@ mod tests {
             nsdf_util::unseal(b"NSDFSG01", &store.get(&seg_key).unwrap()).unwrap().to_vec();
         body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let forged = nsdf_util::seal(b"NSDFSG01", &body);
-        (row.level, row.checksum) = (u32::MAX, fnv1a64(&forged));
+        (row.level, row.checksum) = (u32::MAX, nsdf_util::fnv1a64(&forged));
         store.put(&seg_key, &forged).unwrap();
         store.put(&key, &manifest.encode()).unwrap();
         let err = Catalog::open(store, SimClock::new(), small_cfg(4)).err().expect("refused");
         assert!(err.is_corrupt(), "{err}");
+    }
+
+    #[test]
+    fn a_forged_record_body_fails_open_instead_of_panicking() {
+        // Resealed manifest + segment pairs whose first entry's body is bad:
+        // each used to open `Ok` and panic at the first read of it.
+        // Where the offset column and the payload start: past the 28-byte
+        // header, the bloom filter (k, word count, words), ids and flags.
+        let columns = |body: &[u8]| {
+            let count = u64::from_le_bytes(body[4..12].try_into().unwrap()) as usize;
+            let words = u32::from_le_bytes(body[32..36].try_into().unwrap()) as usize;
+            let offsets = 28 + 8 + 8 * words + 9 * count;
+            (offsets, offsets + 4 * (count + 1) + 8)
+        };
+        // Each edits a segment body, given its offset column and payload.
+        type Forge = fn(&mut [u8], usize, usize);
+        let forgeries: [(&str, Forge); 4] = [
+            ("a name byte that is not UTF-8", |body, _, payload| body[payload + 18] = 0xff),
+            ("a name length past the body", |body, _, payload| {
+                body[payload + 16..payload + 18].copy_from_slice(&u16::MAX.to_le_bytes())
+            }),
+            ("a body shorter than 16 bytes", |body, offsets, _| {
+                body[offsets + 4..offsets + 8].copy_from_slice(&10u32.to_le_bytes())
+            }),
+            ("a space in the source", |body, _, payload| {
+                let name_len = u16::from_le_bytes([body[payload + 16], body[payload + 17]]);
+                body[payload + 20 + name_len as usize] = b' '
+            }),
+        ];
+        for (what, forge) in forgeries {
+            let store = closed_catalog();
+            let (key, mut manifest) = newest_manifest(&*store);
+            let row = &mut manifest.segments[0];
+            let seg_key = row.key("catalog");
+            let mut body =
+                nsdf_util::unseal(b"NSDFSG01", &store.get(&seg_key).unwrap()).unwrap().to_vec();
+            let (offsets, payload) = columns(&body);
+            forge(&mut body, offsets, payload);
+            let forged = nsdf_util::seal(b"NSDFSG01", &body);
+            row.checksum = nsdf_util::fnv1a64(&forged);
+            store.put(&seg_key, &forged).unwrap();
+            store.put(&key, &manifest.encode()).unwrap();
+            let err = Catalog::open(store, SimClock::new(), small_cfg(4)).err().expect(what);
+            assert!(err.is_corrupt(), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! * [`record`] — the indexed record and its wire encodings;
 //! * `memtable` — sorted mutable write buffer, one per shard;
 //! * `bloom` — per-segment bloom filters (no false negatives);
-//! * `segment` — immutable sorted runs, each one sealed envelope;
+//! * `segment` — immutable sorted runs, each one sealed envelope, read
+//!   through a checked, borrowed record view;
 //! * `manifest` — sealed text manifests and WAL batches;
 //! * `compact` — the one newest-wins k-way merge (scans, compaction, bulk
-//!   load) with dedup accounting;
+//!   load) with dedup accounting; compaction moves record bodies as bytes;
 //! * [`engine`] — [`Catalog`]: the public service tying it together.
 
 #![forbid(unsafe_code)]

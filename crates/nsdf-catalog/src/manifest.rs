@@ -20,6 +20,7 @@
 
 use crate::record::Record;
 use nsdf_util::{seal, unseal, NsdfError, Result};
+use std::fmt::Write;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"NSDFMF02";
 const WAL_MAGIC: &[u8; 8] = b"NSDFWL02";
@@ -180,13 +181,10 @@ impl WalBatch {
         let mut body = String::with_capacity(self.ops.len() * 48);
         for op in &self.ops {
             match op {
-                WalOp::Put(r) => {
-                    body.push_str("put ");
-                    body.push_str(&r.to_line());
-                }
-                WalOp::Del(id) => body.push_str(&format!("del {id}")),
+                WalOp::Put(r) => writeln!(body, "put {r}"),
+                WalOp::Del(id) => writeln!(body, "del {id}"),
             }
-            body.push('\n');
+            .expect("writing to a String cannot fail");
         }
         seal(WAL_MAGIC, body.as_bytes())
     }

@@ -9,7 +9,7 @@
 //! deeper level as one chained run.
 
 use crate::record::Record;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// The newest write for one id.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +78,7 @@ impl Memtable {
     }
 
     /// Sorted iteration over buffered writes.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &Entry)> {
+    pub fn iter(&self) -> btree_map::Iter<'_, u64, Entry> {
         self.map.iter()
     }
 

@@ -3,6 +3,7 @@
 //! 1.59 billion records").
 
 use nsdf_util::{NsdfError, Result};
+use std::fmt;
 
 /// One indexed data object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +20,13 @@ pub struct Record {
     pub checksum: u64,
 }
 
+/// The log line of [`Record::to_line`].
+impl fmt::Display for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} {} {} {:016x}", self.id, self.source, self.size, self.name, self.checksum)
+    }
+}
+
 impl Record {
     /// Construct with validation.
     pub fn new(
@@ -30,10 +38,10 @@ impl Record {
     ) -> Result<Record> {
         let name = name.into();
         let source = source.into();
-        if name.is_empty() || name.contains(char::is_whitespace) {
+        if !is_token(&name) {
             return Err(NsdfError::invalid(format!("bad record name {name:?}")));
         }
-        if source.is_empty() || source.contains(char::is_whitespace) {
+        if !is_token(&source) {
             return Err(NsdfError::invalid(format!("bad record source {source:?}")));
         }
         Ok(Record { id, name, source, size, checksum })
@@ -41,7 +49,7 @@ impl Record {
 
     /// One-line log serialization (whitespace-separated, stable order).
     pub fn to_line(&self) -> String {
-        format!("{} {} {} {} {:016x}", self.id, self.source, self.size, self.name, self.checksum)
+        self.to_string()
     }
 
     /// Append the compact binary encoding used inside sorted segments:
@@ -59,30 +67,6 @@ impl Record {
         out.extend_from_slice(&(self.source.len() as u16).to_le_bytes());
         out.extend_from_slice(self.source.as_bytes());
         Ok(())
-    }
-
-    /// Decode a body written by [`Record::encode_body`] for the given id.
-    pub(crate) fn decode_body(id: u64, buf: &[u8]) -> Result<Record> {
-        let err = || NsdfError::corrupt(format!("truncated record body for id {id}"));
-        let take = |buf: &[u8], pos: &mut usize, n: usize| -> Result<Vec<u8>> {
-            let end = pos.checked_add(n).ok_or_else(err)?;
-            let out = buf.get(*pos..end).ok_or_else(err)?.to_vec();
-            *pos = end;
-            Ok(out)
-        };
-        let mut pos = 0usize;
-        let size = u64::from_le_bytes(take(buf, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let checksum = u64::from_le_bytes(take(buf, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let name_len = u16::from_le_bytes(take(buf, &mut pos, 2)?.try_into().expect("2 bytes"));
-        let name = String::from_utf8(take(buf, &mut pos, name_len as usize)?)
-            .map_err(|_| NsdfError::corrupt("record name not UTF-8"))?;
-        let src_len = u16::from_le_bytes(take(buf, &mut pos, 2)?.try_into().expect("2 bytes"));
-        let source = String::from_utf8(take(buf, &mut pos, src_len as usize)?)
-            .map_err(|_| NsdfError::corrupt("record source not UTF-8"))?;
-        if pos != buf.len() {
-            return Err(NsdfError::corrupt(format!("trailing bytes in record body for id {id}")));
-        }
-        Record::new(id, name, source, size, checksum)
     }
 
     /// Approximate in-memory footprint, used for memtable budgeting.
@@ -105,6 +89,70 @@ impl Record {
             size.parse().map_err(|_| NsdfError::corrupt("bad record size"))?,
             u64::from_str_radix(ck, 16).map_err(|_| NsdfError::corrupt("bad checksum"))?,
         )
+    }
+}
+
+/// True for a valid name or source: not empty, no `char::is_whitespace`.
+/// ASCII text, the common case, is scanned bytewise, which is faster.
+fn is_token(text: &str) -> bool {
+    let spaced = if text.is_ascii() {
+        text.bytes().any(|b| matches!(b, b' ' | b'\t'..=b'\r'))
+    } else {
+        text.contains(char::is_whitespace)
+    };
+    !text.is_empty() && !spaced
+}
+
+/// A record read in place from a body [`Record::encode_body`] wrote: no
+/// allocation, and every check of [`Record::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordRef<'a> {
+    pub id: u64,
+    pub name: &'a str,
+    pub source: &'a str,
+    pub size: u64,
+    pub checksum: u64,
+}
+
+impl<'a> RecordRef<'a> {
+    /// Parse the body of record `id`; any bad length, byte or text is
+    /// [`NsdfError::Corrupt`], since only damage puts one in a segment.
+    pub(crate) fn parse(id: u64, body: &'a [u8]) -> Result<RecordRef<'a>> {
+        let truncated = || NsdfError::corrupt(format!("truncated record body for id {id}"));
+        let mut rest = body;
+        let mut take = |n: usize| -> Result<&'a [u8]> {
+            let (head, tail) = rest.split_at_checked(n).ok_or_else(truncated)?;
+            rest = tail;
+            Ok(head)
+        };
+        let size = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+        let checksum = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+        let mut text = |what: &str| -> Result<&'a str> {
+            let len = u16::from_le_bytes(take(2)?.try_into().expect("2 bytes"));
+            let text = std::str::from_utf8(take(len as usize)?)
+                .map_err(|_| NsdfError::corrupt(format!("record {what} not UTF-8")))?;
+            if !is_token(text) {
+                return Err(NsdfError::corrupt(format!("bad record {what} {text:?} for id {id}")));
+            }
+            Ok(text)
+        };
+        let (name, source) = (text("name")?, text("source")?);
+        if !rest.is_empty() {
+            return Err(NsdfError::corrupt(format!("trailing bytes in record body for id {id}")));
+        }
+        Ok(RecordRef { id, name, source, size, checksum })
+    }
+
+    /// The owned record.
+    pub(crate) fn to_owned(self) -> Record {
+        let RecordRef { id, name, source, size, checksum } = self;
+        Record { id, name: name.to_owned(), source: source.to_owned(), size, checksum }
+    }
+}
+
+impl<'a> From<&'a Record> for RecordRef<'a> {
+    fn from(r: &'a Record) -> RecordRef<'a> {
+        RecordRef { id: r.id, name: &r.name, source: &r.source, size: r.size, checksum: r.checksum }
     }
 }
 
@@ -133,14 +181,26 @@ mod tests {
             Record::new(9, "geo/dem/tile-007.tif", "materials-commons", 88_001, 0xfeed).unwrap();
         let mut buf = Vec::new();
         r.encode_body(&mut buf).unwrap();
-        assert_eq!(Record::decode_body(9, &buf).unwrap(), r);
+        assert_eq!(RecordRef::parse(9, &buf).unwrap().to_owned(), r);
+        assert_eq!(RecordRef::parse(9, &buf).unwrap(), RecordRef::from(&r));
         // Truncations and trailing garbage are structured corruption.
         for cut in [0, 1, 17, buf.len() - 1] {
-            assert!(Record::decode_body(9, &buf[..cut]).unwrap_err().is_corrupt());
+            assert!(RecordRef::parse(9, &buf[..cut]).unwrap_err().is_corrupt());
         }
         let mut long = buf.clone();
         long.push(0);
-        assert!(Record::decode_body(9, &long).unwrap_err().is_corrupt());
+        assert!(RecordRef::parse(9, &long).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn tokens_reject_exactly_what_char_is_whitespace_does() {
+        for c in (0..0x3000u32).filter_map(char::from_u32) {
+            for text in [c.to_string(), format!("a{c}b")] {
+                let want = !text.contains(char::is_whitespace);
+                assert_eq!(is_token(&text), want, "{text:?}");
+            }
+        }
+        assert!(!is_token(""));
     }
 
     #[test]

@@ -13,17 +13,17 @@
 //! payload_len u64 · payload     (packed record bodies)
 //! ```
 //!
-//! The columnar split keeps the resident form compact (~no per-record heap
-//! allocations: ids and bodies live in two flat buffers, records
-//! materialize on demand) and makes point lookups a binary search over the
-//! id column after a bloom-filter admission check. The envelope's checksum
-//! makes torn or bit-flipped segments structurally detectable:
-//! [`Segment::decode`] refuses them with a [`NsdfError::Corrupt`], which is
-//! what lets recovery quarantine damage instead of serving it.
+//! The columnar split keeps the resident form compact (ids and bodies live
+//! in two flat buffers; a read sees a body through a checked, borrowed
+//! [`RecordRef`] and compaction copies it as bytes) and makes point lookups
+//! a binary search over the id column after a bloom-filter admission
+//! check. [`Segment::decode`] refuses a torn or bit-flipped envelope, or a
+//! body that does not parse, with a [`NsdfError::Corrupt`], which is what
+//! lets recovery quarantine damage instead of serving it.
 
 use crate::bloom::Bloom;
 use crate::engine::BITS_PER_KEY;
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use nsdf_util::{seal, unseal, NsdfError, Result};
 
 const MAGIC: &[u8; 8] = b"NSDFSG01";
@@ -86,23 +86,22 @@ impl Segment {
         self.flags[i] == 1
     }
 
-    /// Content checksum of entry `i` without materializing the record —
-    /// `None` for tombstones. The merge's dedup accounting peeks this.
-    pub(crate) fn checksum_at(&self, i: usize) -> Option<u64> {
-        if self.is_tombstone(i) {
-            return None;
-        }
+    /// Encoded body of entry `i`, `None` for a tombstone.
+    fn body(&self, i: usize) -> Option<&[u8]> {
         let body = &self.payload[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        Some(u64::from_le_bytes(body[8..16].try_into().expect("8 bytes")))
+        (!self.is_tombstone(i)).then_some(body)
     }
 
-    /// Materialize entry `i`: its record, `None` for a tombstone.
-    pub(crate) fn record_at(&self, i: usize) -> Result<Option<Record>> {
-        if self.is_tombstone(i) {
-            return Ok(None);
-        }
-        let body = &self.payload[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        Record::decode_body(self.ids[i], body).map(Some)
+    /// Content checksum of entry `i` without parsing the body — `None` for
+    /// tombstones. The merge's dedup accounting peeks this.
+    pub(crate) fn checksum_at(&self, i: usize) -> Option<u64> {
+        let body = self.body(i)?;
+        Some(u64::from_le_bytes(body[8..16].try_into().expect("bodies hold 16 fixed bytes")))
+    }
+
+    /// Entry `i` viewed in place: its record, `None` for a tombstone.
+    pub(crate) fn record_at(&self, i: usize) -> Result<Option<RecordRef<'_>>> {
+        self.body(i).map(|body| RecordRef::parse(self.ids[i], body)).transpose()
     }
 
     /// Binary-search position of `id` in the id column.
@@ -110,14 +109,16 @@ impl Segment {
         self.ids.binary_search(&id).ok()
     }
 
+    /// Length of the envelope's body (see the layout in the module docs).
+    fn body_len(&self) -> usize {
+        28 + self.bloom.encoded_len() + 13 * self.ids.len() + 12 + self.payload.len()
+    }
+
     /// Wire-encode (see module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let count = self.ids.len();
-        let mut out = Vec::with_capacity(
-            4 + 24 + self.bloom.encoded_len() + count * 13 + 4 + 8 + self.payload.len(),
-        );
+        let mut out = Vec::with_capacity(self.body_len());
         out.extend_from_slice(&self.level.to_le_bytes());
-        out.extend_from_slice(&(count as u64).to_le_bytes());
+        out.extend_from_slice(&(self.ids.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.min_id().to_le_bytes());
         out.extend_from_slice(&self.max_id().to_le_bytes());
         self.bloom.encode_into(&mut out);
@@ -133,8 +134,9 @@ impl Segment {
         seal(MAGIC, &out)
     }
 
-    /// Decode and verify a wire encoding. Any truncation, bit flip, or
-    /// structural inconsistency yields [`NsdfError::Corrupt`]; no column is
+    /// Decode and verify a wire encoding. Any truncation, bit flip,
+    /// structural inconsistency or body that does not parse (a tombstone's
+    /// must be empty) yields [`NsdfError::Corrupt`]; no column is
     /// allocated before the bytes it sizes are known to be present, since
     /// the checksum is no defence against a forged count.
     pub fn decode(buf: &[u8]) -> Result<Segment> {
@@ -190,7 +192,15 @@ impl Segment {
         {
             return Err(corrupt("offset table inconsistent"));
         }
-        Ok(Segment { level, ids, flags, offsets, payload, bloom, encoded_bytes: buf.len() as u64 })
+        let seg =
+            Segment { level, ids, flags, offsets, payload, bloom, encoded_bytes: buf.len() as u64 };
+        for i in 0..count {
+            if seg.is_tombstone(i) && seg.offsets[i] != seg.offsets[i + 1] {
+                return Err(corrupt("tombstone with a body"));
+            }
+            seg.record_at(i)?;
+        }
+        Ok(seg)
     }
 }
 
@@ -218,6 +228,23 @@ impl SegmentBuilder {
 
     /// Append one entry; ids must arrive strictly increasing.
     pub fn push(&mut self, id: u64, entry: Option<&Record>) -> Result<()> {
+        self.append(id, |payload| entry.map_or(Ok(()), |r| r.encode_body(payload)))
+    }
+
+    /// Append entry `i` of `seg` under `id`: its body, once it parses.
+    pub(crate) fn push_from(&mut self, id: u64, seg: &Segment, i: usize) -> Result<()> {
+        self.append(id, |payload| {
+            if let Some(body) = seg.body(i) {
+                RecordRef::parse(id, body)?;
+                payload.extend_from_slice(body);
+            }
+            Ok(())
+        })
+    }
+
+    /// Append entry `id` with the body `write` adds to the payload: none
+    /// for a tombstone, since a record's body is never empty.
+    fn append(&mut self, id: u64, write: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
         if let Some(&last) = self.ids.last() {
             if id <= last {
                 return Err(NsdfError::invalid(format!(
@@ -225,14 +252,10 @@ impl SegmentBuilder {
                 )));
             }
         }
+        let start = self.payload.len();
+        write(&mut self.payload)?;
         self.ids.push(id);
-        match entry {
-            Some(r) => {
-                self.flags.push(0);
-                r.encode_body(&mut self.payload)?;
-            }
-            None => self.flags.push(1),
-        }
+        self.flags.push((self.payload.len() == start) as u8);
         if self.payload.len() > u32::MAX as usize {
             return Err(NsdfError::invalid("segment payload exceeds 4 GiB"));
         }
@@ -265,7 +288,8 @@ impl SegmentBuilder {
             bloom,
             encoded_bytes: 0,
         };
-        seg.encoded_bytes = seg.encode().len() as u64;
+        seg.encoded_bytes = seg.body_len() as u64 + 16;
+        debug_assert_eq!(seg.encoded_bytes, seg.encode().len() as u64);
         Some(seg)
     }
 }
@@ -302,7 +326,7 @@ mod tests {
         assert_eq!(back.level(), 1);
         assert_eq!(back.encoded_bytes(), bytes.len() as u64);
         let i = back.position(9).unwrap();
-        assert_eq!(back.record_at(i).unwrap(), Some(rec(9)));
+        assert_eq!(back.record_at(i).unwrap().map(RecordRef::to_owned), Some(rec(9)));
         let t = back.position(7).unwrap();
         assert_eq!(back.record_at(t).unwrap(), None);
         assert!(back.position(8).is_none());
@@ -365,6 +389,34 @@ mod tests {
         for words in [u32::MAX, 1 << 28] {
             let forged = forge(&bytes, 4 + 24 + 4, &words.to_le_bytes());
             assert!(Segment::decode(&forged).unwrap_err().is_corrupt(), "bloom words {words}");
+        }
+    }
+
+    #[test]
+    fn a_tombstone_with_a_body_is_corrupt() {
+        let seg = build(&[2, 5, 9, 11], &[7]);
+        // Flag entry 0 (id 2, which has a body) as a tombstone.
+        let flags = 28 + seg.bloom().encoded_len() + 8 * seg.count();
+        let forged = forge(&seg.encode(), flags, &[1]);
+        assert!(Segment::decode(&forged).unwrap_err().is_corrupt());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn finish_counts_the_bytes_encode_writes(
+            entries in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..4), 1..12),
+            all_tombstones in proptest::prelude::any::<bool>(),
+        ) {
+            let mut b = SegmentBuilder::new(3);
+            for (id, &(tombstone, len)) in (0u64..).zip(&entries) {
+                let name = "n".repeat([1, 9, 300, u16::MAX as usize][len]);
+                let record = Record::new(id, name, "repo", id, id).unwrap();
+                b.push(id, (!tombstone && !all_tombstones).then_some(&record)).unwrap();
+            }
+            let seg = b.finish().unwrap();
+            proptest::prop_assert_eq!(seg.encoded_bytes(), seg.encode().len() as u64);
         }
     }
 }

@@ -82,6 +82,15 @@ pub fn is_sealed(bytes: &[u8]) -> bool {
     envelope_body(bytes).is_some()
 }
 
+/// [`fnv1a64`] of a whole envelope in O(1): FNV-1a streams, and the
+/// trailer *is* the digest of everything before it, so only its own 8
+/// bytes are left to absorb. Only for an envelope already [`seal`]ed or
+/// [`unseal`]ed: on any other bytes the result means nothing.
+pub fn sealed_fnv1a64(envelope: &[u8]) -> u64 {
+    let digest = envelope.last_chunk::<8>().expect("an envelope ends in its 8-byte digest");
+    Fnv1a(u64::from_le_bytes(*digest)).update(digest).digest()
+}
+
 fn envelope_body(bytes: &[u8]) -> Option<&[u8]> {
     if bytes.len() < 16 || !bytes.starts_with(b"NSDF") {
         return None;
@@ -173,6 +182,21 @@ mod tests {
         let mut foreign = b"ABCDXX01body".to_vec();
         foreign.extend_from_slice(&fnv1a64(&foreign).to_le_bytes());
         assert!(!is_sealed(&foreign));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_digest_of_an_envelope_is_read_off_its_trailer(
+            tag in proptest::prelude::any::<u32>(),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+        ) {
+            let mut magic = *b"NSDF0000";
+            magic[4..].copy_from_slice(&tag.to_le_bytes());
+            for body in [&body[..], b""] {
+                let sealed = seal(&magic, body);
+                proptest::prop_assert_eq!(sealed_fnv1a64(&sealed), fnv1a64(&sealed));
+            }
+        }
     }
 
     #[test]
