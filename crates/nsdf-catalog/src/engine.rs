@@ -47,8 +47,9 @@
 //! verifies each against its manifest checksum, quarantines torn or
 //! orphaned objects (one `delete_many` wave each for manifests, segments
 //! and WAL objects), and replays the WAL tail floor..next in order. An
-//! object in a retired framing is a format error: open returns it before
-//! any quarantine, so a store this build cannot read loses nothing.
+//! object in a retired framing, or sealed with the retired FNV-1a
+//! trailer, is a format error: open returns it before any quarantine, so
+//! a store this build cannot read loses nothing.
 
 use crate::compact::{merge, merge_segments, MergeStats, Run, Version};
 use crate::manifest::{
@@ -58,7 +59,7 @@ use crate::memtable::{Entry, Memtable};
 use crate::record::{Record, RecordRef};
 use crate::segment::{Segment, SegmentBuilder};
 use nsdf_storage::{MemoryStore, ObjectStore};
-use nsdf_util::{sealed_fnv1a64, splitmix64, Counter, NsdfError, Obs, Result, SimClock};
+use nsdf_util::{sealed_checksum, splitmix64, Counter, NsdfError, Obs, Result, SimClock};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
@@ -577,7 +578,11 @@ impl Catalog {
 
     /// Bulk ingest through the WAL in batches of
     /// [`CatalogConfig::wal_batch_ops`]; returns the number of *new* ids.
+    /// Every record is first checked as [`Record::new`] checks it: one
+    /// that fails is [`NsdfError::InvalidArg`], and then nothing is logged.
     pub fn ingest(&self, records: impl IntoIterator<Item = Record>) -> Result<u64> {
+        let records: Vec<Record> = records.into_iter().collect();
+        records.iter().try_for_each(Record::check)?;
         let mut w = self.wal.lock();
         let mut it = records.into_iter();
         let mut new = 0u64;
@@ -641,7 +646,9 @@ impl Catalog {
     /// into an **empty** catalog. Later arrivals win on duplicate ids: each
     /// shard's batch, stably sorted, is one run of the merge.
     /// Durability: nothing is acknowledged until the single manifest swap
-    /// at the end, so a crash mid-load recovers to the empty catalog.
+    /// at the end, so a crash mid-load recovers to the empty catalog. A
+    /// record that fails [`Record::new`]'s checks is
+    /// [`NsdfError::InvalidArg`] before anything is staged.
     pub fn bulk_load(&self, records: impl IntoIterator<Item = Record>) -> Result<u64> {
         let mut w = self.wal.lock();
         if !self.is_empty()
@@ -655,6 +662,7 @@ impl Catalog {
         let mut by_shard: Vec<Vec<Record>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut total_in = 0u64;
         for r in records {
+            r.check()?;
             total_in += 1;
             by_shard[self.shard_index(r.id)].push(r);
         }
@@ -784,7 +792,7 @@ impl Catalog {
             let seq = w.next_seg;
             w.next_seg += 1;
             keys.push(segment_key(&self.cfg.prefix, shard as u32, seq));
-            let checksum = sealed_fnv1a64(&bytes);
+            let checksum = sealed_checksum(&bytes);
             handles.push((shard, SegHandle { seq, checksum, seg: Arc::new(seg) }));
             blobs.push(bytes);
         }
@@ -1031,7 +1039,7 @@ impl Catalog {
             // Unsealing is the one hashing pass; the checksum is its trailer.
             let bytes = bytes?;
             let seg = Segment::decode(&bytes)?;
-            if sealed_fnv1a64(&bytes) != r.checksum || bytes.len() as u64 != r.bytes {
+            if sealed_checksum(&bytes) != r.checksum || bytes.len() as u64 != r.bytes {
                 return Err(NsdfError::corrupt(format!(
                     "segment {key} does not match its manifest entry"
                 )));
@@ -1326,7 +1334,7 @@ mod tests {
             nsdf_util::unseal(b"NSDFSG01", &store.get(&seg_key).unwrap()).unwrap().to_vec();
         body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let forged = nsdf_util::seal(b"NSDFSG01", &body);
-        (row.level, row.checksum) = (u32::MAX, nsdf_util::fnv1a64(&forged));
+        (row.level, row.checksum) = (u32::MAX, nsdf_util::sealed_checksum(&forged));
         store.put(&seg_key, &forged).unwrap();
         store.put(&key, &manifest.encode()).unwrap();
         let err = Catalog::open(store, SimClock::new(), small_cfg(4)).err().expect("refused");
@@ -1370,7 +1378,7 @@ mod tests {
             let (offsets, payload) = columns(&body);
             forge(&mut body, offsets, payload);
             let forged = nsdf_util::seal(b"NSDFSG01", &body);
-            row.checksum = nsdf_util::fnv1a64(&forged);
+            row.checksum = nsdf_util::sealed_checksum(&forged);
             store.put(&seg_key, &forged).unwrap();
             store.put(&key, &manifest.encode()).unwrap();
             let err = Catalog::open(store, SimClock::new(), small_cfg(4)).err().expect(what);
@@ -1396,6 +1404,63 @@ mod tests {
                 .expect("refused");
             assert!(matches!(err, NsdfError::Format(_)), "{err}");
             assert_eq!(store.list("catalog/").unwrap(), before, "nothing was quarantined");
+        }
+        // What a build that sealed with FNV-1a trailers left: manifest,
+        // segments and a WAL tail, then a WAL tail alone.
+        let full = closed_catalog();
+        let cat = Catalog::open(Arc::clone(&full), SimClock::new(), small_cfg(4)).unwrap();
+        cat.upsert(rec(900, "g/late", "s")).unwrap();
+        let wal_only: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let cat = Catalog::open(Arc::clone(&wal_only), SimClock::new(), small_cfg(4)).unwrap();
+        cat.ingest((0..10).map(|i| rec(i, &format!("w/n{i}"), "s"))).unwrap();
+        for store in [full, wal_only] {
+            for meta in store.list("catalog/").unwrap() {
+                let mut bytes = store.get(&meta.key).unwrap();
+                let framed = bytes.len() - 8;
+                let retired = nsdf_util::fnv1a64(&bytes[..framed]);
+                bytes[framed..].copy_from_slice(&retired.to_le_bytes());
+                store.put(&meta.key, &bytes).unwrap();
+            }
+            let before = store.list("catalog/").unwrap();
+            assert!(before.iter().any(|m| m.key.starts_with("catalog/wal/")));
+            let err = Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4))
+                .err()
+                .expect("refused");
+            assert!(matches!(err, NsdfError::Format(_)), "{err}");
+            assert_eq!(store.list("catalog/").unwrap(), before, "nothing was quarantined");
+        }
+    }
+
+    #[test]
+    fn a_record_built_past_new_is_refused_and_loses_no_acknowledged_write() {
+        let base = rec(2, "b", "s");
+        let long = "n".repeat(1 << 16);
+        for bad in
+            [Record { name: "has space".into(), ..base.clone() }, Record { name: long, ..base }]
+        {
+            let refused = |r: Result<u64>| assert!(matches!(r, Err(NsdfError::InvalidArg(_))));
+            // Through the WAL: the call fails and logs nothing.
+            let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+            let cat = Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4)).unwrap();
+            assert!(cat.upsert(rec(1, "a", "s")).unwrap());
+            let logged = store.list("catalog/").unwrap();
+            refused(cat.upsert(bad.clone()).map(u64::from));
+            refused(cat.ingest([rec(4, "d", "s"), bad.clone()]));
+            assert_eq!(store.list("catalog/").unwrap(), logged, "nothing was logged");
+            assert!(cat.upsert(rec(3, "c", "s")).unwrap());
+            let reopened =
+                Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4)).unwrap();
+            assert_eq!(reopened.len(), 2);
+            assert!(reopened.get(1).is_some() && reopened.get(3).is_some());
+            // Bulk: the call fails, stages nothing and leaves the catalog empty.
+            let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+            let cat = Catalog::open(Arc::clone(&store), SimClock::new(), small_cfg(4)).unwrap();
+            let before = store.list("catalog/").unwrap();
+            refused(cat.bulk_load([rec(1, "a", "s"), bad.clone()]));
+            assert_eq!(store.list("catalog/").unwrap(), before, "nothing was staged");
+            assert_eq!(cat.bulk_load([rec(1, "a", "s"), rec(3, "c", "s")]).unwrap(), 2);
+            let reopened = Catalog::open(store, SimClock::new(), small_cfg(4)).unwrap();
+            assert_eq!(reopened.len(), 2);
         }
     }
 

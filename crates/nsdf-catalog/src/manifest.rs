@@ -4,8 +4,9 @@
 //! envelope (magic `NSDFMF02` / `NSDFWL02`), so a torn or bit-flipped
 //! object decodes to [`NsdfError::Corrupt`] instead of silently wrong
 //! state — recovery quarantines it. The retired `NSDFMF01` / `NSDFWL01`
-//! text framing decodes to [`NsdfError::Format`]: recovery refuses such a
-//! store and deletes nothing.
+//! text framing, like an envelope sealed with the retired FNV-1a trailer,
+//! decodes to [`NsdfError::Format`]: recovery refuses such a store and
+//! deletes nothing.
 //!
 //! * **Manifest** (`{prefix}/manifest/mf-{seq:08}.mft`): the authoritative
 //!   list of every live segment per shard and level, plus the WAL floor
@@ -66,7 +67,8 @@ pub(crate) struct SegmentRef {
     pub max_id: u64,
     /// Encoded size in bytes.
     pub bytes: u64,
-    /// FNV-1a of the full encoded object; verified on load.
+    /// The encoded object's [`nsdf_util::checksum64`], as its envelope
+    /// trailer carries it; verified on load.
     pub checksum: u64,
 }
 

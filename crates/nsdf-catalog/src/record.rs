@@ -36,15 +36,23 @@ impl Record {
         size: u64,
         checksum: u64,
     ) -> Result<Record> {
-        let name = name.into();
-        let source = source.into();
-        if !is_token(&name) {
-            return Err(NsdfError::invalid(format!("bad record name {name:?}")));
+        let record = Record { id, name: name.into(), source: source.into(), size, checksum };
+        record.check()?;
+        Ok(record)
+    }
+
+    /// The checks of [`Record::new`], for a record built field by field:
+    /// name and source are non-empty, whitespace-free and short enough for
+    /// the segment encoding. The catalog runs it on every record before
+    /// logging or staging it, since a record its log or segments cannot
+    /// hold would be acknowledged and then lost.
+    pub(crate) fn check(&self) -> Result<()> {
+        for (what, text) in [("name", &self.name), ("source", &self.source)] {
+            if !is_token(text) || text.len() > u16::MAX as usize {
+                return Err(NsdfError::invalid(format!("bad record {what} {text:?}")));
+            }
         }
-        if !is_token(&source) {
-            return Err(NsdfError::invalid(format!("bad record source {source:?}")));
-        }
-        Ok(Record { id, name, source, size, checksum })
+        Ok(())
     }
 
     /// One-line log serialization (whitespace-separated, stable order).
@@ -173,6 +181,8 @@ mod tests {
         assert!(Record::new(1, "", "s", 0, 0).is_err());
         assert!(Record::new(1, "has space", "s", 0, 0).is_err());
         assert!(Record::new(1, "n", "two words", 0, 0).is_err());
+        assert!(Record::new(1, "n".repeat(1 << 16), "s", 0, 0).is_err());
+        assert!(Record::new(1, "n".repeat(u16::MAX as usize), "s", 0, 0).is_ok());
     }
 
     #[test]

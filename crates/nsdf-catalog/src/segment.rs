@@ -363,10 +363,10 @@ mod tests {
     #[test]
     fn segment_bytes_are_pinned() {
         // The envelope is the layout segments had before `seal` framed
-        // them: this digest was taken from the hand-written encoder.
+        // them, with a `checksum64` trailer: this digest pins both.
         let bytes = build(&[2, 5, 9, 11], &[7]).encode();
         assert_eq!(bytes.len(), 281);
-        assert_eq!(nsdf_util::fnv1a64(&bytes), 0x6e26_5397_1cbd_9e08);
+        assert_eq!(nsdf_util::fnv1a64(&bytes), 0xc13d_d4b9_6de6_fbb0);
     }
 
     /// `bytes` with the little-endian `value` written at body offset `at`

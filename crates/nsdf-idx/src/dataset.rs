@@ -2481,6 +2481,27 @@ mod tests {
     }
 
     #[test]
+    fn a_block_sealed_with_the_retired_trailer_is_a_format_error_never_a_retry() {
+        use nsdf_storage::{IntegrityStore, RetryPolicy, RetryStore};
+        let (store, ds) = make_dataset(32, 32, Codec::Lz4);
+        ds.write_raster("v", 0, &ramp(32, 32)).unwrap();
+        for m in store.list("data/test/f0/").unwrap() {
+            let mut bytes = store.get(&m.key).unwrap();
+            let framed = bytes.len() - 8;
+            let retired = nsdf_util::fnv1a64(&bytes[..framed]);
+            bytes[framed..].copy_from_slice(&retired.to_le_bytes());
+            store.put(&m.key, &bytes).unwrap();
+        }
+        let integrity = Arc::new(IntegrityStore::new(store as Arc<dyn ObjectStore>));
+        let retry = RetryStore::new(integrity.clone(), RetryPolicy::default(), SimClock::new());
+        let retry = Arc::new(retry.unwrap());
+        let old = IdxDataset::open(retry.clone() as Arc<dyn ObjectStore>, "data/test").unwrap();
+        let err = old.read_full::<f32>("v", 0).unwrap_err();
+        assert!(matches!(err, NsdfError::Format(_)), "{err}");
+        assert_eq!((retry.retries(), integrity.rejected()), (0, 0));
+    }
+
+    #[test]
     fn a_damaged_sealed_block_is_corrupt_never_wrong_data() {
         let (store, ds) = make_dataset(32, 32, Codec::Lz4);
         let r = ramp(32, 32);

@@ -5,7 +5,7 @@ use nsdf_compress::Codec;
 use nsdf_hz::HzCurve;
 use nsdf_idx::{Field, IdxDataset, IdxMeta};
 use nsdf_storage::{MemoryStore, ObjectStore};
-use nsdf_util::{fnv1a64, samples_to_bytes, Box2i, Box3i, DType, Raster, Sample, Volume};
+use nsdf_util::{checksum64, samples_to_bytes, Box2i, Box3i, DType, Raster, Sample, Volume};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -103,7 +103,7 @@ fn roundtrip_case<T: Sample + std::fmt::Debug>(
 
     // The reference for the write walk: scatter sample by sample into typed
     // blocks, then turn each finished block into bytes, encode it and seal
-    // it: `NSDFBK01` · stream · fnv1a64 of both, little-endian.
+    // it: `NSDFBK01` · stream · checksum64 of both, little-endian.
     let curve = HzCurve::new(meta.bitmask.clone());
     let block_samples = meta.block_samples();
     let mut typed: BTreeMap<u64, Vec<T>> = BTreeMap::new();
@@ -119,7 +119,7 @@ fn roundtrip_case<T: Sample + std::fmt::Debug>(
             let key = format!("prop/f0/t0/b{block:08}.bin");
             let mut sealed = b"NSDFBK01".to_vec();
             sealed.extend(codec.encode(&samples_to_bytes(samples)).unwrap());
-            sealed.extend(fnv1a64(&sealed).to_le_bytes());
+            sealed.extend(checksum64(&sealed).to_le_bytes());
             (key, sealed)
         })
         .collect();

@@ -658,7 +658,7 @@ mod tests {
             // The returned meta checksums the *stored* (possibly damaged)
             // bytes — that mismatch versus the original payload is what the
             // integrity layer detects.
-            assert_eq!(m.as_ref().unwrap().checksum, fnv1a64(&stored));
+            assert_eq!(m.as_ref().unwrap().checksum, nsdf_util::checksum64(&stored));
             if stored != b"clean-payload" {
                 damaged += 1;
             }

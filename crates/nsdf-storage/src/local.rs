@@ -2,7 +2,7 @@
 //! storage" option of tutorial Steps 3 and 4.
 
 use crate::store::{validate_key, ObjectMeta, ObjectStore};
-use nsdf_util::{fnv1a64, NsdfError, Result};
+use nsdf_util::{checksum64, NsdfError, Result};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -40,7 +40,7 @@ impl LocalStore {
         Ok(ObjectMeta {
             key: key.to_string(),
             size: data.len() as u64,
-            checksum: fnv1a64(&data),
+            checksum: checksum64(&data),
             modified: self.stamp.load(Ordering::Relaxed),
         })
     }
@@ -59,7 +59,7 @@ impl ObjectStore for LocalStore {
         Ok(ObjectMeta {
             key: key.to_string(),
             size: data.len() as u64,
-            checksum: fnv1a64(data),
+            checksum: checksum64(data),
             modified: self.stamp.fetch_add(1, Ordering::Relaxed),
         })
     }

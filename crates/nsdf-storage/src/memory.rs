@@ -2,7 +2,7 @@
 //! and as the backing target behind the WAN simulator.
 
 use crate::store::{slice_range, validate_key, ObjectMeta, ObjectStore};
-use nsdf_util::{fnv1a64, NsdfError, Result};
+use nsdf_util::{checksum64, NsdfError, Result};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +44,7 @@ impl ObjectStore for MemoryStore {
         let meta = ObjectMeta {
             key: key.to_string(),
             size: data.len() as u64,
-            checksum: fnv1a64(data),
+            checksum: checksum64(data),
             modified: self.stamp.fetch_add(1, Ordering::Relaxed),
         };
         self.objects
@@ -135,7 +135,7 @@ mod tests {
         let s = MemoryStore::new();
         let meta = s.put("a/b", b"hello").unwrap();
         assert_eq!(meta.size, 5);
-        assert_eq!(meta.checksum, fnv1a64(b"hello"));
+        assert_eq!(meta.checksum, checksum64(b"hello"));
         assert_eq!(s.get("a/b").unwrap(), b"hello");
         assert_eq!(s.head("a/b").unwrap(), meta);
         assert!(s.exists("a/b").unwrap());
@@ -207,7 +207,7 @@ mod tests {
         for ((k, d), m) in items.iter().zip(&metas) {
             let m = m.as_ref().unwrap();
             assert_eq!(m.key, *k);
-            assert_eq!(m.checksum, fnv1a64(d));
+            assert_eq!(m.checksum, checksum64(d));
             assert_eq!(s.get(k).unwrap(), *d);
         }
         let bad = s.put_many(&[("ok/key", b"x" as &[u8]), ("/bad", b"y")]);

@@ -17,7 +17,7 @@
 use crate::fault::{FaultPlan, FaultStore};
 use crate::store::{sole, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
-use nsdf_util::{fnv1a64, is_sealed, secs_to_ns, NsdfError, Result, SimClock};
+use nsdf_util::{checksum64, is_sealed, secs_to_ns, NsdfError, Result, SimClock};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -555,17 +555,19 @@ impl IntegrityMetrics {
 
 /// End-to-end payload verification over any [`ObjectStore`].
 ///
-/// An intact [`nsdf_util::seal`] envelope (every IDX block and catalog
-/// object) carries its checksum and is verified in place. Any other
+/// Every check is [`nsdf_util::checksum64`]. An intact
+/// [`nsdf_util::seal`] envelope (every IDX block and catalog object)
+/// carries its checksum and is verified in place. Any other
 /// `get`/`get_many` payload (headers, TIFFs, FUSE files, unsealed older
-/// blocks, a sealed payload damaged in flight) is checked against
-/// [`ObjectMeta::checksum`], fetched by one [`ObjectStore::head_many`]
-/// wave over just those keys. A mismatch surfaces as a retryable I/O
-/// error, so a [`RetryStore`] above re-fetches instead of handing corrupt
-/// bytes to the decoder. Ranged reads pass through unverified. Like S3's
-/// in-response checksum, the in-place check proves the bytes are what a
-/// writer sealed, not that they are the latest version: that takes
-/// content addressing.
+/// blocks, an envelope with the retired FNV-1a trailer, a sealed payload
+/// damaged in flight) is checked against [`ObjectMeta::checksum`],
+/// fetched by one [`ObjectStore::head_many`] wave over just those keys.
+/// A mismatch surfaces as a retryable I/O error, so a [`RetryStore`]
+/// above re-fetches instead of handing corrupt bytes to the decoder.
+/// Ranged reads pass through unverified. Like S3's in-response
+/// checksum, the in-place check proves the bytes are what a writer
+/// sealed, not that they are the latest version: that takes content
+/// addressing.
 ///
 /// Writes are verified symmetrically: the [`ObjectMeta`] a `put`/`put_many`
 /// returns checksums what the endpoint actually stored, so comparing it
@@ -594,7 +596,7 @@ impl IntegrityStore {
     }
 
     fn check(&self, key: &str, data: &[u8], meta: &ObjectMeta) -> Result<()> {
-        if fnv1a64(data) == meta.checksum {
+        if checksum64(data) == meta.checksum {
             self.m.verified.inc();
             Ok(())
         } else {

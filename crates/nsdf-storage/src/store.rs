@@ -15,7 +15,7 @@ pub struct ObjectMeta {
     pub key: String,
     /// Payload size in bytes.
     pub size: u64,
-    /// FNV-1a content checksum.
+    /// Content checksum ([`nsdf_util::checksum64`] of the stored bytes).
     pub checksum: u64,
     /// Logical modification stamp (monotonic per store).
     pub modified: u64,

@@ -1044,8 +1044,9 @@ mod tests {
         tc.get("q/k").unwrap();
         let shard_path = dir.join(hash_to_path("t", "q/k"));
         // A payload bit flipped in the shard file (silent disk corruption),
-        // and an intact shard in the retired `NSDFTC01` framing (magic · key
-        // length · key · payload digest · payload length · payload).
+        // an intact shard in the retired `NSDFTC01` framing (magic · key
+        // length · key · payload digest · payload length · payload), and
+        // an intact `NSDFTC02` shard sealed with the retired FNV-1a trailer.
         let mut flipped = std::fs::read(&shard_path).unwrap();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x80;
@@ -1055,7 +1056,11 @@ mod tests {
         retired.extend_from_slice(&fnv1a64(b"true-bytes").to_le_bytes());
         retired.extend_from_slice(&10u64.to_le_bytes());
         retired.extend_from_slice(b"true-bytes");
-        for (i, damaged) in [flipped, retired].iter().enumerate() {
+        let mut fnv_trailer = encode_shard("q/k", b"true-bytes");
+        let framed = fnv_trailer.len() - 8;
+        let digest = fnv1a64(&fnv_trailer[..framed]);
+        fnv_trailer[framed..].copy_from_slice(&digest.to_le_bytes());
+        for (i, damaged) in [flipped, retired, fnv_trailer].iter().enumerate() {
             // Drop the RAM copy so the next read promotes the shard.
             std::fs::write(&shard_path, damaged).unwrap();
             tc.clear_ram();

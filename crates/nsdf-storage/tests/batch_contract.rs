@@ -175,7 +175,11 @@ fn read_and_write_batches_match_single_calls_for_every_implementation() {
         let want: Vec<_> = reads.iter().map(|k| meta_facts(twin.head(k))).collect();
         assert_eq!(got, want, "{name}: head_many differs from single heads");
         assert_eq!(got[1], Err("not-found"), "{name}: head of a missing key");
-        assert_eq!(got[5], Ok(("b/2".to_string(), 8, nsdf_util::fnv1a64(b"replaced"))), "{name}");
+        assert_eq!(
+            got[5],
+            Ok(("b/2".to_string(), 8, nsdf_util::checksum64(b"replaced"))),
+            "{name}"
+        );
     }
 }
 

@@ -42,7 +42,9 @@ pub use clock::{secs_to_ns, SimClock};
 pub use dtype::{bytes_to_samples, samples_to_bytes, DType, Sample};
 pub use error::{NsdfError, Result};
 pub use geo::{haversine_km, Box2i, Box3i, GeoTransform, LatLon};
-pub use hash::{derive_seed, fnv1a64, is_sealed, seal, sealed_fnv1a64, splitmix64, unseal, Fnv1a};
+pub use hash::{
+    checksum64, derive_seed, fnv1a64, is_sealed, seal, sealed_checksum, splitmix64, unseal, Fnv1a,
+};
 pub use lru::Lru;
 pub use meta::Meta;
 pub use obs::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Obs, SpanGuard, SpanNode};

@@ -9,7 +9,7 @@
 //! from" and every entry can be checked against the object it names.
 
 use nsdf_util::json::{hex_u64, parse_hex_u64, JsonValue};
-use nsdf_util::{fnv1a64, Result};
+use nsdf_util::{checksum64, Result};
 
 /// Descriptor of one produced artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +30,7 @@ impl Artifact {
         Artifact {
             name: name.into(),
             bytes: data.len() as u64,
-            checksum: fnv1a64(data),
+            checksum: checksum64(data),
             location: location.into(),
         }
     }
@@ -64,6 +64,6 @@ mod tests {
     fn artifact_constructors() {
         let a = Artifact::of_bytes("dem", b"payload", "store/dem.tif");
         assert_eq!(a.bytes, 7);
-        assert_eq!(a.checksum, fnv1a64(b"payload"));
+        assert_eq!(a.checksum, checksum64(b"payload"));
     }
 }

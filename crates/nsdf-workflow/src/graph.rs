@@ -937,7 +937,7 @@ impl TaskGraph {
         let mut unloadable: BTreeMap<&str, String> = BTreeMap::new();
         for (a, data) in missing.into_iter().zip(fetched) {
             match data {
-                Ok(data) if nsdf_util::fnv1a64(&data) == a.checksum => {
+                Ok(data) if nsdf_util::checksum64(&data) == a.checksum => {
                     blackboard.insert(a.name.clone(), Arc::new(data));
                 }
                 Ok(_) => {
@@ -1523,7 +1523,7 @@ mod tests {
         let digest = |run: &GraphRun| nsdf_util::fnv1a64(run.to_json().to_string().as_bytes());
         let bare = g.run(&RunOptions::new(SimClock::new())).unwrap();
         assert_eq!(bare.wave_ended_ns, vec![MS, MS, 2 * MS, 5 * MS]);
-        assert_eq!(digest(&bare), 0x31d9_494a_6a20_ec67);
+        assert_eq!(digest(&bare), 0x7833_1ad3_4bfe_968f);
 
         let store = Arc::new(MemoryStore::new());
         let opts = RunOptions::new(SimClock::new())
@@ -1533,9 +1533,9 @@ mod tests {
         assert_eq!(digest(&cold), digest(&bare));
         let rerun = g.run(&opts).unwrap();
         assert_eq!(rerun.wave_ended_ns, vec![5 * MS; 4]);
-        assert_eq!(digest(&rerun), 0x444d_6a68_48a1_94a7);
+        assert_eq!(digest(&rerun), 0x203b_54d0_e894_9319);
         let manifest = store.get(MANIFEST).unwrap();
-        assert_eq!(nsdf_util::fnv1a64(&manifest), 0x5fd7_c051_d75d_9ed3);
+        assert_eq!(nsdf_util::fnv1a64(&manifest), 0x5b13_59b7_8d21_bf79);
     }
 
     /// An unchanged rerun verifies each wave's recorded outputs with one
@@ -1807,9 +1807,9 @@ mod tests {
         let report = concat!(
             r#"{"ended_ns":5,"name":"pin","records":[{"compute_ns":5,"consumed":[],"error":null,"#,
             r#""fingerprint":"b50dc87cb9c68de5","name":"gen","produced":[{"bytes":3,"#,
-            r#""checksum":"e71fa2190541574b","location":"obj/dem","name":"dem"}],"#,
+            r#""checksum":"44bc2cf5ad770999","location":"obj/dem","name":"dem"}],"#,
             r#""status":"succeeded","wave":0},{"compute_ns":0,"consumed":["dem"],"#,
-            r#""error":"invalid argument: boom\t!","fingerprint":"84d30bcc81202dd8","name":"bad","#,
+            r#""error":"invalid argument: boom\t!","fingerprint":"857cfcb69864b80e","name":"bad","#,
             r#""produced":[],"status":"failed","wave":1},{"compute_ns":0,"consumed":[],"#,
             r#""error":null,"fingerprint":"0000000000000000","name":"after","produced":[],"#,
             r#""status":"skipped","wave":2}],"started_ns":0,"wave_ended_ns":[5,5],"waves":2}"#,

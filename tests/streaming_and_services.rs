@@ -7,7 +7,7 @@ use nsdf::catalog::{Catalog, Record};
 use nsdf::fuse::{Mapping, VirtualFs};
 use nsdf::plugin::{run_campaign, select_entry_point, Testbed};
 use nsdf::prelude::*;
-use nsdf::util::fnv1a64;
+use nsdf::util::checksum64;
 use std::sync::Arc;
 
 fn publish_remote(
@@ -124,7 +124,7 @@ fn catalog_indexes_published_idx_blocks() {
     // Checksums in the catalog match live object content.
     for rec in blocks.iter().take(3) {
         let data = store.get(&rec.name).unwrap();
-        assert_eq!(fnv1a64(&data), rec.checksum);
+        assert_eq!(checksum64(&data), rec.checksum);
     }
 }
 
