@@ -251,7 +251,7 @@ impl NsdfClient {
 
     /// Open an interactive [`QuerySession`] on `field` of the dataset at
     /// `endpoint`/`base` — the stateful progressive-query engine one viewer
-    /// owns (level-delta refinement, cancellation, prefetch). Session
+    /// owns (progressive refinement, cancellation, prefetch). Session
     /// counters land under the endpoint's scope (`seal.session.*`), where
     /// `session.fetch_vns` reconciles exactly with `wan.busy_vns` for cold
     /// reads.

@@ -448,9 +448,9 @@ impl Dashboard {
     }
 
     /// Progressive refinement of the current view: frames from `start_level`
-    /// up to the auto level — what a user sees while data streams in. The
-    /// session's level-delta planning fetches and decodes each block at
-    /// most once across the whole sequence.
+    /// up to the auto level — what a user sees while data streams in. Each
+    /// frame reuses what the session's resident set holds, so the sequence
+    /// fetches and decodes each block at most once.
     pub fn render_progressive(&self, start_level: u32) -> Result<Vec<(Image, FrameInfo)>> {
         let end = self.auto_level()?;
         let start = start_level.min(end);

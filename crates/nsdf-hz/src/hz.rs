@@ -198,7 +198,7 @@ impl HzCurve {
     /// grid but *off* the level-(ℓ-1) grid, so the walk steps the finer
     /// strides and skips the coarser points.
     ///
-    /// O(samples): the oracle the block planners are tested against, and the
+    /// O(samples): the oracle the block planner is tested against, and the
     /// address source of the layout ablation — queries plan with
     /// [`HzCurve::blocks_in_region`].
     pub fn level_samples_in_box(
@@ -251,32 +251,25 @@ impl HzCurve {
         level: u32,
         block_samples: u64,
     ) -> Result<Vec<u64>> {
-        let mut blocks = std::collections::BTreeSet::new();
-        if let Some(region) = self.clip_plan_region(region.into(), level, block_samples)? {
-            for l in 0..=level {
-                self.descend_level(l, &region, block_samples, &mut blocks);
-            }
+        if level > self.max_level() {
+            return Err(NsdfError::invalid(format!(
+                "level {level} exceeds max {}",
+                self.max_level()
+            )));
         }
-        Ok(blocks.into_iter().collect())
-    }
-
-    /// Blocks holding at least one sample of *exactly* `level` inside
-    /// `region` — the delta a progressive refinement needs when stepping
-    /// from level `L-1` to `L`, since coarser levels occupy disjoint HZ
-    /// address ranges (a block can still appear at several levels when it
-    /// straddles a level boundary; subtracting already-resident blocks is
-    /// the caller's job).
-    ///
-    /// Same subtree-descent cost model as [`HzCurve::blocks_in_region`].
-    pub fn blocks_at_level(
-        &self,
-        region: impl Into<Box3i>,
-        level: u32,
-        block_samples: u64,
-    ) -> Result<Vec<u64>> {
+        if block_samples == 0 {
+            return Err(NsdfError::invalid("block_samples must be positive"));
+        }
+        // Clip to the padded grid.
+        let padded = axes3(&self.mask.padded_dims(), 1);
+        let (lo, hi) = corners(region.into());
+        let lo = lo.map(|v| v.max(0));
+        let hi: [i64; 3] = std::array::from_fn(|a| hi[a].min(padded[a]));
         let mut blocks = std::collections::BTreeSet::new();
-        if let Some(region) = self.clip_plan_region(region.into(), level, block_samples)? {
-            self.descend_level(level, &region, block_samples, &mut blocks);
+        if (0..3).all(|a| lo[a] < hi[a]) {
+            for l in 0..=level {
+                self.descend_level(l, &(lo, hi), block_samples, &mut blocks);
+            }
         }
         Ok(blocks.into_iter().collect())
     }
@@ -349,33 +342,8 @@ impl HzCurve {
         inside
     }
 
-    /// Shared validation + clip for the block planners: errors on bad
-    /// arguments, else the `[lo, hi)` corners of the region clipped to the
-    /// padded grid — `None` when nothing is left.
-    fn clip_plan_region(
-        &self,
-        region: Box3i,
-        level: u32,
-        block_samples: u64,
-    ) -> Result<Option<Corners>> {
-        if level > self.max_level() {
-            return Err(NsdfError::invalid(format!(
-                "level {level} exceeds max {}",
-                self.max_level()
-            )));
-        }
-        if block_samples == 0 {
-            return Err(NsdfError::invalid("block_samples must be positive"));
-        }
-        let padded = axes3(&self.mask.padded_dims(), 1);
-        let (lo, hi) = corners(region);
-        let lo = lo.map(|v| v.max(0));
-        let hi: [i64; 3] = std::array::from_fn(|a| hi[a].min(padded[a]));
-        Ok((0..3).all(|a| lo[a] < hi[a]).then_some((lo, hi)))
-    }
-
     /// Mark the blocks holding a sample of exactly `level` inside the
-    /// clipped `region`.
+    /// `[lo, hi)` corners `region`, already clipped to the padded grid.
     fn descend_level(
         &self,
         level: u32,
@@ -711,107 +679,6 @@ mod tests {
         assert_eq!(c.blocks_in_region(Box2i::new(0, 0, 4, 4), 0, 8).unwrap(), vec![0]);
         // Level 0 of a region missing the origin holds nothing.
         assert!(c.blocks_in_region(Box2i::new(1, 1, 4, 4), 0, 8).unwrap().is_empty());
-    }
-
-    /// O(samples) reference for [`HzCurve::blocks_at_level`]: walk only the
-    /// samples of exactly `level` and collect their blocks.
-    fn level_blocks_by_sample_walk(
-        c: &HzCurve,
-        region: Box2i,
-        level: u32,
-        block_samples: u64,
-    ) -> Vec<u64> {
-        let mut blocks = std::collections::BTreeSet::new();
-        for (_, hz) in c.level_samples_in_box(level, region).unwrap() {
-            blocks.insert(hz / block_samples);
-        }
-        blocks.into_iter().collect()
-    }
-
-    #[test]
-    fn blocks_at_level_matches_sample_oracle() {
-        for (w, h) in [(8u64, 8u64), (16, 16), (32, 8), (64, 64), (100, 37)] {
-            let c = HzCurve::new(BitMask::for_dims(&[w, h]).unwrap());
-            let regions = [
-                Box2i::new(0, 0, w as i64, h as i64),
-                Box2i::new(1, 1, (w as i64 - 1).max(2), (h as i64 - 1).max(2)),
-                Box2i::new(w as i64 / 4, h as i64 / 4, 3 * w as i64 / 4 + 1, 3 * h as i64 / 4 + 1),
-                Box2i::new(0, 0, 1, 1),
-                Box2i::new(w as i64 - 1, h as i64 - 1, w as i64, h as i64),
-                Box2i::new(-5, -5, w as i64 + 9, h as i64 + 9), // over-clipped
-            ];
-            for region in regions {
-                for level in 0..=c.max_level() {
-                    for bs in [1u64, 4, 16, 256] {
-                        let fast = c.blocks_at_level(region, level, bs).unwrap();
-                        let slow = level_blocks_by_sample_walk(&c, region, level, bs);
-                        assert_eq!(
-                            fast, slow,
-                            "dims ({w},{h}) region {region:?} level {level} bs {bs}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocks_at_level_random_sweep_matches_oracle_and_union_is_cumulative() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xb10c_de17a);
-        for (w, h) in [(16u64, 16u64), (64, 32), (100, 37), (128, 128)] {
-            let c = HzCurve::new(BitMask::for_dims(&[w, h]).unwrap());
-            for trial in 0..40 {
-                let region = match trial {
-                    0 => {
-                        let x = rng.gen_range(0..w as i64);
-                        Box2i::new(x, 0, x + 1, h as i64)
-                    }
-                    1 => {
-                        let y = rng.gen_range(0..h as i64);
-                        Box2i::new(0, y, w as i64, y + 1)
-                    }
-                    2 => Box2i::new(0, 0, w as i64, h as i64),
-                    _ => {
-                        let x0 = rng.gen_range(-2..w as i64 - 1);
-                        let y0 = rng.gen_range(-2..h as i64 - 1);
-                        let x1 = rng.gen_range(x0 + 1..=w as i64 + 2);
-                        let y1 = rng.gen_range(y0 + 1..=h as i64 + 2);
-                        Box2i::new(x0, y0, x1, y1)
-                    }
-                };
-                let level = rng.gen_range(0..=c.max_level());
-                let bs = 1u64 << rng.gen_range(0u32..=8);
-                let fast = c.blocks_at_level(region, level, bs).unwrap();
-                let slow = level_blocks_by_sample_walk(&c, region, level, bs);
-                assert_eq!(
-                    fast, slow,
-                    "dims ({w},{h}) region {region:?} level {level} bs {bs} trial {trial}"
-                );
-                // The exact-level sets union to the cumulative planner's set.
-                let mut union = std::collections::BTreeSet::new();
-                for l in 0..=level {
-                    union.extend(c.blocks_at_level(region, l, bs).unwrap());
-                }
-                let cumulative = c.blocks_in_region(region, level, bs).unwrap();
-                assert_eq!(
-                    union.into_iter().collect::<Vec<_>>(),
-                    cumulative,
-                    "dims ({w},{h}) region {region:?} level {level} bs {bs} trial {trial}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocks_at_level_handles_degenerate_inputs() {
-        let c = HzCurve::new(BitMask::for_dims(&[16, 16]).unwrap());
-        assert!(c.blocks_at_level(Box2i::new(50, 50, 60, 60), 4, 4).unwrap().is_empty());
-        assert!(c.blocks_at_level(Box2i::new(0, 0, 4, 4), 99, 4).is_err());
-        assert!(c.blocks_at_level(Box2i::new(0, 0, 4, 4), 4, 0).is_err());
-        assert_eq!(c.blocks_at_level(Box2i::new(0, 0, 4, 4), 0, 8).unwrap(), vec![0]);
-        assert!(c.blocks_at_level(Box2i::new(1, 1, 4, 4), 0, 8).unwrap().is_empty());
     }
 
     #[test]

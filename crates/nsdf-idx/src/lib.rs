@@ -15,8 +15,8 @@
 //!   with write, box and sub-volume queries, z-slices, progressive read;
 //! * [`layout`] — HZ vs Z vs row-major block-touch ablation baselines;
 //! * [`session`] — stateful interactive [`QuerySession`]s over a 2-D view
-//!   or a volume's z-slices, with level-delta planning, cancellation, and
-//!   speculative prefetch.
+//!   or a volume's z-slices, with per-frame planning against a resident
+//!   set, cancellation, and speculative prefetch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

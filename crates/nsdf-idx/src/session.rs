@@ -8,11 +8,10 @@
 //! Where a bare [`IdxDataset::read_box`] starts from zero every call, a
 //! session:
 //!
-//! * plans **level deltas** — stepping refinement from level `L-1` to `L`
-//!   enumerates only the blocks newly required at `L` (via
-//!   [`nsdf_hz::HzCurve::blocks_at_level`]) and subtracts blocks already
-//!   resident, so a full refinement sequence fetches and decodes each
-//!   block at most once;
+//! * plans every frame for its own box and level (via
+//!   [`nsdf_hz::HzCurve::blocks_in_region`]) and subtracts blocks already
+//!   resident, so a refinement sequence fetches and decodes each block at
+//!   most once and a frame never fetches a block its level does not read;
 //! * keeps a per-session **resident set** of the blocks it resolved — a
 //!   byte-budgeted `DecodedCache` (256 MiB, FIFO) of the *same* `Arc`'d raw
 //!   images the dataset's decoded cache (or write buffer) holds, never a
@@ -30,10 +29,9 @@
 //!   path, warming the shared caches so the next interaction is cheap.
 //!   Prefetch cooperates with a shared-WAN admission layer: the store
 //!   calls run under the `Priority::Prefetch` ambient tag, so a
-//!   `SchedStore` queues them behind interactive work;
-//! * optionally tags all its store calls with a tenant id
-//!   ([`QuerySession::with_tenant`]) so a shared admission scheduler can
-//!   attribute and meter this viewer's traffic.
+//!   `SchedStore` queues them behind interactive work. A caller that
+//!   meters viewers per tenant holds a `tag_tenant` guard around its
+//!   session calls.
 //!
 //! Sessions report `session.{frames,blocks_reused,blocks_fetched,
 //! cancelled,prefetch_issued,prefetch_hits,fetch_vns,prefetch_vns}`
@@ -43,7 +41,7 @@
 //! `wan.busy_vns`.
 
 use crate::dataset::{DecodedCache, DecodedEntry, IdxDataset, QueryStats, WaveReport};
-use nsdf_storage::sched::{tag_class, tag_tenant, Priority, TenantId};
+use nsdf_storage::sched::{tag_class, Priority};
 use nsdf_util::obs::{Counter, Obs};
 use nsdf_util::{Box2i, Box3i, NsdfError, Raster, Result, Sample, SimClock};
 use std::collections::{BTreeMap, BTreeSet};
@@ -244,19 +242,12 @@ pub struct QuerySession<T: Sample> {
     z: i64,
     start_level: u32,
     target_level: u32,
-    /// Cumulative planned block set of the box in `planned`.
-    view_blocks: BTreeSet<u64>,
-    /// The view box `view_blocks` was planned for, and the finest level
-    /// planned so far.
-    planned: Option<(Box3i, u32)>,
     /// Blocks of the current field and timestep resolved by earlier frames
     /// (`None` = known missing), shared with the dataset by `Arc`.
     resident: DecodedCache,
     /// Blocks resolved speculatively, keyed `(time, block)`; consumed (and
     /// counted as hits) by the first frame that needs them.
     prefetched: BTreeSet<(u32, u64)>,
-    /// Tenant the session's store calls are attributed to (ambient tag).
-    tenant: Option<TenantId>,
     cancel: CancelToken,
     last_pan: (i64, i64),
     clock: SimClock,
@@ -288,11 +279,8 @@ impl<T: Sample> QuerySession<T> {
             z: 0,
             start_level: 0,
             target_level: target,
-            view_blocks: BTreeSet::new(),
-            planned: None,
             resident: DecodedCache::new(DEFAULT_RESIDENT_BUDGET),
             prefetched: BTreeSet::new(),
-            tenant: None,
             cancel: CancelToken::new(),
             last_pan: (0, 0),
             clock,
@@ -307,15 +295,6 @@ impl<T: Sample> QuerySession<T> {
     /// with `wan.busy_vns` on one timeline.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.m = SessionMetrics::new(obs);
-        self
-    }
-
-    /// Attribute this session's store calls to `tenant` — a
-    /// `nsdf_storage::sched::SchedStore` anywhere below picks the tag up
-    /// at call time, so one shared store stack can meter many sessions
-    /// per tenant without widening the `ObjectStore` signatures.
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = Some(tenant);
         self
     }
 
@@ -377,12 +356,12 @@ impl<T: Sample> QuerySession<T> {
         if region == self.region && start == self.start_level && target == self.target_level {
             return Ok(());
         }
-        if region != self.region {
-            if region.width() == self.region.width() && region.height() == self.region.height() {
-                self.last_pan =
-                    ((region.x0 - self.region.x0).signum(), (region.y0 - self.region.y0).signum());
-            }
-            self.forget_plan();
+        if region != self.region
+            && region.width() == self.region.width()
+            && region.height() == self.region.height()
+        {
+            self.last_pan =
+                ((region.x0 - self.region.x0).signum(), (region.y0 - self.region.y0).signum());
         }
         self.region = region;
         self.start_level = start;
@@ -416,7 +395,6 @@ impl<T: Sample> QuerySession<T> {
         self.ds.plane_box(self.region, z, 0)?;
         if z != self.z {
             self.z = z;
-            self.forget_plan();
             self.interrupt();
         }
         Ok(())
@@ -450,13 +428,6 @@ impl<T: Sample> QuerySession<T> {
 
     fn flush_resident(&mut self) {
         self.resident = DecodedCache::new(DEFAULT_RESIDENT_BUDGET);
-        self.forget_plan();
-    }
-
-    /// The view moved: what was planned describes another box.
-    fn forget_plan(&mut self) {
-        self.planned = None;
-        self.view_blocks.clear();
     }
 
     /// Resolve `to_resolve` blocks of `time` through [`IdxDataset::resolve`].
@@ -488,11 +459,9 @@ impl<T: Sample> QuerySession<T> {
         };
         let install_resident = time == self.time;
 
-        // Attribute the store calls below to this session's tenant, and
-        // mark speculative resolves with the prefetch class — an admission
-        // scheduler in the store stack reads both at call time and ranks
-        // the speculation behind interactive work.
-        let _tenant_tag = self.tenant.map(tag_tenant);
+        // Mark speculative resolves with the prefetch class — an admission
+        // scheduler in the store stack reads it at call time and ranks the
+        // speculation behind interactive work.
         let _class_tag = prefetch.then(|| tag_class(Priority::Prefetch));
 
         let at = (self.field_idx, time);
@@ -533,40 +502,24 @@ impl<T: Sample> QuerySession<T> {
         self.ds.curve().blocks_in_region(region, level, self.ds.meta().block_samples())
     }
 
-    /// Extend the cumulative block plan of the view's box at `level` to that
-    /// level, and return the box.
-    fn plan_level(&mut self, level: u32) -> Result<Box3i> {
-        let region = self.view_box(self.region, level)?;
-        match self.planned {
-            // Level-delta planning: the only new blocks stepping from a
-            // planned level P to `level` can need are those holding samples
-            // of exactly P+1..=level.
-            Some((planned, p)) if planned == region => {
-                let bs = self.ds.meta().block_samples();
-                for l in (p + 1)..=level {
-                    self.view_blocks.extend(self.ds.curve().blocks_at_level(region, l, bs)?);
-                }
-                self.planned = Some((region, p.max(level)));
-            }
-            _ => {
-                self.view_blocks = self.plan(region, level)?.into_iter().collect();
-                self.planned = Some((region, level));
-            }
-        }
-        Ok(region)
-    }
-
-    /// Resolve `needed` minus what is already resident, then gather and
-    /// account one frame of `region` at `level` — the shared body of
-    /// [`QuerySession::frame_at`] and [`QuerySession::read_region`].
-    fn frame(&mut self, region: Box3i, level: u32, needed: &[u64]) -> Result<SessionFrame<T>> {
+    /// Plan `region` (clipped to the bounds) at `level`, resolve what is not
+    /// already resident, then gather and account one frame — the shared
+    /// body of [`QuerySession::frame_at`] and [`QuerySession::read_region`].
+    fn frame_of(&mut self, region: Box2i, level: u32) -> Result<SessionFrame<T>> {
+        self.ds.check_level(level)?;
+        let region = region
+            .intersect(&self.ds.bounds())
+            .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
+        let _frame_span = self.m.obs.span("frame");
+        let region = self.view_box(region, level)?;
+        let needed = self.plan(region, level)?;
         let grid = self.ds.curve().level_grid(level, region)?.ok_or_else(|| {
             NsdfError::invalid("query region contains no samples at the requested level")
         })?;
         let mut stats =
             QueryStats { blocks_touched: needed.len() as u64, ..self.ds.query_stats(level) };
         let at = (self.field_idx, self.time);
-        let (held, to_resolve) = split_resident(&self.resident, at, needed);
+        let (held, to_resolve) = split_resident(&self.resident, at, &needed);
         let mut acct =
             FrameAcct { reused: held.len() as u64, blocks: held, ..FrameAcct::default() };
         for &b in acct.blocks.keys() {
@@ -613,20 +566,16 @@ impl<T: Sample> QuerySession<T> {
     /// [`SessionFrame::cancelled`] and holds the partially upgraded state
     /// (useful to display while the retry runs).
     pub fn frame_at(&mut self, level: u32) -> Result<SessionFrame<T>> {
-        self.ds.check_level(level)?;
-        let _frame_span = self.m.obs.span("frame");
-        let region = self.plan_level(level)?;
-        let needed: Vec<u64> = self.view_blocks.iter().copied().collect();
-        self.frame(region, level, &needed)
+        self.frame_of(self.region, level)
     }
 
     /// Run refinement of the current view: a frame at every level from the
     /// start level to the target, skipping levels whose grid holds no
     /// sample inside the viewport, until the target is delivered or the
     /// token fires. A run resumed after [`QuerySession::reset_cancel`] starts
-    /// again at the start level: the view's plan is cumulative, so its first
-    /// frame resolves what the abandoned level still lacked and the levels
-    /// up to that one gather from the resident set.
+    /// again at the start level: the levels below the abandoned one gather
+    /// from the resident set, and the abandoned level resolves what it still
+    /// lacked.
     pub fn refine(&mut self) -> Result<RefineRun<T>> {
         let mut frames = Vec::new();
         for level in self.start_level..=self.target_level {
@@ -646,16 +595,9 @@ impl<T: Sample> QuerySession<T> {
 
     /// One-shot read of an arbitrary `region` at `level` through the
     /// session (the snip / slice-probe path): resolves only blocks not
-    /// already resident, without disturbing the current view's plan.
+    /// already resident, without moving the view.
     pub fn read_region(&mut self, region: Box2i, level: u32) -> Result<SessionFrame<T>> {
-        self.ds.check_level(level)?;
-        let region = region
-            .intersect(&self.ds.bounds())
-            .ok_or_else(|| NsdfError::invalid("query region does not intersect dataset"))?;
-        let _frame_span = self.m.obs.span("frame");
-        let region = self.view_box(region, level)?;
-        let needed = self.plan(region, level)?;
-        self.frame(region, level, &needed)
+        self.frame_of(region, level)
     }
 
     /// Speculatively resolve the neighbor viewport one region-width ahead
@@ -762,9 +704,13 @@ mod tests {
         assert_eq!(run.frames.last().unwrap().raster.data(), want.data());
     }
 
-    #[test]
-    fn a_run_resumed_after_a_deadline_starts_over_from_resident_blocks() {
-        let (w, h, start) = (128, 96, 2);
+    /// Cold refinement of a `w` x `h` WAN ramp from level `start`, cancelled
+    /// by a deadline at half the virtual time a full run takes.
+    fn refine_to_half_deadline(
+        w: u64,
+        h: u64,
+        start: u32,
+    ) -> (Arc<IdxDataset>, QuerySession<f32>, RefineRun<f32>) {
         let cold_vns = {
             let (ds, clock) = wan_dataset(w, h);
             let mut probe = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
@@ -775,35 +721,58 @@ mod tests {
         };
 
         let (ds, clock) = wan_dataset(w, h);
-        let max = ds.max_level();
         let mut session = QuerySession::<f32>::new(Arc::clone(&ds), "v").unwrap();
-        session.set_view(ds.bounds(), start, max).unwrap();
+        session.set_view(ds.bounds(), start, ds.max_level()).unwrap();
         session.cancel_token().cancel_at(clock.now_ns() + cold_vns / 2);
         let run = session.refine().unwrap();
         let cancelled_at = run.cancelled_at.expect("the deadline must fire mid-refinement");
         assert!(cancelled_at > start, "a level before the deadline completed");
+        (ds, session, run)
+    }
+
+    #[test]
+    fn a_run_resumed_after_a_deadline_starts_over_from_resident_blocks() {
+        let (w, h, start) = (128, 96, 2);
+        let (ds, mut session, run) = refine_to_half_deadline(w, h, start);
+        let cancelled_at = run.cancelled_at.unwrap();
+        let abandoned = run.frames.last().unwrap();
+        let lacked = abandoned.stats.blocks_touched - abandoned.blocks_reused;
+        let lacked = lacked - abandoned.blocks_fetched;
+        assert!(lacked > 0, "the deadline left blocks of level {cancelled_at} unresolved");
         let fetched = session.stats().blocks_fetched;
 
-        // The view's plan is cumulative: the first resumed frame resolves
-        // what the abandoned level still lacked, and the levels up to that
-        // one gather from the resident set alone.
+        // Every frame plans its own level: the levels below the abandoned one
+        // gather from the resident set alone, and the abandoned level
+        // resolves exactly what it still lacked.
         session.reset_cancel();
         let resumed = session.refine().unwrap();
         assert!(resumed.cancelled_at.is_none());
         assert_eq!(resumed.frames[0].level, start);
-        let caught_up = &resumed.frames[1..=(cancelled_at - start) as usize];
-        for frame in caught_up {
+        let (below, rest) = resumed.frames.split_at((cancelled_at - start) as usize);
+        for frame in below {
             assert_eq!(frame.blocks_fetched, 0, "level {} is resident", frame.level);
         }
-        assert_eq!(caught_up.last().unwrap().level, cancelled_at);
+        assert_eq!(rest[0].level, cancelled_at);
+        assert_eq!(rest[0].blocks_fetched, lacked);
         let resolved: u64 = resumed.frames.iter().map(|f| f.blocks_fetched).sum();
         assert_eq!(fetched + resolved, session.stats().blocks_fetched);
         assert_eq!(
             session.stats().blocks_fetched,
-            ds.blocks_for_query(ds.bounds(), max).unwrap().len() as u64,
+            ds.blocks_for_query(ds.bounds(), ds.max_level()).unwrap().len() as u64,
             "no block crossed the WAN twice"
         );
         assert_eq!(resumed.frames.last().unwrap().raster.data(), ramp(w, h).data());
+    }
+
+    #[test]
+    fn a_frame_below_an_abandoned_level_fetches_nothing() {
+        let start = 2;
+        let (_, mut session, _) = refine_to_half_deadline(128, 96, start);
+        session.reset_cancel();
+        let frame = session.frame_at(start).unwrap();
+        assert!(!frame.cancelled);
+        assert_eq!(frame.blocks_fetched, 0, "level {start} is resident; finer blocks are not read");
+        assert_eq!(frame.blocks_reused, frame.stats.blocks_touched);
     }
 
     #[test]
@@ -905,7 +874,8 @@ mod tests {
             assert_eq!(frame.raster.data(), data.slice_z(z as usize).unwrap().data(), "z={z}");
             assert_eq!(frame.stats.blocks_missing, 0);
             assert!(session.resident.bytes() <= budget, "z={z}: {}", session.resident.bytes());
-            touched.extend(session.view_blocks.iter().copied());
+            let view = session.view_box(session.region, level).unwrap();
+            touched.extend(session.plan(view, level).unwrap());
         }
         assert!(touched.len() as u64 * BLOCK_BYTES > budget, "the sweep must not fit");
         assert!(session.stats().blocks_fetched > touched.len() as u64, "nothing was evicted");

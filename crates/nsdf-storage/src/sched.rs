@@ -50,7 +50,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use nsdf_util::{Counter, Fnv1a, Obs, Result, SimClock};
+use nsdf_util::{checksum64, Counter, Fnv1a, Obs, Result, SimClock};
 use parking_lot::Mutex;
 
 use crate::store::{sole, ObjectMeta, ObjectStore};
@@ -310,8 +310,8 @@ pub struct Completion {
     pub bytes: u64,
     /// Per-key errors inside the executed batch.
     pub errors: u64,
-    /// FNV-1a digest over per-key outcomes and payloads of a `Get` (`0`
-    /// for puts) — lets a harness compare reads against an oracle without
+    /// Digest over per-key outcomes and payload checksums of a `Get` (`0`
+    /// for puts, see [`digest_get_results`]) — lets a harness compare reads against an oracle without
     /// retaining payloads.
     pub digest: u64,
 }
@@ -888,14 +888,19 @@ enum Pick {
 }
 
 /// The [`Completion::digest`] of a `Get`: FNV-1a over per-key outcomes —
-/// `0x01`, payload length (LE), payload bytes for each `Ok`; a lone `0x00`
-/// for each `Err`. Public so harnesses can compute the same digest from a
-/// fault-free oracle and compare reads bitwise without retaining payloads.
+/// `0x01`, payload length and the payload's [`checksum64`] (both LE) for
+/// each `Ok`; a lone `0x00` for each `Err`. Each payload goes through the
+/// word-at-a-time checksum once; only 17 bytes a key go through FNV-1a.
+/// Public so harnesses can compute the same digest from a fault-free
+/// oracle and compare reads bitwise without retaining payloads.
 pub fn digest_get_results(results: &[Result<Vec<u8>>]) -> u64 {
     let mut digest = Fnv1a::new();
     for r in results {
         match r {
-            Ok(d) => digest.update(&[1]).update(&(d.len() as u64).to_le_bytes()).update(d),
+            Ok(d) => {
+                let (len, sum) = (d.len() as u64, checksum64(d));
+                digest.update(&[1]).update(&len.to_le_bytes()).update(&sum.to_le_bytes())
+            }
             Err(_) => digest.update(&[0]),
         };
     }

@@ -79,22 +79,6 @@ impl Box2i {
         }
     }
 
-    /// Smallest box containing both inputs.
-    pub fn union(&self, other: &Box2i) -> Box2i {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        Box2i {
-            x0: self.x0.min(other.x0),
-            y0: self.y0.min(other.y0),
-            x1: self.x1.max(other.x1),
-            y1: self.y1.max(other.y1),
-        }
-    }
-
     /// Grow the box by `margin` cells on every side (shrink when negative).
     pub fn inflate(&self, margin: i64) -> Box2i {
         Box2i::new(self.x0 - margin, self.y0 - margin, self.x1 + margin, self.y1 + margin)
@@ -205,11 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn box_intersection_and_union() {
+    fn box_intersection() {
         let a = Box2i::new(0, 0, 10, 10);
         let b = Box2i::new(5, 5, 15, 15);
         assert_eq!(a.intersect(&b), Some(Box2i::new(5, 5, 10, 10)));
-        assert_eq!(a.union(&b), Box2i::new(0, 0, 15, 15));
         let c = Box2i::new(20, 20, 30, 30);
         assert_eq!(a.intersect(&c), None);
     }

@@ -142,7 +142,7 @@ fn session_stack() -> (Obs, Arc<IdxDataset>) {
 fn scheduled_prefetch_warms_the_cache_for_the_next_pan() {
     let (obs, ds) = session_stack();
     let level = ds.max_level();
-    let mut session = QuerySession::<f32>::new(ds, "v").unwrap().with_tenant(7);
+    let mut session = QuerySession::<f32>::new(ds, "v").unwrap();
     session.set_view(Box2i::new(0, 0, 96, 64), level, level).unwrap();
     session.frame_at(level).unwrap();
     session.pan(32, 0).unwrap();

@@ -59,8 +59,9 @@ fn refined_frame_matches_direct_read_box_bitwise() {
     assert_eq!(finest.raster.shape(), want.shape());
     assert_eq!(finest.raster.data(), want.data(), "session refinement must be transparent");
 
-    // Level-delta planning: the whole coarse-to-fine sequence resolved
-    // exactly the planner's unique block set, never a block twice.
+    // Each frame plans its own level and resolves only what is not
+    // resident: the whole coarse-to-fine sequence resolved exactly the
+    // planner's unique block set, never a block twice.
     let planned = ds.blocks_for_query(region, max).unwrap().len() as u64;
     assert_eq!(s.stats().blocks_fetched, planned);
     assert!(s.stats().blocks_reused > 0, "later levels reuse earlier levels' blocks");
