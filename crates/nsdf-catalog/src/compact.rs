@@ -17,10 +17,13 @@
 //! an id on consecutive entries, and then the later entry is newer.
 //! The engine writes the recency order of a shard's runs once
 //! (`ShardState::runs`: memtable, L0 newest→oldest, then each deeper
-//! level as one chained run), and the merge has three callers: scans view
-//! the put winners in place, [`merge_segments`] (compaction) writes every
-//! winner into fresh segments — a segment winner's body is copied as bytes,
-//! never decoded — and bulk load hands it its sorted batch as one run.
+//! level as one chained run), and the merge has three callers, each of which
+//! returns every winner: the full scans (`scan_all`, `stats`) view the put
+//! winners in place, [`merge_segments`] (compaction) writes every winner
+//! into fresh segments — a segment winner's body is copied as bytes, never
+//! decoded — and bulk load hands it its sorted batch as one run. Name and
+//! source queries do not merge: they filter entries first and check each
+//! match against its id's newest version (`ShardState::newest`).
 //!
 //! Compaction never changes what queries observe — the differential
 //! harness holds the engine bitwise-equal to a `BTreeMap` oracle across

@@ -8,14 +8,23 @@
 //! Leveled compaction keeps read amplification bounded and retires
 //! shadowed versions with checksum-based dedup accounting.
 //!
-//! One merge, one run order. Every multi-run read — scans (`scan_all`,
-//! `find_by_*`, `stats`), compaction and bulk load — is the newest-wins
-//! merge of `compact` over runs ranked newest first, and the rank of a
-//! shard's runs is written once, in `ShardState::runs`: the memtable, then
-//! L0's segments newest→oldest (each its own run, since they overlap),
-//! then each deeper level as one chained run. A point lookup is no merge:
-//! it probes the same order (bloom filter, then binary search) and stops
-//! at the first version it finds.
+//! One run order, two read plans. A shard's runs rank newest first: the
+//! memtable, then L0's segments newest→oldest (each its own run, since
+//! they overlap), then each deeper level as one chained run.
+//! `ShardState::runs` writes that order for the newest-wins merge of
+//! `compact`, and `ShardState::newest` walks it for one id.
+//!
+//! * What returns everything merges: `scan_all`, `stats`, compaction and
+//!   bulk load.
+//! * What returns a few records filters first, then checks the winner:
+//!   `find_by_prefix` and `find_by_source` test every memtable entry and
+//!   every segment entry's name or source, sliced from its body, and keep
+//!   a segment match only when `newest` names that very entry. A memtable
+//!   match always wins.
+//! * A point lookup is `newest` alone: the memtable, then per segment a
+//!   bloom filter and a fence-index search, stopping at the first version
+//!   it finds. Only reads book its bloom outcomes; a query's winner check
+//!   and a write's liveness check do not.
 //!
 //! Durability protocol (each step individually crash-safe):
 //!
@@ -63,6 +72,7 @@ use nsdf_util::{sealed_checksum, splitmix64, Counter, NsdfError, Obs, Result, Si
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
+use std::ptr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -198,6 +208,37 @@ impl ShardState {
 
     fn level_bytes(&self, level: usize) -> u64 {
         self.levels.get(level).map_or(0, |l| l.iter().map(|h| h.seg.encoded_bytes()).sum())
+    }
+
+    /// The newest version of `id`, walking `runs`' order: the memtable, L0
+    /// newest→oldest, then the one segment per deeper level that covers
+    /// `id`; per segment the bloom filter, then `Segment::position`. Each
+    /// bloom outcome is booked in `c` when given.
+    fn newest(&self, id: u64, c: Option<&Counters>) -> Option<Version<'_>> {
+        if let Some(e) = self.memtable.get(id) {
+            return Some(Version::Mem(e));
+        }
+        let count = |counter: fn(&Counters) -> &Counter| c.map(|c| counter(c).inc());
+        let l0 = self.levels.iter().take(1).flat_map(|l0| l0.iter().rev());
+        let deeper = self.levels.iter().skip(1).filter_map(|level| {
+            level.get(level.partition_point(|h| h.seg.min_id() <= id).checked_sub(1)?)
+        });
+        for seg in l0.chain(deeper).map(|h| &*h.seg).filter(|seg| seg.covers(id)) {
+            if !seg.bloom().contains(id) {
+                count(|c| &c.bloom_skip);
+            } else if let Some(i) = seg.position(id) {
+                count(|c| &c.bloom_hit);
+                return Some(Version::Seg(seg, i));
+            } else {
+                count(|c| &c.bloom_fp);
+            }
+        }
+        None
+    }
+
+    /// True when `id`'s newest version is a record.
+    fn is_live(&self, id: u64) -> bool {
+        self.newest(id, None).is_some_and(|v| !v.is_tombstone())
     }
 
     /// The shard's sorted runs over `levels`, newest first — the one place
@@ -402,8 +443,7 @@ impl Catalog {
     /// Look up a record by id.
     pub fn get(&self, id: u64) -> Option<Record> {
         self.c.gets.inc();
-        let st = self.shards[self.shard_index(id)].read();
-        self.materialize(self.locate(&st, id))
+        self.locate(&self.shards[self.shard_index(id)].read(), id)
     }
 
     /// Batched cross-shard lookup: ids are grouped per shard so each
@@ -421,7 +461,7 @@ impl Catalog {
             }
             let st = self.shards[si].read();
             for &(i, id) in items {
-                out[i] = self.materialize(self.locate(&st, id));
+                out[i] = self.locate(&st, id);
             }
         }
         out
@@ -437,21 +477,29 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// All records whose name starts with `prefix`, sorted by id. A full
-    /// merged scan by design — NSDF-Catalog favours ingest speed and a
-    /// tiny footprint over secondary indexes.
+    /// All records whose name starts with `prefix`, sorted by id. No
+    /// secondary index — NSDF-Catalog favours ingest speed and a tiny
+    /// footprint — but no merge either: names are compared as body bytes,
+    /// and only a match is checked for being its id's newest version.
     pub fn find_by_prefix(&self, prefix: &str) -> Vec<Record> {
-        self.scan_filter(|r| r.name.starts_with(prefix))
+        self.find_where(|name, _| name.starts_with(prefix.as_bytes()))
     }
 
-    /// All records from `source`, sorted by id.
+    /// All records from `source`, sorted by id; planned as
+    /// [`Catalog::find_by_prefix`] is.
     pub fn find_by_source(&self, source: &str) -> Vec<Record> {
-        self.scan_filter(|r| r.source == source)
+        self.find_where(|_, s| s == source.as_bytes())
     }
 
     /// Every live record, sorted by id — the differential harness's view.
+    /// One merged scan.
     pub fn scan_all(&self) -> Vec<Record> {
-        self.scan_filter(|_| true)
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            shard.read().for_each_live(|r| out.push(r.to_owned()));
+        }
+        out.sort_by_key(|r| r.id);
+        out
     }
 
     /// Aggregate statistics (full merged scan).
@@ -500,72 +548,35 @@ impl Catalog {
             .collect()
     }
 
-    fn scan_filter(&self, keep: impl Fn(&RecordRef<'_>) -> bool) -> Vec<Record> {
+    /// Every live record whose name and source pass `keep`, sorted by id:
+    /// each memtable match (the newest run always wins), and each segment
+    /// match that is its id's newest version. Tombstones have no text.
+    fn find_where(&self, keep: impl Fn(&[u8], &[u8]) -> bool) -> Vec<Record> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            shard.read().for_each_live(|r| {
-                if keep(&r) {
-                    out.push(r.to_owned());
+            let st = shard.read();
+            let records = st.memtable.iter().filter_map(|(_, e)| e.record());
+            out.extend(records.filter(|r| keep(r.name.as_bytes(), r.source.as_bytes())).cloned());
+            for seg in st.levels.iter().flatten().map(|h| &*h.seg) {
+                let found = |&i: &usize| {
+                    let is_here = |v| matches!(v, Version::Seg(s, j) if ptr::eq(s, seg) && j == i);
+                    seg.texts_at(i).is_some_and(|(name, source)| keep(name, source))
+                        && st.newest(seg.ids()[i], None).is_some_and(is_here)
+                };
+                for i in (0..seg.count()).filter(found) {
+                    let r = seg.record_at(i).expect("segment verified at load");
+                    out.push(r.expect("a match is a record").to_owned());
                 }
-            });
+            }
         }
         out.sort_by_key(|r| r.id);
         out
     }
 
-    /// Newest-version-wins point lookup across memtable and levels, with
-    /// bloom accounting on every segment probe.
-    fn locate<'a>(&self, st: &'a ShardState, id: u64) -> Option<Version<'a>> {
-        if let Some(e) = st.memtable.get(id) {
-            return Some(Version::Mem(e));
-        }
-        // L0 newest first (overlapping runs).
-        if let Some(l0) = st.levels.first() {
-            for h in l0.iter().rev() {
-                if let Some(loc) = self.probe_segment(&h.seg, id) {
-                    return Some(loc);
-                }
-            }
-        }
-        // Deeper levels: at most one covering segment each.
-        for level in st.levels.iter().skip(1) {
-            let at = level.partition_point(|h| h.seg.min_id() <= id);
-            if at == 0 {
-                continue;
-            }
-            if let Some(loc) = self.probe_segment(&level[at - 1].seg, id) {
-                return Some(loc);
-            }
-        }
-        None
-    }
-
-    fn probe_segment<'a>(&self, seg: &'a Segment, id: u64) -> Option<Version<'a>> {
-        if !seg.covers(id) {
-            return None;
-        }
-        if !seg.bloom().contains(id) {
-            self.c.bloom_skip.inc();
-            return None;
-        }
-        match seg.position(id) {
-            Some(i) => {
-                self.c.bloom_hit.inc();
-                Some(Version::Seg(seg, i))
-            }
-            None => {
-                self.c.bloom_fp.inc();
-                None
-            }
-        }
-    }
-
-    fn materialize(&self, version: Option<Version<'_>>) -> Option<Record> {
-        version?.view().expect("segment verified at load").map(RecordRef::to_owned)
-    }
-
-    fn is_live(&self, st: &ShardState, id: u64) -> bool {
-        self.locate(st, id).is_some_and(|v| !v.is_tombstone())
+    /// `id`'s newest version as a record, booking bloom outcomes as a read.
+    fn locate(&self, st: &ShardState, id: u64) -> Option<Record> {
+        let version = st.newest(id, Some(&self.c))?;
+        version.view().expect("segment verified at load").map(RecordRef::to_owned)
     }
 
     // --------------------------------------------------------------- writes
@@ -596,7 +607,7 @@ impl Catalog {
             self.append_wal_locked(&mut w, &batch)?;
             for op in batch.ops {
                 let WalOp::Put(r) = op else { unreachable!("ingest logs only puts") };
-                new += self.apply_put(r) as u64;
+                new += !self.apply(r.id, Entry::Put(r)) as u64;
                 self.c.upserts.inc();
             }
             self.maybe_checkpoint_locked(&mut w)?;
@@ -607,11 +618,14 @@ impl Catalog {
     /// Delete by id. Returns `true` when the record existed.
     pub fn delete(&self, id: u64) -> Result<bool> {
         let mut w = self.wal.lock();
-        if !self.is_live(&self.shards[self.shard_index(id)].read(), id) {
+        // Writers hold the WAL mutex, so `id` is still live once logged.
+        let shard = &self.shards[self.shard_index(id)];
+        if !shard.read().is_live(id) {
             return Ok(false);
         }
         self.append_wal_locked(&mut w, &WalBatch { ops: vec![WalOp::Del(id)] })?;
-        self.apply_del(id);
+        shard.write().memtable.insert(id, Entry::Tombstone);
+        self.live.fetch_sub(1, Ordering::Relaxed);
         self.c.deletes.inc();
         self.maybe_checkpoint_locked(&mut w)?;
         Ok(true)
@@ -706,24 +720,16 @@ impl Catalog {
         Ok(())
     }
 
-    fn apply_put(&self, record: Record) -> bool {
-        let si = self.shard_index(record.id);
-        let mut st = self.shards[si].write();
-        let was_live = self.is_live(&st, record.id);
-        st.memtable.insert(record.id, Entry::Put(record));
-        if !was_live {
-            self.live.fetch_add(1, Ordering::Relaxed);
-        }
-        !was_live
-    }
-
-    fn apply_del(&self, id: u64) -> bool {
-        let si = self.shard_index(id);
-        let mut st = self.shards[si].write();
-        let was_live = self.is_live(&st, id);
-        st.memtable.insert(id, Entry::Tombstone);
-        if was_live {
-            self.live.fetch_sub(1, Ordering::Relaxed);
+    /// Make `entry` the newest write of `id` and keep the live count;
+    /// returns whether `id` was live before.
+    fn apply(&self, id: u64, entry: Entry) -> bool {
+        let mut st = self.shards[self.shard_index(id)].write();
+        let (was_live, is_live) = (st.is_live(id), entry.record().is_some());
+        st.memtable.insert(id, entry);
+        match (was_live, is_live) {
+            (false, true) => _ = self.live.fetch_add(1, Ordering::Relaxed),
+            (true, false) => _ = self.live.fetch_sub(1, Ordering::Relaxed),
+            _ => {}
         }
         was_live
     }
@@ -1121,13 +1127,9 @@ impl Catalog {
             };
             for op in batch.ops {
                 match op {
-                    WalOp::Put(r) => {
-                        self.apply_put(r);
-                    }
-                    WalOp::Del(id) => {
-                        self.apply_del(id);
-                    }
-                }
+                    WalOp::Put(r) => self.apply(r.id, Entry::Put(r)),
+                    WalOp::Del(id) => self.apply(id, Entry::Tombstone),
+                };
             }
             w.next_wal = seq + 1;
         }
@@ -1525,6 +1527,43 @@ mod tests {
         // Absent keys inside covered ranges should overwhelmingly be
         // skipped by the filter rather than falsely admitted.
         assert!(fp as f64 <= 0.02 * (fp + skip).max(1) as f64, "fp={fp} skip={skip}");
+    }
+
+    #[test]
+    fn queries_skip_shadowed_matches_and_book_no_bloom_probes() {
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        let cfg = CatalogConfig { l0_compact_trigger: 8, ..small_cfg(1) };
+        let cat = Catalog::open(store, SimClock::new(), cfg).unwrap();
+        // L1: 1 and 4 match, 5 does not.
+        cat.ingest([rec(1, "m/1", "s"), rec(4, "m/4", "s"), rec(5, "q/5", "s")]).unwrap();
+        cat.compact().unwrap();
+        // L0, older: 1 becomes a non-match, 5 a match; 2 and 3 match.
+        cat.ingest([rec(1, "q/1", "s"), rec(2, "m/2", "s"), rec(3, "m/3", "s")]).unwrap();
+        cat.ingest([rec(5, "m/5", "t")]).unwrap();
+        cat.flush().unwrap();
+        // L0, newer: 3 becomes a non-match. Memtable: 2 is deleted.
+        cat.upsert(rec(3, "q/3", "s")).unwrap();
+        cat.flush().unwrap();
+        cat.delete(2).unwrap();
+        let shape: Vec<usize> = cat.layout()[0].iter().map(Vec::len).collect();
+        assert_eq!(shape, [2, 1], "two L0 segments over one L1 segment");
+
+        let bloom = || {
+            let snap = cat.obs().snapshot();
+            ["hit", "fp", "skip"].map(|k| snap.counter(&format!("catalog.bloom_{k}")))
+        };
+        let before = bloom();
+        let ids = |records: Vec<Record>| records.iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(cat.find_by_prefix("m/")), [4, 5]);
+        assert_eq!(ids(cat.find_by_source("s")), [1, 3, 4]);
+        assert_eq!(ids(cat.find_by_source("t")), [5]);
+        cat.upsert(rec(4, "m/4b", "s")).unwrap();
+        cat.delete(1).unwrap();
+        assert_eq!(bloom(), before, "queries and writes book no bloom probe");
+        assert_eq!(ids(cat.find_by_prefix("m/")), [4, 5]);
+        assert_eq!(cat.find_by_prefix("m/4")[0].name, "m/4b");
+        assert!(cat.get(5).is_some());
+        assert_ne!(bloom(), before, "a get books its probes");
     }
 
     #[test]

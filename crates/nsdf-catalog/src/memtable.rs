@@ -3,10 +3,11 @@
 //! One memtable per shard: a sorted map from record id to the newest write
 //! for that id — a live record or a tombstone. Because the map is sorted,
 //! flushing is a straight iteration into an immutable sorted segment with
-//! no extra sort pass, and a scan hands it to the one newest-wins merge
-//! (`compact::merge`) as the newest of the shard's runs: the run order
-//! (`ShardState::runs`) is this memtable, then L0 newest→oldest, then each
-//! deeper level as one chained run.
+//! no extra sort pass. It is the newest of the shard's runs (this memtable,
+//! then L0 newest→oldest, then each deeper level as one chained run): a
+//! full scan hands it to the newest-wins merge (`compact::merge`) first, a
+//! point lookup (`ShardState::newest`) probes it first, and a name or
+//! source query returns its matches as they are, since nothing shadows them.
 
 use crate::record::Record;
 use std::collections::{btree_map, BTreeMap};

@@ -15,11 +15,14 @@
 //!
 //! The columnar split keeps the resident form compact (ids and bodies live
 //! in two flat buffers; a read sees a body through a checked, borrowed
-//! [`RecordRef`] and compaction copies it as bytes) and makes point lookups
-//! a binary search over the id column after a bloom-filter admission
-//! check. [`Segment::decode`] refuses a torn or bit-flipped envelope, or a
-//! body that does not parse, with a [`NsdfError::Corrupt`], which is what
-//! lets recovery quarantine damage instead of serving it.
+//! [`RecordRef`], a name or source query slices its text straight from the
+//! body, and compaction copies it as bytes). A point lookup passes the
+//! bloom filter, then searches a fence index: every 64th id, derived from
+//! the id column by [`Segment::decode`] and `SegmentBuilder::finish` and
+//! never stored, picks the one 64-id window a binary search then covers.
+//! [`Segment::decode`] refuses a torn or bit-flipped envelope, or a body
+//! that does not parse, with a [`NsdfError::Corrupt`], which is what lets
+//! recovery quarantine damage instead of serving it.
 
 use crate::bloom::Bloom;
 use crate::engine::BITS_PER_KEY;
@@ -28,11 +31,21 @@ use nsdf_util::{seal, unseal, NsdfError, Result};
 
 const MAGIC: &[u8; 8] = b"NSDFSG01";
 
+/// Ids per fence window: `fences[w]` is `ids[w * FENCE]`.
+const FENCE: usize = 64;
+
+/// The fence index of a sorted id column.
+fn fences(ids: &[u64]) -> Vec<u64> {
+    ids.iter().step_by(FENCE).copied().collect()
+}
+
 /// One immutable sorted run, resident in memory, durable on the store.
 #[derive(Debug, Clone)]
 pub struct Segment {
     level: u32,
     ids: Vec<u64>,
+    /// Every `FENCE`-th id, derived from `ids` (not stored).
+    fences: Vec<u64>,
     flags: Vec<u8>,
     offsets: Vec<u32>,
     payload: Vec<u8>,
@@ -52,12 +65,12 @@ impl Segment {
     }
 
     /// Smallest id.
-    pub fn min_id(&self) -> u64 {
+    pub(crate) fn min_id(&self) -> u64 {
         self.ids[0]
     }
 
     /// Largest id.
-    pub fn max_id(&self) -> u64 {
+    pub(crate) fn max_id(&self) -> u64 {
         *self.ids.last().expect("segments are never empty")
     }
 
@@ -67,12 +80,12 @@ impl Segment {
     }
 
     /// The segment's bloom filter.
-    pub fn bloom(&self) -> &Bloom {
+    pub(crate) fn bloom(&self) -> &Bloom {
         &self.bloom
     }
 
     /// True when `id` falls inside this segment's key range.
-    pub fn covers(&self, id: u64) -> bool {
+    pub(crate) fn covers(&self, id: u64) -> bool {
         id >= self.min_id() && id <= self.max_id()
     }
 
@@ -104,9 +117,21 @@ impl Segment {
         self.body(i).map(|body| RecordRef::parse(self.ids[i], body)).transpose()
     }
 
-    /// Binary-search position of `id` in the id column.
+    /// Name and source of entry `i`, sliced from its body unchecked (every
+    /// body parsed when the segment was built or decoded); `None` for a
+    /// tombstone.
+    pub(crate) fn texts_at(&self, i: usize) -> Option<(&[u8], &[u8])> {
+        let body = self.body(i)?;
+        let (name, rest) = body[18..].split_at(u16::from_le_bytes([body[16], body[17]]) as usize);
+        Some((name, &rest[2..]))
+    }
+
+    /// Position of `id` in the id column: the fence index picks its
+    /// window, a binary search finds it there.
     pub fn position(&self, id: u64) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+        let start = FENCE * self.fences.partition_point(|&f| f <= id).checked_sub(1)?;
+        let window = &self.ids[start..self.ids.len().min(start + FENCE)];
+        window.binary_search(&id).ok().map(|i| start + i)
     }
 
     /// Length of the envelope's body (see the layout in the module docs).
@@ -192,8 +217,16 @@ impl Segment {
         {
             return Err(corrupt("offset table inconsistent"));
         }
-        let seg =
-            Segment { level, ids, flags, offsets, payload, bloom, encoded_bytes: buf.len() as u64 };
+        let seg = Segment {
+            level,
+            fences: fences(&ids),
+            ids,
+            flags,
+            offsets,
+            payload,
+            bloom,
+            encoded_bytes: buf.len() as u64,
+        };
         for i in 0..count {
             if seg.is_tombstone(i) && seg.offsets[i] != seg.offsets[i + 1] {
                 return Err(corrupt("tombstone with a body"));
@@ -281,6 +314,7 @@ impl SegmentBuilder {
         let bloom = Bloom::build(&self.ids, BITS_PER_KEY);
         let mut seg = Segment {
             level: self.level,
+            fences: fences(&self.ids),
             ids: self.ids,
             flags: self.flags,
             offsets: self.offsets,
@@ -417,6 +451,24 @@ mod tests {
             }
             let seg = b.finish().unwrap();
             proptest::prop_assert_eq!(seg.encoded_bytes(), seg.encode().len() as u64);
+        }
+
+        #[test]
+        fn fenced_position_matches_a_binary_search(
+            gaps in proptest::collection::vec(1u64..4, 1..=300),
+        ) {
+            // Ids from 5 up with gaps of 1..=3, so most have absent
+            // neighbours; both resident forms carry their own fences.
+            let ids: Vec<u64> = gaps.iter().scan(4, |id, gap| { *id += gap; Some(*id) }).collect();
+            let built = build(&ids, &[]);
+            let decoded = Segment::decode(&built.encode()).unwrap();
+            let fence_ids = ids.iter().step_by(FENCE);
+            let probes = ids.iter().flat_map(|&id| [id - 1, id, id + 1]).chain(fence_ids.copied());
+            for id in probes.chain([0, u64::MAX]) {
+                let want = ids.binary_search(&id).ok();
+                proptest::prop_assert_eq!(built.position(id), want, "built, id {}", id);
+                proptest::prop_assert_eq!(decoded.position(id), want, "decoded, id {}", id);
+            }
         }
     }
 }

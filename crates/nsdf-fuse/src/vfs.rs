@@ -58,11 +58,6 @@ impl VirtualFs {
         Ok(fs)
     }
 
-    /// The mapping in force.
-    pub fn mapping(&self) -> Mapping {
-        self.mapping
-    }
-
     fn o_key(&self, path: &str) -> String {
         format!("{}/o/{path}", self.root)
     }
@@ -376,7 +371,7 @@ mod tests {
     }
 
     fn exercise_basic_ops(v: &VirtualFs) {
-        let name = v.mapping().name();
+        let name = v.mapping.name();
         v.write_file("dir/a.dat", b"alpha").unwrap();
         v.write_file("dir/b.dat", b"bravo-bravo").unwrap();
         v.write_file("top.dat", b"").unwrap();
@@ -556,8 +551,8 @@ mod tests {
     fn check_read(fs: &VirtualFs, model: &HashMap<String, Vec<u8>>, k: u8) {
         let got = fs.read_file(&path(k));
         match model.get(&path(k)) {
-            Some(want) => assert_eq!(&got.unwrap(), want, "{}", fs.mapping().name()),
-            None => assert!(got.unwrap_err().is_not_found(), "{}", fs.mapping().name()),
+            Some(want) => assert_eq!(&got.unwrap(), want, "{}", fs.mapping.name()),
+            None => assert!(got.unwrap_err().is_not_found(), "{}", fs.mapping.name()),
         }
     }
 

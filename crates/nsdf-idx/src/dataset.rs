@@ -719,11 +719,6 @@ impl IdxDataset {
         self
     }
 
-    /// Upload batch size in force.
-    pub fn write_concurrency(&self) -> usize {
-        self.write_concurrency
-    }
-
     /// Dataset metadata.
     pub fn meta(&self) -> &IdxMeta {
         &self.meta

@@ -99,12 +99,6 @@ impl CancelToken {
         self.inner.deadline_vns.store(deadline_vns, Ordering::SeqCst);
     }
 
-    /// The armed deadline, if any.
-    pub fn deadline(&self) -> Option<u64> {
-        let d = self.inner.deadline_vns.load(Ordering::SeqCst);
-        (d != u64::MAX).then_some(d)
-    }
-
     /// Whether the token is cancelled as of virtual time `now_vns`.
     pub(crate) fn is_cancelled_at(&self, now_vns: u64) -> bool {
         self.inner.flag.load(Ordering::SeqCst)

@@ -74,12 +74,12 @@ impl Testbed {
     }
 
     /// All sites.
-    pub fn sites(&self) -> &[Site] {
+    pub(crate) fn sites(&self) -> &[Site] {
         &self.sites
     }
 
     /// Look up a site by name.
-    pub fn site(&self, name: &str) -> Result<&Site> {
+    pub(crate) fn site(&self, name: &str) -> Result<&Site> {
         self.sites
             .iter()
             .find(|s| s.name == name)
@@ -92,7 +92,7 @@ impl Testbed {
     }
 
     /// Modelled round-trip time between two sites (ms).
-    pub fn rtt_ms(&self, a: &str, b: &str) -> Result<f64> {
+    pub(crate) fn rtt_ms(&self, a: &str, b: &str) -> Result<f64> {
         if a == b {
             return Ok(0.2); // intra-site
         }

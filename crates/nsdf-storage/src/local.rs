@@ -25,11 +25,6 @@ impl LocalStore {
         Ok(LocalStore { root, stamp: AtomicU64::new(0) })
     }
 
-    /// Root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn path_for(&self, key: &str) -> Result<PathBuf> {
         validate_key(key)?;
         Ok(self.root.join(key))
@@ -182,7 +177,7 @@ mod tests {
         let s = temp_store("roundtrip");
         s.put("data/block-1.bin", b"abc123").unwrap();
         assert_eq!(s.get("data/block-1.bin").unwrap(), b"abc123");
-        assert!(s.root().join("data/block-1.bin").is_file());
+        assert!(s.root.join("data/block-1.bin").is_file());
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl RetryStore {
         self
     }
 
-    /// Keys rescued by a hedged backup wave so far.
-    pub fn hedge_wins(&self) -> u64 {
-        self.m.hedge_wins.get()
-    }
-
     /// Total retry attempts performed (excludes first attempts).
     pub fn retries(&self) -> u64 {
         self.m.retries.get()
@@ -402,11 +397,6 @@ impl BreakerStore {
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.m = BreakerMetrics::new(obs);
         self
-    }
-
-    /// Requests fast-failed while open.
-    pub fn fast_failures(&self) -> u64 {
-        self.m.fast_failures.get()
     }
 
     fn open_error(&self) -> NsdfError {
@@ -1023,7 +1013,7 @@ mod tests {
             for (i, r) in results.iter().enumerate() {
                 assert_eq!(r.as_ref().unwrap(), format!("v{i}").as_bytes(), "key {i}");
             }
-            (obs.clock().now_ns(), obs.snapshot(), retry.hedge_wins())
+            (obs.clock().now_ns(), obs.snapshot(), retry.m.hedge_wins.get())
         };
         let (plain_ns, plain_snap, _) = run(false);
         let (hedged_ns, hedged_snap, wins) = run(true);
@@ -1087,7 +1077,7 @@ mod tests {
             assert!(breaker.get("k").is_err());
         }
         assert_eq!(dead.injected_failures(), injected_when_open, "open breaker shields inner");
-        assert_eq!(breaker.fast_failures(), 5);
+        assert_eq!(breaker.m.fast_failures.get(), 5);
 
         // Cooldown elapses on the virtual clock; next request half-opens
         // and probes. The endpoint is still dead, so the probe re-opens.
@@ -1150,7 +1140,7 @@ mod tests {
         assert_eq!(breaker.core.lock().state, BreakerState::Open);
         let r = breaker.get_many(&["a", "b", "c"]);
         assert!(r.iter().all(|x| x.is_err()));
-        assert_eq!(breaker.fast_failures(), 3, "every key of the shed batch is counted");
+        assert_eq!(breaker.m.fast_failures.get(), 3, "every key of the shed batch is counted");
     }
 
     #[test]
@@ -1349,7 +1339,7 @@ mod tests {
         let injected = dead.injected_failures();
         assert!(breaker.put_many(&items).iter().all(|r| r.is_err()));
         assert_eq!(dead.injected_failures(), injected, "open breaker shields inner");
-        assert_eq!(breaker.fast_failures(), 3);
+        assert_eq!(breaker.m.fast_failures.get(), 3);
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl Completion {
     }
 
     /// End-to-end virtual latency: completion minus arrival.
-    pub fn latency_vns(&self) -> u64 {
+    pub(crate) fn latency_vns(&self) -> u64 {
         self.end_vns.saturating_sub(self.arrival_vns)
     }
 }
@@ -844,7 +844,7 @@ impl Scheduler {
     /// grant adds scheduler-visible service time the WAN never charged).
     ///
     /// [`CloudStore::busy_vns`]: crate::wan::CloudStore::busy_vns
-    pub fn granted_vns(&self) -> u64 {
+    pub(crate) fn granted_vns(&self) -> u64 {
         self.m.granted_vns.get()
     }
 

@@ -84,11 +84,6 @@ impl Box2i {
         Box2i::new(self.x0 - margin, self.y0 - margin, self.x1 + margin, self.y1 + margin)
     }
 
-    /// Translate by `(dx, dy)`.
-    pub fn shift(&self, dx: i64, dy: i64) -> Box2i {
-        Box2i { x0: self.x0 + dx, y0: self.y0 + dy, x1: self.x1 + dx, y1: self.y1 + dy }
-    }
-
     /// Iterate over every `(x, y)` cell in row-major order.
     pub fn cells(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
         let b = *self;
@@ -114,11 +109,6 @@ pub struct GeoTransform {
 }
 
 impl GeoTransform {
-    /// Identity transform (pixel == world).
-    pub fn identity() -> Self {
-        GeoTransform { x0: 0.0, y0: 0.0, dx: 1.0, dy: 1.0 }
-    }
-
     /// North-up transform with square `pixel_size` and top-left `(x0, y0)`.
     pub fn north_up(x0: f64, y0: f64, pixel_size: f64) -> Self {
         GeoTransform { x0, y0, dx: pixel_size, dy: -pixel_size }
@@ -216,10 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn inflate_and_shift() {
+    fn inflate_grows_and_shrinks() {
         let b = Box2i::new(2, 2, 4, 4).inflate(2);
         assert_eq!(b, Box2i::new(0, 0, 6, 6));
-        assert_eq!(b.shift(1, -1), Box2i::new(1, -1, 7, 5));
+        assert_eq!(b.inflate(-1), Box2i::new(1, 1, 5, 5));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub fn rmse(a: &[f64], b: &[f64]) -> Result<f64> {
 }
 
 /// Maximum absolute difference between two equal-length slices.
-pub fn max_abs_err(a: &[f64], b: &[f64]) -> Result<f64> {
+pub(crate) fn max_abs_err(a: &[f64], b: &[f64]) -> Result<f64> {
     if a.len() != b.len() {
         return Err(NsdfError::invalid("max_abs_err: length mismatch"));
     }
@@ -29,7 +29,7 @@ pub fn max_abs_err(a: &[f64], b: &[f64]) -> Result<f64> {
 /// Peak signal-to-noise ratio in dB given a known dynamic range `peak`.
 ///
 /// Returns `f64::INFINITY` for identical inputs.
-pub fn psnr(a: &[f64], b: &[f64], peak: f64) -> Result<f64> {
+pub(crate) fn psnr(a: &[f64], b: &[f64], peak: f64) -> Result<f64> {
     let r = rmse(a, b)?;
     if r == 0.0 {
         return Ok(f64::INFINITY);

@@ -125,7 +125,7 @@ impl TaskCtx {
     }
 
     /// The input artifact named `name`.
-    pub fn input(&self, name: &str) -> Result<&TaskInput> {
+    pub(crate) fn input(&self, name: &str) -> Result<&TaskInput> {
         self.inputs
             .iter()
             .find(|i| i.artifact.name == name)
@@ -286,25 +286,11 @@ impl GraphRun {
         self.records.iter().find(|r| r.name == name)
     }
 
-    /// The produced artifact named `name`, searched across all records.
-    pub fn artifact(&self, name: &str) -> Option<&Artifact> {
-        self.records.iter().flat_map(|r| &r.produced).find(|a| a.name == name)
-    }
-
     /// Names of tasks that actually executed this run.
     pub fn executed(&self) -> Vec<&str> {
         self.records
             .iter()
             .filter(|r| r.status == TaskStatus::Succeeded)
-            .map(|r| r.name.as_str())
-            .collect()
-    }
-
-    /// Names of tasks skipped as hash-verified up-to-date.
-    pub fn up_to_date(&self) -> Vec<&str> {
-        self.records
-            .iter()
-            .filter(|r| r.status == TaskStatus::UpToDate)
             .map(|r| r.name.as_str())
             .collect()
     }

@@ -7,11 +7,14 @@
 # collects
 #   - each item defined `pub fn|struct|enum|trait|type|const|static`, and
 #   - each name a `pub use` re-exports (the alias when it has one).
-# A name is listed when it appears as a word in no .rs file outside its
-# crate: the other crates (crates/bench included), src/, tests/, examples/
-# and benchmark/src. The crate's own tests/ are inside it, so a seam only
-# they use is listed. The match is by name, not by path, so a listed item is
-# certainly unused outside; an unlisted one may still be.
+# A function is listed when no .rs file outside its crate calls it or names
+# it in a path or a use item: `name(`, `.name(`, `name::<`, `::name`, or a
+# word of a `use` statement (a local variable or a test called `name` is no
+# use). Any other item is listed when it appears as a word in no such file.
+# Outside means the other crates (crates/bench included), src/, tests/,
+# examples/ and benchmark/src. The crate's own tests/ are inside it, so a
+# seam only they use is listed. The match is by name, not by path, so a
+# listed item is certainly unused outside; an unlisted one may still be.
 #
 # scripts/dead_pub.allow keeps what must stay public, one entry a line:
 #   <crate> <name> <reason>
@@ -53,17 +56,44 @@ defs() { # <src dir> -> "<name>\t<file>:<line>\t<kind>" per public item
     }'
 }
 
+# "<file>\t<name>" for every name a file calls (`name(`, `name::<`; not a
+# `fn name(` definition), reaches by a path (`::name`) or names in a `use`
+# statement.
+find crates src tests examples benchmark/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  function emit(tok) { print FILENAME "\t" tok }
+  inuse || /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/ {
+    line = $0; inuse = line !~ /;/; sub(/;.*/, "", line)
+    n = split(line, w, /[^A-Za-z0-9_]+/)
+    for (i = 1; i <= n; i++) if (w[i] != "") emit(w[i])
+    next
+  }
+  {
+    line = $0
+    while (match(line, /(fn[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(\(|::<)/)) {
+      tok = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+      if (tok !~ /^fn[[:space:]]/) { sub(/[[:space:]]*(\(|::<)$/, "", tok); emit(tok) }
+    }
+    line = $0
+    while (match(line, /::[A-Za-z_][A-Za-z0-9_]*/)) {
+      emit(substr(line, RSTART + 2, RLENGTH - 2)); line = substr(line, RSTART + RLENGTH)
+    }
+  }' >"$work/calls"
+
 for dir in crates/*; do
   crate="$(basename "$dir")"
   [ "$crate" = bench ] || [ ! -d "$dir/src" ] && continue
   defs "$dir/src" >"$work/defs"
   cut -f1 "$work/defs" | sort -u >"$work/names"
   [ -s "$work/names" ] || continue
-  # Every .rs file outside this crate; a name any of them says is in use.
+  # Every .rs file outside this crate; a name any of them says is in use,
+  # a function only in a call, path or use form.
   find crates src tests examples benchmark/src -name '*.rs' -not -path "crates/$crate/*" -print0 |
     xargs -0 grep -howF -f "$work/names" | sort -u >"$work/used" || true
-  sort -k1,1 "$work/defs" | join -t "$(printf '\t')" -v1 - "$work/used" |
-    awk -v c="$crate" -F '\t' '{ print c "\t" $1 "\t" $2 "\t" $3 }' >>"$work/listed"
+  awk -F '\t' -v d="crates/$crate/" 'index($1, d) != 1 { print $2 }' "$work/calls" |
+    sort -u >"$work/called"
+  { awk -F '\t' '$3 != "fn"' "$work/defs" | sort -k1,1 | join -t "$(printf '\t')" -v1 - "$work/used"
+    awk -F '\t' '$3 == "fn"' "$work/defs" | sort -k1,1 | join -t "$(printf '\t')" -v1 - "$work/called"
+  } | awk -v c="$crate" -F '\t' '{ print c "\t" $1 "\t" $2 "\t" $3 }' >>"$work/listed"
 done
 touch "$work/listed"
 [ -f "$allow" ] && awk 'NF && $1 !~ /^#/ { print $1 "\t" $2 }' "$allow" | sort -u >"$work/allowed" || : >"$work/allowed"

@@ -4,7 +4,9 @@
 //! so flushes and compactions fire constantly mid-trace — and against a
 //! plain `BTreeMap` oracle. Every query must agree bitwise, the final
 //! scans must be identical across shard counts and WAN profiles, and the
-//! state must survive forced compaction and close→reopen recovery. Two
+//! state must survive forced compaction and close→reopen recovery. A
+//! second trace renames an id at every version, so prefix queries meet
+//! matches their newest version shadows. Two
 //! wave-shape regressions pin how many WAN waves a checkpoint's garbage
 //! collection and a many-shard load + compaction may cost.
 
@@ -41,6 +43,12 @@ fn synth(id: u64, v: u64) -> Record {
     .expect("valid synthetic record")
 }
 
+/// [`synth`] under a name that moves with the version, so an older version
+/// can match a prefix its id's newest version does not.
+fn synth_moving(id: u64, v: u64) -> Record {
+    Record { name: format!("p{:02}/obj-{id:05}", (id + v) % 37), ..synth(id, v) }
+}
+
 #[derive(Clone)]
 enum Op {
     Upsert(Record),
@@ -52,13 +60,18 @@ enum Op {
 }
 
 fn trace(seed: u64, ops: usize) -> Vec<Op> {
+    trace_of(seed, ops, synth)
+}
+
+/// [`trace`] with upserts of `make(id, version)`.
+fn trace_of(seed: u64, ops: usize, make: fn(u64, u64) -> Record) -> Vec<Op> {
     let mut rng = Rng(seed);
     (0..ops)
         .map(|_| {
             let roll = rng.next() % 100;
             let id = rng.next() % ID_SPACE;
             match roll {
-                0..=49 => Op::Upsert(synth(id, rng.next() % 8)),
+                0..=49 => Op::Upsert(make(id, rng.next() % 8)),
                 50..=64 => Op::Delete(id),
                 65..=84 => Op::Get(id),
                 85..=92 => Op::Prefix(format!("p{:02}/", rng.next() % 37)),
@@ -164,6 +177,24 @@ fn differential_trace_matches_oracle_across_shards_and_profiles() {
     // exact same record set, bit for bit.
     for (i, f) in finals.iter().enumerate().skip(1) {
         assert_eq!(f, &finals[0], "engine {i} diverged from engine 0");
+    }
+}
+
+#[test]
+fn shadowed_name_matches_stay_hidden_across_shards() {
+    // Every version of an id has its own name, so older versions in L0 and
+    // deeper levels keep matching prefixes their newest version left.
+    let ops = trace_of(SEED ^ 0x5AD0, OPS, synth_moving);
+    let sweep: Vec<Op> = (0..37).map(|p| Op::Prefix(format!("p{p:02}/"))).collect();
+    for shards in SHARD_COUNTS {
+        let ctx = format!("moving names shards={shards}");
+        let clock = SimClock::new();
+        let store = wan_store(NetworkProfile::private_seal(), &clock);
+        let cat = Catalog::open(store, clock.clone(), small_cfg(shards)).expect("open");
+        let mut oracle = Oracle::new();
+        run_trace(&cat, &mut oracle, &ops, &ctx);
+        run_trace(&cat, &mut oracle, &sweep, &format!("{ctx} sweep"));
+        assert_state_eq(&cat, &oracle, &format!("{ctx} post-trace"));
     }
 }
 
